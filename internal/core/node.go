@@ -4,7 +4,7 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"pandas/internal/blob"
@@ -54,10 +54,12 @@ const inflightTTL = 1600 * time.Millisecond
 // flushDelay is the coalescing window for replies to buffered queries.
 const flushDelay = 25 * time.Millisecond
 
+// boostParcel is one entry of the builder's consolidation-boost map: peer
+// was seeded count cells of line from position start.
 type boostParcel struct {
-	line  blob.Line
-	start int
-	count int
+	peer         int32
+	line         blob.Line
+	start, count uint16
 }
 
 // Node is one PANDAS participant: it custodies assigned rows/columns,
@@ -89,9 +91,12 @@ type Node struct {
 	store      *Store
 	samples    []blob.CellID
 	pendingSmp map[blob.CellID]bool
-	boost      map[int][]boostParcel
-	queried    map[int]bool
-	queryRound map[int]int
+	// boost holds the CB parcels of other peers, in arrival order.
+	boost []boostParcel
+	// queryRound records the round each peer was last queried in. A peer
+	// is queried at most once between re-arms of the queryable set: it is
+	// excluded while its round is not before lastRearm (see wasQueried).
+	queryRound stampTable
 	buffered   map[blob.CellID]map[int]bool
 	round      int
 	lastRearm  int
@@ -106,10 +111,10 @@ type Node struct {
 	// the builder is still transmitting, without re-requesting what is
 	// already on its way).
 	promised map[blob.CellID]bool
-	// outstanding maps cells with in-flight queries to the expiry times
-	// of those queries; unexpired entries count toward the redundancy
-	// target so rounds do not re-request what is already on its way.
-	outstanding map[blob.CellID][]time.Duration
+	// outstanding lists the in-flight requests; unexpired entries count
+	// toward the redundancy target so rounds do not re-request what is
+	// already on its way.
+	outstanding []inflight
 	// pendingOut coalesces responses to buffered queries: cells often
 	// land in bursts (seed chunks, reconstruction), and answering each
 	// arrival individually would multiply message counts. A short timer
@@ -119,8 +124,8 @@ type Node struct {
 	// cbSeeded records, per assigned line, which positions the builder's
 	// CB map says were seeded SOMEWHERE; those are the cheap cells to
 	// fetch and are preferred when choosing which missing cells to
-	// request. Positions are a bitset (one word per 64 line positions).
-	cbSeeded map[blob.Line][]uint64
+	// request. One bitset per custody line, in store line order.
+	cbSeeded []uint64
 	// awaitReply tracks, per queried peer, the deadline by which SOME
 	// response must arrive before the peer is reported to the liveness
 	// scorer as timed out. Only maintained when liveness is set.
@@ -136,25 +141,24 @@ type Node struct {
 	// restarts within the same slot does not execute stale callbacks.
 	gen uint64
 
+	// seedSig remembers the proposer signature last verified for this
+	// node's current proposer key: every datagram of a seed batch carries
+	// the same (slot, builder, signature), and only an exact match skips
+	// the Ed25519 check.
+	seedSig struct {
+		ok      bool
+		slot    uint64
+		builder ids.NodeID
+		sig     [wire.SigSize]byte
+	}
+
 	// Scratch buffers reused across calls on the event-loop hot paths
-	// (drawSamples, addCells, missingCells, planRound). All are cleared
-	// before use; none escape the call that fills them.
-	drawSeen     map[int]bool
-	touchedScr   map[blob.Line]bool
-	linesScr     []blob.Line
-	missSeen     map[blob.CellID]bool
-	missBuf      []blob.CellID
-	promOnScr    map[blob.Line]int
-	planIndex    map[blob.CellID]int
-	planLines    map[blob.Line][]int
-	planOrder    []blob.Line
-	planScores   map[int]int
-	planBoosted  map[int][]int
-	planBoostOrd []int
-	planStamp    []int
-	planSamples  []int
-	planCounts   []int
-	planScored   []fetch.Scored
+	// (drawSamples, addCells, armFlush). All are cleared before use; none
+	// escape the call that fills them. Round planning works in a
+	// planScratch borrowed from planPool instead.
+	drawSeen   map[int]bool
+	touchedScr []bool // per custody line, in store line order
+	flushScr   []int
 
 	// obs maintains the current slot's metrics view and (optionally)
 	// traces protocol events through cfg.Recorder.
@@ -204,6 +208,7 @@ func (n *Node) SetLiveness(l LivenessRecorder) { n.liveness = l }
 func (n *Node) SetSeedVerification(pub ed25519.PublicKey) {
 	n.verifySeeds = pub != nil
 	n.proposerPub = pub
+	n.seedSig.ok = false
 }
 
 // Index returns the node's transport address.
@@ -252,9 +257,8 @@ func (n *Node) StartSlot(slot uint64) {
 	for _, c := range n.samples {
 		n.pendingSmp[c] = true
 	}
-	n.boost = resetMap(n.boost, 0)
-	n.queried = resetMap(n.queried, 0)
-	n.queryRound = resetMap(n.queryRound, 0)
+	n.boost = n.boost[:0]
+	n.queryRound.reset()
 	n.buffered = resetMap(n.buffered, 0)
 	n.round = 0
 	n.lastRearm = 0
@@ -264,8 +268,8 @@ func (n *Node) StartSlot(slot uint64) {
 	n.seedChunks = 0
 	n.seedDone = false
 	n.promised = resetMap(n.promised, 0)
-	n.outstanding = resetMap(n.outstanding, 0)
-	n.cbSeeded = resetMap(n.cbSeeded, 0)
+	n.outstanding = n.outstanding[:0]
+	n.cbSeeded = zeroed(n.cbSeeded, n.store.TrackedLines()*((n.cfg.Blob.N()+63)/64))
 	n.pendingOut = resetMap(n.pendingOut, 0)
 	n.flushArmed = false
 	n.awaitReply = resetMap(n.awaitReply, 0)
@@ -340,10 +344,8 @@ func (n *Node) onSeed(m *wire.Seed) {
 	if m.Slot != n.slot || n.store == nil {
 		return
 	}
-	if n.verifySeeds {
-		if !ids.VerifyFrom(n.proposerPub, wire.SeedSigningBytes(m.Slot, m.Builder), m.ProposerSig[:]) {
-			return // unauthenticated seeding: ignore
-		}
+	if n.verifySeeds && !n.seedSigned(m) {
+		return // unauthenticated seeding: ignore
 	}
 	if _, ok := n.store.Commitment(); !ok {
 		n.store.SetCommitment(m.Commitment)
@@ -363,7 +365,7 @@ func (n *Node) onSeed(m *wire.Seed) {
 		// Seed flow went quiet without completing: any promised cells
 		// that never arrived were lost — fetch them from peers.
 		n.seedDone = true
-		n.promised = nil
+		clear(n.promised)
 		if !n.fetching && !n.done() {
 			n.startFetch()
 		}
@@ -376,32 +378,44 @@ func (n *Node) onSeed(m *wire.Seed) {
 		n.obs.Emit(obsv.Event{At: now, Kind: obsv.KindCorruptReject,
 			Peer: -1, Count: int32(rejects)})
 	}
+	width := n.cfg.Blob.N()
+	words := (width + 63) / 64
 	for _, e := range m.Boost {
+		if lineNumber(e.Line, width) < 0 {
+			continue // not a line of this matrix
+		}
 		peer := n.table.HolderAt(e.Line, int(e.HolderRef))
 		if peer < 0 {
 			continue
 		}
-		seeded := n.cbSeeded[e.Line]
-		if seeded == nil {
-			seeded = make([]uint64, (n.cfg.Blob.N()+63)/64)
-			n.cbSeeded[e.Line] = seeded
-		}
-		for p := int(e.Start); p < int(e.Start)+int(e.Count); p++ {
-			seeded[p/64] |= 1 << uint(p%64)
+		end := min(int(e.Start)+int(e.Count), width)
+		// Only custody lines are ever asked about (missingCells).
+		if li := n.store.lineIndex(e.Line); li >= 0 {
+			seeded := n.cbSeeded[li*words : (li+1)*words]
+			for p := int(e.Start); p < end; p++ {
+				seeded[p/64] |= 1 << uint(p%64)
+			}
 		}
 		if peer == n.index {
 			// Our own parcels: the builder is sending these cells to us.
-			for pos := int(e.Start); pos < int(e.Start)+int(e.Count); pos++ {
-				n.promised[cellOnLine(e.Line, pos)] = true
+			// Once the seed flow is over (batch complete, or the watchdog
+			// gave up on it) a straggling datagram promises nothing:
+			// recording it would keep its cells out of F for the rest of
+			// the slot.
+			if !n.seedDone {
+				for pos := int(e.Start); pos < end; pos++ {
+					n.promised[cellOnLine(e.Line, pos)] = true
+				}
 			}
 			continue
 		}
-		n.boost[peer] = append(n.boost[peer], boostParcel{line: e.Line, start: int(e.Start), count: int(e.Count)})
+		n.boost = append(n.boost, boostParcel{peer: int32(peer), line: e.Line,
+			start: e.Start, count: uint16(end - min(int(e.Start), end))})
 	}
 	if n.seedChunks >= int(m.ChunkCount) {
 		// Full batch landed: everything still missing is fair game.
 		n.seedDone = true
-		n.promised = nil
+		clear(n.promised)
 	}
 	// The reception of seed cells triggers consolidation and sampling
 	// (Fig. 5). Cells still being transmitted by the builder are excluded
@@ -412,6 +426,23 @@ func (n *Node) onSeed(m *wire.Seed) {
 	} else if n.fetching && n.seedDone {
 		n.updateCompletion()
 	}
+}
+
+// seedSigned reports whether the seed datagram carries a valid proposer
+// signature. A batch is many datagrams with the same (slot, builder,
+// signature), so the last triple that verified is remembered and an
+// exact byte match skips the Ed25519 check; anything else — a different
+// builder, a forged or merely different signature — is verified in full.
+func (n *Node) seedSigned(m *wire.Seed) bool {
+	c := &n.seedSig
+	if c.ok && c.slot == m.Slot && c.builder == m.Builder && c.sig == m.ProposerSig {
+		return true
+	}
+	if !ids.VerifyFrom(n.proposerPub, wire.SeedSigningBytes(m.Slot, m.Builder), m.ProposerSig[:]) {
+		return false
+	}
+	c.ok, c.slot, c.builder, c.sig = true, m.Slot, m.Builder, m.ProposerSig
+	return true
 }
 
 func (n *Node) onQuery(from int, m *wire.Query) {
@@ -466,7 +497,8 @@ func (n *Node) onResponse(from int, m *wire.Response) {
 	var dups, added, rejects int
 	round := 0
 	// Attribute the reply to the round in which the peer was queried.
-	if r, ok := n.queryRound[from]; ok && r >= 1 && r <= len(n.roundEnds) {
+	if qr, ok := n.queryRound.get(uint32(from)); ok && qr >= 1 && int(qr) <= len(n.roundEnds) {
+		r := int(qr)
 		round = r
 		stat := &n.obs.View.Rounds[r-1]
 		inRound := n.tr.Now() <= n.roundEnds[r-1]
@@ -517,13 +549,13 @@ func (n *Node) addCells(cells []wire.Cell) (dups, added, rejects int) {
 	if len(cells) == 0 {
 		return 0, 0, 0
 	}
-	touched := resetMap(n.touchedScr, 4)
-	n.touchedScr = touched
+	n.touchedScr = zeroed(n.touchedScr, n.store.TrackedLines())
+	touched := n.touchedScr
 	for _, c := range cells {
 		ok, err := n.store.Add(c)
 		if errors.Is(err, ErrBadProof) {
 			rejects++
-			delete(n.outstanding, c.ID)
+			n.forgetInflight(c.ID)
 			n.obs.View.CorruptRejects++
 			if n.mRejects != nil {
 				n.mRejects.Inc()
@@ -538,21 +570,14 @@ func (n *Node) addCells(cells []wire.Cell) (dups, added, rejects int) {
 		n.cellLanded(c, touched)
 	}
 	// Erasure reconstruction of any custody line that crossed the
-	// half-full threshold (Algorithm 1, UPONRECEIVE).
+	// half-full threshold (Algorithm 1, UPONRECEIVE), rows before columns
+	// in ascending order — which is store line order.
 	recon := 0
-	lines := n.linesScr[:0]
-	for line := range touched {
-		lines = append(lines, line)
-	}
-	n.linesScr = lines
-	sort.Slice(lines, func(i, j int) bool {
-		if lines[i].Kind != lines[j].Kind {
-			return lines[i].Kind < lines[j].Kind
+	for li, hit := range touched {
+		if !hit {
+			continue
 		}
-		return lines[i].Index < lines[j].Index
-	})
-	for _, line := range lines {
-		newCells, err := n.store.TryReconstruct(line)
+		newCells, err := n.store.TryReconstruct(n.store.lineAt(li))
 		if err != nil {
 			continue
 		}
@@ -582,11 +607,12 @@ func (n *Node) armFlush() {
 	n.flushArmed = true
 	n.afterGuarded(flushDelay, func() {
 		n.flushArmed = false
-		recipients := make([]int, 0, len(n.pendingOut))
+		recipients := n.flushScr[:0]
 		for to := range n.pendingOut {
 			recipients = append(recipients, to)
 		}
-		sort.Ints(recipients)
+		slices.Sort(recipients)
+		n.flushScr = recipients
 		for _, to := range recipients {
 			n.sendCells(to, n.pendingOut[to])
 		}
@@ -594,12 +620,13 @@ func (n *Node) armFlush() {
 	})
 }
 
-// cellLanded performs the bookkeeping for one newly present cell.
-func (n *Node) cellLanded(c wire.Cell, touched map[blob.Line]bool) {
+// cellLanded performs the bookkeeping for one newly present cell. Its
+// in-flight requests need none: a present cell is never in F again, so
+// they count toward nothing and expire where they are.
+func (n *Node) cellLanded(c wire.Cell, touched []bool) {
 	if n.pendingSmp[c.ID] {
 		delete(n.pendingSmp, c.ID)
 	}
-	delete(n.outstanding, c.ID)
 	if reqs, ok := n.buffered[c.ID]; ok {
 		full, _ := n.store.Get(c.ID)
 		for to := range reqs {
@@ -608,13 +635,22 @@ func (n *Node) cellLanded(c wire.Cell, touched map[blob.Line]bool) {
 		delete(n.buffered, c.ID)
 	}
 	if touched != nil {
-		rowLine := blob.Line{Kind: blob.Row, Index: c.ID.Row}
-		colLine := blob.Line{Kind: blob.Col, Index: c.ID.Col}
-		if n.store.LineCount(rowLine) > 0 && !n.store.LineComplete(rowLine) {
-			touched[rowLine] = true
+		if li := n.store.rowIndex(c.ID.Row); li >= 0 && n.store.open(li) {
+			touched[li] = true
 		}
-		if n.store.LineCount(colLine) > 0 && !n.store.LineComplete(colLine) {
-			touched[colLine] = true
+		if li := n.store.colIndex(c.ID.Col); li >= 0 && n.store.open(li) {
+			touched[li] = true
+		}
+	}
+}
+
+// forgetInflight drops the in-flight requests for a cell whose delivery
+// was rejected, so that the next round asks another peer for it at once.
+func (n *Node) forgetInflight(id blob.CellID) {
+	key := cellKey(id)
+	for i := range n.outstanding {
+		if n.outstanding[i].cell == key {
+			n.outstanding[i].expiry = 0 // expired
 		}
 	}
 }
@@ -670,100 +706,25 @@ func (n *Node) sendCells(to int, cells []wire.Cell) {
 // sampling share it).
 func (n *Node) startFetch() {
 	n.fetching = true
-	n.obs.View.InitialFetchSet = len(n.missingCells())
-	n.runRound()
-}
-
-// missingCells computes F: custody cells not yet present plus samples not
-// yet present. The returned slice is a scratch buffer owned by the node:
-// it is valid until the next missingCells call (each round consumes its F
-// before scheduling the next).
-func (n *Node) missingCells() []blob.CellID {
-	out := n.missBuf[:0]
-	seen := resetMap(n.missSeen, 0)
-	n.missSeen = seen
-	if !n.cfg.DisableConsolidation {
-		a := n.table.Assignment(n.index)
-		half := n.cfg.Blob.K
-		margin := half / 4
-		if margin < 2 {
-			margin = 2
-		}
-		promisedOn := resetMap(n.promOnScr, 0)
-		n.promOnScr = promisedOn
-		for id := range n.promised {
-			promisedOn[blob.Line{Kind: blob.Row, Index: id.Row}]++
-			promisedOn[blob.Line{Kind: blob.Col, Index: id.Col}]++
-		}
-		for _, l := range a.Lines() {
-			have := n.store.LineCount(l)
-			if have >= n.cfg.Blob.N() {
-				continue
-			}
-			// Rational fetching: a line reconstructs from any K of its 2K
-			// cells, so request only up to K+margin present cells rather
-			// than every missing one — the erasure code supplies the rest.
-			// Requesting everything would turn the decoder's surplus into
-			// duplicate deliveries (and wasted bandwidth) for half a line.
-			// Cells the builder has promised this node (its own CB
-			// parcels, still in flight) count as good as received.
-			needed := half + margin - have - promisedOn[l]
-			if needed <= 0 {
-				// Already past the threshold; reconstruction will fire as
-				// soon as the in-flight cells land.
-				continue
-			}
-			missing := n.store.MissingOnLine(l)
-			seeded := n.cbSeeded[l]
-			isSeeded := func(pos int) bool {
-				return seeded != nil && seeded[pos/64]&(1<<uint(pos%64)) != 0
-			}
-			// Prefer positions the builder actually seeded somewhere, and
-			// rotate the starting point with the round number so that a
-			// cell that turns out to be unobtainable (lost response, dead
-			// holder) does not pin the same subset forever.
-			picked := 0
-			for pass := 0; pass < 2 && picked < needed; pass++ {
-				off := 0
-				if len(missing) > 0 {
-					off = (n.round * 13) % len(missing)
-				}
-				for i := range missing {
-					if picked >= needed {
-						break
-					}
-					pos := missing[(i+off)%len(missing)]
-					if (pass == 0) != isSeeded(pos) {
-						continue
-					}
-					id := cellOnLine(l, pos)
-					if seen[id] || n.promised[id] {
-						continue
-					}
-					seen[id] = true
-					out = append(out, id)
-					picked++
-				}
-			}
-		}
-	}
-	for _, id := range n.samples {
-		if n.pendingSmp[id] && !seen[id] && !n.promised[id] && !n.store.Has(id) {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	n.missBuf = out
-	return out
+	n.fetchRound(true)
 }
 
 // runRound executes one round of Algorithm 1 and schedules the next.
-func (n *Node) runRound() {
+func (n *Node) runRound() { n.fetchRound(false) }
+
+// fetchRound is runRound; first marks the round startFetch runs, whose F
+// is recorded as the initial fetch set.
+func (n *Node) fetchRound(first bool) {
 	if n.store == nil || !n.fetching {
 		n.fetching = false
 		return
 	}
-	F := n.missingCells()
+	ps := planPool.Get().(*planScratch)
+	defer planPool.Put(ps)
+	F := n.missingCells(ps)
+	if first {
+		n.obs.View.InitialFetchSet = len(F)
+	}
 	// Record cumulative coverage for the round that just ended (also when
 	// the fetch completed during it).
 	if n.round >= 1 && n.round <= len(n.obs.View.Rounds) && n.obs.View.InitialFetchSet > 0 {
@@ -800,14 +761,13 @@ func (n *Node) runRound() {
 	stat := RoundStat{}
 	// Periodic re-arm: with single-copy data (the minimal policy) a lost
 	// response can leave a cell whose only live holder has already been
-	// queried; clearing the queried set every few rounds lets the node
+	// queried; re-arming the queryable set every few rounds lets the node
 	// retry it. In-flight markers keep this from duplicating requests in
 	// the common case.
 	if n.round > 1 && n.round-n.lastRearm >= 8 {
 		n.lastRearm = n.round
-		clear(n.queried)
 	}
-	plan := n.planRound(F)
+	plan := n.planRound(ps)
 	if len(plan) == 0 && len(F) > 0 && n.round > 1 && n.round-n.lastRearm >= 4 {
 		// Every queryable peer has been used while cells remain missing —
 		// possible because earlier rounds requested only budgeted subsets
@@ -815,35 +775,47 @@ func (n *Node) runRound() {
 		// in-flight markers still prevent immediate duplicate requests,
 		// and the sweep is rate-limited to one per four rounds.
 		n.lastRearm = n.round
-		clear(n.queried)
-		plan = n.planRound(F)
+		plan = n.planRound(ps)
 	}
 	if n.obs.Enabled() {
 		n.obs.Emit(obsv.Event{At: n.tr.Now(), Kind: obsv.KindRoundStarted,
 			Peer: -1, Round: int32(n.round), Count: int32(len(F)),
 			Aux: int64(len(plan))})
 	}
+	// The round's queries travel as one block each of messages and cell
+	// IDs: receivers keep the messages until they are delivered, so the
+	// memory cannot come from scratch, but it need not be one allocation
+	// per query either.
+	msgs, asked := 0, 0
+	for _, q := range plan {
+		msgs += (len(q.Cells) + n.cfg.MaxCellsPerMsg - 1) / n.cfg.MaxCellsPerMsg
+		asked += len(q.Cells)
+	}
+	queries := make([]wire.Query, 0, msgs)
+	cellIDs := make([]blob.CellID, 0, asked)
 	for _, q := range plan {
 		peer := q.Peer
-		n.queried[peer] = true
-		n.queryRound[peer] = n.round
+		lastQueried, _ := n.queryRound.ref(uint32(peer))
+		*lastQueried = int32(n.round)
 		if n.liveness != nil {
 			if _, waiting := n.awaitReply[peer]; !waiting {
 				n.awaitReply[peer] = n.tr.Now() + inflightTTL
 			}
 		}
-		cells := make([]blob.CellID, len(q.Cells))
-		for i, idx := range q.Cells {
-			cells[i] = F[idx]
+		first := len(cellIDs)
+		for _, idx := range q.Cells {
+			cellIDs = append(cellIDs, F[idx])
 		}
+		cells := cellIDs[first:len(cellIDs):len(cellIDs)]
 		stat.CellsRequested += len(cells)
 		for len(cells) > 0 {
 			chunk := cells
 			if len(chunk) > n.cfg.MaxCellsPerMsg {
-				chunk = cells[:n.cfg.MaxCellsPerMsg]
+				chunk = cells[:n.cfg.MaxCellsPerMsg:n.cfg.MaxCellsPerMsg]
 			}
 			cells = cells[len(chunk):]
-			m := &wire.Query{Slot: n.slot, Cells: chunk}
+			queries = append(queries, wire.Query{Slot: n.slot, Cells: chunk})
+			m := &queries[len(queries)-1]
 			size := m.WireSize(n.cfg.Blob.CellBytes)
 			stat.MsgsSent++
 			n.obs.View.FetchMsgsSent++
@@ -855,274 +827,4 @@ func (n *Node) runRound() {
 	n.obs.View.Rounds = append(n.obs.View.Rounds, stat)
 	n.roundEnds = append(n.roundEnds, n.tr.Now()+timeout)
 	n.afterGuarded(timeout, n.runRound)
-}
-
-// planRound builds scored candidates over the holders of every line that
-// intersects F and plans queries with the round's redundancy factor.
-func (n *Node) planRound(F []blob.CellID) []fetch.Query {
-	index := resetMap(n.planIndex, len(F))
-	n.planIndex = index
-	for i, id := range F {
-		index[id] = i
-	}
-	// Group F by line (both the row and the column of each cell can
-	// serve it).
-	lineCells := resetMap(n.planLines, 0)
-	n.planLines = lineCells
-	lineOrder := n.planOrder[:0]
-	for i, id := range F {
-		rl := blob.Line{Kind: blob.Row, Index: id.Row}
-		cl := blob.Line{Kind: blob.Col, Index: id.Col}
-		if len(lineCells[rl]) == 0 {
-			lineOrder = append(lineOrder, rl)
-		}
-		lineCells[rl] = append(lineCells[rl], i)
-		if len(lineCells[cl]) == 0 {
-			lineOrder = append(lineOrder, cl)
-		}
-		lineCells[cl] = append(lineCells[cl], i)
-	}
-	n.planOrder = lineOrder
-	// Score candidate peers: coverage per shared line plus boost. The
-	// scan over each line's holders is windowed at maxLineCandidates —
-	// in a dense deployment (small grid, huge N) a line can have
-	// thousands of holders, and scoring all of them made planning (and
-	// the O(N log N) sort in PlanLazyFrom) the simulator's dominant
-	// cost, O(N²) across the cluster per round. The window rotates with
-	// (node, round, line), so retries reach different peers each round;
-	// at the paper's geometry (a handful of holders per line) every
-	// holder is scored.
-	//
-	// Candidates accumulate into scored in first-encounter order —
-	// lines in F order, holders in window order — which is
-	// deterministic by construction, so equal-score ties resolve
-	// identically across runs without sorting. scores maps each peer to
-	// its index in scored.
-	scores := resetMap(n.planScores, 0)
-	n.planScores = scores
-	scored := n.planScored[:0]
-	truncated := false
-	for _, line := range lineOrder {
-		cells := lineCells[line]
-		holders := n.table.Holders(line)
-		span := len(holders)
-		off := 0
-		if span > maxLineCandidates {
-			truncated = true
-			off = scanOffset(n.index, n.round, line, span)
-			span = maxLineCandidates
-		}
-		for j := 0; j < span; j++ {
-			peer := holders[(off+j)%len(holders)]
-			if peer == n.index || n.queried[peer] {
-				continue
-			}
-			if n.view != nil && !n.view.Contains(peer) {
-				continue
-			}
-			if idx, ok := scores[peer]; ok {
-				scored[idx].Score += len(cells)
-			} else {
-				scores[peer] = len(scored)
-				scored = append(scored, fetch.Scored{Peer: peer, Score: len(cells)})
-			}
-		}
-	}
-	// Consolidation boost: peers the builder's CB map lists as seeded
-	// with cells still missing. Their score gets the cb_boost bonus, and
-	// — crucially — the query planned for them targets exactly their
-	// seeded cells, so round 1 pulls every cell from a peer that already
-	// HAS it rather than from a peer that would buffer the request until
-	// its own consolidation finishes.
-	boostedCells := resetMap(n.planBoosted, 0)
-	n.planBoosted = boostedCells
-	if cap(n.planStamp) < len(F) {
-		n.planStamp = make([]int, len(F))
-	}
-	stamp := n.planStamp[:len(F)]
-	for i := range stamp {
-		stamp[i] = 0
-	}
-	stampVal := 0
-	// Iterate boost peers in sorted order: fallback admissions append to
-	// scored, and the append order must not depend on map iteration.
-	boostPeers := n.planBoostOrd[:0]
-	for peer := range n.boost {
-		boostPeers = append(boostPeers, peer)
-	}
-	sort.Ints(boostPeers)
-	n.planBoostOrd = boostPeers
-	for _, peer := range boostPeers {
-		parcels := n.boost[peer]
-		idx, ok := scores[peer]
-		if !ok {
-			// Full-scan rounds: absence means dead view / already
-			// queried / not a holder. Windowed rounds can also have
-			// sampled the peer out, and a CB-listed holder is exactly
-			// who round 1 must reach, so admit it through the same
-			// filters with its parcel coverage as the base score.
-			if !truncated {
-				continue
-			}
-			if peer == n.index || n.queried[peer] {
-				continue
-			}
-			if n.view != nil && !n.view.Contains(peer) {
-				continue
-			}
-			cov := 0
-			for pi, p := range parcels {
-				dup := false
-				for _, q := range parcels[:pi] {
-					if q.line == p.line {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					cov += len(lineCells[p.line])
-				}
-			}
-			if cov == 0 {
-				continue
-			}
-			idx = len(scored)
-			scores[peer] = idx
-			scored = append(scored, fetch.Scored{Peer: peer, Score: cov})
-		}
-		stampVal++
-		var cells []int
-		for _, p := range parcels {
-			for pos := p.start; pos < p.start+p.count; pos++ {
-				if i, ok := index[cellOnLine(p.line, pos)]; ok && stamp[i] != stampVal {
-					stamp[i] = stampVal
-					cells = append(cells, i)
-				}
-			}
-		}
-		if len(cells) > 0 {
-			boostedCells[peer] = cells
-			scored[idx].Score += len(cells) * n.cfg.CBBoost
-		}
-	}
-	if n.obs.Enabled() && len(boostedCells) > 0 {
-		total := 0
-		for _, cells := range boostedCells {
-			total += len(cells)
-		}
-		n.obs.Emit(obsv.Event{At: n.tr.Now(), Kind: obsv.KindBoostPromotion,
-			Peer: -1, Round: int32(n.round), Count: int32(len(boostedCells)),
-			Aux: int64(total)})
-	}
-	n.planScored = scored
-	// Peers caught serving unverifiable cells are banned for the slot —
-	// a stronger judgment than liveness backoff, which is why it is a
-	// separate filter rather than a scorer state.
-	if len(n.badPeers) > 0 {
-		scored = fetch.Exclude(scored, func(peer int) bool { return n.badPeers[peer] })
-	}
-	if n.liveness != nil {
-		var onSkip func(int)
-		if n.obs.Enabled() {
-			at := n.tr.Now()
-			onSkip = func(peer int) {
-				n.obs.Emit(obsv.Event{At: at, Kind: obsv.KindPeerDemoted,
-					Peer: int32(peer), Round: int32(n.round)})
-			}
-		}
-		scored = fetch.ApplyLivenessObserved(scored, n.liveness, onSkip)
-	}
-
-	// Sample cells have no CB entries; boosted peers may still cover
-	// them through their assignments.
-	sampleIdx := n.planSamples[:0]
-	for i, id := range F {
-		if n.pendingSmp[id] {
-			sampleIdx = append(sampleIdx, i)
-		}
-	}
-	n.planSamples = sampleIdx
-	cellsOf := func(peer int) []int {
-		if bc, ok := boostedCells[peer]; ok {
-			out := bc
-			a := n.table.Assignment(peer)
-			for _, idx := range sampleIdx {
-				if a.Covers(F[idx]) {
-					dup := false
-					for _, x := range bc {
-						if x == idx {
-							dup = true
-							break
-						}
-					}
-					if !dup {
-						out = append(out, idx)
-					}
-				}
-			}
-			return out
-		}
-		var out []int
-		for _, l := range n.table.Assignment(peer).Lines() {
-			for _, idx := range lineCells[l] {
-				if stamp[idx] != -(peer + 1) {
-					stamp[idx] = -(peer + 1)
-					out = append(out, idx)
-				}
-			}
-		}
-		return out
-	}
-	k := n.cfg.Schedule.RedundancyAt(n.round)
-	// Unexpired in-flight queries count toward each cell's redundancy.
-	now := n.tr.Now()
-	if cap(n.planCounts) < len(F) {
-		n.planCounts = make([]int, len(F))
-	}
-	counts := n.planCounts[:len(F)]
-	for i, id := range F {
-		exps := n.outstanding[id]
-		live := exps[:0]
-		for _, e := range exps {
-			if e > now {
-				live = append(live, e)
-			}
-		}
-		if len(live) == 0 {
-			delete(n.outstanding, id)
-		} else {
-			n.outstanding[id] = live
-		}
-		counts[i] = len(live)
-	}
-	plan := fetch.PlanLazyFrom(scored, counts, k, cellsOf)
-	expiry := now + inflightTTL
-	for _, q := range plan {
-		for _, idx := range q.Cells {
-			n.outstanding[F[idx]] = append(n.outstanding[F[idx]], expiry)
-		}
-	}
-	return plan
-}
-
-// maxLineCandidates bounds how many holders of one line planRound
-// scores. The redundancy ceiling is fetch.MaxRedundancy (10), so 64
-// candidates per line leave ample slack for liveness demotions and
-// banned peers while keeping planning O(lines) instead of O(N). See
-// the comment at the scoring loop.
-const maxLineCandidates = 64
-
-// scanOffset picks the rotating window start for a line's holder scan:
-// deterministic in (node, round, line) so runs are reproducible, varied
-// across rounds so successive retries sample different holders.
-func scanOffset(self, round int, l blob.Line, n int) int {
-	x := uint64(self)*0x9e3779b97f4a7c15 ^
-		uint64(round)*0xc2b2ae3d27d4eb4f ^
-		(uint64(l.Index)<<3|uint64(l.Kind))*0xd6e8feb86659fd93
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int(x % uint64(n))
 }

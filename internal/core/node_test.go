@@ -85,7 +85,7 @@ func TestNodeIncompleteBatchPipelinesAndWatchdogExpiresPromises(t *testing.T) {
 	if !node.seedDone {
 		t.Fatal("watchdog did not expire the seed flow")
 	}
-	if node.promised != nil && len(node.promised) > 0 {
+	if len(node.promised) > 0 {
 		t.Fatal("promises not released after watchdog")
 	}
 }
@@ -218,7 +218,7 @@ func TestNodePromisedCellsNotRequested(t *testing.T) {
 	node2 := NewNode(cfg, 0, table, &captureTransport{}, 12)
 	node2.StartSlot(1)
 	node2.HandleMessage(99, 100, m)
-	missing := node2.missingCells()
+	missing := node2.missingCells(new(planScratch))
 	for _, id := range missing {
 		if l.Contains(id) && int(positionOn(l, id)) < cfg.Blob.K {
 			t.Fatalf("promised cell %v still requested", id)

@@ -1,0 +1,250 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"pandas/internal/assign"
+	"pandas/internal/blob"
+	"pandas/internal/ids"
+	"pandas/internal/wire"
+)
+
+func TestStampTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var tab stampTable
+	for round := 0; round < 200; round++ {
+		tab.reset()
+		ref := map[uint32]int32{}
+		if round == 100 {
+			// Force the generation counter to wrap: stale slots must not
+			// come back to life.
+			tab.gen = ^uint32(0)
+			tab.reset()
+		}
+		keys := 1 + rng.Intn(300)
+		for i := 0; i < 4*keys; i++ {
+			key := uint32(rng.Intn(keys)) * 0x10001
+			switch rng.Intn(3) {
+			case 0:
+				got, ok := tab.get(key)
+				want, wantOK := ref[key]
+				if ok != wantOK || got != want {
+					t.Fatalf("round %d get(%d) = %d,%v want %d,%v", round, key, got, ok, want, wantOK)
+				}
+			default:
+				v, fresh := tab.ref(key)
+				if _, had := ref[key]; fresh == had {
+					t.Fatalf("round %d ref(%d) fresh=%v but present=%v", round, key, fresh, had)
+				}
+				if fresh && *v != 0 {
+					t.Fatalf("round %d fresh slot for %d holds %d", round, key, *v)
+				}
+				*v = int32(i)
+				ref[key] = int32(i)
+			}
+		}
+		if tab.n != len(ref) {
+			t.Fatalf("round %d holds %d keys, want %d", round, tab.n, len(ref))
+		}
+		for key, want := range ref {
+			if got, ok := tab.get(key); !ok || got != want {
+				t.Fatalf("round %d final get(%d) = %d,%v want %d", round, key, got, ok, want)
+			}
+		}
+	}
+}
+
+// planFixture returns node 0 of a network of the given size in the state
+// its first fetch round plans from: the builder's whole seed batch
+// ingested (cells, CB parcels of the other holders), nothing queried yet.
+func planFixture(tb testing.TB, cfg Config, nodes int) *Node {
+	tb.Helper()
+	nodeIDs := make([]ids.NodeID, nodes)
+	for i := range nodeIDs {
+		nodeIDs[i] = ids.NewTestIdentity(int64(i)).ID
+	}
+	var seed assign.Seed
+	seed[0] = 7
+	table, err := NewTable(cfg.Assign, seed, nodeIDs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	btr := &captureTransport{}
+	NewBuilder(cfg, nodes, ids.NewTestIdentity(999).ID, table, btr, 1).SeedSlot(1)
+	node := NewNode(cfg, 0, table, &captureTransport{}, 11)
+	node.StartSlot(1)
+	for _, s := range btr.sends {
+		if s.to == 0 {
+			node.HandleMessage(nodes, s.size, s.payload)
+		}
+	}
+	if !node.fetching || node.round != 1 || len(node.boost) == 0 {
+		tb.Fatalf("fixture: fetching=%v round=%d parcels=%d", node.fetching, node.round, len(node.boost))
+	}
+	node.queryRound.reset()
+	return node
+}
+
+// replan runs the planning path of one round from the fixture's state.
+func replan(n *Node, ps *planScratch) int {
+	n.outstanding = n.outstanding[:0]
+	n.missingCells(ps)
+	return len(n.planRound(ps))
+}
+
+func denseConfig() (Config, int) {
+	return TestConfig(), 1500 // 32x32, 2+2 custody: 94 holders per line
+}
+
+func sparseConfig() (Config, int) {
+	cfg := TestConfig()
+	cfg.Blob = blob.Params{K: 32, CellBytes: 512, ProofBytes: 48}
+	cfg.Assign = assign.Params{Rows: 4, Cols: 4, N: cfg.Blob.N()}
+	cfg.Samples = 30
+	return cfg, 160 // 64x64, 4+4 custody: 10 holders per line
+}
+
+// TestPlanRoundAllocatesNothingWarm: once the scratch has grown to the
+// round's size, computing F and planning it allocates nothing — not the
+// plan either, which aliases the scratch.
+func TestPlanRoundAllocatesNothingWarm(t *testing.T) {
+	for name, fixture := range map[string]func() (Config, int){"dense94": denseConfig, "sparse10": sparseConfig} {
+		cfg, nodes := fixture()
+		node := planFixture(t, cfg, nodes)
+		ps := new(planScratch)
+		if replan(node, ps) == 0 {
+			t.Fatalf("%s: fixture plans no query", name)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { replan(node, ps) }); allocs != 0 {
+			t.Errorf("%s: a warm planning round allocated %v times", name, allocs)
+		}
+	}
+}
+
+// BenchmarkPlanRound measures one node's planning path for one round —
+// missingCells then planRound — at the two densities the slot benchmark
+// runs: sim_dense's 94 holders per line (holder window and CB fallback
+// admission engaged) and sim_real_faulty's 10. Run with a fixed iteration
+// count: -benchtime 2000x -benchmem.
+func BenchmarkPlanRound(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		fixture func() (Config, int)
+	}{{"dense94", denseConfig}, {"sparse10", sparseConfig}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg, nodes := bc.fixture()
+			node := planFixture(b, cfg, nodes)
+			ps := new(planScratch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				planSink += replan(node, ps)
+			}
+		})
+	}
+}
+
+var planSink int
+
+// TestLateSeedAfterWatchdog: a seed datagram that carries one of the
+// node's own boost parcels and arrives after the seed-quiet watchdog has
+// given up on the batch used to write into a nil map. It must neither
+// panic nor promise anything — the cells it names stay fetchable — and
+// the node still consolidates.
+func TestLateSeedAfterWatchdog(t *testing.T) {
+	node, table, tr, cfg := nodeFixture(t, 60)
+	node.StartSlot(1)
+	a := table.Assignment(0)
+	l := a.Lines()[0]
+	rank := table.HolderRank(l, 0)
+	first := seedFor(node, table, cfg, 1, 0.1)
+	first.ChunkCount = 2
+	node.HandleMessage(99, 100, first)
+	tr.advance(cfg.SeedWait + time.Millisecond)
+	if !node.seedDone {
+		t.Fatal("watchdog did not fire")
+	}
+
+	late := &wire.Seed{
+		Slot: 1, ChunkIndex: 1, ChunkCount: 3, // still not the whole batch
+		Boost: []wire.BoostEntry{{
+			Line: l, HolderRef: uint16(rank), Start: 0, Count: uint16(cfg.Blob.N()),
+		}},
+	}
+	node.HandleMessage(99, 100, late)
+	if len(node.promised) != 0 {
+		t.Fatalf("late datagram promised %d cells after the seed flow ended", len(node.promised))
+	}
+	onLine := 0
+	for _, id := range node.missingCells(new(planScratch)) {
+		if l.Contains(id) {
+			onLine++
+		}
+	}
+	if onLine == 0 {
+		t.Fatalf("no cell of %v is fetchable after the late datagram", l)
+	}
+
+	var cells []wire.Cell
+	for _, cl := range a.Lines() {
+		for pos := 0; pos < cfg.Blob.N(); pos++ {
+			cells = append(cells, wire.Cell{ID: cellOnLine(cl, pos)})
+		}
+	}
+	node.HandleMessage(5, 100, &wire.Response{Slot: 1, Cells: cells})
+	if !node.Metrics().Consolidated {
+		t.Fatal("node did not consolidate after the late datagram")
+	}
+}
+
+// TestSeedSignatureVerifiedOncePerBatch: the datagrams of a batch share
+// one signature and only the first is verified; anything that is not a
+// byte-for-byte repeat of the accepted triple takes the full check.
+func TestSeedSignatureVerifiedOncePerBatch(t *testing.T) {
+	node, table, _, cfg := nodeFixture(t, 60)
+	proposer := ids.NewTestIdentity(1000)
+	node.SetSeedVerification(proposer.Public)
+	node.StartSlot(1)
+	builderID := ids.NewTestIdentity(999).ID
+	signed := func() *wire.Seed {
+		m := seedFor(node, table, cfg, 1, 0.1)
+		m.ChunkCount = 8
+		m.Builder = builderID
+		copy(m.ProposerSig[:], proposer.Sign(wire.SeedSigningBytes(1, builderID)))
+		return m
+	}
+	chunks := func() int { return node.seedChunks }
+
+	node.HandleMessage(99, 100, signed())
+	if chunks() != 1 || !node.seedSig.ok {
+		t.Fatal("valid seed rejected")
+	}
+	node.HandleMessage(99, 100, signed()) // cache hit
+	if chunks() != 2 {
+		t.Fatal("repeat of the accepted signature rejected")
+	}
+	forged := signed()
+	forged.ProposerSig[5] ^= 1
+	node.HandleMessage(99, 100, forged)
+	if chunks() != 2 {
+		t.Fatal("forged signature accepted after a good one")
+	}
+	other := signed()
+	other.Builder = ids.NewTestIdentity(998).ID // signature is for builder 999
+	node.HandleMessage(99, 100, other)
+	if chunks() != 2 {
+		t.Fatal("signature accepted for a builder it does not cover")
+	}
+	node.HandleMessage(99, 100, signed())
+	if chunks() != 3 {
+		t.Fatal("good signature rejected after a forged one")
+	}
+	// A new proposer key invalidates what the old one accepted.
+	node.SetSeedVerification(ids.NewTestIdentity(1001).Public)
+	node.HandleMessage(99, 100, signed())
+	if chunks() != 3 {
+		t.Fatal("signature accepted from the cache after the proposer key changed")
+	}
+}

@@ -50,6 +50,8 @@ type Store struct {
 	commitment    kzg.Commitment
 	hasCommitment bool
 	verify        bool
+
+	missScr []int // TryReconstruct's MissingOnLine buffer
 }
 
 type lineState struct {
@@ -136,24 +138,66 @@ func (s *Store) Commitment() (kzg.Commitment, bool) {
 	return s.commitment, s.hasCommitment
 }
 
-// rowState returns the tracked state of a row, or nil.
-func (s *Store) rowState(r uint16) *lineState {
+// rowIndex returns the position of a tracked row in s.lines, or -1.
+func (s *Store) rowIndex(r uint16) int {
 	for i, x := range s.rowIdx {
 		if x == r {
-			return &s.lines[i]
+			return i
 		}
+	}
+	return -1
+}
+
+// colIndex returns the position of a tracked column in s.lines, or -1.
+func (s *Store) colIndex(c uint16) int {
+	for i, x := range s.colIdx {
+		if x == c {
+			return len(s.rowIdx) + i
+		}
+	}
+	return -1
+}
+
+// lineIndex returns the position of a tracked line in s.lines, or -1.
+// Positions follow the assignment: rows in ascending order, then columns.
+func (s *Store) lineIndex(l blob.Line) int {
+	switch l.Kind {
+	case blob.Row:
+		return s.rowIndex(l.Index)
+	case blob.Col:
+		return s.colIndex(l.Index)
+	}
+	return -1
+}
+
+// lineAt is the inverse of lineIndex.
+func (s *Store) lineAt(i int) blob.Line {
+	if i < len(s.rowIdx) {
+		return blob.Line{Kind: blob.Row, Index: s.rowIdx[i]}
+	}
+	return blob.Line{Kind: blob.Col, Index: s.colIdx[i-len(s.rowIdx)]}
+}
+
+// rowState returns the tracked state of a row, or nil.
+func (s *Store) rowState(r uint16) *lineState {
+	if i := s.rowIndex(r); i >= 0 {
+		return &s.lines[i]
 	}
 	return nil
 }
 
 // colState returns the tracked state of a column, or nil.
 func (s *Store) colState(c uint16) *lineState {
-	for i, x := range s.colIdx {
-		if x == c {
-			return &s.lines[len(s.rowIdx)+i]
-		}
+	if i := s.colIndex(c); i >= 0 {
+		return &s.lines[i]
 	}
 	return nil
+}
+
+// open reports whether the tracked line at position i holds some but not
+// all of its cells — the lines worth a reconstruction attempt.
+func (s *Store) open(i int) bool {
+	return s.lines[i].count > 0 && s.lines[i].count < s.n
 }
 
 // lineStateOf returns the tracked state of a line, or nil.
@@ -294,13 +338,15 @@ func (s *Store) LineComplete(l blob.Line) bool {
 	return s.LineCount(l) == s.n
 }
 
-// MissingOnLine returns the absent positions (0..n-1) of a tracked line.
-func (s *Store) MissingOnLine(l blob.Line) []int {
+// MissingOnLine returns the absent positions (0..n-1) of a tracked line,
+// written over buf (which may be nil) so that a caller asking line after
+// line allocates once.
+func (s *Store) MissingOnLine(l blob.Line, buf []int) []int {
+	out := buf[:0]
 	ls := s.lineStateOf(l)
 	if ls == nil || ls.count == s.n {
-		return nil
+		return out
 	}
-	out := make([]int, 0, s.n-ls.count)
 	for w, word := range ls.bits {
 		inv := ^word
 		for inv != 0 {
@@ -326,7 +372,8 @@ func (s *Store) TryReconstruct(l blob.Line) ([]wire.Cell, error) {
 	if ls == nil || ls.count == s.n || ls.count < s.n/2 {
 		return nil, nil
 	}
-	missing := s.MissingOnLine(l)
+	s.missScr = s.MissingOnLine(l, s.missScr)
+	missing := s.missScr
 	var newCells []wire.Cell
 	if s.real {
 		have := make(map[int][]byte, ls.count)

@@ -80,15 +80,22 @@ func TestStoreMissingOnLine(t *testing.T) {
 	for c := 0; c < 5; c++ {
 		s.Add(wire.Cell{ID: blob.CellID{Row: 1, Col: uint16(c)}})
 	}
-	missing := s.MissingOnLine(l)
+	missing := s.MissingOnLine(l, nil)
 	if len(missing) != p.N()-5 {
 		t.Fatalf("missing = %d, want %d", len(missing), p.N()-5)
 	}
 	if missing[0] != 5 {
 		t.Fatalf("first missing = %d", missing[0])
 	}
-	if s.MissingOnLine(blob.Line{Kind: blob.Row, Index: 0}) != nil {
-		t.Fatal("untracked line should report nil")
+	if len(s.MissingOnLine(blob.Line{Kind: blob.Row, Index: 0}, nil)) != 0 {
+		t.Fatal("untracked line should report nothing")
+	}
+	// A caller-supplied buffer is overwritten, not appended to, and reused
+	// when it is large enough.
+	buf := make([]int, 3, p.N())
+	again := s.MissingOnLine(l, buf)
+	if len(again) != len(missing) || again[0] != 5 || &again[0] != &buf[0] {
+		t.Fatalf("buffered call returned %d positions starting %d (reused=%v)", len(again), again[0], &again[0] == &buf[0])
 	}
 }
 

@@ -187,7 +187,7 @@ func Coverage(plan []Query, numCells int) int {
 	return covered
 }
 
-// Scored is a peer with a precomputed score, for PlanLazy.
+// Scored is a peer with a precomputed score, for PlanLazyFrom.
 type Scored struct {
 	Peer  int
 	Score int
@@ -262,61 +262,132 @@ func Exclude(scored []Scored, banned func(peer int) bool) []Scored {
 	return out
 }
 
-// PlanLazy is the allocation-frugal equivalent of Plan used by the
-// simulator at large scales: candidate cell lists are materialized only
-// for peers actually considered, via the cellsOf callback. cellsOf must
-// return the missing-cell indices the peer covers (the same list Plan
-// would have received), and scores must equal Candidate.score for the
-// plans to be identical.
-func PlanLazy(scored []Scored, numCells, k int, cellsOf func(peer int) []int) []Query {
-	return PlanLazyFrom(scored, make([]int, numCells), k, cellsOf)
+// PlanScratch holds the buffers one planning call works in, so that a
+// caller planning round after round allocates nothing. The zero value is
+// ready to use. A plan returned by PlanLazyInto aliases its scratch and
+// is valid until the scratch is used again.
+type PlanScratch struct {
+	heap  []ranked
+	cells []int
+	plan  []Query
 }
 
-// PlanLazyFrom is PlanLazy with pre-existing per-cell redundancy counts:
-// cells that already have k or more outstanding (in-flight) queries are
-// not re-requested this round. This is what keeps duplicate deliveries
-// low when responses straggle across round boundaries — the paper's
-// Table 1 shows per-round duplicates in the low hundreds, which is only
-// possible if in-flight requests count toward the redundancy target.
-// counts is modified in place and its length defines the cell index
-// space.
+// ranked is one candidate in the selection heap: its score and its
+// position in the caller's scored slice, which breaks ties.
+type ranked struct {
+	score int
+	idx   int
+}
+
+// before reports whether a is considered ahead of b: higher score first,
+// earlier input position among equals — the order a stable descending
+// sort of the input produces.
+func (a ranked) before(b ranked) bool {
+	return a.score > b.score || (a.score == b.score && a.idx < b.idx)
+}
+
+// siftDown restores the heap property below position i.
+func siftDown(h []ranked, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// PlanLazyFrom is the allocation-frugal equivalent of Plan used at large
+// scales: candidate cell lists are materialized only for peers actually
+// considered, via the cellsOf callback. cellsOf must return the
+// missing-cell indices the peer covers (the same list Plan would have
+// received), and scores must equal Candidate.score for the plans to be
+// identical.
+//
+// counts holds pre-existing per-cell redundancy: cells that already have
+// k or more outstanding (in-flight) queries are not re-requested this
+// round. This is what keeps duplicate deliveries low when responses
+// straggle across round boundaries — the paper's Table 1 shows per-round
+// duplicates in the low hundreds, which is only possible if in-flight
+// requests count toward the redundancy target. counts is modified in
+// place and its length defines the cell index space.
 func PlanLazyFrom(scored []Scored, counts []int, k int, cellsOf func(peer int) []int) []Query {
+	var s PlanScratch
+	return PlanLazyInto(&s, scored, counts, k, cellsOf)
+}
+
+// PlanLazyInto is PlanLazyFrom working in caller-owned scratch. The slice
+// cellsOf returns is read before cellsOf is called again, so it may be a
+// buffer the callback reuses.
+//
+// Candidates are considered in descending score order, equal scores in
+// input order. The greedy loop usually stops after a few of them (it
+// needs only enough peers to bring every cell to k), so the order is
+// produced lazily: a heap over (score, input position) is built in O(n)
+// and popped once per candidate considered, O(n + considered·log n)
+// where sorting all of them up front cost O(n log n).
+func PlanLazyInto(s *PlanScratch, scored []Scored, counts []int, k int, cellsOf func(peer int) []int) []Query {
 	numCells := len(counts)
 	if numCells == 0 || k <= 0 || len(scored) == 0 {
 		return nil
 	}
-	sorted := make([]Scored, len(scored))
-	copy(sorted, scored)
-	slices.SortStableFunc(sorted, func(a, b Scored) int {
-		return b.Score - a.Score
-	})
 	under := 0
 	for _, c := range counts {
 		if c < k {
 			under++
 		}
 	}
-	var plan []Query
-	for _, cand := range sorted {
-		if under == 0 {
-			break
-		}
-		var ask []int
-		for _, cell := range cellsOf(cand.Peer) {
+	if under == 0 {
+		return nil
+	}
+	if cap(s.heap) < len(scored) {
+		s.heap = make([]ranked, len(scored))
+	}
+	h := s.heap[:len(scored)]
+	for i, c := range scored {
+		h[i] = ranked{score: c.Score, idx: i}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	cells := s.cells[:0]
+	plan := s.plan[:0]
+	for under > 0 && len(h) > 0 {
+		peer := scored[h[0].idx].Peer
+		last := len(h) - 1
+		h[0] = h[last]
+		h = h[:last]
+		siftDown(h, 0)
+
+		start := len(cells)
+		for _, cell := range cellsOf(peer) {
 			if cell < 0 || cell >= numCells {
 				continue
 			}
 			if counts[cell] < k {
-				ask = append(ask, cell)
+				cells = append(cells, cell)
 				counts[cell]++
 				if counts[cell] == k {
 					under--
 				}
 			}
 		}
-		if len(ask) > 0 {
-			plan = append(plan, Query{Peer: cand.Peer, Cells: ask})
+		if len(cells) > start {
+			// Capped, so that a caller appending to one query's cells
+			// cannot write into the next query's.
+			plan = append(plan, Query{Peer: peer, Cells: cells[start:len(cells):len(cells)]})
 		}
+	}
+	s.cells, s.plan = cells, plan
+	if len(plan) == 0 {
+		return nil
 	}
 	return plan
 }
