@@ -36,7 +36,6 @@ import (
 	"pandas/internal/blob"
 	"pandas/internal/core"
 	"pandas/internal/gateway"
-	"pandas/internal/ids"
 	"pandas/internal/kzg"
 	"pandas/internal/obsv"
 	"pandas/internal/swarm"
@@ -121,15 +120,10 @@ func run(args []string) error {
 		fmt.Printf("metrics exposition at http://%s/metrics\n", *metrics)
 	}
 
-	// Deterministic shared identities: every process derives the same
-	// table from the seed, mirroring an ENR crawl that has converged.
-	nodeIDs := make([]ids.NodeID, nNodes)
-	for i := range nodeIDs {
-		nodeIDs[i] = ids.NewTestIdentity(*seed<<16 + int64(i)).ID
-	}
-	var epochSeed assign.Seed
-	epochSeed[0] = byte(*seed)
-	table, err := core.NewTable(cfg.Assign, epochSeed, nodeIDs)
+	// Identities, table, proposer and filler data come from the same
+	// derivations a swarm worker uses, so a hand-launched node and a
+	// swarm node with the same seed agree on who is who.
+	table, err := swarm.NewTableFromSeed(cfg, *seed, nNodes)
 	if err != nil {
 		return err
 	}
@@ -144,7 +138,7 @@ func run(args []string) error {
 	}
 	fmt.Printf("pandas-node %d listening on %s (%d peers)\n", *index, ep.Addr(), len(addrs))
 
-	proposer := ids.NewTestIdentity(*seed<<16 + 999)
+	proposer := swarm.DeriveProposer(*seed)
 
 	// Graceful drain: on SIGINT/SIGTERM stop cleanly — close the
 	// transport (deferred above), flush a final metrics snapshot, and
@@ -161,17 +155,14 @@ func run(args []string) error {
 	}
 
 	if *builder {
-		b := core.NewBuilder(cfg, *index, ids.NewTestIdentity(*seed<<16+int64(nNodes)+3).ID, table, ep, *seed+5)
+		builderID := swarm.DeriveBuilderID(*seed, nNodes)
+		b := core.NewBuilder(cfg, *index, builderID, table, ep, *seed+5)
 		b.SetProposerSigner(func(slot uint64) [wire.SigSize]byte {
 			var sig [wire.SigSize]byte
-			copy(sig[:], proposer.Sign(wire.SeedSigningBytes(slot, ids.NewTestIdentity(*seed<<16+int64(nNodes)+3).ID)))
+			copy(sig[:], proposer.Sign(wire.SeedSigningBytes(slot, builderID)))
 			return sig
 		})
-		data := make([]byte, cfg.Blob.BlobBytes())
-		for i := range data {
-			data[i] = byte(i*131 + 7)
-		}
-		if err := b.PrepareBlob(data); err != nil {
+		if err := b.PrepareBlob(swarm.FillerBlob(cfg)); err != nil {
 			return err
 		}
 		ep.Start(func(from, size int, payload any) {})

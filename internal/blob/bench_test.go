@@ -53,8 +53,8 @@ func BenchmarkExtendTest(b *testing.B) {
 
 // BenchmarkReconstructLine measures single-line recovery at paper
 // geometry from exactly K of 2K cells, the consolidation hot path on
-// custody nodes. The same loss pattern repeats across iterations, the
-// common case under churn (the same dead custodians all slot).
+// custody nodes. The loss pattern shifts every iteration; the decoder
+// keeps no per-pattern state, so there is no warm case to separate.
 func BenchmarkReconstructLine(b *testing.B) {
 	p := DefaultParams()
 	bl := benchBlob(b, p)
@@ -62,48 +62,21 @@ func BenchmarkReconstructLine(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	line := Line{Kind: Row, Index: 3}
-	cells := ext.Line(line)
-	have := make(map[int][]byte, p.K)
-	for i := 0; i < p.K; i++ {
-		// Interleave data and parity positions so reconstruction does
-		// real decode work (pure data positions would be a no-op).
-		pos := i * 2
-		have[pos] = cells[pos]
-	}
-	b.SetBytes(int64(p.N() * p.CellBytes))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReconstructLine(p, have); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReconstructLineColdCache is BenchmarkReconstructLine with a
-// loss pattern that shifts every iteration, defeating any decode-matrix
-// caching: the matrix-inversion worst case.
-func BenchmarkReconstructLineColdCache(b *testing.B) {
-	p := DefaultParams()
-	bl := benchBlob(b, p)
-	ext, err := Extend(bl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	line := Line{Kind: Row, Index: 3}
-	cells := ext.Line(line)
+	cells := ext.Line(Line{Kind: Row, Index: 3})
 	n := p.N()
+	shards := make([][]byte, n)
 	b.SetBytes(int64(n * p.CellBytes))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		have := make(map[int][]byte, p.K)
+		clear(shards)
+		// Interleave data and parity positions so reconstruction does
+		// real decode work on both halves.
 		for j := 0; j < p.K; j++ {
 			pos := (j*2 + i) % n
-			have[pos] = cells[pos]
+			shards[pos] = cells[pos]
 		}
-		if _, err := ReconstructLine(p, have); err != nil {
+		if err := ReconstructLine(p, shards); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"pandas/internal/rs"
 )
 
 // Blob is the base K x K matrix of data cells assembled by a builder from
@@ -64,18 +62,15 @@ type Extended struct {
 	params  Params
 	n       int
 	backing []byte // n*n*CellBytes, row-major
-	rowRS   *rs.Codec16
 }
 
 // ExtendOptions tunes the two-dimensional extension.
 type ExtendOptions struct {
-	// Workers bounds the codeword worker pool; 0 uses GOMAXPROCS.
+	// Workers bounds the codeword worker pool; 0 uses GOMAXPROCS. With 1
+	// all coding runs on the calling goroutine. Any worker count produces
+	// bit-identical cells: codewords are independent and write disjoint
+	// cells.
 	Workers int
-	// Sequential pins all coding to the calling goroutine (one worker,
-	// no goroutines spawned) for determinism tests and single-threaded
-	// profiling. Parallel and sequential extension produce bit-identical
-	// cells: codewords are independent and write disjoint cells.
-	Sequential bool
 	// Reuse recycles the backing arena of a previous extension with the
 	// same geometry (the returned *Extended is then the same object,
 	// fully overwritten). The caller must be done reading the previous
@@ -158,12 +153,9 @@ func extend(p Params, loadRow func(r int, dst []byte), opt ExtendOptions) (*Exte
 		e = &Extended{params: p, n: n, backing: make([]byte, size)}
 	}
 	e.backing = e.backing[:size]
-	e.rowRS = codec
 
 	workers := opt.Workers
-	if opt.Sequential {
-		workers = 1
-	} else if workers <= 0 {
+	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
@@ -303,41 +295,36 @@ func (e *Extended) Line(l Line) [][]byte {
 	return out
 }
 
-// Codec returns the rate-1/2 codec shared by all rows and columns.
-func (e *Extended) Codec() *rs.Codec16 { return e.rowRS }
-
 // ReconstructLine recovers a complete row or column from a partial set of
-// its cells. have maps position along the line (0..2K-1) to the cell
-// payload; at least K positions must be present. The returned slice has
-// 2K entries in line order. The input map is not modified.
-func (e *Extended) ReconstructLine(l Line, have map[int][]byte) ([][]byte, error) {
-	return ReconstructLine(e.params, have)
-}
-
-// ReconstructLine is the standalone form used by nodes that do not hold a
-// full Extended matrix: given at least K of the 2K cells of a single row
-// or column (keyed by position along the line), it returns all 2K cells.
-func ReconstructLine(p Params, have map[int][]byte) ([][]byte, error) {
-	n := p.N()
-	if len(have) < p.K {
-		return nil, fmt.Errorf("%w: have %d of %d needed", ErrNotEnough, len(have), p.K)
+// its cells, for nodes that do not hold a full Extended matrix. shards
+// has one entry per position along the line (2K of them), nil where the
+// cell is missing; at least K must be present. The nil entries are filled
+// in place with fresh slices; present cells are neither read beyond the
+// first K nor written.
+func ReconstructLine(p Params, shards [][]byte) error {
+	if len(shards) != p.N() {
+		return fmt.Errorf("%w: line has %d positions, want %d", ErrBadCell, len(shards), p.N())
+	}
+	have := 0
+	for _, cell := range shards {
+		if cell != nil {
+			have++
+		}
+	}
+	if have < p.K {
+		return fmt.Errorf("%w: have %d of %d needed", ErrNotEnough, have, p.K)
+	}
+	for pos, cell := range shards {
+		if cell != nil && len(cell) != p.CellBytes {
+			return fmt.Errorf("%w: cell at %d has %d bytes, want %d", ErrBadCell, pos, len(cell), p.CellBytes)
+		}
 	}
 	codec, err := codecFor(p)
 	if err != nil {
-		return nil, fmt.Errorf("blob: create codec: %w", err)
-	}
-	shards := make([][]byte, n)
-	for pos, cell := range have {
-		if pos < 0 || pos >= n {
-			return nil, fmt.Errorf("%w: position %d", ErrBadCell, pos)
-		}
-		if len(cell) != p.CellBytes {
-			return nil, fmt.Errorf("%w: cell at %d has %d bytes, want %d", ErrBadCell, pos, len(cell), p.CellBytes)
-		}
-		shards[pos] = cell
+		return fmt.Errorf("blob: create codec: %w", err)
 	}
 	if err := codec.Reconstruct(shards); err != nil {
-		return nil, fmt.Errorf("blob: reconstruct line: %w", err)
+		return fmt.Errorf("blob: reconstruct line: %w", err)
 	}
-	return shards, nil
+	return nil
 }

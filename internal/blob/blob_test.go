@@ -34,10 +34,15 @@ func TestParamsValidate(t *testing.T) {
 		{Params{K: 8, CellBytes: 0, ProofBytes: 48}, false},
 		{Params{K: 8, CellBytes: 64, ProofBytes: -1}, false},
 		{Params{K: 40000, CellBytes: 64, ProofBytes: 0}, false}, // 2K > 65536
+		{Params{K: 65536, CellBytes: 64, ProofBytes: 0}, false}, // power of two, still too wide
+		{Params{K: 1, CellBytes: 2, ProofBytes: 0}, true},
+		{Params{K: 3, CellBytes: 64, ProofBytes: 48}, false}, // not a power of two
+		{Params{K: 12, CellBytes: 64, ProofBytes: 48}, false},
+		{Params{K: 48, CellBytes: 64, ProofBytes: 48}, false},
 	}
 	for i, c := range cases {
 		err := c.p.Validate()
-		if (err == nil) != c.ok {
+		if (err == nil) != c.ok || (err != nil && !errors.Is(err, ErrInvalidParams)) {
 			t.Errorf("case %d: Validate() = %v, ok=%v", i, err, c.ok)
 		}
 	}
@@ -103,18 +108,25 @@ func TestExtendRowsAndColumnsAreCodewords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec := e.Codec()
-	n := p.N()
-	for i := 0; i < n; i++ {
-		rowShards := e.Line(Line{Kind: Row, Index: uint16(i)})
-		ok, err := codec.Verify(rowShards)
-		if err != nil || !ok {
-			t.Fatalf("row %d is not a codeword: %v %v", i, ok, err)
-		}
-		colShards := e.Line(Line{Kind: Col, Index: uint16(i)})
-		ok, err = codec.Verify(colShards)
-		if err != nil || !ok {
-			t.Fatalf("col %d is not a codeword: %v %v", i, ok, err)
+	codec, err := codecFor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A line is a codeword iff re-encoding its first K cells reproduces
+	// the other K.
+	for i := 0; i < p.N(); i++ {
+		for _, l := range []Line{{Row, uint16(i)}, {Col, uint16(i)}} {
+			cells := e.Line(l)
+			again := make([][]byte, p.N())
+			copy(again, cells[:p.K])
+			if err := codec.Encode(again); err != nil {
+				t.Fatal(err)
+			}
+			for pos := range cells {
+				if !bytes.Equal(again[pos], cells[pos]) {
+					t.Fatalf("%v is not a codeword at position %d", l, pos)
+				}
+			}
 		}
 	}
 }
@@ -130,12 +142,11 @@ func TestReconstructLineFromAnyHalf(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, l := range []Line{{Row, 0}, {Row, uint16(n - 1)}, {Col, 3}, {Col, uint16(n / 2)}} {
 		full := e.Line(l)
-		have := map[int][]byte{}
+		got := make([][]byte, n)
 		for _, pos := range rng.Perm(n)[:p.K] {
-			have[pos] = full[pos]
+			got[pos] = full[pos]
 		}
-		got, err := ReconstructLine(p, have)
-		if err != nil {
+		if err := ReconstructLine(p, got); err != nil {
 			t.Fatalf("line %v: %v", l, err)
 		}
 		for i := range full {
@@ -148,21 +159,24 @@ func TestReconstructLineFromAnyHalf(t *testing.T) {
 
 func TestReconstructLineErrors(t *testing.T) {
 	p := testParams()
-	if _, err := ReconstructLine(p, map[int][]byte{0: make([]byte, p.CellBytes)}); !errors.Is(err, ErrNotEnough) {
+	line := make([][]byte, p.N())
+	line[0] = make([]byte, p.CellBytes)
+	if err := ReconstructLine(p, line); !errors.Is(err, ErrNotEnough) {
 		t.Fatalf("err = %v, want ErrNotEnough", err)
 	}
-	have := map[int][]byte{}
 	for i := 0; i < p.K; i++ {
-		have[i] = make([]byte, p.CellBytes)
+		line[i] = make([]byte, p.CellBytes)
 	}
-	have[0] = make([]byte, p.CellBytes+1)
-	if _, err := ReconstructLine(p, have); !errors.Is(err, ErrBadCell) {
+	line[0] = make([]byte, p.CellBytes+1)
+	if err := ReconstructLine(p, line); !errors.Is(err, ErrBadCell) {
 		t.Fatalf("err = %v, want ErrBadCell", err)
 	}
-	have[0] = make([]byte, p.CellBytes)
-	have[p.N()] = make([]byte, p.CellBytes) // out of range position
-	if _, err := ReconstructLine(p, have); !errors.Is(err, ErrBadCell) {
+	line[0] = make([]byte, p.CellBytes)
+	if err := ReconstructLine(p, append(line, nil)); !errors.Is(err, ErrBadCell) { // one position too many
 		t.Fatalf("err = %v, want ErrBadCell", err)
+	}
+	if line[p.N()-1] != nil {
+		t.Fatal("failed calls filled the line")
 	}
 }
 
@@ -181,13 +195,12 @@ func TestQuickReconstructRandomHalves(t *testing.T) {
 			l.Kind = Col
 		}
 		full := e.Line(l)
-		have := map[int][]byte{}
+		got := make([][]byte, n)
 		keep := p.K + rng.Intn(n-p.K+1) // any count in [K, n]
 		for _, pos := range rng.Perm(n)[:keep] {
-			have[pos] = full[pos]
+			got[pos] = full[pos]
 		}
-		got, err := ReconstructLine(p, have)
-		if err != nil {
+		if err := ReconstructLine(p, got); err != nil {
 			return false
 		}
 		for i := range full {

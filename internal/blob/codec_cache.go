@@ -6,9 +6,9 @@ import (
 	"pandas/internal/rs"
 )
 
-// Building a Codec16 inverts a K x K matrix, which is far too expensive to
-// repeat for every reconstructed line. Codecs are immutable, so a small
-// process-wide cache keyed by geometry is shared by all blobs and nodes.
+// A Codec16 is the FFT twiddle schedule of one geometry plus a pool of
+// decode workspaces: immutable, and worth building once rather than per
+// reconstructed line, so one per K is shared by all blobs and nodes.
 var codecCache sync.Map // Params.K -> *rs.Codec16
 
 func codecFor(p Params) (*rs.Codec16, error) {

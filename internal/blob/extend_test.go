@@ -7,13 +7,13 @@ import (
 
 // TestExtendParallelMatchesSequential pins the determinism contract of
 // the worker pool: parallel extension must be bit-identical to the
-// single-goroutine Sequential path, for any worker count. Codewords are
+// single-goroutine Workers: 1 path, for any worker count. Codewords are
 // independent and write disjoint cells, so scheduling order must not
 // leak into the output.
 func TestExtendParallelMatchesSequential(t *testing.T) {
 	p := testParams()
 	b := randBlob(t, p, 7)
-	seq, err := ExtendWith(b, ExtendOptions{Sequential: true})
+	seq, err := ExtendWith(b, ExtendOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,9 @@ var (
 // Params describes the geometry of a blob and its extension. The zero
 // value is not usable; use DefaultParams or TestParams.
 type Params struct {
-	// K is the number of data rows (and columns) of the base blob.
-	// The extended matrix is N x N with N = 2*K.
+	// K is the number of data rows (and columns) of the base blob, a
+	// power of two (the FFT codec needs the data positions of a line to
+	// form a GF(2)-subspace). The extended matrix is N x N with N = 2*K.
 	K int
 	// CellBytes is the number of payload bytes per cell (512 in the
 	// paper). Must be even (the GF(2^16) codec works on 16-bit words).
@@ -59,8 +60,8 @@ func TestParams() Params {
 // Validate checks the parameters for internal consistency.
 func (p Params) Validate() error {
 	switch {
-	case p.K < 1:
-		return fmt.Errorf("%w: K=%d", ErrInvalidParams, p.K)
+	case p.K < 1 || p.K&(p.K-1) != 0:
+		return fmt.Errorf("%w: K=%d (must be a power of two)", ErrInvalidParams, p.K)
 	case 2*p.K > 65536:
 		return fmt.Errorf("%w: extended width %d exceeds GF(2^16) limit", ErrInvalidParams, 2*p.K)
 	case p.CellBytes < 2 || p.CellBytes%2 != 0:

@@ -119,18 +119,11 @@ func (b *Builder) PrepareBlob(data []byte) error {
 // construction, and each seed datagram is transmitted as soon as the
 // proofs of the rows it carries are ready — the builder starts pushing
 // cells into the network while the prover is still working through the
-// matrix. Output is bit-identical to the monolithic path (same
-// commitment, proofs, datagrams, and report); Config.SequentialPrepare
-// selects the monolithic path for determinism-sensitive callers and
-// differential tests. Transport callbacks fire from the calling
-// goroutine only, as with SeedSlot.
+// matrix. Output is bit-identical to PrepareBlob followed by SeedSlot
+// (same commitment, proofs, datagrams, and report; pinned by test).
+// Transport callbacks fire from the calling goroutine only, as with
+// SeedSlot.
 func (b *Builder) PrepareAndSeed(slot uint64, data []byte) (SeedingReport, error) {
-	if b.cfg.SequentialPrepare {
-		if err := b.PrepareBlob(data); err != nil {
-			return SeedingReport{}, err
-		}
-		return b.SeedSlot(slot), nil
-	}
 	if err := b.extendAndCommit(data); err != nil {
 		return SeedingReport{}, err
 	}
@@ -152,9 +145,9 @@ func (b *Builder) PrepareAndSeed(slot uint64, data []byte) (SeedingReport, error
 
 // extendAndCommit extends data into the builder's reused matrix and
 // accumulates the commitment, leaving the committer's cell digests ready
-// for proving and b.proofs sized. Unless SequentialPrepare is set, the
-// top half of the matrix (rows 0..K-1: data and row parity, final after
-// the row phase) is digested concurrently with the column-phase encode.
+// for proving and b.proofs sized. The top half of the matrix (rows
+// 0..K-1: data and row parity, final after the row phase) is digested
+// concurrently with the column-phase encode.
 func (b *Builder) extendAndCommit(data []byte) error {
 	p := b.cfg.Blob
 	n := p.N()
@@ -164,22 +157,20 @@ func (b *Builder) extendAndCommit(data []byte) error {
 		b.committer.Reset(n)
 	}
 	cm := b.committer
-	opt := blob.ExtendOptions{Workers: b.cfg.ExtendWorkers, Reuse: b.extended}
-	hashed := 0
-	if !b.cfg.SequentialPrepare {
-		opt.OnRowPhase = func(e *blob.Extended) {
+	ext, err := blob.ExtendData(p, data, blob.ExtendOptions{
+		Workers: b.cfg.ExtendWorkers,
+		Reuse:   b.extended,
+		OnRowPhase: func(e *blob.Extended) {
 			for r := 0; r < p.K; r++ {
 				cm.HashRow(r, e.RowBytes(r), p.CellBytes)
 			}
-		}
-		hashed = p.K
-	}
-	ext, err := blob.ExtendData(p, data, opt)
+		},
+	})
 	if err != nil {
 		return fmt.Errorf("core: builder extend: %w", err)
 	}
 	b.extended = ext
-	for r := hashed; r < n; r++ {
+	for r := p.K; r < n; r++ {
 		cm.HashRow(r, ext.RowBytes(r), p.CellBytes)
 	}
 	b.commitment = cm.Root()
@@ -192,9 +183,6 @@ func (b *Builder) extendAndCommit(data []byte) error {
 
 // proveWorkers resolves the prover pool size from the configuration.
 func (b *Builder) proveWorkers() int {
-	if b.cfg.SequentialPrepare {
-		return 1
-	}
 	if b.cfg.ProveWorkers > 0 {
 		return b.cfg.ProveWorkers
 	}

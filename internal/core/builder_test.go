@@ -210,7 +210,8 @@ func TestBuilderRestrictedView(t *testing.T) {
 }
 
 // TestBuilderPipelinedMatchesMonolithic pins the streaming
-// PrepareAndSeed path against the monolithic prepare-then-seed path:
+// PrepareAndSeed path against PrepareBlob followed by SeedSlot on
+// single-worker pools:
 // identical commitment, identical proof arena, bit-identical seed
 // datagrams (recipients, sizes, order, payloads, proofs), and an equal
 // report — across prover worker counts and a second slot that reuses
@@ -226,7 +227,7 @@ func TestBuilderPipelinedMatchesMonolithic(t *testing.T) {
 		// Both builders are rebuilt per worker count so their rngs start
 		// from the same state (seeding consumes rng as it plans).
 		seqCfg := cfg
-		seqCfg.SequentialPrepare = true
+		seqCfg.ExtendWorkers, seqCfg.ProveWorkers = 1, 1
 		want, _, wantTr := builderFixture(t, seqCfg, 80)
 		pipeCfg := cfg
 		pipeCfg.ProveWorkers = workers
@@ -234,10 +235,10 @@ func TestBuilderPipelinedMatchesMonolithic(t *testing.T) {
 		for slot := uint64(1); slot <= 2; slot++ { // slot 2 reuses arenas
 			wantTr.sends = nil
 			gotTr.sends = nil
-			wantReport, err := want.PrepareAndSeed(slot, data)
-			if err != nil {
+			if err := want.PrepareBlob(data); err != nil {
 				t.Fatal(err)
 			}
+			wantReport := want.SeedSlot(slot)
 			gotReport, err := got.PrepareAndSeed(slot, data)
 			if err != nil {
 				t.Fatal(err)

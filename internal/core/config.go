@@ -102,13 +102,6 @@ type Config struct {
 	// (0 = GOMAXPROCS). As with ExtendWorkers, outputs are bit-identical
 	// at any setting.
 	ProveWorkers int
-	// SequentialPrepare makes Builder.PrepareAndSeed run the monolithic
-	// prepare-then-seed path — no row-digest/column-encode overlap, no
-	// proving concurrent with transmission, a single prover goroutine —
-	// instead of the streaming pipeline. Both paths emit bit-identical
-	// commitments, proofs, datagrams, and reports (pinned by test); the
-	// knob only trades wall-clock for scheduling determinism.
-	SequentialPrepare bool
 	// Recorder receives protocol trace events from every layer (builder
 	// seeding, node receive/fetch/sample paths, liveness transitions,
 	// churn). Nil — the default — disables tracing: every emission site

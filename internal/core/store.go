@@ -376,8 +376,8 @@ func (s *Store) TryReconstruct(l blob.Line) ([]wire.Cell, error) {
 	missing := s.missScr
 	var newCells []wire.Cell
 	if s.real {
-		have := make(map[int][]byte, ls.count)
-		for pos := 0; pos < s.n; pos++ {
+		full := make([][]byte, s.n)
+		for pos := range full {
 			if !ls.has(pos) {
 				continue
 			}
@@ -386,10 +386,9 @@ func (s *Store) TryReconstruct(l blob.Line) ([]wire.Cell, error) {
 			if !ok {
 				return nil, fmt.Errorf("core: line %v position %d marked present but payload missing", l, pos)
 			}
-			have[pos] = c.Data
+			full[pos] = c.Data
 		}
-		full, err := blob.ReconstructLine(s.params, have)
-		if err != nil {
+		if err := blob.ReconstructLine(s.params, full); err != nil {
 			return nil, fmt.Errorf("core: reconstruct %v: %w", l, err)
 		}
 		for _, pos := range missing {

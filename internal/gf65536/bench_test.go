@@ -5,19 +5,17 @@ import (
 	"testing"
 )
 
-func benchSlices(n int) (a, b, c, d, dst []byte) {
+func benchSlices(n int) (src, dst []byte) {
 	rng := rand.New(rand.NewSource(1))
-	mk := func() []byte {
-		s := make([]byte, n)
-		rng.Read(s)
-		return s
-	}
-	return mk(), mk(), mk(), mk(), mk()
+	src, dst = make([]byte, n), make([]byte, n)
+	rng.Read(src)
+	rng.Read(dst)
+	return src, dst
 }
 
 // BenchmarkMulAddBytesScalar measures the log/exp reference kernel.
 func BenchmarkMulAddBytesScalar(b *testing.B) {
-	src, _, _, _, dst := benchSlices(512)
+	src, dst := benchSlices(512)
 	b.SetBytes(512)
 	for i := 0; i < b.N; i++ {
 		mulAddBytesScalar(0x1234, src, dst)
@@ -26,7 +24,7 @@ func BenchmarkMulAddBytesScalar(b *testing.B) {
 
 // BenchmarkMulAddBytesTable measures the split-table kernel.
 func BenchmarkMulAddBytesTable(b *testing.B) {
-	src, _, _, _, dst := benchSlices(512)
+	src, dst := benchSlices(512)
 	t := TableFor(0x1234)
 	b.SetBytes(512)
 	for i := 0; i < b.N; i++ {
@@ -34,20 +32,9 @@ func BenchmarkMulAddBytesTable(b *testing.B) {
 	}
 }
 
-// BenchmarkMulAdd4 measures the fused four-source kernel; throughput is
-// reported per source byte processed.
-func BenchmarkMulAdd4(b *testing.B) {
-	s0, s1, s2, s3, dst := benchSlices(512)
-	t0, t1, t2, t3 := TableFor(3), TableFor(0x1234), TableFor(0xfedc), TableFor(0x8001)
-	b.SetBytes(4 * 512)
-	for i := 0; i < b.N; i++ {
-		MulAdd4(t0, t1, t2, t3, s0, s1, s2, s3, dst)
-	}
-}
-
 // BenchmarkAddBytes measures the wide-XOR c==1 path.
 func BenchmarkAddBytes(b *testing.B) {
-	src, _, _, _, dst := benchSlices(512)
+	src, dst := benchSlices(512)
 	b.SetBytes(512)
 	for i := 0; i < b.N; i++ {
 		AddBytes(src, dst)

@@ -59,39 +59,6 @@ func FuzzMulBytes(f *testing.F) {
 	})
 }
 
-// FuzzMulAdd4 checks the fused four-source kernel against four
-// sequential scalar multiply-accumulates.
-func FuzzMulAdd4(f *testing.F) {
-	f.Add(uint16(2), uint16(3), uint16(4), uint16(5), []byte("0123456789abcdef0123456789"))
-	f.Add(uint16(0), uint16(1), uint16(0xffff), uint16(0x100), []byte{7, 7, 7, 7})
-	f.Fuzz(func(t *testing.T, c0, c1, c2, c3 uint16, data []byte) {
-		// Derive four equally sized sources from the fuzz payload. The
-		// fused kernels are word-only (codec shard sizes are always
-		// even), unlike the scalar c==1 special case which XORs a
-		// trailing odd byte, so keep the length even.
-		q := (len(data) / 4) &^ 1
-		s0, s1, s2, s3 := data[:q], data[q:2*q], data[2*q:3*q], data[3*q:4*q]
-		want := make([]byte, q)
-		got := make([]byte, q)
-		mulAddBytesScalar(c0, s0, want)
-		mulAddBytesScalar(c1, s1, want)
-		mulAddBytesScalar(c2, s2, want)
-		mulAddBytesScalar(c3, s3, want)
-		MulAdd4(TableFor(c0), TableFor(c1), TableFor(c2), TableFor(c3), s0, s1, s2, s3, got)
-		if !bytes.Equal(want, got) {
-			t.Fatalf("MulAdd4(%#x,%#x,%#x,%#x) diverges\nwant %x\ngot  %x", c0, c1, c2, c3, want, got)
-		}
-		want2 := make([]byte, q)
-		got2 := make([]byte, q)
-		mulAddBytesScalar(c0, s0, want2)
-		mulAddBytesScalar(c1, s1, want2)
-		MulAdd2(TableFor(c0), TableFor(c1), s0, s1, got2)
-		if !bytes.Equal(want2, got2) {
-			t.Fatalf("MulAdd2(%#x,%#x) diverges\nwant %x\ngot  %x", c0, c1, want2, got2)
-		}
-	})
-}
-
 // FuzzMulAdd8 checks the fused eight-source kernel against eight
 // sequential scalar multiply-accumulates.
 func FuzzMulAdd8(f *testing.F) {

@@ -100,47 +100,6 @@ func Pow(a uint16, n int) uint16 {
 	return expTable[l]
 }
 
-// MulSlice sets dst[i] = c * src[i]. Slices must have equal length.
-func MulSlice(c uint16, src, dst []uint16) {
-	if c == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	if c == 1 {
-		copy(dst, src)
-		return
-	}
-	logC := int(logTable[c])
-	for i, s := range src {
-		if s == 0 {
-			dst[i] = 0
-		} else {
-			dst[i] = expTable[logC+int(logTable[s])]
-		}
-	}
-}
-
-// MulAddSlice sets dst[i] ^= c * src[i], the Reed-Solomon inner loop.
-func MulAddSlice(c uint16, src, dst []uint16) {
-	if c == 0 {
-		return
-	}
-	if c == 1 {
-		for i, s := range src {
-			dst[i] ^= s
-		}
-		return
-	}
-	logC := int(logTable[c])
-	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= expTable[logC+int(logTable[s])]
-		}
-	}
-}
-
 // MulAddBytes sets dst ^= c*src where the byte slices are interpreted as
 // big-endian uint16 words. Both lengths must be equal and even.
 // Dispatches to the cached split-table kernel; hot loops that reuse the
@@ -181,19 +140,22 @@ func mulAddBytesScalar(c uint16, src, dst []byte) {
 	}
 }
 
-// MulBytes sets dst = c*src over big-endian uint16 words.
+// MulBytes sets dst = c*src over big-endian uint16 words. The split
+// table is built on the stack of the call and dropped with it: this is
+// the form for a coefficient used once (the decoder's per-erasure-pattern
+// scale factors), which TableFor would retain forever.
 func MulBytes(c uint16, src, dst []byte) {
 	if c == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 		return
 	}
 	if c == 1 {
 		copy(dst, src)
 		return
 	}
-	TableFor(c).Mul(src, dst)
+	var t MulTable16
+	t.fill(c)
+	t.Mul(src, dst)
 }
 
 // mulBytesScalar is the log/exp-table reference implementation of

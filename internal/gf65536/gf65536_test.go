@@ -121,21 +121,6 @@ func TestInvZeroPanics(t *testing.T) {
 	Inv(0)
 }
 
-func TestMulAddSlice(t *testing.T) {
-	src := []uint16{0, 1, 0xFFFF, 1234}
-	dst := []uint16{7, 8, 9, 10}
-	want := make([]uint16, 4)
-	for i := range want {
-		want[i] = dst[i] ^ Mul(3, src[i])
-	}
-	MulAddSlice(3, src, dst)
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("mismatch at %d", i)
-		}
-	}
-}
-
 func TestMulAddBytesMatchesWordwise(t *testing.T) {
 	src := []byte{0x12, 0x34, 0x00, 0x00, 0xFF, 0xFF, 0xAB, 0xCD}
 	dst := []byte{1, 2, 3, 4, 5, 6, 7, 8}

@@ -36,18 +36,35 @@ type MulTable16 struct {
 	zmm [4][64]byte
 }
 
-// BuildTable computes the split tables for coefficient c from the
-// log/exp tables. Callers that apply the same coefficient repeatedly
-// should use TableFor, which caches the result process-wide.
+// BuildTable computes the split tables for coefficient c. Callers that
+// apply the same coefficient repeatedly should use TableFor, which
+// caches the result process-wide.
 func BuildTable(c uint16) *MulTable16 {
 	t := new(MulTable16)
-	if c == 0 {
-		return t
+	t.fill(c)
+	return t
+}
+
+// fill sets a zero-valued table to the split tables of c. c*s is
+// GF(2)-linear in s, so each doubling of a table adds the product of one
+// more bit of s: sixteen multiplications by x and one XOR per entry,
+// with no walk over the log/exp tables — cheap enough to build a table
+// for a single use (MulBytes).
+func (t *MulTable16) fill(c uint16) {
+	var bit [16]uint16 // bit[b] = c * x^b
+	p := uint32(c)
+	for b := range bit {
+		bit[b] = uint16(p)
+		if p <<= 1; p&Order != 0 {
+			p ^= Polynomial
+		}
 	}
-	logC := int(logTable[c])
-	for s := 1; s < 256; s++ {
-		t.Lo[s] = expTable[logC+int(logTable[s])]
-		t.Hi[s] = expTable[logC+int(logTable[uint16(s)<<8])]
+	for b := 0; b < 8; b++ {
+		w, lo, hi := 1<<b, bit[b], bit[b+8]
+		for s := 0; s < w; s++ {
+			t.Lo[(w+s)&255] = t.Lo[s&255] ^ lo // masks only drop the bounds checks
+			t.Hi[(w+s)&255] = t.Hi[s&255] ^ hi
+		}
 	}
 	for n := 1; n < 16; n++ {
 		t0 := t.Lo[n]    // c * n
@@ -63,13 +80,13 @@ func BuildTable(c uint16) *MulTable16 {
 		t.zmm[3][n], t.zmm[3][16+n] = byte(t1>>8), byte(t1>>8)
 		t.zmm[3][32+n], t.zmm[3][48+n] = byte(t3>>8), byte(t3>>8)
 	}
-	return t
 }
 
 // tableCache lazily caches one MulTable16 per coefficient, shared by all
 // codecs in the process. The pointer array costs 512 KiB; tables are
-// built on first use only for coefficients that actually occur in an
-// encode or decode matrix.
+// built on first use and never evicted, so TableFor is for coefficients
+// fixed by a code's geometry (FFT twiddles), not for ones that vary per
+// call (see MulBytes).
 var tableCache [Order]atomic.Pointer[MulTable16]
 
 // TableFor returns the (cached) split multiplication table for c.
@@ -145,70 +162,11 @@ func (t *MulTable16) Mul(src, dst []byte) {
 	}
 }
 
-// MulAdd4 sets dst ^= c0*s0 ^ c1*s1 ^ c2*s2 ^ c3*s3 in a single pass.
-// Fusing four sources quarters the dst read-modify-write traffic of four
-// separate MulAdd calls — with 512 B cells the dst stream is otherwise
-// the dominant memory cost of encoding. All four sources must have the
-// same length; len(dst) must be >= that length.
-func MulAdd4(t0, t1, t2, t3 *MulTable16, s0, s1, s2, s3, dst []byte) {
-	n := len(s0)
-	if len(dst) < n {
-		n = len(dst)
-	}
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		a := binary.BigEndian.Uint64(s0[i:])
-		b := binary.BigEndian.Uint64(s1[i:])
-		c := binary.BigEndian.Uint64(s2[i:])
-		d := binary.BigEndian.Uint64(s3[i:])
-		p := uint64(t0.Hi[a>>56]^t0.Lo[a>>48&0xff]^t1.Hi[b>>56]^t1.Lo[b>>48&0xff]^
-			t2.Hi[c>>56]^t2.Lo[c>>48&0xff]^t3.Hi[d>>56]^t3.Lo[d>>48&0xff])<<48 |
-			uint64(t0.Hi[a>>40&0xff]^t0.Lo[a>>32&0xff]^t1.Hi[b>>40&0xff]^t1.Lo[b>>32&0xff]^
-				t2.Hi[c>>40&0xff]^t2.Lo[c>>32&0xff]^t3.Hi[d>>40&0xff]^t3.Lo[d>>32&0xff])<<32 |
-			uint64(t0.Hi[a>>24&0xff]^t0.Lo[a>>16&0xff]^t1.Hi[b>>24&0xff]^t1.Lo[b>>16&0xff]^
-				t2.Hi[c>>24&0xff]^t2.Lo[c>>16&0xff]^t3.Hi[d>>24&0xff]^t3.Lo[d>>16&0xff])<<16 |
-			uint64(t0.Hi[a>>8&0xff]^t0.Lo[a&0xff]^t1.Hi[b>>8&0xff]^t1.Lo[b&0xff]^
-				t2.Hi[c>>8&0xff]^t2.Lo[c&0xff]^t3.Hi[d>>8&0xff]^t3.Lo[d&0xff])
-		binary.BigEndian.PutUint64(dst[i:], binary.BigEndian.Uint64(dst[i:])^p)
-	}
-	for ; i+1 < n; i += 2 {
-		p := t0.Hi[s0[i]] ^ t0.Lo[s0[i+1]] ^
-			t1.Hi[s1[i]] ^ t1.Lo[s1[i+1]] ^
-			t2.Hi[s2[i]] ^ t2.Lo[s2[i+1]] ^
-			t3.Hi[s3[i]] ^ t3.Lo[s3[i+1]]
-		dst[i] ^= byte(p >> 8)
-		dst[i+1] ^= byte(p)
-	}
-}
-
-// MulAdd2 is the two-source form of MulAdd4, used for tails.
-func MulAdd2(t0, t1 *MulTable16, s0, s1, dst []byte) {
-	n := len(s0)
-	if len(dst) < n {
-		n = len(dst)
-	}
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		a := binary.BigEndian.Uint64(s0[i:])
-		b := binary.BigEndian.Uint64(s1[i:])
-		p := uint64(t0.Hi[a>>56]^t0.Lo[a>>48&0xff]^t1.Hi[b>>56]^t1.Lo[b>>48&0xff])<<48 |
-			uint64(t0.Hi[a>>40&0xff]^t0.Lo[a>>32&0xff]^t1.Hi[b>>40&0xff]^t1.Lo[b>>32&0xff])<<32 |
-			uint64(t0.Hi[a>>24&0xff]^t0.Lo[a>>16&0xff]^t1.Hi[b>>24&0xff]^t1.Lo[b>>16&0xff])<<16 |
-			uint64(t0.Hi[a>>8&0xff]^t0.Lo[a&0xff]^t1.Hi[b>>8&0xff]^t1.Lo[b&0xff])
-		binary.BigEndian.PutUint64(dst[i:], binary.BigEndian.Uint64(dst[i:])^p)
-	}
-	for ; i+1 < n; i += 2 {
-		p := t0.Hi[s0[i]] ^ t0.Lo[s0[i+1]] ^ t1.Hi[s1[i]] ^ t1.Lo[s1[i+1]]
-		dst[i] ^= byte(p >> 8)
-		dst[i+1] ^= byte(p)
-	}
-}
-
-// MulAdd8 sets dst ^= c0*s0 ^ ... ^ c7*s7 in a single pass, the
-// eight-source extension of MulAdd4: one dst read-modify-write sweep
-// amortized over eight sources, processing four coefficients per uint64
-// lane. All eight sources must have the same length; len(dst) must be
-// >= that length.
+// MulAdd8 sets dst ^= c0*s0 ^ ... ^ c7*s7 in a single pass: one dst
+// read-modify-write sweep amortized over eight sources, processing four
+// coefficients per uint64 lane. All eight sources must have the same
+// length; len(dst) must be >= that length. Its caller is the slot
+// benchmark's gf65536.muladd8_mbps probe.
 func MulAdd8(t0, t1, t2, t3, t4, t5, t6, t7 *MulTable16,
 	s0, s1, s2, s3, s4, s5, s6, s7, dst []byte) {
 	n := len(s0)

@@ -1,6 +1,7 @@
 package rs
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -9,12 +10,9 @@ import (
 // extended matrix has K=256 data shards extended to 512, with 512 B
 // cells.
 const (
-	benchK16    = 256
-	benchN16    = 512
-	benchShard  = 512
-	benchGF8K   = 128
-	benchGF8N   = 256
-	benchGF8Srd = 512
+	benchK16   = 256
+	benchN16   = 512
+	benchShard = 512
 )
 
 func benchShards16(b *testing.B, c *Codec16, size int) [][]byte {
@@ -47,110 +45,50 @@ func BenchmarkEncode16(b *testing.B) {
 	}
 }
 
-// BenchmarkEncode16Matrix measures the dense matrix fallback at a
-// non-power-of-two k close to paper scale, the path Reconstruct shares.
-func BenchmarkEncode16Matrix(b *testing.B) {
-	c, err := New16(benchK16-6, benchN16-12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	shards := benchShards16(b, c, benchShard)
-	b.SetBytes(int64((benchK16 - 6) * benchShard))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Encode(shards); err != nil {
+// BenchmarkReconstruct16 measures Codec16.Reconstruct of one line with
+// exactly k of 2k shards present, 512 B cells, at the sim_real_faulty
+// geometry (k32) and at paper geometry (k256). half_erased repeats one
+// pattern (every other shard); random draws a fresh pattern per
+// iteration from a pre-generated list. The decoder keeps no per-pattern
+// state, so the two differ only by which shards are touched. Run with a
+// fixed count: -benchtime 200x -benchmem.
+func BenchmarkReconstruct16(b *testing.B) {
+	for _, k := range []int{32, 256} {
+		c, err := New16(k, 2*k)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkVerify16 measures parity verification at paper geometry.
-func BenchmarkVerify16(b *testing.B) {
-	c, err := New16(benchK16, benchN16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	shards := benchShards16(b, c, benchShard)
-	if err := c.Encode(shards); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(benchK16 * benchShard))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ok, err := c.Verify(shards)
-		if err != nil || !ok {
-			b.Fatalf("Verify = %v %v", ok, err)
-		}
-	}
-}
-
-// BenchmarkReconstruct16Warm measures reconstruction of half the shards
-// with a RECURRING loss pattern, the common case under churn: the decode
-// matrix comes from the LRU after the first iteration.
-func BenchmarkReconstruct16Warm(b *testing.B) {
-	benchReconstruct16(b, false)
-}
-
-// BenchmarkReconstruct16Cold shifts the loss pattern every iteration so
-// every decode matrix is a cache miss (full Gauss-Jordan inversion).
-func BenchmarkReconstruct16Cold(b *testing.B) {
-	benchReconstruct16(b, true)
-}
-
-func benchReconstruct16(b *testing.B, shift bool) {
-	c, err := New16(benchK16, benchN16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	master := benchShards16(b, c, benchShard)
-	if err := c.Encode(master); err != nil {
-		b.Fatal(err)
-	}
-	shards := make([][]byte, benchN16)
-	b.SetBytes(int64(benchK16 * benchShard))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		off := 0
-		if shift {
-			off = i % benchK16
-		}
-		for j := range shards {
-			shards[j] = nil
-		}
-		// Keep every other shard, rotated by off: half data and half
-		// parity missing.
-		for j := 0; j < benchK16; j++ {
-			pos := (2*j + off) % benchN16
-			shards[pos] = master[pos]
-		}
-		if err := c.Reconstruct(shards); err != nil {
+		master := benchShards16(b, c, benchShard)
+		if err := c.Encode(master); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkEncode8 measures the GF(2^8) codec at its maximum geometry
-// (128 -> 256 shards of 512 B).
-func BenchmarkEncode8(b *testing.B) {
-	c, err := New(benchGF8K, benchGF8N)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	shards := make([][]byte, benchGF8N)
-	for i := 0; i < benchGF8K; i++ {
-		shards[i] = make([]byte, benchGF8Srd)
-		rng.Read(shards[i])
-	}
-	b.SetBytes(int64(benchGF8K * benchGF8Srd))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Encode(shards); err != nil {
-			b.Fatal(err)
+		rng := rand.New(rand.NewSource(8))
+		alternate := make([]int, k)
+		for j := range alternate {
+			alternate[j] = 2 * j
 		}
+		patterns := make([][]int, 64)
+		for i := range patterns {
+			patterns[i] = rng.Perm(2 * k)[:k]
+		}
+		run := func(name string, keep func(i int) []int) {
+			b.Run(fmt.Sprintf("k%d/%s", k, name), func(b *testing.B) {
+				shards := make([][]byte, 2*k)
+				b.SetBytes(int64(k * benchShard))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					clear(shards)
+					for _, pos := range keep(i) {
+						shards[pos] = master[pos]
+					}
+					if err := c.Reconstruct(shards); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		run("half_erased", func(int) []int { return alternate })
+		run("random", func(i int) []int { return patterns[i%len(patterns)] })
 	}
 }

@@ -17,10 +17,39 @@ func mustCodec16(t testing.TB, k, n int) *Codec16 {
 	return c
 }
 
+func randShards(rng *rand.Rand, k, n, size int) [][]byte {
+	shards := make([][]byte, n)
+	for i := 0; i < k; i++ {
+		shards[i] = make([]byte, size)
+		rng.Read(shards[i])
+	}
+	return shards
+}
+
+func cloneShards(shards [][]byte) [][]byte {
+	out := make([][]byte, len(shards))
+	for i, s := range shards {
+		if s != nil {
+			out[i] = append([]byte(nil), s...)
+		}
+	}
+	return out
+}
+
 func TestNew16RejectsBadParams(t *testing.T) {
-	for _, c := range []struct{ k, n int }{{0, 4}, {4, 4}, {5, 4}, {1, 65537}} {
+	for _, c := range []struct{ k, n int }{
+		{0, 0}, {0, 4}, {-2, -4}, {4, 4}, {5, 4}, {1, 65537},
+		{3, 6}, {12, 24}, {150, 300}, // k not a power of two
+		{4, 6}, {8, 21}, {4, 16}, // n != 2k
+		{65536, 131072},
+	} {
 		if _, err := New16(c.k, c.n); !errors.Is(err, ErrInvalidParams) {
 			t.Errorf("New16(%d,%d) err = %v", c.k, c.n, err)
+		}
+	}
+	for _, k := range []int{1, 2, 256} {
+		if _, err := New16(k, 2*k); err != nil {
+			t.Errorf("New16(%d,%d): %v", k, 2*k, err)
 		}
 	}
 }
@@ -41,10 +70,6 @@ func TestCodec16Systematic(t *testing.T) {
 			t.Fatalf("data shard %d modified", i)
 		}
 	}
-	ok, err := c.Verify(shards)
-	if err != nil || !ok {
-		t.Fatalf("Verify = %v %v", ok, err)
-	}
 }
 
 func TestCodec16RejectsOddShardSize(t *testing.T) {
@@ -57,9 +82,8 @@ func TestCodec16RejectsOddShardSize(t *testing.T) {
 
 func TestCodec16ReconstructBeyond256Shards(t *testing.T) {
 	// The whole point of GF(2^16): more than 256 total shards, like the
-	// paper's 256 -> 512 row extension. Use a scaled-down-but-over-256
-	// configuration to keep runtime low.
-	const k, n, size = 150, 300, 8
+	// paper's 256 -> 512 row extension, here with small shards.
+	const k, n, size = 256, 512, 8
 	rng := rand.New(rand.NewSource(21))
 	c := mustCodec16(t, k, n)
 	master := randShards(rng, k, n, size)
@@ -117,26 +141,12 @@ func TestCodec16TooFewShards(t *testing.T) {
 	}
 }
 
-func TestCodec16VerifyDetectsCorruption(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	c := mustCodec16(t, 4, 8)
-	shards := randShards(rng, 4, 8, 16)
-	if err := c.Encode(shards); err != nil {
-		t.Fatal(err)
-	}
-	shards[6][0] ^= 0x80
-	ok, err := c.Verify(shards)
-	if err != nil || ok {
-		t.Fatalf("Verify = %v %v, want false nil", ok, err)
-	}
-}
-
 func TestQuick16RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		k := 1 + r.Intn(6)
-		n := k + 1 + r.Intn(6)
+		k := 1 << r.Intn(5)
+		n := 2 * k
 		size := 2 * (1 + r.Intn(16))
 		c, err := New16(k, n)
 		if err != nil {

@@ -150,6 +150,11 @@ func Run(o Options) (*Result, error) {
 	if o.N < 2 {
 		return nil, fmt.Errorf("swarm: need at least 2 nodes, got %d", o.N)
 	}
+	// A geometry every worker would reject on receipt fails here, before
+	// any process is launched.
+	if _, err := o.Geometry.CoreConfig(); err != nil {
+		return nil, fmt.Errorf("swarm: geometry: %w", err)
+	}
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return nil, fmt.Errorf("swarm: bind control socket: %w", err)

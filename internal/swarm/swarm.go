@@ -108,9 +108,9 @@ func geometryFromWire(m *wire.WorkerConfig) Geometry {
 }
 
 // Deterministic shared identities: every worker derives the same table
-// from the deployment seed, mirroring an ENR crawl that has converged
-// (and matching cmd/pandas-node's static-peers mode, so a swarm node and
-// a hand-launched node agree on who is who).
+// from the deployment seed, mirroring an ENR crawl that has converged.
+// cmd/pandas-node's static-peers mode calls the same functions, so a
+// swarm node and a hand-launched node agree on who is who.
 
 // DeriveNodeIDs returns the n participant identities for a seed.
 func DeriveNodeIDs(seed int64, n int) []ids.NodeID {
@@ -141,7 +141,7 @@ func NewTableFromSeed(cfg core.Config, seed int64, n int) (*core.Table, error) {
 }
 
 // FillerBlob returns the deterministic layer-2 filler data builders
-// seed (the same pattern cmd/pandas-node uses).
+// seed.
 func FillerBlob(cfg core.Config) []byte {
 	data := make([]byte, cfg.Blob.BlobBytes())
 	for i := range data {

@@ -29,6 +29,15 @@ go test -race ./internal/membership ./internal/core ./internal/fetch \
 	./internal/adversary ./internal/gateway ./internal/simnet \
 	./internal/swarm
 
+# The purego tag compiles out the AVX-512 kernels: the scalar butterflies
+# and multiplies every non-AVX-512 machine runs, which both encode and
+# decode now depend on, get the same differential tests.
+echo "== go test -tags purego (gf65536, rs, blob)"
+go test -tags purego ./internal/gf65536 ./internal/rs ./internal/blob
+
+echo "== fuzz: FFT decode vs the Vandermonde matrix oracle (10 s)"
+go test ./internal/rs -run '^$' -fuzz FuzzReconstructMatchesMatrix -fuzztime 10s
+
 # bench/ is its own module (pandas/bench, replace pandas => ../), so the
 # ./... patterns above never compile it: an internal rename would break
 # the benchmark silently until the pipeline runs it.
