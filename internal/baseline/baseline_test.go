@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -97,6 +98,26 @@ func TestDHTClusterSamplingCompletes(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no DHT messages recorded")
+	}
+}
+
+// TestDHTClusterDeterministic: two clusters built from the same seed
+// report equal outcomes. The per-node GETs used to be scheduled in map
+// iteration order, which moved the dht rows of fig12/fig14 run to run.
+func TestDHTClusterDeterministic(t *testing.T) {
+	run := func() *Result {
+		d, err := NewDHTCluster(testBaseConfig(60))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.RunSlot(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+		t.Fatal("same seed, different DHT outcomes")
 	}
 }
 

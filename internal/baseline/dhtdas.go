@@ -3,6 +3,7 @@ package baseline
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"sort"
 	"time"
 
 	"pandas/internal/blob"
@@ -132,7 +133,14 @@ func (d *DHTCluster) RunSlot(slot uint64) (*Result, error) {
 			need[parcelOf(blob.CellIDFromIndex(idx, n), n)] = true
 		}
 		remaining[node] = len(need)
+		// Sorted, not map order: the GETs are scheduled in this order and
+		// the event order decides every later tie.
+		parcels := make([]int, 0, len(need))
 		for p := range need {
+			parcels = append(parcels, p)
+		}
+		sort.Ints(parcels)
+		for _, p := range parcels {
 			p := p
 			delay := dhtRetryDelay
 			var attempt func()
