@@ -347,14 +347,7 @@ func (g *Gateway) Query(ctx context.Context, client int, slot uint64, id blob.Ce
 	}
 	key := Key{Slot: slot, ID: id}
 	if c, ok := g.cache.Get(key); ok {
-		g.hits.Add(1)
-		if g.mHits != nil {
-			g.mHits.Inc()
-		}
-		g.emit(obsv.Event{Kind: obsv.KindGatewayCacheHit, Peer: int32(client), Slot: slot})
-		if g.mLatency != nil {
-			g.mLatency.Observe(time.Since(t0).Seconds())
-		}
+		g.hit(client, slot, t0)
 		return c, nil
 	}
 	if g.cfg.VerifyProofs {
@@ -371,6 +364,15 @@ func (g *Gateway) Query(ctx context.Context, client int, slot uint64, id blob.Ce
 
 	f, created, waiters := g.co.join(key)
 	if created {
+		// The miss above may have raced a flight for this key that has
+		// since published to the cache and retired; fetching again would
+		// be a second upstream fetch for one cell. A flight caches before
+		// it retires, so this look-up after join cannot miss it.
+		if c, ok := g.cache.Get(key); ok {
+			g.co.complete(key, c, nil)
+			g.hit(client, slot, t0)
+			return c, nil
+		}
 		select {
 		case g.tasks <- key:
 		default:
@@ -410,6 +412,18 @@ func (g *Gateway) Query(ctx context.Context, client int, slot uint64, id blob.Ce
 		// Shutdown racing this query: a flight created after Close's
 		// sweep would otherwise never resolve.
 		return wire.Cell{}, ErrClosed
+	}
+}
+
+// hit accounts for one query answered from the cache.
+func (g *Gateway) hit(client int, slot uint64, t0 time.Time) {
+	g.hits.Add(1)
+	if g.mHits != nil {
+		g.mHits.Inc()
+	}
+	g.emit(obsv.Event{Kind: obsv.KindGatewayCacheHit, Peer: int32(client), Slot: slot})
+	if g.mLatency != nil {
+		g.mLatency.Observe(time.Since(t0).Seconds())
 	}
 }
 

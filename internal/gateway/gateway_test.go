@@ -508,3 +508,40 @@ func TestQueryStress(t *testing.T) {
 		t.Fatalf("implausible stress stats: %+v", st)
 	}
 }
+
+// TestOneFetchPerKeyUnderRace: with an upstream that answers at once, a
+// query can miss the cache, lose the CPU while the flight for its key
+// caches the cell and retires, and then create a second flight. The
+// gateway must still fetch every distinct cell exactly once.
+func TestOneFetchPerKeyUnderRace(t *testing.T) {
+	up := UpstreamFunc(func(ctx context.Context, slot uint64, id blob.CellID) (wire.Cell, error) {
+		return testCell(id), nil
+	})
+	const goroutines, keys, rounds = 64, 16, 50
+	g, err := New(Config{Upstream: up, Workers: 8, MaxPerClient: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		wg.Add(goroutines)
+		for c := 0; c < goroutines; c++ {
+			c := c
+			go func() {
+				defer wg.Done()
+				for k := 0; k < keys; k++ {
+					id := blob.CellID{Row: uint16(r), Col: uint16((c + k) % keys)}
+					if _, err := g.Query(context.Background(), c, 1, id); err != nil {
+						t.Errorf("client %d: %v", c, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if got := g.Stats().UpstreamFetches; got != keys*rounds {
+		t.Fatalf("upstream fetches = %d, want one per distinct cell = %d", got, keys*rounds)
+	}
+}
