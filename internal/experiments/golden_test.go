@@ -1,0 +1,94 @@
+package experiments
+
+import (
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"pandas/internal/swarm"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/render/*.golden from the current output")
+
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "render", name+".golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s: rendered text differs from %s\n--- got\n%s\n--- want\n%s", name, path, got, want)
+	}
+}
+
+// TestRenderGolden pins what "byte-identical" means for the evaluation:
+// the rendered text of every experiment that runs on the virtual clock,
+// at one fixed configuration, must not move unless a change means it to
+// (regenerate with -update and say so in the commit).
+func TestRenderGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs fifteen experiments")
+	}
+	p := DefaultParams()
+	p.Sizes = []int{80, 120}
+	for _, name := range []string{"fig9", "fig10", "table1", "fig11", "fig12", "fig13", "fig14",
+		"fig15a", "fig15b", "churn", "ablation", "validate", "confidence", "withholding", "byzantine"} {
+		e, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("experiment %q not registered", name)
+		}
+		pp := p
+		if name == "ablation" {
+			pp.Sizes = nil // there -sizes is the redundancy sweep; pin the default one
+		}
+		res, err := e.Run(TestOptions(), &pp)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkGolden(t, name, res.Render())
+	}
+}
+
+// titleAndColumns reduces a rendered table to what stays fixed when the
+// cells hold wall-clock or real-socket measurements: the title line and
+// the column names.
+func titleAndColumns(rendered string) string {
+	lines := strings.SplitN(rendered, "\n", 3)
+	if len(lines) < 2 {
+		return rendered
+	}
+	return lines[0] + "\n" + strings.Join(strings.Fields(lines[1]), " ") + "\n"
+}
+
+// TestRenderGoldenShape covers the three experiments whose cells are
+// measured, not simulated.
+func TestRenderGoldenShape(t *testing.T) {
+	o := TestOptions()
+	o.Slots = 1
+	sc, err := Scale(o, []int{60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "scale", titleAndColumns(sc.Render()))
+
+	go_, gwo := gatewayTestOptions()
+	go_.Slots = 1
+	gw, err := GatewayLoad(go_, gwo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "gateway", titleAndColumns(gw.Render()))
+
+	sw := &swarm.Result{N: 4, Slots: 1, Seed: 7, Geometry: swarm.DefaultGeometry(),
+		SlotResults: []swarm.SlotResult{{Slot: 1}}}
+	checkGolden(t, "swarm", titleAndColumns(sw.Render()))
+}
