@@ -1,14 +1,8 @@
 package pandas
 
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (Section 8). Each iteration regenerates the corresponding
-// experiment at a reduced scale so `go test -bench=.` stays tractable on
-// a laptop; the cmd/pandas-sim and cmd/pandas-exp binaries run the same
-// experiments at the paper's 1,000-20,000-node scales. Reported metrics
-// (ns/op plus custom gauges) capture both runtime and the headline
-// quantity of each artifact — e.g. the sampling P99 or the deadline rate
-// — so regressions in protocol behaviour show up alongside regressions
-// in simulator speed.
+// Paper-scale micro-gates (scripts/bench.sh). The per-figure numbers come
+// from `pandas-sim -exp <name>`, and the slot-budget benchmark lives in
+// bench/ (BENCHMARK.json).
 
 import (
 	"math/rand"
@@ -16,170 +10,8 @@ import (
 	"time"
 
 	"pandas/internal/core"
-	"pandas/internal/experiments"
 	"pandas/internal/ids"
 )
-
-// benchOptions is the shared reduced scale for experiment benchmarks.
-func benchOptions() experiments.Options {
-	o := experiments.TestOptions()
-	o.Nodes = 150
-	o.Slots = 1
-	return o
-}
-
-// BenchmarkFig9Phases regenerates Fig. 9a-9d: the per-phase time
-// distributions (seeding, consolidation, sampling) for the three seeding
-// policies.
-func BenchmarkFig9Phases(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := benchOptions()
-		o.Seed = int64(i + 1)
-		res, err := experiments.Fig9(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pt := res.PerPhase[core.PolicyRedundant]
-		b.ReportMetric(float64(pt.Sampling.Percentile(99).Milliseconds()), "sampleP99ms")
-		b.ReportMetric(float64(pt.Seeding.Max().Milliseconds()), "seedMaxMs")
-	}
-}
-
-// BenchmarkFig10Bandwidth regenerates Fig. 10: per-node fetch traffic
-// (messages and volume) per seeding policy.
-func BenchmarkFig10Bandwidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := benchOptions()
-		o.Seed = int64(i + 1)
-		res, err := experiments.Fig10(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Msgs[core.PolicyRedundant].Mean(), "msgs/node")
-		b.ReportMetric(res.Bytes[core.PolicyRedundant].Mean()/1024, "KB/node")
-	}
-}
-
-// BenchmarkTable1Rounds regenerates Table 1: per-round fetching
-// statistics under redundant seeding.
-func BenchmarkTable1Rounds(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := benchOptions()
-		o.Seed = int64(i + 1)
-		res, err := experiments.Table1(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rounds[0].CellsRequested.Mean(), "r1cells")
-		b.ReportMetric(res.Rounds[len(res.Rounds)-1].Coverage*100, "r4coverage%")
-	}
-}
-
-// BenchmarkFig11Adaptive regenerates Fig. 11: adaptive versus constant
-// fetching.
-func BenchmarkFig11Adaptive(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := benchOptions()
-		o.Seed = int64(i + 1)
-		res, err := experiments.Fig11(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.AdaptiveSampling.Percentile(99).Milliseconds()), "adaptP99ms")
-		b.ReportMetric(float64(res.ConstantSampling.Percentile(99).Milliseconds()), "constP99ms")
-	}
-}
-
-// BenchmarkFig12Baselines regenerates Fig. 12: PANDAS versus the
-// GossipSub and DHT baselines at one scale.
-func BenchmarkFig12Baselines(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := benchOptions()
-		o.Nodes = 100
-		o.Seed = int64(i + 1)
-		res, err := experiments.Fig12(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		d := o.Core.Deadline
-		b.ReportMetric(100*res.Systems[experiments.SystemPandas].Sampling.FractionWithin(d), "pandasOnTime%")
-		b.ReportMetric(100*res.Systems[experiments.SystemGossip].Sampling.FractionWithin(d), "gossipOnTime%")
-		b.ReportMetric(100*res.Systems[experiments.SystemDHT].Sampling.FractionWithin(d), "dhtOnTime%")
-	}
-}
-
-// BenchmarkFig13Scaling regenerates Fig. 13: PANDAS at increasing
-// network sizes.
-func BenchmarkFig13Scaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := benchOptions()
-		o.Seed = int64(i + 1)
-		res, err := experiments.Fig13(o, []int{100, 200})
-		if err != nil {
-			b.Fatal(err)
-		}
-		big := res.Sizes[len(res.Sizes)-1]
-		b.ReportMetric(float64(res.Phases[big].Sampling.Percentile(99).Milliseconds()), "P99msAtMax")
-	}
-}
-
-// BenchmarkFig14BaselineScaling regenerates Fig. 14: the three systems
-// across scales.
-func BenchmarkFig14BaselineScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := benchOptions()
-		o.Seed = int64(i + 1)
-		res, err := experiments.Fig14(o, []int{100})
-		if err != nil {
-			b.Fatal(err)
-		}
-		per := res.Results[100]
-		b.ReportMetric(float64(per[experiments.SystemDHT].Sampling.Median().Milliseconds()), "dhtMedianMs")
-	}
-}
-
-// BenchmarkFig15Faults regenerates Fig. 15: dead-node and out-of-view
-// sweeps.
-func BenchmarkFig15Faults(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := benchOptions()
-		o.Seed = int64(i + 1)
-		dead, err := experiments.Fig15(o, experiments.FaultDead, []float64{0, 0.4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		oov, err := experiments.Fig15(o, experiments.FaultOutOfView, []float64{0.4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*dead.Points[1].DeadlineRate, "dead40OnTime%")
-		b.ReportMetric(100*oov.Points[0].DeadlineRate, "oov40OnTime%")
-	}
-}
-
-// BenchmarkValidation regenerates the §8.2 simulator validation:
-// metadata-cell mode versus the full data plane.
-func BenchmarkValidation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := benchOptions()
-		o.Nodes = 60
-		o.Seed = int64(i + 1)
-		res, err := experiments.Validate(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*res.MedianGap, "medianGap%")
-	}
-}
-
-// BenchmarkSamplingConfidence regenerates the Section 3 analysis behind
-// the 73-sample choice (Fig. 3 boundary cases + false-positive bound).
-func BenchmarkSamplingConfidence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.Confidence(512, []int{36, 73}, 200, int64(i+1))
-		b.ReportMetric(res.Points[1].Analytic, "boundAt73")
-	}
-}
 
 // BenchmarkBuilderPrepareBlob measures the full real-payload builder
 // pipeline at paper scale: 32 MiB of layer-2 data through the 2D

@@ -7,6 +7,7 @@
 //	pandas-sim -exp fig13 -sizes 1000,3000,5000
 //	pandas-sim -exp table1 -nodes 1000
 //	pandas-sim -exp confidence
+//	pandas-sim -exp all -nodes 300 -slots 1 -sizes 150,300   # the whole suite, one report
 //	pandas-sim -list
 //
 // The default parameters are the paper's full Danksharding configuration
@@ -22,7 +23,6 @@ import (
 
 	"pandas/internal/core"
 	"pandas/internal/experiments"
-	"pandas/internal/metrics"
 	"pandas/internal/obsv"
 )
 
@@ -46,7 +46,7 @@ func run(args []string) error {
 		small  = fs.Bool("small", false, "use the scaled-down 32x32 geometry (fast)")
 		loss   = fs.Float64("loss", -1, "message loss rate in [0,1) (unset: simulator default 3%; 0 disables loss)")
 		list   = fs.Bool("list", false, "list experiments and exit")
-		csvDir = fs.String("csv", "", "also write sampling CDF CSVs into this directory (fig9/fig11/fig12)")
+		csvDir = fs.String("csv", "", "also write the sampling CDF of each row as CSV into this directory")
 		trace  = fs.String("trace", "", "record a protocol event trace and write it to this JSONL file")
 	)
 	params := experiments.DefaultParams()
@@ -130,39 +130,33 @@ func writeTrace(path string, ring *obsv.Ring) error {
 	return nil
 }
 
-// writeCSVs exports plottable sampling CDFs for the figure experiments.
-func writeCSVs(dir, exp string, res experiments.Renderer) error {
+// writeCSVs exports each labelled sample's sampling CDF, ready to plot
+// (<exp>-<label>.csv), and with it the block-reception CDF when the run
+// gossiped blocks (<exp>-<label>-block.csv).
+func writeCSVs(dir, exp string, res *experiments.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	write := func(name string, d *metrics.Distribution) error {
+	write := func(name string, d *obsv.Distribution) error {
+		if d == nil || d.Count() == 0 {
+			return nil
+		}
 		f, err := os.Create(filepath.Join(dir, name+".csv"))
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		return d.WriteCDFCSV(f, 100)
-	}
-	switch r := res.(type) {
-	case *experiments.Fig9Result:
-		for _, p := range r.Policies {
-			if err := write(exp+"-sampling-"+p.String(), r.PerPhase[p].Sampling); err != nil {
-				return err
-			}
-		}
-		if r.Block != nil {
-			return write(exp+"-block", r.Block)
-		}
-	case *experiments.Fig11Result:
-		if err := write(exp+"-adaptive", r.AdaptiveSampling); err != nil {
+		if err := d.WriteCDFCSV(f, 100); err != nil {
+			f.Close()
 			return err
 		}
-		return write(exp+"-constant", r.ConstantSampling)
-	case *experiments.Fig12Result:
-		for sys, sr := range r.Systems {
-			if err := write(exp+"-"+string(sys), sr.Sampling); err != nil {
-				return err
-			}
+		return f.Close()
+	}
+	for _, s := range res.Samples {
+		if err := write(exp+"-"+s.Label, s.Sampling); err != nil {
+			return err
+		}
+		if err := write(exp+"-"+s.Label+"-block", s.Block); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -17,6 +17,7 @@ func TestRunRejectsBadLists(t *testing.T) {
 		{"-exp", "churn", "-small", "-rates", "0.1,nope"},
 		{"-exp", "byzantine", "-small", "-behavior", "sneaky"},
 		{"-exp", "fig9", "-small", "-loss", "1.5"},
+		{"-exp", "all", "-small", "-sizes", "150,zzz"},
 	} {
 		if err := run(args); err == nil {
 			t.Fatalf("accepted %v", args)
@@ -71,5 +72,15 @@ func TestListIsRegistryGenerated(t *testing.T) {
 		if !strings.Contains(out, name) {
 			t.Fatalf("-list output missing %q:\n%s", name, out)
 		}
+	}
+}
+
+// TestRunAllSmokeSmall runs the whole reduced suite through -exp all.
+func TestRunAllSmokeSmall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole reduced suite")
+	}
+	if err := run([]string{"-exp", "all", "-small", "-nodes", "60", "-slots", "1", "-sizes", "50,60"}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -23,9 +23,9 @@ func main() {
 	}
 	fmt.Println(res.Render())
 
-	p := res.Systems[experiments.SystemPandas].Sampling
-	g := res.Systems[experiments.SystemGossip].Sampling
-	d := res.Systems[experiments.SystemDHT].Sampling
+	p := res.Sample(string(experiments.SystemPandas)).Sampling
+	g := res.Sample(string(experiments.SystemGossip)).Sampling
+	d := res.Sample(string(experiments.SystemDHT)).Sampling
 	fmt.Printf("median speedup vs GossipSub: %.1fx\n", float64(g.Median())/float64(p.Median()))
 	fmt.Printf("median speedup vs DHT:       %.1fx\n", float64(d.Median())/float64(p.Median()))
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log"
 
-	"pandas/internal/core"
 	"pandas/internal/experiments"
 )
 
@@ -25,9 +24,9 @@ func main() {
 	// CDF series for external plotting (gnuplot/matplotlib): fraction of
 	// nodes that completed sampling by time t, per policy.
 	fmt.Println("sampling CDF series (ms, fraction):")
-	for _, policy := range []core.Policy{core.PolicyMinimal, core.PolicySingle, core.PolicyRedundant} {
-		fmt.Printf("# policy=%s\n", policy)
-		for _, pt := range res.PerPhase[policy].Sampling.CDF(20) {
+	for _, s := range res.Samples {
+		fmt.Printf("# policy=%s\n", s.Label)
+		for _, pt := range s.Sampling.CDF(20) {
 			fmt.Printf("%d %.3f\n", pt.Value.Milliseconds(), pt.Fraction)
 		}
 	}

@@ -28,11 +28,11 @@ func TestGossipClusterSamplingCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Sampling) != 120 {
-		t.Fatalf("samples = %d", len(res.Sampling))
+	if len(res.Outcomes) != 120 {
+		t.Fatalf("samples = %d", len(res.Outcomes))
 	}
 	done := 0
-	for _, s := range res.Sampling {
+	for _, s := range outcomesSampling(res) {
 		if s >= 0 {
 			done++
 		}
@@ -83,7 +83,7 @@ func TestDHTClusterSamplingCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := 0
-	for _, s := range res.Sampling {
+	for _, s := range outcomesSampling(res) {
 		if s >= 0 {
 			done++
 		}
@@ -93,8 +93,8 @@ func TestDHTClusterSamplingCompletes(t *testing.T) {
 	}
 	// Multi-hop retrieval must show up as message overhead.
 	total := 0
-	for _, m := range res.MsgsPerNode {
-		total += m
+	for _, o := range res.Outcomes {
+		total += o.FetchMsgs
 	}
 	if total == 0 {
 		t.Fatal("no DHT messages recorded")
@@ -105,7 +105,7 @@ func TestDHTClusterSamplingCompletes(t *testing.T) {
 // report equal outcomes. The per-node GETs used to be scheduled in map
 // iteration order, which moved the dht rows of fig12/fig14 run to run.
 func TestDHTClusterDeterministic(t *testing.T) {
-	run := func() *Result {
+	run := func() *core.SlotResult {
 		d, err := NewDHTCluster(testBaseConfig(60))
 		if err != nil {
 			t.Fatal(err)
@@ -141,23 +141,12 @@ func TestDHTSlowerThanGossipOrPandas(t *testing.T) {
 	}
 	// Compare median sampling times: PANDAS must win.
 	medP := median(outcomesSampling(resP))
-	medD := median(resD.Sampling)
+	medD := median(outcomesSampling(resD))
 	if medP <= 0 || medD <= 0 {
 		t.Fatalf("invalid medians %v %v", medP, medD)
 	}
 	if medP > medD {
 		t.Fatalf("PANDAS median %v slower than DHT %v", medP, medD)
-	}
-}
-
-func TestDeadlineRateHelper(t *testing.T) {
-	r := &Result{Sampling: []time.Duration{time.Second, 5 * time.Second, -1}}
-	if got := r.DeadlineRate(4 * time.Second); got != 1.0/3 {
-		t.Fatalf("DeadlineRate = %v", got)
-	}
-	empty := &Result{}
-	if empty.DeadlineRate(time.Second) != 0 {
-		t.Fatal("empty rate should be 0")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pandas/internal/blob"
+	"pandas/internal/core"
 	"pandas/internal/dht"
 	"pandas/internal/ids"
 	"pandas/internal/simnet"
@@ -103,7 +104,7 @@ func (t dhtTransport) After(d time.Duration, fn func()) { t.net.After(d, fn) }
 func (t dhtTransport) Now() time.Duration               { return t.net.Now() }
 
 // RunSlot stores all parcels and samples them from every node.
-func (d *DHTCluster) RunSlot(slot uint64) (*Result, error) {
+func (d *DHTCluster) RunSlot(slot uint64) (*core.SlotResult, error) {
 	start := d.net.Now()
 	cfg := d.cfg.Core
 	n := cfg.Blob.N()
@@ -168,15 +169,7 @@ func (d *DHTCluster) RunSlot(slot uint64) (*Result, error) {
 
 	d.net.Run(start + 12*time.Second)
 
-	res := &Result{BuilderBytes: d.net.Stats(d.bIndex).BytesSent}
-	for i := 0; i < d.cfg.N; i++ {
-		res.Sampling = append(res.Sampling, d.sampleDone[i])
-		st := d.net.Stats(i)
-		res.MsgsPerNode = append(res.MsgsPerNode, st.TotalMsgs())
-		res.BytesPerNode = append(res.BytesPerNode, st.TotalBytes())
-	}
-	d.net.ResetStats()
-	return res, nil
+	return slotResult(d.net, d.bIndex, d.sampleDone), nil
 }
 
 // splitMix is a tiny deterministic generator for sample selection.

@@ -18,27 +18,26 @@ import (
 	"pandas/internal/wire"
 )
 
-// Result reports a baseline slot: per-node sampling completion (negative
-// = never) and traffic totals from the network layer.
-type Result struct {
-	Sampling     []time.Duration
-	MsgsPerNode  []int
-	BytesPerNode []int64
-	BuilderBytes int64
-}
-
-// DeadlineRate returns the fraction of nodes sampling within deadline.
-func (r *Result) DeadlineRate(deadline time.Duration) float64 {
-	ok := 0
-	for _, s := range r.Sampling {
-		if s >= 0 && s <= deadline {
-			ok++
+// slotResult reports a baseline slot in the PANDAS cluster's schema, so
+// the comparison pools and counts all three systems the same way. Only
+// Sampling and the traffic fields are set: the baselines have no seeding
+// or consolidation phase, and FetchMsgs/FetchBytes carry the node's
+// whole traffic (dissemination included) from the network layer.
+func slotResult(net *simnet.Network, builder int, sampling []time.Duration) *core.SlotResult {
+	res := &core.SlotResult{
+		Outcomes:     make([]core.NodeOutcome, len(sampling)),
+		BuilderBytes: net.Stats(builder).BytesSent,
+	}
+	for i, s := range sampling {
+		st := net.Stats(i)
+		res.Outcomes[i] = core.NodeOutcome{
+			Seed: -1, Consolidation: -1, Sampling: s,
+			BlockRecv: -1, ConsFromSeed: -1, JoinedAt: -1, LeftAt: -1,
+			FetchMsgs: st.TotalMsgs(), FetchBytes: st.TotalBytes(),
 		}
 	}
-	if len(r.Sampling) == 0 {
-		return 0
-	}
-	return float64(ok) / float64(len(r.Sampling))
+	net.ResetStats()
+	return res
 }
 
 // Config parameterizes a baseline deployment.
@@ -195,7 +194,7 @@ func (g *GossipCluster) Table() *core.Table { return g.table }
 
 // RunSlot publishes the blob through the topic meshes and measures
 // per-node sampling completion.
-func (g *GossipCluster) RunSlot(slot uint64) (*Result, error) {
+func (g *GossipCluster) RunSlot(slot uint64) (*core.SlotResult, error) {
 	start := g.net.Now()
 	for _, nd := range g.nodes {
 		nd.StartSlot(slot)
@@ -248,17 +247,12 @@ func (g *GossipCluster) RunSlot(slot uint64) (*Result, error) {
 	})
 	g.net.Run(start + 12*time.Second)
 
-	res := &Result{BuilderBytes: g.net.Stats(g.bIndex).BytesSent}
+	sampling := make([]time.Duration, len(g.nodes))
 	for i, nd := range g.nodes {
-		s := time.Duration(-1)
+		sampling[i] = -1
 		if nd.Metrics().Sampled {
-			s = nd.Metrics().SampledAt - start
+			sampling[i] = nd.Metrics().SampledAt - start
 		}
-		res.Sampling = append(res.Sampling, s)
-		st := g.net.Stats(i)
-		res.MsgsPerNode = append(res.MsgsPerNode, st.TotalMsgs())
-		res.BytesPerNode = append(res.BytesPerNode, st.TotalBytes())
 	}
-	g.net.ResetStats()
-	return res, nil
+	return slotResult(g.net, g.bIndex, sampling), nil
 }

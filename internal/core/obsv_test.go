@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"pandas/internal/membership"
-	"pandas/internal/metrics"
+
 	"pandas/internal/obsv"
 )
 
@@ -98,8 +98,8 @@ func TestTimelineMatchesLegacyAggregation(t *testing.T) {
 	for i, o := range res.Outcomes {
 		legacySeries[i] = o.Sampling
 	}
-	dLegacy := metrics.NewDistribution(legacySeries)
-	dTrace := metrics.NewDistribution(st.Durations(obsv.PhaseSampling, nodesOnly))
+	dLegacy := obsv.NewDistribution(legacySeries)
+	dTrace := obsv.NewDistribution(st.Durations(obsv.PhaseSampling, nodesOnly))
 	if dLegacy.Count() != dTrace.Count() || dLegacy.Failures() != dTrace.Failures() {
 		t.Fatalf("distribution shape differs: legacy %d/%d, trace %d/%d",
 			dLegacy.Count(), dLegacy.Failures(), dTrace.Count(), dTrace.Failures())

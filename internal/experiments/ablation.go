@@ -2,95 +2,45 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"pandas/internal/core"
-	"pandas/internal/metrics"
+	"pandas/internal/obsv"
 )
 
-// AblationPoint is one redundancy setting of the builder ablation.
-type AblationPoint struct {
-	Redundancy   int
-	BuilderBytes *metrics.Scalar // bytes sent by the builder per slot
-	Sampling     *metrics.Distribution
-	FetchMsgs    *metrics.Scalar
-	DeadlineRate float64
-}
-
-// AblationResult sweeps the builder's seeding redundancy r — the design
-// knob the paper's §9 "adaptive policies" discussion calls out. It
-// quantifies the trade the builder faces: more copies cost outbound
-// bandwidth but cut consolidation retries and tail latency.
-type AblationResult struct {
-	Options Options
-	Points  []AblationPoint
-}
-
-// Ablation runs the redundancy sweep (default r = 1, 2, 4, 8, 16).
-func Ablation(o Options, redundancies []int) (*AblationResult, error) {
+// Ablation sweeps the builder's seeding redundancy r (default r = 1, 2,
+// 4, 8, 16) — the design knob the paper's §9 "adaptive policies"
+// discussion calls out. It quantifies the trade the builder faces: more
+// copies cost outbound bandwidth but cut consolidation retries and tail
+// latency. Samples are labelled by r; Values["builder bytes"] is the
+// mean the builder sent per slot.
+func Ablation(o Options, redundancies []int) (*Result, error) {
 	o = o.withDefaults()
 	if len(redundancies) == 0 {
 		redundancies = []int{1, 2, 4, 8, 16}
 	}
-	res := &AblationResult{Options: o}
+	res := &Result{
+		Title:  fmt.Sprintf("Ablation — builder seeding redundancy, %d nodes", o.Nodes),
+		Header: []string{"r", "builder MB/slot", "sample median", "sample P99", "on-time%", "fetch msgs mean"},
+	}
 	for _, r := range redundancies {
 		r := r
-		c, err := newCluster(o, func(cc *core.ClusterConfig) {
+		s, slots, err := runPooled(fmt.Sprintf("%d", r), o, func(cc *core.ClusterConfig) {
 			cc.Core.Policy = core.PolicyRedundant
 			cc.Core.Redundancy = r
 		})
 		if err != nil {
 			return nil, err
 		}
-		var samp []time.Duration
-		builderBytes := metrics.NewScalar(nil)
-		msgs := metrics.NewScalar(nil)
-		live, onTime := 0, 0
-		for s := 1; s <= o.Slots; s++ {
-			sr, err := c.RunSlot(uint64(s))
-			if err != nil {
-				return nil, err
-			}
+		builderBytes := obsv.NewScalar(nil)
+		for _, sr := range slots {
 			builderBytes.Add(float64(sr.Seeding.Bytes))
-			for _, out := range sr.Outcomes {
-				if out.Dead {
-					continue
-				}
-				live++
-				samp = append(samp, out.Sampling)
-				msgs.Add(float64(out.FetchMsgs))
-				if out.Sampling >= 0 && out.Sampling <= o.Core.Deadline {
-					onTime++
-				}
-			}
 		}
-		point := AblationPoint{
-			Redundancy:   r,
-			BuilderBytes: builderBytes,
-			Sampling:     metrics.NewDistribution(samp),
-			FetchMsgs:    msgs,
-		}
-		if live > 0 {
-			point.DeadlineRate = float64(onTime) / float64(live)
-		}
-		res.Points = append(res.Points, point)
+		s.Values = map[string]float64{"builder bytes": builderBytes.Mean()}
+		res.add(s, s.Label,
+			fmt.Sprintf("%.1f", builderBytes.Mean()/1e6),
+			fmtMs(s.Sampling.Median()), fmtMs(s.Sampling.Percentile(99)),
+			s.onTimePct(),
+			fmt.Sprintf("%.0f", s.Msgs.Mean()))
 	}
 	return res, nil
-}
-
-// Render prints the ablation table.
-func (r *AblationResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation — builder seeding redundancy, %d nodes\n", r.Options.Nodes)
-	tab := metrics.NewTable("r", "builder MB/slot", "sample median", "sample P99", "on-time%", "fetch msgs mean")
-	for _, p := range r.Points {
-		tab.AddRow(fmt.Sprintf("%d", p.Redundancy),
-			fmt.Sprintf("%.1f", p.BuilderBytes.Mean()/1e6),
-			fmtMs(p.Sampling.Median()), fmtMs(p.Sampling.Percentile(99)),
-			fmt.Sprintf("%.1f", 100*p.DeadlineRate),
-			fmt.Sprintf("%.0f", p.FetchMsgs.Mean()))
-	}
-	b.WriteString(tab.String())
-	return b.String()
 }

@@ -2,56 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"strings"
-	"time"
 
 	"pandas/internal/adversary"
 	"pandas/internal/blob"
 	"pandas/internal/core"
-	"pandas/internal/metrics"
 )
-
-// WithholdingPoint is one row of the withholding-detection table: the
-// sampling miss rate at one sample count, measured three ways.
-type WithholdingPoint struct {
-	Samples int
-	// Analytic is the hypergeometric false-positive upper bound.
-	Analytic float64
-	// MonteCarlo is confidence.go's idealized Monte Carlo miss rate
-	// (independent uniform draws against the withheld set, no network).
-	MonteCarlo float64
-	// Cluster is the miss rate of real protocol runs under a maximally
-	// withholding builder: the fraction of live node-slots whose sampling
-	// completed even though the data is unrecoverable.
-	Cluster float64
-	// Trials is the number of node-slots behind Cluster.
-	Trials int
-}
-
-// WithinCI reports whether the cluster and Monte Carlo miss rates agree
-// within z combined binomial standard errors (plus a small absolute
-// floor for the zero-miss regime, where both estimators degenerate).
-func (p WithholdingPoint) WithinCI(mcTrials int, z float64) bool {
-	se := func(rate float64, n int) float64 {
-		if n == 0 {
-			return 0
-		}
-		return math.Sqrt(rate * (1 - rate) / float64(n))
-	}
-	tol := z*math.Hypot(se(p.Cluster, p.Trials), se(p.MonteCarlo, mcTrials)) + 0.01
-	return math.Abs(p.Cluster-p.MonteCarlo) <= tol
-}
-
-// WithholdingResult holds the sampling-detection validation: protocol
-// runs against the analysis they are supposed to realize.
-type WithholdingResult struct {
-	Options  Options
-	N        int // extended matrix width
-	MCTrials int
-	Points   []WithholdingPoint
-}
 
 // Withholding measures the end-to-end sampling miss rate against a
 // maximally withholding builder (the (n/2+1)^2 square of Fig. 3-right)
@@ -61,7 +17,15 @@ type WithholdingResult struct {
 // attest to an unavailable block; the paper's 73 samples push this below
 // 1e-9. sampleCounts nil selects a sweep scaled to the geometry;
 // mcTrials <= 0 selects 20,000.
-func Withholding(o Options, sampleCounts []int, mcTrials int) (*WithholdingResult, error) {
+//
+// Samples are labelled by sample count. Eligible() is the number of
+// node-slots measured and Values carries the miss rate three ways:
+// "analytic" (the hypergeometric false-positive upper bound), "monte
+// carlo" (Confidence's independent uniform draws against the withheld
+// set, no network) and "cluster" (real protocol runs: the fraction of
+// live node-slots whose sampling completed even though the data is
+// unrecoverable).
+func Withholding(o Options, sampleCounts []int, mcTrials int) (*Result, error) {
 	o = o.withDefaults()
 	n := o.Core.Blob.N()
 	if len(sampleCounts) == 0 {
@@ -71,11 +35,15 @@ func Withholding(o Options, sampleCounts []int, mcTrials int) (*WithholdingResul
 		mcTrials = 20000
 	}
 	mc := Confidence(n, sampleCounts, mcTrials, o.Seed)
-	res := &WithholdingResult{Options: o, N: n, MCTrials: mcTrials}
-	for i, s := range sampleCounts {
-		s := s
-		c, err := newCluster(o, func(cc *core.ClusterConfig) {
-			cc.Core.Samples = s
+	res := &Result{
+		Title: fmt.Sprintf("Withholding detection — maximal pattern (%d of %d cells withheld), %d nodes x %d slots, %d MC trials",
+			blob.WithheldCells(n), n*n, o.Nodes, o.Slots, mcTrials),
+		Header: []string{"samples", "analytic bound", "monte carlo", "cluster miss", "node-slots"},
+	}
+	for i, count := range sampleCounts {
+		count := count
+		s, _, err := runPooled(fmt.Sprintf("%d", count), o, func(cc *core.ClusterConfig) {
+			cc.Core.Samples = count
 			cc.Adversary = &adversary.Config{
 				Builder: adversary.BuilderAttack{Withholding: adversary.WithholdMaximal},
 			}
@@ -83,30 +51,18 @@ func Withholding(o Options, sampleCounts []int, mcTrials int) (*WithholdingResul
 		if err != nil {
 			return nil, err
 		}
-		outcomes, _, err := runSlots(c, o.Slots)
-		if err != nil {
-			return nil, err
+		s.Values = map[string]float64{
+			"analytic":    blob.FalsePositiveBound(n, count),
+			"monte carlo": mc.Samples[i].Values["empirical"],
 		}
-		trials, misses := 0, 0
-		for _, out := range outcomes {
-			if out.Dead || out.Offline {
-				continue
-			}
-			trials++
-			if out.Sampling >= 0 {
-				misses++
-			}
+		if s.Eligible() > 0 {
+			s.Values["cluster"] = float64(s.Sampling.Count()) / float64(s.Eligible())
 		}
-		point := WithholdingPoint{
-			Samples:    s,
-			Analytic:   blob.FalsePositiveBound(n, s),
-			MonteCarlo: mc.Points[i].Empirical,
-			Trials:     trials,
-		}
-		if trials > 0 {
-			point.Cluster = float64(misses) / float64(trials)
-		}
-		res.Points = append(res.Points, point)
+		res.add(s, s.Label,
+			fmt.Sprintf("%.3g", s.Values["analytic"]),
+			fmt.Sprintf("%.3g", s.Values["monte carlo"]),
+			fmt.Sprintf("%.3g", s.Values["cluster"]),
+			fmt.Sprintf("%d", s.Eligible()))
 	}
 	return res, nil
 }
@@ -126,54 +82,27 @@ func defaultSampleSweep(samples int) []int {
 	return out
 }
 
-// Render prints the withholding-detection table.
-func (r *WithholdingResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Withholding detection — maximal pattern (%d of %d cells withheld), %d nodes x %d slots, %d MC trials\n",
-		blob.WithheldCells(r.N), r.N*r.N, r.Options.Nodes, r.Options.Slots, r.MCTrials)
-	tab := metrics.NewTable("samples", "analytic bound", "monte carlo", "cluster miss", "node-slots")
-	for _, p := range r.Points {
-		tab.AddRow(fmt.Sprintf("%d", p.Samples),
-			fmt.Sprintf("%.3g", p.Analytic),
-			fmt.Sprintf("%.3g", p.MonteCarlo),
-			fmt.Sprintf("%.3g", p.Cluster),
-			fmt.Sprintf("%d", p.Trials))
-	}
-	b.WriteString(tab.String())
-	return b.String()
-}
-
-// ByzantinePoint is one sweep point of the byzantine-tolerance table.
-type ByzantinePoint struct {
-	Fraction     float64
-	DeadlineRate float64 // honest live nodes sampling within the deadline
-	Sampling     *metrics.Distribution
-	// CorruptRejects counts cells honest nodes rejected for failed
-	// verification (garbage behavior only).
-	CorruptRejects int
-}
-
-// ByzantineResult holds a byzantine-fraction sweep for one behavior.
-type ByzantineResult struct {
-	Options  Options
-	Behavior adversary.Behavior
-	Points   []ByzantinePoint
-}
-
 // Byzantine sweeps the fraction of nodes exhibiting one byzantine
 // behavior and measures the sampling-deadline success of the honest
 // remainder. The paper's robustness claim is that redundancy in the
 // adaptive fetcher (parallel in-flight queries, liveness demotion)
 // absorbs non-responding or lying peers; this quantifies how far that
 // holds. fractions nil selects 0-40% in 10% steps.
-func Byzantine(o Options, behavior adversary.Behavior, fractions []float64) (*ByzantineResult, error) {
+//
+// Samples are labelled by fraction ("20%") and pool the honest nodes
+// only; Values["corrupt rejects"] counts the cells honest nodes rejected
+// for failed verification (garbage behavior only).
+func Byzantine(o Options, behavior adversary.Behavior, fractions []float64) (*Result, error) {
 	o = o.withDefaults()
 	if len(fractions) == 0 {
 		fractions = []float64{0, 0.1, 0.2, 0.3, 0.4}
 	}
-	res := &ByzantineResult{Options: o, Behavior: behavior}
+	res := &Result{
+		Title: fmt.Sprintf("Byzantine tolerance — %s nodes sweep, %d nodes x %d slots, %v deadline",
+			behavior, o.Nodes, o.Slots, o.Core.Deadline),
+		Header: []string{"byzantine", "deadline met", "sample median", "sample P99", "corrupt rejects"},
+	}
 	for _, frac := range fractions {
-		frac := frac
 		adv := &adversary.Config{}
 		switch behavior {
 		case adversary.Silent:
@@ -192,63 +121,29 @@ func Byzantine(o Options, behavior adversary.Behavior, fractions []float64) (*By
 			return nil, err
 		}
 		behaviors := c.Behaviors()
-		outcomes, _, err := runSlots(c, o.Slots)
+		outcomes, _, err := runSlots(c.RunSlot, o.Slots)
 		if err != nil {
 			return nil, err
 		}
-		var samp []time.Duration
-		honest, onTime := 0, 0
-		for idx, out := range outcomes {
-			if behaviors[idx%o.Nodes] != adversary.Honest || out.Dead || out.Offline {
-				continue
-			}
-			honest++
-			samp = append(samp, out.Sampling)
-			if out.Sampling >= 0 && out.Sampling <= o.Core.Deadline {
-				onTime++
-			}
-		}
-		point := ByzantinePoint{
-			Fraction: frac,
-			Sampling: metrics.NewDistribution(samp),
-		}
-		if honest > 0 {
-			point.DeadlineRate = float64(onTime) / float64(honest)
-		}
+		s := pool(fmt.Sprintf("%.0f%%", frac*100), outcomes, o.Core.Deadline, func(i int) bool {
+			return behaviors[i%o.Nodes] == adversary.Honest
+		})
+		rejects := 0
 		for _, node := range c.Nodes() {
-			point.CorruptRejects += node.Metrics().CorruptRejects
+			rejects += node.Metrics().CorruptRejects
 		}
-		res.Points = append(res.Points, point)
+		s.Values = map[string]float64{"corrupt rejects": float64(rejects)}
+		res.add(s, s.Label,
+			fmt.Sprintf("%.1f%%", 100*s.OnTimeRate()),
+			fmtMs(s.Sampling.Median()), fmtMs(s.Sampling.Percentile(99)),
+			fmt.Sprintf("%d", rejects))
 	}
 	return res, nil
 }
 
-// Render prints the byzantine sweep table.
-func (r *ByzantineResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Byzantine tolerance — %s nodes sweep, %d nodes x %d slots, %v deadline\n",
-		r.Behavior, r.Options.Nodes, r.Options.Slots, r.Options.Core.Deadline)
-	tab := metrics.NewTable("byzantine", "deadline met", "sample median", "sample P99", "corrupt rejects")
-	for _, p := range r.Points {
-		tab.AddRow(fmt.Sprintf("%.0f%%", p.Fraction*100),
-			fmt.Sprintf("%.1f%%", 100*p.DeadlineRate),
-			fmtMs(p.Sampling.Median()), fmtMs(p.Sampling.Percentile(99)),
-			fmt.Sprintf("%d", p.CorruptRejects))
-	}
-	b.WriteString(tab.String())
-	return b.String()
-}
-
-// AdversaryResult bundles the two security tables pandas-sim's adversary
-// experiment prints.
-type AdversaryResult struct {
-	Withholding *WithholdingResult
-	Byzantine   *ByzantineResult
-}
-
 // Adversary runs both security experiments: withholding detection vs the
 // sampling analysis, and the byzantine-fraction sweep.
-func Adversary(o Options, behavior adversary.Behavior, fractions []float64, mcTrials int) (*AdversaryResult, error) {
+func Adversary(o Options, behavior adversary.Behavior, fractions []float64, mcTrials int) (*Result, error) {
 	w, err := Withholding(o, nil, mcTrials)
 	if err != nil {
 		return nil, err
@@ -257,10 +152,5 @@ func Adversary(o Options, behavior adversary.Behavior, fractions []float64, mcTr
 	if err != nil {
 		return nil, err
 	}
-	return &AdversaryResult{Withholding: w, Byzantine: bz}, nil
-}
-
-// Render prints both tables.
-func (r *AdversaryResult) Render() string {
-	return r.Withholding.Render() + "\n" + r.Byzantine.Render()
+	return &Result{Parts: []*Result{w, bz}}, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
 	"pandas/internal/adversary"
@@ -21,25 +22,40 @@ func TestWithholdingMatchesMonteCarlo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) == 0 {
+	if len(res.Samples) == 0 {
 		t.Fatal("no sweep points")
 	}
-	for _, p := range res.Points {
-		if p.Trials < 300 {
-			t.Fatalf("samples=%d: only %d node-slots measured", p.Samples, p.Trials)
+	for _, p := range res.Samples {
+		cluster, monteCarlo, analytic := p.Values["cluster"], p.Values["monte carlo"], p.Values["analytic"]
+		if p.Eligible() < 300 {
+			t.Fatalf("samples=%s: only %d node-slots measured", p.Label, p.Eligible())
 		}
-		if !p.WithinCI(mcTrials, 4) {
-			t.Errorf("samples=%d: cluster miss %.4f vs Monte Carlo %.4f outside 4-sigma bounds (%d node-slots)",
-				p.Samples, p.Cluster, p.MonteCarlo, p.Trials)
+		if !withinCI(cluster, p.Eligible(), monteCarlo, mcTrials, 4) {
+			t.Errorf("samples=%s: cluster miss %.4f vs Monte Carlo %.4f outside 4-sigma bounds (%d node-slots)",
+				p.Label, cluster, monteCarlo, p.Eligible())
 		}
 		// The analytic hypergeometric bound upper-bounds both estimators
 		// up to sampling noise; a gross violation means the withholding
 		// pattern and the analysis no longer describe the same attack.
-		if p.Cluster > p.Analytic+0.1 {
-			t.Errorf("samples=%d: cluster miss %.4f far above analytic bound %.4f",
-				p.Samples, p.Cluster, p.Analytic)
+		if cluster > analytic+0.1 {
+			t.Errorf("samples=%s: cluster miss %.4f far above analytic bound %.4f",
+				p.Label, cluster, analytic)
 		}
 	}
+}
+
+// withinCI reports whether the cluster and Monte Carlo miss rates agree
+// within z combined binomial standard errors (plus a small absolute
+// floor for the zero-miss regime, where both estimators degenerate).
+func withinCI(cluster float64, trials int, monteCarlo float64, mcTrials int, z float64) bool {
+	se := func(rate float64, n int) float64 {
+		if n == 0 {
+			return 0
+		}
+		return math.Sqrt(rate * (1 - rate) / float64(n))
+	}
+	tol := z*math.Hypot(se(cluster, trials), se(monteCarlo, mcTrials)) + 0.01
+	return math.Abs(cluster-monteCarlo) <= tol
 }
 
 // TestByzantineSweepDeadline pins the acceptance bound at the test
@@ -51,10 +67,10 @@ func TestByzantineSweepDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range res.Points {
-		if p.DeadlineRate != 1.0 {
-			t.Errorf("silent fraction %.0f%%: honest deadline rate %.4f, want 1.0",
-				p.Fraction*100, p.DeadlineRate)
+	for _, p := range res.Samples {
+		if p.OnTimeRate() != 1.0 {
+			t.Errorf("silent fraction %s: honest deadline rate %.4f, want 1.0",
+				p.Label, p.OnTimeRate())
 		}
 	}
 }
@@ -70,10 +86,10 @@ func TestByzantineSweepGarbageRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Points[0].CorruptRejects != 0 {
-		t.Fatalf("honest point reports %d corrupt rejects", res.Points[0].CorruptRejects)
+	if rejects := res.Sample("0%").Values["corrupt rejects"]; rejects != 0 {
+		t.Fatalf("honest point reports %.0f corrupt rejects", rejects)
 	}
-	if res.Points[1].CorruptRejects == 0 {
+	if res.Sample("20%").Values["corrupt rejects"] == 0 {
 		t.Fatal("garbage point reports no corrupt rejects")
 	}
 }

@@ -2,44 +2,17 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"pandas/internal/consensus"
 	"pandas/internal/core"
 	"pandas/internal/membership"
-	"pandas/internal/metrics"
 )
 
 // DefaultChurnRates is the sweep of expected per-node departures per
 // slot. Rate 0 is the static-membership control (it runs the unmodified
 // fixed-membership code path, so it must match Fig. 15 at fraction 0).
 var DefaultChurnRates = []float64{0, 0.05, 0.1, 0.2, 0.4}
-
-// ChurnPoint is one churn-rate sweep point.
-type ChurnPoint struct {
-	// Rate is the expected number of departures per node per slot.
-	Rate float64
-	// Sampling pools eligible nodes' sampling-completion times.
-	Sampling *metrics.Distribution
-	// DeadlineRate is the fraction of eligible nodes (up at slot start,
-	// still up at the deadline) that sampled on time.
-	DeadlineRate float64
-	// Eligible counts node-slots in the deadline denominator.
-	Eligible int
-	// Joined counts mid-slot joiners; CaughtUp of them still completed
-	// sampling before their first slot ended (empty store, no seeding).
-	Joined, CaughtUp int
-	// Events totals the lifecycle events over the run.
-	Events membership.Stats
-}
-
-// ChurnResult holds a dynamic-membership sweep.
-type ChurnResult struct {
-	Options Options
-	Rates   []float64
-	Points  []ChurnPoint
-}
 
 // churnConfigForRate translates a per-slot departure rate into engine
 // parameters: exponential sessions with the matching mean, ~one slot of
@@ -60,77 +33,51 @@ func churnConfigForRate(rate float64) *membership.Config {
 // runs the usual multi-slot deployment while nodes join, leave, crash,
 // and restart mid-slot, and reports sampling-deadline success over the
 // nodes that were actually present for the whole deadline window.
-func Churn(o Options, rates []float64) (*ChurnResult, error) {
+// Samples are labelled by rate ("0.30"); Values holds the lifecycle
+// events over the run ("joins", "restarts", "leaves", "crashes") and the
+// mid-slot joiners ("joined") with those of them that still completed
+// sampling before their first slot ended ("caught up": empty store, no
+// seeding).
+func Churn(o Options, rates []float64) (*Result, error) {
 	o = o.withDefaults()
 	if len(rates) == 0 {
 		rates = DefaultChurnRates
 	}
-	res := &ChurnResult{Options: o, Rates: rates}
+	res := &Result{
+		Title: fmt.Sprintf("Churn sweep — departures per node per slot, %d nodes, %d slots", o.Nodes, o.Slots),
+		Header: []string{"rate", "events J/R/L/C", "eligible",
+			"sample median", "sample P99", "on-time%", "joiner catch-up"},
+	}
 	for _, rate := range rates {
 		rate := rate
-		c, err := newCluster(o, func(cc *core.ClusterConfig) {
+		s, slots, err := runPooled(fmt.Sprintf("%.2f", rate), o, func(cc *core.ClusterConfig) {
 			cc.Core.Policy = core.PolicyRedundant
 			cc.Churn = churnConfigForRate(rate)
 		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("rate %.2f: %w", rate, err)
 		}
-		point := ChurnPoint{Rate: rate}
-		var samp []time.Duration
-		onTime := 0
-		for s := 1; s <= o.Slots; s++ {
-			slot, err := c.RunSlot(uint64(s))
-			if err != nil {
-				return nil, fmt.Errorf("rate %.2f slot %d: %w", rate, s, err)
-			}
-			point.Events.Joins += slot.Churn.Joins
-			point.Events.Restarts += slot.Churn.Restarts
-			point.Events.Leaves += slot.Churn.Leaves
-			point.Events.Crashes += slot.Churn.Crashes
-			j, cu := slot.JoinerCatchUp()
-			point.Joined += j
-			point.CaughtUp += cu
-			for _, out := range slot.Outcomes {
-				if !out.EligibleAt(o.Core.Deadline) {
-					continue
-				}
-				point.Eligible++
-				samp = append(samp, out.Sampling)
-				if out.Sampling >= 0 && out.Sampling <= o.Core.Deadline {
-					onTime++
-				}
-			}
+		v := map[string]float64{}
+		for _, slot := range slots {
+			v["joins"] += float64(slot.Churn.Joins)
+			v["restarts"] += float64(slot.Churn.Restarts)
+			v["leaves"] += float64(slot.Churn.Leaves)
+			v["crashes"] += float64(slot.Churn.Crashes)
+			joined, caughtUp := slot.JoinerCatchUp()
+			v["joined"] += float64(joined)
+			v["caught up"] += float64(caughtUp)
 		}
-		point.Sampling = metrics.NewDistribution(samp)
-		if point.Eligible > 0 {
-			point.DeadlineRate = float64(onTime) / float64(point.Eligible)
-		}
-		res.Points = append(res.Points, point)
-	}
-	return res, nil
-}
-
-// Render prints churn-rate sweep rows.
-func (r *ChurnResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Churn sweep — departures per node per slot, %d nodes, %d slots\n",
-		r.Options.Nodes, r.Options.Slots)
-	tab := metrics.NewTable("rate", "events J/R/L/C", "eligible",
-		"sample median", "sample P99", "on-time%", "joiner catch-up")
-	for _, p := range r.Points {
+		s.Values = v
 		catchUp := "-"
-		if p.Joined > 0 {
-			catchUp = fmt.Sprintf("%d/%d (%.0f%%)", p.CaughtUp, p.Joined,
-				100*float64(p.CaughtUp)/float64(p.Joined))
+		if v["joined"] > 0 {
+			catchUp = fmt.Sprintf("%.0f/%.0f (%.0f%%)", v["caught up"], v["joined"], 100*v["caught up"]/v["joined"])
 		}
-		tab.AddRow(fmt.Sprintf("%.2f", p.Rate),
-			fmt.Sprintf("%d/%d/%d/%d", p.Events.Joins, p.Events.Restarts,
-				p.Events.Leaves, p.Events.Crashes),
-			fmt.Sprintf("%d", p.Eligible),
-			fmtMs(p.Sampling.Median()), fmtMs(p.Sampling.Percentile(99)),
-			fmt.Sprintf("%.1f", 100*p.DeadlineRate),
+		res.add(s, s.Label,
+			fmt.Sprintf("%.0f/%.0f/%.0f/%.0f", v["joins"], v["restarts"], v["leaves"], v["crashes"]),
+			fmt.Sprintf("%d", s.Eligible()),
+			fmtMs(s.Sampling.Median()), fmtMs(s.Sampling.Percentile(99)),
+			s.onTimePct(),
 			catchUp)
 	}
-	b.WriteString(tab.String())
-	return b.String()
+	return res, nil
 }

@@ -10,26 +10,26 @@ func TestChurnSweepSmallScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 2 {
-		t.Fatalf("points=%d", len(res.Points))
+	if len(res.Samples) != 2 {
+		t.Fatalf("points=%d", len(res.Samples))
 	}
-	static, churned := res.Points[0], res.Points[1]
-	if static.Events.Leaves+static.Events.Crashes+static.Events.Joins+static.Events.Restarts != 0 {
-		t.Fatalf("rate 0 produced lifecycle events: %+v", static.Events)
+	static, churned := res.Sample("0.00"), res.Sample("0.30")
+	if ev := static.Values; ev["leaves"]+ev["crashes"]+ev["joins"]+ev["restarts"] != 0 {
+		t.Fatalf("rate 0 produced lifecycle events: %+v", ev)
 	}
-	if churned.Events.Leaves+churned.Events.Crashes == 0 {
+	if churned.Values["leaves"]+churned.Values["crashes"] == 0 {
 		t.Fatal("rate 0.3 produced no departures")
 	}
-	if churned.Events.Restarts == 0 {
+	if churned.Values["restarts"] == 0 {
 		t.Fatal("rate 0.3 produced no restarts despite MeanDowntime")
 	}
-	if static.DeadlineRate < 0.99 {
-		t.Fatalf("static deadline rate %.2f", static.DeadlineRate)
+	if static.OnTimeRate() < 0.99 {
+		t.Fatalf("static deadline rate %.2f", static.OnTimeRate())
 	}
-	if churned.DeadlineRate < 0.8 {
-		t.Fatalf("eligible nodes under churn sampled at only %.2f", churned.DeadlineRate)
+	if churned.OnTimeRate() < 0.8 {
+		t.Fatalf("eligible nodes under churn sampled at only %.2f", churned.OnTimeRate())
 	}
-	if churned.Eligible >= static.Eligible {
+	if churned.Eligible() >= static.Eligible() {
 		t.Fatal("churn did not shrink the eligible denominator")
 	}
 	out := res.Render()
@@ -54,9 +54,9 @@ func TestChurnRateZeroMatchesFig15(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, fp := churn.Points[0], fig15.Points[0]
-	if cp.DeadlineRate != fp.DeadlineRate {
-		t.Fatalf("deadline rate diverged: churn %.4f vs fig15 %.4f", cp.DeadlineRate, fp.DeadlineRate)
+	cp, fp := churn.Samples[0], fig15.Samples[0]
+	if cp.OnTimeRate() != fp.OnTimeRate() {
+		t.Fatalf("deadline rate diverged: churn %.4f vs fig15 %.4f", cp.OnTimeRate(), fp.OnTimeRate())
 	}
 	if cp.Sampling.Median() != fp.Sampling.Median() {
 		t.Fatalf("sampling median diverged: %v vs %v", cp.Sampling.Median(), fp.Sampling.Median())

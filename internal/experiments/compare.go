@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"pandas/internal/baseline"
 	"pandas/internal/core"
-	"pandas/internal/metrics"
 )
 
 // System identifies the compared DAS designs.
@@ -20,15 +17,13 @@ const (
 	SystemDHT    System = "dht"
 )
 
-// SystemResult holds one system's sampling distribution and traffic.
-type SystemResult struct {
-	Sampling *metrics.Distribution
-	Msgs     *metrics.Scalar
-	Bytes    *metrics.Scalar
-}
+// defaultSizes is the network-size sweep of Fig. 13 and 14.
+var defaultSizes = []int{1000, 3000, 5000, 10000, 20000}
 
 // runSystem executes one system at the given options and pools slots.
-func runSystem(sys System, o Options) (*SystemResult, error) {
+func runSystem(sys System, o Options) (*Sample, error) {
+	var runSlot func(uint64) (*core.SlotResult, error)
+	cfg := baseline.Config{Core: o.Core, N: o.Nodes, Seed: o.Seed, LossRate: *o.LossRate}
 	switch sys {
 	case SystemPandas:
 		c, err := newCluster(o, func(cc *core.ClusterConfig) {
@@ -37,212 +32,104 @@ func runSystem(sys System, o Options) (*SystemResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		outcomes, _, err := runSlots(c, o.Slots)
+		runSlot = c.RunSlot
+	case SystemGossip:
+		g, err := baseline.NewGossipCluster(cfg)
 		if err != nil {
 			return nil, err
 		}
-		var samp []time.Duration
-		msgs, bytes := metrics.NewScalar(nil), metrics.NewScalar(nil)
-		for _, out := range outcomes {
-			if out.Dead {
-				continue
-			}
-			samp = append(samp, out.Sampling)
-			msgs.Add(float64(out.FetchMsgs))
-			bytes.Add(float64(out.FetchBytes))
+		runSlot = g.RunSlot
+	case SystemDHT:
+		d, err := baseline.NewDHTCluster(cfg)
+		if err != nil {
+			return nil, err
 		}
-		return &SystemResult{Sampling: metrics.NewDistribution(samp), Msgs: msgs, Bytes: bytes}, nil
-	case SystemGossip, SystemDHT:
-		cfg := baseline.Config{Core: o.Core, N: o.Nodes, Seed: o.Seed, LossRate: *o.LossRate}
-		var run func(uint64) (*baseline.Result, error)
-		if sys == SystemGossip {
-			g, err := baseline.NewGossipCluster(cfg)
-			if err != nil {
-				return nil, err
-			}
-			run = g.RunSlot
-		} else {
-			d, err := baseline.NewDHTCluster(cfg)
-			if err != nil {
-				return nil, err
-			}
-			run = d.RunSlot
-		}
-		var samp []time.Duration
-		msgs, bytes := metrics.NewScalar(nil), metrics.NewScalar(nil)
-		for s := 1; s <= o.Slots; s++ {
-			res, err := run(uint64(s))
-			if err != nil {
-				return nil, err
-			}
-			samp = append(samp, res.Sampling...)
-			for _, m := range res.MsgsPerNode {
-				msgs.Add(float64(m))
-			}
-			for _, b := range res.BytesPerNode {
-				bytes.Add(float64(b))
-			}
-		}
-		return &SystemResult{Sampling: metrics.NewDistribution(samp), Msgs: msgs, Bytes: bytes}, nil
+		runSlot = d.RunSlot
 	default:
 		return nil, fmt.Errorf("experiments: unknown system %q", sys)
 	}
+	outcomes, _, err := runSlots(runSlot, o.Slots)
+	if err != nil {
+		return nil, err
+	}
+	return pool(string(sys), outcomes, o.Core.Deadline, nil), nil
 }
 
-// Fig12Result compares the three systems at one scale (Fig. 12).
-type Fig12Result struct {
-	Options Options
-	Systems map[System]*SystemResult
-}
-
-// Fig12 reproduces Fig. 12: time to sampling and message counts for
-// PANDAS, the GossipSub baseline, and the DHT baseline at one scale.
-func Fig12(o Options) (*Fig12Result, error) {
-	o = o.withDefaults()
-	res := &Fig12Result{Options: o, Systems: make(map[System]*SystemResult)}
+// compareSystems runs the three systems at one scale into a table;
+// samples are labelled by system.
+func compareSystems(title string, o Options) (*Result, error) {
+	res := &Result{
+		Title:  title,
+		Header: []string{"system", "median ms", "P99 ms", "max ms", "on-time%", "msgs mean", "KB mean"},
+	}
 	for _, sys := range []System{SystemPandas, SystemGossip, SystemDHT} {
-		sr, err := runSystem(sys, o)
+		s, err := runSystem(sys, o)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sys, err)
+			return nil, fmt.Errorf("%s @%d: %w", sys, o.Nodes, err)
 		}
-		res.Systems[sys] = sr
+		res.add(s, append(phaseCells(s.Sampling, o.Core.Deadline, s.Label),
+			fmt.Sprintf("%.0f", s.Msgs.Mean()),
+			fmt.Sprintf("%.1f", s.Bytes.Mean()/1024))...)
 	}
 	return res, nil
 }
 
-// Render prints Fig. 12 rows.
-func (r *Fig12Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 12 — PANDAS vs baselines, %d nodes\n", r.Options.Nodes)
-	b.WriteString(renderSystems(r.Systems, r.Options.Core.Deadline))
-	return b.String()
-}
-
-func renderSystems(systems map[System]*SystemResult, deadline time.Duration) string {
-	tab := metrics.NewTable("system", "median ms", "P99 ms", "max ms", "on-time%", "msgs mean", "KB mean")
-	for _, sys := range []System{SystemPandas, SystemGossip, SystemDHT} {
-		sr, ok := systems[sys]
-		if !ok {
-			continue
-		}
-		tab.AddRow(string(sys),
-			fmtMs(sr.Sampling.Median()), fmtMs(sr.Sampling.Percentile(99)), fmtMs(sr.Sampling.Max()),
-			fmt.Sprintf("%.1f", 100*sr.Sampling.FractionWithin(deadline)),
-			fmt.Sprintf("%.0f", sr.Msgs.Mean()),
-			fmt.Sprintf("%.1f", sr.Bytes.Mean()/1024))
-	}
-	return tab.String()
-}
-
-// Fig13Result holds PANDAS's scaling behaviour (Fig. 13).
-type Fig13Result struct {
-	Options Options
-	Sizes   []int
-	Phases  map[int]PhaseTimes
-	Msgs    map[int]*metrics.Scalar
-	Bytes   map[int]*metrics.Scalar
+// Fig12 reproduces Fig. 12: time to sampling and message counts for
+// PANDAS, the GossipSub baseline, and the DHT baseline at one scale.
+func Fig12(o Options) (*Result, error) {
+	o = o.withDefaults()
+	return compareSystems(fmt.Sprintf("Fig. 12 — PANDAS vs baselines, %d nodes", o.Nodes), o)
 }
 
 // Fig13 reproduces Fig. 13: PANDAS phase times, messages, and bandwidth
-// at increasing network sizes (paper: 1k, 3k, 5k, 10k, 20k).
-func Fig13(o Options, sizes []int) (*Fig13Result, error) {
+// at increasing network sizes (paper: 1k, 3k, 5k, 10k, 20k). Samples are
+// labelled by size.
+func Fig13(o Options, sizes []int) (*Result, error) {
 	o = o.withDefaults()
 	if len(sizes) == 0 {
-		sizes = []int{1000, 3000, 5000, 10000, 20000}
+		sizes = defaultSizes
 	}
-	res := &Fig13Result{
-		Options: o,
-		Sizes:   sizes,
-		Phases:  make(map[int]PhaseTimes),
-		Msgs:    make(map[int]*metrics.Scalar),
-		Bytes:   make(map[int]*metrics.Scalar),
+	res := &Result{
+		Title:  fmt.Sprintf("Fig. 13 — PANDAS scaling (redundant seeding, %d slots)", o.Slots),
+		Header: []string{"nodes", "seed P99", "cons P99", "sample median", "sample P99", "on-time%", "msgs mean", "KB mean"},
 	}
 	for _, size := range sizes {
 		so := o
 		so.Nodes = size
-		c, err := newCluster(so, func(cc *core.ClusterConfig) {
+		s, _, err := runPooled(fmt.Sprintf("%d", size), so, func(cc *core.ClusterConfig) {
 			cc.Core.Policy = core.PolicyRedundant
 		})
 		if err != nil {
 			return nil, err
 		}
-		outcomes, _, err := runSlots(c, so.Slots)
-		if err != nil {
-			return nil, err
-		}
-		res.Phases[size] = phaseTimes(outcomes)
-		msgs, bytes := metrics.NewScalar(nil), metrics.NewScalar(nil)
-		for _, out := range outcomes {
-			if out.Dead {
-				continue
-			}
-			msgs.Add(float64(out.FetchMsgs))
-			bytes.Add(float64(out.FetchBytes))
-		}
-		res.Msgs[size] = msgs
-		res.Bytes[size] = bytes
+		res.add(s, s.Label,
+			fmtMs(s.Seeding.Percentile(99)),
+			fmtMs(s.Cons.Percentile(99)),
+			fmtMs(s.Sampling.Median()),
+			fmtMs(s.Sampling.Percentile(99)),
+			s.onTimePct(),
+			fmt.Sprintf("%.0f", s.Msgs.Mean()),
+			fmt.Sprintf("%.1f", s.Bytes.Mean()/1024))
 	}
 	return res, nil
-}
-
-// Render prints Fig. 13 rows.
-func (r *Fig13Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 13 — PANDAS scaling (redundant seeding, %d slots)\n", r.Options.Slots)
-	tab := metrics.NewTable("nodes", "seed P99", "cons P99", "sample median", "sample P99", "on-time%", "msgs mean", "KB mean")
-	for _, size := range r.Sizes {
-		pt := r.Phases[size]
-		tab.AddRow(fmt.Sprintf("%d", size),
-			fmtMs(pt.Seeding.Percentile(99)),
-			fmtMs(pt.ConsFromStart.Percentile(99)),
-			fmtMs(pt.Sampling.Median()),
-			fmtMs(pt.Sampling.Percentile(99)),
-			fmt.Sprintf("%.1f", 100*pt.Sampling.FractionWithin(r.Options.Core.Deadline)),
-			fmt.Sprintf("%.0f", r.Msgs[size].Mean()),
-			fmt.Sprintf("%.1f", r.Bytes[size].Mean()/1024))
-	}
-	b.WriteString(tab.String())
-	return b.String()
-}
-
-// Fig14Result compares systems across scales (Fig. 14).
-type Fig14Result struct {
-	Options Options
-	Sizes   []int
-	Results map[int]map[System]*SystemResult
 }
 
 // Fig14 reproduces Fig. 14: sampling time, messages, and bandwidth for
-// PANDAS and both baselines across network sizes.
-func Fig14(o Options, sizes []int) (*Fig14Result, error) {
+// PANDAS and both baselines across network sizes, one part per size.
+func Fig14(o Options, sizes []int) (*Result, error) {
 	o = o.withDefaults()
 	if len(sizes) == 0 {
-		sizes = []int{1000, 3000, 5000, 10000, 20000}
+		sizes = defaultSizes
 	}
-	res := &Fig14Result{Options: o, Sizes: sizes, Results: make(map[int]map[System]*SystemResult)}
+	res := &Result{Title: "Fig. 14 — system comparison across scales"}
 	for _, size := range sizes {
 		so := o
 		so.Nodes = size
-		per := make(map[System]*SystemResult)
-		for _, sys := range []System{SystemPandas, SystemGossip, SystemDHT} {
-			sr, err := runSystem(sys, so)
-			if err != nil {
-				return nil, fmt.Errorf("%s @%d: %w", sys, size, err)
-			}
-			per[sys] = sr
+		part, err := compareSystems(fmt.Sprintf("%d nodes:", size), so)
+		if err != nil {
+			return nil, err
 		}
-		res.Results[size] = per
+		res.Parts = append(res.Parts, part)
 	}
 	return res, nil
-}
-
-// Render prints Fig. 14 rows.
-func (r *Fig14Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 14 — system comparison across scales\n")
-	for _, size := range r.Sizes {
-		fmt.Fprintf(&b, "\n%d nodes:\n", size)
-		b.WriteString(renderSystems(r.Results[size], r.Options.Core.Deadline))
-	}
-	return b.String()
 }

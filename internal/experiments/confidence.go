@@ -3,48 +3,33 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"pandas/internal/blob"
-	"pandas/internal/metrics"
 )
 
-// ConfidencePoint is one row of the sampling-confidence analysis.
-type ConfidencePoint struct {
-	Samples   int
-	Analytic  float64 // hypergeometric false-positive upper bound
-	Empirical float64 // Monte Carlo miss rate vs maximal withholding
-}
-
-// ConfidenceResult reproduces the Section 3 analysis behind the choice of
-// 73 samples: the false-positive probability of availability sampling as
-// a function of the sample count, validated by Monte Carlo against the
-// maximal withholding pattern (Fig. 3-right).
-type ConfidenceResult struct {
-	N       int // extended matrix width
-	Points  []ConfidencePoint
-	Needed  int // samples for <= 1e-9 per the analytic bound
-	Paper73 float64
-}
-
-// Confidence computes the analytic bound and a Monte Carlo validation.
-// trials controls the Monte Carlo precision (0 selects 20,000).
-func Confidence(n int, sampleCounts []int, trials int, seed int64) *ConfidenceResult {
+// Confidence reproduces the Section 3 analysis behind the choice of 73
+// samples: the false-positive probability of availability sampling as a
+// function of the sample count (the hypergeometric upper bound), validated
+// by Monte Carlo against the maximal withholding pattern (Fig. 3-right).
+// n is the extended matrix width; trials controls the Monte Carlo
+// precision (0 selects 20,000). Samples are labelled by sample count and
+// carry Values "analytic" and "empirical".
+func Confidence(n int, sampleCounts []int, trials int, seed int64) *Result {
 	if len(sampleCounts) == 0 {
 		sampleCounts = []int{1, 5, 10, 20, 30, 40, 50, 60, 70, 73, 80}
 	}
 	if trials <= 0 {
 		trials = 20000
 	}
-	res := &ConfidenceResult{
-		N:       n,
-		Needed:  blob.SamplesForConfidence(n, 1e-9),
-		Paper73: blob.FalsePositiveBound(n, 73),
+	res := &Result{
+		Title: fmt.Sprintf("Sampling confidence (Section 3), extended width %d\n"+
+			"samples for <=1e-9 bound: %d (paper uses 73, bound %.2g)",
+			n, blob.SamplesForConfidence(n, 1e-9), blob.FalsePositiveBound(n, 73)),
+		Header: []string{"samples", "analytic bound", "empirical miss rate"},
 	}
 	withheld := blob.MaximalWithholding(n)
 	rng := rand.New(rand.NewSource(seed))
 	for _, s := range sampleCounts {
-		point := ConfidencePoint{Samples: s, Analytic: blob.FalsePositiveBound(n, s)}
 		misses := 0
 		for trial := 0; trial < trials; trial++ {
 			allPresent := true
@@ -64,23 +49,13 @@ func Confidence(n int, sampleCounts []int, trials int, seed int64) *ConfidenceRe
 				misses++
 			}
 		}
-		point.Empirical = float64(misses) / float64(trials)
-		res.Points = append(res.Points, point)
+		point := &Sample{Label: fmt.Sprintf("%d", s), Values: map[string]float64{
+			"analytic":  blob.FalsePositiveBound(n, s),
+			"empirical": float64(misses) / float64(trials),
+		}}
+		res.add(point, point.Label,
+			fmt.Sprintf("%.3g", point.Values["analytic"]),
+			fmt.Sprintf("%.3g", point.Values["empirical"]))
 	}
 	return res
-}
-
-// Render prints the confidence table.
-func (r *ConfidenceResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Sampling confidence (Section 3), extended width %d\n", r.N)
-	fmt.Fprintf(&b, "samples for <=1e-9 bound: %d (paper uses 73, bound %.2g)\n", r.Needed, r.Paper73)
-	tab := metrics.NewTable("samples", "analytic bound", "empirical miss rate")
-	for _, p := range r.Points {
-		tab.AddRow(fmt.Sprintf("%d", p.Samples),
-			fmt.Sprintf("%.3g", p.Analytic),
-			fmt.Sprintf("%.3g", p.Empirical))
-	}
-	b.WriteString(tab.String())
-	return b.String()
 }

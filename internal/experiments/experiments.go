@@ -1,11 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section 8). Each experiment has one entry point that runs
-// the necessary simulations and returns structured results with a
-// Render method producing the rows/series the paper reports.
+// evaluation (Section 8). Every experiment is the same loop — for each
+// configuration: run the slots, pool the node outcomes (pool), add a row
+// — and returns a Result, whose Render prints the rows/series the paper
+// reports.
 //
 // The experiments are scale-parameterized: `go test` exercises them at
-// reduced size, while cmd/pandas-sim and cmd/pandas-exp run the paper's
-// 1,000-20,000-node configurations.
+// reduced size, while cmd/pandas-sim runs the paper's 1,000-20,000-node
+// configurations (-exp all for the whole suite).
 package experiments
 
 import (
@@ -13,8 +14,6 @@ import (
 	"time"
 
 	"pandas/internal/core"
-	"pandas/internal/fetch"
-	"pandas/internal/metrics"
 	"pandas/internal/simnet"
 )
 
@@ -66,46 +65,35 @@ func TestOptions() Options {
 	return Options{Nodes: 120, Slots: 2, Seed: 7, Core: core.TestConfig()}
 }
 
-// PhaseTimes groups the per-phase distributions of Fig. 9.
-type PhaseTimes struct {
-	Seeding       *metrics.Distribution // Fig. 9a (from slot start)
-	ConsFromSeed  *metrics.Distribution // Fig. 9b
-	ConsFromStart *metrics.Distribution // Fig. 9c
-	Sampling      *metrics.Distribution // Fig. 9d
-}
-
-// runSlots executes the cluster for o.Slots slots and pools outcomes.
-func runSlots(c *core.Cluster, slots int) ([]core.NodeOutcome, []core.SeedingReport, error) {
+// runSlots runs slots 1..slots of a deployment (a PANDAS cluster's or a
+// baseline's RunSlot) and returns the node outcomes of all slots, in
+// slot order, beside the per-slot results.
+func runSlots(runSlot func(uint64) (*core.SlotResult, error), slots int) ([]core.NodeOutcome, []*core.SlotResult, error) {
 	var outcomes []core.NodeOutcome
-	var reports []core.SeedingReport
+	results := make([]*core.SlotResult, 0, slots)
 	for s := 1; s <= slots; s++ {
-		res, err := c.RunSlot(uint64(s))
+		res, err := runSlot(uint64(s))
 		if err != nil {
 			return nil, nil, fmt.Errorf("slot %d: %w", s, err)
 		}
 		outcomes = append(outcomes, res.Outcomes...)
-		reports = append(reports, res.Seeding)
+		results = append(results, res)
 	}
-	return outcomes, reports, nil
+	return outcomes, results, nil
 }
 
-func phaseTimes(outcomes []core.NodeOutcome) PhaseTimes {
-	var seed, cfs, cons, samp []time.Duration
-	for _, o := range outcomes {
-		if o.Dead {
-			continue
-		}
-		seed = append(seed, o.Seed)
-		cfs = append(cfs, o.ConsFromSeed)
-		cons = append(cons, o.Consolidation)
-		samp = append(samp, o.Sampling)
+// runPooled is the common body of a sweep step: build a PANDAS cluster
+// for the options, run o.Slots slots, pool the outcomes under label.
+func runPooled(label string, o Options, mutate func(*core.ClusterConfig)) (*Sample, []*core.SlotResult, error) {
+	c, err := newCluster(o, mutate)
+	if err != nil {
+		return nil, nil, err
 	}
-	return PhaseTimes{
-		Seeding:       metrics.NewDistribution(seed),
-		ConsFromSeed:  metrics.NewDistribution(cfs),
-		ConsFromStart: metrics.NewDistribution(cons),
-		Sampling:      metrics.NewDistribution(samp),
+	outcomes, slots, err := runSlots(c.RunSlot, o.Slots)
+	if err != nil {
+		return nil, nil, err
 	}
+	return pool(label, outcomes, o.Core.Deadline, nil), slots, nil
 }
 
 // newCluster builds a PANDAS cluster for the options.
@@ -127,9 +115,4 @@ func fmtMs(d time.Duration) string {
 		return "-"
 	}
 	return fmt.Sprintf("%d", d.Milliseconds())
-}
-
-// constantSchedule is the Fig. 11 baseline: fixed timeout, redundancy 1.
-func constantSchedule() fetch.Schedule {
-	return fetch.ConstantSchedule(400*time.Millisecond, 1)
 }

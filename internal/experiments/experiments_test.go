@@ -13,11 +13,11 @@ func TestFig9SmallScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PerPhase) != 3 {
-		t.Fatalf("policies = %d", len(res.PerPhase))
+	if len(res.Samples) != 3 {
+		t.Fatalf("policies = %d", len(res.Samples))
 	}
-	for _, p := range res.Policies {
-		pt := res.PerPhase[p]
+	for _, p := range seedingPolicies {
+		pt := res.Sample(p.String())
 		if pt.Sampling.Total() == 0 {
 			t.Fatalf("policy %v: no sampling data", p)
 		}
@@ -26,7 +26,7 @@ func TestFig9SmallScale(t *testing.T) {
 			t.Errorf("policy %v: seeding median after sampling median", p)
 		}
 	}
-	if res.Block == nil || res.Block.Total() == 0 {
+	if block := res.Sample(core.PolicyRedundant.String()).Block; block.Count() == 0 {
 		t.Fatal("block gossip curve missing")
 	}
 	out := res.Render()
@@ -44,8 +44,8 @@ func TestFig9RedundantBeatsMinimalOnConsolidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	red := res.PerPhase[core.PolicyRedundant].ConsFromStart
-	minimal := res.PerPhase[core.PolicyMinimal].ConsFromStart
+	red := res.Sample(core.PolicyRedundant.String()).Cons
+	minimal := res.Sample(core.PolicyMinimal.String()).Cons
 	// Paper: redundant seeding consolidates faster than minimal.
 	if red.Median() > minimal.Median() {
 		t.Fatalf("redundant median %v slower than minimal %v", red.Median(), minimal.Median())
@@ -57,13 +57,13 @@ func TestFig10SmallScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range res.Policies {
-		if res.Msgs[p].Count() == 0 || res.Bytes[p].Count() == 0 {
-			t.Fatalf("policy %v missing traffic data", p)
+	for _, s := range res.Samples {
+		if s.Msgs.Count() == 0 || s.Bytes.Count() == 0 {
+			t.Fatalf("policy %v missing traffic data", s.Label)
 		}
 	}
 	// Paper: redundant seeding needs FEWER fetch messages than minimal.
-	if res.Msgs[core.PolicyRedundant].Mean() > res.Msgs[core.PolicyMinimal].Mean() {
+	if res.Sample(core.PolicyRedundant.String()).Msgs.Mean() > res.Sample(core.PolicyMinimal.String()).Msgs.Mean() {
 		t.Fatal("redundant should reduce fetch messages vs minimal")
 	}
 	if !strings.Contains(res.Render(), "Fig. 10") {
@@ -76,20 +76,20 @@ func TestTable1SmallScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rounds) != 4 {
-		t.Fatalf("rounds = %d", len(res.Rounds))
+	if len(res.Samples) != 4 {
+		t.Fatalf("rounds = %d", len(res.Samples))
 	}
-	r1 := res.Rounds[0]
-	if r1.MsgsSent.Mean() <= 0 || r1.CellsRequested.Mean() <= 0 {
+	r1 := res.Sample("round 1").Values
+	if r1["Messages sent"] <= 0 || r1["Cells requested"] <= 0 {
 		t.Fatal("round 1 has no activity")
 	}
 	// Cells requested must shrink across rounds (coverage grows).
-	if res.Rounds[2].CellsRequested.Mean() > r1.CellsRequested.Mean() {
+	if res.Sample("round 3").Values["Cells requested"] > r1["Cells requested"] {
 		t.Fatal("cells requested did not decrease by round 3")
 	}
 	// Coverage is cumulative.
-	for i := 1; i < len(res.Rounds); i++ {
-		if res.Rounds[i].Coverage+1e-9 < res.Rounds[i-1].Coverage {
+	for i := 1; i < len(res.Samples); i++ {
+		if res.Samples[i].Values[table1Coverage]+1e-9 < res.Samples[i-1].Values[table1Coverage] {
 			t.Fatal("coverage not monotone")
 		}
 	}
@@ -107,12 +107,13 @@ func TestFig11SmallScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Adaptive must not be slower at the tail than constant fetching.
-	if res.AdaptiveSampling.Percentile(99) > res.ConstantSampling.Percentile(99) {
+	adaptive, constant := res.Sample("adaptive"), res.Sample("constant")
+	if adaptive.Sampling.Percentile(99) > constant.Sampling.Percentile(99) {
 		t.Fatalf("adaptive P99 %v > constant P99 %v",
-			res.AdaptiveSampling.Percentile(99), res.ConstantSampling.Percentile(99))
+			adaptive.Sampling.Percentile(99), constant.Sampling.Percentile(99))
 	}
 	// Constant fetching uses fewer messages (k=1 forever).
-	if res.ConstantMsgs.Mean() > res.AdaptiveMsgs.Mean() {
+	if constant.Msgs.Mean() > adaptive.Msgs.Mean() {
 		t.Fatal("constant strategy should send fewer messages")
 	}
 	if !strings.Contains(res.Render(), "constant(t=400ms,k=1)") {
@@ -128,9 +129,9 @@ func TestFig12SmallScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := res.Systems[SystemPandas]
-	g := res.Systems[SystemGossip]
-	d := res.Systems[SystemDHT]
+	p := res.Sample(string(SystemPandas))
+	g := res.Sample(string(SystemGossip))
+	d := res.Sample(string(SystemDHT))
 	if p == nil || g == nil || d == nil {
 		t.Fatal("missing systems")
 	}
@@ -154,12 +155,12 @@ func TestFig13SmallScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Sizes) != 2 {
+	if len(res.Samples) != 2 {
 		t.Fatal("sizes wrong")
 	}
-	for _, size := range res.Sizes {
-		if res.Phases[size].Sampling.Total() == 0 {
-			t.Fatalf("size %d: no data", size)
+	for _, size := range []string{"80", "160"} {
+		if res.Sample(size).Sampling.Total() == 0 {
+			t.Fatalf("size %s: no data", size)
 		}
 	}
 	if !strings.Contains(res.Render(), "Fig. 13") {
@@ -174,7 +175,7 @@ func TestFig14SmallScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	per := res.Results[80]
+	per := res.Parts[0].Samples
 	if len(per) != 3 {
 		t.Fatalf("systems = %d", len(per))
 	}
@@ -191,13 +192,13 @@ func TestFig15DeadSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 3 {
-		t.Fatalf("points = %d", len(res.Points))
+	if len(res.Samples) != 3 {
+		t.Fatalf("points = %d", len(res.Samples))
 	}
 	// Deadline success must degrade monotonically-ish with faults: the
 	// 80% point must be well below the fault-free point.
-	if res.Points[2].DeadlineRate >= res.Points[0].DeadlineRate {
-		t.Fatalf("no degradation: %v vs %v", res.Points[2].DeadlineRate, res.Points[0].DeadlineRate)
+	if res.Sample("80%").OnTimeRate() >= res.Sample("0%").OnTimeRate() {
+		t.Fatalf("no degradation: %v vs %v", res.Sample("80%").OnTimeRate(), res.Sample("0%").OnTimeRate())
 	}
 	if !strings.Contains(res.Render(), "Fig. 15a") {
 		t.Fatal("render missing header")
@@ -212,7 +213,7 @@ func TestFig15OutOfViewSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Points[1].DeadlineRate > res.Points[0].DeadlineRate {
+	if res.Sample("60%").OnTimeRate() > res.Sample("0%").OnTimeRate() {
 		t.Fatal("out-of-view nodes should not improve the deadline rate")
 	}
 	if !strings.Contains(res.Render(), "Fig. 15b") {
@@ -222,18 +223,19 @@ func TestFig15OutOfViewSweep(t *testing.T) {
 
 func TestConfidence(t *testing.T) {
 	res := Confidence(64, []int{5, 20, 40}, 2000, 1)
-	if len(res.Points) != 3 {
+	if len(res.Samples) != 3 {
 		t.Fatal("points wrong")
 	}
 	prev := 1.1
-	for _, p := range res.Points {
-		if p.Analytic > prev {
+	for _, p := range res.Samples {
+		analytic, empirical := p.Values["analytic"], p.Values["empirical"]
+		if analytic > prev {
 			t.Fatal("analytic bound not decreasing")
 		}
-		prev = p.Analytic
+		prev = analytic
 		// Monte Carlo must not exceed the bound by much more than noise.
-		if p.Empirical > p.Analytic*2+0.02 {
-			t.Fatalf("empirical %v far above bound %v at s=%d", p.Empirical, p.Analytic, p.Samples)
+		if empirical > analytic*2+0.02 {
+			t.Fatalf("empirical %v far above bound %v at s=%s", empirical, analytic, p.Label)
 		}
 	}
 	if !strings.Contains(res.Render(), "Sampling confidence") {
@@ -252,8 +254,8 @@ func TestValidation(t *testing.T) {
 	// The metadata shortcut must track the real data plane closely —
 	// the paper's simulator-vs-prototype curves are "almost
 	// indistinguishable"; allow 25% median slack at this small scale.
-	if res.MedianGap > 0.25 {
-		t.Fatalf("median gap %.0f%% too large", res.MedianGap*100)
+	if gap := res.Sample("real").Values["median gap"]; gap > 0.25 {
+		t.Fatalf("median gap %.0f%% too large", gap*100)
 	}
 	if !strings.Contains(res.Render(), "validation") {
 		t.Fatal("render missing header")
@@ -286,17 +288,18 @@ func TestAblationSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 2 {
-		t.Fatalf("points = %d", len(res.Points))
+	if len(res.Samples) != 2 {
+		t.Fatalf("points = %d", len(res.Samples))
 	}
+	r1, r4 := res.Sample("1"), res.Sample("4")
 	// More redundancy means more builder bytes...
-	if res.Points[1].BuilderBytes.Mean() <= res.Points[0].BuilderBytes.Mean() {
+	if r4.Values["builder bytes"] <= r1.Values["builder bytes"] {
 		t.Fatal("builder cost did not grow with redundancy")
 	}
 	// ...and at least as good a deadline rate.
-	if res.Points[1].DeadlineRate+0.05 < res.Points[0].DeadlineRate {
+	if r4.OnTimeRate()+0.05 < r1.OnTimeRate() {
 		t.Fatalf("higher redundancy degraded the deadline rate: %v vs %v",
-			res.Points[1].DeadlineRate, res.Points[0].DeadlineRate)
+			r4.OnTimeRate(), r1.OnTimeRate())
 	}
 	if !strings.Contains(res.Render(), "Ablation") {
 		t.Fatal("render header missing")

@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"pandas/internal/core"
-	"pandas/internal/metrics"
 )
 
 // FaultKind selects the Fig. 15 fault model.
@@ -22,34 +19,24 @@ const (
 	FaultOutOfView FaultKind = "out-of-view"
 )
 
-// Fig15Point is one sweep point.
-type Fig15Point struct {
-	Fraction      float64
-	Consolidation *metrics.Distribution
-	Sampling      *metrics.Distribution
-	DeadlineRate  float64 // fraction of LIVE nodes sampling on time
-}
-
-// Fig15Result holds a fault sweep.
-type Fig15Result struct {
-	Options   Options
-	Kind      FaultKind
-	Fractions []float64
-	Points    []Fig15Point
-}
-
 // Fig15 reproduces Fig. 15: time to consolidation and sampling for
 // increasing fractions of dead (Fig. 15a) or out-of-view (Fig. 15b)
-// nodes. The paper sweeps 0-80% in 20% steps on a 10,000-node network.
-func Fig15(o Options, kind FaultKind, fractions []float64) (*Fig15Result, error) {
+// nodes, with the share of live nodes sampling on time. The paper sweeps
+// 0-80% in 20% steps on a 10,000-node network. Samples are labelled by
+// fraction ("40%").
+func Fig15(o Options, kind FaultKind, fractions []float64) (*Result, error) {
 	o = o.withDefaults()
 	if len(fractions) == 0 {
 		fractions = []float64{0, 0.2, 0.4, 0.6, 0.8}
 	}
-	res := &Fig15Result{Options: o, Kind: kind, Fractions: fractions}
+	res := &Result{
+		Title: fmt.Sprintf("Fig. 15%s — %s nodes sweep, %d nodes",
+			map[FaultKind]string{FaultDead: "a", FaultOutOfView: "b"}[kind], kind, o.Nodes),
+		Header: []string{"fraction", "cons median", "cons P99", "sample median", "sample P99", "on-time%"},
+	}
 	for _, frac := range fractions {
 		frac := frac
-		c, err := newCluster(o, func(cc *core.ClusterConfig) {
+		s, _, err := runPooled(fmt.Sprintf("%.0f%%", frac*100), o, func(cc *core.ClusterConfig) {
 			cc.Core.Policy = core.PolicyRedundant
 			switch kind {
 			case FaultDead:
@@ -61,48 +48,10 @@ func Fig15(o Options, kind FaultKind, fractions []float64) (*Fig15Result, error)
 		if err != nil {
 			return nil, err
 		}
-		outcomes, _, err := runSlots(c, o.Slots)
-		if err != nil {
-			return nil, err
-		}
-		var cons, samp []time.Duration
-		live, onTime := 0, 0
-		for _, out := range outcomes {
-			if out.Dead {
-				continue
-			}
-			live++
-			cons = append(cons, out.Consolidation)
-			samp = append(samp, out.Sampling)
-			if out.Sampling >= 0 && out.Sampling <= o.Core.Deadline {
-				onTime++
-			}
-		}
-		point := Fig15Point{
-			Fraction:      frac,
-			Consolidation: metrics.NewDistribution(cons),
-			Sampling:      metrics.NewDistribution(samp),
-		}
-		if live > 0 {
-			point.DeadlineRate = float64(onTime) / float64(live)
-		}
-		res.Points = append(res.Points, point)
+		res.add(s, s.Label,
+			fmtMs(s.Cons.Median()), fmtMs(s.Cons.Percentile(99)),
+			fmtMs(s.Sampling.Median()), fmtMs(s.Sampling.Percentile(99)),
+			s.onTimePct())
 	}
 	return res, nil
-}
-
-// Render prints Fig. 15 rows.
-func (r *Fig15Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 15%s — %s nodes sweep, %d nodes\n",
-		map[FaultKind]string{FaultDead: "a", FaultOutOfView: "b"}[r.Kind], r.Kind, r.Options.Nodes)
-	tab := metrics.NewTable("fraction", "cons median", "cons P99", "sample median", "sample P99", "on-time%")
-	for _, p := range r.Points {
-		tab.AddRow(fmt.Sprintf("%.0f%%", p.Fraction*100),
-			fmtMs(p.Consolidation.Median()), fmtMs(p.Consolidation.Percentile(99)),
-			fmtMs(p.Sampling.Median()), fmtMs(p.Sampling.Percentile(99)),
-			fmt.Sprintf("%.1f", 100*p.DeadlineRate))
-	}
-	b.WriteString(tab.String())
-	return b.String()
 }

@@ -5,15 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"pandas/internal/blob"
 	"pandas/internal/core"
 	"pandas/internal/gateway"
-	"pandas/internal/metrics"
+	"pandas/internal/obsv"
 	"pandas/internal/wire"
 )
 
@@ -84,49 +82,6 @@ func (g GatewayLoadOptions) withDefaults() GatewayLoadOptions {
 	return g
 }
 
-// GatewaySlotStats reports one slot of gateway load.
-type GatewaySlotStats struct {
-	Slot            uint64
-	Queries         int64 // completed queries
-	CacheHits       int64
-	CoalescedJoins  int64
-	UpstreamFetches int64
-	Rejects         int64 // overload rejections (every one retried)
-	BatchVerifies   int64
-	BadProofs       int64
-	DistinctCells   int // distinct cells the clients drew this slot
-	P50, P90, P99   time.Duration
-	Max             time.Duration
-	Wall            time.Duration
-	QPS             float64
-}
-
-// GatewayLoadResult aggregates a gateway load run. The count fields are
-// deterministic for a fixed seed (queries are drawn from per-client
-// seeded streams and every query eventually completes); the latency
-// fields are wall-clock measurements and vary run to run.
-type GatewayLoadResult struct {
-	Options GatewayLoadOptions
-	Nodes   int
-	Slots   int
-	Cells   int // extended cells per slot (the query key space)
-
-	PerSlot []GatewaySlotStats
-
-	// Aggregates over all slots.
-	Queries         int64
-	CacheHits       int64
-	CoalescedJoins  int64
-	UpstreamFetches int64
-	Rejects         int64
-	BatchVerifies   int64
-	BadProofs       int64
-	HitRate         float64 // CacheHits / Queries
-	CoalesceFactor  float64 // queries resolved per upstream fetch (hits excluded)
-	Reduction       float64 // Queries / UpstreamFetches — the fan-out saving
-	P50, P99        time.Duration
-}
-
 // clusterUpstream adapts a simulated PANDAS deployment to the gateway's
 // Upstream interface: a fetch consults the custody nodes assigned to
 // the cell's row/column (zero-copy Store.Peek), then any node, then the
@@ -188,10 +143,23 @@ func gatewayKeyHash(slot uint64, id blob.CellID) uint64 {
 // latency percentiles, cache hit rate, coalescing factor, and the
 // upstream-fetch reduction.
 //
+// Samples are labelled by slot, plus "aggregate" over all slots, and
+// carry Values only: per slot "queries" (completed), "hits", "joins",
+// "upstream", "rejects" (overload rejections, every one retried), "batch
+// verifies", "bad proofs", "distinct" (cells the clients drew), "p50 us",
+// "p99 us" and "qps"; in the aggregate the summed counters, "cells" (the
+// query key space), "hit rate" (hits / queries), "coalesce" (queries
+// resolved per upstream fetch, hits excluded), "reduction" (queries /
+// upstream fetches — the fan-out saving) and the median over slots of
+// "p50 us" and "p99 us", which keeps the report robust to one warm-up
+// slot. The counts are deterministic for a fixed seed (queries are drawn
+// from per-client seeded streams and every query eventually completes);
+// the latencies are wall-clock measurements and vary run to run.
+//
 // The harness always runs the scaled-down real-payload geometry
 // (32x32, identical code paths): the full 512x512 extension takes
 // minutes of CPU and the gateway's behaviour is geometry-independent.
-func GatewayLoad(o Options, gwo GatewayLoadOptions) (*GatewayLoadResult, error) {
+func GatewayLoad(o Options, gwo GatewayLoadOptions) (*Result, error) {
 	o = o.withDefaults()
 	gwo = gwo.withDefaults()
 	// Force the real data plane at test geometry: the gateway serves
@@ -235,9 +203,14 @@ func GatewayLoad(o Options, gwo GatewayLoadOptions) (*GatewayLoadResult, error) 
 
 	cells := o.Core.Blob.ExtendedCells()
 	n := o.Core.Blob.N()
-	res := &GatewayLoadResult{
-		Options: gwo, Nodes: o.Nodes, Slots: o.Slots, Cells: cells,
+	res := &Result{
+		Title: fmt.Sprintf("Gateway load — %d clients x %d queries/slot, zipf %.2f over %d cells, %d-node cluster",
+			gwo.Clients, gwo.QueriesPerClient, gwo.ZipfS, cells, o.Nodes),
+		Header: []string{"slot", "queries", "hits", "joins", "upstream", "rejects", "p50us", "p99us", "kqps"},
 	}
+	counters := []string{"queries", "hits", "joins", "upstream", "rejects", "batch verifies", "bad proofs"}
+	agg := &Sample{Label: "aggregate", Values: map[string]float64{"cells": float64(cells)}}
+	var p50s, p99s []time.Duration
 
 	// Per-client deterministic query streams: client i's zipf draws
 	// depend only on the run seed and i, never on goroutine scheduling.
@@ -301,63 +274,47 @@ func GatewayLoad(o Options, gwo GatewayLoadOptions) (*GatewayLoadResult, error) 
 		d := gatewayStatsDelta(cur, prev)
 		prev = cur
 
-		sorted := append([]time.Duration(nil), lat...)
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-		pct := func(p float64) time.Duration {
-			idx := int(p / 100 * float64(len(sorted)-1))
-			return sorted[idx]
+		latency := obsv.NewDistribution(lat)
+		p50s = append(p50s, latency.Median())
+		p99s = append(p99s, latency.Percentile(99))
+		completed := float64(gwo.Clients * gwo.QueriesPerClient)
+		v := map[string]float64{
+			"queries":        completed,
+			"hits":           float64(d.CacheHits),
+			"joins":          float64(d.CoalescedJoins),
+			"upstream":       float64(d.UpstreamFetches),
+			"rejects":        float64(d.Rejects),
+			"batch verifies": float64(d.BatchVerifies),
+			"bad proofs":     float64(d.BadProofs),
+			"distinct":       float64(len(distinct)),
+			"p50 us":         float64(latency.Median().Microseconds()),
+			"p99 us":         float64(latency.Percentile(99).Microseconds()),
+			"qps":            completed / wall.Seconds(),
 		}
-		completed := int64(gwo.Clients * gwo.QueriesPerClient)
-		ss := GatewaySlotStats{
-			Slot:            slot,
-			Queries:         completed,
-			CacheHits:       d.CacheHits,
-			CoalescedJoins:  d.CoalescedJoins,
-			UpstreamFetches: d.UpstreamFetches,
-			Rejects:         d.Rejects,
-			BatchVerifies:   d.BatchVerifies,
-			BadProofs:       d.BadProofs,
-			DistinctCells:   len(distinct),
-			P50:             pct(50),
-			P90:             pct(90),
-			P99:             pct(99),
-			Max:             sorted[len(sorted)-1],
-			Wall:            wall,
-			QPS:             float64(completed) / wall.Seconds(),
+		row := []string{fmt.Sprintf("%d", slot)}
+		for _, name := range counters {
+			agg.Values[name] += v[name]
 		}
-		res.PerSlot = append(res.PerSlot, ss)
+		for _, name := range []string{"queries", "hits", "joins", "upstream", "rejects", "p50 us", "p99 us"} {
+			row = append(row, fmt.Sprintf("%.0f", v[name]))
+		}
+		res.add(&Sample{Label: row[0], Values: v}, append(row, fmt.Sprintf("%.0f", v["qps"]/1000))...)
 	}
 
-	for _, ss := range res.PerSlot {
-		res.Queries += ss.Queries
-		res.CacheHits += ss.CacheHits
-		res.CoalescedJoins += ss.CoalescedJoins
-		res.UpstreamFetches += ss.UpstreamFetches
-		res.Rejects += ss.Rejects
-		res.BatchVerifies += ss.BatchVerifies
-		res.BadProofs += ss.BadProofs
+	a := agg.Values
+	if a["queries"] > 0 {
+		a["hit rate"] = a["hits"] / a["queries"]
 	}
-	if res.Queries > 0 {
-		res.HitRate = float64(res.CacheHits) / float64(res.Queries)
+	if a["upstream"] > 0 {
+		a["coalesce"] = (a["joins"] + a["upstream"]) / a["upstream"]
+		a["reduction"] = a["queries"] / a["upstream"]
 	}
-	if res.UpstreamFetches > 0 {
-		res.CoalesceFactor = float64(res.CoalescedJoins+res.UpstreamFetches) / float64(res.UpstreamFetches)
-		res.Reduction = float64(res.Queries) / float64(res.UpstreamFetches)
-	}
-	if len(res.PerSlot) > 0 {
-		// Aggregate percentiles: median of per-slot values keeps the
-		// report robust to one warm-up slot.
-		p50s := make([]time.Duration, 0, len(res.PerSlot))
-		p99s := make([]time.Duration, 0, len(res.PerSlot))
-		for _, ss := range res.PerSlot {
-			p50s = append(p50s, ss.P50)
-			p99s = append(p99s, ss.P99)
-		}
-		sort.Slice(p50s, func(a, b int) bool { return p50s[a] < p50s[b] })
-		sort.Slice(p99s, func(a, b int) bool { return p99s[a] < p99s[b] })
-		res.P50 = p50s[len(p50s)/2]
-		res.P99 = p99s[len(p99s)/2]
-	}
+	a["p50 us"] = float64(obsv.NewDistribution(p50s).Median().Microseconds())
+	a["p99 us"] = float64(obsv.NewDistribution(p99s).Median().Microseconds())
+	res.Samples = append(res.Samples, agg)
+	res.Footer = []string{fmt.Sprintf(
+		"aggregate: hit rate %.1f%%, coalesce %.1f queries/fetch, upstream reduction %.0fx, %.0f batch verifies, %.0f bad proofs",
+		a["hit rate"]*100, a["coalesce"], a["reduction"], a["batch verifies"], a["bad proofs"])}
 	return res, nil
 }
 
@@ -379,15 +336,6 @@ func gatewayQueryRetry(gw *gateway.Gateway, client int, slot uint64, id blob.Cel
 	}
 }
 
-// fmtUs renders gateway-scale latencies (cache hits are microseconds;
-// the experiments-wide fmtMs would round them all to 0).
-func fmtUs(d time.Duration) string {
-	if d < 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%d", d.Microseconds())
-}
-
 func gatewayStatsDelta(cur, prev gateway.Stats) gateway.Stats {
 	return gateway.Stats{
 		Queries:         cur.Queries - prev.Queries,
@@ -400,29 +348,4 @@ func gatewayStatsDelta(cur, prev gateway.Stats) gateway.Stats {
 		VerifiedCells:   cur.VerifiedCells - prev.VerifiedCells,
 		BadProofs:       cur.BadProofs - prev.BadProofs,
 	}
-}
-
-// Render prints the gateway load table.
-func (r *GatewayLoadResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Gateway load — %d clients x %d queries/slot, zipf %.2f over %d cells, %d-node cluster\n",
-		r.Options.Clients, r.Options.QueriesPerClient, r.Options.ZipfS, r.Cells, r.Nodes)
-	tab := metrics.NewTable("slot", "queries", "hits", "joins", "upstream", "rejects", "p50us", "p99us", "kqps")
-	for _, ss := range r.PerSlot {
-		tab.AddRow(
-			fmt.Sprintf("%d", ss.Slot),
-			fmt.Sprintf("%d", ss.Queries),
-			fmt.Sprintf("%d", ss.CacheHits),
-			fmt.Sprintf("%d", ss.CoalescedJoins),
-			fmt.Sprintf("%d", ss.UpstreamFetches),
-			fmt.Sprintf("%d", ss.Rejects),
-			fmtUs(ss.P50),
-			fmtUs(ss.P99),
-			fmt.Sprintf("%.0f", ss.QPS/1000),
-		)
-	}
-	b.WriteString(tab.String())
-	fmt.Fprintf(&b, "aggregate: hit rate %.1f%%, coalesce %.1f queries/fetch, upstream reduction %.0fx, %d batch verifies, %d bad proofs\n",
-		r.HitRate*100, r.CoalesceFactor, r.Reduction, r.BatchVerifies, r.BadProofs)
-	return b.String()
 }

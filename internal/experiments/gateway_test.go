@@ -28,32 +28,34 @@ func TestGatewayLoadGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PerSlot) != o.Slots {
-		t.Fatalf("slots = %d, want %d", len(res.PerSlot), o.Slots)
+	slots := res.Samples[:len(res.Samples)-1] // the last sample is the aggregate
+	if len(slots) != o.Slots {
+		t.Fatalf("slots = %d, want %d", len(slots), o.Slots)
 	}
-	perSlot := int64(gwo.Clients * gwo.QueriesPerClient)
-	for _, ss := range res.PerSlot {
-		if ss.Queries != perSlot {
-			t.Fatalf("slot %d: queries = %d, want %d", ss.Slot, ss.Queries, perSlot)
+	perSlot := float64(gwo.Clients * gwo.QueriesPerClient)
+	for _, slot := range slots {
+		ss := slot.Values
+		if ss["queries"] != perSlot {
+			t.Fatalf("slot %s: queries = %.0f, want %.0f", slot.Label, ss["queries"], perSlot)
 		}
-		if ss.Rejects != 0 || ss.BadProofs != 0 {
-			t.Fatalf("slot %d: rejects=%d badProofs=%d, want 0/0", ss.Slot, ss.Rejects, ss.BadProofs)
+		if ss["rejects"] != 0 || ss["bad proofs"] != 0 {
+			t.Fatalf("slot %s: rejects=%.0f badProofs=%.0f, want 0/0", slot.Label, ss["rejects"], ss["bad proofs"])
 		}
-		if ss.UpstreamFetches != int64(ss.DistinctCells) {
-			t.Fatalf("slot %d: upstream=%d distinct=%d — coalescing+cache must reduce to one fetch per distinct cell",
-				ss.Slot, ss.UpstreamFetches, ss.DistinctCells)
+		if ss["upstream"] != ss["distinct"] {
+			t.Fatalf("slot %s: upstream=%.0f distinct=%.0f — coalescing+cache must reduce to one fetch per distinct cell",
+				slot.Label, ss["upstream"], ss["distinct"])
 		}
-		if ss.CacheHits+ss.CoalescedJoins+ss.UpstreamFetches != ss.Queries {
-			t.Fatalf("slot %d: hits(%d)+joins(%d)+upstream(%d) != queries(%d)",
-				ss.Slot, ss.CacheHits, ss.CoalescedJoins, ss.UpstreamFetches, ss.Queries)
+		if ss["hits"]+ss["joins"]+ss["upstream"] != ss["queries"] {
+			t.Fatalf("slot %s: hits(%.0f)+joins(%.0f)+upstream(%.0f) != queries(%.0f)",
+				slot.Label, ss["hits"], ss["joins"], ss["upstream"], ss["queries"])
 		}
-		if ss.BatchVerifies == 0 {
-			t.Fatalf("slot %d: no batched verifications ran", ss.Slot)
+		if ss["batch verifies"] == 0 {
+			t.Fatalf("slot %s: no batched verifications ran", slot.Label)
 		}
 	}
-	if res.Reduction < 2 {
-		t.Fatalf("upstream reduction = %.1fx; zipf over %d cells with %d queries must dedup more",
-			res.Reduction, res.Cells, res.Queries)
+	if agg := res.Sample("aggregate").Values; agg["reduction"] < 2 {
+		t.Fatalf("upstream reduction = %.1fx; zipf over %.0f cells with %.0f queries must dedup more",
+			agg["reduction"], agg["cells"], agg["queries"])
 	}
 	if res.Render() == "" {
 		t.Fatal("empty render")
@@ -73,14 +75,11 @@ func TestGatewayLoadDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Queries != b.Queries || a.UpstreamFetches != b.UpstreamFetches {
-		t.Fatalf("aggregate mismatch: %d/%d fetches vs %d/%d", a.Queries, a.UpstreamFetches, b.Queries, b.UpstreamFetches)
-	}
-	for i := range a.PerSlot {
-		sa, sb := a.PerSlot[i], b.PerSlot[i]
-		if sa.DistinctCells != sb.DistinctCells || sa.UpstreamFetches != sb.UpstreamFetches ||
-			sa.Queries != sb.Queries {
-			t.Fatalf("slot %d diverged across runs: %+v vs %+v", sa.Slot, sa, sb)
+	for i := range a.Samples { // the slots, then the aggregate
+		sa, sb := a.Samples[i].Values, b.Samples[i].Values
+		if sa["distinct"] != sb["distinct"] || sa["upstream"] != sb["upstream"] ||
+			sa["queries"] != sb["queries"] {
+			t.Fatalf("%s diverged across runs: %+v vs %+v", a.Samples[i].Label, sa, sb)
 		}
 	}
 	// A different seed draws a different workload.
@@ -90,8 +89,8 @@ func TestGatewayLoadDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.PerSlot[0].DistinctCells == a.PerSlot[0].DistinctCells &&
-		c.PerSlot[1].DistinctCells == a.PerSlot[1].DistinctCells {
+	if c.Sample("1").Values["distinct"] == a.Sample("1").Values["distinct"] &&
+		c.Sample("2").Values["distinct"] == a.Sample("2").Values["distinct"] {
 		t.Fatal("seed change did not change the workload")
 	}
 }
@@ -108,16 +107,12 @@ func BenchmarkGatewayLoad100k(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var qps float64
-		for _, ss := range res.PerSlot {
-			qps += ss.QPS
-		}
-		qps /= float64(len(res.PerSlot))
-		b.ReportMetric(qps, "qps")
-		b.ReportMetric(float64(res.P50.Nanoseconds())/1000, "p50_us")
-		b.ReportMetric(float64(res.P99.Nanoseconds())/1000, "p99_us")
-		b.ReportMetric(res.HitRate*100, "hit_%")
-		b.ReportMetric(res.Reduction, "reduction_x")
-		b.ReportMetric(res.CoalesceFactor, "coalesce_x")
+		agg := res.Sample("aggregate").Values
+		b.ReportMetric((res.Sample("1").Values["qps"]+res.Sample("2").Values["qps"])/2, "qps")
+		b.ReportMetric(agg["p50 us"], "p50_us")
+		b.ReportMetric(agg["p99 us"], "p99_us")
+		b.ReportMetric(agg["hit rate"]*100, "hit_%")
+		b.ReportMetric(agg["reduction"], "reduction_x")
+		b.ReportMetric(agg["coalesce"], "coalesce_x")
 	}
 }

@@ -80,9 +80,9 @@ func TestRenderGoldenShape(t *testing.T) {
 	}
 	checkGolden(t, "scale", titleAndColumns(sc.Render()))
 
-	go_, gwo := gatewayTestOptions()
-	go_.Slots = 1
-	gw, err := GatewayLoad(go_, gwo)
+	gopts, gwo := gatewayTestOptions()
+	gopts.Slots = 1
+	gw, err := GatewayLoad(gopts, gwo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,5 +90,5 @@ func TestRenderGoldenShape(t *testing.T) {
 
 	sw := &swarm.Result{N: 4, Slots: 1, Seed: 7, Geometry: swarm.DefaultGeometry(),
 		SlotResults: []swarm.SlotResult{{Slot: 1}}}
-	checkGolden(t, "swarm", titleAndColumns(sw.Render()))
+	checkGolden(t, "swarm", titleAndColumns(swarmResult(sw).Render()))
 }

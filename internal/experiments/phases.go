@@ -2,176 +2,109 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"pandas/internal/core"
-	"pandas/internal/metrics"
+	"pandas/internal/fetch"
+	"pandas/internal/obsv"
 )
 
-// Fig9Result holds the phase-time distributions for the three seeding
-// policies (Fig. 9a-d) plus the gossip block-reception curve plotted for
-// comparison in Fig. 9a.
-type Fig9Result struct {
-	Options  Options
-	Policies []core.Policy
-	PerPhase map[core.Policy]PhaseTimes
-	Block    *metrics.Distribution
+// seedingPolicies are the three builder policies Fig. 9 and 10 compare.
+var seedingPolicies = []core.Policy{core.PolicyMinimal, core.PolicySingle, core.PolicyRedundant}
+
+// phaseCells returns lead followed by one distribution's median / P99 /
+// max / on-time% cells.
+func phaseCells(d *obsv.Distribution, deadline time.Duration, lead ...string) []string {
+	return append(lead, fmtMs(d.Median()), fmtMs(d.Percentile(99)), fmtMs(d.Max()),
+		fmt.Sprintf("%.1f", 100*d.FractionWithin(deadline)))
 }
 
 // Fig9 reproduces Fig. 9: distributions of time-to-seeding,
 // time-to-consolidation (from seeding and from slot start), and
 // time-to-sampling across all nodes, for the minimal / single / redundant
-// seeding policies.
-func Fig9(o Options) (*Fig9Result, error) {
+// seeding policies, plus the gossip block-reception curve plotted for
+// comparison in Fig. 9a. Samples are labelled by policy.
+func Fig9(o Options) (*Result, error) {
 	o = o.withDefaults()
-	res := &Fig9Result{
-		Options:  o,
-		Policies: []core.Policy{core.PolicyMinimal, core.PolicySingle, core.PolicyRedundant},
-		PerPhase: make(map[core.Policy]PhaseTimes),
+	res := &Result{
+		Title:  fmt.Sprintf("Fig. 9 — phase times, %d nodes, %d slots (ms)", o.Nodes, o.Slots),
+		Header: []string{"policy", "phase", "median", "P99", "max", "on-time%"},
 	}
-	for _, policy := range res.Policies {
+	deadline := o.Core.Deadline
+	for _, policy := range seedingPolicies {
 		policy := policy
-		c, err := newCluster(o, func(cc *core.ClusterConfig) {
+		s, _, err := runPooled(policy.String(), o, func(cc *core.ClusterConfig) {
 			cc.Core.Policy = policy
 			cc.BlockGossip = policy == core.PolicyRedundant // one block curve suffices
 		})
 		if err != nil {
 			return nil, err
 		}
-		outcomes, _, err := runSlots(c, o.Slots)
-		if err != nil {
-			return nil, err
-		}
-		res.PerPhase[policy] = phaseTimes(outcomes)
-		if policy == core.PolicyRedundant {
-			var block []time.Duration
-			for _, out := range outcomes {
-				if !out.Dead {
-					block = append(block, out.BlockRecv)
-				}
-			}
-			res.Block = metrics.NewDistribution(block)
-		}
-	}
-	return res, nil
-}
-
-// Render prints the paper-style summary rows.
-func (r *Fig9Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 9 — phase times, %d nodes, %d slots (ms)\n", r.Options.Nodes, r.Options.Slots)
-	tab := metrics.NewTable("policy", "phase", "median", "P99", "max", "on-time%")
-	deadline := r.Options.Core.Deadline
-	for _, p := range r.Policies {
-		pt := r.PerPhase[p]
-		rows := []struct {
+		res.Samples = append(res.Samples, s)
+		for _, row := range []struct {
 			name string
-			d    *metrics.Distribution
+			d    *obsv.Distribution
 		}{
-			{"seeding", pt.Seeding},
-			{"consolidation(from seed)", pt.ConsFromSeed},
-			{"consolidation(from start)", pt.ConsFromStart},
-			{"sampling", pt.Sampling},
-		}
-		for _, row := range rows {
-			tab.AddRow(p.String(), row.name,
-				fmtMs(row.d.Median()), fmtMs(row.d.Percentile(99)), fmtMs(row.d.Max()),
-				fmt.Sprintf("%.1f", 100*row.d.FractionWithin(deadline)))
+			{"seeding", s.Seeding},
+			{"consolidation(from seed)", s.ConsFromSeed},
+			{"consolidation(from start)", s.Cons},
+			{"sampling", s.Sampling},
+		} {
+			res.add(nil, phaseCells(row.d, deadline, s.Label, row.name)...)
 		}
 	}
-	if r.Block != nil {
-		tab.AddRow("(gossip)", "block reception",
-			fmtMs(r.Block.Median()), fmtMs(r.Block.Percentile(99)), fmtMs(r.Block.Max()),
-			fmt.Sprintf("%.1f", 100*r.Block.FractionWithin(deadline)))
-	}
-	b.WriteString(tab.String())
-	return b.String()
-}
-
-// Fig10Result holds fetch traffic distributions per seeding policy.
-type Fig10Result struct {
-	Options  Options
-	Policies []core.Policy
-	Msgs     map[core.Policy]*metrics.Scalar
-	Bytes    map[core.Policy]*metrics.Scalar
+	block := res.Sample(core.PolicyRedundant.String()).Block
+	res.add(nil, phaseCells(block, deadline, "(gossip)", "block reception")...)
+	return res, nil
 }
 
 // Fig10 reproduces Fig. 10: distribution of messages and traffic volume
 // used for fetching (consolidation + sampling, both directions) across
-// nodes, per seeding policy.
-func Fig10(o Options) (*Fig10Result, error) {
+// nodes, per seeding policy. Samples are labelled by policy.
+func Fig10(o Options) (*Result, error) {
 	o = o.withDefaults()
-	res := &Fig10Result{
-		Options:  o,
-		Policies: []core.Policy{core.PolicyMinimal, core.PolicySingle, core.PolicyRedundant},
-		Msgs:     make(map[core.Policy]*metrics.Scalar),
-		Bytes:    make(map[core.Policy]*metrics.Scalar),
+	res := &Result{
+		Title:  fmt.Sprintf("Fig. 10 — fetch traffic per node, %d nodes (both directions)", o.Nodes),
+		Header: []string{"policy", "msgs mean±std", "msgs max", "KB mean", "KB max"},
 	}
-	for _, policy := range res.Policies {
+	for _, policy := range seedingPolicies {
 		policy := policy
-		c, err := newCluster(o, func(cc *core.ClusterConfig) { cc.Core.Policy = policy })
+		s, _, err := runPooled(policy.String(), o, func(cc *core.ClusterConfig) { cc.Core.Policy = policy })
 		if err != nil {
 			return nil, err
 		}
-		outcomes, _, err := runSlots(c, o.Slots)
-		if err != nil {
-			return nil, err
-		}
-		msgs := metrics.NewScalar(nil)
-		bytes := metrics.NewScalar(nil)
-		for _, out := range outcomes {
-			if out.Dead {
-				continue
-			}
-			msgs.Add(float64(out.FetchMsgs))
-			bytes.Add(float64(out.FetchBytes))
-		}
-		res.Msgs[policy] = msgs
-		res.Bytes[policy] = bytes
+		res.add(s, s.Label,
+			s.Msgs.MeanStd(),
+			fmt.Sprintf("%.0f", s.Msgs.Max()),
+			fmt.Sprintf("%.1f", s.Bytes.Mean()/1024),
+			fmt.Sprintf("%.1f", s.Bytes.Max()/1024))
 	}
 	return res, nil
 }
 
-// Render prints Fig. 10 rows.
-func (r *Fig10Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 10 — fetch traffic per node, %d nodes (both directions)\n", r.Options.Nodes)
-	tab := metrics.NewTable("policy", "msgs mean±std", "msgs max", "KB mean", "KB max")
-	for _, p := range r.Policies {
-		tab.AddRow(p.String(),
-			r.Msgs[p].MeanStd(),
-			fmt.Sprintf("%.0f", r.Msgs[p].Max()),
-			fmt.Sprintf("%.1f", r.Bytes[p].Mean()/1024),
-			fmt.Sprintf("%.1f", r.Bytes[p].Max()/1024))
-	}
-	b.WriteString(tab.String())
-	return b.String()
+// table1Rows are the per-round counters of Table 1, in row order.
+var table1Rows = []struct {
+	name string
+	get  func(core.RoundStat) int
+}{
+	{"Messages sent", func(r core.RoundStat) int { return r.MsgsSent }},
+	{"Cells requested", func(r core.RoundStat) int { return r.CellsRequested }},
+	{"Replies received in round", func(r core.RoundStat) int { return r.RepliesInRound }},
+	{"Replies received after round", func(r core.RoundStat) int { return r.RepliesAfterRound }},
+	{"Cells received in round", func(r core.RoundStat) int { return r.CellsInRound }},
+	{"Cells received after round", func(r core.RoundStat) int { return r.CellsAfterRound }},
+	{"Received cells duplicates", func(r core.RoundStat) int { return r.Duplicates }},
+	{"Cells reconstructed", func(r core.RoundStat) int { return r.Reconstructed }},
 }
 
-// Table1Result aggregates per-round fetching statistics (Table 1).
-type Table1Result struct {
-	Options Options
-	Rounds  []Table1Round
-}
-
-// Table1Round is one column of Table 1: means ± stddev over nodes.
-type Table1Round struct {
-	Round          int
-	MsgsSent       *metrics.Scalar
-	CellsRequested *metrics.Scalar
-	RepliesIn      *metrics.Scalar
-	RepliesAfter   *metrics.Scalar
-	CellsIn        *metrics.Scalar
-	CellsAfter     *metrics.Scalar
-	Duplicates     *metrics.Scalar
-	Reconstructed  *metrics.Scalar
-	Coverage       float64 // mean cumulative coverage of F
-}
+// table1Coverage names the last row of Table 1 (a mean, not mean ± std).
+const table1Coverage = "Cumulative coverage of F"
 
 // Table1 reproduces Table 1: fetching-algorithm performance in successive
-// rounds under the redundant seeding policy.
-func Table1(o Options) (*Table1Result, error) {
+// rounds under the redundant seeding policy, as means ± stddev over
+// nodes. Samples are labelled "round 1".."round 4" and carry the row
+// means in Values, keyed by row name.
+func Table1(o Options) (*Result, error) {
 	o = o.withDefaults()
 	c, err := newCluster(o, func(cc *core.ClusterConfig) {
 		cc.Core.Policy = core.PolicyRedundant
@@ -179,145 +112,81 @@ func Table1(o Options) (*Table1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	outcomes, _, err := runSlots(c, o.Slots)
+	outcomes, _, err := runSlots(c.RunSlot, o.Slots)
 	if err != nil {
 		return nil, err
 	}
 	const maxRounds = 4
-	res := &Table1Result{Options: o}
+	res := &Result{
+		Title:  fmt.Sprintf("Table 1 — fetching per round, %d nodes, redundant seeding", o.Nodes),
+		Header: []string{"metric"},
+		Rows:   make([][]string, len(table1Rows)+1),
+	}
+	for i, row := range table1Rows {
+		res.Rows[i] = []string{row.name}
+	}
+	res.Rows[len(table1Rows)] = []string{table1Coverage}
 	for round := 0; round < maxRounds; round++ {
-		tr := Table1Round{
-			Round:          round + 1,
-			MsgsSent:       metrics.NewScalar(nil),
-			CellsRequested: metrics.NewScalar(nil),
-			RepliesIn:      metrics.NewScalar(nil),
-			RepliesAfter:   metrics.NewScalar(nil),
-			CellsIn:        metrics.NewScalar(nil),
-			CellsAfter:     metrics.NewScalar(nil),
-			Duplicates:     metrics.NewScalar(nil),
-			Reconstructed:  metrics.NewScalar(nil),
+		stats := make([]*obsv.Scalar, len(table1Rows))
+		for i := range stats {
+			stats[i] = obsv.NewScalar(nil)
 		}
-		covSum, covN := 0.0, 0
+		coverage := obsv.NewScalar(nil)
 		for _, out := range outcomes {
-			if out.Dead || len(out.Rounds) == 0 {
+			if !out.EligibleAt(o.Core.Deadline) || len(out.Rounds) == 0 {
 				continue
 			}
 			// Nodes that finished before this round carry their final
 			// coverage forward (they sit at ~100%), so the aggregate
 			// matches the paper's cumulative column.
 			if len(out.Rounds) <= round {
-				covSum += out.Rounds[len(out.Rounds)-1].CoverageAfter
-				covN++
+				coverage.Add(out.Rounds[len(out.Rounds)-1].CoverageAfter)
 				continue
 			}
 			rs := out.Rounds[round]
-			tr.MsgsSent.Add(float64(rs.MsgsSent))
-			tr.CellsRequested.Add(float64(rs.CellsRequested))
-			tr.RepliesIn.Add(float64(rs.RepliesInRound))
-			tr.RepliesAfter.Add(float64(rs.RepliesAfterRound))
-			tr.CellsIn.Add(float64(rs.CellsInRound))
-			tr.CellsAfter.Add(float64(rs.CellsAfterRound))
-			tr.Duplicates.Add(float64(rs.Duplicates))
-			tr.Reconstructed.Add(float64(rs.Reconstructed))
-			covSum += rs.CoverageAfter
-			covN++
+			for i, row := range table1Rows {
+				stats[i].Add(float64(row.get(rs)))
+			}
+			coverage.Add(rs.CoverageAfter)
 		}
-		if covN > 0 {
-			tr.Coverage = covSum / float64(covN)
+		s := &Sample{Label: fmt.Sprintf("round %d", round+1), Values: map[string]float64{
+			table1Coverage: coverage.Mean(),
+		}}
+		res.Header = append(res.Header, s.Label)
+		for i, row := range table1Rows {
+			s.Values[row.name] = stats[i].Mean()
+			res.Rows[i] = append(res.Rows[i], stats[i].MeanStd())
 		}
-		res.Rounds = append(res.Rounds, tr)
+		res.Rows[len(table1Rows)] = append(res.Rows[len(table1Rows)], fmt.Sprintf("%.0f%%", coverage.Mean()*100))
+		res.Samples = append(res.Samples, s)
 	}
 	return res, nil
-}
-
-// Render prints Table 1.
-func (r *Table1Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 1 — fetching per round, %d nodes, redundant seeding\n", r.Options.Nodes)
-	tab := metrics.NewTable("metric", "round 1", "round 2", "round 3", "round 4")
-	row := func(name string, get func(Table1Round) string) {
-		cells := []string{name}
-		for _, tr := range r.Rounds {
-			cells = append(cells, get(tr))
-		}
-		tab.AddRow(cells...)
-	}
-	row("Messages sent", func(t Table1Round) string { return t.MsgsSent.MeanStd() })
-	row("Cells requested", func(t Table1Round) string { return t.CellsRequested.MeanStd() })
-	row("Replies received in round", func(t Table1Round) string { return t.RepliesIn.MeanStd() })
-	row("Replies received after round", func(t Table1Round) string { return t.RepliesAfter.MeanStd() })
-	row("Cells received in round", func(t Table1Round) string { return t.CellsIn.MeanStd() })
-	row("Cells received after round", func(t Table1Round) string { return t.CellsAfter.MeanStd() })
-	row("Received cells duplicates", func(t Table1Round) string { return t.Duplicates.MeanStd() })
-	row("Cells reconstructed", func(t Table1Round) string { return t.Reconstructed.MeanStd() })
-	row("Cumulative coverage of F", func(t Table1Round) string { return fmt.Sprintf("%.0f%%", t.Coverage*100) })
-	b.WriteString(tab.String())
-	return b.String()
-}
-
-// Fig11Result compares adaptive and constant fetching.
-type Fig11Result struct {
-	Options          Options
-	AdaptiveSampling *metrics.Distribution
-	ConstantSampling *metrics.Distribution
-	AdaptiveMsgs     *metrics.Scalar
-	ConstantMsgs     *metrics.Scalar
 }
 
 // Fig11 reproduces Fig. 11: adaptive fetching versus a constant strategy
-// (fixed 400 ms timeout, redundancy 1) under redundant seeding.
-func Fig11(o Options) (*Fig11Result, error) {
+// (fixed 400 ms timeout, redundancy 1) under redundant seeding. Samples
+// are labelled "adaptive" and "constant".
+func Fig11(o Options) (*Result, error) {
 	o = o.withDefaults()
-	run := func(constant bool) (*metrics.Distribution, *metrics.Scalar, error) {
-		c, err := newCluster(o, func(cc *core.ClusterConfig) {
+	res := &Result{
+		Title:  fmt.Sprintf("Fig. 11 — adaptive vs constant fetching, %d nodes", o.Nodes),
+		Header: []string{"strategy", "median ms", "P99 ms", "max ms", "on-time%", "msgs mean±std"},
+	}
+	for _, strategy := range []struct{ label, row string }{
+		{"adaptive", "adaptive"},
+		{"constant", "constant(t=400ms,k=1)"},
+	} {
+		constant := strategy.label == "constant"
+		s, _, err := runPooled(strategy.label, o, func(cc *core.ClusterConfig) {
 			cc.Core.Policy = core.PolicyRedundant
 			if constant {
-				cc.Core.Schedule = constantSchedule()
+				cc.Core.Schedule = fetch.ConstantSchedule(400*time.Millisecond, 1)
 			}
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		outcomes, _, err := runSlots(c, o.Slots)
-		if err != nil {
-			return nil, nil, err
-		}
-		var samp []time.Duration
-		msgs := metrics.NewScalar(nil)
-		for _, out := range outcomes {
-			if out.Dead {
-				continue
-			}
-			samp = append(samp, out.Sampling)
-			msgs.Add(float64(out.FetchMsgs))
-		}
-		return metrics.NewDistribution(samp), msgs, nil
-	}
-	var err error
-	res := &Fig11Result{Options: o}
-	if res.AdaptiveSampling, res.AdaptiveMsgs, err = run(false); err != nil {
-		return nil, err
-	}
-	if res.ConstantSampling, res.ConstantMsgs, err = run(true); err != nil {
-		return nil, err
+		res.add(s, append(phaseCells(s.Sampling, o.Core.Deadline, strategy.row), s.Msgs.MeanStd())...)
 	}
 	return res, nil
-}
-
-// Render prints Fig. 11 rows.
-func (r *Fig11Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 11 — adaptive vs constant fetching, %d nodes\n", r.Options.Nodes)
-	tab := metrics.NewTable("strategy", "median ms", "P99 ms", "max ms", "on-time%", "msgs mean±std")
-	deadline := r.Options.Core.Deadline
-	tab.AddRow("adaptive",
-		fmtMs(r.AdaptiveSampling.Median()), fmtMs(r.AdaptiveSampling.Percentile(99)), fmtMs(r.AdaptiveSampling.Max()),
-		fmt.Sprintf("%.1f", 100*r.AdaptiveSampling.FractionWithin(deadline)),
-		r.AdaptiveMsgs.MeanStd())
-	tab.AddRow("constant(t=400ms,k=1)",
-		fmtMs(r.ConstantSampling.Median()), fmtMs(r.ConstantSampling.Percentile(99)), fmtMs(r.ConstantSampling.Max()),
-		fmt.Sprintf("%.1f", 100*r.ConstantSampling.FractionWithin(deadline)),
-		r.ConstantMsgs.MeanStd())
-	b.WriteString(tab.String())
-	return b.String()
 }

@@ -10,15 +10,14 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"os"
 	"sort"
 	"strings"
+	"time"
 
 	"pandas/internal/adversary"
+	"pandas/internal/core"
 )
-
-// Renderer is the uniform result contract: every experiment returns a
-// value that renders the corresponding paper table/figure as text.
-type Renderer interface{ Render() string }
 
 // Params carries the cross-experiment knobs a CLI binds once and every
 // experiment reads from. Zero values mean "use the experiment default";
@@ -172,7 +171,7 @@ type Experiment struct {
 	// (nil if it only uses the base options).
 	Flags func(*FlagBinder)
 	// Run executes the experiment.
-	Run func(Options, *Params) (Renderer, error)
+	Run func(Options, *Params) (*Result, error)
 }
 
 // registry holds the experiments in paper order (the -list order).
@@ -262,69 +261,108 @@ func ListText() string {
 
 func init() {
 	register(Experiment{Name: "fig9", Desc: "phase-time distributions per seeding policy (Fig. 9a-d)",
-		Run: func(o Options, _ *Params) (Renderer, error) { return Fig9(o) }})
+		Run: func(o Options, _ *Params) (*Result, error) { return Fig9(o) }})
 	register(Experiment{Name: "fig10", Desc: "per-node fetch traffic per policy (Fig. 10)",
-		Run: func(o Options, _ *Params) (Renderer, error) { return Fig10(o) }})
+		Run: func(o Options, _ *Params) (*Result, error) { return Fig10(o) }})
 	register(Experiment{Name: "table1", Desc: "per-round fetching statistics (Table 1)",
-		Run: func(o Options, _ *Params) (Renderer, error) { return Table1(o) }})
+		Run: func(o Options, _ *Params) (*Result, error) { return Table1(o) }})
 	register(Experiment{Name: "fig11", Desc: "adaptive vs constant fetching (Fig. 11)",
-		Run: func(o Options, _ *Params) (Renderer, error) { return Fig11(o) }})
+		Run: func(o Options, _ *Params) (*Result, error) { return Fig11(o) }})
 	register(Experiment{Name: "fig12", Desc: "PANDAS vs GossipSub vs DHT at one scale (Fig. 12)",
-		Run: func(o Options, _ *Params) (Renderer, error) { return Fig12(o) }})
+		Run: func(o Options, _ *Params) (*Result, error) { return Fig12(o) }})
 	register(Experiment{Name: "fig13", Desc: "PANDAS scaling sweep (Fig. 13)",
 		Flags: func(b *FlagBinder) { b.Sizes() },
-		Run:   func(o Options, p *Params) (Renderer, error) { return Fig13(o, p.Sizes) }})
+		Run:   func(o Options, p *Params) (*Result, error) { return Fig13(o, p.Sizes) }})
 	register(Experiment{Name: "fig14", Desc: "system comparison across scales (Fig. 14)",
 		Flags: func(b *FlagBinder) { b.Sizes() },
-		Run:   func(o Options, p *Params) (Renderer, error) { return Fig14(o, p.Sizes) }})
+		Run:   func(o Options, p *Params) (*Result, error) { return Fig14(o, p.Sizes) }})
 	register(Experiment{Name: "fig15a", Desc: "dead-node sweep (Fig. 15a)",
 		Flags: func(b *FlagBinder) { b.Fractions() },
-		Run:   func(o Options, p *Params) (Renderer, error) { return Fig15(o, FaultDead, p.Fractions) }})
+		Run:   func(o Options, p *Params) (*Result, error) { return Fig15(o, FaultDead, p.Fractions) }})
 	register(Experiment{Name: "fig15b", Desc: "out-of-view sweep (Fig. 15b)",
 		Flags: func(b *FlagBinder) { b.Fractions() },
-		Run:   func(o Options, p *Params) (Renderer, error) { return Fig15(o, FaultOutOfView, p.Fractions) }})
+		Run:   func(o Options, p *Params) (*Result, error) { return Fig15(o, FaultOutOfView, p.Fractions) }})
 	register(Experiment{Name: "churn", Desc: "dynamic membership: churn rate vs sampling-deadline success",
 		Flags: func(b *FlagBinder) { b.Rates() },
-		Run:   func(o Options, p *Params) (Renderer, error) { return Churn(o, p.Rates) }})
+		Run:   func(o Options, p *Params) (*Result, error) { return Churn(o, p.Rates) }})
 	register(Experiment{Name: "ablation", Desc: "builder seeding-redundancy sweep (design knob, paper 9)",
 		Flags: func(b *FlagBinder) { b.Sizes() },
-		Run:   func(o Options, p *Params) (Renderer, error) { return Ablation(o, p.Sizes) }})
+		Run:   func(o Options, p *Params) (*Result, error) { return Ablation(o, p.Sizes) }})
 	register(Experiment{Name: "validate", Desc: "metadata vs real data plane cross-validation (8.2)",
-		Run: func(o Options, _ *Params) (Renderer, error) { return Validate(o) }})
+		Run: func(o Options, _ *Params) (*Result, error) { return Validate(o) }})
 	register(Experiment{Name: "confidence", Desc: "sampling false-positive analysis (Section 3)",
 		Flags: func(b *FlagBinder) { b.Trials() },
-		Run: func(o Options, p *Params) (Renderer, error) {
+		Run: func(o Options, p *Params) (*Result, error) {
 			o = o.withDefaults()
 			return Confidence(o.Core.Blob.N(), nil, p.Trials, o.Seed), nil
 		}})
 	register(Experiment{Name: "adversary", Desc: "withholding detection + byzantine-fraction sweep (threat model)",
 		Flags: func(b *FlagBinder) { b.Behavior(); b.Fractions(); b.Trials() },
-		Run: func(o Options, p *Params) (Renderer, error) {
+		Run: func(o Options, p *Params) (*Result, error) {
 			return Adversary(o, p.Behavior, p.Fractions, p.Trials)
 		}})
 	register(Experiment{Name: "withholding", Desc: "withholding-detection table only (cluster vs Monte Carlo)",
 		Flags: func(b *FlagBinder) { b.Trials() },
-		Run:   func(o Options, p *Params) (Renderer, error) { return Withholding(o, nil, p.Trials) }})
+		Run:   func(o Options, p *Params) (*Result, error) { return Withholding(o, nil, p.Trials) }})
 	register(Experiment{Name: "byzantine", Desc: "byzantine-fraction sweep only",
 		Flags: func(b *FlagBinder) { b.Behavior(); b.Fractions() },
-		Run:   func(o Options, p *Params) (Renderer, error) { return Byzantine(o, p.Behavior, p.Fractions) }})
+		Run:   func(o Options, p *Params) (*Result, error) { return Byzantine(o, p.Behavior, p.Fractions) }})
 	register(Experiment{Name: "gateway", Desc: "sampling-gateway load: coalescing/cache under 100k+ light clients",
 		Flags: func(b *FlagBinder) { b.Gateway() },
-		Run: func(o Options, p *Params) (Renderer, error) {
+		Run: func(o Options, p *Params) (*Result, error) {
 			return GatewayLoad(o, GatewayLoadOptions{
 				Clients: p.Clients, QueriesPerClient: p.QueriesPerClient, ZipfS: p.Zipf,
 			})
 		}})
 	register(Experiment{Name: "scale", Desc: "simulator capacity: bytes/node, event throughput, deadline rate vs N",
 		Flags: func(b *FlagBinder) { b.Sizes() },
-		Run:   func(o Options, p *Params) (Renderer, error) { return Scale(o, p.Sizes) }})
+		Run:   func(o Options, p *Params) (*Result, error) { return Scale(o, p.Sizes) }})
 	register(Experiment{Name: "swarm", Desc: "multi-process deployment: real UDP, discovery, crash-restart (one process per node)",
 		Flags: func(b *FlagBinder) { b.Fractions() },
-		Run: func(o Options, p *Params) (Renderer, error) {
+		Run: func(o Options, p *Params) (*Result, error) {
 			kill := 0.0
 			if len(p.Fractions) > 0 {
 				kill = p.Fractions[0]
 			}
 			return Swarm(o, kill)
 		}})
+	register(Experiment{Name: "all", Desc: "the evaluation suite: every table and figure of Section 8 in one report (the source of EXPERIMENTS.md)",
+		Flags: func(b *FlagBinder) { b.Sizes() },
+		Run:   runAll})
+}
+
+// runAll runs the paper's evaluation suite in the paper's order, each
+// step through its registry entry, as one result with a part per step.
+// -sizes sets the scaling sweep of fig13/fig14 (default nodes/2, nodes).
+func runAll(o Options, p *Params) (*Result, error) {
+	o = o.withDefaults()
+	params := *p
+	if len(params.Sizes) == 0 {
+		params.Sizes = []int{o.Nodes / 2, o.Nodes}
+	}
+	res := &Result{Title: fmt.Sprintf("PANDAS evaluation suite — %d nodes, %d slots, geometry %dx%d",
+		o.Nodes, o.Slots, o.Core.Blob.N(), o.Core.Blob.N())}
+	for _, name := range []string{"confidence", "fig9", "fig10", "table1", "fig11", "fig12",
+		"fig13", "fig14", "fig15a", "fig15b", "validate"} {
+		so := o
+		if name == "validate" {
+			// The real data plane erasure-codes actual bytes; at the full
+			// 512x512 geometry a single blob extension is minutes of CPU, so
+			// the cross-validation always runs on the scaled-down geometry
+			// (identical code paths).
+			so.Core = core.TestConfig()
+			if so.Nodes > 200 {
+				so.Nodes = 200
+			}
+		}
+		e, _ := Lookup(name)
+		start := time.Now()
+		part, err := e.Run(so, &params)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		fmt.Fprintf(os.Stderr, "all: %s completed in %v\n", name, time.Since(start).Round(time.Millisecond))
+		res.Parts = append(res.Parts, part)
+	}
+	return res, nil
 }

@@ -11,47 +11,29 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"time"
-
-	"pandas/internal/metrics"
 )
-
-// ScalePoint is one network size of the capacity sweep.
-type ScalePoint struct {
-	Nodes int
-	// BytesPerNode is the post-GC heap growth from building and running
-	// the cluster, divided by N: the resident cost of one simulated
-	// node (stores, views, routing state, amortized event pool).
-	BytesPerNode float64
-	// Events is the total discrete events executed across all slots.
-	Events uint64
-	// EventsPerSec is Events divided by the wall-clock run time.
-	EventsPerSec float64
-	// Wall is the wall-clock time of the slot runs (excludes build).
-	Wall time.Duration
-	// Build is the wall-clock time of cluster construction.
-	Build time.Duration
-	// DeadlineRate is the fraction of live nodes sampling on time.
-	DeadlineRate float64
-}
-
-// ScaleResult holds the capacity sweep.
-type ScaleResult struct {
-	Options Options
-	Points  []ScalePoint
-}
 
 // Scale runs a metadata-mode cluster at each size and reports the
 // simulator's resource profile. Memory is measured as the post-GC
 // HeapAlloc delta around build+run, so it reflects state the cluster
 // retains, not transient garbage.
-func Scale(o Options, sizes []int) (*ScaleResult, error) {
+//
+// Samples are labelled by size; Values carries "bytes/node" (the heap
+// growth divided by N: the resident cost of one simulated node — stores,
+// views, routing state, amortized event pool), "events" (discrete events
+// executed across all slots) and "events/sec" (over the wall-clock time
+// of the slot runs, build excluded).
+func Scale(o Options, sizes []int) (*Result, error) {
 	o = o.withDefaults()
 	if len(sizes) == 0 {
 		sizes = []int{1000, 10000}
 	}
-	res := &ScaleResult{Options: o, Points: make([]ScalePoint, 0, len(sizes))}
+	res := &Result{
+		Title: fmt.Sprintf("Simulator capacity — metadata mode, %d slots, geometry %dx%d",
+			o.Slots, o.Core.Blob.N(), o.Core.Blob.N()),
+		Header: []string{"nodes", "bytes/node", "events", "events/sec", "build", "run", "on-time%"},
+	}
 	for _, n := range sizes {
 		ro := o
 		ro.Nodes = n
@@ -67,7 +49,7 @@ func Scale(o Options, sizes []int) (*ScaleResult, error) {
 		build := time.Since(buildStart)
 
 		runStart := time.Now()
-		outcomes, _, err := runSlots(c, ro.Slots)
+		outcomes, _, err := runSlots(c.RunSlot, ro.Slots)
 		if err != nil {
 			return nil, err
 		}
@@ -80,48 +62,21 @@ func Scale(o Options, sizes []int) (*ScaleResult, error) {
 		// (and everything it retains) stays reachable across the GC.
 		events := c.Network().Engine().Executed()
 
-		p := ScalePoint{Nodes: n, Events: events, Wall: wall, Build: build}
+		s := pool(fmt.Sprintf("%d", n), outcomes, ro.Core.Deadline, nil)
+		s.Values = map[string]float64{"events": float64(events)}
 		if after.HeapAlloc > before.HeapAlloc {
-			p.BytesPerNode = float64(after.HeapAlloc-before.HeapAlloc) / float64(n)
+			s.Values["bytes/node"] = float64(after.HeapAlloc-before.HeapAlloc) / float64(n)
 		}
 		if wall > 0 {
-			p.EventsPerSec = float64(events) / wall.Seconds()
+			s.Values["events/sec"] = float64(events) / wall.Seconds()
 		}
-		live, onTime := 0, 0
-		for _, out := range outcomes {
-			if out.Dead {
-				continue
-			}
-			live++
-			if out.Sampling >= 0 && out.Sampling <= ro.Core.Deadline {
-				onTime++
-			}
-		}
-		if live > 0 {
-			p.DeadlineRate = float64(onTime) / float64(live)
-		}
-		res.Points = append(res.Points, p)
+		res.add(s, s.Label,
+			fmt.Sprintf("%.0f", s.Values["bytes/node"]),
+			fmt.Sprintf("%d", events),
+			fmt.Sprintf("%.0f", s.Values["events/sec"]),
+			build.Round(time.Millisecond).String(),
+			wall.Round(time.Millisecond).String(),
+			s.onTimePct())
 	}
 	return res, nil
-}
-
-// Render prints the capacity table.
-func (r *ScaleResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Simulator capacity — metadata mode, %d slots, geometry %dx%d\n",
-		r.Options.Slots, r.Options.Core.Blob.N(), r.Options.Core.Blob.N())
-	tab := metrics.NewTable("nodes", "bytes/node", "events", "events/sec", "build", "run", "on-time%")
-	for _, p := range r.Points {
-		tab.AddRow(
-			fmt.Sprintf("%d", p.Nodes),
-			fmt.Sprintf("%.0f", p.BytesPerNode),
-			fmt.Sprintf("%d", p.Events),
-			fmt.Sprintf("%.0f", p.EventsPerSec),
-			p.Build.Round(time.Millisecond).String(),
-			p.Wall.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.1f", 100*p.DeadlineRate),
-		)
-	}
-	b.WriteString(tab.String())
-	return b.String()
 }

@@ -14,23 +14,23 @@ func TestScaleSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 2 {
-		t.Fatalf("points = %d", len(res.Points))
+	if len(res.Samples) != 2 {
+		t.Fatalf("points = %d", len(res.Samples))
 	}
-	for _, p := range res.Points {
-		if p.Events == 0 {
-			t.Fatalf("N=%d: no events executed", p.Nodes)
+	for _, p := range res.Samples {
+		if p.Values["events"] == 0 {
+			t.Fatalf("N=%s: no events executed", p.Label)
 		}
-		if p.EventsPerSec <= 0 {
-			t.Fatalf("N=%d: events/sec = %v", p.Nodes, p.EventsPerSec)
+		if p.Values["events/sec"] <= 0 {
+			t.Fatalf("N=%s: events/sec = %v", p.Label, p.Values["events/sec"])
 		}
-		if p.DeadlineRate <= 0 {
-			t.Fatalf("N=%d: no node sampled on time", p.Nodes)
+		if p.OnTimeRate() <= 0 {
+			t.Fatalf("N=%s: no node sampled on time", p.Label)
 		}
 	}
 	// More nodes means more work.
-	if res.Points[1].Events <= res.Points[0].Events {
-		t.Fatalf("events did not grow with N: %d vs %d", res.Points[0].Events, res.Points[1].Events)
+	if small, big := res.Sample("60").Values["events"], res.Sample("120").Values["events"]; big <= small {
+		t.Fatalf("events did not grow with N: %.0f vs %.0f", small, big)
 	}
 	out := res.Render()
 	if !strings.Contains(out, "bytes/node") || !strings.Contains(out, "events/sec") {
@@ -48,11 +48,11 @@ func BenchmarkSimnetScale100k(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		p := res.Points[0]
-		if p.DeadlineRate < 0.9 {
-			b.Fatalf("100k-node run missed the sampling deadline: on-time %.1f%%", 100*p.DeadlineRate)
+		p := res.Samples[0]
+		if p.OnTimeRate() < 0.9 {
+			b.Fatalf("100k-node run missed the sampling deadline: on-time %.1f%%", 100*p.OnTimeRate())
 		}
-		b.ReportMetric(p.BytesPerNode, "bytes/node")
-		b.ReportMetric(p.EventsPerSec, "events/sec")
+		b.ReportMetric(p.Values["bytes/node"], "bytes/node")
+		b.ReportMetric(p.Values["events/sec"], "events/sec")
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"strings"
 
 	"pandas/internal/swarm"
 )
@@ -16,7 +17,7 @@ import (
 // per-slot fraction of worker processes killed mid-slot (0 disables
 // fault injection); victims are restarted by the supervisor and must
 // rejoin the live deployment.
-func Swarm(o Options, kill float64) (*swarm.Result, error) {
+func Swarm(o Options, kill float64) (*Result, error) {
 	n := o.Nodes
 	if n == 0 {
 		// The simnet default of 1,000 nodes would mean 1,000 OS
@@ -37,7 +38,7 @@ func Swarm(o Options, kill float64) (*swarm.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("build worker binary: %w", err)
 	}
-	return swarm.Run(swarm.Options{
+	run, err := swarm.Run(swarm.Options{
 		N:             n,
 		Slots:         slots,
 		Seed:          o.Seed,
@@ -46,4 +47,20 @@ func Swarm(o Options, kill float64) (*swarm.Result, error) {
 		Command:       swarm.NodeBinaryCommand(bin),
 		ScrapeMetrics: true,
 	})
+	if err != nil {
+		return nil, err
+	}
+	return swarmResult(run), nil
+}
+
+// swarmResult wraps a swarm run: the table is the one pandas-swarm
+// prints (swarm.Result.Render), and each slot is pooled like a simnet
+// slot into a sample labelled by slot number.
+func swarmResult(run *swarm.Result) *Result {
+	lines := strings.Split(strings.TrimRight(run.Render(), "\n"), "\n")
+	res := &Result{Title: lines[0], Footer: lines[1:]}
+	for _, sr := range run.SlotResults {
+		res.Samples = append(res.Samples, pool(fmt.Sprintf("%d", sr.Slot), sr.Outcomes, run.Geometry.Deadline, nil))
+	}
+	return res
 }

@@ -2,37 +2,32 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"pandas/internal/core"
-	"pandas/internal/metrics"
 )
 
-// ValidationResult cross-validates the two simulation modes, mirroring
-// the paper's §8.2 "Simulator validation" (prototype vs PeerSim): the
+// Validate cross-validates the two simulation modes, mirroring the
+// paper's §8.2 "Simulator validation" (prototype vs PeerSim): the
 // metadata-cell mode (used for large scales) is compared against the
 // full data plane (real payloads, erasure decoding, commitment
-// verification) on identical deployments.
-type ValidationResult struct {
-	Options  Options
-	Metadata PhaseTimes
-	Real     PhaseTimes
-	// MedianGap is |median_meta - median_real| / median_real for
-	// time-to-sampling; small values validate the metadata shortcut.
-	MedianGap float64
-}
-
-// Validate runs both modes at the same scale and compares distributions.
-func Validate(o Options) (*ValidationResult, error) {
+// verification) on identical deployments. Samples are labelled
+// "metadata" and "real"; the "real" sample's Values["median gap"] is
+// |median_meta - median_real| / median_real for time-to-sampling, where
+// small values validate the metadata shortcut.
+func Validate(o Options) (*Result, error) {
 	o = o.withDefaults()
-	run := func(real bool) (PhaseTimes, error) {
+	res := &Result{
+		Title:  fmt.Sprintf("Simulator validation — metadata vs real data plane, %d nodes", o.Nodes),
+		Header: []string{"mode", "seed P99", "cons median", "sample median", "sample P99"},
+	}
+	for _, mode := range []string{"metadata", "real"} {
+		real := mode == "real"
 		c, err := newCluster(o, func(cc *core.ClusterConfig) {
 			cc.Core.Policy = core.PolicyRedundant
 			cc.Core.RealPayloads = real
 		})
 		if err != nil {
-			return PhaseTimes{}, err
+			return nil, fmt.Errorf("%s mode: %w", mode, err)
 		}
 		if real {
 			data := make([]byte, o.Core.Blob.BlobBytes())
@@ -40,60 +35,29 @@ func Validate(o Options) (*ValidationResult, error) {
 				data[i] = byte(i * 131)
 			}
 			if err := c.Builder().PrepareBlob(data); err != nil {
-				return PhaseTimes{}, err
+				return nil, fmt.Errorf("%s mode: %w", mode, err)
 			}
 		}
-		outcomes, _, err := runSlots(c, o.Slots)
+		outcomes, _, err := runSlots(c.RunSlot, o.Slots)
 		if err != nil {
-			return PhaseTimes{}, err
+			return nil, fmt.Errorf("%s mode: %w", mode, err)
 		}
-		return phaseTimes(outcomes), nil
+		s := pool(mode, outcomes, o.Core.Deadline, nil)
+		res.add(s, mode,
+			fmtMs(s.Seeding.Percentile(99)),
+			fmtMs(s.Cons.Median()),
+			fmtMs(s.Sampling.Median()),
+			fmtMs(s.Sampling.Percentile(99)))
 	}
-	meta, err := run(false)
-	if err != nil {
-		return nil, fmt.Errorf("metadata mode: %w", err)
-	}
-	real, err := run(true)
-	if err != nil {
-		return nil, fmt.Errorf("real mode: %w", err)
-	}
-	res := &ValidationResult{Options: o, Metadata: meta, Real: real}
-	mm, mr := meta.Sampling.Median(), real.Sampling.Median()
+	mm, mr := res.Samples[0].Sampling.Median(), res.Samples[1].Sampling.Median()
+	gap := 0.0
 	if mr > 0 {
-		gap := mm - mr
+		gap = float64(mm-mr) / float64(mr)
 		if gap < 0 {
 			gap = -gap
 		}
-		res.MedianGap = float64(gap) / float64(mr)
 	}
+	res.Samples[1].Values = map[string]float64{"median gap": gap}
+	res.Footer = []string{fmt.Sprintf("sampling median gap: %.1f%%", 100*gap)}
 	return res, nil
-}
-
-// Render prints the validation comparison.
-func (r *ValidationResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Simulator validation — metadata vs real data plane, %d nodes\n", r.Options.Nodes)
-	tab := metrics.NewTable("mode", "seed P99", "cons median", "sample median", "sample P99")
-	row := func(name string, pt PhaseTimes) {
-		tab.AddRow(name,
-			fmtMs(pt.Seeding.Percentile(99)),
-			fmtMs(pt.ConsFromStart.Median()),
-			fmtMs(pt.Sampling.Median()),
-			fmtMs(pt.Sampling.Percentile(99)))
-	}
-	row("metadata", r.Metadata)
-	row("real", r.Real)
-	b.WriteString(tab.String())
-	fmt.Fprintf(&b, "sampling median gap: %.1f%%\n", 100*r.MedianGap)
-	return b.String()
-}
-
-// phaseDurations is a helper for tests: extracts the sampling values.
-func phaseDurations(d *metrics.Distribution) []time.Duration {
-	pts := d.CDF(d.Count())
-	out := make([]time.Duration, len(pts))
-	for i, p := range pts {
-		out[i] = p.Value
-	}
-	return out
 }

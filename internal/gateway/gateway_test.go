@@ -509,11 +509,11 @@ func TestQueryStress(t *testing.T) {
 	}
 }
 
-// TestOneFetchPerKeyUnderRace: with an upstream that answers at once, a
+// TestFetchCountDeterministic: with an upstream that answers at once, a
 // query can miss the cache, lose the CPU while the flight for its key
 // caches the cell and retires, and then create a second flight. The
 // gateway must still fetch every distinct cell exactly once.
-func TestOneFetchPerKeyUnderRace(t *testing.T) {
+func TestFetchCountDeterministic(t *testing.T) {
 	up := UpstreamFunc(func(ctx context.Context, slot uint64, id blob.CellID) (wire.Cell, error) {
 		return testCell(id), nil
 	})

@@ -1,14 +1,16 @@
-// Package metrics provides the summary statistics the paper's evaluation
-// reports: distributions of completion times with percentiles, CDF
-// series for figures, and mean/stddev aggregates for Table 1.
-package metrics
+package obsv
+
+// Exact summary statistics over the series a SlotTimeline (or a pooled
+// set of node outcomes) produces: distributions of completion times with
+// percentiles, CDF series for figures, and mean/stddev aggregates for
+// Table 1. Every percentile the repository prints outside bench/ is
+// Distribution.Percentile (nearest rank).
 
 import (
 	"fmt"
 	"io"
 	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -42,14 +44,6 @@ func (d *Distribution) Failures() int { return d.failures }
 
 // Total returns successes plus failures.
 func (d *Distribution) Total() int { return len(d.sorted) + d.failures }
-
-// Min returns the smallest sample (0 if empty).
-func (d *Distribution) Min() time.Duration {
-	if len(d.sorted) == 0 {
-		return 0
-	}
-	return d.sorted[0]
-}
 
 // Max returns the largest sample (0 if empty).
 func (d *Distribution) Max() time.Duration {
@@ -93,6 +87,12 @@ func (d *Distribution) Percentile(p float64) time.Duration {
 	return d.sorted[rank-1]
 }
 
+// Within returns the number of samples that completed within the
+// deadline.
+func (d *Distribution) Within(deadline time.Duration) int {
+	return sort.Search(len(d.sorted), func(i int) bool { return d.sorted[i] > deadline })
+}
+
 // FractionWithin returns the fraction of ALL samples (failures included in
 // the denominator) that completed within the deadline — the paper's
 // "met the 4 s deadline" metric.
@@ -100,8 +100,7 @@ func (d *Distribution) FractionWithin(deadline time.Duration) float64 {
 	if d.Total() == 0 {
 		return 0
 	}
-	n := sort.Search(len(d.sorted), func(i int) bool { return d.sorted[i] > deadline })
-	return float64(n) / float64(d.Total())
+	return float64(d.Within(deadline)) / float64(d.Total())
 }
 
 // CDFPoint is one point of a cumulative distribution series.
@@ -133,19 +132,6 @@ func (d *Distribution) CDF(points int) []CDFPoint {
 		})
 	}
 	return out
-}
-
-// Summary formats the distribution like the paper's prose:
-// "median=..., P99=..., max=..., on-time=...%".
-func (d *Distribution) Summary(deadline time.Duration) string {
-	return fmt.Sprintf("n=%d median=%s P99=%s max=%s on-time=%.1f%%",
-		d.Total(),
-		formatMs(d.Median()), formatMs(d.Percentile(99)), formatMs(d.Max()),
-		100*d.FractionWithin(deadline))
-}
-
-func formatMs(d time.Duration) string {
-	return fmt.Sprintf("%dms", d.Milliseconds())
 }
 
 // Scalar summarizes a sample of float64 values (message counts, byte
@@ -211,62 +197,6 @@ func (s *Scalar) MeanStd() string {
 	return fmt.Sprintf("%.0f ± %.0f", s.Mean(), s.StdDev())
 }
 
-// Table renders rows of labeled columns as an aligned text table, the
-// output format of the experiment binaries.
-type Table struct {
-	header []string
-	rows   [][]string
-}
-
-// NewTable creates a table with the given column headers.
-func NewTable(header ...string) *Table { return &Table{header: header} }
-
-// AddRow appends a row; short rows are padded.
-func (t *Table) AddRow(cells ...string) {
-	for len(cells) < len(t.header) {
-		cells = append(cells, "")
-	}
-	t.rows = append(t.rows, cells)
-}
-
-// String renders the table.
-func (t *Table) String() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			if i < len(cells)-1 {
-				b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.header)
-	sep := make([]string, len(t.header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
 // WriteCDFCSV writes a CDF as "ms,fraction" rows, ready for gnuplot or
 // matplotlib — the format used to regenerate the paper's figures as
 // plots rather than tables.
@@ -276,36 +206,6 @@ func (d *Distribution) WriteCDFCSV(w io.Writer, points int) error {
 	}
 	for _, pt := range d.CDF(points) {
 		if _, err := fmt.Fprintf(w, "%d,%.6f\n", pt.Value.Milliseconds(), pt.Fraction); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteCSV renders the table as CSV.
-func (t *Table) WriteCSV(w io.Writer) error {
-	writeRow := func(cells []string) error {
-		for i, c := range cells {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			if _, err := io.WriteString(w, c); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(w, "\n")
-		return err
-	}
-	if err := writeRow(t.header); err != nil {
-		return err
-	}
-	for _, row := range t.rows {
-		if err := writeRow(row); err != nil {
 			return err
 		}
 	}

@@ -80,7 +80,7 @@ func (st *SlotTimeline) Nodes() []*NodeTimeline {
 
 // Durations returns the phase-completion durations relative to the slot
 // start, in ascending node order — exactly the series the legacy
-// NodeOutcome aggregation feeds metrics.NewDistribution. A node that
+// NodeOutcome aggregation feeds NewDistribution. A node that
 // never completed the phase yields -1 (the distribution's failure
 // marker). include filters nodes (nil: all traced nodes); the cluster
 // passes the same liveness filter the legacy path applies to outcomes.

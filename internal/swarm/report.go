@@ -2,8 +2,6 @@ package swarm
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -24,21 +22,18 @@ type SlotResult struct {
 	Rejoined     int // restarted workers that re-acked the Start mid-slot
 }
 
-// DeadlineMet counts eligible nodes that finished sampling within d.
-// Eligible excludes nodes that were dead the whole slot and mid-slot
-// rejoiners (measured as catch-up, matching the simnet's EligibleAt
-// convention).
-func (sr SlotResult) DeadlineMet(d time.Duration) (met, eligible int) {
+// Sampling is the distribution of sampling times over the slot's
+// eligible nodes (core.NodeOutcome.EligibleAt, the rule the simnet
+// experiments pool by: not dead the whole slot, not killed before the
+// deadline d, and not a mid-slot rejoiner, which is measured as catch-up).
+func (sr SlotResult) Sampling(d time.Duration) *obsv.Distribution {
+	var samples []time.Duration
 	for _, oc := range sr.Outcomes {
-		if oc.Dead || oc.JoinedAt >= 0 {
-			continue
-		}
-		eligible++
-		if oc.Sampling >= 0 && oc.Sampling <= d {
-			met++
+		if oc.EligibleAt(d) {
+			samples = append(samples, oc.Sampling)
 		}
 	}
-	return met, eligible
+	return obsv.NewDistribution(samples)
 }
 
 // Result is a full swarm run.
@@ -68,25 +63,25 @@ func (r *Result) Render() string {
 	fmt.Fprintf(&b, "%-5s %-9s %-10s %-10s %-10s %-9s %-9s %-9s\n",
 		"slot", "reports", "deadline", "p50-sample", "p99-sample", "fetchmsgs", "restarts", "rejoined")
 	for _, sr := range r.SlotResults {
-		met, eligible := sr.DeadlineMet(r.Geometry.Deadline)
-		rate := "n/a"
-		if eligible > 0 {
-			rate = fmt.Sprintf("%.1f%%", 100*float64(met)/float64(eligible))
+		sampling := sr.Sampling(r.Geometry.Deadline)
+		rate, p50, p99 := "n/a", "n/a", "n/a"
+		if sampling.Total() > 0 {
+			rate = fmt.Sprintf("%.1f%%", 100*sampling.FractionWithin(r.Geometry.Deadline))
 		}
-		var samples []time.Duration
+		if sampling.Count() > 0 {
+			p50 = sampling.Median().Round(time.Millisecond).String()
+			p99 = sampling.Percentile(99).Round(time.Millisecond).String()
+		}
 		fetch := 0
 		for _, oc := range sr.Outcomes {
-			if oc.Sampling >= 0 {
-				samples = append(samples, oc.Sampling)
-			}
 			fetch += oc.FetchMsgs
 		}
 		fmt.Fprintf(&b, "%-5d %-9s %-10s %-10s %-10s %-9d %-9d %-9d\n",
 			sr.Slot,
 			fmt.Sprintf("%d/%d", sr.Reports, r.N),
 			rate,
-			fmtDur(percentile(samples, 0.50)),
-			fmtDur(percentile(samples, 0.99)),
+			p50,
+			p99,
 			fetch,
 			sr.Restarts,
 			sr.Rejoined)
@@ -99,22 +94,4 @@ func (r *Result) Render() string {
 			r.Metrics.Counters["worker_restarts_total"])
 	}
 	return b.String()
-}
-
-// percentile returns the p-quantile of ds (-1 when empty).
-func percentile(ds []time.Duration, p float64) time.Duration {
-	if len(ds) == 0 {
-		return -1
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(math.Ceil(p * float64(len(sorted)-1)))
-	return sorted[i]
-}
-
-func fmtDur(d time.Duration) string {
-	if d < 0 {
-		return "n/a"
-	}
-	return d.Round(time.Millisecond).String()
 }

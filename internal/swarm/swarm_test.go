@@ -6,9 +6,11 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 	"time"
 
+	"pandas/internal/core"
 	"pandas/internal/wire"
 )
 
@@ -117,7 +119,8 @@ func TestSwarmEndToEnd(t *testing.T) {
 		if sampled < res.N-1 {
 			t.Errorf("slot %d: only %d/%d nodes sampled", sr.Slot, sampled, res.N)
 		}
-		met, eligible := sr.DeadlineMet(res.Geometry.Deadline)
+		sampling := sr.Sampling(res.Geometry.Deadline)
+		met, eligible := sampling.Within(res.Geometry.Deadline), sampling.Total()
 		if eligible == 0 || met < eligible-1 {
 			t.Errorf("slot %d: deadline met %d/%d", sr.Slot, met, eligible)
 		}
@@ -215,17 +218,26 @@ func TestDeriveIdentitiesMatchAcrossCalls(t *testing.T) {
 func TestRenderEmptyAndPercentile(t *testing.T) {
 	r := &Result{N: 4, Slots: 1, Geometry: DefaultGeometry()}
 	r.SlotResults = []SlotResult{{Slot: 1}}
-	if out := r.Render(); out == "" {
-		t.Fatal("empty render")
+	if out := r.Render(); !strings.Contains(out, "n/a") {
+		t.Fatalf("empty slot should render n/a:\n%s", out)
 	}
-	if got := percentile(nil, 0.5); got != -1 {
-		t.Fatalf("empty percentile = %v", got)
+	// Percentiles are nearest-rank over the eligible nodes: the dead
+	// worker and the mid-slot rejoiner do not count.
+	oc := func(sampling time.Duration) core.NodeOutcome {
+		return core.NodeOutcome{Sampling: sampling, JoinedAt: -1, LeftAt: -1}
 	}
-	ds := []time.Duration{3, 1, 2}
-	if got := percentile(ds, 0.5); got != 2 {
+	dead, rejoined := oc(-1), oc(4)
+	dead.Dead = true
+	rejoined.JoinedAt = 1
+	sr := SlotResult{Outcomes: []core.NodeOutcome{oc(3), dead, oc(1), rejoined, oc(2)}}
+	d := sr.Sampling(2)
+	if d.Total() != 3 || d.Within(2) != 2 {
+		t.Fatalf("eligible %d, on time %d", d.Total(), d.Within(2))
+	}
+	if got := d.Percentile(50); got != 2 {
 		t.Fatalf("p50 = %v", got)
 	}
-	if got := percentile(ds, 0.99); got != 3 {
+	if got := d.Percentile(99); got != 3 {
 		t.Fatalf("p99 = %v", got)
 	}
 }

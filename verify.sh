@@ -22,6 +22,13 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
+# Fixed-seed outputs must not depend on goroutine scheduling or map
+# order: run the tests that pin them five more times on one and two CPUs,
+# so an output that moves one run in ten fails here.
+echo "== fixed-seed tests x5 at -cpu 1,2 (experiments, core, baseline, gateway)"
+go test -run 'Deterministic|Golden' -count=5 -cpu 1,2 \
+	./internal/experiments ./internal/core ./internal/baseline ./internal/gateway
+
 echo "== go test -race (membership, core, fetch, blob, rs, gf65536, kzg, obsv, transport, wire, adversary, gateway, simnet, swarm)"
 go test -race ./internal/membership ./internal/core ./internal/fetch \
 	./internal/blob ./internal/rs ./internal/gf65536 ./internal/kzg \
@@ -63,6 +70,9 @@ echo "== bench module: go vet + go test"
 		esac
 	done
 )
+
+echo "== evaluation suite smoke (reduced geometry, 60 nodes, 1 slot)"
+go run ./cmd/pandas-sim -small -exp all -nodes 60 -slots 1 >/dev/null
 
 echo "== swarm smoke (8 processes, 1 slot, real UDP)"
 go run ./cmd/pandas-swarm -n 8 -k 4 -samples 4 -slots 1 -timeout 90s -q
