@@ -2,7 +2,9 @@
 // processes (on one machine or a LAN) form a deployment: every process
 // gets the same peers file (one host:port per line; the LAST entry is
 // the builder) and its own index. The process with -builder seeds a blob
-// each slot; the others custody, consolidate, and sample it.
+// each slot; the others follow it from slot to slot (a correctly signed
+// seed for a newer slot starts that slot), custody, consolidate, and
+// sample, and print one line per slot.
 //
 // Example, a four-node deployment plus builder in five shells:
 //
@@ -32,14 +34,11 @@ import (
 	"syscall"
 	"time"
 
-	"pandas/internal/assign"
 	"pandas/internal/blob"
-	"pandas/internal/core"
 	"pandas/internal/gateway"
 	"pandas/internal/kzg"
 	"pandas/internal/obsv"
 	"pandas/internal/swarm"
-	"pandas/internal/transport"
 	"pandas/internal/wire"
 )
 
@@ -76,7 +75,6 @@ func run(args []string) error {
 		return swarm.RunWorker(swarm.WorkerOptions{
 			Supervisor: *swarmSup,
 			Index:      *index,
-			Restarts:   swarm.RestartsFromEnv(),
 			Log:        os.Stderr,
 		})
 	}
@@ -91,13 +89,12 @@ func run(args []string) error {
 		return fmt.Errorf("index %d out of range (%d peers)", *index, len(addrs))
 	}
 	nNodes := len(addrs) - 1 // last entry is the builder
-
-	cfg := core.DefaultConfig()
-	cfg.Blob = blob.Params{K: *k, CellBytes: 64, ProofBytes: 48}
-	cfg.Assign = assign.Params{Rows: *custody, Cols: *custody, N: cfg.Blob.N()}
-	cfg.Samples = *samples
-	cfg.RealPayloads = true
-	if err := cfg.Validate(); err != nil {
+	if *builder != (*index == nNodes) {
+		return fmt.Errorf("-builder goes with the last index (%d) and no other, got index %d", nNodes, *index)
+	}
+	cfg, err := swarm.Geometry{K: *k, Custody: *custody, Samples: *samples,
+		CellBytes: 64, Redundancy: 8}.CoreConfig()
+	if err != nil {
 		return err
 	}
 
@@ -106,12 +103,7 @@ func run(args []string) error {
 		reg = obsv.NewRegistry()
 		cfg.Metrics = reg
 		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if err := reg.Snapshot().WritePrometheus(w); err != nil {
-				fmt.Fprintln(os.Stderr, "pandas-node: metrics write:", err)
-			}
-		})
+		mux.Handle("/metrics", reg)
 		go func() {
 			if err := http.ListenAndServe(*metrics, mux); err != nil {
 				fmt.Fprintln(os.Stderr, "pandas-node: metrics server:", err)
@@ -120,25 +112,45 @@ func run(args []string) error {
 		fmt.Printf("metrics exposition at http://%s/metrics\n", *metrics)
 	}
 
-	// Identities, table, proposer and filler data come from the same
-	// derivations a swarm worker uses, so a hand-launched node and a
-	// swarm node with the same seed agree on who is who.
-	table, err := swarm.NewTableFromSeed(cfg, *seed, nNodes)
+	// The host derives identities, table, proposer and filler data from
+	// the seed exactly as a swarm worker does, so a hand-launched node and
+	// a swarm node with the same seed agree on who is who. A node follows
+	// the builder from slot to slot; each slot yields one report line.
+	var h *swarm.Host
+	var gw *gateway.Gateway
+	if *gwAddr != "" && !*builder {
+		gw, err = gateway.New(gateway.Config{Metrics: reg, Node: int32(*index),
+			Upstream: gateway.UpstreamFunc(func(ctx context.Context, slot uint64, id blob.CellID) (wire.Cell, error) {
+				return peek(ctx, h, slot, id)
+			})})
+		if err != nil {
+			return err
+		}
+		defer gw.Close()
+	}
+	h, err = swarm.NewHost(swarm.HostOptions{Config: cfg, Seed: *seed, Nodes: nNodes, Index: *index,
+		Bind: addrs[*index], Outcome: func(o swarm.Outcome) {
+			if *builder {
+				fmt.Printf("slot %d: seeded %d cells in %d messages (%d KB) to %d nodes\n", o.Slot,
+					o.Seeding.Cells, o.Seeding.Messages, o.Seeding.Bytes/1024, o.Seeding.NodesSeeded)
+				return
+			}
+			m := o.Metrics
+			fmt.Printf("slot %d: seed=%v consolidated=%v sampled=%v\n",
+				o.Slot, m.HasSeed, m.Consolidated, m.Sampled)
+			if gw != nil {
+				gw.StartSlot(o.Slot, kzg.Commitment{}) // advances the cache's retention window
+			}
+		}})
 	if err != nil {
 		return err
 	}
-
-	ep, err := transport.NewUDP(*index, addrs[*index], cfg.Blob.CellBytes)
-	if err != nil {
-		return err
-	}
+	ep := h.Endpoint
 	defer ep.Close()
 	if err := ep.SetPeers(addrs); err != nil {
 		return err
 	}
 	fmt.Printf("pandas-node %d listening on %s (%d peers)\n", *index, ep.Addr(), len(addrs))
-
-	proposer := swarm.DeriveProposer(*seed)
 
 	// Graceful drain: on SIGINT/SIGTERM stop cleanly — close the
 	// transport (deferred above), flush a final metrics snapshot, and
@@ -155,198 +167,119 @@ func run(args []string) error {
 	}
 
 	if *builder {
-		builderID := swarm.DeriveBuilderID(*seed, nNodes)
-		b := core.NewBuilder(cfg, *index, builderID, table, ep, *seed+5)
-		b.SetProposerSigner(func(slot uint64) [wire.SigSize]byte {
-			var sig [wire.SigSize]byte
-			copy(sig[:], proposer.Sign(wire.SeedSigningBytes(slot, builderID)))
-			return sig
-		})
-		if err := b.PrepareBlob(swarm.FillerBlob(cfg)); err != nil {
-			return err
-		}
-		ep.Start(func(from, size int, payload any) {})
-		for s := uint64(1); s <= uint64(*slots); s++ {
-			s := s
-			done := make(chan struct{})
-			ep.Run(func() {
-				report := b.SeedSlot(s)
-				fmt.Printf("slot %d: seeded %d cells in %d messages (%d KB) to %d nodes\n",
-					s, report.Cells, report.Messages, report.Bytes/1024, report.NodesSeeded)
-				if reg != nil {
-					reg.Counter("builder_seed_cells_total").Add(int64(report.Cells))
-					reg.Counter("builder_seed_messages_total").Add(int64(report.Messages))
-					reg.Counter("builder_seed_bytes_total").Add(int64(report.Bytes))
-					reg.Gauge("builder_slot").Set(int64(s))
-				}
-				close(done)
-			})
-			<-done
-			if s < uint64(*slots) {
-				select {
-				case <-time.After(*slotGap):
-				case sig := <-sigc:
-					drain(sig)
-					return nil
-				}
+		for s := 1; s <= *slots; s++ {
+			h.StartSlot(uint64(s))
+			wait := *slotGap
+			if s == *slots {
+				wait = 2 * time.Second // let the last seeds leave the socket before exiting
 			}
-		}
-		// Give responses time to drain before exiting.
-		select {
-		case <-time.After(2 * time.Second):
-		case sig := <-sigc:
-			drain(sig)
+			select {
+			case <-time.After(wait):
+			case sig := <-sigc:
+				drain(sig)
+				return nil
+			}
 		}
 		return nil
 	}
 
-	node := core.NewNode(cfg, *index, table, ep, *seed^int64(*index*7919))
-	node.SetSeedVerification(proposer.Public)
-	ep.Start(func(from, size int, payload any) {
-		node.HandleMessage(from, size, payload)
-	})
-	slot := uint64(1)
-	startSlot := func(s uint64) {
-		done := make(chan struct{})
-		ep.Run(func() { node.StartSlot(s); close(done) })
-		<-done
-	}
-	startSlot(slot)
 	// The machine-parseable readiness probe: supervisors wait for this
 	// line before driving traffic at the process.
 	fmt.Printf("ready index=%d addr=%s custody=%v samples=%d\n",
-		*index, ep.Addr(), table.Assignment(*index).Lines(), cfg.Samples)
+		*index, ep.Addr(), h.Table.Assignment(*index).Lines(), cfg.Samples)
 
-	// Optional sampling-as-a-service frontend: light clients query
-	// (slot, row, col) over HTTP; the gateway coalesces and caches so
-	// the node's event loop sees one Peek per distinct cell, not one
-	// per client. Cells in the node's custody store were verified on
-	// arrival, so the gateway serves them without re-proving.
-	var gw *gateway.Gateway
-	if *gwAddr != "" {
-		up := gateway.UpstreamFunc(func(ctx context.Context, qslot uint64, id blob.CellID) (wire.Cell, error) {
-			type peeked struct {
-				cell wire.Cell
-				err  error
-			}
-			ch := make(chan peeked, 1)
-			ep.Run(func() {
-				// The custody store only ever holds the node's CURRENT
-				// slot; serving a query for any other slot from it would
-				// hand out current-slot bytes mislabeled (and cached) as
-				// that slot. Checked on the event loop, where slot advances.
-				if qslot != slot {
-					ch <- peeked{err: fmt.Errorf("slot %d not in custody (current slot %d)", qslot, slot)}
-					return
-				}
-				c, ok := node.Store().Peek(id)
-				if !ok {
-					ch <- peeked{err: fmt.Errorf("cell %v not in custody", id)}
-					return
-				}
-				if c.Data != nil {
-					// Peek aliases custody state that the node loop may
-					// replace at the next slot; the gateway retains cells
-					// in its cache, so take a private copy here.
-					c.Data = append([]byte(nil), c.Data...)
-				}
-				ch <- peeked{cell: c}
-			})
-			select {
-			case r := <-ch:
-				return r.cell, r.err
-			case <-ctx.Done():
-				return wire.Cell{}, ctx.Err()
-			}
-		})
-		gw, err = gateway.New(gateway.Config{Upstream: up, Metrics: reg, Node: int32(*index)})
-		if err != nil {
-			return err
-		}
-		defer gw.Close()
-		gw.StartSlot(slot, kzg.Commitment{})
-		gmux := http.NewServeMux()
-		gmux.HandleFunc("/v1/cell", func(w http.ResponseWriter, r *http.Request) {
-			q := r.URL.Query()
-			qslot, err1 := strconv.ParseUint(q.Get("slot"), 10, 64)
-			row, err2 := strconv.Atoi(q.Get("row"))
-			col, err3 := strconv.Atoi(q.Get("col"))
-			n := cfg.Blob.N()
-			if err1 != nil || err2 != nil || err3 != nil || row < 0 || row >= n || col < 0 || col >= n {
-				http.Error(w, fmt.Sprintf("need slot, row, col (0..%d)", n-1), http.StatusBadRequest)
-				return
-			}
-			cell, qerr := gw.Query(r.Context(), clientKey(r.RemoteAddr), qslot,
-				blob.CellID{Row: uint16(row), Col: uint16(col)})
-			if qerr != nil {
-				var ra *gateway.RetryAfterError
-				if errors.As(qerr, &ra) {
-					secs := int(ra.After.Seconds() + 0.999)
-					if secs < 1 {
-						secs = 1
-					}
-					w.Header().Set("Retry-After", strconv.Itoa(secs))
-					http.Error(w, qerr.Error(), http.StatusTooManyRequests)
-					return
-				}
-				http.Error(w, qerr.Error(), http.StatusNotFound)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			if err := json.NewEncoder(w).Encode(map[string]any{
-				"slot": qslot, "row": row, "col": col,
-				"data": cell.Data, "proof": cell.Proof[:],
-			}); err != nil {
-				fmt.Fprintln(os.Stderr, "pandas-node: gateway response:", err)
-			}
-		})
+	if gw != nil {
 		go func() {
-			if err := http.ListenAndServe(*gwAddr, gmux); err != nil {
+			if err := http.ListenAndServe(*gwAddr, gatewayMux(gw, cfg.Blob.N())); err != nil {
 				fmt.Fprintln(os.Stderr, "pandas-node: gateway server:", err)
 			}
 		}()
 		fmt.Printf("sampling gateway at http://%s/v1/cell?slot=S&row=R&col=C\n", *gwAddr)
 	}
 
-	ticker := time.NewTicker(500 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		select {
-		case sig := <-sigc:
-			drain(sig)
-			return nil
-		case <-ticker.C:
-		}
-		status := make(chan string, 1)
-		ep.Run(func() {
-			m := node.Metrics()
-			status <- fmt.Sprintf("slot %d: seed=%v consolidated=%v sampled=%v",
-				slot, m.HasSeed, m.Consolidated, m.Sampled)
-			if reg != nil {
-				reg.Gauge("node_slot").Set(int64(slot))
-				reg.Gauge("node_has_seed").Set(boolGauge(m.HasSeed))
-				reg.Gauge("node_consolidated").Set(boolGauge(m.Consolidated))
-				reg.Gauge("node_sampled").Set(boolGauge(m.Sampled))
-				reg.Gauge("node_fetch_msgs_sent").Set(int64(m.FetchMsgsSent))
-				reg.Gauge("node_fetch_msgs_recv").Set(int64(m.FetchMsgsRecv))
-				reg.Gauge("node_fetch_bytes_sent").Set(m.FetchBytesSent)
-				reg.Gauge("node_fetch_bytes_recv").Set(m.FetchBytesRecv)
-			}
-			if m.Sampled && m.Consolidated {
-				if reg != nil {
-					reg.Counter("node_slots_completed_total").Inc()
-					reg.Histogram("node_sampling_seconds", obsv.DefaultLatencyBounds).
-						Observe(m.SampledAt.Seconds())
-				}
-				slot++
-				node.StartSlot(slot)
-				if gw != nil {
-					gw.StartSlot(slot, kzg.Commitment{})
-				}
-			}
-		})
-		fmt.Println(<-status)
+	drain(<-sigc)
+	return nil
+}
+
+// peek is the gateway's upstream: light clients query (slot, row, col)
+// over HTTP; the gateway coalesces and caches so the node's event loop
+// sees one Peek per distinct cell, not one per client. Cells in the node's
+// custody store were verified on arrival, so the gateway serves them
+// without re-proving.
+func peek(ctx context.Context, h *swarm.Host, slot uint64, id blob.CellID) (wire.Cell, error) {
+	type peeked struct {
+		cell wire.Cell
+		err  error
 	}
+	ch := make(chan peeked, 1)
+	h.Endpoint.Run(func() {
+		// The custody store only ever holds the node's CURRENT slot;
+		// serving a query for any other slot from it would hand out
+		// current-slot bytes mislabeled (and cached) as that slot. Checked
+		// on the event loop, where the slot advances.
+		if slot != h.Slot() {
+			ch <- peeked{err: fmt.Errorf("slot %d not in custody (current slot %d)", slot, h.Slot())}
+			return
+		}
+		c, ok := h.Node.Store().Peek(id)
+		if !ok {
+			ch <- peeked{err: fmt.Errorf("cell %v not in custody", id)}
+			return
+		}
+		if c.Data != nil {
+			// Peek aliases custody state that the node loop may replace
+			// at the next slot; the gateway retains cells in its cache, so
+			// take a private copy here.
+			c.Data = append([]byte(nil), c.Data...)
+		}
+		ch <- peeked{cell: c}
+	})
+	select {
+	case r := <-ch:
+		return r.cell, r.err
+	case <-ctx.Done():
+		return wire.Cell{}, ctx.Err()
+	}
+}
+
+// gatewayMux serves /v1/cell?slot=S&row=R&col=C from the gateway; n is the
+// extended matrix width.
+func gatewayMux(gw *gateway.Gateway, n int) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/cell", func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		qslot, err1 := strconv.ParseUint(q.Get("slot"), 10, 64)
+		row, err2 := strconv.Atoi(q.Get("row"))
+		col, err3 := strconv.Atoi(q.Get("col"))
+		if err1 != nil || err2 != nil || err3 != nil || row < 0 || row >= n || col < 0 || col >= n {
+			http.Error(w, fmt.Sprintf("need slot, row, col (0..%d)", n-1), http.StatusBadRequest)
+			return
+		}
+		cell, qerr := gw.Query(r.Context(), clientKey(r.RemoteAddr), qslot,
+			blob.CellID{Row: uint16(row), Col: uint16(col)})
+		if qerr != nil {
+			var ra *gateway.RetryAfterError
+			if errors.As(qerr, &ra) {
+				secs := int(ra.After.Seconds() + 0.999)
+				if secs < 1 {
+					secs = 1
+				}
+				w.Header().Set("Retry-After", strconv.Itoa(secs))
+				http.Error(w, qerr.Error(), http.StatusTooManyRequests)
+				return
+			}
+			http.Error(w, qerr.Error(), http.StatusNotFound)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		if err := json.NewEncoder(w).Encode(map[string]any{
+			"slot": qslot, "row": row, "col": col,
+			"data": cell.Data, "proof": cell.Proof[:],
+		}); err != nil {
+			fmt.Fprintln(os.Stderr, "pandas-node: gateway response:", err)
+		}
+	})
+	return mux
 }
 
 // clientKey folds a remote address into the gateway's per-client
@@ -362,13 +295,6 @@ func clientKey(remoteAddr string) int {
 	h := fnv.New32a()
 	h.Write([]byte(host))
 	return int(h.Sum32())
-}
-
-func boolGauge(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func readPeers(path string) ([]string, error) {

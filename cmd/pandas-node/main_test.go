@@ -35,4 +35,12 @@ func TestRunValidatesFlags(t *testing.T) {
 	if err := run([]string{"-peers", path, "-index", "5"}); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
+	// The builder is the last peers entry and only that one.
+	os.WriteFile(path, []byte("127.0.0.1:9000\n127.0.0.1:9001\n127.0.0.1:9002\n"), 0o644)
+	if err := run([]string{"-peers", path, "-index", "1", "-builder"}); err == nil {
+		t.Fatal("-builder accepted on an index that is not the last")
+	}
+	if err := run([]string{"-peers", path, "-index", "2"}); err == nil {
+		t.Fatal("last index accepted without -builder")
+	}
 }

@@ -1,14 +1,15 @@
-// Package l2 generates synthetic layer-2 rollup workloads: the batched,
+// This file generates synthetic layer-2 rollup workloads: the batched,
 // compressed transaction data that fills PANDAS blobs.
 //
 // The paper's motivation (Sections 1-2) is rollup throughput: optimistic
 // and ZK rollups periodically post compressed transaction batches to the
-// data availability layer. This package produces realistic batch streams
+// data availability layer. It produces realistic batch streams
 // — variable-size batches from multiple concurrent rollups, with
 // compressed-transaction entropy characteristics — and packs them into
-// blob payloads, so examples and benchmarks exercise the protocol with
-// the workload it was designed for rather than zero-filled buffers.
-package l2
+// blob payloads, so the example exercises the protocol with the workload
+// it was designed for rather than zero-filled buffers.
+
+package main
 
 import (
 	"encoding/binary"

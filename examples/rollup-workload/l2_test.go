@@ -1,4 +1,4 @@
-package l2
+package main
 
 import (
 	"bytes"

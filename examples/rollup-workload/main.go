@@ -13,7 +13,6 @@ import (
 
 	"pandas"
 	"pandas/internal/blob"
-	"pandas/internal/l2"
 )
 
 func main() {
@@ -21,9 +20,9 @@ func main() {
 	cfg.RealPayloads = true
 
 	// 1. Layer-2 workload: several rollups post compressed batches.
-	gen := l2.NewGenerator(42, 6, 1024)
+	gen := NewGenerator(42, 6, 1024)
 	payload, batches := gen.FillBlob(cfg.Blob.BlobBytes())
-	th := l2.Summarize(batches)
+	th := Summarize(batches)
 	fmt.Printf("blob carries %d batches from %d rollups: %d txs, %d KB\n",
 		th.Batches, 6, th.Txs, th.Bytes/1024)
 
@@ -74,7 +73,7 @@ func main() {
 	}
 
 	// 4. Verify the layer-2 data survived the distributed round trip.
-	got, err := l2.UnpackBlob(recovered)
+	got, err := UnpackBlob(recovered)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -82,26 +82,16 @@ func NewDHTCluster(cfg Config) (*DHTCluster, error) {
 		net.AddNode(func(from, size int, payload any) {
 			d.peers[i].HandleMessage(from, payload)
 		}, simnet.NodeBandwidth, simnet.NodeBandwidth)
-		d.peers[i] = dht.NewPeer(entries[i], dhtTransport{net: net, self: i}, 0)
+		d.peers[i] = dht.NewPeer(entries[i], net.Endpoint(i), 0)
 		d.peers[i].Bootstrap(entries)
 	}
 	d.bIndex = net.AddNode(func(from, size int, payload any) {
 		d.bPeer.HandleMessage(from, payload)
 	}, simnet.BuilderBandwidth, simnet.BuilderBandwidth)
-	d.bPeer = dht.NewPeer(entries[cfg.N], dhtTransport{net: net, self: d.bIndex}, 0)
+	d.bPeer = dht.NewPeer(entries[cfg.N], net.Endpoint(d.bIndex), 0)
 	d.bPeer.Bootstrap(entries)
 	return d, nil
 }
-
-type dhtTransport struct {
-	net  *simnet.Network
-	self int
-}
-
-func (t dhtTransport) Self() int                        { return t.self }
-func (t dhtTransport) Send(to, size int, payload any)   { t.net.Send(t.self, to, size, payload) }
-func (t dhtTransport) After(d time.Duration, fn func()) { t.net.After(d, fn) }
-func (t dhtTransport) Now() time.Duration               { return t.net.Now() }
 
 // RunSlot stores all parcels and samples them from every node.
 func (d *DHTCluster) RunSlot(slot uint64) (*core.SlotResult, error) {

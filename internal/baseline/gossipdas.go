@@ -30,11 +30,9 @@ func slotResult(net *simnet.Network, builder int, sampling []time.Duration) *cor
 	}
 	for i, s := range sampling {
 		st := net.Stats(i)
-		res.Outcomes[i] = core.NodeOutcome{
-			Seed: -1, Consolidation: -1, Sampling: s,
-			BlockRecv: -1, ConsFromSeed: -1, JoinedAt: -1, LeftAt: -1,
-			FetchMsgs: st.TotalMsgs(), FetchBytes: st.TotalBytes(),
-		}
+		o := core.NewNodeOutcome()
+		o.Sampling, o.FetchMsgs, o.FetchBytes = s, st.TotalMsgs(), st.TotalBytes()
+		res.Outcomes[i] = o
 	}
 	net.ResetStats()
 	return res
@@ -92,18 +90,6 @@ type GossipCluster struct {
 	nextMsg  uint64
 }
 
-type simTransport struct {
-	net  *simnet.Network
-	self int
-}
-
-func (s simTransport) Send(to, size int, payload any) { s.net.Send(s.self, to, size, payload) }
-func (s simTransport) SendReliable(to, size int, payload any) {
-	s.net.SendReliable(s.self, to, size, payload)
-}
-func (s simTransport) After(d time.Duration, fn func()) { s.net.After(d, fn) }
-func (s simTransport) Now() time.Duration               { return s.net.Now() }
-
 // NewGossipCluster builds the GossipSub-DAS deployment.
 func NewGossipCluster(cfg Config) (*GossipCluster, error) {
 	cfg.fill()
@@ -146,7 +132,7 @@ func NewGossipCluster(cfg Config) (*GossipCluster, error) {
 		net.AddNode(func(from, size int, payload any) {
 			g.dispatch(i, from, size, payload)
 		}, simnet.NodeBandwidth, simnet.NodeBandwidth)
-		g.nodes[i] = core.NewNode(coreCfg, i, table, simTransport{net: net, self: i}, cfg.Seed^int64(i*40503))
+		g.nodes[i] = core.NewNode(coreCfg, i, table, net.Endpoint(i), cfg.Seed^int64(i*40503))
 		g.routers[i] = gossip.NewRouter(i)
 	}
 	g.bIndex = net.AddNode(nil, simnet.BuilderBandwidth, simnet.BuilderBandwidth)

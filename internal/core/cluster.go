@@ -92,6 +92,13 @@ type NodeOutcome struct {
 	SampleVote consensus.Vote // tight fork-choice attestation
 }
 
+// NewNodeOutcome returns the outcome of a node for which nothing was
+// observed: every duration "never happened", every count zero.
+func NewNodeOutcome() NodeOutcome {
+	return NodeOutcome{Seed: -1, Consolidation: -1, Sampling: -1,
+		BlockRecv: -1, ConsFromSeed: -1, JoinedAt: -1, LeftAt: -1}
+}
+
 // SlotResult aggregates a full slot.
 type SlotResult struct {
 	Outcomes []NodeOutcome
@@ -157,20 +164,6 @@ type Cluster struct {
 	mDHT       *obsv.Counter
 	mPoison    *obsv.Counter
 }
-
-// simTransport adapts the simulator to the core Transport interface.
-type simTransport struct {
-	net  *simnet.Network
-	self int
-}
-
-func (s simTransport) Self() int                      { return s.self }
-func (s simTransport) Send(to, size int, payload any) { s.net.Send(s.self, to, size, payload) }
-func (s simTransport) SendReliable(to, size int, payload any) {
-	s.net.SendReliable(s.self, to, size, payload)
-}
-func (s simTransport) After(d time.Duration, fn func()) { s.net.After(d, fn) }
-func (s simTransport) Now() time.Duration               { return s.net.Now() }
 
 // NewCluster builds the deployment: identities, epoch table, simulator
 // wiring, fault injection, and optionally the block gossip overlay.
@@ -268,8 +261,7 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		if idx != i {
 			return nil, fmt.Errorf("core: node index mismatch: %d != %d", idx, i)
 		}
-		var tr Transport = simTransport{net: net, self: i}
-		tr = c.agents[i].WrapTransport(tr)
+		tr := c.agents[i].WrapTransport(net.Endpoint(i))
 		c.nodes[i] = NewNode(cc.Core, i, table, tr, cc.Seed^int64(i*2654435761))
 		if cc.VerifySeeds {
 			c.nodes[i].SetSeedVerification(proposer.Public)
@@ -279,7 +271,7 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	// The builder sits on a well-connected vertex with a 10 Gbps uplink.
 	c.bIndex = net.AddNode(nil, simnet.BuilderBandwidth, simnet.BuilderBandwidth)
 	builderID := ids.NewTestIdentityCached(cc.Seed<<20 + int64(cc.N) + 7).ID
-	c.builder = NewBuilder(cc.Core, c.bIndex, builderID, table, simTransport{net: net, self: c.bIndex}, cc.Seed+99)
+	c.builder = NewBuilder(cc.Core, c.bIndex, builderID, table, net.Endpoint(c.bIndex), cc.Seed+99)
 	c.builder.SetProposerSigner(func(slot uint64) [wire.SigSize]byte {
 		var sig [wire.SigSize]byte
 		copy(sig[:], proposer.Sign(wire.SeedSigningBytes(slot, builderID)))
@@ -404,7 +396,7 @@ func (c *Cluster) setupChurn(cc ClusterConfig) error {
 	}
 	c.dhtPeers = make([]*dht.Peer, n)
 	for i := 0; i < n; i++ {
-		c.dhtPeers[i] = dht.NewPeer(entries[i], simTransport{net: c.net, self: i}, 0)
+		c.dhtPeers[i] = dht.NewPeer(entries[i], c.net.Endpoint(i), 0)
 		for j := 1; j <= clusterBootstrapContacts && j < n; j++ {
 			c.dhtPeers[i].Bootstrap([]dht.Entry{entries[(i+j*13)%n]})
 		}
@@ -748,16 +740,8 @@ func (c *Cluster) RunSlot(slot uint64) (*SlotResult, error) {
 // bookkeeping. Durations are made relative to the slot start here; the
 // view keeps absolute virtual times.
 func (c *Cluster) nodeOutcome(i int, start time.Duration) NodeOutcome {
-	o := NodeOutcome{
-		Seed:          -1,
-		Consolidation: -1,
-		Sampling:      -1,
-		BlockRecv:     -1,
-		ConsFromSeed:  -1,
-		JoinedAt:      -1,
-		LeftAt:        -1,
-		Dead:          c.dead[i],
-	}
+	o := NewNodeOutcome()
+	o.Dead = c.dead[i]
 	if c.dir != nil {
 		o.Offline = !c.started[i]
 		if c.joinedAt[i] >= 0 {

@@ -505,3 +505,67 @@ func TestCommitteeDecisionEndToEnd(t *testing.T) {
 		t.Fatalf("withholding slot accepted: %v", got)
 	}
 }
+
+// TestOnSlotDoneFiresOncePerSlot pins the completion event the real-socket
+// hosts are built on: once per StartSlot, at the virtual time the slot
+// became complete (sampling alone with DisableConsolidation), never for a
+// node that does not complete, and again after a mid-slot restart.
+func TestOnSlotDoneFiresOncePerSlot(t *testing.T) {
+	for _, noCons := range []bool{false, true} {
+		c := smallCluster(t, 120, func(cc *ClusterConfig) {
+			cc.DeadFraction = 0.1
+			cc.Core.DisableConsolidation = noCons
+		})
+		fired := make([][]time.Duration, len(c.Nodes()))
+		restarted := -1
+		for i, n := range c.Nodes() {
+			n.OnSlotDone(func() { fired[i] = append(fired[i], c.Network().Now()) })
+			if restarted < 0 && !c.dead[i] {
+				restarted = i
+			}
+		}
+		for slot := uint64(1); slot <= 2; slot++ {
+			for i := range fired {
+				fired[i] = nil
+			}
+			start := c.Network().Now()
+			if slot == 2 {
+				c.Network().After(2*time.Second, func() { c.Nodes()[restarted].StartSlot(slot) })
+			}
+			if _, err := c.RunSlot(slot); err != nil {
+				t.Fatal(err)
+			}
+			completed := 0
+			for i, n := range c.Nodes() {
+				m := n.Metrics()
+				at, done := m.SampledAt, m.Sampled
+				if !noCons {
+					at, done = max(at, m.ConsolidatedAt), done && m.Consolidated
+				}
+				want := 0
+				if done {
+					want = 1
+					completed++
+				}
+				if i == restarted && slot == 2 {
+					if !done || len(fired[i]) == 0 || fired[i][0] >= start+2*time.Second {
+						t.Fatalf("noCons=%v: node %d must complete before and after its restart: %v", noCons, i, fired[i])
+					}
+					want++
+				}
+				if len(fired[i]) != want {
+					t.Fatalf("noCons=%v slot %d node %d (dead=%v): event fired %d times, want %d",
+						noCons, slot, i, c.dead[i], len(fired[i]), want)
+				}
+				if done && fired[i][want-1] != at {
+					t.Fatalf("noCons=%v slot %d node %d: event at %v, slot complete at %v",
+						noCons, slot, i, fired[i][want-1], at)
+				}
+			}
+			t.Logf("noCons=%v slot %d: %d of %d nodes completed", noCons, slot, completed, len(c.Nodes()))
+			if dead := len(c.Nodes()) / 10; completed == 0 || completed > len(c.Nodes())-dead {
+				t.Fatalf("noCons=%v slot %d: %d nodes completed", noCons, slot, completed)
+			}
+		}
+	}
+}

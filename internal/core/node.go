@@ -141,6 +141,11 @@ type Node struct {
 	// restarts within the same slot does not execute stale callbacks.
 	gen uint64
 
+	// onDone is the slot-completion event (see OnSlotDone); doneFired
+	// records that it has fired since the last StartSlot.
+	onDone    func()
+	doneFired bool
+
 	// seedSig remembers the proposer signature last verified for this
 	// node's current proposer key: every datagram of a seed batch carries
 	// the same (slot, builder, signature), and only an exact match skips
@@ -203,6 +208,12 @@ func (n *Node) View() membership.View { return n.view }
 // scoring.
 func (n *Node) SetLiveness(l LivenessRecorder) { n.liveness = l }
 
+// OnSlotDone installs the slot-completion event: fn runs on the node's
+// event loop, once per StartSlot, the first time the slot is complete
+// (consolidated and sampled; sampled alone with DisableConsolidation).
+// Hosts use it instead of polling Metrics. fn must not call StartSlot.
+func (n *Node) OnSlotDone(fn func()) { n.onDone = fn }
+
 // SetSeedVerification enables proposer-signature verification of seeding
 // messages against the given proposer public key.
 func (n *Node) SetSeedVerification(pub ed25519.PublicKey) {
@@ -227,10 +238,6 @@ func (n *Node) afterGuarded(d time.Duration, fn func()) {
 		}
 	})
 }
-
-// Transport returns the node's transport (for callers that need its
-// clock, e.g. converting completion times across endpoints).
-func (n *Node) Transport() Transport { return n.tr }
 
 // Store exposes the current slot's custody store (for inspection).
 func (n *Node) Store() *Store { return n.store }
@@ -274,6 +281,7 @@ func (n *Node) StartSlot(slot uint64) {
 	n.flushArmed = false
 	n.awaitReply = resetMap(n.awaitReply, 0)
 	n.badPeers = resetMap(n.badPeers, 0)
+	n.doneFired = false
 	n.obs.BeginSlot(slot, n.tr.Now())
 
 	// Fallback: a node the builder does not know never receives seeds and
@@ -663,6 +671,10 @@ func (n *Node) updateCompletion() {
 	}
 	if !n.obs.View.Sampled && len(n.pendingSmp) == 0 {
 		n.obs.SamplingDone(now, len(n.samples))
+	}
+	if n.onDone != nil && !n.doneFired && n.done() {
+		n.doneFired = true
+		n.onDone()
 	}
 }
 

@@ -65,16 +65,6 @@ type cluster struct {
 	peers []*Peer
 }
 
-type simTransport struct {
-	net  *simnet.Network
-	self int
-}
-
-func (s simTransport) Self() int                        { return s.self }
-func (s simTransport) Send(to, size int, payload any)   { s.net.Send(s.self, to, size, payload) }
-func (s simTransport) After(d time.Duration, fn func()) { s.net.After(d, fn) }
-func (s simTransport) Now() time.Duration               { return s.net.Now() }
-
 func newCluster(t *testing.T, n int, loss float64) *cluster {
 	t.Helper()
 	net, err := simnet.New(simnet.Config{
@@ -98,7 +88,7 @@ func newCluster(t *testing.T, n int, loss float64) *cluster {
 		if idx != i {
 			t.Fatalf("node index mismatch")
 		}
-		p := NewPeer(entries[i], simTransport{net: net, self: i}, 0)
+		p := NewPeer(entries[i], net.Endpoint(i), 0)
 		p.Bootstrap(entries)
 		c.peers = append(c.peers, p)
 	}
@@ -280,7 +270,7 @@ func TestCrawlDiscoversNetwork(t *testing.T) {
 		net.AddNode(func(from, size int, payload any) {
 			peers[i].HandleMessage(from, payload)
 		}, 0, 0)
-		peers[i] = NewPeer(entries[i], simTransport{net: net, self: i}, 0)
+		peers[i] = NewPeer(entries[i], net.Endpoint(i), 0)
 		// Sparse bootstrap: each peer knows only ~8 contacts.
 		for j := 1; j <= 8; j++ {
 			peers[i].Bootstrap([]Entry{entries[(i+j*13)%n]})

@@ -9,16 +9,6 @@ import (
 	"pandas/internal/simnet"
 )
 
-type dhtTransport struct {
-	net  *simnet.Network
-	self int
-}
-
-func (t dhtTransport) Self() int                        { return t.self }
-func (t dhtTransport) Send(to, size int, payload any)   { t.net.Send(t.self, to, size, payload) }
-func (t dhtTransport) After(d time.Duration, fn func()) { t.net.After(d, fn) }
-func (t dhtTransport) Now() time.Duration               { return t.net.Now() }
-
 // dhtNet wires n DHT peers over the simulator with sparse bootstrap
 // tables (~8 contacts each) — the view-refresh substrate.
 func dhtNet(t *testing.T, n int) (*simnet.Network, []*dht.Peer) {
@@ -44,7 +34,7 @@ func dhtNet(t *testing.T, n int) (*simnet.Network, []*dht.Peer) {
 				peers[i].Table().Add(entries[from])
 			}
 		}, 0, 0)
-		peers[i] = dht.NewPeer(entries[i], dhtTransport{net: net, self: i}, 0)
+		peers[i] = dht.NewPeer(entries[i], net.Endpoint(i), 0)
 		for j := 1; j <= 8; j++ {
 			peers[i].Bootstrap([]dht.Entry{entries[(i+j*13)%n]})
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"sync"
@@ -200,6 +201,13 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = hs
 	}
 	return s
+}
+
+// ServeHTTP serves the registry's current snapshot as Prometheus text
+// exposition, so a registry mounts directly at /metrics.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = r.Snapshot().WritePrometheus(w) // a failed write means the client went away
 }
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition

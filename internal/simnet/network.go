@@ -306,6 +306,33 @@ func (n *Network) send(from, to, size int, payload any, lossy bool) {
 	})
 }
 
+// Endpoint is one node's handle on the network: the transport value the
+// protocol layers (core.Transport, dht.Transport) are written against.
+type Endpoint struct {
+	net  *Network
+	self int
+}
+
+// Endpoint returns node i's transport handle.
+func (n *Network) Endpoint(i int) Endpoint { return Endpoint{net: n, self: i} }
+
+// Self returns the node's index.
+func (e Endpoint) Self() int { return e.self }
+
+// Send is Network.Send from this node (lossy).
+func (e Endpoint) Send(to, size int, payload any) { e.net.Send(e.self, to, size, payload) }
+
+// SendReliable is Network.SendReliable from this node (no random loss).
+func (e Endpoint) SendReliable(to, size int, payload any) {
+	e.net.SendReliable(e.self, to, size, payload)
+}
+
+// After schedules a callback on the network's virtual clock.
+func (e Endpoint) After(d time.Duration, fn func()) { e.net.After(d, fn) }
+
+// Now returns the current virtual time.
+func (e Endpoint) Now() time.Duration { return e.net.Now() }
+
 // transferTime converts a byte count and a bandwidth (bits/s) into a
 // duration. Zero or negative bandwidth means "infinite".
 func transferTime(size int, bps float64) time.Duration {

@@ -367,3 +367,41 @@ func TestNetworkJitter(t *testing.T) {
 		t.Fatal("jitter produced identical delays")
 	}
 }
+
+// TestEndpointLossSemantics pins what the protocol layers rely on in a
+// node's Endpoint: Send is the lossy path and SendReliable the seeding
+// path, at the highest loss rate the network accepts, and both carry the
+// endpoint's own index as the sender.
+func TestEndpointLossSemantics(t *testing.T) {
+	net, err := New(Config{Latency: ConstantLatency(time.Millisecond), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := map[string]int{}
+	net.AddNode(nil, 0, 0)
+	sender := net.AddNode(nil, 0, 0)
+	net.AddNode(func(from, size int, payload any) {
+		if from != sender {
+			t.Errorf("from = %d, want %d", from, sender)
+		}
+		delivered[payload.(string)]++
+	}, 0, 0)
+	net.SetLossRate(1) // clamped just below 1
+	ep := net.Endpoint(sender)
+	if ep.Self() != sender {
+		t.Fatalf("Self = %d", ep.Self())
+	}
+	for i := 0; i < 200; i++ {
+		ep.Send(2, 100, "lossy")
+		ep.SendReliable(2, 100, "reliable")
+	}
+	fired := time.Duration(-1)
+	ep.After(5*time.Millisecond, func() { fired = ep.Now() })
+	net.Run(time.Second)
+	if delivered["lossy"] != 0 || delivered["reliable"] != 200 {
+		t.Fatalf("delivered %v, want no lossy and 200 reliable", delivered)
+	}
+	if fired != 5*time.Millisecond {
+		t.Fatalf("After fired at %v", fired)
+	}
+}

@@ -629,10 +629,7 @@ func (s *Supervisor) finalizeSlot(slot uint64) SlotResult {
 	sr := SlotResult{Slot: slot, Restarts: s.slotRestarts}
 	sr.Outcomes = make([]core.NodeOutcome, s.o.N)
 	for i := range sr.Outcomes {
-		oc := core.NodeOutcome{
-			Seed: -1, Consolidation: -1, Sampling: -1,
-			BlockRecv: -1, ConsFromSeed: -1, JoinedAt: -1, LeftAt: -1,
-		}
+		oc := core.NewNodeOutcome()
 		if r := s.reports[i]; r != nil {
 			sr.Reports++
 			if r.HasSeed {

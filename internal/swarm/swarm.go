@@ -6,6 +6,11 @@
 // custody consolidation, and sampling all travel through the kernel's
 // network stack instead of the in-process simnet.
 //
+// Every participant on real sockets — a swarm worker, a hand-launched
+// pandas-node, each member of a Localnet — is one Host (host.go): the
+// endpoint, the node or builder derived from the deployment seed, and the
+// slot lifecycle, reporting one Outcome per slot.
+//
 // The supervisor owns robustness and observability:
 //
 //   - crash detection via process exit plus Hello-heartbeat timeouts,
@@ -109,8 +114,8 @@ func geometryFromWire(m *wire.WorkerConfig) Geometry {
 
 // Deterministic shared identities: every worker derives the same table
 // from the deployment seed, mirroring an ENR crawl that has converged.
-// cmd/pandas-node's static-peers mode calls the same functions, so a
-// swarm node and a hand-launched node agree on who is who.
+// NewHost is their caller, so a swarm node, a hand-launched node and a
+// Localnet node with the same seed agree on who is who.
 
 // DeriveNodeIDs returns the n participant identities for a seed.
 func DeriveNodeIDs(seed int64, n int) []ids.NodeID {

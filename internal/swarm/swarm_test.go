@@ -28,7 +28,6 @@ func TestMain(m *testing.M) {
 		err := RunWorker(WorkerOptions{
 			Supervisor: *sup,
 			Index:      *index,
-			Restarts:   RestartsFromEnv(),
 			Log:        os.Stderr,
 		})
 		if err != nil {

@@ -12,7 +12,6 @@ import (
 	"syscall"
 	"time"
 
-	"pandas/internal/core"
 	"pandas/internal/obsv"
 	"pandas/internal/transport"
 	"pandas/internal/wire"
@@ -22,42 +21,26 @@ import (
 type WorkerOptions struct {
 	Supervisor string    // supervisor control address (host:port)
 	Index      int       // this worker's index; N (the highest) is the builder
-	Restarts   int       // how many times this index has been restarted (from EnvRestarts)
 	Log        io.Writer // diagnostics; nil discards
-	Stdout     io.Writer // readiness line; nil = os.Stdout
-}
-
-// RestartsFromEnv reads the supervisor-provided restart count.
-func RestartsFromEnv() int {
-	n, err := strconv.Atoi(os.Getenv(EnvRestarts))
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
 }
 
 // worker is the running state of one swarm participant.
 type worker struct {
-	o    WorkerOptions
-	log  io.Writer
-	ctrl *controlClient
-	ep   *transport.UDP
-	disc *discovery
+	o        WorkerOptions
+	restarts int // times the supervisor has restarted this index (EnvRestarts)
+	log      io.Writer
+	ctrl     *controlClient
+	ep       *transport.UDP
+	disc     *discovery
+	host     *Host
+	reg      *obsv.Registry
 
-	node    *core.Node
-	builder *core.Builder
-	reg     *obsv.Registry
-
-	total       int // nodes + builder
-	deadline    time.Duration
 	metricsAddr string
 
 	curSlot atomic.Uint64 // latest slot started (0 = none)
-	ready   atomic.Bool
-	epUp    atomic.Bool
+	ready   bool          // set on the event loop, where every Hello after the first is built
 
 	starts chan uint64
-	stop   chan struct{}
 }
 
 // RunWorker is the entry point for a pandas-node process launched in
@@ -70,22 +53,13 @@ func RunWorker(o WorkerOptions) error {
 		o:      o,
 		log:    o.Log,
 		starts: make(chan uint64, 64),
-		stop:   make(chan struct{}),
 	}
 	if w.log == nil {
 		w.log = io.Discard
 	}
-	stdout := o.Stdout
-	if stdout == nil {
-		stdout = os.Stdout
+	if n, err := strconv.Atoi(os.Getenv(EnvRestarts)); err == nil && n > 0 {
+		w.restarts = n
 	}
-
-	ctrl, err := newControlClient(o.Supervisor, w.onStart, w.onConfig)
-	if err != nil {
-		return err
-	}
-	defer ctrl.Close()
-	w.ctrl = ctrl
 
 	// Bind the data socket before the first Hello: the supervisor needs
 	// its address to hand out as a bootstrap entry. The codec cell size
@@ -97,6 +71,13 @@ func RunWorker(o WorkerOptions) error {
 	defer ep.Close()
 	w.ep = ep
 
+	ctrl, err := newControlClient(o.Supervisor, w.onStart, w.onConfig)
+	if err != nil {
+		return err
+	}
+	defer ctrl.Close()
+	w.ctrl = ctrl
+
 	// Per-worker metrics endpoint, scraped by the supervisor at harvest.
 	w.reg = obsv.NewRegistry()
 	mln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -106,12 +87,9 @@ func RunWorker(o WorkerOptions) error {
 	defer mln.Close()
 	w.metricsAddr = mln.Addr().String()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(rw http.ResponseWriter, _ *http.Request) {
-		rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = w.reg.Snapshot().WritePrometheus(rw)
-	})
+	mux.Handle("/metrics", w.reg)
 	go func() { _ = http.Serve(mln, mux) }()
-	w.reg.Counter("worker_restarts_total").Add(int64(o.Restarts))
+	w.reg.Counter("worker_restarts_total").Add(int64(w.restarts))
 
 	// Register: Hello carries our socket addresses, the WorkerConfig
 	// reply carries geometry, deployment shape, and bootstrap peers.
@@ -123,39 +101,33 @@ func RunWorker(o WorkerOptions) error {
 		return err
 	}
 
-	// Heartbeats double as liveness and bootstrap refresh (every reply
-	// is a fresh WorkerConfig whose entries onConfig merges).
-	go w.heartbeatLoop()
-	// Discovery: crawl until the table is complete, announce once more
-	// so everyone holds our first-hand binding, then report ready.
-	go w.discoveryLoop(stdout)
+	ep.Run(func() {
+		w.heartbeat()
+		w.discover(false)
+	})
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	defer signal.Stop(sigc)
 
-	var lastSlot uint64
 	for {
 		select {
 		case sig := <-sigc:
-			// Graceful drain: stop loops, close sockets, flush a final
-			// metrics snapshot to the log, exit cleanly.
+			// Graceful drain: close sockets (deferred above, which also
+			// ends the loops), flush a final metrics snapshot to the log,
+			// exit cleanly.
 			fmt.Fprintf(w.log, "worker %d: draining on %v\n", o.Index, sig)
-			close(w.stop)
 			_ = w.reg.Snapshot().WritePrometheus(w.log)
 			return nil
 		case s := <-w.starts:
-			if s <= lastSlot {
-				continue // duplicate Start (control-plane retry)
-			}
-			lastSlot = s
-			w.runSlot(s)
+			w.curSlot.Store(s)
+			w.host.StartSlot(s) // duplicates (control-plane retries) are ignored
 		}
 	}
 }
 
 // onStart runs on the control read loop: queue the slot for the main
-// loop (duplicates are filtered there).
+// loop.
 func (w *worker) onStart(slot uint64) {
 	select {
 	case w.starts <- slot:
@@ -168,9 +140,6 @@ func (w *worker) onStart(slot uint64) {
 // supervisor's bindings come from the workers' own Hellos, so they are
 // authoritative and may rebind.
 func (w *worker) onConfig(m *wire.WorkerConfig) {
-	if !w.epUp.Load() {
-		return
-	}
 	for _, e := range m.Bootstrap {
 		if int(e.Index) != w.o.Index && e.Addr != "" {
 			_ = w.ep.AddPeer(int(e.Index), e.Addr)
@@ -182,7 +151,7 @@ func (w *worker) helloMsg() *wire.Hello {
 	return &wire.Hello{
 		Slot:        w.curSlot.Load(),
 		Index:       uint32(w.o.Index),
-		Ready:       w.ready.Load(),
+		Ready:       w.ready,
 		Known:       uint32(w.ep.Known()),
 		DataAddr:    w.ep.Addr(),
 		MetricsAddr: w.metricsAddr,
@@ -192,193 +161,88 @@ func (w *worker) helloMsg() *wire.Hello {
 // init expands the WorkerConfig into a running protocol participant.
 func (w *worker) init(m *wire.WorkerConfig) error {
 	nNodes := int(m.NumNodes)
-	w.total = nNodes + 1
-	if w.o.Index >= w.total {
-		return fmt.Errorf("swarm: worker index %d out of range (%d nodes + builder)", w.o.Index, nNodes)
-	}
-	g := geometryFromWire(m)
-	cfg, err := g.CoreConfig()
+	cfg, err := geometryFromWire(m).CoreConfig()
 	if err != nil {
 		return fmt.Errorf("swarm: worker %d: bad geometry: %w", w.o.Index, err)
 	}
 	cfg.Metrics = w.reg
-	w.deadline = cfg.Deadline
 
-	w.ep.SetCellBytes(cfg.Blob.CellBytes)
-	addrs := make([]string, w.total)
-	addrs[w.o.Index] = w.ep.Addr()
+	addrs := make([]string, nNodes+1)
+	if w.o.Index < len(addrs) {
+		addrs[w.o.Index] = w.ep.Addr()
+	}
 	if err := w.ep.SetPeers(addrs); err != nil {
 		return err
 	}
-	for _, e := range m.Bootstrap {
-		if int(e.Index) != w.o.Index && e.Addr != "" {
-			_ = w.ep.AddPeer(int(e.Index), e.Addr)
-		}
-	}
-
-	table, err := NewTableFromSeed(cfg, m.Seed, nNodes)
+	w.disc = newDiscovery(w.ep, w.o.Index, nNodes+1)
+	w.ep.SetUnknownSender(w.disc.handleUnknown)
+	w.host, err = NewHost(HostOptions{Config: cfg, Seed: m.Seed, Nodes: nNodes, Index: w.o.Index,
+		Endpoint: w.ep, PreDispatch: w.disc.handle, Outcome: w.report})
 	if err != nil {
 		return err
 	}
-	proposer := DeriveProposer(m.Seed)
-	w.disc = newDiscovery(w.ep, w.o.Index, w.total)
-
-	if w.o.Index == nNodes { // builder
-		builderID := DeriveBuilderID(m.Seed, nNodes)
-		b := core.NewBuilder(cfg, w.o.Index, builderID, table, w.ep, m.Seed+5)
-		b.SetProposerSigner(func(slot uint64) [wire.SigSize]byte {
-			var sig [wire.SigSize]byte
-			copy(sig[:], proposer.Sign(wire.SeedSigningBytes(slot, builderID)))
-			return sig
-		})
-		if err := b.PrepareBlob(FillerBlob(cfg)); err != nil {
-			return err
-		}
-		w.builder = b
-	} else {
-		n := core.NewNode(cfg, w.o.Index, table, w.ep, m.Seed^int64(w.o.Index*7919))
-		n.SetSeedVerification(proposer.Public)
-		w.node = n
-	}
-
-	w.ep.SetUnknownSender(w.disc.handleUnknown)
-	w.ep.Start(func(from, size int, payload any) {
-		if w.disc.handle(from, size, payload) {
-			return
-		}
-		if w.node != nil {
-			w.node.HandleMessage(from, size, payload)
-		}
-	})
-	w.epUp.Store(true)
+	w.onConfig(m) // entries merged before SetPeers above were replaced by it
 	fmt.Fprintf(w.log, "worker %d: data %s metrics %s (%d nodes + builder, restart %d)\n",
-		w.o.Index, w.ep.Addr(), w.metricsAddr, nNodes, w.o.Restarts)
+		w.o.Index, w.ep.Addr(), w.metricsAddr, nNodes, w.restarts)
 	return nil
 }
 
-func (w *worker) heartbeatLoop() {
-	t := time.NewTicker(500 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-t.C:
-			w.ctrl.heartbeat(w.helloMsg())
-		}
-	}
+// heartbeat runs on the event loop every 500 ms, so a wedged loop reads
+// as a dead worker. Heartbeats double as liveness and bootstrap refresh:
+// every reply is a fresh WorkerConfig whose entries onConfig merges.
+func (w *worker) heartbeat() {
+	w.ctrl.heartbeat(w.helloMsg())
+	w.ep.After(500*time.Millisecond, w.heartbeat)
 }
 
-func (w *worker) discoveryLoop(stdout io.Writer) {
-	t := time.NewTicker(200 * time.Millisecond)
-	defer t.Stop()
-	announced := false
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-t.C:
-		}
-		conv := make(chan bool, 1)
-		w.ep.Run(func() {
-			w.disc.round()
-			conv <- w.disc.converged()
-		})
-		select {
-		case done := <-conv:
-			if !done {
-				announced = false
-				continue
-			}
-			if !announced {
-				announced = true // one extra announce round after convergence
-				continue
-			}
-			if w.ready.CompareAndSwap(false, true) {
-				fmt.Fprintf(stdout, "ready index=%d addr=%s peers=%d\n",
-					w.o.Index, w.ep.Addr(), w.ep.Known())
-				w.ctrl.heartbeat(w.helloMsg())
-			}
-			return
-		case <-w.stop:
-			return
-		}
-	}
-}
-
-// runSlot executes one Start command. Builders seed; nodes start the
-// slot and poll for completion, then report back.
-func (w *worker) runSlot(slot uint64) {
-	w.curSlot.Store(slot)
-	if w.builder != nil {
-		w.ep.Run(func() {
-			rep := w.builder.SeedSlot(slot)
-			fmt.Fprintf(w.log, "worker %d: slot %d seeded %d cells in %d msgs\n",
-				w.o.Index, slot, rep.Cells, rep.Messages)
-			w.reg.Counter("builder_seed_cells_total").Add(int64(rep.Cells))
-			w.reg.Counter("builder_seed_bytes_total").Add(rep.Bytes)
-			r := &wire.Report{
-				Slot:       slot,
-				Index:      uint32(w.o.Index),
-				Builder:    true,
-				SeedCells:  uint32(rep.Cells),
-				FetchMsgs:  uint32(rep.Messages),
-				FetchBytes: uint64(rep.Bytes),
-				Restarts:   uint32(w.o.Restarts),
-			}
-			r.FirstSeedUs, r.ConsolidatedUs, r.SampledUs = -1, -1, -1
-			go func() { _ = w.ctrl.report(r) }()
-		})
+// discover runs on the event loop every 200 ms: crawl until the table is
+// complete, announce once more so everyone holds our first-hand binding
+// (wasFull says the previous round already saw the full table), then
+// report ready.
+func (w *worker) discover(wasFull bool) {
+	w.disc.round()
+	if full := w.disc.converged(); !full || !wasFull {
+		w.ep.After(200*time.Millisecond, func() { w.discover(full) })
 		return
 	}
-	w.ep.Run(func() {
-		start := w.ep.Now()
-		w.node.StartSlot(slot)
-		w.pollSlot(slot, start)
-	})
+	w.ready = true
+	fmt.Printf("ready index=%d addr=%s peers=%d\n", w.o.Index, w.ep.Addr(), w.ep.Known())
+	w.ctrl.heartbeat(w.helloMsg())
 }
 
-// pollSlot runs on the event loop every 50 ms until the slot completes
-// (or far overruns the deadline), then reports the outcome.
-func (w *worker) pollSlot(slot uint64, start time.Duration) {
-	if w.curSlot.Load() != slot {
-		return // superseded by a newer Start
-	}
-	m := w.node.Metrics()
-	done := m.Sampled && m.Consolidated
-	if !done && w.ep.Now()-start < w.deadline+2*time.Second {
-		w.ep.After(50*time.Millisecond, func() { w.pollSlot(slot, start) })
-		return
-	}
-	if done {
-		w.reg.Counter("node_slots_completed_total").Inc()
-		w.reg.Histogram("node_sampling_seconds", obsv.DefaultLatencyBounds).
-			Observe((m.SampledAt - start).Seconds())
-	} else {
-		w.reg.Counter("node_slots_incomplete_total").Inc()
-	}
-	rel := func(at time.Duration, ok bool) int64 {
+// report is the host's outcome sink: it runs on the event loop, so the
+// acked control-channel delivery happens on its own goroutine.
+func (w *worker) report(o Outcome) {
+	m := o.Metrics
+	us := func(at time.Duration, ok bool) int64 {
 		if !ok {
 			return -1
 		}
-		return (at - start).Microseconds()
+		return at.Microseconds()
 	}
 	r := &wire.Report{
-		Slot:           slot,
+		Slot:           o.Slot,
 		Index:          uint32(w.o.Index),
 		HasSeed:        m.HasSeed,
 		Consolidated:   m.Consolidated,
 		Sampled:        m.Sampled,
-		FirstSeedUs:    rel(m.FirstSeedAt, m.HasSeed),
-		ConsolidatedUs: rel(m.ConsolidatedAt, m.Consolidated),
-		SampledUs:      rel(m.SampledAt, m.Sampled),
+		FirstSeedUs:    us(m.FirstSeedAt, m.HasSeed),
+		ConsolidatedUs: us(m.ConsolidatedAt, m.Consolidated),
+		SampledUs:      us(m.SampledAt, m.Sampled),
 		SeedCells:      uint32(m.SeedCells),
 		FetchMsgs:      uint32(m.FetchMsgsSent + m.FetchMsgsRecv),
 		FetchBytes:     uint64(m.FetchBytesSent + m.FetchBytesRecv),
 		CorruptRejects: uint32(m.CorruptRejects),
-		Restarts:       uint32(w.o.Restarts),
+		Restarts:       uint32(w.restarts),
 	}
-	fmt.Fprintf(w.log, "worker %d: slot %d seed=%v cons=%v sampled=%v\n",
-		w.o.Index, slot, m.HasSeed, m.Consolidated, m.Sampled)
+	if s := o.Seeding; w.host.Builder != nil {
+		r.Builder = true
+		r.SeedCells, r.FetchMsgs, r.FetchBytes = uint32(s.Cells), uint32(s.Messages), uint64(s.Bytes)
+		fmt.Fprintf(w.log, "worker %d: slot %d seeded %d cells in %d msgs\n",
+			w.o.Index, o.Slot, s.Cells, s.Messages)
+	} else {
+		fmt.Fprintf(w.log, "worker %d: slot %d seed=%v cons=%v sampled=%v\n",
+			w.o.Index, o.Slot, m.HasSeed, m.Consolidated, m.Sampled)
+	}
 	go func() { _ = w.ctrl.report(r) }()
 }

@@ -10,7 +10,7 @@ import (
 	"pandas/internal/latency"
 	"pandas/internal/obsv"
 	"pandas/internal/simnet"
-	"pandas/internal/transport"
+	"pandas/internal/swarm"
 )
 
 // Core protocol types, re-exported from the implementation packages.
@@ -36,7 +36,7 @@ type (
 	// Builder prepares and seeds extended blob data.
 	Builder = core.Builder
 	// Localnet is a real-UDP deployment on the loopback interface.
-	Localnet = transport.Localnet
+	Localnet = swarm.Localnet
 	// Schedule drives the adaptive fetching rounds.
 	Schedule = fetch.Schedule
 	// BlobParams is the cell-matrix geometry.
@@ -112,7 +112,7 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) { return core.NewCluster(cc)
 // 127.0.0.1, with real payloads, erasure reconstruction, commitment
 // verification, and proposer signatures.
 func NewLocalnet(cfg Config, n int, seed int64) (*Localnet, error) {
-	return transport.NewLocalnet(cfg, n, seed)
+	return swarm.NewLocalnet(cfg, n, seed)
 }
 
 // NewPlanetaryLatency returns the synthetic planetary-scale latency model

@@ -16,6 +16,14 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
+# Layering: the socket transport carries wire messages and knows nothing of
+# the protocol; what hosts a node on it lives in internal/swarm.
+echo "== layering: internal/transport does not depend on internal/core"
+if go list -deps ./internal/transport | grep -qx 'pandas/internal/core'; then
+	echo "layering: internal/transport imports internal/core" >&2
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
@@ -76,5 +84,39 @@ go run ./cmd/pandas-sim -small -exp all -nodes 60 -slots 1 >/dev/null
 
 echo "== swarm smoke (8 processes, 1 slot, real UDP)"
 go run ./cmd/pandas-swarm -n 8 -k 4 -samples 4 -slots 1 -timeout 90s -q
+
+# Hand-launched static-peers mode: nothing drives the nodes but the
+# builder's seeds, so slot 2 completing on every node shows they follow it.
+# -k 4 -custody 8 gives every node every line, so three nodes cover all.
+echo "== static-mode smoke (3 nodes + builder, 2 slots, real UDP)"
+(
+	dir=$(mktemp -d)
+	trap 'kill $pids 2>/dev/null; rm -rf "$dir"' EXIT
+	go build -o "$dir/pandas-node" ./cmd/pandas-node
+	base=$((21000 + $$ % 20000))
+	for i in 0 1 2 3; do echo "127.0.0.1:$((base + i))"; done >"$dir/peers.txt"
+	flags="-peers $dir/peers.txt -seed 7 -k 4 -custody 8 -samples 4"
+	pids=""
+	for i in 0 1 2; do
+		"$dir/pandas-node" $flags -index $i >"$dir/node$i.log" 2>&1 &
+		pids="$pids $!"
+	done
+	for i in 0 1 2; do
+		n=0
+		until grep -q '^ready ' "$dir/node$i.log"; do
+			n=$((n + 1))
+			[ $n -lt 100 ] || { echo "static smoke: node $i never became ready" >&2; exit 1; }
+			sleep 0.1
+		done
+	done
+	"$dir/pandas-node" $flags -index 3 -builder -slots 2 -slot-gap 2s >"$dir/builder.log" 2>&1
+	for i in 0 1 2; do
+		grep -q '^slot 2: .*sampled=true' "$dir/node$i.log" || {
+			echo "static smoke: node $i did not sample slot 2:" >&2
+			cat "$dir/node$i.log" "$dir/builder.log" >&2
+			exit 1
+		}
+	done
+)
 
 echo "verify: OK"
