@@ -58,7 +58,7 @@ func main() {
 				continue
 			}
 			for c := 0; c < p.K; c++ {
-				cell, ok := node.Store().Get(blob.CellID{Row: uint16(r), Col: uint16(c)})
+				cell, ok := node.Store().Peek(blob.CellID{Row: uint16(r), Col: uint16(c)})
 				if !ok {
 					log.Fatalf("row %d cell %d missing at holder %d", r, c, h)
 				}

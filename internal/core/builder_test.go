@@ -72,7 +72,7 @@ func (c *captureTransport) advance(to time.Duration) {
 	}
 }
 
-func builderFixture(t *testing.T, cfg Config, n int) (*Builder, *Table, *captureTransport) {
+func builderFixture(t testing.TB, cfg Config, n int) (*Builder, *Table, *captureTransport) {
 	t.Helper()
 	nodeIDs := make([]ids.NodeID, n)
 	for i := range nodeIDs {

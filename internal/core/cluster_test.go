@@ -315,7 +315,7 @@ func TestSlotRealPayloadsEndToEnd(t *testing.T) {
 	l := a.Lines()[0]
 	for pos := 0; pos < c.cfg.Core.Blob.N(); pos++ {
 		id := cellOnLine(l, pos)
-		cell, ok := node.Store().Get(id)
+		cell, ok := node.Store().Peek(id)
 		if !ok {
 			t.Fatalf("node 0 missing custody cell %v", id)
 		}

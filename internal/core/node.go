@@ -329,7 +329,11 @@ func resetMap[K comparable, V any](m map[K]V, hint int) map[K]V {
 }
 
 // HandleMessage dispatches a received protocol payload. It reports
-// whether the payload was a PANDAS message.
+// whether the payload was a PANDAS message. The message may be lent (a
+// socket transport decodes in place and takes its buffer back when the
+// handler returns): the node keeps nothing of it past the call — IDs and
+// boost entries are copied by value, and the store copies a Borrowed
+// payload when it inserts the cell.
 func (n *Node) HandleMessage(from int, size int, payload any) bool {
 	switch m := payload.(type) {
 	case *wire.Seed:
@@ -457,9 +461,17 @@ func (n *Node) onQuery(from int, m *wire.Query) {
 	if m.Slot != n.slot || n.store == nil {
 		return
 	}
-	var have []wire.Cell
+	// The reply is sized before it is built: it is one allocation whether
+	// it carries one cell or a datagram's worth.
+	held := 0
 	for _, id := range m.Cells {
-		if c, ok := n.store.Get(id); ok {
+		if n.store.Has(id) {
+			held++
+		}
+	}
+	have := make([]wire.Cell, 0, held)
+	for _, id := range m.Cells {
+		if c, ok := n.store.Peek(id); ok {
 			have = append(have, c)
 			continue
 		}
@@ -559,8 +571,9 @@ func (n *Node) addCells(cells []wire.Cell) (dups, added, rejects int) {
 	}
 	n.touchedScr = zeroed(n.touchedScr, n.store.TrackedLines())
 	touched := n.touchedScr
-	for _, c := range cells {
-		ok, err := n.store.Add(c)
+	for i := range cells {
+		c := &cells[i]
+		ok, err := n.store.add(c)
 		if errors.Is(err, ErrBadProof) {
 			rejects++
 			n.forgetInflight(c.ID)
@@ -575,7 +588,7 @@ func (n *Node) addCells(cells []wire.Cell) (dups, added, rejects int) {
 			continue
 		}
 		added++
-		n.cellLanded(c, touched)
+		n.cellLanded(c.ID, touched)
 	}
 	// Erasure reconstruction of any custody line that crossed the
 	// half-full threshold (Algorithm 1, UPONRECEIVE), rows before columns
@@ -590,8 +603,8 @@ func (n *Node) addCells(cells []wire.Cell) (dups, added, rejects int) {
 			continue
 		}
 		recon += len(newCells)
-		for _, c := range newCells {
-			n.cellLanded(c, nil)
+		for i := range newCells {
+			n.cellLanded(newCells[i].ID, nil)
 		}
 	}
 	if recon > 0 && n.round >= 1 && n.round <= len(n.obs.View.Rounds) {
@@ -631,22 +644,22 @@ func (n *Node) armFlush() {
 // cellLanded performs the bookkeeping for one newly present cell. Its
 // in-flight requests need none: a present cell is never in F again, so
 // they count toward nothing and expire where they are.
-func (n *Node) cellLanded(c wire.Cell, touched []bool) {
-	if n.pendingSmp[c.ID] {
-		delete(n.pendingSmp, c.ID)
+func (n *Node) cellLanded(id blob.CellID, touched []bool) {
+	if n.pendingSmp[id] {
+		delete(n.pendingSmp, id)
 	}
-	if reqs, ok := n.buffered[c.ID]; ok {
-		full, _ := n.store.Get(c.ID)
+	if reqs, ok := n.buffered[id]; ok {
+		full, _ := n.store.Peek(id)
 		for to := range reqs {
 			n.pendingOut[to] = append(n.pendingOut[to], full)
 		}
-		delete(n.buffered, c.ID)
+		delete(n.buffered, id)
 	}
 	if touched != nil {
-		if li := n.store.rowIndex(c.ID.Row); li >= 0 && n.store.open(li) {
+		if li := n.store.rowIndex(id.Row); li >= 0 && n.store.open(li) {
 			touched[li] = true
 		}
-		if li := n.store.colIndex(c.ID.Col); li >= 0 && n.store.open(li) {
+		if li := n.store.colIndex(id.Col); li >= 0 && n.store.open(li) {
 			touched[li] = true
 		}
 	}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"pandas/internal/assign"
@@ -44,14 +46,61 @@ type Store struct {
 	// extras holds cells outside every custody line (random samples) as
 	// sorted flat cell indices.
 	extras []uint32
-	// data holds payloads in real mode, keyed by flat cell index.
-	data map[int]wire.Cell
+	// pay holds the payloads in real mode; nil in metadata mode, where a
+	// store must stay a few hundred bytes.
+	pay *payloads
 
 	commitment    kzg.Commitment
 	hasCommitment bool
 	verify        bool
+	// verifyCalls counts the proof checks made since Reset: the work
+	// verify-once exists to avoid, counted where it is done.
+	verifyCalls int
 
 	missScr []int // TryReconstruct's MissingOnLine buffer
+}
+
+// payloads is the real-mode half of a Store: what the presence bits say is
+// held, by position rather than by hash. All of it is kept across Reset.
+type payloads struct {
+	// held has one slot per position of every custody line, line i's at
+	// held[i*n:(i+1)*n]. A cell on a custody row lives in the row's slot
+	// (position = its column) whether or not its column is custody too;
+	// any other covered cell lives in its column's slot. A slot means
+	// something only while the matching presence bit is set.
+	held []heldCell
+	// extra is parallel to Store.extras.
+	extra []heldCell
+	// arena is the memory Borrowed payloads are copied into on insert. A
+	// block that fills up is replaced by one twice the size and stays
+	// alive through the slots pointing into it until Reset clears them;
+	// Reset rewinds the newest block, so after two slots of similar
+	// traffic a node's copies land in one block it already owns.
+	arena []byte
+
+	lineScr  [][]byte    // TryReconstruct's view of one line
+	reconScr []wire.Cell // TryReconstruct's result
+}
+
+// heldCell is one stored payload.
+type heldCell struct {
+	data  []byte
+	proof kzg.Proof
+	// verified records that proof was checked against the commitment when
+	// the cell was stored, or computed from it. Only such a copy can vouch
+	// for a byte-identical duplicate (see Store.Add); a cell stored before
+	// the commitment was known cannot.
+	verified bool
+}
+
+// keep copies a borrowed payload into the arena.
+func (p *payloads) keep(b []byte) []byte {
+	if len(p.arena)+len(b) > cap(p.arena) {
+		p.arena = make([]byte, 0, max(2*cap(p.arena), 64*len(b)))
+	}
+	off := len(p.arena)
+	p.arena = append(p.arena, b...)
+	return p.arena[off:len(p.arena):len(p.arena)]
 }
 
 type lineState struct {
@@ -83,7 +132,7 @@ func NewStore(p blob.Params, a assign.Assignment, real, verify bool) *Store {
 }
 
 // Reset reinitializes the store for a new slot, reusing the bitmap slab,
-// index slices, and payload map of the previous slot. A node keeps one
+// index slices, and payload slots of the previous slot. A node keeps one
 // Store for its whole lifetime instead of allocating ~20 objects per
 // slot; at 100k nodes that is the difference between a steady heap and
 // gigabytes of per-slot garbage.
@@ -92,15 +141,7 @@ func (s *Store) Reset(a assign.Assignment, real, verify bool) {
 	s.verify = verify && real
 	s.commitment = kzg.Commitment{}
 	s.hasCommitment = false
-	if real {
-		if s.data == nil {
-			s.data = make(map[int]wire.Cell)
-		} else {
-			clear(s.data)
-		}
-	} else {
-		s.data = nil
-	}
+	s.verifyCalls = 0
 	s.extras = s.extras[:0]
 	s.rowIdx = append(s.rowIdx[:0], a.Rows...)
 	s.colIdx = append(s.colIdx[:0], a.Cols...)
@@ -117,18 +158,46 @@ func (s *Store) Reset(a assign.Assignment, real, verify bool) {
 		s.slab = make([]uint64, need)
 	} else {
 		s.slab = s.slab[:need]
-		for i := range s.slab {
-			s.slab[i] = 0
-		}
+		clear(s.slab)
 	}
 	for i := range s.lines {
 		s.lines[i] = lineState{bits: s.slab[i*words : (i+1)*words]}
 	}
+
+	if !real {
+		s.pay = nil
+		return
+	}
+	if s.pay == nil {
+		s.pay = &payloads{}
+	}
+	p := s.pay
+	// Stale entries are never read, but they would pin last slot's payloads.
+	clear(p.held[:cap(p.held)])
+	clear(p.extra[:cap(p.extra)])
+	clear(p.lineScr[:cap(p.lineScr)])
+	clear(p.reconScr[:cap(p.reconScr)])
+	if slots := nLines * s.n; cap(p.held) < slots {
+		p.held = make([]heldCell, slots)
+	} else {
+		p.held = p.held[:slots]
+	}
+	p.extra = p.extra[:0]
+	p.arena = p.arena[:0]
 }
 
 // SetCommitment records the blob commitment used for proof verification
-// and for proving reconstructed cells.
+// and for proving reconstructed cells. Cells checked against an earlier,
+// different commitment stay held but no longer count as verified.
 func (s *Store) SetCommitment(c kzg.Commitment) {
+	if s.hasCommitment && c != s.commitment && s.pay != nil {
+		for i := range s.pay.held {
+			s.pay.held[i].verified = false
+		}
+		for i := range s.pay.extra {
+			s.pay.extra[i].verified = false
+		}
+	}
 	s.commitment = c
 	s.hasCommitment = true
 }
@@ -178,22 +247,6 @@ func (s *Store) lineAt(i int) blob.Line {
 	return blob.Line{Kind: blob.Col, Index: s.colIdx[i-len(s.rowIdx)]}
 }
 
-// rowState returns the tracked state of a row, or nil.
-func (s *Store) rowState(r uint16) *lineState {
-	if i := s.rowIndex(r); i >= 0 {
-		return &s.lines[i]
-	}
-	return nil
-}
-
-// colState returns the tracked state of a column, or nil.
-func (s *Store) colState(c uint16) *lineState {
-	if i := s.colIndex(c); i >= 0 {
-		return &s.lines[i]
-	}
-	return nil
-}
-
 // open reports whether the tracked line at position i holds some but not
 // all of its cells — the lines worth a reconstruction attempt.
 func (s *Store) open(i int) bool {
@@ -202,56 +255,86 @@ func (s *Store) open(i int) bool {
 
 // lineStateOf returns the tracked state of a line, or nil.
 func (s *Store) lineStateOf(l blob.Line) *lineState {
-	if l.Kind == blob.Row {
-		return s.rowState(l.Index)
+	if i := s.lineIndex(l); i >= 0 {
+		return &s.lines[i]
 	}
-	return s.colState(l.Index)
+	return nil
 }
 
-// extraHas reports whether the cell is recorded as an off-custody extra.
-func (s *Store) extraHas(id blob.CellID) bool {
-	idx := uint32(id.Index(s.n))
-	i := sort.Search(len(s.extras), func(i int) bool { return s.extras[i] >= idx })
-	return i < len(s.extras) && s.extras[i] == idx
+// inRange reports whether the cell lies inside the extended matrix. IDs
+// arrive from the network (a Query names whatever its sender likes), so
+// every lookup checks before it indexes a bitmap or a slot array.
+func (s *Store) inRange(id blob.CellID) bool {
+	return int(id.Row) < s.n && int(id.Col) < s.n
 }
 
-// extraAdd records an off-custody extra, keeping the index sorted. It
-// returns false for duplicates.
-func (s *Store) extraAdd(id blob.CellID) bool {
+// extraFind returns the position of an off-custody cell in extras, or the
+// position it would be inserted at, and whether it is there.
+func (s *Store) extraFind(id blob.CellID) (int, bool) {
 	idx := uint32(id.Index(s.n))
 	i := sort.Search(len(s.extras), func(i int) bool { return s.extras[i] >= idx })
-	if i < len(s.extras) && s.extras[i] == idx {
-		return false
+	return i, i < len(s.extras) && s.extras[i] == idx
+}
+
+// place says where a cell is recorded: on custody line row and/or col
+// (indices into lines, -1 = not tracked), else among the extras at
+// position extra (the insertion point while the cell is absent).
+type place struct {
+	row, col, extra int
+	held            bool
+}
+
+// locate finds an in-range cell's place.
+func (s *Store) locate(id blob.CellID) place {
+	pl := place{row: s.rowIndex(id.Row), col: s.colIndex(id.Col)}
+	switch {
+	case pl.row >= 0:
+		pl.held = s.lines[pl.row].has(int(id.Col))
+	case pl.col >= 0:
+		pl.held = s.lines[pl.col].has(int(id.Row))
+	default:
+		pl.extra, pl.held = s.extraFind(id)
 	}
-	s.extras = append(s.extras, 0)
-	copy(s.extras[i+1:], s.extras[i:])
-	s.extras[i] = idx
-	return true
+	return pl
+}
+
+// slot returns the payload slot of a cell at pl (real mode only).
+func (s *Store) slot(id blob.CellID, pl place) *heldCell {
+	switch {
+	case pl.row >= 0:
+		return &s.pay.held[pl.row*s.n+int(id.Col)]
+	case pl.col >= 0:
+		return &s.pay.held[pl.col*s.n+int(id.Row)]
+	}
+	return &s.pay.extra[pl.extra]
 }
 
 // Covered reports whether the cell lies on one of the tracked custody
-// lines.
+// lines. A cell outside the matrix lies on none.
 func (s *Store) Covered(id blob.CellID) bool {
-	return s.rowState(id.Row) != nil || s.colState(id.Col) != nil
+	return s.inRange(id) && (s.rowIndex(id.Row) >= 0 || s.colIndex(id.Col) >= 0)
 }
 
 // Has reports whether the cell is present (on a custody line or as an
-// extra sample).
+// extra sample). A cell outside the matrix never is.
 func (s *Store) Has(id blob.CellID) bool {
-	if ls := s.rowState(id.Row); ls != nil {
-		return ls.has(int(id.Col))
-	}
-	if ls := s.colState(id.Col); ls != nil {
-		return ls.has(int(id.Row))
-	}
-	return s.extraHas(id)
+	return s.inRange(id) && s.locate(id).held
 }
 
 // Add records a received cell. It returns false when the cell was already
-// present (a duplicate). In verifying mode the proof is checked first and
-// ErrBadProof returned on mismatch.
-func (s *Store) Add(c wire.Cell) (bool, error) {
-	if int(c.ID.Row) >= s.n || int(c.ID.Col) >= s.n {
+// present (a duplicate).
+//
+// In verifying mode, once the commitment is known, a cell is stored only
+// if its proof checks, and it is checked once: an arrival that equals,
+// byte for byte in payload and proof, a held copy that was itself
+// verified is a duplicate without another hash. A held copy that differs,
+// or one stored before the commitment was known, vouches for nothing:
+// the arrival then takes the full check, so a corrupted duplicate is
+// still ErrBadProof.
+func (s *Store) Add(c wire.Cell) (bool, error) { return s.add(&c) }
+
+func (s *Store) add(c *wire.Cell) (bool, error) {
+	if !s.inRange(c.ID) {
 		return false, fmt.Errorf("%w: cell %v out of range", blob.ErrBadCell, c.ID)
 	}
 	// A tainted cell is the simulator's stand-in for a corrupted payload:
@@ -261,49 +344,59 @@ func (s *Store) Add(c wire.Cell) (bool, error) {
 	if c.Tainted {
 		return false, fmt.Errorf("%w: cell %v (tainted)", ErrBadProof, c.ID)
 	}
-	if s.verify && s.hasCommitment {
-		if !kzg.Verify(s.commitment, c.ID, c.Data, c.Proof) {
-			return false, fmt.Errorf("%w: cell %v", ErrBadProof, c.ID)
+	pl := s.locate(c.ID)
+	check := s.verify && s.hasCommitment
+	if check {
+		known := false
+		if pl.held {
+			h := s.slot(c.ID, pl)
+			known = h.verified && h.proof == c.Proof && bytes.Equal(h.data, c.Data)
+		}
+		if !known {
+			s.verifyCalls++
+			if !kzg.Verify(s.commitment, c.ID, c.Data, c.Proof) {
+				return false, fmt.Errorf("%w: cell %v", ErrBadProof, c.ID)
+			}
 		}
 	}
-	added, covered := false, false
-	if ls := s.rowState(c.ID.Row); ls != nil {
-		covered = true
-		if ls.set(int(c.ID.Col)) {
-			added = true
-		}
+	if pl.held {
+		return false, nil
 	}
-	if ls := s.colState(c.ID.Col); ls != nil {
-		covered = true
-		if ls.set(int(c.ID.Row)) {
-			added = true
-		}
-	}
-	if !covered && s.extraAdd(c.ID) {
-		added = true
-	}
-	if added && s.real {
-		s.data[c.ID.Index(s.n)] = c
-	}
-	return added, nil
+	s.insert(c, pl, check)
+	return true, nil
 }
 
-// Get returns the stored cell. In metadata mode the returned cell has a
-// nil payload but is valid for forwarding (sizes are charged in full).
-func (s *Store) Get(id blob.CellID) (wire.Cell, bool) {
-	if !s.Has(id) {
-		return wire.Cell{}, false
+// insert records an absent cell at pl without checking it; verified says
+// whether its proof is known to match the commitment. A Borrowed payload
+// is copied here, and only here: a cell that turns out to be a duplicate
+// or a reject never costs a copy.
+func (s *Store) insert(c *wire.Cell, pl place, verified bool) {
+	if pl.row >= 0 {
+		s.lines[pl.row].set(int(c.ID.Col))
 	}
-	if s.real {
-		c, ok := s.data[id.Index(s.n)]
-		return c, ok
+	if pl.col >= 0 {
+		s.lines[pl.col].set(int(c.ID.Row))
 	}
-	return wire.Cell{ID: id}, true
+	if pl.row < 0 && pl.col < 0 {
+		s.extras = slices.Insert(s.extras, pl.extra, uint32(c.ID.Index(s.n)))
+		if s.real {
+			s.pay.extra = slices.Insert(s.pay.extra, pl.extra, heldCell{})
+		}
+	}
+	if !s.real {
+		return
+	}
+	data := c.Data
+	if c.Borrowed {
+		data = s.pay.keep(data)
+	}
+	h := s.slot(c.ID, pl)
+	h.data, h.proof, h.verified = data, c.Proof, verified
 }
 
-// Peek is the read-only hot-path lookup used by the sampling gateway:
-// it returns the stored cell WITHOUT copying the payload and with a
-// single map probe in real mode (Get pays a custody-line scan first).
+// Peek returns the stored cell without copying the payload. In metadata
+// mode the returned cell has a nil payload but is valid for forwarding
+// (sizes are charged in full).
 //
 // Aliasing contract: in real-payload mode the returned Cell's Data
 // slice aliases the store's internal storage. Callers must treat it as
@@ -311,17 +404,21 @@ func (s *Store) Get(id blob.CellID) (wire.Cell, bool) {
 // store in place); a caller that needs a private copy — e.g. to cache
 // past the slot boundary — must copy Data itself. Mutating the returned
 // payload corrupts custody state for every later reader (see
-// TestStorePeekAliasing). In metadata mode the returned cell has a nil
-// payload, exactly like Get.
+// TestStorePeekAliasing).
 func (s *Store) Peek(id blob.CellID) (wire.Cell, bool) {
-	if s.real {
-		c, ok := s.data[id.Index(s.n)]
-		return c, ok
-	}
-	if !s.Has(id) {
+	if !s.inRange(id) {
 		return wire.Cell{}, false
 	}
-	return wire.Cell{ID: id}, true
+	pl := s.locate(id)
+	if !pl.held {
+		return wire.Cell{}, false
+	}
+	c := wire.Cell{ID: id}
+	if s.real {
+		h := s.slot(id, pl)
+		c.Data, c.Proof = h.data, h.proof
+	}
+	return c, true
 }
 
 // LineCount returns the number of present cells on a tracked line
@@ -365,32 +462,42 @@ func (s *Store) MissingOnLine(l blob.Line, buf []int) []int {
 // TryReconstruct completes a tracked line if it holds at least half of
 // its cells. It returns the cells newly materialized (nil if the line was
 // complete or below the threshold). In real mode the Reed-Solomon decoder
-// produces actual payloads and fresh proofs; in metadata mode presence
+// produces actual payloads and fresh proofs, and the returned slice is
+// the store's own, valid until the next call; in metadata mode presence
 // bits are simply filled in.
+//
+// What is restored here is stored without a proof check: its proof was
+// computed from the commitment a line above, and checking it would
+// compute it again and compare the two.
 func (s *Store) TryReconstruct(l blob.Line) ([]wire.Cell, error) {
-	ls := s.lineStateOf(l)
-	if ls == nil || ls.count == s.n || ls.count < s.n/2 {
+	li := s.lineIndex(l)
+	if li < 0 {
+		return nil, nil
+	}
+	ls := &s.lines[li]
+	if ls.count == s.n || ls.count < s.n/2 {
 		return nil, nil
 	}
 	s.missScr = s.MissingOnLine(l, s.missScr)
 	missing := s.missScr
 	var newCells []wire.Cell
 	if s.real {
-		full := make([][]byte, s.n)
+		p := s.pay
+		if cap(p.lineScr) < s.n {
+			p.lineScr = make([][]byte, s.n)
+		}
+		full := p.lineScr[:s.n]
+		clear(full)
 		for pos := range full {
-			if !ls.has(pos) {
-				continue
+			if ls.has(pos) {
+				id := cellOnLine(l, pos)
+				full[pos] = s.slot(id, s.locate(id)).data
 			}
-			id := cellOnLine(l, pos)
-			c, ok := s.data[id.Index(s.n)]
-			if !ok {
-				return nil, fmt.Errorf("core: line %v position %d marked present but payload missing", l, pos)
-			}
-			full[pos] = c.Data
 		}
 		if err := blob.ReconstructLine(s.params, full); err != nil {
 			return nil, fmt.Errorf("core: reconstruct %v: %w", l, err)
 		}
+		newCells = p.reconScr[:0]
 		for _, pos := range missing {
 			id := cellOnLine(l, pos)
 			c := wire.Cell{ID: id, Data: full[pos]}
@@ -399,15 +506,16 @@ func (s *Store) TryReconstruct(l blob.Line) ([]wire.Cell, error) {
 			}
 			newCells = append(newCells, c)
 		}
+		p.reconScr = newCells
 	} else {
+		newCells = make([]wire.Cell, 0, len(missing))
 		for _, pos := range missing {
 			newCells = append(newCells, wire.Cell{ID: cellOnLine(l, pos)})
 		}
 	}
-	for _, c := range newCells {
-		if _, err := s.Add(c); err != nil {
-			return nil, err
-		}
+	for i := range newCells {
+		c := &newCells[i]
+		s.insert(c, s.locate(c.ID), s.hasCommitment)
 	}
 	return newCells, nil
 }

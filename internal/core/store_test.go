@@ -175,7 +175,7 @@ func TestStoreRealReconstructProducesRealBytes(t *testing.T) {
 		}
 	}
 	// Served cells round-trip through Get.
-	got, ok := s.Get(blob.CellID{Row: 3, Col: uint16(p.N() - 1)})
+	got, ok := s.Peek(blob.CellID{Row: 3, Col: uint16(p.N() - 1)})
 	if !ok || got.Data == nil {
 		t.Fatal("Get after reconstruct failed")
 	}
@@ -208,7 +208,7 @@ func TestStoreExtrasForSamples(t *testing.T) {
 	if !s.Has(off) {
 		t.Fatal("extra cell not present")
 	}
-	if _, ok := s.Get(off); !ok {
+	if _, ok := s.Peek(off); !ok {
 		t.Fatal("extra cell not gettable")
 	}
 }
@@ -231,10 +231,10 @@ func TestStoreCompleteLines(t *testing.T) {
 
 // TestStorePeekAliasing pins Peek's zero-copy contract (documented on
 // the method): in real mode the returned Data slice ALIASES the store's
-// internal payload — no copy is made — and Peek agrees with Get on
-// presence. The gateway's hot path depends on the no-copy guarantee;
-// this test is the tripwire if Peek ever starts copying (or Get stops
-// returning stored bytes).
+// internal payload — no copy is made — for a cell that arrived, one that
+// was copied in from a borrowed buffer, an off-custody extra and one that
+// was reconstructed alike. The gateway's hot path depends on the no-copy
+// guarantee; this test is the tripwire if Peek ever starts copying.
 func TestStorePeekAliasing(t *testing.T) {
 	p := testStoreParams()
 	s := NewStore(p, testAssignment(), true, false)
@@ -255,15 +255,42 @@ func TestStorePeekAliasing(t *testing.T) {
 		t.Fatal("Peek returned wrong payload")
 	}
 	// Same backing array: element 0 of the returned slice and of a
-	// second Peek must share an address (zero-copy), and Get must serve
-	// the same bytes.
+	// second Peek must share an address (zero-copy).
 	again, _ := s.Peek(id)
 	if &got.Data[0] != &again.Data[0] {
 		t.Fatal("Peek copied the payload; contract is zero-copy aliasing")
 	}
-	viaGet, ok := s.Get(id)
-	if !ok || !bytes.Equal(viaGet.Data, got.Data) {
-		t.Fatal("Get and Peek disagree")
+	// The same holds wherever the cell lives: a custody column's slot, the
+	// extras, the arena a borrowed payload was copied into, and the
+	// decoder's output for a reconstructed line.
+	for _, c := range []wire.Cell{
+		{ID: blob.CellID{Row: 14, Col: 2}, Data: payload},
+		{ID: blob.CellID{Row: 12, Col: 13}, Data: payload},
+		{ID: blob.CellID{Row: 1, Col: 5}, Data: payload, Borrowed: true},
+	} {
+		if _, err := s.Add(c); err != nil {
+			t.Fatal(err)
+		}
+		one, ok1 := s.Peek(c.ID)
+		two, ok2 := s.Peek(c.ID)
+		if !ok1 || !ok2 || !bytes.Equal(one.Data, payload) || &one.Data[0] != &two.Data[0] {
+			t.Fatalf("cell %v: Peek is not a stable view of the stored payload", c.ID)
+		}
+	}
+	row := blob.Line{Kind: blob.Row, Index: 5}
+	for pos := 0; pos < p.K; pos++ {
+		if _, err := s.Add(wire.Cell{ID: cellOnLine(row, pos), Data: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restored, err := s.TryReconstruct(row)
+	if err != nil || len(restored) != p.N()-p.K {
+		t.Fatalf("TryReconstruct = %d cells, %v", len(restored), err)
+	}
+	for _, c := range restored {
+		if held, ok := s.Peek(c.ID); !ok || &held.Data[0] != &c.Data[0] {
+			t.Fatalf("cell %v: Peek does not alias the reconstructed payload", c.ID)
+		}
 	}
 
 	// Absent cell and metadata-only mode still behave.

@@ -1,7 +1,7 @@
 package swarm
 
 import (
-	"net"
+	"net/netip"
 
 	"pandas/internal/transport"
 	"pandas/internal/wire"
@@ -53,7 +53,7 @@ func (d *discovery) round() {
 func (d *discovery) handle(from, size int, payload any) bool {
 	switch m := payload.(type) {
 	case *wire.FindPeers:
-		d.serve(m, nil)
+		d.serve(m, netip.AddrPort{})
 	case *wire.Peers:
 		d.merge(m.Entries)
 	default:
@@ -65,7 +65,7 @@ func (d *discovery) handle(from, size int, payload any) bool {
 // handleUnknown processes discovery traffic from senders not yet in the
 // peer table (a late joiner or restarted worker whose binding we lack).
 // Installed as the transport's unknown-sender handler.
-func (d *discovery) handleUnknown(raddr *net.UDPAddr, size int, payload any) {
+func (d *discovery) handleUnknown(raddr netip.AddrPort, size int, payload any) {
 	if m, ok := payload.(*wire.FindPeers); ok {
 		d.serve(m, raddr)
 	}
@@ -74,9 +74,9 @@ func (d *discovery) handleUnknown(raddr *net.UDPAddr, size int, payload any) {
 // serve answers a FindPeers: register the sender's first-hand binding
 // (authoritative — it overwrites any stale address for that index, which
 // is how restarted workers rebind everywhere), then reply with our
-// table. raddr, when non-nil, is the observed source address used for
+// table. raddr, when valid, is the observed source address used for
 // the reply if the announced one fails to register.
-func (d *discovery) serve(m *wire.FindPeers, raddr *net.UDPAddr) {
+func (d *discovery) serve(m *wire.FindPeers, raddr netip.AddrPort) {
 	idx := int(m.Index)
 	if idx == d.self || idx < 0 || idx >= d.total || m.Addr == "" {
 		return
@@ -89,7 +89,7 @@ func (d *discovery) serve(m *wire.FindPeers, raddr *net.UDPAddr) {
 		if len(reply.Entries) == 0 {
 			return
 		}
-		if raddr != nil {
+		if raddr.IsValid() {
 			d.ep.SendToAddr(raddr, reply)
 		} else {
 			d.ep.Send(idx, reply.WireSize(0), reply)

@@ -2,6 +2,9 @@ package transport
 
 import (
 	"net"
+	"net/netip"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,13 +31,14 @@ func TestUDPEndpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := make(chan *wire.Query, 1)
+	got := make(chan wire.Query, 1)
 	b.Start(func(from, size int, payload any) {
 		if from != 0 {
 			t.Errorf("from = %d", from)
 		}
 		if q, ok := payload.(*wire.Query); ok {
-			got <- q
+			// The message is lent until the handler returns: copy it.
+			got <- wire.Query{Slot: q.Slot, Cells: append([]blob.CellID(nil), q.Cells...)}
 		}
 	})
 	a.Start(func(from, size int, payload any) {})
@@ -199,7 +203,7 @@ func TestAddPeerGrowAndRebind(t *testing.T) {
 	if err := a.AddPeer(1, "127.0.0.1:40102"); err != nil {
 		t.Fatal(err)
 	}
-	if i, ok := a.table.Load().lookup("127.0.0.1:40100"); ok {
+	if i, ok := a.table.Load().lookup(netip.MustParseAddrPort("127.0.0.1:40100")); ok {
 		t.Fatalf("stale address still resolves to %d", i)
 	}
 	// Move index 5's address onto index 2: index 5 must lose it.
@@ -210,7 +214,7 @@ func TestAddPeerGrowAndRebind(t *testing.T) {
 	if peers[2] != "127.0.0.1:40101" || peers[5] != "" {
 		t.Fatalf("after address move: peers = %v", peers)
 	}
-	if i, _ := a.table.Load().lookup("127.0.0.1:40101"); i != 2 {
+	if i, _ := a.table.Load().lookup(netip.MustParseAddrPort("127.0.0.1:40101")); i != 2 {
 		t.Fatalf("moved address resolves to %d, want 2", i)
 	}
 }
@@ -232,8 +236,8 @@ func TestUnknownSenderHandler(t *testing.T) {
 	if err := b.SetPeers([]string{a.Addr(), b.Addr()}); err != nil {
 		t.Fatal(err)
 	}
-	got := make(chan *net.UDPAddr, 1)
-	a.SetUnknownSender(func(raddr *net.UDPAddr, size int, payload any) {
+	got := make(chan netip.AddrPort, 1)
+	a.SetUnknownSender(func(raddr netip.AddrPort, size int, payload any) {
 		if _, ok := payload.(*wire.FindPeers); ok {
 			got <- raddr
 		}
@@ -264,5 +268,114 @@ func TestUnknownSenderHandler(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("unknown-sender datagram never surfaced")
+	}
+}
+
+// TestCloseReleasesPendingTimers: After timers still pending at Close are
+// stopped, so nothing they reference outlives the endpoint and no
+// callback runs afterwards. Before, a closed endpoint's timers stayed
+// armed — holding closure, node and store — until they fired into a dead
+// event loop.
+func TestCloseReleasesPendingTimers(t *testing.T) {
+	a, err := NewUDP(0, "127.0.0.1:0", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Start(func(from, size int, payload any) {})
+	var ran atomic.Int32
+	type state struct{ cells [1 << 16]byte } // stands in for a node and its store
+	collected := make(chan struct{})
+	func() {
+		held := new(state)
+		runtime.SetFinalizer(held, func(*state) { close(collected) })
+		a.After(time.Hour, func() { ran.Add(int32(held.cells[0]) + 1) })
+	}()
+	for _, d := range []time.Duration{20 * time.Millisecond, 40 * time.Millisecond, time.Minute} {
+		a.After(d, func() { ran.Add(1) })
+	}
+	fired := make(chan struct{})
+	a.After(0, func() { close(fired) })
+	<-fired // a timer that fires before Close runs, and leaves the set
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(a.timers); n != 0 {
+		t.Fatalf("%d timers still armed after Close", n)
+	}
+	a.After(time.Millisecond, func() { ran.Add(1) }) // arms nothing
+	if n := len(a.timers); n != 0 {
+		t.Fatalf("After on a closed endpoint armed %d timers", n)
+	}
+	deadline := time.After(5 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-deadline:
+			t.Fatal("a pending timer's closure is still reachable after Close")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	time.Sleep(60 * time.Millisecond) // past the short timers' due times
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("%d After callbacks ran after Close", n)
+	}
+}
+
+// TestSendAllocatesNothing is the send half of the allocation gate: Send
+// encodes into a recycled buffer (it used to allocate one per message,
+// 50 KB for a full response).
+func TestSendAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries under the race detector")
+	}
+	a, _ := loopbackPair(t, benchCellBytes) // the peer never reads: loopback drops what overflows
+	q, r := benchMessages()
+	for _, msg := range []wire.Message{q, r} {
+		size := msg.WireSize(benchCellBytes)
+		a.Send(1, size, msg) // warm the pool
+		if n := testing.AllocsPerRun(50, func() { a.Send(1, size, msg) }); n != 0 {
+			t.Errorf("Send(%T) makes %.0f allocations", msg, n)
+		}
+	}
+}
+
+// TestPeerKeyUnmapped: a peer is one key whether the socket reports its
+// address as IPv4 or as IPv4-mapped IPv6 (a dual-stack socket does).
+func TestPeerKeyUnmapped(t *testing.T) {
+	mapped, err := resolve("[::ffff:127.0.0.1]:4000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := resolve("127.0.0.1:4000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mapped != plain || unmap(netip.MustParseAddrPort("[::ffff:127.0.0.1]:4000")) != plain {
+		t.Fatalf("mapped %v and plain %v are different keys", mapped, plain)
+	}
+}
+
+// TestEmptyDatagramIgnored: a zero-length datagram is dropped like any
+// other malformed one, and the endpoint keeps receiving.
+func TestEmptyDatagramIgnored(t *testing.T) {
+	a, b := loopbackPair(t, 64)
+	got := make(chan struct{}, 2)
+	b.Start(func(from, size int, payload any) { got <- struct{}{} })
+	if _, err := a.conn.WriteToUDPAddrPort(nil, b.conn.LocalAddr().(*net.UDPAddr).AddrPort()); err != nil {
+		t.Fatal(err)
+	}
+	q := &wire.Query{Slot: 1}
+	a.Send(1, q.WireSize(64), q)
+	select {
+	case <-got:
+	case <-time.After(2 * time.Second):
+		t.Fatal("endpoint stopped receiving after an empty datagram")
+	}
+	select {
+	case <-got:
+		t.Fatal("empty datagram delivered")
+	case <-time.After(50 * time.Millisecond):
 	}
 }

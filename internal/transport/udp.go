@@ -18,7 +18,9 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,21 +32,88 @@ import (
 var ErrClosed = errors.New("transport: closed")
 
 // peerTable is an immutable peer-table snapshot: addrs[i] is peer i's
-// address (nil = unknown), index inverts it. Updates build a fresh table
-// and swap it atomically, so the index can never hold an entry for an
-// address that was shrunk away or rebound to another peer — the
-// stale-entry hazard of mutating the map in place.
+// address (the zero AddrPort = unknown), index inverts it. Updates build
+// a fresh table and swap it atomically, so the index can never hold an
+// entry for an address that was shrunk away or rebound to another peer —
+// the stale-entry hazard of mutating the map in place. Addresses are
+// unmapped (an IPv4 peer is keyed by its 4-byte form whatever family
+// the socket reports), so the source of a datagram is looked up as the
+// comparable value the socket returns, with no string built per packet.
 type peerTable struct {
-	addrs []*net.UDPAddr
-	index map[string]int
+	addrs []netip.AddrPort
+	index map[netip.AddrPort]int
 }
 
-func (t *peerTable) lookup(addr string) (int, bool) {
+func (t *peerTable) lookup(addr netip.AddrPort) (int, bool) {
 	if t == nil {
 		return 0, false
 	}
 	i, ok := t.index[addr]
 	return i, ok
+}
+
+// unmap returns ap with an IPv4-mapped IPv6 address as plain IPv4.
+func unmap(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
+// resolve parses or looks up a host:port peer address.
+func resolve(addr string) (netip.AddrPort, error) {
+	ua, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return netip.AddrPort{}, err
+	}
+	return unmap(ua.AddrPort()), nil
+}
+
+// datagram is one received packet on its way from the receive loop to the
+// event loop. Its buffer is as large as its size class, not as the 64 KB
+// the socket is read into: most datagrams are ~60-byte queries and
+// thousands can wait in the queue. Datagrams are recycled through
+// datagramPools, so steady-state reception allocates nothing.
+type datagram struct {
+	buf  []byte         // the packet; cap(buf) is the size class
+	from int            // sender's peer index, -1 when not in the table
+	addr netip.AddrPort // sender's address, for the unknown-sender handler
+}
+
+// Datagram size classes are powers of two from 64 B to 64 KB.
+const (
+	minClassBits = 6
+	maxClassBits = 16
+)
+
+var datagramPools [maxClassBits - minClassBits + 1]sync.Pool
+
+// newDatagram returns a recycled datagram holding a copy of pkt.
+func newDatagram(pkt []byte) *datagram {
+	class := sizeClass(len(pkt))
+	d, _ := datagramPools[class].Get().(*datagram)
+	if d == nil {
+		d = &datagram{buf: make([]byte, 1<<(class+minClassBits))}
+	}
+	d.buf = append(d.buf[:0], pkt...)
+	return d
+}
+
+func (d *datagram) recycle() { datagramPools[sizeClass(cap(d.buf))].Put(d) }
+
+// sizeClass returns the index of the smallest class holding n bytes.
+func sizeClass(n int) int {
+	return bits.Len(uint(max(n, 1<<minClassBits)-1)) - minClassBits
+}
+
+// sendBufs recycles encode buffers: the socket write has copied the bytes
+// when it returns, so a sender needs a buffer only for the duration of
+// Send. Pooled across endpoints, a process keeps about one per CPU rather
+// than one per socket.
+var sendBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// event is one unit of work for the event loop: a function to run, or a
+// received datagram to decode and hand to the handler.
+type event struct {
+	fn func()
+	dg *datagram
 }
 
 // UDP is one node's transport endpoint.
@@ -55,22 +124,26 @@ type UDP struct {
 	table     atomic.Pointer[peerTable]
 	start     time.Time
 
-	events  chan func()
+	events  chan event
 	done    chan struct{}
 	wg      sync.WaitGroup
 	handler func(from, size int, payload any)
 
 	// unknown receives decoded datagrams from senders absent from the
 	// peer table (discovery traffic from late joiners); nil drops them.
-	unknown atomic.Pointer[func(raddr *net.UDPAddr, size int, payload any)]
+	unknown atomic.Pointer[func(raddr netip.AddrPort, size int, payload any)]
 
 	// linkPolicy is a test hook interposed on outgoing datagrams to
 	// inject loss and reordering; nil sends directly.
 	linkPolicy atomic.Pointer[func(to int, data []byte) (drop bool, delay time.Duration)]
 
-	mu      sync.Mutex // serializes Close and peer-table writers
+	mu      sync.Mutex // serializes Close, timer arming and peer-table writers
 	closed  bool
 	started bool
+	// timers holds every armed, unfired After timer so that Close can
+	// stop them: a pending timer keeps its callback — and through it the
+	// node and its store — reachable until it fires.
+	timers map[*time.Timer]struct{}
 }
 
 // NewUDP binds a UDP endpoint. bind is this node's listen address
@@ -92,8 +165,11 @@ func NewUDP(self int, bind string, cellBytes int) (*UDP, error) {
 		cellBytes: cellBytes,
 		conn:      conn,
 		start:     time.Now(),
-		events:    make(chan func(), 4096),
-		done:      make(chan struct{}),
+		// A slot's burst — a seed batch, or the replies to a round's
+		// queries — must fit while the event loop is busy reconstructing.
+		events: make(chan event, 4096),
+		done:   make(chan struct{}),
+		timers: make(map[*time.Timer]struct{}),
 	}, nil
 }
 
@@ -120,19 +196,19 @@ func (u *UDP) SetCellBytes(n int) {
 // address never leaves a stale address mapped to the wrong peer.
 func (u *UDP) SetPeers(addrs []string) error {
 	t := &peerTable{
-		addrs: make([]*net.UDPAddr, len(addrs)),
-		index: make(map[string]int, len(addrs)),
+		addrs: make([]netip.AddrPort, len(addrs)),
+		index: make(map[netip.AddrPort]int, len(addrs)),
 	}
 	for i, a := range addrs {
 		if a == "" {
 			continue
 		}
-		ua, err := net.ResolveUDPAddr("udp", a)
+		ap, err := resolve(a)
 		if err != nil {
 			return fmt.Errorf("transport: resolve peer %d %q: %w", i, a, err)
 		}
-		t.addrs[i] = ua
-		t.index[ua.String()] = i
+		t.addrs[i] = ap
+		t.index[ap] = i
 	}
 	u.mu.Lock()
 	u.table.Store(t)
@@ -149,7 +225,7 @@ func (u *UDP) AddPeer(i int, addr string) error {
 	if i < 0 {
 		return fmt.Errorf("transport: add peer: negative index %d", i)
 	}
-	ua, err := net.ResolveUDPAddr("udp", addr)
+	ap, err := resolve(addr)
 	if err != nil {
 		return fmt.Errorf("transport: resolve peer %d %q: %w", i, addr, err)
 	}
@@ -160,24 +236,23 @@ func (u *UDP) AddPeer(i int, addr string) error {
 	if old != nil && len(old.addrs) > n {
 		n = len(old.addrs)
 	}
-	t := &peerTable{addrs: make([]*net.UDPAddr, n), index: make(map[string]int, n)}
+	t := &peerTable{addrs: make([]netip.AddrPort, n), index: make(map[netip.AddrPort]int, n)}
 	if old != nil {
 		copy(t.addrs, old.addrs)
 		for a, j := range old.index {
 			t.index[a] = j
 		}
 	}
-	key := ua.String()
-	if prev := t.addrs[i]; prev != nil && t.index[prev.String()] == i {
-		delete(t.index, prev.String())
+	if prev := t.addrs[i]; prev.IsValid() && t.index[prev] == i {
+		delete(t.index, prev)
 	}
-	if j, ok := t.index[key]; ok && j != i && j < len(t.addrs) {
+	if j, ok := t.index[ap]; ok && j != i && j < len(t.addrs) {
 		// The address moved between indexes; the displaced peer keeps no
 		// claim on it.
-		t.addrs[j] = nil
+		t.addrs[j] = netip.AddrPort{}
 	}
-	t.addrs[i] = ua
-	t.index[key] = i
+	t.addrs[i] = ap
+	t.index[ap] = i
 	u.table.Store(t)
 	return nil
 }
@@ -191,7 +266,7 @@ func (u *UDP) Peers() []string {
 	}
 	out := make([]string, len(t.addrs))
 	for i, a := range t.addrs {
-		if a != nil {
+		if a.IsValid() {
 			out[i] = a.String()
 		}
 	}
@@ -206,7 +281,7 @@ func (u *UDP) Known() int {
 	}
 	n := 0
 	for _, a := range t.addrs {
-		if a != nil {
+		if a.IsValid() {
 			n++
 		}
 	}
@@ -217,7 +292,7 @@ func (u *UDP) Known() int {
 // is not in the peer table; it runs on the event loop like the main
 // handler. The swarm discovery plane uses it to serve FindPeers from
 // late joiners before they are registered.
-func (u *UDP) SetUnknownSender(h func(raddr *net.UDPAddr, size int, payload any)) {
+func (u *UDP) SetUnknownSender(h func(raddr netip.AddrPort, size int, payload any)) {
 	if h == nil {
 		u.unknown.Store(nil)
 		return
@@ -227,7 +302,8 @@ func (u *UDP) SetUnknownSender(h func(raddr *net.UDPAddr, size int, payload any)
 
 // SetLinkPolicy interposes a test hook on every outgoing datagram: drop
 // suppresses it, a positive delay defers the socket write (out-of-order
-// delivery). A nil policy restores direct sends.
+// delivery). data is valid only during the call. A nil policy restores
+// direct sends.
 func (u *UDP) SetLinkPolicy(p func(to int, data []byte) (drop bool, delay time.Duration)) {
 	if p == nil {
 		u.linkPolicy.Store(nil)
@@ -238,6 +314,13 @@ func (u *UDP) SetLinkPolicy(p func(to int, data []byte) (drop bool, delay time.D
 
 // Start launches the receive and event loops; handler receives decoded
 // protocol messages on the event loop.
+//
+// A Seed, Query or Response is lent to the handler, not given: it is
+// decoded in place over the datagram's buffer into structs the endpoint
+// reuses (wire.DecodeInto), so the message, its slices and its cell
+// payloads (marked wire.Cell.Borrowed) are valid only until the handler
+// returns. A handler that keeps any of it copies it first. Control and
+// discovery messages own their memory and may be retained.
 func (u *UDP) Start(handler func(from, size int, payload any)) {
 	u.mu.Lock()
 	u.handler = handler
@@ -249,31 +332,66 @@ func (u *UDP) Start(handler func(from, size int, payload any)) {
 }
 
 // Run schedules fn on the endpoint's event loop (e.g. to start a slot on
-// the same thread as message handling).
-func (u *UDP) Run(fn func()) {
+// the same thread as message handling). After Close it does nothing.
+func (u *UDP) Run(fn func()) { u.enqueue(event{fn: fn}) }
+
+// enqueue hands ev to the event loop, blocking while the queue is full,
+// and reports false if the endpoint closed instead. done is polled first
+// so that a closed endpoint's queue does not go on collecting events.
+func (u *UDP) enqueue(ev event) bool {
 	select {
-	case u.events <- fn:
 	case <-u.done:
+		return false
+	default:
+	}
+	select {
+	case u.events <- ev:
+		return true
+	case <-u.done:
+		return false
 	}
 }
 
 func (u *UDP) eventLoop() {
 	defer u.wg.Done()
+	var inbox wire.Inbox
 	for {
 		select {
-		case fn := <-u.events:
-			fn()
+		case ev := <-u.events:
+			if ev.fn != nil {
+				ev.fn()
+			} else {
+				u.deliver(&inbox, ev.dg)
+			}
 		case <-u.done:
 			return
 		}
 	}
 }
 
+// deliver decodes one datagram in place and lends the message to the
+// handler; the buffer goes back to the pool when the handler returns.
+func (u *UDP) deliver(inbox *wire.Inbox, d *datagram) {
+	defer d.recycle()
+	msg, err := wire.DecodeInto(inbox, d.buf, u.cellBytes)
+	if err != nil {
+		return // malformed datagram
+	}
+	size := len(d.buf) + wire.OverheadIPUDP
+	if d.from >= 0 {
+		if u.handler != nil {
+			u.handler(d.from, size, msg)
+		}
+	} else if hp := u.unknown.Load(); hp != nil {
+		(*hp)(d.addr, size, msg)
+	}
+}
+
 func (u *UDP) receiveLoop() {
 	defer u.wg.Done()
-	buf := make([]byte, 65536)
+	buf := make([]byte, 1<<maxClassBits)
 	for {
-		n, raddr, err := u.conn.ReadFromUDP(buf)
+		n, raddr, err := u.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-u.done:
@@ -282,29 +400,19 @@ func (u *UDP) receiveLoop() {
 			}
 			continue
 		}
-		from, known := u.table.Load().lookup(raddr.String())
-		var unknownH func(*net.UDPAddr, int, any)
+		raddr = unmap(raddr)
+		from, known := u.table.Load().lookup(raddr)
 		if !known {
-			hp := u.unknown.Load()
-			if hp == nil {
+			if u.unknown.Load() == nil {
 				continue // unknown sender, no discovery plane
 			}
-			unknownH = *hp
+			from = -1
 		}
-		msg, err := wire.Decode(buf[:n], u.cellBytes)
-		if err != nil {
-			continue // malformed datagram
+		d := newDatagram(buf[:n])
+		d.from, d.addr = from, raddr
+		if !u.enqueue(event{dg: d}) {
+			d.recycle()
 		}
-		size := n + wire.OverheadIPUDP
-		u.Run(func() {
-			if !known {
-				unknownH(raddr, size, msg)
-				return
-			}
-			if u.handler != nil {
-				u.handler(from, size, msg)
-			}
-		})
 	}
 }
 
@@ -313,43 +421,47 @@ func (u *UDP) receiveLoop() {
 // UDP's fire-and-forget semantics.
 func (u *UDP) Send(to int, size int, payload any) {
 	t := u.table.Load()
-	if t == nil || to < 0 || to >= len(t.addrs) || t.addrs[to] == nil {
+	if t == nil || to < 0 || to >= len(t.addrs) || !t.addrs[to].IsValid() {
 		return
 	}
-	msg, ok := payload.(wire.Message)
-	if !ok {
-		return
-	}
-	data, err := wire.Encode(msg, u.cellBytes)
-	if err != nil {
-		return
-	}
-	if pp := u.linkPolicy.Load(); pp != nil {
-		drop, delay := (*pp)(to, data)
-		if drop {
-			return
-		}
-		if delay > 0 {
-			addr := t.addrs[to]
-			time.AfterFunc(delay, func() { _, _ = u.conn.WriteToUDP(data, addr) })
-			return
-		}
-	}
-	_, _ = u.conn.WriteToUDP(data, t.addrs[to])
+	u.send(t.addrs[to], to, payload)
 }
 
 // SendToAddr transmits a message directly to a UDP address that need not
 // be in the peer table (discovery replies to not-yet-registered peers).
-func (u *UDP) SendToAddr(addr *net.UDPAddr, payload any) {
+func (u *UDP) SendToAddr(addr netip.AddrPort, payload any) { u.send(addr, -1, payload) }
+
+// send encodes payload into a pooled buffer and writes it to addr. to is
+// the peer index the link policy sees; a negative one bypasses the policy.
+func (u *UDP) send(addr netip.AddrPort, to int, payload any) {
 	msg, ok := payload.(wire.Message)
 	if !ok {
 		return
 	}
-	data, err := wire.Encode(msg, u.cellBytes)
+	bp := sendBufs.Get().(*[]byte)
+	data, err := wire.EncodeAppend((*bp)[:0], msg, u.cellBytes)
 	if err != nil {
+		sendBufs.Put(bp)
 		return
 	}
-	_, _ = u.conn.WriteToUDP(data, addr)
+	*bp = data // keep what the encoder grew
+	if pp := u.linkPolicy.Load(); pp != nil && to >= 0 {
+		drop, delay := (*pp)(to, data)
+		if drop {
+			sendBufs.Put(bp)
+			return
+		}
+		if delay > 0 {
+			// The deferred write owns the buffer until it has happened.
+			time.AfterFunc(delay, func() {
+				_, _ = u.conn.WriteToUDPAddrPort(data, addr)
+				sendBufs.Put(bp)
+			})
+			return
+		}
+	}
+	_, _ = u.conn.WriteToUDPAddrPort(data, addr)
+	sendBufs.Put(bp)
 }
 
 // SendReliable implements core.Transport. Real UDP offers no reliability
@@ -357,16 +469,29 @@ func (u *UDP) SendToAddr(addr *net.UDPAddr, payload any) {
 func (u *UDP) SendReliable(to int, size int, payload any) { u.Send(to, size, payload) }
 
 // After implements core.Transport using wall-clock timers delivered onto
-// the event loop.
+// the event loop. Timers still pending at Close are stopped there and
+// never run; After on a closed endpoint arms nothing.
 func (u *UDP) After(d time.Duration, fn func()) {
-	timer := time.AfterFunc(d, func() { u.Run(fn) })
-	_ = timer
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.closed {
+		return
+	}
+	var t *time.Timer
+	t = time.AfterFunc(d, func() {
+		u.mu.Lock()
+		delete(u.timers, t)
+		u.mu.Unlock()
+		u.Run(fn)
+	})
+	u.timers[t] = struct{}{}
 }
 
 // Now implements core.Transport: time since the endpoint started.
 func (u *UDP) Now() time.Duration { return time.Since(u.start) }
 
-// Close shuts the endpoint down and waits for its loops.
+// Close shuts the endpoint down, stops its pending After timers and waits
+// for its loops.
 func (u *UDP) Close() error {
 	u.mu.Lock()
 	if u.closed {
@@ -375,6 +500,10 @@ func (u *UDP) Close() error {
 	}
 	u.closed = true
 	started := u.started
+	for t := range u.timers {
+		t.Stop()
+	}
+	clear(u.timers)
 	u.mu.Unlock()
 	close(u.done)
 	err := u.conn.Close()

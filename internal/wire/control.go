@@ -22,6 +22,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Control/discovery message types (the protocol plane uses 1-3).
@@ -218,14 +219,14 @@ func appendPeerEntry(buf []byte, e PeerEntry) ([]byte, error) {
 	return appendAddr(buf, e.Addr)
 }
 
-// encodeControl serializes the swarm control/discovery messages. The
-// slot header slot field is 0 for messages without slot semantics.
-func encodeControl(m Message) ([]byte, error) {
-	var buf []byte
+// encodeControl appends the serialized swarm control/discovery message
+// to buf. The slot header slot field is 0 for messages without slot
+// semantics.
+func encodeControl(buf []byte, m Message) ([]byte, error) {
 	var err error
 	switch v := m.(type) {
 	case *Hello:
-		buf = make([]byte, 0, v.WireSize(0)-OverheadIPUDP)
+		buf = slices.Grow(buf, v.WireSize(0)-OverheadIPUDP)
 		buf = append(buf, byte(TypeHello))
 		buf = binary.BigEndian.AppendUint64(buf, v.Slot)
 		buf = binary.BigEndian.AppendUint64(buf, v.Nonce)
@@ -239,7 +240,7 @@ func encodeControl(m Message) ([]byte, error) {
 			return nil, err
 		}
 	case *WorkerConfig:
-		buf = make([]byte, 0, v.WireSize(0)-OverheadIPUDP)
+		buf = slices.Grow(buf, v.WireSize(0)-OverheadIPUDP)
 		buf = append(buf, byte(TypeConfig))
 		buf = binary.BigEndian.AppendUint64(buf, 0)
 		buf = binary.BigEndian.AppendUint64(buf, v.Nonce)
@@ -260,12 +261,12 @@ func encodeControl(m Message) ([]byte, error) {
 			}
 		}
 	case *Start:
-		buf = make([]byte, 0, v.WireSize(0)-OverheadIPUDP)
+		buf = slices.Grow(buf, v.WireSize(0)-OverheadIPUDP)
 		buf = append(buf, byte(TypeStart))
 		buf = binary.BigEndian.AppendUint64(buf, v.Slot)
 		buf = binary.BigEndian.AppendUint64(buf, v.Nonce)
 	case *Report:
-		buf = make([]byte, 0, v.WireSize(0)-OverheadIPUDP)
+		buf = slices.Grow(buf, v.WireSize(0)-OverheadIPUDP)
 		buf = append(buf, byte(TypeReport))
 		buf = binary.BigEndian.AppendUint64(buf, v.Slot)
 		buf = binary.BigEndian.AppendUint64(buf, v.Nonce)
@@ -293,12 +294,12 @@ func encodeControl(m Message) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint32(buf, v.CorruptRejects)
 		buf = binary.BigEndian.AppendUint32(buf, v.Restarts)
 	case *Ack:
-		buf = make([]byte, 0, v.WireSize(0)-OverheadIPUDP)
+		buf = slices.Grow(buf, v.WireSize(0)-OverheadIPUDP)
 		buf = append(buf, byte(TypeAck))
 		buf = binary.BigEndian.AppendUint64(buf, 0)
 		buf = binary.BigEndian.AppendUint64(buf, v.Nonce)
 	case *FindPeers:
-		buf = make([]byte, 0, v.WireSize(0)-OverheadIPUDP)
+		buf = slices.Grow(buf, v.WireSize(0)-OverheadIPUDP)
 		buf = append(buf, byte(TypeFindPeers))
 		buf = binary.BigEndian.AppendUint64(buf, 0)
 		buf = binary.BigEndian.AppendUint64(buf, v.Nonce)
@@ -307,7 +308,7 @@ func encodeControl(m Message) ([]byte, error) {
 			return nil, err
 		}
 	case *Peers:
-		buf = make([]byte, 0, v.WireSize(0)-OverheadIPUDP)
+		buf = slices.Grow(buf, v.WireSize(0)-OverheadIPUDP)
 		buf = append(buf, byte(TypePeers))
 		buf = binary.BigEndian.AppendUint64(buf, 0)
 		buf = binary.BigEndian.AppendUint64(buf, v.Nonce)

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"pandas/internal/blob"
 	"pandas/internal/ids"
@@ -70,6 +71,13 @@ type Cell struct {
 	// corrupt, so the store rejects Tainted cells exactly where real mode
 	// rejects cells whose KZG proof fails.
 	Tainted bool
+	// Borrowed marks a cell whose Data aliases memory the holder of the
+	// cell does not own — the datagram it was decoded from, lent only
+	// until the receive handler returns. Decode sets it; like Tainted it is
+	// never encoded, and the simulator's by-reference messages never carry
+	// it. Whoever keeps a Borrowed cell past the handler must copy Data
+	// first (core.Store does, on insert).
+	Borrowed bool
 }
 
 // Message is implemented by all PANDAS wire messages.
@@ -158,10 +166,18 @@ func (m *Response) WireSize(cellBytes int) int {
 // Encode serializes a message for UDP transport. cellBytes fixes the cell
 // payload size (cells with nil Data are encoded as zero payloads).
 func Encode(m Message, cellBytes int) ([]byte, error) {
-	var buf []byte
+	return EncodeAppend(nil, m, cellBytes)
+}
+
+// EncodeAppend is Encode into the caller's buffer: the datagram is
+// appended to buf (normally buf[:0] of a reused buffer) and the extended
+// slice returned, so a sender that keeps one buffer allocates nothing
+// per message.
+func EncodeAppend(buf []byte, m Message, cellBytes int) ([]byte, error) {
+	base := len(buf)
 	switch v := m.(type) {
 	case *Seed:
-		buf = make([]byte, 0, v.WireSize(cellBytes))
+		buf = slices.Grow(buf, v.WireSize(cellBytes)-OverheadIPUDP)
 		buf = append(buf, byte(TypeSeed))
 		buf = binary.BigEndian.AppendUint64(buf, v.Slot)
 		buf = append(buf, v.Builder[:]...)
@@ -169,10 +185,7 @@ func Encode(m Message, cellBytes int) ([]byte, error) {
 		buf = append(buf, v.Commitment[:]...)
 		buf = binary.BigEndian.AppendUint16(buf, v.ChunkIndex)
 		buf = binary.BigEndian.AppendUint16(buf, v.ChunkCount)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v.Cells)))
-		for _, c := range v.Cells {
-			buf = appendCell(buf, c, cellBytes)
-		}
+		buf = appendCells(buf, v.Cells, cellBytes)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v.Boost)))
 		for _, b := range v.Boost {
 			buf = append(buf, byte(b.Line.Kind))
@@ -182,7 +195,7 @@ func Encode(m Message, cellBytes int) ([]byte, error) {
 			buf = binary.BigEndian.AppendUint16(buf, b.Count)
 		}
 	case *Query:
-		buf = make([]byte, 0, v.WireSize(cellBytes))
+		buf = slices.Grow(buf, v.WireSize(cellBytes)-OverheadIPUDP)
 		buf = append(buf, byte(TypeQuery))
 		buf = binary.BigEndian.AppendUint64(buf, v.Slot)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v.Cells)))
@@ -191,41 +204,69 @@ func Encode(m Message, cellBytes int) ([]byte, error) {
 			buf = binary.BigEndian.AppendUint16(buf, id.Col)
 		}
 	case *Response:
-		buf = make([]byte, 0, v.WireSize(cellBytes))
+		buf = slices.Grow(buf, v.WireSize(cellBytes)-OverheadIPUDP)
 		buf = append(buf, byte(TypeResponse))
 		buf = binary.BigEndian.AppendUint64(buf, v.Slot)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v.Cells)))
-		for _, c := range v.Cells {
-			buf = appendCell(buf, c, cellBytes)
-		}
+		buf = appendCells(buf, v.Cells, cellBytes)
 	default:
 		// Swarm control/discovery messages (see control.go).
-		cbuf, err := encodeControl(m)
-		if err != nil {
+		var err error
+		if buf, err = encodeControl(buf, m); err != nil {
 			return nil, err
 		}
-		buf = cbuf
 	}
-	if len(buf) > 65507 { // max UDP payload
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(buf))
+	if len(buf)-base > 65507 { // max UDP payload
+		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(buf)-base)
 	}
 	return buf, nil
 }
 
-func appendCell(buf []byte, c Cell, cellBytes int) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, c.ID.Row)
-	buf = binary.BigEndian.AppendUint16(buf, c.ID.Col)
-	if c.Data == nil {
-		buf = append(buf, make([]byte, cellBytes)...)
-	} else {
-		buf = append(buf, c.Data[:cellBytes]...)
+// appendCells writes a cell count and the cells.
+func appendCells(buf []byte, cells []Cell, cellBytes int) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cells)))
+	for i := range cells {
+		c := &cells[i]
+		buf = binary.BigEndian.AppendUint16(buf, c.ID.Row)
+		buf = binary.BigEndian.AppendUint16(buf, c.ID.Col)
+		if c.Data == nil {
+			buf = append(buf, make([]byte, cellBytes)...)
+		} else {
+			buf = append(buf, c.Data[:cellBytes]...)
+		}
+		buf = append(buf, c.Proof[:]...)
 	}
-	buf = append(buf, c.Proof[:]...)
 	return buf
 }
 
-// Decode parses a datagram produced by Encode.
+// Inbox holds the Seed, Query and Response structs DecodeInto fills. A
+// receiver that handles one datagram at a time keeps one Inbox and, once
+// the slices inside have grown to the largest message seen, decodes
+// without allocating. The zero value is ready to use.
+type Inbox struct {
+	seed     Seed
+	query    Query
+	response Response
+}
+
+// Decode parses a datagram produced by Encode into a fresh message. The
+// message borrows data (see DecodeInto).
 func Decode(data []byte, cellBytes int) (Message, error) {
+	return DecodeInto(new(Inbox), data, cellBytes)
+}
+
+// DecodeInto parses a datagram produced by Encode, in place: a Seed, Query
+// or Response is decoded into the struct the Inbox keeps for its type,
+// overwriting the previous message of that type, and every cell payload is
+// a sub-slice of data (marked Cell.Borrowed), not a copy. The returned message is
+// therefore valid only while data is unchanged and until the next
+// DecodeInto with the same Inbox; a transport lends it to its handler
+// until the handler returns. Control and discovery messages are always
+// fresh and own their memory.
+//
+// Declared element counts are checked against the bytes present before
+// anything is sized from them, so a datagram costs memory in proportion
+// to its length, never to what its header claims.
+func DecodeInto(in *Inbox, data []byte, cellBytes int) (Message, error) {
 	if len(data) < 9 {
 		return nil, ErrTruncated
 	}
@@ -234,78 +275,58 @@ func Decode(data []byte, cellBytes int) (Message, error) {
 	r := reader{buf: data[9:]}
 	switch typ {
 	case TypeSeed:
-		m := &Seed{Slot: slot}
+		m := &in.seed
+		m.Slot = slot
 		if !r.bytes(m.Builder[:]) || !r.bytes(m.ProposerSig[:]) || !r.bytes(m.Commitment[:]) {
 			return nil, ErrTruncated
 		}
-		if len(r.buf) < 4 {
+		var ok bool
+		if m.ChunkIndex, ok = r.uint16(); !ok {
 			return nil, ErrTruncated
 		}
-		m.ChunkIndex = binary.BigEndian.Uint16(r.buf[0:2])
-		m.ChunkCount = binary.BigEndian.Uint16(r.buf[2:4])
-		r.buf = r.buf[4:]
-		nCells, ok := r.uint32()
+		if m.ChunkCount, ok = r.uint16(); !ok {
+			return nil, ErrTruncated
+		}
+		if m.Cells, ok = r.cells(m.Cells, cellBytes); !ok {
+			return nil, ErrTruncated
+		}
+		nBoost, ok := r.count(boostEntryWire)
 		if !ok {
 			return nil, ErrTruncated
 		}
-		m.Cells = make([]Cell, 0, min(int(nCells), 4096))
-		for i := 0; i < int(nCells); i++ {
-			c, ok := r.cell(cellBytes)
-			if !ok {
-				return nil, ErrTruncated
-			}
-			m.Cells = append(m.Cells, c)
-		}
-		nBoost, ok := r.uint32()
-		if !ok {
-			return nil, ErrTruncated
-		}
-		m.Boost = make([]BoostEntry, 0, min(int(nBoost), 65536))
-		for i := 0; i < int(nBoost); i++ {
-			if len(r.buf) < boostEntryWire {
-				return nil, ErrTruncated
-			}
-			var b BoostEntry
+		m.Boost = slices.Grow(m.Boost[:0], nBoost)[:nBoost]
+		for i := range m.Boost {
+			b := &m.Boost[i]
 			b.Line.Kind = blob.LineKind(r.buf[0])
 			b.Line.Index = binary.BigEndian.Uint16(r.buf[1:3])
 			b.HolderRef = binary.BigEndian.Uint16(r.buf[3:5])
 			b.Start = binary.BigEndian.Uint16(r.buf[5:7])
 			b.Count = binary.BigEndian.Uint16(r.buf[7:9])
 			r.buf = r.buf[boostEntryWire:]
-			m.Boost = append(m.Boost, b)
 		}
 		return m, nil
 	case TypeQuery:
-		m := &Query{Slot: slot}
-		nCells, ok := r.uint32()
+		m := &in.query
+		m.Slot = slot
+		nCells, ok := r.count(4)
 		if !ok {
 			return nil, ErrTruncated
 		}
-		m.Cells = make([]blob.CellID, 0, min(int(nCells), 65536))
-		for i := 0; i < int(nCells); i++ {
-			if len(r.buf) < 4 {
-				return nil, ErrTruncated
-			}
-			m.Cells = append(m.Cells, blob.CellID{
+		m.Cells = slices.Grow(m.Cells[:0], nCells)[:nCells]
+		for i := range m.Cells {
+			m.Cells[i] = blob.CellID{
 				Row: binary.BigEndian.Uint16(r.buf[0:2]),
 				Col: binary.BigEndian.Uint16(r.buf[2:4]),
-			})
+			}
 			r.buf = r.buf[4:]
 		}
 		return m, nil
 	case TypeResponse:
-		m := &Response{Slot: slot}
-		nCells, ok := r.uint32()
-		if !ok {
+		m := &in.response
+		m.Slot = slot
+		var ok bool
+		if m.Cells, ok = r.cells(m.Cells, cellBytes); !ok {
 			return nil, ErrTruncated
-		}
-		m.Cells = make([]Cell, 0, min(int(nCells), 4096))
-		for i := 0; i < int(nCells); i++ {
-			c, ok := r.cell(cellBytes)
-			if !ok {
-				return nil, ErrTruncated
-			}
-			m.Cells = append(m.Cells, c)
 		}
 		return m, nil
 	default:
@@ -337,18 +358,35 @@ func (r *reader) uint32() (uint32, bool) {
 	return v, true
 }
 
-func (r *reader) cell(cellBytes int) (Cell, bool) {
-	need := 4 + cellBytes + kzg.ProofSize
-	if len(r.buf) < need {
-		return Cell{}, false
+// count reads an element count and reports whether that many elements of
+// elemWire bytes each are actually present behind it.
+func (r *reader) count(elemWire int) (int, bool) {
+	n, ok := r.uint32()
+	if !ok || uint64(n) > uint64(len(r.buf)/elemWire) {
+		return 0, false
 	}
-	var c Cell
-	c.ID.Row = binary.BigEndian.Uint16(r.buf[0:2])
-	c.ID.Col = binary.BigEndian.Uint16(r.buf[2:4])
-	c.Data = append([]byte(nil), r.buf[4:4+cellBytes]...)
-	copy(c.Proof[:], r.buf[4+cellBytes:need])
-	r.buf = r.buf[need:]
-	return c, true
+	return int(n), true
+}
+
+// cells reads a cell count and the cells into dst's memory. Payloads
+// alias the reader's buffer.
+func (r *reader) cells(dst []Cell, cellBytes int) ([]Cell, bool) {
+	per := cellWire(cellBytes)
+	n, ok := r.count(per)
+	if !ok {
+		return dst[:0], false
+	}
+	dst = slices.Grow(dst[:0], n)[:n]
+	for i := range dst {
+		c := &dst[i]
+		c.ID.Row = binary.BigEndian.Uint16(r.buf[0:2])
+		c.ID.Col = binary.BigEndian.Uint16(r.buf[2:4])
+		c.Data = r.buf[4 : 4+cellBytes : 4+cellBytes]
+		copy(c.Proof[:], r.buf[4+cellBytes:per])
+		c.Tainted, c.Borrowed = false, true
+		r.buf = r.buf[per:]
+	}
+	return dst, true
 }
 
 // SeedSigningBytes returns the canonical byte string the proposer signs to

@@ -53,6 +53,16 @@ go test -tags purego ./internal/gf65536 ./internal/rs ./internal/blob
 echo "== fuzz: FFT decode vs the Vandermonde matrix oracle (10 s)"
 go test ./internal/rs -run '^$' -fuzz FuzzReconstructMatchesMatrix -fuzztime 10s
 
+# The datagram decoder parses whatever arrives on the socket, in place:
+# differential against the copying reference decoder kept in its test file.
+echo "== fuzz: in-place wire decode vs the copying reference (10 s)"
+go test ./internal/wire -run '^$' -fuzz FuzzDecode -fuzztime 10s
+
+# One iteration each, so the receive-path micro-benchmarks cannot rot;
+# measure with a fixed count, e.g. -benchtime 20000x -count 5.
+echo "== receive-path benchmarks compile and run (1 iteration)"
+go test ./internal/transport ./internal/core -run '^$' -bench 'Loopback|HandleSeedBatch|HandleResponses' -benchtime 1x
+
 # bench/ is its own module (pandas/bench, replace pandas => ../), so the
 # ./... patterns above never compile it: an internal rename would break
 # the benchmark silently until the pipeline runs it.
