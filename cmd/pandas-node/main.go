@@ -63,7 +63,7 @@ func run(args []string) error {
 		slotGap   = fs.Duration("slot-gap", 12*time.Second, "time between slots")
 		metrics   = fs.String("metrics", "", "serve Prometheus text metrics at http://ADDR/metrics (e.g. :9464)")
 		gwAddr    = fs.String("gateway", "", "serve light-client sampling queries at http://ADDR/v1/cell (non-builder only)")
-		swarmSup  = fs.String("swarm", "", "run as a swarm worker of the supervisor at ADDR (config arrives over the control channel; only -index applies)")
+		swarmSup  = fs.String("swarm", "", "run as a swarm worker of the supervisor listening on TCP ADDR (config arrives over that connection and the worker exits when it ends; only -index applies)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

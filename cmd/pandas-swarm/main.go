@@ -1,9 +1,12 @@
 // Command pandas-swarm runs a multi-process PANDAS deployment on one
 // machine: it launches N pandas-node worker processes plus a builder
-// process, distributes configuration over a UDP control channel, waits
-// for the workers' discovery crawl to converge from a handful of
-// bootstrap peers, then drives slots end-to-end over real sockets and
-// prints a per-slot report in the simnet's schema.
+// process, distributes configuration over one loopback TCP control
+// connection per worker, waits for the workers' discovery crawl to
+// converge from a handful of bootstrap peers, then drives slots
+// end-to-end over real UDP sockets and prints a per-slot report in the
+// simnet's schema. A worker whose control connection ends drains and
+// exits, so no pandas-node process outlives its supervisor, however the
+// supervisor went (-timeout included).
 //
 //	pandas-swarm -n 64 -slots 3
 //	pandas-swarm -n 32 -slots 5 -kill 0.1        # kill 10% of nodes per slot
@@ -39,7 +42,7 @@ func run(args []string) error {
 		custody   = fs.Int("custody", 4, "rows and columns per node")
 		samples   = fs.Int("samples", 6, "random cells sampled per slot")
 		kill      = fs.Float64("kill", 0, "fraction of node processes killed per slot (fault injection)")
-		killDelay = fs.Duration("kill-delay", 500*time.Millisecond, "kill injection delay after slot start")
+		killDelay = fs.Duration("kill-delay", 100*time.Millisecond, "kill injection delay after slot start")
 		bootstrap = fs.Int("bootstrap", 4, "bootstrap peers handed to each worker")
 		bin       = fs.String("bin", "", "prebuilt pandas-node binary (default: go build from the module)")
 		timeout   = fs.Duration("timeout", 0, "hard wall-clock limit for the whole run (0 = none)")
@@ -56,18 +59,15 @@ func run(args []string) error {
 		})
 	}
 
-	workerBin := *bin
-	if workerBin == "" {
-		dir, err := os.MkdirTemp("", "pandas-swarm-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
+	command := swarm.NodeBinaryCommand(*bin)
+	if *bin == "" {
 		fmt.Fprintln(os.Stderr, "pandas-swarm: building pandas-node worker binary...")
-		workerBin, err = swarm.BuildNodeBinary(dir)
+		built, cleanup, err := swarm.BuildWorkerCommand()
 		if err != nil {
 			return err
 		}
+		defer cleanup()
+		command = built
 	}
 
 	g := swarm.DefaultGeometry()
@@ -83,7 +83,7 @@ func run(args []string) error {
 		BootstrapSize: *bootstrap,
 		KillFraction:  *kill,
 		KillDelay:     *killDelay,
-		Command:       swarm.NodeBinaryCommand(workerBin),
+		Command:       command,
 		ScrapeMetrics: true,
 	}
 	if !*quiet {

@@ -28,23 +28,19 @@ func Swarm(o Options, kill float64) (*Result, error) {
 	if slots == 0 {
 		slots = 3
 	}
-	dir, err := os.MkdirTemp("", "pandas-swarm-*")
+	fmt.Fprintln(os.Stderr, "swarm: building pandas-node worker binary...")
+	command, cleanup, err := swarm.BuildWorkerCommand()
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir)
-	fmt.Fprintln(os.Stderr, "swarm: building pandas-node worker binary...")
-	bin, err := swarm.BuildNodeBinary(dir)
-	if err != nil {
-		return nil, fmt.Errorf("build worker binary: %w", err)
-	}
+	defer cleanup()
 	run, err := swarm.Run(swarm.Options{
 		N:             n,
 		Slots:         slots,
 		Seed:          o.Seed,
 		Geometry:      swarm.DefaultGeometry(),
 		KillFraction:  kill,
-		Command:       swarm.NodeBinaryCommand(bin),
+		Command:       command,
 		ScrapeMetrics: true,
 	})
 	if err != nil {

@@ -16,21 +16,28 @@ func NodeBinaryCommand(bin string) WorkerCommand {
 	}
 }
 
-// BuildNodeBinary compiles cmd/pandas-node into dir and returns the
-// binary path. Used by pandas-swarm and the swarm experiment when no
-// prebuilt binary is supplied; requires running inside the module tree.
-func BuildNodeBinary(dir string) (string, error) {
+// BuildWorkerCommand compiles cmd/pandas-node into a temporary directory
+// and returns the WorkerCommand that launches it, with the function that
+// removes the directory again. It is how pandas-swarm and the swarm
+// experiment get workers when no prebuilt binary is supplied, and requires
+// running inside the module tree.
+func BuildWorkerCommand() (WorkerCommand, func(), error) {
 	root, err := moduleRoot()
 	if err != nil {
-		return "", err
+		return nil, nil, err
+	}
+	dir, err := os.MkdirTemp("", "pandas-swarm-*")
+	if err != nil {
+		return nil, nil, err
 	}
 	bin := filepath.Join(dir, "pandas-node")
 	cmd := exec.Command("go", "build", "-o", bin, "pandas/cmd/pandas-node")
 	cmd.Dir = root
 	if out, err := cmd.CombinedOutput(); err != nil {
-		return "", fmt.Errorf("swarm: build pandas-node: %v\n%s", err, out)
+		_ = os.RemoveAll(dir)
+		return nil, nil, fmt.Errorf("swarm: build pandas-node: %v\n%s", err, out)
 	}
-	return bin, nil
+	return NodeBinaryCommand(bin), func() { _ = os.RemoveAll(dir) }, nil
 }
 
 // moduleRoot walks up from the working directory to the go.mod.

@@ -1,206 +1,145 @@
 package swarm
 
 import (
+	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pandas/internal/wire"
 )
 
-// Control-channel tuning. UDP gives no delivery guarantee, so every
-// request is retried until its nonce-matched reply (WorkerConfig for
-// Hello, Ack for Report) arrives.
+// The control channel is one loopback TCP connection per worker process,
+// dialled by the worker, carrying newline-delimited JSON frames. The
+// stream supplies delivery, ordering and "the peer is gone" (EOF), so the
+// protocol has no acknowledgements, sequence numbers or retries of its
+// own: a frame written is a frame the other side reads, once, in order,
+// or the connection ends.
+
+// frame is one line of the stream. Exactly one field is set.
+type frame struct {
+	Hello  *hello  `json:"hello,omitempty"`
+	Config *config `json:"config,omitempty"`
+	Start  *start  `json:"start,omitempty"`
+	Report *report `json:"report,omitempty"`
+}
+
+// hello is the only frame a worker originates unprompted. The first one
+// on a connection registers the worker; it is then repeated every
+// heartbeatEvery from the worker's event loop, so a wedged loop reads as
+// a dead worker. The supervisor answers every hello with a config.
+type hello struct {
+	Index       int
+	Ready       bool   // discovery complete: full peer table learned
+	DataAddr    string // the worker's bound transport.UDP address
+	MetricsAddr string // the worker's obsv metrics HTTP address
+}
+
+// config is the supervisor's reply to a hello: everything a worker needs
+// to take part, and up to BootstrapSize peers to start discovery from.
+// Replies to heartbeats refresh the bootstrap list, which is empty for
+// the first worker to register.
+type config struct {
+	Nodes     int // protocol nodes; the builder is index Nodes
+	Seed      int64
+	Geometry  Geometry
+	Bootstrap []wire.PeerEntry
+}
+
+// start opens a slot on a worker: a node starts it, the builder seeds it.
+type start struct {
+	Slot uint64
+}
+
+// report is one worker's outcome for one slot. Times are measured from
+// the worker's own slot start and are meaningful only beside their flag.
+type report struct {
+	Slot uint64
+
+	HasSeed, Consolidated, Sampled         bool
+	FirstSeedAt, ConsolidatedAt, SampledAt time.Duration
+
+	SeedCells  int // builder: cell copies seeded
+	FetchMsgs  int
+	FetchBytes int64 // builder: bytes seeded
+}
+
 const (
-	ctrlRetry   = 250 * time.Millisecond
-	ctrlRetries = 40 // 10 s worst case per request
+	// heartbeatEvery is the worker's hello period.
+	heartbeatEvery = 500 * time.Millisecond
+	// maxFrameBytes bounds one line. Today's frames are a few hundred
+	// bytes; the bound is what a misbehaving peer can make a reader hold.
+	maxFrameBytes = 1 << 20
+	// writeTimeout bounds one frame write, so a peer that stopped reading
+	// cannot stall the writer's event loop.
+	writeTimeout = 2 * time.Second
+	// registerTimeout bounds a worker's wait for its first config.
+	registerTimeout = 10 * time.Second
 )
 
-var errControlTimeout = errors.New("swarm: control request timed out")
+var errBadFrame = errors.New("swarm: malformed control frame")
 
-// controlClient is the worker's half of the supervisor control channel:
-// one UDP socket dedicated to Hello/Config, Start/Ack, and Report/Ack
-// traffic, separate from the data-plane socket so protocol load cannot
-// starve control messages.
-type controlClient struct {
-	conn    *net.UDPConn
-	sup     *net.UDPAddr
-	onStart func(slot uint64)
-	// onConfig, when set, observes EVERY WorkerConfig (heartbeat replies
-	// included), independent of nonce matching — the worker uses it to
-	// keep merging bootstrap entries after registration.
-	onConfig func(*wire.WorkerConfig)
+// ctrlConn is one end of a control connection. send and recv may run on
+// different goroutines; neither may be called from two at once.
+type ctrlConn struct {
+	conn  net.Conn
+	lines *bufio.Scanner
 
-	nonce atomic.Uint64
-
-	mu      sync.Mutex
-	pending map[uint64]chan wire.Message
-	closed  bool
-
-	done chan struct{}
-	wg   sync.WaitGroup
+	// Supervisor event loop only: index is the worker this connection
+	// registered as (-1 before its first hello); dropped says the loop
+	// closed it for breaking the protocol, so whatever its reader had
+	// already forwarded is ignored.
+	index   int
+	dropped bool
 }
 
-// newControlClient binds a control socket and starts its read loop.
-// onStart is invoked (from the read loop) for each Start command; the
-// client acks Starts itself, so onStart must tolerate duplicates.
-// onConfig (optional) observes every WorkerConfig.
-func newControlClient(supervisor string, onStart func(slot uint64), onConfig func(*wire.WorkerConfig)) (*controlClient, error) {
-	sup, err := net.ResolveUDPAddr("udp", supervisor)
-	if err != nil {
-		return nil, fmt.Errorf("swarm: resolve supervisor %q: %w", supervisor, err)
-	}
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		return nil, fmt.Errorf("swarm: bind control socket: %w", err)
-	}
-	c := &controlClient{
-		conn:     conn,
-		sup:      sup,
-		onStart:  onStart,
-		onConfig: onConfig,
-		pending:  make(map[uint64]chan wire.Message),
-		done:     make(chan struct{}),
-	}
-	c.wg.Add(1)
-	go c.readLoop()
-	return c, nil
+func newCtrlConn(conn net.Conn) *ctrlConn {
+	lines := bufio.NewScanner(conn)
+	lines.Buffer(make([]byte, 0, 4096), maxFrameBytes)
+	return &ctrlConn{conn: conn, lines: lines, index: -1}
 }
 
-func (c *controlClient) readLoop() {
-	defer c.wg.Done()
-	buf := make([]byte, 65536)
-	for {
-		n, _, err := c.conn.ReadFromUDP(buf)
-		if err != nil {
-			select {
-			case <-c.done:
-				return
-			default:
-				continue
-			}
-		}
-		msg, err := wire.Decode(buf[:n], 0)
-		if err != nil {
-			continue
-		}
-		switch m := msg.(type) {
-		case *wire.WorkerConfig:
-			if c.onConfig != nil {
-				c.onConfig(m)
-			}
-			c.deliver(m.Nonce, m)
-		case *wire.Ack:
-			c.deliver(m.Nonce, m)
-		case *wire.Start:
-			// Ack immediately (the supervisor retries Starts until acked),
-			// then hand off; onStart deduplicates by slot.
-			c.send(&wire.Ack{Nonce: m.Nonce})
-			if c.onStart != nil {
-				c.onStart(m.Slot)
-			}
-		}
-	}
-}
-
-func (c *controlClient) deliver(nonce uint64, m wire.Message) {
-	c.mu.Lock()
-	ch := c.pending[nonce]
-	c.mu.Unlock()
-	if ch != nil {
-		select {
-		case ch <- m:
-		default:
-		}
-	}
-}
-
-func (c *controlClient) send(m wire.Message) {
-	data, err := wire.Encode(m, 0)
-	if err != nil {
-		return
-	}
-	_, _ = c.conn.WriteToUDP(data, c.sup)
-}
-
-// request sends m (which must carry nonce) until a reply with the same
-// nonce arrives, retrying every ctrlRetry up to ctrlRetries times.
-func (c *controlClient) request(m wire.Message, nonce uint64) (wire.Message, error) {
-	ch := make(chan wire.Message, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, errControlTimeout
-	}
-	c.pending[nonce] = ch
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.pending, nonce)
-		c.mu.Unlock()
-	}()
-	for i := 0; i < ctrlRetries; i++ {
-		c.send(m)
-		select {
-		case reply := <-ch:
-			return reply, nil
-		case <-time.After(ctrlRetry):
-		case <-c.done:
-			return nil, errControlTimeout
-		}
-	}
-	return nil, errControlTimeout
-}
-
-// hello registers with the supervisor and blocks for the WorkerConfig
-// reply.
-func (c *controlClient) hello(h *wire.Hello) (*wire.WorkerConfig, error) {
-	h.Nonce = c.nonce.Add(1)
-	reply, err := c.request(h, h.Nonce)
-	if err != nil {
-		return nil, err
-	}
-	cfg, ok := reply.(*wire.WorkerConfig)
-	if !ok {
-		return nil, fmt.Errorf("swarm: hello reply is %T", reply)
-	}
-	return cfg, nil
-}
-
-// heartbeat sends a fire-and-forget Hello (no reply wait); the
-// supervisor treats any Hello as liveness.
-func (c *controlClient) heartbeat(h *wire.Hello) {
-	h.Nonce = c.nonce.Add(1)
-	c.send(h)
-}
-
-// report delivers a slot report and blocks until the supervisor acks it.
-func (c *controlClient) report(r *wire.Report) error {
-	r.Nonce = c.nonce.Add(1)
-	reply, err := c.request(r, r.Nonce)
+// send writes one frame.
+func (c *ctrlConn) send(f frame) error {
+	line, err := json.Marshal(f)
 	if err != nil {
 		return err
 	}
-	if _, ok := reply.(*wire.Ack); !ok {
-		return fmt.Errorf("swarm: report reply is %T", reply)
-	}
-	return nil
+	_ = c.conn.SetWriteDeadline(time.Now().Add(writeTimeout)) // fails only on a closed connection, as Write then does
+	_, err = c.conn.Write(append(line, '\n'))
+	return err
 }
 
-// Close shuts the control socket down.
-func (c *controlClient) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
+// recv reads the next frame. It returns the stream's error (io.EOF when
+// the peer closed) or errBadFrame for a line that is longer than
+// maxFrameBytes or not exactly one frame; the caller closes the
+// connection on any of them.
+func (c *ctrlConn) recv() (frame, error) {
+	var f frame
+	if !c.lines.Scan() {
+		switch err := c.lines.Err(); err {
+		case nil:
+			return f, io.EOF
+		case bufio.ErrTooLong:
+			return f, fmt.Errorf("%w: line over %d bytes", errBadFrame, maxFrameBytes)
+		default:
+			return f, err
+		}
 	}
-	c.closed = true
-	c.mu.Unlock()
-	close(c.done)
-	err := c.conn.Close()
-	c.wg.Wait()
-	return err
+	if err := json.Unmarshal(c.lines.Bytes(), &f); err != nil {
+		return f, fmt.Errorf("%w: %v", errBadFrame, err)
+	}
+	set := 0
+	for _, present := range []bool{f.Hello != nil, f.Config != nil, f.Start != nil, f.Report != nil} {
+		if present {
+			set++
+		}
+	}
+	if set != 1 {
+		return f, errBadFrame
+	}
+	return f, nil
 }

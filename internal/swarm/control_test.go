@@ -1,0 +1,98 @@
+package swarm
+
+import (
+	"errors"
+	"io"
+	"net"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"pandas/internal/wire"
+)
+
+// loopbackConns returns the supervisor's end of a new control connection,
+// as its accept loop would build it, and the worker's end. (Not a
+// net.Pipe: the supervisor writes replies nobody may be reading yet.)
+func loopbackConns(t *testing.T) (sup, worker *ctrlConn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	dialled, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dialled.Close(); accepted.Close() })
+	return newCtrlConn(accepted), newCtrlConn(dialled)
+}
+
+// TestFrameRoundTrip sends each of the four frames over a connection and
+// expects the same frame, and only that frame, on the other side, in
+// order.
+func TestFrameRoundTrip(t *testing.T) {
+	frames := []frame{
+		{Hello: &hello{Index: 5, Ready: true, DataAddr: "127.0.0.1:40001", MetricsAddr: "127.0.0.1:40002"}},
+		{Config: &config{Nodes: 64, Seed: -42,
+			Geometry: Geometry{K: 16, Custody: 2, Samples: 73, CellBytes: 512, Redundancy: 6,
+				SeedWait: 250 * time.Millisecond, Deadline: 7 * time.Second},
+			Bootstrap: []wire.PeerEntry{{Index: 0, Addr: "127.0.0.1:40010"}, {Index: 64, Addr: "127.0.0.1:40011"}}}},
+		{Start: &start{Slot: 1<<63 + 2}},
+		{Report: &report{Slot: 2, HasSeed: true, Consolidated: true, Sampled: true,
+			FirstSeedAt: 120 * time.Millisecond, ConsolidatedAt: 900 * time.Millisecond, SampledAt: 1400 * time.Millisecond,
+			SeedCells: 64, FetchMsgs: 31, FetchBytes: 18_000}},
+		{Report: &report{Slot: 3}}, // a node that saw nothing
+	}
+	rx, tx := loopbackConns(t)
+	go func() {
+		for _, f := range frames {
+			if err := tx.send(f); err != nil {
+				t.Error(err)
+			}
+		}
+		tx.conn.Close()
+	}()
+	for i, want := range frames {
+		got, err := rx.recv()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("frame %d: got %+v, want %+v", i, got, want)
+		}
+	}
+	if _, err := rx.recv(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+}
+
+// TestRecvRejectsMalformedLines feeds a reader what a stranger might
+// write: every line that is not exactly one frame is an error, and an
+// overlong line is refused without being held.
+func TestRecvRejectsMalformedLines(t *testing.T) {
+	for name, line := range map[string]string{
+		"garbage":      "GET / HTTP/1.1",
+		"empty object": "{}",
+		"empty line":   "",
+		"two frames":   `{"hello":{"Index":1},"start":{"Slot":2}}`,
+		"wrong type":   `{"start":{"Slot":"two"}}`,
+		"oversized":    `{"hello":{"DataAddr":"` + strings.Repeat("x", maxFrameBytes) + `"}}`,
+	} {
+		rx, tx := loopbackConns(t)
+		go func() {
+			_, _ = io.WriteString(tx.conn, line+"\n") // cut short when the reader gives up
+			tx.conn.Close()
+		}()
+		if _, err := rx.recv(); !errors.Is(err, errBadFrame) {
+			t.Errorf("%s: err = %v, want errBadFrame", name, err)
+		}
+		rx.conn.Close()
+	}
+}

@@ -1,6 +1,7 @@
 package swarm
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -10,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -33,29 +33,35 @@ type Options struct {
 
 	Geometry Geometry
 
-	// BootstrapSize is how many already-registered workers each
-	// WorkerConfig lists as bootstrap peers (default 4). Discovery must
-	// spread the rest of the table from these.
+	// BootstrapSize is how many already-registered workers each config
+	// frame lists as bootstrap peers (default 4). Discovery must spread
+	// the rest of the table from these.
 	BootstrapSize int
 
 	// KillFraction, when positive, kills that fraction of node processes
-	// each slot, KillDelay after the slot starts (victims drawn by the
-	// adversary package's deterministic sortition; the builder is
-	// exempt). Killed workers restart and rejoin mid-slot.
+	// each slot, KillDelay (default 100ms) after the slot starts (victims
+	// drawn by the adversary package's deterministic sortition; the
+	// builder is exempt). Killed workers restart and rejoin mid-slot. A
+	// slot is not harvested before its kills have happened, so the
+	// schedule holds however fast the swarm is.
 	KillFraction float64
 	KillDelay    time.Duration
-
-	MaxRestarts      int           // per-worker restart budget (default 10)
-	ReadyTimeout     time.Duration // discovery convergence budget (default 60s)
-	SlotTimeout      time.Duration // per-slot harvest budget (default Deadline+8s)
-	SlotGap          time.Duration // pause between slots (default 300ms)
-	HeartbeatTimeout time.Duration // Hello silence before a worker is declared wedged and killed (default 5s; <0 disables)
-	DrainTimeout     time.Duration // graceful-shutdown budget (default 5s)
 
 	Command       WorkerCommand // required
 	Log           io.Writer     // supervisor + worker diagnostics; nil discards
 	ScrapeMetrics bool          // harvest workers' Prometheus endpoints into Result.Metrics
+
+	// Unexported so that only this package's tests can shorten them.
+	maxRestarts      int           // per-worker restart budget (default 10)
+	slotTimeout      time.Duration // per-slot harvest budget (default Deadline+8s)
+	heartbeatTimeout time.Duration // hello silence before a worker is declared wedged and killed (default 5s)
 }
+
+const (
+	readyTimeout = 60 * time.Second       // discovery convergence budget
+	slotGap      = 300 * time.Millisecond // pause between slots
+	drainTimeout = 5 * time.Second        // graceful-shutdown budget, then again for SIGKILL to take
+)
 
 func (o Options) withDefaults() Options {
 	if o.Slots == 0 {
@@ -68,25 +74,16 @@ func (o Options) withDefaults() Options {
 		o.BootstrapSize = 4
 	}
 	if o.KillDelay == 0 {
-		o.KillDelay = 500 * time.Millisecond
+		o.KillDelay = 100 * time.Millisecond
 	}
-	if o.MaxRestarts == 0 {
-		o.MaxRestarts = 10
+	if o.maxRestarts == 0 {
+		o.maxRestarts = 10
 	}
-	if o.ReadyTimeout == 0 {
-		o.ReadyTimeout = 60 * time.Second
+	if o.slotTimeout == 0 {
+		o.slotTimeout = o.Geometry.Deadline + 8*time.Second
 	}
-	if o.SlotTimeout == 0 {
-		o.SlotTimeout = o.Geometry.Deadline + 8*time.Second
-	}
-	if o.SlotGap == 0 {
-		o.SlotGap = 300 * time.Millisecond
-	}
-	if o.HeartbeatTimeout == 0 {
-		o.HeartbeatTimeout = 5 * time.Second
-	}
-	if o.DrainTimeout == 0 {
-		o.DrainTimeout = 5 * time.Second
+	if o.heartbeatTimeout == 0 {
+		o.heartbeatTimeout = 5 * time.Second
 	}
 	if o.Log == nil {
 		o.Log = io.Discard
@@ -98,7 +95,7 @@ func (o Options) withDefaults() Options {
 type workerState struct {
 	index       int
 	cmd         *exec.Cmd
-	ctrlAddr    *net.UDPAddr // worker's control socket, learned from Hello
+	conn        *ctrlConn // the live process's control connection, nil until its first hello
 	dataAddr    string
 	metricsAddr string
 	ready       bool
@@ -108,40 +105,65 @@ type workerState struct {
 	launched    time.Time
 	restarts    int
 	fastCrashes int // consecutive sub-second lifetimes, drives backoff
+
+	// Per-slot state, reset by runSlot.
+	report     *report
+	leftAt     time.Duration // first process exit after the slot start (-1: none)
+	rejoinedAt time.Duration // when its successor was handed the slot's start (-1: none)
 }
+
+// event is everything that reaches the supervisor from outside its own
+// goroutine: connection readers, process waiters and timers post events,
+// and the event loop alone acts on them.
+type event struct {
+	kind  eventKind
+	conn  *ctrlConn // evFrame, evClosed
+	frame frame     // evFrame
+	err   error     // evClosed: why the connection ended
+	index int       // evExited, evRelaunch
+	slot  uint64    // evKill
+}
+
+type eventKind int
+
+const (
+	evFrame    eventKind = iota // a frame arrived on conn
+	evClosed                    // conn ended: EOF, reset, or a malformed or oversized line
+	evExited                    // worker index's process exited
+	evRelaunch                  // worker index's restart backoff elapsed
+	evKill                      // slot's kill-injection delay elapsed
+)
 
 // Supervisor runs a swarm: N node processes plus a builder process,
 // config distribution, discovery bootstrap, slot driving, crash
 // restart, fault injection, and outcome harvest.
+//
+// It is one event loop. The goroutine that calls Run owns every field
+// below events and is the only one to read or write them; it blocks only
+// in handleUntil, which handles events until a condition holds or a
+// deadline passes.
 type Supervisor struct {
-	o    Options
-	conn *net.UDPConn
-	log  io.Writer
+	o   Options
+	ln  net.Listener
+	log io.Writer
 
-	nonce atomic.Uint64
-	exits chan int
-	done  chan struct{}
-	wg    sync.WaitGroup
+	events chan event
+	done   chan struct{}  // closed by shutdown: posters give up
+	wg     sync.WaitGroup // the accept loop and the connection readers
 
-	mu              sync.Mutex
-	workers         []*workerState
-	curSlot         uint64
-	slotStart       time.Time
-	startNonce      []uint64
-	startAcked      []bool
-	restartedInSlot []bool
-	rejoinedAt      []time.Duration
-	leftAt          []time.Duration
-	reports         map[int]*wire.Report
-	builderReport   *wire.Report
-	slotRestarts    int
-	totalRestarts   int
-	shuttingDown    bool
+	workers       []*workerState
+	slot          uint64 // the slot being driven, 0 between slots
+	slotStart     time.Time
+	killPending   bool // the slot's kill injection has not happened yet
+	slotRestarts  int
+	totalRestarts int
+	shuttingDown  bool
 }
 
 // Run executes a full swarm deployment and returns the merged result.
 // On ready-phase failure it returns the partial result alongside the
-// error so callers can still inspect what happened.
+// error so callers can still inspect what happened. When it returns,
+// every worker process it started has exited and been reaped.
 func Run(o Options) (*Result, error) {
 	o = o.withDefaults()
 	if o.Command == nil {
@@ -155,31 +177,24 @@ func Run(o Options) (*Result, error) {
 	if _, err := o.Geometry.CoreConfig(); err != nil {
 		return nil, fmt.Errorf("swarm: geometry: %w", err)
 	}
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, fmt.Errorf("swarm: bind control socket: %w", err)
+		return nil, fmt.Errorf("swarm: bind control listener: %w", err)
 	}
 	total := o.N + 1
 	s := &Supervisor{
-		o:               o,
-		conn:            conn,
-		log:             o.Log,
-		exits:           make(chan int, total),
-		done:            make(chan struct{}),
-		workers:         make([]*workerState, total),
-		startNonce:      make([]uint64, total),
-		startAcked:      make([]bool, total),
-		restartedInSlot: make([]bool, total),
-		rejoinedAt:      make([]time.Duration, total),
-		leftAt:          make([]time.Duration, total),
-		reports:         make(map[int]*wire.Report),
+		o:       o,
+		ln:      ln,
+		log:     o.Log,
+		events:  make(chan event),
+		done:    make(chan struct{}),
+		workers: make([]*workerState, total),
 	}
 	for i := range s.workers {
 		s.workers[i] = &workerState{index: i}
 	}
-	s.wg.Add(2)
-	go s.readLoop()
-	go s.monitor()
+	s.wg.Add(1)
+	go s.acceptLoop()
 	defer s.shutdown()
 
 	fmt.Fprintf(s.log, "swarm: control %s, launching %d workers (%d nodes + builder)\n",
@@ -203,28 +218,148 @@ func Run(o Options) (*Result, error) {
 	for slot := uint64(1); slot <= uint64(o.Slots); slot++ {
 		res.SlotResults = append(res.SlotResults, s.runSlot(slot))
 		if slot < uint64(o.Slots) {
-			time.Sleep(o.SlotGap)
+			s.handleUntil(slotGap, func() bool { return false })
 		}
 	}
 	if o.ScrapeMetrics {
 		res.Metrics = s.scrape()
 	}
 	s.shutdown()
-	s.mu.Lock()
 	res.TotalRestarts = s.totalRestarts
-	s.mu.Unlock()
 	return res, nil
 }
 
 // Addr returns the supervisor's control address.
-func (s *Supervisor) Addr() string { return s.conn.LocalAddr().String() }
+func (s *Supervisor) Addr() string { return s.ln.Addr().String() }
+
+// post hands ev to the event loop; false means the supervisor shut down
+// first.
+func (s *Supervisor) post(ev event) bool {
+	select {
+	case s.events <- ev:
+		return true
+	case <-s.done:
+		return false
+	}
+}
+
+// handleUntil runs the event loop until cond holds (true) or timeout
+// passes (false). It is the only place the supervisor waits.
+func (s *Supervisor) handleUntil(timeout time.Duration, cond func() bool) bool {
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	heartbeats := time.NewTicker(heartbeatEvery)
+	defer heartbeats.Stop()
+	for !cond() {
+		select {
+		case ev := <-s.events:
+			s.handle(ev)
+		case <-heartbeats.C:
+			s.checkHeartbeats()
+		case <-deadline.C:
+			return false
+		}
+	}
+	return true
+}
+
+func (s *Supervisor) handle(ev event) {
+	switch ev.kind {
+	case evFrame:
+		switch c, f := ev.conn, ev.frame; {
+		case c.dropped:
+		case f.Hello != nil:
+			s.handleHello(c, f.Hello)
+		case f.Report != nil && c.index >= 0:
+			s.handleReport(s.workers[c.index], f.Report)
+		default: // a frame only the supervisor sends, or a report before any hello
+			s.drop(c, errBadFrame)
+		}
+	case evClosed:
+		c := ev.conn
+		if errors.Is(ev.err, errBadFrame) { // the rest is a peer going away, which its exit reports
+			fmt.Fprintf(s.log, "swarm: closed control connection from %s: %v\n", c.conn.RemoteAddr(), ev.err)
+		}
+		if c.index >= 0 && s.workers[c.index].conn == c {
+			s.workers[c.index].conn = nil
+		}
+	case evExited:
+		s.handleExit(ev.index)
+	case evRelaunch:
+		s.launch(ev.index)
+	case evKill:
+		if ev.slot == s.slot {
+			s.injectKills()
+			s.killPending = false
+		}
+	}
+}
+
+// acceptLoop takes the workers' connections until shutdown closes the
+// listener, then closes every connection it accepted, which ends their
+// readers.
+func (s *Supervisor) acceptLoop() {
+	defer s.wg.Done()
+	var accepted []net.Conn
+	defer func() {
+		for _, conn := range accepted {
+			_ = conn.Close()
+		}
+	}()
+	for {
+		conn, err := s.ln.Accept()
+		if err != nil {
+			if !errors.Is(err, net.ErrClosed) {
+				fmt.Fprintf(s.log, "swarm: control listener: %v\n", err)
+			}
+			return
+		}
+		accepted = append(accepted, conn)
+		s.wg.Add(1)
+		go s.readLoop(newCtrlConn(conn))
+	}
+}
+
+// readLoop forwards one connection's frames to the event loop. Frames
+// come from outside the process: the first line that is oversized, not
+// JSON, or not exactly one frame ends the connection unacted on.
+func (s *Supervisor) readLoop(c *ctrlConn) {
+	defer s.wg.Done()
+	for {
+		f, err := c.recv()
+		if err != nil {
+			_ = c.conn.Close()
+			s.post(event{kind: evClosed, conn: c, err: err})
+			return
+		}
+		if !s.post(event{kind: evFrame, conn: c, frame: f}) {
+			return
+		}
+	}
+}
+
+// drop closes a connection that broke the protocol. Its reader then
+// posts evClosed, which is where a registered worker loses it.
+func (s *Supervisor) drop(c *ctrlConn, err error) {
+	fmt.Fprintf(s.log, "swarm: closing control connection from %s: %v\n", c.conn.RemoteAddr(), err)
+	c.dropped = true
+	_ = c.conn.Close()
+}
+
+// send writes one frame to a worker, if it has a connection. A failed
+// write (the process just died, or stopped reading) closes the connection
+// without comment: a live worker drains when it notices, and either way
+// the exit is what gets logged and acted on.
+func (s *Supervisor) send(w *workerState, f frame) {
+	if w.conn != nil && w.conn.send(f) != nil {
+		_ = w.conn.conn.Close()
+	}
+}
 
 // launch starts (or restarts) worker idx's process.
 func (s *Supervisor) launch(idx int) {
-	s.mu.Lock()
 	w := s.workers[idx]
 	if s.shuttingDown || w.gone || w.alive {
-		s.mu.Unlock()
 		return
 	}
 	cmd := s.o.Command(idx)
@@ -241,7 +376,6 @@ func (s *Supervisor) launch(idx int) {
 	}
 	if err := cmd.Start(); err != nil {
 		w.gone = true
-		s.mu.Unlock()
 		fmt.Fprintf(s.log, "swarm: worker %d failed to start: %v\n", idx, err)
 		return
 	}
@@ -249,74 +383,59 @@ func (s *Supervisor) launch(idx int) {
 	w.alive = true
 	w.ready = false
 	w.launched = time.Now()
-	w.lastSeen = time.Now() // grace until the first Hello
-	s.mu.Unlock()
+	w.lastSeen = time.Now() // grace until the first hello
 	go func() {
 		_ = cmd.Wait()
-		select {
-		case s.exits <- idx:
-		case <-s.done:
-		}
+		s.post(event{kind: evExited, index: idx})
 	}()
 }
 
-// readLoop serves the control protocol: Hello→WorkerConfig, Report→Ack,
-// and Start-Ack bookkeeping.
-func (s *Supervisor) readLoop() {
-	defer s.wg.Done()
-	buf := make([]byte, 65536)
-	for {
-		n, raddr, err := s.conn.ReadFromUDP(buf)
-		if err != nil {
-			select {
-			case <-s.done:
-				return
-			default:
-				continue
-			}
-		}
-		msg, err := wire.Decode(buf[:n], 0)
-		if err != nil {
-			continue
-		}
-		switch m := msg.(type) {
-		case *wire.Hello:
-			s.handleHello(m, raddr)
-		case *wire.Report:
-			s.sendTo(raddr, &wire.Ack{Nonce: m.Nonce})
-			s.handleReport(m)
-		case *wire.Ack:
-			s.handleAck(m)
-		}
-	}
-}
-
-func (s *Supervisor) handleHello(m *wire.Hello, raddr *net.UDPAddr) {
-	idx := int(m.Index)
-	if idx < 0 || idx >= len(s.workers) {
+// handleHello registers a connection on its first hello (an index takes
+// one connection at a time), refreshes the worker's addresses and
+// liveness on every one, and always answers with a config. A connection that registers while a slot is running belongs
+// to a process that was not there when the slot's start went out (a
+// restarted worker, usually), so it is handed that start now: once,
+// because a connection registers once.
+func (s *Supervisor) handleHello(c *ctrlConn, m *hello) {
+	if m.Index < 0 || m.Index >= len(s.workers) || (c.index >= 0 && c.index != m.Index) {
+		s.drop(c, fmt.Errorf("hello for index %d", m.Index))
 		return
 	}
-	s.mu.Lock()
-	w := s.workers[idx]
-	w.ctrlAddr = raddr
+	w := s.workers[m.Index]
+	registers := c.index < 0
+	if registers {
+		// A worker's connection ends when its process does, long before
+		// the restart backoff lets a successor dial: an index that is
+		// still connected is not being claimed by its own successor.
+		if w.conn != nil {
+			s.drop(c, fmt.Errorf("hello for index %d, which is connected", m.Index))
+			return
+		}
+		c.index, w.conn = m.Index, c
+	}
 	w.dataAddr = m.DataAddr
 	w.metricsAddr = m.MetricsAddr
 	w.ready = m.Ready
 	w.lastSeen = time.Now()
-	reply := &wire.WorkerConfig{
-		Nonce:     m.Nonce,
-		NumNodes:  uint32(s.o.N),
+	s.send(w, frame{Config: &config{
+		Nodes:     s.o.N,
 		Seed:      s.o.Seed,
-		Bootstrap: s.bootstrapLocked(idx),
+		Geometry:  s.o.Geometry,
+		Bootstrap: s.bootstrap(w.index),
+	}})
+	if registers && s.slot != 0 {
+		s.send(w, frame{Start: &start{Slot: s.slot}})
+		if w.leftAt >= 0 && w.rejoinedAt < 0 {
+			w.rejoinedAt = time.Since(s.slotStart)
+			fmt.Fprintf(s.log, "swarm: worker %d rejoined slot %d at +%v\n",
+				w.index, s.slot, w.rejoinedAt.Round(time.Millisecond))
+		}
 	}
-	s.o.Geometry.toWire(reply)
-	s.mu.Unlock()
-	s.sendTo(raddr, reply)
 }
 
-// bootstrapLocked picks up to BootstrapSize registered workers (lowest
+// bootstrap picks up to BootstrapSize registered workers (lowest
 // indexes first, excluding the asker) as discovery entry points.
-func (s *Supervisor) bootstrapLocked(asker int) []wire.PeerEntry {
+func (s *Supervisor) bootstrap(asker int) []wire.PeerEntry {
 	var out []wire.PeerEntry
 	for _, w := range s.workers {
 		if w.index == asker || w.dataAddr == "" || !w.alive {
@@ -330,88 +449,31 @@ func (s *Supervisor) bootstrapLocked(asker int) []wire.PeerEntry {
 	return out
 }
 
-func (s *Supervisor) handleReport(m *wire.Report) {
-	idx := int(m.Index)
-	if idx < 0 || idx >= len(s.workers) {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m.Slot != s.curSlot {
-		return // stale report from a previous slot's straggler
-	}
-	if m.Builder {
-		s.builderReport = m
-		return
+func (s *Supervisor) handleReport(w *workerState, m *report) {
+	if m.Slot != s.slot {
+		return // a straggler's report for a slot already harvested
 	}
 	// Keep the better report: a restarted worker may first time out
 	// incomplete, then its successor completes the slot after rejoining.
-	if prev, ok := s.reports[idx]; !ok || (!prev.Sampled && m.Sampled) {
-		s.reports[idx] = m
+	if w.report == nil || (!w.report.Sampled && m.Sampled) {
+		w.report = m
 	}
 }
 
-func (s *Supervisor) handleAck(m *wire.Ack) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, nonce := range s.startNonce {
-		if nonce != 0 && nonce == m.Nonce && !s.startAcked[i] {
-			s.startAcked[i] = true
-			if s.restartedInSlot[i] && s.rejoinedAt[i] < 0 {
-				s.rejoinedAt[i] = time.Since(s.slotStart)
-				fmt.Fprintf(s.log, "swarm: worker %d rejoined slot %d at +%v\n",
-					i, s.curSlot, s.rejoinedAt[i].Round(time.Millisecond))
-			}
-		}
-	}
-}
-
-func (s *Supervisor) sendTo(addr *net.UDPAddr, m wire.Message) {
-	data, err := wire.Encode(m, 0)
-	if err != nil {
-		return
-	}
-	_, _ = s.conn.WriteToUDP(data, addr)
-}
-
-// monitor consumes worker exits (restarting with exponential backoff)
-// and enforces heartbeat liveness.
-func (s *Supervisor) monitor() {
-	defer s.wg.Done()
-	hb := time.NewTicker(500 * time.Millisecond)
-	defer hb.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case idx := <-s.exits:
-			s.handleExit(idx)
-		case <-hb.C:
-			s.checkHeartbeats()
-		}
-	}
-}
-
+// handleExit restarts an exited worker after an exponential backoff.
 func (s *Supervisor) handleExit(idx int) {
-	s.mu.Lock()
 	w := s.workers[idx]
 	w.alive = false
 	w.ready = false
 	if s.shuttingDown {
-		s.mu.Unlock()
 		return
 	}
-	if s.curSlot > 0 {
-		s.restartedInSlot[idx] = true
-		s.startAcked[idx] = false // successor must re-ack the Start
-		if s.leftAt[idx] < 0 {
-			s.leftAt[idx] = time.Since(s.slotStart)
-		}
+	if s.slot != 0 && w.leftAt < 0 {
+		w.leftAt = time.Since(s.slotStart)
 	}
-	if w.restarts >= s.o.MaxRestarts {
+	if w.restarts >= s.o.maxRestarts {
 		w.gone = true
-		s.mu.Unlock()
-		fmt.Fprintf(s.log, "swarm: worker %d exhausted %d restarts, giving up\n", idx, s.o.MaxRestarts)
+		fmt.Fprintf(s.log, "swarm: worker %d exhausted %d restarts, giving up\n", idx, s.o.maxRestarts)
 		return
 	}
 	w.restarts++
@@ -422,245 +484,145 @@ func (s *Supervisor) handleExit(idx int) {
 	} else {
 		w.fastCrashes = 0
 	}
-	streak := w.fastCrashes
-	if streak > 5 {
-		streak = 5
-	}
-	backoff := 200 * time.Millisecond << streak
-	restarts := w.restarts
-	s.mu.Unlock()
-	fmt.Fprintf(s.log, "swarm: worker %d exited, restart %d in %v\n", idx, restarts, backoff)
-	time.AfterFunc(backoff, func() { s.launch(idx) })
+	backoff := 200 * time.Millisecond << min(w.fastCrashes, 5)
+	fmt.Fprintf(s.log, "swarm: worker %d exited, restart %d in %v\n", idx, w.restarts, backoff)
+	time.AfterFunc(backoff, func() { s.post(event{kind: evRelaunch, index: idx}) })
 }
 
-// checkHeartbeats kills workers whose Hellos stopped: a wedged process
+// checkHeartbeats kills workers whose hellos stopped: a wedged process
 // (live but unresponsive) is indistinguishable from a crash to the rest
-// of the swarm, so it is treated as one.
+// of the swarm, so it is treated as one. The stream says when a process
+// is gone, not when it is stuck, which is why heartbeats stay.
 func (s *Supervisor) checkHeartbeats() {
-	if s.o.HeartbeatTimeout <= 0 {
+	if s.shuttingDown {
 		return
 	}
-	var stale []*os.Process
-	s.mu.Lock()
 	for _, w := range s.workers {
-		if w.alive && w.cmd != nil && w.cmd.Process != nil &&
-			time.Since(w.lastSeen) > s.o.HeartbeatTimeout {
+		if silent := time.Since(w.lastSeen); w.alive && silent > s.o.heartbeatTimeout {
 			fmt.Fprintf(s.log, "swarm: worker %d heartbeat lost (%v), killing\n",
-				w.index, time.Since(w.lastSeen).Round(time.Millisecond))
-			stale = append(stale, w.cmd.Process)
+				w.index, silent.Round(time.Millisecond))
+			_ = w.cmd.Process.Kill()
 		}
-	}
-	s.mu.Unlock()
-	for _, p := range stale {
-		_ = p.Kill()
 	}
 }
 
-// waitReady blocks until every worker has registered, completed
+// count returns how many workers satisfy pred.
+func (s *Supervisor) count(pred func(*workerState) bool) int {
+	n := 0
+	for _, w := range s.workers {
+		if pred(w) {
+			n++
+		}
+	}
+	return n
+}
+
+// waitReady handles events until every worker has registered, completed
 // discovery, and declared ready.
 func (s *Supervisor) waitReady() error {
-	deadline := time.Now().Add(s.o.ReadyTimeout)
-	for time.Now().Before(deadline) {
-		ready, gone := 0, 0
-		s.mu.Lock()
-		for _, w := range s.workers {
-			if w.ready {
-				ready++
-			}
-			if w.gone {
-				gone++
-			}
-		}
-		s.mu.Unlock()
-		if gone > 0 {
-			return fmt.Errorf("swarm: %d workers failed permanently during bootstrap", gone)
-		}
-		if ready == len(s.workers) {
-			return nil
-		}
-		time.Sleep(100 * time.Millisecond)
+	gone := func(w *workerState) bool { return w.gone }
+	ready := func(w *workerState) bool { return w.ready }
+	inTime := s.handleUntil(readyTimeout, func() bool {
+		return s.count(gone) > 0 || s.count(ready) == len(s.workers)
+	})
+	if n := s.count(gone); n > 0 {
+		return fmt.Errorf("swarm: %d workers failed permanently during bootstrap", n)
+	}
+	if inTime {
+		return nil
 	}
 	var missing []string
-	s.mu.Lock()
 	for _, w := range s.workers {
 		if !w.ready {
 			missing = append(missing, strconv.Itoa(w.index))
 		}
 	}
-	s.mu.Unlock()
 	return fmt.Errorf("swarm: ready timeout; workers not ready: %s", strings.Join(missing, " "))
 }
 
-// runSlot drives one slot: Start to every node (retried until acked),
-// then to the builder, optional kill injection, then harvest.
+// runSlot drives one slot: a start to every connected worker — nodes
+// first, the builder (the last index) after them; a node would follow the
+// builder's signed seeds anyway, so the order is a courtesy — optional
+// kill injection, then harvest until the kills have happened and every
+// node that can report has, or the slot timeout.
 func (s *Supervisor) runSlot(slot uint64) SlotResult {
-	s.mu.Lock()
-	s.curSlot = slot
-	s.slotStart = time.Now()
-	s.reports = make(map[int]*wire.Report)
-	s.builderReport = nil
-	s.slotRestarts = 0
-	for i := range s.startNonce {
-		s.startNonce[i] = s.nonce.Add(1)
-		s.startAcked[i] = false
-		s.restartedInSlot[i] = false
-		s.rejoinedAt[i] = -1
-		s.leftAt[i] = -1
+	s.slot, s.slotStart, s.slotRestarts = slot, time.Now(), 0
+	for _, w := range s.workers {
+		w.report, w.leftAt, w.rejoinedAt = nil, -1, -1
+		s.send(w, frame{Start: &start{Slot: slot}})
 	}
-	s.mu.Unlock()
-
-	stop := make(chan struct{})
-	defer close(stop)
-	builderIdx := s.o.N
-	for i := 0; i < builderIdx; i++ {
-		go s.driveStart(slot, i, stop)
+	if s.killPending = s.o.KillFraction > 0; s.killPending {
+		kill := time.AfterFunc(s.o.KillDelay, func() { s.post(event{kind: evKill, slot: slot}) })
+		defer kill.Stop()
 	}
-	// Give node Starts a moment to land so custodians are in the slot
-	// before seeding begins, then release the builder.
-	s.waitAcked(builderIdx, 2*time.Second)
-	go s.driveStart(slot, builderIdx, stop)
-
-	var killTimer *time.Timer
-	if s.o.KillFraction > 0 {
-		killTimer = time.AfterFunc(s.o.KillDelay, func() { s.injectKills(slot) })
-		defer killTimer.Stop()
-	}
-
-	deadline := time.Now().Add(s.o.SlotTimeout)
-	for time.Now().Before(deadline) {
-		s.mu.Lock()
-		got := len(s.reports)
-		want := 0
-		for _, w := range s.workers[:builderIdx] {
-			if !w.gone {
-				want++
+	nodes := s.workers[:s.o.N]
+	s.handleUntil(s.o.slotTimeout, func() bool {
+		if s.killPending {
+			return false
+		}
+		for _, w := range nodes {
+			if w.report == nil && !w.gone {
+				return false
 			}
 		}
-		s.mu.Unlock()
-		if got >= want {
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+		return true
+	})
+	s.slot = 0
 	return s.finalizeSlot(slot)
-}
-
-// driveStart retries the Start command for one worker until it is
-// acked and the worker has not been restarted since — a successor
-// process clears the ack and gets the Start again, which is how killed
-// workers rejoin the slot in flight.
-func (s *Supervisor) driveStart(slot uint64, idx int, stop chan struct{}) {
-	t := time.NewTicker(250 * time.Millisecond)
-	defer t.Stop()
-	for {
-		s.mu.Lock()
-		acked := s.startAcked[idx]
-		nonce := s.startNonce[idx]
-		w := s.workers[idx]
-		addr, gone := w.ctrlAddr, w.gone
-		s.mu.Unlock()
-		if gone {
-			return
-		}
-		if !acked && addr != nil {
-			s.sendTo(addr, &wire.Start{Slot: slot, Nonce: nonce})
-		}
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-		}
-	}
-}
-
-// waitAcked waits until every live worker below limit acked its Start.
-func (s *Supervisor) waitAcked(limit int, budget time.Duration) {
-	deadline := time.Now().Add(budget)
-	for time.Now().Before(deadline) {
-		ok := true
-		s.mu.Lock()
-		for i := 0; i < limit; i++ {
-			if !s.startAcked[i] && !s.workers[i].gone {
-				ok = false
-				break
-			}
-		}
-		s.mu.Unlock()
-		if ok {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }
 
 // injectKills kills this slot's sortition-selected victims. Process
 // kill is the adversary model at process granularity: the victim
 // vanishes mid-slot (Silent, terminally) and its restarted successor
 // must rejoin and catch up.
-func (s *Supervisor) injectKills(slot uint64) {
+func (s *Supervisor) injectKills() {
 	cfg := &adversary.Config{SilentFraction: s.o.KillFraction}
-	behaviors := cfg.Sortition(s.o.Seed+int64(slot)*7919, s.o.N)
-	var victims []*os.Process
-	s.mu.Lock()
-	for i, b := range behaviors {
-		if b != adversary.Silent {
-			continue
+	for i, b := range cfg.Sortition(s.o.Seed+int64(s.slot)*7919, s.o.N) {
+		if w := s.workers[i]; b == adversary.Silent && w.alive {
+			fmt.Fprintf(s.log, "swarm: slot %d fault injection: killing worker %d\n", s.slot, i)
+			_ = w.cmd.Process.Kill()
 		}
-		w := s.workers[i]
-		if w.alive && w.cmd != nil && w.cmd.Process != nil {
-			fmt.Fprintf(s.log, "swarm: slot %d fault injection: killing worker %d\n", slot, i)
-			victims = append(victims, w.cmd.Process)
-		}
-	}
-	s.mu.Unlock()
-	for _, p := range victims {
-		_ = p.Kill()
 	}
 }
 
 // finalizeSlot folds the harvested reports into the simnet's outcome
 // schema, so swarm results line up with EXPERIMENTS.md tables.
 func (s *Supervisor) finalizeSlot(slot uint64) SlotResult {
-	dur := func(us int64) time.Duration {
-		return time.Duration(us) * time.Microsecond
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sr := SlotResult{Slot: slot, Restarts: s.slotRestarts}
 	sr.Outcomes = make([]core.NodeOutcome, s.o.N)
-	for i := range sr.Outcomes {
+	for i, w := range s.workers[:s.o.N] {
 		oc := core.NewNodeOutcome()
-		if r := s.reports[i]; r != nil {
+		if r := w.report; r != nil {
 			sr.Reports++
 			if r.HasSeed {
-				oc.Seed = dur(r.FirstSeedUs)
+				oc.Seed = r.FirstSeedAt
 			}
 			if r.Consolidated {
-				oc.Consolidation = dur(r.ConsolidatedUs)
+				oc.Consolidation = r.ConsolidatedAt
 				if r.HasSeed {
 					oc.ConsFromSeed = oc.Consolidation - oc.Seed
 				}
 			}
 			if r.Sampled {
-				oc.Sampling = dur(r.SampledUs)
+				oc.Sampling = r.SampledAt
 			}
-			oc.FetchMsgs = int(r.FetchMsgs)
-			oc.FetchBytes = int64(r.FetchBytes)
-		} else if s.workers[i].gone {
+			oc.FetchMsgs = r.FetchMsgs
+			oc.FetchBytes = r.FetchBytes
+		} else if w.gone {
 			oc.Dead = true
 		}
-		if s.rejoinedAt[i] >= 0 {
-			oc.JoinedAt = s.rejoinedAt[i]
+		if w.rejoinedAt >= 0 {
+			oc.JoinedAt = w.rejoinedAt
 			sr.Rejoined++
 		}
-		if s.leftAt[i] >= 0 {
-			oc.LeftAt = s.leftAt[i]
+		if w.leftAt >= 0 {
+			oc.LeftAt = w.leftAt
 		}
 		sr.Outcomes[i] = oc
 	}
-	if s.builderReport != nil {
-		sr.BuilderCells = int(s.builderReport.SeedCells)
-		sr.BuilderBytes = int64(s.builderReport.FetchBytes)
+	if r := s.workers[s.o.N].report; r != nil {
+		sr.BuilderCells = r.SeedCells
+		sr.BuilderBytes = r.FetchBytes
 	}
 	fmt.Fprintf(s.log, "swarm: slot %d harvested %d/%d reports (%d restarts, %d rejoined)\n",
 		slot, sr.Reports, s.o.N, sr.Restarts, sr.Rejoined)
@@ -671,26 +633,21 @@ func (s *Supervisor) finalizeSlot(slot uint64) SlotResult {
 // snapshot. Failures are logged and skipped: observability must not
 // fail the run.
 func (s *Supervisor) scrape() obsv.Snapshot {
-	s.mu.Lock()
-	addrs := make([]string, 0, len(s.workers))
-	for _, w := range s.workers {
-		if w.metricsAddr != "" && w.alive {
-			addrs = append(addrs, w.metricsAddr)
-		}
-	}
-	s.mu.Unlock()
 	client := &http.Client{Timeout: 2 * time.Second}
 	merged := obsv.Snapshot{}
-	for _, addr := range addrs {
-		resp, err := client.Get("http://" + addr + "/metrics")
+	for _, w := range s.workers {
+		if w.metricsAddr == "" || !w.alive {
+			continue
+		}
+		resp, err := client.Get("http://" + w.metricsAddr + "/metrics")
 		if err != nil {
-			fmt.Fprintf(s.log, "swarm: scrape %s: %v\n", addr, err)
+			fmt.Fprintf(s.log, "swarm: scrape %s: %v\n", w.metricsAddr, err)
 			continue
 		}
 		snap, err := obsv.ParsePrometheus(resp.Body)
 		resp.Body.Close()
 		if err != nil {
-			fmt.Fprintf(s.log, "swarm: parse %s: %v\n", addr, err)
+			fmt.Fprintf(s.log, "swarm: parse %s: %v\n", w.metricsAddr, err)
 			continue
 		}
 		merged = merged.Merge(snap)
@@ -699,48 +656,30 @@ func (s *Supervisor) scrape() obsv.Snapshot {
 }
 
 // shutdown drains the swarm: SIGTERM to every worker, a grace period,
-// SIGKILL for stragglers, then control-plane teardown. Idempotent.
+// SIGKILL for stragglers and a wait for that to take, then control-plane
+// teardown. Idempotent.
 func (s *Supervisor) shutdown() {
-	s.mu.Lock()
 	if s.shuttingDown {
-		s.mu.Unlock()
 		return
 	}
 	s.shuttingDown = true
-	var procs []*os.Process
+	alive := func(w *workerState) bool { return w.alive }
+	noneAlive := func() bool { return s.count(alive) == 0 }
 	for _, w := range s.workers {
-		if w.alive && w.cmd != nil && w.cmd.Process != nil {
-			procs = append(procs, w.cmd.Process)
+		if w.alive {
+			_ = w.cmd.Process.Signal(syscall.SIGTERM)
 		}
 	}
-	s.mu.Unlock()
-	for _, p := range procs {
-		_ = p.Signal(syscall.SIGTERM)
-	}
-	deadline := time.Now().Add(s.o.DrainTimeout)
-	for time.Now().Before(deadline) {
-		alive := 0
-		s.mu.Lock()
+	if !s.handleUntil(drainTimeout, noneAlive) {
 		for _, w := range s.workers {
 			if w.alive {
-				alive++
+				fmt.Fprintf(s.log, "swarm: worker %d did not drain, killing\n", w.index)
+				_ = w.cmd.Process.Kill()
 			}
 		}
-		s.mu.Unlock()
-		if alive == 0 {
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
+		s.handleUntil(drainTimeout, noneAlive)
 	}
-	s.mu.Lock()
-	for _, w := range s.workers {
-		if w.alive && w.cmd != nil && w.cmd.Process != nil {
-			fmt.Fprintf(s.log, "swarm: worker %d did not drain, killing\n", w.index)
-			_ = w.cmd.Process.Kill()
-		}
-	}
-	s.mu.Unlock()
 	close(s.done)
-	_ = s.conn.Close()
+	_ = s.ln.Close()
 	s.wg.Wait()
 }

@@ -1,7 +1,8 @@
 // Package swarm is the multi-process deployment runtime: a supervisor
 // that launches N pandas-node worker processes on localhost, distributes
-// per-node configuration over a UDP control protocol, lets the workers
-// discover each other's sockets discv5-style from a small bootstrap set,
+// per-node configuration over one loopback TCP connection per worker, lets
+// the workers discover each other's sockets discv5-style from a small
+// bootstrap set,
 // then drives slots end-to-end over real UDP — builder seeding,
 // custody consolidation, and sampling all travel through the kernel's
 // network stack instead of the in-process simnet.
@@ -13,19 +14,20 @@
 //
 // The supervisor owns robustness and observability:
 //
-//   - crash detection via process exit plus Hello-heartbeat timeouts,
+//   - crash detection via process exit plus hello-heartbeat timeouts,
 //     with exponential-backoff restart;
 //   - kill/restart fault injection on a per-slot schedule (victims drawn
 //     by the adversary package's deterministic sortition, applied at
 //     process granularity);
-//   - per-slot outcome harvest over the same UDP control channel,
+//   - per-slot outcome harvest over the same control connections,
 //     merged into the simnet's core.NodeOutcome schema so swarm and
 //     simulation results land in one table;
 //   - optional scraping of each worker's obsv metrics endpoint.
 //
-// The wire formats live in internal/wire (Hello/WorkerConfig/Start/
-// Report/Ack for the control plane, FindPeers/Peers for discovery); the
-// dynamic peer table lives in internal/transport.
+// The control frames (hello, config, start, report: JSON lines) live in
+// control.go, the supervisor's event loop in supervisor.go; discovery's
+// FindPeers/Peers datagrams live in internal/wire and the dynamic peer
+// table in internal/transport.
 package swarm
 
 import (
@@ -35,7 +37,6 @@ import (
 	"pandas/internal/blob"
 	"pandas/internal/core"
 	"pandas/internal/ids"
-	"pandas/internal/wire"
 )
 
 // EnvRestarts is the environment variable the supervisor sets on
@@ -86,30 +87,6 @@ func (g Geometry) CoreConfig() (core.Config, error) {
 	}
 	cfg.RealPayloads = true
 	return cfg, cfg.Validate()
-}
-
-// toWire packs the geometry into the WorkerConfig control message.
-func (g Geometry) toWire(m *wire.WorkerConfig) {
-	m.K = uint16(g.K)
-	m.Custody = uint16(g.Custody)
-	m.Samples = uint16(g.Samples)
-	m.CellBytes = uint16(g.CellBytes)
-	m.Redundancy = uint16(g.Redundancy)
-	m.SeedWaitMs = uint32(g.SeedWait / time.Millisecond)
-	m.DeadlineMs = uint32(g.Deadline / time.Millisecond)
-}
-
-// geometryFromWire unpacks a WorkerConfig into a Geometry.
-func geometryFromWire(m *wire.WorkerConfig) Geometry {
-	return Geometry{
-		K:          int(m.K),
-		Custody:    int(m.Custody),
-		Samples:    int(m.Samples),
-		CellBytes:  int(m.CellBytes),
-		Redundancy: int(m.Redundancy),
-		SeedWait:   time.Duration(m.SeedWaitMs) * time.Millisecond,
-		Deadline:   time.Duration(m.DeadlineMs) * time.Millisecond,
-	}
 }
 
 // Deterministic shared identities: every worker derives the same table

@@ -11,32 +11,29 @@ import (
 	"time"
 
 	"pandas/internal/core"
-	"pandas/internal/wire"
 )
 
 // envWorker re-executes the test binary as a swarm worker: the
 // supervisor tests spawn REAL child processes without needing a
-// prebuilt pandas-node (the standard helper-process pattern).
+// prebuilt pandas-node (the standard helper-process pattern). Its value
+// is the worker's behaviour: "1" is a real worker, the rest misbehave
+// (misbehave_test.go).
 const envWorker = "PANDAS_SWARM_WORKER"
 
 func TestMain(m *testing.M) {
-	if os.Getenv(envWorker) == "1" {
-		fs := flag.NewFlagSet("swarm-test-worker", flag.ExitOnError)
-		sup := fs.String("swarm", "", "supervisor address")
-		index := fs.Int("index", -1, "worker index")
-		_ = fs.Parse(os.Args[1:])
-		err := RunWorker(WorkerOptions{
-			Supervisor: *sup,
-			Index:      *index,
-			Log:        os.Stderr,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "swarm-test-worker:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
+	mode := os.Getenv(envWorker)
+	if mode == "" {
+		os.Exit(m.Run())
 	}
-	os.Exit(m.Run())
+	fs := flag.NewFlagSet("swarm-test-worker", flag.ExitOnError)
+	sup := fs.String("swarm", "", "supervisor address")
+	index := fs.Int("index", -1, "worker index")
+	_ = fs.Parse(os.Args[1:])
+	if err := helperWorker(mode, *sup, *index); err != nil {
+		fmt.Fprintln(os.Stderr, "swarm-test-worker:", err)
+		os.Exit(1)
+	}
+	os.Exit(0)
 }
 
 // testGeometry is dense enough for a handful of processes: an 8x8
@@ -55,16 +52,21 @@ func testGeometry() Geometry {
 	}
 }
 
-// selfCommand launches this test binary in worker mode.
-func selfCommand(t *testing.T) WorkerCommand {
+// selfCommand launches this test binary in worker mode: real workers,
+// except that the indexes in modes get that helperWorker mode instead.
+func selfCommand(t *testing.T, modes map[int]string) WorkerCommand {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return func(index int) *exec.Cmd {
+		mode := modes[index]
+		if mode == "" {
+			mode = "1"
+		}
 		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(), envWorker+"=1")
+		cmd.Env = append(os.Environ(), envWorker+"="+mode)
 		return cmd
 	}
 }
@@ -92,7 +94,7 @@ func TestSwarmEndToEnd(t *testing.T) {
 		Seed:          77,
 		Geometry:      testGeometry(),
 		BootstrapSize: 3,
-		Command:       selfCommand(t),
+		Command:       selfCommand(t, nil),
 		Log:           testLog(),
 		ScrapeMetrics: true,
 	})
@@ -148,7 +150,7 @@ func TestSwarmKillRestart(t *testing.T) {
 		Geometry:     testGeometry(),
 		KillFraction: 0.34, // 2 of 6 nodes per slot
 		KillDelay:    50 * time.Millisecond,
-		Command:      selfCommand(t),
+		Command:      selfCommand(t, nil),
 		Log:          testLog(),
 	})
 	if err != nil {
@@ -177,16 +179,6 @@ func TestSwarmKillRestart(t *testing.T) {
 		rejoins += sr.Rejoined
 	}
 	t.Logf("restarts=%d rejoins=%d\n%s", res.TotalRestarts, rejoins, res.Render())
-}
-
-func TestGeometryWireRoundTrip(t *testing.T) {
-	g := Geometry{K: 16, Custody: 2, Samples: 73, CellBytes: 512, Redundancy: 6,
-		SeedWait: 250 * time.Millisecond, Deadline: 7 * time.Second}
-	var m wire.WorkerConfig
-	g.toWire(&m)
-	if got := geometryFromWire(&m); got != g {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, g)
-	}
 }
 
 func TestDeriveIdentitiesMatchAcrossCalls(t *testing.T) {

@@ -8,13 +8,11 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"pandas/internal/obsv"
 	"pandas/internal/transport"
-	"pandas/internal/wire"
 )
 
 // WorkerOptions configures one swarm worker process.
@@ -29,7 +27,7 @@ type worker struct {
 	o        WorkerOptions
 	restarts int // times the supervisor has restarted this index (EnvRestarts)
 	log      io.Writer
-	ctrl     *controlClient
+	ctrl     *ctrlConn // written from the event loop only once it runs
 	ep       *transport.UDP
 	disc     *discovery
 	host     *Host
@@ -37,23 +35,18 @@ type worker struct {
 
 	metricsAddr string
 
-	curSlot atomic.Uint64 // latest slot started (0 = none)
-	ready   bool          // set on the event loop, where every Hello after the first is built
-
-	starts chan uint64
+	ready bool // set on the event loop, where every hello after the first is built
 }
 
 // RunWorker is the entry point for a pandas-node process launched in
 // swarm mode (-swarm ADDR -index I). It registers with the supervisor,
 // receives its geometry and bootstrap peers, crawls the rest of the
-// swarm over UDP, reports ready, then executes Start commands until
-// told to drain (SIGTERM/SIGINT) or the supervisor disappears.
+// swarm over UDP, reports ready, then executes start frames until told to
+// drain: by SIGTERM/SIGINT, or by its control connection ending, which is
+// how a worker learns that its supervisor is gone. Either way it flushes a
+// metrics snapshot to the log and returns nil.
 func RunWorker(o WorkerOptions) error {
-	w := &worker{
-		o:      o,
-		log:    o.Log,
-		starts: make(chan uint64, 64),
-	}
+	w := &worker{o: o, log: o.Log}
 	if w.log == nil {
 		w.log = io.Discard
 	}
@@ -61,7 +54,7 @@ func RunWorker(o WorkerOptions) error {
 		w.restarts = n
 	}
 
-	// Bind the data socket before the first Hello: the supervisor needs
+	// Bind the data socket before the first hello: the supervisor needs
 	// its address to hand out as a bootstrap entry. The codec cell size
 	// is fixed later, when the geometry arrives.
 	ep, err := transport.NewUDP(o.Index, "127.0.0.1:0", 0)
@@ -71,12 +64,12 @@ func RunWorker(o WorkerOptions) error {
 	defer ep.Close()
 	w.ep = ep
 
-	ctrl, err := newControlClient(o.Supervisor, w.onStart, w.onConfig)
+	conn, err := net.Dial("tcp", o.Supervisor)
 	if err != nil {
-		return err
+		return fmt.Errorf("swarm: worker %d: dial supervisor: %w", o.Index, err)
 	}
-	defer ctrl.Close()
-	w.ctrl = ctrl
+	defer conn.Close()
+	w.ctrl = newCtrlConn(conn)
 
 	// Per-worker metrics endpoint, scraped by the supervisor at harvest.
 	w.reg = obsv.NewRegistry()
@@ -91,13 +84,21 @@ func RunWorker(o WorkerOptions) error {
 	go func() { _ = http.Serve(mln, mux) }()
 	w.reg.Counter("worker_restarts_total").Add(int64(w.restarts))
 
-	// Register: Hello carries our socket addresses, the WorkerConfig
-	// reply carries geometry, deployment shape, and bootstrap peers.
-	cfgMsg, err := ctrl.hello(w.helloMsg())
+	// Register: the hello carries our socket addresses, the config reply
+	// carries geometry, deployment shape, and bootstrap peers.
+	if err := w.sendHello(); err != nil {
+		return fmt.Errorf("swarm: worker %d: registration: %w", o.Index, err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(registerTimeout))
+	f, err := w.ctrl.recv()
+	if err == nil && f.Config == nil {
+		err = errBadFrame
+	}
 	if err != nil {
 		return fmt.Errorf("swarm: worker %d: registration: %w", o.Index, err)
 	}
-	if err := w.init(cfgMsg); err != nil {
+	_ = conn.SetReadDeadline(time.Time{})
+	if err := w.init(f.Config); err != nil {
 		return err
 	}
 
@@ -105,41 +106,45 @@ func RunWorker(o WorkerOptions) error {
 		w.heartbeat()
 		w.discover(false)
 	})
+	lost := make(chan error, 1)
+	go func() { lost <- w.serveControl() }()
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	defer signal.Stop(sigc)
 
+	// Graceful drain: flush a final metrics snapshot to the log and return
+	// cleanly; the deferred closes end the loops and serveControl.
+	select {
+	case sig := <-sigc:
+		fmt.Fprintf(w.log, "worker %d: draining on %v\n", o.Index, sig)
+	case err := <-lost:
+		fmt.Fprintf(w.log, "worker %d: draining, control connection ended: %v\n", o.Index, err)
+	}
+	_ = w.reg.Snapshot().WritePrometheus(w.log)
+	return nil
+}
+
+// serveControl reads the supervisor's frames until the connection ends
+// and returns why it did.
+func (w *worker) serveControl() error {
 	for {
-		select {
-		case sig := <-sigc:
-			// Graceful drain: close sockets (deferred above, which also
-			// ends the loops), flush a final metrics snapshot to the log,
-			// exit cleanly.
-			fmt.Fprintf(w.log, "worker %d: draining on %v\n", o.Index, sig)
-			_ = w.reg.Snapshot().WritePrometheus(w.log)
-			return nil
-		case s := <-w.starts:
-			w.curSlot.Store(s)
-			w.host.StartSlot(s) // duplicates (control-plane retries) are ignored
+		f, err := w.ctrl.recv()
+		switch {
+		case err != nil:
+			return err
+		case f.Config != nil:
+			w.mergeBootstrap(f.Config)
+		case f.Start != nil:
+			w.host.StartSlot(f.Start.Slot)
 		}
 	}
 }
 
-// onStart runs on the control read loop: queue the slot for the main
-// loop.
-func (w *worker) onStart(slot uint64) {
-	select {
-	case w.starts <- slot:
-	default:
-	}
-}
-
-// onConfig runs on the control read loop for every WorkerConfig,
-// including heartbeat replies: merge any bootstrap entries we lack. The
-// supervisor's bindings come from the workers' own Hellos, so they are
-// authoritative and may rebind.
-func (w *worker) onConfig(m *wire.WorkerConfig) {
+// mergeBootstrap adds the bootstrap entries of a config, heartbeat
+// replies included. The supervisor's bindings come from the workers' own
+// hellos, so they are authoritative and may rebind.
+func (w *worker) mergeBootstrap(m *config) {
 	for _, e := range m.Bootstrap {
 		if int(e.Index) != w.o.Index && e.Addr != "" {
 			_ = w.ep.AddPeer(int(e.Index), e.Addr)
@@ -147,21 +152,19 @@ func (w *worker) onConfig(m *wire.WorkerConfig) {
 	}
 }
 
-func (w *worker) helloMsg() *wire.Hello {
-	return &wire.Hello{
-		Slot:        w.curSlot.Load(),
-		Index:       uint32(w.o.Index),
+func (w *worker) sendHello() error {
+	return w.ctrl.send(frame{Hello: &hello{
+		Index:       w.o.Index,
 		Ready:       w.ready,
-		Known:       uint32(w.ep.Known()),
 		DataAddr:    w.ep.Addr(),
 		MetricsAddr: w.metricsAddr,
-	}
+	}})
 }
 
-// init expands the WorkerConfig into a running protocol participant.
-func (w *worker) init(m *wire.WorkerConfig) error {
-	nNodes := int(m.NumNodes)
-	cfg, err := geometryFromWire(m).CoreConfig()
+// init expands the config into a running protocol participant.
+func (w *worker) init(m *config) error {
+	nNodes := m.Nodes
+	cfg, err := m.Geometry.CoreConfig()
 	if err != nil {
 		return fmt.Errorf("swarm: worker %d: bad geometry: %w", w.o.Index, err)
 	}
@@ -181,18 +184,19 @@ func (w *worker) init(m *wire.WorkerConfig) error {
 	if err != nil {
 		return err
 	}
-	w.onConfig(m) // entries merged before SetPeers above were replaced by it
+	w.mergeBootstrap(m)
 	fmt.Fprintf(w.log, "worker %d: data %s metrics %s (%d nodes + builder, restart %d)\n",
 		w.o.Index, w.ep.Addr(), w.metricsAddr, nNodes, w.restarts)
 	return nil
 }
 
-// heartbeat runs on the event loop every 500 ms, so a wedged loop reads
-// as a dead worker. Heartbeats double as liveness and bootstrap refresh:
-// every reply is a fresh WorkerConfig whose entries onConfig merges.
+// heartbeat runs on the event loop, so a wedged loop reads as a dead
+// worker. Heartbeats double as liveness and bootstrap refresh: every reply
+// is a fresh config whose entries mergeBootstrap adds. A failed write
+// means the connection ended, which serveControl reports.
 func (w *worker) heartbeat() {
-	w.ctrl.heartbeat(w.helloMsg())
-	w.ep.After(500*time.Millisecond, w.heartbeat)
+	_ = w.sendHello()
+	w.ep.After(heartbeatEvery, w.heartbeat)
 }
 
 // discover runs on the event loop every 200 ms: crawl until the table is
@@ -207,42 +211,31 @@ func (w *worker) discover(wasFull bool) {
 	}
 	w.ready = true
 	fmt.Printf("ready index=%d addr=%s peers=%d\n", w.o.Index, w.ep.Addr(), w.ep.Known())
-	w.ctrl.heartbeat(w.helloMsg())
+	_ = w.sendHello()
 }
 
-// report is the host's outcome sink: it runs on the event loop, so the
-// acked control-channel delivery happens on its own goroutine.
+// report is the host's outcome sink: it runs on the event loop, like
+// every write to the control connection after registration.
 func (w *worker) report(o Outcome) {
 	m := o.Metrics
-	us := func(at time.Duration, ok bool) int64 {
-		if !ok {
-			return -1
-		}
-		return at.Microseconds()
-	}
-	r := &wire.Report{
+	r := &report{
 		Slot:           o.Slot,
-		Index:          uint32(w.o.Index),
 		HasSeed:        m.HasSeed,
 		Consolidated:   m.Consolidated,
 		Sampled:        m.Sampled,
-		FirstSeedUs:    us(m.FirstSeedAt, m.HasSeed),
-		ConsolidatedUs: us(m.ConsolidatedAt, m.Consolidated),
-		SampledUs:      us(m.SampledAt, m.Sampled),
-		SeedCells:      uint32(m.SeedCells),
-		FetchMsgs:      uint32(m.FetchMsgsSent + m.FetchMsgsRecv),
-		FetchBytes:     uint64(m.FetchBytesSent + m.FetchBytesRecv),
-		CorruptRejects: uint32(m.CorruptRejects),
-		Restarts:       uint32(w.restarts),
+		FirstSeedAt:    m.FirstSeedAt,
+		ConsolidatedAt: m.ConsolidatedAt,
+		SampledAt:      m.SampledAt,
+		FetchMsgs:      m.FetchMsgsSent + m.FetchMsgsRecv,
+		FetchBytes:     m.FetchBytesSent + m.FetchBytesRecv,
 	}
 	if s := o.Seeding; w.host.Builder != nil {
-		r.Builder = true
-		r.SeedCells, r.FetchMsgs, r.FetchBytes = uint32(s.Cells), uint32(s.Messages), uint64(s.Bytes)
+		r.SeedCells, r.FetchMsgs, r.FetchBytes = s.Cells, s.Messages, s.Bytes
 		fmt.Fprintf(w.log, "worker %d: slot %d seeded %d cells in %d msgs\n",
 			w.o.Index, o.Slot, s.Cells, s.Messages)
 	} else {
 		fmt.Fprintf(w.log, "worker %d: slot %d seed=%v cons=%v sampled=%v\n",
 			w.o.Index, o.Slot, m.HasSeed, m.Consolidated, m.Sampled)
 	}
-	go func() { _ = w.ctrl.report(r) }()
+	_ = w.ctrl.send(frame{Report: r})
 }

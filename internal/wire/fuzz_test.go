@@ -109,7 +109,7 @@ func decodeCopying(data []byte, cellBytes int) (Message, error) {
 		}
 		return m, nil
 	default:
-		return decodeControl(typ, slot, r)
+		return decodeDiscovery(typ, r)
 	}
 }
 
@@ -155,9 +155,9 @@ func sameMessage(got, want Message) error {
 		if v.Slot != want.(*Response).Slot {
 			return fmt.Errorf("response slot differs from the reference")
 		}
-	default: // control and discovery: one decoder serves both sides
+	default: // discovery: one decoder serves both sides
 		if a, b := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); a != b {
-			return fmt.Errorf("control message %s, reference %s", a, b)
+			return fmt.Errorf("discovery message %s, reference %s", a, b)
 		}
 	}
 	return nil
@@ -187,11 +187,15 @@ func FuzzDecode(f *testing.F) {
 	if data, err := Encode(s, 64); err == nil {
 		f.Add(data)
 	}
-	// Swarm control/discovery messages (control.go).
+	// Swarm discovery messages (discovery.go), and the type bytes that
+	// must stay rejected.
 	for _, m := range controlMessages() {
 		if data, err := Encode(m, 64); err == nil {
 			f.Add(data)
 		}
+	}
+	for _, data := range retiredDatagrams() {
+		f.Add(data)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})

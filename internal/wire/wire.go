@@ -209,9 +209,9 @@ func EncodeAppend(buf []byte, m Message, cellBytes int) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint64(buf, v.Slot)
 		buf = appendCells(buf, v.Cells, cellBytes)
 	default:
-		// Swarm control/discovery messages (see control.go).
+		// Swarm discovery messages (see discovery.go).
 		var err error
-		if buf, err = encodeControl(buf, m); err != nil {
+		if buf, err = encodeDiscovery(buf, m); err != nil {
 			return nil, err
 		}
 	}
@@ -330,8 +330,8 @@ func DecodeInto(in *Inbox, data []byte, cellBytes int) (Message, error) {
 		}
 		return m, nil
 	default:
-		// Swarm control/discovery messages (see control.go).
-		return decodeControl(typ, slot, r)
+		// Swarm discovery messages (see discovery.go).
+		return decodeDiscovery(typ, r)
 	}
 }
 

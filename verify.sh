@@ -95,6 +95,14 @@ go run ./cmd/pandas-sim -small -exp all -nodes 60 -slots 1 >/dev/null
 echo "== swarm smoke (8 processes, 1 slot, real UDP)"
 go run ./cmd/pandas-swarm -n 8 -k 4 -samples 4 -slots 1 -timeout 90s -q
 
+# Two of the eight nodes are killed 10 ms into each slot; each is restarted,
+# registers on a new control connection and is handed the slot in flight.
+echo "== swarm kill/restart smoke (8 processes, 2 slots, 25% killed per slot)"
+out=$(go run ./cmd/pandas-swarm -n 8 -k 4 -samples 4 -slots 2 -kill 0.25 -kill-delay 10ms -timeout 90s -q)
+echo "$out"
+echo "$out" | grep -q '^total restarts: [1-9]' || { echo "swarm kill smoke: nothing was restarted" >&2; exit 1; }
+echo "$out" | grep -Eq '^2 +8/8 ' || { echo "swarm kill smoke: slot 2 did not harvest 8/8 reports" >&2; exit 1; }
+
 # Hand-launched static-peers mode: nothing drives the nodes but the
 # builder's seeds, so slot 2 completing on every node shows they follow it.
 # -k 4 -custody 8 gives every node every line, so three nodes cover all.
