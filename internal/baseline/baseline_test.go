@@ -2,11 +2,14 @@ package baseline
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"pandas/internal/blob"
 	"pandas/internal/core"
+	"pandas/internal/dht"
+	"pandas/internal/ids"
 	"pandas/internal/simnet"
 )
 
@@ -147,6 +150,121 @@ func TestDHTSlowerThanGossipOrPandas(t *testing.T) {
 	}
 	if medP > medD {
 		t.Fatalf("PANDAS median %v slower than DHT %v", medP, medD)
+	}
+}
+
+// pandasCluster is the PANDAS deployment at a baseline test's values.
+func pandasCluster(t *testing.T, cfg Config) *core.Cluster {
+	t.Helper()
+	c, err := core.NewCluster(core.ClusterConfig{Core: cfg.Core, N: cfg.N, Seed: cfg.Seed, LossRate: cfg.LossRate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestGossipClusterIsPairedWithPandas: at one configuration the GossipSub
+// deployment has the PANDAS deployment's custody table, and node i samples
+// the same cells in the same slot in both.
+func TestGossipClusterIsPairedWithPandas(t *testing.T) {
+	cfg := testBaseConfig(60)
+	g, err := NewGossipCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := pandasCluster(t, cfg)
+	for i := 0; i < cfg.N; i++ {
+		if a, b := g.Table().Assignment(i), pc.Table().Assignment(i); !reflect.DeepEqual(a, b) {
+			t.Fatalf("node %d: gossipsub custody %v, pandas %v", i, a, b)
+		}
+	}
+	for slot := uint64(1); slot <= 2; slot++ {
+		if _, err := g.RunSlot(slot); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pc.RunSlot(slot); err != nil {
+			t.Fatal(err)
+		}
+		for i, nd := range pc.Nodes() {
+			if got, want := g.nodes[i].Samples(), nd.Samples(); !slices.Equal(got, want) {
+				t.Fatalf("slot %d node %d: gossipsub samples %v, pandas %v", slot, i, got, want)
+			}
+		}
+	}
+}
+
+// TestDHTSamplesFollowTheNodeStream: a DHT node draws the cells a PANDAS
+// node draws in the same slot, so it draws new cells every slot.
+func TestDHTSamplesFollowTheNodeStream(t *testing.T) {
+	cfg := testBaseConfig(40)
+	d, err := NewDHTCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := pandasCluster(t, cfg)
+	var prev [][]blob.CellID
+	for slot := uint64(1); slot <= 2; slot++ {
+		if _, err := d.RunSlot(slot); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pc.RunSlot(slot); err != nil {
+			t.Fatal(err)
+		}
+		for i, nd := range pc.Nodes() {
+			if got, want := d.samples[i], nd.Samples(); !slices.Equal(got, want) {
+				t.Fatalf("slot %d node %d: dht samples %v, pandas %v", slot, i, got, want)
+			}
+			if prev != nil && slices.Equal(prev[i], d.samples[i]) {
+				t.Fatalf("node %d sampled the same cells in slots 1 and 2: %v", i, prev[i])
+			}
+		}
+		prev = slices.Clone(d.samples)
+	}
+}
+
+// TestDHTSamplesMoreCellsThanParcels: at the test geometry 20 samples
+// outnumber the 16 parcels; a node GETs the parcels covering its cells
+// and the slot ends.
+func TestDHTSamplesMoreCellsThanParcels(t *testing.T) {
+	cfg := testBaseConfig(40)
+	cfg.Core.Samples = 20
+	d, err := NewDHTCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *core.SlotResult, 1)
+	go func() {
+		res, err := d.RunSlot(1)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	select {
+	case res := <-done:
+		if res != nil && res.DeadlineRate(12*time.Second) < 0.8 {
+			t.Fatalf("only %.0f%% completed DHT sampling", 100*res.DeadlineRate(12*time.Second))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunSlot did not return within 10 s")
+	}
+}
+
+// TestDHTBuilderHasClusterBuilderID: the DHT builder is the PANDAS
+// builder, so a lookup for the PANDAS builder's ID ends at its vertex.
+func TestDHTBuilderHasClusterBuilderID(t *testing.T) {
+	cfg := testBaseConfig(40)
+	cfg.LossRate = 0
+	d, err := NewDHTCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dht.Entry{ID: ids.NewTestIdentity(cfg.Seed<<20 + int64(cfg.N) + 7).ID, Addr: cfg.N}
+	var got []dht.Entry
+	d.peers[0].Lookup(want.ID, func(es []dht.Entry) { got = es })
+	d.net.Run(time.Minute)
+	if len(got) == 0 || got[0] != want {
+		t.Fatalf("closest entry to the builder's ID: %v, want %v", got, want)
 	}
 }
 

@@ -3,7 +3,8 @@ package baseline
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"sort"
+	"math/rand"
+	"slices"
 	"time"
 
 	"pandas/internal/blob"
@@ -51,7 +52,10 @@ type DHTCluster struct {
 	bPeer  *dht.Peer
 	bIndex int
 
-	// Per-slot sampling state.
+	// rngs are the nodes' private streams, the ones core.Node draws its
+	// samples from; samples holds this slot's draws.
+	rngs       []*rand.Rand
+	samples    [][]blob.CellID
 	sampleDone []time.Duration
 }
 
@@ -73,12 +77,16 @@ func NewDHTCluster(cfg Config) (*DHTCluster, error) {
 	}
 	d := &DHTCluster{cfg: cfg, net: net}
 	entries := make([]dht.Entry, cfg.N+1)
-	for i := 0; i <= cfg.N; i++ {
+	for i := 0; i < cfg.N; i++ {
 		entries[i] = dht.Entry{ID: ids.NewTestIdentity(cfg.Seed<<20 + int64(i)).ID, Addr: i}
 	}
+	entries[cfg.N] = dht.Entry{ID: ids.NewTestIdentity(cfg.Seed<<20 + int64(cfg.N) + 7).ID, Addr: cfg.N}
 	d.peers = make([]*dht.Peer, cfg.N)
+	d.rngs = make([]*rand.Rand, cfg.N)
+	d.samples = make([][]blob.CellID, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		i := i
+		d.rngs[i] = rand.New(rand.NewSource(cfg.Seed ^ int64(i*2654435761)))
 		net.AddNode(func(from, size int, payload any) {
 			d.peers[i].HandleMessage(from, payload)
 		}, simnet.NodeBandwidth, simnet.NodeBandwidth)
@@ -110,27 +118,24 @@ func (d *DHTCluster) RunSlot(slot uint64) (*core.SlotResult, error) {
 		}
 	})
 
-	// Samplers: each node derives the parcels covering its random cells
-	// and GETs them, retrying misses until the slot ends.
+	// Samplers: each node draws its slot's cells as a PANDAS node does and
+	// GETs the distinct parcels covering them, retrying misses until the
+	// slot ends.
 	d.sampleDone = make([]time.Duration, d.cfg.N)
 	remaining := make([]int, d.cfg.N)
 	for i := 0; i < d.cfg.N; i++ {
 		d.sampleDone[i] = -1
 		node := i
-		rng := newSplitMix(uint64(d.cfg.Seed) ^ uint64(node)*0x9E3779B97F4A7C15)
-		need := map[int]bool{}
-		for len(need) < cfg.Samples {
-			idx := int(rng.next() % uint64(cfg.Blob.ExtendedCells()))
-			need[parcelOf(blob.CellIDFromIndex(idx, n), n)] = true
+		d.samples[node] = core.DrawSamples(d.rngs[node], cfg.Blob, cfg.Samples)
+		// Sorted: the GETs are scheduled in this order and the event order
+		// decides every later tie.
+		parcels := make([]int, 0, len(d.samples[node]))
+		for _, id := range d.samples[node] {
+			parcels = append(parcels, parcelOf(id, n))
 		}
-		remaining[node] = len(need)
-		// Sorted, not map order: the GETs are scheduled in this order and
-		// the event order decides every later tie.
-		parcels := make([]int, 0, len(need))
-		for p := range need {
-			parcels = append(parcels, p)
-		}
-		sort.Ints(parcels)
+		slices.Sort(parcels)
+		parcels = slices.Compact(parcels)
+		remaining[node] = len(parcels)
 		for _, p := range parcels {
 			p := p
 			delay := dhtRetryDelay
@@ -160,17 +165,4 @@ func (d *DHTCluster) RunSlot(slot uint64) (*core.SlotResult, error) {
 	d.net.Run(start + 12*time.Second)
 
 	return slotResult(d.net, d.bIndex, d.sampleDone), nil
-}
-
-// splitMix is a tiny deterministic generator for sample selection.
-type splitMix struct{ state uint64 }
-
-func newSplitMix(seed uint64) *splitMix { return &splitMix{state: seed} }
-
-func (s *splitMix) next() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pandas/internal/blob"
+	"pandas/internal/consensus"
 	"pandas/internal/core"
 	"pandas/internal/gossip"
 	"pandas/internal/ids"
@@ -112,9 +113,9 @@ func NewGossipCluster(cfg Config) (*GossipCluster, error) {
 	for i := range nodeIDs {
 		nodeIDs[i] = ids.NewTestIdentity(cfg.Seed<<20 + int64(i)).ID
 	}
-	var seed [32]byte
-	rng.Read(seed[:])
-	table, err := core.NewTable(coreCfg.Assign, seed, nodeIDs)
+	var entropy [32]byte
+	rng.Read(entropy[:])
+	table, err := core.NewTable(coreCfg.Assign, consensus.NewRandao(entropy).SeedFor(0), nodeIDs)
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +133,7 @@ func NewGossipCluster(cfg Config) (*GossipCluster, error) {
 		net.AddNode(func(from, size int, payload any) {
 			g.dispatch(i, from, size, payload)
 		}, simnet.NodeBandwidth, simnet.NodeBandwidth)
-		g.nodes[i] = core.NewNode(coreCfg, i, table, net.Endpoint(i), cfg.Seed^int64(i*40503))
+		g.nodes[i] = core.NewNode(coreCfg, i, table, net.Endpoint(i), cfg.Seed^int64(i*2654435761))
 		g.routers[i] = gossip.NewRouter(i)
 	}
 	g.bIndex = net.AddNode(nil, simnet.BuilderBandwidth, simnet.BuilderBandwidth)

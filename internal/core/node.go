@@ -158,10 +158,9 @@ type Node struct {
 	}
 
 	// Scratch buffers reused across calls on the event-loop hot paths
-	// (drawSamples, addCells, armFlush). All are cleared before use; none
-	// escape the call that fills them. Round planning works in a
-	// planScratch borrowed from planPool instead.
-	drawSeen   map[int]bool
+	// (addCells, armFlush). All are cleared before use; none escape the
+	// call that fills them. Round planning works in a planScratch borrowed
+	// from planPool instead.
 	touchedScr []bool // per custody line, in store line order
 	flushScr   []int
 
@@ -259,7 +258,7 @@ func (n *Node) StartSlot(slot uint64) {
 	} else {
 		n.store.Reset(a, n.cfg.RealPayloads, n.verifySeeds)
 	}
-	n.samples = n.drawSamples()
+	n.samples = DrawSamples(n.rng, n.cfg.Blob, n.cfg.Samples)
 	n.pendingSmp = resetMap(n.pendingSmp, len(n.samples))
 	for _, c := range n.samples {
 		n.pendingSmp[c] = true
@@ -301,20 +300,19 @@ func (n *Node) StartSlot(slot uint64) {
 // straggling seed datagram arrives first.
 func (n *Node) JoinSlot(slot uint64) { n.StartSlot(slot) }
 
-// drawSamples picks Samples distinct random cells, unpredictable to
-// other participants (unlike the custody assignment).
-func (n *Node) drawSamples() []blob.CellID {
-	total := n.cfg.Blob.ExtendedCells()
-	count := n.cfg.Samples
-	n.drawSeen = resetMap(n.drawSeen, count)
+// DrawSamples picks count distinct random cells of the extended matrix
+// from rng, unpredictable to other participants (unlike the custody
+// assignment). A node draws its slot's samples with it from its private
+// stream; the baselines draw theirs with it from the same stream, so node
+// i samples the same cells in every system.
+func DrawSamples(rng *rand.Rand, p blob.Params, count int) []blob.CellID {
+	total := p.ExtendedCells()
 	out := make([]blob.CellID, 0, count)
 	for len(out) < count {
-		idx := n.rng.Intn(total)
-		if n.drawSeen[idx] {
-			continue
+		id := blob.CellIDFromIndex(rng.Intn(total), p.N())
+		if !slices.Contains(out, id) {
+			out = append(out, id)
 		}
-		n.drawSeen[idx] = true
-		out = append(out, blob.CellIDFromIndex(idx, n.cfg.Blob.N()))
 	}
 	return out
 }
