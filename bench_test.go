@@ -1,8 +1,9 @@
 package pandas
 
-// Paper-scale micro-gates (scripts/bench.sh). The per-figure numbers come
-// from `pandas-sim -exp <name>`, and the slot-budget benchmark lives in
-// bench/ (BENCHMARK.json).
+// Paper-scale benchmarks: the builder pipeline and a 1,000-node simulated
+// slot at full geometry. The per-figure numbers come from
+// `pandas-sim -exp <name>`, and the slot-budget benchmark lives in bench/
+// (BENCHMARK.json).
 
 import (
 	"math/rand"

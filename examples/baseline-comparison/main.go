@@ -1,8 +1,11 @@
 // Baseline comparison: a Fig. 12-style head-to-head of PANDAS against
 // the two alternative DAS designs — GossipSub topic meshes and the
-// Kademlia DHT — on identical networks. The output shows the paper's
-// headline: direct, builder-seeded exchanges finish sampling far sooner
-// and with less traffic than overlay-based dissemination.
+// Kademlia DHT — over one deployment: at one seed the three share the
+// network, the identities, the custody table and each node's sample
+// draws. At this reduced geometry GossipSub's pushed custody beats the
+// PANDAS median at several times its traffic, and the DHT's multi-hop
+// lookups are several times slower; DESIGN.md §3.3 says what each
+// traffic column counts.
 package main
 
 import (

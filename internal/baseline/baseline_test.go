@@ -9,12 +9,11 @@ import (
 	"pandas/internal/blob"
 	"pandas/internal/core"
 	"pandas/internal/dht"
-	"pandas/internal/ids"
 	"pandas/internal/simnet"
 )
 
-func testBaseConfig(n int) Config {
-	return Config{
+func testBaseConfig(n int) core.ClusterConfig {
+	return core.ClusterConfig{
 		Core:     core.TestConfig(),
 		N:        n,
 		Seed:     11,
@@ -62,11 +61,7 @@ func TestGossipSlowerThanPandasAtTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := core.NewCluster(core.ClusterConfig{Core: cfg.Core, N: cfg.N, Seed: cfg.Seed, LossRate: cfg.LossRate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resP, err := pc.RunSlot(1)
+	resP, err := pandasCluster(t, cfg).RunSlot(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +129,7 @@ func TestDHTSlowerThanGossipOrPandas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := core.NewCluster(core.ClusterConfig{Core: cfg.Core, N: cfg.N, Seed: cfg.Seed, LossRate: cfg.LossRate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resP, err := pc.RunSlot(1)
+	resP, err := pandasCluster(t, cfg).RunSlot(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +145,9 @@ func TestDHTSlowerThanGossipOrPandas(t *testing.T) {
 }
 
 // pandasCluster is the PANDAS deployment at a baseline test's values.
-func pandasCluster(t *testing.T, cfg Config) *core.Cluster {
+func pandasCluster(t *testing.T, cfg core.ClusterConfig) *core.Cluster {
 	t.Helper()
-	c, err := core.NewCluster(core.ClusterConfig{Core: cfg.Core, N: cfg.N, Seed: cfg.Seed, LossRate: cfg.LossRate})
+	c, err := core.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +250,11 @@ func TestDHTBuilderHasClusterBuilderID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := dht.Entry{ID: ids.NewTestIdentity(cfg.Seed<<20 + int64(cfg.N) + 7).ID, Addr: cfg.N}
+	dep, err := core.NewDeployment(cfg.Core, cfg.Seed, cfg.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dht.Entry{ID: dep.BuilderID, Addr: cfg.N}
 	var got []dht.Entry
 	d.peers[0].Lookup(want.ID, func(es []dht.Entry) { got = es })
 	d.net.Run(time.Minute)

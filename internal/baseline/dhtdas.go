@@ -46,11 +46,10 @@ func parcelOf(id blob.CellID, n int) int {
 // parcels containing their random cells through iterative multi-hop
 // routing. There is no consolidation phase.
 type DHTCluster struct {
-	cfg    Config
-	net    *simnet.Network
-	peers  []*dht.Peer
-	bPeer  *dht.Peer
-	bIndex int
+	cfg   core.Config
+	net   *simnet.Network
+	peers []*dht.Peer
+	bPeer *dht.Peer
 
 	// rngs are the nodes' private streams, the ones core.Node draws its
 	// samples from; samples holds this slot's draws.
@@ -59,52 +58,50 @@ type DHTCluster struct {
 	sampleDone []time.Duration
 }
 
-// NewDHTCluster builds the DHT-DAS deployment: N peers plus the builder,
-// all bootstrapped with the full peer list (a well-crawled network).
-func NewDHTCluster(cfg Config) (*DHTCluster, error) {
-	cfg.fill()
-	if err := cfg.Core.Validate(); err != nil {
+// NewDHTCluster builds the DHT-DAS deployment over the network, node and
+// builder identities and sample streams core.NewCluster derives from cc:
+// N peers plus the builder, all bootstrapped with the full peer list (a
+// well-crawled network). Of cc it reads Core, N, Seed, Latency and
+// LossRate.
+func NewDHTCluster(cc core.ClusterConfig) (*DHTCluster, error) {
+	dep, err := core.NewDeployment(cc.Core, cc.Seed, cc.N)
+	if err != nil {
 		return nil, err
 	}
-	net, err := simnet.New(simnet.Config{
-		Latency:  cfg.Latency,
-		LossRate: cfg.LossRate,
-		Seed:     cfg.Seed,
-		MinDelay: time.Millisecond,
+	d := &DHTCluster{cfg: cc.Core}
+	d.net, err = core.NewNetwork(cc, func(node, from, _ int, payload any) {
+		d.peers[node].HandleMessage(from, payload)
 	})
 	if err != nil {
 		return nil, err
 	}
-	d := &DHTCluster{cfg: cfg, net: net}
-	entries := make([]dht.Entry, cfg.N+1)
-	for i := 0; i < cfg.N; i++ {
-		entries[i] = dht.Entry{ID: ids.NewTestIdentity(cfg.Seed<<20 + int64(i)).ID, Addr: i}
+	entries := make([]dht.Entry, cc.N+1)
+	for i := 0; i < cc.N; i++ {
+		entries[i] = dht.Entry{ID: dep.Table.ID(i), Addr: i}
 	}
-	entries[cfg.N] = dht.Entry{ID: ids.NewTestIdentity(cfg.Seed<<20 + int64(cfg.N) + 7).ID, Addr: cfg.N}
-	d.peers = make([]*dht.Peer, cfg.N)
-	d.rngs = make([]*rand.Rand, cfg.N)
-	d.samples = make([][]blob.CellID, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		i := i
-		d.rngs[i] = rand.New(rand.NewSource(cfg.Seed ^ int64(i*2654435761)))
-		net.AddNode(func(from, size int, payload any) {
-			d.peers[i].HandleMessage(from, payload)
-		}, simnet.NodeBandwidth, simnet.NodeBandwidth)
-		d.peers[i] = dht.NewPeer(entries[i], net.Endpoint(i), 0)
+	entries[cc.N] = dht.Entry{ID: dep.BuilderID, Addr: cc.N}
+	d.peers = make([]*dht.Peer, cc.N)
+	d.rngs = make([]*rand.Rand, cc.N)
+	d.samples = make([][]blob.CellID, cc.N)
+	for i := range d.peers {
+		d.rngs[i] = rand.New(rand.NewSource(dep.NodeSeed(i)))
+		d.peers[i] = dht.NewPeer(entries[i], d.net.Endpoint(i), 0)
 		d.peers[i].Bootstrap(entries)
 	}
-	d.bIndex = net.AddNode(func(from, size int, payload any) {
-		d.bPeer.HandleMessage(from, payload)
-	}, simnet.BuilderBandwidth, simnet.BuilderBandwidth)
-	d.bPeer = dht.NewPeer(entries[cfg.N], net.Endpoint(d.bIndex), 0)
+	d.bPeer = dht.NewPeer(entries[cc.N], d.net.Endpoint(cc.N), 0)
 	d.bPeer.Bootstrap(entries)
+	if err := d.net.SetHandler(cc.N, func(from, _ int, payload any) {
+		d.bPeer.HandleMessage(from, payload)
+	}); err != nil {
+		return nil, err
+	}
 	return d, nil
 }
 
 // RunSlot stores all parcels and samples them from every node.
 func (d *DHTCluster) RunSlot(slot uint64) (*core.SlotResult, error) {
 	start := d.net.Now()
-	cfg := d.cfg.Core
+	cfg := d.cfg
 	n := cfg.Blob.N()
 	totalParcels := (cfg.Blob.ExtendedCells() + ParcelCells - 1) / ParcelCells
 	parcelBytes := ParcelCells * cfg.Blob.CellWireBytes()
@@ -121,9 +118,9 @@ func (d *DHTCluster) RunSlot(slot uint64) (*core.SlotResult, error) {
 	// Samplers: each node draws its slot's cells as a PANDAS node does and
 	// GETs the distinct parcels covering them, retrying misses until the
 	// slot ends.
-	d.sampleDone = make([]time.Duration, d.cfg.N)
-	remaining := make([]int, d.cfg.N)
-	for i := 0; i < d.cfg.N; i++ {
+	d.sampleDone = make([]time.Duration, len(d.peers))
+	remaining := make([]int, len(d.peers))
+	for i := range d.peers {
 		d.sampleDone[i] = -1
 		node := i
 		d.samples[node] = core.DrawSamples(d.rngs[node], cfg.Blob, cfg.Samples)
@@ -164,5 +161,5 @@ func (d *DHTCluster) RunSlot(slot uint64) (*core.SlotResult, error) {
 
 	d.net.Run(start + 12*time.Second)
 
-	return slotResult(d.net, d.bIndex, d.sampleDone), nil
+	return slotResult(d.net, d.sampleDone), nil
 }

@@ -10,11 +10,8 @@ import (
 	"time"
 
 	"pandas/internal/blob"
-	"pandas/internal/consensus"
 	"pandas/internal/core"
 	"pandas/internal/gossip"
-	"pandas/internal/ids"
-	"pandas/internal/latency"
 	"pandas/internal/simnet"
 	"pandas/internal/wire"
 )
@@ -23,11 +20,12 @@ import (
 // the comparison pools and counts all three systems the same way. Only
 // Sampling and the traffic fields are set: the baselines have no seeding
 // or consolidation phase, and FetchMsgs/FetchBytes carry the node's
-// whole traffic (dissemination included) from the network layer.
-func slotResult(net *simnet.Network, builder int, sampling []time.Duration) *core.SlotResult {
+// whole traffic (dissemination included) from the network layer. The
+// builder is vertex N of core.NewNetwork.
+func slotResult(net *simnet.Network, sampling []time.Duration) *core.SlotResult {
 	res := &core.SlotResult{
 		Outcomes:     make([]core.NodeOutcome, len(sampling)),
-		BuilderBytes: net.Stats(builder).BytesSent,
+		BuilderBytes: net.Stats(len(sampling)).BytesSent,
 	}
 	for i, s := range sampling {
 		st := net.Stats(i)
@@ -37,28 +35,6 @@ func slotResult(net *simnet.Network, builder int, sampling []time.Duration) *cor
 	}
 	net.ResetStats()
 	return res
-}
-
-// Config parameterizes a baseline deployment.
-type Config struct {
-	Core     core.Config
-	N        int
-	Seed     int64
-	Latency  simnet.LatencyModel
-	LossRate float64
-}
-
-func (c *Config) fill() {
-	if c.Latency == nil {
-		vertices := c.N + 1
-		if vertices > 10000 {
-			vertices = 10000
-		}
-		c.Latency = latency.NewIPFSLike(c.Seed, vertices)
-	}
-	if c.LossRate < 0 {
-		c.LossRate = simnet.DefaultLossRate
-	}
 }
 
 // custodyChunk is one gossip frame: a batch of cells of one line.
@@ -80,77 +56,55 @@ func (c *custodyChunk) wireSize(cellBytes int) int {
 // builder injects r copies of every line into its topic; members flood.
 // Explicit consolidation is disabled; sampling works as in PANDAS.
 type GossipCluster struct {
-	cfg      Config
+	cfg      core.Config
 	net      *simnet.Network
 	table    *core.Table
 	nodes    []*core.Node
 	overlays map[blob.Line]*gossip.Overlay
 	routers  []*gossip.Router
-	bIndex   int
 	rng      *rand.Rand
 	nextMsg  uint64
 }
 
-// NewGossipCluster builds the GossipSub-DAS deployment.
-func NewGossipCluster(cfg Config) (*GossipCluster, error) {
-	cfg.fill()
-	coreCfg := cfg.Core
-	coreCfg.DisableConsolidation = true
-	if err := coreCfg.Validate(); err != nil {
-		return nil, err
-	}
-	net, err := simnet.New(simnet.Config{
-		Latency:  cfg.Latency,
-		LossRate: cfg.LossRate,
-		Seed:     cfg.Seed,
-		MinDelay: time.Millisecond,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	nodeIDs := make([]ids.NodeID, cfg.N)
-	for i := range nodeIDs {
-		nodeIDs[i] = ids.NewTestIdentity(cfg.Seed<<20 + int64(i)).ID
-	}
-	var entropy [32]byte
-	rng.Read(entropy[:])
-	table, err := core.NewTable(coreCfg.Assign, consensus.NewRandao(entropy).SeedFor(0), nodeIDs)
+// NewGossipCluster builds the GossipSub-DAS deployment over the network,
+// identities, custody table and sample streams core.NewCluster derives
+// from cc. Of cc it reads Core, N, Seed, Latency and LossRate.
+func NewGossipCluster(cc core.ClusterConfig) (*GossipCluster, error) {
+	cfg := cc.Core
+	cfg.DisableConsolidation = true
+	d, err := core.NewDeployment(cfg, cc.Seed, cc.N)
 	if err != nil {
 		return nil, err
 	}
 	g := &GossipCluster{
 		cfg:      cfg,
-		net:      net,
-		table:    table,
+		table:    d.Table,
 		overlays: make(map[blob.Line]*gossip.Overlay),
-		rng:      rng,
+		rng:      d.Rand,
 	}
-	g.nodes = make([]*core.Node, cfg.N)
-	g.routers = make([]*gossip.Router, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		i := i
-		net.AddNode(func(from, size int, payload any) {
-			g.dispatch(i, from, size, payload)
-		}, simnet.NodeBandwidth, simnet.NodeBandwidth)
-		g.nodes[i] = core.NewNode(coreCfg, i, table, net.Endpoint(i), cfg.Seed^int64(i*2654435761))
+	if g.net, err = core.NewNetwork(cc, g.dispatch); err != nil {
+		return nil, err
+	}
+	g.nodes = make([]*core.Node, cc.N)
+	g.routers = make([]*gossip.Router, cc.N)
+	for i := range g.nodes {
+		g.nodes[i] = d.NewNode(i, g.net.Endpoint(i))
 		g.routers[i] = gossip.NewRouter(i)
 	}
-	g.bIndex = net.AddNode(nil, simnet.BuilderBandwidth, simnet.BuilderBandwidth)
 
 	// One topic mesh per line over its holders.
-	n := coreCfg.Blob.N()
+	n := cfg.Blob.N()
 	for kind := 0; kind < 2; kind++ {
 		for idx := 0; idx < n; idx++ {
 			l := blob.Line{Kind: blob.Row, Index: uint16(idx)}
 			if kind == 1 {
 				l.Kind = blob.Col
 			}
-			members := table.Holders(l)
+			members := d.Table.Holders(l)
 			if len(members) == 0 {
 				continue
 			}
-			g.overlays[l] = gossip.NewOverlay(rng, members, gossip.DefaultDegree)
+			g.overlays[l] = gossip.NewOverlay(g.rng, members, gossip.DefaultDegree)
 		}
 	}
 	return g, nil
@@ -190,9 +144,9 @@ func (g *GossipCluster) RunSlot(slot uint64) (*core.SlotResult, error) {
 		r.Reset()
 	}
 
-	coreCfg := g.cfg.Core
-	n := coreCfg.Blob.N()
-	copies := coreCfg.Redundancy
+	cfg := g.cfg
+	n := cfg.Blob.N()
+	copies := cfg.Redundancy
 	if copies < 1 {
 		copies = 1
 	}
@@ -212,21 +166,21 @@ func (g *GossipCluster) RunSlot(slot uint64) (*core.SlotResult, error) {
 				}
 				members := overlay.Members()
 				cells := l.Cells(n)
-				for startIdx := 0; startIdx < len(cells); startIdx += coreCfg.MaxCellsPerMsg {
-					end := min(startIdx+coreCfg.MaxCellsPerMsg, len(cells))
+				for startIdx := 0; startIdx < len(cells); startIdx += cfg.MaxCellsPerMsg {
+					end := min(startIdx+cfg.MaxCellsPerMsg, len(cells))
 					batch := make([]wire.Cell, 0, end-startIdx)
 					for _, id := range cells[startIdx:end] {
 						batch = append(batch, wire.Cell{ID: id})
 					}
 					g.nextMsg++
 					chunk := &custodyChunk{id: gossip.MsgID(g.nextMsg), slot: slot, line: l, cells: batch}
-					size := chunk.wireSize(coreCfg.Blob.CellBytes)
+					size := chunk.wireSize(cfg.Blob.CellBytes)
 					entry := copies
 					if entry > len(members) {
 						entry = len(members)
 					}
 					for _, mi := range g.rng.Perm(len(members))[:entry] {
-						g.net.Send(g.bIndex, members[mi], size, chunk)
+						g.net.Send(len(g.nodes), members[mi], size, chunk)
 					}
 				}
 			}
@@ -241,5 +195,5 @@ func (g *GossipCluster) RunSlot(slot uint64) (*core.SlotResult, error) {
 			sampling[i] = nd.Metrics().SampledAt - start
 		}
 	}
-	return slotResult(g.net, g.bIndex, sampling), nil
+	return slotResult(g.net, sampling), nil
 }

@@ -1,18 +1,16 @@
 // Package consensus models the slice of Ethereum proof-of-stake consensus
-// that PANDAS integrates with: slot/epoch timekeeping, RANDAO-style epoch
-// seeds, proposer and committee sortition, and the tight fork-choice
-// attestation rule.
+// that PANDAS hangs off: the slot timing and RANDAO-style epoch seeds.
 //
 // PANDAS deliberately does NOT modify consensus; this package therefore
-// only provides the timing scaffolding the protocol hangs off: a new block
-// every 12 s, a 4 s verification phase, and epoch seeds (known one epoch
-// in advance) that drive the cell-to-node assignment of package assign.
+// only provides the timing scaffolding the protocol runs against: a new
+// block every 12 s, a 4 s verification phase, and epoch seeds (known one
+// epoch in advance) that drive the cell-to-node assignment of package
+// assign.
 package consensus
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"time"
 
 	"pandas/internal/assign"
@@ -26,51 +24,7 @@ const (
 	// attestation / aggregation phases. DAS must complete within the
 	// first phase.
 	PhaseDuration = SlotDuration / 3
-	// SlotsPerEpoch is the number of slots per epoch.
-	SlotsPerEpoch = 32
-	// RetentionEpochs is how long nodes custody blob data (EIP-4844's
-	// 4096 epochs, ~18 days).
-	RetentionEpochs = 4096
 )
-
-// ErrBeforeGenesis is returned for times preceding the genesis.
-var ErrBeforeGenesis = errors.New("consensus: time before genesis")
-
-// Slot numbers slots from zero at genesis.
-type Slot uint64
-
-// Epoch numbers epochs from zero at genesis.
-type Epoch uint64
-
-// EpochOf returns the epoch containing the slot.
-func (s Slot) EpochOf() Epoch { return Epoch(uint64(s) / SlotsPerEpoch) }
-
-// Clock converts between wall-clock time and slots.
-type Clock struct {
-	genesis time.Time
-}
-
-// NewClock creates a clock with the given genesis time.
-func NewClock(genesis time.Time) *Clock { return &Clock{genesis: genesis} }
-
-// SlotAt returns the slot containing t.
-func (c *Clock) SlotAt(t time.Time) (Slot, error) {
-	if t.Before(c.genesis) {
-		return 0, ErrBeforeGenesis
-	}
-	return Slot(t.Sub(c.genesis) / SlotDuration), nil
-}
-
-// StartOf returns the wall-clock start of the slot.
-func (c *Clock) StartOf(s Slot) time.Time {
-	return c.genesis.Add(time.Duration(s) * SlotDuration)
-}
-
-// AttestationDeadline returns the moment by which block verification and
-// DAS must complete for committee members of the slot: 4 s in.
-func (c *Clock) AttestationDeadline(s Slot) time.Time {
-	return c.StartOf(s).Add(PhaseDuration)
-}
 
 // Randao produces epoch seeds. The real RANDAO accumulates validator
 // contributions; this simulation chains a hash over the epoch number and
@@ -84,192 +38,13 @@ type Randao struct {
 func NewRandao(entropy [32]byte) *Randao { return &Randao{entropy: entropy} }
 
 // SeedFor returns the assignment seed for the epoch.
-func (r *Randao) SeedFor(e Epoch) assign.Seed {
+func (r *Randao) SeedFor(epoch uint64) assign.Seed {
 	h := sha256.New()
 	h.Write(r.entropy[:])
 	var eb [8]byte
-	binary.BigEndian.PutUint64(eb[:], uint64(e))
+	binary.BigEndian.PutUint64(eb[:], epoch)
 	h.Write(eb[:])
 	var s assign.Seed
 	h.Sum(s[:0])
 	return s
-}
-
-// ProposerIndex selects the slot's proposer among n validators via
-// verifiable pseudo-random sortition seeded by the epoch seed and slot.
-func ProposerIndex(seed assign.Seed, s Slot, n int) int {
-	if n <= 0 {
-		return -1
-	}
-	h := sha256.New()
-	h.Write(seed[:])
-	h.Write([]byte("proposer"))
-	var sb [8]byte
-	binary.BigEndian.PutUint64(sb[:], uint64(s))
-	h.Write(sb[:])
-	d := h.Sum(nil)
-	return int(binary.BigEndian.Uint64(d[:8]) % uint64(n))
-}
-
-// Committee selects size distinct validator indices (out of n) for the
-// slot, deterministic in (seed, slot). If size >= n all indices are
-// returned.
-func Committee(seed assign.Seed, s Slot, n, size int) []int {
-	if n <= 0 || size <= 0 {
-		return nil
-	}
-	if size > n {
-		size = n
-	}
-	h := sha256.New()
-	h.Write(seed[:])
-	h.Write([]byte("committee"))
-	var sb [8]byte
-	binary.BigEndian.PutUint64(sb[:], uint64(s))
-	h.Write(sb[:])
-	d := h.Sum(nil)
-	state := binary.BigEndian.Uint64(d[:8])
-	next := func() uint64 {
-		state += 0x9E3779B97F4A7C15
-		z := state
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
-	// Partial Fisher-Yates over a sparse identity permutation.
-	swapped := make(map[int]int, size*2)
-	out := make([]int, size)
-	for i := 0; i < size; i++ {
-		j := i + int(next()%uint64(n-i))
-		vi, ok := swapped[j]
-		if !ok {
-			vi = j
-		}
-		vj, ok := swapped[i]
-		if !ok {
-			vj = i
-		}
-		out[i] = vi
-		swapped[j] = vj
-	}
-	return out
-}
-
-// ForkChoiceRule selects how data availability interacts with
-// attestations.
-type ForkChoiceRule int
-
-// Fork-choice rules discussed in the paper.
-const (
-	// TightForkChoice requires DAS to complete before attesting: a block
-	// with valid transactions but unavailable blob data is attested
-	// INVALID. This is the rule PANDAS targets; it needs no consensus
-	// changes.
-	TightForkChoice ForkChoiceRule = iota + 1
-	// TrailingForkChoice defers the availability decision past the
-	// attestation deadline and requires consensus changes to revert
-	// blocks retroactively (vulnerable to ex-ante reorgs).
-	TrailingForkChoice
-)
-
-// String implements fmt.Stringer.
-func (r ForkChoiceRule) String() string {
-	switch r {
-	case TightForkChoice:
-		return "tight"
-	case TrailingForkChoice:
-		return "trailing"
-	default:
-		return "unknown"
-	}
-}
-
-// AttestationInput captures what a committee node observed during the
-// slot's first phase. Zero times mean "never happened".
-type AttestationInput struct {
-	SlotStart     time.Time
-	BlockValidAt  time.Time // block received and verified
-	DASCompleteAt time.Time // 73 samples all retrieved
-}
-
-// Vote is a committee member's attestation decision.
-type Vote int
-
-// Attestation outcomes.
-const (
-	// VoteValid attests the block (and, under the tight rule, its data
-	// availability).
-	VoteValid Vote = iota + 1
-	// VoteInvalid rejects the block: verification or sampling failed or
-	// missed the deadline.
-	VoteInvalid
-)
-
-// Attest applies the fork-choice rule to the observations. Under the
-// tight rule both block verification and DAS must land within
-// PhaseDuration of the slot start; under the trailing rule only block
-// verification gates the vote (availability is resolved later, outside
-// this model).
-func Attest(rule ForkChoiceRule, in AttestationInput) Vote {
-	deadline := in.SlotStart.Add(PhaseDuration)
-	blockOK := !in.BlockValidAt.IsZero() && !in.BlockValidAt.After(deadline)
-	if !blockOK {
-		return VoteInvalid
-	}
-	if rule == TrailingForkChoice {
-		return VoteValid
-	}
-	dasOK := !in.DASCompleteAt.IsZero() && !in.DASCompleteAt.After(deadline)
-	if !dasOK {
-		return VoteInvalid
-	}
-	return VoteValid
-}
-
-// SupermajorityNum / SupermajorityDen define the 2/3 threshold Ethereum
-// uses for committee decisions.
-const (
-	SupermajorityNum = 2
-	SupermajorityDen = 3
-)
-
-// Decision is the aggregate outcome of a committee's attestations.
-type Decision int
-
-// Aggregate decisions.
-const (
-	// DecisionAccept means a supermajority attested the block (and its
-	// data availability, under the tight rule) valid.
-	DecisionAccept Decision = iota + 1
-	// DecisionReject means validity did not reach a supermajority: the
-	// block is not finalized — exactly what happens when blob data is
-	// withheld and sampling fails across the committee.
-	DecisionReject
-)
-
-// String implements fmt.Stringer.
-func (d Decision) String() string {
-	if d == DecisionAccept {
-		return "accept"
-	}
-	return "reject"
-}
-
-// Aggregate folds committee votes into a decision: accept iff at least
-// 2/3 of the committee voted valid. Missing votes (absent members) count
-// against acceptance, as in Ethereum.
-func Aggregate(votes []Vote, committeeSize int) Decision {
-	if committeeSize <= 0 {
-		return DecisionReject
-	}
-	valid := 0
-	for _, v := range votes {
-		if v == VoteValid {
-			valid++
-		}
-	}
-	if valid*SupermajorityDen >= committeeSize*SupermajorityNum {
-		return DecisionAccept
-	}
-	return DecisionReject
 }

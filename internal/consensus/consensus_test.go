@@ -1,54 +1,9 @@
 package consensus
 
 import (
-	"errors"
 	"testing"
 	"time"
 )
-
-var genesis = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-
-func TestClockSlotAt(t *testing.T) {
-	c := NewClock(genesis)
-	cases := []struct {
-		offset time.Duration
-		want   Slot
-	}{
-		{0, 0},
-		{11 * time.Second, 0},
-		{12 * time.Second, 1},
-		{25 * time.Second, 2},
-		{12 * 32 * time.Second, 32},
-	}
-	for _, cse := range cases {
-		got, err := c.SlotAt(genesis.Add(cse.offset))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != cse.want {
-			t.Errorf("SlotAt(+%v) = %d, want %d", cse.offset, got, cse.want)
-		}
-	}
-	if _, err := c.SlotAt(genesis.Add(-time.Second)); !errors.Is(err, ErrBeforeGenesis) {
-		t.Fatalf("err = %v, want ErrBeforeGenesis", err)
-	}
-}
-
-func TestClockStartAndDeadline(t *testing.T) {
-	c := NewClock(genesis)
-	if got := c.StartOf(3); !got.Equal(genesis.Add(36 * time.Second)) {
-		t.Fatalf("StartOf(3) = %v", got)
-	}
-	if got := c.AttestationDeadline(3); !got.Equal(genesis.Add(40 * time.Second)) {
-		t.Fatalf("AttestationDeadline(3) = %v", got)
-	}
-}
-
-func TestEpochOf(t *testing.T) {
-	if Slot(0).EpochOf() != 0 || Slot(31).EpochOf() != 0 || Slot(32).EpochOf() != 1 || Slot(100).EpochOf() != 3 {
-		t.Fatal("EpochOf wrong")
-	}
-}
 
 func TestRandaoSeedsDifferPerEpoch(t *testing.T) {
 	r := NewRandao([32]byte{1})
@@ -67,169 +22,8 @@ func TestRandaoSeedsDifferPerEpoch(t *testing.T) {
 	}
 }
 
-func TestProposerIndexDeterministicAndBounded(t *testing.T) {
-	r := NewRandao([32]byte{3})
-	seed := r.SeedFor(0)
-	for s := Slot(0); s < 50; s++ {
-		p1 := ProposerIndex(seed, s, 100)
-		p2 := ProposerIndex(seed, s, 100)
-		if p1 != p2 {
-			t.Fatal("proposer not deterministic")
-		}
-		if p1 < 0 || p1 >= 100 {
-			t.Fatalf("proposer %d out of range", p1)
-		}
-	}
-	if ProposerIndex(seed, 0, 0) != -1 {
-		t.Fatal("empty validator set should yield -1")
-	}
-}
-
-func TestProposerVariesAcrossSlots(t *testing.T) {
-	r := NewRandao([32]byte{4})
-	seed := r.SeedFor(0)
-	seen := map[int]bool{}
-	for s := Slot(0); s < 64; s++ {
-		seen[ProposerIndex(seed, s, 1000)] = true
-	}
-	if len(seen) < 32 {
-		t.Fatalf("only %d distinct proposers over 64 slots", len(seen))
-	}
-}
-
-func TestCommitteeDistinctAndSized(t *testing.T) {
-	r := NewRandao([32]byte{5})
-	seed := r.SeedFor(0)
-	c := Committee(seed, 7, 100, 20)
-	if len(c) != 20 {
-		t.Fatalf("len = %d", len(c))
-	}
-	seen := map[int]bool{}
-	for _, v := range c {
-		if v < 0 || v >= 100 {
-			t.Fatalf("index %d out of range", v)
-		}
-		if seen[v] {
-			t.Fatalf("duplicate committee member %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestCommitteeEdgeCases(t *testing.T) {
-	r := NewRandao([32]byte{6})
-	seed := r.SeedFor(0)
-	if Committee(seed, 0, 0, 5) != nil {
-		t.Fatal("empty set should be nil")
-	}
-	if Committee(seed, 0, 10, 0) != nil {
-		t.Fatal("zero size should be nil")
-	}
-	all := Committee(seed, 0, 5, 10)
-	if len(all) != 5 {
-		t.Fatalf("oversized committee = %d members, want 5", len(all))
-	}
-}
-
-func TestAttestTightRule(t *testing.T) {
-	start := genesis
-	ok := start.Add(3 * time.Second)
-	late := start.Add(5 * time.Second)
-	cases := []struct {
-		name       string
-		block, das time.Time
-		want       Vote
-	}{
-		{"both on time", ok, ok, VoteValid},
-		{"das late", ok, late, VoteInvalid},
-		{"das never", ok, time.Time{}, VoteInvalid},
-		{"block late", late, ok, VoteInvalid},
-		{"block never", time.Time{}, ok, VoteInvalid},
-		{"exactly at deadline", start.Add(PhaseDuration), start.Add(PhaseDuration), VoteValid},
-	}
-	for _, c := range cases {
-		in := AttestationInput{SlotStart: start, BlockValidAt: c.block, DASCompleteAt: c.das}
-		if got := Attest(TightForkChoice, in); got != c.want {
-			t.Errorf("%s: Attest = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-func TestAttestTrailingRuleIgnoresDAS(t *testing.T) {
-	start := genesis
-	in := AttestationInput{
-		SlotStart:     start,
-		BlockValidAt:  start.Add(2 * time.Second),
-		DASCompleteAt: time.Time{}, // never sampled
-	}
-	if got := Attest(TrailingForkChoice, in); got != VoteValid {
-		t.Fatalf("trailing rule should not gate on DAS, got %v", got)
-	}
-}
-
-func TestForkChoiceRuleString(t *testing.T) {
-	if TightForkChoice.String() != "tight" || TrailingForkChoice.String() != "trailing" {
-		t.Fatal("strings wrong")
-	}
-	if ForkChoiceRule(0).String() != "unknown" {
-		t.Fatal("zero value should be unknown")
-	}
-}
-
 func TestPhaseDurationIsFourSeconds(t *testing.T) {
 	if PhaseDuration != 4*time.Second {
 		t.Fatalf("PhaseDuration = %v", PhaseDuration)
-	}
-}
-
-func TestAggregate(t *testing.T) {
-	v := func(valid, invalid int) []Vote {
-		out := make([]Vote, 0, valid+invalid)
-		for i := 0; i < valid; i++ {
-			out = append(out, VoteValid)
-		}
-		for i := 0; i < invalid; i++ {
-			out = append(out, VoteInvalid)
-		}
-		return out
-	}
-	cases := []struct {
-		votes     []Vote
-		committee int
-		want      Decision
-	}{
-		{v(67, 33), 100, DecisionAccept},
-		{v(66, 34), 100, DecisionReject},
-		{v(100, 0), 100, DecisionAccept},
-		{v(0, 100), 100, DecisionReject},
-		{v(60, 0), 100, DecisionReject}, // 40 members absent
-		{v(2, 1), 3, DecisionAccept},
-		{nil, 0, DecisionReject},
-	}
-	for i, c := range cases {
-		if got := Aggregate(c.votes, c.committee); got != c.want {
-			t.Errorf("case %d: Aggregate = %v, want %v", i, got, c.want)
-		}
-	}
-	if DecisionAccept.String() != "accept" || DecisionReject.String() != "reject" {
-		t.Fatal("strings wrong")
-	}
-}
-
-func TestAggregateWithholdingScenario(t *testing.T) {
-	// The tight fork-choice end game: if sampling fails committee-wide
-	// (withheld data), every member votes invalid and the block is
-	// rejected without any consensus-protocol change.
-	start := genesis
-	votes := make([]Vote, 64)
-	for i := range votes {
-		votes[i] = Attest(TightForkChoice, AttestationInput{
-			SlotStart:    start,
-			BlockValidAt: start.Add(2 * time.Second),
-			// DAS never completed: data withheld.
-		})
-	}
-	if got := Aggregate(votes, 64); got != DecisionReject {
-		t.Fatalf("withheld blob accepted: %v", got)
 	}
 }

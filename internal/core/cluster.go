@@ -1,21 +1,16 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
 	"pandas/internal/adversary"
-	"pandas/internal/assign"
 	"pandas/internal/consensus"
 	"pandas/internal/dht"
 	"pandas/internal/gossip"
-	"pandas/internal/ids"
-	"pandas/internal/latency"
 	"pandas/internal/membership"
 	"pandas/internal/obsv"
 	"pandas/internal/simnet"
-	"pandas/internal/wire"
 )
 
 // ClusterConfig describes a simulated PANDAS deployment: N nodes plus one
@@ -40,12 +35,9 @@ type ClusterConfig struct {
 	// node's view (views are random per node; the builder keeps a full
 	// view).
 	OutOfViewFraction float64
-	// BlockGossip additionally disseminates a block over a global
-	// GossipSub-style mesh and records reception times (Fig. 9a and the
-	// attestation decision).
+	// BlockGossip additionally disseminates a 128 KiB block over a global
+	// GossipSub-style mesh and records reception times (Fig. 9a).
 	BlockGossip bool
-	// BlockSize is the gossiped block size in bytes (128 KiB default).
-	BlockSize int
 	// VerifySeeds enables proposer-signature verification at nodes
 	// (real-payload deployments).
 	VerifySeeds bool
@@ -89,7 +81,6 @@ type NodeOutcome struct {
 	FetchMsgs  int   // queries + responses, both directions
 	FetchBytes int64 // corresponding traffic volume
 	Rounds     []RoundStat
-	SampleVote consensus.Vote // tight fork-choice attestation
 }
 
 // NewNodeOutcome returns the outcome of a node for which nothing was
@@ -119,14 +110,11 @@ type Cluster struct {
 	table   *Table
 	nodes   []*Node
 	builder *Builder
-	bIndex  int
 
-	proposer  *ids.Identity
 	overlay   *gossip.Overlay
 	routers   []*gossip.Router
 	blockRecv []time.Duration
 	dead      []bool
-	randao    *consensus.Randao
 
 	// Dynamic membership (nil/empty without ClusterConfig.Churn).
 	dir        *membership.Directory
@@ -168,60 +156,21 @@ type Cluster struct {
 // NewCluster builds the deployment: identities, epoch table, simulator
 // wiring, fault injection, and optionally the block gossip overlay.
 func NewCluster(cc ClusterConfig) (*Cluster, error) {
-	if cc.N < 1 {
-		return nil, ErrNoNodes
-	}
-	if err := cc.Core.Validate(); err != nil {
-		return nil, err
-	}
-	if cc.Latency == nil {
-		vertices := cc.N + 1
-		if vertices > 10000 {
-			vertices = 10000
-		}
-		cc.Latency = latency.NewIPFSLike(cc.Seed, vertices)
-	}
-	loss := cc.LossRate
-	if loss < 0 {
-		loss = simnet.DefaultLossRate
-	}
-	if cc.BlockSize == 0 {
-		cc.BlockSize = 128 * 1024
-	}
-	net, err := simnet.New(simnet.Config{
-		Latency:  cc.Latency,
-		LossRate: loss,
-		Seed:     cc.Seed,
-		MinDelay: time.Millisecond,
-	})
+	d, err := NewDeployment(cc.Core, cc.Seed, cc.N)
 	if err != nil {
 		return nil, err
 	}
-
-	rng := rand.New(rand.NewSource(cc.Seed))
-	nodeIDs := make([]ids.NodeID, cc.N)
-	for i := range nodeIDs {
-		// Cached interning: sweeps rebuild clusters with the same seed at
-		// growing sizes, and per-node ed25519 keygen dominates large
-		// cluster construction otherwise.
-		nodeIDs[i] = ids.NewTestIdentityCached(cc.Seed<<20 + int64(i)).ID
-	}
-	entropy := [32]byte{}
-	rng.Read(entropy[:])
-	randao := consensus.NewRandao(entropy)
-	table, err := NewTable(cc.Core.Assign, randao.SeedFor(0), nodeIDs)
-	if err != nil {
-		return nil, err
-	}
-
 	c := &Cluster{
-		cfg:    cc,
-		net:    net,
-		table:  table,
-		dead:   make([]bool, cc.N),
-		randao: randao,
-		rec:    cc.Core.Recorder,
+		cfg:   cc,
+		table: d.Table,
+		dead:  make([]bool, cc.N),
+		rec:   cc.Core.Recorder,
 	}
+	net, err := NewNetwork(cc, c.dispatch)
+	if err != nil {
+		return nil, err
+	}
+	c.net = net
 	if reg := cc.Core.Metrics; reg != nil {
 		net.SetMetrics(reg)
 		c.mGossip = reg.Counter("gossip_msgs_total")
@@ -230,17 +179,11 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		c.mDHT = reg.Counter("dht_msgs_total")
 	}
 
-	proposer, err := ids.NewIdentity()
-	if err != nil {
-		return nil, fmt.Errorf("core: proposer identity: %w", err)
-	}
-	c.proposer = proposer
-
-	// Adversary sortition happens before node registration because each
+	// Adversary sortition happens before the nodes are built because each
 	// byzantine node's transport is wrapped at construction. It draws
-	// from dedicated seed streams only, so the main rng — and therefore
-	// every honest random choice below — is untouched whether or not
-	// adversaries are enabled.
+	// from dedicated seed streams only, so the deployment's stream — and
+	// therefore every honest random choice below — is untouched whether or
+	// not adversaries are enabled.
 	if err := cc.Adversary.Validate(); err != nil {
 		return nil, err
 	}
@@ -250,35 +193,18 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		c.agents[i] = adversary.NewAgent(i, c.behaviors[i], cc.Seed, cc.Adversary)
 	}
 
-	// Register nodes.
 	c.nodes = make([]*Node, cc.N)
 	c.blockRecv = make([]time.Duration, cc.N)
-	for i := 0; i < cc.N; i++ {
-		i := i
-		idx := net.AddNode(func(from, size int, payload any) {
-			c.dispatch(i, from, size, payload)
-		}, simnet.NodeBandwidth, simnet.NodeBandwidth)
-		if idx != i {
-			return nil, fmt.Errorf("core: node index mismatch: %d != %d", idx, i)
-		}
-		tr := c.agents[i].WrapTransport(net.Endpoint(i))
-		c.nodes[i] = NewNode(cc.Core, i, table, tr, cc.Seed^int64(i*2654435761))
+	for i := range c.nodes {
+		c.nodes[i] = d.NewNode(i, c.agents[i].WrapTransport(net.Endpoint(i)))
 		if cc.VerifySeeds {
-			c.nodes[i].SetSeedVerification(proposer.Public)
+			c.nodes[i].SetSeedVerification(d.Proposer.Public)
 		}
 	}
-
-	// The builder sits on a well-connected vertex with a 10 Gbps uplink.
-	c.bIndex = net.AddNode(nil, simnet.BuilderBandwidth, simnet.BuilderBandwidth)
-	builderID := ids.NewTestIdentityCached(cc.Seed<<20 + int64(cc.N) + 7).ID
-	c.builder = NewBuilder(cc.Core, c.bIndex, builderID, table, net.Endpoint(c.bIndex), cc.Seed+99)
-	c.builder.SetProposerSigner(func(slot uint64) [wire.SigSize]byte {
-		var sig [wire.SigSize]byte
-		copy(sig[:], proposer.Sign(wire.SeedSigningBytes(slot, builderID)))
-		return sig
-	})
+	c.builder = d.NewBuilder(net.Endpoint(cc.N))
 
 	// Fault injection: dead nodes.
+	rng := d.Rand
 	if cc.DeadFraction > 0 {
 		count := int(float64(cc.N) * cc.DeadFraction)
 		for _, i := range rng.Perm(cc.N)[:count] {
@@ -334,9 +260,10 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		}
 	}
 
-	// Dynamic membership. Set up strictly AFTER every consumer of the main
-	// rng above, and from independent rand sources, so an inactive (or
-	// absent) churn config leaves the static deployment bit-identical.
+	// Dynamic membership. Set up strictly AFTER every consumer of the
+	// deployment's rng above, and from independent rand sources, so an
+	// inactive (or absent) churn config leaves the static deployment
+	// bit-identical.
 	if cc.Churn.Active() {
 		if err := c.setupChurn(cc); err != nil {
 			return nil, err
@@ -350,6 +277,9 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	}
 	return c, nil
 }
+
+// blockSize is the size in bytes of the block BlockGossip disseminates.
+const blockSize = 128 * 1024
 
 // clusterBootstrapContacts is the sparse deterministic contact set each
 // node's DHT routing table starts from; crawls grow it from there.
@@ -712,14 +642,14 @@ func (c *Cluster) RunSlot(slot uint64) (*SlotResult, error) {
 			}
 			id := gossip.MsgID(slot + 1)
 			for _, peer := range c.routers[origin].Publish(c.overlay, id) {
-				c.net.Send(origin, peer, c.cfg.BlockSize, id)
+				c.net.Send(origin, peer, blockSize, id)
 			}
 		})
 	}
 	c.net.Run(start + consensus.SlotDuration)
 
 	res := &SlotResult{Seeding: report, Dropped: c.net.Dropped() - droppedBefore}
-	res.BuilderBytes = c.net.Stats(c.bIndex).BytesSent
+	res.BuilderBytes = c.net.Stats(len(c.nodes)).BytesSent // the builder is vertex N
 	if c.engine != nil {
 		st := c.engine.Stats()
 		res.Churn = st.Minus(c.churnPrev)
@@ -754,8 +684,6 @@ func (c *Cluster) nodeOutcome(i int, start time.Duration) NodeOutcome {
 	if o.Offline {
 		// The node never ran this slot; its view holds stale leftovers
 		// from its last active slot.
-		o.SampleVote = consensus.Attest(consensus.TightForkChoice,
-			consensus.AttestationInput{SlotStart: time.Unix(0, 0)})
 		return o
 	}
 	m := c.nodes[i].Metrics()
@@ -779,20 +707,6 @@ func (c *Cluster) nodeOutcome(i int, start time.Duration) NodeOutcome {
 	if c.blockRecv[i] >= 0 {
 		o.BlockRecv = c.blockRecv[i] - start
 	}
-	// Tight fork-choice attestation: block (when gossiped) and DAS
-	// must both land within the 4 s phase.
-	in := consensus.AttestationInput{SlotStart: time.Unix(0, 0)}
-	if o.BlockRecv >= 0 || c.overlay == nil {
-		block := o.BlockRecv
-		if c.overlay == nil {
-			block = 0 // block dissemination not simulated: assume on time
-		}
-		in.BlockValidAt = in.SlotStart.Add(block)
-	}
-	if o.Sampling >= 0 {
-		in.DASCompleteAt = in.SlotStart.Add(o.Sampling)
-	}
-	o.SampleVote = consensus.Attest(consensus.TightForkChoice, in)
 	return o
 }
 
@@ -842,18 +756,4 @@ func (r *SlotResult) JoinerCatchUp() (joined, sampled int) {
 		}
 	}
 	return joined, sampled
-}
-
-// CommitteeDecision samples a consensus committee for the slot and
-// aggregates its members' tight fork-choice votes — the end-to-end
-// outcome PANDAS feeds into Ethereum: with available data a
-// supermajority attests and the block is accepted; with withheld data
-// the committee rejects it, all without consensus-protocol changes.
-func (r *SlotResult) CommitteeDecision(seed assign.Seed, slot uint64, size int) consensus.Decision {
-	members := consensus.Committee(seed, consensus.Slot(slot), len(r.Outcomes), size)
-	votes := make([]consensus.Vote, 0, len(members))
-	for _, m := range members {
-		votes = append(votes, r.Outcomes[m].SampleVote)
-	}
-	return consensus.Aggregate(votes, len(members))
 }

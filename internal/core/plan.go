@@ -510,7 +510,7 @@ func (n *Node) planRound(ps *planScratch) []fetch.Query {
 					Peer: int32(peer), Round: int32(n.round)})
 			}
 		}
-		scored = fetch.ApplyLivenessObserved(scored, n.liveness, onSkip)
+		scored = fetch.ApplyLiveness(scored, n.liveness, onSkip)
 	}
 
 	// Sample cells have no CB entries; boosted peers may still cover

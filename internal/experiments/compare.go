@@ -23,24 +23,23 @@ var defaultSizes = []int{1000, 3000, 5000, 10000, 20000}
 // runSystem executes one system at the given options and pools slots.
 func runSystem(sys System, o Options) (*Sample, error) {
 	var runSlot func(uint64) (*core.SlotResult, error)
-	cfg := baseline.Config{Core: o.Core, N: o.Nodes, Seed: o.Seed, LossRate: *o.LossRate}
+	cc := clusterConfig(o)
 	switch sys {
 	case SystemPandas:
-		c, err := newCluster(o, func(cc *core.ClusterConfig) {
-			cc.Core.Policy = core.PolicyRedundant
-		})
+		cc.Core.Policy = core.PolicyRedundant
+		c, err := core.NewCluster(cc)
 		if err != nil {
 			return nil, err
 		}
 		runSlot = c.RunSlot
 	case SystemGossip:
-		g, err := baseline.NewGossipCluster(cfg)
+		g, err := baseline.NewGossipCluster(cc)
 		if err != nil {
 			return nil, err
 		}
 		runSlot = g.RunSlot
 	case SystemDHT:
-		d, err := baseline.NewDHTCluster(cfg)
+		d, err := baseline.NewDHTCluster(cc)
 		if err != nil {
 			return nil, err
 		}

@@ -96,14 +96,16 @@ func runPooled(label string, o Options, mutate func(*core.ClusterConfig)) (*Samp
 	return pool(label, outcomes, o.Core.Deadline, nil), slots, nil
 }
 
+// clusterConfig is the deployment the options describe. PANDAS and both
+// baselines are built from it, so at one seed they share identities,
+// custody and sample draws.
+func clusterConfig(o Options) core.ClusterConfig {
+	return core.ClusterConfig{Core: o.Core, N: o.Nodes, Seed: o.Seed, LossRate: *o.LossRate}
+}
+
 // newCluster builds a PANDAS cluster for the options.
 func newCluster(o Options, mutate func(*core.ClusterConfig)) (*core.Cluster, error) {
-	cc := core.ClusterConfig{
-		Core:     o.Core,
-		N:        o.Nodes,
-		Seed:     o.Seed,
-		LossRate: *o.LossRate,
-	}
+	cc := clusterConfig(o)
 	if mutate != nil {
 		mutate(&cc)
 	}

@@ -97,8 +97,12 @@ func TestGatewayLoadDeterministic(t *testing.T) {
 
 // BenchmarkGatewayLoad100k is the acceptance workload: 100k concurrent
 // synthetic light clients per slot against a simnet cluster. Custom
-// metrics report what the table in EXPERIMENTS.md tracks.
+// metrics report what the table in EXPERIMENTS.md tracks. Skipped with
+// -short.
 func BenchmarkGatewayLoad100k(b *testing.B) {
+	if testing.Short() {
+		b.Skip("100k-client workload")
+	}
 	for i := 0; i < b.N; i++ {
 		res, err := GatewayLoad(
 			Options{Nodes: 128, Slots: 2, Seed: 42},

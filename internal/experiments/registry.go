@@ -189,13 +189,6 @@ func register(e Experiment) {
 	registry = append(registry, e)
 }
 
-// Experiments returns the registered experiments in -list order.
-func Experiments() []Experiment {
-	out := make([]Experiment, len(registry))
-	copy(out, registry)
-	return out
-}
-
 // Lookup finds an experiment by name.
 func Lookup(name string) (Experiment, bool) {
 	for _, e := range registry {

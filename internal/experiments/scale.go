@@ -3,10 +3,9 @@ package experiments
 // The scale experiment measures the simulator itself rather than the
 // protocol: how much resident memory one simulated node costs in
 // metadata mode and how many discrete events per wall-clock second the
-// engine sustains, across network sizes. These are the gates that back
-// the 100k-1M node claims (compact per-node state + pooled sharded
-// event heap); scripts/bench.sh runs the 100k point and enforces
-// bytes/node and events/sec floors.
+// engine sustains, across network sizes: the numbers behind the 100k-1M
+// node claims (compact per-node state + pooled sharded event heap).
+// BenchmarkSimnetScale100k runs the 100k point.
 
 import (
 	"fmt"

@@ -38,10 +38,13 @@ func TestScaleSweep(t *testing.T) {
 	}
 }
 
-// BenchmarkSimnetScale100k is the scripts/bench.sh capacity gate: one
-// full metadata-mode slot at 100,000 nodes, reporting resident
-// bytes/node and engine events/sec (run with -benchtime=1x).
+// BenchmarkSimnetScale100k runs one full metadata-mode slot at 100,000
+// nodes, reporting resident bytes/node and engine events/sec (run with
+// -benchtime=1x; it needs about 9 GB). Skipped with -short.
 func BenchmarkSimnetScale100k(b *testing.B) {
+	if testing.Short() {
+		b.Skip("100k-node slot")
+	}
 	o := Options{Nodes: 100_000, Slots: 1, Seed: 1, Core: core.TestConfig()}
 	for i := 0; i < b.N; i++ {
 		res, err := Scale(o, []int{o.Nodes})

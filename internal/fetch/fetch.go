@@ -211,15 +211,10 @@ type Liveness interface {
 // in backoff are dropped entirely, and re-armed peers with a failure
 // history are demoted by their penalty (floored at score 1 so they stay
 // eligible as a last resort). The slice is filtered in place. A nil
-// liveness returns the input unchanged.
-func ApplyLiveness(scored []Scored, l Liveness) []Scored {
-	return ApplyLivenessObserved(scored, l, nil)
-}
-
-// ApplyLivenessObserved is ApplyLiveness with a drop observer: onSkip is
-// invoked for every peer filtered out by its backoff (the observability
-// layer traces these as peer-demoted events). A nil onSkip is ignored.
-func ApplyLivenessObserved(scored []Scored, l Liveness, onSkip func(peer int)) []Scored {
+// liveness returns the input unchanged. onSkip, when not nil, is invoked
+// for every peer dropped for its backoff (the observability layer traces
+// these as peer-demoted events).
+func ApplyLiveness(scored []Scored, l Liveness, onSkip func(peer int)) []Scored {
 	if l == nil {
 		return scored
 	}

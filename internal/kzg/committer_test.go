@@ -68,9 +68,28 @@ func TestCommitterRootStable(t *testing.T) {
 	}
 }
 
-// BenchmarkProveRowSteady measures the steady-state prover inner loop —
-// one row of proofs from pre-computed digests — and is gated at zero
-// allocations per op in scripts/bench.sh.
+// TestProveRowSteadyZeroAllocs holds the steady-state prover inner loop
+// — one row of proofs from pre-computed digests — to zero allocations.
+func TestProveRowSteadyZeroAllocs(t *testing.T) {
+	e := makeExtended(t, 23)
+	n := e.N()
+	cm := NewCommitter(n)
+	hashAllRows(cm, e)
+	c := cm.Root()
+	out := make([]Proof, n*n)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	row := 0
+	if a := testing.AllocsPerRun(100, func() {
+		cm.proveRow(s, c, row%n, out)
+		row++
+	}); a != 0 {
+		t.Fatalf("proveRow allocates %.1f per row, want 0", a)
+	}
+}
+
+// BenchmarkProveRowSteady measures the steady-state prover inner loop;
+// TestProveRowSteadyZeroAllocs holds it to zero allocations.
 func BenchmarkProveRowSteady(b *testing.B) {
 	e := makeExtended(b, 23)
 	n := e.N()

@@ -14,8 +14,8 @@
 //
 // Tracing is strictly opt-in. The default Recorder is nil and every
 // emission site guards with a single nil check, so the disabled path
-// costs ~1 ns and zero allocations (see BenchmarkDisabledEmit and the
-// BENCH_obsv.json gate).
+// costs ~1 ns and zero allocations (TestEmitDisabledCost and
+// TestEmitDisabledZeroAllocs hold it there).
 package obsv
 
 // Recorder receives protocol trace events. Implementations must be safe

@@ -202,8 +202,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	// Warm up: cycle the whole population several times so every
 	// time-band shard grows to steady-state capacity (bands rotate
 	// across shards as the clock advances); the measured loop is then
-	// alloc-free even at -benchtime 1x (the bench.sh gate
-	// configuration).
+	// alloc-free even at -benchtime 1x.
 	warm := e.Now()
 	for e.Executed() < 16*population {
 		warm += 10 * time.Millisecond

@@ -14,7 +14,7 @@ import (
 // HostOptions describes one participant of a real-socket deployment.
 type HostOptions struct {
 	Config core.Config // protocol parameters (Geometry.CoreConfig for a swarm)
-	Seed   int64       // deployment seed: identities, table, proposer, filler blob
+	Seed   int64       // deployment seed (core.NewDeployment)
 	Nodes  int         // protocol nodes; index Nodes is the builder
 	Index  int
 
@@ -75,7 +75,7 @@ func NewHost(o HostOptions) (*Host, error) {
 	if o.Index < 0 || o.Index > o.Nodes {
 		return nil, fmt.Errorf("swarm: index %d out of range (%d nodes + builder)", o.Index, o.Nodes)
 	}
-	table, err := NewTableFromSeed(o.Config, o.Seed, o.Nodes)
+	d, err := core.NewDeployment(o.Config, o.Seed, o.Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -85,18 +85,13 @@ func NewHost(o HostOptions) (*Host, error) {
 	} else if ep, err = transport.NewUDP(o.Index, o.Bind, o.Config.Blob.CellBytes); err != nil {
 		return nil, err
 	}
-	h := &Host{Endpoint: ep, Table: table, o: o, proposer: DeriveProposer(o.Seed)}
+	h := &Host{Endpoint: ep, Table: d.Table, o: o, proposer: d.Proposer}
 	if o.Index < o.Nodes {
-		h.Node = core.NewNode(o.Config, o.Index, table, ep, o.Seed^int64(o.Index*7919))
+		h.Node = d.NewNode(o.Index, ep)
 		h.Node.SetSeedVerification(h.proposer.Public)
 		h.Node.OnSlotDone(func() { h.finish(true) })
 	} else {
-		id := DeriveBuilderID(o.Seed, o.Nodes)
-		h.Builder = core.NewBuilder(o.Config, o.Index, id, table, ep, o.Seed+5)
-		h.Builder.SetProposerSigner(func(slot uint64) (sig [wire.SigSize]byte) {
-			copy(sig[:], h.proposer.Sign(wire.SeedSigningBytes(slot, id)))
-			return sig
-		})
+		h.Builder = d.NewBuilder(ep)
 		if err := h.Builder.PrepareBlob(FillerBlob(o.Config)); err != nil {
 			if o.Endpoint == nil {
 				_ = ep.Close()

@@ -1,16 +1,21 @@
 package swarm
 
 import (
+	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"pandas/internal/blob"
+	"pandas/internal/core"
 	"pandas/internal/wire"
 )
 
 // TestHostsFollowTheBuilder runs pandas-node's static deployment in one
 // process: 8 node hosts and a builder host over loopback at the CLI's
-// default geometry, seed 7 (every line has a holder). Slot 1 is started on
+// default geometry, seed 6 (every cell a node samples in slots 1-3 lies on
+// a line with a holder). Slot 1 is started on
 // the nodes by hand, as a supervisor would; slots 2 and 3 are driven at the
 // builder only. One node hears nothing during slot 1, so it must report that
 // slot once, timed out, and still complete slots 2 and 3 — the loop that
@@ -20,9 +25,9 @@ func TestHostsFollowTheBuilder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time UDP test")
 	}
-	// At this seed nodes 0 and 5 are some sampled cell's only source in
+	// At this seed nodes 4 and 7 are some sampled cell's only source in
 	// slot 1; node 2 can go deaf without taking a peer down with it.
-	const nodes, seed, deafNode = 8, 7, 2
+	const nodes, seed, deafNode = 8, 6, 2
 	cfg, err := Geometry{K: 8, Custody: 4, Samples: 6, CellBytes: 64, Redundancy: 8,
 		SeedWait: 300 * time.Millisecond, Deadline: 500 * time.Millisecond}.CoreConfig()
 	if err != nil {
@@ -102,9 +107,13 @@ func TestHostsFollowTheBuilder(t *testing.T) {
 
 	// Seeds that must move nothing: unsigned, signed for another slot, and
 	// correctly signed but not newer than the current slot.
-	builderID := DeriveBuilderID(seed, nodes)
+	d, err := core.NewDeployment(cfg, seed, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builderID := d.BuilderID
 	sign := func(slot uint64) (sig [wire.SigSize]byte) {
-		copy(sig[:], DeriveProposer(seed).Sign(wire.SeedSigningBytes(slot, builderID)))
+		copy(sig[:], d.Proposer.Sign(wire.SeedSigningBytes(slot, builderID)))
 		return sig
 	}
 	slotNow := make(chan uint64, 1)
@@ -125,5 +134,43 @@ func TestHostsFollowTheBuilder(t *testing.T) {
 	case r := <-reports:
 		t.Fatalf("outcome after the last slot: node %d slot %d", r.node, r.Slot)
 	default:
+	}
+}
+
+// TestHostIsTheSimulatedDeployment: a host at (config, seed, N) holds the
+// custody table of the simulated cluster at the same values, and its node
+// draws that cluster node's samples in slot 1, so a swarm run and a simnet
+// run at one seed are one deployment.
+func TestHostIsTheSimulatedDeployment(t *testing.T) {
+	const nodes, seed = 8, 7
+	cfg, err := DefaultGeometry().CoreConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.NewCluster(core.ClusterConfig{Core: cfg, N: nodes, Seed: seed, LossRate: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunSlot(1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < nodes; i++ {
+		h, err := NewHost(HostOptions{Config: cfg, Seed: seed, Nodes: nodes, Index: i, Bind: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples := make(chan []blob.CellID, 1)
+		h.StartSlot(1)
+		h.Endpoint.Run(func() { samples <- h.Node.Samples() })
+		got := <-samples
+		h.Endpoint.Close()
+		for j := 0; j < nodes; j++ {
+			if a, b := h.Table.Assignment(j), c.Table().Assignment(j); h.Table.ID(j) != c.Table().ID(j) || !reflect.DeepEqual(a, b) {
+				t.Fatalf("host %d: node %d custody %v, cluster %v", i, j, a, b)
+			}
+		}
+		if want := c.Nodes()[i].Samples(); !slices.Equal(got, want) {
+			t.Fatalf("node %d: host samples %v, cluster %v", i, got, want)
+		}
 	}
 }

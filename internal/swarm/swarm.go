@@ -36,7 +36,6 @@ import (
 	"pandas/internal/assign"
 	"pandas/internal/blob"
 	"pandas/internal/core"
-	"pandas/internal/ids"
 )
 
 // EnvRestarts is the environment variable the supervisor sets on
@@ -87,39 +86,6 @@ func (g Geometry) CoreConfig() (core.Config, error) {
 	}
 	cfg.RealPayloads = true
 	return cfg, cfg.Validate()
-}
-
-// Deterministic shared identities: every worker derives the same table
-// from the deployment seed, mirroring an ENR crawl that has converged.
-// NewHost is their caller, so a swarm node, a hand-launched node and a
-// Localnet node with the same seed agree on who is who.
-
-// DeriveNodeIDs returns the n participant identities for a seed.
-func DeriveNodeIDs(seed int64, n int) []ids.NodeID {
-	out := make([]ids.NodeID, n)
-	for i := range out {
-		out[i] = ids.NewTestIdentity(seed<<16 + int64(i)).ID
-	}
-	return out
-}
-
-// DeriveProposer returns the deployment's proposer identity.
-func DeriveProposer(seed int64) *ids.Identity {
-	return ids.NewTestIdentity(seed<<16 + 999)
-}
-
-// DeriveBuilderID returns the builder's identity for an n-node swarm.
-func DeriveBuilderID(seed int64, n int) ids.NodeID {
-	return ids.NewTestIdentity(seed<<16 + int64(n) + 3).ID
-}
-
-// NewTableFromSeed derives the shared assignment table for an n-node
-// deployment.
-func NewTableFromSeed(cfg core.Config, seed int64, n int) (*core.Table, error) {
-	var epochSeed assign.Seed
-	epochSeed[0] = byte(seed)
-	epochSeed[1] = byte(seed >> 8)
-	return core.NewTable(cfg.Assign, epochSeed, DeriveNodeIDs(seed, n))
 }
 
 // FillerBlob returns the deterministic layer-2 filler data builders

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -181,28 +182,35 @@ func TestSwarmKillRestart(t *testing.T) {
 	t.Logf("restarts=%d rejoins=%d\n%s", res.TotalRestarts, rejoins, res.Render())
 }
 
+// TestDeriveIdentitiesMatchAcrossCalls: every process of a swarm derives
+// its deployment on its own, so two derivations at one seed must agree on
+// who is who and on custody.
 func TestDeriveIdentitiesMatchAcrossCalls(t *testing.T) {
-	a := DeriveNodeIDs(42, 8)
-	b := DeriveNodeIDs(42, 8)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("node %d identity unstable", i)
+	cfg, err := DefaultGeometry().CoreConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := core.NewDeployment(cfg, 42, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := core.NewDeployment(cfg, 42, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Table.NumNodes() != 8 {
+		t.Fatalf("table size %d", a.Table.NumNodes())
+	}
+	for i := 0; i < 8; i++ {
+		if a.Table.ID(i) != b.Table.ID(i) || !reflect.DeepEqual(a.Table.Assignment(i), b.Table.Assignment(i)) {
+			t.Fatalf("node %d identity or custody unstable", i)
+		}
+		if a.Table.ID(i) == a.BuilderID || a.Table.ID(i) == a.Proposer.ID {
+			t.Fatalf("node %d collides with the builder or the proposer", i)
 		}
 	}
-	if DeriveBuilderID(42, 8) == a[0] {
-		t.Fatal("builder identity collides with node 0")
-	}
-	g := DefaultGeometry()
-	cfg, err := g.CoreConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := NewTableFromSeed(cfg, 42, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.NumNodes() != 8 {
-		t.Fatalf("table size %d", tbl.NumNodes())
+	if a.BuilderID != b.BuilderID || !a.Proposer.Public.Equal(b.Proposer.Public) || a.BuilderID == a.Proposer.ID {
+		t.Fatal("builder or proposer identity unstable or shared")
 	}
 }
 

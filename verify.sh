@@ -58,10 +58,11 @@ go test ./internal/rs -run '^$' -fuzz FuzzReconstructMatchesMatrix -fuzztime 10s
 echo "== fuzz: in-place wire decode vs the copying reference (10 s)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecode -fuzztime 10s
 
-# One iteration each, so the receive-path micro-benchmarks cannot rot;
-# measure with a fixed count, e.g. -benchtime 20000x -count 5.
-echo "== receive-path benchmarks compile and run (1 iteration)"
-go test ./internal/transport ./internal/core -run '^$' -bench 'Loopback|HandleSeedBatch|HandleResponses' -benchtime 1x
+# One iteration of every benchmark, so none can rot; -short skips the
+# paper-scale ones (a 100k-node slot alone runs for minutes). Measure with
+# a fixed count, e.g. -benchtime 20000x -count 5.
+echo "== every benchmark compiles and runs (1 iteration, -short)"
+go test -short -run '^$' -bench . -benchtime 1x ./...
 
 # bench/ is its own module (pandas/bench, replace pandas => ../), so the
 # ./... patterns above never compile it: an internal rename would break
