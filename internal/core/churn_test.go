@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pandas/internal/membership"
+	"pandas/internal/obsv"
 )
 
 // TestChurnInactiveConfigMatchesStatic is the regression guard for the
@@ -174,6 +175,66 @@ func TestChurnRestartResumesCustodyEmptyStore(t *testing.T) {
 		}
 		if o.Sampling >= 0 && o.Sampling <= o.JoinedAt {
 			t.Fatalf("node %d sampled at %v, before its restart", i, o.Sampling)
+		}
+	}
+}
+
+// TestChurnCrashedNodeRunsNothing crashes one node while it is still
+// fetching and restarts it later in the slot. Between the crash and the
+// restart the node must run no round, send nothing, and report no peer
+// to its liveness scorer: it hears no replies while it is down, so every
+// timeout it reported would put a live peer into backoff for its next
+// lifetime.
+func TestChurnCrashedNodeRunsNothing(t *testing.T) {
+	const crashAt, restartAt = 300 * time.Millisecond, 2500 * time.Millisecond
+	ring := obsv.MustRing(obsv.DefaultRingSize)
+	c := smallCluster(t, 80, func(cc *ClusterConfig) {
+		cc.Core.Recorder = ring
+		cc.Churn = &membership.Config{
+			Flash: []membership.FlashEvent{
+				{At: crashAt, Leave: 1, Crash: true},
+				{At: restartAt, Join: 1},
+			},
+			RefreshInterval: -1,
+		}
+	})
+	crashed := -1
+	var atCrash, beforeRestart NodeMetrics
+	c.Network().After(crashAt+time.Nanosecond, func() {
+		for i := range c.nodes {
+			if c.leftAt[i] >= 0 {
+				crashed, atCrash = i, c.nodes[i].Metrics()
+			}
+		}
+	})
+	c.Network().After(restartAt-time.Nanosecond, func() {
+		if crashed >= 0 {
+			beforeRestart = c.nodes[crashed].Metrics()
+		}
+	})
+	res, err := c.RunSlot(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crashed < 0 || res.Outcomes[crashed].JoinedAt != restartAt {
+		t.Fatalf("node %d did not crash at %v and restart at %v", crashed, crashAt, restartAt)
+	}
+	if !atCrash.HasSeed || atCrash.Sampled && atCrash.Consolidated {
+		t.Fatalf("node %d was not mid-fetch when it crashed: %+v", crashed, atCrash)
+	}
+	if got, want := len(beforeRestart.Rounds), len(atCrash.Rounds); got != want {
+		t.Errorf("node %d ran %d rounds while down", crashed, got-want)
+	}
+	if got, want := beforeRestart.FetchMsgsSent, atCrash.FetchMsgsSent; got != want {
+		t.Errorf("node %d sent %d messages while down", crashed, got-want)
+	}
+	for _, e := range ring.Events() {
+		if int(e.Node) != crashed || e.At <= crashAt || e.At >= restartAt {
+			continue
+		}
+		switch e.Kind {
+		case obsv.KindRoundStarted, obsv.KindPeerTimeout:
+			t.Errorf("node %d while down: %v at %v (peer %d)", crashed, e.Kind, e.At, e.Peer)
 		}
 	}
 }

@@ -498,6 +498,7 @@ func (c *Cluster) onChurnLeave(node int, crash bool) {
 	}
 	c.dir.SetOnline(node, false)
 	_ = c.net.SetDead(node, true)
+	c.nodes[node].Stop()
 }
 
 // dispatch routes payloads at a node: PANDAS protocol messages to the

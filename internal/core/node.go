@@ -137,8 +137,8 @@ type Node struct {
 	// including across the periodic queried-set re-arm sweeps.
 	badPeers map[int]bool
 	// gen invalidates timers armed for an earlier lifetime of this node:
-	// it increments on every StartSlot, so a node that crashes and
-	// restarts within the same slot does not execute stale callbacks.
+	// it increments on every StartSlot and Stop, so a node that crashes
+	// and restarts within the same slot does not execute stale callbacks.
 	gen uint64
 
 	// onDone is the slot-completion event (see OnSlotDone); doneFired
@@ -299,6 +299,16 @@ func (n *Node) StartSlot(slot uint64) {
 // fallback timer is what kicks off its fetch unless a custody query or a
 // straggling seed datagram arrives first.
 func (n *Node) JoinSlot(slot uint64) { n.StartSlot(slot) }
+
+// Stop takes the node down mid-slot, as a crash or a departure does:
+// every timer it armed is dropped and no round runs until the next
+// StartSlot or JoinSlot. A node that kept fetching while down would count
+// sends nobody receives and report every peer it queried to its liveness
+// scorer as timed out.
+func (n *Node) Stop() {
+	n.gen++
+	n.fetching = false
+}
 
 // DrawSamples picks count distinct random cells of the extended matrix
 // from rng, unpredictable to other participants (unlike the custody

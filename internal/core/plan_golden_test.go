@@ -69,8 +69,8 @@ func TestPlanGolden(t *testing.T) {
 				}
 			},
 			want: goldenTotals{
-				msgs: 13899, bytes: 1250739, rounds: 50,
-				digest: "e617460ee9afcd78e79318902a1ecff2e42fee3cde405b1608c863179cdca64a",
+				msgs: 13841, bytes: 1248121, rounds: 50,
+				digest: "7cdfeb11e1269dfe9d504050f91a3906dbd67cc4a836396ee8b1d3dc4b723cd4",
 			},
 		},
 		{
