@@ -297,17 +297,18 @@ func (e *Extended) Line(l Line) [][]byte {
 
 // ReconstructLine recovers a complete row or column from a partial set of
 // its cells, for nodes that do not hold a full Extended matrix. shards
-// has one entry per position along the line (2K of them), nil where the
-// cell is missing; at least K must be present. The nil entries are filled
-// in place with fresh slices; present cells are neither read beyond the
-// first K nor written.
+// has one entry per position along the line (2K of them), empty where the
+// cell is missing; at least K must be present. A missing entry with
+// capacity for a cell is decoded into in place (the memory must overlap
+// no other cell), any other, nil included, is filled with a fresh slice;
+// present cells are neither read beyond the first K nor written.
 func ReconstructLine(p Params, shards [][]byte) error {
 	if len(shards) != p.N() {
 		return fmt.Errorf("%w: line has %d positions, want %d", ErrBadCell, len(shards), p.N())
 	}
 	have := 0
 	for _, cell := range shards {
-		if cell != nil {
+		if len(cell) != 0 {
 			have++
 		}
 	}
@@ -315,7 +316,7 @@ func ReconstructLine(p Params, shards [][]byte) error {
 		return fmt.Errorf("%w: have %d of %d needed", ErrNotEnough, have, p.K)
 	}
 	for pos, cell := range shards {
-		if cell != nil && len(cell) != p.CellBytes {
+		if len(cell) != 0 && len(cell) != p.CellBytes {
 			return fmt.Errorf("%w: cell at %d has %d bytes, want %d", ErrBadCell, pos, len(cell), p.CellBytes)
 		}
 	}

@@ -616,6 +616,12 @@ func (c *Cluster) RunSlot(slot uint64) (*SlotResult, error) {
 				continue
 			}
 		}
+		if c.dead[i] {
+			// A dead node runs nothing: the network drops what it sends
+			// before any counter or loss draw and never hands it what
+			// arrives, so its rounds would be timers that nothing reads.
+			continue
+		}
 		n.StartSlot(slot)
 	}
 	if c.routers != nil {

@@ -182,9 +182,15 @@ func TestSlotWithDeadNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	dead := 0
-	for _, o := range res.Outcomes {
-		if o.Dead {
-			dead++
+	for i, o := range res.Outcomes {
+		if !o.Dead {
+			continue
+		}
+		dead++
+		// A dead node runs nothing: no round, no send, not even a store.
+		if len(o.Rounds) != 0 || o.FetchMsgs != 0 || c.Nodes()[i].Store() != nil {
+			t.Errorf("dead node %d ran: %d rounds, %d messages, store %v",
+				i, len(o.Rounds), o.FetchMsgs, c.Nodes()[i].Store() != nil)
 		}
 	}
 	if dead != 30 {

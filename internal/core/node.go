@@ -298,7 +298,15 @@ func (n *Node) StartSlot(slot uint64) {
 // peers. Seeding has typically already passed it by, so the StartSlot
 // fallback timer is what kicks off its fetch unless a custody query or a
 // straggling seed datagram arrives first.
-func (n *Node) JoinSlot(slot uint64) { n.StartSlot(slot) }
+//
+// The joiner gets a new store rather than rewinding the old one: peers
+// may still hold payloads the simulator passed them by reference out of
+// it this slot, restored cells included, and a rewound store would decode
+// its next lines over them.
+func (n *Node) JoinSlot(slot uint64) {
+	n.store = nil
+	n.StartSlot(slot)
+}
 
 // Stop takes the node down mid-slot, as a crash or a departure does:
 // every timer it armed is dropped and no round runs until the next

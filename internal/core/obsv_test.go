@@ -41,8 +41,8 @@ func TestTraceDoesNotPerturbProtocol(t *testing.T) {
 // TestTimelineMatchesLegacyAggregation is the golden cross-check of the
 // unified read path: a fig15-style slot (20% dead nodes) is traced, the
 // trace is round-tripped through JSONL, and the reconstructed timeline
-// must reproduce the legacy NodeOutcome phase durations — and therefore
-// the sampling-completion CDF — bit for bit.
+// must reproduce every live node's NodeOutcome phase durations — and
+// therefore the sampling-completion CDF — bit for bit.
 func TestTimelineMatchesLegacyAggregation(t *testing.T) {
 	ring := obsv.MustRing(obsv.DefaultRingSize)
 	c := smallCluster(t, 120, func(cc *ClusterConfig) {
@@ -73,33 +73,42 @@ func TestTimelineMatchesLegacyAggregation(t *testing.T) {
 		t.Fatal("trace has no slot 1")
 	}
 	// The builder's seed-sent events give it a timeline entry too; the
-	// outcome comparison covers protocol nodes only.
+	// outcome comparison covers live protocol nodes only. A dead node runs
+	// nothing, so it has no timeline entry at all.
+	var live []int
+	for i, o := range res.Outcomes {
+		if !o.Dead {
+			live = append(live, i)
+		} else if st.Node(i) != nil {
+			t.Errorf("dead node %d emitted events", i)
+		}
+	}
 	n := len(res.Outcomes)
-	nodesOnly := func(node int) bool { return node < n }
+	liveOnly := func(node int) bool { return node < n && !res.Outcomes[node].Dead }
 
 	for phase, legacy := range map[obsv.Phase]func(NodeOutcome) time.Duration{
 		obsv.PhaseSeed:          func(o NodeOutcome) time.Duration { return o.Seed },
 		obsv.PhaseConsolidation: func(o NodeOutcome) time.Duration { return o.Consolidation },
 		obsv.PhaseSampling:      func(o NodeOutcome) time.Duration { return o.Sampling },
 	} {
-		got := st.Durations(phase, nodesOnly)
-		if len(got) != n {
-			t.Fatalf("%v: timeline has %d nodes, outcomes %d", phase, len(got), n)
+		got := st.Durations(phase, liveOnly)
+		if len(got) != len(live) {
+			t.Fatalf("%v: timeline has %d live nodes, outcomes %d", phase, len(got), len(live))
 		}
-		for i, d := range got {
-			if want := legacy(res.Outcomes[i]); d != want {
-				t.Errorf("%v node %d: timeline %v, legacy %v", phase, i, d, want)
+		for j, d := range got {
+			if want := legacy(res.Outcomes[live[j]]); d != want {
+				t.Errorf("%v node %d: timeline %v, legacy %v", phase, live[j], d, want)
 			}
 		}
 	}
 
 	// The derived CDF — what the figures plot — must agree bit for bit.
-	legacySeries := make([]time.Duration, n)
-	for i, o := range res.Outcomes {
-		legacySeries[i] = o.Sampling
+	legacySeries := make([]time.Duration, len(live))
+	for j, i := range live {
+		legacySeries[j] = res.Outcomes[i].Sampling
 	}
 	dLegacy := obsv.NewDistribution(legacySeries)
-	dTrace := obsv.NewDistribution(st.Durations(obsv.PhaseSampling, nodesOnly))
+	dTrace := obsv.NewDistribution(st.Durations(obsv.PhaseSampling, liveOnly))
 	if dLegacy.Count() != dTrace.Count() || dLegacy.Failures() != dTrace.Failures() {
 		t.Fatalf("distribution shape differs: legacy %d/%d, trace %d/%d",
 			dLegacy.Count(), dLegacy.Failures(), dTrace.Count(), dTrace.Failures())

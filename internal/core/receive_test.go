@@ -229,6 +229,39 @@ func TestDecodedCellsSurviveBufferReuse(t *testing.T) {
 	}
 }
 
+// TestRejoinLeavesServedPayloadsIntact: the simulator passes payloads by
+// reference, so a peer keeps the very bytes a node served it, restored
+// cells included, which live in the node's store. A node that crashes and
+// rejoins within the slot must decode its next lines into new memory, not
+// over what it served before the crash.
+func TestRejoinLeavesServedPayloadsIntact(t *testing.T) {
+	f := newReceiveFixture(t, TestConfig(), 20)
+	l := f.table.Assignment(0).Lines()[0]
+	half := func(first int) *wire.Response {
+		r := &wire.Response{Slot: 1}
+		for pos := first; pos < f.cfg.Blob.N(); pos += 2 {
+			c, _ := f.builder.CellPayload(cellOnLine(l, pos))
+			r.Cells = append(r.Cells, c)
+		}
+		return r
+	}
+	f.node.StartSlot(1)
+	f.node.HandleMessage(3, 100, half(0))
+	served, ok := f.node.Store().Peek(cellOnLine(l, 1))
+	if !ok {
+		t.Fatal("odd half of the line was not restored")
+	}
+	want := bytes.Clone(served.Data)
+	f.node.JoinSlot(1)
+	f.node.HandleMessage(3, 100, half(1))
+	if !f.node.Store().LineComplete(l) {
+		t.Fatal("line not restored after the rejoin")
+	}
+	if !bytes.Equal(served.Data, want) {
+		t.Fatal("a payload served before the crash was overwritten after the rejoin")
+	}
+}
+
 // TestStoreCopiesBorrowedPayloadOnInsertOnly: a Borrowed payload is copied
 // when, and only when, the cell is inserted; a payload the sender owns —
 // every message the simulator passes by reference — is shared, never

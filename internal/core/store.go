@@ -77,6 +77,12 @@ type payloads struct {
 	// Reset rewinds the newest block, so after two slots of similar
 	// traffic a node's copies land in one block it already owns.
 	arena []byte
+	// restored is the memory TryReconstruct decodes into, one exact-size
+	// window per restored cell. A line is decoded once, when it first holds
+	// half its cells, and then lacks at most K, so K cells per custody line
+	// is all a slot can restore: the slab is allocated at the first decode
+	// and only rewound by Reset.
+	restored []byte
 
 	lineScr  [][]byte    // TryReconstruct's view of one line
 	reconScr []wire.Cell // TryReconstruct's result
@@ -91,6 +97,17 @@ type heldCell struct {
 	// for a byte-identical duplicate (see Store.Add); a cell stored before
 	// the commitment was known cannot.
 	verified bool
+}
+
+// restoreSlot returns an empty window of the restored slab with room for
+// one cell of bp; lines, the number of custody lines, sizes the slab.
+func (p *payloads) restoreSlot(bp blob.Params, lines int) []byte {
+	if room := lines * bp.K * bp.CellBytes; cap(p.restored) < room {
+		p.restored = make([]byte, 0, room)
+	}
+	off := len(p.restored)
+	p.restored = p.restored[:off+bp.CellBytes]
+	return p.restored[off:off:len(p.restored)]
 }
 
 // keep copies a borrowed payload into the arena.
@@ -184,6 +201,7 @@ func (s *Store) Reset(a assign.Assignment, real, verify bool) {
 	}
 	p.extra = p.extra[:0]
 	p.arena = p.arena[:0]
+	p.restored = p.restored[:0]
 }
 
 // SetCommitment records the blob commitment used for proof verification
@@ -462,9 +480,9 @@ func (s *Store) MissingOnLine(l blob.Line, buf []int) []int {
 // TryReconstruct completes a tracked line if it holds at least half of
 // its cells. It returns the cells newly materialized (nil if the line was
 // complete or below the threshold). In real mode the Reed-Solomon decoder
-// produces actual payloads and fresh proofs, and the returned slice is
-// the store's own, valid until the next call; in metadata mode presence
-// bits are simply filled in.
+// produces actual payloads, straight into memory the store owns, and
+// fresh proofs, and the returned slice is the store's own, valid until
+// the next call; in metadata mode presence bits are simply filled in.
 //
 // What is restored here is stored without a proof check: its proof was
 // computed from the commitment a line above, and checking it would
@@ -491,10 +509,19 @@ func (s *Store) TryReconstruct(l blob.Line) ([]wire.Cell, error) {
 		for pos := range full {
 			if ls.has(pos) {
 				id := cellOnLine(l, pos)
-				full[pos] = s.slot(id, s.locate(id)).data
+				// Capped at its length: the decoder writes into an empty
+				// entry with room, and a held cell, however malformed, must
+				// not pass for one.
+				d := s.slot(id, s.locate(id)).data
+				full[pos] = d[:len(d):len(d)]
 			}
 		}
+		mark := len(p.restored)
+		for _, pos := range missing {
+			full[pos] = p.restoreSlot(s.params, len(s.lines))
+		}
 		if err := blob.ReconstructLine(s.params, full); err != nil {
+			p.restored = p.restored[:mark]
 			return nil, fmt.Errorf("core: reconstruct %v: %w", l, err)
 		}
 		newCells = p.reconScr[:0]

@@ -181,6 +181,67 @@ func TestStoreRealReconstructProducesRealBytes(t *testing.T) {
 	}
 }
 
+// TestStoreReconstructAllocatesNothingWarm: a restored cell is decoded
+// straight into the store's slab, which Reset rewinds, so restoring and
+// proving half a line on a warm store allocates nothing (a fresh slice
+// per restored cell before).
+func TestStoreReconstructAllocatesNothingWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds the decoder's workspace under the race detector")
+	}
+	p := blob.Params{K: 32, CellBytes: 512, ProofBytes: kzg.ProofSize}
+	data := make([]byte, p.BlobBytes())
+	rand.New(rand.NewSource(2)).Read(data)
+	base, err := blob.NewBlob(p, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := blob.Extend(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	com := kzg.Commit(ext)
+	a := assign.Assignment{Rows: []uint16{3, 40}, Cols: []uint16{7}}
+	s := NewStore(p, a, true, false)
+	lines := a.Lines()
+	var half []wire.Cell
+	for _, l := range lines {
+		for pos := 0; pos < p.N(); pos += 2 {
+			id := cellOnLine(l, pos)
+			half = append(half, wire.Cell{ID: id, Data: ext.Cell(id), Proof: kzg.Prove(com, id, ext.Cell(id))})
+		}
+	}
+	restore := func() {
+		s.Reset(a, true, false)
+		s.SetCommitment(com)
+		for _, c := range half {
+			if _, err := s.Add(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, l := range lines {
+			if _, err := s.TryReconstruct(l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.CompleteLines() != len(lines) {
+			t.Fatalf("%d of %d lines complete", s.CompleteLines(), len(lines))
+		}
+	}
+	restore()
+	if allocs := testing.AllocsPerRun(20, restore); allocs != 0 {
+		t.Fatalf("a warm reconstruction allocated %v times", allocs)
+	}
+	for _, l := range lines {
+		for pos := 0; pos < p.N(); pos++ {
+			id := cellOnLine(l, pos)
+			if got, _ := s.Peek(id); !bytes.Equal(got.Data, ext.Cell(id)) || !kzg.Verify(com, id, got.Data, got.Proof) {
+				t.Fatalf("cell %v wrong after the warm reconstructions", id)
+			}
+		}
+	}
+}
+
 func TestStoreVerifyRejectsBadProof(t *testing.T) {
 	p := testStoreParams()
 	s := NewStore(p, testAssignment(), true, true)

@@ -40,3 +40,13 @@ func BenchmarkAddBytes(b *testing.B) {
 		AddBytes(src, dst)
 	}
 }
+
+// BenchmarkMulBytes measures a single-use multiply on one 512-byte cell:
+// the table build the call pays for plus the kernel.
+func BenchmarkMulBytes(b *testing.B) {
+	src, dst := benchSlices(512)
+	b.SetBytes(512)
+	for i := 0; i < b.N; i++ {
+		MulBytes(uint16(i)|2, src, dst)
+	}
+}

@@ -140,10 +140,12 @@ func mulAddBytesScalar(c uint16, src, dst []byte) {
 	}
 }
 
-// MulBytes sets dst = c*src over big-endian uint16 words. The split
-// table is built on the stack of the call and dropped with it: this is
-// the form for a coefficient used once (the decoder's per-erasure-pattern
-// scale factors), which TableFor would retain forever.
+// MulBytes sets dst = c*src over big-endian uint16 words. The table is
+// built on the stack of the call and dropped with it: this is the form
+// for a coefficient used once (the decoder's per-erasure-pattern scale
+// factors), which TableFor would retain forever. Where the AVX-512 kernel
+// covers the whole length (a multiple of 64 bytes) only its nibble
+// tables are built, a quarter of the split tables a scalar tail needs.
 func MulBytes(c uint16, src, dst []byte) {
 	if c == 0 {
 		clear(dst)
@@ -151,6 +153,13 @@ func MulBytes(c uint16, src, dst []byte) {
 	}
 	if c == 1 {
 		copy(dst, src)
+		return
+	}
+	if n := min(len(src), len(dst)); haveAVX512 && n > 0 && n%64 == 0 {
+		bit := bitImages(c)
+		var z nibbleTables
+		z.fill(&bit)
+		mulAVX512(&z, &src[0], &dst[0], n)
 		return
 	}
 	var t MulTable16

@@ -9,16 +9,16 @@ package gf65536
 // (pinned by TestAVX512KernelsMatchScalar and the differential fuzzers).
 
 //go:noescape
-func muladdAVX512(tab *MulTable16, src, dst *byte, n int)
+func muladdAVX512(tab *nibbleTables, src, dst *byte, n int)
 
 //go:noescape
-func mulAVX512(tab *MulTable16, src, dst *byte, n int)
+func mulAVX512(tab *nibbleTables, src, dst *byte, n int)
 
 //go:noescape
-func fwdBflyAVX512(tab *MulTable16, u, v *byte, n int)
+func fwdBflyAVX512(tab *nibbleTables, u, v *byte, n int)
 
 //go:noescape
-func invBflyAVX512(tab *MulTable16, u, v *byte, n int)
+func invBflyAVX512(tab *nibbleTables, u, v *byte, n int)
 
 //go:noescape
 func xorAVX512(src, dst *byte, n int)

@@ -9,7 +9,7 @@
 // the XOR of four 16-entry table lookups. VPSHUFB performs 64 such
 // lookups at once, but only within 128-bit lanes, so the input block is
 // first deinterleaved with VPERMB into [32 low bytes | 32 high bytes]
-// and the four per-lane tables of MulTable16.zmm are arranged to match
+// and the four per-lane tables of nibbleTables are arranged to match
 // that layout (see tables.go). The two partial products (low half of
 // the vector = contribution of the low input bytes, high half = high
 // input bytes) are folded with a 256-bit half swap, and the product's
@@ -17,8 +17,8 @@
 //
 // Fixed registers per call: Z1 = deinterleave index, Z2 = 0x0f mask,
 // Z3 = interleave index, Z10..Z13 = the four shuffle tables (loaded
-// once from tab.zmm — byte offsets 1024..1216, keep in sync with the
-// struct). GFPRODUCT clobbers Z4..Z9.
+// once from tab, a nibbleTables — byte offsets 0..192, keep in sync with
+// the type). GFPRODUCT clobbers Z4..Z9.
 //
 // n must be a positive multiple of 64 (Go wrappers handle tails).
 
@@ -53,12 +53,12 @@
 	VMOVDQU64 ·gfDeintIdx(SB), Z1  \
 	VMOVDQU64 ·gfNibMask(SB), Z2   \
 	VMOVDQU64 ·gfIntIdx(SB), Z3    \
-	VMOVDQU64 1024(AX), Z10        \
-	VMOVDQU64 1088(AX), Z11        \
-	VMOVDQU64 1152(AX), Z12        \
-	VMOVDQU64 1216(AX), Z13
+	VMOVDQU64 (AX), Z10            \
+	VMOVDQU64 64(AX), Z11          \
+	VMOVDQU64 128(AX), Z12         \
+	VMOVDQU64 192(AX), Z13
 
-// func muladdAVX512(tab *MulTable16, src, dst *byte, n int)
+// func muladdAVX512(tab *nibbleTables, src, dst *byte, n int)
 // dst ^= c*src
 TEXT ·muladdAVX512(SB), NOSPLIT, $0-32
 	KERNELHEAD
@@ -79,7 +79,7 @@ muladd_loop:
 	VZEROUPPER
 	RET
 
-// func mulAVX512(tab *MulTable16, src, dst *byte, n int)
+// func mulAVX512(tab *nibbleTables, src, dst *byte, n int)
 // dst = c*src
 TEXT ·mulAVX512(SB), NOSPLIT, $0-32
 	KERNELHEAD
@@ -98,7 +98,7 @@ mul_loop:
 	VZEROUPPER
 	RET
 
-// func fwdBflyAVX512(tab *MulTable16, u, v *byte, n int)
+// func fwdBflyAVX512(tab *nibbleTables, u, v *byte, n int)
 // u ^= c*v ; v ^= u   (forward additive-FFT butterfly, fused)
 TEXT ·fwdBflyAVX512(SB), NOSPLIT, $0-32
 	KERNELHEAD
@@ -121,7 +121,7 @@ fwd_loop:
 	VZEROUPPER
 	RET
 
-// func invBflyAVX512(tab *MulTable16, u, v *byte, n int)
+// func invBflyAVX512(tab *nibbleTables, u, v *byte, n int)
 // v ^= u ; u ^= c*v   (inverse additive-FFT butterfly, fused)
 TEXT ·invBflyAVX512(SB), NOSPLIT, $0-32
 	KERNELHEAD

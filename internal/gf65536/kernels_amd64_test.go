@@ -47,6 +47,14 @@ func TestAVX512KernelsMatchScalar(t *testing.T) {
 					t.Fatalf("Mul mismatch c=%#x n=%d off=%d", c, n, off)
 				}
 
+				// MulBytes: nibble tables alone on the 64-byte stride, the
+				// split tables for the scalar tail off it.
+				rng.Read(dst2)
+				MulBytes(c, src, dst2)
+				if !bytes.Equal(dst2, want2) {
+					t.Fatalf("MulBytes mismatch c=%#x n=%d off=%d", c, n, off)
+				}
+
 				// Butterflies vs their two-call formulations.
 				u := make([]byte, n)
 				v := make([]byte, n)

@@ -8,19 +8,19 @@ package gf65536
 
 const haveAVX512 = false
 
-func muladdAVX512(tab *MulTable16, src, dst *byte, n int) {
+func muladdAVX512(tab *nibbleTables, src, dst *byte, n int) {
 	panic("gf65536: AVX-512 kernel called on unsupported platform")
 }
 
-func mulAVX512(tab *MulTable16, src, dst *byte, n int) {
+func mulAVX512(tab *nibbleTables, src, dst *byte, n int) {
 	panic("gf65536: AVX-512 kernel called on unsupported platform")
 }
 
-func fwdBflyAVX512(tab *MulTable16, u, v *byte, n int) {
+func fwdBflyAVX512(tab *nibbleTables, u, v *byte, n int) {
 	panic("gf65536: AVX-512 kernel called on unsupported platform")
 }
 
-func invBflyAVX512(tab *MulTable16, u, v *byte, n int) {
+func invBflyAVX512(tab *nibbleTables, u, v *byte, n int) {
 	panic("gf65536: AVX-512 kernel called on unsupported platform")
 }
 

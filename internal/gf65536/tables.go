@@ -20,21 +20,27 @@ type MulTable16 struct {
 	Lo [256]uint16 // c * s for s in 0..255
 	Hi [256]uint16 // c * (s<<8) for s in 0..255
 
-	// zmm holds the nibble-split shuffle tables consumed by the AVX-512
-	// kernels in kernels_amd64.s, which index this struct by fixed byte
-	// offset (1024 + 64*i) — keep the field order and sizes in sync with
-	// the assembly. Writing c*s = T0[s&15] ^ T1[s>>4&15] ^ T2[s>>8&15] ^
-	// T3[s>>12] (linearity over the nibble decomposition), each 64-byte
-	// vector carries four 16-entry byte tables, one per 128-bit VPSHUFB
-	// lane, arranged for the deinterleaved layout the kernel produces
-	// (low bytes of 32 words, then high bytes):
-	//
-	//	zmm[0] = [T0lo T0lo T2lo T2lo]  (even nibbles, product low byte)
-	//	zmm[1] = [T1lo T1lo T3lo T3lo]  (odd  nibbles, product low byte)
-	//	zmm[2] = [T0hi T0hi T2hi T2hi]  (even nibbles, product high byte)
-	//	zmm[3] = [T1hi T1hi T3hi T3hi]  (odd  nibbles, product high byte)
-	zmm [4][64]byte
+	// zmm holds the nibble tables the AVX-512 kernels read.
+	zmm nibbleTables
 }
+
+// nibbleTables holds the nibble-split shuffle tables consumed by the
+// AVX-512 kernels in kernels_amd64.s, which read the four vectors at byte
+// offsets 0, 64, 128 and 192 — keep the layout in sync with the assembly.
+// Writing c*s = T0[s&15] ^ T1[s>>4&15] ^ T2[s>>8&15] ^ T3[s>>12]
+// (linearity over the nibble decomposition), each 64-byte vector carries
+// four 16-entry byte tables, one per 128-bit VPSHUFB lane, arranged for
+// the deinterleaved layout the kernel produces (low bytes of 32 words,
+// then high bytes):
+//
+//	[0] = [T0lo T0lo T2lo T2lo]  (even nibbles, product low byte)
+//	[1] = [T1lo T1lo T3lo T3lo]  (odd  nibbles, product low byte)
+//	[2] = [T0hi T0hi T2hi T2hi]  (even nibbles, product high byte)
+//	[3] = [T1hi T1hi T3hi T3hi]  (odd  nibbles, product high byte)
+//
+// At 256 bytes they are a quarter of the split tables: a multiply whose
+// length is a whole number of 64-byte blocks needs nothing else.
+type nibbleTables [4][64]byte
 
 // BuildTable computes the split tables for coefficient c. Callers that
 // apply the same coefficient repeatedly should use TableFor, which
@@ -45,13 +51,11 @@ func BuildTable(c uint16) *MulTable16 {
 	return t
 }
 
-// fill sets a zero-valued table to the split tables of c. c*s is
-// GF(2)-linear in s, so each doubling of a table adds the product of one
-// more bit of s: sixteen multiplications by x and one XOR per entry,
-// with no walk over the log/exp tables — cheap enough to build a table
-// for a single use (MulBytes).
-func (t *MulTable16) fill(c uint16) {
-	var bit [16]uint16 // bit[b] = c * x^b
+// bitImages returns c*x^b for b in 0..15, the products of the sixteen
+// bits of a word. c*s is GF(2)-linear in s, so every table entry is the
+// XOR of these over the set bits of its index: no walk over the log/exp
+// tables, cheap enough to build a table for a single use (MulBytes).
+func bitImages(c uint16) (bit [16]uint16) {
 	p := uint32(c)
 	for b := range bit {
 		bit[b] = uint16(p)
@@ -59,6 +63,14 @@ func (t *MulTable16) fill(c uint16) {
 			p ^= Polynomial
 		}
 	}
+	return bit
+}
+
+// fill sets a zero-valued table to the split and nibble tables of c.
+// Each doubling of a split table adds the product of one more bit of s,
+// one XOR per entry.
+func (t *MulTable16) fill(c uint16) {
+	bit := bitImages(c)
 	for b := 0; b < 8; b++ {
 		w, lo, hi := 1<<b, bit[b], bit[b+8]
 		for s := 0; s < w; s++ {
@@ -66,20 +78,39 @@ func (t *MulTable16) fill(c uint16) {
 			t.Hi[(w+s)&255] = t.Hi[s&255] ^ hi
 		}
 	}
-	for n := 1; n < 16; n++ {
-		t0 := t.Lo[n]    // c * n
-		t1 := t.Lo[n<<4] // c * (n<<4)
-		t2 := t.Hi[n]    // c * (n<<8)
-		t3 := t.Hi[n<<4] // c * (n<<12)
-		t.zmm[0][n], t.zmm[0][16+n] = byte(t0), byte(t0)
-		t.zmm[0][32+n], t.zmm[0][48+n] = byte(t2), byte(t2)
-		t.zmm[1][n], t.zmm[1][16+n] = byte(t1), byte(t1)
-		t.zmm[1][32+n], t.zmm[1][48+n] = byte(t3), byte(t3)
-		t.zmm[2][n], t.zmm[2][16+n] = byte(t0>>8), byte(t0>>8)
-		t.zmm[2][32+n], t.zmm[2][48+n] = byte(t2>>8), byte(t2>>8)
-		t.zmm[3][n], t.zmm[3][16+n] = byte(t1>>8), byte(t1>>8)
-		t.zmm[3][32+n], t.zmm[3][48+n] = byte(t3>>8), byte(t3>>8)
+	t.zmm.fill(&bit)
+}
+
+// fill sets the nibble tables of the coefficient whose bit images are
+// given. Entry n of T_j is the XOR of the images of the set bits of
+// n<<4j, so the bytes of eight entries are built at once in a word.
+func (z *nibbleTables) fill(bit *[16]uint16) {
+	// ones spreads a byte over a word; m0, m1 and m2 keep the bytes i with
+	// bit 0, 1 or 2 of i set, and bit 3 picks the second word.
+	const ones, m0, m1, m2 = 0x0101010101010101, 0xff00ff00ff00ff00, 0xffff0000ffff0000, 0xffffffff00000000
+	var lo, hi [4][2]uint64 // product bytes of T_j[0..7] and T_j[8..15]
+	for j := range lo {
+		v0, v1, v2, v3 := bit[4*j], bit[4*j+1], bit[4*j+2], bit[4*j+3]
+		l := uint64(byte(v0))*ones&m0 ^ uint64(byte(v1))*ones&m1 ^ uint64(byte(v2))*ones&m2
+		h := uint64(v0>>8)*ones&m0 ^ uint64(v1>>8)*ones&m1 ^ uint64(v2>>8)*ones&m2
+		lo[j] = [2]uint64{l, l ^ uint64(byte(v3))*ones}
+		hi[j] = [2]uint64{h, h ^ uint64(v3>>8)*ones}
 	}
+	put := func(v *[64]byte, even, odd *[2]uint64) {
+		le := binary.LittleEndian
+		le.PutUint64(v[0:], even[0])
+		le.PutUint64(v[8:], even[1])
+		le.PutUint64(v[16:], even[0])
+		le.PutUint64(v[24:], even[1])
+		le.PutUint64(v[32:], odd[0])
+		le.PutUint64(v[40:], odd[1])
+		le.PutUint64(v[48:], odd[0])
+		le.PutUint64(v[56:], odd[1])
+	}
+	put(&z[0], &lo[0], &lo[2])
+	put(&z[1], &lo[1], &lo[3])
+	put(&z[2], &hi[0], &hi[2])
+	put(&z[3], &hi[1], &hi[3])
 }
 
 // tableCache lazily caches one MulTable16 per coefficient, shared by all
@@ -123,7 +154,7 @@ func (t *MulTable16) MulAdd(src, dst []byte) {
 	i := 0
 	if haveAVX512 && n >= 64 {
 		blk := n &^ 63
-		muladdAVX512(t, &src[0], &dst[0], blk)
+		muladdAVX512(&t.zmm, &src[0], &dst[0], blk)
 		i = blk
 	}
 	for ; i+8 <= n; i += 8 {
@@ -148,7 +179,7 @@ func (t *MulTable16) Mul(src, dst []byte) {
 	i := 0
 	if haveAVX512 && n >= 64 {
 		blk := n &^ 63
-		mulAVX512(t, &src[0], &dst[0], blk)
+		mulAVX512(&t.zmm, &src[0], &dst[0], blk)
 		i = blk
 	}
 	for ; i+8 <= n; i += 8 {
@@ -216,7 +247,7 @@ func FwdButterfly(t *MulTable16, u, v []byte) {
 	i := 0
 	if haveAVX512 && n >= 64 {
 		blk := n &^ 63
-		fwdBflyAVX512(t, &u[0], &v[0], blk)
+		fwdBflyAVX512(&t.zmm, &u[0], &v[0], blk)
 		i = blk
 	}
 	for ; i+8 <= n; i += 8 {
@@ -253,7 +284,7 @@ func InvButterfly(t *MulTable16, u, v []byte) {
 	i := 0
 	if haveAVX512 && n >= 64 {
 		blk := n &^ 63
-		invBflyAVX512(t, &u[0], &v[0], blk)
+		invBflyAVX512(&t.zmm, &u[0], &v[0], blk)
 		i = blk
 	}
 	for ; i+8 <= n; i += 8 {

@@ -19,8 +19,10 @@ func codeword(t testing.TB, rng *rand.Rand, k, size int) [][]byte {
 }
 
 // checkAgainstOracle reconstructs the same line with Codec16 and with the
-// matrix oracle and requires identical bytes, present shards left alone
-// (same backing array, same contents) and fresh slices for the rest.
+// matrix oracle and requires identical bytes and present shards left
+// alone (same backing array, same contents). A missing shard must come
+// back in the memory its entry supplied when that has room for it, and
+// in a fresh slice otherwise: no two restored shards share memory.
 func checkAgainstOracle(t testing.TB, c *Codec16, shards [][]byte) {
 	t.Helper()
 	before := cloneShards(shards)
@@ -30,11 +32,23 @@ func checkAgainstOracle(t testing.TB, c *Codec16, shards [][]byte) {
 	if err := c.Reconstruct(got); err != nil {
 		t.Fatalf("Reconstruct: %v", err)
 	}
+	restored := map[*byte]int{}
 	for i := range got {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Fatalf("shard %d differs from the matrix decoder (present=%v)", i, before[i] != nil)
 		}
 		if before[i] == nil {
+			if len(got[i]) == 0 {
+				continue
+			}
+			p := &got[i][0]
+			if j, dup := restored[p]; dup {
+				t.Fatalf("restored shards %d and %d share memory", j, i)
+			}
+			restored[p] = i
+			if cap(shards[i]) >= len(got[i]) && p != &shards[i][:1][0] {
+				t.Fatalf("missing shard %d was not decoded into the memory it supplied", i)
+			}
 			continue
 		}
 		if len(got[i]) > 0 && &got[i][0] != &shards[i][0] {
@@ -42,6 +56,26 @@ func checkAgainstOracle(t testing.TB, c *Codec16, shards [][]byte) {
 		}
 		if !bytes.Equal(shards[i], before[i]) {
 			t.Fatalf("present shard %d was written", i)
+		}
+	}
+}
+
+// withDestinations gives some missing shards of a pattern memory to be
+// decoded into: an empty window of one shared buffer with room for a
+// shard (the in-place path), or one a word too small (a fresh slice, like
+// nil). The rest stay nil.
+func withDestinations(rng *rand.Rand, shards [][]byte, size int) {
+	backing := make([]byte, len(shards)*size)
+	for i, s := range shards {
+		if s != nil {
+			continue
+		}
+		off := i * size
+		switch rng.Intn(3) {
+		case 1:
+			shards[i] = backing[off : off : off+size]
+		case 2:
+			shards[i] = backing[off : off : off+size-2]
 		}
 	}
 }
@@ -137,7 +171,9 @@ func FuzzReconstructMatchesMatrix(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		master := codeword(t, rng, k, cell)
 		keep := k + int(extra)%k
-		checkAgainstOracle(t, mustCodec16(t, k, 2*k), randomPattern(rng, master, k, keep, corrupt))
+		shards := randomPattern(rng, master, k, keep, corrupt)
+		withDestinations(rng, shards, cell)
+		checkAgainstOracle(t, mustCodec16(t, k, 2*k), shards)
 	})
 }
 

@@ -97,10 +97,13 @@ func (c *Codec16) Encode(shards [][]byte) error {
 	return nil
 }
 
-// Reconstruct fills in nil shards in place given at least k present
-// shards. The first k present shards in index order determine the
-// codeword; further present shards are neither read nor written. Every
-// nil entry comes back as a fresh slice owned by the caller.
+// Reconstruct fills in the missing shards given at least k present ones.
+// A shard is missing when its entry is empty. The first k present shards
+// in index order determine the codeword; further present shards are
+// neither read nor written. A missing entry with capacity for a shard is
+// decoded into in place, so a caller can hand out memory it owns (which
+// must overlap no other shard); any other, nil included, comes back as a
+// fresh slice owned by the caller.
 //
 // Decoding follows Lin, Al-Naffouri, Han and Chung (2016). With E the
 // positions outside the chosen k and L(x) the locator vanishing on E,
@@ -116,7 +119,7 @@ func (c *Codec16) Reconstruct(shards [][]byte) error {
 	}
 	present, size, last := 0, -1, 0
 	for i, s := range shards {
-		if s == nil {
+		if len(s) == 0 {
 			continue
 		}
 		if size == -1 {
@@ -138,7 +141,7 @@ func (c *Codec16) Reconstruct(shards [][]byte) error {
 		return nil
 	}
 	// E is everything but the first k present shards.
-	inE := func(i int) bool { return shards[i] == nil || i > last }
+	inE := func(i int) bool { return len(shards[i]) == 0 || i > last }
 
 	ds := c.getScratch(size)
 	defer c.scratch.Put(ds)
@@ -161,10 +164,16 @@ func (c *Codec16) Reconstruct(shards [][]byte) error {
 	c.fft.derivative(work)
 	fft(work, c.fft.tab, 0, c.n)
 	for i, s := range shards {
-		if s == nil {
-			shards[i] = make([]byte, size)
-			gf65536.MulBytes(gf65536.Inv(gf65536.Exp(int(loc[i]))), work[i], shards[i])
+		if len(s) != 0 {
+			continue
 		}
+		if cap(s) >= size {
+			s = s[:size]
+		} else {
+			s = make([]byte, size)
+		}
+		shards[i] = s
+		gf65536.MulBytes(gf65536.Inv(gf65536.Exp(int(loc[i]))), work[i], s)
 	}
 	return nil
 }

@@ -46,9 +46,10 @@ go test -race ./internal/membership ./internal/core ./internal/fetch \
 
 # The purego tag compiles out the AVX-512 kernels: the scalar butterflies
 # and multiplies every non-AVX-512 machine runs, which both encode and
-# decode now depend on, get the same differential tests.
-echo "== go test -tags purego (gf65536, rs, blob)"
-go test -tags purego ./internal/gf65536 ./internal/rs ./internal/blob
+# decode now depend on, get the same differential tests, and the store
+# decodes restored cells into its own memory on them too.
+echo "== go test -tags purego (gf65536, rs, blob, core)"
+go test -tags purego ./internal/gf65536 ./internal/rs ./internal/blob ./internal/core
 
 echo "== fuzz: FFT decode vs the Vandermonde matrix oracle (10 s)"
 go test ./internal/rs -run '^$' -fuzz FuzzReconstructMatchesMatrix -fuzztime 10s
@@ -72,22 +73,25 @@ echo "== bench module: go vet + go test"
 	cd bench
 	go vet ./...
 	go test -skip '^TestQuickSmoke$' ./...
-	# TestQuickSmoke profiles a single 16-node slot, which now finishes in
-	# about one tick of the 100 Hz CPU profiler; when no tick lands in it
-	# the harness reports "pprof traces: no samples" (about one run in six).
-	# bench/ is frozen outside benchmark PRs, so until the harness accepts
-	# an empty quick profile that one failure gets five attempts here.
-	for attempt in 1 2 3 4 5; do
-		if out=$(go test -count=1 -run '^TestQuickSmoke$' ./... 2>&1); then
-			echo "$out"
-			break
-		fi
+	# TestQuickSmoke profiles two 16-node slots per workload, which finish
+	# in about one tick of the 100 Hz CPU profiler; when no tick lands in
+	# one the harness reports "pprof traces: no samples". Since dead nodes
+	# stopped running their 50 idle rounds, the quick sim_real_faulty slot
+	# is cheaper still, and on a 2-vCPU box 11 runs in 15 failed this way
+	# (5 in 15 before). bench/ is frozen outside benchmark PRs, so until
+	# the harness accepts an empty quick profile that one failure gets
+	# twenty attempts here.
+	attempts=20
+	attempt=1
+	until out=$(go test -count=1 -run '^TestQuickSmoke$' ./... 2>&1); do
 		echo "$out"
 		case "$out" in
-		*"pprof traces: no samples"*) [ "$attempt" != 5 ] || exit 1 ;;
+		*"pprof traces: no samples"*) [ "$attempt" -lt "$attempts" ] || exit 1 ;;
 		*) exit 1 ;;
 		esac
+		attempt=$((attempt + 1))
 	done
+	echo "$out"
 )
 
 echo "== evaluation suite smoke (reduced geometry, 60 nodes, 1 slot)"
