@@ -84,7 +84,6 @@ func run(args []string) error {
 		KillFraction:  *kill,
 		KillDelay:     *killDelay,
 		Command:       command,
-		ScrapeMetrics: true,
 	}
 	if !*quiet {
 		opts.Log = os.Stderr

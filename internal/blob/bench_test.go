@@ -1,23 +1,6 @@
 package blob
 
-import (
-	"math/rand"
-	"testing"
-)
-
-// benchBlob builds a deterministic pseudo-random base blob filling the
-// full capacity of the geometry.
-func benchBlob(b *testing.B, p Params) *Blob {
-	b.Helper()
-	rng := rand.New(rand.NewSource(1))
-	data := make([]byte, p.BlobBytes())
-	rng.Read(data)
-	bl, err := NewBlob(p, data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return bl
-}
+import "testing"
 
 // BenchmarkExtend32MB measures the full 2D extension at the paper
 // geometry: K=256, 512 B cells — a 32 MB base blob extended to the
@@ -25,12 +8,12 @@ func benchBlob(b *testing.B, p Params) *Blob {
 // (Fig. 9). Throughput is reported relative to the base blob size.
 func BenchmarkExtend32MB(b *testing.B) {
 	p := DefaultParams()
-	bl := benchBlob(b, p)
+	data := randData(p.BlobBytes(), 1)
 	b.SetBytes(int64(p.BlobBytes()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Extend(bl); err != nil {
+		if _, err := ExtendData(p, data, ExtendOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -40,12 +23,12 @@ func BenchmarkExtend32MB(b *testing.B) {
 // geometry (16x16, 64 B cells) used throughout the unit tests.
 func BenchmarkExtendTest(b *testing.B) {
 	p := TestParams()
-	bl := benchBlob(b, p)
+	data := randData(p.BlobBytes(), 1)
 	b.SetBytes(int64(p.BlobBytes()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Extend(bl); err != nil {
+		if _, err := ExtendData(p, data, ExtendOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,11 +40,7 @@ func BenchmarkExtendTest(b *testing.B) {
 // keeps no per-pattern state, so there is no warm case to separate.
 func BenchmarkReconstructLine(b *testing.B) {
 	p := DefaultParams()
-	bl := benchBlob(b, p)
-	ext, err := Extend(bl)
-	if err != nil {
-		b.Fatal(err)
-	}
+	_, ext := randExtended(b, p, 1)
 	cells := ext.Line(Line{Kind: Row, Index: 3})
 	n := p.N()
 	shards := make([][]byte, n)

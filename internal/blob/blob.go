@@ -7,49 +7,6 @@ import (
 	"sync/atomic"
 )
 
-// Blob is the base K x K matrix of data cells assembled by a builder from
-// layer-2 data before extension.
-type Blob struct {
-	params Params
-	cells  [][]byte // K*K cells, row-major, each CellBytes long
-}
-
-// NewBlob packs data into a base blob, zero-padding the tail. Returns
-// ErrDataTooLarge if data exceeds the blob capacity.
-func NewBlob(p Params, data []byte) (*Blob, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if len(data) > p.BlobBytes() {
-		return nil, fmt.Errorf("%w: %d > %d", ErrDataTooLarge, len(data), p.BlobBytes())
-	}
-	cells := make([][]byte, p.K*p.K)
-	backing := make([]byte, p.BlobBytes())
-	copy(backing, data)
-	for i := range cells {
-		cells[i] = backing[i*p.CellBytes : (i+1)*p.CellBytes]
-	}
-	return &Blob{params: p, cells: cells}, nil
-}
-
-// Params returns the blob geometry.
-func (b *Blob) Params() Params { return b.params }
-
-// Cell returns the payload of the data cell at (row, col) of the BASE
-// matrix (both < K). The returned slice aliases internal storage.
-func (b *Blob) Cell(row, col int) []byte {
-	return b.cells[row*b.params.K+col]
-}
-
-// Data reassembles the packed data bytes (including padding).
-func (b *Blob) Data() []byte {
-	out := make([]byte, 0, b.params.BlobBytes())
-	for _, c := range b.cells {
-		out = append(out, c...)
-	}
-	return out
-}
-
 // Extended is the 2K x 2K erasure-extended matrix. Every row and every
 // column is a rate-1/2 Reed-Solomon codeword: any K of its 2K cells
 // suffice to reconstruct the rest.
@@ -97,27 +54,11 @@ func getShardHeaders(n int) [][]byte {
 	return sh[:n]
 }
 
-// Extend erasure-codes the blob in two dimensions with the default
-// options. Rows of the base blob are extended first (K -> 2K cells per
-// row), then every column of the widened matrix is extended (K -> 2K
-// cells per column). Because the code is linear, the "parity of parity"
-// quadrant is consistent whichever dimension is coded first.
-func Extend(b *Blob) (*Extended, error) {
-	return ExtendWith(b, ExtendOptions{})
-}
-
-// ExtendWith is Extend with explicit options.
-func ExtendWith(b *Blob, opt ExtendOptions) (*Extended, error) {
-	p := b.params
-	return extend(p, func(r int, dst []byte) {
-		for c := 0; c < p.K; c++ {
-			copy(dst[c*p.CellBytes:], b.Cell(r, c))
-		}
-	}, opt)
-}
-
-// ExtendData extends raw packed data directly (zero-padding the tail),
-// skipping the intermediate Blob copy: the data quadrant is written
+// ExtendData erasure-codes packed data (zero-padding the tail) in two
+// dimensions: rows of the base matrix first (K -> 2K cells per row), then
+// every column of the widened matrix (K -> 2K cells per column). Because
+// the code is linear, the "parity of parity" quadrant is consistent
+// whichever dimension is coded first. The data quadrant is written
 // straight into the extended matrix's backing as each row codeword is
 // loaded. Returns ErrDataTooLarge if data exceeds the blob capacity.
 func ExtendData(p Params, data []byte, opt ExtendOptions) (*Extended, error) {
@@ -127,21 +68,6 @@ func ExtendData(p Params, data []byte, opt ExtendOptions) (*Extended, error) {
 	if len(data) > p.BlobBytes() {
 		return nil, fmt.Errorf("%w: %d > %d", ErrDataTooLarge, len(data), p.BlobBytes())
 	}
-	rowBytes := p.K * p.CellBytes
-	return extend(p, func(r int, dst []byte) {
-		off := r * rowBytes
-		nc := 0
-		if off < len(data) {
-			nc = copy(dst, data[off:])
-		}
-		clear(dst[nc:])
-	}, opt)
-}
-
-// extend is the shared two-dimensional extension: loadRow fills the
-// data-quadrant span of row r (K*CellBytes bytes) and is called from
-// the row-phase workers.
-func extend(p Params, loadRow func(r int, dst []byte), opt ExtendOptions) (*Extended, error) {
 	n := p.N()
 	codec, err := codecFor(p)
 	if err != nil {
@@ -166,7 +92,11 @@ func extend(p Params, loadRow func(r int, dst []byte), opt ExtendOptions) (*Exte
 	// over cell-sized windows of the contiguous backing.
 	encodeRow := func(sh [][]byte, r int) error {
 		row := e.backing[r*rowSpan : (r+1)*rowSpan]
-		loadRow(r, row[:p.K*cb])
+		nc := 0
+		if off := r * p.K * cb; off < len(data) {
+			nc = copy(row[:p.K*cb], data[off:])
+		}
+		clear(row[nc : p.K*cb])
 		for j := 0; j < n; j++ {
 			sh[j] = row[j*cb : (j+1)*cb : (j+1)*cb]
 		}

@@ -10,16 +10,21 @@ import (
 
 func testParams() Params { return Params{K: 8, CellBytes: 32, ProofBytes: 48} }
 
-func randBlob(t testing.TB, p Params, seed int64) *Blob {
+// randExtended extends a full blob of seeded random data.
+func randExtended(t testing.TB, p Params, seed int64) (data []byte, e *Extended) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	data := make([]byte, p.BlobBytes())
-	rng.Read(data)
-	b, err := NewBlob(p, data)
+	data = randData(p.BlobBytes(), seed)
+	e, err := ExtendData(p, data, ExtendOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return data, e
+}
+
+func randData(n int, seed int64) []byte {
+	out := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(out)
+	return out
 }
 
 func TestParamsValidate(t *testing.T) {
@@ -59,42 +64,41 @@ func TestParamsPaperNumbers(t *testing.T) {
 	if got := p.N(); got != 512 {
 		t.Errorf("N = %d, want 512", got)
 	}
-	if got := p.ExtendedWireBytes(); got != 512*512*560 {
-		t.Errorf("ExtendedWireBytes = %d, want %d", got, 512*512*560)
-	}
 }
 
-func TestNewBlobPadsAndRejects(t *testing.T) {
+// TestExtendDataPadsAndRejects: short data lands at the start of the data
+// quadrant with the rest of it zero; data beyond the capacity is refused.
+func TestExtendDataPadsAndRejects(t *testing.T) {
 	p := testParams()
-	b, err := NewBlob(p, []byte("hello"))
+	e, err := ExtendData(p, []byte("hello"), ExtendOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := b.Data()
-	if !bytes.Equal(data[:5], []byte("hello")) {
+	var quadrant []byte
+	for r := 0; r < p.K; r++ {
+		quadrant = append(quadrant, e.RowBytes(r)[:p.K*p.CellBytes]...)
+	}
+	if !bytes.Equal(quadrant[:5], []byte("hello")) {
 		t.Fatal("data prefix lost")
 	}
-	for _, x := range data[5:] {
+	for _, x := range quadrant[5:] {
 		if x != 0 {
 			t.Fatal("padding not zero")
 		}
 	}
-	if _, err := NewBlob(p, make([]byte, p.BlobBytes()+1)); !errors.Is(err, ErrDataTooLarge) {
+	if _, err := ExtendData(p, make([]byte, p.BlobBytes()+1), ExtendOptions{}); !errors.Is(err, ErrDataTooLarge) {
 		t.Fatalf("err = %v, want ErrDataTooLarge", err)
 	}
 }
 
 func TestExtendSystematic(t *testing.T) {
 	p := testParams()
-	b := randBlob(t, p, 1)
-	e, err := Extend(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Data quadrant must equal the base blob.
+	data, e := randExtended(t, p, 1)
+	// The data quadrant must be the packed data, cell by cell.
 	for r := 0; r < p.K; r++ {
 		for c := 0; c < p.K; c++ {
-			if !bytes.Equal(e.Cell(CellID{uint16(r), uint16(c)}), b.Cell(r, c)) {
+			off := (r*p.K + c) * p.CellBytes
+			if !bytes.Equal(e.Cell(CellID{uint16(r), uint16(c)}), data[off:off+p.CellBytes]) {
 				t.Fatalf("data cell (%d,%d) differs", r, c)
 			}
 		}
@@ -103,11 +107,7 @@ func TestExtendSystematic(t *testing.T) {
 
 func TestExtendRowsAndColumnsAreCodewords(t *testing.T) {
 	p := testParams()
-	b := randBlob(t, p, 2)
-	e, err := Extend(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, e := randExtended(t, p, 2)
 	codec, err := codecFor(p)
 	if err != nil {
 		t.Fatal(err)
@@ -133,11 +133,7 @@ func TestExtendRowsAndColumnsAreCodewords(t *testing.T) {
 
 func TestReconstructLineFromAnyHalf(t *testing.T) {
 	p := testParams()
-	b := randBlob(t, p, 3)
-	e, err := Extend(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, e := randExtended(t, p, 3)
 	n := p.N()
 	rng := rand.New(rand.NewSource(4))
 	for _, l := range []Line{{Row, 0}, {Row, uint16(n - 1)}, {Col, 3}, {Col, uint16(n / 2)}} {
@@ -182,11 +178,7 @@ func TestReconstructLineErrors(t *testing.T) {
 
 func TestQuickReconstructRandomHalves(t *testing.T) {
 	p := Params{K: 4, CellBytes: 8, ProofBytes: 0}
-	b := randBlob(t, p, 5)
-	e, err := Extend(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, e := randExtended(t, p, 5)
 	n := p.N()
 	f := func(seed int64, rowIdx uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -12,13 +12,13 @@ import (
 // leak into the output.
 func TestExtendParallelMatchesSequential(t *testing.T) {
 	p := testParams()
-	b := randBlob(t, p, 7)
-	seq, err := ExtendWith(b, ExtendOptions{Workers: 1})
+	data := randData(p.BlobBytes(), 7)
+	seq, err := ExtendData(p, data, ExtendOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 3, 8, 64} {
-		par, err := ExtendWith(b, ExtendOptions{Workers: workers})
+		par, err := ExtendData(p, data, ExtendOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -28,39 +28,14 @@ func TestExtendParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestExtendDataMatchesExtendWith pins the direct-from-data path against
-// the Blob-mediated one, including the zero-padded tail.
-func TestExtendDataMatchesExtendWith(t *testing.T) {
-	p := testParams()
-	data := randData(t, p.BlobBytes()-3*p.CellBytes-5, 9)
-	b, err := NewBlob(p, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Extend(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ExtendData(p, data, ExtendOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.backing, want.backing) {
-		t.Fatal("ExtendData differs from NewBlob+Extend")
-	}
-	if _, err := ExtendData(p, make([]byte, p.BlobBytes()+1), ExtendOptions{}); err == nil {
-		t.Fatal("oversized data not rejected")
-	}
-}
-
 // TestExtendReuse pins arena recycling: extending different data into a
 // reused matrix must be bit-identical to a fresh extension (no stale
 // bytes survive, including in the padding region), and must actually
 // reuse the backing storage.
 func TestExtendReuse(t *testing.T) {
 	p := testParams()
-	long := randData(t, p.BlobBytes(), 10)
-	short := randData(t, p.BlobBytes()/2, 11)
+	long := randData(p.BlobBytes(), 10)
+	short := randData(p.BlobBytes()/2, 11)
 
 	reused, err := ExtendData(p, long, ExtendOptions{})
 	if err != nil {
@@ -88,7 +63,7 @@ func TestExtendReuse(t *testing.T) {
 // the hook observes exactly the same bytes a post-extension reader does.
 func TestExtendRowPhaseHook(t *testing.T) {
 	p := testParams()
-	data := randData(t, p.BlobBytes(), 12)
+	data := randData(p.BlobBytes(), 12)
 	var snap []byte
 	e, err := ExtendData(p, data, ExtendOptions{
 		Workers: 4,
@@ -108,11 +83,4 @@ func TestExtendRowPhaseHook(t *testing.T) {
 	if !bytes.Equal(snap, want) {
 		t.Fatal("row-phase snapshot differs from final top half")
 	}
-}
-
-func randData(t *testing.T, n int, seed int64) []byte {
-	t.Helper()
-	b := randBlob(t, testParams(), seed)
-	out := b.Data()
-	return out[:n]
 }

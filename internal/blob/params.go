@@ -85,12 +85,6 @@ func (p Params) CellWireBytes() int { return p.CellBytes + p.ProofBytes }
 // ExtendedCells returns the number of cells in the extended matrix.
 func (p Params) ExtendedCells() int { return p.N() * p.N() }
 
-// ExtendedWireBytes returns the total wire size of the extended blob
-// (140 MB with default parameters).
-func (p Params) ExtendedWireBytes() int {
-	return p.ExtendedCells() * p.CellWireBytes()
-}
-
 // CellID addresses a cell in the extended matrix.
 type CellID struct {
 	Row, Col uint16

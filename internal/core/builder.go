@@ -405,16 +405,13 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 					// transmission time (see transmit).
 					nodeCells[rcpt] = append(nodeCells[rcpt], cellOnLine(line, pos))
 				}
-				if b.cfg.UseBoost {
-					rank := b.table.HolderRank(line, rcpt)
-					if rank >= 0 {
-						lineBoost[line] = append(lineBoost[line], wire.BoostEntry{
-							Line:      line,
-							HolderRef: uint16(rank),
-							Start:     uint16(chunk[0]),
-							Count:     uint16(len(chunk)),
-						})
-					}
+				if rank := b.table.HolderRank(line, rcpt); rank >= 0 {
+					lineBoost[line] = append(lineBoost[line], wire.BoostEntry{
+						Line:      line,
+						HolderRef: uint16(rank),
+						Start:     uint16(chunk[0]),
+						Count:     uint16(len(chunk)),
+					})
 				}
 			}
 		}
@@ -428,15 +425,13 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	// geometry — while the shared slices cost one slice header per
 	// (line, holder) pair.
 	nodeBoost := make(map[int][][]wire.BoostEntry)
-	if b.cfg.UseBoost {
-		for _, line := range linesInOrder {
-			entries := lineBoost[line]
-			if len(entries) == 0 {
-				continue
-			}
-			for _, h := range b.knownHolders(line) {
-				nodeBoost[h] = append(nodeBoost[h], entries)
-			}
+	for _, line := range linesInOrder {
+		entries := lineBoost[line]
+		if len(entries) == 0 {
+			continue
+		}
+		for _, h := range b.knownHolders(line) {
+			nodeBoost[h] = append(nodeBoost[h], entries)
 		}
 	}
 

@@ -70,12 +70,11 @@ type Config struct {
 	Samples int
 	// Schedule drives adaptive fetching rounds.
 	Schedule fetch.Schedule
-	// CBBoost is the consolidation-boost score bonus (10,000).
-	CBBoost int
-	// UseBoost controls whether builders attach consolidation-boost maps.
-	UseBoost bool
-	// SeedWait is the timer armed when a node is queried for a slot it
-	// has no seed cells for yet (400 ms); fetching starts when it fires.
+	// SeedWait is the seed-wait period (400 ms): a node with no seed
+	// cells starts fetching 3 x SeedWait after StartSlot, and a node whose
+	// seed flow goes quiet before its batch completes gives up on the
+	// missing seed cells SeedWait after the last seed datagram and
+	// fetches them from peers.
 	SeedWait time.Duration
 	// Deadline is the sampling deadline from slot start (4 s).
 	Deadline time.Duration
@@ -128,8 +127,6 @@ func DefaultConfig() Config {
 		Assign:         assign.DefaultParams(blob.DefaultParams().N()),
 		Samples:        73,
 		Schedule:       fetch.DefaultSchedule(),
-		CBBoost:        fetch.DefaultCBBoost,
-		UseBoost:       true,
 		SeedWait:       400 * time.Millisecond,
 		Deadline:       4 * time.Second,
 		Policy:         PolicyRedundant,

@@ -102,7 +102,6 @@ type Node struct {
 	lastRearm  int
 	roundEnds  []time.Duration
 	fetching   bool
-	seedTimer  bool
 	seedChunks int
 	seedDone   bool
 	// promised holds cells the builder's CB map says are being seeded to
@@ -246,9 +245,8 @@ func (n *Node) Samples() []blob.CellID { return n.samples }
 
 // StartSlot resets per-slot state: recomputes nothing (the assignment
 // lives in the shared epoch table), resets the store in place, and draws
-// the slot's random sample set. Fetching does not start until seed cells
-// arrive, a custody query arms the seed-wait timer, or the fallback
-// timer (3x SeedWait) fires.
+// the slot's random sample set. Fetching starts at the first seed
+// datagram, or when the fallback timer (3x SeedWait) fires with none.
 func (n *Node) StartSlot(slot uint64) {
 	n.slot = slot
 	n.gen++
@@ -270,7 +268,6 @@ func (n *Node) StartSlot(slot uint64) {
 	n.lastRearm = 0
 	n.roundEnds = n.roundEnds[:0]
 	n.fetching = false
-	n.seedTimer = false
 	n.seedChunks = 0
 	n.seedDone = false
 	n.promised = resetMap(n.promised, 0)
@@ -283,8 +280,15 @@ func (n *Node) StartSlot(slot uint64) {
 	n.doneFired = false
 	n.obs.BeginSlot(slot, n.tr.Now())
 
-	// Fallback: a node the builder does not know never receives seeds and
-	// may never be queried; it still must sample.
+	// Seed-wait fallback: a node whose seeds never arrive (packet loss, or
+	// a builder that does not know it) still must consolidate and sample.
+	// The paper arms this timer at the first query for the slot (Section
+	// 6.2); armed here with the same delay it never fires later than that.
+	// The wait is generous — three seed-wait periods — so that
+	// nodes seeded late in the builder's ~1 s transmission schedule still
+	// start from their seed batch rather than from nothing, which keeps
+	// round-1 queries aimed at peers that already hold data (the paper's
+	// Table 1 dynamics).
 	n.afterGuarded(3*n.cfg.SeedWait, func() {
 		if !n.obs.View.HasSeed && !n.fetching && !n.done() {
 			n.startFetch()
@@ -296,8 +300,8 @@ func (n *Node) StartSlot(slot uint64) {
 // restarting crasher) starts from an empty store — whatever it held
 // before going down is gone — and must fetch everything it needs from
 // peers. Seeding has typically already passed it by, so the StartSlot
-// fallback timer is what kicks off its fetch unless a custody query or a
-// straggling seed datagram arrives first.
+// fallback timer is what kicks off its fetch unless a straggling seed
+// datagram arrives first.
 //
 // The joiner gets a new store rather than rewinding the old one: peers
 // may still hold payloads the simulator passed them by reference out of
@@ -503,23 +507,6 @@ func (n *Node) onQuery(from int, m *wire.Query) {
 		}
 	}
 	n.sendCells(from, have)
-
-	// A request for a slot we have no seed cells for arms the seed-wait
-	// timer (Section 6.2): if the builder's seeds never arrive (packet
-	// loss, or the builder does not know this node), fetching starts
-	// regardless. The timer is generous — three seed-wait periods — so
-	// that nodes seeded late in the builder's ~1 s transmission schedule
-	// still start from their seed batch rather than from nothing, which
-	// keeps round-1 queries aimed at peers that already hold data (the
-	// paper's Table 1 dynamics).
-	if !n.obs.View.HasSeed && !n.fetching && !n.seedTimer {
-		n.seedTimer = true
-		n.afterGuarded(3*n.cfg.SeedWait, func() {
-			if !n.obs.View.HasSeed && !n.fetching && !n.done() {
-				n.startFetch()
-			}
-		})
-	}
 }
 
 func (n *Node) onResponse(from int, m *wire.Response) {

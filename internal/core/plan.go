@@ -638,7 +638,7 @@ func (n *Node) boostPeer(ps *planScratch, g boostGroup, idx int32) int {
 	got := len(ps.boostCells) - first
 	if got > 0 {
 		ps.boostSpan[idx] = [2]int32{int32(first), int32(len(ps.boostCells))}
-		ps.scored[idx].Score += got * n.cfg.CBBoost
+		ps.scored[idx].Score += got * fetch.DefaultCBBoost
 	}
 	return got
 }

@@ -108,11 +108,7 @@ func TestStoreVerifyOnceMatchesAlwaysVerify(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, p.BlobBytes())
 		rng.Read(data)
-		base, err := blob.NewBlob(p, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ext, err := blob.Extend(base)
+		ext, err := blob.ExtendData(p, data, blob.ExtendOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

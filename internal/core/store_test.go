@@ -135,11 +135,7 @@ func TestStoreRealReconstructProducesRealBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	data := make([]byte, p.BlobBytes())
 	rng.Read(data)
-	base, err := blob.NewBlob(p, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := blob.Extend(base)
+	ext, err := blob.ExtendData(p, data, blob.ExtendOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +188,7 @@ func TestStoreReconstructAllocatesNothingWarm(t *testing.T) {
 	p := blob.Params{K: 32, CellBytes: 512, ProofBytes: kzg.ProofSize}
 	data := make([]byte, p.BlobBytes())
 	rand.New(rand.NewSource(2)).Read(data)
-	base, err := blob.NewBlob(p, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := blob.Extend(base)
+	ext, err := blob.ExtendData(p, data, blob.ExtendOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,8 +145,9 @@ func gatewayKeyHash(slot uint64, id blob.CellID) uint64 {
 //
 // Samples are labelled by slot, plus "aggregate" over all slots, and
 // carry Values only: per slot "queries" (completed), "hits", "joins",
-// "upstream", "rejects" (overload rejections, every one retried), "batch
-// verifies", "bad proofs", "distinct" (cells the clients drew), "p50 us",
+// "upstream", "rejects" (overload rejections, every one retried),
+// "verified" (fetched cells whose proof checked out), "bad proofs",
+// "distinct" (cells the clients drew), "p50 us",
 // "p99 us" and "qps"; in the aggregate the summed counters, "cells" (the
 // query key space), "hit rate" (hits / queries), "coalesce" (queries
 // resolved per upstream fetch, hits excluded), "reduction" (queries /
@@ -208,7 +209,7 @@ func GatewayLoad(o Options, gwo GatewayLoadOptions) (*Result, error) {
 			gwo.Clients, gwo.QueriesPerClient, gwo.ZipfS, cells, o.Nodes),
 		Header: []string{"slot", "queries", "hits", "joins", "upstream", "rejects", "p50us", "p99us", "kqps"},
 	}
-	counters := []string{"queries", "hits", "joins", "upstream", "rejects", "batch verifies", "bad proofs"}
+	counters := []string{"queries", "hits", "joins", "upstream", "rejects", "verified", "bad proofs"}
 	agg := &Sample{Label: "aggregate", Values: map[string]float64{"cells": float64(cells)}}
 	var p50s, p99s []time.Duration
 
@@ -279,17 +280,17 @@ func GatewayLoad(o Options, gwo GatewayLoadOptions) (*Result, error) {
 		p99s = append(p99s, latency.Percentile(99))
 		completed := float64(gwo.Clients * gwo.QueriesPerClient)
 		v := map[string]float64{
-			"queries":        completed,
-			"hits":           float64(d.CacheHits),
-			"joins":          float64(d.CoalescedJoins),
-			"upstream":       float64(d.UpstreamFetches),
-			"rejects":        float64(d.Rejects),
-			"batch verifies": float64(d.BatchVerifies),
-			"bad proofs":     float64(d.BadProofs),
-			"distinct":       float64(len(distinct)),
-			"p50 us":         float64(latency.Median().Microseconds()),
-			"p99 us":         float64(latency.Percentile(99).Microseconds()),
-			"qps":            completed / wall.Seconds(),
+			"queries":    completed,
+			"hits":       float64(d.CacheHits),
+			"joins":      float64(d.CoalescedJoins),
+			"upstream":   float64(d.UpstreamFetches),
+			"rejects":    float64(d.Rejects),
+			"verified":   float64(d.VerifiedCells),
+			"bad proofs": float64(d.BadProofs),
+			"distinct":   float64(len(distinct)),
+			"p50 us":     float64(latency.Median().Microseconds()),
+			"p99 us":     float64(latency.Percentile(99).Microseconds()),
+			"qps":        completed / wall.Seconds(),
 		}
 		row := []string{fmt.Sprintf("%d", slot)}
 		for _, name := range counters {
@@ -313,8 +314,8 @@ func GatewayLoad(o Options, gwo GatewayLoadOptions) (*Result, error) {
 	a["p99 us"] = float64(obsv.NewDistribution(p99s).Median().Microseconds())
 	res.Samples = append(res.Samples, agg)
 	res.Footer = []string{fmt.Sprintf(
-		"aggregate: hit rate %.1f%%, coalesce %.1f queries/fetch, upstream reduction %.0fx, %.0f batch verifies, %.0f bad proofs",
-		a["hit rate"]*100, a["coalesce"], a["reduction"], a["batch verifies"], a["bad proofs"])}
+		"aggregate: hit rate %.1f%%, coalesce %.1f queries/fetch, upstream reduction %.0fx, %.0f cells verified, %.0f bad proofs",
+		a["hit rate"]*100, a["coalesce"], a["reduction"], a["verified"], a["bad proofs"])}
 	return res, nil
 }
 
@@ -344,7 +345,6 @@ func gatewayStatsDelta(cur, prev gateway.Stats) gateway.Stats {
 		UpstreamFetches: cur.UpstreamFetches - prev.UpstreamFetches,
 		UpstreamErrors:  cur.UpstreamErrors - prev.UpstreamErrors,
 		Rejects:         cur.Rejects - prev.Rejects,
-		BatchVerifies:   cur.BatchVerifies - prev.BatchVerifies,
 		VerifiedCells:   cur.VerifiedCells - prev.VerifiedCells,
 		BadProofs:       cur.BadProofs - prev.BadProofs,
 	}

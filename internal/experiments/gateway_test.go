@@ -21,7 +21,9 @@ func gatewayTestOptions() (Options, GatewayLoadOptions) {
 //   - cache hits + coalesced joins covers every remaining query (the
 //     hit/join split depends on timing, their sum does not);
 //   - no rejects (clients issue sequentially, well under QueueDepth),
-//     no bad proofs, no upstream errors.
+//     no bad proofs, no upstream errors;
+//   - verified cells == upstream fetches: every fetched cell is checked
+//     exactly once, and only a cell that passed is served or cached.
 func TestGatewayLoadGolden(t *testing.T) {
 	o, gwo := gatewayTestOptions()
 	res, err := GatewayLoad(o, gwo)
@@ -49,8 +51,9 @@ func TestGatewayLoadGolden(t *testing.T) {
 			t.Fatalf("slot %s: hits(%.0f)+joins(%.0f)+upstream(%.0f) != queries(%.0f)",
 				slot.Label, ss["hits"], ss["joins"], ss["upstream"], ss["queries"])
 		}
-		if ss["batch verifies"] == 0 {
-			t.Fatalf("slot %s: no batched verifications ran", slot.Label)
+		if ss["verified"] != ss["upstream"] {
+			t.Fatalf("slot %s: verified=%.0f upstream=%.0f — each fetched cell must be checked once",
+				slot.Label, ss["verified"], ss["upstream"])
 		}
 	}
 	if agg := res.Sample("aggregate").Values; agg["reduction"] < 2 {

@@ -35,13 +35,12 @@ func Swarm(o Options, kill float64) (*Result, error) {
 	}
 	defer cleanup()
 	run, err := swarm.Run(swarm.Options{
-		N:             n,
-		Slots:         slots,
-		Seed:          o.Seed,
-		Geometry:      swarm.DefaultGeometry(),
-		KillFraction:  kill,
-		Command:       command,
-		ScrapeMetrics: true,
+		N:            n,
+		Slots:        slots,
+		Seed:         o.Seed,
+		Geometry:     swarm.DefaultGeometry(),
+		KillFraction: kill,
+		Command:      command,
 	})
 	if err != nil {
 		return nil, err

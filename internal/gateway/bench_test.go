@@ -43,7 +43,7 @@ func BenchmarkQueryCacheHit(b *testing.B) {
 }
 
 // BenchmarkQueryMissVerified measures the full miss path — admission,
-// coalescer, worker fetch, batched proof verification, cache fill —
+// coalescer, worker fetch, proof verification, cache fill —
 // with a distinct cell per iteration (worst case: nothing coalesces).
 func BenchmarkQueryMissVerified(b *testing.B) {
 	var commit kzg.Commitment

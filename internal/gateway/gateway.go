@@ -14,17 +14,20 @@
 //   - a sharded hot-cell LRU cache (cache.go), sized in bytes and
 //     evicted per slot, serves repeat queries without any upstream
 //     traffic;
-//   - a batched verifier (verify.go) amortizes KZG proof checks across
-//     queued responses using the pooled scratch paths of internal/kzg;
 //   - a bounded worker/admission layer (this file) enforces per-client
 //     fairness and converts overload into an explicit retry-after
 //     error instead of unbounded goroutines or silent queueing.
 //
+// Proofs are checked per cell by the worker that fetched it, against the
+// requested coordinates, before the cell is cached or handed to waiters:
+// a check is one hash pass over the cell, small beside the upstream round
+// trip it follows, so there is nothing for a batching stage to amortise.
+//
 // Concurrency model: Query may be called from any number of client
-// goroutines. Upstream fetches run on a fixed worker pool; proof
-// verification runs on one collector goroutine; everything else happens
-// on the caller's goroutine. The gateway runs in real time (it faces
-// external clients), unlike the simnet protocol stack it fronts.
+// goroutines. Upstream fetches and their proof checks run on a fixed
+// worker pool; everything else happens on the caller's goroutine. The
+// gateway runs in real time (it faces external clients), unlike the
+// simnet protocol stack it fronts.
 package gateway
 
 import (
@@ -112,14 +115,9 @@ type Config struct {
 	// RetryAfter is the backoff hint carried by overload rejections
 	// (default 50 ms).
 	RetryAfter time.Duration
-	// VerifyProofs enables batched KZG verification of upstream
-	// responses against per-slot commitments registered via StartSlot.
+	// VerifyProofs enables KZG verification of upstream responses
+	// against per-slot commitments registered via StartSlot.
 	VerifyProofs bool
-	// VerifyBatch is the max cells per verification batch (default 64).
-	VerifyBatch int
-	// VerifyWindow is how long the verifier waits to fill a batch after
-	// the first response arrives (default 200 µs).
-	VerifyWindow time.Duration
 	// RetainSlots is how many trailing slots stay cached; StartSlot(s)
 	// evicts everything below s-RetainSlots+1 (default 2).
 	RetainSlots int
@@ -127,7 +125,7 @@ type Config struct {
 	// sampling deadline).
 	UpstreamTimeout time.Duration
 	// Recorder receives gateway trace events (query-received,
-	// cache-hit, coalesced-join, batch-verify). Nil disables tracing.
+	// cache-hit, coalesced-join). Nil disables tracing.
 	Recorder obsv.Recorder
 	// Metrics exports gateway counters/histograms. Nil disables.
 	Metrics *obsv.Registry
@@ -156,9 +154,8 @@ type Stats struct {
 	UpstreamFetches int64
 	UpstreamErrors  int64
 	Rejects         int64 // queries returning ErrOverloaded (queue-full, client budget, or coalesced onto a rejected flight)
-	BatchVerifies   int64
-	VerifiedCells   int64
-	BadProofs       int64
+	VerifiedCells   int64 // fetched cells whose proof checked out (each was then cached)
+	BadProofs       int64 // fetched cells whose proof failed (none was cached)
 }
 
 // Gateway is the sampling frontend. Create with New, feed the slot
@@ -167,7 +164,6 @@ type Gateway struct {
 	cfg   Config
 	cache *Cache
 	co    *coalescer
-	ver   *verifier
 	tasks chan Key
 	stopC chan struct{}
 	wg    sync.WaitGroup
@@ -186,10 +182,10 @@ type Gateway struct {
 	// own counters (always on) + optional registry mirrors.
 	queries, hits, joins       atomic.Int64
 	upstream, upErrs, rejects  atomic.Int64
-	batches, verified, badPrf  atomic.Int64
+	verified, badPrf           atomic.Int64
 	mQueries, mHits, mJoins    *obsv.Counter
 	mUpstream, mUpErr, mReject *obsv.Counter
-	mBatches, mVerified, mBad  *obsv.Counter
+	mVerified, mBad            *obsv.Counter
 	mCacheBytes, mCacheCells   *obsv.Gauge
 	mLatency                   *obsv.Histogram
 }
@@ -199,7 +195,7 @@ type clientShard struct {
 	m  map[int]int
 }
 
-// New builds and starts a gateway (worker pool + verifier goroutines).
+// New builds and starts a gateway (its worker pool).
 func New(cfg Config) (*Gateway, error) {
 	if cfg.Upstream == nil {
 		return nil, errors.New("gateway: config needs an Upstream")
@@ -253,26 +249,11 @@ func New(cfg Config) (*Gateway, error) {
 		g.mUpstream = reg.Counter("gateway_upstream_fetches_total")
 		g.mUpErr = reg.Counter("gateway_upstream_errors_total")
 		g.mReject = reg.Counter("gateway_overload_rejects_total")
-		g.mBatches = reg.Counter("gateway_batch_verifies_total")
 		g.mVerified = reg.Counter("gateway_verified_cells_total")
 		g.mBad = reg.Counter("gateway_bad_proof_total")
 		g.mCacheBytes = reg.Gauge("gateway_cache_bytes")
 		g.mCacheCells = reg.Gauge("gateway_cache_cells")
 		g.mLatency = reg.Histogram("gateway_query_seconds", QueryLatencyBounds)
-	}
-	if cfg.VerifyProofs {
-		g.ver = newVerifier(cfg.QueueDepth, cfg.VerifyBatch, cfg.VerifyWindow, func(size, bad int) {
-			g.batches.Add(1)
-			g.verified.Add(int64(size - bad))
-			g.badPrf.Add(int64(bad))
-			if g.mBatches != nil {
-				g.mBatches.Inc()
-				g.mVerified.Add(int64(size - bad))
-				g.mBad.Add(int64(bad))
-			}
-			g.emit(obsv.Event{Kind: obsv.KindGatewayBatchVerify, Peer: -1,
-				Count: int32(size), Aux: int64(bad)})
-		})
 	}
 	g.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -463,8 +444,7 @@ func (g *Gateway) release(client int) {
 }
 
 // worker drains the fetch queue: one upstream fetch per coalesced key,
-// then hands the response to the batched verifier (or straight to the
-// cache when verification is off).
+// its proof check, and the cache fill.
 func (g *Gateway) worker() {
 	defer g.wg.Done()
 	for {
@@ -496,8 +476,8 @@ func (g *Gateway) runFetch(key Key) {
 	// A response must carry the queried coordinates. Without this check a
 	// malicious upstream could answer (r,c) with a different cell — and,
 	// on the verified path, a proof valid for that OTHER cell — and have
-	// it cached and served under the requested key. The verifier also
-	// checks proofs against key.ID, but reject the swap on both paths.
+	// it cached and served under the requested key. The proof check below
+	// is also against key.ID, but reject the swap on both paths.
 	if cell.ID != key.ID {
 		g.upErrs.Add(1)
 		if g.mUpErr != nil {
@@ -507,24 +487,29 @@ func (g *Gateway) runFetch(key Key) {
 			ErrWrongCell, key.ID, cell.ID, key.Slot))
 		return
 	}
-	if !g.cfg.VerifyProofs {
-		g.cache.Add(key, cell)
-		g.co.complete(key, cell, nil)
-		return
-	}
-	commit, ok := g.commitment(key.Slot)
-	if !ok {
-		g.co.complete(key, wire.Cell{}, fmt.Errorf("%w: %d", ErrUnknownSlot, key.Slot))
-		return
-	}
-	g.ver.submit(verifyJob{commit: commit, key: key, cell: cell, done: func(valid bool) {
-		if !valid {
+	if g.cfg.VerifyProofs {
+		commit, ok := g.commitment(key.Slot)
+		if !ok {
+			g.co.complete(key, wire.Cell{}, fmt.Errorf("%w: %d", ErrUnknownSlot, key.Slot))
+			return
+		}
+		// Against the REQUESTED coordinates, never upstream's claim: a
+		// relabelled cell whose payload and proof belong elsewhere fails.
+		if !kzg.Verify(commit, key.ID, cell.Data, cell.Proof) {
+			g.badPrf.Add(1)
+			if g.mBad != nil {
+				g.mBad.Inc()
+			}
 			g.co.complete(key, wire.Cell{}, fmt.Errorf("%w: cell %v slot %d", ErrBadProof, key.ID, key.Slot))
 			return
 		}
-		g.cache.Add(key, cell)
-		g.co.complete(key, cell, nil)
-	}})
+		g.verified.Add(1)
+		if g.mVerified != nil {
+			g.mVerified.Inc()
+		}
+	}
+	g.cache.Add(key, cell)
+	g.co.complete(key, cell, nil)
 }
 
 // Stats returns a snapshot of the gateway's counters.
@@ -536,7 +521,6 @@ func (g *Gateway) Stats() Stats {
 		UpstreamFetches: g.upstream.Load(),
 		UpstreamErrors:  g.upErrs.Load(),
 		Rejects:         g.rejects.Load(),
-		BatchVerifies:   g.batches.Load(),
 		VerifiedCells:   g.verified.Load(),
 		BadProofs:       g.badPrf.Load(),
 	}
@@ -545,18 +529,13 @@ func (g *Gateway) Stats() Stats {
 // Cache exposes the hot-cell cache (tests, metrics).
 func (g *Gateway) Cache() *Cache { return g.cache }
 
-// Close stops the worker pool and verifier and fails every in-flight
-// query with ErrClosed. Queries submitted after Close return ErrClosed.
+// Close stops the worker pool and fails every in-flight query with
+// ErrClosed. Queries submitted after Close return ErrClosed.
 func (g *Gateway) Close() {
 	if !g.closed.CompareAndSwap(false, true) {
 		return
 	}
 	close(g.stopC)
 	g.wg.Wait()
-	if g.ver != nil {
-		// Drain queued verification jobs first: their done callbacks
-		// resolve flights normally, then the sweep fails the rest.
-		g.ver.close()
-	}
 	g.co.failAll(ErrClosed)
 }

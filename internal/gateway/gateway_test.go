@@ -270,7 +270,7 @@ func TestVerifyRejectsBadProof(t *testing.T) {
 		}
 		return c, nil
 	})
-	g, err := New(Config{Upstream: up, VerifyProofs: true, VerifyWindow: 50 * time.Microsecond})
+	g, err := New(Config{Upstream: up, VerifyProofs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,6 +283,9 @@ func TestVerifyRejectsBadProof(t *testing.T) {
 	st := g.Stats()
 	if st.BadProofs != 1 || st.VerifiedCells != 0 {
 		t.Fatalf("stats after bad proof: %+v", st)
+	}
+	if g.Cache().Len() != 0 {
+		t.Fatalf("cache holds %d cells after a bad proof", g.Cache().Len())
 	}
 	// The bad cell must not have been cached: the next query re-fetches,
 	// and a clean response verifies and is served.
@@ -317,7 +320,7 @@ func TestWrongCellRejected(t *testing.T) {
 		return c, nil
 	})
 	for _, verify := range []bool{false, true} {
-		g, err := New(Config{Upstream: swap, VerifyProofs: verify, VerifyWindow: 50 * time.Microsecond})
+		g, err := New(Config{Upstream: swap, VerifyProofs: verify})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +352,7 @@ func TestVerifyUsesRequestedCoordinates(t *testing.T) {
 		c.ID = asked
 		return c, nil
 	})
-	g, err := New(Config{Upstream: up, VerifyProofs: true, VerifyWindow: 50 * time.Microsecond})
+	g, err := New(Config{Upstream: up, VerifyProofs: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,46 +1,29 @@
 // Package ids provides node identities for the PANDAS network: ed25519
-// key pairs, 32-byte node IDs derived by hashing the public key, and
-// signed Ethereum-Node-Record-style (ENR) contact records.
+// key pairs and 32-byte node IDs derived by hashing the public key.
 //
 // As in Ethereum, a node is identified by the hash of its public key; the
-// association between nodes and validators is never exposed. Records carry
-// a sequence number so stale entries can be superseded, and a signature so
-// third parties (DHT storers, crawlers) can verify them.
+// association between nodes and validators is never exposed. Contact
+// information travels as discovery's wire.PeerEntry, not as signed
+// records.
 package ids
 
 import (
 	"crypto/ed25519"
-	"crypto/rand"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"io"
-	mrand "math/rand"
+	"math/rand"
 	"sync"
 )
 
 // IDSize is the size of a NodeID in bytes.
 const IDSize = 32
 
-// Errors returned by this package.
-var (
-	ErrBadSignature = errors.New("ids: invalid signature")
-	ErrBadRecord    = errors.New("ids: malformed record")
-)
-
 // NodeID uniquely identifies a node: the SHA-256 hash of its public key.
 type NodeID [IDSize]byte
 
 // String returns a short hex prefix for logs.
 func (id NodeID) String() string { return hex.EncodeToString(id[:6]) }
-
-// Hex returns the full hex encoding.
-func (id NodeID) Hex() string { return hex.EncodeToString(id[:]) }
-
-// IsZero reports whether the ID is all zeroes.
-func (id NodeID) IsZero() bool { return id == NodeID{} }
 
 // XOR returns the Kademlia distance metric between two IDs.
 func (id NodeID) XOR(other NodeID) NodeID {
@@ -85,21 +68,16 @@ type Identity struct {
 	private ed25519.PrivateKey
 }
 
-// NewIdentity generates a fresh identity from crypto/rand.
-func NewIdentity() (*Identity, error) {
-	return newIdentityFrom(rand.Reader)
-}
-
 // NewTestIdentity generates a deterministic identity from a seed; intended
 // for simulations and tests where reproducibility matters more than
 // secrecy.
 func NewTestIdentity(seed int64) *Identity {
-	id, err := newIdentityFrom(mrand.New(mrand.NewSource(seed)))
+	pub, priv, err := ed25519.GenerateKey(rand.New(rand.NewSource(seed)))
 	if err != nil {
 		// ed25519 generation from a non-failing reader cannot fail.
 		panic(fmt.Sprintf("ids: test identity: %v", err))
 	}
-	return id
+	return &Identity{ID: IDFromPublicKey(pub), Public: pub, private: priv}
 }
 
 // testIDCache interns NewTestIdentityCached results. Identities are
@@ -119,14 +97,6 @@ func NewTestIdentityCached(seed int64) *Identity {
 	return v.(*Identity)
 }
 
-func newIdentityFrom(r io.Reader) (*Identity, error) {
-	pub, priv, err := ed25519.GenerateKey(r)
-	if err != nil {
-		return nil, fmt.Errorf("ids: generate key: %w", err)
-	}
-	return &Identity{ID: IDFromPublicKey(pub), Public: pub, private: priv}, nil
-}
-
 // IDFromPublicKey derives the node ID from a public key.
 func IDFromPublicKey(pub ed25519.PublicKey) NodeID {
 	return sha256.Sum256(pub)
@@ -140,46 +110,4 @@ func (id *Identity) Sign(msg []byte) []byte {
 // VerifyFrom verifies that sig is a valid signature of msg under pub.
 func VerifyFrom(pub ed25519.PublicKey, msg, sig []byte) bool {
 	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, msg, sig)
-}
-
-// Record is an ENR-style signed contact record: identity, address, and a
-// sequence number for freshness.
-type Record struct {
-	ID        NodeID
-	PublicKey ed25519.PublicKey
-	Addr      string // "host:port" or a simulator address
-	Seq       uint64
-	Signature []byte
-}
-
-// NewRecord builds and signs a record for the identity.
-func NewRecord(id *Identity, addr string, seq uint64) Record {
-	r := Record{ID: id.ID, PublicKey: id.Public, Addr: addr, Seq: seq}
-	r.Signature = id.Sign(r.signingBytes())
-	return r
-}
-
-func (r Record) signingBytes() []byte {
-	buf := make([]byte, 0, IDSize+8+len(r.Addr))
-	buf = append(buf, r.ID[:]...)
-	var seq [8]byte
-	binary.BigEndian.PutUint64(seq[:], r.Seq)
-	buf = append(buf, seq[:]...)
-	buf = append(buf, r.Addr...)
-	return buf
-}
-
-// Verify checks the record's internal consistency: the ID matches the
-// public key and the signature is valid.
-func (r Record) Verify() error {
-	if len(r.PublicKey) != ed25519.PublicKeySize {
-		return fmt.Errorf("%w: bad public key length %d", ErrBadRecord, len(r.PublicKey))
-	}
-	if IDFromPublicKey(r.PublicKey) != r.ID {
-		return fmt.Errorf("%w: ID does not match public key", ErrBadRecord)
-	}
-	if !VerifyFrom(r.PublicKey, r.signingBytes(), r.Signature) {
-		return ErrBadSignature
-	}
-	return nil
 }

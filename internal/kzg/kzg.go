@@ -51,8 +51,7 @@ const ProofSize = 48
 // CommitmentSize is the commitment size in bytes.
 const CommitmentSize = 32
 
-// Domain-separation prefixes. 0x00/0x01 are taken by the binding Merkle
-// tree in merkle.go.
+// Domain-separation prefixes.
 const (
 	domainCell = 0x02
 	domainRow  = 0x03
@@ -246,18 +245,6 @@ func merkleFold(level [][32]byte, h hash.Hash) [32]byte {
 	return level[0]
 }
 
-// merkleRoot folds the leaves pairwise with one pooled hash state,
-// reusing the input slice as scratch (its contents are consumed).
-func merkleRoot(level [][32]byte) [32]byte {
-	if len(level) == 0 {
-		return sha256.Sum256(nil)
-	}
-	s := scratchPool.Get().(*scratch)
-	root := merkleFold(level, s.h1)
-	scratchPool.Put(s)
-	return root
-}
-
 // scratch holds the reusable hash state and digest buffers of one
 // proof computation. Pooling it keeps Prove/Verify/VerifyBatch
 // allocation-free in steady state: the SHA-256 state is Reset between
@@ -324,10 +311,12 @@ func Verify(c Commitment, id blob.CellID, cell []byte, p Proof) bool {
 
 // VerifyBatch checks many cells against one commitment, amortizing the
 // scratch state across the whole batch: one pooled pair of hash states
-// serves every cell, so queued gateway responses verify without
-// per-cell allocation. ids, cells, and proofs are parallel slices; ok
-// (which must be at least as long as ids) receives the per-cell verdict
-// and the number of valid cells is returned.
+// serves every cell. No protocol path calls it: the benchmark's
+// kzg.verify_batch_ns_per_cell probe measures it beside Verify, the
+// comparison that keeps batching off the receive paths. ids, cells, and
+// proofs are parallel slices; ok (which must be at least as long as ids)
+// receives the per-cell verdict and the number of valid cells is
+// returned.
 func VerifyBatch(c Commitment, ids []blob.CellID, cells [][]byte, proofs []Proof, ok []bool) int {
 	s := scratchPool.Get().(*scratch)
 	valid := 0

@@ -1,6 +1,7 @@
 package kzg
 
 import (
+	"crypto/sha256"
 	"math/rand"
 	"testing"
 
@@ -13,11 +14,7 @@ func makeExtended(t testing.TB, seed int64) *blob.Extended {
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]byte, p.BlobBytes())
 	rng.Read(data)
-	b, err := blob.NewBlob(p, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := blob.Extend(b)
+	e, err := blob.ExtendData(p, data, blob.ExtendOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,25 +113,19 @@ func TestProofSizeMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestMerkleRootEdgeCases covers the fold under Committer.Root: a
+// single row digest and an odd count (the promotion path).
 func TestMerkleRootEdgeCases(t *testing.T) {
-	// Empty and single-leaf trees must not panic and must be stable.
-	r0 := merkleRoot(nil)
-	r0b := merkleRoot(nil)
-	if r0 != r0b {
-		t.Fatal("empty root unstable")
-	}
+	root := func(leaves ...[32]byte) [32]byte { return merkleFold(leaves, sha256.New()) }
 	leaf := [32]byte{1}
-	r1 := merkleRoot([][32]byte{leaf})
-	if r1 != leaf {
+	if root(leaf) != leaf {
 		t.Fatal("single leaf should be its own root")
 	}
-	// Odd number of leaves (promotion path).
-	r3 := merkleRoot([][32]byte{{1}, {2}, {3}})
-	r3b := merkleRoot([][32]byte{{1}, {2}, {3}})
-	if r3 != r3b {
+	r3 := root([32]byte{1}, [32]byte{2}, [32]byte{3})
+	if r3 != root([32]byte{1}, [32]byte{2}, [32]byte{3}) {
 		t.Fatal("odd-leaf root unstable")
 	}
-	if r3 == merkleRoot([][32]byte{{1}, {2}, {4}}) {
+	if r3 == root([32]byte{1}, [32]byte{2}, [32]byte{4}) {
 		t.Fatal("root insensitive to last leaf")
 	}
 }

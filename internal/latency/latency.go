@@ -9,23 +9,14 @@
 // here, so this package generates a synthetic topology calibrated to the
 // same summary statistics: nodes are placed in weighted geographic
 // regions with realistic inter-region RTTs, per-vertex access jitter, and
-// a slow heavy tail of poorly connected vertices. A Matrix model is also
-// provided for loading a real trace when one is available.
+// a slow heavy tail of poorly connected vertices. Replaying a real trace
+// waits until one is in the repository.
 package latency
 
 import (
-	"bufio"
-	"errors"
-	"fmt"
-	"io"
 	"math/rand"
-	"strconv"
-	"strings"
 	"time"
 )
-
-// Errors returned by this package.
-var ErrBadMatrix = errors.New("latency: malformed matrix")
 
 // Region describes a geographic cluster of vertices.
 type Region struct {
@@ -110,9 +101,6 @@ func sampleRegion(rng *rand.Rand) int {
 	return len(regions) - 1
 }
 
-// NumVertices returns the number of distinct vertices.
-func (t *Topology) NumVertices() int { return len(t.vertices) }
-
 // vertexOf maps a node index onto a vertex.
 func (t *Topology) vertexOf(node int) vertex {
 	if node < 0 {
@@ -132,153 +120,4 @@ func (t *Topology) RTT(from, to int) time.Duration {
 	a, b := t.vertexOf(from), t.vertexOf(to)
 	base := time.Duration(regionRTTms[a.region][b.region] * float64(time.Millisecond))
 	return base + a.access + b.access
-}
-
-// RegionOf returns the region name a node maps to (for diagnostics).
-func (t *Topology) RegionOf(node int) string {
-	return regions[t.vertexOf(node).region].Name
-}
-
-// AvgRTTOf returns a node's average RTT to a sample of peers; used to
-// identify well-connected placements. sample <= 0 averages over all
-// vertices.
-func (t *Topology) AvgRTTOf(node, sample int, seed int64) time.Duration {
-	n := len(t.vertices)
-	if sample <= 0 || sample > n {
-		sample = n
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var sum time.Duration
-	for i := 0; i < sample; i++ {
-		peer := rng.Intn(n)
-		sum += t.RTT(node, peer)
-	}
-	return sum / time.Duration(sample)
-}
-
-// BestConnected returns a node index whose average RTT ranks within the
-// best frac (e.g. 0.2) among count candidate node indices. The paper
-// places the builder on a vertex "randomly selected among the 20% with
-// the best average latency to all other nodes".
-func (t *Topology) BestConnected(count int, frac float64, seed int64) int {
-	if count <= 0 {
-		return 0
-	}
-	type cand struct {
-		node int
-		avg  time.Duration
-	}
-	cands := make([]cand, count)
-	for i := 0; i < count; i++ {
-		cands[i] = cand{node: i, avg: t.AvgRTTOf(i, 200, seed+int64(i))}
-	}
-	// Partial selection sort of the best fraction, then pick randomly.
-	k := int(float64(count) * frac)
-	if k < 1 {
-		k = 1
-	}
-	for i := 0; i < k; i++ {
-		minIdx := i
-		for j := i + 1; j < count; j++ {
-			if cands[j].avg < cands[minIdx].avg {
-				minIdx = j
-			}
-		}
-		cands[i], cands[minIdx] = cands[minIdx], cands[i]
-	}
-	rng := rand.New(rand.NewSource(seed))
-	return cands[rng.Intn(k)].node
-}
-
-// Stats summarizes the RTT distribution over a random sample of pairs.
-type Stats struct {
-	Min, Max, Mean time.Duration
-}
-
-// SampleStats estimates min/max/mean RTT over pairs random vertex pairs.
-func (t *Topology) SampleStats(pairs int, seed int64) Stats {
-	rng := rand.New(rand.NewSource(seed))
-	n := len(t.vertices)
-	var s Stats
-	s.Min = time.Hour
-	var sum time.Duration
-	for i := 0; i < pairs; i++ {
-		a, b := rng.Intn(n), rng.Intn(n)
-		for b == a {
-			b = rng.Intn(n)
-		}
-		rtt := t.RTT(a, b)
-		if rtt < s.Min {
-			s.Min = rtt
-		}
-		if rtt > s.Max {
-			s.Max = rtt
-		}
-		sum += rtt
-	}
-	s.Mean = sum / time.Duration(pairs)
-	return s
-}
-
-// Matrix is a latency model backed by an explicit all-pairs ONE-WAY delay
-// matrix, for loading real traces.
-type Matrix struct {
-	delays [][]time.Duration
-}
-
-// NewMatrix validates and wraps a square delay matrix.
-func NewMatrix(delays [][]time.Duration) (*Matrix, error) {
-	n := len(delays)
-	if n == 0 {
-		return nil, fmt.Errorf("%w: empty", ErrBadMatrix)
-	}
-	for i, row := range delays {
-		if len(row) != n {
-			return nil, fmt.Errorf("%w: row %d has %d entries, want %d", ErrBadMatrix, i, len(row), n)
-		}
-	}
-	return &Matrix{delays: delays}, nil
-}
-
-// Delay implements simnet.LatencyModel; node indices wrap modulo the
-// matrix size.
-func (m *Matrix) Delay(from, to int) time.Duration {
-	n := len(m.delays)
-	return m.delays[abs(from)%n][abs(to)%n]
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// ParseCSV builds a Matrix model from CSV text containing a square matrix
-// of one-way delays in MILLISECONDS (floats). This is the loading path
-// for a real all-pairs trace (such as the probelab RFM15 data the paper
-// replays) when one is available.
-func ParseCSV(r io.Reader) (*Matrix, error) {
-	var delays [][]time.Duration
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		var row []time.Duration
-		for _, field := range strings.Split(line, ",") {
-			ms, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadMatrix, err)
-			}
-			row = append(row, time.Duration(ms*float64(time.Millisecond)))
-		}
-		delays = append(delays, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMatrix, err)
-	}
-	return NewMatrix(delays)
 }

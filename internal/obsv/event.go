@@ -91,10 +91,6 @@ const (
 	// is the client id, Aux the number of waiters sharing the fetch so
 	// far (including this one).
 	KindGatewayCoalesced
-	// KindGatewayBatchVerify is one amortized proof-verification batch
-	// at a gateway: Count is the batch size, Aux the cells that FAILED
-	// verification (0 for a clean batch).
-	KindGatewayBatchVerify
 )
 
 // String implements fmt.Stringer.
@@ -142,8 +138,6 @@ func (k Kind) String() string {
 		return "gateway-cache-hit"
 	case KindGatewayCoalesced:
 		return "gateway-coalesced"
-	case KindGatewayBatchVerify:
-		return "gateway-batch-verify"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}

@@ -32,10 +32,9 @@ type frame struct {
 // heartbeatEvery from the worker's event loop, so a wedged loop reads as
 // a dead worker. The supervisor answers every hello with a config.
 type hello struct {
-	Index       int
-	Ready       bool   // discovery complete: full peer table learned
-	DataAddr    string // the worker's bound transport.UDP address
-	MetricsAddr string // the worker's obsv metrics HTTP address
+	Index    int
+	Ready    bool   // discovery complete: full peer table learned
+	DataAddr string // the worker's bound transport.UDP address
 }
 
 // config is the supervisor's reply to a hello: everything a worker needs

@@ -39,7 +39,7 @@ func loopbackConns(t *testing.T) (sup, worker *ctrlConn) {
 // order.
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []frame{
-		{Hello: &hello{Index: 5, Ready: true, DataAddr: "127.0.0.1:40001", MetricsAddr: "127.0.0.1:40002"}},
+		{Hello: &hello{Index: 5, Ready: true, DataAddr: "127.0.0.1:40001"}},
 		{Config: &config{Nodes: 64, Seed: -42,
 			Geometry: Geometry{K: 16, Custody: 2, Samples: 73, CellBytes: 512, Redundancy: 6,
 				SeedWait: 250 * time.Millisecond, Deadline: 7 * time.Second},

@@ -46,10 +46,6 @@ type Result struct {
 
 	SlotResults   []SlotResult
 	TotalRestarts int
-
-	// Metrics is the merge of every worker's scraped Prometheus
-	// endpoint (empty unless Options.ScrapeMetrics).
-	Metrics obsv.Snapshot
 }
 
 // Render formats the run as the text table the pandas-swarm CLI prints.
@@ -87,11 +83,5 @@ func (r *Result) Render() string {
 			sr.Rejoined)
 	}
 	fmt.Fprintf(&b, "total restarts: %d\n", r.TotalRestarts)
-	if len(r.Metrics.Counters) > 0 {
-		fmt.Fprintf(&b, "merged worker metrics: %d slots completed, %d incomplete, %d restarts recorded\n",
-			r.Metrics.Counters["node_slots_completed_total"],
-			r.Metrics.Counters["node_slots_incomplete_total"],
-			r.Metrics.Counters["worker_restarts_total"])
-	}
 	return b.String()
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"strconv"
@@ -16,7 +15,6 @@ import (
 
 	"pandas/internal/adversary"
 	"pandas/internal/core"
-	"pandas/internal/obsv"
 	"pandas/internal/wire"
 )
 
@@ -47,9 +45,8 @@ type Options struct {
 	KillFraction float64
 	KillDelay    time.Duration
 
-	Command       WorkerCommand // required
-	Log           io.Writer     // supervisor + worker diagnostics; nil discards
-	ScrapeMetrics bool          // harvest workers' Prometheus endpoints into Result.Metrics
+	Command WorkerCommand // required
+	Log     io.Writer     // supervisor + worker diagnostics; nil discards
 
 	// Unexported so that only this package's tests can shorten them.
 	maxRestarts      int           // per-worker restart budget (default 10)
@@ -97,7 +94,6 @@ type workerState struct {
 	cmd         *exec.Cmd
 	conn        *ctrlConn // the live process's control connection, nil until its first hello
 	dataAddr    string
-	metricsAddr string
 	ready       bool
 	alive       bool
 	gone        bool // restart budget exhausted
@@ -220,9 +216,6 @@ func Run(o Options) (*Result, error) {
 		if slot < uint64(o.Slots) {
 			s.handleUntil(slotGap, func() bool { return false })
 		}
-	}
-	if o.ScrapeMetrics {
-		res.Metrics = s.scrape()
 	}
 	s.shutdown()
 	res.TotalRestarts = s.totalRestarts
@@ -414,7 +407,6 @@ func (s *Supervisor) handleHello(c *ctrlConn, m *hello) {
 		c.index, w.conn = m.Index, c
 	}
 	w.dataAddr = m.DataAddr
-	w.metricsAddr = m.MetricsAddr
 	w.ready = m.Ready
 	w.lastSeen = time.Now()
 	s.send(w, frame{Config: &config{
@@ -627,32 +619,6 @@ func (s *Supervisor) finalizeSlot(slot uint64) SlotResult {
 	fmt.Fprintf(s.log, "swarm: slot %d harvested %d/%d reports (%d restarts, %d rejoined)\n",
 		slot, sr.Reports, s.o.N, sr.Restarts, sr.Rejoined)
 	return sr
-}
-
-// scrape merges every live worker's Prometheus endpoint into one
-// snapshot. Failures are logged and skipped: observability must not
-// fail the run.
-func (s *Supervisor) scrape() obsv.Snapshot {
-	client := &http.Client{Timeout: 2 * time.Second}
-	merged := obsv.Snapshot{}
-	for _, w := range s.workers {
-		if w.metricsAddr == "" || !w.alive {
-			continue
-		}
-		resp, err := client.Get("http://" + w.metricsAddr + "/metrics")
-		if err != nil {
-			fmt.Fprintf(s.log, "swarm: scrape %s: %v\n", w.metricsAddr, err)
-			continue
-		}
-		snap, err := obsv.ParsePrometheus(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			fmt.Fprintf(s.log, "swarm: parse %s: %v\n", w.metricsAddr, err)
-			continue
-		}
-		merged = merged.Merge(snap)
-	}
-	return merged
 }
 
 // shutdown drains the swarm: SIGTERM to every worker, a grace period,

@@ -21,8 +21,8 @@
 //     process granularity);
 //   - per-slot outcome harvest over the same control connections,
 //     merged into the simnet's core.NodeOutcome schema so swarm and
-//     simulation results land in one table;
-//   - optional scraping of each worker's obsv metrics endpoint.
+//     simulation results land in one table. The reports are the whole
+//     harvest: a worker's own metrics registry goes to its log at drain.
 //
 // The control frames (hello, config, start, report: JSON lines) live in
 // control.go, the supervisor's event loop in supervisor.go; discovery's

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -31,9 +30,7 @@ type worker struct {
 	ep       *transport.UDP
 	disc     *discovery
 	host     *Host
-	reg      *obsv.Registry
-
-	metricsAddr string
+	reg      *obsv.Registry // the host's counters, dumped to the log at drain
 
 	ready bool // set on the event loop, where every hello after the first is built
 }
@@ -71,20 +68,10 @@ func RunWorker(o WorkerOptions) error {
 	defer conn.Close()
 	w.ctrl = newCtrlConn(conn)
 
-	// Per-worker metrics endpoint, scraped by the supervisor at harvest.
 	w.reg = obsv.NewRegistry()
-	mln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer mln.Close()
-	w.metricsAddr = mln.Addr().String()
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", w.reg)
-	go func() { _ = http.Serve(mln, mux) }()
 	w.reg.Counter("worker_restarts_total").Add(int64(w.restarts))
 
-	// Register: the hello carries our socket addresses, the config reply
+	// Register: the hello carries our socket address, the config reply
 	// carries geometry, deployment shape, and bootstrap peers.
 	if err := w.sendHello(); err != nil {
 		return fmt.Errorf("swarm: worker %d: registration: %w", o.Index, err)
@@ -154,10 +141,9 @@ func (w *worker) mergeBootstrap(m *config) {
 
 func (w *worker) sendHello() error {
 	return w.ctrl.send(frame{Hello: &hello{
-		Index:       w.o.Index,
-		Ready:       w.ready,
-		DataAddr:    w.ep.Addr(),
-		MetricsAddr: w.metricsAddr,
+		Index:    w.o.Index,
+		Ready:    w.ready,
+		DataAddr: w.ep.Addr(),
 	}})
 }
 
@@ -185,8 +171,8 @@ func (w *worker) init(m *config) error {
 		return err
 	}
 	w.mergeBootstrap(m)
-	fmt.Fprintf(w.log, "worker %d: data %s metrics %s (%d nodes + builder, restart %d)\n",
-		w.o.Index, w.ep.Addr(), w.metricsAddr, nNodes, w.restarts)
+	fmt.Fprintf(w.log, "worker %d: data %s (%d nodes + builder, restart %d)\n",
+		w.o.Index, w.ep.Addr(), nNodes, w.restarts)
 	return nil
 }
 
