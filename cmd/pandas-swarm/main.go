@@ -1,10 +1,9 @@
 // Command pandas-swarm runs a multi-process PANDAS deployment on one
 // machine: it launches N pandas-node worker processes plus a builder
-// process, distributes configuration over one loopback TCP control
-// connection per worker, waits for the workers' discovery crawl to
-// converge from a handful of bootstrap peers, then drives slots
-// end-to-end over real UDP sockets and prints a per-slot report in the
-// simnet's schema. A worker whose control connection ends drains and
+// process, distributes configuration and the peer table over one loopback
+// TCP control connection per worker, waits until every worker holds the
+// full table, then drives slots end-to-end over real UDP sockets and
+// prints a per-slot report in the simnet's schema. A worker whose control connection ends drains and
 // exits, so no pandas-node process outlives its supervisor, however the
 // supervisor went (-timeout included).
 //
@@ -43,7 +42,6 @@ func run(args []string) error {
 		samples   = fs.Int("samples", 6, "random cells sampled per slot")
 		kill      = fs.Float64("kill", 0, "fraction of node processes killed per slot (fault injection)")
 		killDelay = fs.Duration("kill-delay", 100*time.Millisecond, "kill injection delay after slot start")
-		bootstrap = fs.Int("bootstrap", 4, "bootstrap peers handed to each worker")
 		bin       = fs.String("bin", "", "prebuilt pandas-node binary (default: go build from the module)")
 		timeout   = fs.Duration("timeout", 0, "hard wall-clock limit for the whole run (0 = none)")
 		quiet     = fs.Bool("q", false, "suppress supervisor/worker diagnostics")
@@ -76,14 +74,13 @@ func run(args []string) error {
 	g.Samples = *samples
 
 	opts := swarm.Options{
-		N:             *n,
-		Slots:         *slots,
-		Seed:          *seed,
-		Geometry:      g,
-		BootstrapSize: *bootstrap,
-		KillFraction:  *kill,
-		KillDelay:     *killDelay,
-		Command:       command,
+		N:            *n,
+		Slots:        *slots,
+		Seed:         *seed,
+		Geometry:     g,
+		KillFraction: *kill,
+		KillDelay:    *killDelay,
+		Command:      command,
 	}
 	if !*quiet {
 		opts.Log = os.Stderr

@@ -166,8 +166,8 @@ func (g *GossipCluster) RunSlot(slot uint64) (*core.SlotResult, error) {
 				}
 				members := overlay.Members()
 				cells := l.Cells(n)
-				for startIdx := 0; startIdx < len(cells); startIdx += cfg.MaxCellsPerMsg {
-					end := min(startIdx+cfg.MaxCellsPerMsg, len(cells))
+				for startIdx := 0; startIdx < len(cells); startIdx += wire.MaxCellsPerMessage {
+					end := min(startIdx+wire.MaxCellsPerMessage, len(cells))
 					batch := make([]wire.Cell, 0, end-startIdx)
 					for _, id := range cells[startIdx:end] {
 						batch = append(batch, wire.Cell{ID: id})

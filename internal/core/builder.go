@@ -471,7 +471,7 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 		cells := nodeCells[node]
 		boostLines := nodeBoost[node]
 		report.NodesSeeded++
-		nChunks := (len(cells) + b.cfg.MaxCellsPerMsg - 1) / b.cfg.MaxCellsPerMsg
+		nChunks := (len(cells) + wire.MaxCellsPerMessage - 1) / wire.MaxCellsPerMessage
 		for _, entries := range boostLines {
 			nChunks += (len(entries) + maxBoostPerMsg - 1) / maxBoostPerMsg
 		}
@@ -500,8 +500,8 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 		}
 		for len(cells) > 0 {
 			chunk := cells
-			if len(chunk) > b.cfg.MaxCellsPerMsg {
-				chunk = cells[:b.cfg.MaxCellsPerMsg]
+			if len(chunk) > wire.MaxCellsPerMessage {
+				chunk = cells[:wire.MaxCellsPerMessage]
 			}
 			cells = cells[len(chunk):]
 			maxRow := -1

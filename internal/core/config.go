@@ -19,7 +19,6 @@ import (
 	"pandas/internal/blob"
 	"pandas/internal/fetch"
 	"pandas/internal/obsv"
-	"pandas/internal/wire"
 )
 
 // Errors returned by this package.
@@ -86,8 +85,6 @@ type Config struct {
 	// simulation) and real bytes with erasure coding and commitment
 	// verification.
 	RealPayloads bool
-	// MaxCellsPerMsg caps cells per datagram.
-	MaxCellsPerMsg int
 	// DisableConsolidation turns off fetching of missing custody cells;
 	// only sampling drives the fetcher. The GossipSub baseline uses this:
 	// custody arrives via topic gossip instead of explicit consolidation.
@@ -123,16 +120,15 @@ type Config struct {
 // r = 8, adaptive schedule, 4 s deadline.
 func DefaultConfig() Config {
 	return Config{
-		Blob:           blob.DefaultParams(),
-		Assign:         assign.DefaultParams(blob.DefaultParams().N()),
-		Samples:        73,
-		Schedule:       fetch.DefaultSchedule(),
-		SeedWait:       400 * time.Millisecond,
-		Deadline:       4 * time.Second,
-		Policy:         PolicyRedundant,
-		Redundancy:     8,
-		MaxCellsPerMsg: wire.MaxCellsPerMessage,
-		TraceRing:      obsv.DefaultRingSize,
+		Blob:       blob.DefaultParams(),
+		Assign:     assign.DefaultParams(blob.DefaultParams().N()),
+		Samples:    73,
+		Schedule:   fetch.DefaultSchedule(),
+		SeedWait:   400 * time.Millisecond,
+		Deadline:   4 * time.Second,
+		Policy:     PolicyRedundant,
+		Redundancy: 8,
+		TraceRing:  obsv.DefaultRingSize,
 	}
 }
 
@@ -167,8 +163,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: redundancy=%d", ErrBadConfig, c.Redundancy)
 	case c.Deadline <= 0:
 		return fmt.Errorf("%w: deadline=%v", ErrBadConfig, c.Deadline)
-	case c.MaxCellsPerMsg < 1:
-		return fmt.Errorf("%w: maxCellsPerMsg=%d", ErrBadConfig, c.MaxCellsPerMsg)
 	case c.TraceRing < 1:
 		return fmt.Errorf("%w: traceRing=%d", ErrBadConfig, c.TraceRing)
 	}

@@ -56,7 +56,6 @@ func TestConfigValidateRejections(t *testing.T) {
 		"samples-zero":    func(c *Config) { c.Samples = 0 },
 		"policy-unknown":  func(c *Config) { c.Policy = Policy(99) },
 		"deadline-zero":   func(c *Config) { c.Deadline = 0 },
-		"max-cells-zero":  func(c *Config) { c.MaxCellsPerMsg = 0 },
 		"redundancy-zero": func(c *Config) { c.Policy = PolicyRedundant; c.Redundancy = 0 },
 		"assign-mismatch": func(c *Config) { c.Assign.N = c.Blob.N() + 2 },
 		"trace-ring-zero": func(c *Config) { c.TraceRing = 0 },

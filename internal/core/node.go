@@ -718,8 +718,8 @@ func (n *Node) DeliverCustody(cells []wire.Cell) {
 func (n *Node) sendCells(to int, cells []wire.Cell) {
 	for len(cells) > 0 {
 		chunk := cells
-		if len(chunk) > n.cfg.MaxCellsPerMsg {
-			chunk = cells[:n.cfg.MaxCellsPerMsg]
+		if len(chunk) > wire.MaxCellsPerMessage {
+			chunk = cells[:wire.MaxCellsPerMessage]
 		}
 		cells = cells[len(chunk):]
 		m := &wire.Response{Slot: n.slot, Cells: chunk}
@@ -816,7 +816,7 @@ func (n *Node) fetchRound(first bool) {
 	// per query either.
 	msgs, asked := 0, 0
 	for _, q := range plan {
-		msgs += (len(q.Cells) + n.cfg.MaxCellsPerMsg - 1) / n.cfg.MaxCellsPerMsg
+		msgs += (len(q.Cells) + wire.MaxCellsPerMessage - 1) / wire.MaxCellsPerMessage
 		asked += len(q.Cells)
 	}
 	queries := make([]wire.Query, 0, msgs)
@@ -838,8 +838,8 @@ func (n *Node) fetchRound(first bool) {
 		stat.CellsRequested += len(cells)
 		for len(cells) > 0 {
 			chunk := cells
-			if len(chunk) > n.cfg.MaxCellsPerMsg {
-				chunk = cells[:n.cfg.MaxCellsPerMsg:n.cfg.MaxCellsPerMsg]
+			if len(chunk) > wire.MaxCellsPerMessage {
+				chunk = cells[:wire.MaxCellsPerMessage:wire.MaxCellsPerMessage]
 			}
 			cells = cells[len(chunk):]
 			queries = append(queries, wire.Query{Slot: n.slot, Cells: chunk})

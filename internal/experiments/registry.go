@@ -310,7 +310,7 @@ func init() {
 	register(Experiment{Name: "scale", Desc: "simulator capacity: bytes/node, event throughput, deadline rate vs N",
 		Flags: func(b *FlagBinder) { b.Sizes() },
 		Run:   func(o Options, p *Params) (*Result, error) { return Scale(o, p.Sizes) }})
-	register(Experiment{Name: "swarm", Desc: "multi-process deployment: real UDP, discovery, crash-restart (one process per node)",
+	register(Experiment{Name: "swarm", Desc: "multi-process deployment: real UDP, supervisor-fed peer table, crash-restart (one process per node)",
 		Flags: func(b *FlagBinder) { b.Fractions() },
 		Run: func(o Options, p *Params) (*Result, error) {
 			kill := 0.0

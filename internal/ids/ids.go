@@ -3,7 +3,8 @@
 //
 // As in Ethereum, a node is identified by the hash of its public key; the
 // association between nodes and validators is never exposed. Contact
-// information travels as discovery's wire.PeerEntry, not as signed
+// information is an index-ordered address table from whoever deploys the
+// nodes (the swarm supervisor's config, or pandas-node -peers), not signed
 // records.
 package ids
 

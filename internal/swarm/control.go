@@ -8,8 +8,6 @@ import (
 	"io"
 	"net"
 	"time"
-
-	"pandas/internal/wire"
 )
 
 // The control channel is one loopback TCP connection per worker process,
@@ -33,19 +31,21 @@ type frame struct {
 // a dead worker. The supervisor answers every hello with a config.
 type hello struct {
 	Index    int
-	Ready    bool   // discovery complete: full peer table learned
+	Ready    bool   // the worker's host runs and its peer table is full
 	DataAddr string // the worker's bound transport.UDP address
 }
 
 // config is the supervisor's reply to a hello: everything a worker needs
-// to take part, and up to BootstrapSize peers to start discovery from.
-// Replies to heartbeats refresh the bootstrap list, which is empty for
-// the first worker to register.
+// to take part, including the whole peer table. Replies to heartbeats
+// carry it again as more workers register; a successor's registration
+// sends it to every connected worker at once.
 type config struct {
-	Nodes     int // protocol nodes; the builder is index Nodes
-	Seed      int64
-	Geometry  Geometry
-	Bootstrap []wire.PeerEntry
+	Nodes    int // protocol nodes; the builder is index Nodes
+	Seed     int64
+	Geometry Geometry
+	// Peers is every worker's data address in index order, as registered
+	// in its hello; "" for a worker that has not registered yet.
+	Peers []string
 }
 
 // start opens a slot on a worker: a node starts it, the builder seeds it.
@@ -69,8 +69,9 @@ type report struct {
 const (
 	// heartbeatEvery is the worker's hello period.
 	heartbeatEvery = 500 * time.Millisecond
-	// maxFrameBytes bounds one line. Today's frames are a few hundred
-	// bytes; the bound is what a misbehaving peer can make a reader hold.
+	// maxFrameBytes bounds one line. The largest frame is a config, about
+	// 18 bytes per peer (1.3 KB at 64 nodes); the bound is what a
+	// misbehaving peer can make a reader hold.
 	maxFrameBytes = 1 << 20
 	// writeTimeout bounds one frame write, so a peer that stopped reading
 	// cannot stall the writer's event loop.

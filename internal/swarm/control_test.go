@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"pandas/internal/wire"
 )
 
 // loopbackConns returns the supervisor's end of a new control connection,
@@ -43,7 +41,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Config: &config{Nodes: 64, Seed: -42,
 			Geometry: Geometry{K: 16, Custody: 2, Samples: 73, CellBytes: 512, Redundancy: 6,
 				SeedWait: 250 * time.Millisecond, Deadline: 7 * time.Second},
-			Bootstrap: []wire.PeerEntry{{Index: 0, Addr: "127.0.0.1:40010"}, {Index: 64, Addr: "127.0.0.1:40011"}}}},
+			Peers: []string{"127.0.0.1:40010", "", "127.0.0.1:40011"}}},
 		{Start: &start{Slot: 1<<63 + 2}},
 		{Report: &report{Slot: 2, HasSeed: true, Consolidated: true, Sampled: true,
 			FirstSeedAt: 120 * time.Millisecond, ConsolidatedAt: 900 * time.Millisecond, SampledAt: 1400 * time.Millisecond,

@@ -23,9 +23,6 @@ type HostOptions struct {
 	Endpoint *transport.UDP
 	Bind     string
 
-	// PreDispatch, when set, sees every datagram before the protocol does
-	// and reports whether it consumed it (the worker's discovery plane).
-	PreDispatch func(from, size int, payload any) bool
 	// Outcome receives exactly one Outcome per slot the host ran, on the
 	// event loop; it must not block.
 	Outcome func(Outcome)
@@ -70,7 +67,7 @@ type Host struct {
 }
 
 // NewHost builds the participant and starts its event loop. The caller
-// fills the peer table (Endpoint.SetPeers/AddPeer) and closes Endpoint.
+// fills the peer table (Endpoint.SetPeers) and closes Endpoint.
 func NewHost(o HostOptions) (*Host, error) {
 	if o.Index < 0 || o.Index > o.Nodes {
 		return nil, fmt.Errorf("swarm: index %d out of range (%d nodes + builder)", o.Index, o.Nodes)
@@ -114,9 +111,6 @@ func (h *Host) StartSlot(slot uint64) {
 func (h *Host) Slot() uint64 { return h.slot }
 
 func (h *Host) dispatch(from, size int, payload any) {
-	if h.o.PreDispatch != nil && h.o.PreDispatch(from, size, payload) {
-		return
-	}
 	if h.Node == nil {
 		return
 	}

@@ -87,6 +87,8 @@ func probeGarbage(sup string) error {
 		"no frame":                "{}\n",
 		"index out of range":      `{"hello":{"Index":9999,"Ready":true,"DataAddr":"127.0.0.1:1"}}` + "\n",
 		"negative index":          `{"hello":{"Index":-1}}` + "\n",
+		"no data address":         `{"hello":{"Index":1}}` + "\n",
+		"hostname data address":   `{"hello":{"Index":1,"DataAddr":"localhost:1"}}` + "\n",
 		"report before any hello": `{"report":{"Slot":1,"Sampled":true}}` + "\n",
 		"a supervisor's frame":    `{"start":{"Slot":1}}` + "\n",
 		"oversized line":          strings.Repeat("x", maxFrameBytes+1),
@@ -221,9 +223,10 @@ func TestSwarmCrashLoopDuringBootstrap(t *testing.T) {
 
 // TestSwarmRejectsGarbageConnections: before worker 1 registers, its
 // process opens raw connections to the control listener and writes
-// garbage, frames that do not belong, out-of-range indexes and an endless
-// line (probeGarbage, which fails unless each is closed unanswered). None
-// of it touches the workers: no restart, every report.
+// garbage, frames that do not belong, out-of-range indexes, hellos whose
+// data address is not a numeric ip:port and an endless line (probeGarbage,
+// which fails unless each is closed unanswered). None of it touches the
+// workers: no restart, every report.
 func TestSwarmRejectsGarbageConnections(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
@@ -283,10 +286,12 @@ func TestWorkerExitsWhenSupervisorGone(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newCtrlConn(conn)
-	if f, err := c.recv(); err != nil || f.Hello == nil || f.Hello.Index != 0 {
+	f, err := c.recv()
+	if err != nil || f.Hello == nil || f.Hello.Index != 0 {
 		t.Fatalf("first frame %+v, err %v; want worker 0's hello", f, err)
 	}
-	if err := c.send(frame{Config: &config{Nodes: 4, Seed: 9, Geometry: testGeometry()}}); err != nil {
+	peers := []string{f.Hello.DataAddr, "", "", "", ""}
+	if err := c.send(frame{Config: &config{Nodes: 4, Seed: 9, Geometry: testGeometry(), Peers: peers}}); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()

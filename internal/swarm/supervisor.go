@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"os"
 	"os/exec"
 	"strconv"
@@ -15,7 +16,6 @@ import (
 
 	"pandas/internal/adversary"
 	"pandas/internal/core"
-	"pandas/internal/wire"
 )
 
 // WorkerCommand builds the (unstarted) command for worker index i. The
@@ -30,11 +30,6 @@ type Options struct {
 	Seed  int64 // deployment seed (identities, sortition)
 
 	Geometry Geometry
-
-	// BootstrapSize is how many already-registered workers each config
-	// frame lists as bootstrap peers (default 4). Discovery must spread
-	// the rest of the table from these.
-	BootstrapSize int
 
 	// KillFraction, when positive, kills that fraction of node processes
 	// each slot, KillDelay (default 100ms) after the slot starts (victims
@@ -55,7 +50,7 @@ type Options struct {
 }
 
 const (
-	readyTimeout = 60 * time.Second       // discovery convergence budget
+	readyTimeout = 60 * time.Second       // budget for every worker to register and hold the full table
 	slotGap      = 300 * time.Millisecond // pause between slots
 	drainTimeout = 5 * time.Second        // graceful-shutdown budget, then again for SIGKILL to take
 )
@@ -66,9 +61,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Geometry == (Geometry{}) {
 		o.Geometry = DefaultGeometry()
-	}
-	if o.BootstrapSize == 0 {
-		o.BootstrapSize = 4
 	}
 	if o.KillDelay == 0 {
 		o.KillDelay = 100 * time.Millisecond
@@ -93,7 +85,7 @@ type workerState struct {
 	index       int
 	cmd         *exec.Cmd
 	conn        *ctrlConn // the live process's control connection, nil until its first hello
-	dataAddr    string
+	dataAddr    string    // from its hello; kept across restarts until a successor registers another
 	ready       bool
 	alive       bool
 	gone        bool // restart budget exhausted
@@ -131,8 +123,8 @@ const (
 )
 
 // Supervisor runs a swarm: N node processes plus a builder process,
-// config distribution, discovery bootstrap, slot driving, crash
-// restart, fault injection, and outcome harvest.
+// config and peer-table distribution, slot driving, crash restart, fault
+// injection, and outcome harvest.
 //
 // It is one event loop. The goroutine that calls Run owns every field
 // below events and is the only one to read or write them; it blocks only
@@ -384,11 +376,18 @@ func (s *Supervisor) launch(idx int) {
 }
 
 // handleHello registers a connection on its first hello (an index takes
-// one connection at a time), refreshes the worker's addresses and
-// liveness on every one, and always answers with a config. A connection that registers while a slot is running belongs
-// to a process that was not there when the slot's start went out (a
-// restarted worker, usually), so it is handed that start now: once,
-// because a connection registers once.
+// one connection at a time), refreshes the worker's liveness on every one,
+// and always answers with a config. The data address a connection
+// registers with is the one it keeps: it must be a numeric ip:port, since
+// every worker resolves it, and a later hello may not change it. A
+// registration that moves an index to a new address (a restarted worker)
+// sends the new table to every connected worker at once; first
+// registrations reach the others in their next heartbeat's reply.
+//
+// A connection that registers while a slot is running belongs to a
+// process that was not there when the slot's start went out (a restarted
+// worker, usually), so it is handed that start now: once, because a
+// connection registers once.
 func (s *Supervisor) handleHello(c *ctrlConn, m *hello) {
 	if m.Index < 0 || m.Index >= len(s.workers) || (c.index >= 0 && c.index != m.Index) {
 		s.drop(c, fmt.Errorf("hello for index %d", m.Index))
@@ -396,7 +395,15 @@ func (s *Supervisor) handleHello(c *ctrlConn, m *hello) {
 	}
 	w := s.workers[m.Index]
 	registers := c.index < 0
-	if registers {
+	switch {
+	case !registers && m.DataAddr != w.dataAddr:
+		s.drop(c, fmt.Errorf("hello for index %d moves its data address to %q", m.Index, m.DataAddr))
+		return
+	case registers:
+		if _, err := netip.ParseAddrPort(m.DataAddr); err != nil {
+			s.drop(c, fmt.Errorf("hello for index %d: data address: %v", m.Index, err))
+			return
+		}
 		// A worker's connection ends when its process does, long before
 		// the restart backoff lets a successor dial: an index that is
 		// still connected is not being claimed by its own successor.
@@ -406,15 +413,19 @@ func (s *Supervisor) handleHello(c *ctrlConn, m *hello) {
 		}
 		c.index, w.conn = m.Index, c
 	}
+	moved := registers && w.dataAddr != "" && w.dataAddr != m.DataAddr
 	w.dataAddr = m.DataAddr
 	w.ready = m.Ready
 	w.lastSeen = time.Now()
-	s.send(w, frame{Config: &config{
-		Nodes:     s.o.N,
-		Seed:      s.o.Seed,
-		Geometry:  s.o.Geometry,
-		Bootstrap: s.bootstrap(w.index),
-	}})
+	cfg := frame{Config: s.config()}
+	s.send(w, cfg)
+	if moved {
+		for _, other := range s.workers {
+			if other != w {
+				s.send(other, cfg)
+			}
+		}
+	}
 	if registers && s.slot != 0 {
 		s.send(w, frame{Start: &start{Slot: s.slot}})
 		if w.leftAt >= 0 && w.rejoinedAt < 0 {
@@ -425,20 +436,13 @@ func (s *Supervisor) handleHello(c *ctrlConn, m *hello) {
 	}
 }
 
-// bootstrap picks up to BootstrapSize registered workers (lowest
-// indexes first, excluding the asker) as discovery entry points.
-func (s *Supervisor) bootstrap(asker int) []wire.PeerEntry {
-	var out []wire.PeerEntry
-	for _, w := range s.workers {
-		if w.index == asker || w.dataAddr == "" || !w.alive {
-			continue
-		}
-		out = append(out, wire.PeerEntry{Index: uint32(w.index), Addr: w.dataAddr})
-		if len(out) == s.o.BootstrapSize {
-			break
-		}
+// config is the deployment and the peer table as the supervisor knows it.
+func (s *Supervisor) config() *config {
+	peers := make([]string, len(s.workers))
+	for i, w := range s.workers {
+		peers[i] = w.dataAddr
 	}
-	return out
+	return &config{Nodes: s.o.N, Seed: s.o.Seed, Geometry: s.o.Geometry, Peers: peers}
 }
 
 func (s *Supervisor) handleReport(w *workerState, m *report) {
@@ -509,8 +513,8 @@ func (s *Supervisor) count(pred func(*workerState) bool) int {
 	return n
 }
 
-// waitReady handles events until every worker has registered, completed
-// discovery, and declared ready.
+// waitReady handles events until every worker has registered, learned
+// the full peer table, and declared ready.
 func (s *Supervisor) waitReady() error {
 	gone := func(w *workerState) bool { return w.gone }
 	ready := func(w *workerState) bool { return w.ready }

@@ -2,9 +2,11 @@ package swarm
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
+	"slices"
 	"testing"
 	"time"
 )
@@ -50,17 +52,27 @@ func TestSupervisorFrameRules(t *testing.T) {
 	for i := range s.workers {
 		s.workers[i] = &workerState{index: i, alive: true, leftAt: -1, rejoinedAt: -1}
 	}
-	gotHello := func(c *ctrlConn, index int) {
-		s.handle(event{kind: evFrame, conn: c, frame: frame{Hello: &hello{Index: index, DataAddr: "127.0.0.1:1"}}})
+	addr := func(index int) string { return fmt.Sprintf("127.0.0.1:%d", 40000+index) }
+	gotHelloFrom := func(c *ctrlConn, index int, dataAddr string) {
+		s.handle(event{kind: evFrame, conn: c, frame: frame{Hello: &hello{Index: index, DataAddr: dataAddr}}})
 	}
+	gotHello := func(c *ctrlConn, index int) { gotHelloFrom(c, index, addr(index)) }
 	gotReport := func(c *ctrlConn, r report) {
 		s.handle(event{kind: evFrame, conn: c, frame: frame{Report: &r}})
 	}
+	expectTable := func(c *ctrlConn, want ...string) {
+		t.Helper()
+		if f := expectFrame(t, c); f.Config == nil || !slices.Equal(f.Config.Peers, want) {
+			t.Fatalf("expected a config with peers %q, got %+v", want, f)
+		}
+	}
 
-	// A first hello registers and is answered with the deployment.
+	// A first hello registers and is answered with the deployment and the
+	// table as far as it is known.
 	sup1, w1 := loopbackConns(t)
 	gotHello(sup1, 1)
-	if f := expectFrame(t, w1); f.Config == nil || f.Config.Nodes != 4 || f.Config.Seed != 3 || f.Config.Geometry != testGeometry() {
+	if f := expectFrame(t, w1); f.Config == nil || f.Config.Nodes != 4 || f.Config.Seed != 3 || f.Config.Geometry != testGeometry() ||
+		!slices.Equal(f.Config.Peers, []string{"", addr(1), "", "", ""}) {
 		t.Fatalf("reply to the first hello: %+v", f)
 	}
 	if s.workers[1].conn != sup1 {
@@ -92,28 +104,62 @@ func TestSupervisorFrameRules(t *testing.T) {
 		t.Fatal("a dropped connection registered")
 	}
 
+	// Every worker resolves every address in the table, so one that is
+	// not a numeric ip:port does not register.
+	for _, bad := range []string{"", "localhost:40002", "127.0.0.1", "127.0.0.1:x"} {
+		supBad, wBad := loopbackConns(t)
+		gotHelloFrom(supBad, 2, bad)
+		expectClosed(t, wBad)
+		if s.workers[2].conn != nil || s.workers[2].dataAddr != "" {
+			t.Fatalf("registered with data address %q", bad)
+		}
+	}
+
+	// The rest register; a heartbeat's reply then carries the full table.
+	sups, ws := map[int]*ctrlConn{}, map[int]*ctrlConn{}
+	for _, i := range []int{0, 2, 3, 4} {
+		sups[i], ws[i] = loopbackConns(t)
+		gotHello(sups[i], i)
+		_ = expectFrame(t, ws[i])
+	}
+	full := []string{addr(0), addr(1), addr(2), addr(3), addr(4)}
+	gotHello(sups[0], 0)
+	expectTable(ws[0], full...)
+
+	// The address a connection registered with is the one it keeps.
+	gotHelloFrom(sups[2], 2, "127.0.0.1:50002")
+	expectClosed(t, ws[2])
+	s.handle(event{kind: evClosed, conn: sups[2], err: net.ErrClosed})
+	if s.workers[2].dataAddr != addr(2) {
+		t.Fatalf("a refused hello moved worker 2 to %q", s.workers[2].dataAddr)
+	}
+
 	// Slot 7 is running and worker 1's process died in it. Its successor's
 	// first hello is answered with the config and the slot's start, later
-	// hellos with the config alone.
+	// hellos with the config alone; its new address goes to every connected
+	// worker at once.
 	s.slot, s.slotStart = 7, time.Now().Add(-time.Second)
 	s.workers[1].leftAt = 200 * time.Millisecond
 	supNew, wNew := loopbackConns(t)
-	gotHello(supNew, 1)
-	if f := expectFrame(t, wNew); f.Config == nil {
-		t.Fatalf("first frame to the successor: %+v", f)
-	}
+	gotHelloFrom(supNew, 1, "127.0.0.1:50001")
+	moved := []string{addr(0), "127.0.0.1:50001", addr(2), addr(3), addr(4)}
+	expectTable(wNew, moved...)
 	if f := expectFrame(t, wNew); f.Start == nil || f.Start.Slot != 7 {
 		t.Fatalf("second frame to the successor: %+v", f)
+	}
+	for _, i := range []int{0, 3, 4} {
+		expectTable(ws[i], moved...)
 	}
 	if at := s.workers[1].rejoinedAt; at < time.Second {
 		t.Fatalf("rejoinedAt = %v", at)
 	}
 	rejoinedAt := s.workers[1].rejoinedAt
-	gotHello(supNew, 1)
-	if f := expectFrame(t, wNew); f.Config == nil {
-		t.Fatalf("reply to a heartbeat: %+v", f)
-	}
+	gotHelloFrom(supNew, 1, "127.0.0.1:50001")
+	expectTable(wNew, moved...)
 	expectSilence(t, wNew)
+	for _, i := range []int{0, 3, 4} {
+		expectSilence(t, ws[i]) // a heartbeat is answered to its sender alone
+	}
 	if s.workers[1].rejoinedAt != rejoinedAt {
 		t.Fatal("a heartbeat moved the rejoin time")
 	}

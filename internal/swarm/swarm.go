@@ -1,11 +1,9 @@
 // Package swarm is the multi-process deployment runtime: a supervisor
 // that launches N pandas-node worker processes on localhost, distributes
-// per-node configuration over one loopback TCP connection per worker, lets
-// the workers discover each other's sockets discv5-style from a small
-// bootstrap set,
-// then drives slots end-to-end over real UDP — builder seeding,
-// custody consolidation, and sampling all travel through the kernel's
-// network stack instead of the in-process simnet.
+// per-node configuration and the peer table over one loopback TCP
+// connection per worker, then drives slots end-to-end over real UDP —
+// builder seeding, custody consolidation, and sampling all travel through
+// the kernel's network stack instead of the in-process simnet.
 //
 // Every participant on real sockets — a swarm worker, a hand-launched
 // pandas-node, each member of a Localnet — is one Host (host.go): the
@@ -24,10 +22,12 @@
 //     simulation results land in one table. The reports are the whole
 //     harvest: a worker's own metrics registry goes to its log at drain.
 //
-// The control frames (hello, config, start, report: JSON lines) live in
-// control.go, the supervisor's event loop in supervisor.go; discovery's
-// FindPeers/Peers datagrams live in internal/wire and the dynamic peer
-// table in internal/transport.
+// The peer table has one writer, the supervisor: it learns each worker's
+// data address from that worker's registration and hands the whole
+// index-ordered table out in every config, so a datagram from a socket no
+// worker registered is dropped by the transport unread. The control frames
+// (hello, config, start, report: JSON lines) live in control.go, the
+// supervisor's event loop in supervisor.go.
 package swarm
 
 import (

@@ -82,21 +82,20 @@ func testLog() io.Writer {
 }
 
 // TestSwarmEndToEnd is the tentpole's acceptance path in miniature: 6
-// node processes plus a builder process bootstrap from 3 peers,
-// discover the full table over UDP, then complete two real slots —
-// seeding, consolidation, and sampling all across process boundaries.
+// node processes plus a builder process register, learn the full peer
+// table from the supervisor, then complete two real slots — seeding,
+// consolidation, and sampling all across process boundaries.
 func TestSwarmEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
 	}
 	res, err := Run(Options{
-		N:             6,
-		Slots:         2,
-		Seed:          77,
-		Geometry:      testGeometry(),
-		BootstrapSize: 3,
-		Command:       selfCommand(t, nil),
-		Log:           testLog(),
+		N:        6,
+		Slots:    2,
+		Seed:     77,
+		Geometry: testGeometry(),
+		Command:  selfCommand(t, nil),
+		Log:      testLog(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +133,10 @@ func TestSwarmEndToEnd(t *testing.T) {
 
 // TestSwarmKillRestart injects process kills mid-slot and checks the
 // supervisor restarts the victims, they rejoin the live deployment,
-// and by the final slot the whole swarm reports again.
+// and by the final slot the whole swarm reports again. The kills land 1 ms
+// into each slot, before a victim can report, so the slot waits for its
+// successor: a successor that samples the slot it rejoined was answered
+// by peers on its new socket, which they learned from the supervisor.
 func TestSwarmKillRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
@@ -145,7 +147,7 @@ func TestSwarmKillRestart(t *testing.T) {
 		Seed:         99,
 		Geometry:     testGeometry(),
 		KillFraction: 0.34, // 2 of 6 nodes per slot
-		KillDelay:    50 * time.Millisecond,
+		KillDelay:    time.Millisecond,
 		Command:      selfCommand(t, nil),
 		Log:          testLog(),
 	})
@@ -170,9 +172,20 @@ func TestSwarmKillRestart(t *testing.T) {
 	if sampled < res.N-2 {
 		t.Errorf("final slot: only %d/%d nodes sampled after restarts", sampled, res.N)
 	}
-	rejoins := 0
+	rejoins, rejoinedSampled := 0, 0
 	for _, sr := range res.SlotResults {
+		n := 0
+		for _, oc := range sr.Outcomes {
+			if oc.JoinedAt >= 0 && oc.Sampling >= 0 {
+				n++
+			}
+		}
+		t.Logf("slot %d: %d rejoined, %d of them sampled the slot", sr.Slot, sr.Rejoined, n)
 		rejoins += sr.Rejoined
+		rejoinedSampled += n
+	}
+	if rejoinedSampled == 0 {
+		t.Errorf("no rejoined worker sampled the slot it rejoined (%d rejoins)", rejoins)
 	}
 	t.Logf("restarts=%d rejoins=%d\n%s", res.TotalRestarts, rejoins, res.Render())
 }

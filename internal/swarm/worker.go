@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"syscall"
 	"time"
@@ -28,20 +29,22 @@ type worker struct {
 	log      io.Writer
 	ctrl     *ctrlConn // written from the event loop only once it runs
 	ep       *transport.UDP
-	disc     *discovery
 	host     *Host
 	reg      *obsv.Registry // the host's counters, dumped to the log at drain
 
-	ready bool // set on the event loop, where every hello after the first is built
+	// Set on the event loop, where every hello after the first is built.
+	peers []string // the table installed in ep
+	ready bool
 }
 
 // RunWorker is the entry point for a pandas-node process launched in
 // swarm mode (-swarm ADDR -index I). It registers with the supervisor,
-// receives its geometry and bootstrap peers, crawls the rest of the
-// swarm over UDP, reports ready, then executes start frames until told to
-// drain: by SIGTERM/SIGINT, or by its control connection ending, which is
-// how a worker learns that its supervisor is gone. Either way it flushes a
-// metrics snapshot to the log and returns nil.
+// receives its geometry and the peer table, installs every later table the
+// supervisor sends, reports ready once the table is full, and executes
+// start frames until told to drain: by SIGTERM/SIGINT, or by its control
+// connection ending, which is how a worker learns that its supervisor is
+// gone. Either way it flushes a metrics snapshot to the log and returns
+// nil.
 func RunWorker(o WorkerOptions) error {
 	w := &worker{o: o, log: o.Log}
 	if w.log == nil {
@@ -51,8 +54,8 @@ func RunWorker(o WorkerOptions) error {
 		w.restarts = n
 	}
 
-	// Bind the data socket before the first hello: the supervisor needs
-	// its address to hand out as a bootstrap entry. The codec cell size
+	// Bind the data socket before the first hello: the supervisor hands
+	// its address to every other worker. The codec cell size
 	// is fixed later, when the geometry arrives.
 	ep, err := transport.NewUDP(o.Index, "127.0.0.1:0", 0)
 	if err != nil {
@@ -72,7 +75,7 @@ func RunWorker(o WorkerOptions) error {
 	w.reg.Counter("worker_restarts_total").Add(int64(w.restarts))
 
 	// Register: the hello carries our socket address, the config reply
-	// carries geometry, deployment shape, and bootstrap peers.
+	// carries geometry, deployment shape, and the peer table.
 	if err := w.sendHello(); err != nil {
 		return fmt.Errorf("swarm: worker %d: registration: %w", o.Index, err)
 	}
@@ -89,10 +92,7 @@ func RunWorker(o WorkerOptions) error {
 		return err
 	}
 
-	ep.Run(func() {
-		w.heartbeat()
-		w.discover(false)
-	})
+	ep.Run(w.heartbeat)
 	lost := make(chan error, 1)
 	go func() { lost <- w.serveControl() }()
 
@@ -121,20 +121,10 @@ func (w *worker) serveControl() error {
 		case err != nil:
 			return err
 		case f.Config != nil:
-			w.mergeBootstrap(f.Config)
+			peers := f.Config.Peers
+			w.ep.Run(func() { w.setPeers(peers) })
 		case f.Start != nil:
 			w.host.StartSlot(f.Start.Slot)
-		}
-	}
-}
-
-// mergeBootstrap adds the bootstrap entries of a config, heartbeat
-// replies included. The supervisor's bindings come from the workers' own
-// hellos, so they are authoritative and may rebind.
-func (w *worker) mergeBootstrap(m *config) {
-	for _, e := range m.Bootstrap {
-		if int(e.Index) != w.o.Index && e.Addr != "" {
-			_ = w.ep.AddPeer(int(e.Index), e.Addr)
 		}
 	}
 }
@@ -156,48 +146,46 @@ func (w *worker) init(m *config) error {
 	}
 	cfg.Metrics = w.reg
 
-	addrs := make([]string, nNodes+1)
-	if w.o.Index < len(addrs) {
-		addrs[w.o.Index] = w.ep.Addr()
+	if len(m.Peers) != nNodes+1 {
+		return fmt.Errorf("swarm: worker %d: config lists %d peers for %d nodes + builder", w.o.Index, len(m.Peers), nNodes)
 	}
-	if err := w.ep.SetPeers(addrs); err != nil {
-		return err
-	}
-	w.disc = newDiscovery(w.ep, w.o.Index, nNodes+1)
-	w.ep.SetUnknownSender(w.disc.handleUnknown)
 	w.host, err = NewHost(HostOptions{Config: cfg, Seed: m.Seed, Nodes: nNodes, Index: w.o.Index,
-		Endpoint: w.ep, PreDispatch: w.disc.handle, Outcome: w.report})
+		Endpoint: w.ep, Outcome: w.report})
 	if err != nil {
 		return err
 	}
-	w.mergeBootstrap(m)
 	fmt.Fprintf(w.log, "worker %d: data %s (%d nodes + builder, restart %d)\n",
 		w.o.Index, w.ep.Addr(), nNodes, w.restarts)
+	w.ep.Run(func() { w.setPeers(m.Peers) })
 	return nil
 }
 
+// setPeers installs a table from the supervisor, which learned every
+// address from its worker's own registration, and says ready the first
+// time the table is full. It runs on the event loop.
+func (w *worker) setPeers(peers []string) {
+	if slices.Equal(peers, w.peers) {
+		return
+	}
+	if err := w.ep.SetPeers(peers); err != nil {
+		fmt.Fprintf(w.log, "worker %d: peer table: %v\n", w.o.Index, err)
+		return
+	}
+	w.peers = peers
+	if !w.ready && !slices.Contains(peers, "") {
+		w.ready = true
+		fmt.Printf("ready index=%d addr=%s peers=%d\n", w.o.Index, w.ep.Addr(), len(peers))
+		_ = w.sendHello()
+	}
+}
+
 // heartbeat runs on the event loop, so a wedged loop reads as a dead
-// worker. Heartbeats double as liveness and bootstrap refresh: every reply
-// is a fresh config whose entries mergeBootstrap adds. A failed write
+// worker. Heartbeats double as liveness and peer-table refresh: every
+// reply is a fresh config whose table setPeers installs. A failed write
 // means the connection ended, which serveControl reports.
 func (w *worker) heartbeat() {
 	_ = w.sendHello()
 	w.ep.After(heartbeatEvery, w.heartbeat)
-}
-
-// discover runs on the event loop every 200 ms: crawl until the table is
-// complete, announce once more so everyone holds our first-hand binding
-// (wasFull says the previous round already saw the full table), then
-// report ready.
-func (w *worker) discover(wasFull bool) {
-	w.disc.round()
-	if full := w.disc.converged(); !full || !wasFull {
-		w.ep.After(200*time.Millisecond, func() { w.discover(full) })
-		return
-	}
-	w.ready = true
-	fmt.Printf("ready index=%d addr=%s peers=%d\n", w.o.Index, w.ep.Addr(), w.ep.Known())
-	_ = w.sendHello()
 }
 
 // report is the host's outcome sink: it runs on the event loop, like

@@ -2,17 +2,18 @@
 // playing the role the libp2p/devp2p stack plays for the paper's
 // prototype: every node binds a UDP socket, protocol messages are
 // serialized with the wire codec, and peers are addressed by index into a
-// shared peer table (the crawled "view").
+// shared peer table.
 //
 // The transport satisfies core.Transport. Each endpoint owns a
 // single-threaded event loop, so the (deliberately lock-free) core.Node
 // state machine runs exactly as it does on the simulator's event loop.
 //
-// The peer table is dynamic: it can start sparse (addresses unknown) and
-// be filled in or rebound while the endpoint is live — the substrate the
-// swarm runtime's discovery crawl builds on. Lookups go through an
-// immutable snapshot swapped atomically, so the receive loop never sees
-// a half-rebuilt table.
+// The table comes from whoever deploys the node (a static peers file, or
+// the swarm supervisor) and may be replaced while the endpoint is live, as
+// when a restarted peer comes back on a new socket. Lookups go through an
+// immutable snapshot swapped atomically, so the receive loop never sees a
+// half-rebuilt table. A datagram from an address not in the table is
+// dropped before it is decoded.
 package transport
 
 import (
@@ -72,9 +73,8 @@ func resolve(addr string) (netip.AddrPort, error) {
 // thousands can wait in the queue. Datagrams are recycled through
 // datagramPools, so steady-state reception allocates nothing.
 type datagram struct {
-	buf  []byte         // the packet; cap(buf) is the size class
-	from int            // sender's peer index, -1 when not in the table
-	addr netip.AddrPort // sender's address, for the unknown-sender handler
+	buf  []byte // the packet; cap(buf) is the size class
+	from int    // sender's peer index
 }
 
 // Datagram size classes are powers of two from 64 B to 64 KB.
@@ -129,15 +129,11 @@ type UDP struct {
 	wg      sync.WaitGroup
 	handler func(from, size int, payload any)
 
-	// unknown receives decoded datagrams from senders absent from the
-	// peer table (discovery traffic from late joiners); nil drops them.
-	unknown atomic.Pointer[func(raddr netip.AddrPort, size int, payload any)]
-
 	// linkPolicy is a test hook interposed on outgoing datagrams to
 	// inject loss and reordering; nil sends directly.
 	linkPolicy atomic.Pointer[func(to int, data []byte) (drop bool, delay time.Duration)]
 
-	mu      sync.Mutex // serializes Close, timer arming and peer-table writers
+	mu      sync.Mutex // guards closed, started, cellBytes before Start, and timers
 	closed  bool
 	started bool
 	// timers holds every armed, unfired After timer so that Close can
@@ -148,7 +144,7 @@ type UDP struct {
 
 // NewUDP binds a UDP endpoint. bind is this node's listen address
 // ("127.0.0.1:0" picks a port); peers will be filled in later with
-// SetPeers/AddPeer once participants' addresses are known. cellBytes is
+// SetPeers once participants' addresses are known. cellBytes is
 // the cell payload size for the wire codec (settable until Start via
 // SetCellBytes when it is not yet known at bind time).
 func NewUDP(self int, bind string, cellBytes int) (*UDP, error) {
@@ -190,8 +186,8 @@ func (u *UDP) SetCellBytes(n int) {
 
 // SetPeers installs the peer table: addrs[i] is node i's address, where
 // an empty string marks a peer whose address is not yet known (sends to
-// it are dropped until AddPeer fills it in). Safe to call while the
-// endpoint is live: the table is rebuilt from scratch and swapped
+// it are dropped until a later SetPeers fills it in). Safe to call while
+// the endpoint is live: the table is rebuilt from scratch and swapped
 // atomically, so shrinking the table or rebinding an index to a new
 // address never leaves a stale address mapped to the wrong peer.
 func (u *UDP) SetPeers(addrs []string) error {
@@ -210,94 +206,8 @@ func (u *UDP) SetPeers(addrs []string) error {
 		t.addrs[i] = ap
 		t.index[ap] = i
 	}
-	u.mu.Lock()
-	u.table.Store(t)
-	u.mu.Unlock()
-	return nil
-}
-
-// AddPeer binds index i to addr, growing the table if needed. If i was
-// previously bound to a different address, the old mapping is removed
-// (a restarted peer rebinding its index to a fresh socket); if addr was
-// previously bound to a different index, that index loses the address.
-// Safe to call concurrently with the receive loop.
-func (u *UDP) AddPeer(i int, addr string) error {
-	if i < 0 {
-		return fmt.Errorf("transport: add peer: negative index %d", i)
-	}
-	ap, err := resolve(addr)
-	if err != nil {
-		return fmt.Errorf("transport: resolve peer %d %q: %w", i, addr, err)
-	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	old := u.table.Load()
-	n := i + 1
-	if old != nil && len(old.addrs) > n {
-		n = len(old.addrs)
-	}
-	t := &peerTable{addrs: make([]netip.AddrPort, n), index: make(map[netip.AddrPort]int, n)}
-	if old != nil {
-		copy(t.addrs, old.addrs)
-		for a, j := range old.index {
-			t.index[a] = j
-		}
-	}
-	if prev := t.addrs[i]; prev.IsValid() && t.index[prev] == i {
-		delete(t.index, prev)
-	}
-	if j, ok := t.index[ap]; ok && j != i && j < len(t.addrs) {
-		// The address moved between indexes; the displaced peer keeps no
-		// claim on it.
-		t.addrs[j] = netip.AddrPort{}
-	}
-	t.addrs[i] = ap
-	t.index[ap] = i
 	u.table.Store(t)
 	return nil
-}
-
-// Peers returns a snapshot of the peer table as strings (empty = entry
-// unknown). The result is a private copy.
-func (u *UDP) Peers() []string {
-	t := u.table.Load()
-	if t == nil {
-		return nil
-	}
-	out := make([]string, len(t.addrs))
-	for i, a := range t.addrs {
-		if a.IsValid() {
-			out[i] = a.String()
-		}
-	}
-	return out
-}
-
-// Known returns how many peer-table entries have addresses.
-func (u *UDP) Known() int {
-	t := u.table.Load()
-	if t == nil {
-		return 0
-	}
-	n := 0
-	for _, a := range t.addrs {
-		if a.IsValid() {
-			n++
-		}
-	}
-	return n
-}
-
-// SetUnknownSender installs a handler for decoded datagrams whose sender
-// is not in the peer table; it runs on the event loop like the main
-// handler. The swarm discovery plane uses it to serve FindPeers from
-// late joiners before they are registered.
-func (u *UDP) SetUnknownSender(h func(raddr netip.AddrPort, size int, payload any)) {
-	if h == nil {
-		u.unknown.Store(nil)
-		return
-	}
-	u.unknown.Store(&h)
 }
 
 // SetLinkPolicy interposes a test hook on every outgoing datagram: drop
@@ -319,8 +229,7 @@ func (u *UDP) SetLinkPolicy(p func(to int, data []byte) (drop bool, delay time.D
 // decoded in place over the datagram's buffer into structs the endpoint
 // reuses (wire.DecodeInto), so the message, its slices and its cell
 // payloads (marked wire.Cell.Borrowed) are valid only until the handler
-// returns. A handler that keeps any of it copies it first. Control and
-// discovery messages own their memory and may be retained.
+// returns. A handler that keeps any of it copies it first.
 func (u *UDP) Start(handler func(from, size int, payload any)) {
 	u.mu.Lock()
 	u.handler = handler
@@ -377,13 +286,8 @@ func (u *UDP) deliver(inbox *wire.Inbox, d *datagram) {
 	if err != nil {
 		return // malformed datagram
 	}
-	size := len(d.buf) + wire.OverheadIPUDP
-	if d.from >= 0 {
-		if u.handler != nil {
-			u.handler(d.from, size, msg)
-		}
-	} else if hp := u.unknown.Load(); hp != nil {
-		(*hp)(d.addr, size, msg)
+	if u.handler != nil {
+		u.handler(d.from, len(d.buf)+wire.OverheadIPUDP, msg)
 	}
 }
 
@@ -400,40 +304,27 @@ func (u *UDP) receiveLoop() {
 			}
 			continue
 		}
-		raddr = unmap(raddr)
-		from, known := u.table.Load().lookup(raddr)
+		from, known := u.table.Load().lookup(unmap(raddr))
 		if !known {
-			if u.unknown.Load() == nil {
-				continue // unknown sender, no discovery plane
-			}
-			from = -1
+			continue // not a peer
 		}
 		d := newDatagram(buf[:n])
-		d.from, d.addr = from, raddr
+		d.from = from
 		if !u.enqueue(event{dg: d}) {
 			d.recycle()
 		}
 	}
 }
 
-// Send implements core.Transport: encode and transmit one datagram.
-// Errors (unknown peer, encode failure) are dropped silently, matching
+// Send implements core.Transport: encode into a pooled buffer and
+// transmit one datagram. Errors (unknown peer, encode failure) are dropped silently, matching
 // UDP's fire-and-forget semantics.
 func (u *UDP) Send(to int, size int, payload any) {
 	t := u.table.Load()
 	if t == nil || to < 0 || to >= len(t.addrs) || !t.addrs[to].IsValid() {
 		return
 	}
-	u.send(t.addrs[to], to, payload)
-}
-
-// SendToAddr transmits a message directly to a UDP address that need not
-// be in the peer table (discovery replies to not-yet-registered peers).
-func (u *UDP) SendToAddr(addr netip.AddrPort, payload any) { u.send(addr, -1, payload) }
-
-// send encodes payload into a pooled buffer and writes it to addr. to is
-// the peer index the link policy sees; a negative one bypasses the policy.
-func (u *UDP) send(addr netip.AddrPort, to int, payload any) {
+	addr := t.addrs[to]
 	msg, ok := payload.(wire.Message)
 	if !ok {
 		return
@@ -445,7 +336,7 @@ func (u *UDP) send(addr netip.AddrPort, to int, payload any) {
 		return
 	}
 	*bp = data // keep what the encoder grew
-	if pp := u.linkPolicy.Load(); pp != nil && to >= 0 {
+	if pp := u.linkPolicy.Load(); pp != nil {
 		drop, delay := (*pp)(to, data)
 		if drop {
 			sendBufs.Put(bp)

@@ -43,7 +43,10 @@ const (
 // MsgType tags wire messages.
 type MsgType uint8
 
-// Message types.
+// Message types. 4-10 are retired and a data socket rejects them: 4-8 were
+// the supervisor's control datagrams, which are frames on a TCP stream now
+// (internal/swarm/control.go), and 9-10 the swarm's peer-discovery
+// crawl, whose table the supervisor hands out instead.
 const (
 	TypeSeed MsgType = iota + 1
 	TypeQuery
@@ -209,11 +212,7 @@ func EncodeAppend(buf []byte, m Message, cellBytes int) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint64(buf, v.Slot)
 		buf = appendCells(buf, v.Cells, cellBytes)
 	default:
-		// Swarm discovery messages (see discovery.go).
-		var err error
-		if buf, err = encodeDiscovery(buf, m); err != nil {
-			return nil, err
-		}
+		return nil, fmt.Errorf("%w: %T", ErrBadType, m)
 	}
 	if len(buf)-base > 65507 { // max UDP payload
 		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(buf)-base)
@@ -260,8 +259,7 @@ func Decode(data []byte, cellBytes int) (Message, error) {
 // a sub-slice of data (marked Cell.Borrowed), not a copy. The returned message is
 // therefore valid only while data is unchanged and until the next
 // DecodeInto with the same Inbox; a transport lends it to its handler
-// until the handler returns. Control and discovery messages are always
-// fresh and own their memory.
+// until the handler returns.
 //
 // Declared element counts are checked against the bytes present before
 // anything is sized from them, so a datagram costs memory in proportion
@@ -330,8 +328,7 @@ func DecodeInto(in *Inbox, data []byte, cellBytes int) (Message, error) {
 		}
 		return m, nil
 	default:
-		// Swarm discovery messages (see discovery.go).
-		return decodeDiscovery(typ, r)
+		return nil, fmt.Errorf("%w: %d", ErrBadType, typ)
 	}
 }
 
@@ -347,6 +344,15 @@ func (r *reader) bytes(dst []byte) bool {
 	copy(dst, r.buf[:len(dst)])
 	r.buf = r.buf[len(dst):]
 	return true
+}
+
+func (r *reader) uint16() (uint16, bool) {
+	if len(r.buf) < 2 {
+		return 0, false
+	}
+	v := binary.BigEndian.Uint16(r.buf[:2])
+	r.buf = r.buf[2:]
+	return v, true
 }
 
 func (r *reader) uint32() (uint32, bool) {

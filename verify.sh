@@ -108,6 +108,15 @@ echo "$out"
 echo "$out" | grep -q '^total restarts: [1-9]' || { echo "swarm kill smoke: nothing was restarted" >&2; exit 1; }
 echo "$out" | grep -Eq '^2 +8/8 ' || { echo "swarm kill smoke: slot 2 did not harvest 8/8 reports" >&2; exit 1; }
 
+# The run EXPERIMENTS.md quotes: 32 nodes, 10% killed 100 ms into each
+# slot. Here 31 peers, not 7, must learn each successor's new address from
+# the supervisor.
+echo "== swarm kill/restart at 32 nodes (33 processes, 3 slots, 10% killed per slot)"
+out=$(go run ./cmd/pandas-swarm -n 32 -slots 3 -kill 0.1 -timeout 120s -q)
+echo "$out"
+echo "$out" | grep -q '^total restarts: [1-9]' || { echo "swarm 32-node kill run: nothing was restarted" >&2; exit 1; }
+[ "$(echo "$out" | grep -Ec '^[1-3] +32/32 ')" -eq 3 ] || { echo "swarm 32-node kill run: a slot did not harvest 32/32 reports" >&2; exit 1; }
+
 # Hand-launched static-peers mode: nothing drives the nodes but the
 # builder's seeds, so slot 2 completing on every node shows they follow it.
 # -k 4 -custody 8 gives every node every line, so three nodes cover all.
