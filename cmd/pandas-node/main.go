@@ -19,27 +19,17 @@ package main
 
 import (
 	"bufio"
-	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"pandas/internal/blob"
-	"pandas/internal/gateway"
-	"pandas/internal/kzg"
 	"pandas/internal/obsv"
 	"pandas/internal/swarm"
-	"pandas/internal/wire"
 )
 
 func main() {
@@ -62,7 +52,6 @@ func run(args []string) error {
 		samples   = fs.Int("samples", 6, "random cells sampled per slot")
 		slotGap   = fs.Duration("slot-gap", 12*time.Second, "time between slots")
 		metrics   = fs.String("metrics", "", "serve Prometheus text metrics at http://ADDR/metrics (e.g. :9464)")
-		gwAddr    = fs.String("gateway", "", "serve light-client sampling queries at http://ADDR/v1/cell (non-builder only)")
 		swarmSup  = fs.String("swarm", "", "run as a swarm worker of the supervisor listening on TCP ADDR (config arrives over that connection and the worker exits when it ends; only -index applies)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -116,19 +105,7 @@ func run(args []string) error {
 	// the seed exactly as a swarm worker does, so a hand-launched node and
 	// a swarm node with the same seed agree on who is who. A node follows
 	// the builder from slot to slot; each slot yields one report line.
-	var h *swarm.Host
-	var gw *gateway.Gateway
-	if *gwAddr != "" && !*builder {
-		gw, err = gateway.New(gateway.Config{Metrics: reg, Node: int32(*index),
-			Upstream: gateway.UpstreamFunc(func(ctx context.Context, slot uint64, id blob.CellID) (wire.Cell, error) {
-				return peek(ctx, h, slot, id)
-			})})
-		if err != nil {
-			return err
-		}
-		defer gw.Close()
-	}
-	h, err = swarm.NewHost(swarm.HostOptions{Config: cfg, Seed: *seed, Nodes: nNodes, Index: *index,
+	h, err := swarm.NewHost(swarm.HostOptions{Config: cfg, Seed: *seed, Nodes: nNodes, Index: *index,
 		Bind: addrs[*index], Outcome: func(o swarm.Outcome) {
 			if *builder {
 				fmt.Printf("slot %d: seeded %d cells in %d messages (%d KB) to %d nodes\n", o.Slot,
@@ -138,9 +115,6 @@ func run(args []string) error {
 			m := o.Metrics
 			fmt.Printf("slot %d: seed=%v consolidated=%v sampled=%v\n",
 				o.Slot, m.HasSeed, m.Consolidated, m.Sampled)
-			if gw != nil {
-				gw.StartSlot(o.Slot, kzg.Commitment{}) // advances the cache's retention window
-			}
 		}})
 	if err != nil {
 		return err
@@ -188,113 +162,8 @@ func run(args []string) error {
 	fmt.Printf("ready index=%d addr=%s custody=%v samples=%d\n",
 		*index, ep.Addr(), h.Table.Assignment(*index).Lines(), cfg.Samples)
 
-	if gw != nil {
-		go func() {
-			if err := http.ListenAndServe(*gwAddr, gatewayMux(gw, cfg.Blob.N())); err != nil {
-				fmt.Fprintln(os.Stderr, "pandas-node: gateway server:", err)
-			}
-		}()
-		fmt.Printf("sampling gateway at http://%s/v1/cell?slot=S&row=R&col=C\n", *gwAddr)
-	}
-
 	drain(<-sigc)
 	return nil
-}
-
-// peek is the gateway's upstream: light clients query (slot, row, col)
-// over HTTP; the gateway coalesces and caches so the node's event loop
-// sees one Peek per distinct cell, not one per client. Cells in the node's
-// custody store were verified on arrival, so the gateway serves them
-// without re-proving.
-func peek(ctx context.Context, h *swarm.Host, slot uint64, id blob.CellID) (wire.Cell, error) {
-	type peeked struct {
-		cell wire.Cell
-		err  error
-	}
-	ch := make(chan peeked, 1)
-	h.Endpoint.Run(func() {
-		// The custody store only ever holds the node's CURRENT slot;
-		// serving a query for any other slot from it would hand out
-		// current-slot bytes mislabeled (and cached) as that slot. Checked
-		// on the event loop, where the slot advances.
-		if slot != h.Slot() {
-			ch <- peeked{err: fmt.Errorf("slot %d not in custody (current slot %d)", slot, h.Slot())}
-			return
-		}
-		c, ok := h.Node.Store().Peek(id)
-		if !ok {
-			ch <- peeked{err: fmt.Errorf("cell %v not in custody", id)}
-			return
-		}
-		if c.Data != nil {
-			// Peek aliases custody state that the node loop may replace
-			// at the next slot; the gateway retains cells in its cache, so
-			// take a private copy here.
-			c.Data = append([]byte(nil), c.Data...)
-		}
-		ch <- peeked{cell: c}
-	})
-	select {
-	case r := <-ch:
-		return r.cell, r.err
-	case <-ctx.Done():
-		return wire.Cell{}, ctx.Err()
-	}
-}
-
-// gatewayMux serves /v1/cell?slot=S&row=R&col=C from the gateway; n is the
-// extended matrix width.
-func gatewayMux(gw *gateway.Gateway, n int) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/cell", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		qslot, err1 := strconv.ParseUint(q.Get("slot"), 10, 64)
-		row, err2 := strconv.Atoi(q.Get("row"))
-		col, err3 := strconv.Atoi(q.Get("col"))
-		if err1 != nil || err2 != nil || err3 != nil || row < 0 || row >= n || col < 0 || col >= n {
-			http.Error(w, fmt.Sprintf("need slot, row, col (0..%d)", n-1), http.StatusBadRequest)
-			return
-		}
-		cell, qerr := gw.Query(r.Context(), clientKey(r.RemoteAddr), qslot,
-			blob.CellID{Row: uint16(row), Col: uint16(col)})
-		if qerr != nil {
-			var ra *gateway.RetryAfterError
-			if errors.As(qerr, &ra) {
-				secs := int(ra.After.Seconds() + 0.999)
-				if secs < 1 {
-					secs = 1
-				}
-				w.Header().Set("Retry-After", strconv.Itoa(secs))
-				http.Error(w, qerr.Error(), http.StatusTooManyRequests)
-				return
-			}
-			http.Error(w, qerr.Error(), http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(map[string]any{
-			"slot": qslot, "row": row, "col": col,
-			"data": cell.Data, "proof": cell.Proof[:],
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "pandas-node: gateway response:", err)
-		}
-	})
-	return mux
-}
-
-// clientKey folds a remote address into the gateway's per-client
-// fairness key. Only the host half counts — keying on the full
-// RemoteAddr (host:ephemeral-port) would grant a fresh MaxPerClient
-// budget per TCP connection, letting one client dodge fairness by
-// opening more connections.
-func clientKey(remoteAddr string) int {
-	host, _, err := net.SplitHostPort(remoteAddr)
-	if err != nil {
-		host = remoteAddr
-	}
-	h := fnv.New32a()
-	h.Write([]byte(host))
-	return int(h.Sum32())
 }
 
 func readPeers(path string) ([]string, error) {

@@ -23,6 +23,18 @@ func TestRunRejectsBadLists(t *testing.T) {
 			t.Fatalf("accepted %v", args)
 		}
 	}
+	// The retired sampling-gateway experiment and its load-model flags.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "gateway", "-small"}, `unknown experiment "gateway"`},
+		{[]string{"-exp", "fig9", "-small", "-clients", "5"}, "flag provided but not defined: -clients"},
+	} {
+		if err := run(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%v: err = %v, want %q", c.args, err, c.want)
+		}
+	}
 }
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
@@ -68,7 +80,7 @@ func TestCSVExport(t *testing.T) {
 func TestListIsRegistryGenerated(t *testing.T) {
 	// run prints to stdout; assert on the library output it uses.
 	out := listOutput()
-	for _, name := range []string{"fig9", "byzantine", "gateway", "scale"} {
+	for _, name := range []string{"fig9", "byzantine", "scale", "swarm"} {
 		if !strings.Contains(out, name) {
 			t.Fatalf("-list output missing %q:\n%s", name, out)
 		}

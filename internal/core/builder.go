@@ -229,9 +229,10 @@ func (t *rowTracker) waitFor(r int) {
 func (b *Builder) Commitment() kzg.Commitment { return b.commitment }
 
 // CellPayload returns the wire cell for an id directly from the
-// builder's prepared blob — the authoritative last-resort source the
-// sampling gateway's upstream falls back to when no custody node holds
-// the cell. It reports false in metadata mode (no prepared blob).
+// builder's prepared blob: the builder-side oracle the benchmark and the
+// core tests read cells from, to spot-verify proofs, build probe inputs
+// and check what nodes stored. It reports false in metadata mode (no
+// prepared blob).
 // The returned Data aliases the builder's extended matrix; callers
 // must treat it as read-only (same contract as Store.Peek).
 func (b *Builder) CellPayload(id blob.CellID) (wire.Cell, bool) {

@@ -50,8 +50,8 @@ func (c *Cluster) setupAdversary(cc ClusterConfig) {
 		c.advRng = rand.New(rand.NewSource(cc.Seed ^ faultSalt))
 		for _, f := range adv.Faults {
 			if f.Kind == adversary.FaultPartition {
-				// Indexed by simulator address; endpoints past cc.N (the
-				// builder, gateway attachments) are never partitioned.
+				// Indexed by simulator address; the builder, past cc.N, is
+				// never partitioned.
 				c.partitioned = make([]bool, cc.N)
 				inPart := func(i int) bool {
 					return i >= 0 && i < len(c.partitioned) && c.partitioned[i]

@@ -69,7 +69,7 @@ func titleAndColumns(rendered string) string {
 	return lines[0] + "\n" + strings.Join(strings.Fields(lines[1]), " ") + "\n"
 }
 
-// TestRenderGoldenShape covers the three experiments whose cells are
+// TestRenderGoldenShape covers the two experiments whose cells are
 // measured, not simulated.
 func TestRenderGoldenShape(t *testing.T) {
 	o := TestOptions()
@@ -79,14 +79,6 @@ func TestRenderGoldenShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "scale", titleAndColumns(sc.Render()))
-
-	gopts, gwo := gatewayTestOptions()
-	gopts.Slots = 1
-	gw, err := GatewayLoad(gopts, gwo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "gateway", titleAndColumns(gw.Render()))
 
 	sw := &swarm.Result{N: 4, Slots: 1, Seed: 7, Geometry: swarm.DefaultGeometry(),
 		SlotResults: []swarm.SlotResult{{Slot: 1}}}

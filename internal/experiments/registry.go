@@ -35,20 +35,13 @@ type Params struct {
 	Trials int
 	// Behavior is the byzantine behavior under test.
 	Behavior adversary.Behavior
-	// Clients, QueriesPerClient, Zipf drive the gateway load model.
-	Clients          int
-	QueriesPerClient int
-	Zipf             float64
 }
 
 // DefaultParams returns the parameter defaults the old CLI flags used.
 func DefaultParams() Params {
 	return Params{
-		Trials:           20000,
-		Behavior:         adversary.Silent,
-		Clients:          100_000,
-		QueriesPerClient: 3,
-		Zipf:             1.2,
+		Trials:   20000,
+		Behavior: adversary.Silent,
 	}
 }
 
@@ -110,19 +103,6 @@ func (b *FlagBinder) Behavior() {
 	b.bind("behavior", func() {
 		b.fs.Var(&behaviorValue{dst: &b.p.Behavior}, "behavior",
 			"byzantine behavior: silent laggard garbage")
-	})
-}
-
-// Gateway binds the gateway load-model flags.
-func (b *FlagBinder) Gateway() {
-	b.bind("clients", func() {
-		b.fs.IntVar(&b.p.Clients, "clients", b.p.Clients, "gateway: concurrent synthetic light clients per slot")
-	})
-	b.bind("queries", func() {
-		b.fs.IntVar(&b.p.QueriesPerClient, "queries", b.p.QueriesPerClient, "gateway: sampling queries per client per slot")
-	})
-	b.bind("zipf", func() {
-		b.fs.Float64Var(&b.p.Zipf, "zipf", b.p.Zipf, "gateway: zipf exponent of cell popularity (>1)")
 	})
 }
 
@@ -300,13 +280,6 @@ func init() {
 	register(Experiment{Name: "byzantine", Desc: "byzantine-fraction sweep only",
 		Flags: func(b *FlagBinder) { b.Behavior(); b.Fractions() },
 		Run:   func(o Options, p *Params) (*Result, error) { return Byzantine(o, p.Behavior, p.Fractions) }})
-	register(Experiment{Name: "gateway", Desc: "sampling-gateway load: coalescing/cache under 100k+ light clients",
-		Flags: func(b *FlagBinder) { b.Gateway() },
-		Run: func(o Options, p *Params) (*Result, error) {
-			return GatewayLoad(o, GatewayLoadOptions{
-				Clients: p.Clients, QueriesPerClient: p.QueriesPerClient, ZipfS: p.Zipf,
-			})
-		}})
 	register(Experiment{Name: "scale", Desc: "simulator capacity: bytes/node, event throughput, deadline rate vs N",
 		Flags: func(b *FlagBinder) { b.Sizes() },
 		Run:   func(o Options, p *Params) (*Result, error) { return Scale(o, p.Sizes) }})

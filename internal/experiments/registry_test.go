@@ -10,7 +10,7 @@ import (
 func TestRegistryCoversAllExperiments(t *testing.T) {
 	want := []string{"fig9", "fig10", "table1", "fig11", "fig12", "fig13", "fig14",
 		"fig15a", "fig15b", "churn", "ablation", "validate", "confidence",
-		"adversary", "withholding", "byzantine", "gateway", "scale", "swarm", "all"}
+		"adversary", "withholding", "byzantine", "scale", "swarm", "all"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d: %v", len(got), len(want), got)
@@ -37,7 +37,7 @@ func TestRegistryListText(t *testing.T) {
 		}
 	}
 	// Flag annotations come from the declared hooks.
-	for _, frag := range []string{"-sizes", "-fractions", "-rates", "-behavior", "-clients"} {
+	for _, frag := range []string{"-sizes", "-fractions", "-rates", "-behavior", "-trials"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("ListText missing flag %q:\n%s", frag, out)
 		}

@@ -13,7 +13,7 @@ import (
 // what a row of its table is computed from. The distributions hold one
 // entry per eligible node-slot (never-completed phases count as
 // failures); they are nil in a sample that pooled no node outcomes
-// (confidence, gateway), which then carries Values only.
+// (confidence, table1's rounds), which then carries Values only.
 type Sample struct {
 	// Label names the configuration: the row's first cell.
 	Label string
@@ -28,7 +28,7 @@ type Sample struct {
 	Msgs, Bytes  *obsv.Scalar       // fetch traffic per node, both directions
 
 	// Values holds the row's numbers that are not node outcomes (builder
-	// bytes, lifecycle events, gateway counters), by name.
+	// bytes, lifecycle events, simulator heap and event counts), by name.
 	Values map[string]float64
 }
 

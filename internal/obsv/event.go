@@ -79,18 +79,6 @@ const (
 	// KindFaultStop marks the matching fault clearing; fields mirror
 	// KindFaultStart.
 	KindFaultStop
-	// KindGatewayQuery is a light-client sampling query received by a
-	// gateway frontend. Node is the gateway's id (-1 for a standalone
-	// gateway), Peer the client id, Count the cells requested (1).
-	KindGatewayQuery
-	// KindGatewayCacheHit is a gateway query answered from the hot-cell
-	// cache without touching the upstream node. Peer is the client id.
-	KindGatewayCacheHit
-	// KindGatewayCoalesced is a gateway query that joined an in-flight
-	// upstream fetch for the same cell instead of issuing its own. Peer
-	// is the client id, Aux the number of waiters sharing the fetch so
-	// far (including this one).
-	KindGatewayCoalesced
 )
 
 // String implements fmt.Stringer.
@@ -132,12 +120,6 @@ func (k Kind) String() string {
 		return "fault-start"
 	case KindFaultStop:
 		return "fault-stop"
-	case KindGatewayQuery:
-		return "gateway-query"
-	case KindGatewayCacheHit:
-		return "gateway-cache-hit"
-	case KindGatewayCoalesced:
-		return "gateway-coalesced"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}

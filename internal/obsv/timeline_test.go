@@ -2,7 +2,9 @@ package obsv
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -116,15 +118,90 @@ func TestReadJSONLSkipsBlankLines(t *testing.T) {
 	}
 }
 
+// TestKindStrings pins the trace-kind taxonomy. A JSONL trace stores
+// Event.Kind as its number, so renumbering a kind silently relabels every
+// trace already on disk: each value keeps its name for good.
 func TestKindStrings(t *testing.T) {
-	for k := KindSlotStart; k <= KindDHTMsg; k++ {
-		if s := k.String(); s == "" || s[0] == 'K' {
-			t.Errorf("Kind(%d).String() = %q", k, s)
+	for _, c := range []struct {
+		kind Kind
+		num  uint8
+		name string
+	}{
+		{KindSlotStart, 1, "slot-start"},
+		{KindSeedSent, 2, "seed-sent"},
+		{KindCellsReceived, 3, "cells-received"},
+		{KindRoundStarted, 4, "round-started"},
+		{KindBoostPromotion, 5, "boost-promotion"},
+		{KindPeerTimeout, 6, "peer-timeout"},
+		{KindPeerRecovered, 7, "peer-recovered"},
+		{KindPeerDemoted, 8, "peer-demoted"},
+		{KindConsolidated, 9, "consolidated"},
+		{KindSampleVerdict, 10, "sample-verdict"},
+		{KindViewRefresh, 11, "view-refresh"},
+		{KindChurnEvent, 12, "churn-event"},
+		{KindGossipMsg, 13, "gossip-msg"},
+		{KindDHTMsg, 14, "dht-msg"},
+		{KindWithheldCell, 15, "withheld-cell"},
+		{KindCorruptReject, 16, "corrupt-reject"},
+		{KindFaultStart, 17, "fault-start"},
+		{KindFaultStop, 18, "fault-stop"},
+	} {
+		if uint8(c.kind) != c.num || Kind(c.num).String() != c.name {
+			t.Errorf("kind %d: value %d, name %q; want %d %q", c.num, uint8(c.kind), Kind(c.num).String(), c.num, c.name)
+		}
+		var buf bytes.Buffer
+		if err := WriteJSONL(&buf, []Event{{Kind: c.kind}}); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf(`"kind":%d,`, c.num); !strings.Contains(buf.String(), want) {
+			t.Errorf("%s encodes as %s, want %s", c.name, buf.String(), want)
+		}
+	}
+	for _, k := range []Kind{0, KindFaultStop + 1} {
+		if s, want := k.String(), fmt.Sprintf("Kind(%d)", uint8(k)); s != want {
+			t.Errorf("Kind(%d).String() = %q, want %q", uint8(k), s, want)
 		}
 	}
 	for _, op := range []ChurnOp{ChurnJoin, ChurnRestart, ChurnLeave, ChurnCrash} {
 		if s := op.String(); s == "" || s[0] == 'C' {
 			t.Errorf("%d.String() = %q", op, s)
+		}
+	}
+}
+
+// TestReadJSONLRetiredKinds: kinds 19-21 were the light-client sampling
+// gateway's (query, cache hit, coalesced), which pandas-node stamped with
+// its own node index. A trace written before the gateway was retired
+// still loads, its gateway lines read as unnamed kinds, and they change
+// no phase a timeline reconstructs.
+func TestReadJSONLRetiredKinds(t *testing.T) {
+	fixture := traceFixture()
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, fixture); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString(`{"seq":10,"at":300000000,"slot":1,"kind":19,"node":0,"peer":42,"count":1}` + "\n")
+	buf.WriteString(`{"seq":11,"at":310000000,"slot":1,"kind":20,"node":0,"peer":42}` + "\n")
+	buf.WriteString(`{"seq":12,"at":320000000,"slot":1,"kind":21,"node":1,"peer":7,"aux":2}` + "\n")
+	events, err := ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != len(fixture)+3 {
+		t.Fatalf("read %d events, want %d", len(events), len(fixture)+3)
+	}
+	for i, e := range events[len(fixture):] {
+		if want := fmt.Sprintf("Kind(%d)", 19+i); e.Kind.String() != want {
+			t.Errorf("retired kind reads as %q, want %q", e.Kind, want)
+		}
+	}
+	with, without := NewTimeline(events).Slot(1), NewTimeline(fixture).Slot(1)
+	if !reflect.DeepEqual(with, without) {
+		t.Fatalf("retired kinds changed the timeline:\nwith:    %+v\nwithout: %+v", with, without)
+	}
+	for _, p := range []Phase{PhaseSeed, PhaseConsolidation, PhaseSampling} {
+		if a, b := with.Durations(p, nil), without.Durations(p, nil); !reflect.DeepEqual(a, b) {
+			t.Errorf("Durations(%s) = %v with retired kinds, %v without", p, a, b)
 		}
 	}
 }

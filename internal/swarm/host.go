@@ -107,9 +107,6 @@ func (h *Host) StartSlot(slot uint64) {
 	h.Endpoint.Run(func() { h.startSlot(slot) })
 }
 
-// Slot returns the slot the host is on (0 = none yet). Event loop only.
-func (h *Host) Slot() uint64 { return h.slot }
-
 func (h *Host) dispatch(from, size int, payload any) {
 	if h.Node == nil {
 		return

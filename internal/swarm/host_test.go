@@ -125,7 +125,7 @@ func TestHostsFollowTheBuilder(t *testing.T) {
 		} {
 			hosts[1].dispatch(nodes, m.WireSize(cfg.Blob.CellBytes), m)
 		}
-		slotNow <- hosts[1].Slot()
+		slotNow <- hosts[1].slot
 	})
 	if s := <-slotNow; s != 3 {
 		t.Fatalf("forged or stale seeds moved node 1 to slot %d", s)

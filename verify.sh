@@ -33,16 +33,15 @@ go test ./...
 # Fixed-seed outputs must not depend on goroutine scheduling or map
 # order: run the tests that pin them five more times on one and two CPUs,
 # so an output that moves one run in ten fails here.
-echo "== fixed-seed tests x5 at -cpu 1,2 (experiments, core, baseline, gateway)"
+echo "== fixed-seed tests x5 at -cpu 1,2 (experiments, core, baseline)"
 go test -run 'Deterministic|Golden' -count=5 -cpu 1,2 \
-	./internal/experiments ./internal/core ./internal/baseline ./internal/gateway
+	./internal/experiments ./internal/core ./internal/baseline
 
-echo "== go test -race (membership, core, fetch, blob, rs, gf65536, kzg, obsv, transport, wire, adversary, gateway, simnet, swarm)"
+echo "== go test -race (membership, core, fetch, blob, rs, gf65536, kzg, obsv, transport, wire, adversary, simnet, swarm)"
 go test -race ./internal/membership ./internal/core ./internal/fetch \
 	./internal/blob ./internal/rs ./internal/gf65536 ./internal/kzg \
 	./internal/obsv ./internal/transport ./internal/wire \
-	./internal/adversary ./internal/gateway ./internal/simnet \
-	./internal/swarm
+	./internal/adversary ./internal/simnet ./internal/swarm
 
 # The purego tag compiles out the AVX-512 kernels: the scalar butterflies
 # and multiplies every non-AVX-512 machine runs, which both encode and
