@@ -303,8 +303,18 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 
 	// Phase 1: decide, per cell, which of its two lines carries it.
 	// Cells are seeded exactly once per copy set (140 MB for "single",
-	// not 280), matching the paper's budget figures. The coin flip keeps
-	// both row and column holders supplied.
+	// not 280), matching the paper's budget figures. The seeded square
+	// (the whole matrix, or the base quadrant under the minimal policy)
+	// is cut into quadrants: rows carry the top-left and bottom-right
+	// ones, columns the other two. Every line then carries one contiguous
+	// half of its seeded positions, so a parcel is a run of adjacent
+	// positions and its boost entry names exactly the cells it holds:
+	// nodes count their own parcels as good as received and ask the
+	// holders of the others for precisely those cells.
+	mid := n / 2
+	if b.cfg.Policy == PolicyMinimal {
+		mid = half / 2
+	}
 	perLine := make(map[blob.Line][]int) // line -> positions carried by it
 	hasHolders := make(map[blob.Line]bool, 2*n)
 	lineHasHolders := func(l blob.Line) bool {
@@ -322,15 +332,15 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 		}
 		rowL := blob.Line{Kind: blob.Row, Index: id.Row}
 		colL := blob.Line{Kind: blob.Col, Index: id.Col}
-		// Carry the cell on one of its two lines, chosen by coin flip so
-		// both row and column holders are supplied — but never on a line
-		// with no known holders (possible at small scales or with
+		// Carry the cell on the line its quadrant names — but never on a
+		// line with no known holders (possible at small scales or with
 		// restricted views), which would silently lose the cell.
 		rowOK, colOK := lineHasHolders(rowL), lineHasHolders(colL)
+		byRow := (int(id.Row) < mid) == (int(id.Col) < mid)
 		var l blob.Line
 		var pos int
 		switch {
-		case rowOK && (!colOK || b.rng.Intn(2) == 0):
+		case rowOK && (!colOK || byRow):
 			l, pos = rowL, int(id.Col)
 		case colOK:
 			l, pos = colL, int(id.Row)
@@ -406,13 +416,25 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 					// transmission time (see transmit).
 					nodeCells[rcpt] = append(nodeCells[rcpt], cellOnLine(line, pos))
 				}
-				if rank := b.table.HolderRank(line, rcpt); rank >= 0 {
+				rank := b.table.HolderRank(line, rcpt)
+				if rank < 0 {
+					continue
+				}
+				// One entry per run of adjacent positions: a parcel is a
+				// single run unless withholding or a holderless crossing
+				// line took cells out of its half.
+				for run := chunk; len(run) > 0; {
+					k := 1
+					for k < len(run) && run[k] == run[k-1]+1 {
+						k++
+					}
 					lineBoost[line] = append(lineBoost[line], wire.BoostEntry{
 						Line:      line,
 						HolderRef: uint16(rank),
-						Start:     uint16(chunk[0]),
-						Count:     uint16(len(chunk)),
+						Start:     uint16(run[0]),
+						Count:     uint16(k),
 					})
+					run = run[k:]
 				}
 			}
 		}
@@ -462,7 +484,8 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	}
 	// Build every node's chunk sequence. Boost-only chunks go FIRST: the
 	// consolidation-boost map tells the node which cells are already on
-	// their way to it, so its first fetch plan must see the complete map.
+	// their way to it, so its first fetch plan must see the complete map:
+	// the node plans round 1 at its first cell datagram.
 	// Boost chunks never span two lines — a datagram's Boost field is a
 	// subslice of one line's shared entry list, so chunking stays
 	// copy-free (at the cost of one datagram per held line instead of a

@@ -176,6 +176,82 @@ func TestBuilderBoostEntriesResolve(t *testing.T) {
 	}
 }
 
+// TestBuilderBoostMapIsExact pins that the consolidation-boost map names
+// exactly the cells each holder was sent: every position of every entry
+// reached the holder it names, and per holder the entries add up to the
+// cells it received. Nodes plan round 1 on this map, and count their own
+// parcels as good as received. With every line held, each line carries
+// exactly half of its seeded positions. Withholding and a network too
+// small for every line to have a holder break parcels into runs, and the
+// map must stay exact there too.
+func TestBuilderBoostMapIsExact(t *testing.T) {
+	cases := []struct {
+		name     string
+		policy   Policy
+		n        int
+		withhold bool
+	}{
+		{"single", PolicySingle, 60, false},
+		{"redundant", PolicyRedundant, 60, false},
+		{"minimal", PolicyMinimal, 60, false},
+		{"withholding", PolicyRedundant, 60, true},
+		{"holderless-lines", PolicySingle, 6, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := TestConfig()
+			cfg.Policy = tc.policy
+			b, table, tr := builderFixture(t, cfg, tc.n)
+			width := cfg.Blob.N()
+			if tc.withhold {
+				b.SetWithholding(func(id blob.CellID) bool { return (int(id.Row)+int(id.Col))%5 == 0 })
+			}
+			b.SeedSlot(1)
+			got := make(map[int]map[blob.CellID]bool)
+			entries := make(map[wire.BoostEntry]bool)
+			for _, s := range tr.sends {
+				m := s.payload.(*wire.Seed)
+				for _, c := range m.Cells {
+					if got[s.to] == nil {
+						got[s.to] = make(map[blob.CellID]bool)
+					}
+					got[s.to][c.ID] = true
+				}
+				for _, e := range m.Boost {
+					entries[e] = true
+				}
+			}
+			claimed := make(map[int]int)
+			perLine := make(map[blob.Line]int)
+			for e := range entries {
+				holder := table.HolderAt(e.Line, int(e.HolderRef))
+				for pos := int(e.Start); pos < int(e.Start)+int(e.Count); pos++ {
+					if id := cellOnLine(e.Line, pos); !got[holder][id] {
+						t.Fatalf("entry %+v claims cell %v, never sent to holder %d", e, id, holder)
+					}
+				}
+				claimed[holder] += int(e.Count)
+				perLine[e.Line] += int(e.Count)
+			}
+			for holder, cells := range got {
+				if claimed[holder] != len(cells) {
+					t.Fatalf("holder %d received %d cells, its entries name %d", holder, len(cells), claimed[holder])
+				}
+			}
+			if tc.policy != PolicySingle || tc.n < 60 {
+				return
+			}
+			for i := 0; i < width; i++ {
+				for _, l := range []blob.Line{{Kind: blob.Row, Index: uint16(i)}, {Kind: blob.Col, Index: uint16(i)}} {
+					if len(table.Holders(l)) > 0 && perLine[l] != cfg.Blob.K {
+						t.Fatalf("line %v carries %d cells, want %d", l, perLine[l], cfg.Blob.K)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestBuilderWithholdingReport(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Policy = PolicySingle

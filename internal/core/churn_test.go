@@ -186,7 +186,7 @@ func TestChurnRestartResumesCustodyEmptyStore(t *testing.T) {
 // timeout it reported would put a live peer into backoff for its next
 // lifetime.
 func TestChurnCrashedNodeRunsNothing(t *testing.T) {
-	const crashAt, restartAt = 300 * time.Millisecond, 2500 * time.Millisecond
+	const crashAt, restartAt = 200 * time.Millisecond, 2500 * time.Millisecond
 	ring := obsv.MustRing(obsv.DefaultRingSize)
 	c := smallCluster(t, 80, func(cc *ClusterConfig) {
 		cc.Core.Recorder = ring

@@ -105,10 +105,10 @@ type Node struct {
 	seedChunks int
 	seedDone   bool
 	// promised holds cells the builder's CB map says are being seeded to
-	// THIS node; they are excluded from fetching until the seed batch
-	// completes or goes quiet (pipelining: fetch what peers have while
-	// the builder is still transmitting, without re-requesting what is
-	// already on its way).
+	// THIS node and that have not landed yet; they are excluded from
+	// fetching until the seed batch completes or goes quiet (pipelining:
+	// fetch what peers have while the builder is still transmitting,
+	// without re-requesting what is already on its way).
 	promised map[blob.CellID]bool
 	// outstanding lists the in-flight requests; unexpired entries count
 	// toward the redundancy target so rounds do not re-request what is
@@ -246,7 +246,8 @@ func (n *Node) Samples() []blob.CellID { return n.samples }
 // StartSlot resets per-slot state: recomputes nothing (the assignment
 // lives in the shared epoch table), resets the store in place, and draws
 // the slot's random sample set. Fetching starts at the first seed
-// datagram, or when the fallback timer (3x SeedWait) fires with none.
+// datagram that carries cells (see onSeed), or when the fallback timer
+// (3x SeedWait) fires with no seed datagram at all.
 func (n *Node) StartSlot(slot uint64) {
 	n.slot = slot
 	n.gen++
@@ -433,10 +434,12 @@ func (n *Node) onSeed(m *wire.Seed) {
 			// Once the seed flow is over (batch complete, or the watchdog
 			// gave up on it) a straggling datagram promises nothing:
 			// recording it would keep its cells out of F for the rest of
-			// the slot.
+			// the slot. A cell already held is no promise either.
 			if !n.seedDone {
 				for pos := int(e.Start); pos < end; pos++ {
-					n.promised[cellOnLine(e.Line, pos)] = true
+					if id := cellOnLine(e.Line, pos); !n.store.Has(id) {
+						n.promised[id] = true
+					}
 				}
 			}
 			continue
@@ -450,10 +453,15 @@ func (n *Node) onSeed(m *wire.Seed) {
 		clear(n.promised)
 	}
 	// The reception of seed cells triggers consolidation and sampling
-	// (Fig. 5). Cells still being transmitted by the builder are excluded
-	// from F via the promised set, so the pipeline starts immediately
-	// without re-requesting in-flight seed data.
-	if !n.fetching && !n.done() {
+	// (Fig. 5): round 1 is planned at the first datagram that carries
+	// cells, or when the batch completes for a node seeded none. The
+	// builder sends a node's boost-only datagrams first, so by then the
+	// node holds the whole consolidation-boost map: every cell still on
+	// its way to it is excluded from F via the promised set, and every
+	// peer seeded with the rest is known. A boost-only datagram carries
+	// one line's map: a round planned there would re-request the seed
+	// cells of every other line.
+	if !n.fetching && !n.done() && (len(m.Cells) > 0 || n.seedDone) {
 		n.startFetch()
 	} else if n.fetching && n.seedDone {
 		n.updateCompletion()
@@ -646,10 +654,15 @@ func (n *Node) armFlush() {
 
 // cellLanded performs the bookkeeping for one newly present cell. Its
 // in-flight requests need none: a present cell is never in F again, so
-// they count toward nothing and expire where they are.
+// they count toward nothing and expire where they are. A promise it
+// kept is dropped: missingCells counts a line's held and promised cells
+// together, and a landed cell is held.
 func (n *Node) cellLanded(id blob.CellID, touched []bool) {
 	if n.pendingSmp[id] {
 		delete(n.pendingSmp, id)
+	}
+	if len(n.promised) > 0 {
+		delete(n.promised, id)
 	}
 	if reqs, ok := n.buffered[id]; ok {
 		full, _ := n.store.Peek(id)

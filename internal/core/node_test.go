@@ -66,8 +66,8 @@ func TestNodeSeedTriggersFetch(t *testing.T) {
 }
 
 func TestNodeIncompleteBatchPipelinesAndWatchdogExpiresPromises(t *testing.T) {
-	// Fetching is pipelined: it starts at the FIRST seed chunk, with
-	// cells the builder promised excluded from F. If the batch never
+	// Fetching is pipelined: it starts at the FIRST seed chunk that
+	// carries cells, with cells the builder promised excluded from F. If the batch never
 	// completes, the watchdog declares the seed flow done and releases
 	// the promises.
 	node, table, tr, cfg := nodeFixture(t, 60)
@@ -223,6 +223,112 @@ func TestNodePromisedCellsNotRequested(t *testing.T) {
 		if l.Contains(id) && int(positionOn(l, id)) < cfg.Blob.K {
 			t.Fatalf("promised cell %v still requested", id)
 		}
+	}
+}
+
+// TestNodePlansRoundOneOnWholeBoostMap pins when round 1 starts: not at a
+// boost-only datagram, which carries part of the consolidation-boost map,
+// but at the first datagram that carries cells, which the builder sends
+// after every boost datagram. Round 1 then skips every cell promised to
+// the node and asks the boosted peer for the cells seeded to it.
+func TestNodePlansRoundOneOnWholeBoostMap(t *testing.T) {
+	node, table, tr, cfg := nodeFixture(t, 60)
+	node.StartSlot(1)
+	k := cfg.Blob.K
+	l := table.Assignment(0).Lines()[0]
+	peer := -1
+	for _, h := range table.Holders(l) {
+		if h != 0 {
+			peer = h
+			break
+		}
+	}
+	if peer < 0 {
+		t.Fatalf("line %v has no other holder", l)
+	}
+	boost := &wire.Seed{Slot: 1, ChunkIndex: 0, ChunkCount: 3, Boost: []wire.BoostEntry{
+		{Line: l, HolderRef: uint16(table.HolderRank(l, 0)), Start: 0, Count: uint16(k)},
+		{Line: l, HolderRef: uint16(table.HolderRank(l, peer)), Start: uint16(k), Count: 4},
+	}}
+	node.HandleMessage(99, 100, boost)
+	if node.fetching || len(tr.sends) > 0 {
+		t.Fatal("a boost-only datagram started round 1")
+	}
+	cells := &wire.Seed{Slot: 1, ChunkIndex: 1, ChunkCount: 3, Cells: []wire.Cell{
+		{ID: cellOnLine(l, 0)}, {ID: cellOnLine(l, 1)},
+	}}
+	node.HandleMessage(99, 100, cells)
+	if !node.fetching {
+		t.Fatal("the first cell-carrying datagram did not start round 1")
+	}
+	askedPeer := 0
+	for _, s := range tr.sends {
+		q, ok := s.payload.(*wire.Query)
+		if !ok {
+			continue
+		}
+		for _, id := range q.Cells {
+			if !l.Contains(id) {
+				continue
+			}
+			pos := int(positionOn(l, id))
+			if pos < k {
+				t.Fatalf("round 1 asked peer %d for promised cell %v", s.to, id)
+			}
+			if pos < k+4 && s.to == peer {
+				askedPeer++
+			}
+		}
+	}
+	if askedPeer != 4 {
+		t.Fatalf("boosted peer %d asked for %d of its 4 seeded cells", peer, askedPeer)
+	}
+}
+
+// TestNodeBoostOnlyBatchStartsFetchWhenComplete covers a node the builder
+// seeded no cells: its batch is boost datagrams only, and round 1 starts
+// at the last of them.
+func TestNodeBoostOnlyBatchStartsFetchWhenComplete(t *testing.T) {
+	node, table, _, _ := nodeFixture(t, 60)
+	node.StartSlot(1)
+	lines := table.Assignment(0).Lines()
+	for i, l := range lines[:2] {
+		node.HandleMessage(99, 100, &wire.Seed{Slot: 1, ChunkIndex: uint16(i), ChunkCount: 2,
+			Boost: []wire.BoostEntry{{Line: l, HolderRef: uint16(table.HolderRank(l, 0)), Start: 0, Count: 2}}})
+		if want := i == 1; node.fetching != want {
+			t.Fatalf("after boost datagram %d of 2: fetching %v, want %v", i+1, node.fetching, want)
+		}
+	}
+}
+
+// TestNodePromiseEndsWhenCellLands pins that held and promised cells are
+// disjoint: missingCells counts a line's held and promised cells
+// together, so a promised cell that lands must leave the promised set,
+// and a promise for a cell already held is not recorded.
+func TestNodePromiseEndsWhenCellLands(t *testing.T) {
+	node, table, _, cfg := nodeFixture(t, 60)
+	node.StartSlot(1)
+	k := cfg.Blob.K
+	l := table.Assignment(0).Lines()[0]
+	early := cellOnLine(l, k-1)
+	node.HandleMessage(5, 100, &wire.Response{Slot: 1, Cells: []wire.Cell{{ID: early}}})
+	node.HandleMessage(99, 100, &wire.Seed{Slot: 1, ChunkIndex: 0, ChunkCount: 3,
+		Boost: []wire.BoostEntry{{Line: l, HolderRef: uint16(table.HolderRank(l, 0)), Start: 0, Count: uint16(k)}}})
+	if node.promised[early] || len(node.promised) != k-1 {
+		t.Fatalf("promised %d cells (held one included: %v), want %d", len(node.promised), node.promised[early], k-1)
+	}
+	m := &wire.Seed{Slot: 1, ChunkIndex: 1, ChunkCount: 3}
+	for pos := 0; pos < k/2; pos++ {
+		m.Cells = append(m.Cells, wire.Cell{ID: cellOnLine(l, pos)})
+	}
+	node.HandleMessage(99, 100, m)
+	for _, c := range m.Cells {
+		if node.promised[c.ID] {
+			t.Fatalf("landed cell %v still promised", c.ID)
+		}
+	}
+	if got, want := len(node.promised), k-1-k/2; got != want {
+		t.Fatalf("%d cells promised after %d landed, want %d", got, k/2, want)
 	}
 }
 
