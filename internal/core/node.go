@@ -157,11 +157,11 @@ type Node struct {
 	}
 
 	// Scratch buffers reused across calls on the event-loop hot paths
-	// (addCells, armFlush). All are cleared before use; none escape the
-	// call that fills them. Round planning works in a planScratch borrowed
-	// from planPool instead.
+	// (addCells, armFlush, the reply-deadline sweep). All are cleared
+	// before use; none escape the call that fills them. Round planning
+	// works in a planScratch borrowed from planPool instead.
 	touchedScr []bool // per custody line, in store line order
-	flushScr   []int
+	peerScr    []int  // a sorted list of peers
 
 	// obs maintains the current slot's metrics view and (optionally)
 	// traces protocol events through cfg.Recorder.
@@ -639,12 +639,12 @@ func (n *Node) armFlush() {
 	n.flushArmed = true
 	n.afterGuarded(flushDelay, func() {
 		n.flushArmed = false
-		recipients := n.flushScr[:0]
+		recipients := n.peerScr[:0]
 		for to := range n.pendingOut {
 			recipients = append(recipients, to)
 		}
 		slices.Sort(recipients)
-		n.flushScr = recipients
+		n.peerScr = recipients
 		for _, to := range recipients {
 			n.sendCells(to, n.pendingOut[to])
 		}
@@ -784,14 +784,21 @@ func (n *Node) fetchRound(first bool) {
 	// Sweep expired reply deadlines: a peer queried more than inflightTTL
 	// ago with no response of any kind is reported to the liveness scorer,
 	// which puts it into exponential backoff (and re-arms it later via the
-	// queryable-set sweep below).
+	// queryable-set sweep below). Expired peers are reported in ascending
+	// order, so a traced run is reproducible.
 	if n.liveness != nil {
 		now := n.tr.Now()
+		expired := n.peerScr[:0]
 		for peer, deadline := range n.awaitReply {
 			if now >= deadline {
-				delete(n.awaitReply, peer)
-				n.liveness.ReportTimeout(peer)
+				expired = append(expired, peer)
 			}
+		}
+		slices.Sort(expired)
+		n.peerScr = expired
+		for _, peer := range expired {
+			delete(n.awaitReply, peer)
+			n.liveness.ReportTimeout(peer)
 		}
 	}
 	if len(F) == 0 {

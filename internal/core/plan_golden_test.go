@@ -55,14 +55,7 @@ func TestPlanGolden(t *testing.T) {
 			// 112 of the empty-plan re-arms in the first slot, 9 and 129 in
 			// the second. At a fifth dead no live node passes round 5, and
 			// at three fifths they fire empty-plan re-arms only.
-			name: "sparse-dead-liveness", n: 150,
-			mutate: func(cc *ClusterConfig) {
-				cc.DeadFraction = 0.8
-				cc.Churn = &membership.Config{
-					Flash:           []membership.FlashEvent{{At: 3 * time.Second, Leave: 1}},
-					RefreshInterval: -1,
-				}
-			},
+			name: "sparse-dead-liveness", n: 150, mutate: sparseDeadLiveness,
 			check: func(t *testing.T, _ *Cluster, g goldenTotals) {
 				if g.rounds < 9 {
 					t.Fatalf("sparse regime: live nodes reached only %d rounds, the re-arm needs 9", g.rounds)
@@ -77,12 +70,7 @@ func TestPlanGolden(t *testing.T) {
 			// A fifth of the peers serve cells that fail verification, with
 			// real payloads and proposer signatures: rejected cells drop
 			// their in-flight markers and the liars are banned (badPeers).
-			name: "garbage-peers", n: 100, real: true,
-			mutate: func(cc *ClusterConfig) {
-				cc.Core.RealPayloads = true
-				cc.VerifySeeds = true
-				cc.Adversary = &adversary.Config{GarbageFraction: 0.2}
-			},
+			name: "garbage-peers", n: 100, real: true, mutate: garbagePeers,
 			check: func(t *testing.T, _ *Cluster, g goldenTotals) {
 				if g.rejects == 0 {
 					t.Fatal("garbage regime rejected no cell")
@@ -99,16 +87,7 @@ func TestPlanGolden(t *testing.T) {
 			if testing.Short() && tc.n > 1000 {
 				t.Skip("dense regime skipped in -short mode")
 			}
-			c := smallCluster(t, tc.n, tc.mutate)
-			if tc.real {
-				data := make([]byte, c.cfg.Core.Blob.BlobBytes())
-				for i := range data {
-					data[i] = byte(i * 31)
-				}
-				if err := c.Builder().PrepareBlob(data); err != nil {
-					t.Fatal(err)
-				}
-			}
+			c := goldenCluster(t, tc.n, tc.real, tc.mutate)
 			got := goldenRun(t, c, 2)
 			tc.check(t, c, got)
 			got.rejects = 0 // asserted above, not pinned
@@ -117,6 +96,38 @@ func TestPlanGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sparseDeadLiveness is TestPlanGolden's re-arm regime.
+func sparseDeadLiveness(cc *ClusterConfig) {
+	cc.DeadFraction = 0.8
+	cc.Churn = &membership.Config{
+		Flash:           []membership.FlashEvent{{At: 3 * time.Second, Leave: 1}},
+		RefreshInterval: -1,
+	}
+}
+
+// garbagePeers is TestPlanGolden's proof-reject regime.
+func garbagePeers(cc *ClusterConfig) {
+	cc.Core.RealPayloads = true
+	cc.VerifySeeds = true
+	cc.Adversary = &adversary.Config{GarbageFraction: 0.2}
+}
+
+// goldenCluster builds a regime's cluster; real gives the builder a blob.
+func goldenCluster(t *testing.T, n int, real bool, mutate func(*ClusterConfig)) *Cluster {
+	t.Helper()
+	c := smallCluster(t, n, mutate)
+	if real {
+		data := make([]byte, c.cfg.Core.Blob.BlobBytes())
+		for i := range data {
+			data[i] = byte(i * 31)
+		}
+		if err := c.Builder().PrepareBlob(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
 }
 
 // goldenTotals is a digest of every live node's metrics view over the run,
