@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"pandas/internal/obsv"
@@ -37,5 +39,30 @@ func TestTraceDeterministic(t *testing.T) {
 	first := tracedRegime(t, 150, false, sparseDeadLiveness)
 	if second := tracedRegime(t, 150, false, sparseDeadLiveness); !bytes.Equal(first, second) {
 		t.Fatalf("two runs traced differently (%d and %d bytes)", len(first), len(second))
+	}
+}
+
+// TestTraceGolden pins the SHA-256 of the JSONL trace of two slots in two
+// TestPlanGolden regimes. A change that moves, reorders, adds or drops an
+// event moves the digest, even where every metrics view stays the same.
+func TestTraceGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		real   bool
+		mutate func(*ClusterConfig)
+		want   string
+	}{
+		{"sparse-dead-liveness", 150, false, sparseDeadLiveness,
+			"639bcc0aa3c56a481681e7516a652f7b34a0290146abd79beda0fa7fdc8dcc7d"},
+		{"garbage-peers", 100, true, garbagePeers,
+			"1063e0c93346be0520e949bdf574bce25a79ee16572e2cc8ed93015058c591bb"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trace := tracedRegime(t, tc.n, tc.real, tc.mutate)
+			if got := fmt.Sprintf("%x", sha256.Sum256(trace)); got != tc.want {
+				t.Fatalf("trace changed (%d bytes):\n got  %s\n want %s", len(trace), got, tc.want)
+			}
+		})
 	}
 }
