@@ -259,9 +259,9 @@ func TestChurnComposesWithOutOfView(t *testing.T) {
 	// at most keep+1 peers, far below the full network.
 	views := make([]*membership.LiveView, n)
 	for i, node := range c.Nodes() {
-		lv, ok := node.View().(*membership.LiveView)
+		lv, ok := node.view.(*membership.LiveView)
 		if !ok {
-			t.Fatalf("node %d view is %T, want *membership.LiveView", i, node.View())
+			t.Fatalf("node %d view is %T, want *membership.LiveView", i, node.view)
 		}
 		views[i] = lv
 		if lv.Len() > n/2+1 {
@@ -336,7 +336,7 @@ func TestChurnViewRefreshDiscoversJoiner(t *testing.T) {
 		if i == joiner {
 			continue
 		}
-		if node.View().Contains(joiner) {
+		if node.view.Contains(joiner) {
 			know++
 		}
 	}

@@ -69,11 +69,11 @@ type Config struct {
 	Samples int
 	// Schedule drives adaptive fetching rounds.
 	Schedule fetch.Schedule
-	// SeedWait is the seed-wait period (400 ms): a node with no seed
-	// cells starts fetching 3 x SeedWait after StartSlot, and a node whose
-	// seed flow goes quiet before its batch completes gives up on the
-	// missing seed cells SeedWait after the last seed datagram and
-	// fetches them from peers.
+	// SeedWait is the seed-wait period (400 ms). It sets the seed-quiet
+	// deadline: 3 x SeedWait after StartSlot for a node that receives no
+	// seed datagram, then SeedWait after each datagram. A flow still
+	// incomplete at the deadline ends there, and the missing seed cells
+	// are fetched from peers.
 	SeedWait time.Duration
 	// Deadline is the sampling deadline from slot start (4 s).
 	Deadline time.Duration

@@ -62,6 +62,26 @@ type boostParcel struct {
 	start, count uint16
 }
 
+// phase is where a node is in its slot (Fig. 5). Only begin (down ->
+// waiting), startFetch (waiting -> fetching), pause (fetching -> waiting),
+// complete (-> done) and Stop (-> down) write it; a down node handles
+// nothing. The seed flow's open/over bit (seedOver, written by begin and
+// endSeedFlow) is the only other lifecycle state.
+type phase uint8
+
+const (
+	phaseDown phase = iota
+	phaseWaiting
+	phaseFetching
+	phaseDone
+)
+
+// ask is one peer's buffered query for a missing custody cell. The asks
+// for one cell chain through next, a 1-based index into Node.asks.
+type ask struct {
+	peer, next int32
+}
+
 // Node is one PANDAS participant: it custodies assigned rows/columns,
 // consolidates them from peers, answers custody queries, and samples
 // random cells — all per slot.
@@ -84,9 +104,15 @@ type Node struct {
 	verifySeeds bool
 	proposerPub ed25519.PublicKey
 
-	// Per-slot state. The maps are cleared and reused across slots (and
-	// the store reset in place) instead of reallocated: per-slot garbage
-	// is what caps how many nodes fit in one process.
+	// Lifecycle (see phase). gen increments on every begin and Stop, so
+	// timers armed in an earlier lifetime of the node never run.
+	phase    phase
+	seedOver bool
+	gen      uint64
+
+	// Per-slot state. The maps, tables and slices are cleared and reused
+	// across slots (and the store reset in place) instead of reallocated:
+	// per-slot garbage is what caps how many nodes fit in one process.
 	slot       uint64
 	store      *Store
 	samples    []blob.CellID
@@ -97,34 +123,25 @@ type Node struct {
 	// is queried at most once between re-arms of the queryable set: it is
 	// excluded while its round is not before lastRearm (see wasQueried).
 	queryRound stampTable
-	buffered   map[blob.CellID]map[int]bool
 	round      int
 	lastRearm  int
 	roundEnds  []time.Duration
-	fetching   bool
 	seedChunks int
-	seedDone   bool
-	// promised holds cells the builder's CB map says are being seeded to
-	// THIS node and that have not landed yet; they are excluded from
-	// fetching until the seed batch completes or goes quiet (pipelining:
-	// fetch what peers have while the builder is still transmitting,
-	// without re-requesting what is already on its way).
-	promised map[blob.CellID]bool
+	// seedQuietAt is the seed-quiet deadline (see armSeedQuiet).
+	seedQuietAt time.Duration
 	// outstanding lists the in-flight requests; unexpired entries count
 	// toward the redundancy target so rounds do not re-request what is
 	// already on its way.
 	outstanding []inflight
+	// askHead maps a missing custody cell (cellKey) to its chain of
+	// buffered asks, one per peer; the cell's landing serves the chain.
+	askHead stampTable
+	asks    []ask
 	// pendingOut coalesces responses to buffered queries: cells often
 	// land in bursts (seed chunks, reconstruction), and answering each
-	// arrival individually would multiply message counts. A short timer
-	// flushes the batch.
+	// arrival individually would multiply message counts. A short timer,
+	// armed when the first reply is owed, flushes the batch.
 	pendingOut map[int][]wire.Cell
-	flushArmed bool
-	// cbSeeded records, per assigned line, which positions the builder's
-	// CB map says were seeded SOMEWHERE; those are the cheap cells to
-	// fetch and are preferred when choosing which missing cells to
-	// request. One bitset per custody line, in store line order.
-	cbSeeded []uint64
 	// awaitReply tracks, per queried peer, the deadline by which SOME
 	// response must arrive before the peer is reported to the liveness
 	// scorer as timed out. Only maintained when liveness is set.
@@ -135,15 +152,9 @@ type Node struct {
 	// misbehavior, so the planner never asks the peer again this slot —
 	// including across the periodic queried-set re-arm sweeps.
 	badPeers map[int]bool
-	// gen invalidates timers armed for an earlier lifetime of this node:
-	// it increments on every StartSlot and Stop, so a node that crashes
-	// and restarts within the same slot does not execute stale callbacks.
-	gen uint64
 
-	// onDone is the slot-completion event (see OnSlotDone); doneFired
-	// records that it has fired since the last StartSlot.
-	onDone    func()
-	doneFired bool
+	// onDone is the slot-completion event (see OnSlotDone).
+	onDone func()
 
 	// seedSig remembers the proposer signature last verified for this
 	// node's current proposer key: every datagram of a seed batch carries
@@ -157,7 +168,7 @@ type Node struct {
 	}
 
 	// Scratch buffers reused across calls on the event-loop hot paths
-	// (addCells, armFlush, the reply-deadline sweep). All are cleared
+	// (addCells, flush, the reply-deadline sweep). All are cleared
 	// before use; none escape the call that fills them. Round planning
 	// works in a planScratch borrowed from planPool instead.
 	touchedScr []bool // per custody line, in store line order
@@ -198,9 +209,6 @@ func (n *Node) Metrics() NodeMetrics { return n.obs.View }
 // (membership.LiveView). Passing nil restores the complete view.
 func (n *Node) SetView(v membership.View) { n.view = v }
 
-// View returns the node's current view (nil means complete).
-func (n *Node) View() membership.View { return n.view }
-
 // SetLiveness installs peer-liveness scoring: query timeouts demote
 // peers and the fetch planner skips demoted ones. Passing nil disables
 // scoring.
@@ -224,10 +232,10 @@ func (n *Node) SetSeedVerification(pub ed25519.PublicKey) {
 func (n *Node) Index() int { return n.index }
 
 // afterGuarded schedules fn but drops it if the node has since been
-// restarted (StartSlot increments gen). Slot-number checks alone cannot
-// catch a crash+restart WITHIN one slot, and they also let a timer armed
-// near the end of slot s leak into slot s when the counter wraps around
-// a multi-slot run; the generation counter closes both holes.
+// restarted or stopped (gen moved). Slot-number checks alone cannot catch
+// a crash+restart WITHIN one slot, and they also let a timer armed near
+// the end of slot s leak into slot s when the counter wraps around a
+// multi-slot run; the generation counter closes both holes.
 func (n *Node) afterGuarded(d time.Duration, fn func()) {
 	g := n.gen
 	n.tr.After(d, func() {
@@ -243,14 +251,38 @@ func (n *Node) Store() *Store { return n.store }
 // Samples returns the cells selected for sampling this slot.
 func (n *Node) Samples() []blob.CellID { return n.samples }
 
-// StartSlot resets per-slot state: recomputes nothing (the assignment
-// lives in the shared epoch table), resets the store in place, and draws
-// the slot's random sample set. Fetching starts at the first seed
-// datagram that carries cells (see onSeed), or when the fallback timer
-// (3x SeedWait) fires with no seed datagram at all.
-func (n *Node) StartSlot(slot uint64) {
+// StartSlot begins a slot, resetting the store in place and drawing the
+// slot's random sample set.
+func (n *Node) StartSlot(slot uint64) { n.begin(slot) }
+
+// JoinSlot brings a node online partway through a slot: a joiner (or a
+// restarting crasher) starts from an empty store — whatever it held
+// before going down is gone — and must fetch everything it needs from
+// peers. Seeding has typically already passed it by, so the seed-quiet
+// deadline is what starts its fetch unless a straggling seed datagram
+// arrives first.
+//
+// The joiner gets a new store rather than rewinding the old one: peers
+// may still hold payloads the simulator passed them by reference out of
+// it this slot, restored cells included, and a rewound store would decode
+// its next lines over them.
+func (n *Node) JoinSlot(slot uint64) {
+	n.store = nil
+	n.begin(slot)
+}
+
+// begin is the transition into waiting: per-slot state is reset and the
+// seed-quiet deadline armed at 3 x SeedWait, so a node whose seeds never
+// arrive still consolidates and samples. The paper arms this timer at the
+// slot's first query (Section 6.2); armed here it never fires later. The
+// wait is generous so that nodes seeded late in the builder's ~1 s
+// schedule still start from their seed batch, which keeps round-1 queries
+// aimed at peers that already hold data (the paper's Table 1 dynamics).
+func (n *Node) begin(slot uint64) {
 	n.slot = slot
 	n.gen++
+	n.phase = phaseWaiting
+	n.seedOver = false
 	a := n.table.Assignment(n.index)
 	if n.store == nil {
 		n.store = NewStore(n.cfg.Blob, a, n.cfg.RealPayloads, n.verifySeeds)
@@ -264,63 +296,74 @@ func (n *Node) StartSlot(slot uint64) {
 	}
 	n.boost = n.boost[:0]
 	n.queryRound.reset()
-	n.buffered = resetMap(n.buffered, 0)
 	n.round = 0
 	n.lastRearm = 0
 	n.roundEnds = n.roundEnds[:0]
-	n.fetching = false
 	n.seedChunks = 0
-	n.seedDone = false
-	n.promised = resetMap(n.promised, 0)
 	n.outstanding = n.outstanding[:0]
-	n.cbSeeded = zeroed(n.cbSeeded, n.store.TrackedLines()*((n.cfg.Blob.N()+63)/64))
+	n.askHead.reset()
+	n.asks = n.asks[:0]
 	n.pendingOut = resetMap(n.pendingOut, 0)
-	n.flushArmed = false
 	n.awaitReply = resetMap(n.awaitReply, 0)
 	n.badPeers = resetMap(n.badPeers, 0)
-	n.doneFired = false
 	n.obs.BeginSlot(slot, n.tr.Now())
-
-	// Seed-wait fallback: a node whose seeds never arrive (packet loss, or
-	// a builder that does not know it) still must consolidate and sample.
-	// The paper arms this timer at the first query for the slot (Section
-	// 6.2); armed here with the same delay it never fires later than that.
-	// The wait is generous — three seed-wait periods — so that
-	// nodes seeded late in the builder's ~1 s transmission schedule still
-	// start from their seed batch rather than from nothing, which keeps
-	// round-1 queries aimed at peers that already hold data (the paper's
-	// Table 1 dynamics).
-	n.afterGuarded(3*n.cfg.SeedWait, func() {
-		if !n.obs.View.HasSeed && !n.fetching && !n.done() {
-			n.startFetch()
-		}
-	})
+	n.armSeedQuiet(3 * n.cfg.SeedWait)
 }
 
-// JoinSlot brings a node online partway through a slot: a joiner (or a
-// restarting crasher) starts from an empty store — whatever it held
-// before going down is gone — and must fetch everything it needs from
-// peers. Seeding has typically already passed it by, so the StartSlot
-// fallback timer is what kicks off its fetch unless a straggling seed
-// datagram arrives first.
-//
-// The joiner gets a new store rather than rewinding the old one: peers
-// may still hold payloads the simulator passed them by reference out of
-// it this slot, restored cells included, and a rewound store would decode
-// its next lines over them.
-func (n *Node) JoinSlot(slot uint64) {
-	n.store = nil
-	n.StartSlot(slot)
-}
-
-// Stop takes the node down mid-slot, as a crash or a departure does:
-// every timer it armed is dropped and no round runs until the next
-// StartSlot or JoinSlot. A node that kept fetching while down would count
-// sends nobody receives and report every peer it queried to its liveness
-// scorer as timed out.
+// Stop is the transition into down, as a crash or a departure takes a
+// node: every timer it armed is dropped, and until the next StartSlot or
+// JoinSlot it sends nothing and handles nothing. A node that kept
+// fetching while down would count sends nobody receives and report every
+// peer it queried to its liveness scorer as timed out.
 func (n *Node) Stop() {
 	n.gen++
-	n.fetching = false
+	n.phase = phaseDown
+}
+
+// startFetch runs the first round of a fetch, whose F is recorded as the
+// initial fetch set (again when a paused fetch resumes).
+func (n *Node) startFetch() {
+	if n.phase != phaseWaiting {
+		return
+	}
+	n.phase = phaseFetching
+	ps := planPool.Get().(*planScratch)
+	defer planPool.Put(ps)
+	n.obs.View.InitialFetchSet = len(n.missingCells(ps))
+	n.runRound(ps)
+}
+
+// pause ends a round that found nothing to ask (every missing cell is
+// promised) or ran the last of MaxRounds; startFetch resumes.
+func (n *Node) pause() { n.phase = phaseWaiting }
+
+// complete fires OnSlotDone, once per slot.
+func (n *Node) complete() {
+	n.phase = phaseDone
+	if n.onDone != nil {
+		n.onDone()
+	}
+}
+
+// endSeedFlow ends every promise: a promised cell that has not landed by
+// the batch's end or the seed-quiet deadline is fetched from peers.
+func (n *Node) endSeedFlow() { n.seedOver = true }
+
+// armSeedQuiet moves the seed-quiet deadline to d from now. Passed
+// unmoved, it ends the seed flow if a datagram arrived and starts (or
+// resumes) a waiting node's fetch.
+func (n *Node) armSeedQuiet(d time.Duration) {
+	at := n.tr.Now() + d
+	n.seedQuietAt = at
+	n.afterGuarded(d, func() {
+		if n.seedQuietAt != at {
+			return
+		}
+		if n.seedChunks > 0 {
+			n.endSeedFlow()
+		}
+		n.startFetch()
+	})
 }
 
 // DrawSamples picks count distinct random cells of the extended matrix
@@ -349,6 +392,14 @@ func resetMap[K comparable, V any](m map[K]V, hint int) map[K]V {
 	return m
 }
 
+// promised reports whether a cell is on its way from the builder: the
+// seed flow is open, an own parcel names it and the store lacks it.
+func (n *Node) promised(id blob.CellID) bool {
+	pl := n.store.locate(id)
+	return !n.seedOver && !pl.held && (pl.row >= 0 && hasBit(n.store.lines[pl.row].own, int(id.Col)) ||
+		pl.col >= 0 && hasBit(n.store.lines[pl.col].own, int(id.Row)))
+}
+
 // HandleMessage dispatches a received protocol payload. It reports
 // whether the payload was a PANDAS message. The message may be lent (a
 // socket transport decodes in place and takes its buffer back when the
@@ -374,7 +425,7 @@ func (n *Node) HandleMessage(from int, size int, payload any) bool {
 }
 
 func (n *Node) onSeed(m *wire.Seed) {
-	if m.Slot != n.slot || n.store == nil {
+	if m.Slot != n.slot || n.phase == phaseDown {
 		return
 	}
 	if n.verifySeeds && !n.seedSigned(m) {
@@ -386,23 +437,7 @@ func (n *Node) onSeed(m *wire.Seed) {
 	now := n.tr.Now()
 	n.obs.SeedChunk(now, len(m.Cells))
 	n.seedChunks++
-	// Watchdog for lost tail chunks: if no further seed datagram lands
-	// within the seed-wait period, fetching starts with what we have.
-	// SeedAt doubles as the generation marker, so only the timer armed by
-	// the LAST chunk received fires the fetch.
-	generation := now
-	n.afterGuarded(n.cfg.SeedWait, func() {
-		if n.obs.View.SeedAt != generation {
-			return
-		}
-		// Seed flow went quiet without completing: any promised cells
-		// that never arrived were lost — fetch them from peers.
-		n.seedDone = true
-		clear(n.promised)
-		if !n.fetching && !n.done() {
-			n.startFetch()
-		}
-	})
+	n.armSeedQuiet(n.cfg.SeedWait) // lost tail chunks end the flow here
 	dups, added, rejects := n.addCells(m.Cells)
 	n.obs.SeedIngested(now, added, dups)
 	if rejects > 0 && n.obs.Enabled() {
@@ -412,7 +447,6 @@ func (n *Node) onSeed(m *wire.Seed) {
 			Peer: -1, Count: int32(rejects)})
 	}
 	width := n.cfg.Blob.N()
-	words := (width + 63) / 64
 	for _, e := range m.Boost {
 		if lineNumber(e.Line, width) < 0 {
 			continue // not a line of this matrix
@@ -424,22 +458,20 @@ func (n *Node) onSeed(m *wire.Seed) {
 		end := min(int(e.Start)+int(e.Count), width)
 		// Only custody lines are ever asked about (missingCells).
 		if li := n.store.lineIndex(e.Line); li >= 0 {
-			seeded := n.cbSeeded[li*words : (li+1)*words]
+			seeded := n.store.lines[li].cbSeeded
 			for p := int(e.Start); p < end; p++ {
 				seeded[p/64] |= 1 << uint(p%64)
 			}
 		}
 		if peer == n.index {
 			// Our own parcels: the builder is sending these cells to us.
-			// Once the seed flow is over (batch complete, or the watchdog
-			// gave up on it) a straggling datagram promises nothing:
-			// recording it would keep its cells out of F for the rest of
-			// the slot. A cell already held is no promise either.
-			if !n.seedDone {
-				for pos := int(e.Start); pos < end; pos++ {
-					if id := cellOnLine(e.Line, pos); !n.store.Has(id) {
-						n.promised[id] = true
-					}
+			for pos := int(e.Start); pos < end; pos++ {
+				id := cellOnLine(e.Line, pos)
+				if li := n.store.rowIndex(id.Row); li >= 0 {
+					n.store.lines[li].own[id.Col/64] |= 1 << (id.Col % 64)
+				}
+				if li := n.store.colIndex(id.Col); li >= 0 {
+					n.store.lines[li].own[id.Row/64] |= 1 << (id.Row % 64)
 				}
 			}
 			continue
@@ -449,22 +481,19 @@ func (n *Node) onSeed(m *wire.Seed) {
 	}
 	if n.seedChunks >= int(m.ChunkCount) {
 		// Full batch landed: everything still missing is fair game.
-		n.seedDone = true
-		clear(n.promised)
+		n.endSeedFlow()
 	}
 	// The reception of seed cells triggers consolidation and sampling
 	// (Fig. 5): round 1 is planned at the first datagram that carries
 	// cells, or when the batch completes for a node seeded none. The
 	// builder sends a node's boost-only datagrams first, so by then the
 	// node holds the whole consolidation-boost map: every cell still on
-	// its way to it is excluded from F via the promised set, and every
-	// peer seeded with the rest is known. A boost-only datagram carries
-	// one line's map: a round planned there would re-request the seed
-	// cells of every other line.
-	if !n.fetching && !n.done() && (len(m.Cells) > 0 || n.seedDone) {
+	// its way to it is promised and stays out of F, and every peer seeded
+	// with the rest is known. A boost-only datagram carries one line's
+	// map: a round planned there would re-request the seed cells of every
+	// other line.
+	if len(m.Cells) > 0 || n.seedOver {
 		n.startFetch()
-	} else if n.fetching && n.seedDone {
-		n.updateCompletion()
 	}
 }
 
@@ -486,7 +515,7 @@ func (n *Node) seedSigned(m *wire.Seed) bool {
 }
 
 func (n *Node) onQuery(from int, m *wire.Query) {
-	if m.Slot != n.slot || n.store == nil {
+	if m.Slot != n.slot || n.phase == phaseDown {
 		return
 	}
 	// The reply is sized before it is built: it is one allocation whether
@@ -501,49 +530,52 @@ func (n *Node) onQuery(from int, m *wire.Query) {
 	for _, id := range m.Cells {
 		if c, ok := n.store.Peek(id); ok {
 			have = append(have, c)
-			continue
-		}
-		if n.store.Covered(id) {
+		} else if n.store.Covered(id) {
 			// Assigned but not yet received: buffer, reply when it lands
 			// (no negative acknowledgements).
-			reqs, ok := n.buffered[id]
-			if !ok {
-				reqs = make(map[int]bool, 1)
-				n.buffered[id] = reqs
-			}
-			reqs[from] = true
+			n.bufferAsk(id, from)
 		}
 	}
 	n.sendCells(from, have)
 }
 
+// bufferAsk chains the peer's ask onto the cell's, unless it is there.
+func (n *Node) bufferAsk(id blob.CellID, from int) {
+	head, _ := n.askHead.ref(cellKey(id))
+	for i := *head; i > 0; i = n.asks[i-1].next {
+		if n.asks[i-1].peer == int32(from) {
+			return
+		}
+	}
+	n.asks = append(n.asks, ask{peer: int32(from), next: *head})
+	*head = int32(len(n.asks))
+}
+
 func (n *Node) onResponse(from int, m *wire.Response) {
-	if m.Slot != n.slot || n.store == nil {
+	if m.Slot != n.slot || n.phase == phaseDown {
 		return
 	}
 	// Any response — even an empty or partial one — settles the reply
 	// deadline; whether it counts for or against the peer depends on
 	// whether its cells verify.
 	delete(n.awaitReply, from)
-	var dups, added, rejects int
 	round := 0
+	var stat *RoundStat
 	// Attribute the reply to the round in which the peer was queried.
 	if qr, ok := n.queryRound.get(uint32(from)); ok && qr >= 1 && int(qr) <= len(n.roundEnds) {
-		r := int(qr)
-		round = r
-		stat := &n.obs.View.Rounds[r-1]
-		inRound := n.tr.Now() <= n.roundEnds[r-1]
-		if inRound {
+		round = int(qr)
+		stat = &n.obs.View.Rounds[round-1]
+		if n.tr.Now() <= n.roundEnds[round-1] {
 			stat.RepliesInRound++
 			stat.CellsInRound += len(m.Cells)
 		} else {
 			stat.RepliesAfterRound++
 			stat.CellsAfterRound += len(m.Cells)
 		}
-		dups, added, rejects = n.addCells(m.Cells)
+	}
+	dups, added, rejects := n.addCells(m.Cells)
+	if stat != nil {
 		stat.Duplicates += dups
-	} else {
-		dups, added, rejects = n.addCells(m.Cells)
 	}
 	if n.obs.Enabled() {
 		n.obs.Emit(obsv.Event{At: n.tr.Now(), Kind: obsv.KindCellsReceived,
@@ -626,50 +658,42 @@ func (n *Node) addCells(cells []wire.Cell) (dups, added, rejects int) {
 			Src: obsv.SrcReconstruct, Peer: -1, Round: int32(n.round),
 			Count: int32(recon)})
 	}
-	n.armFlush()
 	n.updateCompletion()
 	return dups, added, rejects
 }
 
-// armFlush schedules a coalesced transmission of buffered-query replies.
-func (n *Node) armFlush() {
-	if n.flushArmed || len(n.pendingOut) == 0 {
-		return
+// flush sends the coalesced replies to buffered queries, recipients in
+// ascending order.
+func (n *Node) flush() {
+	recipients := n.peerScr[:0]
+	for to := range n.pendingOut {
+		recipients = append(recipients, to)
 	}
-	n.flushArmed = true
-	n.afterGuarded(flushDelay, func() {
-		n.flushArmed = false
-		recipients := n.peerScr[:0]
-		for to := range n.pendingOut {
-			recipients = append(recipients, to)
-		}
-		slices.Sort(recipients)
-		n.peerScr = recipients
-		for _, to := range recipients {
-			n.sendCells(to, n.pendingOut[to])
-		}
-		clear(n.pendingOut)
-	})
+	slices.Sort(recipients)
+	n.peerScr = recipients
+	for _, to := range recipients {
+		n.sendCells(to, n.pendingOut[to])
+	}
+	clear(n.pendingOut)
 }
 
-// cellLanded performs the bookkeeping for one newly present cell. Its
-// in-flight requests need none: a present cell is never in F again, so
-// they count toward nothing and expire where they are. A promise it
-// kept is dropped: missingCells counts a line's held and promised cells
-// together, and a landed cell is held.
+// cellLanded performs the bookkeeping for one newly present cell: a
+// satisfied sample, and the replies owed to the peers whose asks for it
+// were buffered. Its in-flight requests need none: a present cell is
+// never in F again, so they count toward nothing and expire where they
+// are. Nor does a promise it kept: a held cell is not promised.
 func (n *Node) cellLanded(id blob.CellID, touched []bool) {
-	if n.pendingSmp[id] {
-		delete(n.pendingSmp, id)
-	}
-	if len(n.promised) > 0 {
-		delete(n.promised, id)
-	}
-	if reqs, ok := n.buffered[id]; ok {
+	delete(n.pendingSmp, id)
+	// A cell lands once per slot, so its chain is walked once.
+	if head, ok := n.askHead.get(cellKey(id)); ok {
+		if len(n.pendingOut) == 0 {
+			n.afterGuarded(flushDelay, n.flush)
+		}
 		full, _ := n.store.Peek(id)
-		for to := range reqs {
+		for i := head; i > 0; i = n.asks[i-1].next {
+			to := int(n.asks[i-1].peer)
 			n.pendingOut[to] = append(n.pendingOut[to], full)
 		}
-		delete(n.buffered, id)
 	}
 	if touched != nil {
 		if li := n.store.rowIndex(id.Row); li >= 0 && n.store.open(li) {
@@ -692,39 +716,31 @@ func (n *Node) forgetInflight(id blob.CellID) {
 	}
 }
 
-// updateCompletion records consolidation and sampling completion times.
+// updateCompletion records consolidation and sampling completion times,
+// and completes the slot once both are in.
 func (n *Node) updateCompletion() {
 	now := n.tr.Now()
-	if !n.obs.View.Consolidated && n.store.CompleteLines() == n.store.TrackedLines() {
+	v := &n.obs.View
+	if !v.Consolidated && n.store.CompleteLines() == n.store.TrackedLines() {
 		n.obs.ConsolidationDone(now)
 	}
-	if !n.obs.View.Sampled && len(n.pendingSmp) == 0 {
+	if !v.Sampled && len(n.pendingSmp) == 0 {
 		n.obs.SamplingDone(now, len(n.samples))
 	}
-	if n.onDone != nil && !n.doneFired && n.done() {
-		n.doneFired = true
-		n.onDone()
+	if n.phase != phaseDone && v.Sampled && (v.Consolidated || n.cfg.DisableConsolidation) {
+		n.complete()
 	}
-}
-
-func (n *Node) done() bool {
-	if n.cfg.DisableConsolidation {
-		return n.obs.View.Sampled
-	}
-	return n.obs.View.Consolidated && n.obs.View.Sampled
 }
 
 // DeliverCustody ingests custody cells that arrived outside the PANDAS
 // seeding path (e.g. via the GossipSub baseline's topic meshes). It
 // triggers the sampling fetcher on first delivery.
 func (n *Node) DeliverCustody(cells []wire.Cell) {
-	if n.store == nil {
+	if n.phase == phaseDown {
 		return
 	}
 	n.addCells(cells)
-	if !n.fetching && !n.done() {
-		n.startFetch()
-	}
+	n.startFetch()
 }
 
 // sendCells transmits cells to a peer in datagram-sized chunks.
@@ -743,41 +759,20 @@ func (n *Node) sendCells(to int, cells []wire.Cell) {
 	}
 }
 
-// startFetch begins the adaptive fetching process (consolidation and
-// sampling share it).
-func (n *Node) startFetch() {
-	n.fetching = true
-	n.fetchRound(true)
-}
-
-// runRound executes one round of Algorithm 1 and schedules the next.
-func (n *Node) runRound() { n.fetchRound(false) }
-
-// fetchRound is runRound; first marks the round startFetch runs, whose F
-// is recorded as the initial fetch set.
-func (n *Node) fetchRound(first bool) {
-	if n.store == nil || !n.fetching {
-		n.fetching = false
-		return
-	}
-	ps := planPool.Get().(*planScratch)
-	defer planPool.Put(ps)
-	F := n.missingCells(ps)
-	if first {
-		n.obs.View.InitialFetchSet = len(F)
-	}
-	// Record cumulative coverage for the round that just ended (also when
-	// the fetch completed during it).
+// runRound executes one round of Algorithm 1 on the F in ps and schedules
+// the next. Recording the ended round's coverage is all it does once the
+// node is done.
+func (n *Node) runRound(ps *planScratch) {
+	F := ps.F
 	if n.round >= 1 && n.round <= len(n.obs.View.Rounds) && n.obs.View.InitialFetchSet > 0 {
 		n.obs.View.Rounds[n.round-1].CoverageAfter =
 			1 - float64(len(F))/float64(n.obs.View.InitialFetchSet)
 	}
-	if n.done() {
-		n.fetching = false
+	if n.phase != phaseFetching {
 		return
 	}
 	if n.round >= n.cfg.Schedule.MaxRounds {
-		n.fetching = false
+		n.pause()
 		return
 	}
 	n.round++
@@ -802,8 +797,7 @@ func (n *Node) fetchRound(first bool) {
 		}
 	}
 	if len(F) == 0 {
-		n.updateCompletion()
-		n.fetching = false
+		n.pause()
 		return
 	}
 	stat := RoundStat{}
@@ -874,5 +868,10 @@ func (n *Node) fetchRound(first bool) {
 	timeout := n.cfg.Schedule.Timeout(n.round)
 	n.obs.View.Rounds = append(n.obs.View.Rounds, stat)
 	n.roundEnds = append(n.roundEnds, n.tr.Now()+timeout)
-	n.afterGuarded(timeout, n.runRound)
+	n.afterGuarded(timeout, func() {
+		ps := planPool.Get().(*planScratch)
+		defer planPool.Put(ps)
+		n.missingCells(ps)
+		n.runRound(ps)
+	})
 }

@@ -43,11 +43,11 @@ func seedFor(node *Node, table *Table, cfg Config, slot uint64, frac float64) *w
 func TestNodeSeedTriggersFetch(t *testing.T) {
 	node, table, tr, cfg := nodeFixture(t, 60)
 	node.StartSlot(1)
-	if node.fetching {
+	if node.phase != phaseWaiting {
 		t.Fatal("fetching before seeds")
 	}
 	node.HandleMessage(99, 100, seedFor(node, table, cfg, 1, 0.3))
-	if !node.fetching {
+	if node.phase != phaseFetching {
 		t.Fatal("complete seed batch did not start fetching")
 	}
 	if !node.Metrics().HasSeed || node.Metrics().SeedCells == 0 {
@@ -75,17 +75,17 @@ func TestNodeIncompleteBatchPipelinesAndWatchdogExpiresPromises(t *testing.T) {
 	m := seedFor(node, table, cfg, 1, 0.3)
 	m.ChunkCount = 2 // claim another chunk is coming
 	node.HandleMessage(99, 100, m)
-	if !node.fetching {
+	if node.phase != phaseFetching {
 		t.Fatal("pipelined fetch did not start on first chunk")
 	}
-	if node.seedDone {
+	if node.seedOver {
 		t.Fatal("batch marked done while a chunk is outstanding")
 	}
 	tr.advance(cfg.SeedWait + time.Millisecond)
-	if !node.seedDone {
+	if !node.seedOver {
 		t.Fatal("watchdog did not expire the seed flow")
 	}
-	if len(node.promised) > 0 {
+	if len(promisedCells(node)) > 0 {
 		t.Fatal("promises not released after watchdog")
 	}
 }
@@ -184,7 +184,7 @@ func TestNodeUncoveredQueryIgnored(t *testing.T) {
 		t.Skip("assignment covers the whole matrix")
 	}
 	node.HandleMessage(7, 50, &wire.Query{Slot: 1, Cells: []blob.CellID{uncovered}})
-	if len(node.buffered) != 0 {
+	if len(node.asks) != 0 {
 		t.Fatal("buffered a query for an uncovered cell")
 	}
 	_ = tr
@@ -210,7 +210,7 @@ func TestNodePromisedCellsNotRequested(t *testing.T) {
 	node.HandleMessage(99, 100, m)
 	// Fetch starts via watchdog (batch incomplete).
 	tr.advance(cfg.SeedWait + time.Millisecond)
-	if !node.fetching {
+	if node.phase != phaseFetching {
 		t.Fatal("watchdog did not fire")
 	}
 	// Wait: watchdog expiry clears promises. Instead verify via direct
@@ -251,14 +251,14 @@ func TestNodePlansRoundOneOnWholeBoostMap(t *testing.T) {
 		{Line: l, HolderRef: uint16(table.HolderRank(l, peer)), Start: uint16(k), Count: 4},
 	}}
 	node.HandleMessage(99, 100, boost)
-	if node.fetching || len(tr.sends) > 0 {
+	if node.phase != phaseWaiting || len(tr.sends) > 0 {
 		t.Fatal("a boost-only datagram started round 1")
 	}
 	cells := &wire.Seed{Slot: 1, ChunkIndex: 1, ChunkCount: 3, Cells: []wire.Cell{
 		{ID: cellOnLine(l, 0)}, {ID: cellOnLine(l, 1)},
 	}}
 	node.HandleMessage(99, 100, cells)
-	if !node.fetching {
+	if node.phase != phaseFetching {
 		t.Fatal("the first cell-carrying datagram did not start round 1")
 	}
 	askedPeer := 0
@@ -295,8 +295,8 @@ func TestNodeBoostOnlyBatchStartsFetchWhenComplete(t *testing.T) {
 	for i, l := range lines[:2] {
 		node.HandleMessage(99, 100, &wire.Seed{Slot: 1, ChunkIndex: uint16(i), ChunkCount: 2,
 			Boost: []wire.BoostEntry{{Line: l, HolderRef: uint16(table.HolderRank(l, 0)), Start: 0, Count: 2}}})
-		if want := i == 1; node.fetching != want {
-			t.Fatalf("after boost datagram %d of 2: fetching %v, want %v", i+1, node.fetching, want)
+		if want := i == 1; (node.phase == phaseFetching) != want {
+			t.Fatalf("after boost datagram %d of 2: phase %v, want fetching %v", i+1, node.phase, want)
 		}
 	}
 }
@@ -314,8 +314,8 @@ func TestNodePromiseEndsWhenCellLands(t *testing.T) {
 	node.HandleMessage(5, 100, &wire.Response{Slot: 1, Cells: []wire.Cell{{ID: early}}})
 	node.HandleMessage(99, 100, &wire.Seed{Slot: 1, ChunkIndex: 0, ChunkCount: 3,
 		Boost: []wire.BoostEntry{{Line: l, HolderRef: uint16(table.HolderRank(l, 0)), Start: 0, Count: uint16(k)}}})
-	if node.promised[early] || len(node.promised) != k-1 {
-		t.Fatalf("promised %d cells (held one included: %v), want %d", len(node.promised), node.promised[early], k-1)
+	if p := promisedCells(node); p[early] || len(p) != k-1 {
+		t.Fatalf("promised %d cells (held one included: %v), want %d", len(p), p[early], k-1)
 	}
 	m := &wire.Seed{Slot: 1, ChunkIndex: 1, ChunkCount: 3}
 	for pos := 0; pos < k/2; pos++ {
@@ -323,11 +323,11 @@ func TestNodePromiseEndsWhenCellLands(t *testing.T) {
 	}
 	node.HandleMessage(99, 100, m)
 	for _, c := range m.Cells {
-		if node.promised[c.ID] {
+		if node.promised(c.ID) {
 			t.Fatalf("landed cell %v still promised", c.ID)
 		}
 	}
-	if got, want := len(node.promised), k-1-k/2; got != want {
+	if got, want := len(promisedCells(node)), k-1-k/2; got != want {
 		t.Fatalf("%d cells promised after %d landed, want %d", got, k/2, want)
 	}
 }
@@ -404,7 +404,7 @@ func TestNodeFallbackTimerStartsFetchWithoutSeeds(t *testing.T) {
 	node, _, tr, cfg := nodeFixture(t, 60)
 	node.StartSlot(1)
 	tr.advance(3*cfg.SeedWait + time.Millisecond)
-	if !node.fetching {
+	if node.phase != phaseFetching {
 		t.Fatal("fallback timer did not start fetching")
 	}
 	if node.Metrics().HasSeed {

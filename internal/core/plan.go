@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -197,8 +198,7 @@ type planScratch struct {
 	cellsOut []int // cellsOf's result
 	plan     fetch.PlanScratch
 
-	promisedOn []int // per custody line: promised cells on it
-	missing    []int // Store.MissingOnLine buffer
+	missing []int // Store.MissingOnLine buffer
 }
 
 // planPool lends planScratch values to rounds. A simulation runs every
@@ -358,25 +358,10 @@ func (n *Node) missingCells(ps *planScratch) []blob.CellID {
 	if !n.cfg.DisableConsolidation {
 		width := n.cfg.Blob.N()
 		half := n.cfg.Blob.K
-		margin := half / 4
-		if margin < 2 {
-			margin = 2
-		}
-		tracked := n.store.TrackedLines()
-		ps.promisedOn = zeroed(ps.promisedOn, tracked)
-		promisedOn := ps.promisedOn
-		for id := range n.promised {
-			if li := n.store.rowIndex(id.Row); li >= 0 {
-				promisedOn[li]++
-			}
-			if li := n.store.colIndex(id.Col); li >= 0 {
-				promisedOn[li]++
-			}
-		}
-		words := (width + 63) / 64
-		for li := 0; li < tracked; li++ {
-			l := n.store.lineAt(li)
-			have := n.store.lines[li].count
+		margin := max(half/4, 2)
+		for li := 0; li < n.store.TrackedLines(); li++ {
+			l, ls := n.store.lineAt(li), &n.store.lines[li]
+			have := ls.count
 			if have >= width {
 				continue
 			}
@@ -387,7 +372,12 @@ func (n *Node) missingCells(ps *planScratch) []blob.CellID {
 			// duplicate deliveries (and wasted bandwidth) for half a line.
 			// Cells the builder has promised this node (its own CB
 			// parcels, still in flight) count as good as received.
-			needed := half + margin - have - promisedOn[li]
+			needed := half + margin - have
+			if !n.seedOver {
+				for w, own := range ls.own {
+					needed -= bits.OnesCount64(own &^ ls.bits[w]) // promised, not held
+				}
+			}
 			if needed <= 0 {
 				// Already past the threshold; reconstruction will fire as
 				// soon as the in-flight cells land.
@@ -395,31 +385,23 @@ func (n *Node) missingCells(ps *planScratch) []blob.CellID {
 			}
 			ps.missing = n.store.MissingOnLine(l, ps.missing)
 			missing := ps.missing
-			seeded := n.cbSeeded[li*words : (li+1)*words]
 			// Prefer positions the builder actually seeded somewhere, and
 			// rotate the starting point with the round number so that a
 			// cell that turns out to be unobtainable (lost response, dead
 			// holder) does not pin the same subset forever.
-			picked := 0
+			picked, off := 0, (n.round*13)%len(missing) // have < width: missing is not empty
 			for pass := 0; pass < 2 && picked < needed; pass++ {
-				off := 0
-				if len(missing) > 0 {
-					off = (n.round * 13) % len(missing)
-				}
 				for i := range missing {
 					if picked >= needed {
 						break
 					}
 					pos := missing[(i+off)%len(missing)]
-					isSeeded := seeded[pos/64]&(1<<uint(pos%64)) != 0
-					if (pass == 0) != isSeeded {
+					// A missing cell is promised iff its own bit is set while
+					// the seed flow is open.
+					if (pass == 0) != hasBit(ls.cbSeeded, pos) || !n.seedOver && hasBit(ls.own, pos) {
 						continue
 					}
-					id := cellOnLine(l, pos)
-					if n.promised[id] {
-						continue
-					}
-					if ps.addCell(id) {
+					if ps.addCell(cellOnLine(l, pos)) {
 						picked++
 					}
 				}
@@ -427,7 +409,7 @@ func (n *Node) missingCells(ps *planScratch) []blob.CellID {
 		}
 	}
 	for _, id := range n.samples {
-		if n.pendingSmp[id] && !n.promised[id] && !n.store.Has(id) {
+		if n.pendingSmp[id] && !n.promised(id) && !n.store.Has(id) {
 			ps.addCell(id)
 		}
 	}

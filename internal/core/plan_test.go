@@ -80,8 +80,8 @@ func planFixture(tb testing.TB, cfg Config, nodes int) *Node {
 			node.HandleMessage(nodes, s.size, s.payload)
 		}
 	}
-	if !node.fetching || node.round != 1 || len(node.boost) == 0 {
-		tb.Fatalf("fixture: fetching=%v round=%d parcels=%d", node.fetching, node.round, len(node.boost))
+	if node.phase != phaseFetching || node.round != 1 || len(node.boost) == 0 {
+		tb.Fatalf("fixture: phase=%v round=%d parcels=%d", node.phase, node.round, len(node.boost))
 	}
 	node.queryRound.reset()
 	return node
@@ -163,7 +163,7 @@ func TestLateSeedAfterWatchdog(t *testing.T) {
 	first.ChunkCount = 2
 	node.HandleMessage(99, 100, first)
 	tr.advance(cfg.SeedWait + time.Millisecond)
-	if !node.seedDone {
+	if !node.seedOver {
 		t.Fatal("watchdog did not fire")
 	}
 
@@ -174,8 +174,8 @@ func TestLateSeedAfterWatchdog(t *testing.T) {
 		}},
 	}
 	node.HandleMessage(99, 100, late)
-	if len(node.promised) != 0 {
-		t.Fatalf("late datagram promised %d cells after the seed flow ended", len(node.promised))
+	if p := promisedCells(node); len(p) != 0 {
+		t.Fatalf("late datagram promised %d cells after the seed flow ended", len(p))
 	}
 	onLine := 0
 	for _, id := range node.missingCells(new(planScratch)) {

@@ -46,7 +46,7 @@ func TestQueryOutOfRangeCellIgnored(t *testing.T) {
 			}
 		}
 		node.HandleMessage(7, 50, &wire.Query{Slot: 1, Cells: forgedIDs(node, table)})
-		if len(node.buffered) != 0 {
+		if len(node.asks) != 0 {
 			t.Fatalf("real=%v: buffered a query for a cell that cannot exist", real)
 		}
 		for _, s := range tr.sends {

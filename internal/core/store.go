@@ -25,7 +25,8 @@ var (
 //
 // The store is deliberately sparse: a node never tracks the full 512x512
 // matrix, only its ~16 custody lines and 73 samples. All line bitmaps
-// live in one shared slab ([]uint64) and off-custody samples in a short
+// (presence and the node's two planning marks, see lineState) live in
+// one shared slab ([]uint64) and off-custody samples in a short
 // sorted index slice, so metadata-mode custody state is a handful of
 // allocations per node and a few hundred bytes — the budget that lets a
 // single process hold 100k+ nodes. Line lookup is a linear scan over at
@@ -120,14 +121,19 @@ func (p *payloads) keep(b []byte) []byte {
 	return p.arena[off:len(p.arena):len(p.arena)]
 }
 
+// lineState is one custody line: its presence bits and count, and two
+// marks the node plans with, indexed like bits — the positions the
+// builder's CB map says were seeded somewhere (cbSeeded) and the cells of
+// the node's own CB parcels (own).
 type lineState struct {
-	bits  []uint64
-	count int
+	bits, cbSeeded, own []uint64
+	count               int
 }
 
-func (ls *lineState) has(pos int) bool {
-	return ls.bits[pos/64]&(1<<uint(pos%64)) != 0
-}
+func (ls *lineState) has(pos int) bool { return hasBit(ls.bits, pos) }
+
+// hasBit reports whether position pos is set in a line bitset.
+func hasBit(b []uint64, pos int) bool { return b[pos/64]&(1<<uint(pos%64)) != 0 }
 
 func (ls *lineState) set(pos int) bool {
 	w, b := pos/64, uint(pos%64)
@@ -170,7 +176,7 @@ func (s *Store) Reset(a assign.Assignment, real, verify bool) {
 	} else {
 		s.lines = s.lines[:nLines]
 	}
-	need := nLines * words
+	need := 3 * nLines * words
 	if cap(s.slab) < need {
 		s.slab = make([]uint64, need)
 	} else {
@@ -178,7 +184,8 @@ func (s *Store) Reset(a assign.Assignment, real, verify bool) {
 		clear(s.slab)
 	}
 	for i := range s.lines {
-		s.lines[i] = lineState{bits: s.slab[i*words : (i+1)*words]}
+		b := s.slab[3*i*words : 3*(i+1)*words : 3*(i+1)*words]
+		s.lines[i] = lineState{bits: b[:words:words], cbSeeded: b[words : 2*words : 2*words], own: b[2*words:]}
 	}
 
 	if !real {

@@ -99,9 +99,8 @@ func (o *Observer) BeginSlot(slot uint64, now time.Duration) {
 }
 
 // SeedChunk records one seed datagram's arrival times and cell count.
-// It updates the view only — the matching CellsReceived event is emitted
-// by SeedIngested once duplicates are known — so SeedAt keeps its role
-// as the seed-watchdog generation marker.
+// It updates the view only: the matching CellsReceived event is emitted
+// by SeedIngested once duplicates are known.
 func (o *Observer) SeedChunk(now time.Duration, cells int) {
 	if !o.View.HasSeed {
 		o.View.HasSeed = true
