@@ -27,12 +27,17 @@ fi
 echo "== go build ./..."
 go build ./...
 
+# The size every simplicity change reports: non-test Go, bench/ excluded.
+echo "== non-test Go lines: $(git ls-files '*.go' | grep -v '^bench/' | grep -v _test.go | xargs cat | wc -l)"
+
 echo "== go test ./..."
 go test ./...
 
 # Fixed-seed outputs must not depend on goroutine scheduling or map
 # order: run the tests that pin them five more times on one and two CPUs,
-# so an output that moves one run in ten fails here.
+# so an output that moves one run in ten fails here. They pin the rendered
+# experiments, the metrics views (TestPlanGolden) and, since
+# TestTraceGolden, the JSONL event traces too.
 echo "== fixed-seed tests x5 at -cpu 1,2 (experiments, core, baseline)"
 go test -run 'Deterministic|Golden' -count=5 -cpu 1,2 \
 	./internal/experiments ./internal/core ./internal/baseline
