@@ -320,8 +320,8 @@ func (n *Node) Stop() {
 	n.phase = phaseDown
 }
 
-// startFetch runs the first round of a fetch, whose F is recorded as the
-// initial fetch set (again when a paused fetch resumes).
+// startFetch moves a waiting node to fetching and runs the first round;
+// its F is the initial fetch set (again when a paused fetch resumes).
 func (n *Node) startFetch() {
 	if n.phase != phaseWaiting {
 		return
@@ -333,11 +333,11 @@ func (n *Node) startFetch() {
 	n.runRound(ps)
 }
 
-// pause ends a round that found nothing to ask (every missing cell is
-// promised) or ran the last of MaxRounds; startFetch resumes.
+// pause moves a fetching node back to waiting: its round found nothing to
+// ask (every missing cell is promised) or was the last of MaxRounds.
 func (n *Node) pause() { n.phase = phaseWaiting }
 
-// complete fires OnSlotDone, once per slot.
+// complete moves a node to done and fires OnSlotDone, once per slot.
 func (n *Node) complete() {
 	n.phase = phaseDone
 	if n.onDone != nil {
@@ -345,8 +345,8 @@ func (n *Node) complete() {
 	}
 }
 
-// endSeedFlow ends every promise: a promised cell that has not landed by
-// the batch's end or the seed-quiet deadline is fetched from peers.
+// endSeedFlow closes the seed flow and every promise with it: a promised
+// cell not landed by then (batch end or seed-quiet deadline) is fetched.
 func (n *Node) endSeedFlow() { n.seedOver = true }
 
 // armSeedQuiet moves the seed-quiet deadline to d from now. Passed
