@@ -6,14 +6,17 @@ import (
 	"fmt"
 	"testing"
 
+	"pandas/internal/adversary"
+	"pandas/internal/consensus"
+	"pandas/internal/membership"
 	"pandas/internal/obsv"
 )
 
-// tracedRegime runs two slots of a TestPlanGolden regime with tracing on
-// and returns the whole event stream as JSONL. TestPlanGolden digests the
+// tracedRegime runs two slots of a regime with tracing on and returns the
+// cluster and the whole event stream as JSONL. TestPlanGolden digests the
 // metrics views the run ends with; the trace also pins the order and the
 // timing of every event on the way there.
-func tracedRegime(t *testing.T, n int, real bool, mutate func(*ClusterConfig)) []byte {
+func tracedRegime(t *testing.T, n int, real bool, mutate func(*ClusterConfig)) (*Cluster, []byte) {
 	t.Helper()
 	var events []obsv.Event
 	c := goldenCluster(t, n, real, func(cc *ClusterConfig) {
@@ -29,40 +32,107 @@ func tracedRegime(t *testing.T, n int, real bool, mutate func(*ClusterConfig)) [
 	if err := obsv.WriteJSONL(&buf, events); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return c, buf.Bytes()
 }
 
-// TestTraceDeterministic: two traced runs of the liveness regime, where
-// one round's reply-deadline sweep can expire many peers at once, write
-// byte-equal traces.
+// churnAdversaries is churn shaped like the churn experiment's (sessions
+// of 2.5 slots, a slot of downtime, half the departures crashes) with the
+// default crawl and liveness-scoring settings, a tenth of the nodes
+// laggards and a twentieth poisoners. Three fifths of the nodes are dead,
+// so live nodes fetch long enough for reply deadlines to expire and the
+// scorer to back peers off.
+func churnAdversaries(cc *ClusterConfig) {
+	cc.Churn = &membership.Config{
+		MeanSession:   consensus.SlotDuration * 5 / 2,
+		MeanDowntime:  consensus.SlotDuration,
+		CrashFraction: 0.5,
+	}
+	cc.DeadFraction = 0.6
+	cc.Adversary = &adversary.Config{LaggardFraction: 0.1, PoisonFraction: 0.05}
+}
+
+// TestTraceDeterministic: two traced runs write byte-equal traces. In the
+// liveness regime one round's reply-deadline sweep can expire many peers
+// at once; in the churn regime crawls, laggard timers and forged
+// announcements interleave with the rounds.
 func TestTraceDeterministic(t *testing.T) {
-	first := tracedRegime(t, 150, false, sparseDeadLiveness)
-	if second := tracedRegime(t, 150, false, sparseDeadLiveness); !bytes.Equal(first, second) {
-		t.Fatalf("two runs traced differently (%d and %d bytes)", len(first), len(second))
+	for _, tc := range []struct {
+		name   string
+		mutate func(*ClusterConfig)
+	}{
+		{"sparse-dead-liveness", sparseDeadLiveness},
+		{"churn-adversaries", churnAdversaries},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, first := tracedRegime(t, 150, false, tc.mutate)
+			if _, second := tracedRegime(t, 150, false, tc.mutate); !bytes.Equal(first, second) {
+				t.Fatalf("two runs traced differently (%d and %d bytes)", len(first), len(second))
+			}
+		})
 	}
 }
 
-// TestTraceGolden pins the SHA-256 of the JSONL trace of two slots in two
-// TestPlanGolden regimes. A change that moves, reorders, adds or drops an
-// event moves the digest, even where every metrics view stays the same.
+// TestTraceGolden pins the SHA-256 of the JSONL trace of two slots in three
+// regimes. A change that moves, reorders, adds or drops an event moves the
+// digest, even where every metrics view stays the same.
 func TestTraceGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		n      int
 		real   bool
 		mutate func(*ClusterConfig)
-		want   string
+		// check, when set, asserts the regime exercised what it is there for.
+		check func(t *testing.T, c *Cluster, trace []byte)
+		want  string
 	}{
-		{"sparse-dead-liveness", 150, false, sparseDeadLiveness,
+		{"sparse-dead-liveness", 150, false, sparseDeadLiveness, nil,
 			"639bcc0aa3c56a481681e7516a652f7b34a0290146abd79beda0fa7fdc8dcc7d"},
-		{"garbage-peers", 100, true, garbagePeers,
+		{"garbage-peers", 100, true, garbagePeers, nil,
 			"1063e0c93346be0520e949bdf574bce25a79ee16572e2cc8ed93015058c591bb"},
+		{"churn-adversaries", 150, false, churnAdversaries, checkChurnAdversaries,
+			"c77985ea64c9f2cdce837efce097c7837fa05f0eb3d48c39c70af984376933c6"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			trace := tracedRegime(t, tc.n, tc.real, tc.mutate)
+			c, trace := tracedRegime(t, tc.n, tc.real, tc.mutate)
+			if tc.check != nil {
+				tc.check(t, c, trace)
+			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(trace)); got != tc.want {
 				t.Fatalf("trace changed (%d bytes):\n got  %s\n want %s", len(trace), got, tc.want)
 			}
 		})
+	}
+}
+
+// checkChurnAdversaries asserts the churn regime crashed, left and
+// restarted nodes, crawled, timed out and demoted peers, and ran laggards
+// and poisoners that forged announcements.
+func checkChurnAdversaries(t *testing.T, c *Cluster, trace []byte) {
+	t.Helper()
+	if st := c.Engine().Stats(); st.Crashes == 0 || st.Leaves == 0 || st.Restarts == 0 {
+		t.Fatalf("churn regime: lifecycle events %+v, want crashes, leaves and restarts", st)
+	}
+	events, err := obsv.ReadJSONL(bytes.NewReader(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[obsv.Kind]int{}
+	for _, e := range events {
+		kinds[e.Kind]++
+	}
+	for _, k := range []obsv.Kind{obsv.KindViewRefresh, obsv.KindPeerTimeout, obsv.KindPeerDemoted} {
+		if kinds[k] == 0 {
+			t.Fatalf("churn regime traced no %v event", k)
+		}
+	}
+	laggards, forged := 0, 0
+	for i, a := range c.Agents() {
+		if c.Behaviors()[i] == adversary.Laggard {
+			laggards++
+		}
+		forged += a.ForgedAnnouncements
+	}
+	if laggards == 0 || forged == 0 {
+		t.Fatalf("churn regime: %d laggards, %d forged announcements, want both > 0", laggards, forged)
 	}
 }
