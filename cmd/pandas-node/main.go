@@ -82,7 +82,7 @@ func run(args []string) error {
 		return fmt.Errorf("-builder goes with the last index (%d) and no other, got index %d", nNodes, *index)
 	}
 	cfg, err := swarm.Geometry{K: *k, Custody: *custody, Samples: *samples,
-		CellBytes: 64, Redundancy: 8}.CoreConfig()
+		Redundancy: 8}.CoreConfig()
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,7 @@ import (
 	"log"
 
 	"pandas"
-	"pandas/internal/blob"
+	"pandas/internal/adversary"
 	"pandas/internal/core"
 	"pandas/internal/experiments"
 )
@@ -36,11 +36,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	n := o.Core.Blob.N()
-	h := n/2 + 1
-	cluster.Builder().SetWithholding(func(id blob.CellID) bool {
-		return int(id.Row) < h && int(id.Col) < h
-	})
+	maximal := adversary.BuilderAttack{Withholding: adversary.WithholdMaximal}
+	cluster.Builder().SetWithholding(maximal.WithholdPredicate(o.Core.Blob.N(), 9))
 	res, err := cluster.RunSlot(1)
 	if err != nil {
 		log.Fatal(err)

@@ -25,8 +25,6 @@ type Agent struct {
 	node     int
 	behavior Behavior
 	rng      *rand.Rand
-	lagMin   time.Duration
-	lagMax   time.Duration
 
 	// Counters (single-threaded simulator; no atomics needed).
 
@@ -45,14 +43,12 @@ type Agent struct {
 // NewAgent builds the agent for one node. The rng is seeded from the run
 // seed, the node index, and a package salt, so each agent's draws are
 // deterministic and independent of every honest randomness stream.
-func NewAgent(node int, b Behavior, seed int64, cfg *Config) *Agent {
-	a := &Agent{
+func NewAgent(node int, b Behavior, seed int64) *Agent {
+	return &Agent{
 		node:     node,
 		behavior: b,
 		rng:      rand.New(rand.NewSource(seed ^ int64(node)*0x9e3779b9 ^ 0x42595a41)), // "BYZA"
 	}
-	a.lagMin, a.lagMax = cfg.lagBounds()
-	return a
 }
 
 // Node returns the node index this agent is bound to.
@@ -126,10 +122,7 @@ func (t *byzTransport) Now() time.Duration { return t.inner.Now() }
 
 // lagDelay draws the laggard's uniform response delay.
 func (a *Agent) lagDelay() time.Duration {
-	if a.lagMax <= a.lagMin {
-		return a.lagMin
-	}
-	return a.lagMin + time.Duration(a.rng.Int63n(int64(a.lagMax-a.lagMin)))
+	return DefaultLagMin + time.Duration(a.rng.Int63n(int64(DefaultLagMax-DefaultLagMin)))
 }
 
 // corrupt returns a tampered copy of a response. The original message and

@@ -19,7 +19,7 @@ func (a BuilderAttack) WithholdPredicate(n int, seed int64) func(blob.CellID) bo
 		// The strongest attack (Fig. 3-right): withhold the
 		// (n/2+1) x (n/2+1) square anchored at (0,0); everything outside
 		// it is released, yet no line can reach the n/2 cells erasure
-		// decoding needs. Complement of blob.MaximalWithholding.
+		// decoding needs.
 		h := n/2 + 1
 		return func(id blob.CellID) bool {
 			return int(id.Row) < h && int(id.Col) < h

@@ -18,7 +18,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"pandas/internal/blob"
 	"pandas/internal/ids"
@@ -100,16 +99,6 @@ func (a Assignment) Covers(c blob.CellID) bool {
 		a.HasLine(blob.Line{Kind: blob.Col, Index: c.Col})
 }
 
-// CellCount returns the number of distinct cells under custody:
-// rows*N + cols*N - rows*cols (intersections counted once). With the
-// paper's defaults this is 8*512 + 8*512 - 64 = 8,128... the paper counts
-// 8*512 + 8*510 = 8,176 by excluding two intersections per column; we use
-// the exact inclusion-exclusion count.
-func (a Assignment) CellCount(n int) int {
-	r, c := len(a.Rows), len(a.Cols)
-	return r*n + c*n - r*c
-}
-
 // For computes the assignment of node id in the epoch identified by seed.
 // The computation is a pure function of (params, seed, id): it draws
 // distinct row indices and distinct column indices from a
@@ -124,35 +113,6 @@ func For(p Params, seed Seed, id ids.NodeID) (Assignment, error) {
 		Rows: drawDistinct(rng, p.Rows, p.N),
 		Cols: drawDistinct(rng, p.Cols, p.N),
 	}, nil
-}
-
-// LineHolders returns, for every line of the matrix, the indices into
-// nodes of the nodes whose assignment includes that line. It is the
-// inverse view used by builders (choosing seeding targets) and by fetchers
-// (choosing peers to query): W(l) = {n in view | l in A(n, e)}.
-//
-// The result is indexed as [kind][line index] with kind 0 = rows,
-// kind 1 = columns.
-func LineHolders(p Params, seed Seed, nodes []ids.NodeID) ([][][]int, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	holders := make([][][]int, 2)
-	holders[0] = make([][]int, p.N)
-	holders[1] = make([][]int, p.N)
-	for i, id := range nodes {
-		a, err := For(p, seed, id)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range a.Rows {
-			holders[0][r] = append(holders[0][r], i)
-		}
-		for _, c := range a.Cols {
-			holders[1][c] = append(holders[1][c], i)
-		}
-	}
-	return holders, nil
 }
 
 // drawDistinct samples count distinct values in [0, n) via a partial
@@ -224,26 +184,4 @@ func (p *prng) uint64n(n uint64) uint64 {
 			return v % n
 		}
 	}
-}
-
-// CensorshipProbability returns the probability that an adversary
-// controlling a fraction f of the network's nodes holds EVERY copy of
-// some specific line, letting it censor that line's cells (the targeted
-// Sybil attack of the paper's Section 9).
-//
-// Holder counts per line are Binomial(nodes, lines/N) ≈ Poisson(λ) with
-// λ = nodes*(rows+cols)/(2N); a line is censorable when all its holders
-// are adversarial, so P = E[f^H] = exp(-λ(1-f)). The paper's defenses —
-// unpredictable per-epoch rotation and full-network randomized fetching —
-// mean the adversary cannot choose WHICH line it controls, and the
-// assignment changes every 6.4 minutes, faster than ENR crawls.
-func CensorshipProbability(p Params, nodes int, sybilFraction float64) float64 {
-	if nodes <= 0 || sybilFraction <= 0 {
-		return 0
-	}
-	if sybilFraction >= 1 {
-		return 1
-	}
-	lambda := float64(nodes) * float64(p.Rows+p.Cols) / float64(2*p.N)
-	return math.Exp(-lambda * (1 - sybilFraction))
 }

@@ -173,54 +173,6 @@ func TestLinesAndHasLine(t *testing.T) {
 	}
 }
 
-func TestCellCount(t *testing.T) {
-	a := Assignment{Rows: []uint16{0, 1, 2, 3, 4, 5, 6, 7}, Cols: []uint16{0, 1, 2, 3, 4, 5, 6, 7}}
-	// 8*512 + 8*512 - 64 distinct cells.
-	if got := a.CellCount(512); got != 8*512+8*512-64 {
-		t.Fatalf("CellCount = %d", got)
-	}
-}
-
-func TestLineHolders(t *testing.T) {
-	p := Params{Rows: 2, Cols: 2, N: 16}
-	nodes := make([]ids.NodeID, 50)
-	for i := range nodes {
-		nodes[i] = ids.NewTestIdentity(int64(i)).ID
-	}
-	holders, err := LineHolders(p, seedOf(1), nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cross-check against direct assignment computation.
-	for i, id := range nodes {
-		a, _ := For(p, seedOf(1), id)
-		for _, r := range a.Rows {
-			found := false
-			for _, h := range holders[0][r] {
-				if h == i {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("node %d missing from holders of row %d", i, r)
-			}
-		}
-		for _, c := range a.Cols {
-			found := false
-			for _, h := range holders[1][c] {
-				if h == i {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("node %d missing from holders of col %d", i, c)
-			}
-		}
-	}
-}
-
 func TestParamsValidate(t *testing.T) {
 	bad := []Params{
 		{Rows: 8, Cols: 8, N: 1},
@@ -282,91 +234,5 @@ func BenchmarkFor(b *testing.B) {
 		if _, err := For(p, seedOf(byte(i)), id); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkLineHolders10k(b *testing.B) {
-	p := DefaultParams(512)
-	nodes := make([]ids.NodeID, 10000)
-	for i := range nodes {
-		nodes[i] = ids.NewTestIdentity(int64(i)).ID
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := LineHolders(p, seedOf(1), nodes); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestCensorshipProbability(t *testing.T) {
-	p := DefaultParams(512)
-	// Paper parameters at 10,000 nodes: lambda ~ 156 holders per line;
-	// even a 50% Sybil fraction leaves a vanishing censorship chance.
-	if got := CensorshipProbability(p, 10000, 0.5); got > 1e-30 {
-		t.Fatalf("P(censor) at 50%% Sybils = %g, expected vanishing", got)
-	}
-	// Monotone in the Sybil fraction.
-	prev := 0.0
-	for _, f := range []float64{0.1, 0.5, 0.9, 0.99} {
-		cur := CensorshipProbability(p, 1000, f)
-		if cur < prev {
-			t.Fatal("not monotone in Sybil fraction")
-		}
-		prev = cur
-	}
-	// Edge cases.
-	if CensorshipProbability(p, 0, 0.5) != 0 || CensorshipProbability(p, 100, 0) != 0 {
-		t.Fatal("degenerate inputs should be 0")
-	}
-	if CensorshipProbability(p, 100, 1) != 1 {
-		t.Fatal("full Sybil control should be 1")
-	}
-	// Monte Carlo sanity at small scale: draw assignments, mark a random
-	// fraction of nodes Sybil, count lines fully controlled.
-	small := Params{Rows: 2, Cols: 2, N: 32}
-	const nodes, trials = 100, 300
-	f := 0.6
-	rngSeed := int64(0)
-	hit, total := 0, 0
-	for trial := 0; trial < trials; trial++ {
-		rngSeed++
-		var seed Seed
-		seed[0] = byte(trial)
-		seed[1] = byte(trial >> 8)
-		holders := make(map[uint16][]int)
-		for i := 0; i < nodes; i++ {
-			a, err := For(small, seed, ids.NewTestIdentity(rngSeed*1000+int64(i)).ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range a.Rows {
-				holders[r] = append(holders[r], i)
-			}
-		}
-		// Nodes 0..59 are Sybil (60%).
-		line := uint16(trial % 32)
-		hs := holders[line]
-		if len(hs) == 0 {
-			continue
-		}
-		total++
-		all := true
-		for _, h := range hs {
-			if float64(h) >= f*nodes {
-				all = false
-				break
-			}
-		}
-		if all {
-			hit++
-		}
-	}
-	want := CensorshipProbability(small, nodes, f) // includes empty-holder mass
-	got := float64(hit) / float64(total)
-	// Loose agreement: the analytic form conditions differently on empty
-	// lines, so allow a wide band.
-	if got > want*4+0.1 {
-		t.Fatalf("Monte Carlo censorship rate %g far above analytic %g", got, want)
 	}
 }

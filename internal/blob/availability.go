@@ -49,36 +49,3 @@ func SamplesForConfidence(n int, target float64) int {
 	}
 	return n * n
 }
-
-// MaximalWithholding returns the cell-presence set corresponding to the
-// strongest data-withholding attack (Fig. 3-right): all cells are present
-// EXCEPT an (n/2+1) x (n/2+1) square anchored at (0, 0). The returned set
-// is not reconstructable.
-func MaximalWithholding(n int) *CellSet {
-	s := NewCellSet(n)
-	h := n/2 + 1
-	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
-			if r < h && c < h {
-				continue
-			}
-			s.Add(CellID{Row: uint16(r), Col: uint16(c)})
-		}
-	}
-	return s
-}
-
-// MinimalReconstructable returns a minimal cell set from which the entire
-// matrix can be recovered (Fig. 3-left): the first half of the cells of
-// each of the first n/2 rows — i.e. the base data quadrant. Row decoding
-// cannot start (each row has only n/2... exactly n/2 cells, so rows ARE
-// decodable), after which columns complete the matrix.
-func MinimalReconstructable(n int) *CellSet {
-	s := NewCellSet(n)
-	for r := 0; r < n/2; r++ {
-		for c := 0; c < n/2; c++ {
-			s.Add(CellID{Row: uint16(r), Col: uint16(c)})
-		}
-	}
-	return s
-}

@@ -21,13 +21,11 @@ type Extended struct {
 	backing []byte // n*n*CellBytes, row-major
 }
 
-// ExtendOptions tunes the two-dimensional extension.
+// ExtendOptions tunes the two-dimensional extension. Codewords are coded
+// on a pool of GOMAXPROCS workers (with one, on the calling goroutine);
+// any worker count produces bit-identical cells, since codewords are
+// independent and write disjoint cells.
 type ExtendOptions struct {
-	// Workers bounds the codeword worker pool; 0 uses GOMAXPROCS. With 1
-	// all coding runs on the calling goroutine. Any worker count produces
-	// bit-identical cells: codewords are independent and write disjoint
-	// cells.
-	Workers int
 	// Reuse recycles the backing arena of a previous extension with the
 	// same geometry (the returned *Extended is then the same object,
 	// fully overwritten). The caller must be done reading the previous
@@ -80,10 +78,7 @@ func ExtendData(p Params, data []byte, opt ExtendOptions) (*Extended, error) {
 	}
 	e.backing = e.backing[:size]
 
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 
 	cb := p.CellBytes
 	rowSpan := n * cb

@@ -2,23 +2,26 @@ package blob
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
 // TestExtendParallelMatchesSequential pins the determinism contract of
 // the worker pool: parallel extension must be bit-identical to the
-// single-goroutine Workers: 1 path, for any worker count. Codewords are
-// independent and write disjoint cells, so scheduling order must not
-// leak into the output.
+// single-goroutine path GOMAXPROCS 1 takes, for any worker count.
+// Codewords are independent and write disjoint cells, so scheduling order
+// must not leak into the output.
 func TestExtendParallelMatchesSequential(t *testing.T) {
 	p := testParams()
 	data := randData(p.BlobBytes(), 7)
-	seq, err := ExtendData(p, data, ExtendOptions{Workers: 1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	seq, err := ExtendData(p, data, ExtendOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 2, 3, 8, 64} {
-		par, err := ExtendData(p, data, ExtendOptions{Workers: workers})
+	for _, workers := range []int{2, 3, 8, 64} {
+		runtime.GOMAXPROCS(workers)
+		par, err := ExtendData(p, data, ExtendOptions{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -65,8 +68,8 @@ func TestExtendRowPhaseHook(t *testing.T) {
 	p := testParams()
 	data := randData(p.BlobBytes(), 12)
 	var snap []byte
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	e, err := ExtendData(p, data, ExtendOptions{
-		Workers: 4,
 		OnRowPhase: func(e *Extended) {
 			for r := 0; r < p.K; r++ {
 				snap = append(snap, e.RowBytes(r)...)

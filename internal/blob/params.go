@@ -8,11 +8,9 @@
 // carries a 48-byte KZG proof (package kzg), for a total extended size of
 // 512*512*(512+48) = 140 MB.
 //
-// The package also provides CellSet, a compact presence bitmap over the
-// extended matrix with per-row and per-column counters. CellSet is the
-// "metadata cell" representation used by the large-scale simulator, where
-// tracking real payload bytes for 20,000 nodes would be prohibitive — the
-// same approach as the paper's PeerSim simulator.
+// The package also holds the availability mathematics of Section 3: the
+// size of the maximal withheld region and the false-positive bound of
+// sampling against it (availability.go).
 package blob
 
 import (

@@ -193,7 +193,7 @@ func TestPoisonerForgesAnnouncements(t *testing.T) {
 	reg := obsv.NewRegistry()
 	c := smallCluster(t, 100, func(cc *ClusterConfig) {
 		cc.Core.Metrics = reg
-		cc.Adversary = &adversary.Config{PoisonFraction: 0.1, PoisonInterval: 500 * time.Millisecond}
+		cc.Adversary = &adversary.Config{PoisonFraction: 0.1}
 		cc.Churn = &membership.Config{
 			Flash: []membership.FlashEvent{{At: time.Second, Leave: 10}},
 		}

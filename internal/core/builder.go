@@ -104,12 +104,13 @@ func (b *Builder) SetView(v membership.View) { b.view = v }
 // with no steady-state allocation: the data is extended straight into the
 // reused matrix, every payload byte is hashed exactly once (the cell
 // digests feed commitment and proofs alike), and the proofs land in the
-// retained arena.
+// retained arena. Extension and proving each run on GOMAXPROCS workers;
+// the output is bit-identical at any worker count.
 func (b *Builder) PrepareBlob(data []byte) error {
 	if err := b.extendAndCommit(data); err != nil {
 		return err
 	}
-	b.committer.ProveAll(b.commitment, b.proofs, b.proveWorkers(), nil)
+	b.committer.ProveAll(b.commitment, b.proofs, runtime.GOMAXPROCS(0), nil)
 	return nil
 }
 
@@ -133,7 +134,7 @@ func (b *Builder) PrepareAndSeed(slot uint64, data []byte) (SeedingReport, error
 	proving.Add(1)
 	go func() {
 		defer proving.Done()
-		b.committer.ProveAll(b.commitment, b.proofs, b.proveWorkers(), tr.rowDone)
+		b.committer.ProveAll(b.commitment, b.proofs, runtime.GOMAXPROCS(0), tr.rowDone)
 	}()
 	// The prover must be joined even if transmission ends early (crash
 	// budgets): the builder's arenas are reused next slot.
@@ -158,8 +159,7 @@ func (b *Builder) extendAndCommit(data []byte) error {
 	}
 	cm := b.committer
 	ext, err := blob.ExtendData(p, data, blob.ExtendOptions{
-		Workers: b.cfg.ExtendWorkers,
-		Reuse:   b.extended,
+		Reuse: b.extended,
 		OnRowPhase: func(e *blob.Extended) {
 			for r := 0; r < p.K; r++ {
 				cm.HashRow(r, e.RowBytes(r), p.CellBytes)
@@ -179,14 +179,6 @@ func (b *Builder) extendAndCommit(data []byte) error {
 	}
 	b.proofs = b.proofs[:n*n]
 	return nil
-}
-
-// proveWorkers resolves the prover pool size from the configuration.
-func (b *Builder) proveWorkers() int {
-	if b.cfg.ProveWorkers > 0 {
-		return b.cfg.ProveWorkers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // rowTracker publishes prover progress to the transmission loop: rowDone

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -286,35 +287,34 @@ func TestBuilderRestrictedView(t *testing.T) {
 }
 
 // TestBuilderPipelinedMatchesMonolithic pins the streaming
-// PrepareAndSeed path against PrepareBlob followed by SeedSlot on
-// single-worker pools:
+// PrepareAndSeed path at GOMAXPROCS 1, 2 and 8 against PrepareBlob
+// followed by SeedSlot at GOMAXPROCS 1 (single-worker pools):
 // identical commitment, identical proof arena, bit-identical seed
 // datagrams (recipients, sizes, order, payloads, proofs), and an equal
-// report — across prover worker counts and a second slot that reuses
-// every arena.
+// report — across worker counts and a second slot that reuses every
+// arena.
 func TestBuilderPipelinedMatchesMonolithic(t *testing.T) {
 	cfg := TestConfig()
 	cfg.RealPayloads = true
 	cfg.Policy = PolicySingle
 	data := make([]byte, cfg.Blob.BlobBytes())
 	rand.New(rand.NewSource(42)).Read(data)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	for _, workers := range []int{1, 2, 8} {
 		// Both builders are rebuilt per worker count so their rngs start
 		// from the same state (seeding consumes rng as it plans).
-		seqCfg := cfg
-		seqCfg.ExtendWorkers, seqCfg.ProveWorkers = 1, 1
-		want, _, wantTr := builderFixture(t, seqCfg, 80)
-		pipeCfg := cfg
-		pipeCfg.ProveWorkers = workers
-		got, _, gotTr := builderFixture(t, pipeCfg, 80)
+		want, _, wantTr := builderFixture(t, cfg, 80)
+		got, _, gotTr := builderFixture(t, cfg, 80)
 		for slot := uint64(1); slot <= 2; slot++ { // slot 2 reuses arenas
 			wantTr.sends = nil
 			gotTr.sends = nil
+			runtime.GOMAXPROCS(1)
 			if err := want.PrepareBlob(data); err != nil {
 				t.Fatal(err)
 			}
 			wantReport := want.SeedSlot(slot)
+			runtime.GOMAXPROCS(workers)
 			gotReport, err := got.PrepareAndSeed(slot, data)
 			if err != nil {
 				t.Fatal(err)

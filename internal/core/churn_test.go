@@ -312,7 +312,6 @@ func TestChurnViewRefreshDiscoversJoiner(t *testing.T) {
 			InitialOfflineFraction: 0.03,
 			Flash:                  []membership.FlashEvent{{At: 2 * time.Second, Join: 1}},
 			RefreshInterval:        3 * time.Second,
-			RefreshFanout:          3,
 		}
 	})
 	res, err := c.RunSlot(1)

@@ -190,7 +190,7 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	c.behaviors = cc.Adversary.Sortition(cc.Seed, cc.N)
 	c.agents = make([]*adversary.Agent, cc.N)
 	for i := range c.agents {
-		c.agents[i] = adversary.NewAgent(i, c.behaviors[i], cc.Seed, cc.Adversary)
+		c.agents[i] = adversary.NewAgent(i, c.behaviors[i], cc.Seed)
 	}
 
 	c.nodes = make([]*Node, cc.N)
@@ -311,7 +311,7 @@ func (c *Cluster) setupChurn(cc ClusterConfig) error {
 	// sweeps (dead-node timeouts included) keep their exact behaviour.
 	c.scorers = make([]*membership.Scorer, n)
 	for i := range c.scorers {
-		c.scorers[i] = membership.NewScorer(cc.Churn.Scorer, c.net.Now)
+		c.scorers[i] = membership.NewScorer(c.net.Now)
 		if c.rec != nil {
 			c.scorers[i].SetRecorder(c.rec, i)
 		}
@@ -340,8 +340,7 @@ func (c *Cluster) setupChurn(cc ClusterConfig) error {
 		i := i
 		c.refreshers[i] = membership.NewRefresher(
 			c.dhtPeers[i], c.views[i], c.net,
-			cc.Churn.RefreshInterval, cc.Churn.RefreshFanout,
-			cc.Seed^int64(i)*7919,
+			cc.Churn.RefreshInterval, cc.Seed^int64(i)*7919,
 			func() bool { return c.dir.Online(i) })
 		if c.rec != nil {
 			c.refreshers[i].SetRecorder(c.rec, i)

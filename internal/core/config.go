@@ -89,15 +89,6 @@ type Config struct {
 	// only sampling drives the fetcher. The GossipSub baseline uses this:
 	// custody arrives via topic gossip instead of explicit consolidation.
 	DisableConsolidation bool
-	// ExtendWorkers bounds the builder's erasure-coding worker pool when
-	// extending real payloads (0 = GOMAXPROCS). Set 1 to pin the
-	// extension to a single goroutine; outputs are bit-identical either
-	// way, so this only trades wall-clock for scheduling determinism.
-	ExtendWorkers int
-	// ProveWorkers bounds the builder's proof-generation worker pool
-	// (0 = GOMAXPROCS). As with ExtendWorkers, outputs are bit-identical
-	// at any setting.
-	ProveWorkers int
 	// Recorder receives protocol trace events from every layer (builder
 	// seeding, node receive/fetch/sample paths, liveness transitions,
 	// churn). Nil — the default — disables tracing: every emission site

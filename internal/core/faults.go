@@ -145,7 +145,7 @@ func (c *Cluster) emitFault(kind obsv.Kind, fk adversary.FaultKind, count int) {
 // the agent's deterministic randomness.
 func (c *Cluster) startPoisoner(node int) {
 	agent := c.agents[node]
-	period := c.cfg.Adversary.PoisonPeriod()
+	period := adversary.DefaultPoisonInterval
 	var tick func()
 	tick = func() {
 		if c.dir != nil && c.dir.Online(node) && len(c.departed) > 0 {

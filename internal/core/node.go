@@ -334,7 +334,7 @@ func (n *Node) startFetch() {
 }
 
 // pause moves a fetching node back to waiting: its round found nothing to
-// ask (every missing cell is promised) or was the last of MaxRounds.
+// ask (every missing cell is promised) or was the last of fetch.DefaultMaxRounds.
 func (n *Node) pause() { n.phase = phaseWaiting }
 
 // complete moves a node to done and fires OnSlotDone, once per slot.
@@ -771,7 +771,7 @@ func (n *Node) runRound(ps *planScratch) {
 	if n.phase != phaseFetching {
 		return
 	}
-	if n.round >= n.cfg.Schedule.MaxRounds {
+	if n.round >= fetch.DefaultMaxRounds {
 		n.pause()
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"strings"
 
+	"pandas/internal/core"
 	"pandas/internal/swarm"
 )
 
@@ -54,8 +55,9 @@ func Swarm(o Options, kill float64) (*Result, error) {
 func swarmResult(run *swarm.Result) *Result {
 	lines := strings.Split(strings.TrimRight(run.Render(), "\n"), "\n")
 	res := &Result{Title: lines[0], Footer: lines[1:]}
+	deadline := core.DefaultConfig().Deadline
 	for _, sr := range run.SlotResults {
-		res.Samples = append(res.Samples, pool(fmt.Sprintf("%d", sr.Slot), sr.Outcomes, run.Geometry.Deadline, nil))
+		res.Samples = append(res.Samples, pool(fmt.Sprintf("%d", sr.Slot), sr.Outcomes, deadline, nil))
 	}
 	return res
 }

@@ -45,8 +45,6 @@ type Schedule struct {
 	// Redundancy holds k_1, k_2, ...; rounds beyond the slice reuse the
 	// last entry.
 	Redundancy []int
-	// MaxRounds caps the total number of rounds.
-	MaxRounds int
 }
 
 // DefaultSchedule returns the paper's adaptive schedule:
@@ -59,7 +57,6 @@ func DefaultSchedule() Schedule {
 			100 * time.Millisecond,
 		},
 		Redundancy: []int{1, 2, 4, 6, 8, MaxRedundancy},
-		MaxRounds:  DefaultMaxRounds,
 	}
 }
 
@@ -69,7 +66,6 @@ func ConstantSchedule(timeout time.Duration, redundancy int) Schedule {
 	return Schedule{
 		Timeouts:   []time.Duration{timeout},
 		Redundancy: []int{redundancy},
-		MaxRounds:  DefaultMaxRounds,
 	}
 }
 

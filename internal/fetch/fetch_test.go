@@ -27,9 +27,6 @@ func TestDefaultScheduleMatchesPaper(t *testing.T) {
 			t.Errorf("k%d = %d, want %d", i+1, got, want)
 		}
 	}
-	if s.MaxRounds != 50 {
-		t.Errorf("MaxRounds = %d", s.MaxRounds)
-	}
 }
 
 func TestConstantSchedule(t *testing.T) {

@@ -51,21 +51,6 @@ func Mul(a, b uint16) uint16 {
 	return expTable[int(logTable[a])+int(logTable[b])]
 }
 
-// Div returns a / b. Division by zero panics.
-func Div(a, b uint16) uint16 {
-	if b == 0 {
-		panic("gf65536: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	d := int(logTable[a]) - int(logTable[b])
-	if d < 0 {
-		d += 65535
-	}
-	return expTable[d]
-}
-
 // Inv returns the multiplicative inverse of a. Inv(0) panics.
 func Inv(a uint16) uint16 {
 	if a == 0 {

@@ -39,7 +39,7 @@ type FlashEvent struct {
 }
 
 // Config describes the dynamic-membership model: the churn processes the
-// Engine schedules plus the view-maintenance knobs the cluster wires up.
+// Engine schedules plus the view-refresh period the cluster wires up.
 // The zero value is inactive (static membership).
 type Config struct {
 	// MeanSession is the expected online duration before a node departs
@@ -64,12 +64,9 @@ type Config struct {
 
 	// RefreshInterval is the per-node period of DHT-crawl view refresh;
 	// zero selects DefaultRefreshInterval, negative disables refresh.
+	// Crawls look up DefaultRefreshFanout random targets, and peers are
+	// scored with the Scorer's fixed backoff and penalty.
 	RefreshInterval time.Duration
-	// RefreshFanout is the crawl fanout; zero selects
-	// DefaultRefreshFanout.
-	RefreshFanout int
-	// Scorer parameterizes peer-liveness scoring.
-	Scorer ScorerConfig
 }
 
 // Active reports whether the configuration produces any membership

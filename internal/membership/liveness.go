@@ -6,11 +6,12 @@ import (
 	"pandas/internal/obsv"
 )
 
-// Scorer defaults.
+// Scorer parameters.
 const (
-	// DefaultBaseBackoff is the quarantine after a peer's first timeout.
-	// It exceeds one adaptive-fetch round, so a peer that times out once
-	// sits out at least the next round.
+	// DefaultBaseBackoff is the quarantine after a peer's first timeout;
+	// each further consecutive timeout doubles it. It exceeds one
+	// adaptive-fetch round, so a peer that times out once sits out at
+	// least the next round.
 	DefaultBaseBackoff = time.Second
 	// DefaultMaxBackoff caps the exponential backoff; a peer dead for
 	// several probes is effectively out for the rest of the slot.
@@ -19,31 +20,6 @@ const (
 	// to a peer that is queryable again after its backoff expired.
 	DefaultPenalty = 2
 )
-
-// ScorerConfig parameterizes peer-liveness scoring.
-type ScorerConfig struct {
-	// BaseBackoff is the quarantine after the first timeout; each further
-	// consecutive timeout doubles it. Zero selects DefaultBaseBackoff.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the doubling. Zero selects DefaultMaxBackoff.
-	MaxBackoff time.Duration
-	// Penalty is the per-failure score deduction for peers out of
-	// backoff. Zero selects DefaultPenalty.
-	Penalty int
-}
-
-func (c ScorerConfig) withDefaults() ScorerConfig {
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = DefaultBaseBackoff
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = DefaultMaxBackoff
-	}
-	if c.Penalty <= 0 {
-		c.Penalty = DefaultPenalty
-	}
-	return c
-}
 
 type peerScore struct {
 	failures     int
@@ -61,7 +37,6 @@ type peerScore struct {
 //
 // Scorer implements fetch.Liveness and core.LivenessRecorder.
 type Scorer struct {
-	cfg   ScorerConfig
 	now   func() time.Duration
 	state map[int]*peerScore
 
@@ -73,8 +48,8 @@ type Scorer struct {
 
 // NewScorer creates a scorer reading time from now (the simulation
 // clock in practice).
-func NewScorer(cfg ScorerConfig, now func() time.Duration) *Scorer {
-	return &Scorer{cfg: cfg.withDefaults(), now: now, state: make(map[int]*peerScore)}
+func NewScorer(now func() time.Duration) *Scorer {
+	return &Scorer{now: now, state: make(map[int]*peerScore)}
 }
 
 // SetRecorder installs event tracing for liveness transitions: node is
@@ -98,12 +73,12 @@ func (s *Scorer) ReportTimeout(peer int) {
 		s.state[peer] = st
 	}
 	st.failures++
-	back := s.cfg.BaseBackoff
-	for i := 1; i < st.failures && back < s.cfg.MaxBackoff; i++ {
+	back := DefaultBaseBackoff
+	for i := 1; i < st.failures && back < DefaultMaxBackoff; i++ {
 		back *= 2
 	}
-	if back > s.cfg.MaxBackoff {
-		back = s.cfg.MaxBackoff
+	if back > DefaultMaxBackoff {
+		back = DefaultMaxBackoff
 	}
 	st.backoffUntil = s.now() + back
 	if s.rec != nil {
@@ -129,7 +104,7 @@ func (s *Scorer) ReportGarbage(peer int) {
 	// Failure count equivalent to having timed out all the way up the
 	// exponential ladder.
 	steps := 1
-	for back := s.cfg.BaseBackoff; back < s.cfg.MaxBackoff; back *= 2 {
+	for back := DefaultBaseBackoff; back < DefaultMaxBackoff; back *= 2 {
 		steps++
 	}
 	if st.failures < steps {
@@ -137,11 +112,11 @@ func (s *Scorer) ReportGarbage(peer int) {
 	} else {
 		st.failures++
 	}
-	st.backoffUntil = s.now() + s.cfg.MaxBackoff
+	st.backoffUntil = s.now() + DefaultMaxBackoff
 	if s.rec != nil {
 		s.rec.Record(obsv.Event{At: s.now(), Slot: s.slot,
 			Kind: obsv.KindPeerTimeout, Node: s.node, Peer: int32(peer),
-			Count: int32(st.failures), Aux: int64(s.cfg.MaxBackoff)})
+			Count: int32(st.failures), Aux: int64(DefaultMaxBackoff)})
 	}
 }
 
@@ -174,7 +149,7 @@ func (s *Scorer) Penalty(peer int) int {
 	if st == nil {
 		return 0
 	}
-	return st.failures * s.cfg.Penalty
+	return st.failures * DefaultPenalty
 }
 
 // Failures returns the peer's consecutive timeout count.

@@ -85,7 +85,7 @@ func (c *fakeClock) now() time.Duration { return c.t }
 
 func TestScorerBackoffGrowsAndCaps(t *testing.T) {
 	clk := &fakeClock{}
-	s := NewScorer(ScorerConfig{BaseBackoff: time.Second, MaxBackoff: 4 * time.Second}, clk.now)
+	s := NewScorer(clk.now)
 	if !s.Queryable(9) || s.Penalty(9) != 0 {
 		t.Fatal("unknown peer must be healthy")
 	}
@@ -115,11 +115,15 @@ func TestScorerBackoffGrowsAndCaps(t *testing.T) {
 	if !s.Queryable(9) {
 		t.Fatal("doubled backoff never expired")
 	}
-	// Drive failures past the cap: backoff must stay at MaxBackoff.
+	// Drive failures past the cap: backoff must stay at DefaultMaxBackoff.
 	for i := 0; i < 10; i++ {
 		s.ReportTimeout(9)
 	}
-	clk.t += 4*time.Second + time.Millisecond
+	clk.t += DefaultMaxBackoff - time.Millisecond
+	if s.Queryable(9) {
+		t.Fatal("backoff shorter than its cap")
+	}
+	clk.t += 2 * time.Millisecond
 	if !s.Queryable(9) {
 		t.Fatal("backoff exceeded its cap")
 	}
@@ -127,7 +131,7 @@ func TestScorerBackoffGrowsAndCaps(t *testing.T) {
 
 func TestScorerSuccessResets(t *testing.T) {
 	clk := &fakeClock{}
-	s := NewScorer(ScorerConfig{}, clk.now)
+	s := NewScorer(clk.now)
 	s.ReportTimeout(4)
 	s.ReportTimeout(4)
 	if s.Demoted() != 1 {

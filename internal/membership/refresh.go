@@ -9,8 +9,9 @@ import (
 
 // Refresher keeps one node's LiveView fresh by periodically crawling the
 // Kademlia DHT — the paper's §4.1 view-building mechanism, wired to the
-// previously orphaned dht.Crawl. Every interval the node issues a
-// fanout-target crawl and folds every discovered entry into its view.
+// previously orphaned dht.Crawl. Every interval the node issues a crawl of
+// DefaultRefreshFanout targets and folds every discovered entry into its
+// view.
 //
 // Crawls only ADD peers: routing tables retain entries for departed
 // nodes (stale ENRs), so a crawl may well re-discover a peer that
@@ -22,7 +23,6 @@ type Refresher struct {
 	view     *LiveView
 	clock    Clock
 	interval time.Duration
-	fanout   int
 	seed     int64
 	crawls   int
 	// active gates crawling (an offline node cannot crawl); nil means
@@ -37,21 +37,17 @@ type Refresher struct {
 	slot uint64
 }
 
-// NewRefresher creates a refresher for one node. Interval and fanout of
-// zero select the defaults.
-func NewRefresher(peer *dht.Peer, view *LiveView, clock Clock, interval time.Duration, fanout int, seed int64, active func() bool) *Refresher {
+// NewRefresher creates a refresher for one node. An interval of zero
+// selects DefaultRefreshInterval.
+func NewRefresher(peer *dht.Peer, view *LiveView, clock Clock, interval time.Duration, seed int64, active func() bool) *Refresher {
 	if interval == 0 {
 		interval = DefaultRefreshInterval
-	}
-	if fanout <= 0 {
-		fanout = DefaultRefreshFanout
 	}
 	return &Refresher{
 		peer:     peer,
 		view:     view,
 		clock:    clock,
 		interval: interval,
-		fanout:   fanout,
 		seed:     seed,
 		active:   active,
 	}
@@ -100,7 +96,7 @@ func (r *Refresher) RefreshNow() {
 	// regions of the ID space.
 	crawlSeed := r.seed + int64(r.crawls)*1_000_003
 	crawlNum := r.crawls
-	r.peer.Crawl(r.fanout, crawlSeed, func(found []dht.Entry) {
+	r.peer.Crawl(DefaultRefreshFanout, crawlSeed, func(found []dht.Entry) {
 		for _, e := range found {
 			r.view.Add(e.Addr)
 		}

@@ -51,7 +51,7 @@ func TestRefreshConvergesOn100NodeTable(t *testing.T) {
 	net, peers := dhtNet(t, n)
 	view := NewLiveView()
 	view.Add(0)
-	r := NewRefresher(peers[0], view, net, 5*time.Second, 6, 99, nil)
+	r := NewRefresher(peers[0], view, net, 5*time.Second, 99, nil)
 	r.Start(0)
 	net.Run(30 * time.Second)
 	if r.Crawls() < 3 {
@@ -73,7 +73,7 @@ func TestRefreshNowMergesAndNotifies(t *testing.T) {
 	net, peers := dhtNet(t, 40)
 	view := NewLiveView()
 	var observed int
-	r := NewRefresher(peers[3], view, net, -1, 4, 5, nil)
+	r := NewRefresher(peers[3], view, net, -1, 5, nil)
 	r.SetOnFound(func(found []dht.Entry) { observed = len(found) })
 	r.Start(0) // negative interval: periodic loop disabled
 	net.Run(5 * time.Second)
@@ -91,7 +91,7 @@ func TestRefreshSkipsWhileInactive(t *testing.T) {
 	net, peers := dhtNet(t, 20)
 	view := NewLiveView()
 	active := false
-	r := NewRefresher(peers[0], view, net, time.Second, 2, 1, func() bool { return active })
+	r := NewRefresher(peers[0], view, net, time.Second, 1, func() bool { return active })
 	r.Start(0)
 	net.Run(5 * time.Second)
 	if r.Crawls() != 0 {

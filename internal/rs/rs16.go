@@ -64,9 +64,6 @@ func (c *Codec16) DataShards() int { return c.k }
 // TotalShards returns n.
 func (c *Codec16) TotalShards() int { return c.n }
 
-// ParityShards returns n - k.
-func (c *Codec16) ParityShards() int { return c.n - c.k }
-
 // Encode computes parity shards k..n-1 from data shards 0..k-1.
 // All data shards must be non-nil, equally sized, and of even length.
 // Existing parity slices are reused when their capacity suffices.

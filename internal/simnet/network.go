@@ -66,9 +66,6 @@ type Config struct {
 	// MinDelay bounds the smallest propagation delay (packets never
 	// arrive instantaneously, even loopback); optional.
 	MinDelay time.Duration
-	// Jitter adds a uniform random extra delay in [0, Jitter) to every
-	// delivered message, modelling transient latency spikes; optional.
-	Jitter time.Duration
 }
 
 // Network simulates message exchange among indexed nodes over the engine.
@@ -89,7 +86,6 @@ type Network struct {
 	mDelivered *obsv.Counter
 	mDropped   *obsv.Counter
 	mBytes     *obsv.Counter
-	mQueue     *obsv.Gauge
 }
 
 type nodeState struct {
@@ -204,18 +200,16 @@ func (n *Network) SetLinkFilter(f func(from, to int) bool) {
 }
 
 // SetMetrics publishes the network's counters into an obsv registry:
-// simnet_delivered_total, simnet_dropped_total, simnet_bytes_total, and
-// the simnet_queue_depth gauge (event-queue depth sampled at each
-// delivery). Pass nil to stop updating.
+// simnet_delivered_total, simnet_dropped_total and simnet_bytes_total.
+// Pass nil to stop updating.
 func (n *Network) SetMetrics(reg *obsv.Registry) {
 	if reg == nil {
-		n.mDelivered, n.mDropped, n.mBytes, n.mQueue = nil, nil, nil, nil
+		n.mDelivered, n.mDropped, n.mBytes = nil, nil, nil
 		return
 	}
 	n.mDelivered = reg.Counter("simnet_delivered_total")
 	n.mDropped = reg.Counter("simnet_dropped_total")
 	n.mBytes = reg.Counter("simnet_bytes_total")
-	n.mQueue = reg.Gauge("simnet_queue_depth")
 }
 
 // Send transmits size bytes of payload from one node to another. The
@@ -280,9 +274,6 @@ func (n *Network) send(from, to, size int, payload any, lossy bool) {
 	if prop < n.cfg.MinDelay {
 		prop = n.cfg.MinDelay
 	}
-	if n.cfg.Jitter > 0 {
-		prop += time.Duration(n.engine.rng.Int63n(int64(n.cfg.Jitter)))
-	}
 	arrive := start + txTime + prop
 
 	n.engine.At(arrive, func() {
@@ -296,7 +287,6 @@ func (n *Network) send(from, to, size int, payload any, lossy bool) {
 			if n.mDelivered != nil {
 				n.mDelivered.Inc()
 				n.mBytes.Add(int64(size))
-				n.mQueue.Set(int64(n.engine.Pending()))
 			}
 			if recv.dead || recv.handler == nil {
 				return

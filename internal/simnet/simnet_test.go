@@ -331,43 +331,6 @@ func BenchmarkNetworkSendDeliver(b *testing.B) {
 	n.Run(n.Now() + time.Hour)
 }
 
-func TestNetworkJitter(t *testing.T) {
-	n, err := New(Config{
-		Latency: ConstantLatency(10 * time.Millisecond),
-		Seed:    5,
-		Jitter:  20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var arrivals []time.Duration
-	a := n.AddNode(nil, 0, 0)
-	b := n.AddNode(func(from, size int, payload any) {
-		arrivals = append(arrivals, n.Now())
-	}, 0, 0)
-	base := n.Now()
-	for i := 0; i < 200; i++ {
-		n.Send(a, b, 10, nil)
-	}
-	n.Run(base + time.Second)
-	if len(arrivals) != 200 {
-		t.Fatalf("arrivals = %d", len(arrivals))
-	}
-	varies := false
-	for _, at := range arrivals {
-		d := at - base
-		if d < 10*time.Millisecond || d >= 30*time.Millisecond {
-			t.Fatalf("arrival delay %v outside [10ms, 30ms)", d)
-		}
-		if d != arrivals[0]-base {
-			varies = true
-		}
-	}
-	if !varies {
-		t.Fatal("jitter produced identical delays")
-	}
-}
-
 // TestEndpointLossSemantics pins what the protocol layers rely on in a
 // node's Endpoint: Send is the lossy path and SendReliable the seeding
 // path, at the highest loss rate the network accepts, and both carry the

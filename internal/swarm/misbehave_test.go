@@ -111,15 +111,6 @@ func probeGarbage(sup string) error {
 	return nil
 }
 
-// misbehaveGeometry is testGeometry with a 1 s deadline: a node that
-// cannot finish a slot gives up and reports at 3 s, inside the 3.5 s slot
-// timeout the tests below set.
-func misbehaveGeometry() Geometry {
-	g := testGeometry()
-	g.Deadline = time.Second
-	return g
-}
-
 // TestSwarmMuteWorker: node 0 registers, says it is ready and heartbeats,
 // but never reports. Each slot ends at the slot timeout with everyone
 // else's report, node 0 is not declared dead, and the run goes on.
@@ -131,7 +122,7 @@ func TestSwarmMuteWorker(t *testing.T) {
 		N:           6,
 		Slots:       2,
 		Seed:        5,
-		Geometry:    misbehaveGeometry(),
+		Geometry:    testGeometry(),
 		Command:     selfCommand(t, map[int]string{0: "mute"}),
 		Log:         testLog(),
 		slotTimeout: 3500 * time.Millisecond,
@@ -167,7 +158,7 @@ func TestSwarmWedgedWorker(t *testing.T) {
 		N:                6,
 		Slots:            2,
 		Seed:             6,
-		Geometry:         misbehaveGeometry(),
+		Geometry:         testGeometry(),
 		Command:          selfCommand(t, map[int]string{0: "wedged"}),
 		Log:              testLog(),
 		heartbeatTimeout: 1500 * time.Millisecond,

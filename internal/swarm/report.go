@@ -58,11 +58,12 @@ func (r *Result) Render() string {
 	fmt.Fprintf(&b, "\n")
 	fmt.Fprintf(&b, "%-5s %-9s %-10s %-10s %-10s %-9s %-9s %-9s\n",
 		"slot", "reports", "deadline", "p50-sample", "p99-sample", "fetchmsgs", "restarts", "rejoined")
+	deadline := core.DefaultConfig().Deadline
 	for _, sr := range r.SlotResults {
-		sampling := sr.Sampling(r.Geometry.Deadline)
+		sampling := sr.Sampling(deadline)
 		rate, p50, p99 := "n/a", "n/a", "n/a"
 		if sampling.Total() > 0 {
-			rate = fmt.Sprintf("%.1f%%", 100*sampling.FractionWithin(r.Geometry.Deadline))
+			rate = fmt.Sprintf("%.1f%%", 100*sampling.FractionWithin(deadline))
 		}
 		if sampling.Count() > 0 {
 			p50 = sampling.Median().Round(time.Millisecond).String()

@@ -69,7 +69,7 @@ func (o Options) withDefaults() Options {
 		o.maxRestarts = 10
 	}
 	if o.slotTimeout == 0 {
-		o.slotTimeout = o.Geometry.Deadline + 8*time.Second
+		o.slotTimeout = core.DefaultConfig().Deadline + 8*time.Second
 	}
 	if o.heartbeatTimeout == 0 {
 		o.heartbeatTimeout = 5 * time.Second

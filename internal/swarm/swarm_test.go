@@ -46,10 +46,7 @@ func testGeometry() Geometry {
 		K:          4,
 		Custody:    4,
 		Samples:    4,
-		CellBytes:  64,
 		Redundancy: 4,
-		SeedWait:   300 * time.Millisecond,
-		Deadline:   4 * time.Second,
 	}
 }
 
@@ -119,8 +116,9 @@ func TestSwarmEndToEnd(t *testing.T) {
 		if completed < res.N-1 {
 			t.Errorf("slot %d: only %d/%d nodes consolidated and sampled", sr.Slot, completed, res.N)
 		}
-		sampling := sr.Sampling(res.Geometry.Deadline)
-		met, eligible := sampling.Within(res.Geometry.Deadline), sampling.Total()
+		deadline := core.DefaultConfig().Deadline
+		sampling := sr.Sampling(deadline)
+		met, eligible := sampling.Within(deadline), sampling.Total()
 		if eligible == 0 || met < eligible-1 {
 			t.Errorf("slot %d: deadline met %d/%d", sr.Slot, met, eligible)
 		}
