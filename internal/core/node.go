@@ -635,19 +635,26 @@ func (n *Node) addCells(cells []wire.Cell) (dups, added, rejects int) {
 	}
 	// Erasure reconstruction of any custody line that crossed the
 	// half-full threshold (Algorithm 1, UPONRECEIVE), rows before columns
-	// in ascending order — which is store line order.
+	// in ascending order — which is store line order. Restored cells touch
+	// the custody lines that cross theirs, and may carry one of those past
+	// the threshold too, so the sweep repeats until no line decodes.
 	recon := 0
-	for li, hit := range touched {
-		if !hit {
-			continue
-		}
-		newCells, err := n.store.TryReconstruct(n.store.lineAt(li))
-		if err != nil {
-			continue
-		}
-		recon += len(newCells)
-		for i := range newCells {
-			n.cellLanded(newCells[i].ID, nil)
+	for again := true; again; {
+		again = false
+		for li, hit := range touched {
+			if !hit {
+				continue
+			}
+			touched[li] = false
+			newCells, err := n.store.TryReconstruct(n.store.lineAt(li))
+			if err != nil || len(newCells) == 0 {
+				continue
+			}
+			again = true
+			recon += len(newCells)
+			for i := range newCells {
+				n.cellLanded(newCells[i].ID, touched)
+			}
 		}
 	}
 	if recon > 0 && n.round >= 1 && n.round <= len(n.obs.View.Rounds) {
