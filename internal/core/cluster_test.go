@@ -9,6 +9,7 @@ import (
 	"pandas/internal/fetch"
 	"pandas/internal/ids"
 	"pandas/internal/simnet"
+	"pandas/internal/wire"
 )
 
 // smallCluster builds a fast deployment for tests: scaled-down blob,
@@ -574,6 +575,101 @@ func TestOnSlotDoneFiresOncePerSlot(t *testing.T) {
 			if dead := len(c.Nodes()) / 10; completed == 0 || completed > len(c.Nodes())-dead {
 				t.Fatalf("noCons=%v slot %d: %d nodes completed", noCons, slot, completed)
 			}
+		}
+	}
+}
+
+// roundOneHedge is Σ⌈d/4⌉ over a node's custody lines, d being a line's
+// deficit to K: the cells round 1 asks beyond what decoding needs. It
+// reads the node's state right after round 1 is planned, which nothing
+// has changed since.
+func roundOneHedge(n *Node) int {
+	hedge := 0
+	for li := 0; li < n.store.TrackedLines(); li++ {
+		l := n.store.lineAt(li)
+		d := n.cfg.Blob.K - n.store.LineCount(l)
+		for pos := 0; pos < n.store.n; pos++ {
+			if n.promised(cellOnLine(l, pos)) {
+				d--
+			}
+		}
+		if d > 0 {
+			hedge += (d + fetchHedgeDiv - 1) / fetchHedgeDiv
+		}
+	}
+	return hedge
+}
+
+// TestRoundOneDuplicatesWithinHedge pins the fetch surplus on a lossless,
+// all-honest network: every node consolidates and samples, and the cells
+// a node's round-1 asks bring in twice are no more than the hedge it
+// asked for. Three kinds of ask fall outside a line's hedge, and each may
+// cost one duplicate more: a cell on two custody lines, asked for one of
+// them, which the other's decode restores or whose arrival counts toward
+// it; a sample on a custody line; and a cell asked again in a later round,
+// whose round-1 reply arrives second. A line that asked for its seeds'
+// cells again, or for a fixed surplus on top of them, would exceed it.
+func TestRoundOneDuplicatesWithinHedge(t *testing.T) {
+	// Twenty deployments: without the reconstruction fixpoint, about one
+	// in twenty leaves a node that never consolidates.
+	for seed := int64(1); seed <= 20; seed++ {
+		roundOneDuplicatesWithinHedge(t, seed)
+	}
+}
+
+func roundOneDuplicatesWithinHedge(t *testing.T, seed int64) {
+	c := smallCluster(t, 120, func(cc *ClusterConfig) {
+		cc.LossRate = 0
+		cc.Seed = seed
+	})
+	hedge := make([]int, len(c.Nodes()))
+	asks := make([]map[blob.CellID]int, len(c.Nodes()))
+	for i, n := range c.Nodes() {
+		asks[i] = map[blob.CellID]int{}
+		if err := c.Network().SetHandler(i, func(from, size int, payload any) {
+			if q, ok := payload.(*wire.Query); ok && from >= 0 && from < len(asks) {
+				for _, id := range q.Cells {
+					asks[from][id]++
+				}
+			}
+			before := n.round
+			c.dispatch(i, from, size, payload)
+			if before == 0 && n.round == 1 {
+				hedge[i] = roundOneHedge(n)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := c.RunSlot(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crossings := c.cfg.Core.Assign.Rows * c.cfg.Core.Assign.Cols
+	for i, o := range res.Outcomes {
+		if o.Consolidation < 0 || o.Sampling < 0 {
+			t.Fatalf("seed %d node %d: consolidated %v, sampled %v", seed, i, o.Consolidation, o.Sampling)
+		}
+		if len(o.Rounds) == 0 {
+			continue
+		}
+		n := c.Nodes()[i]
+		bound := hedge[i] + crossings
+		for _, s := range n.Samples() {
+			if n.store.rowIndex(s.Row) >= 0 {
+				bound++
+			}
+			if n.store.colIndex(s.Col) >= 0 {
+				bound++
+			}
+		}
+		for _, k := range asks[i] {
+			if k > 1 {
+				bound++
+			}
+		}
+		if d := o.Rounds[0].Duplicates; d > bound {
+			t.Errorf("seed %d node %d: %d round-1 duplicates, hedge %d, bound %d", seed, i, d, hedge[i], bound)
 		}
 	}
 }

@@ -350,6 +350,10 @@ func (n *Node) queryable(peer int) bool {
 	return n.view == nil || n.view.Contains(peer)
 }
 
+// fetchHedgeDiv sizes a custody line's fetch surplus: a line D cells
+// short of K asks for D + ⌈D/fetchHedgeDiv⌉ cells.
+const fetchHedgeDiv = 4
+
 // missingCells computes F into ps: custody cells not yet present plus
 // samples not yet present.
 func (n *Node) missingCells(ps *planScratch) []blob.CellID {
@@ -358,7 +362,6 @@ func (n *Node) missingCells(ps *planScratch) []blob.CellID {
 	if !n.cfg.DisableConsolidation {
 		width := n.cfg.Blob.N()
 		half := n.cfg.Blob.K
-		margin := max(half/4, 2)
 		for li := 0; li < n.store.TrackedLines(); li++ {
 			l, ls := n.store.lineAt(li), &n.store.lines[li]
 			have := ls.count
@@ -366,23 +369,24 @@ func (n *Node) missingCells(ps *planScratch) []blob.CellID {
 				continue
 			}
 			// Rational fetching: a line reconstructs from any K of its 2K
-			// cells, so request only up to K+margin present cells rather
-			// than every missing one — the erasure code supplies the rest.
-			// Requesting everything would turn the decoder's surplus into
-			// duplicate deliveries (and wasted bandwidth) for half a line.
-			// Cells the builder has promised this node (its own CB
-			// parcels, still in flight) count as good as received.
-			needed := half + margin - have
+			// cells, so request only the deficit to K rather than every
+			// missing one — the erasure code supplies the rest. Cells the
+			// builder has promised this node (its own CB parcels, still in
+			// flight) count as good as received: the seed path is exempt
+			// from loss, so they need no hedge. What is fetched is hedged
+			// by a quarter of the deficit against lost and late replies.
+			deficit := half - have
 			if !n.seedOver {
 				for w, own := range ls.own {
-					needed -= bits.OnesCount64(own &^ ls.bits[w]) // promised, not held
+					deficit -= bits.OnesCount64(own &^ ls.bits[w]) // promised, not held
 				}
 			}
-			if needed <= 0 {
-				// Already past the threshold; reconstruction will fire as
-				// soon as the in-flight cells land.
+			if deficit <= 0 {
+				// Held and promised cells reach the threshold;
+				// reconstruction fires as soon as the promised ones land.
 				continue
 			}
+			needed := deficit + (deficit+fetchHedgeDiv-1)/fetchHedgeDiv
 			ps.missing = n.store.MissingOnLine(l, ps.missing)
 			missing := ps.missing
 			// Prefer positions the builder actually seeded somewhere, and

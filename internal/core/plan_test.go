@@ -248,3 +248,57 @@ func TestSeedSignatureVerifiedOncePerBatch(t *testing.T) {
 		t.Fatal("signature accepted from the cache after the proposer key changed")
 	}
 }
+
+// TestMissingCellsAsksDeficitPlusHedge pins the fetch size of one custody
+// line: nothing once held and promised cells reach K, and otherwise the
+// deficit d to K plus a hedge of ⌈d/4⌉. Promised cells stop counting when
+// the seed flow ends.
+func TestMissingCellsAsksDeficitPlusHedge(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		held, promised int
+		seedOver       bool
+		want           int
+	}{
+		{"held and promised reach K", 6, 10, false, 0},
+		{"held alone passes K", 17, 0, false, 0},
+		{"deficit of one", 5, 10, false, 1 + 1},
+		{"deficit of seven", 3, 6, false, 7 + 2},
+		{"nothing held or promised", 0, 0, false, 16 + 4},
+		{"promised count as missing once the seed flow ends", 6, 10, true, 10 + 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			node, table, _, cfg := nodeFixture(t, 60)
+			if cfg.Blob.K != 16 {
+				t.Fatalf("table assumes K = 16, got %d", cfg.Blob.K)
+			}
+			node.StartSlot(1)
+			clear(node.pendingSmp) // count custody cells only
+			l := node.store.lineAt(0)
+			if tc.promised > 0 {
+				node.HandleMessage(99, 100, ownBoost(table, 0, []blob.Line{l}, tc.promised, 2))
+			}
+			var held []wire.Cell
+			for pos := cfg.Blob.N() - tc.held; pos < cfg.Blob.N(); pos++ {
+				held = append(held, wire.Cell{ID: cellOnLine(l, pos)})
+			}
+			node.HandleMessage(5, 100, &wire.Response{Slot: 1, Cells: held})
+			if tc.seedOver {
+				node.endSeedFlow()
+			}
+			if got := node.store.LineCount(l); got != tc.held && got != cfg.Blob.N() {
+				t.Fatalf("line holds %d cells, want %d", got, tc.held)
+			}
+			asked := 0
+			for _, id := range node.missingCells(new(planScratch)) {
+				if l.Contains(id) {
+					asked++
+				}
+			}
+			if asked != tc.want {
+				t.Fatalf("held %d, promised %d: asked %d cells of %v, want %d",
+					tc.held, tc.promised, asked, l, tc.want)
+			}
+		})
+	}
+}
