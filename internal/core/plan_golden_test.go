@@ -42,8 +42,8 @@ func TestPlanGolden(t *testing.T) {
 				}
 			},
 			want: goldenTotals{
-				msgs: 228185, bytes: 35411153, rounds: 5,
-				digest: "ff1d11eb420886c210d4f066cc2d383da46012b67ee870326ed30e46058268c1",
+				msgs: 227008, bytes: 35145704, rounds: 5,
+				digest: "2dac1d17ce81d3fb4581b5c47d67cf027c1a78524fe26ac70f566027663411a4",
 			},
 		},
 		{
@@ -62,8 +62,8 @@ func TestPlanGolden(t *testing.T) {
 				}
 			},
 			want: goldenTotals{
-				msgs: 13250, bytes: 1073222, rounds: 50,
-				digest: "d097093cfc0ab64c98115f829a7e832cf9f5b334f1913f320d23f32a234a9580",
+				msgs: 15890, bytes: 1175526, rounds: 50,
+				digest: "9085e81fdd8b562a1930fb547bab3f9079a321ebb5f3642c9d06bf6c8e64c0bf",
 			},
 		},
 		{
@@ -77,8 +77,8 @@ func TestPlanGolden(t *testing.T) {
 				}
 			},
 			want: goldenTotals{
-				msgs: 10352, bytes: 1842060, rounds: 5,
-				digest: "264ed0f263217de40916746fe57331bf2c3190f41a07895932df93187f19404e",
+				msgs: 8867, bytes: 1622539, rounds: 5,
+				digest: "9c93e36d13afb98123b82902b2920e2c7b27b8c080fa238d51f6c621824bdcc0",
 			},
 		},
 	}

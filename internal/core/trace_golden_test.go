@@ -86,11 +86,11 @@ func TestTraceGolden(t *testing.T) {
 		want  string
 	}{
 		{"sparse-dead-liveness", 150, false, sparseDeadLiveness, nil,
-			"639bcc0aa3c56a481681e7516a652f7b34a0290146abd79beda0fa7fdc8dcc7d"},
+			"7e5b1fa679fc86c7808078b4d8ade76c4bb2ba510ea7758163856f21a4199916"},
 		{"garbage-peers", 100, true, garbagePeers, nil,
-			"1063e0c93346be0520e949bdf574bce25a79ee16572e2cc8ed93015058c591bb"},
+			"3df6b49171ca6cde1d058ec72b25ac8027c5406481995551073581d5ef6d619d"},
 		{"churn-adversaries", 150, false, churnAdversaries, checkChurnAdversaries,
-			"c77985ea64c9f2cdce837efce097c7837fa05f0eb3d48c39c70af984376933c6"},
+			"3a305dc56d9d144f4e57829105d30ec37e1e6951577388d4e5938c063a8afea0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, trace := tracedRegime(t, tc.n, tc.real, tc.mutate)
