@@ -96,7 +96,8 @@ type Config struct {
 	// unchanged (see obsv's disabled-path benchmark gate).
 	Recorder obsv.Recorder
 	// Metrics is the counters/gauges/histograms registry shared by the
-	// deployment (gossip/DHT message counts, simulator queue depth).
+	// deployment (gossip/DHT message counts, simulator deliveries, drops
+	// and bytes, rejected cells; on real sockets, per-slot outcomes).
 	// Nil disables registry updates.
 	Metrics *obsv.Registry
 	// TraceRing is the event capacity of the ring-buffer recorder created

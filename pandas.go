@@ -152,8 +152,9 @@ func WithRecorder(cfg Config, rec Recorder) Config {
 }
 
 // WithMetrics returns a copy of cfg with registry metrics enabled:
-// deployments update counters and gauges (message counts, queue depth)
-// in reg. Pass nil to disable.
+// deployments update counters, gauges and histograms (message counts,
+// simulator deliveries, drops and bytes, per-slot outcomes on real
+// sockets) in reg. Pass nil to disable.
 func WithMetrics(cfg Config, reg *StatsRegistry) Config {
 	cfg.Metrics = reg
 	return cfg
