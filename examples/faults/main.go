@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 
-	"pandas"
 	"pandas/internal/adversary"
 	"pandas/internal/core"
 	"pandas/internal/experiments"
@@ -30,7 +29,7 @@ func main() {
 
 	// Data withholding: the builder releases everything EXCEPT the
 	// maximal non-reconstructable square. Sampling must fail everywhere.
-	cluster, err := pandas.NewCluster(pandas.ClusterConfig{
+	cluster, err := core.NewCluster(core.ClusterConfig{
 		Core: o.Core, N: 200, Seed: 9, LossRate: 0.03,
 	})
 	if err != nil {
@@ -51,5 +50,4 @@ func main() {
 	fmt.Printf("withholding attack: %d cells withheld, %d/%d nodes detected unavailability (%.1f%%)\n",
 		res.Seeding.Withheld, detected, len(res.Outcomes),
 		100*float64(detected)/float64(len(res.Outcomes)))
-	_ = core.PolicyRedundant
 }

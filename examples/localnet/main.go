@@ -10,19 +10,21 @@ import (
 	"log"
 	"time"
 
-	"pandas"
+	"pandas/internal/blob"
+	"pandas/internal/core"
+	"pandas/internal/swarm"
 )
 
 func main() {
-	cfg := pandas.TestConfig()
+	cfg := core.TestConfig()
 	// A dense small geometry so 16 nodes give every row/column several
 	// holders: 16x16 extended matrix, 4+4 custody lines, 6 samples.
-	cfg.Blob = pandas.BlobParams{K: 8, CellBytes: 64, ProofBytes: 48}
+	cfg.Blob = blob.Params{K: 8, CellBytes: 64, ProofBytes: 48}
 	cfg.Assign.N = cfg.Blob.N()
 	cfg.Assign.Rows, cfg.Assign.Cols = 4, 4
 	cfg.Samples = 6
 
-	ln, err := pandas.NewLocalnet(cfg, 16, 7)
+	ln, err := swarm.NewLocalnet(cfg, 16, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func main() {
 				continue
 			}
 			finished++
-			if d <= pandas.AttestationDeadline {
+			if d <= cfg.Deadline {
 				onTime++
 			}
 			if d > max {

@@ -9,15 +9,16 @@ import (
 	"sort"
 	"time"
 
-	"pandas"
+	"pandas/internal/blob"
+	"pandas/internal/core"
 )
 
 func main() {
 	// A scaled-down geometry keeps the demo instant; swap in
-	// pandas.DefaultConfig() for the full 512x512 Danksharding matrix.
-	cfg := pandas.TestConfig()
+	// core.DefaultConfig() for the full 512x512 Danksharding matrix.
+	cfg := core.TestConfig()
 
-	cluster, err := pandas.NewCluster(pandas.ClusterConfig{
+	cluster, err := core.NewCluster(core.ClusterConfig{
 		Core:     cfg,
 		N:        200,
 		Seed:     1,
@@ -45,7 +46,7 @@ func main() {
 		float64(res.Seeding.Bytes)/1e6, res.Seeding.Messages, res.Seeding.Policy)
 	fmt.Printf("sampling median:     %v\n", sampling[len(sampling)/2])
 	fmt.Printf("sampling max:        %v\n", sampling[len(sampling)-1])
-	fmt.Printf("met 4 s deadline:    %.1f%%\n", 100*res.DeadlineRate(pandas.AttestationDeadline))
+	fmt.Printf("met 4 s deadline:    %.1f%%\n", 100*res.DeadlineRate(cfg.Deadline))
 	fmt.Printf("false-positive bound for %d samples: %.2g\n",
-		cfg.Samples, pandas.SamplingFalsePositiveBound(cfg.Blob.N(), cfg.Samples))
+		cfg.Samples, blob.FalsePositiveBound(cfg.Blob.N(), cfg.Samples))
 }

@@ -11,12 +11,12 @@ import (
 	"fmt"
 	"log"
 
-	"pandas"
 	"pandas/internal/blob"
+	"pandas/internal/core"
 )
 
 func main() {
-	cfg := pandas.TestConfig()
+	cfg := core.TestConfig()
 	cfg.RealPayloads = true
 
 	// 1. Layer-2 workload: several rollups post compressed batches.
@@ -27,7 +27,7 @@ func main() {
 		th.Batches, 6, th.Txs, th.Bytes/1024)
 
 	// 2. One PANDAS slot.
-	cluster, err := pandas.NewCluster(pandas.ClusterConfig{
+	cluster, err := core.NewCluster(core.ClusterConfig{
 		Core: cfg, N: 120, Seed: 5, LossRate: 0.03,
 	})
 	if err != nil {
@@ -41,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("slot complete: %.1f%% of nodes sampled within 4 s\n",
-		100*res.DeadlineRate(pandas.AttestationDeadline))
+		100*res.DeadlineRate(cfg.Deadline))
 
 	// 3. A rollup participant reassembles the blob from DISTRIBUTED
 	//    custody: for every base row, find any node whose custody holds

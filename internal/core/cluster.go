@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"pandas/internal/adversary"
-	"pandas/internal/consensus"
 	"pandas/internal/dht"
 	"pandas/internal/gossip"
 	"pandas/internal/membership"
@@ -652,7 +651,7 @@ func (c *Cluster) RunSlot(slot uint64) (*SlotResult, error) {
 			}
 		})
 	}
-	c.net.Run(start + consensus.SlotDuration)
+	c.net.Run(start + SlotDuration)
 
 	res := &SlotResult{Seeding: report, Dropped: c.net.Dropped() - droppedBefore}
 	res.BuilderBytes = c.net.Stats(len(c.nodes)).BytesSent // the builder is vertex N

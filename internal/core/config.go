@@ -21,6 +21,11 @@ import (
 	"pandas/internal/obsv"
 )
 
+// SlotDuration is Ethereum's 12-second consensus slot. A simulated slot
+// runs this long on the virtual clock; DefaultConfig's 4 s Deadline is
+// its first third, the attestation window DAS must finish in.
+const SlotDuration = 12 * time.Second
+
 // Errors returned by this package.
 var (
 	ErrBadConfig = errors.New("core: invalid configuration")
@@ -101,7 +106,7 @@ type Config struct {
 	// Nil disables registry updates.
 	Metrics *obsv.Registry
 	// TraceRing is the event capacity of the ring-buffer recorder created
-	// by trace-enabled drivers (pandas-sim -trace, pandas.NewTraceRing).
+	// by trace-enabled runs (pandas-sim -trace).
 	// It does not allocate anything by itself; it only sizes the ring
 	// when one is requested.
 	TraceRing int

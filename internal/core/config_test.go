@@ -3,9 +3,29 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"pandas/internal/obsv"
 )
+
+// TestDefaultConfigIsThePapers pins the paper's parameters: a 12 s slot
+// whose first third, 4 s, is the sampling deadline, a 512x512 extended
+// matrix, 73 samples and redundant seeding with r = 8.
+func TestDefaultConfigIsThePapers(t *testing.T) {
+	if SlotDuration != 12*time.Second {
+		t.Fatalf("SlotDuration = %v", SlotDuration)
+	}
+	cfg := DefaultConfig()
+	if cfg.Blob.N() != 512 || cfg.Samples != 73 || cfg.Redundancy != 8 {
+		t.Fatalf("default config drifted: N=%d samples=%d r=%d", cfg.Blob.N(), cfg.Samples, cfg.Redundancy)
+	}
+	if cfg.Policy != PolicyRedundant {
+		t.Fatalf("default policy = %v, want redundant", cfg.Policy)
+	}
+	if cfg.Deadline != 4*time.Second {
+		t.Fatalf("Deadline = %v", cfg.Deadline)
+	}
+}
 
 // The stock configurations must validate as-is: the observability knobs
 // default to a nil recorder, nil registry, and a positive ring size.

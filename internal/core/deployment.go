@@ -1,10 +1,12 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math/rand"
 	"time"
 
-	"pandas/internal/consensus"
+	"pandas/internal/assign"
 	"pandas/internal/ids"
 	"pandas/internal/latency"
 	"pandas/internal/simnet"
@@ -19,7 +21,6 @@ import (
 // holds the same custody lines and samples the same cells in the same
 // slot in each.
 type Deployment struct {
-	Randao    *consensus.Randao
 	Table     *Table
 	BuilderID ids.NodeID
 	Proposer  *ids.Identity
@@ -28,9 +29,10 @@ type Deployment struct {
 	// and the GossipSub baseline its topic meshes and injection points.
 	Rand *rand.Rand
 
-	cfg  Config
-	seed int64
-	n    int // protocol nodes; the builder is participant n
+	cfg     Config
+	seed    int64
+	n       int      // protocol nodes; the builder is participant n
+	entropy [32]byte // the epoch seeds' input; see epochSeed
 }
 
 // NewDeployment derives the deployment of n nodes at seed.
@@ -51,13 +53,11 @@ func NewDeployment(cfg Config, seed int64, n int) (*Deployment, error) {
 	}
 	var entropy [32]byte
 	rng.Read(entropy[:])
-	randao := consensus.NewRandao(entropy)
-	table, err := NewTable(cfg.Assign, randao.SeedFor(0), nodeIDs)
+	table, err := NewTable(cfg.Assign, epochSeed(entropy, 0), nodeIDs)
 	if err != nil {
 		return nil, err
 	}
 	return &Deployment{
-		Randao:    randao,
 		Table:     table,
 		BuilderID: ids.NewTestIdentityCached(seed<<20 + int64(n) + 7).ID,
 		Proposer:  ids.NewTestIdentityCached(seed<<20 + int64(n) + 8),
@@ -65,7 +65,22 @@ func NewDeployment(cfg Config, seed int64, n int) (*Deployment, error) {
 		cfg:       cfg,
 		seed:      seed,
 		n:         n,
+		entropy:   entropy,
 	}, nil
+}
+
+// epochSeed is the assignment seed of an epoch: sha256(entropy ||
+// big-endian epoch). It stands in for RANDAO, which accumulates validator
+// contributions, and keeps the two properties PANDAS relies on: every
+// node agrees on the seed, and no one knows it before the entropy is
+// fixed.
+func epochSeed(entropy [32]byte, epoch uint64) assign.Seed {
+	h := sha256.New()
+	h.Write(entropy[:])
+	h.Write(binary.BigEndian.AppendUint64(nil, epoch))
+	var s assign.Seed
+	h.Sum(s[:0])
+	return s
 }
 
 // NodeSeed is node i's private stream, the one its sample draws come from.

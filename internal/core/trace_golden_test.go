@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pandas/internal/adversary"
-	"pandas/internal/consensus"
 	"pandas/internal/membership"
 	"pandas/internal/obsv"
 )
@@ -43,8 +42,8 @@ func tracedRegime(t *testing.T, n int, real bool, mutate func(*ClusterConfig)) (
 // scorer to back peers off.
 func churnAdversaries(cc *ClusterConfig) {
 	cc.Churn = &membership.Config{
-		MeanSession:   consensus.SlotDuration * 5 / 2,
-		MeanDowntime:  consensus.SlotDuration,
+		MeanSession:   SlotDuration * 5 / 2,
+		MeanDowntime:  SlotDuration,
 		CrashFraction: 0.5,
 	}
 	cc.DeadFraction = 0.6

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"pandas/internal/consensus"
 	"pandas/internal/core"
 	"pandas/internal/membership"
 )
@@ -23,8 +22,8 @@ func churnConfigForRate(rate float64) *membership.Config {
 		return nil // static membership: the untouched fixed-view path
 	}
 	return &membership.Config{
-		MeanSession:   time.Duration(float64(consensus.SlotDuration) / rate),
-		MeanDowntime:  consensus.SlotDuration,
+		MeanSession:   time.Duration(float64(core.SlotDuration) / rate),
+		MeanDowntime:  core.SlotDuration,
 		CrashFraction: 0.5,
 	}
 }

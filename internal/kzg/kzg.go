@@ -37,7 +37,6 @@ package kzg
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"hash"
 	"sync"
 	"sync/atomic"
@@ -55,11 +54,6 @@ const CommitmentSize = 32
 const (
 	domainCell = 0x02
 	domainRow  = 0x03
-)
-
-// Errors returned by this package.
-var (
-	ErrBadProofSize = errors.New("kzg: proof has wrong size")
 )
 
 // Commitment binds an entire extended blob, standing in for the KZG

@@ -100,6 +100,14 @@ echo "== bench module: go vet + go test"
 echo "== evaluation suite smoke (reduced geometry, 60 nodes, 1 slot)"
 go run ./cmd/pandas-sim -small -exp all -nodes 60 -slots 1 >/dev/null
 
+# The examples are the module's callers of its packages: each must build
+# and run to a zero exit. rollup-workload exits non-zero if any batch
+# comes back corrupted from the nodes' custody.
+for dir in examples/*/; do
+	echo "== example ${dir%/}"
+	go run "./$dir" >/dev/null
+done
+
 echo "== swarm smoke (8 processes, 1 slot, real UDP)"
 go run ./cmd/pandas-swarm -n 8 -k 4 -samples 4 -slots 1 -timeout 90s -q
 
