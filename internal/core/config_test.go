@@ -8,9 +8,8 @@ import (
 	"pandas/internal/obsv"
 )
 
-// TestDefaultConfigIsThePapers pins the paper's parameters: a 12 s slot
-// whose first third, 4 s, is the sampling deadline, a 512x512 extended
-// matrix, 73 samples and redundant seeding with r = 8.
+// TestDefaultConfigIsThePapers pins the paper's parameters: a 12 s slot,
+// a 512x512 extended matrix, 73 samples and redundant seeding with r = 8.
 func TestDefaultConfigIsThePapers(t *testing.T) {
 	if SlotDuration != 12*time.Second {
 		t.Fatalf("SlotDuration = %v", SlotDuration)
@@ -22,8 +21,17 @@ func TestDefaultConfigIsThePapers(t *testing.T) {
 	if cfg.Policy != PolicyRedundant {
 		t.Fatalf("default policy = %v, want redundant", cfg.Policy)
 	}
-	if cfg.Deadline != 4*time.Second {
-		t.Fatalf("Deadline = %v", cfg.Deadline)
+}
+
+// TestDeadlineIsFirstThirdOfSlot pins the sampling deadline to the
+// attestation phase: the first third of the slot, 4 s.
+func TestDeadlineIsFirstThirdOfSlot(t *testing.T) {
+	d := DefaultConfig().Deadline
+	if d != 4*time.Second {
+		t.Fatalf("Deadline = %v, want 4s", d)
+	}
+	if 3*d != SlotDuration {
+		t.Fatalf("Deadline %v is not a third of the %v slot", d, SlotDuration)
 	}
 }
 

@@ -540,7 +540,9 @@ func (s *Supervisor) waitReady() error {
 // first, the builder (the last index) after them; a node would follow the
 // builder's signed seeds anyway, so the order is a courtesy — optional
 // kill injection, then harvest until the kills have happened and every
-// node that can report has, or the slot timeout.
+// worker that can report has, or the slot timeout. The builder is waited
+// for too: its report carries the slot's seeding counts and can reach the
+// supervisor after the nodes', which sample within milliseconds of it.
 func (s *Supervisor) runSlot(slot uint64) SlotResult {
 	s.slot, s.slotStart, s.slotRestarts = slot, time.Now(), 0
 	for _, w := range s.workers {
@@ -551,12 +553,11 @@ func (s *Supervisor) runSlot(slot uint64) SlotResult {
 		kill := time.AfterFunc(s.o.KillDelay, func() { s.post(event{kind: evKill, slot: slot}) })
 		defer kill.Stop()
 	}
-	nodes := s.workers[:s.o.N]
 	s.handleUntil(s.o.slotTimeout, func() bool {
 		if s.killPending {
 			return false
 		}
-		for _, w := range nodes {
+		for _, w := range s.workers {
 			if w.report == nil && !w.gone {
 				return false
 			}
