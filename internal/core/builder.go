@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"pandas/internal/blob"
@@ -77,7 +77,8 @@ func NewBuilder(cfg Config, index int, id ids.NodeID, table *Table, tr Transport
 }
 
 // SetProposerSigner installs the proposer-provided signing function for
-// seed messages.
+// seed messages. PrepareAndSeed calls it off the calling goroutine, while
+// the blob is being extended.
 func (b *Builder) SetProposerSigner(sign func(slot uint64) [wire.SigSize]byte) {
 	b.signSeed = sign
 }
@@ -114,18 +115,32 @@ func (b *Builder) PrepareBlob(data []byte) error {
 	return nil
 }
 
-// PrepareAndSeed is the streaming form of PrepareBlob + SeedSlot: row
-// digesting overlaps the column-phase encode (via the extension's
-// row-phase hook), proof generation runs concurrently with seed-plan
-// construction, and each seed datagram is transmitted as soon as the
-// proofs of the rows it carries are ready — the builder starts pushing
-// cells into the network while the prover is still working through the
-// matrix. Output is bit-identical to PrepareBlob followed by SeedSlot
-// (same commitment, proofs, datagrams, and report; pinned by test).
-// Transport callbacks fire from the calling goroutine only, as with
-// SeedSlot.
+// PrepareAndSeed is the streaming form of PrepareBlob + SeedSlot. The
+// seed plan does not depend on the payload, so it is built on its own
+// goroutine while the blob is extended and committed; row digesting
+// overlaps the column-phase encode (via the extension's row-phase hook)
+// and the bottom half is digested on every core; and each seed datagram
+// is transmitted as soon as the proofs of the rows it carries are ready
+// — the builder starts pushing cells into the network while the prover
+// is still working through the matrix. Output is bit-identical to
+// PrepareBlob followed by SeedSlot (same commitment, proofs, datagrams,
+// report and trace events; pinned by test). Transport and recorder
+// callbacks fire from the calling goroutine only, as with SeedSlot; the
+// proposer signer, the withholding predicate and the view are consulted
+// by the planning goroutine. On an extension error the plan is still
+// drawn (the builder's rng advances) and then discarded.
 func (b *Builder) PrepareAndSeed(slot uint64, data []byte) (SeedingReport, error) {
+	var (
+		plan    seedPlan
+		report  SeedingReport
+		planned = make(chan struct{})
+	)
+	go func() {
+		defer close(planned)
+		plan, report = b.planSeed(slot)
+	}()
 	if err := b.extendAndCommit(data); err != nil {
+		<-planned
 		return SeedingReport{}, err
 	}
 	n := b.cfg.Blob.N()
@@ -139,16 +154,18 @@ func (b *Builder) PrepareAndSeed(slot uint64, data []byte) (SeedingReport, error
 	// The prover must be joined even if transmission ends early (crash
 	// budgets): the builder's arenas are reused next slot.
 	defer proving.Wait()
-	plan, report := b.planSeed(slot)
+	<-planned
+	b.recordWithheld(slot, report)
 	b.transmit(slot, plan, &report, tr)
 	return report, nil
 }
 
 // extendAndCommit extends data into the builder's reused matrix and
 // accumulates the commitment, leaving the committer's cell digests ready
-// for proving and b.proofs sized. The top half of the matrix (rows
-// 0..K-1: data and row parity, final after the row phase) is digested
-// concurrently with the column-phase encode.
+// for proving and b.proofs sized. Rows are digested on GOMAXPROCS
+// workers: the top half of the matrix (rows 0..K-1: data and row
+// parity, final after the row phase) concurrently with the column-phase
+// encode, the bottom half once the extension is done.
 func (b *Builder) extendAndCommit(data []byte) error {
 	p := b.cfg.Blob
 	n := p.N()
@@ -161,18 +178,14 @@ func (b *Builder) extendAndCommit(data []byte) error {
 	ext, err := blob.ExtendData(p, data, blob.ExtendOptions{
 		Reuse: b.extended,
 		OnRowPhase: func(e *blob.Extended) {
-			for r := 0; r < p.K; r++ {
-				cm.HashRow(r, e.RowBytes(r), p.CellBytes)
-			}
+			cm.HashRows(e, 0, p.K, runtime.GOMAXPROCS(0))
 		},
 	})
 	if err != nil {
 		return fmt.Errorf("core: builder extend: %w", err)
 	}
 	b.extended = ext
-	for r := p.K; r < n; r++ {
-		cm.HashRow(r, ext.RowBytes(r), p.CellBytes)
-	}
+	cm.HashRows(ext, p.K, n, runtime.GOMAXPROCS(0))
 	b.commitment = cm.Root()
 	if cap(b.proofs) < n*n {
 		b.proofs = make([]kzg.Proof, n*n)
@@ -250,6 +263,7 @@ func (b *Builder) cellPayload(id blob.CellID) wire.Cell {
 // with consolidation-boost maps, and transmits them.
 func (b *Builder) SeedSlot(slot uint64) SeedingReport {
 	plan, report := b.planSeed(slot)
+	b.recordWithheld(slot, report)
 	b.transmit(slot, plan, &report, nil)
 	return report
 }
@@ -287,11 +301,29 @@ type seedPlan struct {
 // planSeed runs the deciding half of SeedSlot: per-cell line choice,
 // parcel assignment, boost maps, and datagram chunking, in a fixed rng
 // order shared by the monolithic and pipelined paths (their schedules
-// are bit-identical). It touches no cell payloads or proofs.
+// are bit-identical). It touches no cell payloads or proofs and neither
+// the transport nor the recorder, so PrepareAndSeed runs it beside the
+// blob's extension.
+//
+// Its state is dense: lines by the number lineNumber gives them (row r
+// is r, column c is N+c), nodes by index. Lines are visited in that
+// order and nodes collected in ascending order, so nothing is sorted,
+// and each node's cells and each line's boost entries are one span of a
+// per-slot arena cut by a counting pass. The arenas are never reused:
+// the datagrams carry their cell-ID and boost slices by reference.
 func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	report := SeedingReport{Policy: b.cfg.Policy}
 	n := b.cfg.Blob.N()
 	half := b.cfg.Blob.K
+	numNodes := b.table.NumNodes()
+
+	// Every line's known holders, resolved once per slot; ranks[d] maps a
+	// holder's index in holders[d] to its canonical rank (nil: the same).
+	holders := make([][]int, 2*n)
+	ranks := make([][]int, 2*n)
+	for d := range holders {
+		holders[d], ranks[d] = b.knownHolders(denseLine(d, n))
+	}
 
 	// Phase 1: decide, per cell, which of its two lines carries it.
 	// Cells are seeded exactly once per copy set (140 MB for "single",
@@ -303,170 +335,156 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	// positions and its boost entry names exactly the cells it holds:
 	// nodes count their own parcels as good as received and ask the
 	// holders of the others for precisely those cells.
-	mid := n / 2
+	mid, seeded := n/2, n
 	if b.cfg.Policy == PolicyMinimal {
-		mid = half / 2
-	}
-	perLine := make(map[blob.Line][]int) // line -> positions carried by it
-	hasHolders := make(map[blob.Line]bool, 2*n)
-	lineHasHolders := func(l blob.Line) bool {
-		v, ok := hasHolders[l]
-		if !ok {
-			v = len(b.knownHolders(l)) > 0
-			hasHolders[l] = v
-		}
-		return v
-	}
-	addCell := func(id blob.CellID) {
-		if b.withhold != nil && b.withhold(id) {
-			report.Withheld++
-			return
-		}
-		rowL := blob.Line{Kind: blob.Row, Index: id.Row}
-		colL := blob.Line{Kind: blob.Col, Index: id.Col}
-		// Carry the cell on the line its quadrant names — but never on a
-		// line with no known holders (possible at small scales or with
-		// restricted views), which would silently lose the cell.
-		rowOK, colOK := lineHasHolders(rowL), lineHasHolders(colL)
-		byRow := (int(id.Row) < mid) == (int(id.Col) < mid)
-		var l blob.Line
-		var pos int
-		switch {
-		case rowOK && (!colOK || byRow):
-			l, pos = rowL, int(id.Col)
-		case colOK:
-			l, pos = colL, int(id.Row)
-		default:
-			return // no holders at all: cell cannot be seeded
-		}
-		perLine[l] = append(perLine[l], pos)
-	}
-	switch b.cfg.Policy {
-	case PolicyMinimal:
 		// The minimal reconstructable set: the base data quadrant.
-		for r := 0; r < half; r++ {
-			for c := 0; c < half; c++ {
-				addCell(blob.CellID{Row: uint16(r), Col: uint16(c)})
+		mid, seeded = half/2, half
+	}
+	// Line d carries positions[d*n : d*n+carried[d]]. The scan is
+	// row-major, so every line's positions arrive in ascending order.
+	positions := make([]uint16, 2*n*n)
+	carried := make([]int, 2*n)
+	for r := 0; r < seeded; r++ {
+		for c := 0; c < seeded; c++ {
+			if b.withhold != nil && b.withhold(blob.CellID{Row: uint16(r), Col: uint16(c)}) {
+				report.Withheld++
+				continue
 			}
-		}
-	default:
-		for r := 0; r < n; r++ {
-			for c := 0; c < n; c++ {
-				addCell(blob.CellID{Row: uint16(r), Col: uint16(c)})
+			// Carry the cell on the line its quadrant names — but never on a
+			// line with no known holders (possible at small scales or with
+			// restricted views), which would silently lose the cell.
+			rowOK, colOK := len(holders[r]) > 0, len(holders[n+c]) > 0
+			byRow := (r < mid) == (c < mid)
+			var d, pos int
+			switch {
+			case rowOK && (!colOK || byRow):
+				d, pos = r, c
+			case colOK:
+				d, pos = n+c, r
+			default:
+				continue // no holders at all: cell cannot be seeded
 			}
+			positions[d*n+carried[d]] = uint16(pos)
+			carried[d]++
 		}
 	}
 
 	// Phase 2: split every line's positions into contiguous parcels among
 	// a random permutation of its (known) holders, with r-fold
-	// replication under the redundant policy.
+	// replication under the redundant policy. This pass draws from the
+	// rng and counts; the fill below lays the cells and entries out.
 	copies := 1
 	if b.cfg.Policy == PolicyRedundant {
 		copies = b.cfg.Redundancy
 	}
-	nodeCells := make(map[int][]blob.CellID) // recipient -> planned cells
-	lineBoost := make(map[blob.Line][]wire.BoostEntry)
-	linesInOrder := make([]blob.Line, 0, len(perLine))
-	for line := range perLine {
-		linesInOrder = append(linesInOrder, line)
+	numCopies := 0 // each parcel goes to its primary and up to copies-1 other holders
+	for d, cnt := range carried {
+		numCopies += min(cnt, len(holders[d])) * max(1, min(copies, len(holders[d])))
 	}
-	sort.Slice(linesInOrder, func(i, j int) bool {
-		a, c := linesInOrder[i], linesInOrder[j]
-		if a.Kind != c.Kind {
-			return a.Kind < c.Kind
-		}
-		return a.Index < c.Index
-	})
-	for _, line := range linesInOrder {
-		positions := perLine[line]
-		holders := b.knownHolders(line)
-		if len(holders) == 0 {
+	parcels := make([]parcelCopy, 0, numCopies)
+	cellEnd := make([]int, numNodes) // cells per node, then span ends
+	entryEnd := make([]int, 2*n)     // boost entries per line, then span ends
+	var picks []int
+	for d, cnt := range carried {
+		if cnt == 0 {
 			continue
 		}
-		// Positions arrive in scan order; parcels must group adjacent
-		// cells.
-		sortInts(positions)
-		perm := b.rng.Perm(len(holders))
-		numParcels := min(len(positions), len(holders))
-		base := len(positions) / numParcels
-		extra := len(positions) % numParcels
-		start := 0
+		hs := holders[d]
+		perm := b.rng.Perm(len(hs))
+		numParcels := min(cnt, len(hs))
+		base := cnt / numParcels
+		extra := cnt % numParcels
+		lo := d * n
 		for pi := 0; pi < numParcels; pi++ {
-			cnt := base
+			hi := lo + base
 			if pi < extra {
-				cnt++
+				hi++
 			}
-			chunk := positions[start : start+cnt]
-			start += cnt
-			recipients := []int{holders[perm[pi]]}
+			runs := countRuns(positions[lo:hi])
+			picks = append(picks[:0], perm[pi])
 			if copies > 1 {
-				recipients = append(recipients, b.pickExtras(holders, recipients[0], copies-1)...)
+				picks = b.pickExtras(picks, len(hs), copies-1)
 			}
-			for _, rcpt := range recipients {
-				for _, pos := range chunk {
-					// ID only: payload and proof are materialized at
-					// transmission time (see transmit).
-					nodeCells[rcpt] = append(nodeCells[rcpt], cellOnLine(line, pos))
+			for _, i := range picks {
+				rank := i
+				if ranks[d] != nil {
+					rank = ranks[d][i]
 				}
-				rank := b.table.HolderRank(line, rcpt)
-				if rank < 0 {
-					continue
-				}
-				// One entry per run of adjacent positions: a parcel is a
-				// single run unless withholding or a holderless crossing
-				// line took cells out of its half.
-				for run := chunk; len(run) > 0; {
-					k := 1
-					for k < len(run) && run[k] == run[k-1]+1 {
-						k++
-					}
-					lineBoost[line] = append(lineBoost[line], wire.BoostEntry{
-						Line:      line,
-						HolderRef: uint16(rank),
-						Start:     uint16(run[0]),
-						Count:     uint16(k),
-					})
-					run = run[k:]
-				}
+				parcels = append(parcels, parcelCopy{line: int32(d), node: int32(hs[i]),
+					rank: uint16(rank), lo: int32(lo), hi: int32(hi)})
+				cellEnd[hs[i]] += hi - lo
+				entryEnd[d] += runs
 			}
+			lo = hi
+		}
+	}
+	// Counts to offsets; each then advances as the fill writes its span,
+	// ending at the span's end.
+	cellArena := make([]blob.CellID, startOffsets(cellEnd))
+	entryArena := make([]wire.BoostEntry, startOffsets(entryEnd))
+	for _, p := range parcels {
+		line := denseLine(int(p.line), n)
+		chunk := positions[p.lo:p.hi]
+		// ID only: payload and proof are materialized at transmission
+		// time (see transmit).
+		for _, pos := range chunk {
+			cellArena[cellEnd[p.node]] = cellOnLine(line, int(pos))
+			cellEnd[p.node]++
+		}
+		// One entry per run of adjacent positions: a parcel is a single
+		// run unless withholding or a holderless crossing line took cells
+		// out of its half.
+		for run := chunk; len(run) > 0; {
+			k := 1
+			for k < len(run) && run[k] == run[k-1]+1 {
+				k++
+			}
+			entryArena[entryEnd[p.line]] = wire.BoostEntry{
+				Line:      line,
+				HolderRef: p.rank,
+				Start:     run[0],
+				Count:     uint16(k),
+			}
+			entryEnd[p.line]++
+			run = run[k:]
 		}
 	}
 
 	// Phase 3: per-node boost maps — every holder of a line receives the
 	// line's CB entries, even holders that got no cells. Each holder gets
-	// a REFERENCE to the line's shared entry slice, never a copy: with H
-	// holders per line the per-recipient copies the old code made cost
+	// a REFERENCE to the line's shared entry span, never a copy: with H
+	// holders per line per-recipient copies would cost
 	// O(lines x entries x H) — about 39 GB at 100k nodes and default
-	// geometry — while the shared slices cost one slice header per
+	// geometry — while the shared spans cost one slice header per
 	// (line, holder) pair.
-	nodeBoost := make(map[int][][]wire.BoostEntry)
-	for _, line := range linesInOrder {
-		entries := lineBoost[line]
-		if len(entries) == 0 {
-			continue
+	boostEnd := make([]int, numNodes) // boosted lines per node, then span ends
+	for d, hs := range holders {
+		if lo, hi := spanOf(entryEnd, d); lo < hi {
+			for _, h := range hs {
+				boostEnd[h]++
+			}
 		}
-		for _, h := range b.knownHolders(line) {
-			nodeBoost[h] = append(nodeBoost[h], entries)
+	}
+	boostArena := make([][]wire.BoostEntry, startOffsets(boostEnd))
+	for d, hs := range holders {
+		if lo, hi := spanOf(entryEnd, d); lo < hi {
+			for _, h := range hs {
+				boostArena[boostEnd[h]] = entryArena[lo:hi:hi]
+				boostEnd[h]++
+			}
 		}
 	}
 
 	// Phase 4: transmit, in randomized node order, chunked to datagram
 	// size.
-	recipients := make([]int, 0, len(nodeCells)+len(nodeBoost))
-	seen := make(map[int]bool)
-	for node := range nodeCells {
-		if !seen[node] {
-			seen[node] = true
+	recipients := make([]int, 0, numNodes)
+	for node := 0; node < numNodes; node++ {
+		clo, chi := spanOf(cellEnd, node)
+		blo, bhi := spanOf(boostEnd, node)
+		if clo < chi || blo < bhi {
 			recipients = append(recipients, node)
 		}
 	}
-	for node := range nodeBoost {
-		if !seen[node] {
-			seen[node] = true
-			recipients = append(recipients, node)
-		}
-	}
-	sortInts(recipients)
 	b.rng.Shuffle(len(recipients), func(i, j int) {
 		recipients[i], recipients[j] = recipients[j], recipients[i]
 	})
@@ -484,15 +502,14 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	// tight concatenated packing; line entry lists are far larger than
 	// datagrams at scale, so the overhead is a few headers).
 	for _, node := range recipients {
-		cells := nodeCells[node]
-		boostLines := nodeBoost[node]
+		clo, chi := spanOf(cellEnd, node)
+		cells := cellArena[clo:chi:chi]
+		blo, bhi := spanOf(boostEnd, node)
+		boostLines := boostArena[blo:bhi]
 		report.NodesSeeded++
 		nChunks := (len(cells) + wire.MaxCellsPerMessage - 1) / wire.MaxCellsPerMessage
 		for _, entries := range boostLines {
 			nChunks += (len(entries) + maxBoostPerMsg - 1) / maxBoostPerMsg
-		}
-		if nChunks == 0 {
-			nChunks = 1
 		}
 		nc := nodeSeedChunks{node: node, chunks: make([]seedChunk, 0, nChunks)}
 		emit := func(cellIDs []blob.CellID, bChunk []wire.BoostEntry, maxRow int) {
@@ -528,22 +545,8 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 			}
 			emit(chunk, nil, maxRow)
 		}
-		if len(nc.chunks) == 0 {
-			// A known node with nothing to carry still gets one empty
-			// announcement datagram (commitment + signature).
-			emit(nil, nil, -1)
-		}
-		if nChunks > plan.maxChunks {
-			plan.maxChunks = nChunks
-		}
+		plan.maxChunks = max(plan.maxChunks, nChunks)
 		plan.nodes = append(plan.nodes, nc)
-	}
-	// Withholding is decided by now; trace it so timelines can correlate
-	// sampling failures with the attack that caused them.
-	if report.Withheld > 0 && b.rec != nil {
-		b.rec.Record(obsv.Event{At: b.tr.Now(), Slot: slot,
-			Kind: obsv.KindWithheldCell, Node: int32(b.index), Peer: -1,
-			Count: int32(report.Withheld), Aux: int64(n * n)})
 	}
 	// A crashing builder stops after a fraction of its datagram budget.
 	if b.crashAfter > 0 && b.crashAfter < 1 {
@@ -554,6 +557,67 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 		plan.sendBudget = int(b.crashAfter * float64(total))
 	}
 	return plan, report
+}
+
+// parcelCopy is one copy of a parcel as planSeed plans it: the cells
+// positions[lo:hi] of dense line line, sent to node, which holds the line
+// at canonical rank rank.
+type parcelCopy struct {
+	line, node int32
+	lo, hi     int32
+	rank       uint16
+}
+
+// countRuns returns how many runs of adjacent positions a parcel has:
+// the boost entries it takes.
+func countRuns(positions []uint16) int {
+	runs := 0
+	for i, pos := range positions {
+		if i == 0 || pos != positions[i-1]+1 {
+			runs++
+		}
+	}
+	return runs
+}
+
+// startOffsets turns per-item counts into the start offsets of the
+// items' spans in one shared arena, in place, and returns the arena's
+// size.
+func startOffsets(counts []int) int {
+	at := 0
+	for i, c := range counts {
+		counts[i] = at
+		at += c
+	}
+	return at
+}
+
+// spanOf returns item i's span [lo, hi) once a fill pass has advanced
+// every start offset to its span's end.
+func spanOf(ends []int, i int) (lo, hi int) {
+	if i > 0 {
+		lo = ends[i-1]
+	}
+	return lo, ends[i]
+}
+
+// denseLine is lineNumber's inverse.
+func denseLine(d, n int) blob.Line {
+	if d < n {
+		return blob.Line{Kind: blob.Row, Index: uint16(d)}
+	}
+	return blob.Line{Kind: blob.Col, Index: uint16(d - n)}
+}
+
+// recordWithheld traces how many cells the plan withheld, so timelines
+// can correlate sampling failures with the attack that caused them.
+func (b *Builder) recordWithheld(slot uint64, report SeedingReport) {
+	if report.Withheld > 0 && b.rec != nil {
+		n := b.cfg.Blob.N()
+		b.rec.Record(obsv.Event{At: b.tr.Now(), Slot: slot,
+			Kind: obsv.KindWithheldCell, Node: int32(b.index), Peer: -1,
+			Count: int32(report.Withheld), Aux: int64(n * n)})
+	}
 }
 
 // transmit sends a planned slot's datagrams round-robin across nodes
@@ -615,40 +679,37 @@ func (b *Builder) transmit(slot uint64, plan seedPlan, report *SeedingReport, ro
 // chunks carry no cells, so up to 4096 entries (37 KB) fit comfortably.
 const maxBoostPerMsg = 4096
 
-// knownHolders filters a line's holders by the builder's view.
-func (b *Builder) knownHolders(l blob.Line) []int {
-	hs := b.table.Holders(l)
+// knownHolders filters a line's holders by the builder's view. ranks[i]
+// is hs[i]'s canonical rank, the index into Table.Holders that boost
+// entries name it by; without a view the two lists coincide and ranks is
+// nil.
+func (b *Builder) knownHolders(l blob.Line) (hs, ranks []int) {
+	all := b.table.Holders(l)
 	if b.view == nil {
-		return hs
+		return all, nil
 	}
-	out := make([]int, 0, len(hs))
-	for _, h := range hs {
+	hs, ranks = make([]int, 0, len(all)), make([]int, 0, len(all))
+	for rank, h := range all {
 		if b.view.Contains(h) {
-			out = append(out, h)
+			hs = append(hs, h)
+			ranks = append(ranks, rank)
 		}
 	}
-	return out
+	return hs, ranks
 }
 
-// pickExtras selects count distinct holders different from primary.
-func (b *Builder) pickExtras(holders []int, primary, count int) []int {
-	if count <= 0 || len(holders) <= 1 {
-		return nil
+// pickExtras appends count further distinct indices in [0, numHolders)
+// to picks, which holds the primary's; it draws them as the rng dictates
+// and never repeats a pick.
+func (b *Builder) pickExtras(picks []int, numHolders, count int) []int {
+	if count <= 0 || numHolders <= 1 {
+		return picks
 	}
-	if count > len(holders)-1 {
-		count = len(holders) - 1
-	}
-	out := make([]int, 0, count)
-	seen := map[int]bool{primary: true}
-	for len(out) < count {
-		h := holders[b.rng.Intn(len(holders))]
-		if seen[h] {
-			continue
+	want := len(picks) + min(count, numHolders-1)
+	for len(picks) < want {
+		if i := b.rng.Intn(numHolders); !slices.Contains(picks, i) {
+			picks = append(picks, i)
 		}
-		seen[h] = true
-		out = append(out, h)
 	}
-	return out
+	return picks
 }
-
-func sortInts(s []int) { sort.Ints(s) }

@@ -1,17 +1,22 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
+	"pandas/internal/adversary"
 	"pandas/internal/assign"
 	"pandas/internal/blob"
 	"pandas/internal/ids"
 	"pandas/internal/kzg"
 	"pandas/internal/membership"
+	"pandas/internal/obsv"
 	"pandas/internal/wire"
 )
 
@@ -74,20 +79,50 @@ func (c *captureTransport) advance(to time.Duration) {
 }
 
 func builderFixture(t testing.TB, cfg Config, n int) (*Builder, *Table, *captureTransport) {
+	return seededBuilder(t, cfg, n, 1)
+}
+
+// seededBuilder is builderFixture with the builder's rng seeded by seed
+// and the epoch seed (hence the custody table) varied with it.
+func seededBuilder(t testing.TB, cfg Config, n int, seed int64) (*Builder, *Table, *captureTransport) {
 	t.Helper()
 	nodeIDs := make([]ids.NodeID, n)
 	for i := range nodeIDs {
 		nodeIDs[i] = ids.NewTestIdentity(int64(i)).ID
 	}
-	var seed assign.Seed
-	seed[0] = 7
-	table, err := NewTable(cfg.Assign, seed, nodeIDs)
+	var epoch assign.Seed
+	epoch[0] = byte(6 + seed)
+	table, err := NewTable(cfg.Assign, epoch, nodeIDs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := &captureTransport{}
-	b := NewBuilder(cfg, n, ids.NewTestIdentity(999).ID, table, tr, 1)
+	b := NewBuilder(cfg, n, ids.NewTestIdentity(999).ID, table, tr, seed)
 	return b, table, tr
+}
+
+// testSigner stands in for the proposer's signature over a slot.
+func testSigner(slot uint64) (sig [wire.SigSize]byte) {
+	binary.BigEndian.PutUint64(sig[:], slot*0x9e3779b97f4a7c15)
+	return sig
+}
+
+// builderSetups are the builder behaviours the seed-plan tests cover:
+// honest, maximal withholding, a restricted view (every third node
+// unknown), and a crash halfway through the datagrams.
+var builderSetups = []struct {
+	name  string
+	apply func(b *Builder, seed int64)
+}{
+	{"honest", func(*Builder, int64) {}},
+	{"withhold-maximal", func(b *Builder, seed int64) {
+		b.SetWithholding(adversary.BuilderAttack{Withholding: adversary.WithholdMaximal}.
+			WithholdPredicate(b.cfg.Blob.N(), seed))
+	}},
+	{"view", func(b *Builder, _ int64) {
+		b.SetView(membership.ViewFunc(func(peer int) bool { return peer%3 != 0 }))
+	}},
+	{"crash", func(b *Builder, _ int64) { b.SetCrash(0.5) }},
 }
 
 func TestBuilderSeedsAllCellsOnce(t *testing.T) {
@@ -290,59 +325,138 @@ func TestBuilderRestrictedView(t *testing.T) {
 // PrepareAndSeed path at GOMAXPROCS 1, 2 and 8 against PrepareBlob
 // followed by SeedSlot at GOMAXPROCS 1 (single-worker pools):
 // identical commitment, identical proof arena, bit-identical seed
-// datagrams (recipients, sizes, order, payloads, proofs), and an equal
-// report — across worker counts and a second slot that reuses every
-// arena.
+// datagrams (recipients, sizes, order, payloads, proofs), an equal
+// report and an equal trace — across worker counts and a second slot
+// that reuses every arena. The redundant case runs every builder option
+// at once: a proposer signer, withholding, a restricted view and a crash.
 func TestBuilderPipelinedMatchesMonolithic(t *testing.T) {
-	cfg := TestConfig()
-	cfg.RealPayloads = true
-	cfg.Policy = PolicySingle
-	data := make([]byte, cfg.Blob.BlobBytes())
-	rand.New(rand.NewSource(42)).Read(data)
+	cases := []struct {
+		name   string
+		policy Policy
+		setup  func(b *Builder)
+	}{
+		{"single", PolicySingle, func(*Builder) {}},
+		{"redundant-all-options", PolicyRedundant, func(b *Builder) {
+			b.SetProposerSigner(testSigner)
+			b.SetWithholding(func(id blob.CellID) bool { return (int(id.Row)*3+int(id.Col))%7 == 0 })
+			b.SetView(membership.ViewFunc(func(peer int) bool { return peer%4 != 1 }))
+			b.SetCrash(0.5)
+		}},
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := TestConfig()
+			cfg.RealPayloads = true
+			cfg.Policy = tc.policy
+			data := make([]byte, cfg.Blob.BlobBytes())
+			rand.New(rand.NewSource(42)).Read(data)
+			for _, workers := range []int{1, 2, 8} {
+				// Both builders are rebuilt per worker count so their rngs
+				// start from the same state (seeding consumes rng as it
+				// plans).
+				var wantEvents, gotEvents []obsv.Event
+				cfg.Recorder = obsv.RecorderFunc(func(e obsv.Event) { wantEvents = append(wantEvents, e) })
+				want, _, wantTr := builderFixture(t, cfg, 80)
+				cfg.Recorder = obsv.RecorderFunc(func(e obsv.Event) { gotEvents = append(gotEvents, e) })
+				got, _, gotTr := builderFixture(t, cfg, 80)
+				tc.setup(want)
+				tc.setup(got)
+				for slot := uint64(1); slot <= 2; slot++ { // slot 2 reuses arenas
+					wantTr.sends, gotTr.sends = nil, nil
+					wantEvents, gotEvents = nil, nil
+					runtime.GOMAXPROCS(1)
+					if err := want.PrepareBlob(data); err != nil {
+						t.Fatal(err)
+					}
+					wantReport := want.SeedSlot(slot)
+					runtime.GOMAXPROCS(workers)
+					gotReport, err := got.PrepareAndSeed(slot, data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Commitment() != want.Commitment() {
+						t.Fatalf("workers=%d slot=%d: commitments differ", workers, slot)
+					}
+					if !reflect.DeepEqual(got.proofs, want.proofs) {
+						t.Fatalf("workers=%d slot=%d: proof arenas differ", workers, slot)
+					}
+					if gotReport != wantReport {
+						t.Fatalf("workers=%d slot=%d: reports differ:\n got %+v\nwant %+v",
+							workers, slot, gotReport, wantReport)
+					}
+					if len(gotTr.sends) != len(wantTr.sends) {
+						t.Fatalf("workers=%d slot=%d: %d sends, want %d",
+							workers, slot, len(gotTr.sends), len(wantTr.sends))
+					}
+					for i := range gotTr.sends {
+						g, w := gotTr.sends[i], wantTr.sends[i]
+						if g.to != w.to || g.size != w.size || g.reliable != w.reliable {
+							t.Fatalf("workers=%d slot=%d send %d: envelope differs", workers, slot, i)
+						}
+						if !reflect.DeepEqual(g.payload, w.payload) {
+							t.Fatalf("workers=%d slot=%d send %d: datagram differs", workers, slot, i)
+						}
+					}
+					if len(wantEvents) == 0 || !reflect.DeepEqual(gotEvents, wantEvents) {
+						t.Fatalf("workers=%d slot=%d: traces differ: %d events, want %d",
+							workers, slot, len(gotEvents), len(wantEvents))
+					}
+				}
+			}
+		})
+	}
+}
 
-	for _, workers := range []int{1, 2, 8} {
-		// Both builders are rebuilt per worker count so their rngs start
-		// from the same state (seeding consumes rng as it plans).
-		want, _, wantTr := builderFixture(t, cfg, 80)
-		got, _, gotTr := builderFixture(t, cfg, 80)
-		for slot := uint64(1); slot <= 2; slot++ { // slot 2 reuses arenas
-			wantTr.sends = nil
-			gotTr.sends = nil
-			runtime.GOMAXPROCS(1)
-			if err := want.PrepareBlob(data); err != nil {
-				t.Fatal(err)
-			}
-			wantReport := want.SeedSlot(slot)
-			runtime.GOMAXPROCS(workers)
-			gotReport, err := got.PrepareAndSeed(slot, data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Commitment() != want.Commitment() {
-				t.Fatalf("workers=%d slot=%d: commitments differ", workers, slot)
-			}
-			if !reflect.DeepEqual(got.proofs, want.proofs) {
-				t.Fatalf("workers=%d slot=%d: proof arenas differ", workers, slot)
-			}
+// TestSeedPlanMatchesReference pins the dense planSeed against the
+// map-based planner it replaced (referencePlanSeed): equal plans and
+// reports over two slots, for every policy and builder setup at five
+// seeds, and at the paper's geometry over 1,000 nodes.
+func TestSeedPlanMatchesReference(t *testing.T) {
+	check := func(t *testing.T, cfg Config, nodes int, seed int64, setup func(*Builder, int64)) {
+		got, _, _ := seededBuilder(t, cfg, nodes, seed)
+		want, _, _ := seededBuilder(t, cfg, nodes, seed)
+		for _, b := range []*Builder{got, want} {
+			b.SetProposerSigner(testSigner)
+			setup(b, seed)
+		}
+		for slot := uint64(1); slot <= 2; slot++ {
+			gotPlan, gotReport := got.planSeed(slot)
+			wantPlan, wantReport := referencePlanSeed(want, slot)
 			if gotReport != wantReport {
-				t.Fatalf("workers=%d slot=%d: reports differ:\n got %+v\nwant %+v",
-					workers, slot, gotReport, wantReport)
+				t.Fatalf("slot %d: reports differ:\n got %+v\nwant %+v", slot, gotReport, wantReport)
 			}
-			if len(gotTr.sends) != len(wantTr.sends) {
-				t.Fatalf("workers=%d slot=%d: %d sends, want %d",
-					workers, slot, len(gotTr.sends), len(wantTr.sends))
-			}
-			for i := range gotTr.sends {
-				g, w := gotTr.sends[i], wantTr.sends[i]
-				if g.to != w.to || g.size != w.size || g.reliable != w.reliable {
-					t.Fatalf("workers=%d slot=%d send %d: envelope differs", workers, slot, i)
-				}
-				if !reflect.DeepEqual(g.payload, w.payload) {
-					t.Fatalf("workers=%d slot=%d send %d: datagram differs", workers, slot, i)
-				}
+			if !reflect.DeepEqual(gotPlan, wantPlan) {
+				t.Fatalf("slot %d: plans differ", slot)
 			}
 		}
+	}
+	for _, policy := range []Policy{PolicyMinimal, PolicySingle, PolicyRedundant} {
+		for _, s := range builderSetups {
+			for seed := int64(1); seed <= 5; seed++ {
+				t.Run(fmt.Sprintf("%v/%s/seed%d", policy, s.name, seed), func(t *testing.T) {
+					cfg := TestConfig()
+					cfg.Policy = policy
+					check(t, cfg, 80, seed, s.apply)
+				})
+			}
+		}
+	}
+	t.Run("paper-geometry", func(t *testing.T) {
+		check(t, DefaultConfig(), 1000, 7, builderSetups[0].apply)
+	})
+}
+
+// BenchmarkSeedPlan measures seed planning alone at the paper's geometry
+// (512x512, redundant seeding with r = 8) over 1,000 nodes in metadata
+// mode; the bench's core.builder_seed_ms lumps planning and transmission
+// together.
+func BenchmarkSeedPlan(b *testing.B) {
+	bl, _, _ := builderFixture(b, DefaultConfig(), 1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bl.planSeed(uint64(i))
 	}
 }
 
@@ -406,4 +520,308 @@ func TestBuilderRedundancyCopies(t *testing.T) {
 		t.Fatalf("only %d/%d cells reached full redundancy", exact, len(counts))
 	}
 	_ = table
+}
+
+// referencePlanSeed is the map-based seed planner planSeed replaced, kept
+// as its differential oracle: per-line maps, a sorted line list, a
+// linear holder-rank scan per recipient. Changed from the original only
+// where it called helpers that changed shape (knownHolders, pickExtras)
+// and in no longer tracing the withheld cells, which planSeed's callers
+// now do.
+func referencePlanSeed(b *Builder, slot uint64) (seedPlan, SeedingReport) {
+	report := SeedingReport{Policy: b.cfg.Policy}
+	n := b.cfg.Blob.N()
+	half := b.cfg.Blob.K
+
+	// Phase 1: decide, per cell, which of its two lines carries it.
+	// Cells are seeded exactly once per copy set (140 MB for "single",
+	// not 280), matching the paper's budget figures. The seeded square
+	// (the whole matrix, or the base quadrant under the minimal policy)
+	// is cut into quadrants: rows carry the top-left and bottom-right
+	// ones, columns the other two. Every line then carries one contiguous
+	// half of its seeded positions, so a parcel is a run of adjacent
+	// positions and its boost entry names exactly the cells it holds:
+	// nodes count their own parcels as good as received and ask the
+	// holders of the others for precisely those cells.
+	mid := n / 2
+	if b.cfg.Policy == PolicyMinimal {
+		mid = half / 2
+	}
+	perLine := make(map[blob.Line][]int) // line -> positions carried by it
+	hasHolders := make(map[blob.Line]bool, 2*n)
+	lineHasHolders := func(l blob.Line) bool {
+		v, ok := hasHolders[l]
+		if !ok {
+			v = len(referenceKnownHolders(b, l)) > 0
+			hasHolders[l] = v
+		}
+		return v
+	}
+	addCell := func(id blob.CellID) {
+		if b.withhold != nil && b.withhold(id) {
+			report.Withheld++
+			return
+		}
+		rowL := blob.Line{Kind: blob.Row, Index: id.Row}
+		colL := blob.Line{Kind: blob.Col, Index: id.Col}
+		// Carry the cell on the line its quadrant names — but never on a
+		// line with no known holders (possible at small scales or with
+		// restricted views), which would silently lose the cell.
+		rowOK, colOK := lineHasHolders(rowL), lineHasHolders(colL)
+		byRow := (int(id.Row) < mid) == (int(id.Col) < mid)
+		var l blob.Line
+		var pos int
+		switch {
+		case rowOK && (!colOK || byRow):
+			l, pos = rowL, int(id.Col)
+		case colOK:
+			l, pos = colL, int(id.Row)
+		default:
+			return // no holders at all: cell cannot be seeded
+		}
+		perLine[l] = append(perLine[l], pos)
+	}
+	switch b.cfg.Policy {
+	case PolicyMinimal:
+		// The minimal reconstructable set: the base data quadrant.
+		for r := 0; r < half; r++ {
+			for c := 0; c < half; c++ {
+				addCell(blob.CellID{Row: uint16(r), Col: uint16(c)})
+			}
+		}
+	default:
+		for r := 0; r < n; r++ {
+			for c := 0; c < n; c++ {
+				addCell(blob.CellID{Row: uint16(r), Col: uint16(c)})
+			}
+		}
+	}
+
+	// Phase 2: split every line's positions into contiguous parcels among
+	// a random permutation of its (known) holders, with r-fold
+	// replication under the redundant policy.
+	copies := 1
+	if b.cfg.Policy == PolicyRedundant {
+		copies = b.cfg.Redundancy
+	}
+	nodeCells := make(map[int][]blob.CellID) // recipient -> planned cells
+	lineBoost := make(map[blob.Line][]wire.BoostEntry)
+	linesInOrder := make([]blob.Line, 0, len(perLine))
+	for line := range perLine {
+		linesInOrder = append(linesInOrder, line)
+	}
+	sort.Slice(linesInOrder, func(i, j int) bool {
+		a, c := linesInOrder[i], linesInOrder[j]
+		if a.Kind != c.Kind {
+			return a.Kind < c.Kind
+		}
+		return a.Index < c.Index
+	})
+	for _, line := range linesInOrder {
+		positions := perLine[line]
+		holders := referenceKnownHolders(b, line)
+		if len(holders) == 0 {
+			continue
+		}
+		// Positions arrive in scan order; parcels must group adjacent
+		// cells.
+		sort.Ints(positions)
+		perm := b.rng.Perm(len(holders))
+		numParcels := min(len(positions), len(holders))
+		base := len(positions) / numParcels
+		extra := len(positions) % numParcels
+		start := 0
+		for pi := 0; pi < numParcels; pi++ {
+			cnt := base
+			if pi < extra {
+				cnt++
+			}
+			chunk := positions[start : start+cnt]
+			start += cnt
+			recipients := []int{holders[perm[pi]]}
+			if copies > 1 {
+				recipients = append(recipients, referencePickExtras(b, holders, recipients[0], copies-1)...)
+			}
+			for _, rcpt := range recipients {
+				for _, pos := range chunk {
+					// ID only: payload and proof are materialized at
+					// transmission time (see transmit).
+					nodeCells[rcpt] = append(nodeCells[rcpt], cellOnLine(line, pos))
+				}
+				rank := b.table.HolderRank(line, rcpt)
+				if rank < 0 {
+					continue
+				}
+				// One entry per run of adjacent positions: a parcel is a
+				// single run unless withholding or a holderless crossing
+				// line took cells out of its half.
+				for run := chunk; len(run) > 0; {
+					k := 1
+					for k < len(run) && run[k] == run[k-1]+1 {
+						k++
+					}
+					lineBoost[line] = append(lineBoost[line], wire.BoostEntry{
+						Line:      line,
+						HolderRef: uint16(rank),
+						Start:     uint16(run[0]),
+						Count:     uint16(k),
+					})
+					run = run[k:]
+				}
+			}
+		}
+	}
+
+	// Phase 3: per-node boost maps — every holder of a line receives the
+	// line's CB entries, even holders that got no cells. Each holder gets
+	// a REFERENCE to the line's shared entry slice, never a copy: with H
+	// holders per line the per-recipient copies the old code made cost
+	// O(lines x entries x H) — about 39 GB at 100k nodes and default
+	// geometry — while the shared slices cost one slice header per
+	// (line, holder) pair.
+	nodeBoost := make(map[int][][]wire.BoostEntry)
+	for _, line := range linesInOrder {
+		entries := lineBoost[line]
+		if len(entries) == 0 {
+			continue
+		}
+		for _, h := range referenceKnownHolders(b, line) {
+			nodeBoost[h] = append(nodeBoost[h], entries)
+		}
+	}
+
+	// Phase 4: transmit, in randomized node order, chunked to datagram
+	// size.
+	recipients := make([]int, 0, len(nodeCells)+len(nodeBoost))
+	seen := make(map[int]bool)
+	for node := range nodeCells {
+		if !seen[node] {
+			seen[node] = true
+			recipients = append(recipients, node)
+		}
+	}
+	for node := range nodeBoost {
+		if !seen[node] {
+			seen[node] = true
+			recipients = append(recipients, node)
+		}
+	}
+	sort.Ints(recipients)
+	b.rng.Shuffle(len(recipients), func(i, j int) {
+		recipients[i], recipients[j] = recipients[j], recipients[i]
+	})
+	plan := seedPlan{sendBudget: -1}
+	if b.signSeed != nil {
+		plan.sig = b.signSeed(slot)
+	}
+	// Build every node's chunk sequence. Boost-only chunks go FIRST: the
+	// consolidation-boost map tells the node which cells are already on
+	// their way to it, so its first fetch plan must see the complete map:
+	// the node plans round 1 at its first cell datagram.
+	// Boost chunks never span two lines — a datagram's Boost field is a
+	// subslice of one line's shared entry list, so chunking stays
+	// copy-free (at the cost of one datagram per held line instead of a
+	// tight concatenated packing; line entry lists are far larger than
+	// datagrams at scale, so the overhead is a few headers).
+	for _, node := range recipients {
+		cells := nodeCells[node]
+		boostLines := nodeBoost[node]
+		report.NodesSeeded++
+		nChunks := (len(cells) + wire.MaxCellsPerMessage - 1) / wire.MaxCellsPerMessage
+		for _, entries := range boostLines {
+			nChunks += (len(entries) + maxBoostPerMsg - 1) / maxBoostPerMsg
+		}
+		if nChunks == 0 {
+			nChunks = 1
+		}
+		nc := nodeSeedChunks{node: node, chunks: make([]seedChunk, 0, nChunks)}
+		emit := func(cellIDs []blob.CellID, bChunk []wire.BoostEntry, maxRow int) {
+			nc.chunks = append(nc.chunks, seedChunk{
+				cellIDs: cellIDs,
+				boost:   bChunk,
+				index:   uint16(len(nc.chunks)),
+				count:   uint16(nChunks),
+				maxRow:  maxRow,
+			})
+		}
+		for _, entries := range boostLines {
+			for len(entries) > 0 {
+				bChunk := entries
+				if len(bChunk) > maxBoostPerMsg {
+					bChunk = entries[:maxBoostPerMsg]
+				}
+				entries = entries[len(bChunk):]
+				emit(nil, bChunk, -1)
+			}
+		}
+		for len(cells) > 0 {
+			chunk := cells
+			if len(chunk) > wire.MaxCellsPerMessage {
+				chunk = cells[:wire.MaxCellsPerMessage]
+			}
+			cells = cells[len(chunk):]
+			maxRow := -1
+			for _, id := range chunk {
+				if int(id.Row) > maxRow {
+					maxRow = int(id.Row)
+				}
+			}
+			emit(chunk, nil, maxRow)
+		}
+		if len(nc.chunks) == 0 {
+			// A known node with nothing to carry still gets one empty
+			// announcement datagram (commitment + signature).
+			emit(nil, nil, -1)
+		}
+		if nChunks > plan.maxChunks {
+			plan.maxChunks = nChunks
+		}
+		plan.nodes = append(plan.nodes, nc)
+	}
+	// A crashing builder stops after a fraction of its datagram budget.
+	if b.crashAfter > 0 && b.crashAfter < 1 {
+		total := 0
+		for _, nc := range plan.nodes {
+			total += len(nc.chunks)
+		}
+		plan.sendBudget = int(b.crashAfter * float64(total))
+	}
+	return plan, report
+}
+
+// referenceKnownHolders filters a line's holders by the builder's view.
+func referenceKnownHolders(b *Builder, l blob.Line) []int {
+	hs := b.table.Holders(l)
+	if b.view == nil {
+		return hs
+	}
+	out := make([]int, 0, len(hs))
+	for _, h := range hs {
+		if b.view.Contains(h) {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// referencePickExtras selects count distinct holders different from
+// primary.
+func referencePickExtras(b *Builder, holders []int, primary, count int) []int {
+	if count <= 0 || len(holders) <= 1 {
+		return nil
+	}
+	if count > len(holders)-1 {
+		count = len(holders) - 1
+	}
+	out := make([]int, 0, count)
+	seen := map[int]bool{primary: true}
+	for len(out) < count {
+		h := holders[b.rng.Intn(len(holders))]
+		if seen[h] {
+			continue
+		}
+		seen[h] = true
+		out = append(out, h)
+	}
+	return out
 }

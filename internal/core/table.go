@@ -76,17 +76,6 @@ func (t *Table) Holders(l blob.Line) []int {
 	return t.holders[kindIndex(l.Kind)][l.Index]
 }
 
-// HolderRank returns the position of node within the canonical holder
-// list of the line, or -1 if the node does not hold it.
-func (t *Table) HolderRank(l blob.Line, node int) int {
-	for i, h := range t.Holders(l) {
-		if h == node {
-			return i
-		}
-	}
-	return -1
-}
-
 // HolderAt resolves a consolidation-boost HolderRef back to a node
 // index, or -1 if the rank is out of range.
 func (t *Table) HolderAt(l blob.Line, rank int) int {

@@ -50,6 +50,18 @@ func TestTableHoldersConsistentWithAssignments(t *testing.T) {
 	}
 }
 
+// HolderRank returns the position of node within the canonical holder
+// list of the line, or -1 if the node does not hold it: the HolderRef a
+// boost entry names the node by.
+func (t *Table) HolderRank(l blob.Line, node int) int {
+	for i, h := range t.Holders(l) {
+		if h == node {
+			return i
+		}
+	}
+	return -1
+}
+
 func TestTableHolderRankRoundTrip(t *testing.T) {
 	tab := testTable(t, 50)
 	l := blob.Line{Kind: blob.Row, Index: 3}

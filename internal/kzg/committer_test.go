@@ -1,6 +1,7 @@
 package kzg
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -132,5 +133,58 @@ func BenchmarkCommitterSlot(b *testing.B) {
 		cm.Reset(n)
 		hashAllRows(cm, e)
 		cm.ProveAll(cm.Root(), out, 1, nil)
+	}
+}
+
+// TestHashRowsDeterministic pins the parallel row digesting against
+// serial HashRow: equal cell digests, row digests and Root at every
+// worker count, for the whole matrix and for the bottom half after a
+// serially hashed top half (the builder's split), across a Reset; and
+// no allocation per row.
+func TestHashRowsDeterministic(t *testing.T) {
+	e := makeExtended(t, 24)
+	n := e.N()
+	want := NewCommitter(n)
+	hashAllRows(want, e)
+	wantRoot := want.Root()
+	for _, workers := range []int{1, 2, 8} {
+		cm := NewCommitter(n)
+		for cycle := 0; cycle < 2; cycle++ {
+			cm.Reset(n)
+			from := 0
+			if cycle == 1 {
+				from = n / 2
+				for r := 0; r < from; r++ {
+					cm.HashRow(r, e.RowBytes(r), e.Params().CellBytes)
+				}
+			}
+			cm.HashRows(e, from, n, workers)
+			if !reflect.DeepEqual(cm.digests, want.digests) {
+				t.Fatalf("workers=%d cycle=%d: cell digests differ", workers, cycle)
+			}
+			if !reflect.DeepEqual(cm.rows, want.rows) {
+				t.Fatalf("workers=%d cycle=%d: row digests differ", workers, cycle)
+			}
+			if cm.Root() != wantRoot {
+				t.Fatalf("workers=%d cycle=%d: root differs", workers, cycle)
+			}
+		}
+	}
+	// Any per-call cost (goroutines, the wait group) is the same for 8
+	// rows and for 32 at up to 8 workers, so equal counts mean zero per
+	// row once the workers' staging exists.
+	p := blob.Params{K: 16, CellBytes: 32, ProofBytes: ProofSize}
+	big, err := blob.ExtendData(p, make([]byte, p.BlobBytes()), blob.ExtendOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm := NewCommitter(big.N())
+	for _, workers := range []int{1, 2, 8} {
+		cm.HashRows(big, 0, big.N(), workers)
+		few := testing.AllocsPerRun(20, func() { cm.HashRows(big, 0, 8, workers) })
+		all := testing.AllocsPerRun(20, func() { cm.HashRows(big, 0, big.N(), workers) })
+		if all > few || (workers == 1 && all != 0) {
+			t.Fatalf("workers=%d: HashRows allocates %.1f for 8 rows, %.1f for %d", workers, few, all, big.N())
+		}
 	}
 }

@@ -68,22 +68,31 @@ type Proof [ProofSize]byte
 // commitment and all proofs from them, hashing each payload byte exactly
 // once. All arenas are retained across Reset, so a builder reusing one
 // Committer per slot commits and proves with zero steady-state
-// allocation. HashRow/Root are not safe for concurrent use (feed rows
-// from one goroutine at a time); ProveAll runs its own worker pool over
-// the finished digest arena.
+// allocation. HashRow/HashRows/Root are not safe for concurrent use
+// (feed rows from one goroutine at a time); HashRows and ProveAll run
+// their own worker pools.
 type Committer struct {
 	n       int
 	digests [][32]byte // n*n cell digests, row-major
 	rows    [][32]byte // n row digests
 	fold    [][32]byte // Merkle scratch (Root must not consume rows)
-	h       hash.Hash
-	hdr     [8]byte // staged header bytes (see scratch.buf)
-	cellBuf []byte  // header||payload staging for one-shot cell digests
+	// hashers[w] is row-digest worker w's staging; hashers[0] also
+	// serves HashRow and Root. Grown by HashRows, kept across Reset.
+	hashers []*rowHasher
+}
+
+// rowHasher is one worker's row-digest state: the header||payload
+// staging buffer for one-shot cell digests and the streaming hash for
+// the row digest.
+type rowHasher struct {
+	h   hash.Hash
+	hdr [8]byte
+	buf []byte
 }
 
 // NewCommitter returns a Committer sized for an n x n extended matrix.
 func NewCommitter(n int) *Committer {
-	cm := &Committer{h: sha256.New()}
+	cm := &Committer{hashers: []*rowHasher{{h: sha256.New()}}}
 	cm.Reset(n)
 	return cm
 }
@@ -110,17 +119,65 @@ func (cm *Committer) N() int { return cm.n }
 // HashRow digests row r from its contiguous byte span (n cells of
 // cellBytes each, as returned by blob.Extended.RowBytes): n cell
 // digests into the arena, then the row digest over them. Each row must
-// be hashed exactly once per Reset before Root or ProveAll.
+// be hashed exactly once per Reset (by HashRow or HashRows) before Root
+// or ProveAll.
 func (cm *Committer) HashRow(r int, row []byte, cellBytes int) {
+	cm.hashers[0].hashRow(cm, r, row, cellBytes)
+}
+
+// HashRows digests rows [from, to) of e, as HashRow would one by one,
+// on up to workers goroutines (values <= 1 run inline on the caller,
+// which is also one of the workers otherwise). Rows are claimed one at
+// a time; each worker keeps its own staging buffer and hash state
+// across calls and Resets, so the steady state allocates nothing per
+// row. Digests and Root are bit-identical at any worker count.
+func (cm *Committer) HashRows(e *blob.Extended, from, to, workers int) {
+	cb := e.Params().CellBytes
+	workers = min(workers, to-from)
+	if workers <= 1 {
+		for r := from; r < to; r++ {
+			cm.HashRow(r, e.RowBytes(r), cb)
+		}
+		return
+	}
+	for len(cm.hashers) < workers {
+		cm.hashers = append(cm.hashers, &rowHasher{h: sha256.New()})
+	}
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
+	next.Store(int64(from))
+	work := func(h *rowHasher) {
+		for {
+			r := int(next.Add(1)) - 1
+			if r >= to {
+				return
+			}
+			h.hashRow(cm, r, e.RowBytes(r), cb)
+		}
+	}
+	wg.Add(workers - 1)
+	for _, h := range cm.hashers[1:workers] {
+		go func() {
+			defer wg.Done()
+			work(h)
+		}()
+	}
+	work(cm.hashers[0])
+	wg.Wait()
+}
+
+func (rh *rowHasher) hashRow(cm *Committer, r int, row []byte, cellBytes int) {
 	n := cm.n
 	d := cm.digests[r*n : (r+1)*n]
 	// Cell digests go through the one-shot Sum256 over a staged
 	// header||payload buffer: the copy is L1-resident and cheaper than
 	// the streaming hash.Hash interface's per-cell Reset/Sum state churn.
-	if cap(cm.cellBuf) < 5+cellBytes {
-		cm.cellBuf = make([]byte, 5+cellBytes)
+	if cap(rh.buf) < 5+cellBytes {
+		rh.buf = make([]byte, 5+cellBytes)
 	}
-	buf := cm.cellBuf[:5+cellBytes]
+	buf := rh.buf[:5+cellBytes]
 	buf[0] = domainCell
 	binary.BigEndian.PutUint16(buf[1:3], uint16(r))
 	for c := 0; c < n; c++ {
@@ -128,14 +185,14 @@ func (cm *Committer) HashRow(r int, row []byte, cellBytes int) {
 		copy(buf[5:], row[c*cellBytes:(c+1)*cellBytes])
 		d[c] = sha256.Sum256(buf)
 	}
-	cm.hdr[0] = domainRow
-	binary.BigEndian.PutUint32(cm.hdr[1:5], uint32(r))
-	cm.h.Reset()
-	cm.h.Write(cm.hdr[:5])
+	rh.hdr[0] = domainRow
+	binary.BigEndian.PutUint32(rh.hdr[1:5], uint32(r))
+	rh.h.Reset()
+	rh.h.Write(rh.hdr[:5])
 	for c := range d {
-		cm.h.Write(d[c][:])
+		rh.h.Write(d[c][:])
 	}
-	cm.h.Sum(cm.rows[r][:0])
+	rh.h.Sum(cm.rows[r][:0])
 }
 
 // Root returns the commitment: a binary Merkle root over the row
@@ -143,7 +200,7 @@ func (cm *Committer) HashRow(r int, row []byte, cellBytes int) {
 // Root may be called while proofs are still being generated.
 func (cm *Committer) Root() Commitment {
 	copy(cm.fold, cm.rows)
-	return Commitment(merkleFold(cm.fold, cm.h))
+	return Commitment(merkleFold(cm.fold, cm.hashers[0].h))
 }
 
 // proveRow fills out[r*n:(r+1)*n] from the row's cell digests.
@@ -209,12 +266,8 @@ func (cm *Committer) ProveAll(c Commitment, out []Proof, workers int, rowDone fu
 // Builders on the hot path should use a reused Committer instead; this
 // convenience form allocates a fresh one.
 func Commit(e *blob.Extended) Commitment {
-	n := e.N()
-	cb := e.Params().CellBytes
-	cm := NewCommitter(n)
-	for r := 0; r < n; r++ {
-		cm.HashRow(r, e.RowBytes(r), cb)
-	}
+	cm := NewCommitter(e.N())
+	cm.HashRows(e, 0, e.N(), 1)
 	return cm.Root()
 }
 

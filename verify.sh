@@ -37,10 +37,12 @@ go test ./...
 # order: run the tests that pin them five more times on one and two CPUs,
 # so an output that moves one run in ten fails here. They pin the rendered
 # experiments, the metrics views (TestPlanGolden) and, since
-# TestTraceGolden, the JSONL event traces too.
-echo "== fixed-seed tests x5 at -cpu 1,2 (experiments, core, baseline)"
+# TestTraceGolden, the JSONL event traces too. In kzg,
+# TestHashRowsDeterministic pins the builder's parallel row digests to the
+# serial ones.
+echo "== fixed-seed tests x5 at -cpu 1,2 (experiments, core, baseline, kzg)"
 go test -run 'Deterministic|Golden' -count=5 -cpu 1,2 \
-	./internal/experiments ./internal/core ./internal/baseline
+	./internal/experiments ./internal/core ./internal/baseline ./internal/kzg
 
 # Every internal package runs under the race detector except experiments,
 # whose rendered goldens already take minutes without it (run above).
