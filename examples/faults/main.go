@@ -31,12 +31,11 @@ func main() {
 	// maximal non-reconstructable square. Sampling must fail everywhere.
 	cluster, err := core.NewCluster(core.ClusterConfig{
 		Core: o.Core, N: 200, Seed: 9, LossRate: 0.03,
+		Adversary: &adversary.Config{Withhold: true},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	maximal := adversary.BuilderAttack{Withholding: adversary.WithholdMaximal}
-	cluster.Builder().SetWithholding(maximal.WithholdPredicate(o.Core.Blob.N(), 9))
 	res, err := cluster.RunSlot(1)
 	if err != nil {
 		log.Fatal(err)

@@ -3,19 +3,20 @@
 //
 // PANDAS exists to detect data withholding (Section 3 of the paper), yet
 // an honest-only deployment never exercises that machinery. This package
-// supplies the attackers: builder-side withholding patterns and degraded
-// seeding (late, partial, crash mid-transmission), per-node byzantine
-// behaviors applied at the protocol message boundary (silent, laggard,
-// garbage, view-poisoner), and scheduled network faults (partitions and
-// loss bursts) on the simulation clock. Everything is driven by
-// deterministic sortition from the run seed, so adversarial runs are as
-// reproducible as honest ones.
+// supplies the attackers: the builder's one attack, withholding the
+// maximal non-reconstructable square (whose shape blob.Withheld defines
+// beside its size and detection bound), per-node byzantine behaviors
+// applied at the protocol message boundary (silent, laggard, garbage,
+// view-poisoner), and scheduled network faults (partitions and loss
+// bursts) on the simulation clock. Everything is driven by deterministic
+// sortition from the run seed, so adversarial runs are as reproducible as
+// honest ones.
 //
 // The package deliberately wraps existing components instead of forking
-// them: builder attacks install through Builder.SetWithholding and the
-// seeding schedule, node behaviors wrap the node's Transport, and network
-// faults use the simulator's loss-rate and link-filter hooks. core wires
-// it all up from ClusterConfig.Adversary; nothing here imports core.
+// them: the builder attack installs through Builder.SetWithholding, node
+// behaviors wrap the node's Transport, and network faults use the
+// simulator's loss-rate and link-filter hooks. core wires it all up from
+// ClusterConfig.Adversary; nothing here imports core.
 package adversary
 
 import (
@@ -64,77 +65,6 @@ func (b Behavior) String() string {
 	default:
 		return fmt.Sprintf("Behavior(%d)", uint8(b))
 	}
-}
-
-// Pattern selects a builder withholding pattern generator.
-type Pattern uint8
-
-// Withholding patterns.
-const (
-	// WithholdNone seeds honestly.
-	WithholdNone Pattern = iota
-	// WithholdRandom withholds each cell independently with probability
-	// WithholdFraction. Below ~1/2 the erasure code heals the gaps; the
-	// attack wastes fetch traffic without breaking availability.
-	WithholdRandom
-	// WithholdRows withholds WithholdLines entire rows. Up to K rows the
-	// columns reconstruct them; beyond K the data is unrecoverable.
-	WithholdRows
-	// WithholdCols withholds WithholdLines entire columns, symmetrically.
-	WithholdCols
-	// WithholdMaximal withholds the (n/2+1) x (n/2+1) square anchored at
-	// (0,0): the largest region that defeats reconstruction while
-	// releasing everything else (Fig. 3-right).
-	WithholdMaximal
-)
-
-// String implements fmt.Stringer.
-func (p Pattern) String() string {
-	switch p {
-	case WithholdNone:
-		return "none"
-	case WithholdRandom:
-		return "random"
-	case WithholdRows:
-		return "rows"
-	case WithholdCols:
-		return "cols"
-	case WithholdMaximal:
-		return "maximal"
-	default:
-		return fmt.Sprintf("Pattern(%d)", uint8(p))
-	}
-}
-
-// BuilderAttack describes adversarial builder behavior for a run.
-type BuilderAttack struct {
-	// Withholding selects the pattern of cells the builder refuses to
-	// release.
-	Withholding Pattern
-	// WithholdFraction is the per-cell probability for WithholdRandom.
-	WithholdFraction float64
-	// WithholdLines is the number of full lines for WithholdRows/Cols.
-	WithholdLines int
-	// SeedDelay postpones the start of seeding past the slot start (late
-	// seeding): the whole 4 s sampling budget shrinks by this much.
-	SeedDelay time.Duration
-	// SeedFraction, when in (0, 1), restricts seeding to that share of
-	// the nodes (partial seeding); the rest must fetch everything from
-	// peers. Zero or one means everyone is seeded.
-	SeedFraction float64
-	// CrashAfterFraction, when in (0, 1), makes the builder go silent
-	// after transmitting that share of its seed datagrams — a crash in
-	// the middle of its ~1 s transmission schedule. Because datagrams are
-	// sent round-robin across nodes, every node ends up with a truncated
-	// batch rather than a few nodes with none.
-	CrashAfterFraction float64
-}
-
-// active reports whether any builder attack is configured.
-func (a BuilderAttack) active() bool {
-	return a.Withholding != WithholdNone || a.SeedDelay > 0 ||
-		(a.SeedFraction > 0 && a.SeedFraction < 1) ||
-		(a.CrashAfterFraction > 0 && a.CrashAfterFraction < 1)
 }
 
 // FaultKind selects a scheduled network fault.
@@ -201,8 +131,9 @@ type Config struct {
 	GarbageFraction float64
 	PoisonFraction  float64
 
-	// Builder describes the builder-side attack.
-	Builder BuilderAttack
+	// Withhold makes the builder withhold the maximal non-reconstructable
+	// square, blob.Withheld, and release every other cell (Fig. 3-right).
+	Withhold bool
 
 	// Faults are scheduled network faults, re-armed each slot.
 	Faults []Fault
@@ -219,7 +150,7 @@ func (c *Config) Active() bool {
 	}
 	return c.SilentFraction > 0 || c.LaggardFraction > 0 ||
 		c.GarbageFraction > 0 || c.PoisonFraction > 0 ||
-		c.Builder.active() || len(c.Faults) > 0
+		c.Withhold || len(c.Faults) > 0
 }
 
 // Validate checks parameter consistency. Nil-safe (nil is valid: inert).
@@ -243,27 +174,6 @@ func (c *Config) Validate() error {
 	}
 	if sum > 1 {
 		return fmt.Errorf("%w: behavior fractions sum to %v > 1", ErrBadAdversary, sum)
-	}
-	b := c.Builder
-	switch b.Withholding {
-	case WithholdNone, WithholdRandom, WithholdRows, WithholdCols, WithholdMaximal:
-	default:
-		return fmt.Errorf("%w: unknown withholding pattern %d", ErrBadAdversary, b.Withholding)
-	}
-	if b.Withholding == WithholdRandom && (b.WithholdFraction <= 0 || b.WithholdFraction > 1) {
-		return fmt.Errorf("%w: random withholding fraction %v out of (0,1]", ErrBadAdversary, b.WithholdFraction)
-	}
-	if (b.Withholding == WithholdRows || b.Withholding == WithholdCols) && b.WithholdLines < 1 {
-		return fmt.Errorf("%w: line withholding needs WithholdLines >= 1", ErrBadAdversary)
-	}
-	if b.SeedDelay < 0 {
-		return fmt.Errorf("%w: negative seed delay", ErrBadAdversary)
-	}
-	if b.SeedFraction < 0 || b.SeedFraction > 1 {
-		return fmt.Errorf("%w: seed fraction %v out of [0,1]", ErrBadAdversary, b.SeedFraction)
-	}
-	if b.CrashAfterFraction < 0 || b.CrashAfterFraction > 1 {
-		return fmt.Errorf("%w: crash fraction %v out of [0,1]", ErrBadAdversary, b.CrashAfterFraction)
 	}
 	for i, f := range c.Faults {
 		switch f.Kind {
@@ -320,20 +230,4 @@ func (c *Config) Sortition(seed int64, n int) []Behavior {
 		}
 	}
 	return out
-}
-
-// SeedTargets returns the deterministic set of nodes a partial-seeding
-// builder serves: a seeded random subset of size fraction*n. Returns nil
-// (meaning "everyone") when the fraction does not restrict.
-func SeedTargets(seed int64, n int, fraction float64) map[int]bool {
-	if fraction <= 0 || fraction >= 1 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(seed ^ 0x53454544)) // "SEED"
-	keep := int(float64(n) * fraction)
-	targets := make(map[int]bool, keep)
-	for _, i := range rng.Perm(n)[:keep] {
-		targets[i] = true
-	}
-	return targets
 }

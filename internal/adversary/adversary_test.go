@@ -22,14 +22,7 @@ func TestValidate(t *testing.T) {
 		{"fraction out of range", &Config{SilentFraction: 1.5}, false},
 		{"negative fraction", &Config{GarbageFraction: -0.1}, false},
 		{"fractions sum over 1", &Config{SilentFraction: 0.6, LaggardFraction: 0.6}, false},
-		{"maximal withholding", &Config{Builder: BuilderAttack{Withholding: WithholdMaximal}}, true},
-		{"random withholding no fraction", &Config{Builder: BuilderAttack{Withholding: WithholdRandom}}, false},
-		{"random withholding", &Config{Builder: BuilderAttack{Withholding: WithholdRandom, WithholdFraction: 0.3}}, true},
-		{"rows without lines", &Config{Builder: BuilderAttack{Withholding: WithholdRows}}, false},
-		{"rows", &Config{Builder: BuilderAttack{Withholding: WithholdRows, WithholdLines: 4}}, true},
-		{"unknown pattern", &Config{Builder: BuilderAttack{Withholding: Pattern(99)}}, false},
-		{"crash", &Config{Builder: BuilderAttack{CrashAfterFraction: 0.5}}, true},
-		{"crash out of range", &Config{Builder: BuilderAttack{CrashAfterFraction: 1.5}}, false},
+		{"withholding", &Config{Withhold: true}, true},
 		{"partition", &Config{Faults: []Fault{{Kind: FaultPartition, At: time.Second, Duration: time.Second, Fraction: 0.3}}}, true},
 		{"partition bad fraction", &Config{Faults: []Fault{{Kind: FaultPartition, At: time.Second, Duration: time.Second, Fraction: 1.0}}}, false},
 		{"loss burst", &Config{Faults: []Fault{{Kind: FaultLossBurst, Duration: time.Second, LossRate: 0.5}}}, true},
@@ -58,10 +51,7 @@ func TestActive(t *testing.T) {
 	}
 	active := []*Config{
 		{SilentFraction: 0.1},
-		{Builder: BuilderAttack{Withholding: WithholdMaximal}},
-		{Builder: BuilderAttack{SeedDelay: time.Second}},
-		{Builder: BuilderAttack{SeedFraction: 0.5}},
-		{Builder: BuilderAttack{CrashAfterFraction: 0.5}},
+		{Withhold: true},
 		{Faults: []Fault{{Kind: FaultPartition, Duration: time.Second, Fraction: 0.3}}},
 	}
 	for i, c := range active {
@@ -103,98 +93,6 @@ func TestSortitionNil(t *testing.T) {
 		if b != Honest {
 			t.Fatal("nil config sortitioned a non-honest node")
 		}
-	}
-}
-
-// TestWithholdMaximalMatchesBlob: the maximal pattern withholds exactly
-// the (n/2+1) x (n/2+1) square at (0, 0), whose size is blob's
-// WithheldCells.
-func TestWithholdMaximalMatchesBlob(t *testing.T) {
-	n := 32
-	pred := BuilderAttack{Withholding: WithholdMaximal}.WithholdPredicate(n, 1)
-	h := n/2 + 1
-	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
-			id := blob.CellID{Row: uint16(r), Col: uint16(c)}
-			if want := r < h && c < h; pred(id) != want {
-				t.Fatalf("cell %v: withheld=%v, want %v", id, pred(id), want)
-			}
-		}
-	}
-	if got, want := WithheldCount(n, pred), blob.WithheldCells(n); got != want {
-		t.Fatalf("withheld %d cells, want %d", got, want)
-	}
-}
-
-func TestWithholdRandomFraction(t *testing.T) {
-	n := 64
-	f := 0.3
-	pred := BuilderAttack{Withholding: WithholdRandom, WithholdFraction: f}.WithholdPredicate(n, 5)
-	got := float64(WithheldCount(n, pred)) / float64(n*n)
-	if got < f-0.05 || got > f+0.05 {
-		t.Fatalf("random withholding hit rate %.3f, want ~%.2f", got, f)
-	}
-	// Deterministic per seed.
-	pred2 := BuilderAttack{Withholding: WithholdRandom, WithholdFraction: f}.WithholdPredicate(n, 5)
-	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
-			id := blob.CellID{Row: uint16(r), Col: uint16(c)}
-			if pred(id) != pred2(id) {
-				t.Fatal("random predicate not deterministic per seed")
-			}
-		}
-	}
-}
-
-func TestWithholdLines(t *testing.T) {
-	n := 32
-	for _, rows := range []bool{true, false} {
-		pattern := WithholdCols
-		if rows {
-			pattern = WithholdRows
-		}
-		pred := BuilderAttack{Withholding: pattern, WithholdLines: 3}.WithholdPredicate(n, 9)
-		if got, want := WithheldCount(n, pred), 3*n; got != want {
-			t.Fatalf("rows=%v: withheld %d cells, want %d", rows, got, want)
-		}
-		// Whole lines: every withheld cell's line is fully withheld.
-		for r := 0; r < n; r++ {
-			line := 0
-			for c := 0; c < n; c++ {
-				id := blob.CellID{Row: uint16(r), Col: uint16(c)}
-				if rows && pred(id) {
-					line++
-				}
-				if !rows && pred(blob.CellID{Row: uint16(c), Col: uint16(r)}) {
-					line++
-				}
-			}
-			if line != 0 && line != n {
-				t.Fatalf("rows=%v: line %d partially withheld (%d cells)", rows, r, line)
-			}
-		}
-	}
-}
-
-func TestWithholdNone(t *testing.T) {
-	if pred := (BuilderAttack{}).WithholdPredicate(32, 1); pred != nil {
-		t.Fatal("WithholdNone should yield a nil predicate")
-	}
-	if WithheldCount(32, nil) != 0 {
-		t.Fatal("nil predicate should count zero withheld cells")
-	}
-}
-
-func TestSeedTargets(t *testing.T) {
-	if SeedTargets(1, 100, 0) != nil || SeedTargets(1, 100, 1) != nil {
-		t.Fatal("non-restricting fractions should return nil (everyone)")
-	}
-	tg := SeedTargets(1, 100, 0.4)
-	if len(tg) != 40 {
-		t.Fatalf("got %d targets, want 40", len(tg))
-	}
-	if !reflect.DeepEqual(tg, SeedTargets(1, 100, 0.4)) {
-		t.Fatal("seed targets not deterministic")
 	}
 }
 
@@ -326,14 +224,6 @@ func TestBehaviorStrings(t *testing.T) {
 	} {
 		if b.String() != want {
 			t.Errorf("Behavior %d: got %q want %q", b, b.String(), want)
-		}
-	}
-	for p, want := range map[Pattern]string{
-		WithholdNone: "none", WithholdRandom: "random", WithholdRows: "rows",
-		WithholdCols: "cols", WithholdMaximal: "maximal",
-	} {
-		if p.String() != want {
-			t.Errorf("Pattern %d: got %q want %q", p, p.String(), want)
 		}
 	}
 	for k, want := range map[FaultKind]string{

@@ -11,6 +11,15 @@ package blob
 // w = (n/2+1)^2. With the paper's parameters (n = 512, s = 73) the bound
 // is below 1e-9.
 
+// Withheld reports whether cell id of an n x n extended matrix lies in the
+// maximal withheld region: the (n/2+1) x (n/2+1) square anchored at
+// (0, 0). Everything outside it is released, yet no line can reach the
+// n/2 cells erasure decoding needs (Fig. 3-right).
+func Withheld(n int, id CellID) bool {
+	h := n/2 + 1
+	return int(id.Row) < h && int(id.Col) < h
+}
+
 // WithheldCells returns w, the size of the maximal non-reconstructable
 // withheld region for extended width n: (n/2+1)^2.
 func WithheldCells(n int) int {

@@ -5,14 +5,19 @@ import (
 	"math/rand"
 	"testing"
 
-	"pandas/internal/adversary"
 	"pandas/internal/blob"
 )
 
-// withholdMaximal is the maximal withholding attack's predicate: true for
-// the (n/2+1) x (n/2+1) square anchored at (0, 0) (Fig. 3-right).
-func withholdMaximal(n int) func(blob.CellID) bool {
-	return adversary.BuilderAttack{Withholding: adversary.WithholdMaximal}.WithholdPredicate(n, 0)
+// withheldCount returns how many of the n x n cells blob.Withheld
+// withholds.
+func withheldCount(n int) int {
+	count := 0
+	for idx := 0; idx < n*n; idx++ {
+		if blob.Withheld(n, blob.CellIDFromIndex(idx, n)) {
+			count++
+		}
+	}
+	return count
 }
 
 // extended erasure-extends a blob of seeded random data at K = k.
@@ -97,17 +102,30 @@ func TestMaximalWithholdingNotReconstructable(t *testing.T) {
 	for _, k := range []int{4, 8, 32} {
 		e := extended(t, k)
 		n := 2 * k
-		withheld := withholdMaximal(n)
-		if got, want := adversary.WithheldCount(n, withheld), blob.WithheldCells(n); got != want {
-			t.Fatalf("K=%d: %d cells withheld, want %d", k, got, want)
-		}
-		if peel(t, e, func(id blob.CellID) bool { return !withheld(id) }) {
+		if peel(t, e, func(id blob.CellID) bool { return !blob.Withheld(n, id) }) {
 			t.Fatalf("K=%d: maximal withholding is reconstructable", k)
 		}
 		// One withheld cell back tips it over: its row becomes decodable,
 		// then decoding cascades.
-		if !peel(t, e, func(id blob.CellID) bool { return !withheld(id) || id == (blob.CellID{}) }) {
+		if !peel(t, e, func(id blob.CellID) bool { return !blob.Withheld(n, id) || id == (blob.CellID{}) }) {
 			t.Fatalf("K=%d: one extra cell should enable reconstruction", k)
+		}
+	}
+}
+
+// TestWithheldIsMaximalSquare pins blob.Withheld to exactly the
+// (n/2+1) x (n/2+1) square at (0, 0), whose size is WithheldCells.
+func TestWithheldIsMaximalSquare(t *testing.T) {
+	for _, n := range []int{2, 8, 32, 64} {
+		h := n/2 + 1
+		for idx := 0; idx < n*n; idx++ {
+			id := blob.CellIDFromIndex(idx, n)
+			if want := int(id.Row) < h && int(id.Col) < h; blob.Withheld(n, id) != want {
+				t.Fatalf("n=%d cell %v: withheld=%v, want %v", n, id, !want, want)
+			}
+		}
+		if got, want := withheldCount(n), blob.WithheldCells(n); got != want {
+			t.Fatalf("n=%d: %d cells withheld, want %d", n, got, want)
 		}
 	}
 }
@@ -157,7 +175,6 @@ func TestMonteCarloSamplingDetectsWithholding(t *testing.T) {
 	// times; the empirical detection rate must be high and consistent
 	// with the analytic bound (which is a miss-probability upper bound).
 	const n, s, trials = 64, 30, 2000
-	withheld := withholdMaximal(n)
 	rng := rand.New(rand.NewSource(42))
 	misses := 0
 	for trial := 0; trial < trials; trial++ {
@@ -169,7 +186,7 @@ func TestMonteCarloSamplingDetectsWithholding(t *testing.T) {
 				continue
 			}
 			seen[idx] = true
-			if withheld(blob.CellIDFromIndex(idx, n)) {
+			if blob.Withheld(n, blob.CellIDFromIndex(idx, n)) {
 				allPresent = false
 				break
 			}

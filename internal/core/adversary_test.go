@@ -46,7 +46,7 @@ func TestAdversaryRunsDeterministic(t *testing.T) {
 			cc.Adversary = &adversary.Config{
 				SilentFraction:  0.1,
 				GarbageFraction: 0.1,
-				Builder:         adversary.BuilderAttack{Withholding: adversary.WithholdRandom, WithholdFraction: 0.2},
+				Withhold:        true,
 				Faults: []adversary.Fault{{
 					Kind: adversary.FaultLossBurst, At: 300 * time.Millisecond,
 					Duration: 400 * time.Millisecond, LossRate: 0.5,
@@ -221,9 +221,7 @@ func TestWithholdingEmitsEvent(t *testing.T) {
 	ring := obsv.MustRing(obsv.DefaultRingSize)
 	c := smallCluster(t, 50, func(cc *ClusterConfig) {
 		cc.Core.Recorder = ring
-		cc.Adversary = &adversary.Config{
-			Builder: adversary.BuilderAttack{Withholding: adversary.WithholdMaximal},
-		}
+		cc.Adversary = &adversary.Config{Withhold: true}
 	})
 	if _, err := c.RunSlot(1); err != nil {
 		t.Fatal(err)
@@ -248,9 +246,7 @@ func TestWithholdingEmitsEvent(t *testing.T) {
 // withheld cell nobody can serve) — the detection property itself.
 func TestMaximalWithholdingBlocksSampling(t *testing.T) {
 	c := smallCluster(t, 100, func(cc *ClusterConfig) {
-		cc.Adversary = &adversary.Config{
-			Builder: adversary.BuilderAttack{Withholding: adversary.WithholdMaximal},
-		}
+		cc.Adversary = &adversary.Config{Withhold: true}
 	})
 	res, err := c.RunSlot(1)
 	if err != nil {
@@ -269,83 +265,6 @@ func TestMaximalWithholdingBlocksSampling(t *testing.T) {
 	}
 	if sampled == 0 {
 		t.Fatal("no node missed the withholding: sample-count geometry changed?")
-	}
-}
-
-// TestLateSeedingDelaysPhases: a 500 ms seed delay must shift every
-// node's first seed arrival past the delay.
-func TestLateSeedingDelaysPhases(t *testing.T) {
-	delay := 500 * time.Millisecond
-	c := smallCluster(t, 50, func(cc *ClusterConfig) {
-		cc.Adversary = &adversary.Config{Builder: adversary.BuilderAttack{SeedDelay: delay}}
-	})
-	res, err := c.RunSlot(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range res.Outcomes {
-		if o.Seed >= 0 && o.Seed < delay {
-			t.Fatalf("node %d seeded at %v despite %v seed delay", i, o.Seed, delay)
-		}
-	}
-}
-
-// TestPartialSeedingRestrictsTargets: with SeedFraction 0.5, only the
-// sortitioned half of the nodes may receive seed datagrams; the rest
-// fetch everything and must still sample successfully.
-func TestPartialSeedingRestrictsTargets(t *testing.T) {
-	c := smallCluster(t, 100, func(cc *ClusterConfig) {
-		cc.Adversary = &adversary.Config{Builder: adversary.BuilderAttack{SeedFraction: 0.5}}
-	})
-	res, err := c.RunSlot(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := adversary.SeedTargets(42, 100, 0.5)
-	seeded, sampled := 0, 0
-	for i, o := range res.Outcomes {
-		if o.Seed >= 0 {
-			seeded++
-			if !targets[i] {
-				t.Errorf("node %d outside the target set received seed data", i)
-			}
-		}
-		if o.Sampling >= 0 {
-			sampled++
-		}
-	}
-	if seeded == 0 || seeded > 50 {
-		t.Fatalf("%d nodes seeded, want (0, 50]", seeded)
-	}
-	if sampled < 95 {
-		t.Fatalf("only %d/100 nodes sampled under partial seeding", sampled)
-	}
-}
-
-// TestBuilderCrashTruncatesSeeding: a builder crashing halfway through
-// its transmission schedule must send half its datagrams and strictly
-// fewer bytes than an honest one. (The crash budget counts datagrams;
-// the small boost-map chunks go out in the first round-robin passes, so
-// the byte ratio lands well below the datagram ratio.)
-func TestBuilderCrashTruncatesSeeding(t *testing.T) {
-	run := func(adv *adversary.Config) *SlotResult {
-		c := smallCluster(t, 50, func(cc *ClusterConfig) {
-			cc.Adversary = adv
-		})
-		res, err := c.RunSlot(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	honest := run(nil)
-	crashed := run(&adversary.Config{Builder: adversary.BuilderAttack{CrashAfterFraction: 0.5}})
-	if crashed.BuilderBytes >= honest.BuilderBytes {
-		t.Fatalf("crashed builder sent %d bytes, honest %d", crashed.BuilderBytes, honest.BuilderBytes)
-	}
-	hm, cm := honest.Seeding.Messages, crashed.Seeding.Messages
-	if cm < hm*4/10 || cm > hm*6/10 {
-		t.Fatalf("crashed builder sent %d datagrams, want about half of %d", cm, hm)
 	}
 }
 
@@ -412,6 +331,66 @@ func TestLossBurstRestoresBaseline(t *testing.T) {
 		}
 		if got := c.Network().LossRate(); got != base {
 			t.Fatalf("slot %d left loss rate %v, baseline %v", s, got, base)
+		}
+	}
+}
+
+// TestOverlappingLossBurstsRestoreBaseline: while two bursts overlap the
+// higher rate holds, the later one's rate once the first closes, and the
+// configured baseline once both have closed, in every slot.
+func TestOverlappingLossBurstsRestoreBaseline(t *testing.T) {
+	c := smallCluster(t, 50, func(cc *ClusterConfig) {
+		cc.Adversary = &adversary.Config{
+			Faults: []adversary.Fault{
+				{Kind: adversary.FaultLossBurst, At: 200 * time.Millisecond,
+					Duration: 300 * time.Millisecond, LossRate: 0.8},
+				{Kind: adversary.FaultLossBurst, At: 300 * time.Millisecond,
+					Duration: 400 * time.Millisecond, LossRate: 0.5},
+			},
+		}
+	})
+	base := c.Network().LossRate()
+	for s := 1; s <= 2; s++ {
+		var both, second float64
+		c.Network().After(400*time.Millisecond, func() { both = c.Network().LossRate() })
+		c.Network().After(600*time.Millisecond, func() { second = c.Network().LossRate() })
+		if _, err := c.RunSlot(uint64(s)); err != nil {
+			t.Fatal(err)
+		}
+		if both != 0.8 || second != 0.5 {
+			t.Fatalf("slot %d: loss rate %v with both bursts open, %v with the second alone; want 0.8, 0.5", s, both, second)
+		}
+		if got := c.Network().LossRate(); got != base {
+			t.Fatalf("slot %d left loss rate %v, baseline %v", s, got, base)
+		}
+	}
+}
+
+// TestOverlappingPartitionsKeepNodesCut: when one partition window
+// closes, the nodes a still-open window isolates stay cut; once every
+// window has closed, no node is.
+func TestOverlappingPartitionsKeepNodesCut(t *testing.T) {
+	c := smallCluster(t, 50, func(cc *ClusterConfig) {
+		cc.Adversary = &adversary.Config{
+			Faults: []adversary.Fault{
+				{Kind: adversary.FaultPartition, At: 300 * time.Millisecond,
+					Duration: 200 * time.Millisecond, Fraction: 0.5},
+				{Kind: adversary.FaultPartition, At: 400 * time.Millisecond,
+					Duration: 500 * time.Millisecond, Fraction: 0.5},
+			},
+		}
+	})
+	for s := 1; s <= 2; s++ {
+		cut := -1
+		c.Network().After(600*time.Millisecond, func() { cut = c.partCount })
+		if _, err := c.RunSlot(uint64(s)); err != nil {
+			t.Fatal(err)
+		}
+		if cut != 25 {
+			t.Fatalf("slot %d: %d nodes cut with the second 50%% window open, want 25", s, cut)
+		}
+		if c.partCount != 0 {
+			t.Fatalf("slot %d: %d nodes still cut after every window closed", s, c.partCount)
 		}
 	}
 }

@@ -49,10 +49,6 @@ type Builder struct {
 	// withholding attack). Nil means honest seeding.
 	withhold func(blob.CellID) bool
 
-	// crashAfter, when in (0, 1), makes the builder stop transmitting
-	// after that fraction of its seed datagrams — a crash mid-seeding.
-	crashAfter float64
-
 	// view restricts the builder's knowledge of nodes; nil = complete.
 	// Under churn this is the builder's BELIEVED membership: graceful
 	// leaves are announced and drop out, crashes are not and keep
@@ -86,13 +82,6 @@ func (b *Builder) SetProposerSigner(sign func(slot uint64) [wire.SigSize]byte) {
 // SetWithholding installs a data-withholding predicate: cells for which
 // it returns true are never sent. Pass nil for honest behaviour.
 func (b *Builder) SetWithholding(w func(blob.CellID) bool) { b.withhold = w }
-
-// SetCrash makes the builder crash after transmitting the given fraction
-// of its seed datagrams (0 or 1 disables). Because datagrams go out
-// round-robin across nodes, every node receives a truncated batch rather
-// than a few nodes receiving none — the realistic shape of a builder
-// dying partway through its ~1 s transmission schedule.
-func (b *Builder) SetCrash(fraction float64) { b.crashAfter = fraction }
 
 // SetView restricts which nodes the builder knows about. Pass nil to
 // restore the complete view.
@@ -151,8 +140,9 @@ func (b *Builder) PrepareAndSeed(slot uint64, data []byte) (SeedingReport, error
 		defer proving.Done()
 		b.committer.ProveAll(b.commitment, b.proofs, runtime.GOMAXPROCS(0), tr.rowDone)
 	}()
-	// The prover must be joined even if transmission ends early (crash
-	// budgets): the builder's arenas are reused next slot.
+	// The prover must be joined before returning: the builder's arenas
+	// are reused next slot, and transmit waits only for the rows its
+	// datagrams carry.
 	defer proving.Wait()
 	<-planned
 	b.recordWithheld(slot, report)
@@ -292,10 +282,9 @@ type nodeSeedChunks struct {
 
 // seedPlan is a complete per-node transmission schedule for one slot.
 type seedPlan struct {
-	nodes      []nodeSeedChunks
-	maxChunks  int
-	sendBudget int // datagrams before a simulated crash; -1 = unlimited
-	sig        [wire.SigSize]byte
+	nodes     []nodeSeedChunks
+	maxChunks int
+	sig       [wire.SigSize]byte
 }
 
 // planSeed runs the deciding half of SeedSlot: per-cell line choice,
@@ -488,7 +477,7 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	b.rng.Shuffle(len(recipients), func(i, j int) {
 		recipients[i], recipients[j] = recipients[j], recipients[i]
 	})
-	plan := seedPlan{sendBudget: -1}
+	var plan seedPlan
 	if b.signSeed != nil {
 		plan.sig = b.signSeed(slot)
 	}
@@ -547,14 +536,6 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 		}
 		plan.maxChunks = max(plan.maxChunks, nChunks)
 		plan.nodes = append(plan.nodes, nc)
-	}
-	// A crashing builder stops after a fraction of its datagram budget.
-	if b.crashAfter > 0 && b.crashAfter < 1 {
-		total := 0
-		for _, nc := range plan.nodes {
-			total += len(nc.chunks)
-		}
-		plan.sendBudget = int(b.crashAfter * float64(total))
 	}
 	return plan, report
 }
@@ -630,16 +611,11 @@ func (b *Builder) recordWithheld(slot uint64, report SeedingReport) {
 // datagram additionally waits until the proofs of every row it carries
 // are ready.
 func (b *Builder) transmit(slot uint64, plan seedPlan, report *SeedingReport, rows *rowTracker) {
-	sent := 0
 	for pass := 0; pass < plan.maxChunks; pass++ {
 		for _, nc := range plan.nodes {
 			if pass >= len(nc.chunks) {
 				continue
 			}
-			if plan.sendBudget >= 0 && sent >= plan.sendBudget {
-				return
-			}
-			sent++
 			chunk := &nc.chunks[pass]
 			if rows != nil && chunk.maxRow >= 0 {
 				rows.waitFor(chunk.maxRow)

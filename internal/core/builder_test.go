@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"pandas/internal/adversary"
 	"pandas/internal/assign"
 	"pandas/internal/blob"
 	"pandas/internal/ids"
@@ -108,21 +107,20 @@ func testSigner(slot uint64) (sig [wire.SigSize]byte) {
 }
 
 // builderSetups are the builder behaviours the seed-plan tests cover:
-// honest, maximal withholding, a restricted view (every third node
-// unknown), and a crash halfway through the datagrams.
+// honest, maximal withholding, and a restricted view (every third node
+// unknown).
 var builderSetups = []struct {
 	name  string
-	apply func(b *Builder, seed int64)
+	apply func(b *Builder)
 }{
-	{"honest", func(*Builder, int64) {}},
-	{"withhold-maximal", func(b *Builder, seed int64) {
-		b.SetWithholding(adversary.BuilderAttack{Withholding: adversary.WithholdMaximal}.
-			WithholdPredicate(b.cfg.Blob.N(), seed))
+	{"honest", func(*Builder) {}},
+	{"withhold-maximal", func(b *Builder) {
+		n := b.cfg.Blob.N()
+		b.SetWithholding(func(id blob.CellID) bool { return blob.Withheld(n, id) })
 	}},
-	{"view", func(b *Builder, _ int64) {
+	{"view", func(b *Builder) {
 		b.SetView(membership.ViewFunc(func(peer int) bool { return peer%3 != 0 }))
 	}},
-	{"crash", func(b *Builder, _ int64) { b.SetCrash(0.5) }},
 }
 
 func TestBuilderSeedsAllCellsOnce(t *testing.T) {
@@ -328,7 +326,7 @@ func TestBuilderRestrictedView(t *testing.T) {
 // datagrams (recipients, sizes, order, payloads, proofs), an equal
 // report and an equal trace — across worker counts and a second slot
 // that reuses every arena. The redundant case runs every builder option
-// at once: a proposer signer, withholding, a restricted view and a crash.
+// at once: a proposer signer, withholding and a restricted view.
 func TestBuilderPipelinedMatchesMonolithic(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -340,7 +338,6 @@ func TestBuilderPipelinedMatchesMonolithic(t *testing.T) {
 			b.SetProposerSigner(testSigner)
 			b.SetWithholding(func(id blob.CellID) bool { return (int(id.Row)*3+int(id.Col))%7 == 0 })
 			b.SetView(membership.ViewFunc(func(peer int) bool { return peer%4 != 1 }))
-			b.SetCrash(0.5)
 		}},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -413,12 +410,12 @@ func TestBuilderPipelinedMatchesMonolithic(t *testing.T) {
 // reports over two slots, for every policy and builder setup at five
 // seeds, and at the paper's geometry over 1,000 nodes.
 func TestSeedPlanMatchesReference(t *testing.T) {
-	check := func(t *testing.T, cfg Config, nodes int, seed int64, setup func(*Builder, int64)) {
+	check := func(t *testing.T, cfg Config, nodes int, seed int64, setup func(*Builder)) {
 		got, _, _ := seededBuilder(t, cfg, nodes, seed)
 		want, _, _ := seededBuilder(t, cfg, nodes, seed)
 		for _, b := range []*Builder{got, want} {
 			b.SetProposerSigner(testSigner)
-			setup(b, seed)
+			setup(b)
 		}
 		for slot := uint64(1); slot <= 2; slot++ {
 			gotPlan, gotReport := got.planSeed(slot)
@@ -710,7 +707,7 @@ func referencePlanSeed(b *Builder, slot uint64) (seedPlan, SeedingReport) {
 	b.rng.Shuffle(len(recipients), func(i, j int) {
 		recipients[i], recipients[j] = recipients[j], recipients[i]
 	})
-	plan := seedPlan{sendBudget: -1}
+	var plan seedPlan
 	if b.signSeed != nil {
 		plan.sig = b.signSeed(slot)
 	}
@@ -777,14 +774,6 @@ func referencePlanSeed(b *Builder, slot uint64) (seedPlan, SeedingReport) {
 			plan.maxChunks = nChunks
 		}
 		plan.nodes = append(plan.nodes, nc)
-	}
-	// A crashing builder stops after a fraction of its datagram budget.
-	if b.crashAfter > 0 && b.crashAfter < 1 {
-		total := 0
-		for _, nc := range plan.nodes {
-			total += len(nc.chunks)
-		}
-		plan.sendBudget = int(b.crashAfter * float64(total))
 	}
 	return plan, report
 }

@@ -48,7 +48,7 @@ type ClusterConfig struct {
 	// code path. Composes with OutOfViewFraction (restricted views churn)
 	// and DeadFraction (dead nodes are excluded from lifecycle events).
 	Churn *membership.Config
-	// Adversary enables byzantine behaviors, builder attacks, and
+	// Adversary enables byzantine behaviors, the builder's withholding, and
 	// scheduled network faults. Per-node behaviors are drawn by
 	// deterministic sortition from Seed; all adversarial randomness comes
 	// from dedicated streams, so a nil or inactive config leaves the
@@ -134,14 +134,18 @@ type Cluster struct {
 	// Adversary subsystem (inert without ClusterConfig.Adversary).
 	behaviors []adversary.Behavior
 	agents    []*adversary.Agent
-	seedDelay time.Duration
 	advRng    *rand.Rand
-	// partitioned flags nodes inside the current partition window (empty
-	// outside fault windows); partCount tracks how many are set so the
-	// per-message link filter is one comparison in the common case.
-	partitioned []bool
+	// partitioned counts, per node, the open partition windows that
+	// isolate it (all zero outside fault windows); partCount tracks how
+	// many are non-zero so the per-message link filter is one comparison
+	// in the common case.
+	partitioned []int
 	partCount   int
-	departed    map[int]bool
+	// lossBase is the configured loss rate; openBursts counts, per
+	// configured fault, its open loss-burst windows.
+	lossBase   float64
+	openBursts []int
+	departed   map[int]bool
 
 	// Observability (nil without Core.Recorder / Core.Metrics).
 	rec        obsv.Recorder
@@ -268,9 +272,8 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	// Adversary wiring (builder attacks, fault schedule, poisoners) runs
-	// last: partial seeding composes with the builder's churn-believed
-	// view, and poisoners ride the churn announcement mesh.
+	// Adversary wiring (builder withholding, fault schedule, poisoners)
+	// runs last: poisoners ride the churn announcement mesh.
 	if cc.Adversary.Active() {
 		c.setupAdversary(cc)
 	}
@@ -632,11 +635,9 @@ func (c *Cluster) RunSlot(slot uint64) (*SlotResult, error) {
 	c.armFaults()
 
 	// t=0: proposer instructs the builder to seed, and (optionally)
-	// publishes the block via gossip from a random well-known node. A
-	// late-seeding attack postpones the builder, eating into the 4 s
-	// sampling budget.
+	// publishes the block via gossip from a random well-known node.
 	var report SeedingReport
-	c.net.After(c.seedDelay, func() {
+	c.net.After(0, func() {
 		report = c.builder.SeedSlot(slot)
 	})
 	if c.overlay != nil {

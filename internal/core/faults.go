@@ -1,16 +1,17 @@
 package core
 
-// Cluster-side adversary wiring: builder attacks, the per-slot network
-// fault schedule, and view-poisoner gossip. Everything here reads
-// randomness from dedicated streams (never the cluster's main rng), so
-// honest deployments are bit-identical whether or not the subsystem is
-// compiled in the configuration.
+// Cluster-side adversary wiring: the builder's withholding attack, the
+// per-slot network fault schedule, and view-poisoner gossip. Everything
+// here reads randomness from dedicated streams (never the cluster's main
+// rng), so honest deployments are bit-identical whether or not the
+// subsystem is compiled in the configuration.
 
 import (
 	"math/rand"
 	"sort"
 
 	"pandas/internal/adversary"
+	"pandas/internal/blob"
 	"pandas/internal/gossip"
 	"pandas/internal/membership"
 	"pandas/internal/obsv"
@@ -20,27 +21,13 @@ import (
 const faultSalt = 0x46414c54 // "FALT"
 
 // setupAdversary installs the configured attacks. Called after setupChurn
-// so partial seeding composes with the builder's believed view and
-// poisoners can ride the announcement mesh.
+// so poisoners can ride the announcement mesh.
 func (c *Cluster) setupAdversary(cc ClusterConfig) {
 	adv := cc.Adversary
 
-	// Builder attacks.
-	if pred := adv.Builder.WithholdPredicate(cc.Core.Blob.N(), cc.Seed); pred != nil {
-		c.builder.SetWithholding(pred)
-	}
-	if f := adv.Builder.CrashAfterFraction; f > 0 && f < 1 {
-		c.builder.SetCrash(f)
-	}
-	c.seedDelay = adv.Builder.SeedDelay
-	if targets := adversary.SeedTargets(cc.Seed, cc.N, adv.Builder.SeedFraction); targets != nil {
-		// Partial seeding restricts the builder's view to the target set,
-		// composed with whatever view it already has (churn's believed
-		// membership): a node is seeded only if both agree.
-		inner := c.builder.view
-		c.builder.SetView(membership.ViewFunc(func(p int) bool {
-			return targets[p] && (inner == nil || inner.Contains(p))
-		}))
+	if adv.Withhold {
+		n := cc.Core.Blob.N()
+		c.builder.SetWithholding(func(id blob.CellID) bool { return blob.Withheld(n, id) })
 	}
 
 	// Scheduled network faults. The link filter is installed once here —
@@ -48,13 +35,15 @@ func (c *Cluster) setupAdversary(cc ClusterConfig) {
 	// per-message cost exists only in runs that configure a partition.
 	if len(adv.Faults) > 0 {
 		c.advRng = rand.New(rand.NewSource(cc.Seed ^ faultSalt))
+		c.lossBase = c.net.LossRate()
+		c.openBursts = make([]int, len(adv.Faults))
 		for _, f := range adv.Faults {
 			if f.Kind == adversary.FaultPartition {
 				// Indexed by simulator address; the builder, past cc.N, is
 				// never partitioned.
-				c.partitioned = make([]bool, cc.N)
+				c.partitioned = make([]int, cc.N)
 				inPart := func(i int) bool {
-					return i >= 0 && i < len(c.partitioned) && c.partitioned[i]
+					return i >= 0 && i < len(c.partitioned) && c.partitioned[i] > 0
 				}
 				c.net.SetLinkFilter(func(from, to int) bool {
 					if c.partCount == 0 {
@@ -85,30 +74,31 @@ func (c *Cluster) setupAdversary(cc ClusterConfig) {
 
 // armFaults schedules this slot's fault windows on the simulation clock.
 // Called at the top of every RunSlot; a run without faults schedules
-// nothing.
+// nothing. Windows may overlap, within a slot or across slots: a node
+// stays cut while any open partition isolates it, and the loss rate is
+// the highest among open bursts, the baseline once none is open.
 func (c *Cluster) armFaults() {
 	adv := c.cfg.Adversary
 	if adv == nil || len(adv.Faults) == 0 {
 		return
 	}
-	for _, f := range adv.Faults {
-		f := f
+	for fi, f := range adv.Faults {
 		switch f.Kind {
 		case adversary.FaultPartition:
 			c.net.After(f.At, func() {
 				count := int(float64(c.cfg.N) * f.Fraction)
 				isolated := append([]int(nil), c.advRng.Perm(c.cfg.N)[:count]...)
 				for _, i := range isolated {
-					if !c.partitioned[i] {
-						c.partitioned[i] = true
+					if c.partitioned[i] == 0 {
 						c.partCount++
 					}
+					c.partitioned[i]++
 				}
 				c.emitFault(obsv.KindFaultStart, f.Kind, count)
 				c.net.After(f.Duration, func() {
 					for _, i := range isolated {
-						if c.partitioned[i] {
-							c.partitioned[i] = false
+						c.partitioned[i]--
+						if c.partitioned[i] == 0 {
 							c.partCount--
 						}
 					}
@@ -117,16 +107,32 @@ func (c *Cluster) armFaults() {
 			})
 		case adversary.FaultLossBurst:
 			c.net.After(f.At, func() {
-				base := c.net.LossRate()
-				c.net.SetLossRate(f.LossRate)
+				c.openBursts[fi]++
+				c.setBurstLoss()
 				c.emitFault(obsv.KindFaultStart, f.Kind, 0)
 				c.net.After(f.Duration, func() {
-					c.net.SetLossRate(base)
+					c.openBursts[fi]--
+					c.setBurstLoss()
 					c.emitFault(obsv.KindFaultStop, f.Kind, 0)
 				})
 			})
 		}
 	}
+}
+
+// setBurstLoss sets the network loss rate to the highest rate among the
+// open loss bursts, or to the baseline when none is open.
+func (c *Cluster) setBurstLoss() {
+	rate := -1.0
+	for fi, f := range c.cfg.Adversary.Faults {
+		if c.openBursts[fi] > 0 {
+			rate = max(rate, f.LossRate)
+		}
+	}
+	if rate < 0 {
+		rate = c.lossBase
+	}
+	c.net.SetLossRate(rate)
 }
 
 // emitFault traces a fault transition (network-global: Node -1).

@@ -44,9 +44,7 @@ func Withholding(o Options, sampleCounts []int, mcTrials int) (*Result, error) {
 		count := count
 		s, _, err := runPooled(fmt.Sprintf("%d", count), o, func(cc *core.ClusterConfig) {
 			cc.Core.Samples = count
-			cc.Adversary = &adversary.Config{
-				Builder: adversary.BuilderAttack{Withholding: adversary.WithholdMaximal},
-			}
+			cc.Adversary = &adversary.Config{Withhold: true}
 		})
 		if err != nil {
 			return nil, err
@@ -139,18 +137,4 @@ func Byzantine(o Options, behavior adversary.Behavior, fractions []float64) (*Re
 			fmt.Sprintf("%d", rejects))
 	}
 	return res, nil
-}
-
-// Adversary runs both security experiments: withholding detection vs the
-// sampling analysis, and the byzantine-fraction sweep.
-func Adversary(o Options, behavior adversary.Behavior, fractions []float64, mcTrials int) (*Result, error) {
-	w, err := Withholding(o, nil, mcTrials)
-	if err != nil {
-		return nil, err
-	}
-	bz, err := Byzantine(o, behavior, fractions)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Parts: []*Result{w, bz}}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"pandas/internal/adversary"
 	"pandas/internal/blob"
 )
 
@@ -28,7 +27,6 @@ func Confidence(n int, sampleCounts []int, trials int, seed int64) *Result {
 			n, blob.SamplesForConfidence(n, 1e-9), blob.FalsePositiveBound(n, 73)),
 		Header: []string{"samples", "analytic bound", "empirical miss rate"},
 	}
-	withheld := adversary.BuilderAttack{Withholding: adversary.WithholdMaximal}.WithholdPredicate(n, seed)
 	rng := rand.New(rand.NewSource(seed))
 	for _, s := range sampleCounts {
 		misses := 0
@@ -41,7 +39,7 @@ func Confidence(n int, sampleCounts []int, trials int, seed int64) *Result {
 					continue
 				}
 				seen[idx] = true
-				if withheld(blob.CellIDFromIndex(idx, n)) {
+				if blob.Withheld(n, blob.CellIDFromIndex(idx, n)) {
 					allPresent = false
 					break
 				}

@@ -269,11 +269,6 @@ func init() {
 			o = o.withDefaults()
 			return Confidence(o.Core.Blob.N(), nil, p.Trials, o.Seed), nil
 		}})
-	register(Experiment{Name: "adversary", Desc: "withholding detection + byzantine-fraction sweep (threat model)",
-		Flags: func(b *FlagBinder) { b.Behavior(); b.Fractions(); b.Trials() },
-		Run: func(o Options, p *Params) (*Result, error) {
-			return Adversary(o, p.Behavior, p.Fractions, p.Trials)
-		}})
 	register(Experiment{Name: "withholding", Desc: "withholding-detection table only (cluster vs Monte Carlo)",
 		Flags: func(b *FlagBinder) { b.Trials() },
 		Run:   func(o Options, p *Params) (*Result, error) { return Withholding(o, nil, p.Trials) }})

@@ -167,22 +167,6 @@ func Plan(candidates []Candidate, numCells, k, cbBoost int) []Query {
 	return plan
 }
 
-// Coverage reports how many of numCells have at least one planned query
-// in the plan; used by tests and diagnostics.
-func Coverage(plan []Query, numCells int) int {
-	seen := make([]bool, numCells)
-	covered := 0
-	for _, q := range plan {
-		for _, c := range q.Cells {
-			if c >= 0 && c < numCells && !seen[c] {
-				seen[c] = true
-				covered++
-			}
-		}
-	}
-	return covered
-}
-
 // Scored is a peer with a precomputed score, for PlanLazyFrom.
 type Scored struct {
 	Peer  int

@@ -289,3 +289,19 @@ func TestPlanLazyEdgeCases(t *testing.T) {
 		t.Fatal("zero cells should plan nothing")
 	}
 }
+
+// Coverage reports how many of numCells have at least one planned query
+// in the plan.
+func Coverage(plan []Query, numCells int) int {
+	seen := make([]bool, numCells)
+	covered := 0
+	for _, q := range plan {
+		for _, c := range q.Cells {
+			if c >= 0 && c < numCells && !seen[c] {
+				seen[c] = true
+				covered++
+			}
+		}
+	}
+	return covered
+}

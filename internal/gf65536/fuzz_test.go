@@ -158,3 +158,68 @@ func FuzzTableMatchesMul(f *testing.F) {
 		}
 	})
 }
+
+// MulAddBytes sets dst ^= c*src where the byte slices are interpreted as
+// big-endian uint16 words. Both lengths must be equal and even.
+// Dispatches to the cached split-table kernel, the form the production
+// paths call through TableFor(c).MulAdd.
+func MulAddBytes(c uint16, src, dst []byte) {
+	if c == 0 {
+		return
+	}
+	if c == 1 {
+		AddBytes(src, dst)
+		return
+	}
+	TableFor(c).MulAdd(src, dst)
+}
+
+// mulAddBytesScalar is the log/exp-table reference implementation of
+// MulAddBytes, kept for differential fuzzing of the split-table kernel.
+func mulAddBytesScalar(c uint16, src, dst []byte) {
+	if c == 0 {
+		return
+	}
+	if c == 1 {
+		for i, s := range src {
+			dst[i] ^= s
+		}
+		return
+	}
+	logC := int(logTable[c])
+	for i := 0; i+1 < len(src); i += 2 {
+		s := uint16(src[i])<<8 | uint16(src[i+1])
+		if s == 0 {
+			continue
+		}
+		p := expTable[logC+int(logTable[s])]
+		dst[i] ^= byte(p >> 8)
+		dst[i+1] ^= byte(p)
+	}
+}
+
+// mulBytesScalar is the log/exp-table reference implementation of
+// MulBytes, kept for differential fuzzing of the split-table kernel.
+func mulBytesScalar(c uint16, src, dst []byte) {
+	if c == 0 {
+		for i := range dst {
+			dst[i] = 0
+		}
+		return
+	}
+	if c == 1 {
+		copy(dst, src)
+		return
+	}
+	logC := int(logTable[c])
+	for i := 0; i+1 < len(src); i += 2 {
+		s := uint16(src[i])<<8 | uint16(src[i+1])
+		if s == 0 {
+			dst[i], dst[i+1] = 0, 0
+			continue
+		}
+		p := expTable[logC+int(logTable[s])]
+		dst[i] = byte(p >> 8)
+		dst[i+1] = byte(p)
+	}
+}

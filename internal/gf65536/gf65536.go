@@ -70,61 +70,6 @@ func Log(a uint16) int {
 	return int(logTable[a])
 }
 
-// Pow returns a^n, with a^0 == 1 for any a.
-func Pow(a uint16, n int) uint16 {
-	if n == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	l := (int(logTable[a]) % 65535 * (n % 65535)) % 65535
-	if l < 0 {
-		l += 65535
-	}
-	return expTable[l]
-}
-
-// MulAddBytes sets dst ^= c*src where the byte slices are interpreted as
-// big-endian uint16 words. Both lengths must be equal and even.
-// Dispatches to the cached split-table kernel; hot loops that reuse the
-// same coefficient should hold a TableFor(c) result and call MulAdd on
-// it directly to skip the per-call cache load.
-func MulAddBytes(c uint16, src, dst []byte) {
-	if c == 0 {
-		return
-	}
-	if c == 1 {
-		AddBytes(src, dst)
-		return
-	}
-	TableFor(c).MulAdd(src, dst)
-}
-
-// mulAddBytesScalar is the log/exp-table reference implementation of
-// MulAddBytes, kept for differential fuzzing of the split-table kernel.
-func mulAddBytesScalar(c uint16, src, dst []byte) {
-	if c == 0 {
-		return
-	}
-	if c == 1 {
-		for i, s := range src {
-			dst[i] ^= s
-		}
-		return
-	}
-	logC := int(logTable[c])
-	for i := 0; i+1 < len(src); i += 2 {
-		s := uint16(src[i])<<8 | uint16(src[i+1])
-		if s == 0 {
-			continue
-		}
-		p := expTable[logC+int(logTable[s])]
-		dst[i] ^= byte(p >> 8)
-		dst[i+1] ^= byte(p)
-	}
-}
-
 // MulBytes sets dst = c*src over big-endian uint16 words. The table is
 // built on the stack of the call and dropped with it: this is the form
 // for a coefficient used once (the decoder's per-erasure-pattern scale
@@ -150,30 +95,4 @@ func MulBytes(c uint16, src, dst []byte) {
 	var t MulTable16
 	t.fill(c)
 	t.Mul(src, dst)
-}
-
-// mulBytesScalar is the log/exp-table reference implementation of
-// MulBytes, kept for differential fuzzing of the split-table kernel.
-func mulBytesScalar(c uint16, src, dst []byte) {
-	if c == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	if c == 1 {
-		copy(dst, src)
-		return
-	}
-	logC := int(logTable[c])
-	for i := 0; i+1 < len(src); i += 2 {
-		s := uint16(src[i])<<8 | uint16(src[i+1])
-		if s == 0 {
-			dst[i], dst[i+1] = 0, 0
-			continue
-		}
-		p := expTable[logC+int(logTable[s])]
-		dst[i] = byte(p >> 8)
-		dst[i+1] = byte(p)
-	}
 }

@@ -147,3 +147,18 @@ func BenchmarkMulAddBytes(b *testing.B) {
 		MulAddBytes(uint16(i)|1, src, dst)
 	}
 }
+
+// Pow returns a^n, with a^0 == 1 for any a.
+func Pow(a uint16, n int) uint16 {
+	if n == 0 {
+		return 1
+	}
+	if a == 0 {
+		return 0
+	}
+	l := (int(logTable[a]) % 65535 * (n % 65535)) % 65535
+	if l < 0 {
+		l += 65535
+	}
+	return expTable[l]
+}

@@ -377,22 +377,3 @@ func VerifyBatch(c Commitment, ids []blob.CellID, cells [][]byte, proofs []Proof
 	scratchPool.Put(s)
 	return valid
 }
-
-// ProveAll computes proofs for every cell of the extended matrix,
-// returned in row-major order, with one pooled scratch hoisted over the
-// whole n*n loop. Builders should prefer Committer.ProveAll, which
-// shares the payload hashing with Commit; this form re-digests every
-// cell.
-func ProveAll(e *blob.Extended, c Commitment) []Proof {
-	n := e.N()
-	out := make([]Proof, n*n)
-	s := scratchPool.Get().(*scratch)
-	for r := 0; r < n; r++ {
-		for col := 0; col < n; col++ {
-			id := blob.CellID{Row: uint16(r), Col: uint16(col)}
-			out[id.Index(n)] = s.proveInto(c, id, e.Cell(id))
-		}
-	}
-	scratchPool.Put(s)
-	return out
-}

@@ -222,3 +222,20 @@ func BenchmarkVerifyBatch64(b *testing.B) {
 		}
 	}
 }
+
+// ProveAll is the reference form of Committer.ProveAll: proofs for every
+// cell of the extended matrix in row-major order, each cell re-digested
+// on one pooled scratch.
+func ProveAll(e *blob.Extended, c Commitment) []Proof {
+	n := e.N()
+	out := make([]Proof, n*n)
+	s := scratchPool.Get().(*scratch)
+	for r := 0; r < n; r++ {
+		for col := 0; col < n; col++ {
+			id := blob.CellID{Row: uint16(r), Col: uint16(col)}
+			out[id.Index(n)] = s.proveInto(c, id, e.Cell(id))
+		}
+	}
+	scratchPool.Put(s)
+	return out
+}

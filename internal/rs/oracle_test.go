@@ -104,8 +104,10 @@ func (m matrix16) invert() (matrix16, error) {
 func vandermonde16(rows, cols int) matrix16 {
 	m := newMatrix16(rows, cols)
 	for r := 0; r < rows; r++ {
+		v := uint16(1) // r^c, with 0^0 = 1
 		for c := 0; c < cols; c++ {
-			m.set(r, c, gf65536.Pow(uint16(r), c))
+			m.set(r, c, v)
+			v = gf65536.Mul(v, uint16(r))
 		}
 	}
 	return m

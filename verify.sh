@@ -24,6 +24,22 @@ if go list -deps ./internal/transport | grep -qx 'pandas/internal/core'; then
 	exit 1
 fi
 
+# The adversary package wraps components through interfaces and hooks;
+# core wires it up, so the dependency runs one way only (DESIGN.md §3.8).
+echo "== layering: internal/adversary does not depend on internal/core"
+if go list -deps ./internal/adversary | grep -qx 'pandas/internal/core'; then
+	echo "layering: internal/adversary imports internal/core" >&2
+	exit 1
+fi
+
+# The blob owns the withheld square, its size and its detection bound;
+# it knows nothing of who withholds or of the protocol.
+echo "== layering: internal/blob does not depend on internal/adversary or internal/core"
+if go list -deps ./internal/blob | grep -qxE 'pandas/internal/(adversary|core)'; then
+	echo "layering: internal/blob imports internal/adversary or internal/core" >&2
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
