@@ -1,21 +1,20 @@
-// Package adversary implements composable byzantine-behavior and
-// fault-injection policies for PANDAS deployments.
+// Package adversary implements composable byzantine-behavior policies
+// and the builder's withholding attack for PANDAS deployments.
 //
 // PANDAS exists to detect data withholding (Section 3 of the paper), yet
 // an honest-only deployment never exercises that machinery. This package
 // supplies the attackers: the builder's one attack, withholding the
 // maximal non-reconstructable square (whose shape blob.Withheld defines
-// beside its size and detection bound), per-node byzantine behaviors
+// beside its size and detection bound), and per-node byzantine behaviors
 // applied at the protocol message boundary (silent, laggard, garbage,
-// view-poisoner), and scheduled network faults (partitions and loss
-// bursts) on the simulation clock. Everything is driven by deterministic
-// sortition from the run seed, so adversarial runs are as reproducible as
-// honest ones.
+// view-poisoner). Everything is driven by deterministic sortition from
+// the run seed, so adversarial runs are as reproducible as honest ones.
+// Timed network faults (partitions and loss bursts) are not here: they
+// are events of core's scenario list, beside the lifecycle transitions.
 //
 // The package deliberately wraps existing components instead of forking
-// them: the builder attack installs through Builder.SetWithholding, node
-// behaviors wrap the node's Transport, and network faults use the
-// simulator's loss-rate and link-filter hooks. core wires it all up from
+// them: the builder attack installs through Builder.SetWithholding and
+// node behaviors wrap the node's Transport. core wires it all up from
 // ClusterConfig.Adversary; nothing here imports core.
 package adversary
 
@@ -67,45 +66,6 @@ func (b Behavior) String() string {
 	}
 }
 
-// FaultKind selects a scheduled network fault.
-type FaultKind uint8
-
-// Network fault kinds.
-const (
-	// FaultPartition isolates a random Fraction of the nodes from the
-	// rest for the window: messages crossing the cut are dropped.
-	FaultPartition FaultKind = iota + 1
-	// FaultLossBurst raises the network loss rate to LossRate for the
-	// window, then restores the baseline.
-	FaultLossBurst
-)
-
-// String implements fmt.Stringer.
-func (k FaultKind) String() string {
-	switch k {
-	case FaultPartition:
-		return "partition"
-	case FaultLossBurst:
-		return "loss-burst"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", uint8(k))
-	}
-}
-
-// Fault is one scheduled network fault, re-armed every slot at the given
-// offset from the slot start.
-type Fault struct {
-	Kind FaultKind
-	// At is the fault's start offset from each slot start.
-	At time.Duration
-	// Duration is how long the fault lasts.
-	Duration time.Duration
-	// Fraction is the isolated node share for FaultPartition.
-	Fraction float64
-	// LossRate is the drop probability during a FaultLossBurst.
-	LossRate float64
-}
-
 // Behavior timing.
 const (
 	// DefaultLagMin / DefaultLagMax bound the laggard response delay:
@@ -134,9 +94,6 @@ type Config struct {
 	// Withhold makes the builder withhold the maximal non-reconstructable
 	// square, blob.Withheld, and release every other cell (Fig. 3-right).
 	Withhold bool
-
-	// Faults are scheduled network faults, re-armed each slot.
-	Faults []Fault
 }
 
 // Validation errors.
@@ -150,7 +107,7 @@ func (c *Config) Active() bool {
 	}
 	return c.SilentFraction > 0 || c.LaggardFraction > 0 ||
 		c.GarbageFraction > 0 || c.PoisonFraction > 0 ||
-		c.Withhold || len(c.Faults) > 0
+		c.Withhold
 }
 
 // Validate checks parameter consistency. Nil-safe (nil is valid: inert).
@@ -174,23 +131,6 @@ func (c *Config) Validate() error {
 	}
 	if sum > 1 {
 		return fmt.Errorf("%w: behavior fractions sum to %v > 1", ErrBadAdversary, sum)
-	}
-	for i, f := range c.Faults {
-		switch f.Kind {
-		case FaultPartition:
-			if f.Fraction <= 0 || f.Fraction >= 1 {
-				return fmt.Errorf("%w: fault %d partition fraction %v out of (0,1)", ErrBadAdversary, i, f.Fraction)
-			}
-		case FaultLossBurst:
-			if f.LossRate <= 0 || f.LossRate >= 1 {
-				return fmt.Errorf("%w: fault %d loss rate %v out of (0,1)", ErrBadAdversary, i, f.LossRate)
-			}
-		default:
-			return fmt.Errorf("%w: fault %d has unknown kind %d", ErrBadAdversary, i, f.Kind)
-		}
-		if f.At < 0 || f.Duration <= 0 {
-			return fmt.Errorf("%w: fault %d window [%v,+%v) invalid", ErrBadAdversary, i, f.At, f.Duration)
-		}
 	}
 	return nil
 }

@@ -23,12 +23,6 @@ func TestValidate(t *testing.T) {
 		{"negative fraction", &Config{GarbageFraction: -0.1}, false},
 		{"fractions sum over 1", &Config{SilentFraction: 0.6, LaggardFraction: 0.6}, false},
 		{"withholding", &Config{Withhold: true}, true},
-		{"partition", &Config{Faults: []Fault{{Kind: FaultPartition, At: time.Second, Duration: time.Second, Fraction: 0.3}}}, true},
-		{"partition bad fraction", &Config{Faults: []Fault{{Kind: FaultPartition, At: time.Second, Duration: time.Second, Fraction: 1.0}}}, false},
-		{"loss burst", &Config{Faults: []Fault{{Kind: FaultLossBurst, Duration: time.Second, LossRate: 0.5}}}, true},
-		{"loss burst bad rate", &Config{Faults: []Fault{{Kind: FaultLossBurst, Duration: time.Second, LossRate: 0}}}, false},
-		{"fault unknown kind", &Config{Faults: []Fault{{Duration: time.Second}}}, false},
-		{"fault zero duration", &Config{Faults: []Fault{{Kind: FaultPartition, Fraction: 0.3}}}, false},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
@@ -52,7 +46,6 @@ func TestActive(t *testing.T) {
 	active := []*Config{
 		{SilentFraction: 0.1},
 		{Withhold: true},
-		{Faults: []Fault{{Kind: FaultPartition, Duration: time.Second, Fraction: 0.3}}},
 	}
 	for i, c := range active {
 		if !c.Active() {
@@ -224,13 +217,6 @@ func TestBehaviorStrings(t *testing.T) {
 	} {
 		if b.String() != want {
 			t.Errorf("Behavior %d: got %q want %q", b, b.String(), want)
-		}
-	}
-	for k, want := range map[FaultKind]string{
-		FaultPartition: "partition", FaultLossBurst: "loss-burst",
-	} {
-		if k.String() != want {
-			t.Errorf("FaultKind %d: got %q want %q", k, k.String(), want)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"pandas/internal/adversary"
 	"pandas/internal/blob"
-	"pandas/internal/membership"
 	"pandas/internal/obsv"
 )
 
@@ -39,7 +38,7 @@ func TestAdversaryInactiveConfigMatchesHonest(t *testing.T) {
 
 // TestAdversaryRunsDeterministic pins the reproducibility contract for
 // adversarial runs: the same seed with byzantine nodes, a withholding
-// builder, and a scheduled fault produces bit-identical outcomes.
+// builder, and a loss burst in each slot produces bit-identical outcomes.
 func TestAdversaryRunsDeterministic(t *testing.T) {
 	run := func() []NodeOutcome {
 		c := smallCluster(t, 100, func(cc *ClusterConfig) {
@@ -47,11 +46,11 @@ func TestAdversaryRunsDeterministic(t *testing.T) {
 				SilentFraction:  0.1,
 				GarbageFraction: 0.1,
 				Withhold:        true,
-				Faults: []adversary.Fault{{
-					Kind: adversary.FaultLossBurst, At: 300 * time.Millisecond,
-					Duration: 400 * time.Millisecond, LossRate: 0.5,
-				}},
 			}
+			cc.Scenario = everySlot(2, ScenarioEvent{
+				Kind: LossBurst, At: 300 * time.Millisecond,
+				Duration: 400 * time.Millisecond, LossRate: 0.5,
+			})
 		})
 		var out []NodeOutcome
 		for s := 1; s <= 2; s++ {
@@ -194,9 +193,7 @@ func TestPoisonerForgesAnnouncements(t *testing.T) {
 	c := smallCluster(t, 100, func(cc *ClusterConfig) {
 		cc.Core.Metrics = reg
 		cc.Adversary = &adversary.Config{PoisonFraction: 0.1}
-		cc.Churn = &membership.Config{
-			Flash: []membership.FlashEvent{{At: time.Second, Leave: 10}},
-		}
+		cc.Scenario = []ScenarioEvent{{Kind: Leave, At: time.Second, Count: 10}}
 	})
 	for s := 1; s <= 2; s++ {
 		if _, err := c.RunSlot(uint64(s)); err != nil {
@@ -265,132 +262,5 @@ func TestMaximalWithholdingBlocksSampling(t *testing.T) {
 	}
 	if sampled == 0 {
 		t.Fatal("no node missed the withholding: sample-count geometry changed?")
-	}
-}
-
-// TestPartitionFaultTracesAndHeals: a mid-slot partition must emit
-// fault-start/stop events, actually cut traffic across the cut, and heal
-// — nodes still sample by slot end once the window closes.
-func TestPartitionFaultTracesAndHeals(t *testing.T) {
-	ring := obsv.MustRing(obsv.DefaultRingSize)
-	c := smallCluster(t, 100, func(cc *ClusterConfig) {
-		cc.Core.Recorder = ring
-		cc.Adversary = &adversary.Config{
-			Faults: []adversary.Fault{{
-				Kind: adversary.FaultPartition, At: 300 * time.Millisecond,
-				Duration: 700 * time.Millisecond, Fraction: 0.3,
-			}},
-		}
-	})
-	res, err := c.RunSlot(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	starts, stops := 0, 0
-	for _, ev := range ring.Events() {
-		switch ev.Kind {
-		case obsv.KindFaultStart:
-			starts++
-			if ev.Count != 30 {
-				t.Errorf("fault-start isolates %d nodes, want 30", ev.Count)
-			}
-		case obsv.KindFaultStop:
-			stops++
-		}
-	}
-	if starts != 1 || stops != 1 {
-		t.Fatalf("fault events: %d starts, %d stops, want 1/1", starts, stops)
-	}
-	sampled := 0
-	for _, o := range res.Outcomes {
-		if o.Sampling >= 0 {
-			sampled++
-		}
-	}
-	if sampled < 95 {
-		t.Fatalf("only %d/100 nodes sampled after the partition healed", sampled)
-	}
-}
-
-// TestLossBurstRestoresBaseline: the loss-burst fault must raise the
-// simulator's drop rate for its window only, restoring the configured
-// baseline afterwards (checked across two slots to cover re-arming).
-func TestLossBurstRestoresBaseline(t *testing.T) {
-	c := smallCluster(t, 50, func(cc *ClusterConfig) {
-		cc.Adversary = &adversary.Config{
-			Faults: []adversary.Fault{{
-				Kind: adversary.FaultLossBurst, At: 200 * time.Millisecond,
-				Duration: 300 * time.Millisecond, LossRate: 0.8,
-			}},
-		}
-	})
-	base := c.Network().LossRate()
-	for s := 1; s <= 2; s++ {
-		if _, err := c.RunSlot(uint64(s)); err != nil {
-			t.Fatal(err)
-		}
-		if got := c.Network().LossRate(); got != base {
-			t.Fatalf("slot %d left loss rate %v, baseline %v", s, got, base)
-		}
-	}
-}
-
-// TestOverlappingLossBurstsRestoreBaseline: while two bursts overlap the
-// higher rate holds, the later one's rate once the first closes, and the
-// configured baseline once both have closed, in every slot.
-func TestOverlappingLossBurstsRestoreBaseline(t *testing.T) {
-	c := smallCluster(t, 50, func(cc *ClusterConfig) {
-		cc.Adversary = &adversary.Config{
-			Faults: []adversary.Fault{
-				{Kind: adversary.FaultLossBurst, At: 200 * time.Millisecond,
-					Duration: 300 * time.Millisecond, LossRate: 0.8},
-				{Kind: adversary.FaultLossBurst, At: 300 * time.Millisecond,
-					Duration: 400 * time.Millisecond, LossRate: 0.5},
-			},
-		}
-	})
-	base := c.Network().LossRate()
-	for s := 1; s <= 2; s++ {
-		var both, second float64
-		c.Network().After(400*time.Millisecond, func() { both = c.Network().LossRate() })
-		c.Network().After(600*time.Millisecond, func() { second = c.Network().LossRate() })
-		if _, err := c.RunSlot(uint64(s)); err != nil {
-			t.Fatal(err)
-		}
-		if both != 0.8 || second != 0.5 {
-			t.Fatalf("slot %d: loss rate %v with both bursts open, %v with the second alone; want 0.8, 0.5", s, both, second)
-		}
-		if got := c.Network().LossRate(); got != base {
-			t.Fatalf("slot %d left loss rate %v, baseline %v", s, got, base)
-		}
-	}
-}
-
-// TestOverlappingPartitionsKeepNodesCut: when one partition window
-// closes, the nodes a still-open window isolates stay cut; once every
-// window has closed, no node is.
-func TestOverlappingPartitionsKeepNodesCut(t *testing.T) {
-	c := smallCluster(t, 50, func(cc *ClusterConfig) {
-		cc.Adversary = &adversary.Config{
-			Faults: []adversary.Fault{
-				{Kind: adversary.FaultPartition, At: 300 * time.Millisecond,
-					Duration: 200 * time.Millisecond, Fraction: 0.5},
-				{Kind: adversary.FaultPartition, At: 400 * time.Millisecond,
-					Duration: 500 * time.Millisecond, Fraction: 0.5},
-			},
-		}
-	})
-	for s := 1; s <= 2; s++ {
-		cut := -1
-		c.Network().After(600*time.Millisecond, func() { cut = c.partCount })
-		if _, err := c.RunSlot(uint64(s)); err != nil {
-			t.Fatal(err)
-		}
-		if cut != 25 {
-			t.Fatalf("slot %d: %d nodes cut with the second 50%% window open, want 25", s, cut)
-		}
-		if c.partCount != 0 {
-			t.Fatalf("slot %d: %d nodes still cut after every window closed", s, c.partCount)
-		}
 	}
 }

@@ -47,9 +47,7 @@ func TestChurnInactiveConfigMatchesStatic(t *testing.T) {
 // silently vanished (liveness backoff reroutes them).
 func TestChurnCrashMidFetchRound(t *testing.T) {
 	c := smallCluster(t, 100, func(cc *ClusterConfig) {
-		cc.Churn = &membership.Config{
-			Flash: []membership.FlashEvent{{At: 800 * time.Millisecond, Leave: 10, Crash: true}},
-		}
+		cc.Scenario = []ScenarioEvent{{Kind: Crash, At: 800 * time.Millisecond, Count: 10}}
 	})
 	res, err := c.RunSlot(1)
 	if err != nil {
@@ -79,16 +77,13 @@ func TestChurnCrashMidFetchRound(t *testing.T) {
 	}
 }
 
-// TestChurnJoinAfterSeeding brings initially-offline nodes online at
-// 1.5 s — after the builder's seeding pass, before sampling settles.
+// TestChurnJoinAfterSeeding brings nodes held out of the network online
+// at 1.5 s — after the builder's seeding pass, before sampling settles.
 // Joiners start from an empty store, are excluded from the deadline
 // metric, and must still complete sampling purely by fetching.
 func TestChurnJoinAfterSeeding(t *testing.T) {
 	c := smallCluster(t, 100, func(cc *ClusterConfig) {
-		cc.Churn = &membership.Config{
-			InitialOfflineFraction: 0.05,
-			Flash:                  []membership.FlashEvent{{At: 1500 * time.Millisecond, Join: 5}},
-		}
+		cc.Scenario = []ScenarioEvent{{Kind: Join, At: 1500 * time.Millisecond, Count: 5}}
 	})
 	res, err := c.RunSlot(1)
 	if err != nil {
@@ -127,18 +122,15 @@ func TestChurnJoinAfterSeeding(t *testing.T) {
 }
 
 // TestChurnRestartResumesCustodyEmptyStore crashes one node mid-slot and
-// flash-restarts it 1.5 s later (the join falls back to restarting the
-// crashed node since the fresh-join pool is empty). The restart must
+// restarts it 1.5 s later. The restart must
 // resume custody from an EMPTY store — no seed state survives — and the
 // generation guard must keep the pre-crash timers from firing into the
 // restarted lifetime.
 func TestChurnRestartResumesCustodyEmptyStore(t *testing.T) {
 	c := smallCluster(t, 80, func(cc *ClusterConfig) {
-		cc.Churn = &membership.Config{
-			Flash: []membership.FlashEvent{
-				{At: time.Second, Leave: 1, Crash: true},
-				{At: 2500 * time.Millisecond, Join: 1},
-			},
+		cc.Scenario = []ScenarioEvent{
+			{Kind: Crash, At: time.Second, Count: 1},
+			{Kind: Restart, At: 2500 * time.Millisecond, Count: 1},
 		}
 	})
 	// Probe the restarted node shortly after its join fires: JoinSlot must
@@ -190,12 +182,10 @@ func TestChurnCrashedNodeRunsNothing(t *testing.T) {
 	ring := obsv.MustRing(obsv.DefaultRingSize)
 	c := smallCluster(t, 80, func(cc *ClusterConfig) {
 		cc.Core.Recorder = ring
-		cc.Churn = &membership.Config{
-			Flash: []membership.FlashEvent{
-				{At: crashAt, Leave: 1, Crash: true},
-				{At: restartAt, Join: 1},
-			},
-			RefreshInterval: -1,
+		cc.Churn = &membership.Config{RefreshInterval: -1}
+		cc.Scenario = []ScenarioEvent{
+			{Kind: Crash, At: crashAt, Count: 1},
+			{Kind: Restart, At: restartAt, Count: 1},
 		}
 	})
 	crashed := -1
@@ -247,13 +237,11 @@ func TestChurnComposesWithOutOfView(t *testing.T) {
 	const n = 100
 	c := smallCluster(t, n, func(cc *ClusterConfig) {
 		cc.OutOfViewFraction = 0.5
-		cc.Churn = &membership.Config{
-			Flash: []membership.FlashEvent{{At: time.Second, Leave: 3}}, // graceful
-			// Periodic crawls re-surface departed peers from stale routing
-			// tables (by design); disable them to observe announcement
-			// pruning in isolation.
-			RefreshInterval: -1,
-		}
+		// Periodic crawls re-surface departed peers from stale routing
+		// tables (by design); disable them to observe announcement
+		// pruning in isolation.
+		cc.Churn = &membership.Config{RefreshInterval: -1}
+		cc.Scenario = []ScenarioEvent{{Kind: Leave, At: time.Second, Count: 3}}
 	})
 	// The restricted views must have survived churn setup: each node sees
 	// at most keep+1 peers, far below the full network.
@@ -282,7 +270,7 @@ func TestChurnComposesWithOutOfView(t *testing.T) {
 		// The graceful leaver announced its departure: the builder no
 		// longer believes it online, and the announcement flood pruned it
 		// from (most) peer views that previously contained it.
-		if c.Directory().Believed(i) {
+		if c.believed[i] {
 			t.Errorf("builder still believes graceful leaver %d online", i)
 		}
 		had, still := 0, 0
@@ -308,11 +296,8 @@ func TestChurnViewRefreshDiscoversJoiner(t *testing.T) {
 	const n = 80
 	c := smallCluster(t, n, func(cc *ClusterConfig) {
 		cc.OutOfViewFraction = 0.5
-		cc.Churn = &membership.Config{
-			InitialOfflineFraction: 0.03,
-			Flash:                  []membership.FlashEvent{{At: 2 * time.Second, Join: 1}},
-			RefreshInterval:        3 * time.Second,
-		}
+		cc.Churn = &membership.Config{RefreshInterval: 3 * time.Second}
+		cc.Scenario = []ScenarioEvent{{Kind: Join, At: 2 * time.Second, Count: 1}}
 	})
 	res, err := c.RunSlot(1)
 	if err != nil {
@@ -341,5 +326,56 @@ func TestChurnViewRefreshDiscoversJoiner(t *testing.T) {
 	}
 	if know < (n-1)/2 {
 		t.Fatalf("only %d/%d nodes discovered the joiner", know, n-1)
+	}
+}
+
+// TestChurnBuilderSeedsCrashersNotLeavers: the builder seeds the nodes it
+// believes online. A graceful leaver announces its departure and drops
+// out of that belief; a crasher is never announced, so the builder keeps
+// seeding it in the next slot.
+func TestChurnBuilderSeedsCrashersNotLeavers(t *testing.T) {
+	ring := obsv.MustRing(obsv.DefaultRingSize)
+	c := smallCluster(t, 80, func(cc *ClusterConfig) {
+		cc.Core.Recorder = ring
+		cc.Scenario = []ScenarioEvent{
+			{Kind: Crash, At: time.Second, Count: 3},
+			{Kind: Leave, At: time.Second, Count: 3},
+		}
+	})
+	first, err := c.RunSlot(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.RunSlot(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed, left := 0, 0
+	for _, e := range ring.Events() {
+		if e.Kind != obsv.KindChurnEvent {
+			continue
+		}
+		node := int(e.Node)
+		switch obsv.ChurnOp(e.Aux) {
+		case obsv.ChurnCrash:
+			crashed++
+			if !c.believed[node] || !c.builder.view.Contains(node) {
+				t.Errorf("crasher %d dropped out of the builder's view", node)
+			}
+		case obsv.ChurnLeave:
+			left++
+			if c.believed[node] || c.builder.view.Contains(node) {
+				t.Errorf("graceful leaver %d still in the builder's view", node)
+			}
+		}
+		if c.engine.Online(node) {
+			t.Errorf("departed node %d reads online", node)
+		}
+	}
+	if crashed != 3 || left != 3 {
+		t.Fatalf("traced %d crashes and %d leaves, want 3/3", crashed, left)
+	}
+	if got, want := second.Seeding.NodesSeeded, first.Seeding.NodesSeeded-3; got != want {
+		t.Fatalf("builder seeded %d nodes after the departures, want %d (all but the leavers)", got, want)
 	}
 }

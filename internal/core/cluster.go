@@ -43,19 +43,24 @@ type ClusterConfig struct {
 	// Churn enables dynamic membership: nodes join, leave, crash, and
 	// restart while slots run; per-node views evolve through gossip
 	// announcements and periodic DHT crawls; and peer-liveness scoring
-	// steers fetching away from departed peers. A nil or inactive config
-	// keeps the static deployment, bit-identical to the fixed-membership
-	// code path. Composes with OutOfViewFraction (restricted views churn)
-	// and DeadFraction (dead nodes are excluded from lifecycle events).
+	// steers fetching away from departed peers. It is on for an active
+	// config or a scenario with a lifecycle event; otherwise the
+	// deployment is static, bit-identical to the fixed-membership code
+	// path. Composes with OutOfViewFraction (restricted views churn) and
+	// DeadFraction (dead nodes are excluded from lifecycle events).
 	Churn *membership.Config
-	// Adversary enables byzantine behaviors, the builder's withholding, and
-	// scheduled network faults. Per-node behaviors are drawn by
-	// deterministic sortition from Seed; all adversarial randomness comes
-	// from dedicated streams, so a nil or inactive config leaves the
-	// honest deployment bit-identical. View-poisoner behavior requires
-	// Churn (it rides the membership announcement mesh) and is a no-op
-	// without it.
+	// Adversary enables byzantine behaviors and the builder's
+	// withholding. Per-node behaviors are drawn by deterministic
+	// sortition from Seed; all adversarial randomness comes from
+	// dedicated streams, so a nil or inactive config leaves the honest
+	// deployment bit-identical. View-poisoner behavior requires dynamic
+	// membership (it rides the announcement mesh) and is a no-op without
+	// it.
 	Adversary *adversary.Config
+	// Scenario lists the run's timed events: network faults (partitions,
+	// loss bursts) and lifecycle transitions (joins, restarts, leaves,
+	// crashes). Each fires once, at its offset from the start of the run.
+	Scenario []ScenarioEvent
 }
 
 // NodeOutcome reports one node's slot, with durations relative to the
@@ -115,9 +120,11 @@ type Cluster struct {
 	blockRecv []time.Duration
 	dead      []bool
 
-	// Dynamic membership (nil/empty without ClusterConfig.Churn).
-	dir        *membership.Directory
+	// Dynamic membership (nil/empty without it). The engine owns who is
+	// online; believed is who the builder believes online, which a crash,
+	// being unannounced, leaves true.
 	engine     *membership.Engine
+	believed   []bool
 	views      []*membership.LiveView
 	scorers    []*membership.Scorer
 	dhtPeers   []*dht.Peer
@@ -134,18 +141,17 @@ type Cluster struct {
 	// Adversary subsystem (inert without ClusterConfig.Adversary).
 	behaviors []adversary.Behavior
 	agents    []*adversary.Agent
-	advRng    *rand.Rand
-	// partitioned counts, per node, the open partition windows that
-	// isolate it (all zero outside fault windows); partCount tracks how
-	// many are non-zero so the per-message link filter is one comparison
-	// in the common case.
+
+	// Scenario windows. partitioned counts, per node, the open partition
+	// windows that isolate it (all zero outside them); partCount tracks
+	// how many are non-zero so the per-message link filter is one
+	// comparison in the common case. lossBase is the configured loss
+	// rate; burstOpen marks, per scenario event, an open loss burst.
+	partRng     *rand.Rand
 	partitioned []int
 	partCount   int
-	// lossBase is the configured loss rate; openBursts counts, per
-	// configured fault, its open loss-burst windows.
-	lossBase   float64
-	openBursts []int
-	departed   map[int]bool
+	lossBase    float64
+	burstOpen   []bool
 
 	// Observability (nil without Core.Recorder / Core.Metrics).
 	rec        obsv.Recorder
@@ -190,6 +196,9 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	if err := cc.Adversary.Validate(); err != nil {
 		return nil, err
 	}
+	if err := validateScenario(cc.Scenario, cc.N); err != nil {
+		return nil, err
+	}
 	c.behaviors = cc.Adversary.Sortition(cc.Seed, cc.N)
 	c.agents = make([]*adversary.Agent, cc.N)
 	for i := range c.agents {
@@ -217,6 +226,10 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 			}
 		}
 	}
+	// Membership is dynamic under an active churn config or a scenario
+	// that moves nodes in or out of the network.
+	dynamic, joins := lifecycleEvents(cc.Scenario)
+	dynamic = dynamic || cc.Churn.Active()
 	// Fault injection: incomplete views. Each node knows a random
 	// (1 - f) subset of the network; the builder keeps its full view.
 	// Views are LiveViews rather than fixed predicates so that dynamic
@@ -231,7 +244,7 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	// probability keep/N); only churn runs need mutable views.
 	if cc.OutOfViewFraction > 0 {
 		keep := cc.N - int(float64(cc.N)*cc.OutOfViewFraction)
-		if cc.N >= compactViewThreshold && !cc.Churn.Active() {
+		if cc.N >= compactViewThreshold && !dynamic {
 			frac := float64(keep) / float64(cc.N)
 			for i := 0; i < cc.N; i++ {
 				c.nodes[i].SetView(membership.NewSampledView(uint64(cc.Seed)^0x76696577, i, frac))
@@ -267,13 +280,14 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	// deployment's rng above, and from independent rand sources, so an
 	// inactive (or absent) churn config leaves the static deployment
 	// bit-identical.
-	if cc.Churn.Active() {
-		if err := c.setupChurn(cc); err != nil {
+	if dynamic {
+		if err := c.setupChurn(cc, joins); err != nil {
 			return nil, err
 		}
 	}
-	// Adversary wiring (builder withholding, fault schedule, poisoners)
-	// runs last: poisoners ride the churn announcement mesh.
+	c.setupScenario(cc)
+	// Adversary wiring (builder withholding, poisoners) runs last:
+	// poisoners ride the churn announcement mesh.
 	if cc.Adversary.Active() {
 		c.setupAdversary(cc)
 	}
@@ -294,10 +308,18 @@ const compactViewThreshold = 20000
 
 // setupChurn wires the dynamic-membership subsystem: the lifecycle
 // engine, per-node evolving views, the announcement gossip mesh, the DHT
-// crawl refreshers, and peer-liveness scoring.
-func (c *Cluster) setupChurn(cc ClusterConfig) error {
+// crawl refreshers, and peer-liveness scoring. The engine holds joins
+// nodes out of the network for the scenario's Join events.
+func (c *Cluster) setupChurn(cc ClusterConfig, joins int) error {
 	n := cc.N
-	c.dir = membership.NewDirectory(n)
+	var churn membership.Config
+	if cc.Churn != nil {
+		churn = *cc.Churn
+	}
+	c.believed = make([]bool, n)
+	for i := range c.believed {
+		c.believed[i] = true
+	}
 	if c.views == nil {
 		c.views = make([]*membership.LiveView, n)
 		for i := range c.views {
@@ -333,7 +355,7 @@ func (c *Cluster) setupChurn(cc ClusterConfig) error {
 			c.dhtPeers[i].Bootstrap([]dht.Entry{entries[(i+j*13)%n]})
 		}
 	}
-	interval := cc.Churn.RefreshInterval
+	interval := churn.RefreshInterval
 	if interval == 0 {
 		interval = membership.DefaultRefreshInterval
 	}
@@ -342,8 +364,8 @@ func (c *Cluster) setupChurn(cc ClusterConfig) error {
 		i := i
 		c.refreshers[i] = membership.NewRefresher(
 			c.dhtPeers[i], c.views[i], c.net,
-			cc.Churn.RefreshInterval, cc.Seed^int64(i)*7919,
-			func() bool { return c.dir.Online(i) })
+			churn.RefreshInterval, cc.Seed^int64(i)*7919,
+			func() bool { return c.engine.Online(i) })
 		if c.rec != nil {
 			c.refreshers[i].SetRecorder(c.rec, i)
 		}
@@ -369,7 +391,7 @@ func (c *Cluster) setupChurn(cc ClusterConfig) error {
 	}
 
 	churnRng := rand.New(rand.NewSource(cc.Seed ^ 0x6368726e))
-	c.engine = membership.NewEngine(*cc.Churn, c.net, churnRng, n, membership.Hooks{
+	c.engine = membership.NewEngine(churn, c.net, churnRng, n, membership.Hooks{
 		OnJoin:  c.onChurnJoin,
 		OnLeave: c.onChurnLeave,
 	})
@@ -380,17 +402,16 @@ func (c *Cluster) setupChurn(cc ClusterConfig) error {
 			c.engine.Exclude(i)
 		}
 	}
-	c.engine.Start()
+	c.engine.Start(joins)
 
-	// Nodes drawn initially offline have never been online: the builder
+	// Nodes held out for later joins have never been online: the builder
 	// does not know them, peers' views exclude them, and the simulator
 	// treats them as absent until their join fires.
 	for i := 0; i < n; i++ {
 		if c.engine.Online(i) {
 			continue
 		}
-		c.dir.SetOnline(i, false)
-		c.dir.SetBelieved(i, false)
+		c.believed[i] = false
 		if err := c.net.SetDead(i, true); err != nil {
 			return err
 		}
@@ -403,7 +424,7 @@ func (c *Cluster) setupChurn(cc ClusterConfig) error {
 	// The builder seeds its BELIEVED membership: graceful leavers are
 	// announced and drop out of it; crashed nodes stay believed-online
 	// and keep receiving (wasted) seed traffic until they return.
-	c.builder.SetView(membership.ViewFunc(c.dir.Believed))
+	c.builder.SetView(membership.ViewFunc(func(i int) bool { return c.believed[i] }))
 	return nil
 }
 
@@ -452,7 +473,6 @@ func (c *Cluster) onChurnJoin(node int, restart bool) {
 	if err := c.net.SetDead(node, false); err != nil {
 		return
 	}
-	delete(c.departed, node)
 	if c.rec != nil {
 		op := obsv.ChurnJoin
 		if restart {
@@ -462,8 +482,7 @@ func (c *Cluster) onChurnJoin(node int, restart bool) {
 			Kind: obsv.KindChurnEvent, Node: int32(node), Peer: -1,
 			Aux: int64(op)})
 	}
-	c.dir.SetOnline(node, true)
-	c.dir.SetBelieved(node, true)
+	c.believed[node] = true
 	if c.joinedAt[node] < 0 {
 		c.joinedAt[node] = c.net.Now()
 	}
@@ -481,9 +500,6 @@ func (c *Cluster) onChurnLeave(node int, crash bool) {
 	if c.leftAt[node] < 0 {
 		c.leftAt[node] = c.net.Now()
 	}
-	if c.departed != nil {
-		c.departed[node] = true
-	}
 	if c.rec != nil {
 		op := obsv.ChurnLeave
 		if crash {
@@ -495,9 +511,8 @@ func (c *Cluster) onChurnLeave(node int, crash bool) {
 	}
 	if !crash {
 		c.publishAnnouncement(node, false)
-		c.dir.SetBelieved(node, false)
+		c.believed[node] = false
 	}
-	c.dir.SetOnline(node, false)
 	_ = c.net.SetDead(node, true)
 	c.nodes[node].Stop()
 }
@@ -585,10 +600,6 @@ func (c *Cluster) Behaviors() []adversary.Behavior { return c.behaviors }
 // nodes). Indexed by node.
 func (c *Cluster) Agents() []*adversary.Agent { return c.agents }
 
-// Directory exposes the online/believed membership directory (nil
-// without dynamic membership).
-func (c *Cluster) Directory() *membership.Directory { return c.dir }
-
 // RunSlot simulates one full slot: the proposer selects the builder at
 // slot start, the builder seeds, nodes consolidate and sample. The
 // simulation runs for a full 12 s slot so that stragglers past the 4 s
@@ -607,10 +618,10 @@ func (c *Cluster) RunSlot(slot uint64) (*SlotResult, error) {
 	}
 	for i, n := range c.nodes {
 		c.blockRecv[i] = -1
-		if c.dir != nil {
+		if c.engine != nil {
 			c.joinedAt[i] = -1
 			c.leftAt[i] = -1
-			c.started[i] = c.dir.Online(i)
+			c.started[i] = c.engine.Online(i)
 			if !c.started[i] {
 				// Offline at slot start: the node joins the slot mid-way
 				// if and when its join event fires.
@@ -630,9 +641,6 @@ func (c *Cluster) RunSlot(slot uint64) (*SlotResult, error) {
 			r.Reset()
 		}
 	}
-
-	// Scheduled network faults re-arm each slot at their offsets.
-	c.armFaults()
 
 	// t=0: proposer instructs the builder to seed, and (optionally)
 	// publishes the block via gossip from a random well-known node.
@@ -678,7 +686,7 @@ func (c *Cluster) RunSlot(slot uint64) (*SlotResult, error) {
 func (c *Cluster) nodeOutcome(i int, start time.Duration) NodeOutcome {
 	o := NewNodeOutcome()
 	o.Dead = c.dead[i]
-	if c.dir != nil {
+	if c.engine != nil {
 		o.Offline = !c.started[i]
 		if c.joinedAt[i] >= 0 {
 			o.JoinedAt = c.joinedAt[i] - start

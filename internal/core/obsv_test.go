@@ -159,12 +159,10 @@ func TestTraceChurnEvents(t *testing.T) {
 	c := smallCluster(t, 80, func(cc *ClusterConfig) {
 		cc.Core.Recorder = ring
 		cc.Churn = &membership.Config{
-			MeanSession:            20 * time.Second,
-			MeanDowntime:           5 * time.Second,
-			JoinRate:               2,
-			CrashFraction:          0.5,
-			InitialOfflineFraction: 0.2,
+			MeanSession:  20 * time.Second,
+			MeanDowntime: 5 * time.Second,
 		}
+		cc.Scenario = []ScenarioEvent{{Kind: Join, At: 2 * time.Second, Count: 16}}
 	})
 	for slot := uint64(1); slot <= 2; slot++ {
 		if _, err := c.RunSlot(slot); err != nil {

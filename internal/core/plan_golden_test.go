@@ -101,10 +101,8 @@ func TestPlanGolden(t *testing.T) {
 // sparseDeadLiveness is TestPlanGolden's re-arm regime.
 func sparseDeadLiveness(cc *ClusterConfig) {
 	cc.DeadFraction = 0.8
-	cc.Churn = &membership.Config{
-		Flash:           []membership.FlashEvent{{At: 3 * time.Second, Leave: 1}},
-		RefreshInterval: -1,
-	}
+	cc.Churn = &membership.Config{RefreshInterval: -1}
+	cc.Scenario = []ScenarioEvent{{Kind: Leave, At: 3 * time.Second, Count: 1}}
 }
 
 // garbagePeers is TestPlanGolden's proof-reject regime.

@@ -42,9 +42,8 @@ func tracedRegime(t *testing.T, n int, real bool, mutate func(*ClusterConfig)) (
 // scorer to back peers off.
 func churnAdversaries(cc *ClusterConfig) {
 	cc.Churn = &membership.Config{
-		MeanSession:   SlotDuration * 5 / 2,
-		MeanDowntime:  SlotDuration,
-		CrashFraction: 0.5,
+		MeanSession:  SlotDuration * 5 / 2,
+		MeanDowntime: SlotDuration,
 	}
 	cc.DeadFraction = 0.6
 	cc.Adversary = &adversary.Config{LaggardFraction: 0.1, PoisonFraction: 0.05}

@@ -22,9 +22,8 @@ func churnConfigForRate(rate float64) *membership.Config {
 		return nil // static membership: the untouched fixed-view path
 	}
 	return &membership.Config{
-		MeanSession:   time.Duration(float64(core.SlotDuration) / rate),
-		MeanDowntime:  core.SlotDuration,
-		CrashFraction: 0.5,
+		MeanSession:  time.Duration(float64(core.SlotDuration) / rate),
+		MeanDowntime: core.SlotDuration,
 	}
 }
 

@@ -2,6 +2,7 @@ package membership
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -23,23 +24,8 @@ type Clock interface {
 	After(d time.Duration, fn func())
 }
 
-// FlashEvent is a burst of simultaneous lifecycle transitions: a flash
-// crowd (Join nodes come online) and/or a flash exit (Leave nodes go
-// offline) at a fixed virtual time.
-type FlashEvent struct {
-	// At is the virtual time of the burst, measured from engine start.
-	At time.Duration
-	// Join is the number of offline nodes brought online.
-	Join int
-	// Leave is the number of online nodes taken offline.
-	Leave int
-	// Crash marks the departures as crashes (unannounced) rather than
-	// graceful leaves.
-	Crash bool
-}
-
-// Config describes the dynamic-membership model: the churn processes the
-// Engine schedules plus the view-refresh period the cluster wires up.
+// Config describes the dynamic-membership model: the session process the
+// Engine runs plus the view-refresh period the cluster wires up.
 // The zero value is inactive (static membership).
 type Config struct {
 	// MeanSession is the expected online duration before a node departs
@@ -48,19 +34,6 @@ type Config struct {
 	// MeanDowntime is the expected offline duration before a departed
 	// node restarts (exponential). Zero keeps departed nodes offline.
 	MeanDowntime time.Duration
-	// JoinRate is the Poisson rate (events/second) at which members of
-	// the initial offline pool come online for the first time. Restarts
-	// after downtime are governed by MeanDowntime instead.
-	JoinRate float64
-	// CrashFraction is the probability that a departure is a crash (no
-	// announcement, stale state left behind) rather than a graceful
-	// leave.
-	CrashFraction float64
-	// InitialOfflineFraction of nodes start offline, forming the pool
-	// that JoinRate and flash crowds draw fresh joiners from.
-	InitialOfflineFraction float64
-	// Flash lists scheduled burst events.
-	Flash []FlashEvent
 
 	// RefreshInterval is the per-node period of DHT-crawl view refresh;
 	// zero selects DefaultRefreshInterval, negative disables refresh.
@@ -77,12 +50,16 @@ func (c *Config) Active() bool {
 	if c == nil {
 		return false
 	}
-	return c.MeanSession > 0 || c.JoinRate > 0 || c.InitialOfflineFraction > 0 || len(c.Flash) > 0
+	return c.MeanSession > 0
 }
+
+// crashFraction is the probability that a session ending is a crash (no
+// announcement, stale state left behind) rather than a graceful leave.
+const crashFraction = 0.5
 
 // Stats counts lifecycle events the engine has executed.
 type Stats struct {
-	Joins    int // pool nodes coming online for the first time
+	Joins    int // held-out nodes coming online for the first time
 	Restarts int // departed nodes coming back
 	Leaves   int // graceful departures
 	Crashes  int // unannounced departures
@@ -147,36 +124,39 @@ func (s *indexSet) random(rng *rand.Rand) (int, bool) {
 	return s.items[rng.Intn(len(s.items))], true
 }
 
-// Engine schedules node lifecycle events over a fixed population of n
-// nodes on the event clock. It owns the online/offline state machine and
-// invokes Hooks for the effects (marking simulator nodes dead, resetting
-// protocol state, gossiping announcements); it knows nothing about the
-// protocol itself. All randomness comes from its own seeded generator,
-// so enabling churn does not perturb the cluster's other random choices.
+// Engine owns the online/offline state of a fixed population of n nodes
+// on the event clock. It runs the session process (exponential sessions
+// and downtimes) and exposes the same transitions to its driver (Join,
+// Restart, Leave), invoking Hooks for the effects (marking simulator
+// nodes dead, resetting protocol state, gossiping announcements); it
+// knows nothing about the protocol itself. All randomness comes from its
+// own seeded generator, so enabling churn does not perturb the cluster's
+// other random choices.
 type Engine struct {
-	cfg      Config
-	clock    Clock
-	rng      *rand.Rand
-	hooks    Hooks
-	online   *indexSet
-	offline  *indexSet
-	pool     *indexSet // initial-offline nodes that never joined
-	excluded map[int]bool
-	started  bool
-	stats    Stats
+	cfg     Config
+	clock   Clock
+	rng     *rand.Rand
+	hooks   Hooks
+	online  *indexSet
+	offline *indexSet // departed nodes
+	pool    *indexSet // nodes held out of the network that never joined
+	// gen counts each node's transitions; a session or downtime timer
+	// fires only in the lifetime that armed it.
+	gen   []uint32
+	stats Stats
 }
 
 // NewEngine creates a churn engine over nodes 0..n-1.
 func NewEngine(cfg Config, clock Clock, rng *rand.Rand, n int, hooks Hooks) *Engine {
 	e := &Engine{
-		cfg:      cfg,
-		clock:    clock,
-		rng:      rng,
-		hooks:    hooks,
-		online:   newIndexSet(),
-		offline:  newIndexSet(),
-		pool:     newIndexSet(),
-		excluded: make(map[int]bool),
+		cfg:     cfg,
+		clock:   clock,
+		rng:     rng,
+		hooks:   hooks,
+		online:  newIndexSet(),
+		offline: newIndexSet(),
+		pool:    newIndexSet(),
+		gen:     make([]uint32, n),
 	}
 	for i := 0; i < n; i++ {
 		e.online.add(i)
@@ -189,59 +169,76 @@ func NewEngine(cfg Config, clock Clock, rng *rand.Rand, n int, hooks Hooks) *Eng
 // be called before Start.
 func (e *Engine) Exclude(nodes ...int) {
 	for _, v := range nodes {
-		e.excluded[v] = true
 		e.online.remove(v)
-		e.offline.remove(v)
-		e.pool.remove(v)
 	}
 }
 
-// Start draws the initial offline pool and schedules every churn
-// process. Call exactly once, before the simulation runs.
-func (e *Engine) Start() {
-	if e.started {
-		return
-	}
-	e.started = true
-	// Initial offline pool: a random subset starts out of the network.
-	if f := e.cfg.InitialOfflineFraction; f > 0 {
-		count := int(float64(e.online.len()) * f)
+// Start holds pool random nodes out of the network, for Join to bring in
+// later, and arms the session timer of every other managed node. Call
+// exactly once, before the simulation runs.
+func (e *Engine) Start(pool int) {
+	if pool > 0 {
 		candidates := append([]int(nil), e.online.items...)
 		e.rng.Shuffle(len(candidates), func(i, j int) {
 			candidates[i], candidates[j] = candidates[j], candidates[i]
 		})
-		for _, v := range candidates[:count] {
+		for _, v := range candidates[:min(pool, len(candidates))] {
 			e.online.remove(v)
-			e.offline.add(v)
 			e.pool.add(v)
 		}
 	}
-	// Session timers for every initially online node.
-	for _, v := range append([]int(nil), e.online.items...) {
+	for _, v := range e.online.items {
 		e.scheduleSession(v)
-	}
-	// Poisson join process from the pool.
-	if e.cfg.JoinRate > 0 {
-		e.scheduleNextPoolJoin()
-	}
-	// Flash events.
-	for _, ev := range e.cfg.Flash {
-		ev := ev
-		e.clock.After(ev.At, func() { e.flash(ev) })
 	}
 }
 
 // Online reports whether a node is currently online. Excluded nodes
 // report their construction-time state (online).
 func (e *Engine) Online(node int) bool {
-	return !e.offline.has(node)
+	return !e.offline.has(node) && !e.pool.has(node)
 }
 
 // OnlineCount returns the number of online managed nodes.
 func (e *Engine) OnlineCount() int { return e.online.len() }
 
+// Departed returns the nodes that left or crashed and have not come
+// back, in ascending order.
+func (e *Engine) Departed() []int {
+	out := append([]int(nil), e.offline.items...)
+	slices.Sort(out)
+	return out
+}
+
 // Stats returns cumulative lifecycle-event counts.
 func (e *Engine) Stats() Stats { return e.stats }
+
+// Join brings up to k random pool nodes online for the first time.
+func (e *Engine) Join(k int) { e.bringOnline(k, e.pool, false) }
+
+// Restart brings up to k random departed nodes back online.
+func (e *Engine) Restart(k int) { e.bringOnline(k, e.offline, true) }
+
+func (e *Engine) bringOnline(k int, from *indexSet, restart bool) {
+	for i := 0; i < k; i++ {
+		node, ok := from.random(e.rng)
+		if !ok {
+			return
+		}
+		e.join(node, restart)
+	}
+}
+
+// Leave takes up to k random online nodes offline, as crashes or as
+// graceful leaves.
+func (e *Engine) Leave(k int, crash bool) {
+	for i := 0; i < k; i++ {
+		node, ok := e.online.random(e.rng)
+		if !ok {
+			return
+		}
+		e.leave(node, crash)
+	}
+}
 
 // expDur draws an exponential duration with the given mean.
 func (e *Engine) expDur(mean time.Duration) time.Duration {
@@ -252,27 +249,16 @@ func (e *Engine) scheduleSession(node int) {
 	if e.cfg.MeanSession <= 0 {
 		return
 	}
+	g := e.gen[node]
 	e.clock.After(e.expDur(e.cfg.MeanSession), func() {
-		if !e.online.has(node) {
-			return // already departed (e.g. flash exit)
+		if e.gen[node] == g {
+			e.leave(node, e.rng.Float64() < crashFraction)
 		}
-		e.leave(node, e.rng.Float64() < e.cfg.CrashFraction)
-	})
-}
-
-func (e *Engine) scheduleNextPoolJoin() {
-	if e.pool.len() == 0 {
-		return
-	}
-	e.clock.After(e.expDur(time.Duration(float64(time.Second)/e.cfg.JoinRate)), func() {
-		if node, ok := e.pool.random(e.rng); ok {
-			e.join(node, false)
-		}
-		e.scheduleNextPoolJoin()
 	})
 }
 
 func (e *Engine) leave(node int, crash bool) {
+	e.gen[node]++
 	e.online.remove(node)
 	e.offline.add(node)
 	if crash {
@@ -284,8 +270,9 @@ func (e *Engine) leave(node int, crash bool) {
 		e.hooks.OnLeave(node, crash)
 	}
 	if e.cfg.MeanDowntime > 0 {
+		g := e.gen[node]
 		e.clock.After(e.expDur(e.cfg.MeanDowntime), func() {
-			if e.offline.has(node) {
+			if e.gen[node] == g {
 				e.join(node, true)
 			}
 		})
@@ -293,6 +280,7 @@ func (e *Engine) leave(node int, crash bool) {
 }
 
 func (e *Engine) join(node int, restart bool) {
+	e.gen[node]++
 	e.offline.remove(node)
 	e.pool.remove(node)
 	e.online.add(node)
@@ -305,27 +293,4 @@ func (e *Engine) join(node int, restart bool) {
 		e.hooks.OnJoin(node, restart)
 	}
 	e.scheduleSession(node)
-}
-
-func (e *Engine) flash(ev FlashEvent) {
-	for i := 0; i < ev.Join; i++ {
-		// Prefer fresh pool nodes; fall back to any offline node
-		// (restarts) once the pool is dry.
-		if node, ok := e.pool.random(e.rng); ok {
-			e.join(node, false)
-			continue
-		}
-		node, ok := e.offline.random(e.rng)
-		if !ok {
-			break
-		}
-		e.join(node, true)
-	}
-	for i := 0; i < ev.Leave; i++ {
-		node, ok := e.online.random(e.rng)
-		if !ok {
-			break
-		}
-		e.leave(node, ev.Crash)
-	}
 }

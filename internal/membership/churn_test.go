@@ -2,6 +2,7 @@ package membership
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -37,19 +38,12 @@ func TestConfigActive(t *testing.T) {
 	if (&Config{}).Active() {
 		t.Fatal("zero config active")
 	}
-	for _, c := range []*Config{
-		{MeanSession: time.Second},
-		{JoinRate: 0.1},
-		{InitialOfflineFraction: 0.2},
-		{Flash: []FlashEvent{{At: time.Second, Join: 1}}},
-	} {
-		if !c.Active() {
-			t.Fatalf("config %+v should be active", c)
-		}
+	if !(&Config{MeanSession: time.Second}).Active() {
+		t.Fatal("session process inactive")
 	}
-	// A refresh-only config produces no dynamics.
-	if (&Config{RefreshInterval: time.Second}).Active() {
-		t.Fatal("refresh-only config active")
+	// Refresh and downtime alone produce no dynamics.
+	if (&Config{RefreshInterval: time.Second, MeanDowntime: time.Second}).Active() {
+		t.Fatal("refresh-and-downtime config active")
 	}
 }
 
@@ -57,11 +51,10 @@ func TestEngineSessionsAndRestarts(t *testing.T) {
 	clk := &engineClock{}
 	log := &eventLog{}
 	e := NewEngine(Config{
-		MeanSession:   2 * time.Second,
-		MeanDowntime:  time.Second,
-		CrashFraction: 0.5,
+		MeanSession:  2 * time.Second,
+		MeanDowntime: time.Second,
 	}, clk, rand.New(rand.NewSource(42)), 50, hooksFor(log))
-	e.Start()
+	e.Start(0)
 	clk.run(60 * time.Second)
 
 	departures := len(log.leaves) + len(log.crashes)
@@ -91,78 +84,97 @@ func TestEngineSessionsAndRestarts(t *testing.T) {
 	}
 }
 
-func TestEnginePoissonJoinsDrainPool(t *testing.T) {
+func TestEngineScriptedTransitions(t *testing.T) {
 	clk := &engineClock{}
 	log := &eventLog{}
-	e := NewEngine(Config{
-		InitialOfflineFraction: 0.4,
-		JoinRate:               1.0, // one join/sec on average
-	}, clk, rand.New(rand.NewSource(7)), 20, hooksFor(log))
-	e.Start()
-	if e.OnlineCount() != 12 {
-		t.Fatalf("initial online %d, want 12", e.OnlineCount())
-	}
-	clk.run(120 * time.Second)
-	if len(log.joins) != 8 {
-		t.Fatalf("pool joins %d, want all 8", len(log.joins))
-	}
+	e := NewEngine(Config{}, clk, rand.New(rand.NewSource(3)), 40, hooksFor(log))
+	e.Start(20)
 	if e.OnlineCount() != 20 {
-		t.Fatalf("final online %d, want 20", e.OnlineCount())
+		t.Fatalf("online %d with 20 held out, want 20", e.OnlineCount())
 	}
-	if e.Stats().Joins != 8 {
-		t.Fatalf("stats joins %d", e.Stats().Joins)
-	}
-}
-
-func TestEngineFlashEvents(t *testing.T) {
-	clk := &engineClock{}
-	log := &eventLog{}
-	e := NewEngine(Config{
-		InitialOfflineFraction: 0.5,
-		Flash: []FlashEvent{
-			{At: time.Second, Join: 5},
-			{At: 2 * time.Second, Leave: 3, Crash: true},
-		},
-	}, clk, rand.New(rand.NewSource(3)), 40, hooksFor(log))
-	e.Start()
+	clk.After(time.Second, func() { e.Join(5) })
+	clk.After(2*time.Second, func() { e.Leave(3, true) })
 	clk.run(500 * time.Millisecond)
 	if len(log.joins) != 0 {
-		t.Fatal("flash fired early")
+		t.Fatal("join fired early")
 	}
 	clk.run(1500 * time.Millisecond)
 	if len(log.joins) != 5 {
-		t.Fatalf("flash crowd joined %d, want 5", len(log.joins))
+		t.Fatalf("join brought in %d, want 5", len(log.joins))
 	}
 	clk.run(3 * time.Second)
 	if len(log.crashes) != 3 || len(log.leaves) != 0 {
-		t.Fatalf("flash exit: %d crashes %d leaves, want 3 crashes", len(log.crashes), len(log.leaves))
+		t.Fatalf("crash burst: %d crashes %d leaves, want 3 crashes", len(log.crashes), len(log.leaves))
 	}
 	if e.OnlineCount() != 20+5-3 {
-		t.Fatalf("online %d after flashes", e.OnlineCount())
+		t.Fatalf("online %d after the transitions", e.OnlineCount())
+	}
+	// Departed lists the crashers, sorted, and none of the held-out nodes.
+	want := append([]int(nil), log.crashes...)
+	slices.Sort(want)
+	if got := e.Departed(); !slices.Equal(got, want) {
+		t.Fatalf("Departed() = %v, want %v", got, want)
 	}
 }
 
-func TestEngineFlashJoinFallsBackToRestarts(t *testing.T) {
+func TestEngineRestartBringsBackDeparted(t *testing.T) {
 	clk := &engineClock{}
 	log := &eventLog{}
-	// Empty pool: a flash crash at 1s, then a flash join at 2s must bring
-	// the crashed node back as a RESTART.
-	e := NewEngine(Config{
-		Flash: []FlashEvent{
-			{At: time.Second, Leave: 1, Crash: true},
-			{At: 2 * time.Second, Join: 1},
-		},
-	}, clk, rand.New(rand.NewSource(5)), 10, hooksFor(log))
-	e.Start()
+	// A crash at 1s, then a restart at 2s must bring the crashed node
+	// back. A restart with nobody departed and a join with nobody held
+	// out do nothing.
+	e := NewEngine(Config{}, clk, rand.New(rand.NewSource(5)), 10, hooksFor(log))
+	e.Start(0)
+	e.Restart(1)
+	e.Join(1)
+	clk.After(time.Second, func() { e.Leave(1, true) })
+	clk.After(2*time.Second, func() { e.Restart(1) })
 	clk.run(3 * time.Second)
-	if len(log.crashes) != 1 || len(log.restarts) != 1 {
-		t.Fatalf("crashes=%d restarts=%d", len(log.crashes), len(log.restarts))
+	if len(log.crashes) != 1 || len(log.restarts) != 1 || len(log.joins) != 0 {
+		t.Fatalf("crashes=%d restarts=%d joins=%d, want 1/1/0", len(log.crashes), len(log.restarts), len(log.joins))
 	}
 	if log.crashes[0] != log.restarts[0] {
 		t.Fatal("restart resurrected a different node than the crash took down")
 	}
-	if e.OnlineCount() != 10 {
-		t.Fatalf("online %d, want 10", e.OnlineCount())
+	if e.OnlineCount() != 10 || len(e.Departed()) != 0 {
+		t.Fatalf("online %d, departed %v; want 10 and none", e.OnlineCount(), e.Departed())
+	}
+}
+
+// TestEngineTimersDieWithTheirLifetime: a session timer armed before a
+// scripted crash must not end the session the restart begins. With every
+// node crashed at 0.5 s and restarted at 0.6 s, the first session after
+// the restart is a fresh exponential draw of mean 1 s; a timer left over
+// from the earlier lifetime cuts it short (about 0.7 s on average).
+func TestEngineTimersDieWithTheirLifetime(t *testing.T) {
+	const n = 1000
+	clk := &engineClock{}
+	restartAt := make([]time.Duration, n)
+	session := make([]time.Duration, n)
+	for i := range restartAt {
+		restartAt[i], session[i] = -1, -1
+	}
+	e := NewEngine(Config{MeanSession: time.Second}, clk, rand.New(rand.NewSource(1)), n, Hooks{
+		OnJoin: func(node int, restart bool) { restartAt[node] = clk.Now() },
+		OnLeave: func(node int, crash bool) {
+			if restartAt[node] >= 0 && session[node] < 0 {
+				session[node] = clk.Now() - restartAt[node]
+			}
+		},
+	})
+	e.Start(0)
+	clk.After(500*time.Millisecond, func() { e.Leave(n, true) })
+	clk.After(600*time.Millisecond, func() { e.Restart(n) })
+	clk.run(30 * time.Second)
+	var sum time.Duration
+	for i := range session {
+		if session[i] < 0 {
+			t.Fatalf("node %d: restarted at %v, never departed", i, restartAt[i])
+		}
+		sum += session[i]
+	}
+	if mean := sum / n; mean < 900*time.Millisecond || mean > 1100*time.Millisecond {
+		t.Fatalf("mean session after the restart %v, want a fresh 1s draw", mean)
 	}
 }
 
@@ -174,7 +186,7 @@ func TestEngineExclude(t *testing.T) {
 		MeanDowntime: 500 * time.Millisecond,
 	}, clk, rand.New(rand.NewSource(9)), 10, hooksFor(log))
 	e.Exclude(3, 4)
-	e.Start()
+	e.Start(0)
 	clk.run(30 * time.Second)
 	for _, n := range append(append(append(log.joins, log.restarts...), log.leaves...), log.crashes...) {
 		if n == 3 || n == 4 {
@@ -191,13 +203,11 @@ func TestEngineDeterminism(t *testing.T) {
 		clk := &engineClock{}
 		log := &eventLog{}
 		e := NewEngine(Config{
-			MeanSession:            time.Second,
-			MeanDowntime:           time.Second,
-			CrashFraction:          0.3,
-			InitialOfflineFraction: 0.2,
-			JoinRate:               0.5,
+			MeanSession:  time.Second,
+			MeanDowntime: time.Second,
 		}, clk, rand.New(rand.NewSource(11)), 30, hooksFor(log))
-		e.Start()
+		e.Start(6)
+		clk.After(5*time.Second, func() { e.Join(6) })
 		clk.run(20 * time.Second)
 		var seq []int
 		seq = append(seq, log.joins...)

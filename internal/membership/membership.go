@@ -1,8 +1,8 @@
 // Package membership implements dynamic network membership for PANDAS:
-// evolving per-node views, a churn engine that schedules node lifecycle
-// events (join, graceful leave, crash, restart) on the simulation clock,
-// peer-liveness scoring with exponential backoff, and DHT-crawl-based
-// view refresh.
+// evolving per-node views, a churn engine that owns which nodes are
+// online and moves them through lifecycle transitions (join, graceful
+// leave, crash, restart) on the simulation clock, peer-liveness scoring
+// with exponential backoff, and DHT-crawl-based view refresh.
 //
 // The paper evaluates PANDAS under static membership only: every node's
 // view is frozen when the slot starts (Fig. 15b sweeps the *size* of
@@ -13,8 +13,10 @@
 // which of them is online changes continuously:
 //
 //   - the churn Engine drives offline→online→offline transitions from
-//     configurable processes (Poisson arrivals, exponential session and
-//     downtime lengths, flash-crowd/flash-exit bursts);
+//     its session process (exponential session and downtime lengths) and
+//     from its driver, which calls Join, Restart and Leave when a
+//     scripted event fires (core's scenario list; this package never
+//     reads one);
 //   - each node's LiveView evolves during a slot, fed by gossip of
 //     join/leave announcements and by periodic crawls of the Kademlia
 //     DHT (the paper's §4.1 view-building mechanism, internal/dht);
@@ -104,59 +106,3 @@ type Announcement struct {
 // AnnouncementWireSize is the datagram size of one announcement:
 // IP/UDP overhead (28) + seq (8) + node (4) + kind (1).
 const AnnouncementWireSize = 28 + 8 + 4 + 1
-
-// Directory is the cluster-side membership bookkeeping: the ground truth
-// of which nodes are online, and the "believed online" set that
-// announcement-followers (most importantly the builder) hold. The two
-// diverge exactly for crashes, which are not announced: a crashed node
-// stays believed-online and keeps receiving (wasted) seed traffic until
-// it returns.
-type Directory struct {
-	online      []bool
-	believed    []bool
-	onlineCount int
-}
-
-// NewDirectory creates a directory with all n nodes online and believed
-// online.
-func NewDirectory(n int) *Directory {
-	d := &Directory{online: make([]bool, n), believed: make([]bool, n), onlineCount: n}
-	for i := range d.online {
-		d.online[i] = true
-		d.believed[i] = true
-	}
-	return d
-}
-
-// SetOnline records ground-truth liveness.
-func (d *Directory) SetOnline(node int, on bool) {
-	if node < 0 || node >= len(d.online) || d.online[node] == on {
-		return
-	}
-	d.online[node] = on
-	if on {
-		d.onlineCount++
-	} else {
-		d.onlineCount--
-	}
-}
-
-// Online reports ground-truth liveness.
-func (d *Directory) Online(node int) bool {
-	return node >= 0 && node < len(d.online) && d.online[node]
-}
-
-// OnlineCount returns the number of online nodes.
-func (d *Directory) OnlineCount() int { return d.onlineCount }
-
-// SetBelieved records announcement-derived liveness belief.
-func (d *Directory) SetBelieved(node int, on bool) {
-	if node >= 0 && node < len(d.believed) {
-		d.believed[node] = on
-	}
-}
-
-// Believed reports announcement-derived liveness belief.
-func (d *Directory) Believed(node int) bool {
-	return node >= 0 && node < len(d.believed) && d.believed[node]
-}

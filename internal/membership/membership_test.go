@@ -49,35 +49,6 @@ func TestViewFunc(t *testing.T) {
 	}
 }
 
-func TestDirectory(t *testing.T) {
-	d := NewDirectory(4)
-	if d.OnlineCount() != 4 || !d.Online(2) || !d.Believed(2) {
-		t.Fatal("fresh directory not fully online")
-	}
-	d.SetOnline(2, false)
-	if d.Online(2) || d.OnlineCount() != 3 {
-		t.Fatal("SetOnline(false) not applied")
-	}
-	d.SetOnline(2, false) // idempotent
-	if d.OnlineCount() != 3 {
-		t.Fatal("double offline double-counted")
-	}
-	d.SetOnline(2, true)
-	if !d.Online(2) || d.OnlineCount() != 4 {
-		t.Fatal("SetOnline(true) not applied")
-	}
-	d.SetBelieved(1, false)
-	if d.Believed(1) || !d.Online(1) {
-		t.Fatal("belief must be independent of truth")
-	}
-	// Out-of-range indices are inert.
-	d.SetOnline(-1, false)
-	d.SetOnline(99, false)
-	if d.Online(-1) || d.Online(99) || d.OnlineCount() != 4 {
-		t.Fatal("out-of-range access changed state")
-	}
-}
-
 // fakeClock is a deterministic manual clock for scorer tests.
 type fakeClock struct{ t time.Duration }
 

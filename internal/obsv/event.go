@@ -72,9 +72,10 @@ const (
 	// Count the rejected cells. The rejected cells stay in the missing
 	// set and are re-requested from other peers next round.
 	KindCorruptReject
-	// KindFaultStart marks a scheduled network fault engaging. Node is
-	// -1 (the fault is network-global), Count the isolated node count
-	// for a partition (0 otherwise), Aux the FaultKind code.
+	// KindFaultStart marks a scenario's network fault window opening.
+	// Node is -1 (the fault is network-global), Count the isolated node
+	// count for a partition (0 otherwise), Aux the core.ScenarioKind code
+	// (1 partition, 2 loss burst).
 	KindFaultStart
 	// KindFaultStop marks the matching fault clearing; fields mirror
 	// KindFaultStart.
@@ -162,7 +163,8 @@ type ChurnOp int64
 
 // Churn operations.
 const (
-	// ChurnJoin is a pool node coming online for the first time.
+	// ChurnJoin is a node coming online for the first time (a scenario
+	// join of a node held out of the network since the run began).
 	ChurnJoin ChurnOp = iota + 1
 	// ChurnRestart is a departed node coming back.
 	ChurnRestart

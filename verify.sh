@@ -40,6 +40,15 @@ if go list -deps ./internal/blob | grep -qxE 'pandas/internal/(adversary|core)';
 	exit 1
 fi
 
+# The churn engine owns who is online and is driven by core, which reads
+# the scenario list and calls the engine's transitions; the engine never
+# reads a scenario or an adversary config (DESIGN.md §3.5).
+echo "== layering: internal/membership does not depend on internal/core or internal/adversary"
+if go list -deps ./internal/membership | grep -qxE 'pandas/internal/(adversary|core)'; then
+	echo "layering: internal/membership imports internal/core or internal/adversary" >&2
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
