@@ -109,11 +109,12 @@ func (b *Builder) PrepareBlob(data []byte) error {
 // goroutine while the blob is extended and committed; row digesting
 // overlaps the column-phase encode (via the extension's row-phase hook)
 // and the bottom half is digested on every core; and each seed datagram
-// is transmitted as soon as the proofs of the rows it carries are ready
-// — the builder starts pushing cells into the network while the prover
-// is still working through the matrix. Output is bit-identical to
-// PrepareBlob followed by SeedSlot (same commitment, proofs, datagrams,
-// report and trace events; pinned by test). Transport and recorder
+// is built as soon as the proofs of the rows it carries are ready and
+// sent with the rest of its transmit pass — the builder starts pushing
+// cells into the network while the prover is still working through the
+// matrix. Output is bit-identical to PrepareBlob followed by SeedSlot
+// (same commitment, proofs, datagrams, report and trace events; pinned
+// by test). Transport and recorder
 // callbacks fire from the calling goroutine only, as with SeedSlot; the
 // proposer signer, the withholding predicate and the view are consulted
 // by the planning goroutine. On an extension error the plan is still
@@ -234,18 +235,7 @@ func (b *Builder) CellPayload(id blob.CellID) (wire.Cell, bool) {
 	if b.extended == nil {
 		return wire.Cell{}, false
 	}
-	return b.cellPayload(id), true
-}
-
-// cellPayload materializes a wire cell (with bytes and proof in real
-// mode).
-func (b *Builder) cellPayload(id blob.CellID) wire.Cell {
-	c := wire.Cell{ID: id}
-	if b.extended != nil {
-		c.Data = b.extended.Cell(id)
-		c.Proof = b.proofs[id.Index(b.cfg.Blob.N())]
-	}
-	return c
+	return wire.Cell{ID: id, Data: b.extended.Cell(id), Proof: b.proofs[id.Index(b.cfg.Blob.N())]}, true
 }
 
 // SeedSlot executes the seeding phase: it assigns parcels of every line
@@ -259,14 +249,14 @@ func (b *Builder) SeedSlot(slot uint64) SeedingReport {
 }
 
 // seedChunk is one planned seed datagram, stored in its compact planned
-// form: cell IDs only (wire cells with payload and proof are
-// materialized just before the send, which lets the pipelined path plan
-// the whole schedule while proofs are still being generated) and a boost
-// slice that ALIASES the line's shared entry list. Sharing is what keeps
-// the plan linear in the schedule size: a line's CB entries are built
-// once and referenced by every holder's datagram, never copied per
-// recipient (the per-recipient copies were quadratic — tens of GB at
-// 100k nodes).
+// form: cell IDs only (transmit's workers build the wire cells, payload
+// and proof, one pass at a time into a Cells slice the datagram owns,
+// which lets the pipelined path plan the whole schedule while proofs are
+// still being generated) and a boost slice that ALIASES the line's
+// shared entry list. Sharing is what keeps the plan linear in the
+// schedule size: a line's CB entries are built once and referenced by
+// every holder's datagram, never copied per recipient (the per-recipient
+// copies were quadratic — tens of GB at 100k nodes).
 type seedChunk struct {
 	cellIDs []blob.CellID
 	boost   []wire.BoostEntry
@@ -606,36 +596,39 @@ func (b *Builder) recordWithheld(slot uint64, report SeedingReport) {
 // a builder iterating over rows and columns: a node's first cells arrive
 // early in the transmission schedule while its batch completes near the
 // end, so all nodes start consolidation against peers that already hold
-// their seed data. Cell payloads and proofs are materialized here, just
-// before each send; when rows is non-nil (the pipelined path), each
-// datagram additionally waits until the proofs of every row it carries
-// are ready.
+// their seed data. Each pass's datagrams are built on GOMAXPROCS workers,
+// each taking a contiguous share of the nodes (see seedDatagram); the
+// calling goroutine then sends and records the pass in node order, so the
+// transport and the recorder see exactly what a serial loop shows them,
+// from the caller only, and each datagram is handed to the transport
+// whole and never touched again.
 func (b *Builder) transmit(slot uint64, plan seedPlan, report *SeedingReport, rows *rowTracker) {
+	msgs := make([]*wire.Seed, len(plan.nodes)) // one pass, by node; nil: no chunk
+	workers := runtime.GOMAXPROCS(0)
+	build := func(w, pass int) {
+		for i := w * len(msgs) / workers; i < (w+1)*len(msgs)/workers; i++ {
+			if chunks := plan.nodes[i].chunks; pass < len(chunks) {
+				msgs[i] = b.seedDatagram(slot, plan.sig, &chunks[pass], rows)
+			}
+		}
+	}
 	for pass := 0; pass < plan.maxChunks; pass++ {
-		for _, nc := range plan.nodes {
-			if pass >= len(nc.chunks) {
+		var wg sync.WaitGroup
+		wg.Add(workers - 1)
+		for w := 1; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				build(w, pass)
+			}()
+		}
+		build(0, pass)
+		wg.Wait()
+		for i, m := range msgs {
+			if m == nil {
 				continue
 			}
-			chunk := &nc.chunks[pass]
-			if rows != nil && chunk.maxRow >= 0 {
-				rows.waitFor(chunk.maxRow)
-			}
-			m := &wire.Seed{
-				Slot:        slot,
-				Builder:     b.id,
-				ProposerSig: plan.sig,
-				Commitment:  b.commitment,
-				ChunkIndex:  chunk.index,
-				ChunkCount:  chunk.count,
-				Boost:       chunk.boost,
-			}
-			if len(chunk.cellIDs) > 0 {
-				cs := make([]wire.Cell, len(chunk.cellIDs))
-				for i, id := range chunk.cellIDs {
-					cs[i] = b.cellPayload(id)
-				}
-				m.Cells = cs
-			}
+			msgs[i] = nil // the next pass sets only the nodes it has a chunk for
+			node := plan.nodes[i].node
 			size := m.WireSize(b.cfg.Blob.CellBytes)
 			report.Messages++
 			report.Cells += len(m.Cells)
@@ -643,12 +636,45 @@ func (b *Builder) transmit(slot uint64, plan seedPlan, report *SeedingReport, ro
 			if b.rec != nil {
 				b.rec.Record(obsv.Event{At: b.tr.Now(), Slot: slot,
 					Kind: obsv.KindSeedSent, Node: int32(b.index),
-					Peer: int32(nc.node), Count: int32(len(m.Cells)),
+					Peer: int32(node), Count: int32(len(m.Cells)),
 					Bytes: int64(size), Aux: int64(len(m.Boost))})
 			}
-			b.tr.SendReliable(nc.node, size, m)
+			b.tr.SendReliable(node, size, m)
 		}
 	}
+}
+
+// seedDatagram builds the datagram of one planned chunk, on a transmit
+// worker: when rows is non-nil (the pipelined path) it first waits until
+// the proofs of every row the chunk carries are ready. The datagram owns
+// its Cells, allocated here and filled in place; each cell's Data aliases
+// the builder's extended matrix, valid until the next prepare reuses it.
+func (b *Builder) seedDatagram(slot uint64, sig [wire.SigSize]byte, chunk *seedChunk, rows *rowTracker) *wire.Seed {
+	if rows != nil && chunk.maxRow >= 0 {
+		rows.waitFor(chunk.maxRow)
+	}
+	m := &wire.Seed{
+		Slot:        slot,
+		Builder:     b.id,
+		ProposerSig: sig,
+		Commitment:  b.commitment,
+		ChunkIndex:  chunk.index,
+		ChunkCount:  chunk.count,
+		Boost:       chunk.boost,
+	}
+	if len(chunk.cellIDs) > 0 {
+		m.Cells = make([]wire.Cell, len(chunk.cellIDs))
+		n := b.cfg.Blob.N()
+		for i, id := range chunk.cellIDs {
+			c := &m.Cells[i]
+			c.ID = id
+			if b.extended != nil {
+				c.Data = b.extended.Cell(id)
+				c.Proof = b.proofs[id.Index(n)]
+			}
+		}
+	}
+	return m
 }
 
 // maxBoostPerMsg keeps seed datagrams under the UDP limit; boost-only

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pandas/internal/assign"
 	"pandas/internal/blob"
@@ -378,30 +379,226 @@ func TestBuilderPipelinedMatchesMonolithic(t *testing.T) {
 					if !reflect.DeepEqual(got.proofs, want.proofs) {
 						t.Fatalf("workers=%d slot=%d: proof arenas differ", workers, slot)
 					}
-					if gotReport != wantReport {
-						t.Fatalf("workers=%d slot=%d: reports differ:\n got %+v\nwant %+v",
-							workers, slot, gotReport, wantReport)
-					}
-					if len(gotTr.sends) != len(wantTr.sends) {
-						t.Fatalf("workers=%d slot=%d: %d sends, want %d",
-							workers, slot, len(gotTr.sends), len(wantTr.sends))
-					}
-					for i := range gotTr.sends {
-						g, w := gotTr.sends[i], wantTr.sends[i]
-						if g.to != w.to || g.size != w.size || g.reliable != w.reliable {
-							t.Fatalf("workers=%d slot=%d send %d: envelope differs", workers, slot, i)
-						}
-						if !reflect.DeepEqual(g.payload, w.payload) {
-							t.Fatalf("workers=%d slot=%d send %d: datagram differs", workers, slot, i)
-						}
-					}
-					if len(wantEvents) == 0 || !reflect.DeepEqual(gotEvents, wantEvents) {
-						t.Fatalf("workers=%d slot=%d: traces differ: %d events, want %d",
-							workers, slot, len(gotEvents), len(wantEvents))
-					}
+					requireSameSeeding(t, fmt.Sprintf("workers=%d slot=%d", workers, slot),
+						seeding{gotReport, gotTr.sends, gotEvents},
+						seeding{wantReport, wantTr.sends, wantEvents})
 				}
 			}
 		})
+	}
+}
+
+// seeding is what one slot's seeding showed the outside world: the
+// report, the transport's sends in order and the recorder's events.
+type seeding struct {
+	report SeedingReport
+	sends  []capturedSend
+	events []obsv.Event
+}
+
+// requireSameSeeding fails t unless two seedings are bit-identical: equal
+// reports, the same envelopes (recipient, size, reliability) in the same
+// order, DeepEqual datagrams (header, boost, cells with payloads and
+// proofs) and equal, non-empty traces.
+func requireSameSeeding(t *testing.T, label string, got, want seeding) {
+	t.Helper()
+	if got.report != want.report {
+		t.Fatalf("%s: reports differ:\n got %+v\nwant %+v", label, got.report, want.report)
+	}
+	if len(got.sends) != len(want.sends) {
+		t.Fatalf("%s: %d sends, want %d", label, len(got.sends), len(want.sends))
+	}
+	for i := range got.sends {
+		g, w := got.sends[i], want.sends[i]
+		if g.to != w.to || g.size != w.size || g.reliable != w.reliable {
+			t.Fatalf("%s send %d: envelope differs", label, i)
+		}
+		if !reflect.DeepEqual(g.payload, w.payload) {
+			t.Fatalf("%s send %d: datagram differs", label, i)
+		}
+	}
+	if len(want.events) == 0 || !reflect.DeepEqual(got.events, want.events) {
+		t.Fatalf("%s: traces differ: %d events, want %d", label, len(got.events), len(want.events))
+	}
+}
+
+// TestTransmitMatchesReference pins the parallel transmit against the
+// serial loop it replaced (referenceTransmit): SeedSlot and
+// PrepareAndSeed at GOMAXPROCS 1, 2 and 8 each match PrepareBlob
+// followed by the reference seeding, datagram for datagram, in the
+// report and in the trace, for every policy and builder setup, over two
+// slots (the second reuses every arena) and at two network sizes (20
+// nodes leave lines holderless and carry several cell chunks per node).
+// No two datagrams may share cell memory: the simulator holds each one
+// by reference until it is delivered.
+func TestTransmitMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	data := make([]byte, TestConfig().Blob.BlobBytes())
+	rand.New(rand.NewSource(42)).Read(data)
+	for _, policy := range []Policy{PolicyMinimal, PolicySingle, PolicyRedundant} {
+		for _, s := range builderSetups {
+			for _, nodes := range []int{20, 80} {
+				t.Run(fmt.Sprintf("%v/%s/%d", policy, s.name, nodes), func(t *testing.T) {
+					cfg := TestConfig()
+					cfg.RealPayloads = true
+					cfg.Policy = policy
+					for _, workers := range []int{1, 2, 8} {
+						runtime.GOMAXPROCS(workers)
+						// Each run gets its own builder, so all three rngs
+						// start from the same state.
+						runs := make([]seeding, 3)
+						builders := make([]*Builder, 3)
+						transports := make([]*captureTransport, 3)
+						for i := range builders {
+							cfg.Recorder = obsv.RecorderFunc(func(e obsv.Event) { runs[i].events = append(runs[i].events, e) })
+							builders[i], _, transports[i] = builderFixture(t, cfg, nodes)
+							builders[i].SetProposerSigner(testSigner)
+							s.apply(builders[i])
+						}
+						want, seeded, streamed := builders[0], builders[1], builders[2]
+						for slot := uint64(1); slot <= 2; slot++ {
+							for i := range runs {
+								runs[i], transports[i].sends = seeding{}, nil
+							}
+							if err := want.PrepareBlob(data); err != nil {
+								t.Fatal(err)
+							}
+							plan, report := want.planSeed(slot)
+							want.recordWithheld(slot, report)
+							referenceTransmit(want, slot, plan, &report)
+							runs[0].report = report
+							if err := seeded.PrepareBlob(data); err != nil {
+								t.Fatal(err)
+							}
+							runs[1].report = seeded.SeedSlot(slot)
+							var err error
+							if runs[2].report, err = streamed.PrepareAndSeed(slot, data); err != nil {
+								t.Fatal(err)
+							}
+							for i := range runs {
+								runs[i].sends = transports[i].sends
+							}
+							for i, name := range []string{"SeedSlot", "PrepareAndSeed"} {
+								label := fmt.Sprintf("%s workers=%d slot=%d", name, workers, slot)
+								requireSameSeeding(t, label, runs[i+1], runs[0])
+								requireDisjointCells(t, label, runs[i+1].sends)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// requireDisjointCells fails t if two datagrams' Cells share backing
+// memory.
+func requireDisjointCells(t *testing.T, label string, sends []capturedSend) {
+	t.Helper()
+	type span struct{ lo, hi uintptr }
+	var spans []span
+	for _, s := range sends {
+		if cs := s.payload.(*wire.Seed).Cells; cap(cs) > 0 {
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(cs)))
+			spans = append(spans, span{lo, lo + uintptr(cap(cs))*unsafe.Sizeof(cs[0])})
+		}
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
+			t.Fatalf("%s: two datagrams share cell memory", label)
+		}
+	}
+}
+
+// referenceTransmit is the serial transmit loop the parallel one
+// replaced, kept as its differential oracle: one pass after another,
+// each datagram's cells materialized through a temporary wire cell just
+// before its send.
+func referenceTransmit(b *Builder, slot uint64, plan seedPlan, report *SeedingReport) {
+	for pass := 0; pass < plan.maxChunks; pass++ {
+		for _, nc := range plan.nodes {
+			if pass >= len(nc.chunks) {
+				continue
+			}
+			chunk := &nc.chunks[pass]
+			m := &wire.Seed{
+				Slot:        slot,
+				Builder:     b.id,
+				ProposerSig: plan.sig,
+				Commitment:  b.commitment,
+				ChunkIndex:  chunk.index,
+				ChunkCount:  chunk.count,
+				Boost:       chunk.boost,
+			}
+			if len(chunk.cellIDs) > 0 {
+				cs := make([]wire.Cell, len(chunk.cellIDs))
+				for i, id := range chunk.cellIDs {
+					c, ok := b.CellPayload(id)
+					if !ok {
+						c = wire.Cell{ID: id}
+					}
+					cs[i] = c
+				}
+				m.Cells = cs
+			}
+			size := m.WireSize(b.cfg.Blob.CellBytes)
+			report.Messages++
+			report.Cells += len(m.Cells)
+			report.Bytes += int64(size)
+			if b.rec != nil {
+				b.rec.Record(obsv.Event{At: b.tr.Now(), Slot: slot,
+					Kind: obsv.KindSeedSent, Node: int32(b.index),
+					Peer: int32(nc.node), Count: int32(len(m.Cells)),
+					Bytes: int64(size), Aux: int64(len(m.Boost))})
+			}
+			b.tr.SendReliable(nc.node, size, m)
+		}
+	}
+}
+
+// countingTransport accepts every datagram and keeps only the totals.
+type countingTransport struct {
+	msgs  int
+	bytes int64
+}
+
+func (c *countingTransport) Send(to, size int, payload any) {
+	c.msgs++
+	c.bytes += int64(size)
+}
+func (c *countingTransport) SendReliable(to, size int, payload any) { c.Send(to, size, payload) }
+func (c *countingTransport) After(time.Duration, func())            {}
+func (c *countingTransport) Now() time.Duration                     { return 0 }
+
+// BenchmarkTransmit measures the transmit stage alone at the paper's
+// geometry (512x512, redundant seeding with r = 8) over 1,000 nodes with
+// real payloads and proofs, into a transport that only counts: one
+// planned slot is transmitted per iteration, so the time and the
+// allocations are those of building the slot's datagrams and handing
+// them over.
+func BenchmarkTransmit(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.RealPayloads = true
+	bl, _, _ := builderFixture(b, cfg, 1000)
+	sink := &countingTransport{}
+	bl.tr = sink
+	data := make([]byte, cfg.Blob.BlobBytes())
+	rand.New(rand.NewSource(42)).Read(data)
+	if err := bl.PrepareBlob(data); err != nil {
+		b.Fatal(err)
+	}
+	plan, report := bl.planSeed(1)
+	var sent SeedingReport
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sent = report
+		bl.transmit(1, plan, &sent, nil)
+	}
+	b.StopTimer()
+	if sink.msgs != b.N*sent.Messages || sent.Messages == 0 {
+		b.Fatalf("sink saw %d datagrams over %d slots of %d", sink.msgs, b.N, sent.Messages)
 	}
 }
 

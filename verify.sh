@@ -64,9 +64,11 @@ go test ./...
 # experiments, the metrics views (TestPlanGolden) and, since
 # TestTraceGolden, the JSONL event traces too. In kzg,
 # TestHashRowsDeterministic pins the builder's parallel row digests to the
-# serial ones.
+# serial ones; in core, TestBuilderPipelinedMatchesMonolithic and
+# TestTransmitMatchesReference pin the builder's concurrent prove and
+# transmit stages to the serial forms.
 echo "== fixed-seed tests x5 at -cpu 1,2 (experiments, core, baseline, kzg)"
-go test -run 'Deterministic|Golden' -count=5 -cpu 1,2 \
+go test -run 'Deterministic|Golden|TestBuilderPipelinedMatchesMonolithic|TestTransmitMatchesReference' -count=5 -cpu 1,2 \
 	./internal/experiments ./internal/core ./internal/baseline ./internal/kzg
 
 # Every internal package runs under the race detector except experiments,
