@@ -90,7 +90,6 @@ func run(args []string) error {
 	var reg *obsv.Registry
 	if *metrics != "" {
 		reg = obsv.NewRegistry()
-		cfg.Metrics = reg
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", reg)
 		go func() {
@@ -106,15 +105,14 @@ func run(args []string) error {
 	// a swarm node with the same seed agree on who is who. A node follows
 	// the builder from slot to slot; each slot yields one report line.
 	h, err := swarm.NewHost(swarm.HostOptions{Config: cfg, Seed: *seed, Nodes: nNodes, Index: *index,
-		Bind: addrs[*index], Outcome: func(o swarm.Outcome) {
+		Bind: addrs[*index], Metrics: reg, Outcome: func(o swarm.Outcome) {
 			if *builder {
 				fmt.Printf("slot %d: seeded %d cells in %d messages (%d KB) to %d nodes\n", o.Slot,
 					o.Seeding.Cells, o.Seeding.Messages, o.Seeding.Bytes/1024, o.Seeding.NodesSeeded)
 				return
 			}
-			m := o.Metrics
 			fmt.Printf("slot %d: seed=%v consolidated=%v sampled=%v\n",
-				o.Slot, m.HasSeed, m.Consolidated, m.Sampled)
+				o.Slot, o.Node.Seed >= 0, o.Node.Consolidation >= 0, o.Node.Sampling >= 0)
 		}})
 	if err != nil {
 		return err

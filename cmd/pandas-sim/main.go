@@ -132,7 +132,9 @@ func writeTrace(path string, ring *obsv.Ring) error {
 
 // writeCSVs exports each labelled sample's sampling CDF, ready to plot
 // (<exp>-<label>.csv), and with it the block-reception CDF when the run
-// gossiped blocks (<exp>-<label>-block.csv).
+// gossiped blocks (<exp>-<label>-block.csv). The samples of a result's
+// parts are named by the part's position: <exp>-<part>-<label>.csv, with
+// part counted from 1 (fig14's sizes, each step of -exp all).
 func writeCSVs(dir, exp string, res *experiments.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -156,6 +158,11 @@ func writeCSVs(dir, exp string, res *experiments.Result) error {
 			return err
 		}
 		if err := write(exp+"-"+s.Label+"-block", s.Block); err != nil {
+			return err
+		}
+	}
+	for i, p := range res.Parts {
+		if err := writeCSVs(dir, fmt.Sprintf("%s-%d", exp, i+1), p); err != nil {
 			return err
 		}
 	}

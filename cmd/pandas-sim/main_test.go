@@ -63,14 +63,26 @@ func TestRunLossFlag(t *testing.T) {
 	}
 }
 
+// TestCSVExport: every labelled sample becomes a CSV, including those of
+// a result made of parts, which are named by part so fig14's sizes do not
+// overwrite each other.
 func TestCSVExport(t *testing.T) {
-	dir := t.TempDir()
-	if err := run([]string{"-exp", "fig11", "-small", "-nodes", "60", "-slots", "1", "-csv", dir}); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"fig11-adaptive.csv", "fig11-constant.csv"} {
-		if _, err := os.Stat(filepath.Join(dir, want)); err != nil {
-			t.Fatalf("missing %s: %v", want, err)
+	for _, c := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-exp", "fig11", "-nodes", "60"}, []string{"fig11-adaptive.csv", "fig11-constant.csv"}},
+		{[]string{"-exp", "fig14", "-sizes", "30,60"},
+			[]string{"fig14-1-pandas.csv", "fig14-2-pandas.csv", "fig14-2-gossipsub.csv", "fig14-2-dht.csv"}},
+	} {
+		dir := t.TempDir()
+		if err := run(append(c.args, "-small", "-slots", "1", "-csv", dir)); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range c.want {
+			if _, err := os.Stat(filepath.Join(dir, want)); err != nil {
+				t.Fatalf("%v: missing %s: %v", c.args, want, err)
+			}
 		}
 	}
 }

@@ -190,10 +190,7 @@ func (g *GossipCluster) RunSlot(slot uint64) (*core.SlotResult, error) {
 
 	sampling := make([]time.Duration, len(g.nodes))
 	for i, nd := range g.nodes {
-		sampling[i] = -1
-		if nd.Metrics().Sampled {
-			sampling[i] = nd.Metrics().SampledAt - start
-		}
+		sampling[i] = nd.Outcome(start).Sampling
 	}
 	return slotResult(g.net, sampling), nil
 }

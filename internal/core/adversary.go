@@ -27,9 +27,6 @@ func (c *Cluster) setupAdversary(cc ClusterConfig) {
 	// there is no membership gossip to poison, so the behavior degrades
 	// to honest (documented in adversary.Config).
 	if c.annRouters != nil {
-		if reg := cc.Core.Metrics; reg != nil {
-			c.mPoison = reg.Counter("adversary_poison_announcements_total")
-		}
 		for i, b := range c.behaviors {
 			if b == adversary.Poisoner {
 				c.startPoisoner(i)
@@ -70,9 +67,6 @@ func (c *Cluster) publishForgedAnnouncement(poisoner, target int) {
 		ann: membership.Announcement{Seq: c.annSeq, Node: target, Join: true},
 	}
 	c.agents[poisoner].ForgedAnnouncements++
-	if c.mPoison != nil {
-		c.mPoison.Inc()
-	}
 	for _, peer := range c.annRouters[poisoner].Publish(c.annOverlay, m.id) {
 		c.net.Send(poisoner, peer, membership.AnnouncementWireSize, m)
 	}

@@ -187,11 +187,9 @@ func TestLaggardByzantineHonestDeadline(t *testing.T) {
 
 // TestPoisonerForgesAnnouncements wires poisoners into the churn
 // announcement mesh: after real departures, poisoners must re-advertise
-// departed peers as joins (counted on the agent and in the registry).
+// departed peers as joins (counted on the agent).
 func TestPoisonerForgesAnnouncements(t *testing.T) {
-	reg := obsv.NewRegistry()
 	c := smallCluster(t, 100, func(cc *ClusterConfig) {
-		cc.Core.Metrics = reg
 		cc.Adversary = &adversary.Config{PoisonFraction: 0.1}
 		cc.Scenario = []ScenarioEvent{{Kind: Leave, At: time.Second, Count: 10}}
 	})
@@ -206,9 +204,6 @@ func TestPoisonerForgesAnnouncements(t *testing.T) {
 	}
 	if forged == 0 {
 		t.Fatal("poisoners forged no announcements despite departures")
-	}
-	if got := reg.Counter("adversary_poison_announcements_total").Value(); got != int64(forged) {
-		t.Fatalf("registry counts %d forged announcements, agents count %d", got, forged)
 	}
 }
 

@@ -66,7 +66,7 @@ type ClusterConfig struct {
 // NodeOutcome reports one node's slot, with durations relative to the
 // slot start. A negative duration means "never happened".
 type NodeOutcome struct {
-	Seed          time.Duration // last seed datagram
+	Seed          time.Duration // first seed datagram: Fig. 9a's time to seeding
 	Consolidation time.Duration
 	Sampling      time.Duration
 	BlockRecv     time.Duration // only with BlockGossip
@@ -84,7 +84,9 @@ type NodeOutcome struct {
 
 	FetchMsgs  int   // queries + responses, both directions
 	FetchBytes int64 // corresponding traffic volume
-	Rounds     []RoundStat
+	// CorruptRejects counts cells rejected for failing proof verification.
+	CorruptRejects int
+	Rounds         []RoundStat
 }
 
 // NewNodeOutcome returns the outcome of a node for which nothing was
@@ -153,13 +155,8 @@ type Cluster struct {
 	lossBase    float64
 	burstOpen   []bool
 
-	// Observability (nil without Core.Recorder / Core.Metrics).
-	rec        obsv.Recorder
-	mGossip    *obsv.Counter
-	mGossipDup *obsv.Counter
-	mAnn       *obsv.Counter
-	mDHT       *obsv.Counter
-	mPoison    *obsv.Counter
+	// Tracing (nil without Core.Recorder).
+	rec obsv.Recorder
 }
 
 // NewCluster builds the deployment: identities, epoch table, simulator
@@ -180,13 +177,6 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	c.net = net
-	if reg := cc.Core.Metrics; reg != nil {
-		net.SetMetrics(reg)
-		c.mGossip = reg.Counter("gossip_msgs_total")
-		c.mGossipDup = reg.Counter("gossip_duplicates_total")
-		c.mAnn = reg.Counter("membership_announcements_total")
-		c.mDHT = reg.Counter("dht_msgs_total")
-	}
 
 	// Adversary sortition happens before the nodes are built because each
 	// byzantine node's transport is wrapped at construction. It draws
@@ -447,9 +437,6 @@ func (c *Cluster) publishAnnouncement(node int, join bool) {
 }
 
 func (c *Cluster) onAnnouncement(node, from, size int, m annMsg) {
-	if c.mAnn != nil {
-		c.mAnn.Inc()
-	}
 	fwd, isNew := c.annRouters[node].Receive(c.annOverlay, m.id, from)
 	if !isNew {
 		return
@@ -530,9 +517,6 @@ func (c *Cluster) dispatch(node, from, size int, payload any) {
 		return
 	}
 	if c.dhtPeers != nil && c.dhtPeers[node].HandleMessage(from, payload) {
-		if c.mDHT != nil {
-			c.mDHT.Inc()
-		}
 		if c.rec != nil {
 			c.rec.Record(obsv.Event{At: c.net.Now(), Slot: c.curSlot,
 				Kind: obsv.KindDHTMsg, Node: int32(node), Peer: int32(from),
@@ -556,13 +540,7 @@ func (c *Cluster) onBlockGossip(node, from, size int, id gossip.MsgID) {
 	}
 	fwd, isNew := c.routers[node].Receive(c.overlay, id, from)
 	if !isNew {
-		if c.mGossipDup != nil {
-			c.mGossipDup.Inc()
-		}
 		return
-	}
-	if c.mGossip != nil {
-		c.mGossip.Inc()
 	}
 	if c.rec != nil {
 		c.rec.Record(obsv.Event{At: c.net.Now(), Slot: c.curSlot,
@@ -678,48 +656,28 @@ func (c *Cluster) RunSlot(slot uint64) (*SlotResult, error) {
 	return res, nil
 }
 
-// nodeOutcome derives one node's NodeOutcome from the unified read path:
-// the obsv view the node's observer maintained during the slot (returned
-// by Node.Metrics), plus the cluster's own lifecycle and block-gossip
-// bookkeeping. Durations are made relative to the slot start here; the
-// view keeps absolute virtual times.
+// nodeOutcome is node i's Node.Outcome plus the cluster's own lifecycle
+// and block-gossip bookkeeping.
 func (c *Cluster) nodeOutcome(i int, start time.Duration) NodeOutcome {
 	o := NewNodeOutcome()
+	// An offline node never ran this slot; its view holds stale leftovers
+	// from its last active slot.
+	offline := c.engine != nil && !c.started[i]
+	if !offline {
+		o = c.nodes[i].Outcome(start)
+		if c.blockRecv[i] >= 0 {
+			o.BlockRecv = c.blockRecv[i] - start
+		}
+	}
 	o.Dead = c.dead[i]
 	if c.engine != nil {
-		o.Offline = !c.started[i]
+		o.Offline = offline
 		if c.joinedAt[i] >= 0 {
 			o.JoinedAt = c.joinedAt[i] - start
 		}
 		if c.leftAt[i] >= 0 {
 			o.LeftAt = c.leftAt[i] - start
 		}
-	}
-	if o.Offline {
-		// The node never ran this slot; its view holds stale leftovers
-		// from its last active slot.
-		return o
-	}
-	m := c.nodes[i].Metrics()
-	o.FetchMsgs = m.FetchMsgsSent + m.FetchMsgsRecv
-	o.FetchBytes = m.FetchBytesSent + m.FetchBytesRecv
-	o.Rounds = m.Rounds
-	if m.HasSeed {
-		// "Time to seeding" is the arrival of the node's initial seed
-		// data (the paper's Fig. 9a metric).
-		o.Seed = m.FirstSeedAt - start
-	}
-	if m.Consolidated {
-		o.Consolidation = m.ConsolidatedAt - start
-		if m.HasSeed {
-			o.ConsFromSeed = m.ConsolidatedAt - m.FirstSeedAt
-		}
-	}
-	if m.Sampled {
-		o.Sampling = m.SampledAt - start
-	}
-	if c.blockRecv[i] >= 0 {
-		o.BlockRecv = c.blockRecv[i] - start
 	}
 	return o
 }

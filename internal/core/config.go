@@ -100,11 +100,6 @@ type Config struct {
 	// is a single nil check, so the protocol's behaviour and timing are
 	// unchanged (see obsv's disabled-path benchmark gate).
 	Recorder obsv.Recorder
-	// Metrics is the counters/gauges/histograms registry shared by the
-	// deployment (gossip/DHT message counts, simulator deliveries, drops
-	// and bytes, rejected cells; on real sockets, per-slot outcomes).
-	// Nil disables registry updates.
-	Metrics *obsv.Registry
 	// TraceRing is the event capacity of the ring-buffer recorder created
 	// by trace-enabled runs (pandas-sim -trace).
 	// It does not allocate anything by itself; it only sizes the ring
@@ -163,8 +158,8 @@ func (c Config) Validate() error {
 	case c.TraceRing < 1:
 		return fmt.Errorf("%w: traceRing=%d", ErrBadConfig, c.TraceRing)
 	}
-	// Recorder and Metrics are nil-safe: nil simply disables tracing and
-	// registry updates, so there is nothing further to validate.
+	// Recorder is nil-safe: nil simply disables tracing, so there is
+	// nothing further to validate.
 	return nil
 }
 

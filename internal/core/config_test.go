@@ -45,7 +45,7 @@ func TestStockConfigsValidate(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s config invalid: %v", name, err)
 		}
-		if cfg.Recorder != nil || cfg.Metrics != nil {
+		if cfg.Recorder != nil {
 			t.Errorf("%s config: tracing must be off by default", name)
 		}
 		if cfg.TraceRing != obsv.DefaultRingSize {
@@ -58,9 +58,8 @@ func TestStockConfigsValidate(t *testing.T) {
 func TestConfigValidateWithObservability(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Recorder = obsv.MustRing(64)
-	cfg.Metrics = obsv.NewRegistry()
 	if err := cfg.Validate(); err != nil {
-		t.Fatalf("config with recorder+registry invalid: %v", err)
+		t.Fatalf("config with recorder invalid: %v", err)
 	}
 }
 

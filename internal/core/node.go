@@ -177,16 +177,12 @@ type Node struct {
 	// obs maintains the current slot's metrics view and (optionally)
 	// traces protocol events through cfg.Recorder.
 	obs obsv.Observer
-
-	// mRejects counts proof-verification rejects in the shared registry
-	// (nil without cfg.Metrics).
-	mRejects *obsv.Counter
 }
 
 // NewNode creates a node bound to a transport address. rngSeed drives the
 // node's local (unpredictable to others) choices: sample selection.
 func NewNode(cfg Config, index int, table *Table, tr Transport, rngSeed int64) *Node {
-	n := &Node{
+	return &Node{
 		cfg:   cfg,
 		index: index,
 		table: table,
@@ -194,15 +190,39 @@ func NewNode(cfg Config, index int, table *Table, tr Transport, rngSeed int64) *
 		rng:   rand.New(rand.NewSource(rngSeed)),
 		obs:   obsv.Observer{Rec: cfg.Recorder, Node: int32(index)},
 	}
-	if cfg.Metrics != nil {
-		n.mRejects = cfg.Metrics.Counter("fetch_corrupt_rejects_total")
-	}
-	return n
 }
 
 // Metrics returns the node's observations for the current slot — a copy
 // of the live view the node's observer maintains.
 func (n *Node) Metrics() NodeMetrics { return n.obs.View }
+
+// Outcome reports the current slot as a NodeOutcome with its times
+// relative to start, the slot start on the caller's clock. It is the one
+// conversion from the live view to the record every runtime reports; a
+// runtime adds only what the node cannot know (Dead, Offline, JoinedAt,
+// LeftAt, BlockRecv). Rounds aliases the live view: copy it to keep it
+// past the slot.
+func (n *Node) Outcome(start time.Duration) NodeOutcome {
+	m := &n.obs.View
+	o := NewNodeOutcome()
+	o.FetchMsgs = m.FetchMsgsSent + m.FetchMsgsRecv
+	o.FetchBytes = m.FetchBytesSent + m.FetchBytesRecv
+	o.CorruptRejects = m.CorruptRejects
+	o.Rounds = m.Rounds
+	if m.HasSeed {
+		o.Seed = m.FirstSeedAt - start
+	}
+	if m.Consolidated {
+		o.Consolidation = m.ConsolidatedAt - start
+		if m.HasSeed {
+			o.ConsFromSeed = m.ConsolidatedAt - m.FirstSeedAt
+		}
+	}
+	if m.Sampled {
+		o.Sampling = m.SampledAt - start
+	}
+	return o
+}
 
 // SetView restricts the node's knowledge of the network. Views may be
 // static predicates (membership.ViewFunc) or evolve while the slot runs
@@ -621,9 +641,6 @@ func (n *Node) addCells(cells []wire.Cell) (dups, added, rejects int) {
 			rejects++
 			n.forgetInflight(c.ID)
 			n.obs.View.CorruptRejects++
-			if n.mRejects != nil {
-				n.mRejects.Inc()
-			}
 			continue
 		}
 		if err != nil || !ok {

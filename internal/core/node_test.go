@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -452,5 +453,44 @@ func TestNodeFallbackTimerStartsFetchWithoutSeeds(t *testing.T) {
 	}
 	if node.Metrics().HasSeed {
 		t.Fatal("HasSeed without seeds")
+	}
+}
+
+// TestNodeOutcome pins the one conversion from a node's live view to the
+// record every runtime reports: times relative to the given start, -1 for
+// a phase that never happened, and consolidation measured from the first
+// seed only when both happened.
+func TestNodeOutcome(t *testing.T) {
+	const start = 12 * time.Second
+	ms := func(n int) time.Duration { return start + time.Duration(n)*time.Millisecond }
+	rounds := []RoundStat{{MsgsSent: 3, CellsRequested: 9, CoverageAfter: 0.5}}
+	for _, c := range []struct {
+		name string
+		view NodeMetrics
+		want NodeOutcome
+	}{
+		{"nothing happened", NodeMetrics{}, NewNodeOutcome()},
+		{"every phase", NodeMetrics{
+			HasSeed: true, FirstSeedAt: ms(100), SeedAt: ms(300),
+			Consolidated: true, ConsolidatedAt: ms(700),
+			Sampled: true, SampledAt: ms(900),
+			FetchMsgsSent: 5, FetchMsgsRecv: 4, FetchBytesSent: 600, FetchBytesRecv: 4_000,
+			CorruptRejects: 2, Rounds: rounds,
+		}, NodeOutcome{Seed: 100 * time.Millisecond, Consolidation: 700 * time.Millisecond,
+			Sampling: 900 * time.Millisecond, BlockRecv: -1, ConsFromSeed: 600 * time.Millisecond,
+			JoinedAt: -1, LeftAt: -1, FetchMsgs: 9, FetchBytes: 4_600, CorruptRejects: 2, Rounds: rounds}},
+		{"consolidated without a seed", NodeMetrics{Consolidated: true, ConsolidatedAt: ms(1500)},
+			NodeOutcome{Seed: -1, Consolidation: 1500 * time.Millisecond, Sampling: -1, BlockRecv: -1,
+				ConsFromSeed: -1, JoinedAt: -1, LeftAt: -1}},
+		{"seeded, never consolidated", NodeMetrics{HasSeed: true, FirstSeedAt: ms(80), SeedAt: ms(80),
+			Sampled: true, SampledAt: ms(2500)},
+			NodeOutcome{Seed: 80 * time.Millisecond, Consolidation: -1, Sampling: 2500 * time.Millisecond,
+				BlockRecv: -1, ConsFromSeed: -1, JoinedAt: -1, LeftAt: -1}},
+	} {
+		var n Node
+		n.obs.View = c.view
+		if got := n.Outcome(start); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", c.name, got, c.want)
+		}
 	}
 }

@@ -126,32 +126,6 @@ func TestTimelineMatchesLegacyAggregation(t *testing.T) {
 	}
 }
 
-// TestClusterRegistryMetrics checks that a metrics-enabled run populates
-// the shared registry with simulator counters.
-func TestClusterRegistryMetrics(t *testing.T) {
-	reg := obsv.NewRegistry()
-	c := smallCluster(t, 60, func(cc *ClusterConfig) {
-		cc.Core.Metrics = reg
-	})
-	if _, err := c.RunSlot(1); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["simnet_delivered_total"] == 0 {
-		t.Error("simnet_delivered_total not incremented")
-	}
-	if snap.Counters["simnet_bytes_total"] == 0 {
-		t.Error("simnet_bytes_total not incremented")
-	}
-	var sb bytes.Buffer
-	if err := snap.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(sb.Bytes(), []byte("# TYPE simnet_delivered_total counter")) {
-		t.Error("Prometheus exposition missing simnet counters")
-	}
-}
-
 // TestTraceChurnEvents checks that a churn-enabled run records membership
 // lifecycle transitions.
 func TestTraceChurnEvents(t *testing.T) {

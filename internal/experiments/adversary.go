@@ -88,8 +88,8 @@ func defaultSampleSweep(samples int) []int {
 // holds. fractions nil selects 0-40% in 10% steps.
 //
 // Samples are labelled by fraction ("20%") and pool the honest nodes
-// only; Values["corrupt rejects"] counts the cells honest nodes rejected
-// for failed verification (garbage behavior only).
+// only; Values["corrupt rejects"] counts the cells all nodes rejected
+// for failed verification over every slot (garbage behavior only).
 func Byzantine(o Options, behavior adversary.Behavior, fractions []float64) (*Result, error) {
 	o = o.withDefaults()
 	if len(fractions) == 0 {
@@ -127,8 +127,8 @@ func Byzantine(o Options, behavior adversary.Behavior, fractions []float64) (*Re
 			return behaviors[i%o.Nodes] == adversary.Honest
 		})
 		rejects := 0
-		for _, node := range c.Nodes() {
-			rejects += node.Metrics().CorruptRejects
+		for _, oc := range outcomes {
+			rejects += oc.CorruptRejects
 		}
 		s.Values = map[string]float64{"corrupt rejects": float64(rejects)}
 		res.add(s, s.Label,

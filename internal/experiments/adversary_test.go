@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"pandas/internal/adversary"
+	"pandas/internal/core"
 )
 
 // TestWithholdingMatchesMonteCarlo is the protocol-level golden test of
@@ -91,5 +93,43 @@ func TestByzantineSweepGarbageRejects(t *testing.T) {
 	}
 	if res.Sample("20%").Values["corrupt rejects"] == 0 {
 		t.Fatal("garbage point reports no corrupt rejects")
+	}
+}
+
+// TestByzantineRejectsCountEverySlot: the rejects column totals every
+// slot of the run, not only the last one (each slot resets the nodes'
+// views). The per-slot counts are read from the nodes' live views of a
+// twin cluster after each slot.
+func TestByzantineRejectsCountEverySlot(t *testing.T) {
+	o := TestOptions()
+	res, err := Byzantine(o, adversary.Garbage, []float64{0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := newCluster(o.withDefaults(), func(cc *core.ClusterConfig) {
+		cc.Adversary = &adversary.Config{GarbageFraction: 0.2}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, last := 0, 0
+	for s := 1; s <= o.Slots; s++ {
+		if _, err := c.RunSlot(uint64(s)); err != nil {
+			t.Fatal(err)
+		}
+		last = 0
+		for _, n := range c.Nodes() {
+			last += n.Metrics().CorruptRejects
+		}
+		want += last
+	}
+	if last == want {
+		t.Fatalf("only the last of %d slots saw rejects (%d): the test cannot tell the sum from it", o.Slots, want)
+	}
+	if got := res.Sample("20%").Values["corrupt rejects"]; got != float64(want) {
+		t.Fatalf("corrupt rejects = %.0f, want the per-slot sum %d (last slot alone: %d)", got, want, last)
+	}
+	if cell := res.Rows[0][4]; cell != fmt.Sprint(want) {
+		t.Fatalf("rejects column reads %s, want %d", cell, want)
 	}
 }

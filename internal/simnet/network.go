@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"pandas/internal/obsv"
 )
 
 // Common bandwidth figures (bits per second) from the paper's testbed.
@@ -80,12 +78,6 @@ type Network struct {
 	// were transmitted into a black hole). Used by fault injection to
 	// model partitions.
 	linkFilter func(from, to int) bool
-
-	// Registry metric handles (nil without SetMetrics): looked up once so
-	// the per-message cost is a nil check plus an atomic add.
-	mDelivered *obsv.Counter
-	mDropped   *obsv.Counter
-	mBytes     *obsv.Counter
 }
 
 type nodeState struct {
@@ -199,19 +191,6 @@ func (n *Network) SetLinkFilter(f func(from, to int) bool) {
 	n.linkFilter = f
 }
 
-// SetMetrics publishes the network's counters into an obsv registry:
-// simnet_delivered_total, simnet_dropped_total and simnet_bytes_total.
-// Pass nil to stop updating.
-func (n *Network) SetMetrics(reg *obsv.Registry) {
-	if reg == nil {
-		n.mDelivered, n.mDropped, n.mBytes = nil, nil, nil
-		return
-	}
-	n.mDelivered = reg.Counter("simnet_delivered_total")
-	n.mDropped = reg.Counter("simnet_dropped_total")
-	n.mBytes = reg.Counter("simnet_bytes_total")
-}
-
 // Send transmits size bytes of payload from one node to another. The
 // message occupies the sender's uplink (store-and-forward), propagates
 // with the model's delay, then occupies the receiver's downlink. It may
@@ -253,9 +232,6 @@ func (n *Network) send(from, to, size int, payload any, lossy bool) {
 	if n.linkFilter != nil && n.linkFilter(from, to) {
 		sender.stats.MsgsLost++
 		n.dropped++
-		if n.mDropped != nil {
-			n.mDropped.Inc()
-		}
 		return
 	}
 
@@ -264,9 +240,6 @@ func (n *Network) send(from, to, size int, payload any, lossy bool) {
 	if lossy && n.cfg.LossRate > 0 && n.engine.rng.Float64() < n.cfg.LossRate {
 		sender.stats.MsgsLost++
 		n.dropped++
-		if n.mDropped != nil {
-			n.mDropped.Inc()
-		}
 		return
 	}
 
@@ -284,10 +257,6 @@ func (n *Network) send(from, to, size int, payload any, lossy bool) {
 		n.engine.At(rxStart+rxTime, func() {
 			recv.stats.MsgsRecv++
 			recv.stats.BytesRecv += int64(size)
-			if n.mDelivered != nil {
-				n.mDelivered.Inc()
-				n.mBytes.Add(int64(size))
-			}
 			if recv.dead || recv.handler == nil {
 				return
 			}

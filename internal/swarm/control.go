@@ -8,6 +8,8 @@ import (
 	"io"
 	"net"
 	"time"
+
+	"pandas/internal/core"
 )
 
 // The control channel is one loopback TCP connection per worker process,
@@ -53,25 +55,21 @@ type start struct {
 	Slot uint64
 }
 
-// report is one worker's outcome for one slot. Times are measured from
-// the worker's own slot start and are meaningful only beside their flag.
+// report is one worker's outcome for one slot: a node's record (times
+// from the worker's own slot start) or the builder's seeding counts.
 type report struct {
-	Slot uint64
-
-	HasSeed, Consolidated, Sampled         bool
-	FirstSeedAt, ConsolidatedAt, SampledAt time.Duration
-
-	SeedCells  int // builder: cell copies seeded
-	FetchMsgs  int
-	FetchBytes int64 // builder: bytes seeded
+	Slot    uint64
+	Node    *core.NodeOutcome   `json:",omitempty"`
+	Seeding *core.SeedingReport `json:",omitempty"`
 }
 
 const (
 	// heartbeatEvery is the worker's hello period.
 	heartbeatEvery = 500 * time.Millisecond
-	// maxFrameBytes bounds one line. The largest frame is a config, about
-	// 18 bytes per peer (1.3 KB at 64 nodes); the bound is what a
-	// misbehaving peer can make a reader hold.
+	// maxFrameBytes bounds one line. The largest frames are a node report,
+	// about 170 bytes per round for up to fetch.DefaultMaxRounds (50)
+	// rounds, and a config, about 18 bytes per peer (1.3 KB at 64 nodes);
+	// the bound is what a misbehaving peer can make a reader hold.
 	maxFrameBytes = 1 << 20
 	// writeTimeout bounds one frame write, so a peer that stopped reading
 	// cannot stall the writer's event loop.

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pandas/internal/core"
 )
 
 // loopbackConns returns the supervisor's end of a new control connection,
@@ -36,16 +38,24 @@ func loopbackConns(t *testing.T) (sup, worker *ctrlConn) {
 // expects the same frame, and only that frame, on the other side, in
 // order.
 func TestFrameRoundTrip(t *testing.T) {
+	node := core.NodeOutcome{Seed: 120 * time.Millisecond, Consolidation: 900 * time.Millisecond,
+		Sampling: 1400 * time.Millisecond, BlockRecv: -1, ConsFromSeed: 780 * time.Millisecond,
+		JoinedAt: -1, LeftAt: -1, FetchMsgs: 31, FetchBytes: 18_000, CorruptRejects: 3,
+		Rounds: []core.RoundStat{
+			{MsgsSent: 4, CellsRequested: 12, RepliesInRound: 3, CellsInRound: 9, Duplicates: 1, CoverageAfter: 2.0 / 3},
+			{MsgsSent: 1, CellsRequested: 3, RepliesAfterRound: 1, CellsAfterRound: 3, Reconstructed: 2, CoverageAfter: 1},
+		}}
+	silent := core.NewNodeOutcome()
 	frames := []frame{
 		{Hello: &hello{Index: 5, Ready: true, DataAddr: "127.0.0.1:40001"}},
 		{Config: &config{Nodes: 64, Seed: -42,
 			Geometry: Geometry{K: 16, Custody: 2, Samples: 73, Redundancy: 6},
 			Peers:    []string{"127.0.0.1:40010", "", "127.0.0.1:40011"}}},
 		{Start: &start{Slot: 1<<63 + 2}},
-		{Report: &report{Slot: 2, HasSeed: true, Consolidated: true, Sampled: true,
-			FirstSeedAt: 120 * time.Millisecond, ConsolidatedAt: 900 * time.Millisecond, SampledAt: 1400 * time.Millisecond,
-			SeedCells: 64, FetchMsgs: 31, FetchBytes: 18_000}},
-		{Report: &report{Slot: 3}}, // a node that saw nothing
+		{Report: &report{Slot: 2, Node: &node}},
+		{Report: &report{Slot: 2, Seeding: &core.SeedingReport{Policy: core.PolicyRedundant,
+			Messages: 40, Cells: 64, Bytes: 36_000, NodesSeeded: 8}}},
+		{Report: &report{Slot: 3, Node: &silent}}, // a node that saw nothing
 	}
 	rx, tx := loopbackConns(t)
 	go func() {

@@ -26,6 +26,10 @@ type HostOptions struct {
 	// Outcome receives exactly one Outcome per slot the host ran, on the
 	// event loop; it must not block.
 	Outcome func(Outcome)
+	// Metrics, when set, counts every Outcome the host delivers: the
+	// registry a process exports (pandas-node -metrics, a swarm worker's
+	// drain dump).
+	Metrics *obsv.Registry
 }
 
 // Outcome is what a Host reports for one slot.
@@ -34,10 +38,10 @@ type Outcome struct {
 	// Done is false when the host gave up at Deadline + 2 s or a newer
 	// slot superseded this one before it completed.
 	Done bool
-	// Metrics is a node's view of the slot with its phase times relative
-	// to the slot start on the host's own clock (zero on the builder).
-	// Rounds aliases the node's live view: copy it to keep it.
-	Metrics core.NodeMetrics
+	// Node is the node's Node.Outcome, its times relative to the slot
+	// start on the host's own clock (zero on the builder). Rounds aliases
+	// the node's live view: copy it to keep it.
+	Node core.NodeOutcome
 	// Seeding is the builder's report (zero on nodes).
 	Seeding core.SeedingReport
 }
@@ -145,18 +149,13 @@ func (h *Host) finish(done bool) {
 		return
 	}
 	h.reported = true
-	m := h.Node.Metrics()
-	m.FirstSeedAt -= h.start
-	m.SeedAt -= h.start
-	m.ConsolidatedAt -= h.start
-	m.SampledAt -= h.start
-	h.deliver(Outcome{Slot: h.slot, Done: done, Metrics: m})
+	h.deliver(Outcome{Slot: h.slot, Done: done, Node: h.Node.Outcome(h.start)})
 }
 
-// deliver counts the outcome in the registry (when the config carries
-// one) and hands it to the caller.
+// deliver counts the outcome in HostOptions.Metrics (when set) and hands
+// it to the caller.
 func (h *Host) deliver(o Outcome) {
-	if reg := h.o.Config.Metrics; reg != nil {
+	if reg := h.o.Metrics; reg != nil {
 		switch {
 		case h.Builder != nil:
 			reg.Gauge("builder_slot").Set(int64(o.Slot))
@@ -166,9 +165,12 @@ func (h *Host) deliver(o Outcome) {
 		case o.Done:
 			reg.Counter("node_slots_completed_total").Inc()
 			reg.Histogram("node_sampling_seconds", obsv.DefaultLatencyBounds).
-				Observe(o.Metrics.SampledAt.Seconds())
+				Observe(o.Node.Sampling.Seconds())
 		default:
 			reg.Counter("node_slots_incomplete_total").Inc()
+		}
+		if h.Node != nil {
+			reg.Counter("fetch_corrupt_rejects_total").Add(int64(o.Node.CorruptRejects))
 		}
 	}
 	if h.o.Outcome != nil {

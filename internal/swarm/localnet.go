@@ -85,9 +85,7 @@ func (ln *Localnet) RunSlot(slot uint64, timeout time.Duration) ([]time.Duration
 				continue
 			}
 			left--
-			if o.Metrics.Sampled {
-				times[o.node] = o.Metrics.SampledAt
-			}
+			times[o.node] = o.Node.Sampling
 		case <-expired:
 			return times, nil
 		}

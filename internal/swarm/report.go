@@ -13,13 +13,12 @@ import (
 // Outcomes[i] is node i exactly as core.Cluster would report it, so
 // swarm numbers drop into the same EXPERIMENTS.md tables.
 type SlotResult struct {
-	Slot         uint64
-	Outcomes     []core.NodeOutcome
-	Reports      int // nodes that reported (dead workers leave gaps)
-	BuilderCells int
-	BuilderBytes int64
-	Restarts     int // worker restarts during this slot
-	Rejoined     int // restarted workers that re-acked the Start mid-slot
+	Slot     uint64
+	Outcomes []core.NodeOutcome
+	Reports  int                // nodes that reported (dead workers leave gaps)
+	Seeding  core.SeedingReport // the builder's report (zero if none arrived)
+	Restarts int                // worker restarts during this slot
+	Rejoined int                // restarted workers that re-acked the Start mid-slot
 }
 
 // Sampling is the distribution of sampling times over the slot's

@@ -451,7 +451,8 @@ func (s *Supervisor) handleReport(w *workerState, m *report) {
 	}
 	// Keep the better report: a restarted worker may first time out
 	// incomplete, then its successor completes the slot after rejoining.
-	if w.report == nil || (!w.report.Sampled && m.Sampled) {
+	sampled := func(r *report) bool { return r.Node != nil && r.Node.Sampling >= 0 }
+	if w.report == nil || (!sampled(w.report) && sampled(m)) {
 		w.report = m
 	}
 }
@@ -582,44 +583,29 @@ func (s *Supervisor) injectKills() {
 	}
 }
 
-// finalizeSlot folds the harvested reports into the simnet's outcome
-// schema, so swarm results line up with EXPERIMENTS.md tables.
+// finalizeSlot collects the harvested node records as the simnet's
+// outcomes, so swarm results line up with EXPERIMENTS.md tables. A record
+// is the worker's Node.Outcome as it reported it; the supervisor adds only
+// what it saw itself: deaths, departures and rejoins.
 func (s *Supervisor) finalizeSlot(slot uint64) SlotResult {
 	sr := SlotResult{Slot: slot, Restarts: s.slotRestarts}
 	sr.Outcomes = make([]core.NodeOutcome, s.o.N)
 	for i, w := range s.workers[:s.o.N] {
 		oc := core.NewNodeOutcome()
-		if r := w.report; r != nil {
+		if r := w.report; r != nil && r.Node != nil {
 			sr.Reports++
-			if r.HasSeed {
-				oc.Seed = r.FirstSeedAt
-			}
-			if r.Consolidated {
-				oc.Consolidation = r.ConsolidatedAt
-				if r.HasSeed {
-					oc.ConsFromSeed = oc.Consolidation - oc.Seed
-				}
-			}
-			if r.Sampled {
-				oc.Sampling = r.SampledAt
-			}
-			oc.FetchMsgs = r.FetchMsgs
-			oc.FetchBytes = r.FetchBytes
+			oc = *r.Node
 		} else if w.gone {
 			oc.Dead = true
 		}
+		oc.JoinedAt, oc.LeftAt = w.rejoinedAt, w.leftAt // -1 when none
 		if w.rejoinedAt >= 0 {
-			oc.JoinedAt = w.rejoinedAt
 			sr.Rejoined++
-		}
-		if w.leftAt >= 0 {
-			oc.LeftAt = w.leftAt
 		}
 		sr.Outcomes[i] = oc
 	}
-	if r := s.workers[s.o.N].report; r != nil {
-		sr.BuilderCells = r.SeedCells
-		sr.BuilderBytes = r.FetchBytes
+	if r := s.workers[s.o.N].report; r != nil && r.Seeding != nil {
+		sr.Seeding = *r.Seeding
 	}
 	fmt.Fprintf(s.log, "swarm: slot %d harvested %d/%d reports (%d restarts, %d rejoined)\n",
 		slot, sr.Reports, s.o.N, sr.Restarts, sr.Rejoined)

@@ -6,9 +6,12 @@ import (
 	"io"
 	"net"
 	"os"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
+
+	"pandas/internal/core"
 )
 
 // The supervisor's rules for frames, checked by handing events to the
@@ -57,8 +60,10 @@ func TestSupervisorFrameRules(t *testing.T) {
 		s.handle(event{kind: evFrame, conn: c, frame: frame{Hello: &hello{Index: index, DataAddr: dataAddr}}})
 	}
 	gotHello := func(c *ctrlConn, index int) { gotHelloFrom(c, index, addr(index)) }
-	gotReport := func(c *ctrlConn, r report) {
-		s.handle(event{kind: evFrame, conn: c, frame: frame{Report: &r}})
+	gotReport := func(c *ctrlConn, slot uint64, sampling time.Duration, fetchMsgs int) {
+		o := core.NewNodeOutcome()
+		o.Sampling, o.FetchMsgs = sampling, fetchMsgs
+		s.handle(event{kind: evFrame, conn: c, frame: frame{Report: &report{Slot: slot, Node: &o}}})
 	}
 	expectTable := func(c *ctrlConn, want ...string) {
 		t.Helper()
@@ -97,7 +102,7 @@ func TestSupervisorFrameRules(t *testing.T) {
 	// A report means nothing before a hello, and a dropped connection's
 	// later frames are ignored.
 	supEarly, wEarly := loopbackConns(t)
-	gotReport(supEarly, report{Slot: 7, Sampled: true})
+	gotReport(supEarly, 7, time.Second, 0)
 	expectClosed(t, wEarly)
 	gotHello(supEarly, 2)
 	if s.workers[2].conn != nil {
@@ -166,14 +171,63 @@ func TestSupervisorFrameRules(t *testing.T) {
 
 	// Reports: only the running slot's, and an incomplete one never
 	// replaces a complete one.
-	gotReport(supNew, report{Slot: 6, Sampled: true})
+	gotReport(supNew, 6, time.Second, 0)
 	if s.workers[1].report != nil {
 		t.Fatal("kept a report for a slot already harvested")
 	}
-	gotReport(supNew, report{Slot: 7})
-	gotReport(supNew, report{Slot: 7, Sampled: true, FetchMsgs: 9})
-	gotReport(supNew, report{Slot: 7})
-	if r := s.workers[1].report; r == nil || !r.Sampled || r.FetchMsgs != 9 {
+	gotReport(supNew, 7, -1, 0)
+	gotReport(supNew, 7, time.Second, 9)
+	gotReport(supNew, 7, -1, 0)
+	if r := s.workers[1].report; r == nil || r.Node.Sampling != time.Second || r.Node.FetchMsgs != 9 {
 		t.Fatalf("kept report %+v", r)
+	}
+}
+
+// TestHarvestKeepsTheNodeRecord: a node's report crosses the control
+// connection and the harvest whole — its rounds (Table 1) and rejects
+// included — and the supervisor adds only what it saw: a rejoin, a death,
+// the builder's seeding.
+func TestHarvestKeepsTheNodeRecord(t *testing.T) {
+	s := &Supervisor{
+		o:       Options{N: 2, Seed: 3, Geometry: testGeometry()}.withDefaults(),
+		log:     io.Discard,
+		workers: make([]*workerState, 3),
+		slot:    4,
+	}
+	for i := range s.workers {
+		s.workers[i] = &workerState{index: i, alive: true, leftAt: -1, rejoinedAt: -1}
+	}
+	rx, tx := loopbackConns(t)
+	harvest := func(w int, r *report) {
+		t.Helper()
+		if err := tx.send(frame{Report: r}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := rx.recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.handleReport(s.workers[w], f.Report)
+	}
+	node := core.NewNodeOutcome()
+	node.Seed, node.Consolidation, node.Sampling, node.ConsFromSeed = 100*time.Millisecond, 700*time.Millisecond, 900*time.Millisecond, 600*time.Millisecond
+	node.FetchMsgs, node.FetchBytes, node.CorruptRejects = 12, 4_000, 7
+	node.Rounds = []core.RoundStat{{MsgsSent: 6, CellsRequested: 20, RepliesInRound: 5, CellsInRound: 18, CoverageAfter: 0.9}}
+	harvest(0, &report{Slot: 4, Node: &node})
+	harvest(2, &report{Slot: 4, Seeding: &core.SeedingReport{Messages: 40, Cells: 64, Bytes: 36_000}})
+	s.workers[0].rejoinedAt = 300 * time.Millisecond
+	s.workers[1].gone = true
+
+	sr := s.finalizeSlot(4)
+	want := node
+	want.JoinedAt = 300 * time.Millisecond
+	if got := sr.Outcomes[0]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("harvested %+v, want %+v", got, want)
+	}
+	if got := sr.Outcomes[1]; !got.Dead || got.Sampling >= 0 {
+		t.Fatalf("a gone worker was harvested as %+v", got)
+	}
+	if sr.Reports != 1 || sr.Rejoined != 1 || sr.Seeding.Cells != 64 || sr.Seeding.Bytes != 36_000 {
+		t.Fatalf("slot result %+v", sr)
 	}
 }

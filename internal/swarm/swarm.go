@@ -18,7 +18,7 @@
 //     by the adversary package's deterministic sortition, applied at
 //     process granularity);
 //   - per-slot outcome harvest over the same control connections,
-//     merged into the simnet's core.NodeOutcome schema so swarm and
+//     reported as the simnet's core.NodeOutcome so swarm and
 //     simulation results land in one table. The reports are the whole
 //     harvest: a worker's own metrics registry goes to its log at drain.
 //

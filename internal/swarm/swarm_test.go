@@ -104,7 +104,7 @@ func TestSwarmEndToEnd(t *testing.T) {
 		if sr.Reports < res.N {
 			t.Errorf("slot %d: only %d/%d nodes reported", sr.Slot, sr.Reports, res.N)
 		}
-		if sr.BuilderCells == 0 {
+		if sr.Seeding.Cells == 0 {
 			t.Errorf("slot %d: builder reported no seeded cells", sr.Slot)
 		}
 		completed := 0

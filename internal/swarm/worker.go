@@ -144,13 +144,12 @@ func (w *worker) init(m *config) error {
 	if err != nil {
 		return fmt.Errorf("swarm: worker %d: bad geometry: %w", w.o.Index, err)
 	}
-	cfg.Metrics = w.reg
 
 	if len(m.Peers) != nNodes+1 {
 		return fmt.Errorf("swarm: worker %d: config lists %d peers for %d nodes + builder", w.o.Index, len(m.Peers), nNodes)
 	}
 	w.host, err = NewHost(HostOptions{Config: cfg, Seed: m.Seed, Nodes: nNodes, Index: w.o.Index,
-		Endpoint: w.ep, Outcome: w.report})
+		Endpoint: w.ep, Outcome: w.report, Metrics: w.reg})
 	if err != nil {
 		return err
 	}
@@ -191,25 +190,15 @@ func (w *worker) heartbeat() {
 // report is the host's outcome sink: it runs on the event loop, like
 // every write to the control connection after registration.
 func (w *worker) report(o Outcome) {
-	m := o.Metrics
-	r := &report{
-		Slot:           o.Slot,
-		HasSeed:        m.HasSeed,
-		Consolidated:   m.Consolidated,
-		Sampled:        m.Sampled,
-		FirstSeedAt:    m.FirstSeedAt,
-		ConsolidatedAt: m.ConsolidatedAt,
-		SampledAt:      m.SampledAt,
-		FetchMsgs:      m.FetchMsgsSent + m.FetchMsgsRecv,
-		FetchBytes:     m.FetchBytesSent + m.FetchBytesRecv,
-	}
-	if s := o.Seeding; w.host.Builder != nil {
-		r.SeedCells, r.FetchMsgs, r.FetchBytes = s.Cells, s.Messages, s.Bytes
+	r := &report{Slot: o.Slot}
+	if w.host.Builder != nil {
+		r.Seeding = &o.Seeding
 		fmt.Fprintf(w.log, "worker %d: slot %d seeded %d cells in %d msgs\n",
-			w.o.Index, o.Slot, s.Cells, s.Messages)
+			w.o.Index, o.Slot, o.Seeding.Cells, o.Seeding.Messages)
 	} else {
+		r.Node = &o.Node
 		fmt.Fprintf(w.log, "worker %d: slot %d seed=%v cons=%v sampled=%v\n",
-			w.o.Index, o.Slot, m.HasSeed, m.Consolidated, m.Sampled)
+			w.o.Index, o.Slot, o.Node.Seed >= 0, o.Node.Consolidation >= 0, o.Node.Sampling >= 0)
 	}
 	_ = w.ctrl.send(frame{Report: r})
 }

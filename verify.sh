@@ -49,6 +49,15 @@ if go list -deps ./internal/membership | grep -qxE 'pandas/internal/(adversary|c
 	exit 1
 fi
 
+# The simulator counts traffic in simnet.NodeStats; it keeps no metrics
+# registry. A registry lives only where a process exports it
+# (swarm.HostOptions.Metrics).
+echo "== layering: internal/simnet does not depend on internal/obsv"
+if go list -deps ./internal/simnet | grep -qx 'pandas/internal/obsv'; then
+	echo "layering: internal/simnet imports internal/obsv" >&2
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
