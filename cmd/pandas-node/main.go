@@ -28,7 +28,6 @@ import (
 	"syscall"
 	"time"
 
-	"pandas/internal/obsv"
 	"pandas/internal/swarm"
 )
 
@@ -87,11 +86,11 @@ func run(args []string) error {
 		return err
 	}
 
-	var reg *obsv.Registry
+	var tot *totals
 	if *metrics != "" {
-		reg = obsv.NewRegistry()
+		tot = &totals{builder: *builder}
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg)
+		mux.Handle("/metrics", tot)
 		go func() {
 			if err := http.ListenAndServe(*metrics, mux); err != nil {
 				fmt.Fprintln(os.Stderr, "pandas-node: metrics server:", err)
@@ -105,7 +104,10 @@ func run(args []string) error {
 	// a swarm node with the same seed agree on who is who. A node follows
 	// the builder from slot to slot; each slot yields one report line.
 	h, err := swarm.NewHost(swarm.HostOptions{Config: cfg, Seed: *seed, Nodes: nNodes, Index: *index,
-		Bind: addrs[*index], Metrics: reg, Outcome: func(o swarm.Outcome) {
+		Bind: addrs[*index], Outcome: func(o swarm.Outcome) {
+			if tot != nil {
+				tot.add(o)
+			}
 			if *builder {
 				fmt.Printf("slot %d: seeded %d cells in %d messages (%d KB) to %d nodes\n", o.Slot,
 					o.Seeding.Cells, o.Seeding.Messages, o.Seeding.Bytes/1024, o.Seeding.NodesSeeded)
@@ -125,17 +127,20 @@ func run(args []string) error {
 	fmt.Printf("pandas-node %d listening on %s (%d peers)\n", *index, ep.Addr(), len(addrs))
 
 	// Graceful drain: on SIGINT/SIGTERM stop cleanly — close the
-	// transport (deferred above), flush a final metrics snapshot, and
-	// exit 0 — so fleet supervisors can recycle processes without
-	// losing observability.
+	// transport (deferred above), write the final totals, and exit 0 — so
+	// fleet supervisors can recycle processes without losing
+	// observability. A builder that ran all its slots writes them too.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	defer signal.Stop(sigc)
+	flush := func() {
+		if tot != nil {
+			fmt.Fprint(os.Stderr, tot.text())
+		}
+	}
 	drain := func(sig os.Signal) {
 		fmt.Printf("pandas-node %d: draining on %v\n", *index, sig)
-		if reg != nil {
-			_ = reg.Snapshot().WritePrometheus(os.Stderr)
-		}
+		flush()
 	}
 
 	if *builder {
@@ -152,6 +157,7 @@ func run(args []string) error {
 				return nil
 			}
 		}
+		flush()
 		return nil
 	}
 

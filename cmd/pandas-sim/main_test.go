@@ -92,7 +92,7 @@ func TestCSVExport(t *testing.T) {
 func TestListIsRegistryGenerated(t *testing.T) {
 	// run prints to stdout; assert on the library output it uses.
 	out := listOutput()
-	for _, name := range []string{"fig9", "byzantine", "scale", "swarm"} {
+	for _, name := range []string{"fig9", "byzantine", "scale", "churn"} {
 		if !strings.Contains(out, name) {
 			t.Fatalf("-list output missing %q:\n%s", name, out)
 		}

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"pandas/internal/swarm"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/render/*.golden from the current output")
@@ -59,8 +57,7 @@ func TestRenderGolden(t *testing.T) {
 }
 
 // titleAndColumns reduces a rendered table to what stays fixed when the
-// cells hold wall-clock or real-socket measurements: the title line and
-// the column names.
+// cells hold wall-clock measurements: the title line and the column names.
 func titleAndColumns(rendered string) string {
 	lines := strings.SplitN(rendered, "\n", 3)
 	if len(lines) < 2 {
@@ -69,8 +66,8 @@ func titleAndColumns(rendered string) string {
 	return lines[0] + "\n" + strings.Join(strings.Fields(lines[1]), " ") + "\n"
 }
 
-// TestRenderGoldenShape covers the two experiments whose cells are
-// measured, not simulated.
+// TestRenderGoldenShape covers the experiment whose cells are measured
+// on the wall clock, not simulated.
 func TestRenderGoldenShape(t *testing.T) {
 	o := TestOptions()
 	o.Slots = 1
@@ -79,8 +76,4 @@ func TestRenderGoldenShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "scale", titleAndColumns(sc.Render()))
-
-	sw := &swarm.Result{N: 4, Slots: 1, Seed: 7, Geometry: swarm.DefaultGeometry(),
-		SlotResults: []swarm.SlotResult{{Slot: 1}}}
-	checkGolden(t, "swarm", titleAndColumns(swarmResult(sw).Render()))
 }

@@ -278,15 +278,6 @@ func init() {
 	register(Experiment{Name: "scale", Desc: "simulator capacity: bytes/node, event throughput, deadline rate vs N",
 		Flags: func(b *FlagBinder) { b.Sizes() },
 		Run:   func(o Options, p *Params) (*Result, error) { return Scale(o, p.Sizes) }})
-	register(Experiment{Name: "swarm", Desc: "multi-process deployment: real UDP, supervisor-fed peer table, crash-restart (one process per node)",
-		Flags: func(b *FlagBinder) { b.Fractions() },
-		Run: func(o Options, p *Params) (*Result, error) {
-			kill := 0.0
-			if len(p.Fractions) > 0 {
-				kill = p.Fractions[0]
-			}
-			return Swarm(o, kill)
-		}})
 	register(Experiment{Name: "all", Desc: "the evaluation suite: every table and figure of Section 8 in one report (the source of EXPERIMENTS.md)",
 		Flags: func(b *FlagBinder) { b.Sizes() },
 		Run:   runAll})

@@ -10,7 +10,7 @@ import (
 func TestRegistryCoversAllExperiments(t *testing.T) {
 	want := []string{"fig9", "fig10", "table1", "fig11", "fig12", "fig13", "fig14",
 		"fig15a", "fig15b", "churn", "ablation", "validate", "confidence",
-		"withholding", "byzantine", "scale", "swarm", "all"}
+		"withholding", "byzantine", "scale", "all"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d: %v", len(got), len(want), got)

@@ -28,9 +28,6 @@ type Refresher struct {
 	// active gates crawling (an offline node cannot crawl); nil means
 	// always active.
 	active func() bool
-	// onFound, when set, observes every completed crawl's entries (the
-	// cluster uses it to feed routing-table bookkeeping).
-	onFound func([]dht.Entry)
 	// Tracing (nil rec disables it).
 	rec  obsv.Recorder
 	node int32
@@ -52,9 +49,6 @@ func NewRefresher(peer *dht.Peer, view *LiveView, clock Clock, interval time.Dur
 		active:   active,
 	}
 }
-
-// SetOnFound installs a crawl-result observer.
-func (r *Refresher) SetOnFound(fn func([]dht.Entry)) { r.onFound = fn }
 
 // SetRecorder installs event tracing for completed crawls: node is the
 // owning node's index, stamped into every event. Pass nil to disable.
@@ -104,9 +98,6 @@ func (r *Refresher) RefreshNow() {
 			r.rec.Record(obsv.Event{At: r.clock.Now(), Slot: r.slot,
 				Kind: obsv.KindViewRefresh, Node: r.node, Peer: -1,
 				Count: int32(len(found)), Aux: int64(crawlNum)})
-		}
-		if r.onFound != nil {
-			r.onFound(found)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 
 	"pandas/internal/dht"
 	"pandas/internal/ids"
+	"pandas/internal/obsv"
 	"pandas/internal/simnet"
 )
 
@@ -72,9 +73,9 @@ func TestRefreshConvergesOn100NodeTable(t *testing.T) {
 func TestRefreshNowMergesAndNotifies(t *testing.T) {
 	net, peers := dhtNet(t, 40)
 	view := NewLiveView()
-	var observed int
 	r := NewRefresher(peers[3], view, net, -1, 5, nil)
-	r.SetOnFound(func(found []dht.Entry) { observed = len(found) })
+	var traced []obsv.Event
+	r.SetRecorder(obsv.RecorderFunc(func(e obsv.Event) { traced = append(traced, e) }), 3)
 	r.Start(0) // negative interval: periodic loop disabled
 	net.Run(5 * time.Second)
 	if r.Crawls() != 0 {
@@ -82,8 +83,12 @@ func TestRefreshNowMergesAndNotifies(t *testing.T) {
 	}
 	r.RefreshNow()
 	net.Run(30 * time.Second)
-	if observed == 0 || view.Len() == 0 {
-		t.Fatalf("RefreshNow discovered nothing (observed=%d view=%d)", observed, view.Len())
+	if view.Len() == 0 {
+		t.Fatal("RefreshNow discovered nothing")
+	}
+	if len(traced) != 1 || traced[0].Kind != obsv.KindViewRefresh || traced[0].Node != 3 ||
+		traced[0].Count == 0 || traced[0].Aux != 1 {
+		t.Fatalf("the crawl traced %+v, want one view-refresh event of node 3's first crawl", traced)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package obsv is the protocol-wide observability layer: a typed,
-// slot-scoped event trace, a counters/gauges/histograms registry with
-// snapshot semantics, and exporters (JSONL traces, Prometheus text
-// exposition, per-slot timeline reconstruction).
+// slot-scoped event trace, each node's per-slot view of it, exporters
+// (JSONL traces, per-slot timeline reconstruction) and the exact summary
+// statistics the evaluation prints.
 //
 // The paper's whole evaluation (Section 8) is built from per-node timing
 // observations — when the seed arrived, how each fetch round progressed,

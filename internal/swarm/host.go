@@ -6,7 +6,6 @@ import (
 
 	"pandas/internal/core"
 	"pandas/internal/ids"
-	"pandas/internal/obsv"
 	"pandas/internal/transport"
 	"pandas/internal/wire"
 )
@@ -26,10 +25,6 @@ type HostOptions struct {
 	// Outcome receives exactly one Outcome per slot the host ran, on the
 	// event loop; it must not block.
 	Outcome func(Outcome)
-	// Metrics, when set, counts every Outcome the host delivers: the
-	// registry a process exports (pandas-node -metrics, a swarm worker's
-	// drain dump).
-	Metrics *obsv.Registry
 }
 
 // Outcome is what a Host reports for one slot.
@@ -152,27 +147,8 @@ func (h *Host) finish(done bool) {
 	h.deliver(Outcome{Slot: h.slot, Done: done, Node: h.Node.Outcome(h.start)})
 }
 
-// deliver counts the outcome in HostOptions.Metrics (when set) and hands
-// it to the caller.
+// deliver hands the outcome to the caller.
 func (h *Host) deliver(o Outcome) {
-	if reg := h.o.Metrics; reg != nil {
-		switch {
-		case h.Builder != nil:
-			reg.Gauge("builder_slot").Set(int64(o.Slot))
-			reg.Counter("builder_seed_cells_total").Add(int64(o.Seeding.Cells))
-			reg.Counter("builder_seed_messages_total").Add(int64(o.Seeding.Messages))
-			reg.Counter("builder_seed_bytes_total").Add(o.Seeding.Bytes)
-		case o.Done:
-			reg.Counter("node_slots_completed_total").Inc()
-			reg.Histogram("node_sampling_seconds", obsv.DefaultLatencyBounds).
-				Observe(o.Node.Sampling.Seconds())
-		default:
-			reg.Counter("node_slots_incomplete_total").Inc()
-		}
-		if h.Node != nil {
-			reg.Counter("fetch_corrupt_rejects_total").Add(int64(o.Node.CorruptRejects))
-		}
-	}
 	if h.o.Outcome != nil {
 		h.o.Outcome(o)
 	}

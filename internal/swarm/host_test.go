@@ -9,7 +9,6 @@ import (
 
 	"pandas/internal/blob"
 	"pandas/internal/core"
-	"pandas/internal/obsv"
 	"pandas/internal/wire"
 )
 
@@ -173,60 +172,5 @@ func TestHostIsTheSimulatedDeployment(t *testing.T) {
 		if want := c.Nodes()[i].Samples(); !slices.Equal(got, want) {
 			t.Fatalf("node %d: host samples %v, cluster %v", i, got, want)
 		}
-	}
-}
-
-// TestHostMetricsCountOutcomes: HostOptions.Metrics receives every outcome
-// the host delivers — a node's completed and incomplete slots and its
-// proof-verification rejects, the builder's seeding counts.
-func TestHostMetricsCountOutcomes(t *testing.T) {
-	cfg, err := testGeometry().CoreConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const nodes = 4
-	newHost := func(index int) (*Host, *obsv.Registry) {
-		reg := obsv.NewRegistry()
-		h, err := NewHost(HostOptions{Config: cfg, Seed: 1, Nodes: nodes, Index: index,
-			Bind: "127.0.0.1:0", Metrics: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { h.Endpoint.Close() })
-		return h, reg
-	}
-
-	node, reg := newHost(0)
-	done, late := core.NewNodeOutcome(), core.NewNodeOutcome()
-	done.Sampling, done.CorruptRejects = 800*time.Millisecond, 3
-	late.CorruptRejects = 2
-	node.deliver(Outcome{Slot: 1, Done: true, Node: done})
-	node.deliver(Outcome{Slot: 2, Node: late})
-	snap := reg.Snapshot()
-	for name, want := range map[string]int64{
-		"node_slots_completed_total":  1,
-		"node_slots_incomplete_total": 1,
-		"fetch_corrupt_rejects_total": 5,
-	} {
-		if got := snap.Counters[name]; got != want {
-			t.Errorf("node: %s = %d, want %d", name, got, want)
-		}
-	}
-
-	builder, reg := newHost(nodes)
-	builder.deliver(Outcome{Slot: 1, Done: true,
-		Seeding: core.SeedingReport{Messages: 40, Cells: 64, Bytes: 36_000}})
-	snap = reg.Snapshot()
-	for name, want := range map[string]int64{
-		"builder_seed_cells_total":    64,
-		"builder_seed_messages_total": 40,
-		"builder_seed_bytes_total":    36_000,
-	} {
-		if got := snap.Counters[name]; got != want {
-			t.Errorf("builder: %s = %d, want %d", name, got, want)
-		}
-	}
-	if _, ok := snap.Counters["fetch_corrupt_rejects_total"]; ok {
-		t.Error("builder: counts fetch rejects it cannot have")
 	}
 }

@@ -20,7 +20,7 @@
 //   - per-slot outcome harvest over the same control connections,
 //     reported as the simnet's core.NodeOutcome so swarm and
 //     simulation results land in one table. The reports are the whole
-//     harvest: a worker's own metrics registry goes to its log at drain.
+//     harvest: a worker keeps no counters of its own.
 //
 // The peer table has one writer, the supervisor: it learns each worker's
 // data address from that worker's registration and hands the whole

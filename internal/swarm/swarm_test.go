@@ -220,6 +220,22 @@ func TestDeriveIdentitiesMatchAcrossCalls(t *testing.T) {
 	}
 }
 
+// TestRenderTitleAndColumns pins what stays fixed in the table
+// pandas-swarm prints, whose cells are real-socket measurements: the title
+// line and the column names.
+func TestRenderTitleAndColumns(t *testing.T) {
+	r := &Result{N: 4, Slots: 1, Seed: 7, Geometry: DefaultGeometry(),
+		SlotResults: []SlotResult{{Slot: 1}}}
+	lines := strings.SplitN(r.Render(), "\n", 3)
+	if want := "swarm: 4 nodes + builder, 1 slots, seed 7"; lines[0] != want {
+		t.Errorf("title %q, want %q", lines[0], want)
+	}
+	if got, want := strings.Join(strings.Fields(lines[1]), " "),
+		"slot reports deadline p50-sample p99-sample fetchmsgs restarts rejoined"; got != want {
+		t.Errorf("columns %q, want %q", got, want)
+	}
+}
+
 func TestRenderEmptyAndPercentile(t *testing.T) {
 	r := &Result{N: 4, Slots: 1, Geometry: DefaultGeometry()}
 	r.SlotResults = []SlotResult{{Slot: 1}}

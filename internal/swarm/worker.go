@@ -11,7 +11,6 @@ import (
 	"syscall"
 	"time"
 
-	"pandas/internal/obsv"
 	"pandas/internal/transport"
 )
 
@@ -30,7 +29,6 @@ type worker struct {
 	ctrl     *ctrlConn // written from the event loop only once it runs
 	ep       *transport.UDP
 	host     *Host
-	reg      *obsv.Registry // the host's counters, dumped to the log at drain
 
 	// Set on the event loop, where every hello after the first is built.
 	peers []string // the table installed in ep
@@ -43,8 +41,7 @@ type worker struct {
 // supervisor sends, reports ready once the table is full, and executes
 // start frames until told to drain: by SIGTERM/SIGINT, or by its control
 // connection ending, which is how a worker learns that its supervisor is
-// gone. Either way it flushes a metrics snapshot to the log and returns
-// nil.
+// gone. Either way it returns nil.
 func RunWorker(o WorkerOptions) error {
 	w := &worker{o: o, log: o.Log}
 	if w.log == nil {
@@ -70,9 +67,6 @@ func RunWorker(o WorkerOptions) error {
 	}
 	defer conn.Close()
 	w.ctrl = newCtrlConn(conn)
-
-	w.reg = obsv.NewRegistry()
-	w.reg.Counter("worker_restarts_total").Add(int64(w.restarts))
 
 	// Register: the hello carries our socket address, the config reply
 	// carries geometry, deployment shape, and the peer table.
@@ -100,15 +94,14 @@ func RunWorker(o WorkerOptions) error {
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	defer signal.Stop(sigc)
 
-	// Graceful drain: flush a final metrics snapshot to the log and return
-	// cleanly; the deferred closes end the loops and serveControl.
+	// Graceful drain: return cleanly; the deferred closes end the loops
+	// and serveControl.
 	select {
 	case sig := <-sigc:
 		fmt.Fprintf(w.log, "worker %d: draining on %v\n", o.Index, sig)
 	case err := <-lost:
 		fmt.Fprintf(w.log, "worker %d: draining, control connection ended: %v\n", o.Index, err)
 	}
-	_ = w.reg.Snapshot().WritePrometheus(w.log)
 	return nil
 }
 
@@ -149,7 +142,7 @@ func (w *worker) init(m *config) error {
 		return fmt.Errorf("swarm: worker %d: config lists %d peers for %d nodes + builder", w.o.Index, len(m.Peers), nNodes)
 	}
 	w.host, err = NewHost(HostOptions{Config: cfg, Seed: m.Seed, Nodes: nNodes, Index: w.o.Index,
-		Endpoint: w.ep, Outcome: w.report, Metrics: w.reg})
+		Endpoint: w.ep, Outcome: w.report})
 	if err != nil {
 		return err
 	}

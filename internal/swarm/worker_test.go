@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"pandas/internal/obsv"
 	"pandas/internal/transport"
 	"pandas/internal/wire"
 )
@@ -53,7 +52,7 @@ func TestWorkerIgnoresStrangers(t *testing.T) {
 		addrs = append(addrs, peers[i].LocalAddr().String())
 	}
 	sup, conn := loopbackConns(t)
-	w := &worker{o: WorkerOptions{Index: 0}, log: io.Discard, ctrl: conn, ep: ep, reg: obsv.NewRegistry()}
+	w := &worker{o: WorkerOptions{Index: 0}, log: io.Discard, ctrl: conn, ep: ep}
 	if err := w.init(&config{Nodes: nodes, Seed: 1, Geometry: testGeometry(), Peers: addrs}); err != nil {
 		t.Fatal(err)
 	}

@@ -50,11 +50,19 @@ if go list -deps ./internal/membership | grep -qxE 'pandas/internal/(adversary|c
 fi
 
 # The simulator counts traffic in simnet.NodeStats; it keeps no metrics
-# registry. A registry lives only where a process exports it
-# (swarm.HostOptions.Metrics).
+# registry. The only exported counters are pandas-node -metrics's totals
+# of its slot records.
 echo "== layering: internal/simnet does not depend on internal/obsv"
 if go list -deps ./internal/simnet | grep -qx 'pandas/internal/obsv'; then
 	echo "layering: internal/simnet imports internal/obsv" >&2
+	exit 1
+fi
+
+# The evaluation runs on the simulator; real-socket runs are pandas-swarm's
+# and pandas-node's.
+echo "== layering: internal/experiments does not depend on internal/swarm or internal/transport"
+if go list -deps ./internal/experiments | grep -qxE 'pandas/internal/(swarm|transport)'; then
+	echo "layering: internal/experiments imports internal/swarm or internal/transport" >&2
 	exit 1
 fi
 
@@ -81,9 +89,10 @@ go test -run 'Deterministic|Golden|TestBuilderPipelinedMatchesMonolithic|TestTra
 	./internal/experiments ./internal/core ./internal/baseline ./internal/kzg
 
 # Every internal package runs under the race detector except experiments,
-# whose rendered goldens already take minutes without it (run above).
-echo "== go test -race (internal/..., experiments excluded)"
-go test -race $(go list ./internal/... | grep -v /experiments$)
+# whose rendered goldens already take minutes without it (run above), and
+# so does pandas-node, whose metrics handler reads what its event loop adds.
+echo "== go test -race (internal/..., experiments excluded; cmd/pandas-node)"
+go test -race $(go list ./internal/... | grep -v /experiments$) ./cmd/pandas-node
 
 # The purego tag compiles out the AVX-512 kernels: the scalar butterflies
 # and multiplies every non-AVX-512 machine runs, which both encode and
@@ -169,18 +178,23 @@ echo "$out" | grep -q '^total restarts: [1-9]' || { echo "swarm 32-node kill run
 # Hand-launched static-peers mode: nothing drives the nodes but the
 # builder's seeds, so slot 2 completing on every node shows they follow it.
 # -k 4 -custody 8 gives every node every line, so three nodes cover all.
+# Node 0 and the builder export -metrics: the builder writes its totals
+# when its last slot is done, node 0 when it drains on SIGINT.
 echo "== static-mode smoke (3 nodes + builder, 2 slots, real UDP)"
 (
 	dir=$(mktemp -d)
-	trap 'kill $pids 2>/dev/null; rm -rf "$dir"' EXIT
+	trap 'kill $pids 2>/dev/null || true; rm -rf "$dir"' EXIT
 	go build -o "$dir/pandas-node" ./cmd/pandas-node
 	base=$((21000 + $$ % 20000))
 	for i in 0 1 2 3; do echo "127.0.0.1:$((base + i))"; done >"$dir/peers.txt"
 	flags="-peers $dir/peers.txt -seed 7 -k 4 -custody 8 -samples 4"
 	pids=""
 	for i in 0 1 2; do
-		"$dir/pandas-node" $flags -index $i >"$dir/node$i.log" 2>&1 &
+		metrics=""
+		[ $i -ne 0 ] || metrics="-metrics 127.0.0.1:0"
+		"$dir/pandas-node" $flags -index $i $metrics >"$dir/node$i.log" 2>&1 &
 		pids="$pids $!"
+		[ $i -ne 0 ] || node0=$!
 	done
 	for i in 0 1 2; do
 		n=0
@@ -190,7 +204,9 @@ echo "== static-mode smoke (3 nodes + builder, 2 slots, real UDP)"
 			sleep 0.1
 		done
 	done
-	"$dir/pandas-node" $flags -index 3 -builder -slots 2 -slot-gap 2s >"$dir/builder.log" 2>&1
+	"$dir/pandas-node" $flags -index 3 -builder -slots 2 -slot-gap 2s -metrics 127.0.0.1:0 >"$dir/builder.log" 2>&1
+	kill -INT $node0
+	wait $node0 || { echo "static smoke: node 0 did not drain cleanly" >&2; cat "$dir/node0.log" >&2; exit 1; }
 	for i in 0 1 2; do
 		grep -q '^slot 2: .*sampled=true' "$dir/node$i.log" || {
 			echo "static smoke: node $i did not sample slot 2:" >&2
@@ -198,6 +214,16 @@ echo "== static-mode smoke (3 nodes + builder, 2 slots, real UDP)"
 			exit 1
 		}
 	done
+	grep -q '^node_slots_completed_total 2$' "$dir/node0.log" || {
+		echo "static smoke: node 0's drained totals lack node_slots_completed_total 2:" >&2
+		cat "$dir/node0.log" >&2
+		exit 1
+	}
+	grep -q '^builder_slot 2$' "$dir/builder.log" || {
+		echo "static smoke: the builder did not write its totals after its last slot:" >&2
+		cat "$dir/builder.log" >&2
+		exit 1
+	}
 )
 
 echo "verify: OK"
