@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"pandas/internal/assign"
 	"pandas/internal/blob"
 	"pandas/internal/fetch"
 	"pandas/internal/obsv"
@@ -150,8 +151,9 @@ type planLine struct {
 	start, end int32
 }
 
-// boostGroup is one peer's CB parcels: planScratch.parcelIdx[start:end]
-// indexes them in Node.boost, in arrival order.
+// boostGroup is one peer's CB parcels on lines crossing F:
+// planScratch.parcelIdx[start:end] indexes them in Node.boost, in arrival
+// order.
 type boostGroup struct {
 	peer       int32
 	start, end int32
@@ -184,16 +186,19 @@ type planScratch struct {
 	boostSpan  [][2]int32
 	boostCells []int
 
-	// groups lists the peers with CB parcels in first-arrival order;
-	// boostOf finds a peer's group.
-	groups    []boostGroup
-	parcelIdx []int32
-	boostOf   stampTable
-	admit     []int32 // groups admitted past the holder window
+	// groups lists the peers with CB parcels on lines crossing F, in
+	// first-arrival order; boostOf finds a peer's group and parcelGroup
+	// holds each parcel's group (-1: its line crosses no cell of F).
+	groups      []boostGroup
+	parcelIdx   []int32
+	parcelGroup []int32
+	boostOf     stampTable
+	admit       []int32 // groups admitted past the holder window
 
 	stamp    []int // per F index: dedup marks (positive: boostPeer, negative: cellsOf)
 	samples  []int // F indices that are pending samples
-	counts   []int // per F index: unexpired in-flight queries
+	counts   []int // per F index: in-flight queries, then this round's too
+	k        int   // the round's redundancy factor
 	before   []int // counts as they were before this round's plan
 	cellsOut []int // cellsOf's result
 	plan     fetch.PlanScratch
@@ -267,16 +272,26 @@ func (ps *planScratch) groupLines(n int) {
 
 // groupBoost rebuilds groups/parcelIdx from a node's CB parcels, which
 // the node keeps in arrival order: two passes and a table probe per
-// parcel, with nothing to maintain as seed chunks arrive.
-func (ps *planScratch) groupBoost(parcels []boostParcel) {
+// parcel, with nothing to maintain as seed chunks arrive. A parcel on a
+// line that crosses no cell of F names no cell to boost or to admit a
+// peer for, so it is left out: a round groups only the parcels of the
+// lines it still fetches on, and a peer with none of those has no group.
+// groupLines must have run.
+func (ps *planScratch) groupBoost(parcels []boostParcel, width int) {
 	ps.boostOf.reset()
 	groups := ps.groups[:0]
-	for _, p := range parcels {
+	ps.parcelGroup = slices.Grow(ps.parcelGroup[:0], len(parcels))[:len(parcels)]
+	for i, p := range parcels {
+		if len(ps.cellsOn(p.line, width)) == 0 {
+			ps.parcelGroup[i] = -1
+			continue
+		}
 		v, fresh := ps.boostOf.ref(uint32(p.peer))
 		if fresh {
 			*v = int32(len(groups))
 			groups = append(groups, boostGroup{peer: p.peer})
 		}
+		ps.parcelGroup[i] = *v
 		groups[*v].end++
 	}
 	at := int32(0)
@@ -285,9 +300,11 @@ func (ps *planScratch) groupBoost(parcels []boostParcel) {
 		groups[i].start, groups[i].end = at, at
 		at += c
 	}
-	ps.parcelIdx = slices.Grow(ps.parcelIdx[:0], len(parcels))[:len(parcels)]
-	for i, p := range parcels {
-		gi, _ := ps.boostOf.get(uint32(p.peer))
+	ps.parcelIdx = slices.Grow(ps.parcelIdx[:0], int(at))[:at]
+	for i, gi := range ps.parcelGroup {
+		if gi < 0 {
+			continue
+		}
 		g := &groups[gi]
 		ps.parcelIdx[g.end] = int32(i)
 		g.end++
@@ -317,7 +334,11 @@ func (ps *planScratch) addCell(id blob.CellID) bool {
 	return fresh
 }
 
-// candidate appends a scored peer and returns its index.
+// candidate appends a scored peer and returns its index. A score is at
+// most |F|·(2 + fetch.DefaultCBBoost): each cell of F counts once per
+// line of the peer's crossing it and is boosted once. At paper geometry
+// F holds at most the 8,192 cells of 8+8 custody lines plus 73 samples,
+// so about 8.2·10⁷, far inside the int32 that fetch ranks scores in.
 func (ps *planScratch) candidate(peer, score int) int32 {
 	ps.scored = append(ps.scored, fetch.Scored{Peer: peer, Score: score})
 	ps.boostSpan = append(ps.boostSpan, [2]int32{})
@@ -527,6 +548,7 @@ func (n *Node) planRound(ps *planScratch) []fetch.Query {
 	}
 	n.outstanding = live
 	ps.before = append(ps.before[:0], counts...)
+	ps.k = k
 	plan := fetch.PlanLazyInto(&ps.plan, scored, counts, k, func(peer int) []int {
 		return n.cellsOf(ps, peer)
 	})
@@ -546,8 +568,8 @@ func (n *Node) planRound(ps *planScratch) []fetch.Query {
 // from a peer that already HAS it rather than from a peer that would
 // buffer the request until its own consolidation finishes.
 func (n *Node) applyBoost(ps *planScratch, truncated bool) {
-	ps.groupBoost(n.boost)
 	width := n.cfg.Blob.N()
+	ps.groupBoost(n.boost, width)
 	boostedPeers, boostedCells := 0, 0
 	boost := func(g boostGroup, idx int32) {
 		if got := n.boostPeer(ps, g, idx); got > 0 {
@@ -608,7 +630,8 @@ func (n *Node) applyBoost(ps *planScratch, truncated bool) {
 
 // boostPeer records which cells of F the peer's parcels cover — in parcel
 // arrival order, then position order, each cell once — and raises its
-// score accordingly. It returns how many there are.
+// score accordingly. It returns how many there are. Only parcels on lines
+// crossing F are probed: groupBoost left the others out.
 func (n *Node) boostPeer(ps *planScratch, g boostGroup, idx int32) int {
 	mark := int(g.start) + 1 // positive and distinct per group
 	first := len(ps.boostCells)
@@ -631,23 +654,39 @@ func (n *Node) boostPeer(ps *planScratch, g boostGroup, idx int32) int {
 
 // cellsOf lists the F indices a planned query to the peer should ask
 // for: a CB-boosted peer's seeded cells (plus any pending samples its
-// custody covers), any other peer's whole coverage of F. The result is
-// valid until the next call.
+// custody covers), any other peer's whole coverage of F. Cells whose
+// count has reached the round's k are left out: fetch.PlanLazyInto
+// updates ps.counts in place and would skip them, and since no index
+// appears twice in one list, none reaches k between this call and the
+// loop reading it. The result is valid until the next call.
 func (n *Node) cellsOf(ps *planScratch, peer int) []int {
 	out := ps.cellsOut[:0]
-	a := n.table.Assignment(peer)
+	counts, k := ps.counts, ps.k
 	idx, _ := ps.peers.get(uint32(peer))
 	if span := ps.boostSpan[idx]; span[1] > span[0] {
 		bc := ps.boostCells[span[0]:span[1]]
-		out = append(out, bc...)
+		for _, i := range bc {
+			if counts[i] < k {
+				out = append(out, i)
+			}
+		}
+		var a assign.Assignment
+		loaded := false
 		for _, s := range ps.samples {
-			if a.Covers(ps.F[s]) && !slices.Contains(bc, s) {
+			if counts[s] >= k || slices.Contains(bc, s) {
+				continue
+			}
+			if !loaded {
+				a, loaded = n.table.Assignment(peer), true
+			}
+			if a.Covers(ps.F[s]) {
 				out = append(out, s)
 			}
 		}
 		ps.cellsOut = out
 		return out
 	}
+	a := n.table.Assignment(peer)
 	width := n.cfg.Blob.N()
 	mark := -(peer + 1)
 	for _, r := range a.Rows {
@@ -660,11 +699,11 @@ func (n *Node) cellsOf(ps *planScratch, peer int) []int {
 	return out
 }
 
-// appendUnmarked appends the F indices on a line whose stamp is not mark,
-// and marks them.
+// appendUnmarked appends the F indices on a line that are still under k
+// and whose stamp is not mark, and marks them.
 func (ps *planScratch) appendUnmarked(out []int, l blob.Line, width, mark int) []int {
 	for _, i := range ps.cellsOn(l, width) {
-		if ps.stamp[i] != mark {
+		if ps.counts[i] < ps.k && ps.stamp[i] != mark {
 			ps.stamp[i] = mark
 			out = append(out, int(i))
 		}

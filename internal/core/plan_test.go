@@ -2,11 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"pandas/internal/assign"
 	"pandas/internal/blob"
+	"pandas/internal/fetch"
 	"pandas/internal/ids"
 	"pandas/internal/wire"
 )
@@ -119,6 +121,108 @@ func TestPlanRoundAllocatesNothingWarm(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(20, func() { replan(node, ps) }); allocs != 0 {
 			t.Errorf("%s: a warm planning round allocated %v times", name, allocs)
+		}
+	}
+}
+
+// referenceCellsOf is cellsOf as it was before it read the round's
+// counts: every cell of F the peer covers, with the peer's assignment
+// loaded and every pending sample checked whatever their counts.
+// fetch.PlanLazyInto drops the cells already at k, so planning through
+// it must give the plan planRound gives.
+func referenceCellsOf(n *Node, ps *planScratch, peer int) []int {
+	var out []int
+	a := n.table.Assignment(peer)
+	idx, _ := ps.peers.get(uint32(peer))
+	if span := ps.boostSpan[idx]; span[1] > span[0] {
+		bc := ps.boostCells[span[0]:span[1]]
+		out = append(out, bc...)
+		for _, s := range ps.samples {
+			if a.Covers(ps.F[s]) && !slices.Contains(bc, s) {
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	seen := map[int32]bool{}
+	for _, l := range a.Lines() {
+		for _, i := range ps.cellsOn(l, n.cfg.Blob.N()) {
+			if !seen[i] {
+				seen[i] = true
+				out = append(out, int(i))
+			}
+		}
+	}
+	return out
+}
+
+// referenceBoostCells is the F indices the peer's CB parcels name, found
+// by probing every position of every parcel the node holds for it,
+// whether or not the parcel's line crosses F.
+func referenceBoostCells(n *Node, ps *planScratch, peer int) []int {
+	var out []int
+	seen := map[int32]bool{}
+	for _, p := range n.boost {
+		if int(p.peer) != peer {
+			continue
+		}
+		for pos := int(p.start); pos < int(p.start)+int(p.count); pos++ {
+			if i, ok := ps.cellIdx.get(cellKey(cellOnLine(p.line, pos))); ok && !seen[i] {
+				seen[i] = true
+				out = append(out, int(i))
+			}
+		}
+	}
+	return out
+}
+
+// TestPlanRoundMatchesReference: over rounds 1-6 (k = 1, 2, 4, 6, 8, 10),
+// each round's in-flight requests counting toward the next, planRound
+// sends the queries, with the cells in the order, that planning its
+// candidates through referenceCellsOf sends, and every candidate's
+// boosted cells are those referenceBoostCells finds.
+func TestPlanRoundMatchesReference(t *testing.T) {
+	for _, fx := range []struct {
+		name    string
+		fixture func() (Config, int)
+	}{{"dense94", denseConfig}, {"sparse10", sparseConfig}} {
+		cfg, nodes := fx.fixture()
+		node := planFixture(t, cfg, nodes)
+		if node.liveness != nil || len(node.badPeers) > 0 {
+			t.Fatalf("%s: fixture filters its candidates; ps.scored would not be what was planned", fx.name)
+		}
+		ps := new(planScratch)
+		node.outstanding = node.outstanding[:0]
+		sent, boosted := 0, 0
+		for round := 1; round <= 6; round++ {
+			node.round = round
+			node.missingCells(ps)
+			var got []fetch.Query
+			for _, q := range node.planRound(ps) {
+				got = append(got, fetch.Query{Peer: q.Peer, Cells: slices.Clone(q.Cells)})
+			}
+			want := fetch.PlanLazyFrom(ps.scored, slices.Clone(ps.before), ps.k, func(peer int) []int {
+				return referenceCellsOf(node, ps, peer)
+			})
+			if !slices.EqualFunc(got, want, func(a, b fetch.Query) bool {
+				return a.Peer == b.Peer && slices.Equal(a.Cells, b.Cells)
+			}) {
+				t.Fatalf("%s round %d (k=%d): plan differs from the reference\n got  %v\n want %v", fx.name, round, ps.k, got, want)
+			}
+			sent += len(got)
+			for idx, c := range ps.scored {
+				span := ps.boostSpan[idx]
+				gotCells, wantCells := ps.boostCells[span[0]:span[1]], referenceBoostCells(node, ps, c.Peer)
+				if !slices.Equal(gotCells, wantCells) {
+					t.Fatalf("%s round %d: peer %d boosted for %v, want %v", fx.name, round, c.Peer, gotCells, wantCells)
+				}
+				if len(gotCells) > 0 {
+					boosted++
+				}
+			}
+		}
+		if sent == 0 || boosted == 0 {
+			t.Fatalf("%s: %d queries, %d boosted peers: the fixture exercises nothing", fx.name, sent, boosted)
 		}
 	}
 }

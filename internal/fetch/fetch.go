@@ -17,7 +17,9 @@
 //	          assigned the missing cells they cover until every cell has
 //	          k_i planned queries (or peers run out);
 //	execution: one Query message per planned peer (performed by the
-//	          caller); each peer is queried at most once per slot.
+//	          caller); each peer is queried at most once between re-arms
+//	          of the queryable set (the caller re-arms it every few
+//	          rounds, and sooner when a round finds nobody to ask).
 package fetch
 
 import (
@@ -169,7 +171,9 @@ func Plan(candidates []Candidate, numCells, k, cbBoost int) []Query {
 
 // Scored is a peer with a precomputed score, for PlanLazyFrom.
 type Scored struct {
-	Peer  int
+	Peer int
+	// Score must fit in an int32: PlanLazyInto ranks a candidate by one
+	// 64-bit key holding its score and its position.
 	Score int
 }
 
@@ -242,41 +246,47 @@ func Exclude(scored []Scored, banned func(peer int) bool) []Scored {
 // ready to use. A plan returned by PlanLazyInto aliases its scratch and
 // is valid until the scratch is used again.
 type PlanScratch struct {
-	heap  []ranked
+	heap  []uint64
 	cells []int
 	plan  []Query
 }
 
-// ranked is one candidate in the selection heap: its score and its
-// position in the caller's scored slice, which breaks ties.
-type ranked struct {
-	score int
-	idx   int
+// rankKey packs a candidate into one selection-heap key: its score,
+// sign-biased so that unsigned order is signed order, in the high half
+// and its complemented position in the caller's scored slice in the low
+// half. A larger key is ahead, which is exactly the (score descending,
+// position ascending) order a stable descending sort of the input
+// produces. The score must fit in an int32; PlanLazyInto panics on one
+// that does not rather than plan in a different order.
+func rankKey(score, pos int) uint64 {
+	if int(int32(score)) != score {
+		panic("fetch: candidate score outside the int32 range")
+	}
+	return uint64(uint32(score)^1<<31)<<32 | uint64(^uint32(pos))
 }
 
-// before reports whether a is considered ahead of b: higher score first,
-// earlier input position among equals — the order a stable descending
-// sort of the input produces.
-func (a ranked) before(b ranked) bool {
-	return a.score > b.score || (a.score == b.score && a.idx < b.idx)
-}
+// rankPos recovers the input position from a key.
+func rankPos(key uint64) int { return int(^uint32(key)) }
 
-// siftDown restores the heap property below position i.
-func siftDown(h []ranked, i int) {
+// siftDown restores the max-heap property below position i. Keys are
+// distinct (positions are), so the order is total.
+func siftDown(h []uint64, i int) {
+	x := h[i]
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
-			return
+			break
 		}
-		if c+1 < len(h) && h[c+1].before(h[c]) {
+		if c+1 < len(h) && h[c+1] > h[c] {
 			c++
 		}
-		if !h[c].before(h[i]) {
-			return
+		if h[c] < x {
+			break
 		}
-		h[i], h[c] = h[c], h[i]
+		h[i] = h[c]
 		i = c
 	}
+	h[i] = x
 }
 
 // PlanLazyFrom is the allocation-frugal equivalent of Plan used at large
@@ -305,9 +315,14 @@ func PlanLazyFrom(scored []Scored, counts []int, k int, cellsOf func(peer int) [
 // Candidates are considered in descending score order, equal scores in
 // input order. The greedy loop usually stops after a few of them (it
 // needs only enough peers to bring every cell to k), so the order is
-// produced lazily: a heap over (score, input position) is built in O(n)
+// produced lazily: a heap of one-word keys (rankKey) is built in O(n)
 // and popped once per candidate considered, O(n + considered·log n)
-// where sorting all of them up front cost O(n log n).
+// where sorting all of them up front cost O(n log n). Scores must fit
+// in an int32.
+//
+// cellsOf may leave out cells whose count has already reached k: the
+// loop skips them anyway. A callback that reads counts to do so sees
+// them as they stand before its list is applied.
 func PlanLazyInto(s *PlanScratch, scored []Scored, counts []int, k int, cellsOf func(peer int) []int) []Query {
 	numCells := len(counts)
 	if numCells == 0 || k <= 0 || len(scored) == 0 {
@@ -323,11 +338,11 @@ func PlanLazyInto(s *PlanScratch, scored []Scored, counts []int, k int, cellsOf 
 		return nil
 	}
 	if cap(s.heap) < len(scored) {
-		s.heap = make([]ranked, len(scored))
+		s.heap = make([]uint64, len(scored))
 	}
 	h := s.heap[:len(scored)]
 	for i, c := range scored {
-		h[i] = ranked{score: c.Score, idx: i}
+		h[i] = rankKey(c.Score, i)
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(h, i)
@@ -335,11 +350,13 @@ func PlanLazyInto(s *PlanScratch, scored []Scored, counts []int, k int, cellsOf 
 	cells := s.cells[:0]
 	plan := s.plan[:0]
 	for under > 0 && len(h) > 0 {
-		peer := scored[h[0].idx].Peer
+		peer := scored[rankPos(h[0])].Peer
 		last := len(h) - 1
 		h[0] = h[last]
 		h = h[:last]
-		siftDown(h, 0)
+		if last > 0 {
+			siftDown(h, 0)
+		}
 
 		start := len(cells)
 		for _, cell := range cellsOf(peer) {

@@ -1,6 +1,7 @@
 package fetch
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -95,6 +96,13 @@ func drawLazyCase(rng *rand.Rand) lazyCase {
 		if rng.Intn(20) == 0 {
 			score = -rng.Intn(5)
 		}
+		// The ends of the key's score domain, often tied.
+		switch rng.Intn(16) {
+		case 0:
+			score = math.MaxInt32
+		case 1:
+			score = math.MinInt32
+		}
 		c.scored = append(c.scored, Scored{Peer: peer, Score: score})
 		if rng.Intn(10) == 0 {
 			continue // empty cellsOf
@@ -170,6 +178,21 @@ func FuzzPlanLazyFrom(f *testing.F) {
 			checkLazyCase(t, drawLazyCase(rng), &scratch)
 		}
 	})
+}
+
+// TestPlanLazyRejectsScoreOutsideInt32: a score the rank key cannot hold
+// panics rather than planning in some other order.
+func TestPlanLazyRejectsScoreOutsideInt32(t *testing.T) {
+	for _, score := range []int{math.MaxInt32 + 1, math.MinInt32 - 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("score %d was planned", score)
+				}
+			}()
+			PlanLazy([]Scored{{Peer: 0, Score: 1}, {Peer: 1, Score: score}}, 1, 1, func(int) []int { return []int{0} })
+		}()
+	}
 }
 
 // TestPlanLazyIntoPlanIsCapped pins the aliasing contract: queries share

@@ -83,9 +83,10 @@ go test ./...
 # TestHashRowsDeterministic pins the builder's parallel row digests to the
 # serial ones; in core, TestBuilderPipelinedMatchesMonolithic and
 # TestTransmitMatchesReference pin the builder's concurrent prove and
-# transmit stages to the serial forms.
+# transmit stages to the serial forms, and TestPlanRoundMatchesReference
+# pins the round planner's under-k coverage lists to unfiltered ones.
 echo "== fixed-seed tests x5 at -cpu 1,2 (experiments, core, baseline, kzg)"
-go test -run 'Deterministic|Golden|TestBuilderPipelinedMatchesMonolithic|TestTransmitMatchesReference' -count=5 -cpu 1,2 \
+go test -run 'Deterministic|Golden|TestBuilderPipelinedMatchesMonolithic|TestTransmitMatchesReference|TestPlanRoundMatchesReference' -count=5 -cpu 1,2 \
 	./internal/experiments ./internal/core ./internal/baseline ./internal/kzg
 
 # Every internal package runs under the race detector except experiments,
@@ -108,6 +109,11 @@ go test ./internal/rs -run '^$' -fuzz FuzzReconstructMatchesMatrix -fuzztime 10s
 # differential against the copying reference decoder kept in its test file.
 echo "== fuzz: in-place wire decode vs the copying reference (10 s)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecode -fuzztime 10s
+
+# The lazy planner's one-word heap keys against a stable sort of every
+# candidate, scores drawn up to both ends of the int32 range.
+echo "== fuzz: lazy fetch planning vs the stable-sort oracle (10 s)"
+go test ./internal/fetch -run '^$' -fuzz FuzzPlanLazyFrom -fuzztime 10s
 
 # One iteration of every benchmark, so none can rot; -short skips the
 # paper-scale ones (a 100k-node slot alone runs for minutes). Measure with
