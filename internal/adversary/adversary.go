@@ -6,8 +6,8 @@
 // supplies the attackers: the builder's one attack, withholding the
 // maximal non-reconstructable square (whose shape blob.Withheld defines
 // beside its size and detection bound), and per-node byzantine behaviors
-// applied at the protocol message boundary (silent, laggard, garbage,
-// view-poisoner). Everything is driven by deterministic sortition from
+// applied at the protocol message boundary (silent, laggard, garbage).
+// Everything is driven by deterministic sortition from
 // the run seed, so adversarial runs are as reproducible as honest ones.
 // Timed network faults (partitions and loss bursts) are not here: they
 // are events of core's scenario list, beside the lifecycle transitions.
@@ -43,9 +43,6 @@ const (
 	// Garbage nodes respond promptly with corrupted cells whose proofs
 	// fail verification; honest fetchers must reject and re-request.
 	Garbage
-	// Poisoner nodes advertise departed peers as live through the
-	// membership gossip mesh, keeping dead entries in honest views.
-	Poisoner
 )
 
 // String implements fmt.Stringer.
@@ -59,8 +56,6 @@ func (b Behavior) String() string {
 		return "laggard"
 	case Garbage:
 		return "garbage"
-	case Poisoner:
-		return "poisoner"
 	default:
 		return fmt.Sprintf("Behavior(%d)", uint8(b))
 	}
@@ -74,22 +69,18 @@ const (
 	// round that asked.
 	DefaultLagMin = 500 * time.Millisecond
 	DefaultLagMax = 2 * time.Second
-	// DefaultPoisonInterval is how often a poisoner re-advertises a
-	// departed peer.
-	DefaultPoisonInterval = time.Second
 )
 
 // Config collects every adversary knob for a deployment. A nil or
 // zero-valued config is inert: the deployment behaves exactly as without
 // the subsystem.
 type Config struct {
-	// SilentFraction..PoisonFraction select the share of nodes assigned
+	// SilentFraction..GarbageFraction select the share of nodes assigned
 	// each byzantine behavior by sortition. The fractions must sum to at
 	// most 1; the remainder stays honest.
 	SilentFraction  float64
 	LaggardFraction float64
 	GarbageFraction float64
-	PoisonFraction  float64
 
 	// Withhold makes the builder withhold the maximal non-reconstructable
 	// square, blob.Withheld, and release every other cell (Fig. 3-right).
@@ -106,8 +97,7 @@ func (c *Config) Active() bool {
 		return false
 	}
 	return c.SilentFraction > 0 || c.LaggardFraction > 0 ||
-		c.GarbageFraction > 0 || c.PoisonFraction > 0 ||
-		c.Withhold
+		c.GarbageFraction > 0 || c.Withhold
 }
 
 // Validate checks parameter consistency. Nil-safe (nil is valid: inert).
@@ -120,7 +110,7 @@ func (c *Config) Validate() error {
 		v    float64
 	}{
 		{"silent", c.SilentFraction}, {"laggard", c.LaggardFraction},
-		{"garbage", c.GarbageFraction}, {"poison", c.PoisonFraction},
+		{"garbage", c.GarbageFraction},
 	}
 	sum := 0.0
 	for _, f := range fracs {
@@ -161,7 +151,6 @@ func (c *Config) Sortition(seed int64, n int) []Behavior {
 		{Silent, c.SilentFraction},
 		{Laggard, c.LaggardFraction},
 		{Garbage, c.GarbageFraction},
-		{Poisoner, c.PoisonFraction},
 	} {
 		k := int(float64(n) * span.f)
 		for i := 0; i < k && next < n; i++ {

@@ -18,7 +18,7 @@ func TestValidate(t *testing.T) {
 		{"nil", nil, true},
 		{"zero", &Config{}, true},
 		{"silent", &Config{SilentFraction: 0.2}, true},
-		{"all behaviors", &Config{SilentFraction: 0.2, LaggardFraction: 0.2, GarbageFraction: 0.2, PoisonFraction: 0.2}, true},
+		{"all behaviors", &Config{SilentFraction: 0.2, LaggardFraction: 0.2, GarbageFraction: 0.2}, true},
 		{"fraction out of range", &Config{SilentFraction: 1.5}, false},
 		{"negative fraction", &Config{GarbageFraction: -0.1}, false},
 		{"fractions sum over 1", &Config{SilentFraction: 0.6, LaggardFraction: 0.6}, false},
@@ -55,7 +55,7 @@ func TestActive(t *testing.T) {
 }
 
 func TestSortitionDeterministic(t *testing.T) {
-	cfg := &Config{SilentFraction: 0.2, LaggardFraction: 0.1, GarbageFraction: 0.1, PoisonFraction: 0.05}
+	cfg := &Config{SilentFraction: 0.2, LaggardFraction: 0.1, GarbageFraction: 0.1}
 	a := cfg.Sortition(42, 200)
 	b := cfg.Sortition(42, 200)
 	if !reflect.DeepEqual(a, b) {
@@ -68,13 +68,13 @@ func TestSortitionDeterministic(t *testing.T) {
 }
 
 func TestSortitionCounts(t *testing.T) {
-	cfg := &Config{SilentFraction: 0.2, LaggardFraction: 0.1, GarbageFraction: 0.1, PoisonFraction: 0.05}
+	cfg := &Config{SilentFraction: 0.2, LaggardFraction: 0.1, GarbageFraction: 0.1}
 	n := 200
 	got := map[Behavior]int{}
 	for _, b := range cfg.Sortition(7, n) {
 		got[b]++
 	}
-	want := map[Behavior]int{Silent: 40, Laggard: 20, Garbage: 20, Poisoner: 10, Honest: 110}
+	want := map[Behavior]int{Silent: 40, Laggard: 20, Garbage: 20, Honest: 120}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("sortition counts = %v, want %v", got, want)
 	}
@@ -121,11 +121,8 @@ func resp() *wire.Response {
 
 func TestHonestWrapIsIdentity(t *testing.T) {
 	tr := &fakeTransport{}
-	for _, b := range []Behavior{Honest, Poisoner} {
-		a := NewAgent(0, b, 1)
-		if a.WrapTransport(tr) != Transport(tr) {
-			t.Fatalf("%v agent should not wrap the transport", b)
-		}
+	if NewAgent(0, Honest, 1).WrapTransport(tr) != Transport(tr) {
+		t.Fatal("honest agent should not wrap the transport")
 	}
 	var nilAgent *Agent
 	if nilAgent.WrapTransport(tr) != Transport(tr) {
@@ -213,7 +210,7 @@ func TestGarbageCorruptsCopy(t *testing.T) {
 func TestBehaviorStrings(t *testing.T) {
 	for b, want := range map[Behavior]string{
 		Honest: "honest", Silent: "silent", Laggard: "laggard",
-		Garbage: "garbage", Poisoner: "poisoner",
+		Garbage: "garbage", Garbage + 1: "Behavior(4)",
 	} {
 		if b.String() != want {
 			t.Errorf("Behavior %d: got %q want %q", b, b.String(), want)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -27,7 +28,7 @@ func TestChurnInactiveConfigMatchesStatic(t *testing.T) {
 		return res
 	}
 	static := run(nil)
-	inactive := run(&membership.Config{RefreshInterval: time.Second}) // refresh-only: inactive
+	inactive := run(&membership.Config{MeanDowntime: time.Second}) // downtime-only: inactive
 	if len(static.Outcomes) != len(inactive.Outcomes) {
 		t.Fatal("outcome count diverged")
 	}
@@ -182,7 +183,6 @@ func TestChurnCrashedNodeRunsNothing(t *testing.T) {
 	ring := obsv.MustRing(obsv.DefaultRingSize)
 	c := smallCluster(t, 80, func(cc *ClusterConfig) {
 		cc.Core.Recorder = ring
-		cc.Churn = &membership.Config{RefreshInterval: -1}
 		cc.Scenario = []ScenarioEvent{
 			{Kind: Crash, At: crashAt, Count: 1},
 			{Kind: Restart, At: restartAt, Count: 1},
@@ -237,10 +237,6 @@ func TestChurnComposesWithOutOfView(t *testing.T) {
 	const n = 100
 	c := smallCluster(t, n, func(cc *ClusterConfig) {
 		cc.OutOfViewFraction = 0.5
-		// Periodic crawls re-surface departed peers from stale routing
-		// tables (by design); disable them to observe announcement
-		// pruning in isolation.
-		cc.Churn = &membership.Config{RefreshInterval: -1}
 		cc.Scenario = []ScenarioEvent{{Kind: Leave, At: time.Second, Count: 3}}
 	})
 	// The restricted views must have survived churn setup: each node sees
@@ -290,13 +286,12 @@ func TestChurnComposesWithOutOfView(t *testing.T) {
 }
 
 // TestChurnViewRefreshDiscoversJoiner runs two slots with a joiner in
-// the first: by the end of the second slot, DHT crawls and the join
-// announcement must have spread the joiner into most restricted views.
+// the first: by the end of the second slot, the join announcement alone
+// must have spread the joiner into most restricted views.
 func TestChurnViewRefreshDiscoversJoiner(t *testing.T) {
 	const n = 80
 	c := smallCluster(t, n, func(cc *ClusterConfig) {
 		cc.OutOfViewFraction = 0.5
-		cc.Churn = &membership.Config{RefreshInterval: 3 * time.Second}
 		cc.Scenario = []ScenarioEvent{{Kind: Join, At: 2 * time.Second, Count: 1}}
 	})
 	res, err := c.RunSlot(1)
@@ -326,6 +321,73 @@ func TestChurnViewRefreshDiscoversJoiner(t *testing.T) {
 	}
 	if know < (n-1)/2 {
 		t.Fatalf("only %d/%d nodes discovered the joiner", know, n-1)
+	}
+}
+
+// TestChurnRestartReloadsBootstrapView: a restarting node reloads the
+// bootstrap view NewCluster built for it, every node for a full view and
+// the drawn subset under OutOfViewFraction, and at the end of the slot
+// holds nothing beyond it. While the node is down its view is emptied,
+// standing for a table that announcements pruned before the crash.
+func TestChurnRestartReloadsBootstrapView(t *testing.T) {
+	const n, crashAt, restartAt = 80, time.Second, 2 * time.Second
+	for _, outOfView := range []float64{0, 0.5} {
+		t.Run(fmt.Sprintf("out-of-view=%v", outOfView), func(t *testing.T) {
+			c := smallCluster(t, n, func(cc *ClusterConfig) {
+				cc.OutOfViewFraction = outOfView
+				cc.Scenario = []ScenarioEvent{
+					{Kind: Crash, At: crashAt, Count: 1},
+					{Kind: Restart, At: restartAt, Count: 1},
+				}
+			})
+			// views reads every node's view as a membership matrix.
+			views := func() [][]bool {
+				m := make([][]bool, n)
+				for i := range m {
+					m[i] = make([]bool, n)
+					for p := range m[i] {
+						m[i][p] = c.views[i].Contains(p)
+					}
+				}
+				return m
+			}
+			boot := views()
+			if outOfView > 0 && len(c.bootstrap) != n {
+				t.Fatalf("%d bootstrap subsets kept, want %d", len(c.bootstrap), n)
+			}
+			crashed := -1
+			c.Network().After(crashAt+time.Nanosecond, func() {
+				for i := range c.nodes {
+					if c.leftAt[i] >= 0 {
+						crashed = i
+					}
+				}
+				for p := 0; p < n; p++ {
+					c.views[crashed].Remove(p)
+				}
+			})
+			res, err := c.RunSlot(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reloaded := views()
+			if crashed < 0 || res.Outcomes[crashed].JoinedAt != restartAt {
+				t.Fatalf("node %d did not crash at %v and restart at %v", crashed, crashAt, restartAt)
+			}
+			in := 0
+			for p := 0; p < n; p++ {
+				got, want := reloaded[crashed][p], boot[crashed][p]
+				if got != want {
+					t.Errorf("restarted node %d: peer %d in view %v, in bootstrap view %v", crashed, p, got, want)
+				}
+				if want {
+					in++
+				}
+			}
+			if full := outOfView == 0; full != (in == n) {
+				t.Fatalf("bootstrap view of node %d holds %d of %d nodes", crashed, in, n)
+			}
+		})
 	}
 }
 

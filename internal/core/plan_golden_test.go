@@ -8,7 +8,6 @@ import (
 
 	"pandas/internal/adversary"
 	"pandas/internal/blob"
-	"pandas/internal/membership"
 )
 
 // TestPlanGolden pins the fetch plans the round planner emits. A plan is
@@ -101,7 +100,6 @@ func TestPlanGolden(t *testing.T) {
 // sparseDeadLiveness is TestPlanGolden's re-arm regime.
 func sparseDeadLiveness(cc *ClusterConfig) {
 	cc.DeadFraction = 0.8
-	cc.Churn = &membership.Config{RefreshInterval: -1}
 	cc.Scenario = []ScenarioEvent{{Kind: Leave, At: 3 * time.Second, Count: 1}}
 }
 

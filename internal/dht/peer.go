@@ -117,9 +117,6 @@ func NewPeer(self Entry, tr Transport, timeout time.Duration) *Peer {
 	}
 }
 
-// Table exposes the routing table (for bootstrap).
-func (p *Peer) Table() *RoutingTable { return p.rt }
-
 // Bootstrap seeds the routing table from known entries.
 func (p *Peer) Bootstrap(entries []Entry) {
 	for _, e := range entries {

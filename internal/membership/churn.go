@@ -2,20 +2,7 @@ package membership
 
 import (
 	"math/rand"
-	"slices"
 	"time"
-)
-
-// Dynamic-membership defaults.
-const (
-	// DefaultRefreshInterval is the period of DHT-crawl view refresh.
-	// Real crawls take about a minute (§4.1); half a slot keeps views
-	// usefully fresh at simulation scale without flooding the event
-	// queue.
-	DefaultRefreshInterval = 6 * time.Second
-	// DefaultRefreshFanout is the number of random-target lookups per
-	// refresh crawl.
-	DefaultRefreshFanout = 2
 )
 
 // Clock is the scheduling substrate (the simulator's event clock).
@@ -25,8 +12,7 @@ type Clock interface {
 }
 
 // Config describes the dynamic-membership model: the session process the
-// Engine runs plus the view-refresh period the cluster wires up.
-// The zero value is inactive (static membership).
+// Engine runs. The zero value is inactive (static membership).
 type Config struct {
 	// MeanSession is the expected online duration before a node departs
 	// (sessions are exponential). Zero disables spontaneous departures.
@@ -34,12 +20,6 @@ type Config struct {
 	// MeanDowntime is the expected offline duration before a departed
 	// node restarts (exponential). Zero keeps departed nodes offline.
 	MeanDowntime time.Duration
-
-	// RefreshInterval is the per-node period of DHT-crawl view refresh;
-	// zero selects DefaultRefreshInterval, negative disables refresh.
-	// Crawls look up DefaultRefreshFanout random targets, and peers are
-	// scored with the Scorer's fixed backoff and penalty.
-	RefreshInterval time.Duration
 }
 
 // Active reports whether the configuration produces any membership
@@ -200,14 +180,6 @@ func (e *Engine) Online(node int) bool {
 
 // OnlineCount returns the number of online managed nodes.
 func (e *Engine) OnlineCount() int { return e.online.len() }
-
-// Departed returns the nodes that left or crashed and have not come
-// back, in ascending order.
-func (e *Engine) Departed() []int {
-	out := append([]int(nil), e.offline.items...)
-	slices.Sort(out)
-	return out
-}
 
 // Stats returns cumulative lifecycle-event counts.
 func (e *Engine) Stats() Stats { return e.stats }

@@ -41,9 +41,9 @@ func TestConfigActive(t *testing.T) {
 	if !(&Config{MeanSession: time.Second}).Active() {
 		t.Fatal("session process inactive")
 	}
-	// Refresh and downtime alone produce no dynamics.
-	if (&Config{RefreshInterval: time.Second, MeanDowntime: time.Second}).Active() {
-		t.Fatal("refresh-and-downtime config active")
+	// Downtime alone produces no dynamics.
+	if (&Config{MeanDowntime: time.Second}).Active() {
+		t.Fatal("downtime-only config active")
 	}
 }
 
@@ -109,11 +109,16 @@ func TestEngineScriptedTransitions(t *testing.T) {
 	if e.OnlineCount() != 20+5-3 {
 		t.Fatalf("online %d after the transitions", e.OnlineCount())
 	}
-	// Departed lists the crashers, sorted, and none of the held-out nodes.
-	want := append([]int(nil), log.crashes...)
-	slices.Sort(want)
-	if got := e.Departed(); !slices.Equal(got, want) {
-		t.Fatalf("Departed() = %v, want %v", got, want)
+	// The crashers read offline; the joiners, unless crashed, online.
+	for _, node := range log.crashes {
+		if e.Online(node) {
+			t.Fatalf("crasher %d reads online", node)
+		}
+	}
+	for _, node := range log.joins {
+		if !e.Online(node) && !slices.Contains(log.crashes, node) {
+			t.Fatalf("joiner %d reads offline", node)
+		}
 	}
 }
 
@@ -136,8 +141,13 @@ func TestEngineRestartBringsBackDeparted(t *testing.T) {
 	if log.crashes[0] != log.restarts[0] {
 		t.Fatal("restart resurrected a different node than the crash took down")
 	}
-	if e.OnlineCount() != 10 || len(e.Departed()) != 0 {
-		t.Fatalf("online %d, departed %v; want 10 and none", e.OnlineCount(), e.Departed())
+	if e.OnlineCount() != 10 || !e.Online(log.crashes[0]) {
+		t.Fatalf("online %d, node %d online %v; want 10 and true", e.OnlineCount(), log.crashes[0], e.Online(log.crashes[0]))
+	}
+	// Nobody is departed any more: a further restart does nothing.
+	e.Restart(1)
+	if len(log.restarts) != 1 {
+		t.Fatalf("restart with nobody departed fired %d restarts", len(log.restarts)-1)
 	}
 }
 

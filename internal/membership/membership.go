@@ -2,7 +2,7 @@
 // evolving per-node views, a churn engine that owns which nodes are
 // online and moves them through lifecycle transitions (join, graceful
 // leave, crash, restart) on the simulation clock, peer-liveness scoring
-// with exponential backoff, and DHT-crawl-based view refresh.
+// with exponential backoff.
 //
 // The paper evaluates PANDAS under static membership only: every node's
 // view is frozen when the slot starts (Fig. 15b sweeps the *size* of
@@ -18,15 +18,16 @@
 //     scripted event fires (core's scenario list; this package never
 //     reads one);
 //   - each node's LiveView evolves during a slot, fed by gossip of
-//     join/leave announcements and by periodic crawls of the Kademlia
-//     DHT (the paper's §4.1 view-building mechanism, internal/dht);
+//     join/leave announcements; a restarting node reloads the bootstrap
+//     view it started the run with, as a client reloads the peer table
+//     it persists across restarts (its driver, core, does the reload);
 //   - a per-node Scorer demotes peers that time out with exponential
 //     backoff, so the adaptive fetcher (Algorithm 1) stops burning round
 //     budget on departed peers; peers are re-armed when their backoff
 //     expires and the fetcher's queryable-set sweep retries them.
 //
 // Crashes leave stale state behind on purpose: a crashed node is never
-// announced, its entries linger in peers' views and routing tables, and
+// announced, its entries linger in peers' views, and
 // only liveness scoring removes it from fetch plans — the degradation
 // mode that churn studies of DAS networks identify as dominant.
 package membership
@@ -46,9 +47,9 @@ func (f ViewFunc) Contains(peer int) bool { return f(peer) }
 
 // LiveView is a mutable membership view: the set of peers a node
 // currently believes to be part of the network. It is updated by gossip
-// announcements (joins and graceful leaves) and by DHT crawl refreshes;
-// crashed peers are NOT removed — they linger until liveness scoring
-// demotes them, mirroring stale ENRs in real deployments. Like every
+// announcements (joins and graceful leaves) and by the bootstrap reload
+// on restart; crashed peers are NOT removed — they linger until liveness
+// scoring demotes them, mirroring stale ENRs in real deployments. Like every
 // per-node structure in this codebase it is confined to the simulator's
 // event loop and needs no locking.
 type LiveView struct {
@@ -80,15 +81,6 @@ func (v *LiveView) Remove(peer int) { delete(v.known, peer) }
 
 // Len returns the number of visible peers.
 func (v *LiveView) Len() int { return len(v.known) }
-
-// Peers returns the visible peer indices in unspecified order.
-func (v *LiveView) Peers() []int {
-	out := make([]int, 0, len(v.known))
-	for p := range v.known {
-		out = append(out, p)
-	}
-	return out
-}
 
 // Announcement is the join/leave notice a node floods over the gossip
 // mesh when it enters or gracefully exits the network. Crashes produce

@@ -36,10 +36,6 @@ func TestFullLiveView(t *testing.T) {
 	if v.Contains(5) || v.Len() != 5 {
 		t.Fatal("full view wrong size")
 	}
-	got := v.Peers()
-	if len(got) != 5 {
-		t.Fatalf("Peers returned %d entries", len(got))
-	}
 }
 
 func TestViewFunc(t *testing.T) {

@@ -7,7 +7,7 @@ import (
 
 // Kind identifies the type of a trace event. The taxonomy covers every
 // protocol layer: builder seeding, node receive/fetch/sample paths,
-// peer-liveness transitions, membership maintenance, and churn.
+// peer-liveness transitions, membership gossip, churn and network faults.
 type Kind uint8
 
 // Event kinds. See DESIGN.md §3.7 for the full taxonomy and the fields
@@ -52,17 +52,18 @@ const (
 	// number of samples drawn, Aux is 1 when every sample was satisfied
 	// (the only verdict a completed slot emits today).
 	KindSampleVerdict
-	// KindViewRefresh is a completed DHT view-refresh crawl: Count the
-	// entries discovered, Aux the node's cumulative crawl number.
-	KindViewRefresh
+	// Kind 11 was view-refresh, a completed DHT crawl of a churn run's
+	// view refresh; churn runs crawl no more.
+	_
 	// KindChurnEvent is a membership lifecycle transition; Aux holds a
 	// ChurnOp value.
 	KindChurnEvent
 	// KindGossipMsg is a gossip frame handled by a node's router (block
 	// mesh or membership-announcement mesh). Aux is 1 for duplicates.
 	KindGossipMsg
-	// KindDHTMsg is a DHT RPC handled by a node's Kademlia peer.
-	KindDHTMsg
+	// Kind 14 was dht-msg, a DHT RPC handled by a churn run's per-node
+	// Kademlia peer; churn runs host no DHT peers any more.
+	_
 	// KindWithheldCell records the builder withholding data for a slot:
 	// emitted once per seeding, with Count the number of withheld cells
 	// and Aux the total extended cells. Node is the builder's index.
@@ -105,14 +106,10 @@ func (k Kind) String() string {
 		return "consolidated"
 	case KindSampleVerdict:
 		return "sample-verdict"
-	case KindViewRefresh:
-		return "view-refresh"
 	case KindChurnEvent:
 		return "churn-event"
 	case KindGossipMsg:
 		return "gossip-msg"
-	case KindDHTMsg:
-		return "dht-msg"
 	case KindWithheldCell:
 		return "withheld-cell"
 	case KindCorruptReject:

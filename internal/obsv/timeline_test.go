@@ -137,10 +137,8 @@ func TestKindStrings(t *testing.T) {
 		{KindPeerDemoted, 8, "peer-demoted"},
 		{KindConsolidated, 9, "consolidated"},
 		{KindSampleVerdict, 10, "sample-verdict"},
-		{KindViewRefresh, 11, "view-refresh"},
 		{KindChurnEvent, 12, "churn-event"},
 		{KindGossipMsg, 13, "gossip-msg"},
-		{KindDHTMsg, 14, "dht-msg"},
 		{KindWithheldCell, 15, "withheld-cell"},
 		{KindCorruptReject, 16, "corrupt-reject"},
 		{KindFaultStart, 17, "fault-start"},
@@ -157,7 +155,7 @@ func TestKindStrings(t *testing.T) {
 			t.Errorf("%s encodes as %s, want %s", c.name, buf.String(), want)
 		}
 	}
-	for _, k := range []Kind{0, KindFaultStop + 1} {
+	for _, k := range []Kind{0, 11, 14, KindFaultStop + 1} {
 		if s, want := k.String(), fmt.Sprintf("Kind(%d)", uint8(k)); s != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", uint8(k), s, want)
 		}
@@ -171,27 +169,38 @@ func TestKindStrings(t *testing.T) {
 
 // TestReadJSONLRetiredKinds: kinds 19-21 were the light-client sampling
 // gateway's (query, cache hit, coalesced), which pandas-node stamped with
-// its own node index. A trace written before the gateway was retired
-// still loads, its gateway lines read as unnamed kinds, and they change
-// no phase a timeline reconstructs.
+// its own node index; kinds 11 and 14 were a churn run's view-refresh
+// crawls and the DHT RPCs that carried them. A trace written before
+// these were retired still loads, their lines read as unnamed kinds, and
+// they change no phase a timeline reconstructs.
 func TestReadJSONLRetiredKinds(t *testing.T) {
 	fixture := traceFixture()
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, fixture); err != nil {
 		t.Fatal(err)
 	}
-	buf.WriteString(`{"seq":10,"at":300000000,"slot":1,"kind":19,"node":0,"peer":42,"count":1}` + "\n")
-	buf.WriteString(`{"seq":11,"at":310000000,"slot":1,"kind":20,"node":0,"peer":42}` + "\n")
-	buf.WriteString(`{"seq":12,"at":320000000,"slot":1,"kind":21,"node":1,"peer":7,"aux":2}` + "\n")
+	retired := []struct {
+		kind uint8
+		line string
+	}{
+		{19, `{"seq":10,"at":300000000,"slot":1,"kind":19,"node":0,"peer":42,"count":1}`},
+		{20, `{"seq":11,"at":310000000,"slot":1,"kind":20,"node":0,"peer":42}`},
+		{21, `{"seq":12,"at":320000000,"slot":1,"kind":21,"node":1,"peer":7,"aux":2}`},
+		{11, `{"seq":13,"at":330000000,"slot":1,"kind":11,"node":1,"peer":-1,"count":57,"aux":3}`},
+		{14, `{"seq":14,"at":340000000,"slot":1,"kind":14,"node":0,"peer":1,"bytes":93}`},
+	}
+	for _, r := range retired {
+		buf.WriteString(r.line + "\n")
+	}
 	events, err := ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != len(fixture)+3 {
-		t.Fatalf("read %d events, want %d", len(events), len(fixture)+3)
+	if len(events) != len(fixture)+len(retired) {
+		t.Fatalf("read %d events, want %d", len(events), len(fixture)+len(retired))
 	}
 	for i, e := range events[len(fixture):] {
-		if want := fmt.Sprintf("Kind(%d)", 19+i); e.Kind.String() != want {
+		if want := fmt.Sprintf("Kind(%d)", retired[i].kind); e.Kind.String() != want {
 			t.Errorf("retired kind reads as %q, want %q", e.Kind, want)
 		}
 	}
