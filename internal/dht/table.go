@@ -79,9 +79,6 @@ func (rt *RoutingTable) Add(e Entry) bool {
 	return true
 }
 
-// Size returns the number of stored entries.
-func (rt *RoutingTable) Size() int { return rt.size }
-
 // Closest returns up to count entries closest to target in XOR distance.
 func (rt *RoutingTable) Closest(target ids.NodeID, count int) []Entry {
 	all := make([]Entry, 0, rt.size)

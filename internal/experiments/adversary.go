@@ -83,9 +83,10 @@ func defaultSampleSweep(samples int) []int {
 // Byzantine sweeps the fraction of nodes exhibiting one byzantine
 // behavior and measures the sampling-deadline success of the honest
 // remainder. The paper's robustness claim is that redundancy in the
-// adaptive fetcher (parallel in-flight queries, liveness demotion)
-// absorbs non-responding or lying peers; this quantifies how far that
-// holds. fractions nil selects 0-40% in 10% steps.
+// adaptive fetcher (parallel in-flight queries, and a queryable set that
+// asks each peer at most once per slot until it is re-armed) absorbs
+// non-responding or lying peers; this quantifies how far that holds.
+// Static runs score no liveness, so no peer is demoted here. fractions nil selects 0-40% in 10% steps.
 //
 // Samples are labelled by fraction ("20%") and pool the honest nodes
 // only; Values["corrupt rejects"] counts the cells all nodes rejected

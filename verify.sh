@@ -49,6 +49,15 @@ if go list -deps ./internal/membership | grep -qxE 'pandas/internal/(adversary|c
 	exit 1
 fi
 
+# The Kademlia DHT serves only the Fig. 12/14 baseline (DHT-based DAS).
+# Churn runs keep no per-node DHT peers: a restarting node reloads its
+# bootstrap view instead of crawling (DESIGN.md §3.5).
+echo "== layering: internal/core and internal/membership do not depend on internal/dht"
+if go list -deps ./internal/core ./internal/membership | grep -qx 'pandas/internal/dht'; then
+	echo "layering: internal/core or internal/membership imports internal/dht" >&2
+	exit 1
+fi
+
 # The simulator counts traffic in simnet.NodeStats; it keeps no metrics
 # registry. The only exported counters are pandas-node -metrics's totals
 # of its slot records.
