@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"sync"
 	"time"
 
 	"pandas/internal/blob"
@@ -140,8 +141,10 @@ type Node struct {
 	// pendingOut coalesces responses to buffered queries: cells often
 	// land in bursts (seed chunks, reconstruction), and answering each
 	// arrival individually would multiply message counts. A short timer,
-	// armed when the first reply is owed, flushes the batch.
-	pendingOut map[int][]wire.Cell
+	// armed when the first reply is owed, flushes the batch. It is one
+	// flat list in landing order, reused across flushes; flush groups it
+	// by recipient.
+	pendingOut []owedCell
 	// awaitReply tracks, per queried peer, the deadline by which SOME
 	// response must arrive before the peer is reported to the liveness
 	// scorer as timed out. Only maintained when liveness is set.
@@ -323,7 +326,7 @@ func (n *Node) begin(slot uint64) {
 	n.outstanding = n.outstanding[:0]
 	n.askHead.reset()
 	n.asks = n.asks[:0]
-	n.pendingOut = resetMap(n.pendingOut, 0)
+	n.pendingOut = n.pendingOut[:0]
 	n.awaitReply = resetMap(n.awaitReply, 0)
 	n.badPeers = resetMap(n.badPeers, 0)
 	n.obs.BeginSlot(slot, n.tr.Now())
@@ -655,6 +658,8 @@ func (n *Node) addCells(cells []wire.Cell) (dups, added, rejects int) {
 	// in ascending order — which is store line order. Restored cells touch
 	// the custody lines that cross theirs, and may carry one of those past
 	// the threshold too, so the sweep repeats until no line decodes.
+	reconBuf := reconPool.Get().(*[]wire.Cell)
+	defer reconPool.Put(reconBuf)
 	recon := 0
 	for again := true; again; {
 		again = false
@@ -663,7 +668,7 @@ func (n *Node) addCells(cells []wire.Cell) (dups, added, rejects int) {
 				continue
 			}
 			touched[li] = false
-			newCells, err := n.store.TryReconstruct(n.store.lineAt(li))
+			newCells, err := n.store.tryReconstructInto(n.store.lineAt(li), reconBuf)
 			if err != nil || len(newCells) == 0 {
 				continue
 			}
@@ -686,19 +691,38 @@ func (n *Node) addCells(cells []wire.Cell) (dups, added, rejects int) {
 	return dups, added, rejects
 }
 
-// flush sends the coalesced replies to buffered queries, recipients in
-// ascending order.
+// reconPool lends addCells the buffer a metadata store restores a line
+// into (see Store.tryReconstructInto); the UDP runtimes run nodes on
+// their own goroutines.
+var reconPool = sync.Pool{New: func() any { return new([]wire.Cell) }}
+
+// owedCell is a landed cell owed to a peer whose ask for it was
+// buffered.
+type owedCell struct {
+	to int32
+	id blob.CellID
+}
+
+// flush sends the coalesced replies to buffered queries: one reply per
+// recipient, recipients in ascending order, each reply's cells in landing
+// order. A reply is built at its exact size and handed to the transport,
+// which may hold it until delivery.
 func (n *Node) flush() {
-	recipients := n.peerScr[:0]
-	for to := range n.pendingOut {
-		recipients = append(recipients, to)
+	out := n.pendingOut
+	slices.SortStableFunc(out, func(a, b owedCell) int { return int(a.to) - int(b.to) })
+	for len(out) > 0 {
+		k := 1
+		for k < len(out) && out[k].to == out[0].to {
+			k++
+		}
+		reply := make([]wire.Cell, k)
+		for i := range reply {
+			reply[i], _ = n.store.Peek(out[i].id)
+		}
+		n.sendCells(int(out[0].to), reply)
+		out = out[k:]
 	}
-	slices.Sort(recipients)
-	n.peerScr = recipients
-	for _, to := range recipients {
-		n.sendCells(to, n.pendingOut[to])
-	}
-	clear(n.pendingOut)
+	n.pendingOut = n.pendingOut[:0]
 }
 
 // cellLanded performs the bookkeeping for one newly present cell: a
@@ -713,10 +737,8 @@ func (n *Node) cellLanded(id blob.CellID, touched []bool) {
 		if len(n.pendingOut) == 0 {
 			n.afterGuarded(flushDelay, n.flush)
 		}
-		full, _ := n.store.Peek(id)
 		for i := head; i > 0; i = n.asks[i-1].next {
-			to := int(n.asks[i-1].peer)
-			n.pendingOut[to] = append(n.pendingOut[to], full)
+			n.pendingOut = append(n.pendingOut, owedCell{to: n.asks[i-1].peer, id: id})
 		}
 	}
 	if touched != nil {

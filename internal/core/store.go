@@ -489,12 +489,22 @@ func (s *Store) MissingOnLine(l blob.Line, buf []int) []int {
 // complete or below the threshold). In real mode the Reed-Solomon decoder
 // produces actual payloads, straight into memory the store owns, and
 // fresh proofs, and the returned slice is the store's own, valid until
-// the next call; in metadata mode presence bits are simply filled in.
+// the next call; in metadata mode presence bits are simply filled in, and
+// the returned slice is a fresh one (tryReconstructInto fills a buffer).
 //
 // What is restored here is stored without a proof check: its proof was
 // computed from the commitment a line above, and checking it would
 // compute it again and compare the two.
 func (s *Store) TryReconstruct(l blob.Line) ([]wire.Cell, error) {
+	var buf []wire.Cell
+	return s.tryReconstructInto(l, &buf)
+}
+
+// tryReconstructInto is TryReconstruct with the metadata-mode result
+// built in *buf, which keeps the grown buffer: a metadata store has no
+// room of its own for half a line of cells (about 20 KB at the paper's
+// geometry), so the caller lends it. Real mode leaves buf alone.
+func (s *Store) tryReconstructInto(l blob.Line, buf *[]wire.Cell) ([]wire.Cell, error) {
 	li := s.lineIndex(l)
 	if li < 0 {
 		return nil, nil
@@ -542,10 +552,11 @@ func (s *Store) TryReconstruct(l blob.Line) ([]wire.Cell, error) {
 		}
 		p.reconScr = newCells
 	} else {
-		newCells = make([]wire.Cell, 0, len(missing))
+		newCells = (*buf)[:0]
 		for _, pos := range missing {
 			newCells = append(newCells, wire.Cell{ID: cellOnLine(l, pos)})
 		}
+		*buf = newCells
 	}
 	for i := range newCells {
 		c := &newCells[i]

@@ -180,58 +180,97 @@ func TestStoreRealReconstructProducesRealBytes(t *testing.T) {
 // TestStoreReconstructAllocatesNothingWarm: a restored cell is decoded
 // straight into the store's slab, which Reset rewinds, so restoring and
 // proving half a line on a warm store allocates nothing (a fresh slice
-// per restored cell before).
+// per restored cell before). A metadata store restores into the buffer
+// its caller lends, so there too a warm restore allocates nothing.
 func TestStoreReconstructAllocatesNothingWarm(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds the decoder's workspace under the race detector")
-	}
 	p := blob.Params{K: 32, CellBytes: 512, ProofBytes: kzg.ProofSize}
-	data := make([]byte, p.BlobBytes())
-	rand.New(rand.NewSource(2)).Read(data)
-	ext, err := blob.ExtendData(p, data, blob.ExtendOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	com := kzg.Commit(ext)
 	a := assign.Assignment{Rows: []uint16{3, 40}, Cols: []uint16{7}}
-	s := NewStore(p, a, true, false)
 	lines := a.Lines()
-	var half []wire.Cell
-	for _, l := range lines {
-		for pos := 0; pos < p.N(); pos += 2 {
-			id := cellOnLine(l, pos)
-			half = append(half, wire.Cell{ID: id, Data: ext.Cell(id), Proof: kzg.Prove(com, id, ext.Cell(id))})
+	t.Run("real", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("sync.Pool sheds the decoder's workspace under the race detector")
 		}
-	}
-	restore := func() {
-		s.Reset(a, true, false)
-		s.SetCommitment(com)
-		for _, c := range half {
-			if _, err := s.Add(c); err != nil {
-				t.Fatal(err)
+		data := make([]byte, p.BlobBytes())
+		rand.New(rand.NewSource(2)).Read(data)
+		ext, err := blob.ExtendData(p, data, blob.ExtendOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		com := kzg.Commit(ext)
+		s := NewStore(p, a, true, false)
+		var half []wire.Cell
+		for _, l := range lines {
+			for pos := 0; pos < p.N(); pos += 2 {
+				id := cellOnLine(l, pos)
+				half = append(half, wire.Cell{ID: id, Data: ext.Cell(id), Proof: kzg.Prove(com, id, ext.Cell(id))})
 			}
+		}
+		restore := func() {
+			s.Reset(a, true, false)
+			s.SetCommitment(com)
+			for _, c := range half {
+				if _, err := s.Add(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, l := range lines {
+				if _, err := s.TryReconstruct(l); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if s.CompleteLines() != len(lines) {
+				t.Fatalf("%d of %d lines complete", s.CompleteLines(), len(lines))
+			}
+		}
+		restore()
+		if allocs := testing.AllocsPerRun(20, restore); allocs != 0 {
+			t.Fatalf("a warm reconstruction allocated %v times", allocs)
 		}
 		for _, l := range lines {
-			if _, err := s.TryReconstruct(l); err != nil {
-				t.Fatal(err)
+			for pos := 0; pos < p.N(); pos++ {
+				id := cellOnLine(l, pos)
+				if got, _ := s.Peek(id); !bytes.Equal(got.Data, ext.Cell(id)) || !kzg.Verify(com, id, got.Data, got.Proof) {
+					t.Fatalf("cell %v wrong after the warm reconstructions", id)
+				}
 			}
 		}
-		if s.CompleteLines() != len(lines) {
-			t.Fatalf("%d of %d lines complete", s.CompleteLines(), len(lines))
-		}
-	}
-	restore()
-	if allocs := testing.AllocsPerRun(20, restore); allocs != 0 {
-		t.Fatalf("a warm reconstruction allocated %v times", allocs)
-	}
-	for _, l := range lines {
-		for pos := 0; pos < p.N(); pos++ {
-			id := cellOnLine(l, pos)
-			if got, _ := s.Peek(id); !bytes.Equal(got.Data, ext.Cell(id)) || !kzg.Verify(com, id, got.Data, got.Proof) {
-				t.Fatalf("cell %v wrong after the warm reconstructions", id)
+	})
+	t.Run("metadata", func(t *testing.T) {
+		s := NewStore(p, a, false, false)
+		var buf []wire.Cell
+		restored := 0
+		restore := func() {
+			s.Reset(a, false, false)
+			for _, l := range lines {
+				for pos := 0; pos < p.N(); pos += 2 {
+					if _, err := s.Add(wire.Cell{ID: cellOnLine(l, pos)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			restored = 0
+			for _, l := range lines {
+				cells, err := s.tryReconstructInto(l, &buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				restored += len(cells)
+			}
+			if s.CompleteLines() != len(lines) {
+				t.Fatalf("%d of %d lines complete", s.CompleteLines(), len(lines))
 			}
 		}
-	}
+		restore()
+		if allocs := testing.AllocsPerRun(20, restore); allocs != 0 {
+			t.Fatalf("a warm metadata reconstruction allocated %v times", allocs)
+		}
+		// Each line lacks its N/2 odd positions, less the crossing cell
+		// another line held or restored first: (40, 7) is an even
+		// position of column 7, and (3, 7) is restored with row 3.
+		if want := 3*p.N()/2 - 2; restored != want {
+			t.Fatalf("restored %d cells, want %d", restored, want)
+		}
+	})
 }
 
 func TestStoreVerifyRejectsBadProof(t *testing.T) {

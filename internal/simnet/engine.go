@@ -21,14 +21,18 @@ import (
 	"time"
 )
 
-// event is a scheduled callback. Events are stored by value inside the
-// shard heaps' backing arrays: scheduling never allocates a per-event
-// object, and popped slots are reused for later pushes (the backing
-// arrays act as the event pool).
+// event is a scheduled timer callback or one stage of a message in
+// flight. Events are stored by value inside the shard heaps' backing
+// arrays: scheduling never allocates a per-event object, and popped slots
+// are reused for later pushes (the backing arrays act as the event pool).
+// A message event carries no closure, only its slot in the network's
+// in-flight slab, so a message allocates nothing between send and
+// delivery.
 type event struct {
 	at  time.Duration
 	seq uint64 // tie-break for equal times: FIFO
-	fn  func()
+	fn  func() // a timer's callback
+	msg int32  // 0 for a timer; for a message, 1 + its slot in Network.msgs
 }
 
 // The event queue is sharded by time band so that each push/pop works on
@@ -125,6 +129,8 @@ type Engine struct {
 	pending  int
 	shards   [numShards]eventShard
 	rng      *rand.Rand
+	// net runs the message events; nil for an engine without a network.
+	net *Network
 }
 
 // NewEngine creates an engine with a deterministic random source.
@@ -140,13 +146,17 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // At schedules fn at absolute virtual time t. Times in the past run at the
 // current time (never before).
-func (e *Engine) At(t time.Duration, fn func()) {
-	if t < e.now {
-		t = e.now
+func (e *Engine) At(t time.Duration, fn func()) { e.schedule(event{at: t, fn: fn}) }
+
+// schedule queues ev, clamped to now, with the next sequence number.
+func (e *Engine) schedule(ev event) {
+	if ev.at < e.now {
+		ev.at = e.now
 	}
 	e.seq++
 	e.pending++
-	e.shards[shardFor(t)].push(event{at: t, seq: e.seq, fn: fn})
+	ev.seq = e.seq
+	e.shards[shardFor(ev.at)].push(ev)
 }
 
 // After schedules fn delay after the current virtual time.
@@ -189,7 +199,11 @@ func (e *Engine) Run(until time.Duration) int {
 		ev := e.shards[i].pop()
 		e.pending--
 		e.now = ev.at
-		ev.fn()
+		if ev.msg == 0 {
+			ev.fn()
+		} else {
+			e.net.step(ev.msg - 1)
+		}
 		n++
 	}
 	e.executed += uint64(n)

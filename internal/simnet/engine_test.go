@@ -162,6 +162,52 @@ func TestEnginePoolReuse(t *testing.T) {
 	}
 }
 
+// TestNetworkDeliveryAllocatesNothing: a message is a value event and a
+// slot in the network's in-flight slab, so once the slab and the shard
+// heaps are warm, a send through arrival and delivery allocates nothing —
+// on the lossy and reliable paths, for messages the loss draw or a
+// partition drops, and for deliveries to a dead receiver.
+func TestNetworkDeliveryAllocatesNothing(t *testing.T) {
+	n, err := New(Config{Latency: ConstantLatency(time.Millisecond), LossRate: 0.5, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	handler := func(from, size int, payload any) { delivered++ }
+	a := n.AddNode(nil, NodeBandwidth, NodeBandwidth)
+	b := n.AddNode(handler, NodeBandwidth, NodeBandwidth)
+	dead := n.AddNode(handler, NodeBandwidth, NodeBandwidth)
+	cut := n.AddNode(handler, NodeBandwidth, NodeBandwidth)
+	if err := n.SetDead(dead, true); err != nil {
+		t.Fatal(err)
+	}
+	n.SetLinkFilter(func(from, to int) bool { return to == cut })
+	payload := any(&struct{ cells []int }{cells: []int{1, 2, 3}})
+	cycle := func() {
+		for i := 0; i < 16; i++ {
+			n.Send(a, b, 600, payload)
+			n.SendReliable(a, b, 600, payload)
+			n.SendReliable(a, dead, 600, payload)
+			n.Send(a, cut, 600, payload)
+		}
+		n.Run(n.Now() + 50*time.Millisecond)
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	before := delivered
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("warm send/arrive/deliver cycles allocated %v times per cycle, want 0", allocs)
+	}
+	if n.engine.Pending() != 0 || len(n.free) != len(n.msgs) {
+		t.Fatalf("%d events pending, %d of %d slab slots free after drain", n.engine.Pending(), len(n.free), len(n.msgs))
+	}
+	if delivered == before || n.Stats(dead).MsgsRecv == 0 || n.Stats(a).MsgsLost == 0 {
+		t.Fatalf("delivered %d, dead received %d, lost %d: a path went unexercised",
+			delivered-before, n.Stats(dead).MsgsRecv, n.Stats(a).MsgsLost)
+	}
+}
+
 // TestEngineConcurrentEngines runs independent engines on separate
 // goroutines under the race tier: shard pools are per-engine state and
 // must not share anything mutable across instances.

@@ -73,11 +73,29 @@ type Network struct {
 	nodes   []nodeState
 	dropped int
 
+	// msgs is the slab of messages in flight, one slot per message from
+	// its send to its delivery; free lists the slots deliveries vacated,
+	// reused first.
+	msgs []inflight
+	free []int32
+
 	// linkFilter, when non-nil, vetoes individual links: a true return
 	// drops the message (after the sender's uplink is charged — the bytes
 	// were transmitted into a black hole). Used by fault injection to
 	// model partitions.
 	linkFilter func(from, to int) bool
+}
+
+// inflight is one message between its send and its delivery. Its event
+// fires twice: at arrival it queues for the receiver's downlink, and once
+// through the downlink it is delivered. The receiver is looked up by index
+// at each stage, so a node added meanwhile (which moves Network.nodes)
+// cannot strand the delivery in a stale copy.
+type inflight struct {
+	payload    any
+	from, to   int32
+	size       int
+	inDownlink bool // the message has arrived and is being received
 }
 
 type nodeState struct {
@@ -98,7 +116,9 @@ func New(cfg Config) (*Network, error) {
 	if cfg.LossRate < 0 || cfg.LossRate >= 1 {
 		return nil, fmt.Errorf("simnet: loss rate %v out of [0,1)", cfg.LossRate)
 	}
-	return &Network{engine: NewEngine(cfg.Seed), cfg: cfg}, nil
+	n := &Network{engine: NewEngine(cfg.Seed), cfg: cfg}
+	n.engine.net = n
+	return n, nil
 }
 
 // Engine returns the underlying event engine (for timers).
@@ -249,20 +269,41 @@ func (n *Network) send(from, to, size int, payload any, lossy bool) {
 	}
 	arrive := start + txTime + prop
 
-	n.engine.At(arrive, func() {
-		recv := &n.nodes[to]
-		rxTime := transferTime(size, recv.downBps)
+	var i int32
+	if k := len(n.free); k > 0 {
+		i = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		i = int32(len(n.msgs))
+		n.msgs = append(n.msgs, inflight{})
+	}
+	n.msgs[i] = inflight{payload: payload, from: int32(from), to: int32(to), size: size}
+	n.engine.schedule(event{at: arrive, msg: i + 1})
+}
+
+// step runs message i's event: at arrival the message occupies the
+// receiver's downlink, and the same event is queued for when it is
+// through; at delivery the slot is freed and the handler called.
+func (n *Network) step(i int32) {
+	m := &n.msgs[i]
+	recv := &n.nodes[m.to]
+	if !m.inDownlink {
+		rxTime := transferTime(m.size, recv.downBps)
 		rxStart := max(n.engine.Now(), recv.downFree)
 		recv.downFree = rxStart + rxTime
-		n.engine.At(rxStart+rxTime, func() {
-			recv.stats.MsgsRecv++
-			recv.stats.BytesRecv += int64(size)
-			if recv.dead || recv.handler == nil {
-				return
-			}
-			recv.handler(from, size, payload)
-		})
-	})
+		m.inDownlink = true
+		n.engine.schedule(event{at: rxStart + rxTime, msg: i + 1})
+		return
+	}
+	from, size, payload := int(m.from), m.size, m.payload
+	*m = inflight{}
+	n.free = append(n.free, i)
+	recv.stats.MsgsRecv++
+	recv.stats.BytesRecv += int64(size)
+	if recv.dead || recv.handler == nil {
+		return
+	}
+	recv.handler(from, size, payload)
 }
 
 // Endpoint is one node's handle on the network: the transport value the

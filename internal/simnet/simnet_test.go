@@ -286,6 +286,30 @@ func TestNetworkDeterminism(t *testing.T) {
 	}
 }
 
+// TestNetworkNodeAddedMidDelivery: nodes registered while a message is
+// in the receiver's downlink grow (and so move) the node table; the
+// delivery must still be counted on the receiver, not on a stale copy.
+func TestNetworkNodeAddedMidDelivery(t *testing.T) {
+	n := newTestNet(t, ConstantLatency(10*time.Millisecond), 0)
+	a := n.AddNode(nil, 0, 0)
+	delivered := time.Duration(-1)
+	// 100 bytes at 8 kbps: in the downlink from 10 ms to 110 ms.
+	b := n.AddNode(func(from, size int, payload any) { delivered = n.Now() }, 0, 8_000)
+	n.Send(a, b, 100, nil)
+	n.After(50*time.Millisecond, func() {
+		for i := 0; i < 64; i++ {
+			n.AddNode(nil, 0, 0)
+		}
+	})
+	n.Run(time.Second)
+	if delivered != 110*time.Millisecond {
+		t.Fatalf("delivered at %v, want 110ms", delivered)
+	}
+	if st := n.Stats(b); st.MsgsRecv != 1 || st.BytesRecv != 100 {
+		t.Fatalf("receiver counted %d msgs, %d bytes; want 1, 100", st.MsgsRecv, st.BytesRecv)
+	}
+}
+
 func TestSetHandler(t *testing.T) {
 	n := newTestNet(t, ConstantLatency(0), 0)
 	a := n.AddNode(nil, 0, 0)
@@ -320,10 +344,11 @@ func BenchmarkNetworkSendDeliver(b *testing.B) {
 	}
 	a := n.AddNode(nil, 0, 0)
 	c := n.AddNode(func(from, size int, payload any) {}, 0, 0)
+	payload := any(&struct{ cells []int }{cells: []int{1, 2, 3}})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Send(a, c, 100, nil)
+		n.Send(a, c, 100, payload)
 		if i%1000 == 999 {
 			n.Run(n.Now() + time.Second)
 		}
