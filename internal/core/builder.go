@@ -252,14 +252,14 @@ func (b *Builder) SeedSlot(slot uint64) SeedingReport {
 // form: cell IDs only (transmit's workers build the wire cells, payload
 // and proof, one pass at a time into a Cells slice the datagram owns,
 // which lets the pipelined path plan the whole schedule while proofs are
-// still being generated) and a boost slice that ALIASES the line's
-// shared entry list. Sharing is what keeps the plan linear in the
-// schedule size: a line's CB entries are built once and referenced by
-// every holder's datagram, never copied per recipient (the per-recipient
+// still being generated) and boost runs that ALIAS the lines' shared
+// entry lists. Sharing is what keeps the plan linear in the schedule
+// size: a line's CB entries are built once and referenced by every
+// holder's datagram, never copied per recipient (the per-recipient
 // copies were quadratic — tens of GB at 100k nodes).
 type seedChunk struct {
 	cellIDs []blob.CellID
-	boost   []wire.BoostEntry
+	boost   [][]wire.BoostEntry
 	index   uint16
 	count   uint16
 	maxRow  int // highest cell row carried; -1 for boost-only/empty chunks
@@ -474,42 +474,23 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	// Build every node's chunk sequence. Boost-only chunks go FIRST: the
 	// consolidation-boost map tells the node which cells are already on
 	// their way to it, so its first fetch plan must see the complete map:
-	// the node plans round 1 at its first cell datagram.
-	// Boost chunks never span two lines — a datagram's Boost field is a
-	// subslice of one line's shared entry list, so chunking stays
-	// copy-free (at the cost of one datagram per held line instead of a
-	// tight concatenated packing; line entry lists are far larger than
-	// datagrams at scale, so the overhead is a few headers).
+	// the node plans round 1 at its first cell datagram. A node's lines
+	// are packed into as few boost-only datagrams as the datagram bound
+	// allows (packBoost). At the paper's geometry a line holds one parcel
+	// per holder up to 256, r = 8 copies each, and encodes to 5 + 21 bytes
+	// a parcel: 341 bytes at 1,000 nodes (16 holders a line), 5.4 KB at
+	// most, so one datagram carries a node's 16 lines up to about 12,000
+	// nodes and two beyond.
 	for _, node := range recipients {
 		clo, chi := spanOf(cellEnd, node)
 		cells := cellArena[clo:chi:chi]
 		blo, bhi := spanOf(boostEnd, node)
-		boostLines := boostArena[blo:bhi]
 		report.NodesSeeded++
-		nChunks := (len(cells) + wire.MaxCellsPerMessage - 1) / wire.MaxCellsPerMessage
-		for _, entries := range boostLines {
-			nChunks += (len(entries) + maxBoostPerMsg - 1) / maxBoostPerMsg
-		}
-		nc := nodeSeedChunks{node: node, chunks: make([]seedChunk, 0, nChunks)}
-		emit := func(cellIDs []blob.CellID, bChunk []wire.BoostEntry, maxRow int) {
-			nc.chunks = append(nc.chunks, seedChunk{
-				cellIDs: cellIDs,
-				boost:   bChunk,
-				index:   uint16(len(nc.chunks)),
-				count:   uint16(nChunks),
-				maxRow:  maxRow,
-			})
-		}
-		for _, entries := range boostLines {
-			for len(entries) > 0 {
-				bChunk := entries
-				if len(bChunk) > maxBoostPerMsg {
-					bChunk = entries[:maxBoostPerMsg]
-				}
-				entries = entries[len(bChunk):]
-				emit(nil, bChunk, -1)
-			}
-		}
+		nc := nodeSeedChunks{node: node,
+			chunks: make([]seedChunk, 0, min(bhi-blo, 1)+(len(cells)+wire.MaxCellsPerMessage-1)/wire.MaxCellsPerMessage)}
+		packBoost(boostArena[blo:bhi], func(runs [][]wire.BoostEntry) {
+			nc.chunks = append(nc.chunks, seedChunk{boost: runs, maxRow: -1})
+		})
 		for len(cells) > 0 {
 			chunk := cells
 			if len(chunk) > wire.MaxCellsPerMessage {
@@ -522,12 +503,52 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 					maxRow = int(id.Row)
 				}
 			}
-			emit(chunk, nil, maxRow)
+			nc.chunks = append(nc.chunks, seedChunk{cellIDs: chunk, maxRow: maxRow})
 		}
-		plan.maxChunks = max(plan.maxChunks, nChunks)
+		for i := range nc.chunks {
+			nc.chunks[i].index, nc.chunks[i].count = uint16(i), uint16(len(nc.chunks))
+		}
+		plan.maxChunks = max(plan.maxChunks, len(nc.chunks))
 		plan.nodes = append(plan.nodes, nc)
 	}
 	return plan, report
+}
+
+// boostRoom is what a boost-only seed datagram has for its runs.
+var boostRoom = wire.MaxDatagram + wire.OverheadIPUDP - (&wire.Seed{}).WireSize(0)
+
+// packBoost cuts a node's boost lines, in order, into the runs of its
+// boost-only datagrams and hands each datagram's runs to emit: every
+// datagram is filled as far as boostRoom allows, and a line that does not
+// fit in what is left is cut between parcels, its head closing the
+// datagram and its tail opening the next. The runs alias the lines' entry
+// lists, and a datagram's run list is a window of lines — written over in
+// place where a cut leaves a tail — except that a datagram a cut closes
+// gets its own list.
+func packBoost(lines [][]wire.BoostEntry, emit func(runs [][]wire.BoostEntry)) {
+	for len(lines) > 0 {
+		room, k := boostRoom, 0
+		for ; k < len(lines); k++ {
+			n, size := wire.FitBoost(lines[k], room)
+			if n < len(lines[k]) {
+				if n == 0 && k == 0 {
+					panic("core: a boost group larger than a datagram")
+				}
+				if n == 0 {
+					emit(lines[:k:k])
+				} else {
+					emit(append(lines[:k:k], lines[k][:n]))
+					lines[k] = lines[k][n:]
+				}
+				break
+			}
+			room -= size
+		}
+		if k == len(lines) {
+			emit(lines)
+		}
+		lines = lines[k:]
+	}
 }
 
 // parcelCopy is one copy of a parcel as planSeed plans it: the cells
@@ -637,7 +658,7 @@ func (b *Builder) transmit(slot uint64, plan seedPlan, report *SeedingReport, ro
 				b.rec.Record(obsv.Event{At: b.tr.Now(), Slot: slot,
 					Kind: obsv.KindSeedSent, Node: int32(b.index),
 					Peer: int32(node), Count: int32(len(m.Cells)),
-					Bytes: int64(size), Aux: int64(len(m.Boost))})
+					Bytes: int64(size), Aux: int64(m.BoostEntries())})
 			}
 			b.tr.SendReliable(node, size, m)
 		}
@@ -676,10 +697,6 @@ func (b *Builder) seedDatagram(slot uint64, sig [wire.SigSize]byte, chunk *seedC
 	}
 	return m
 }
-
-// maxBoostPerMsg keeps seed datagrams under the UDP limit; boost-only
-// chunks carry no cells, so up to 4096 entries (37 KB) fit comfortably.
-const maxBoostPerMsg = 4096
 
 // knownHolders filters a line's holders by the builder's view. ranks[i]
 // is hs[i]'s canonical rank, the index into Table.Holders that boost

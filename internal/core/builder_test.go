@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -199,13 +200,15 @@ func TestBuilderBoostEntriesResolve(t *testing.T) {
 	b.SeedSlot(1)
 	for _, s := range tr.sends {
 		m := s.payload.(*wire.Seed)
-		for _, e := range m.Boost {
-			peer := table.HolderAt(e.Line, int(e.HolderRef))
-			if peer < 0 {
-				t.Fatalf("boost entry %+v resolves to no holder", e)
-			}
-			if !table.Assignment(peer).HasLine(e.Line) {
-				t.Fatalf("boost entry resolves to non-holder %d", peer)
+		for _, run := range m.Boost {
+			for _, e := range run {
+				peer := table.HolderAt(e.Line, int(e.HolderRef))
+				if peer < 0 {
+					t.Fatalf("boost entry %+v resolves to no holder", e)
+				}
+				if !table.Assignment(peer).HasLine(e.Line) {
+					t.Fatalf("boost entry resolves to non-holder %d", peer)
+				}
 			}
 		}
 	}
@@ -252,8 +255,10 @@ func TestBuilderBoostMapIsExact(t *testing.T) {
 					}
 					got[s.to][c.ID] = true
 				}
-				for _, e := range m.Boost {
-					entries[e] = true
+				for _, run := range m.Boost {
+					for _, e := range run {
+						entries[e] = true
+					}
 				}
 			}
 			claimed := make(map[int]int)
@@ -550,7 +555,7 @@ func referenceTransmit(b *Builder, slot uint64, plan seedPlan, report *SeedingRe
 				b.rec.Record(obsv.Event{At: b.tr.Now(), Slot: slot,
 					Kind: obsv.KindSeedSent, Node: int32(b.index),
 					Peer: int32(nc.node), Count: int32(len(m.Cells)),
-					Bytes: int64(size), Aux: int64(len(m.Boost))})
+					Bytes: int64(size), Aux: int64(m.BoostEntries())})
 			}
 			b.tr.SendReliable(nc.node, size, m)
 		}
@@ -912,24 +917,16 @@ func referencePlanSeed(b *Builder, slot uint64) (seedPlan, SeedingReport) {
 	// consolidation-boost map tells the node which cells are already on
 	// their way to it, so its first fetch plan must see the complete map:
 	// the node plans round 1 at its first cell datagram.
-	// Boost chunks never span two lines — a datagram's Boost field is a
-	// subslice of one line's shared entry list, so chunking stays
-	// copy-free (at the cost of one datagram per held line instead of a
-	// tight concatenated packing; line entry lists are far larger than
-	// datagrams at scale, so the overhead is a few headers).
 	for _, node := range recipients {
 		cells := nodeCells[node]
-		boostLines := nodeBoost[node]
+		boostChunks := referencePackBoost(nodeBoost[node])
 		report.NodesSeeded++
-		nChunks := (len(cells) + wire.MaxCellsPerMessage - 1) / wire.MaxCellsPerMessage
-		for _, entries := range boostLines {
-			nChunks += (len(entries) + maxBoostPerMsg - 1) / maxBoostPerMsg
-		}
+		nChunks := len(boostChunks) + (len(cells)+wire.MaxCellsPerMessage-1)/wire.MaxCellsPerMessage
 		if nChunks == 0 {
 			nChunks = 1
 		}
 		nc := nodeSeedChunks{node: node, chunks: make([]seedChunk, 0, nChunks)}
-		emit := func(cellIDs []blob.CellID, bChunk []wire.BoostEntry, maxRow int) {
+		emit := func(cellIDs []blob.CellID, bChunk [][]wire.BoostEntry, maxRow int) {
 			nc.chunks = append(nc.chunks, seedChunk{
 				cellIDs: cellIDs,
 				boost:   bChunk,
@@ -938,15 +935,8 @@ func referencePlanSeed(b *Builder, slot uint64) (seedPlan, SeedingReport) {
 				maxRow:  maxRow,
 			})
 		}
-		for _, entries := range boostLines {
-			for len(entries) > 0 {
-				bChunk := entries
-				if len(bChunk) > maxBoostPerMsg {
-					bChunk = entries[:maxBoostPerMsg]
-				}
-				entries = entries[len(bChunk):]
-				emit(nil, bChunk, -1)
-			}
+		for _, runs := range boostChunks {
+			emit(nil, runs, -1)
 		}
 		for len(cells) > 0 {
 			chunk := cells
@@ -973,6 +963,99 @@ func referencePlanSeed(b *Builder, slot uint64) (seedPlan, SeedingReport) {
 		plan.nodes = append(plan.nodes, nc)
 	}
 	return plan, report
+}
+
+// referencePackBoost cuts a node's lines into its boost-only datagrams
+// runs: the lines fill the datagrams in order, each as far as the
+// datagram bound allows, and a line that does not fit is cut between two
+// of its groups. Sizes are counted from the format here: a run is its
+// line and group count (5 bytes), a group a parcel's start, count and
+// holder count (5) and 2 bytes per holder; a group is a stretch of
+// consecutive entries sharing (start, count), at most 255.
+func referencePackBoost(lines [][]wire.BoostEntry) [][][]wire.BoostEntry {
+	room := wire.MaxDatagram - ((&wire.Seed{}).WireSize(0) - wire.OverheadIPUDP)
+	var chunks [][][]wire.BoostEntry
+	var runs [][]wire.BoostEntry
+	used := 0
+	for _, entries := range lines {
+		var run []wire.BoostEntry
+		for i := 0; i < len(entries); {
+			j := i + 1
+			for j < len(entries) && j-i < 255 && entries[j].Start == entries[i].Start && entries[j].Count == entries[i].Count {
+				j++
+			}
+			cost := 5 + 2*(j-i)
+			if len(run) == 0 {
+				cost += 5
+			}
+			if used+cost > room {
+				if len(run) > 0 {
+					runs = append(runs, run)
+					cost += 5
+				}
+				chunks = append(chunks, runs)
+				run, runs, used = nil, nil, 0
+			}
+			run = append(run, entries[i:j]...)
+			used += cost
+			i = j
+		}
+		runs = append(runs, run)
+	}
+	if len(runs) > 0 {
+		chunks = append(chunks, runs)
+	}
+	return chunks
+}
+
+// TestPackBoostMatchesReference pins packBoost against referencePackBoost
+// on maps too large for one datagram, which a 1,000-node plan never
+// builds: sixteen lines of 256 parcels x 8 copies (5 KB a line, two
+// datagrams a node, as at 20,000 nodes), one line of 300 copies a parcel
+// (groups cut at 255) and lines of single-copy parcels cut by
+// withholding-sized runs. Every datagram must encode within the bound.
+func TestPackBoostMatchesReference(t *testing.T) {
+	line := func(kind blob.LineKind, index, parcels, copies, stride int) []wire.BoostEntry {
+		var es []wire.BoostEntry
+		for p := 0; p < parcels; p++ {
+			for c := 0; c < copies; c++ {
+				es = append(es, wire.BoostEntry{Line: blob.Line{Kind: kind, Index: uint16(index)},
+					HolderRef: uint16(p*copies + c), Start: uint16(p * stride), Count: uint16(stride)})
+			}
+		}
+		return es
+	}
+	var paper, cut [][]wire.BoostEntry
+	for i := 0; i < 16; i++ {
+		paper = append(paper, line(blob.LineKind(i%2), i, 256, 8, 2))
+		cut = append(cut, line(blob.Row, i, 4000, 1, 1))
+	}
+	for _, tc := range []struct {
+		name      string
+		lines     [][]wire.BoostEntry
+		datagrams int
+	}{
+		{"paper-20k", paper, 2},
+		{"full-groups", [][]wire.BoostEntry{line(blob.Col, 3, 1, 300, 4), line(blob.Row, 9, 3, 2, 4)}, 1},
+		{"single-copy", cut, 7},
+		{"one-line", paper[:1], 1},
+		{"empty", nil, 0},
+	} {
+		name := tc.name
+		want := referencePackBoost(tc.lines)
+		var got [][][]wire.BoostEntry
+		packBoost(slices.Clone(tc.lines), func(runs [][]wire.BoostEntry) { got = append(got, runs) })
+		if !reflect.DeepEqual(got, want) || len(got) != tc.datagrams {
+			t.Fatalf("%s: %d datagrams, reference %d, want %d (or their runs differ)", name, len(got), len(want), tc.datagrams)
+		}
+		for i, runs := range got {
+			m := &wire.Seed{ChunkIndex: uint16(i), ChunkCount: uint16(len(got)), Boost: runs}
+			data, err := wire.Encode(m, 0)
+			if err != nil || wire.OverheadIPUDP+len(data) != m.WireSize(0) {
+				t.Fatalf("%s datagram %d: %d bytes encoded, WireSize %d (%v)", name, i, len(data), m.WireSize(0), err)
+			}
+		}
+	}
 }
 
 // referenceKnownHolders filters a line's holders by the builder's view.

@@ -470,37 +470,39 @@ func (n *Node) onSeed(m *wire.Seed) {
 			Peer: -1, Count: int32(rejects)})
 	}
 	width := n.cfg.Blob.N()
-	for _, e := range m.Boost {
-		if lineNumber(e.Line, width) < 0 {
-			continue // not a line of this matrix
-		}
-		peer := n.table.HolderAt(e.Line, int(e.HolderRef))
-		if peer < 0 {
-			continue
-		}
-		end := min(int(e.Start)+int(e.Count), width)
-		// Only custody lines are ever asked about (missingCells).
-		if li := n.store.lineIndex(e.Line); li >= 0 {
-			seeded := n.store.lines[li].cbSeeded
-			for p := int(e.Start); p < end; p++ {
-				seeded[p/64] |= 1 << uint(p%64)
+	for _, run := range m.Boost {
+		for _, e := range run {
+			if lineNumber(e.Line, width) < 0 {
+				continue // not a line of this matrix
 			}
-		}
-		if peer == n.index {
-			// Our own parcels: the builder is sending these cells to us.
-			for pos := int(e.Start); pos < end; pos++ {
-				id := cellOnLine(e.Line, pos)
-				if li := n.store.rowIndex(id.Row); li >= 0 {
-					n.store.lines[li].own[id.Col/64] |= 1 << (id.Col % 64)
-				}
-				if li := n.store.colIndex(id.Col); li >= 0 {
-					n.store.lines[li].own[id.Row/64] |= 1 << (id.Row % 64)
+			peer := n.table.HolderAt(e.Line, int(e.HolderRef))
+			if peer < 0 {
+				continue
+			}
+			end := min(int(e.Start)+int(e.Count), width)
+			// Only custody lines are ever asked about (missingCells).
+			if li := n.store.lineIndex(e.Line); li >= 0 {
+				seeded := n.store.lines[li].cbSeeded
+				for p := int(e.Start); p < end; p++ {
+					seeded[p/64] |= 1 << uint(p%64)
 				}
 			}
-			continue
+			if peer == n.index {
+				// Our own parcels: the builder is sending these cells to us.
+				for pos := int(e.Start); pos < end; pos++ {
+					id := cellOnLine(e.Line, pos)
+					if li := n.store.rowIndex(id.Row); li >= 0 {
+						n.store.lines[li].own[id.Col/64] |= 1 << (id.Col % 64)
+					}
+					if li := n.store.colIndex(id.Col); li >= 0 {
+						n.store.lines[li].own[id.Row/64] |= 1 << (id.Row % 64)
+					}
+				}
+				continue
+			}
+			n.boost = append(n.boost, boostParcel{peer: int32(peer), line: e.Line,
+				start: e.Start, count: uint16(end - min(int(e.Start), end))})
 		}
-		n.boost = append(n.boost, boostParcel{peer: int32(peer), line: e.Line,
-			start: e.Start, count: uint16(end - min(int(e.Start), end))})
 	}
 	if n.seedChunks >= int(m.ChunkCount) {
 		// Full batch landed: everything still missing is fair game.
@@ -512,9 +514,9 @@ func (n *Node) onSeed(m *wire.Seed) {
 	// builder sends a node's boost-only datagrams first, so by then the
 	// node holds the whole consolidation-boost map: every cell still on
 	// its way to it is promised and stays out of F, and every peer seeded
-	// with the rest is known. A boost-only datagram carries one line's
-	// map: a round planned there would re-request the seed cells of every
-	// other line.
+	// with the rest is known. A boost-only datagram may carry only part of
+	// the map: a round planned there would re-request the seed cells of the
+	// lines still to come.
 	if len(m.Cells) > 0 || n.seedOver {
 		n.startFetch()
 	}

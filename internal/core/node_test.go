@@ -204,9 +204,9 @@ func TestNodePromisedCellsNotRequested(t *testing.T) {
 	}
 	m := &wire.Seed{
 		Slot: 1, ChunkIndex: 0, ChunkCount: 2,
-		Boost: []wire.BoostEntry{{
+		Boost: [][]wire.BoostEntry{{{
 			Line: l, HolderRef: uint16(rank), Start: 0, Count: uint16(cfg.Blob.K),
-		}},
+		}}},
 	}
 	node.HandleMessage(99, 100, m)
 	// Fetch starts via watchdog (batch incomplete).
@@ -249,10 +249,10 @@ func TestNodePlansRoundOneOnWholeBoostMap(t *testing.T) {
 	if peer < 0 {
 		t.Fatalf("line %v has no other holder", l)
 	}
-	boost := &wire.Seed{Slot: 1, ChunkIndex: 0, ChunkCount: 3, Boost: []wire.BoostEntry{
+	boost := &wire.Seed{Slot: 1, ChunkIndex: 0, ChunkCount: 3, Boost: [][]wire.BoostEntry{{
 		{Line: l, HolderRef: uint16(table.HolderRank(l, 0)), Start: 0, Count: uint16(k - 4)},
 		{Line: l, HolderRef: uint16(table.HolderRank(l, peer)), Start: uint16(k), Count: 4},
-	}}
+	}}}
 	node.HandleMessage(99, 100, boost)
 	if node.phase != phaseWaiting || len(tr.sends) > 0 {
 		t.Fatal("a boost-only datagram started round 1")
@@ -297,7 +297,7 @@ func TestNodeBoostOnlyBatchStartsFetchWhenComplete(t *testing.T) {
 	lines := table.Assignment(0).Lines()
 	for i, l := range lines[:2] {
 		node.HandleMessage(99, 100, &wire.Seed{Slot: 1, ChunkIndex: uint16(i), ChunkCount: 2,
-			Boost: []wire.BoostEntry{{Line: l, HolderRef: uint16(table.HolderRank(l, 0)), Start: 0, Count: 2}}})
+			Boost: [][]wire.BoostEntry{{{Line: l, HolderRef: uint16(table.HolderRank(l, 0)), Start: 0, Count: 2}}}})
 		if want := i == 1; (node.phase == phaseFetching) != want {
 			t.Fatalf("after boost datagram %d of 2: phase %v, want fetching %v", i+1, node.phase, want)
 		}
@@ -316,7 +316,7 @@ func TestNodePromiseEndsWhenCellLands(t *testing.T) {
 	early := cellOnLine(l, k-1)
 	node.HandleMessage(5, 100, &wire.Response{Slot: 1, Cells: []wire.Cell{{ID: early}}})
 	node.HandleMessage(99, 100, &wire.Seed{Slot: 1, ChunkIndex: 0, ChunkCount: 3,
-		Boost: []wire.BoostEntry{{Line: l, HolderRef: uint16(table.HolderRank(l, 0)), Start: 0, Count: uint16(k)}}})
+		Boost: [][]wire.BoostEntry{{{Line: l, HolderRef: uint16(table.HolderRank(l, 0)), Start: 0, Count: uint16(k)}}}})
 	if p := promisedCells(node); p[early] || len(p) != k-1 {
 		t.Fatalf("promised %d cells (held one included: %v), want %d", len(p), p[early], k-1)
 	}

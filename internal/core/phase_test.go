@@ -31,8 +31,8 @@ func (p phase) String() string {
 func ownBoost(table *Table, node int, lines []blob.Line, count, chunks int) *wire.Seed {
 	m := &wire.Seed{Slot: 1, ChunkCount: uint16(chunks)}
 	for _, l := range lines {
-		m.Boost = append(m.Boost, wire.BoostEntry{Line: l,
-			HolderRef: uint16(table.HolderRank(l, node)), Count: uint16(count)})
+		m.Boost = append(m.Boost, []wire.BoostEntry{{Line: l,
+			HolderRef: uint16(table.HolderRank(l, node)), Count: uint16(count)}})
 	}
 	return m
 }

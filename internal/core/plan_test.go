@@ -273,9 +273,9 @@ func TestLateSeedAfterWatchdog(t *testing.T) {
 
 	late := &wire.Seed{
 		Slot: 1, ChunkIndex: 1, ChunkCount: 3, // still not the whole batch
-		Boost: []wire.BoostEntry{{
+		Boost: [][]wire.BoostEntry{{{
 			Line: l, HolderRef: uint16(rank), Start: 0, Count: uint16(cfg.Blob.N()),
-		}},
+		}}},
 	}
 	node.HandleMessage(99, 100, late)
 	if p := promisedCells(node); len(p) != 0 {

@@ -28,15 +28,20 @@ func forgedCounts() [][]byte {
 		count(header(TypeResponse), 4096),
 		append(count(header(TypeResponse), 4096), oneCell...), // one cell short of 4,096
 		count(seed, 4096),
-		count(count(seed, 0), 65536), // no cells, 65,536 boost entries
+		count(count(seed, 0), 65536), // no cells, 65,536 boost runs
 		count(count(seed, 0), 1<<32-1),
+		// One run of a line that claims 1,000 parcels and holds one.
+		append(count(count(seed, 0), 1), byte(blob.Row), 0, 1, 0x03, 0xe8, 0, 0, 0, 1, 1, 0, 0),
+		// A group that claims 255 holders with 2 bytes left.
+		append(count(count(seed, 0), 1), byte(blob.Row), 0, 1, 0, 1, 0, 0, 0, 1, 255, 0, 0),
 	}
 }
 
 // TestDecodeForgedCountsCostNothing: a header that lies about its counts
-// is rejected before anything is sized from it. The parent allocated
-// min(count, 4096) cells x 88 B (or 65,536 boost entries or IDs) first,
-// so a ~150-byte Seed cost ~1 MB.
+// is rejected before anything is sized from it. The copying decoder
+// allocated min(count, 4096) cells x 88 B (or 65,536 boost entries or IDs)
+// first, so a ~150-byte Seed cost ~1 MB. The boost section's run, group
+// and holder counts are each checked against the bytes behind them.
 func TestDecodeForgedCountsCostNothing(t *testing.T) {
 	var in Inbox
 	for i, data := range forgedCounts() {
@@ -60,9 +65,10 @@ func TestDecodeForgedCountsCostNothing(t *testing.T) {
 	}
 }
 
-// allocMessages returns a full seed datagram, a 32-ID query and a full
-// 96-cell response, encoded.
-func allocMessages(t testing.TB) (seed, query, response []byte) {
+// allocMessages returns a full seed datagram, a boost-only seed datagram
+// packed the way the builder packs one (8 lines of 16 parcels x 8
+// copies), a 32-ID query and a full 96-cell response, encoded.
+func allocMessages(t testing.TB) (seed, boost, query, response []byte) {
 	rng := rand.New(rand.NewSource(7))
 	cells := make([]Cell, MaxCellsPerMessage)
 	for i := range cells {
@@ -74,7 +80,10 @@ func allocMessages(t testing.TB) (seed, query, response []byte) {
 	}
 	var err error
 	if seed, err = Encode(&Seed{Slot: 1, ChunkCount: 1, Cells: cells,
-		Boost: []BoostEntry{{Line: blob.Line{Kind: blob.Row, Index: 1}, Count: 4}}}, testCellBytes); err != nil {
+		Boost: [][]BoostEntry{{{Line: blob.Line{Kind: blob.Row, Index: 1}, Count: 4}}}}, testCellBytes); err != nil {
+		t.Fatal(err)
+	}
+	if boost, err = Encode(&Seed{Slot: 1, ChunkCount: 2, Boost: packedBoost(8, 16, 8)}, testCellBytes); err != nil {
 		t.Fatal(err)
 	}
 	if query, err = Encode(&Query{Slot: 1, Cells: idsOf}, testCellBytes); err != nil {
@@ -83,16 +92,17 @@ func allocMessages(t testing.TB) (seed, query, response []byte) {
 	if response, err = Encode(&Response{Slot: 1, Cells: cells}, testCellBytes); err != nil {
 		t.Fatal(err)
 	}
-	return seed, query, response
+	return seed, boost, query, response
 }
 
 // TestDecodeAllocations is the allocation gate of the receive path: a
 // 96-cell response decodes into a fresh message with two allocations (the
 // Inbox and its cell slice; the copying decoder made 98), and into a
-// warm Inbox — what a transport endpoint keeps — with none. Encoding into
+// warm Inbox — what a transport endpoint keeps — with none, a packed
+// boost map included. Encoding into
 // a buffer that has the room allocates nothing either.
 func TestDecodeAllocations(t *testing.T) {
-	seed, query, response := allocMessages(t)
+	seed, boost, query, response := allocMessages(t)
 	if n := testing.AllocsPerRun(100, func() {
 		if _, err := Decode(response, testCellBytes); err != nil {
 			t.Fatal(err)
@@ -100,7 +110,7 @@ func TestDecodeAllocations(t *testing.T) {
 	}); n > 2 {
 		t.Errorf("response: Decode makes %.0f allocations, want <= 2", n)
 	}
-	for name, data := range map[string][]byte{"seed": seed, "query": query, "response": response} {
+	for name, data := range map[string][]byte{"seed": seed, "boost": boost, "query": query, "response": response} {
 		var in Inbox
 		var msg Message
 		if n := testing.AllocsPerRun(100, func() {

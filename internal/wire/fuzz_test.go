@@ -65,23 +65,9 @@ func decodeCopying(data []byte, cellBytes int) (Message, error) {
 		if m.Cells, ok = cells(); !ok {
 			return nil, ErrTruncated
 		}
-		nBoost, ok := r.uint32()
-		if !ok {
-			return nil, ErrTruncated
-		}
-		m.Boost = make([]BoostEntry, 0, min(int(nBoost), 65536))
-		for i := 0; i < int(nBoost); i++ {
-			if len(r.buf) < boostEntryWire {
-				return nil, ErrTruncated
-			}
-			var b BoostEntry
-			b.Line.Kind = blob.LineKind(r.buf[0])
-			b.Line.Index = binary.BigEndian.Uint16(r.buf[1:3])
-			b.HolderRef = binary.BigEndian.Uint16(r.buf[3:5])
-			b.Start = binary.BigEndian.Uint16(r.buf[5:7])
-			b.Count = binary.BigEndian.Uint16(r.buf[7:9])
-			r.buf = r.buf[boostEntryWire:]
-			m.Boost = append(m.Boost, b)
+		var err error
+		if m.Boost, err = boostCopying(&r); err != nil {
+			return nil, err
 		}
 		return m, nil
 	case TypeQuery:
@@ -114,6 +100,59 @@ func decodeCopying(data []byte, cellBytes int) (Message, error) {
 	}
 }
 
+// boostCopying is the reference reading of a Seed's boost section: a
+// fresh slice per run, entries appended one group at a time. Like the
+// decoder it refuses a count its bytes cannot hold before reading what
+// the count declares, so the two agree on which error a datagram earns.
+func boostCopying(r *reader) ([][]BoostEntry, error) {
+	nRuns, ok := r.uint32()
+	if !ok || int64(nRuns)*minBoostRun > int64(len(r.buf)) {
+		return nil, ErrTruncated
+	}
+	var runs [][]BoostEntry
+	for i := 0; i < int(nRuns); i++ {
+		if len(r.buf) < 5 {
+			return nil, ErrTruncated
+		}
+		line := blob.Line{Kind: blob.LineKind(r.buf[0]), Index: binary.BigEndian.Uint16(r.buf[1:3])}
+		nGroups := int(binary.BigEndian.Uint16(r.buf[3:5]))
+		r.buf = r.buf[5:]
+		if nGroups == 0 {
+			return nil, fmt.Errorf("%w: empty run", ErrBadBoost)
+		}
+		if nGroups*minBoostGroup > len(r.buf) {
+			return nil, ErrTruncated
+		}
+		var run []BoostEntry
+		lastGroup := 0
+		for g := 0; g < nGroups; g++ {
+			if len(r.buf) < 5 {
+				return nil, ErrTruncated
+			}
+			start := binary.BigEndian.Uint16(r.buf[0:2])
+			count := binary.BigEndian.Uint16(r.buf[2:4])
+			holders := int(r.buf[4])
+			r.buf = r.buf[5:]
+			if holders == 0 {
+				return nil, fmt.Errorf("%w: empty group", ErrBadBoost)
+			}
+			if prev := len(run) - 1; prev >= 0 && run[prev].Start == start && run[prev].Count == count && lastGroup < 255 {
+				return nil, fmt.Errorf("%w: unmerged groups", ErrBadBoost)
+			}
+			for h := 0; h < holders; h++ {
+				if len(r.buf) < 2 {
+					return nil, ErrTruncated
+				}
+				run = append(run, BoostEntry{Line: line, HolderRef: binary.BigEndian.Uint16(r.buf[0:2]), Start: start, Count: count})
+				r.buf = r.buf[2:]
+			}
+			lastGroup = holders
+		}
+		runs = append(runs, run)
+	}
+	return runs, nil
+}
+
 // cellsOf returns the cells a protocol message carries.
 func cellsOf(m Message) []Cell {
 	switch v := m.(type) {
@@ -144,7 +183,7 @@ func sameMessage(got, want Message) error {
 	case *Seed:
 		r := want.(*Seed)
 		if v.Slot != r.Slot || v.Builder != r.Builder || v.ProposerSig != r.ProposerSig || v.Commitment != r.Commitment ||
-			v.ChunkIndex != r.ChunkIndex || v.ChunkCount != r.ChunkCount || !slices.Equal(v.Boost, r.Boost) {
+			v.ChunkIndex != r.ChunkIndex || v.ChunkCount != r.ChunkCount || !sameRuns(v.Boost, r.Boost) {
 			return fmt.Errorf("seed fields differ from the reference")
 		}
 	case *Query:
@@ -183,6 +222,12 @@ func FuzzDecode(f *testing.F) {
 		f.Add(data)
 	}
 	s := &Seed{Slot: 5, ChunkCount: 1}
+	if data, err := Encode(s, 64); err == nil {
+		f.Add(data)
+	}
+	// A boost-only datagram as the builder packs it: several lines, each
+	// parcel's copies one group.
+	s = &Seed{Slot: 6, ChunkCount: 2, Boost: packedBoost(3, 4, 3)}
 	if data, err := Encode(s, 64); err == nil {
 		f.Add(data)
 	}

@@ -41,9 +41,14 @@ func goldenMessages() []goldenMessage {
 	rng.Read(seed.ProposerSig[:])
 	rng.Read(seed.Commitment[:])
 	seed.Cells = []Cell{cell(), cell(), {ID: blob.CellID{Row: 511, Col: 0}}} // the last is a metadata cell
-	seed.Boost = []BoostEntry{
-		{Line: blob.Line{Kind: blob.Row, Index: 7}, HolderRef: 3, Start: 0, Count: 12},
-		{Line: blob.Line{Kind: blob.Col, Index: 500}, HolderRef: 90, Start: 256, Count: 8},
+	row, col := blob.Line{Kind: blob.Row, Index: 7}, blob.Line{Kind: blob.Col, Index: 500}
+	seed.Boost = [][]BoostEntry{ // a parcel's copies share a group
+		{
+			{Line: row, HolderRef: 3, Start: 0, Count: 12},
+			{Line: row, HolderRef: 5, Start: 0, Count: 12},
+			{Line: row, HolderRef: 1, Start: 12, Count: 4},
+		},
+		{{Line: col, HolderRef: 90, Start: 256, Count: 8}},
 	}
 	return []goldenMessage{
 		{"seed", seed},

@@ -38,6 +38,9 @@ const (
 	// MaxCellsPerMessage caps cells per datagram so encoded messages stay
 	// under the 64 KB UDP limit with default 560 B cells.
 	MaxCellsPerMessage = 96
+	// MaxDatagram is the largest UDP payload: EncodeAppend refuses a
+	// message that encodes to more.
+	MaxDatagram = 65507
 )
 
 // MsgType tags wire messages.
@@ -58,6 +61,10 @@ var (
 	ErrTruncated = errors.New("wire: truncated message")
 	ErrBadType   = errors.New("wire: unknown message type")
 	ErrTooLarge  = errors.New("wire: message exceeds datagram limit")
+	// ErrBadBoost is a boost map that is not in canonical form: an empty
+	// run or group, a run that mixes lines, or two adjacent groups the
+	// encoder would have merged.
+	ErrBadBoost = errors.New("wire: malformed boost map")
 )
 
 // Cell is one extended-matrix cell in flight: identifier, payload, and
@@ -106,9 +113,24 @@ type BoostEntry struct {
 	Count     uint16
 }
 
-// boostEntryWire is the encoded size of one boost entry:
-// kind(1) + line index(2) + holder(2) + start(2) + count(2).
-const boostEntryWire = 9
+// The boost section of a Seed is encoded by parcel: the builder sends a
+// parcel's copies back to back, so a line's entries come in stretches
+// that share (start, count) and differ only in the holder. The section is
+// a run count (4) and the runs; a run is one line's entries, its line
+// (kind 1 + index 2) and group count (2) followed by the groups; a group
+// is a parcel's start (2) and count (2), its holder count (1) and the
+// holders' ranks (2 each). A group is a longest stretch of consecutive
+// entries sharing (start, count), cut at maxGroupHolders.
+const (
+	boostRunHead    = 5
+	boostGroupHead  = 5
+	boostHolderWire = 2
+	maxGroupHolders = 255
+	// minBoostRun and minBoostGroup are the smallest run and group: what a
+	// declared count must find behind it.
+	minBoostGroup = boostGroupHead + boostHolderWire
+	minBoostRun   = boostRunHead + minBoostGroup
+)
 
 // Seed is the builder's seeding message for one slot (one of possibly
 // several datagrams per node).
@@ -123,7 +145,65 @@ type Seed struct {
 	ChunkIndex uint16
 	ChunkCount uint16
 	Cells      []Cell
-	Boost      []BoostEntry
+	// Boost is the consolidation-boost map the datagram carries, in runs:
+	// each run is a non-empty list of entries on one line, encoded with
+	// the line written once (see BoostRunWire). The builder's runs alias
+	// one shared entry list per line.
+	Boost [][]BoostEntry
+}
+
+// BoostEntries returns the number of boost entries the datagram carries.
+func (m *Seed) BoostEntries() int {
+	n := 0
+	for _, run := range m.Boost {
+		n += len(run)
+	}
+	return n
+}
+
+// groupLen returns the number of entries in the group at the head of a
+// non-empty run: those that share the first entry's line, start and
+// count, at most maxGroupHolders.
+func groupLen(run []BoostEntry) int {
+	k := 1
+	for k < len(run) && k < maxGroupHolders && run[k].Line == run[0].Line &&
+		run[k].Start == run[0].Start && run[k].Count == run[0].Count {
+		k++
+	}
+	return k
+}
+
+// BoostRunWire returns the bytes one run of boost entries takes in a
+// Seed's encoding.
+func BoostRunWire(run []BoostEntry) int {
+	size := boostRunHead
+	for len(run) > 0 {
+		k := groupLen(run)
+		size += boostGroupHead + k*boostHolderWire
+		run = run[k:]
+	}
+	return size
+}
+
+// FitBoost returns how many entries at the head of run, cut between
+// groups, encode as one run in at most room bytes, and the bytes that run
+// takes: a sender packs runs into datagrams by it. It returns 0, 0 when
+// not even the first group fits.
+func FitBoost(run []BoostEntry, room int) (n, size int) {
+	size = boostRunHead
+	for n < len(run) {
+		k := groupLen(run[n:])
+		group := boostGroupHead + k*boostHolderWire
+		if size+group > room {
+			break
+		}
+		size += group
+		n += k
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	return n, size
 }
 
 // Type implements Message.
@@ -131,9 +211,12 @@ func (*Seed) Type() MsgType { return TypeSeed }
 
 // WireSize implements Message.
 func (m *Seed) WireSize(cellBytes int) int {
-	return OverheadIPUDP + 1 + 8 + ids.IDSize + SigSize + kzg.CommitmentSize + 4 +
-		4 + len(m.Cells)*cellWire(cellBytes) +
-		4 + len(m.Boost)*boostEntryWire
+	size := OverheadIPUDP + 1 + 8 + ids.IDSize + SigSize + kzg.CommitmentSize + 4 +
+		4 + len(m.Cells)*cellWire(cellBytes) + 4
+	for _, run := range m.Boost {
+		size += BoostRunWire(run)
+	}
+	return size
 }
 
 // Query requests cells from a peer for a slot.
@@ -189,13 +272,9 @@ func EncodeAppend(buf []byte, m Message, cellBytes int) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint16(buf, v.ChunkIndex)
 		buf = binary.BigEndian.AppendUint16(buf, v.ChunkCount)
 		buf = appendCells(buf, v.Cells, cellBytes)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v.Boost)))
-		for _, b := range v.Boost {
-			buf = append(buf, byte(b.Line.Kind))
-			buf = binary.BigEndian.AppendUint16(buf, b.Line.Index)
-			buf = binary.BigEndian.AppendUint16(buf, b.HolderRef)
-			buf = binary.BigEndian.AppendUint16(buf, b.Start)
-			buf = binary.BigEndian.AppendUint16(buf, b.Count)
+		var err error
+		if buf, err = appendBoost(buf, v.Boost); err != nil {
+			return nil, err
 		}
 	case *Query:
 		buf = slices.Grow(buf, v.WireSize(cellBytes)-OverheadIPUDP)
@@ -214,7 +293,7 @@ func EncodeAppend(buf []byte, m Message, cellBytes int) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrBadType, m)
 	}
-	if len(buf)-base > 65507 { // max UDP payload
+	if len(buf)-base > MaxDatagram {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(buf)-base)
 	}
 	return buf, nil
@@ -237,6 +316,39 @@ func appendCells(buf []byte, cells []Cell, cellBytes int) []byte {
 	return buf
 }
 
+// appendBoost writes a Seed's boost section (see boostRunHead).
+func appendBoost(buf []byte, runs [][]BoostEntry) ([]byte, error) {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(runs)))
+	for _, run := range runs {
+		if len(run) == 0 {
+			return nil, fmt.Errorf("%w: empty run", ErrBadBoost)
+		}
+		line := run[0].Line
+		buf = append(buf, byte(line.Kind))
+		buf = binary.BigEndian.AppendUint16(buf, line.Index)
+		at, groups := len(buf), 0
+		buf = append(buf, 0, 0) // the group count, known once the run is written
+		for len(run) > 0 {
+			if run[0].Line != line {
+				return nil, fmt.Errorf("%w: run mixes lines %v and %v", ErrBadBoost, line, run[0].Line)
+			}
+			k := groupLen(run)
+			buf = binary.BigEndian.AppendUint16(buf, run[0].Start)
+			buf = binary.BigEndian.AppendUint16(buf, run[0].Count)
+			buf = append(buf, byte(k))
+			for _, e := range run[:k] {
+				buf = binary.BigEndian.AppendUint16(buf, e.HolderRef)
+			}
+			groups++
+			run = run[k:]
+		}
+		// A count past 16 bits means more than MaxDatagram bytes of groups,
+		// which the size check refuses.
+		binary.BigEndian.PutUint16(buf[at:], uint16(groups))
+	}
+	return buf, nil
+}
+
 // Inbox holds the Seed, Query and Response structs DecodeInto fills. A
 // receiver that handles one datagram at a time keeps one Inbox and, once
 // the slices inside have grown to the largest message seen, decodes
@@ -245,6 +357,7 @@ type Inbox struct {
 	seed     Seed
 	query    Query
 	response Response
+	boost    []BoostEntry // the entries the seed's runs slice
 }
 
 // Decode parses a datagram produced by Encode into a fresh message. The
@@ -288,19 +401,9 @@ func DecodeInto(in *Inbox, data []byte, cellBytes int) (Message, error) {
 		if m.Cells, ok = r.cells(m.Cells, cellBytes); !ok {
 			return nil, ErrTruncated
 		}
-		nBoost, ok := r.count(boostEntryWire)
-		if !ok {
-			return nil, ErrTruncated
-		}
-		m.Boost = slices.Grow(m.Boost[:0], nBoost)[:nBoost]
-		for i := range m.Boost {
-			b := &m.Boost[i]
-			b.Line.Kind = blob.LineKind(r.buf[0])
-			b.Line.Index = binary.BigEndian.Uint16(r.buf[1:3])
-			b.HolderRef = binary.BigEndian.Uint16(r.buf[3:5])
-			b.Start = binary.BigEndian.Uint16(r.buf[5:7])
-			b.Count = binary.BigEndian.Uint16(r.buf[7:9])
-			r.buf = r.buf[boostEntryWire:]
+		var err error
+		if m.Boost, in.boost, err = r.boost(m.Boost, in.boost); err != nil {
+			return nil, err
 		}
 		return m, nil
 	case TypeQuery:
@@ -372,6 +475,66 @@ func (r *reader) count(elemWire int) (int, bool) {
 		return 0, false
 	}
 	return int(n), true
+}
+
+// boost reads a Seed's boost section: the runs into runs' memory, their
+// entries into arena's. Every count is checked against the bytes behind
+// it before anything is appended, and a section the encoder would not
+// have written is ErrBadBoost, so what decodes re-encodes to its bytes.
+func (r *reader) boost(runs [][]BoostEntry, arena []BoostEntry) ([][]BoostEntry, []BoostEntry, error) {
+	runs, arena = runs[:0], arena[:0]
+	nRuns, ok := r.count(minBoostRun)
+	if !ok {
+		return runs, arena, ErrTruncated
+	}
+	for range nRuns {
+		if len(r.buf) < boostRunHead {
+			return runs, arena, ErrTruncated
+		}
+		line := blob.Line{Kind: blob.LineKind(r.buf[0]), Index: binary.BigEndian.Uint16(r.buf[1:3])}
+		nGroups := int(binary.BigEndian.Uint16(r.buf[3:5]))
+		r.buf = r.buf[boostRunHead:]
+		if nGroups == 0 {
+			return runs, arena, fmt.Errorf("%w: empty run", ErrBadBoost)
+		}
+		if nGroups > len(r.buf)/minBoostGroup {
+			return runs, arena, ErrTruncated
+		}
+		lo := len(arena)
+		var prev BoostEntry
+		prevHolders := 0
+		for g := range nGroups {
+			if len(r.buf) < boostGroupHead {
+				return runs, arena, ErrTruncated
+			}
+			e := BoostEntry{Line: line, Start: binary.BigEndian.Uint16(r.buf[0:2]), Count: binary.BigEndian.Uint16(r.buf[2:4])}
+			holders := int(r.buf[4])
+			r.buf = r.buf[boostGroupHead:]
+			switch {
+			case holders == 0:
+				return runs, arena, fmt.Errorf("%w: empty group", ErrBadBoost)
+			case g > 0 && e.Start == prev.Start && e.Count == prev.Count && prevHolders < maxGroupHolders:
+				return runs, arena, fmt.Errorf("%w: unmerged groups", ErrBadBoost)
+			}
+			if len(r.buf) < holders*boostHolderWire {
+				return runs, arena, ErrTruncated
+			}
+			for range holders {
+				e.HolderRef = binary.BigEndian.Uint16(r.buf[0:2])
+				r.buf = r.buf[boostHolderWire:]
+				arena = append(arena, e)
+			}
+			prev, prevHolders = e, holders
+		}
+		runs = append(runs, arena[lo:]) // rebased below: arena may move
+	}
+	lo := 0
+	for i, run := range runs {
+		hi := lo + len(run)
+		runs[i] = arena[lo:hi:hi]
+		lo = hi
+	}
+	return runs, arena, nil
 }
 
 // cells reads a cell count and the cells into dst's memory. Payloads

@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -32,9 +34,13 @@ func TestSeedRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.Cells = append(m.Cells, randCell(rng))
 	}
-	m.Boost = []BoostEntry{
-		{Line: blob.Line{Kind: blob.Row, Index: 7}, HolderRef: 3, Start: 0, Count: 12},
-		{Line: blob.Line{Kind: blob.Col, Index: 500}, HolderRef: 90, Start: 256, Count: 8},
+	m.Boost = [][]BoostEntry{
+		{
+			{Line: blob.Line{Kind: blob.Row, Index: 7}, HolderRef: 3, Start: 0, Count: 12},
+			{Line: blob.Line{Kind: blob.Row, Index: 7}, HolderRef: 9, Start: 0, Count: 12},
+			{Line: blob.Line{Kind: blob.Row, Index: 7}, HolderRef: 4, Start: 12, Count: 3},
+		},
+		{{Line: blob.Line{Kind: blob.Col, Index: 500}, HolderRef: 90, Start: 256, Count: 8}},
 	}
 	data, err := Encode(m, testCellBytes)
 	if err != nil {
@@ -62,7 +68,7 @@ func TestSeedRoundTrip(t *testing.T) {
 			t.Fatalf("cell %d mismatch", i)
 		}
 	}
-	if len(s.Boost) != 2 || s.Boost[0] != m.Boost[0] || s.Boost[1] != m.Boost[1] {
+	if !sameRuns(s.Boost, m.Boost) {
 		t.Fatalf("boost mismatch: %+v", s.Boost)
 	}
 }
@@ -167,6 +173,119 @@ func TestEncodeRejectsOversized(t *testing.T) {
 func TestEncodeUnknownType(t *testing.T) {
 	if _, err := Encode(fakeMsg{}, testCellBytes); !errors.Is(err, ErrBadType) {
 		t.Fatalf("err = %v, want ErrBadType", err)
+	}
+}
+
+// packedBoost returns the boost map of a boost-only datagram the way the
+// builder packs it: lines runs of parcels parcels each, every parcel sent
+// to copies holders back to back.
+func packedBoost(lines, parcels, copies int) [][]BoostEntry {
+	runs := make([][]BoostEntry, lines)
+	for i := range runs {
+		l := blob.Line{Kind: blob.LineKind(i % 2), Index: uint16(3 * i)}
+		for p := 0; p < parcels; p++ {
+			for c := 0; c < copies; c++ {
+				runs[i] = append(runs[i], BoostEntry{Line: l, HolderRef: uint16((p*7 + c*13) % 200),
+					Start: uint16(2 * p), Count: 2})
+			}
+		}
+	}
+	return runs
+}
+
+// sameRuns reports whether two boost maps hold the same entries, run by
+// run.
+func sameRuns(a, b [][]BoostEntry) bool {
+	return slices.EqualFunc(a, b, func(x, y []BoostEntry) bool { return slices.Equal(x, y) })
+}
+
+// TestBoostEncodedByParcel pins the boost section's size: a parcel's
+// copies cost its (start, count) once and two bytes per holder, a line
+// once per run; a group longer than 255 holders splits, and the split
+// decodes back to the same entries.
+func TestBoostEncodedByParcel(t *testing.T) {
+	empty := (&Seed{}).WireSize(testCellBytes)
+	for _, tc := range []struct {
+		name string
+		runs [][]BoostEntry
+		want int // boost bytes past the empty section
+	}{
+		{"one line, 16 parcels x 8 copies", packedBoost(1, 16, 8), boostRunHead + 16*(boostGroupHead+8*boostHolderWire)},
+		{"8 lines", packedBoost(8, 16, 8), 8 * (boostRunHead + 16*(boostGroupHead+8*boostHolderWire))},
+		{"300 copies of one parcel", packedBoost(1, 1, 300), boostRunHead + 2*boostGroupHead + 300*boostHolderWire},
+	} {
+		m := &Seed{Slot: 1, ChunkCount: 1, Boost: tc.runs}
+		if got := m.WireSize(testCellBytes) - empty; got != tc.want {
+			t.Errorf("%s: WireSize charges %d boost bytes, want %d", tc.name, got, tc.want)
+		}
+		data, err := Encode(m, testCellBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) != m.WireSize(testCellBytes)-OverheadIPUDP {
+			t.Errorf("%s: encoded %d bytes, WireSize-overhead %d", tc.name, len(data), m.WireSize(testCellBytes)-OverheadIPUDP)
+		}
+		got, err := Decode(data, testCellBytes)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !sameRuns(got.(*Seed).Boost, tc.runs) {
+			t.Errorf("%s: decoded runs differ from the encoded ones", tc.name)
+		}
+	}
+}
+
+// TestBoostRejectsNonCanonical: the encoder refuses runs it cannot write
+// (empty, or mixing lines), and the decoder refuses sections the encoder
+// would not have written (empty runs or groups, adjacent groups it would
+// have merged), so what decodes re-encodes to its own bytes.
+func TestBoostRejectsNonCanonical(t *testing.T) {
+	row, col := blob.Line{Kind: blob.Row, Index: 1}, blob.Line{Kind: blob.Col, Index: 1}
+	for name, runs := range map[string][][]BoostEntry{
+		"empty run":   {{}},
+		"mixed lines": {{{Line: row, Count: 1}, {Line: col, Count: 1}}},
+	} {
+		if _, err := Encode(&Seed{Boost: runs}, testCellBytes); !errors.Is(err, ErrBadBoost) {
+			t.Errorf("encode %s: err = %v, want ErrBadBoost", name, err)
+		}
+	}
+	section := func(groups ...[]byte) []byte {
+		data, err := Encode(&Seed{}, testCellBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = binary.BigEndian.AppendUint32(data[:len(data)-4], 1)
+		data = append(data, byte(blob.Row), 0, 1)
+		data = binary.BigEndian.AppendUint16(data, uint16(len(groups)))
+		for _, g := range groups {
+			data = append(data, g...)
+		}
+		return data
+	}
+	group := func(start, count uint16, holders int) []byte {
+		g := binary.BigEndian.AppendUint16(nil, start)
+		g = binary.BigEndian.AppendUint16(g, count)
+		return append(append(g, byte(holders)), make([]byte, 2*holders)...)
+	}
+	for name, data := range map[string][]byte{
+		"empty run":           section(),
+		"empty group":         section(group(0, 4, 0)),
+		"unmerged groups":     section(group(0, 4, 2), group(0, 4, 1)),
+		"unmerged after full": section(group(0, 4, 1), group(4, 4, 254), group(4, 4, 1)),
+	} {
+		// Padded, so that no count outruns the bytes behind it.
+		data = append(data, make([]byte, minBoostRun)...)
+		if _, err := Decode(data, testCellBytes); !errors.Is(err, ErrBadBoost) {
+			t.Errorf("decode %s: err = %v, want ErrBadBoost", name, err)
+		}
+	}
+	full := section(group(0, 4, 255), group(0, 4, 3), group(4, 4, 1))
+	m, err := Decode(full, testCellBytes)
+	if err != nil {
+		t.Fatalf("a full group and its tail: %v", err)
+	}
+	if re, err := Encode(m, testCellBytes); err != nil || !bytes.Equal(re, full) {
+		t.Fatalf("a full group and its tail do not re-encode to their bytes (%v)", err)
 	}
 }
 
@@ -292,7 +411,7 @@ func TestDecodeTruncationSweep(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		m.Cells = append(m.Cells, randCell(rng))
 	}
-	m.Boost = []BoostEntry{{Line: blob.Line{Kind: blob.Row, Index: 1}, HolderRef: 2, Start: 3, Count: 4}}
+	m.Boost = [][]BoostEntry{{{Line: blob.Line{Kind: blob.Row, Index: 1}, HolderRef: 2, Start: 3, Count: 4}}}
 	data, err := Encode(m, testCellBytes)
 	if err != nil {
 		t.Fatal(err)
