@@ -41,8 +41,8 @@ func TestPlanGolden(t *testing.T) {
 				}
 			},
 			want: goldenTotals{
-				msgs: 227008, bytes: 35145704, rounds: 5,
-				digest: "2dac1d17ce81d3fb4581b5c47d67cf027c1a78524fe26ac70f566027663411a4",
+				msgs: 227245, bytes: 35175981, rounds: 5,
+				digest: "6d57568439789d5c03caef79e69d326324bb6dfb7805b1dbeb49ac6182045b18",
 			},
 		},
 		{
@@ -61,8 +61,8 @@ func TestPlanGolden(t *testing.T) {
 				}
 			},
 			want: goldenTotals{
-				msgs: 15890, bytes: 1175526, rounds: 50,
-				digest: "9085e81fdd8b562a1930fb547bab3f9079a321ebb5f3642c9d06bf6c8e64c0bf",
+				msgs: 15726, bytes: 1171898, rounds: 50,
+				digest: "85cdaf03f77e95c1e0f662f566058606c4044048ceabf71daf1ee73d132123dd",
 			},
 		},
 		{
@@ -76,8 +76,8 @@ func TestPlanGolden(t *testing.T) {
 				}
 			},
 			want: goldenTotals{
-				msgs: 8867, bytes: 1622539, rounds: 5,
-				digest: "9c93e36d13afb98123b82902b2920e2c7b27b8c080fa238d51f6c621824bdcc0",
+				msgs: 9091, bytes: 1634903, rounds: 5,
+				digest: "a19215bfc3f78c903975e339423765badab8bdbbd0a80137a0f3616529237009",
 			},
 		},
 	}

@@ -83,11 +83,11 @@ func TestTraceGolden(t *testing.T) {
 		want  string
 	}{
 		{"sparse-dead-liveness", 150, false, sparseDeadLiveness, nil,
-			"7e5b1fa679fc86c7808078b4d8ade76c4bb2ba510ea7758163856f21a4199916"},
+			"b3789af2e1e9420d0897289f23b4a52a4127c90a73c41b95ec5a0fbd0e0a6f66"},
 		{"garbage-peers", 100, true, garbagePeers, nil,
-			"3df6b49171ca6cde1d058ec72b25ac8027c5406481995551073581d5ef6d619d"},
+			"aee8fbc10724c3c7910198c1de05cfa2f546aa8956d4835ed17975666c1f1382"},
 		{"churn-adversaries", 150, false, churnAdversaries, checkChurnAdversaries,
-			"14a13d93fe0f71a4afb52b1e3bc7512fac01f1d6bdd13b37d0f95a879cc6fad9"},
+			"2b0ad4e8f9203af12ea144081836a9736de4a48f99c4872d4a7f24158e2c0853"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, trace := tracedRegime(t, tc.n, tc.real, tc.mutate)
