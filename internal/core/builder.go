@@ -488,7 +488,7 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 		report.NodesSeeded++
 		nc := nodeSeedChunks{node: node,
 			chunks: make([]seedChunk, 0, min(bhi-blo, 1)+(len(cells)+wire.MaxCellsPerMessage-1)/wire.MaxCellsPerMessage)}
-		packBoost(boostArena[blo:bhi], func(runs [][]wire.BoostEntry) {
+		packBoost(boostArena[blo:bhi:bhi], func(runs [][]wire.BoostEntry) {
 			nc.chunks = append(nc.chunks, seedChunk{boost: runs, maxRow: -1})
 		})
 		for len(cells) > 0 {

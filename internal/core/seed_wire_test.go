@@ -136,6 +136,9 @@ func TestSeedSizesMatchEncoding(t *testing.T) {
 				})
 			}
 			t.Run(fmt.Sprintf("paper-geometry/%v/%s", policy, s.name), func(t *testing.T) {
+				if raceEnabled {
+					t.Skip("the test geometry covers transmit's workers under the race detector")
+				}
 				cfg := DefaultConfig()
 				cfg.Policy = policy
 				check(t, cfg, 1000, 1, s.apply, false)
@@ -245,12 +248,13 @@ func perLineSizes(cellBytes int) func(nodeSeedChunks) []seedDatagramSize {
 // class, under the per-line layout planSeed replaced and the packed one it
 // builds: run with -v for the table DESIGN.md §9 quotes. It is computed
 // from planSeed and the wire sizes alone, so it reaches network sizes a
-// simulated slot cannot; -short stops at 1,000 nodes. It also pins the
+// simulated slot cannot; -short and -race stop at 1,000 nodes (the
+// arithmetic has no concurrency to check). It also pins the
 // packed layout's totals: under 1.9 GB at 10,000 nodes and 3.3 GB at
 // 20,000, and never more than the per-line layout sends.
 func TestBuilderEgressByClass(t *testing.T) {
 	sizes := []int{1000, 10000, 20000}
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		sizes = sizes[:1]
 	}
 	limits := map[int]int64{10000: 1.9e9, 20000: 3.3e9}

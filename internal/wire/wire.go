@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"pandas/internal/blob"
@@ -147,7 +148,7 @@ type Seed struct {
 	Cells      []Cell
 	// Boost is the consolidation-boost map the datagram carries, in runs:
 	// each run is a non-empty list of entries on one line, encoded with
-	// the line written once (see BoostRunWire). The builder's runs alias
+	// the line written once (see boostRunHead). The builder's runs alias
 	// one shared entry list per line.
 	Boost [][]BoostEntry
 }
@@ -171,18 +172,6 @@ func groupLen(run []BoostEntry) int {
 		k++
 	}
 	return k
-}
-
-// BoostRunWire returns the bytes one run of boost entries takes in a
-// Seed's encoding.
-func BoostRunWire(run []BoostEntry) int {
-	size := boostRunHead
-	for len(run) > 0 {
-		k := groupLen(run)
-		size += boostGroupHead + k*boostHolderWire
-		run = run[k:]
-	}
-	return size
 }
 
 // FitBoost returns how many entries at the head of run, cut between
@@ -214,7 +203,8 @@ func (m *Seed) WireSize(cellBytes int) int {
 	size := OverheadIPUDP + 1 + 8 + ids.IDSize + SigSize + kzg.CommitmentSize + 4 +
 		4 + len(m.Cells)*cellWire(cellBytes) + 4
 	for _, run := range m.Boost {
-		size += BoostRunWire(run)
+		_, runWire := FitBoost(run, math.MaxInt) // a whole run
+		size += runWire
 	}
 	return size
 }

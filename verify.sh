@@ -92,10 +92,14 @@ go test ./...
 # TestHashRowsDeterministic pins the builder's parallel row digests to the
 # serial ones; in core, TestBuilderPipelinedMatchesMonolithic and
 # TestTransmitMatchesReference pin the builder's concurrent prove and
-# transmit stages to the serial forms, and TestPlanRoundMatchesReference
-# pins the round planner's under-k coverage lists to unfiltered ones.
+# transmit stages to the serial forms, TestPlanRoundMatchesReference
+# pins the round planner's under-k coverage lists to unfiltered ones,
+# TestSeedPlanMatchesReference pins the seed plan and its boost packing
+# to the map-based planner, and TestSeedSizesMatchEncoding checks every
+# seed datagram, which transmit builds on every core, against its
+# encoding.
 echo "== fixed-seed tests x5 at -cpu 1,2 (experiments, core, baseline, kzg)"
-go test -run 'Deterministic|Golden|TestBuilderPipelinedMatchesMonolithic|TestTransmitMatchesReference|TestPlanRoundMatchesReference' -count=5 -cpu 1,2 \
+go test -run 'Deterministic|Golden|TestBuilderPipelinedMatchesMonolithic|TestTransmitMatchesReference|TestPlanRoundMatchesReference|TestSeedPlanMatchesReference|TestSeedSizesMatchEncoding' -count=5 -cpu 1,2 \
 	./internal/experiments ./internal/core ./internal/baseline ./internal/kzg
 
 # Every internal package runs under the race detector except experiments,
