@@ -520,11 +520,12 @@ var boostRoom = wire.MaxDatagram + wire.OverheadIPUDP - (&wire.Seed{}).WireSize(
 // packBoost cuts a node's boost lines, in order, into the runs of its
 // boost-only datagrams and hands each datagram's runs to emit: every
 // datagram is filled as far as boostRoom allows, and a line that does not
-// fit in what is left is cut between parcels, its head closing the
-// datagram and its tail opening the next. The runs alias the lines' entry
-// lists, and a datagram's run list is a window of lines — written over in
-// place where a cut leaves a tail — except that a datagram a cut closes
-// gets its own list.
+// fit in what is left is cut between two of its groups (a group is a
+// parcel's copies, see wire.FitBoost), its head closing the datagram and
+// its tail opening the next. The runs alias the lines' entry lists, and a
+// datagram's run list is a window of lines — written over in place where
+// a cut leaves a tail — except that a datagram a cut closes gets its own
+// list.
 func packBoost(lines [][]wire.BoostEntry, emit func(runs [][]wire.BoostEntry)) {
 	for len(lines) > 0 {
 		room, k := boostRoom, 0
