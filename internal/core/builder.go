@@ -262,7 +262,7 @@ type seedChunk struct {
 	boost   [][]wire.BoostEntry
 	index   uint16
 	count   uint16
-	maxRow  int // highest cell row carried; -1 for boost-only/empty chunks
+	maxRow  int // highest cell row carried; -1 for a chunk without cells
 }
 
 type nodeSeedChunks struct {
@@ -350,11 +350,20 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 
 	// Phase 2: split every line's positions into contiguous parcels among
 	// a random permutation of its (known) holders, with r-fold
-	// replication under the redundant policy. This pass draws from the
-	// rng and counts; the fill below lays the cells and entries out.
+	// replication under the redundant policy. Where the line's map is
+	// sharded (boostClasses), the copies are drawn stratified: the
+	// primary, then boostHolders copies from each class in turn, the
+	// primary counting for its own. This pass draws from the rng and
+	// counts; the fill below lays the cells and entries out.
 	copies := 1
 	if b.cfg.Policy == PolicyRedundant {
 		copies = b.cfg.Redundancy
+	}
+	rankOf := func(d, i int) int {
+		if ranks[d] != nil {
+			return ranks[d][i]
+		}
+		return i
 	}
 	numCopies := 0 // each parcel goes to its primary and up to copies-1 other holders
 	for d, cnt := range carried {
@@ -363,12 +372,16 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	parcels := make([]parcelCopy, 0, numCopies)
 	cellEnd := make([]int, numNodes) // cells per node, then span ends
 	entryEnd := make([]int, 2*n)     // boost entries per line, then span ends
+	classes := make([]int, 2*n)      // classes each line's map is sharded into
 	var picks []int
+	var members [][]int // a sharded line's holder indices by class
 	for d, cnt := range carried {
 		if cnt == 0 {
 			continue
 		}
 		hs := holders[d]
+		members = boostClasses(members, len(hs), ranks[d], copies)
+		classes[d] = max(1, len(members))
 		perm := b.rng.Perm(len(hs))
 		numParcels := min(cnt, len(hs))
 		base := cnt / numParcels
@@ -381,16 +394,15 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 			}
 			runs := countRuns(positions[lo:hi])
 			picks = append(picks[:0], perm[pi])
-			if copies > 1 {
+			switch {
+			case len(members) > 0:
+				picks = b.pickStratified(picks, members, rankOf(d, perm[pi])%len(members))
+			case copies > 1:
 				picks = b.pickExtras(picks, len(hs), copies-1)
 			}
 			for _, i := range picks {
-				rank := i
-				if ranks[d] != nil {
-					rank = ranks[d][i]
-				}
 				parcels = append(parcels, parcelCopy{line: int32(d), node: int32(hs[i]),
-					rank: uint16(rank), lo: int32(lo), hi: int32(hi)})
+					rank: uint16(rankOf(d, i)), lo: int32(lo), hi: int32(hi)})
 				cellEnd[hs[i]] += hi - lo
 				entryEnd[d] += runs
 			}
@@ -428,11 +440,34 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 			run = run[k:]
 		}
 	}
+	// A sharded line's span is laid out class by class, each class's
+	// entries in parcel order. An entry's class is its HolderRef mod s, and
+	// every class takes the same share of the span: each parcel put
+	// boostHolders copies in each, every copy with the parcel's runs.
+	var scratch []wire.BoostEntry
+	for d, s := range classes {
+		if s < 2 {
+			continue
+		}
+		lo, hi := spanOf(entryEnd, d)
+		scratch = append(scratch[:0], entryArena[lo:hi]...)
+		at := lo
+		for c := 0; c < s; c++ {
+			for _, e := range scratch {
+				if int(e.HolderRef)%s == c {
+					entryArena[at] = e
+					at++
+				}
+			}
+		}
+	}
 
-	// Phase 3: per-node boost maps — every holder of a line receives the
-	// line's CB entries, even holders that got no cells. Each holder gets
-	// a REFERENCE to the line's shared entry span, never a copy: with H
-	// holders per line per-recipient copies would cost
+	// Phase 3: per-node boost maps — every holder of a line receives its
+	// share of the line's CB entries, even holders that got no cells: the
+	// whole span, or on a sharded line the span of its class (its rank mod
+	// s), which names boostHolders holders of every parcel, its own parcels
+	// among them. Each holder gets a REFERENCE to the shared span, never a
+	// copy: with H holders per line per-recipient copies would cost
 	// O(lines x entries x H) — about 39 GB at 100k nodes and default
 	// geometry — while the shared spans cost one slice header per
 	// (line, holder) pair.
@@ -446,11 +481,15 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	}
 	boostArena := make([][]wire.BoostEntry, startOffsets(boostEnd))
 	for d, hs := range holders {
-		if lo, hi := spanOf(entryEnd, d); lo < hi {
-			for _, h := range hs {
-				boostArena[boostEnd[h]] = entryArena[lo:hi:hi]
-				boostEnd[h]++
-			}
+		lo, hi := spanOf(entryEnd, d)
+		if lo == hi {
+			continue
+		}
+		share := (hi - lo) / classes[d]
+		for i, h := range hs {
+			at := lo + rankOf(d, i)%classes[d]*share
+			boostArena[boostEnd[h]] = entryArena[at : at+share : at+share]
+			boostEnd[h]++
 		}
 	}
 
@@ -471,16 +510,18 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	if b.signSeed != nil {
 		plan.sig = b.signSeed(slot)
 	}
-	// Build every node's chunk sequence. Boost-only chunks go FIRST: the
+	// Build every node's chunk sequence. Boost datagrams go FIRST: the
 	// consolidation-boost map tells the node which cells are already on
 	// their way to it, so its first fetch plan must see the complete map:
 	// the node plans round 1 at its first cell datagram. A node's lines
-	// are packed into as few boost-only datagrams as the datagram bound
-	// allows (packBoost). At the paper's geometry a line holds one parcel
-	// per holder up to 256, r = 8 copies each, and encodes to 5 + 21 bytes
-	// a parcel: 341 bytes at 1,000 nodes (16 holders a line), 5.4 KB at
-	// most, so one datagram carries a node's 16 lines up to about 12,000
-	// nodes and two beyond.
+	// are packed into as few boost datagrams as the datagram bound allows
+	// (packBoost), and the last of them also carries the node's first
+	// cells, as many as fit, so the map costs no datagram of its own. At
+	// the paper's geometry a line holds one parcel per holder up to 256,
+	// and a holder's share names boostHolders = 2 holders of each, 9 bytes
+	// a parcel: 2.3 KB a line at most, so one datagram carries a node's 16
+	// lines at any network size.
+	record := cellRecord(b.cfg.Blob.CellBytes)
 	for _, node := range recipients {
 		clo, chi := spanOf(cellEnd, node)
 		cells := cellArena[clo:chi:chi]
@@ -489,24 +530,27 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 		nc := nodeSeedChunks{node: node,
 			chunks: make([]seedChunk, 0, min(bhi-blo, 1)+(len(cells)+wire.MaxCellsPerMessage-1)/wire.MaxCellsPerMessage)}
 		packBoost(boostArena[blo:bhi:bhi], func(runs [][]wire.BoostEntry) {
-			nc.chunks = append(nc.chunks, seedChunk{boost: runs, maxRow: -1})
+			nc.chunks = append(nc.chunks, seedChunk{boost: runs})
 		})
+		if k := len(nc.chunks); k > 0 {
+			last := &nc.chunks[k-1]
+			room := wire.MaxDatagram + wire.OverheadIPUDP - (&wire.Seed{Boost: last.boost}).WireSize(b.cfg.Blob.CellBytes)
+			if fit := min(len(cells), wire.MaxCellsPerMessage, room/record); fit > 0 {
+				last.cellIDs, cells = cells[:fit:fit], cells[fit:]
+			}
+		}
 		for len(cells) > 0 {
-			chunk := cells
-			if len(chunk) > wire.MaxCellsPerMessage {
-				chunk = cells[:wire.MaxCellsPerMessage]
-			}
+			chunk := cells[:min(len(cells), wire.MaxCellsPerMessage)]
 			cells = cells[len(chunk):]
-			maxRow := -1
-			for _, id := range chunk {
-				if int(id.Row) > maxRow {
-					maxRow = int(id.Row)
-				}
-			}
-			nc.chunks = append(nc.chunks, seedChunk{cellIDs: chunk, maxRow: maxRow})
+			nc.chunks = append(nc.chunks, seedChunk{cellIDs: chunk})
 		}
 		for i := range nc.chunks {
-			nc.chunks[i].index, nc.chunks[i].count = uint16(i), uint16(len(nc.chunks))
+			c := &nc.chunks[i]
+			c.index, c.count = uint16(i), uint16(len(nc.chunks))
+			c.maxRow = -1
+			for _, id := range c.cellIDs {
+				c.maxRow = max(c.maxRow, int(id.Row))
+			}
 		}
 		plan.maxChunks = max(plan.maxChunks, len(nc.chunks))
 		plan.nodes = append(plan.nodes, nc)
@@ -514,11 +558,17 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	return plan, report
 }
 
-// boostRoom is what a boost-only seed datagram has for its runs.
+// cellRecord is the wire bytes a cell adds to a seed datagram.
+func cellRecord(cellBytes int) int {
+	var one [1]wire.Cell
+	return (&wire.Seed{Cells: one[:]}).WireSize(cellBytes) - (&wire.Seed{}).WireSize(cellBytes)
+}
+
+// boostRoom is what a seed datagram without cells has for its runs.
 var boostRoom = wire.MaxDatagram + wire.OverheadIPUDP - (&wire.Seed{}).WireSize(0)
 
 // packBoost cuts a node's boost lines, in order, into the runs of its
-// boost-only datagrams and hands each datagram's runs to emit: every
+// boost datagrams and hands each datagram's runs to emit: every
 // datagram is filled as far as boostRoom allows, and a line that does not
 // fit in what is left is cut between two of its groups (a group is a
 // parcel's copies, see wire.FitBoost), its head closing the datagram and
@@ -716,6 +766,62 @@ func (b *Builder) knownHolders(l blob.Line) (hs, ranks []int) {
 		}
 	}
 	return hs, ranks
+}
+
+// boostHolders is h, how many holders of each parcel a holder's share of
+// a sharded CB map names (DESIGN.md §8 decision 9).
+const boostHolders = 2
+
+// boostClasses sorts a line's known holders into the classes its CB map
+// is sharded into and returns their indices by class, reusing members'
+// storage: class c of s = copies/boostHolders holds the holders whose
+// canonical rank (ranks[i], or i when ranks is nil) is c mod s. It returns
+// no classes, and every holder gets the line's whole map, unless the
+// copies split into at least two classes of boostHolders and every class
+// has that many holders to draw them from.
+func boostClasses(members [][]int, numHolders int, ranks []int, copies int) [][]int {
+	s := copies / boostHolders
+	if s < 2 || copies%boostHolders != 0 {
+		return members[:0]
+	}
+	if cap(members) < s {
+		members = make([][]int, s)
+	}
+	members = members[:s]
+	for c := range members {
+		members[c] = members[c][:0]
+	}
+	for i := 0; i < numHolders; i++ {
+		rank := i
+		if ranks != nil {
+			rank = ranks[i]
+		}
+		members[rank%s] = append(members[rank%s], i)
+	}
+	for _, m := range members {
+		if len(m) < boostHolders {
+			return members[:0]
+		}
+	}
+	return members
+}
+
+// pickStratified appends to picks, which holds the primary's index, from
+// class 0 on, distinct indices drawn from each class's members until each
+// class holds boostHolders of the picks; the primary is of class primary.
+func (b *Builder) pickStratified(picks []int, members [][]int, primary int) []int {
+	for c, m := range members {
+		want := len(picks) + boostHolders
+		if c == primary {
+			want--
+		}
+		for len(picks) < want {
+			if i := m[b.rng.Intn(len(m))]; !slices.Contains(picks, i) {
+				picks = append(picks, i)
+			}
+		}
+	}
+	return picks
 }
 
 // pickExtras appends count further distinct indices in [0, numHolders)

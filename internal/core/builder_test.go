@@ -165,13 +165,14 @@ func TestBuilderChunkMarkersConsistent(t *testing.T) {
 	for _, s := range tr.sends {
 		perNode[s.to] = append(perNode[s.to], s.payload.(*wire.Seed))
 	}
+	mixed := 0
 	for node, msgs := range perNode {
 		total := int(msgs[0].ChunkCount)
 		if total != len(msgs) {
 			t.Fatalf("node %d: ChunkCount %d != %d messages", node, total, len(msgs))
 		}
 		seenIdx := make(map[uint16]bool)
-		boostFirst := true
+		lastBoost := -1
 		for i, m := range msgs {
 			if int(m.ChunkCount) != total {
 				t.Fatal("inconsistent ChunkCount")
@@ -180,17 +181,23 @@ func TestBuilderChunkMarkersConsistent(t *testing.T) {
 				t.Fatal("duplicate ChunkIndex")
 			}
 			seenIdx[m.ChunkIndex] = true
-			// Boost-only chunks precede cell chunks.
-			if len(m.Boost) > 0 && len(m.Cells) > 0 {
-				t.Fatal("mixed boost+cell chunk")
-			}
-			if len(m.Cells) > 0 {
-				boostFirst = false
-			}
-			if len(m.Boost) > 0 && !boostFirst {
-				t.Fatalf("node %d msg %d: boost chunk after cell chunk", node, i)
+			if len(m.Boost) > 0 {
+				lastBoost = i
 			}
 		}
+		// No boost after the first chunk that carries cells, and only the
+		// last boost chunk may carry cells too.
+		for i, m := range msgs {
+			if len(m.Cells) > 0 && i < lastBoost {
+				t.Fatalf("node %d msg %d: cells before the last boost chunk %d", node, i, lastBoost)
+			}
+		}
+		if lastBoost >= 0 && len(msgs[lastBoost].Cells) > 0 {
+			mixed++
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("no boost chunk carries cells")
 	}
 }
 
@@ -222,18 +229,32 @@ func TestBuilderBoostEntriesResolve(t *testing.T) {
 // exactly half of its seeded positions. Withholding and a network too
 // small for every line to have a holder break parcels into runs, and the
 // map must stay exact there too.
+//
+// Each recipient gets its share of the map, and the share is pinned too:
+// on a line whose known holders fill every class (referenceClasses) it is
+// exactly the entries of the recipient's class, and it names every parcel
+// of the line with boostHolders holders, the recipient's own parcels
+// among them; on any other line, and under the single and minimal
+// policies, it is the line's whole map.
 func TestBuilderBoostMapIsExact(t *testing.T) {
 	cases := []struct {
 		name     string
 		policy   Policy
 		n        int
 		withhold bool
+		view     bool
+		sharded  bool // some line's map is sharded
 	}{
-		{"single", PolicySingle, 60, false},
-		{"redundant", PolicyRedundant, 60, false},
-		{"minimal", PolicyMinimal, 60, false},
-		{"withholding", PolicyRedundant, 60, true},
-		{"holderless-lines", PolicySingle, 6, false},
+		{"single", PolicySingle, 60, false, false, false},
+		{"redundant", PolicyRedundant, 60, false, false, true},
+		{"minimal", PolicyMinimal, 60, false, false, false},
+		{"withholding", PolicyRedundant, 60, true, false, true},
+		{"holderless-lines", PolicySingle, 6, false, false, false},
+		{"sharded", PolicyRedundant, 200, false, false, true},
+		{"sharded-withholding", PolicyRedundant, 200, true, false, true},
+		{"sharded-view", PolicyRedundant, 200, false, true, true},
+		{"single-dense", PolicySingle, 200, false, false, false},
+		{"minimal-dense", PolicyMinimal, 200, false, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -244,9 +265,13 @@ func TestBuilderBoostMapIsExact(t *testing.T) {
 			if tc.withhold {
 				b.SetWithholding(func(id blob.CellID) bool { return (int(id.Row)+int(id.Col))%5 == 0 })
 			}
+			if tc.view {
+				b.SetView(membership.ViewFunc(func(peer int) bool { return peer%5 != 2 }))
+			}
 			b.SeedSlot(1)
 			got := make(map[int]map[blob.CellID]bool)
 			entries := make(map[wire.BoostEntry]bool)
+			recv := make(map[int][]wire.BoostEntry) // recipient -> entries, in arrival order
 			for _, s := range tr.sends {
 				m := s.payload.(*wire.Seed)
 				for _, c := range m.Cells {
@@ -258,11 +283,13 @@ func TestBuilderBoostMapIsExact(t *testing.T) {
 				for _, run := range m.Boost {
 					for _, e := range run {
 						entries[e] = true
+						recv[s.to] = append(recv[s.to], e)
 					}
 				}
 			}
 			claimed := make(map[int]int)
 			perLine := make(map[blob.Line]int)
+			lineEntries := make(map[blob.Line][]wire.BoostEntry)
 			for e := range entries {
 				holder := table.HolderAt(e.Line, int(e.HolderRef))
 				for pos := int(e.Start); pos < int(e.Start)+int(e.Count); pos++ {
@@ -272,13 +299,67 @@ func TestBuilderBoostMapIsExact(t *testing.T) {
 				}
 				claimed[holder] += int(e.Count)
 				perLine[e.Line] += int(e.Count)
+				lineEntries[e.Line] = append(lineEntries[e.Line], e)
 			}
 			for holder, cells := range got {
 				if claimed[holder] != len(cells) {
 					t.Fatalf("holder %d received %d cells, its entries name %d", holder, len(cells), claimed[holder])
 				}
 			}
-			if tc.policy != PolicySingle || tc.n < 60 {
+
+			copies := 1
+			if tc.policy == PolicyRedundant {
+				copies = cfg.Redundancy
+			}
+			sharded := 0
+			for node := 0; node < tc.n; node++ {
+				want := make(map[wire.BoostEntry]bool)
+				for _, l := range table.Assignment(node).Lines() {
+					holders := referenceKnownHolders(b, l)
+					if !slices.Contains(holders, node) {
+						continue
+					}
+					classOf, byClass := referenceClasses(b, l, holders, copies)
+					groups := make(map[[2]uint16]int) // (start, count) -> holders named
+					for _, e := range lineEntries[l] {
+						if byClass == nil || int(e.HolderRef)%len(byClass) == classOf[node] {
+							want[e] = true
+							groups[[2]uint16{e.Start, e.Count}]++
+						}
+					}
+					if byClass == nil {
+						continue
+					}
+					sharded++
+					for _, e := range lineEntries[l] {
+						if k := groups[[2]uint16{e.Start, e.Count}]; k != boostHolders {
+							t.Fatalf("node %d line %v: its share names cells %d+%d with %d holders, want %d",
+								node, l, e.Start, e.Count, k, boostHolders)
+						}
+					}
+				}
+				mine := recv[node]
+				if len(mine) != len(want) {
+					t.Fatalf("node %d received %d entries, its share has %d", node, len(mine), len(want))
+				}
+				for _, e := range mine {
+					if !want[e] {
+						t.Fatalf("node %d received entry %+v outside its share, or twice", node, e)
+					}
+					delete(want, e)
+					if table.HolderAt(e.Line, int(e.HolderRef)) == node {
+						claimed[node] -= int(e.Count)
+					}
+				}
+				if claimed[node] != 0 {
+					t.Fatalf("node %d: its share misses %d cells of its own parcels", node, claimed[node])
+				}
+			}
+			if (sharded > 0) != tc.sharded {
+				t.Fatalf("%d (node, line) shares sharded, want some: %v", sharded, tc.sharded)
+			}
+
+			if tc.policy != PolicySingle || tc.n != 60 {
 				return
 			}
 			for i := 0; i < width; i++ {
@@ -805,6 +886,7 @@ func referencePlanSeed(b *Builder, slot uint64) (seedPlan, SeedingReport) {
 	}
 	nodeCells := make(map[int][]blob.CellID) // recipient -> planned cells
 	lineBoost := make(map[blob.Line][]wire.BoostEntry)
+	lineClasses := make(map[blob.Line]int) // sharded lines -> their classes
 	linesInOrder := make([]blob.Line, 0, len(perLine))
 	for line := range perLine {
 		linesInOrder = append(linesInOrder, line)
@@ -825,6 +907,7 @@ func referencePlanSeed(b *Builder, slot uint64) (seedPlan, SeedingReport) {
 		// Positions arrive in scan order; parcels must group adjacent
 		// cells.
 		sort.Ints(positions)
+		classOf, byClass := referenceClasses(b, line, holders, copies)
 		perm := b.rng.Perm(len(holders))
 		numParcels := min(len(positions), len(holders))
 		base := len(positions) / numParcels
@@ -838,7 +921,26 @@ func referencePlanSeed(b *Builder, slot uint64) (seedPlan, SeedingReport) {
 			chunk := positions[start : start+cnt]
 			start += cnt
 			recipients := []int{holders[perm[pi]]}
-			if copies > 1 {
+			switch {
+			case byClass != nil:
+				// Stratified: boostHolders copies from each class, class by
+				// class, the primary counting for its own.
+				seen := map[int]bool{recipients[0]: true}
+				for c := 0; c < len(byClass); c++ {
+					need := boostHolders
+					if classOf[recipients[0]] == c {
+						need--
+					}
+					for need > 0 {
+						h := byClass[c][b.rng.Intn(len(byClass[c]))]
+						if !seen[h] {
+							seen[h] = true
+							recipients = append(recipients, h)
+							need--
+						}
+					}
+				}
+			case copies > 1:
 				recipients = append(recipients, referencePickExtras(b, holders, recipients[0], copies-1)...)
 			}
 			for _, rcpt := range recipients {
@@ -869,15 +971,15 @@ func referencePlanSeed(b *Builder, slot uint64) (seedPlan, SeedingReport) {
 				}
 			}
 		}
+		if byClass != nil {
+			lineClasses[line] = len(byClass)
+		}
 	}
 
 	// Phase 3: per-node boost maps — every holder of a line receives the
-	// line's CB entries, even holders that got no cells. Each holder gets
-	// a REFERENCE to the line's shared entry slice, never a copy: with H
-	// holders per line the per-recipient copies the old code made cost
-	// O(lines x entries x H) — about 39 GB at 100k nodes and default
-	// geometry — while the shared slices cost one slice header per
-	// (line, holder) pair.
+	// line's CB entries, even holders that got no cells: all of them, or
+	// on a sharded line those of the copies drawn from its own class, in
+	// the order they were drawn.
 	nodeBoost := make(map[int][][]wire.BoostEntry)
 	for _, line := range linesInOrder {
 		entries := lineBoost[line]
@@ -885,7 +987,16 @@ func referencePlanSeed(b *Builder, slot uint64) (seedPlan, SeedingReport) {
 			continue
 		}
 		for _, h := range referenceKnownHolders(b, line) {
-			nodeBoost[h] = append(nodeBoost[h], entries)
+			share := entries
+			if s := lineClasses[line]; s > 0 {
+				share = nil
+				for _, e := range entries {
+					if int(e.HolderRef)%s == b.table.HolderRank(line, h)%s {
+						share = append(share, e)
+					}
+				}
+			}
+			nodeBoost[h] = append(nodeBoost[h], share)
 		}
 	}
 
@@ -913,30 +1024,28 @@ func referencePlanSeed(b *Builder, slot uint64) (seedPlan, SeedingReport) {
 	if b.signSeed != nil {
 		plan.sig = b.signSeed(slot)
 	}
-	// Build every node's chunk sequence. Boost-only chunks go FIRST: the
+	// Build every node's chunk sequence. Boost datagrams go FIRST: the
 	// consolidation-boost map tells the node which cells are already on
 	// their way to it, so its first fetch plan must see the complete map:
-	// the node plans round 1 at its first cell datagram.
+	// the node plans round 1 at its first cell datagram. The last boost
+	// datagram also carries as many of the node's first cells as its room
+	// and the per-datagram cell cap allow.
+	record := 4 + b.cfg.Blob.CellBytes + kzg.ProofSize // ID, payload, proof
 	for _, node := range recipients {
 		cells := nodeCells[node]
-		boostChunks := referencePackBoost(nodeBoost[node])
+		boostChunks, lastUsed := referencePackBoost(nodeBoost[node])
 		report.NodesSeeded++
-		nChunks := len(boostChunks) + (len(cells)+wire.MaxCellsPerMessage-1)/wire.MaxCellsPerMessage
-		if nChunks == 0 {
-			nChunks = 1
-		}
-		nc := nodeSeedChunks{node: node, chunks: make([]seedChunk, 0, nChunks)}
-		emit := func(cellIDs []blob.CellID, bChunk [][]wire.BoostEntry, maxRow int) {
-			nc.chunks = append(nc.chunks, seedChunk{
-				cellIDs: cellIDs,
-				boost:   bChunk,
-				index:   uint16(len(nc.chunks)),
-				count:   uint16(nChunks),
-				maxRow:  maxRow,
-			})
-		}
-		for _, runs := range boostChunks {
-			emit(nil, runs, -1)
+		var chunks []seedChunk
+		for i, runs := range boostChunks {
+			chunk := seedChunk{boost: runs}
+			if i == len(boostChunks)-1 {
+				fit := min(len(cells), wire.MaxCellsPerMessage, (referenceBoostRoom()-lastUsed)/record)
+				chunk.cellIDs, cells = cells[:fit], cells[fit:]
+				if fit == 0 {
+					chunk.cellIDs = nil
+				}
+			}
+			chunks = append(chunks, chunk)
 		}
 		for len(cells) > 0 {
 			chunk := cells
@@ -944,36 +1053,72 @@ func referencePlanSeed(b *Builder, slot uint64) (seedPlan, SeedingReport) {
 				chunk = cells[:wire.MaxCellsPerMessage]
 			}
 			cells = cells[len(chunk):]
-			maxRow := -1
-			for _, id := range chunk {
-				if int(id.Row) > maxRow {
-					maxRow = int(id.Row)
-				}
-			}
-			emit(chunk, nil, maxRow)
+			chunks = append(chunks, seedChunk{cellIDs: chunk})
 		}
-		if len(nc.chunks) == 0 {
+		if len(chunks) == 0 {
 			// A known node with nothing to carry still gets one empty
 			// announcement datagram (commitment + signature).
-			emit(nil, nil, -1)
+			chunks = append(chunks, seedChunk{})
 		}
-		if nChunks > plan.maxChunks {
-			plan.maxChunks = nChunks
+		for i := range chunks {
+			chunks[i].index, chunks[i].count = uint16(i), uint16(len(chunks))
+			chunks[i].maxRow = -1
+			for _, id := range chunks[i].cellIDs {
+				if int(id.Row) > chunks[i].maxRow {
+					chunks[i].maxRow = int(id.Row)
+				}
+			}
 		}
-		plan.nodes = append(plan.nodes, nc)
+		plan.maxChunks = max(plan.maxChunks, len(chunks))
+		plan.nodes = append(plan.nodes, nodeSeedChunks{node: node, chunks: chunks})
 	}
 	return plan, report
 }
 
-// referencePackBoost cuts a node's lines into its boost-only datagrams
-// runs: the lines fill the datagrams in order, each as far as the
-// datagram bound allows, and a line that does not fit is cut between two
-// of its groups. Sizes are counted from the format here: a run is its
-// line and group count (5 bytes), a group a parcel's start, count and
-// holder count (5) and 2 bytes per holder; a group is a stretch of
-// consecutive entries sharing (start, count), at most 255.
-func referencePackBoost(lines [][]wire.BoostEntry) [][][]wire.BoostEntry {
-	room := wire.MaxDatagram - ((&wire.Seed{}).WireSize(0) - wire.OverheadIPUDP)
+// referenceClasses returns the classes a line's CB map is sharded into,
+// by its own arithmetic: s = copies/boostHolders classes when that splits
+// the copies into at least two classes of boostHolders, and every known
+// holder in class (canonical rank mod s), listed by class in holder order.
+// It returns nil, nil — the line's map goes whole to every holder — when
+// the copies do not split or some class has fewer than boostHolders
+// known holders.
+func referenceClasses(b *Builder, line blob.Line, holders []int, copies int) (map[int]int, [][]int) {
+	s := copies / boostHolders
+	if s < 2 || s*boostHolders != copies {
+		return nil, nil
+	}
+	classOf := make(map[int]int)
+	byClass := make([][]int, s)
+	for _, h := range holders {
+		classOf[h] = b.table.HolderRank(line, h) % s
+		byClass[classOf[h]] = append(byClass[classOf[h]], h)
+	}
+	for _, hs := range byClass {
+		if len(hs) < boostHolders {
+			return nil, nil
+		}
+	}
+	return classOf, byClass
+}
+
+// referenceBoostRoom is what a seed datagram without cells has for its
+// boost runs, counted from the format: the datagram bound less the type
+// (1), slot (8), builder ID, signature, commitment, chunk index and count
+// (4), cell count (4) and run count (4).
+func referenceBoostRoom() int {
+	return wire.MaxDatagram - (1 + 8 + ids.IDSize + wire.SigSize + kzg.CommitmentSize + 4 + 4 + 4)
+}
+
+// referencePackBoost cuts a node's lines into its boost datagrams' runs,
+// and returns the bytes the last datagram's runs take: the lines fill the
+// datagrams in order, each as far as the datagram bound allows, and a
+// line that does not fit is cut between two of its groups. Sizes are
+// counted from the format here: a run is its line and group count (5
+// bytes), a group a parcel's start, count and holder count (5) and 2
+// bytes per holder; a group is a stretch of consecutive entries sharing
+// (start, count), at most 255.
+func referencePackBoost(lines [][]wire.BoostEntry) ([][][]wire.BoostEntry, int) {
+	room := referenceBoostRoom()
 	var chunks [][][]wire.BoostEntry
 	var runs [][]wire.BoostEntry
 	used := 0
@@ -1005,7 +1150,7 @@ func referencePackBoost(lines [][]wire.BoostEntry) [][][]wire.BoostEntry {
 	if len(runs) > 0 {
 		chunks = append(chunks, runs)
 	}
-	return chunks
+	return chunks, used
 }
 
 // TestPackBoostMatchesReference pins packBoost against referencePackBoost
@@ -1042,7 +1187,7 @@ func TestPackBoostMatchesReference(t *testing.T) {
 		{"empty", nil, 0},
 	} {
 		name := tc.name
-		want := referencePackBoost(tc.lines)
+		want, _ := referencePackBoost(tc.lines)
 		var got [][][]wire.BoostEntry
 		packBoost(slices.Clone(tc.lines), func(runs [][]wire.BoostEntry) { got = append(got, runs) })
 		if !reflect.DeepEqual(got, want) || len(got) != tc.datagrams {

@@ -476,10 +476,10 @@ func (n *Node) onSeed(m *wire.Seed) {
 				continue // not a line of this matrix
 			}
 			peer := n.table.HolderAt(e.Line, int(e.HolderRef))
-			if peer < 0 {
-				continue
-			}
 			end := min(int(e.Start)+int(e.Count), width)
+			if peer < 0 || int(e.Start) >= end {
+				continue // no such holder, or no cell of the line named
+			}
 			// Only custody lines are ever asked about (missingCells).
 			if li := n.store.lineIndex(e.Line); li >= 0 {
 				seeded := n.store.lines[li].cbSeeded
@@ -501,7 +501,7 @@ func (n *Node) onSeed(m *wire.Seed) {
 				continue
 			}
 			n.boost = append(n.boost, boostParcel{peer: int32(peer), line: e.Line,
-				start: e.Start, count: uint16(end - min(int(e.Start), end))})
+				start: e.Start, count: uint16(end - int(e.Start))})
 		}
 	}
 	if n.seedChunks >= int(m.ChunkCount) {
@@ -511,12 +511,13 @@ func (n *Node) onSeed(m *wire.Seed) {
 	// The reception of seed cells triggers consolidation and sampling
 	// (Fig. 5): round 1 is planned at the first datagram that carries
 	// cells, or when the batch completes for a node seeded none. The
-	// builder sends a node's boost-only datagrams first, so by then the
-	// node holds the whole consolidation-boost map: every cell still on
-	// its way to it is promised and stays out of F, and every peer seeded
-	// with the rest is known. A boost-only datagram may carry only part of
-	// the map: a round planned there would re-request the seed cells of the
-	// lines still to come.
+	// builder sends a node's boost datagrams first, the last of them with
+	// its first cells, whose boost runs were read above, so by then the
+	// node holds its whole share of the consolidation-boost map: every
+	// cell still on its way to it is promised and stays out of F, and
+	// peers seeded with the rest are known. A datagram without cells may
+	// carry only part of the map: a round planned there would re-request
+	// the seed cells of the lines still to come.
 	if len(m.Cells) > 0 || n.seedOver {
 		n.startFetch()
 	}

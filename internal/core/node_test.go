@@ -228,16 +228,85 @@ func TestNodePromisedCellsNotRequested(t *testing.T) {
 }
 
 // TestNodePlansRoundOneOnWholeBoostMap pins when round 1 starts: not at a
-// boost-only datagram, which carries part of the consolidation-boost map,
-// but at the first datagram that carries cells, which the builder sends
-// after every boost datagram. Round 1 then skips every cell promised to
-// the node and asks the boosted peer for the cells seeded to it. The own
-// parcel promises K-4 cells, so the peer's 4 seeded cells are exactly the
-// line's deficit to K.
+// datagram that carries boost runs alone, which may carry part of the
+// consolidation-boost map, but at the first datagram that carries cells:
+// the builder's last boost datagram, which carries the node's first cells
+// too, or a cell datagram after every boost datagram. Round 1 then skips
+// every cell promised to the node and asks the boosted peer for the
+// cells seeded to it. The own parcel promises K-4 cells, so the peer's 4
+// seeded cells are exactly the line's deficit to K.
 func TestNodePlansRoundOneOnWholeBoostMap(t *testing.T) {
-	node, table, tr, cfg := nodeFixture(t, 60)
+	for _, mixed := range []bool{false, true} {
+		t.Run(map[bool]string{false: "boost-then-cells", true: "boost-with-cells"}[mixed], func(t *testing.T) {
+			node, table, tr, cfg := nodeFixture(t, 60)
+			node.StartSlot(1)
+			k := cfg.Blob.K
+			l := table.Assignment(0).Lines()[0]
+			peer := -1
+			for _, h := range table.Holders(l) {
+				if h != 0 {
+					peer = h
+					break
+				}
+			}
+			if peer < 0 {
+				t.Fatalf("line %v has no other holder", l)
+			}
+			boost := &wire.Seed{Slot: 1, ChunkIndex: 0, ChunkCount: 3, Boost: [][]wire.BoostEntry{{
+				{Line: l, HolderRef: uint16(table.HolderRank(l, 0)), Start: 0, Count: uint16(k - 4)},
+				{Line: l, HolderRef: uint16(table.HolderRank(l, peer)), Start: uint16(k), Count: 4},
+			}}}
+			cells := []wire.Cell{{ID: cellOnLine(l, 0)}, {ID: cellOnLine(l, 1)}}
+			if mixed {
+				boost.Cells = cells
+			} else {
+				node.HandleMessage(99, 100, boost)
+				if node.phase != phaseWaiting || len(tr.sends) > 0 {
+					t.Fatal("a datagram without cells started round 1")
+				}
+			}
+			first := boost
+			if !mixed {
+				first = &wire.Seed{Slot: 1, ChunkIndex: 1, ChunkCount: 3, Cells: cells}
+			}
+			node.HandleMessage(99, 100, first)
+			if node.phase != phaseFetching {
+				t.Fatal("the first cell-carrying datagram did not start round 1")
+			}
+			askedPeer := 0
+			for _, s := range tr.sends {
+				q, ok := s.payload.(*wire.Query)
+				if !ok {
+					continue
+				}
+				for _, id := range q.Cells {
+					if !l.Contains(id) {
+						continue
+					}
+					pos := int(positionOn(l, id))
+					if pos < k-4 {
+						t.Fatalf("round 1 asked peer %d for promised cell %v", s.to, id)
+					}
+					if pos < k+4 && s.to == peer {
+						askedPeer++
+					}
+				}
+			}
+			if askedPeer != 4 {
+				t.Fatalf("boosted peer %d asked for %d of its 4 seeded cells", peer, askedPeer)
+			}
+		})
+	}
+}
+
+// TestNodeSkipsBoostPastLineEnd pins that a boost entry naming no cell of
+// its line — its start at or past the line's width — leaves the node's
+// boost parcels alone: a zero-count parcel would still group its peer
+// into round 1's plan with coverage and no seeded cell.
+func TestNodeSkipsBoostPastLineEnd(t *testing.T) {
+	node, table, _, cfg := nodeFixture(t, 60)
 	node.StartSlot(1)
-	k := cfg.Blob.K
+	width := cfg.Blob.N()
 	l := table.Assignment(0).Lines()[0]
 	peer := -1
 	for _, h := range table.Holders(l) {
@@ -249,42 +318,13 @@ func TestNodePlansRoundOneOnWholeBoostMap(t *testing.T) {
 	if peer < 0 {
 		t.Fatalf("line %v has no other holder", l)
 	}
-	boost := &wire.Seed{Slot: 1, ChunkIndex: 0, ChunkCount: 3, Boost: [][]wire.BoostEntry{{
-		{Line: l, HolderRef: uint16(table.HolderRank(l, 0)), Start: 0, Count: uint16(k - 4)},
-		{Line: l, HolderRef: uint16(table.HolderRank(l, peer)), Start: uint16(k), Count: 4},
-	}}}
-	node.HandleMessage(99, 100, boost)
-	if node.phase != phaseWaiting || len(tr.sends) > 0 {
-		t.Fatal("a boost-only datagram started round 1")
-	}
-	cells := &wire.Seed{Slot: 1, ChunkIndex: 1, ChunkCount: 3, Cells: []wire.Cell{
-		{ID: cellOnLine(l, 0)}, {ID: cellOnLine(l, 1)},
-	}}
-	node.HandleMessage(99, 100, cells)
-	if node.phase != phaseFetching {
-		t.Fatal("the first cell-carrying datagram did not start round 1")
-	}
-	askedPeer := 0
-	for _, s := range tr.sends {
-		q, ok := s.payload.(*wire.Query)
-		if !ok {
-			continue
-		}
-		for _, id := range q.Cells {
-			if !l.Contains(id) {
-				continue
-			}
-			pos := int(positionOn(l, id))
-			if pos < k-4 {
-				t.Fatalf("round 1 asked peer %d for promised cell %v", s.to, id)
-			}
-			if pos < k+4 && s.to == peer {
-				askedPeer++
-			}
-		}
-	}
-	if askedPeer != 4 {
-		t.Fatalf("boosted peer %d asked for %d of its 4 seeded cells", peer, askedPeer)
+	ref := uint16(table.HolderRank(l, peer))
+	node.HandleMessage(99, 100, &wire.Seed{Slot: 1, ChunkIndex: 0, ChunkCount: 2, Boost: [][]wire.BoostEntry{{
+		{Line: l, HolderRef: ref, Start: uint16(width), Count: 3},
+		{Line: l, HolderRef: ref, Start: uint16(width + 7), Count: 1},
+	}}})
+	if len(node.boost) != 0 {
+		t.Fatalf("entries past the line's end left boost parcels %+v", node.boost)
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 
 // encodingTransport encodes and decodes every seed datagram as it is
 // handed over and keeps only what the checks need: per recipient the
-// boost entries it decoded, and the entries the builder sent.
+// boost entries it decoded, the entries the builder sent, and how many
+// datagrams carried both boost runs and cells.
 type encodingTransport struct {
 	t         *testing.T
 	cellBytes int
@@ -22,6 +23,7 @@ type encodingTransport struct {
 	sent      map[wire.BoostEntry]bool
 	decoded   map[int][]wire.BoostEntry
 	datagrams int
+	mixed     int
 }
 
 func (e *encodingTransport) Send(to, size int, payload any) {
@@ -56,6 +58,9 @@ func (e *encodingTransport) Send(to, size int, payload any) {
 		e.decoded[to] = append(e.decoded[to], run...)
 	}
 	e.datagrams++
+	if len(got.Boost) > 0 && len(got.Cells) > 0 {
+		e.mixed++
+	}
 }
 
 func (e *encodingTransport) SendReliable(to, size int, payload any) { e.Send(to, size, payload) }
@@ -65,14 +70,16 @@ func (e *encodingTransport) Now() time.Duration                     { return 0 }
 // TestSeedSizesMatchEncoding pins the seed class of the size accounting:
 // every datagram SeedSlot and PrepareAndSeed hand to the transport is
 // charged exactly the bytes it encodes to plus the IP/UDP header, and
-// decodes back to the boost runs and cells that were sent. Per node, the
-// decoded entries are exactly the builder's map of the lines it holds —
-// the entries TestBuilderBoostMapIsExact checks against the cells sent —
-// each once. It covers every policy and builder setup (withholding splits
-// parcels into several runs, a restricted view remaps ranks) with
-// metadata and real payloads at the test geometry, and with metadata at
-// the paper's over 1,000 nodes for one slot (real payloads encode the
-// same sizes).
+// decodes back to the boost runs and cells that were sent; datagrams that
+// carry both (a node's last boost datagram with its first cells) are
+// among them. Per node, the decoded entries are exactly its share of the
+// builder's map of the lines it holds — the entries
+// TestBuilderBoostMapIsExact checks against the cells sent, of its class
+// where the line is sharded (referenceClasses) — each once. It covers
+// every policy and builder setup (withholding splits parcels into several
+// runs, a restricted view remaps ranks) with metadata and real payloads
+// at the test geometry, and with metadata at the paper's over 1,000 nodes
+// for one slot (real payloads encode the same sizes).
 func TestSeedSizesMatchEncoding(t *testing.T) {
 	data := make([]byte, TestConfig().Blob.BlobBytes())
 	rand.New(rand.NewSource(42)).Read(data)
@@ -86,7 +93,7 @@ func TestSeedSizesMatchEncoding(t *testing.T) {
 		for slot := uint64(1); slot <= uint64(slots); slot++ {
 			clear(tr.sent)
 			clear(tr.decoded)
-			tr.datagrams = 0
+			tr.datagrams, tr.mixed = 0, 0
 			var report SeedingReport
 			if real {
 				var err error
@@ -99,28 +106,54 @@ func TestSeedSizesMatchEncoding(t *testing.T) {
 			if report.Messages != tr.datagrams {
 				t.Fatalf("slot %d: report counts %d datagrams, the transport saw %d", slot, report.Messages, tr.datagrams)
 			}
-			perLine := make(map[blob.Line]int)
+			if tr.mixed == 0 && report.Cells > 0 {
+				t.Fatalf("slot %d: no datagram carries both boost runs and cells", slot)
+			}
+			perLine := make(map[blob.Line][]wire.BoostEntry)
 			for e := range tr.sent {
-				perLine[e.Line]++
+				perLine[e.Line] = append(perLine[e.Line], e)
+			}
+			copies := 1
+			if cfg.Policy == PolicyRedundant {
+				copies = cfg.Redundancy
+			}
+			// inShare reports whether an entry of line l is in node's share.
+			type classes struct {
+				of map[int]int
+				s  int
+			}
+			lineClasses := make(map[blob.Line]classes)
+			inShare := func(node int, l blob.Line, e wire.BoostEntry) bool {
+				c, ok := lineClasses[l]
+				if !ok {
+					classOf, byClass := referenceClasses(b, l, referenceKnownHolders(b, l), copies)
+					c = classes{classOf, len(byClass)}
+					lineClasses[l] = c
+				}
+				return c.s == 0 || int(e.HolderRef)%c.s == c.of[node]
 			}
 			for node := 0; node < table.NumNodes(); node++ {
 				a := table.Assignment(node)
 				want := 0
 				if b.view == nil || b.view.Contains(node) {
 					for _, l := range a.Lines() {
-						want += perLine[l]
+						for _, e := range perLine[l] {
+							if inShare(node, l, e) {
+								want++
+							}
+						}
 					}
 				}
 				got := tr.decoded[node]
 				seen := make(map[wire.BoostEntry]bool, len(got))
 				for _, e := range got {
-					if !tr.sent[e] || !a.HasLine(e.Line) || seen[e] {
-						t.Fatalf("slot %d node %d: decoded entry %+v is not the map of its lines, or repeats", slot, node, e)
+					if !tr.sent[e] || !a.HasLine(e.Line) || seen[e] || !inShare(node, e.Line, e) {
+						t.Fatalf("slot %d node %d: decoded entry %+v is not its share of the map of its lines, or repeats", slot, node, e)
 					}
 					seen[e] = true
 				}
 				if len(got) != want {
-					t.Fatalf("slot %d node %d: decoded %d entries, the map of its lines has %d", slot, node, len(got), want)
+					t.Fatalf("slot %d node %d: decoded %d entries, its share of the map of its lines has %d", slot, node, len(got), want)
 				}
 			}
 		}
@@ -147,9 +180,6 @@ func TestSeedSizesMatchEncoding(t *testing.T) {
 	}
 }
 
-// seedDatagramSize is one planned datagram's cells and wire size.
-type seedDatagramSize struct{ cells, size int }
-
 // seedEgress is a seeding schedule's builder egress by class: cell
 // records, consolidation-boost map and datagram headers (the fixed Seed
 // fields and IP/UDP), in wire bytes.
@@ -163,124 +193,84 @@ type seedEgress struct {
 
 func (e seedEgress) total() int64 { return e.cells + e.cb + e.header }
 
-// egressOf sums a plan's datagrams by class, in transmit's order; sizes
-// gives a node's datagrams in the order it sends them.
-func egressOf(plan seedPlan, cellBytes int, sizes func(nodeSeedChunks) []seedDatagramSize) seedEgress {
+// egressOf sums a plan's datagrams by class, in transmit's order.
+func egressOf(plan seedPlan, cellBytes int) seedEgress {
 	header := (&wire.Seed{}).WireSize(cellBytes)
-	record := (&wire.Seed{Cells: make([]wire.Cell, 1)}).WireSize(cellBytes) - header
+	record := cellRecord(cellBytes)
 	e := seedEgress{nodes: len(plan.nodes)}
-	perNode := make([][]seedDatagramSize, len(plan.nodes))
-	passes := 0
-	for i, nc := range plan.nodes {
-		perNode[i] = sizes(nc)
-		passes = max(passes, len(perNode[i]))
-	}
 	cellSent := false
-	for pass := 0; pass < passes; pass++ {
-		for _, ds := range perNode {
-			if pass >= len(ds) {
+	for pass := 0; pass < plan.maxChunks; pass++ {
+		for _, nc := range plan.nodes {
+			if pass >= len(nc.chunks) {
 				continue
 			}
-			d := ds[pass]
-			cellSent = cellSent || d.cells > 0
+			c := nc.chunks[pass]
+			cellSent = cellSent || len(c.cellIDs) > 0
+			size := (&wire.Seed{Boost: c.boost}).WireSize(cellBytes) + len(c.cellIDs)*record
 			if !cellSent {
-				e.beforeFirstCell += int64(d.size)
+				e.beforeFirstCell += int64(size)
 			}
 			e.datagrams++
 			e.header += int64(header)
-			e.cells += int64(d.cells * record)
-			e.cb += int64(d.size - header - d.cells*record)
+			e.cells += int64(len(c.cellIDs) * record)
+			e.cb += int64(size - header - len(c.cellIDs)*record)
 		}
 	}
 	return e
 }
 
-// packedSizes are a node's datagrams as planSeed packs them.
-func packedSizes(cellBytes int) func(nodeSeedChunks) []seedDatagramSize {
-	record := (&wire.Seed{Cells: make([]wire.Cell, 1)}).WireSize(cellBytes) - (&wire.Seed{}).WireSize(cellBytes)
-	return func(nc nodeSeedChunks) []seedDatagramSize {
-		out := make([]seedDatagramSize, len(nc.chunks))
-		for i, c := range nc.chunks {
-			out[i] = seedDatagramSize{len(c.cellIDs), (&wire.Seed{Boost: c.boost}).WireSize(cellBytes) + len(c.cellIDs)*record}
-		}
-		return out
-	}
-}
-
-// perLineSizes are a node's datagrams under the layout planSeed replaced:
-// one boost-only datagram per held line (up to 4,096 entries), each entry
-// encoded whole at 9 bytes (line kind and index, holder, start, count),
-// then the same cell datagrams.
-func perLineSizes(cellBytes int) func(nodeSeedChunks) []seedDatagramSize {
-	const entryWire, perDatagram = 9, 4096
-	header := (&wire.Seed{}).WireSize(cellBytes)
-	packed := packedSizes(cellBytes)
-	return func(nc nodeSeedChunks) []seedDatagramSize {
-		var lines []int // entries per line: runs on one line are joined
-		var last blob.Line
-		for _, c := range nc.chunks {
-			for _, run := range c.boost {
-				if len(lines) > 0 && run[0].Line == last {
-					lines[len(lines)-1] += len(run)
-				} else {
-					lines = append(lines, len(run))
-				}
-				last = run[0].Line
-			}
-		}
-		var out []seedDatagramSize
-		for _, n := range lines {
-			for ; n > 0; n -= perDatagram {
-				out = append(out, seedDatagramSize{0, header + entryWire*min(n, perDatagram)})
-			}
-		}
-		for i, d := range packed(nc) {
-			if len(nc.chunks[i].cellIDs) > 0 {
-				out = append(out, d)
-			}
-		}
-		return out
-	}
-}
-
 // TestBuilderEgressByClass prints the builder's seed egress for one slot
 // at the paper's geometry (512x512, redundant seeding with r = 8), by
-// class, under the per-line layout planSeed replaced and the packed one it
-// builds: run with -v for the table DESIGN.md §9 quotes. It is computed
-// from planSeed and the wire sizes alone, so it reaches network sizes a
-// simulated slot cannot; -short and -race stop at 1,000 nodes (the
-// arithmetic has no concurrency to check). It also pins the
-// packed layout's totals: under 1.9 GB at 10,000 nodes and 3.3 GB at
-// 20,000, and never more than the per-line layout sends.
+// class, with the seconds a 10 Gbps uplink spends on the CB map and on
+// what leaves before the first cell datagram: run with -v for the table
+// DESIGN.md §9 quotes. A last row does
+// the same at the 1,500-node bench slot's geometry (32x32, 2+2 custody
+// lines, r = 8), the computed counterpart of its builder_mb_out. It is
+// computed from planSeed and the wire sizes alone, so it reaches network
+// sizes a simulated slot cannot; -short and -race stop at 1,000 nodes
+// (the arithmetic has no concurrency to check). It also pins the totals:
+// at most 1.45 GB at 10,000 nodes and 2.0 GB at 20,000, where the CB map
+// is at most 40 % of the egress and the uplink sends at most 0.6 s before
+// the first cell datagram leaves.
 func TestBuilderEgressByClass(t *testing.T) {
-	sizes := []int{1000, 10000, 20000}
+	paper := DefaultConfig()
+	dense := DefaultConfig()
+	dense.Blob = blob.Params{K: 16, CellBytes: 512, ProofBytes: 48}
+	dense.Assign.Rows, dense.Assign.Cols, dense.Assign.N = 2, 2, dense.Blob.N()
+	runs := []struct {
+		name  string
+		cfg   Config
+		nodes int
+	}{{"paper", paper, 1000}, {"paper", paper, 10000}, {"paper", paper, 20000}, {"bench", dense, 1500}}
 	if testing.Short() || raceEnabled {
-		sizes = sizes[:1]
+		runs = []struct {
+			name  string
+			cfg   Config
+			nodes int
+		}{runs[0], runs[3]}
 	}
-	limits := map[int]int64{10000: 1.9e9, 20000: 3.3e9}
-	cfg := DefaultConfig()
-	cb := cfg.Blob.CellBytes
+	limits := map[int]int64{10000: 1.45e9, 20000: 2.0e9}
 	const uplink = 10e9 / 8 // bytes per second at 10 Gbps
-	t.Logf("%7s %-8s %9s %9s %9s %9s %10s %12s", "nodes", "layout", "total MB", "cells MB", "CB MB", "header MB", "dgrams/node", "s to 1st cell")
-	for _, nodes := range sizes {
-		b, _, _ := builderFixture(t, cfg, nodes)
+	t.Logf("%7s %-8s %9s %9s %9s %8s %9s %10s %8s %12s", "nodes", "geometry", "total MB", "cells MB", "CB MB", "CB share",
+		"header MB", "dgrams/node", "CB s", "s to 1st cell")
+	for _, r := range runs {
+		cb := r.cfg.Blob.CellBytes
+		b, _, _ := builderFixture(t, r.cfg, r.nodes)
 		plan, _ := b.planSeed(1)
-		before := egressOf(plan, cb, perLineSizes(cb))
-		after := egressOf(plan, cb, packedSizes(cb))
-		for _, r := range []struct {
-			name string
-			e    seedEgress
-		}{{"per-line", before}, {"packed", after}} {
-			t.Logf("%7d %-8s %9.1f %9.1f %9.1f %9.1f %10.1f %12.3f", nodes, r.name,
-				float64(r.e.total())/1e6, float64(r.e.cells)/1e6, float64(r.e.cb)/1e6, float64(r.e.header)/1e6,
-				float64(r.e.datagrams)/float64(r.e.nodes), float64(r.e.beforeFirstCell)/uplink)
+		e := egressOf(plan, cb)
+		t.Logf("%7d %-8s %9.1f %9.1f %9.1f %6.1f %% %9.1f %10.1f %8.3f %12.3f", r.nodes, r.name,
+			float64(e.total())/1e6, float64(e.cells)/1e6, float64(e.cb)/1e6, 100*float64(e.cb)/float64(e.total()),
+			float64(e.header)/1e6, float64(e.datagrams)/float64(e.nodes), float64(e.cb)/uplink, float64(e.beforeFirstCell)/uplink)
+		if limit, ok := limits[r.nodes]; ok && e.total() > limit {
+			t.Errorf("%d nodes: builder egress %.2f GB, want at most %.2f GB", r.nodes, float64(e.total())/1e9, float64(limit)/1e9)
 		}
-		if after.cells != before.cells || after.total() > before.total() {
-			t.Errorf("%d nodes: packed layout sends %d B (%d of cells), per-line %d B (%d of cells)",
-				nodes, after.total(), after.cells, before.total(), before.cells)
-		}
-		if limit, ok := limits[nodes]; ok && after.total() > limit {
-			t.Errorf("%d nodes: builder egress %.2f GB, want at most %.1f GB", nodes, float64(after.total())/1e9, float64(limit)/1e9)
+		if r.nodes == 20000 {
+			if share := float64(e.cb) / float64(e.total()); share > 0.40 {
+				t.Errorf("%d nodes: the CB map is %.1f %% of the egress, want at most 40 %%", r.nodes, 100*share)
+			}
+			if s := float64(e.beforeFirstCell) / uplink; s > 0.6 {
+				t.Errorf("%d nodes: %.3f s of egress before the first cell datagram, want at most 0.6 s", r.nodes, s)
+			}
 		}
 	}
 }

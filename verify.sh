@@ -95,11 +95,13 @@ go test ./...
 # transmit stages to the serial forms, TestPlanRoundMatchesReference
 # pins the round planner's under-k coverage lists to unfiltered ones,
 # TestSeedPlanMatchesReference pins the seed plan and its boost packing
-# to the map-based planner, and TestSeedSizesMatchEncoding checks every
+# to the map-based planner, TestSeedSizesMatchEncoding checks every
 # seed datagram, which transmit builds on every core, against its
-# encoding.
+# encoding, and TestBuilderBoostMapIsExact checks each holder's share of
+# the CB map: the stratified draw and the class-by-class layout of the
+# shares must not depend on scheduling either.
 echo "== fixed-seed tests x5 at -cpu 1,2 (experiments, core, baseline, kzg)"
-go test -run 'Deterministic|Golden|TestBuilderPipelinedMatchesMonolithic|TestTransmitMatchesReference|TestPlanRoundMatchesReference|TestSeedPlanMatchesReference|TestSeedSizesMatchEncoding' -count=5 -cpu 1,2 \
+go test -run 'Deterministic|Golden|TestBuilderPipelinedMatchesMonolithic|TestTransmitMatchesReference|TestPlanRoundMatchesReference|TestSeedPlanMatchesReference|TestSeedSizesMatchEncoding|TestBuilderBoostMapIsExact' -count=5 -cpu 1,2 \
 	./internal/experiments ./internal/core ./internal/baseline ./internal/kzg
 
 # Every internal package runs under the race detector except experiments,
