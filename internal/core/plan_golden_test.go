@@ -41,8 +41,8 @@ func TestPlanGolden(t *testing.T) {
 				}
 			},
 			want: goldenTotals{
-				msgs: 227245, bytes: 35175981, rounds: 5,
-				digest: "6d57568439789d5c03caef79e69d326324bb6dfb7805b1dbeb49ac6182045b18",
+				msgs: 241865, bytes: 35766565, rounds: 5,
+				digest: "5912e50c6019a522825d715230d3248fd739c886108ba271e9d8d58a85ccfc0d",
 			},
 		},
 		{
@@ -61,8 +61,8 @@ func TestPlanGolden(t *testing.T) {
 				}
 			},
 			want: goldenTotals{
-				msgs: 15726, bytes: 1171898, rounds: 50,
-				digest: "85cdaf03f77e95c1e0f662f566058606c4044048ceabf71daf1ee73d132123dd",
+				msgs: 17434, bytes: 1339778, rounds: 50,
+				digest: "cd190f0c69e2d4d656f63024f53049d5b376c831ea65b1e9a5a9a1114ce8c884",
 			},
 		},
 		{
@@ -76,8 +76,8 @@ func TestPlanGolden(t *testing.T) {
 				}
 			},
 			want: goldenTotals{
-				msgs: 9091, bytes: 1634903, rounds: 5,
-				digest: "a19215bfc3f78c903975e339423765badab8bdbbd0a80137a0f3616529237009",
+				msgs: 8304, bytes: 1672476, rounds: 6,
+				digest: "82e7c6f0c2bcff646c8a888767e5cbfddd65dee98521ac2c63d65e133b1c2744",
 			},
 		},
 	}

@@ -83,11 +83,11 @@ func TestTraceGolden(t *testing.T) {
 		want  string
 	}{
 		{"sparse-dead-liveness", 150, false, sparseDeadLiveness, nil,
-			"b3789af2e1e9420d0897289f23b4a52a4127c90a73c41b95ec5a0fbd0e0a6f66"},
+			"67deda1e977eb6fda25dc8f7c750ad153340dcbd0f6d78fac6a6dd19ca0e15b6"},
 		{"garbage-peers", 100, true, garbagePeers, nil,
-			"aee8fbc10724c3c7910198c1de05cfa2f546aa8956d4835ed17975666c1f1382"},
+			"a99971f621e277cc47bd2adb6e7186d5db39b624b1e12b9fad0ce3b4e42244df"},
 		{"churn-adversaries", 150, false, churnAdversaries, checkChurnAdversaries,
-			"2b0ad4e8f9203af12ea144081836a9736de4a48f99c4872d4a7f24158e2c0853"},
+			"6f91d45cbabf9834afdb166004e48894232dbd483c79391ec2a9c61f92a8ae73"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, trace := tracedRegime(t, tc.n, tc.real, tc.mutate)
