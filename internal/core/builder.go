@@ -441,9 +441,11 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 		}
 	}
 	// A sharded line's span is laid out class by class, each class's
-	// entries in parcel order. An entry's class is its HolderRef mod s, and
-	// every class takes the same share of the span: each parcel put
-	// boostHolders copies in each, every copy with the parcel's runs.
+	// entries in parcel order (an entry's class is its HolderRef mod s), so
+	// each class's share is one sub-span. The shares are equal: each
+	// parcel put boostHolders copies in each class, every copy with the
+	// parcel's runs. A stable sort of the parcel copies by class does the
+	// same but made planSeed a third slower at 1,000 nodes.
 	var scratch []wire.BoostEntry
 	for d, s := range classes {
 		if s < 2 {
@@ -545,12 +547,11 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 			nc.chunks = append(nc.chunks, seedChunk{cellIDs: chunk})
 		}
 		for i := range nc.chunks {
-			c := &nc.chunks[i]
-			c.index, c.count = uint16(i), uint16(len(nc.chunks))
-			c.maxRow = -1
-			for _, id := range c.cellIDs {
-				c.maxRow = max(c.maxRow, int(id.Row))
+			maxRow := -1
+			for _, id := range nc.chunks[i].cellIDs {
+				maxRow = max(maxRow, int(id.Row))
 			}
+			nc.chunks[i].index, nc.chunks[i].count, nc.chunks[i].maxRow = uint16(i), uint16(len(nc.chunks)), maxRow
 		}
 		plan.maxChunks = max(plan.maxChunks, len(nc.chunks))
 		plan.nodes = append(plan.nodes, nc)

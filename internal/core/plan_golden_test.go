@@ -50,10 +50,11 @@ func TestPlanGolden(t *testing.T) {
 			// scoring on (it rides the churn subsystem; one late flash
 			// leave activates it). Only live nodes are digested, so the
 			// re-arms have to happen on live nodes. Measured with counters,
-			// the 30 live nodes fire 12 of the periodic 8-round re-arms and
-			// 112 of the empty-plan re-arms in the first slot, 9 and 129 in
+			// the 30 live nodes fire 49 of the periodic 8-round re-arms and
+			// 216 of the empty-plan re-arms in the first slot, 31 and 216 in
 			// the second. At a fifth dead no live node passes round 5, and
-			// at three fifths they fire empty-plan re-arms only.
+			// at three fifths they fire 34 empty-plan re-arms and one
+			// periodic one over the two slots.
 			name: "sparse-dead-liveness", n: 150, mutate: sparseDeadLiveness,
 			check: func(t *testing.T, _ *Cluster, g goldenTotals) {
 				if g.rounds < 9 {
