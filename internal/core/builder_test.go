@@ -804,10 +804,12 @@ func TestBuilderRedundancyCopies(t *testing.T) {
 
 // referencePlanSeed is the map-based seed planner planSeed replaced, kept
 // as its differential oracle: per-line maps, a sorted line list, a
-// linear holder-rank scan per recipient. Changed from the original only
-// where it called helpers that changed shape (knownHolders, pickExtras)
-// and in no longer tracing the withheld cells, which planSeed's callers
-// now do.
+// linear holder-rank scan per recipient. Changed from the original where
+// it called helpers that changed shape (knownHolders, pickExtras), in no
+// longer tracing the withheld cells, which planSeed's callers now do, and
+// where the protocol changed: the boost packing, the stratified draw and
+// per-class shares of the map (referenceClasses), and the first cells
+// carried in the last boost datagram.
 func referencePlanSeed(b *Builder, slot uint64) (seedPlan, SeedingReport) {
 	report := SeedingReport{Policy: b.cfg.Policy}
 	n := b.cfg.Blob.N()
