@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -532,9 +533,7 @@ func TestCommitteeDecisionEndToEnd(t *testing.T) {
 // TestOnSlotDoneFiresOncePerSlot pins the completion event the real-socket
 // hosts are built on: once per StartSlot, at the virtual time the slot
 // became complete (sampling alone with DisableConsolidation), never for a
-// node that does not complete, and again after a mid-slot restart if the
-// node completes again. The node restarted is the first to have completed
-// slot 2 by the restart; with consolidation it must complete again.
+// node that does not complete, and again after a mid-slot restart.
 func TestOnSlotDoneFiresOncePerSlot(t *testing.T) {
 	for _, noCons := range []bool{false, true} {
 		c := smallCluster(t, 120, func(cc *ClusterConfig) {
@@ -545,6 +544,9 @@ func TestOnSlotDoneFiresOncePerSlot(t *testing.T) {
 		restarted := -1
 		for i, n := range c.Nodes() {
 			n.OnSlotDone(func() { fired[i] = append(fired[i], c.Network().Now()) })
+			if restarted < 0 && !c.dead[i] {
+				restarted = i
+			}
 		}
 		for slot := uint64(1); slot <= 2; slot++ {
 			for i := range fired {
@@ -552,16 +554,7 @@ func TestOnSlotDoneFiresOncePerSlot(t *testing.T) {
 			}
 			start := c.Network().Now()
 			if slot == 2 {
-				c.Network().After(2*time.Second, func() {
-					for i := range fired {
-						if len(fired[i]) > 0 {
-							restarted = i
-							c.Nodes()[i].StartSlot(slot)
-							return
-						}
-					}
-					t.Errorf("noCons=%v: no node completed slot 2 in 2 s", noCons)
-				})
+				c.Network().After(2*time.Second, func() { c.Nodes()[restarted].StartSlot(slot) })
 			}
 			if _, err := c.RunSlot(slot); err != nil {
 				t.Fatal(err)
@@ -579,10 +572,7 @@ func TestOnSlotDoneFiresOncePerSlot(t *testing.T) {
 					completed++
 				}
 				if i == restarted && slot == 2 {
-					// Sampling alone may not finish again after a restart: only
-					// seeded holders ever hold a cell then, and the restarted
-					// node learns none of them from a seed.
-					if len(fired[i]) == 0 || fired[i][0] >= start+2*time.Second || !done && !noCons {
+					if !done || len(fired[i]) == 0 || fired[i][0] >= start+2*time.Second {
 						t.Fatalf("noCons=%v: node %d must complete before and after its restart: %v", noCons, i, fired[i])
 					}
 					want++
@@ -602,6 +592,69 @@ func TestOnSlotDoneFiresOncePerSlot(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSamplingWithoutConsolidationFindsHolders pins sampling alone: a
+// custodian then holds only its seed cells, so a node must find the few
+// that hold its samples among every holder of their lines. Each live
+// node samples by the deadline, and a node restarted 2 s into slot 2
+// (seeding has passed it by) samples again within the slot, unless no
+// live node holds one of its samples at all. Asks that nobody would
+// answer once seeding was over, and re-arms that re-asked the same peers
+// in the same order, left about a third of the nodes unsampled here.
+func TestSamplingWithoutConsolidationFindsHolders(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		c := smallCluster(t, 120, func(cc *ClusterConfig) {
+			cc.DeadFraction = 0.1
+			cc.Core.DisableConsolidation = true
+			cc.Seed = seed
+		})
+		restarted := slices.Index(c.dead, false)
+		for slot := uint64(1); slot <= 2; slot++ {
+			if slot == 2 {
+				c.Network().After(2*time.Second, func() { c.Nodes()[restarted].StartSlot(slot) })
+			}
+			res, err := c.RunSlot(slot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range c.Nodes() {
+				o := res.Outcomes[i]
+				ok := o.Sampling > 0 && o.Sampling <= c.cfg.Core.Deadline
+				if i == restarted && slot == 2 {
+					ok = n.Metrics().Sampled
+				}
+				if o.Dead || ok {
+					continue
+				}
+				if id, unheld := unheldSample(c, n); unheld {
+					t.Logf("seed %d slot %d: node %d misses %v, which no live node holds", seed, slot, i, id)
+					continue
+				}
+				t.Fatalf("seed %d slot %d: node %d did not sample in time, and each of its samples has a live holder", seed, slot, i)
+			}
+		}
+	}
+}
+
+// unheldSample returns a sample of n that it lacks and no live node of
+// its row or column holds.
+func unheldSample(c *Cluster, n *Node) (blob.CellID, bool) {
+	for _, id := range n.samples {
+		if n.store.Has(id) {
+			continue
+		}
+		held := false
+		for _, l := range []blob.Line{{Kind: blob.Row, Index: id.Row}, {Kind: blob.Col, Index: id.Col}} {
+			for _, h := range n.table.Holders(l) {
+				held = held || !c.dead[h] && c.Nodes()[h].store.Has(id)
+			}
+		}
+		if !held {
+			return id, true
+		}
+	}
+	return blob.CellID{}, false
 }
 
 // roundOneHedge is Σ⌈d/4⌉ over a node's custody lines, d being a line's

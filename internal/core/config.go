@@ -93,6 +93,9 @@ type Config struct {
 	// DisableConsolidation turns off fetching of missing custody cells;
 	// only sampling drives the fetcher. The GossipSub baseline uses this:
 	// custody arrives via topic gossip instead of explicit consolidation.
+	// A custodian then holds only what seeding or gossip gave it, so
+	// sampling asks peers not yet asked before re-asking any, and once
+	// seeding is over counts an ask for its round only (see planRound).
 	DisableConsolidation bool
 	// Recorder receives protocol trace events from every layer (builder
 	// seeding, node receive/fetch/sample paths, liveness transitions,

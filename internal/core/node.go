@@ -49,7 +49,8 @@ type NodeMetrics = obsv.NodeView
 // seeding/consolidation delivers it — typically within the builder's
 // ~1 s transmission window — so expiring earlier only produces duplicate
 // deliveries, while expiring much later delays recovery from genuinely
-// lost responses.
+// lost responses. Without consolidation, once seeding is over, nothing
+// delivers a cell late, and an ask counts for its round only.
 const inflightTTL = 1600 * time.Millisecond
 
 // flushDelay is the coalescing window for replies to buffered queries.

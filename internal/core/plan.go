@@ -519,6 +519,19 @@ func (n *Node) planRound(ps *planScratch) []fetch.Query {
 		}
 		scored = fetch.ApplyLiveness(scored, n.liveness, onSkip)
 	}
+	if n.cfg.DisableConsolidation && n.lastRearm > 0 {
+		// With consolidation, a custodian asked for a cell it lacks gets
+		// it soon, so re-asking the best-scored peers after a re-arm is
+		// sound. Without it, a custodian holds only what seeding (or the
+		// GossipSub baseline's meshes) gave it, and the same peers, asked
+		// in the same order, may never hold the cell: a peer asked before
+		// the re-arm ranks below every peer not yet asked.
+		for i := range scored {
+			if _, asked := n.queryRound.get(uint32(scored[i].Peer)); asked {
+				scored[i].Score -= requeryDemotion
+			}
+		}
+	}
 
 	// Sample cells have no CB entries; boosted peers may still cover
 	// them through their assignments.
@@ -552,7 +565,15 @@ func (n *Node) planRound(ps *planScratch) []fetch.Query {
 	plan := fetch.PlanLazyInto(&ps.plan, scored, counts, k, func(peer int) []int {
 		return n.cellsOf(ps, peer)
 	})
-	expiry := now + inflightTTL
+	ttl := inflightTTL
+	if n.cfg.DisableConsolidation && n.seedOver {
+		// inflightTTL waits for a custodian that buffered the ask to be
+		// served by seeding or consolidation. Without consolidation and
+		// once seeding is over, nothing will serve it: an ask that is not
+		// answered within the round is not answered at all.
+		ttl = n.cfg.Schedule.Timeout(n.round)
+	}
+	expiry := now + ttl
 	for i, was := range ps.before {
 		if asked := counts[i] - was; asked > 0 {
 			n.outstanding = append(n.outstanding, inflight{cell: cellKey(F[i]), n: int32(asked), expiry: expiry})
@@ -710,6 +731,12 @@ func (ps *planScratch) appendUnmarked(out []int, l blob.Line, width, mark int) [
 	}
 	return out
 }
+
+// requeryDemotion is subtracted from the score of a peer asked before
+// the last re-arm when consolidation is disabled. It exceeds any score
+// (see candidate), and a demoted score stays inside the int32 that
+// fetch ranks scores in.
+const requeryDemotion = 1 << 30
 
 // maxLineCandidates bounds how many holders of one line planRound
 // scores. The redundancy ceiling is fetch.MaxRedundancy (10), so 64
