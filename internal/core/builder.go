@@ -359,12 +359,6 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	if b.cfg.Policy == PolicyRedundant {
 		copies = b.cfg.Redundancy
 	}
-	rankOf := func(d, i int) int {
-		if ranks[d] != nil {
-			return ranks[d][i]
-		}
-		return i
-	}
 	numCopies := 0 // each parcel goes to its primary and up to copies-1 other holders
 	for d, cnt := range carried {
 		numCopies += min(cnt, len(holders[d])) * max(1, min(copies, len(holders[d])))
@@ -396,13 +390,13 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 			picks = append(picks[:0], perm[pi])
 			switch {
 			case len(members) > 0:
-				picks = b.pickStratified(picks, members, rankOf(d, perm[pi])%len(members))
+				picks = b.pickStratified(picks, members, rankAt(ranks[d], perm[pi])%len(members))
 			case copies > 1:
 				picks = b.pickExtras(picks, len(hs), copies-1)
 			}
 			for _, i := range picks {
 				parcels = append(parcels, parcelCopy{line: int32(d), node: int32(hs[i]),
-					rank: uint16(rankOf(d, i)), lo: int32(lo), hi: int32(hi)})
+					rank: uint16(rankAt(ranks[d], i)), lo: int32(lo), hi: int32(hi)})
 				cellEnd[hs[i]] += hi - lo
 				entryEnd[d] += runs
 			}
@@ -489,7 +483,7 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 		}
 		share := (hi - lo) / classes[d]
 		for i, h := range hs {
-			at := lo + rankOf(d, i)%classes[d]*share
+			at := lo + rankAt(ranks[d], i)%classes[d]*share
 			boostArena[boostEnd[h]] = entryArena[at : at+share : at+share]
 			boostEnd[h]++
 		}
@@ -523,7 +517,7 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	// and a holder's share names boostHolders = 2 holders of each, 9 bytes
 	// a parcel: 2.3 KB a line at most, so one datagram carries a node's 16
 	// lines at any network size.
-	record := cellRecord(b.cfg.Blob.CellBytes)
+	record := wire.CellWire(b.cfg.Blob.CellBytes)
 	for _, node := range recipients {
 		clo, chi := spanOf(cellEnd, node)
 		cells := cellArena[clo:chi:chi]
@@ -557,12 +551,6 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 		plan.nodes = append(plan.nodes, nc)
 	}
 	return plan, report
-}
-
-// cellRecord is the wire bytes a cell adds to a seed datagram.
-func cellRecord(cellBytes int) int {
-	var one [1]wire.Cell
-	return (&wire.Seed{Cells: one[:]}).WireSize(cellBytes) - (&wire.Seed{}).WireSize(cellBytes)
 }
 
 // boostRoom is what a seed datagram without cells has for its runs.
@@ -776,7 +764,7 @@ const boostHolders = 2
 // boostClasses sorts a line's known holders into the classes its CB map
 // is sharded into and returns their indices by class, reusing members'
 // storage: class c of s = copies/boostHolders holds the holders whose
-// canonical rank (ranks[i], or i when ranks is nil) is c mod s. It returns
+// canonical rank (rankAt) is c mod s. It returns
 // no classes, and every holder gets the line's whole map, unless the
 // copies split into at least two classes of boostHolders and every class
 // has that many holders to draw them from.
@@ -793,11 +781,8 @@ func boostClasses(members [][]int, numHolders int, ranks []int, copies int) [][]
 		members[c] = members[c][:0]
 	}
 	for i := 0; i < numHolders; i++ {
-		rank := i
-		if ranks != nil {
-			rank = ranks[i]
-		}
-		members[rank%s] = append(members[rank%s], i)
+		c := rankAt(ranks, i) % s
+		members[c] = append(members[c], i)
 	}
 	for _, m := range members {
 		if len(m) < boostHolders {
@@ -805,6 +790,16 @@ func boostClasses(members [][]int, numHolders int, ranks []int, copies int) [][]
 		}
 	}
 	return members
+}
+
+// rankAt is the canonical rank of a line's i-th known holder, given the
+// ranks knownHolders returned for the line: ranks[i], or i when ranks is
+// nil (every holder known).
+func rankAt(ranks []int, i int) int {
+	if ranks != nil {
+		return ranks[i]
+	}
+	return i
 }
 
 // pickStratified appends to picks, which holds the primary's index, from

@@ -196,7 +196,7 @@ func (e seedEgress) total() int64 { return e.cells + e.cb + e.header }
 // egressOf sums a plan's datagrams by class, in transmit's order.
 func egressOf(plan seedPlan, cellBytes int) seedEgress {
 	header := (&wire.Seed{}).WireSize(cellBytes)
-	record := cellRecord(cellBytes)
+	record := wire.CellWire(cellBytes)
 	e := seedEgress{nodes: len(plan.nodes)}
 	cellSent := false
 	for pass := 0; pass < plan.maxChunks; pass++ {

@@ -21,7 +21,7 @@ func forgedCounts() [][]byte {
 	}
 	count := func(b []byte, n uint32) []byte { return binary.BigEndian.AppendUint32(b, n) }
 	seed := append(header(TypeSeed), make([]byte, ids.IDSize+SigSize+kzg.CommitmentSize+4)...)
-	oneCell := make([]byte, cellWire(testCellBytes))
+	oneCell := make([]byte, CellWire(testCellBytes))
 	return [][]byte{
 		count(header(TypeQuery), 65536),
 		count(header(TypeQuery), 1<<32-1),

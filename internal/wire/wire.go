@@ -99,8 +99,8 @@ type Message interface {
 	WireSize(cellBytes int) int
 }
 
-// cellWire returns the per-cell wire cost: 4-byte ID + payload + proof.
-func cellWire(cellBytes int) int { return 4 + cellBytes + kzg.ProofSize }
+// CellWire returns the per-cell wire cost: 4-byte ID + payload + proof.
+func CellWire(cellBytes int) int { return 4 + cellBytes + kzg.ProofSize }
 
 // BoostEntry is one record of the consolidation-boost map CB: it tells
 // the receiving node that the holder (identified by its rank within the
@@ -201,7 +201,7 @@ func (*Seed) Type() MsgType { return TypeSeed }
 // WireSize implements Message.
 func (m *Seed) WireSize(cellBytes int) int {
 	size := OverheadIPUDP + 1 + 8 + ids.IDSize + SigSize + kzg.CommitmentSize + 4 +
-		4 + len(m.Cells)*cellWire(cellBytes) + 4
+		4 + len(m.Cells)*CellWire(cellBytes) + 4
 	for _, run := range m.Boost {
 		_, runWire := FitBoost(run, math.MaxInt) // a whole run
 		size += runWire
@@ -236,7 +236,7 @@ func (*Response) Type() MsgType { return TypeResponse }
 
 // WireSize implements Message.
 func (m *Response) WireSize(cellBytes int) int {
-	return OverheadIPUDP + 1 + 8 + 4 + len(m.Cells)*cellWire(cellBytes)
+	return OverheadIPUDP + 1 + 8 + 4 + len(m.Cells)*CellWire(cellBytes)
 }
 
 // Encode serializes a message for UDP transport. cellBytes fixes the cell
@@ -530,7 +530,7 @@ func (r *reader) boost(runs [][]BoostEntry, arena []BoostEntry) ([][]BoostEntry,
 // cells reads a cell count and the cells into dst's memory. Payloads
 // alias the reader's buffer.
 func (r *reader) cells(dst []Cell, cellBytes int) ([]Cell, bool) {
-	per := cellWire(cellBytes)
+	per := CellWire(cellBytes)
 	n, ok := r.count(per)
 	if !ok {
 		return dst[:0], false

@@ -296,8 +296,8 @@ func (fakeMsg) WireSize(int) int { return 0 }
 
 func TestWireSizePaperCell(t *testing.T) {
 	// With paper parameters a cell costs 4 + 512 + 48 = 564 bytes framed.
-	if got := cellWire(512); got != 564 {
-		t.Fatalf("cellWire(512) = %d", got)
+	if got := CellWire(512); got != 564 {
+		t.Fatalf("CellWire(512) = %d", got)
 	}
 	// A single-cell query is tiny (the "lightweight direct exchange").
 	q := &Query{Slot: 1, Cells: make([]blob.CellID, 1)}
