@@ -189,7 +189,7 @@ func TestChurnCrashedNodeRunsNothing(t *testing.T) {
 		}
 	})
 	crashed := -1
-	var atCrash, beforeRestart NodeMetrics
+	var atCrash, beforeRestart obsv.NodeView
 	c.Network().After(crashAt+time.Nanosecond, func() {
 		for i := range c.nodes {
 			if c.leftAt[i] >= 0 {

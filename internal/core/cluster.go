@@ -86,7 +86,7 @@ type NodeOutcome struct {
 	FetchBytes int64 // corresponding traffic volume
 	// CorruptRejects counts cells rejected for failing proof verification.
 	CorruptRejects int
-	Rounds         []RoundStat
+	Rounds         []obsv.RoundStat
 }
 
 // NewNodeOutcome returns the outcome of a node for which nothing was

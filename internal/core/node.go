@@ -31,18 +31,6 @@ type LivenessRecorder interface {
 	ReportGarbage(peer int)
 }
 
-// RoundStat captures the fetching progress of one node during one round,
-// the quantities reported in Table 1 of the paper. It is an alias of
-// obsv.RoundStat: the observability layer owns the definition and core
-// re-exports it so existing call sites keep compiling.
-type RoundStat = obsv.RoundStat
-
-// NodeMetrics aggregates one node's per-slot observations. It is an
-// alias of obsv.NodeView: the live view maintained by the node's
-// obsv.Observer is the single source of truth, and Node.Metrics()
-// returns a copy of it.
-type NodeMetrics = obsv.NodeView
-
 // inflightTTL is how long an unanswered query still counts toward a
 // cell's redundancy target before other peers are asked instead. Queried
 // peers that lack a cell buffer the request and reply once their own
@@ -198,7 +186,7 @@ func NewNode(cfg Config, index int, table *Table, tr Transport, rngSeed int64) *
 
 // Metrics returns the node's observations for the current slot — a copy
 // of the live view the node's observer maintains.
-func (n *Node) Metrics() NodeMetrics { return n.obs.View }
+func (n *Node) Metrics() obsv.NodeView { return n.obs.View }
 
 // Outcome reports the current slot as a NodeOutcome with its times
 // relative to start, the slot start on the caller's clock. It is the one
@@ -424,13 +412,13 @@ func (n *Node) promised(id blob.CellID) bool {
 		pl.col >= 0 && hasBit(n.store.lines[pl.col].own, int(id.Row)))
 }
 
-// HandleMessage dispatches a received protocol payload. It reports
-// whether the payload was a PANDAS message. The message may be lent (a
+// HandleMessage dispatches a received protocol payload and ignores any
+// other. The message may be lent (a
 // socket transport decodes in place and takes its buffer back when the
 // handler returns): the node keeps nothing of it past the call — IDs and
 // boost entries are copied by value, and the store copies a Borrowed
 // payload when it inserts the cell.
-func (n *Node) HandleMessage(from int, size int, payload any) bool {
+func (n *Node) HandleMessage(from int, size int, payload any) {
 	switch m := payload.(type) {
 	case *wire.Seed:
 		n.onSeed(m)
@@ -442,10 +430,7 @@ func (n *Node) HandleMessage(from int, size int, payload any) bool {
 		n.obs.View.FetchMsgsRecv++
 		n.obs.View.FetchBytesRecv += int64(size)
 		n.onResponse(from, m)
-	default:
-		return false
 	}
-	return true
 }
 
 func (n *Node) onSeed(m *wire.Seed) {
@@ -587,7 +572,7 @@ func (n *Node) onResponse(from int, m *wire.Response) {
 	// whether its cells verify.
 	delete(n.awaitReply, from)
 	round := 0
-	var stat *RoundStat
+	var stat *obsv.RoundStat
 	// Attribute the reply to the round in which the peer was queried.
 	if qr, ok := n.queryRound.get(uint32(from)); ok && qr >= 1 && int(qr) <= len(n.roundEnds) {
 		round = int(qr)
@@ -850,7 +835,7 @@ func (n *Node) runRound(ps *planScratch) {
 		n.pause()
 		return
 	}
-	stat := RoundStat{}
+	stat := obsv.RoundStat{}
 	// Periodic re-arm: with single-copy data (the minimal policy) a lost
 	// response can leave a cell whose only live holder has already been
 	// queried; re-arming the queryable set every few rounds lets the node

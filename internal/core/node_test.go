@@ -8,6 +8,7 @@ import (
 	"pandas/internal/assign"
 	"pandas/internal/blob"
 	"pandas/internal/ids"
+	"pandas/internal/obsv"
 	"pandas/internal/wire"
 )
 
@@ -503,14 +504,14 @@ func TestNodeFallbackTimerStartsFetchWithoutSeeds(t *testing.T) {
 func TestNodeOutcome(t *testing.T) {
 	const start = 12 * time.Second
 	ms := func(n int) time.Duration { return start + time.Duration(n)*time.Millisecond }
-	rounds := []RoundStat{{MsgsSent: 3, CellsRequested: 9, CoverageAfter: 0.5}}
+	rounds := []obsv.RoundStat{{MsgsSent: 3, CellsRequested: 9, CoverageAfter: 0.5}}
 	for _, c := range []struct {
 		name string
-		view NodeMetrics
+		view obsv.NodeView
 		want NodeOutcome
 	}{
-		{"nothing happened", NodeMetrics{}, NewNodeOutcome()},
-		{"every phase", NodeMetrics{
+		{"nothing happened", obsv.NodeView{}, NewNodeOutcome()},
+		{"every phase", obsv.NodeView{
 			HasSeed: true, FirstSeedAt: ms(100), SeedAt: ms(300),
 			Consolidated: true, ConsolidatedAt: ms(700),
 			Sampled: true, SampledAt: ms(900),
@@ -519,10 +520,10 @@ func TestNodeOutcome(t *testing.T) {
 		}, NodeOutcome{Seed: 100 * time.Millisecond, Consolidation: 700 * time.Millisecond,
 			Sampling: 900 * time.Millisecond, BlockRecv: -1, ConsFromSeed: 600 * time.Millisecond,
 			JoinedAt: -1, LeftAt: -1, FetchMsgs: 9, FetchBytes: 4_600, CorruptRejects: 2, Rounds: rounds}},
-		{"consolidated without a seed", NodeMetrics{Consolidated: true, ConsolidatedAt: ms(1500)},
+		{"consolidated without a seed", obsv.NodeView{Consolidated: true, ConsolidatedAt: ms(1500)},
 			NodeOutcome{Seed: -1, Consolidation: 1500 * time.Millisecond, Sampling: -1, BlockRecv: -1,
 				ConsFromSeed: -1, JoinedAt: -1, LeftAt: -1}},
-		{"seeded, never consolidated", NodeMetrics{HasSeed: true, FirstSeedAt: ms(80), SeedAt: ms(80),
+		{"seeded, never consolidated", obsv.NodeView{HasSeed: true, FirstSeedAt: ms(80), SeedAt: ms(80),
 			Sampled: true, SampledAt: ms(2500)},
 			NodeOutcome{Seed: 80 * time.Millisecond, Consolidation: -1, Sampling: 2500 * time.Millisecond,
 				BlockRecv: -1, ConsFromSeed: -1, JoinedAt: -1, LeftAt: -1}},

@@ -291,7 +291,7 @@ func TestDocNamesResolve(t *testing.T) {
 
 // TestCitations pins how a span is read.
 func TestCitations(t *testing.T) {
-	text := "`core.NewCluster(cc)` and `(*core.Node).Outcome` and `NodeMetrics.FetchMsgs*`\n" +
+	text := "`core.NewCluster(cc)` and `(*core.Node).Outcome` and `NodeView.FetchMsgs*`\n" +
 		"```\n`fenced.Name`\n```\n`host.go`, `-exp churn`, `wire.codec.cum_share`, `Config.Deadline`"
 	var got []string
 	for _, c := range citations(text) {
@@ -301,7 +301,7 @@ func TestCitations(t *testing.T) {
 		}
 		got = append(got, s)
 	}
-	want := []string{"core.NewCluster", "core.Node.Outcome", "NodeMetrics.FetchMsgs*", "Config.Deadline"}
+	want := []string{"core.NewCluster", "core.Node.Outcome", "NodeView.FetchMsgs*", "Config.Deadline"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("citations = %v, want %v", got, want)
 	}
@@ -319,7 +319,7 @@ func TestResolve(t *testing.T) {
 		{"core.NewCluster", false, true, true},
 		{"core.Builder.SetWithholding", false, true, true},
 		{"Builder.SetWithholding", false, true, true},
-		{"NodeMetrics.FetchMsgs", true, true, true}, // an alias, a wildcard
+		{"NodeView.FetchMsgs", true, true, true}, // a wildcard
 		{"Config.Deadline", false, true, true},
 		{"core.NoSuchName", false, true, false},
 		{"Builder.NoSuchMethod", false, true, false},

@@ -85,16 +85,16 @@ func Fig10(o Options) (*Result, error) {
 // table1Rows are the per-round counters of Table 1, in row order.
 var table1Rows = []struct {
 	name string
-	get  func(core.RoundStat) int
+	get  func(obsv.RoundStat) int
 }{
-	{"Messages sent", func(r core.RoundStat) int { return r.MsgsSent }},
-	{"Cells requested", func(r core.RoundStat) int { return r.CellsRequested }},
-	{"Replies received in round", func(r core.RoundStat) int { return r.RepliesInRound }},
-	{"Replies received after round", func(r core.RoundStat) int { return r.RepliesAfterRound }},
-	{"Cells received in round", func(r core.RoundStat) int { return r.CellsInRound }},
-	{"Cells received after round", func(r core.RoundStat) int { return r.CellsAfterRound }},
-	{"Received cells duplicates", func(r core.RoundStat) int { return r.Duplicates }},
-	{"Cells reconstructed", func(r core.RoundStat) int { return r.Reconstructed }},
+	{"Messages sent", func(r obsv.RoundStat) int { return r.MsgsSent }},
+	{"Cells requested", func(r obsv.RoundStat) int { return r.CellsRequested }},
+	{"Replies received in round", func(r obsv.RoundStat) int { return r.RepliesInRound }},
+	{"Replies received after round", func(r obsv.RoundStat) int { return r.RepliesAfterRound }},
+	{"Cells received in round", func(r obsv.RoundStat) int { return r.CellsInRound }},
+	{"Cells received after round", func(r obsv.RoundStat) int { return r.CellsAfterRound }},
+	{"Received cells duplicates", func(r obsv.RoundStat) int { return r.Duplicates }},
+	{"Cells reconstructed", func(r obsv.RoundStat) int { return r.Reconstructed }},
 }
 
 // table1Coverage names the last row of Table 1 (a mean, not mean ± std).

@@ -4,7 +4,7 @@ package experiments
 // protocol: how much resident memory one simulated node costs in
 // metadata mode and how many discrete events per wall-clock second the
 // engine sustains, across network sizes: the numbers behind the 100k-1M
-// node claims (compact per-node state + pooled sharded event heap).
+// node claims (compact per-node state + pooled event heap).
 // BenchmarkSimnetScale100k runs the 100k point.
 
 import (

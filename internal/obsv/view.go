@@ -22,7 +22,7 @@ type RoundStat struct {
 // unified read surface of the observability layer: the protocol updates
 // it through an Observer while (optionally) tracing the same transitions
 // as Events, so a live view and a reconstructed Timeline agree by
-// construction. core.NodeMetrics is an alias of this type.
+// construction. core.Node.Metrics returns a copy of it.
 type NodeView struct {
 	// Phase completion (absolute virtual times; valid when the Has* /
 	// Consolidated / Sampled flags are set).
@@ -63,7 +63,7 @@ type NodeView struct {
 // view IS the node's metrics, and tracing is the optional side channel.
 // With a nil Rec every Emit is a single nil check.
 type Observer struct {
-	// View is the live per-slot aggregate (the legacy NodeMetrics).
+	// View is the live per-slot aggregate.
 	View NodeView
 	// Rec receives trace events; nil disables tracing.
 	Rec Recorder

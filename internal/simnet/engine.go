@@ -22,9 +22,9 @@ import (
 )
 
 // event is a scheduled timer callback or one stage of a message in
-// flight. Events are stored by value inside the shard heaps' backing
-// arrays: scheduling never allocates a per-event object, and popped slots
-// are reused for later pushes (the backing arrays act as the event pool).
+// flight. Events are stored by value inside the heap's backing array:
+// scheduling never allocates a per-event object, and popped slots are
+// reused for later pushes (the backing array acts as the event pool).
 // A message event carries no closure, only its slot in the network's
 // in-flight slab, so a message allocates nothing between send and
 // delivery.
@@ -35,33 +35,19 @@ type event struct {
 	msg int32  // 0 for a timer; for a message, 1 + its slot in Network.msgs
 }
 
-// The event queue is sharded by time band so that each push/pop works on
-// a short heap: events whose timestamps fall in the same bandWidth-sized
-// window share a shard, and consecutive windows round-robin across the
-// shards. Simulation load is dominated by message deliveries spread over
-// a few hundred milliseconds of virtual time, so banding spreads the
-// queue roughly evenly and cuts the sift depth by ~log2(numShards)
-// compared to one big heap.
-const (
-	numShards = 8
-	// bandBits selects ~4.2ms bands (time.Duration is in nanoseconds).
-	bandBits = 22
-)
+// eventHeap is a 4-ary min-heap of events ordered by (at, seq). A 4-ary
+// layout halves the tree depth of a binary heap and keeps a node's
+// children adjacent in memory.
+type eventHeap []event
 
-// eventShard is a 4-ary min-heap of events ordered by (at, seq). A 4-ary
-// layout halves the tree depth of a binary heap and keeps children of a
-// node in one cache line, which profiles faster for the short
-// value-struct heaps used here.
-type eventShard []event
-
-func (h eventShard) less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
 
-func (h *eventShard) push(ev event) {
+func (h *eventHeap) push(ev event) {
 	s := *h
 	s = append(s, ev)
 	// Sift up.
@@ -80,7 +66,7 @@ func (h *eventShard) push(ev event) {
 // pop removes and returns the minimum event. The vacated tail slot keeps
 // its backing storage but drops the closure reference so the GC can
 // collect executed callbacks.
-func (h *eventShard) pop() event {
+func (h *eventHeap) pop() event {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
@@ -114,21 +100,16 @@ func (h *eventShard) pop() event {
 	return top
 }
 
-// shardFor maps a timestamp to its time-band shard.
-func shardFor(at time.Duration) int {
-	return int(uint64(at)>>bandBits) % numShards
-}
-
-// Engine is the discrete-event core: a virtual clock and a sharded event
-// queue. It is not safe for concurrent use; all callbacks run on the
-// caller's goroutine inside Run.
+// Engine is the discrete-event core: a virtual clock and one event heap.
+// It is not safe for concurrent use; all callbacks run on the caller's
+// goroutine inside Run.
 type Engine struct {
 	now      time.Duration
 	seq      uint64
 	executed uint64
-	pending  int
-	shards   [numShards]eventShard
-	rng      *rand.Rand
+	queue    eventHeap
+	// rng draws the network's message losses.
+	rng *rand.Rand
 	// net runs the message events; nil for an engine without a network.
 	net *Network
 }
@@ -141,9 +122,6 @@ func NewEngine(seed int64) *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Rand exposes the engine's deterministic random source.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
-
 // At schedules fn at absolute virtual time t. Times in the past run at the
 // current time (never before).
 func (e *Engine) At(t time.Duration, fn func()) { e.schedule(event{at: t, fn: fn}) }
@@ -154,9 +132,8 @@ func (e *Engine) schedule(ev event) {
 		ev.at = e.now
 	}
 	e.seq++
-	e.pending++
 	ev.seq = e.seq
-	e.shards[shardFor(ev.at)].push(ev)
+	e.queue.push(ev)
 }
 
 // After schedules fn delay after the current virtual time.
@@ -164,40 +141,12 @@ func (e *Engine) After(delay time.Duration, fn func()) {
 	e.At(e.now+delay, fn)
 }
 
-// peekShard returns the shard index holding the globally minimum (at,
-// seq) event, or -1 when the queue is empty. Sequence numbers are unique,
-// so the (at, seq) order across shards is total and matches the single
-// heap exactly.
-func (e *Engine) peekShard() int {
-	best := -1
-	for i := range e.shards {
-		s := e.shards[i]
-		if len(s) == 0 {
-			continue
-		}
-		if best < 0 {
-			best = i
-			continue
-		}
-		b := e.shards[best]
-		if s[0].at < b[0].at || (s[0].at == b[0].at && s[0].seq < b[0].seq) {
-			best = i
-		}
-	}
-	return best
-}
-
-// Run executes events in timestamp order until the queue is empty or the
+// Run executes events in (at, seq) order until the queue is empty or the
 // next event is later than until. It returns the number of events run.
 func (e *Engine) Run(until time.Duration) int {
 	n := 0
-	for {
-		i := e.peekShard()
-		if i < 0 || e.shards[i][0].at > until {
-			break
-		}
-		ev := e.shards[i].pop()
-		e.pending--
+	for len(e.queue) > 0 && e.queue[0].at <= until {
+		ev := e.queue.pop()
 		e.now = ev.at
 		if ev.msg == 0 {
 			ev.fn()
@@ -214,7 +163,7 @@ func (e *Engine) Run(until time.Duration) int {
 }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.pending }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // Executed returns the total number of events run since creation; the
 // scale experiments divide it by wall-clock time for events/sec.

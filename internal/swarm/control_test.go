@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pandas/internal/core"
+	"pandas/internal/obsv"
 )
 
 // loopbackConns returns the supervisor's end of a new control connection,
@@ -41,7 +42,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	node := core.NodeOutcome{Seed: 120 * time.Millisecond, Consolidation: 900 * time.Millisecond,
 		Sampling: 1400 * time.Millisecond, BlockRecv: -1, ConsFromSeed: 780 * time.Millisecond,
 		JoinedAt: -1, LeftAt: -1, FetchMsgs: 31, FetchBytes: 18_000, CorruptRejects: 3,
-		Rounds: []core.RoundStat{
+		Rounds: []obsv.RoundStat{
 			{MsgsSent: 4, CellsRequested: 12, RepliesInRound: 3, CellsInRound: 9, Duplicates: 1, CoverageAfter: 2.0 / 3},
 			{MsgsSent: 1, CellsRequested: 3, RepliesAfterRound: 1, CellsAfterRound: 3, Reconstructed: 2, CoverageAfter: 1},
 		}}

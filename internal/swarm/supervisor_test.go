@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pandas/internal/core"
+	"pandas/internal/obsv"
 )
 
 // The supervisor's rules for frames, checked by handing events to the
@@ -212,7 +213,7 @@ func TestHarvestKeepsTheNodeRecord(t *testing.T) {
 	node := core.NewNodeOutcome()
 	node.Seed, node.Consolidation, node.Sampling, node.ConsFromSeed = 100*time.Millisecond, 700*time.Millisecond, 900*time.Millisecond, 600*time.Millisecond
 	node.FetchMsgs, node.FetchBytes, node.CorruptRejects = 12, 4_000, 7
-	node.Rounds = []core.RoundStat{{MsgsSent: 6, CellsRequested: 20, RepliesInRound: 5, CellsInRound: 18, CoverageAfter: 0.9}}
+	node.Rounds = []obsv.RoundStat{{MsgsSent: 6, CellsRequested: 20, RepliesInRound: 5, CellsInRound: 18, CoverageAfter: 0.9}}
 	harvest(0, &report{Slot: 4, Node: &node})
 	harvest(2, &report{Slot: 4, Seeding: &core.SeedingReport{Messages: 40, Cells: 64, Bytes: 36_000}})
 	s.workers[0].rejoinedAt = 300 * time.Millisecond

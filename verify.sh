@@ -78,8 +78,10 @@ fi
 echo "== go build ./..."
 go build ./...
 
-# The size every simplicity change reports: non-test Go, bench/ excluded.
-echo "== non-test Go lines: $(git ls-files '*.go' | grep -v '^bench/' | grep -v _test.go | xargs cat | wc -l)"
+# The sizes every simplicity change reports, bench/ excluded: non-test Go
+# and all Go, tests included.
+go_files=$(git ls-files '*.go' | grep -v '^bench/')
+echo "== non-test Go lines: $(echo "$go_files" | grep -v _test.go | xargs cat | wc -l), all Go lines: $(echo "$go_files" | xargs cat | wc -l)"
 
 echo "== go test ./..."
 go test ./...
