@@ -8,7 +8,11 @@
 //	pandas-sim -exp table1 -nodes 1000
 //	pandas-sim -exp confidence
 //	pandas-sim -exp all -nodes 300 -slots 1 -sizes 150,300   # the whole suite, one report
+//	pandas-sim -exp table1 -nodes 1000 -slots 1 -trace run.jsonl
 //	pandas-sim -list
+//
+// -trace records the protocol events of an experiment that simulates one
+// deployment (table1); pandas-sim refuses it on the others.
 //
 // The default parameters are the paper's full Danksharding configuration
 // (512x512 extended matrix); use -small for the scaled-down geometry when
@@ -18,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -33,54 +38,81 @@ func main() {
 	}
 }
 
-// listOutput is the registry-generated -list text.
-func listOutput() string { return experiments.ListText() }
+// settings are the parsed command line.
+type settings struct {
+	exp, csvDir, trace string
+	nodes, slots       int
+	seed               int64
+	small, list        bool
+	params             experiments.Params
+}
+
+// newFlagSet declares every pandas-sim flag on s: the base options and,
+// parsed strictly, the Params fields the table's experiments read.
+func newFlagSet(s *settings) *flag.FlagSet {
+	fs := flag.NewFlagSet("pandas-sim", flag.ContinueOnError)
+	fs.StringVar(&s.exp, "exp", "", "experiment to run (use -list to enumerate)")
+	fs.IntVar(&s.nodes, "nodes", 1000, "network size")
+	fs.IntVar(&s.slots, "slots", 10, "slots to aggregate")
+	fs.Int64Var(&s.seed, "seed", 1, "random seed")
+	fs.BoolVar(&s.small, "small", false, "use the scaled-down 32x32 geometry (fast)")
+	fs.BoolVar(&s.list, "list", false, "list experiments and exit")
+	fs.StringVar(&s.csvDir, "csv", "", "also write the sampling CDF of each row as CSV into this directory")
+	fs.StringVar(&s.trace, "trace", "", "record a protocol event trace and write it to this JSONL file")
+
+	s.params = experiments.DefaultParams()
+	p := &s.params
+	fs.Func("sizes", "comma-separated sweep values (network sizes; seeding redundancies for ablation)",
+		func(v string) (err error) {
+			p.Sizes, err = experiments.ParseIntList("-sizes", v)
+			return err
+		})
+	fs.Func("fractions", "comma-separated fault/byzantine fractions in [0,1)",
+		func(v string) (err error) {
+			p.Fractions, err = experiments.ParseFloatList("-fractions", v, 0, 1)
+			return err
+		})
+	fs.Func("rates", "comma-separated churn rates (departures/node/slot)",
+		func(v string) (err error) {
+			p.Rates, err = experiments.ParseFloatList("-rates", v, 0, math.Inf(1))
+			return err
+		})
+	fs.IntVar(&p.Trials, "trials", p.Trials, "Monte Carlo trials")
+	fs.Func("behavior", "byzantine behavior: silent laggard garbage",
+		func(v string) (err error) {
+			p.Behavior, err = experiments.ParseBehavior(v)
+			return err
+		})
+	return fs
+}
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("pandas-sim", flag.ContinueOnError)
-	var (
-		exp    = fs.String("exp", "", "experiment to run (use -list to enumerate)")
-		nodes  = fs.Int("nodes", 1000, "network size")
-		slots  = fs.Int("slots", 10, "slots to aggregate")
-		seed   = fs.Int64("seed", 1, "random seed")
-		small  = fs.Bool("small", false, "use the scaled-down 32x32 geometry (fast)")
-		loss   = fs.Float64("loss", -1, "message loss rate in [0,1) (unset: simulator default 3%; 0 disables loss)")
-		list   = fs.Bool("list", false, "list experiments and exit")
-		csvDir = fs.String("csv", "", "also write the sampling CDF of each row as CSV into this directory")
-		trace  = fs.String("trace", "", "record a protocol event trace and write it to this JSONL file")
-	)
-	params := experiments.DefaultParams()
-	experiments.BindFlags(fs, &params)
-	if err := fs.Parse(args); err != nil {
+	var s settings
+	if err := newFlagSet(&s).Parse(args); err != nil {
 		return err
 	}
-	if *list {
-		fmt.Println(listOutput())
+	if s.list {
+		fmt.Println(experiments.ListText())
 		return nil
 	}
-	e, ok := experiments.Lookup(*exp)
+	e, ok := experiments.Lookup(s.exp)
 	if !ok {
-		if *exp == "" {
+		if s.exp == "" {
 			return fmt.Errorf("missing -exp (use -list to enumerate)")
 		}
-		return fmt.Errorf("unknown experiment %q (use -list to enumerate)", *exp)
+		return fmt.Errorf("unknown experiment %q (use -list to enumerate)", s.exp)
 	}
-	o := experiments.Options{Nodes: *nodes, Slots: *slots, Seed: *seed}
-	lossSet := false
-	fs.Visit(func(f *flag.Flag) { lossSet = lossSet || f.Name == "loss" })
-	if lossSet {
-		if *loss < 0 || *loss >= 1 {
-			return fmt.Errorf("-loss: %v is not in [0, 1)", *loss)
-		}
-		o.LossRate = experiments.Loss(*loss)
+	if s.trace != "" && !e.OneDeployment {
+		return fmt.Errorf("-trace: %s simulates more than one deployment, and one trace cannot tell their events apart (table1 simulates one)", s.exp)
 	}
-	if *small {
+	o := experiments.Options{Nodes: s.nodes, Slots: s.slots, Seed: s.seed}
+	if s.small {
 		o.Core = core.TestConfig()
 	} else {
 		o.Core = core.DefaultConfig()
 	}
 	var ring *obsv.Ring
-	if *trace != "" {
+	if s.trace != "" {
 		var rerr error
 		ring, rerr = obsv.NewRing(o.Core.TraceRing)
 		if rerr != nil {
@@ -89,18 +121,18 @@ func run(args []string) error {
 		o.Core.Recorder = ring
 	}
 
-	res, err := e.Run(o, &params)
+	res, err := e.Run(o, s.params)
 	if err != nil {
 		return err
 	}
 	fmt.Println(res.Render())
-	if *csvDir != "" {
-		if err := writeCSVs(*csvDir, *exp, res); err != nil {
+	if s.csvDir != "" {
+		if err := writeCSVs(s.csvDir, s.exp, res); err != nil {
 			return fmt.Errorf("write csv: %w", err)
 		}
 	}
 	if ring != nil {
-		if err := writeTrace(*trace, ring); err != nil {
+		if err := writeTrace(s.trace, ring); err != nil {
 			return fmt.Errorf("write trace: %w", err)
 		}
 	}

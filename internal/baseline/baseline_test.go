@@ -44,7 +44,7 @@ func TestGossipClusterSamplingCompletes(t *testing.T) {
 	if frac := float64(done) / 120; frac < 0.8 {
 		t.Fatalf("only %.0f%% finished sampling at all", frac*100)
 	}
-	if res.BuilderBytes == 0 {
+	if res.Seeding.Bytes == 0 || res.Seeding.Messages == 0 {
 		t.Fatal("builder sent nothing")
 	}
 }

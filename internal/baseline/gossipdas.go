@@ -19,13 +19,15 @@ import (
 // slotResult reports a baseline slot in the PANDAS cluster's schema, so
 // the comparison pools and counts all three systems the same way. Only
 // Sampling and the traffic fields are set: the baselines have no seeding
-// or consolidation phase, and FetchMsgs/FetchBytes carry the node's
-// whole traffic (dissemination included) from the network layer. The
-// builder is vertex N of core.NewNetwork.
+// or consolidation phase, FetchMsgs/FetchBytes carry the node's whole
+// traffic (dissemination included) from the network layer, and
+// Seeding.Messages/Bytes what the builder, vertex N of core.NewNetwork,
+// sent.
 func slotResult(net *simnet.Network, sampling []time.Duration) *core.SlotResult {
+	builder := net.Stats(len(sampling))
 	res := &core.SlotResult{
-		Outcomes:     make([]core.NodeOutcome, len(sampling)),
-		BuilderBytes: net.Stats(len(sampling)).BytesSent,
+		Outcomes: make([]core.NodeOutcome, len(sampling)),
+		Seeding:  core.SeedingReport{Messages: builder.MsgsSent, Bytes: builder.BytesSent},
 	}
 	for i, s := range sampling {
 		st := net.Stats(i)

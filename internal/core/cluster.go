@@ -25,8 +25,8 @@ type ClusterConfig struct {
 	// Latency is the propagation model; nil selects the IPFS-like
 	// planetary topology.
 	Latency simnet.LatencyModel
-	// LossRate is the per-message drop probability (3% default when
-	// negative).
+	// LossRate is the per-message drop probability in [0, 1) (the
+	// paper's is simnet.DefaultLossRate).
 	LossRate float64
 	// DeadFraction marks this share of nodes as crashed/free-riding:
 	// they receive but never respond, and the builder does not know.
@@ -100,8 +100,6 @@ func NewNodeOutcome() NodeOutcome {
 type SlotResult struct {
 	Outcomes []NodeOutcome
 	Seeding  SeedingReport
-	// BuilderBytes is the builder's total sent volume (seeding).
-	BuilderBytes int64
 	// Dropped counts messages lost in the network during the slot.
 	Dropped int
 	// Churn counts the lifecycle events that fired during this slot
@@ -610,7 +608,6 @@ func (c *Cluster) RunSlot(slot uint64) (*SlotResult, error) {
 	c.net.Run(start + SlotDuration)
 
 	res := &SlotResult{Seeding: report, Dropped: c.net.Dropped() - droppedBefore}
-	res.BuilderBytes = c.net.Stats(len(c.nodes)).BytesSent // the builder is vertex N
 	if c.engine != nil {
 		st := c.engine.Stats()
 		res.Churn = st.Minus(c.churnPrev)
@@ -620,8 +617,6 @@ func (c *Cluster) RunSlot(slot uint64) (*SlotResult, error) {
 	for i := range c.nodes {
 		res.Outcomes[i] = c.nodeOutcome(i, start)
 	}
-	// Reset traffic stats so subsequent slots measure independently.
-	c.net.ResetStats()
 	return res, nil
 }
 

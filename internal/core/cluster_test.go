@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -40,6 +42,10 @@ func TestClusterConfigValidation(t *testing.T) {
 	bad.Samples = 0
 	if _, err := NewCluster(ClusterConfig{Core: bad, N: 5}); err == nil {
 		t.Fatal("invalid core config accepted")
+	}
+	// A negative loss rate is an error, not a request for the default.
+	if _, err := NewCluster(ClusterConfig{Core: TestConfig(), N: 5, LossRate: -1}); err == nil {
+		t.Fatal("negative loss rate accepted")
 	}
 }
 
@@ -322,6 +328,53 @@ func TestSlotRealPayloadsEndToEnd(t *testing.T) {
 		if string(cell.Data) != string(want) {
 			t.Fatalf("node 0 cell %v differs from builder", id)
 		}
+	}
+}
+
+// TestBaseRowsReadBackFromCustody: after a lossy real-payload slot, the
+// blob can be read back from distributed custody alone. For every base
+// row, the data cells of a holder whose copy of the row is complete,
+// concatenated in row order, equal the bytes the builder was given.
+func TestBaseRowsReadBackFromCustody(t *testing.T) {
+	c := smallCluster(t, 120, func(cc *ClusterConfig) {
+		cc.Seed = 5
+		cc.Core.RealPayloads = true
+	})
+	p := c.cfg.Core.Blob
+	data := make([]byte, p.BlobBytes())
+	rng := rand.New(rand.NewSource(5))
+	for i := range data {
+		data[i] = byte(rng.Uint32())
+	}
+	if err := c.Builder().PrepareBlob(data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunSlot(1); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 0, len(data))
+	for r := 0; r < p.K; r++ {
+		line := blob.Line{Kind: blob.Row, Index: uint16(r)}
+		var holder *Node
+		for _, h := range c.Table().Holders(line) {
+			if n := c.Nodes()[h]; n.Store().LineComplete(line) {
+				holder = n
+				break
+			}
+		}
+		if holder == nil {
+			t.Fatalf("no holder has row %d complete", r)
+		}
+		for col := 0; col < p.K; col++ {
+			cell, ok := holder.Store().Peek(blob.CellID{Row: uint16(r), Col: uint16(col)})
+			if !ok {
+				t.Fatalf("row %d is complete but cell %d is missing", r, col)
+			}
+			got = append(got, cell.Data...)
+		}
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("base rows read back from custody differ from the builder's blob")
 	}
 }
 

@@ -103,21 +103,16 @@ func (d *Deployment) NewBuilder(tr Transport) *Builder {
 }
 
 // NewNetwork builds the simulated network cc describes: its latency model
-// (the IPFS-like planetary topology when nil) and loss rate
-// (simnet.DefaultLossRate when negative), cc.N nodes at NodeBandwidth
-// whose deliveries go to dispatch, then the builder's vertex, index cc.N,
-// on a 10 Gbps uplink and without a handler. PANDAS and both baselines run
-// over it.
+// (the IPFS-like planetary topology when nil) and loss rate, cc.N nodes
+// at NodeBandwidth whose deliveries go to dispatch, then the builder's
+// vertex, index cc.N, on a 10 Gbps uplink and without a handler. PANDAS
+// and both baselines run over it.
 func NewNetwork(cc ClusterConfig, dispatch func(node, from, size int, payload any)) (*simnet.Network, error) {
 	lat := cc.Latency
 	if lat == nil {
 		lat = latency.NewIPFSLike(cc.Seed, min(cc.N+1, 10000))
 	}
-	loss := cc.LossRate
-	if loss < 0 {
-		loss = simnet.DefaultLossRate
-	}
-	net, err := simnet.New(simnet.Config{Latency: lat, LossRate: loss, Seed: cc.Seed, MinDelay: time.Millisecond})
+	net, err := simnet.New(simnet.Config{Latency: lat, LossRate: cc.LossRate, Seed: cc.Seed, MinDelay: time.Millisecond})
 	if err != nil {
 		return nil, err
 	}

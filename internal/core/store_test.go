@@ -325,9 +325,8 @@ func TestStoreCompleteLines(t *testing.T) {
 // the method): in real mode the returned Data slice ALIASES the store's
 // internal payload — no copy is made — for a cell that arrived, one that
 // was copied in from a borrowed buffer, an off-custody extra and one that
-// was reconstructed alike. Node.onQuery's reply and the rollup example
-// depend on the no-copy guarantee; this test is the tripwire if Peek
-// ever starts copying.
+// was reconstructed alike. Node.onQuery's reply depends on the no-copy
+// guarantee; this test is the tripwire if Peek ever starts copying.
 func TestStorePeekAliasing(t *testing.T) {
 	p := testStoreParams()
 	s := NewStore(p, testAssignment(), true, false)

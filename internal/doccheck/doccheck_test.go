@@ -1,6 +1,7 @@
 // Package doccheck keeps the prose honest about the code: it fails when
-// DESIGN.md or README.md cites, in backticks, a Go name that no longer
-// exists. The package has no non-test code.
+// DESIGN.md, README.md or EXPERIMENTS.md cites, in backticks, a Go name,
+// a repository path or a pandas-sim experiment that no longer exists.
+// The package has no non-test code.
 package doccheck
 
 import (
@@ -13,13 +14,15 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"pandas/internal/experiments"
 )
 
 // root is the module root, two levels above this package.
 const root = "../.."
 
 // docs are the documents whose citations are checked.
-var docs = []string{"DESIGN.md", "README.md"}
+var docs = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
 
 // index holds every name the module declares, test files included (the
 // documents cite benchmarks and reference implementations too).
@@ -264,9 +267,94 @@ func citations(text string) []citation {
 	return out
 }
 
+var (
+	// pathSpan is a span that is a repository path, with an optional
+	// ./ before it and :line or :from-to after it.
+	pathSpan = regexp.MustCompile(`^(?:\./)?((?:examples|cmd|internal)/[\w./-]*?)(?::\d+(?:-\d+)?)?$`)
+	// pathArg is a ./path argument of a command.
+	pathArg = regexp.MustCompile(`(?:^|\s)\./((?:examples|cmd|internal)/[\w./-]*)`)
+	// expArg is a pandas-sim -exp argument; fig15a|fig15b names two.
+	expArg = regexp.MustCompile(`-exp\s+([\w|]+)`)
+)
+
+// pathsAndExperiments returns the repository paths and the -exp names a
+// document cites: an inline span that is a path, and a ./path or an -exp
+// argument in an inline span or a fenced block. A command's plain
+// operand (`git log -- internal/gateway`) may name what is gone.
+func pathsAndExperiments(text string) (paths, exps []string) {
+	scan := func(s string, inline bool) {
+		if m := pathSpan.FindStringSubmatch(s); inline && m != nil {
+			paths = append(paths, m[1])
+		} else {
+			for _, m := range pathArg.FindAllStringSubmatch(s, -1) {
+				paths = append(paths, m[1])
+			}
+		}
+		for _, m := range expArg.FindAllStringSubmatch(s, -1) {
+			exps = append(exps, strings.Split(m[1], "|")...)
+		}
+	}
+	fenced := false
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		if fenced {
+			scan(line, false)
+			continue
+		}
+		for _, m := range span.FindAllStringSubmatch(line, -1) {
+			scan(m[1], true)
+		}
+	}
+	return paths, exps
+}
+
+// TestDocPathsAndExperimentsExist fails on every repository path a
+// document cites that does not exist and every -exp name pandas-sim does
+// not list.
+func TestDocPathsAndExperimentsExist(t *testing.T) {
+	for _, doc := range docs {
+		text, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths, exps := pathsAndExperiments(string(text))
+		for _, p := range paths {
+			p = strings.TrimSuffix(p, "/...")
+			if _, err := os.Stat(filepath.Join(root, p)); err != nil {
+				t.Errorf("%s: `%s` is not a path in the repository", doc, p)
+			}
+		}
+		for _, name := range exps {
+			if _, ok := experiments.Lookup(name); !ok {
+				t.Errorf("%s: `-exp %s` names no pandas-sim experiment", doc, name)
+			}
+		}
+		t.Logf("%s: %d paths, %d experiments checked", doc, len(paths), len(exps))
+	}
+}
+
+// TestPathsAndExperiments pins which paths and experiments a document is
+// read to cite.
+func TestPathsAndExperiments(t *testing.T) {
+	text := "`examples/faults` and `internal/core/cluster.go:613` and `go run ./cmd/pandas-sim -exp fig15a|fig15b`\n" +
+		"`git log -- internal/gateway`, `-exp <id>`, `./internal/...`\n" +
+		"```\ngo run ./examples/quickstart -exp all\ncmd/\n```\n"
+	paths, exps := pathsAndExperiments(text)
+	wantPaths := "examples/faults internal/core/cluster.go cmd/pandas-sim internal/... examples/quickstart"
+	if got := strings.Join(paths, " "); got != wantPaths {
+		t.Errorf("paths = %q, want %q", got, wantPaths)
+	}
+	if got := strings.Join(exps, " "); got != "fig15a fig15b all" {
+		t.Errorf("experiments = %q, want %q", got, "fig15a fig15b all")
+	}
+}
+
 // TestDocNamesResolve fails on every backticked pkg.Name, Type.Method or
-// Type.Field in DESIGN.md and README.md whose first part is a module
-// package or type and whose name the module does not declare.
+// Type.Field in the documents whose first part is a module package or
+// type and whose name the module does not declare.
 func TestDocNamesResolve(t *testing.T) {
 	ix := load(t)
 	for _, doc := range docs {

@@ -1,16 +1,16 @@
 package experiments
 
-// Shared command-line parsing for the experiment runners. The old CLIs
-// had three hand-rolled list parsers with inconsistent error handling —
-// sizes and fractions silently dropped malformed entries while churn
-// rates errored — so a typo like "-sizes 1000,2k" ran the sweep on half
-// the intended points without a word. These parsers reject every
-// malformed or out-of-range entry.
+// The parsers behind pandas-sim's Params flags. Each rejects every
+// malformed or out-of-range entry, so a typo like "-sizes 1000,2k" is an
+// error rather than a sweep over half the intended points.
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
+
+	"pandas/internal/adversary"
 )
 
 // ParseIntList parses a comma-separated list of positive integers.
@@ -51,55 +51,23 @@ func ParseFloatList(flagName, s string, min, max float64) ([]float64, error) {
 	return out, nil
 }
 
-// intListValue adapts ParseIntList to flag.Value.
-type intListValue struct {
-	name string
-	dst  *[]int
+// behaviorNames are the -behavior values.
+var behaviorNames = map[string]adversary.Behavior{
+	"silent":  adversary.Silent,
+	"laggard": adversary.Laggard,
+	"garbage": adversary.Garbage,
 }
 
-func (v *intListValue) String() string {
-	if v == nil || v.dst == nil {
-		return ""
+// ParseBehavior looks up a byzantine behavior by its -behavior name.
+func ParseBehavior(s string) (adversary.Behavior, error) {
+	b, ok := behaviorNames[s]
+	if !ok {
+		names := make([]string, 0, len(behaviorNames))
+		for n := range behaviorNames {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		return 0, fmt.Errorf("unknown behavior %q (%s)", s, strings.Join(names, ", "))
 	}
-	parts := make([]string, len(*v.dst))
-	for i, x := range *v.dst {
-		parts[i] = strconv.Itoa(x)
-	}
-	return strings.Join(parts, ",")
-}
-
-func (v *intListValue) Set(s string) error {
-	xs, err := ParseIntList(v.name, s)
-	if err != nil {
-		return err
-	}
-	*v.dst = xs
-	return nil
-}
-
-// floatListValue adapts ParseFloatList to flag.Value.
-type floatListValue struct {
-	name     string
-	dst      *[]float64
-	min, max float64
-}
-
-func (v *floatListValue) String() string {
-	if v == nil || v.dst == nil {
-		return ""
-	}
-	parts := make([]string, len(*v.dst))
-	for i, x := range *v.dst {
-		parts[i] = strconv.FormatFloat(x, 'g', -1, 64)
-	}
-	return strings.Join(parts, ",")
-}
-
-func (v *floatListValue) Set(s string) error {
-	xs, err := ParseFloatList(v.name, s, v.min, v.max)
-	if err != nil {
-		return err
-	}
-	*v.dst = xs
-	return nil
+	return b, nil
 }

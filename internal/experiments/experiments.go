@@ -28,18 +28,7 @@ type Options struct {
 	Seed int64
 	// Core holds protocol parameters; zero value selects DefaultConfig.
 	Core core.Config
-	// LossRate is the message loss probability in [0, 1). nil selects
-	// the simulator default (3%); Loss(0) disables loss entirely. The
-	// pointer removes the old ambiguity where the zero value conflated
-	// "unset" with "lossless" and callers had to smuggle a negative
-	// sentinel to get a lossless run. Negative rates clamp to 0.
-	LossRate *float64
 }
-
-// Loss builds an Options.LossRate value: Loss(0.1) requests 10% loss,
-// Loss(0) requests a lossless network. Leave the field nil for the
-// simulator default.
-func Loss(rate float64) *float64 { return &rate }
 
 // withDefaults fills unset fields.
 func (o Options) withDefaults() Options {
@@ -51,11 +40,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Core.Blob.K == 0 {
 		o.Core = core.DefaultConfig()
-	}
-	if o.LossRate == nil {
-		o.LossRate = Loss(simnet.DefaultLossRate)
-	} else if *o.LossRate < 0 {
-		o.LossRate = Loss(0)
 	}
 	return o
 }
@@ -96,11 +80,11 @@ func runPooled(label string, o Options, mutate func(*core.ClusterConfig)) (*Samp
 	return pool(label, outcomes, o.Core.Deadline, nil), slots, nil
 }
 
-// clusterConfig is the deployment the options describe. PANDAS and both
-// baselines are built from it, so at one seed they share identities,
-// custody and sample draws.
+// clusterConfig is the deployment the options describe, at the paper's
+// 3 % message loss. PANDAS and both baselines are built from it, so at
+// one seed they share identities, custody and sample draws.
 func clusterConfig(o Options) core.ClusterConfig {
-	return core.ClusterConfig{Core: o.Core, N: o.Nodes, Seed: o.Seed, LossRate: *o.LossRate}
+	return core.ClusterConfig{Core: o.Core, N: o.Nodes, Seed: o.Seed, LossRate: simnet.DefaultLossRate}
 }
 
 // newCluster builds a PANDAS cluster for the options.

@@ -267,16 +267,9 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Nodes != 1000 || o.Slots != 10 || o.Core.Blob.K != 256 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
-	if *o.LossRate != simnet.DefaultLossRate {
-		t.Fatalf("nil loss should select the default, got %v", *o.LossRate)
-	}
-	neg := Options{LossRate: Loss(-1)}.withDefaults()
-	if *neg.LossRate != 0 {
-		t.Fatal("negative loss should mean zero")
-	}
-	zero := Options{LossRate: Loss(0)}.withDefaults()
-	if *zero.LossRate != 0 {
-		t.Fatal("explicit zero loss must stay zero, not revert to the default")
+	// Every experiment runs at the paper's loss rate.
+	if loss := clusterConfig(o).LossRate; loss != simnet.DefaultLossRate {
+		t.Fatalf("experiments run at loss %v, want %v", loss, simnet.DefaultLossRate)
 	}
 }
 

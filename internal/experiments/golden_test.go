@@ -48,7 +48,7 @@ func TestRenderGolden(t *testing.T) {
 		if name == "ablation" {
 			pp.Sizes = nil // there -sizes is the redundancy sweep; pin the default one
 		}
-		res, err := e.Run(TestOptions(), &pp)
+		res, err := e.Run(TestOptions(), pp)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

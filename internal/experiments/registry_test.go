@@ -1,21 +1,24 @@
 package experiments
 
 import (
-	"flag"
-	"io"
 	"strings"
 	"testing"
+
+	"pandas/internal/adversary"
 )
 
 func TestRegistryCoversAllExperiments(t *testing.T) {
 	want := []string{"fig9", "fig10", "table1", "fig11", "fig12", "fig13", "fig14",
 		"fig15a", "fig15b", "churn", "ablation", "validate", "confidence",
 		"withholding", "byzantine", "scale", "all"}
-	got := Names()
-	if len(got) != len(want) {
-		t.Fatalf("registry has %d experiments, want %d: %v", len(got), len(want), got)
+	table := Table()
+	if len(table) != len(want) {
+		t.Fatalf("table has %d experiments, want %d", len(table), len(want))
 	}
-	for _, name := range want {
+	for i, name := range want {
+		if table[i].Name != name {
+			t.Fatalf("entry %d is %q, want %q (paper order)", i, table[i].Name, name)
+		}
 		e, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("Lookup(%q) failed", name)
@@ -31,57 +34,15 @@ func TestRegistryCoversAllExperiments(t *testing.T) {
 
 func TestRegistryListText(t *testing.T) {
 	out := ListText()
-	for _, name := range Names() {
-		if !strings.Contains(out, name) {
-			t.Fatalf("ListText missing %q:\n%s", name, out)
+	for _, e := range Table() {
+		if !strings.Contains(out, e.Name) {
+			t.Fatalf("ListText missing %q:\n%s", e.Name, out)
 		}
 	}
-	// Flag annotations come from the declared hooks.
+	// Flag annotations come from the entries' Flags.
 	for _, frag := range []string{"-sizes", "-fractions", "-rates", "-behavior", "-trials"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("ListText missing flag %q:\n%s", frag, out)
-		}
-	}
-}
-
-func TestBindFlagsDedupAndParse(t *testing.T) {
-	p := DefaultParams()
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	// Many experiments declare -sizes/-fractions; binding must not panic
-	// on duplicate registration.
-	BindFlags(fs, &p)
-	err := fs.Parse([]string{"-sizes", "100,200", "-fractions", "0,0.5",
-		"-rates", "0,2.5", "-behavior", "laggard", "-trials", "7"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Sizes) != 2 || p.Sizes[1] != 200 {
-		t.Fatalf("sizes = %v", p.Sizes)
-	}
-	if len(p.Fractions) != 2 || p.Fractions[1] != 0.5 {
-		t.Fatalf("fractions = %v", p.Fractions)
-	}
-	if len(p.Rates) != 2 || p.Rates[1] != 2.5 {
-		t.Fatalf("rates = %v", p.Rates)
-	}
-	if p.Trials != 7 {
-		t.Fatalf("trials = %d", p.Trials)
-	}
-	// Malformed values must fail the parse, not be silently dropped.
-	for _, bad := range [][]string{
-		{"-sizes", "100,bogus"},
-		{"-sizes", "100,-3"},
-		{"-fractions", "0.2,1.5"},
-		{"-rates", "0.1,-1"},
-		{"-behavior", "sneaky"},
-	} {
-		fs2 := flag.NewFlagSet("test", flag.ContinueOnError)
-		fs2.SetOutput(io.Discard)
-		p2 := DefaultParams()
-		BindFlags(fs2, &p2)
-		if err := fs2.Parse(bad); err == nil {
-			t.Fatalf("parse accepted %v", bad)
 		}
 	}
 }
@@ -101,5 +62,11 @@ func TestParseLists(t *testing.T) {
 	}
 	if xs, err := ParseFloatList("-rates", "0,0.5,10", 0, 1e18); err != nil || len(xs) != 3 {
 		t.Fatalf("got %v, %v", xs, err)
+	}
+	if b, err := ParseBehavior("laggard"); err != nil || b != adversary.Laggard {
+		t.Fatalf("laggard: got %v, %v", b, err)
+	}
+	if _, err := ParseBehavior("sneaky"); err == nil {
+		t.Fatal("unknown behavior accepted")
 	}
 }

@@ -171,8 +171,7 @@ echo "== evaluation suite smoke (reduced geometry, 60 nodes, 1 slot)"
 go run ./cmd/pandas-sim -small -exp all -nodes 60 -slots 1 >/dev/null
 
 # The examples are the module's callers of its packages: each must build
-# and run to a zero exit. rollup-workload exits non-zero if any batch
-# comes back corrupted from the nodes' custody.
+# and run to a zero exit.
 for dir in examples/*/; do
 	echo "== example ${dir%/}"
 	go run "./$dir" >/dev/null
