@@ -40,15 +40,16 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("pandas-node", flag.ContinueOnError)
+	g := swarm.DefaultGeometry()
+	fs.IntVar(&g.K, "k", g.K, "base matrix size K (extended is 2K x 2K)")
+	fs.IntVar(&g.Custody, "custody", g.Custody, "rows and columns per node")
+	fs.IntVar(&g.Samples, "samples", g.Samples, "random cells sampled per slot")
 	var (
 		peersFile = fs.String("peers", "", "file listing host:port per participant; last entry is the builder")
 		index     = fs.Int("index", -1, "this process's index into the peers file")
 		builder   = fs.Bool("builder", false, "act as the builder (must be the last index)")
 		slots     = fs.Int("slots", 1, "number of slots the builder drives")
 		seed      = fs.Int64("seed", 42, "shared deployment seed (must match on all processes)")
-		k         = fs.Int("k", 8, "base matrix size K (extended is 2K x 2K)")
-		custody   = fs.Int("custody", 4, "rows and columns per node")
-		samples   = fs.Int("samples", 6, "random cells sampled per slot")
 		slotGap   = fs.Duration("slot-gap", 12*time.Second, "time between slots")
 		metrics   = fs.String("metrics", "", "serve Prometheus text metrics at http://ADDR/metrics (e.g. :9464)")
 		swarmSup  = fs.String("swarm", "", "run as a swarm worker of the supervisor listening on TCP ADDR (config arrives over that connection and the worker exits when it ends; only -index applies)")
@@ -80,8 +81,7 @@ func run(args []string) error {
 	if *builder != (*index == nNodes) {
 		return fmt.Errorf("-builder goes with the last index (%d) and no other, got index %d", nNodes, *index)
 	}
-	cfg, err := swarm.Geometry{K: *k, Custody: *custody, Samples: *samples,
-		Redundancy: 8}.CoreConfig()
+	cfg, err := g.CoreConfig()
 	if err != nil {
 		return err
 	}

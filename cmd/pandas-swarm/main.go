@@ -33,13 +33,14 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("pandas-swarm", flag.ContinueOnError)
+	g := swarm.DefaultGeometry()
+	fs.IntVar(&g.K, "k", g.K, "base matrix size K (extended is 2K x 2K)")
+	fs.IntVar(&g.Custody, "custody", g.Custody, "rows and columns per node")
+	fs.IntVar(&g.Samples, "samples", g.Samples, "random cells sampled per slot")
 	var (
 		n         = fs.Int("n", 64, "protocol nodes (one process each, plus a builder process)")
 		slots     = fs.Int("slots", 3, "slots to drive")
 		seed      = fs.Int64("seed", 42, "deployment seed")
-		k         = fs.Int("k", 8, "base matrix size K (extended is 2K x 2K)")
-		custody   = fs.Int("custody", 4, "rows and columns per node")
-		samples   = fs.Int("samples", 6, "random cells sampled per slot")
 		kill      = fs.Float64("kill", 0, "fraction of node processes killed per slot (fault injection)")
 		killDelay = fs.Duration("kill-delay", 100*time.Millisecond, "kill injection delay after slot start")
 		bin       = fs.String("bin", "", "prebuilt pandas-node binary (default: go build from the module)")
@@ -67,11 +68,6 @@ func run(args []string) error {
 		defer cleanup()
 		command = built
 	}
-
-	g := swarm.DefaultGeometry()
-	g.K = *k
-	g.Custody = *custody
-	g.Samples = *samples
 
 	opts := swarm.Options{
 		N:            *n,

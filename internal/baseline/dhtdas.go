@@ -85,10 +85,10 @@ func NewDHTCluster(cc core.ClusterConfig) (*DHTCluster, error) {
 	d.samples = make([][]blob.CellID, cc.N)
 	for i := range d.peers {
 		d.rngs[i] = rand.New(rand.NewSource(dep.NodeSeed(i)))
-		d.peers[i] = dht.NewPeer(entries[i], d.net.Endpoint(i), 0)
+		d.peers[i] = dht.NewPeer(entries[i], d.net.Endpoint(i))
 		d.peers[i].Bootstrap(entries)
 	}
-	d.bPeer = dht.NewPeer(entries[cc.N], d.net.Endpoint(cc.N), 0)
+	d.bPeer = dht.NewPeer(entries[cc.N], d.net.Endpoint(cc.N))
 	d.bPeer.Bootstrap(entries)
 	if err := d.net.SetHandler(cc.N, func(from, _ int, payload any) {
 		d.bPeer.HandleMessage(from, payload)

@@ -16,7 +16,6 @@ import (
 	"pandas/internal/blob"
 	"pandas/internal/ids"
 	"pandas/internal/kzg"
-	"pandas/internal/membership"
 	"pandas/internal/obsv"
 	"pandas/internal/wire"
 )
@@ -108,6 +107,13 @@ func testSigner(slot uint64) (sig [wire.SigSize]byte) {
 	return sig
 }
 
+// viewFunc adapts a predicate to membership.View, so a test can restrict
+// a view without building a cluster.
+type viewFunc func(peer int) bool
+
+// Contains implements membership.View.
+func (f viewFunc) Contains(peer int) bool { return f(peer) }
+
 // builderSetups are the builder behaviours the seed-plan tests cover:
 // honest, maximal withholding, and a restricted view (every third node
 // unknown).
@@ -121,7 +127,7 @@ var builderSetups = []struct {
 		b.SetWithholding(func(id blob.CellID) bool { return blob.Withheld(n, id) })
 	}},
 	{"view", func(b *Builder) {
-		b.SetView(membership.ViewFunc(func(peer int) bool { return peer%3 != 0 }))
+		b.SetView(viewFunc(func(peer int) bool { return peer%3 != 0 }))
 	}},
 }
 
@@ -266,7 +272,7 @@ func TestBuilderBoostMapIsExact(t *testing.T) {
 				b.SetWithholding(func(id blob.CellID) bool { return (int(id.Row)+int(id.Col))%5 == 0 })
 			}
 			if tc.view {
-				b.SetView(membership.ViewFunc(func(peer int) bool { return peer%5 != 2 }))
+				b.SetView(viewFunc(func(peer int) bool { return peer%5 != 2 }))
 			}
 			b.SeedSlot(1)
 			got := make(map[int]map[blob.CellID]bool)
@@ -394,7 +400,7 @@ func TestBuilderWithholdingReport(t *testing.T) {
 func TestBuilderRestrictedView(t *testing.T) {
 	cfg := TestConfig()
 	b, _, tr := builderFixture(t, cfg, 80)
-	b.SetView(membership.ViewFunc(func(peer int) bool { return peer < 40 }))
+	b.SetView(viewFunc(func(peer int) bool { return peer < 40 }))
 	report := b.SeedSlot(1)
 	if report.NodesSeeded == 0 {
 		t.Fatal("nothing seeded")
@@ -424,7 +430,7 @@ func TestBuilderPipelinedMatchesMonolithic(t *testing.T) {
 		{"redundant-all-options", PolicyRedundant, func(b *Builder) {
 			b.SetProposerSigner(testSigner)
 			b.SetWithholding(func(id blob.CellID) bool { return (int(id.Row)*3+int(id.Col))%7 == 0 })
-			b.SetView(membership.ViewFunc(func(peer int) bool { return peer%4 != 1 }))
+			b.SetView(viewFunc(func(peer int) bool { return peer%4 != 1 }))
 		}},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

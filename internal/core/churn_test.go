@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -239,17 +240,21 @@ func TestChurnComposesWithOutOfView(t *testing.T) {
 		cc.OutOfViewFraction = 0.5
 		cc.Scenario = []ScenarioEvent{{Kind: Leave, At: time.Second, Count: 3}}
 	})
-	// The restricted views must have survived churn setup: each node sees
-	// at most keep+1 peers, far below the full network.
-	views := make([]*membership.LiveView, n)
+	// The restricted views must have survived churn setup: each node
+	// holds the view the cluster drew for it, about half the network.
+	views := c.views
 	for i, node := range c.Nodes() {
-		lv, ok := node.view.(*membership.LiveView)
-		if !ok {
-			t.Fatalf("node %d view is %T, want *membership.LiveView", i, node.view)
+		if node.view != views[i] {
+			t.Fatalf("node %d view is not the cluster's drawn view", i)
 		}
-		views[i] = lv
-		if lv.Len() > n/2+1 {
-			t.Fatalf("node %d view has %d peers: out-of-view restriction overwritten", i, lv.Len())
+		in := 0
+		for p := 0; p < n; p++ {
+			if views[i].Contains(p) {
+				in++
+			}
+		}
+		if in > 3*n/4 {
+			t.Fatalf("node %d view has %d peers: out-of-view restriction overwritten", i, in)
 		}
 	}
 	res, err := c.RunSlot(1)
@@ -266,7 +271,7 @@ func TestChurnComposesWithOutOfView(t *testing.T) {
 		// The graceful leaver announced its departure: the builder no
 		// longer believes it online, and the announcement flood pruned it
 		// from (most) peer views that previously contained it.
-		if c.believed[i] {
+		if c.builder.view.Contains(i) {
 			t.Errorf("builder still believes graceful leaver %d online", i)
 		}
 		had, still := 0, 0
@@ -325,17 +330,19 @@ func TestChurnViewRefreshDiscoversJoiner(t *testing.T) {
 }
 
 // TestChurnRestartReloadsBootstrapView: a restarting node reloads the
-// bootstrap view NewCluster built for it, every node for a full view and
-// the drawn subset under OutOfViewFraction, and at the end of the slot
-// holds nothing beyond it. While the node is down its view is emptied,
+// bootstrap view NewCluster drew for it, every node for a full view and
+// the drawn subset under OutOfViewFraction, keeps the joiner it learned
+// of by announcement, and at the end of the slot holds nothing beyond
+// them. While the node is down every other peer leaves its view,
 // standing for a table that announcements pruned before the crash.
 func TestChurnRestartReloadsBootstrapView(t *testing.T) {
-	const n, crashAt, restartAt = 80, time.Second, 2 * time.Second
+	const n, joinAt, crashAt, restartAt = 80, time.Second / 2, time.Second, 2 * time.Second
 	for _, outOfView := range []float64{0, 0.5} {
 		t.Run(fmt.Sprintf("out-of-view=%v", outOfView), func(t *testing.T) {
 			c := smallCluster(t, n, func(cc *ClusterConfig) {
 				cc.OutOfViewFraction = outOfView
 				cc.Scenario = []ScenarioEvent{
+					{Kind: Join, At: joinAt, Count: 1},
 					{Kind: Crash, At: crashAt, Count: 1},
 					{Kind: Restart, At: restartAt, Count: 1},
 				}
@@ -352,18 +359,24 @@ func TestChurnRestartReloadsBootstrapView(t *testing.T) {
 				return m
 			}
 			boot := views()
-			if outOfView > 0 && len(c.bootstrap) != n {
-				t.Fatalf("%d bootstrap subsets kept, want %d", len(c.bootstrap), n)
-			}
-			crashed := -1
+			crashed, joiner, known := -1, -1, false
 			c.Network().After(crashAt+time.Nanosecond, func() {
 				for i := range c.nodes {
-					if c.leftAt[i] >= 0 {
+					switch {
+					case c.leftAt[i] >= 0:
 						crashed = i
+					case c.joinedAt[i] >= 0:
+						joiner = i
 					}
 				}
+				if crashed < 0 || joiner < 0 {
+					return
+				}
+				known = c.views[crashed].Contains(joiner)
 				for p := 0; p < n; p++ {
-					c.views[crashed].Remove(p)
+					if p != joiner {
+						c.views[crashed].Remove(p)
+					}
 				}
 			})
 			res, err := c.RunSlot(1)
@@ -374,18 +387,24 @@ func TestChurnRestartReloadsBootstrapView(t *testing.T) {
 			if crashed < 0 || res.Outcomes[crashed].JoinedAt != restartAt {
 				t.Fatalf("node %d did not crash at %v and restart at %v", crashed, crashAt, restartAt)
 			}
+			if joiner < 0 || !known {
+				t.Fatalf("node %d never learned of a joiner before crashing", crashed)
+			}
+			if boot[crashed][joiner] {
+				t.Fatalf("held-out joiner %d in node %d's view before it joined", joiner, crashed)
+			}
 			in := 0
 			for p := 0; p < n; p++ {
-				got, want := reloaded[crashed][p], boot[crashed][p]
+				got, want := reloaded[crashed][p], boot[crashed][p] || p == joiner
 				if got != want {
-					t.Errorf("restarted node %d: peer %d in view %v, in bootstrap view %v", crashed, p, got, want)
+					t.Errorf("restarted node %d: peer %d in view %v, in bootstrap view or joined %v", crashed, p, got, want)
 				}
-				if want {
+				if boot[crashed][p] {
 					in++
 				}
 			}
-			if full := outOfView == 0; full != (in == n) {
-				t.Fatalf("bootstrap view of node %d holds %d of %d nodes", crashed, in, n)
+			if full := outOfView == 0; full != (in == n-1) {
+				t.Fatalf("bootstrap view of node %d holds %d of %d nodes", crashed, in, n-1)
 			}
 		})
 	}
@@ -421,12 +440,12 @@ func TestChurnBuilderSeedsCrashersNotLeavers(t *testing.T) {
 		switch obsv.ChurnOp(e.Aux) {
 		case obsv.ChurnCrash:
 			crashed++
-			if !c.believed[node] || !c.builder.view.Contains(node) {
+			if !c.builder.view.Contains(node) {
 				t.Errorf("crasher %d dropped out of the builder's view", node)
 			}
 		case obsv.ChurnLeave:
 			left++
-			if c.believed[node] || c.builder.view.Contains(node) {
+			if c.builder.view.Contains(node) {
 				t.Errorf("graceful leaver %d still in the builder's view", node)
 			}
 		}
@@ -439,5 +458,44 @@ func TestChurnBuilderSeedsCrashersNotLeavers(t *testing.T) {
 	}
 	if got, want := second.Seeding.NodesSeeded, first.Seeding.NodesSeeded-3; got != want {
 		t.Fatalf("builder seeded %d nodes after the departures, want %d (all but the leavers)", got, want)
+	}
+}
+
+// TestViewsRetainLittleHeap builds 2,000-node clusters with drawn views
+// and with an active churn config: each must retain, after GC, within
+// 10 % of the heap the same cluster retains without either. A view
+// materialized as a set of peers is O(N) per node, and at this size
+// those sets alone would retain more than the rest of the cluster.
+func TestViewsRetainLittleHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds three 2,000-node clusters")
+	}
+	const n = 2000
+	retained := func(mutate func(*ClusterConfig)) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c := smallCluster(t, n, mutate)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(c)
+		return after.HeapAlloc - before.HeapAlloc
+	}
+	static := retained(nil)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*ClusterConfig)
+	}{
+		{"out-of-view", func(cc *ClusterConfig) { cc.OutOfViewFraction = 0.2 }},
+		{"churn", func(cc *ClusterConfig) {
+			cc.Churn = &membership.Config{MeanSession: 5 * SlotDuration, MeanDowntime: SlotDuration}
+		}},
+	} {
+		got := retained(tc.mutate)
+		t.Logf("%s: %.1f MB retained, %.1f MB static", tc.name, float64(got)/1e6, float64(static)/1e6)
+		if float64(got) > 1.1*float64(static) {
+			t.Errorf("%s: %.1f MB retained, more than 10 %% over the static cluster's %.1f MB",
+				tc.name, float64(got)/1e6, float64(static)/1e6)
+		}
 	}
 }

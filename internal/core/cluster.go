@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"slices"
 	"time"
 
 	"pandas/internal/adversary"
@@ -120,24 +119,23 @@ type Cluster struct {
 	blockRecv []time.Duration
 	dead      []bool
 
+	// views holds each node's view (nil when every view is full and
+	// static).
+	views []*membership.PeerView
 	// Dynamic membership (nil/empty without it). The engine owns who is
-	// online; believed is who the builder believes online, which a crash,
-	// being unannounced, leaves true.
-	engine   *membership.Engine
-	believed []bool
-	views    []*membership.LiveView
-	// bootstrap holds, per node, the peers OutOfViewFraction drew for it
-	// (nil for full views): the bootstrap view a restarting node reloads.
-	bootstrap  [][]int
-	scorers    []*membership.Scorer
-	annOverlay *gossip.Overlay
-	annRouters []*gossip.Router
-	annSeq     uint64
-	curSlot    uint64
-	started    []bool
-	joinedAt   []time.Duration
-	leftAt     []time.Duration
-	churnPrev  membership.Stats
+	// online; builderView is who the builder believes online, which a
+	// crash, being unannounced, leaves in it.
+	engine      *membership.Engine
+	builderView *membership.PeerView
+	scorers     []*membership.Scorer
+	annOverlay  *gossip.Overlay
+	annRouters  []*gossip.Router
+	annSeq      uint64
+	curSlot     uint64
+	started     []bool
+	joinedAt    []time.Duration
+	leftAt      []time.Duration
+	churnPrev   membership.Stats
 
 	// Adversary subsystem (inert without ClusterConfig.Adversary).
 	behaviors []adversary.Behavior
@@ -219,40 +217,19 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	// that moves nodes in or out of the network.
 	dynamic, joins := lifecycleEvents(cc.Scenario)
 	dynamic = dynamic || cc.Churn.Active()
-	// Fault injection: incomplete views. Each node knows a random
-	// (1 - f) subset of the network; the builder keeps its full view.
-	// Views are LiveViews rather than fixed predicates so that dynamic
-	// membership (below) can evolve the SAME view a node already has —
-	// the two fault models compose instead of overwriting each other.
-	//
-	// At compactViewThreshold nodes and beyond, static deployments switch
-	// to membership.SampledView: materializing N LiveViews of (1-f)N
-	// entries each is O(N²) memory and rng time, which is exactly what
-	// caps the paper's PeerSim runs at 20k nodes. The sampled views keep
-	// the same marginal statistics (each peer visible independently with
-	// probability keep/N); only churn runs need mutable views.
-	if cc.OutOfViewFraction > 0 {
-		keep := cc.N - int(float64(cc.N)*cc.OutOfViewFraction)
-		if cc.N >= compactViewThreshold && !dynamic {
-			frac := float64(keep) / float64(cc.N)
-			for i := 0; i < cc.N; i++ {
-				c.nodes[i].SetView(membership.NewSampledView(uint64(cc.Seed)^0x76696577, i, frac))
-			}
-		} else {
-			c.views = make([]*membership.LiveView, cc.N)
-			for i := 0; i < cc.N; i++ {
-				v := membership.NewLiveView()
-				v.Add(i)
-				drawn := rng.Perm(cc.N)[:keep]
-				for _, p := range drawn {
-					v.Add(p)
-				}
-				if dynamic {
-					c.bootstrap = append(c.bootstrap, slices.Clone(drawn))
-				}
-				c.views[i] = v
-				c.nodes[i].SetView(v)
-			}
+	// Fault injection: incomplete views. Each node draws a random share
+	// (1 - f) of the network into its view; the builder keeps its full
+	// view. Dynamic membership (below) evolves the SAME views through
+	// announcements, so the two fault models compose. A drawn view is a
+	// per-pair hash against a threshold, O(1) per node whatever N is
+	// (DESIGN.md §8 decision 10), and draws nothing from the deployment's
+	// stream.
+	if cc.OutOfViewFraction > 0 || dynamic {
+		keep := float64(cc.N-int(float64(cc.N)*cc.OutOfViewFraction)) / float64(cc.N)
+		c.views = make([]*membership.PeerView, cc.N)
+		for i := range c.views {
+			c.views[i] = membership.NewPeerView(uint64(cc.Seed)^0x76696577, i, keep)
+			c.nodes[i].SetView(c.views[i])
 		}
 	}
 
@@ -290,11 +267,6 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 // blockSize is the size in bytes of the block BlockGossip disseminates.
 const blockSize = 128 * 1024
 
-// compactViewThreshold is the network size at which static out-of-view
-// deployments switch from materialized LiveViews to SampledView
-// predicates (see NewCluster).
-const compactViewThreshold = 20000
-
 // setupChurn wires the dynamic-membership subsystem: the lifecycle
 // engine, per-node evolving views, the announcement gossip mesh, and
 // peer-liveness scoring. The engine holds joins nodes out of the network
@@ -305,17 +277,11 @@ func (c *Cluster) setupChurn(cc ClusterConfig, joins int) error {
 	if cc.Churn != nil {
 		churn = *cc.Churn
 	}
-	c.believed = make([]bool, n)
-	for i := range c.believed {
-		c.believed[i] = true
-	}
-	if c.views == nil {
-		c.views = make([]*membership.LiveView, n)
-		for i := range c.views {
-			c.views[i] = membership.FullLiveView(n)
-			c.nodes[i].SetView(c.views[i])
-		}
-	}
+	// The builder seeds its BELIEVED membership: graceful leavers are
+	// announced and drop out of it; crashed nodes stay believed-online
+	// and keep receiving (wasted) seed traffic until they return.
+	c.builderView = membership.NewPeerView(0, n, 1)
+	c.builder.SetView(c.builderView)
 	c.started = make([]bool, n)
 	c.joinedAt = make([]time.Duration, n)
 	c.leftAt = make([]time.Duration, n)
@@ -366,7 +332,7 @@ func (c *Cluster) setupChurn(cc ClusterConfig, joins int) error {
 		if c.engine.Online(i) {
 			continue
 		}
-		c.believed[i] = false
+		c.builderView.Remove(i)
 		if err := c.net.SetDead(i, true); err != nil {
 			return err
 		}
@@ -376,10 +342,6 @@ func (c *Cluster) setupChurn(cc ClusterConfig, joins int) error {
 			}
 		}
 	}
-	// The builder seeds its BELIEVED membership: graceful leavers are
-	// announced and drop out of it; crashed nodes stay believed-online
-	// and keep receiving (wasted) seed traffic until they return.
-	c.builder.SetView(membership.ViewFunc(func(i int) bool { return c.believed[i] }))
 	return nil
 }
 
@@ -422,8 +384,8 @@ func (c *Cluster) onAnnouncement(node, from, size int, m annMsg) {
 // crashers alike start the current slot from an empty store and announce
 // themselves. A restarting node also reloads its bootstrap view, as a
 // client reloads the peer table it persists across restarts: every peer
-// it knew at the start of the run is back in its view, and liveness
-// scoring prunes the ones that are gone.
+// drawn into its view is back in it, beside the joiners it has learned
+// of, and liveness scoring prunes the ones that are gone.
 func (c *Cluster) onChurnJoin(node int, restart bool) {
 	if err := c.net.SetDead(node, false); err != nil {
 		return
@@ -437,32 +399,16 @@ func (c *Cluster) onChurnJoin(node int, restart bool) {
 			Kind: obsv.KindChurnEvent, Node: int32(node), Peer: -1,
 			Aux: int64(op)})
 	}
-	c.believed[node] = true
+	c.builderView.Add(node)
 	if c.joinedAt[node] < 0 {
 		c.joinedAt[node] = c.net.Now()
 	}
-	c.views[node].Add(node)
 	if restart {
-		c.reloadBootstrapView(node)
+		c.views[node].Reload()
 	}
 	c.nodes[node].JoinSlot(c.curSlot)
 	c.started[node] = true
 	c.publishAnnouncement(node, true)
-}
-
-// reloadBootstrapView re-adds every peer of the node's bootstrap view:
-// the subset OutOfViewFraction drew for it, or every node for a full view.
-func (c *Cluster) reloadBootstrapView(node int) {
-	v := c.views[node]
-	if c.bootstrap == nil {
-		for p := range c.nodes {
-			v.Add(p)
-		}
-		return
-	}
-	for _, p := range c.bootstrap[node] {
-		v.Add(p)
-	}
 }
 
 // onChurnLeave takes a node offline. Graceful leavers announce their
@@ -483,7 +429,7 @@ func (c *Cluster) onChurnLeave(node int, crash bool) {
 	}
 	if !crash {
 		c.publishAnnouncement(node, false)
-		c.believed[node] = false
+		c.builderView.Remove(node)
 	}
 	_ = c.net.SetDead(node, true)
 	c.nodes[node].Stop()

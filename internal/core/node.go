@@ -216,9 +216,9 @@ func (n *Node) Outcome(start time.Duration) NodeOutcome {
 	return o
 }
 
-// SetView restricts the node's knowledge of the network. Views may be
-// static predicates (membership.ViewFunc) or evolve while the slot runs
-// (membership.LiveView). Passing nil restores the complete view.
+// SetView restricts the node's knowledge of the network to v, which may
+// evolve while the slot runs (a cluster's membership.PeerView, changed
+// by announcements). Passing nil restores the complete view.
 func (n *Node) SetView(v membership.View) { n.view = v }
 
 // SetLiveness installs peer-liveness scoring: query timeouts demote

@@ -59,10 +59,23 @@ func TestBucketCapacity(t *testing.T) {
 	}
 }
 
-// cluster wires n DHT peers over the simulator.
+// cluster wires n DHT peers over the simulator; sent counts each
+// peer's sends, requests and responses alike.
 type cluster struct {
 	net   *simnet.Network
 	peers []*Peer
+	sent  []int
+}
+
+// countingTransport is a simulator endpoint that counts its sends.
+type countingTransport struct {
+	simnet.Endpoint
+	sent *int
+}
+
+func (t countingTransport) Send(to, size int, payload any) {
+	*t.sent++
+	t.Endpoint.Send(to, size, payload)
 }
 
 func newCluster(t *testing.T, n int, loss float64) *cluster {
@@ -75,7 +88,7 @@ func newCluster(t *testing.T, n int, loss float64) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &cluster{net: net}
+	c := &cluster{net: net, sent: make([]int, n)}
 	entries := make([]Entry, n)
 	for i := 0; i < n; i++ {
 		entries[i] = Entry{ID: ids.NewTestIdentity(int64(i)).ID, Addr: i}
@@ -88,7 +101,7 @@ func newCluster(t *testing.T, n int, loss float64) *cluster {
 		if idx != i {
 			t.Fatalf("node index mismatch")
 		}
-		p := NewPeer(entries[i], net.Endpoint(i), 0)
+		p := NewPeer(entries[i], countingTransport{net.Endpoint(i), &c.sent[i]})
 		p.Bootstrap(entries)
 		c.peers = append(c.peers, p)
 	}
@@ -161,7 +174,7 @@ func TestLookupSurvivesLoss(t *testing.T) {
 	if !finished {
 		t.Fatal("lookup stalled under 10% loss")
 	}
-	if c.peers[5].Stats.RPCsSent == 0 {
+	if c.sent[5] == 0 {
 		t.Fatal("no RPCs sent")
 	}
 }
@@ -189,8 +202,9 @@ func TestPutGetUnderLoss(t *testing.T) {
 
 func TestHandleMessageIgnoresUnknownPayload(t *testing.T) {
 	c := newCluster(t, 5, 0)
-	if c.peers[0].HandleMessage(1, "not-a-dht-message") {
-		t.Fatal("unknown payload claimed as DHT message")
+	c.peers[0].HandleMessage(1, "not-a-dht-message")
+	if c.sent[0] != 0 {
+		t.Fatalf("unknown payload answered with %d sends", c.sent[0])
 	}
 }
 
@@ -219,7 +233,7 @@ func TestLookupMultiHop(t *testing.T) {
 	if !done {
 		t.Fatal("lookup did not finish")
 	}
-	sent := c.peers[7].Stats.RPCsSent
+	sent := c.sent[7]
 	if sent == 0 || sent > 100 {
 		t.Fatalf("lookup used %d RPCs, want 1..100", sent)
 	}

@@ -19,8 +19,6 @@ const (
 
 // Transport abstracts the message substrate (the simulator in practice).
 type Transport interface {
-	// Self returns this node's transport address.
-	Self() int
 	// Send transmits payload (of the given wire size) to a peer address.
 	Send(to int, size int, payload any)
 	// After schedules a callback after a virtual-time delay.
@@ -89,31 +87,16 @@ type Peer struct {
 	store   map[ids.NodeID]storedValue
 	pending map[uint64]*pendingReq
 	nextReq uint64
-	timeout time.Duration
-
-	// Stats counts RPCs for the baseline's message accounting.
-	Stats Stats
-}
-
-// Stats counts DHT traffic at one peer.
-type Stats struct {
-	RPCsSent     int
-	RPCsReceived int
-	Timeouts     int
 }
 
 // NewPeer creates a DHT endpoint for a node.
-func NewPeer(self Entry, tr Transport, timeout time.Duration) *Peer {
-	if timeout <= 0 {
-		timeout = DefaultRPCTimeout
-	}
+func NewPeer(self Entry, tr Transport) *Peer {
 	return &Peer{
 		self:    self,
 		rt:      NewRoutingTable(self.ID),
 		tr:      tr,
 		store:   make(map[ids.NodeID]storedValue),
 		pending: make(map[uint64]*pendingReq),
-		timeout: timeout,
 	}
 }
 
@@ -132,11 +115,9 @@ func (p *Peer) StoredValue(key ids.NodeID) (any, bool) {
 
 // HandleMessage processes an incoming DHT payload. Unknown payloads are
 // ignored (the caller may multiplex other protocols on the same node).
-// It reports whether the payload was a DHT message.
-func (p *Peer) HandleMessage(from int, payload any) bool {
+func (p *Peer) HandleMessage(from int, payload any) {
 	switch m := payload.(type) {
 	case FindNodeReq:
-		p.Stats.RPCsReceived++
 		closest := p.rt.Closest(m.Target, K)
 		resp := FindNodeResp{ReqID: m.ReqID, Closest: closest}
 		p.tr.Send(from, rpcHeaderSize+len(closest)*rpcEntrySize, resp)
@@ -146,7 +127,6 @@ func (p *Peer) HandleMessage(from int, payload any) bool {
 			req.onFindNode(m, true)
 		}
 	case StoreReq:
-		p.Stats.RPCsReceived++
 		p.store[m.Key] = storedValue{size: m.ValueSize, value: m.Value}
 		p.tr.Send(from, storeRespSize, StoreResp{ReqID: m.ReqID})
 	case StoreResp:
@@ -155,7 +135,6 @@ func (p *Peer) HandleMessage(from int, payload any) bool {
 			req.onStore(true)
 		}
 	case GetReq:
-		p.Stats.RPCsReceived++
 		if v, ok := p.store[m.Key]; ok {
 			p.tr.Send(from, rpcHeaderSize+1+v.size, GetResp{ReqID: m.ReqID, Found: true, ValueSize: v.size, Value: v.value})
 		} else {
@@ -167,10 +146,7 @@ func (p *Peer) HandleMessage(from int, payload any) bool {
 			delete(p.pending, m.ReqID)
 			req.onGet(m, true)
 		}
-	default:
-		return false
 	}
-	return true
 }
 
 // findNode issues a FIND_NODE RPC with a timeout.
@@ -178,12 +154,10 @@ func (p *Peer) findNode(to Entry, target ids.NodeID, cb func(FindNodeResp, bool)
 	p.nextReq++
 	id := p.nextReq
 	p.pending[id] = &pendingReq{onFindNode: cb}
-	p.Stats.RPCsSent++
 	p.tr.Send(to.Addr, findNodeReqSize, FindNodeReq{ReqID: id, Target: target})
-	p.tr.After(p.timeout, func() {
+	p.tr.After(DefaultRPCTimeout, func() {
 		if req, ok := p.pending[id]; ok && req.onFindNode != nil {
 			delete(p.pending, id)
-			p.Stats.Timeouts++
 			cb(FindNodeResp{}, false)
 		}
 	})
@@ -194,12 +168,10 @@ func (p *Peer) storeAt(to Entry, key ids.NodeID, size int, value any, cb func(bo
 	p.nextReq++
 	id := p.nextReq
 	p.pending[id] = &pendingReq{onStore: cb}
-	p.Stats.RPCsSent++
 	p.tr.Send(to.Addr, rpcHeaderSize+ids.IDSize+size, StoreReq{ReqID: id, Key: key, ValueSize: size, Value: value})
-	p.tr.After(p.timeout, func() {
+	p.tr.After(DefaultRPCTimeout, func() {
 		if req, ok := p.pending[id]; ok && req.onStore != nil {
 			delete(p.pending, id)
-			p.Stats.Timeouts++
 			cb(false)
 		}
 	})
@@ -210,12 +182,10 @@ func (p *Peer) getFrom(to Entry, key ids.NodeID, cb func(GetResp, bool)) {
 	p.nextReq++
 	id := p.nextReq
 	p.pending[id] = &pendingReq{onGet: cb}
-	p.Stats.RPCsSent++
 	p.tr.Send(to.Addr, rpcHeaderSize+ids.IDSize, GetReq{ReqID: id, Key: key})
-	p.tr.After(p.timeout, func() {
+	p.tr.After(DefaultRPCTimeout, func() {
 		if req, ok := p.pending[id]; ok && req.onGet != nil {
 			delete(p.pending, id)
-			p.Stats.Timeouts++
 			cb(GetResp{}, false)
 		}
 	})

@@ -102,28 +102,11 @@ func (o *Overlay) Connected() bool {
 // MsgID identifies a published message for duplicate suppression.
 type MsgID uint64
 
-// RouterStats counts one router's gossip activity, cumulative across
-// Reset calls (Reset clears duplicate-suppression state, not counters).
-type RouterStats struct {
-	// Published counts messages originated by this node.
-	Published int
-	// Received counts incoming copies that were new to this node.
-	Received int
-	// Duplicates counts incoming copies that were already seen.
-	Duplicates int
-	// Forwarded counts peers the node was told to forward copies to.
-	Forwarded int
-}
-
 // Router tracks seen messages for one node across topics and computes
 // forwarding decisions. It is the per-node gossip state machine.
 type Router struct {
-	node string // diagnostics only
 	self int
 	seen map[MsgID]bool
-
-	// Stats accumulates the router's activity counters.
-	Stats RouterStats
 }
 
 // NewRouter creates the per-node router.
@@ -136,8 +119,6 @@ func NewRouter(self int) *Router {
 func (r *Router) Publish(o *Overlay, id MsgID) []int {
 	r.seen[id] = true
 	out := o.Neighbors(r.self)
-	r.Stats.Published++
-	r.Stats.Forwarded += len(out)
 	return out
 }
 
@@ -147,7 +128,6 @@ func (r *Router) Publish(o *Overlay, id MsgID) []int {
 // new to this node.
 func (r *Router) Receive(o *Overlay, id MsgID, from int) ([]int, bool) {
 	if r.seen[id] {
-		r.Stats.Duplicates++
 		return nil, false
 	}
 	r.seen[id] = true
@@ -158,8 +138,6 @@ func (r *Router) Receive(o *Overlay, id MsgID, from int) ([]int, bool) {
 			out = append(out, nb)
 		}
 	}
-	r.Stats.Received++
-	r.Stats.Forwarded += len(out)
 	return out, true
 }
 

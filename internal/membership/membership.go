@@ -17,7 +17,7 @@
 //     from its driver, which calls Join, Restart and Leave when a
 //     scripted event fires (core's scenario list; this package never
 //     reads one);
-//   - each node's LiveView evolves during a slot, fed by gossip of
+//   - each node's PeerView evolves during a slot, fed by gossip of
 //     join/leave announcements; a restarting node reloads the bootstrap
 //     view it started the run with, as a client reloads the peer table
 //     it persists across restarts (its driver, core, does the reload);
@@ -32,59 +32,9 @@
 // mode that churn studies of DAS networks identify as dominant.
 package membership
 
-// View reports whether a peer is visible to a node. It replaces the
-// static in-view closure of the original static-membership code:
-// implementations may evolve while a slot is running.
-type View interface {
-	Contains(peer int) bool
-}
-
-// ViewFunc adapts a predicate to the View interface.
-type ViewFunc func(peer int) bool
-
-// Contains implements View.
-func (f ViewFunc) Contains(peer int) bool { return f(peer) }
-
-// LiveView is a mutable membership view: the set of peers a node
-// currently believes to be part of the network. It is updated by gossip
-// announcements (joins and graceful leaves) and by the bootstrap reload
-// on restart; crashed peers are NOT removed — they linger until liveness
-// scoring demotes them, mirroring stale ENRs in real deployments. Like every
-// per-node structure in this codebase it is confined to the simulator's
-// event loop and needs no locking.
-type LiveView struct {
-	known map[int]bool
-}
-
-// NewLiveView returns an empty view.
-func NewLiveView() *LiveView {
-	return &LiveView{known: make(map[int]bool)}
-}
-
-// FullLiveView returns a view containing peers 0..n-1.
-func FullLiveView(n int) *LiveView {
-	v := &LiveView{known: make(map[int]bool, n)}
-	for i := 0; i < n; i++ {
-		v.known[i] = true
-	}
-	return v
-}
-
-// Contains implements View.
-func (v *LiveView) Contains(peer int) bool { return v.known[peer] }
-
-// Add inserts a peer into the view.
-func (v *LiveView) Add(peer int) { v.known[peer] = true }
-
-// Remove deletes a peer from the view.
-func (v *LiveView) Remove(peer int) { delete(v.known, peer) }
-
-// Len returns the number of visible peers.
-func (v *LiveView) Len() int { return len(v.known) }
-
 // Announcement is the join/leave notice a node floods over the gossip
 // mesh when it enters or gracefully exits the network. Crashes produce
-// no announcement — peers only learn through timeouts and crawls.
+// no announcement — peers only learn through timeouts.
 type Announcement struct {
 	// Seq uniquely identifies the announcement for duplicate
 	// suppression during mesh flooding.

@@ -5,43 +5,48 @@ import (
 	"time"
 )
 
-func TestLiveViewBasics(t *testing.T) {
-	v := NewLiveView()
-	if v.Contains(3) || v.Len() != 0 {
-		t.Fatal("fresh view not empty")
+func TestPeerViewBasics(t *testing.T) {
+	const self = 2
+	v := NewPeerView(5, self, 0.5)
+	var in, out int // a drawn peer and one outside the draw
+	for out = 0; v.Contains(out); out++ {
 	}
-	v.Add(3)
-	v.Add(7)
-	v.Add(3) // idempotent
-	if !v.Contains(3) || !v.Contains(7) || v.Len() != 2 {
-		t.Fatalf("after adds: len=%d", v.Len())
+	for in = 0; in == self || !v.Contains(in); in++ {
 	}
-	v.Remove(3)
-	if v.Contains(3) || v.Len() != 1 {
-		t.Fatal("remove failed")
+	v.Add(out)
+	v.Add(out) // idempotent
+	v.Remove(in)
+	v.Remove(in)
+	if !v.Contains(out) || v.Contains(in) || !v.Contains(self) {
+		t.Fatal("announced join or leave not applied")
 	}
-	v.Remove(99) // no-op
-	if v.Len() != 1 {
-		t.Fatal("removing absent peer changed view")
+	v.Remove(out)
+	if v.Contains(out) {
+		t.Fatal("joiner's leave not applied")
+	}
+	v.Add(out)
+	v.Reload()
+	if !v.Contains(in) || !v.Contains(out) {
+		t.Fatal("reload must restore the draw and keep announced joiners")
 	}
 }
 
-func TestFullLiveView(t *testing.T) {
-	v := FullLiveView(5)
+func TestFullPeerView(t *testing.T) {
+	v := NewPeerView(1, 0, 1)
 	for i := 0; i < 5; i++ {
 		if !v.Contains(i) {
 			t.Fatalf("full view missing %d", i)
 		}
+		v.Remove(i)
 	}
-	if v.Contains(5) || v.Len() != 5 {
-		t.Fatal("full view wrong size")
+	if v.Contains(3) {
+		t.Fatal("remove failed")
 	}
-}
-
-func TestViewFunc(t *testing.T) {
-	var v View = ViewFunc(func(p int) bool { return p%2 == 0 })
-	if !v.Contains(4) || v.Contains(5) {
-		t.Fatal("ViewFunc adapter broken")
+	v.Reload()
+	for i := 0; i < 5; i++ {
+		if !v.Contains(i) {
+			t.Fatalf("reloaded full view missing %d", i)
+		}
 	}
 }
 

@@ -316,9 +316,6 @@ type Endpoint struct {
 // Endpoint returns node i's transport handle.
 func (n *Network) Endpoint(i int) Endpoint { return Endpoint{net: n, self: i} }
 
-// Self returns the node's index.
-func (e Endpoint) Self() int { return e.self }
-
 // Send is Network.Send from this node (lossy).
 func (e Endpoint) Send(to, size int, payload any) { e.net.Send(e.self, to, size, payload) }
 

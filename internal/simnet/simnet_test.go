@@ -376,9 +376,6 @@ func TestEndpointLossSemantics(t *testing.T) {
 	}, 0, 0)
 	net.SetLossRate(1) // clamped just below 1
 	ep := net.Endpoint(sender)
-	if ep.Self() != sender {
-		t.Fatalf("Self = %d", ep.Self())
-	}
 	for i := 0; i < 200; i++ {
 		ep.Send(2, 100, "lossy")
 		ep.SendReliable(2, 100, "reliable")

@@ -50,7 +50,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	frames := []frame{
 		{Hello: &hello{Index: 5, Ready: true, DataAddr: "127.0.0.1:40001"}},
 		{Config: &config{Nodes: 64, Seed: -42,
-			Geometry: Geometry{K: 16, Custody: 2, Samples: 73, Redundancy: 6},
+			Geometry: Geometry{K: 16, Custody: 2, Samples: 73},
 			Peers:    []string{"127.0.0.1:40010", "", "127.0.0.1:40011"}}},
 		{Start: &start{Slot: 1<<63 + 2}},
 		{Report: &report{Slot: 2, Node: &node}},

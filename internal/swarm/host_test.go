@@ -28,7 +28,7 @@ func TestHostsFollowTheBuilder(t *testing.T) {
 	// At this seed nodes 4 and 7 are some sampled cell's only source in
 	// slot 1; node 2 can go deaf without taking a peer down with it.
 	const nodes, seed, deafNode = 8, 6, 2
-	cfg, err := Geometry{K: 8, Custody: 4, Samples: 6, Redundancy: 8}.CoreConfig()
+	cfg, err := DefaultGeometry().CoreConfig()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,27 +43,29 @@ const EnvRestarts = "PANDAS_SWARM_RESTARTS"
 // Geometry is the slot geometry the supervisor distributes to workers.
 // It is the swarm-sized analogue of core.Config: small enough that a
 // fleet of real processes completes slots well inside the deadline.
-// Cells are 64 B long; the seed wait and the deadline are core's
-// defaults (400 ms and 4 s).
+// Cells are 64 B long, the builder seeds redundancy copies of each, and
+// the seed wait and the deadline are core's defaults (400 ms and 4 s).
 type Geometry struct {
-	K          int // base matrix size (extended is 2K x 2K)
-	Custody    int // rows and columns per node
-	Samples    int
-	Redundancy int
+	K       int // base matrix size (extended is 2K x 2K)
+	Custody int // rows and columns per node
+	Samples int
 }
 
-// cellBytes is the payload size of a swarm cell.
-const cellBytes = 64
+const (
+	// cellBytes is the payload size of a swarm cell.
+	cellBytes = 64
+	// redundancy is r, the copies of each cell the builder seeds.
+	redundancy = 4
+)
 
 // DefaultGeometry returns the swarm default: a 16x16 extended matrix
 // with 4+4 custody lines — the localnet test geometry, dense enough
 // that every line has multiple holders at a few dozen nodes.
 func DefaultGeometry() Geometry {
 	return Geometry{
-		K:          8,
-		Custody:    4,
-		Samples:    6,
-		Redundancy: 4,
+		K:       8,
+		Custody: 4,
+		Samples: 6,
 	}
 }
 
@@ -74,7 +76,7 @@ func (g Geometry) CoreConfig() (core.Config, error) {
 	cfg.Blob = blob.Params{K: g.K, CellBytes: cellBytes, ProofBytes: 48}
 	cfg.Assign = assign.Params{Rows: g.Custody, Cols: g.Custody, N: cfg.Blob.N()}
 	cfg.Samples = g.Samples
-	cfg.Redundancy = g.Redundancy
+	cfg.Redundancy = redundancy
 	cfg.RealPayloads = true
 	return cfg, cfg.Validate()
 }

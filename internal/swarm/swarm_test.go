@@ -43,10 +43,9 @@ func TestMain(m *testing.M) {
 // geometry wants a few dozen nodes for that).
 func testGeometry() Geometry {
 	return Geometry{
-		K:          4,
-		Custody:    4,
-		Samples:    4,
-		Redundancy: 4,
+		K:       4,
+		Custody: 4,
+		Samples: 4,
 	}
 }
 
