@@ -146,7 +146,7 @@ func (d *DHTCluster) RunSlot(slot uint64) (*core.SlotResult, error) {
 				}, func() {
 					// Not stored yet (or routed poorly): retry with
 					// exponential backoff until the slot runs out.
-					if d.net.Now()-start < 12*time.Second-delay {
+					if d.net.Now()-start < core.SlotDuration-delay {
 						d.net.After(delay, attempt)
 						delay = time.Duration(float64(delay) * dhtRetryBackoff)
 						if delay > dhtRetryDelayMax {
@@ -159,7 +159,7 @@ func (d *DHTCluster) RunSlot(slot uint64) (*core.SlotResult, error) {
 		}
 	}
 
-	d.net.Run(start + 12*time.Second)
+	d.net.Run(start + core.SlotDuration)
 
 	return slotResult(d.net, d.sampleDone), nil
 }

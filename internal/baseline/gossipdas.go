@@ -188,7 +188,7 @@ func (g *GossipCluster) RunSlot(slot uint64) (*core.SlotResult, error) {
 			}
 		}
 	})
-	g.net.Run(start + 12*time.Second)
+	g.net.Run(start + core.SlotDuration)
 
 	sampling := make([]time.Duration, len(g.nodes))
 	for i, nd := range g.nodes {

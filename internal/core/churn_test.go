@@ -175,10 +175,9 @@ func TestChurnRestartResumesCustodyEmptyStore(t *testing.T) {
 
 // TestChurnCrashedNodeRunsNothing crashes one node while it is still
 // fetching and restarts it later in the slot. Between the crash and the
-// restart the node must run no round, send nothing, and report no peer
-// to its liveness scorer: it hears no replies while it is down, so every
-// timeout it reported would put a live peer into backoff for its next
-// lifetime.
+// restart the node must run no round, send nothing, and back off no
+// peer: it hears no replies while it is down, so every timeout it
+// reported would put a live peer into backoff for its next lifetime.
 func TestChurnCrashedNodeRunsNothing(t *testing.T) {
 	const crashAt, restartAt = 200 * time.Millisecond, 2500 * time.Millisecond
 	ring := obsv.MustRing(obsv.DefaultRingSize)

@@ -127,7 +127,6 @@ type Cluster struct {
 	// crash, being unannounced, leaves in it.
 	engine      *membership.Engine
 	builderView *membership.PeerView
-	scorers     []*membership.Scorer
 	annOverlay  *gossip.Overlay
 	annRouters  []*gossip.Router
 	annSeq      uint64
@@ -269,8 +268,8 @@ const blockSize = 128 * 1024
 
 // setupChurn wires the dynamic-membership subsystem: the lifecycle
 // engine, per-node evolving views, the announcement gossip mesh, and
-// peer-liveness scoring. The engine holds joins nodes out of the network
-// for the scenario's Join events.
+// peer health. The engine holds nodes out of the network for the
+// scenario's Join events.
 func (c *Cluster) setupChurn(cc ClusterConfig, joins int) error {
 	n := cc.N
 	var churn membership.Config
@@ -286,15 +285,10 @@ func (c *Cluster) setupChurn(cc ClusterConfig, joins int) error {
 	c.joinedAt = make([]time.Duration, n)
 	c.leftAt = make([]time.Duration, n)
 
-	// Liveness scoring is enabled only under churn so the static fault
-	// sweeps (dead-node timeouts included) keep their exact behaviour.
-	c.scorers = make([]*membership.Scorer, n)
-	for i := range c.scorers {
-		c.scorers[i] = membership.NewScorer(c.net.Now)
-		if c.rec != nil {
-			c.scorers[i].SetRecorder(c.rec, i)
-		}
-		c.nodes[i].SetLiveness(c.scorers[i])
+	// Peer health is on only under churn so the static fault sweeps
+	// (dead-node timeouts included) keep their exact behaviour.
+	for _, nd := range c.nodes {
+		nd.SetLiveness(true)
 	}
 
 	// Join/leave announcements ride their own gossip mesh with their own
@@ -502,11 +496,6 @@ func (c *Cluster) RunSlot(slot uint64) (*SlotResult, error) {
 	start := c.net.Now()
 	droppedBefore := c.net.Dropped()
 	c.curSlot = slot
-	// Liveness scorers outlive slots; restamp the slot their traced
-	// events carry.
-	for _, s := range c.scorers {
-		s.SetSlot(slot)
-	}
 	for i, n := range c.nodes {
 		c.blockRecv[i] = -1
 		if c.engine != nil {

@@ -16,21 +16,6 @@ import (
 	"pandas/internal/wire"
 )
 
-// LivenessRecorder is the node-side contract of peer-liveness scoring:
-// the fetcher reports per-peer query outcomes and consults queryability
-// and penalties when scoring candidates. Implemented by
-// membership.Scorer.
-type LivenessRecorder interface {
-	fetch.Liveness
-	// ReportTimeout records that a query to the peer expired unanswered.
-	ReportTimeout(peer int)
-	// ReportSuccess records a response from the peer.
-	ReportSuccess(peer int)
-	// ReportGarbage records that the peer served cells failing proof
-	// verification — worse than a timeout: the peer is alive and lying.
-	ReportGarbage(peer int)
-}
-
 // inflightTTL is how long an unanswered query still counts toward a
 // cell's redundancy target before other peers are asked instead. Queried
 // peers that lack a cell buffer the request and reply once their own
@@ -86,9 +71,13 @@ type Node struct {
 	// and possibly evolving) view; nil means the full view.
 	view membership.View
 
-	// liveness scores peer responsiveness; nil disables scoring (the
-	// static-membership configuration).
-	liveness LivenessRecorder
+	// liveness turns peer health on (see SetLiveness); off, the static
+	// configuration, nothing reports to health and it stays empty.
+	// Unlike the per-slot state below, begin never resets health: a peer
+	// that failed this node in slot s is still known-bad in slot s+1,
+	// and after this node crashes and rejoins.
+	liveness bool
+	health   map[int]peerHealth
 
 	// verifySeeds enables proposer-signature checks on seed messages.
 	verifySeeds bool
@@ -135,8 +124,8 @@ type Node struct {
 	// by recipient.
 	pendingOut []owedCell
 	// awaitReply tracks, per queried peer, the deadline by which SOME
-	// response must arrive before the peer is reported to the liveness
-	// scorer as timed out. Only maintained when liveness is set.
+	// response must arrive before the peer is reported timed out to
+	// health. Only maintained when liveness is on.
 	awaitReply map[int]time.Duration
 	// badPeers bans, for the rest of the slot, peers that served cells
 	// failing proof verification: unlike a timeout (which exponential
@@ -221,10 +210,11 @@ func (n *Node) Outcome(start time.Duration) NodeOutcome {
 // by announcements). Passing nil restores the complete view.
 func (n *Node) SetView(v membership.View) { n.view = v }
 
-// SetLiveness installs peer-liveness scoring: query timeouts demote
-// peers and the fetch planner skips demoted ones. Passing nil disables
-// scoring.
-func (n *Node) SetLiveness(l LivenessRecorder) { n.liveness = l }
+// SetLiveness turns peer health on or off: on, a peer whose reply
+// deadline expires, or whose cells fail their proofs, is backed off
+// (queryable skips it) and then ranked down by its failures until it
+// answers again.
+func (n *Node) SetLiveness(on bool) { n.liveness = on }
 
 // OnSlotDone installs the slot-completion event: fn runs on the node's
 // event loop, once per StartSlot, the first time the slot is complete
@@ -325,8 +315,8 @@ func (n *Node) begin(slot uint64) {
 // Stop is the transition into down, as a crash or a departure takes a
 // node: every timer it armed is dropped, and until the next StartSlot or
 // JoinSlot it sends nothing and handles nothing. A node that kept
-// fetching while down would count sends nobody receives and report every
-// peer it queried to its liveness scorer as timed out.
+// fetching while down would count sends nobody receives and back off
+// every peer it queried as timed out.
 func (n *Node) Stop() {
 	n.gen++
 	n.phase = phaseDown
@@ -598,10 +588,10 @@ func (n *Node) onResponse(from int, m *wire.Response) {
 		// Cryptographic evidence of misbehavior — a signed commitment and
 		// a cell that fails against it. Ban the peer for the rest of the
 		// slot (the periodic queried-set re-arm must not resurrect it) and
-		// report garbage rather than success to the liveness scorer.
+		// report garbage rather than success to health.
 		n.badPeers[from] = true
-		if n.liveness != nil {
-			n.liveness.ReportGarbage(from)
+		if n.liveness {
+			n.reportFailure(from, true)
 		}
 		if n.obs.Enabled() {
 			n.obs.Emit(obsv.Event{At: n.tr.Now(), Kind: obsv.KindCorruptReject,
@@ -609,8 +599,73 @@ func (n *Node) onResponse(from int, m *wire.Response) {
 		}
 		return
 	}
-	if n.liveness != nil {
-		n.liveness.ReportSuccess(from)
+	if n.liveness {
+		n.reportSuccess(from)
+	}
+}
+
+// Peer health is Algorithm 1's scoring step extended with failure
+// knowledge. A peer's first timeout backs it off for baseBackoff, and
+// each further consecutive one doubles that up to maxBackoff; while a
+// backoff runs the peer is not queryable. Once it expires the peer is
+// re-armed, its score lowered by healthPenalty per failure, and its
+// next reply that carries no bad proof clears it.
+const (
+	baseBackoff   = time.Second
+	maxBackoff    = 30 * time.Second
+	healthPenalty = 2
+	// capFailures is the first failure count whose backoff is
+	// maxBackoff; a garbage reply jumps straight to it.
+	capFailures = 6
+)
+
+// peerHealth is what a node remembers of a peer that failed it.
+type peerHealth struct {
+	failures int
+	until    time.Duration // end of the backoff
+}
+
+// backoff is the quarantine after a peer's f-th consecutive failure.
+func backoff(f int) time.Duration {
+	b := baseBackoff
+	for i := 1; i < f && b < maxBackoff; i++ {
+		b *= 2
+	}
+	return min(b, maxBackoff)
+}
+
+// reportFailure backs a peer off after a timeout or, garbage set, after
+// cells that failed their proofs. Unlike a timeout, which might be
+// congestion, garbage is deliberate: the peer carries at least the
+// failure count of a peer backed off all the way to the cap.
+func (n *Node) reportFailure(peer int, garbage bool) {
+	if n.health == nil {
+		n.health = make(map[int]peerHealth)
+	}
+	h := n.health[peer]
+	h.failures++
+	if garbage {
+		h.failures = max(h.failures, capFailures)
+	}
+	back := backoff(h.failures)
+	h.until = n.tr.Now() + back
+	n.health[peer] = h
+	if n.obs.Enabled() {
+		n.obs.Emit(obsv.Event{At: n.tr.Now(), Kind: obsv.KindPeerTimeout,
+			Peer: int32(peer), Count: int32(h.failures), Aux: int64(back)})
+	}
+}
+
+// reportSuccess clears a peer's failures and backoff.
+func (n *Node) reportSuccess(peer int) {
+	h, ok := n.health[peer]
+	if !ok {
+		return
+	}
+	delete(n.health, peer)
+	if n.obs.Enabled() {
+		n.obs.Emit(obsv.Event{At: n.tr.Now(), Kind: obsv.KindPeerRecovered,
+			Peer: int32(peer), Count: int32(h.failures)})
 	}
 }
 
@@ -812,11 +867,10 @@ func (n *Node) runRound(ps *planScratch) {
 	}
 	n.round++
 	// Sweep expired reply deadlines: a peer queried more than inflightTTL
-	// ago with no response of any kind is reported to the liveness scorer,
-	// which puts it into exponential backoff (and re-arms it later via the
-	// queryable-set sweep below). Expired peers are reported in ascending
-	// order, so a traced run is reproducible.
-	if n.liveness != nil {
+	// ago with no response of any kind goes into exponential backoff (and
+	// is re-armed later via the queryable-set sweep below). Expired peers
+	// are reported in ascending order, so a traced run is reproducible.
+	if n.liveness {
 		now := n.tr.Now()
 		expired := n.peerScr[:0]
 		for peer, deadline := range n.awaitReply {
@@ -828,7 +882,7 @@ func (n *Node) runRound(ps *planScratch) {
 		n.peerScr = expired
 		for _, peer := range expired {
 			delete(n.awaitReply, peer)
-			n.liveness.ReportTimeout(peer)
+			n.reportFailure(peer, false)
 		}
 	}
 	if len(F) == 0 {
@@ -874,7 +928,7 @@ func (n *Node) runRound(ps *planScratch) {
 		peer := q.Peer
 		lastQueried, _ := n.queryRound.ref(uint32(peer))
 		*lastQueried = int32(n.round)
-		if n.liveness != nil {
+		if n.liveness {
 			if _, waiting := n.awaitReply[peer]; !waiting {
 				n.awaitReply[peer] = n.tr.Now() + inflightTTL
 			}

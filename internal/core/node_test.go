@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -532,6 +533,141 @@ func TestNodeOutcome(t *testing.T) {
 		n.obs.View = c.view
 		if got := n.Outcome(start); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s:\n got %+v\nwant %+v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestPeerHealthBackoffGrowsAndCaps: a peer's first timeout backs it off
+// for 1 s, each further one doubles the backoff up to the 30 s cap, and a
+// re-armed peer still carries a penalty of 2 per failure.
+func TestPeerHealthBackoffGrowsAndCaps(t *testing.T) {
+	node, _, tr, _ := nodeFixture(t, 60)
+	node.SetLiveness(true)
+	penalty := func(peer int) int { return node.health[peer].failures * healthPenalty }
+	if !node.queryable(9) || penalty(9) != 0 {
+		t.Fatal("unknown peer must be healthy")
+	}
+	node.reportFailure(9, false) // backoff 1s
+	if node.queryable(9) {
+		t.Fatal("peer queryable during backoff")
+	}
+	if f := node.health[9].failures; f != 1 {
+		t.Fatalf("failures=%d", f)
+	}
+	tr.now = 1100 * time.Millisecond
+	if !node.queryable(9) {
+		t.Fatal("peer not re-armed after backoff expiry")
+	}
+	if penalty(9) != healthPenalty {
+		t.Fatalf("re-armed peer carries penalty %d, want %d", penalty(9), healthPenalty)
+	}
+	node.reportFailure(9, false) // backoff 2s
+	if node.queryable(9) {
+		t.Fatal("second timeout must re-demote")
+	}
+	tr.now += 1500 * time.Millisecond
+	if node.queryable(9) {
+		t.Fatal("backoff did not double")
+	}
+	tr.now += time.Second
+	if !node.queryable(9) {
+		t.Fatal("doubled backoff never expired")
+	}
+	// Drive failures past the cap: backoff must stay at maxBackoff.
+	for i := 0; i < 10; i++ {
+		node.reportFailure(9, false)
+	}
+	tr.now += maxBackoff - time.Millisecond
+	if node.queryable(9) {
+		t.Fatal("backoff shorter than its cap")
+	}
+	tr.now += 2 * time.Millisecond
+	if !node.queryable(9) {
+		t.Fatal("backoff exceeded its cap")
+	}
+	if penalty(9) != 12*healthPenalty {
+		t.Fatalf("12 failures carry penalty %d, want %d", penalty(9), 12*healthPenalty)
+	}
+}
+
+// TestPeerHealthSuccessResets: a reply clears a peer's failures and
+// backoff; a garbage reply jumps straight to the capped backoff with the
+// failure count of a peer timed out all the way up to it.
+func TestPeerHealthSuccessResets(t *testing.T) {
+	node, _, tr, _ := nodeFixture(t, 60)
+	node.SetLiveness(true)
+	node.reportFailure(4, false)
+	node.reportFailure(4, false)
+	if node.queryable(4) || len(node.health) != 1 {
+		t.Fatalf("peer 4 not backed off: %+v", node.health)
+	}
+	node.reportSuccess(4)
+	if !node.queryable(4) || len(node.health) != 0 {
+		t.Fatal("success did not reset the peer")
+	}
+
+	if backoff(capFailures) != maxBackoff || backoff(capFailures-1) >= maxBackoff {
+		t.Fatalf("capFailures=%d is not where the backoff reaches its cap", capFailures)
+	}
+	node.reportFailure(5, true)
+	if h := node.health[5]; h.failures != capFailures || h.until != tr.now+maxBackoff {
+		t.Fatalf("garbage peer: %+v, want %d failures until %v", h, capFailures, tr.now+maxBackoff)
+	}
+	node.reportFailure(5, true)
+	if f := node.health[5].failures; f != capFailures+1 {
+		t.Fatalf("second garbage reply: %d failures, want %d", f, capFailures+1)
+	}
+	tr.now += maxBackoff - time.Millisecond
+	if node.queryable(5) {
+		t.Fatal("garbage peer re-armed before the cap")
+	}
+	node.reportSuccess(5)
+	if !node.queryable(5) {
+		t.Fatal("success did not clear the garbage peer")
+	}
+}
+
+// TestPeerHealthOutlivesSlotAndRestart: a peer backed off after a timeout
+// and a peer quarantined for garbage in slot s are still skipped by the
+// round-1 plan of slot s+1, and by the first plan after this node
+// crashes and rejoins. The two are the first peers that plan asks in a
+// run of the same fixture that recorded no failure.
+func TestPeerHealthOutlivesSlotAndRestart(t *testing.T) {
+	cfg, nodes := sparseConfig()
+	roundOne := func(node *Node) []int {
+		ps := new(planScratch)
+		node.round = 1
+		node.missingCells(ps)
+		var peers []int
+		for _, q := range node.planRound(ps) {
+			peers = append(peers, q.Peer)
+		}
+		return peers
+	}
+	for _, step := range []struct {
+		name    string
+		restart func(*Node)
+	}{
+		{"next slot", func(n *Node) { n.StartSlot(2) }},
+		{"crash and rejoin", func(n *Node) { n.Stop(); n.JoinSlot(1) }},
+	} {
+		probe := planFixture(t, cfg, nodes)
+		step.restart(probe)
+		want := roundOne(probe)
+		if len(want) < 2 {
+			t.Fatalf("%s: the plan asks %d peers", step.name, len(want))
+		}
+		timedOut, garbage := want[0], want[1]
+
+		node := planFixture(t, cfg, nodes)
+		node.SetLiveness(true)
+		node.reportFailure(timedOut, false)
+		node.reportFailure(garbage, true)
+		node.tr.(*captureTransport).now += 500 * time.Millisecond
+		step.restart(node)
+		got := roundOne(node)
+		if slices.Contains(got, timedOut) || slices.Contains(got, garbage) {
+			t.Fatalf("%s: plan %v asks a peer still in backoff (%d timed out, %d garbage)", step.name, got, timedOut, garbage)
 		}
 	}
 }

@@ -139,9 +139,8 @@ func zeroed[T any](buf []T, n int) []T {
 func cellKey(id blob.CellID) uint32 { return uint32(id.Row)<<16 | uint32(id.Col) }
 
 // rejected marks, in planScratch.peers, a holder that was examined this
-// round and may not be queried (the node itself, a peer already queried
-// since the last re-arm, a peer outside the view), so that the next line
-// it appears on does not examine it again.
+// round and that queryable rejected, so that the next line it appears on
+// does not examine it again.
 const rejected = -1
 
 // planLine is one line crossing F: the F indices on it are
@@ -178,8 +177,7 @@ type planScratch struct {
 	lineStamp uint32
 
 	// peers maps every holder examined this round to its index in scored
-	// (as first built, before filtering compacts it) or to rejected.
-	// boostSpan runs parallel to that first-built scored: the range of
+	// or to rejected. boostSpan runs parallel to scored: the range of
 	// boostCells the builder's CB map says the peer was seeded with.
 	peers      stampTable
 	scored     []fetch.Scored
@@ -363,12 +361,23 @@ func (n *Node) wasQueried(peer int) bool {
 	return ok && int(r) >= n.lastRearm
 }
 
-// queryable applies the Q <- V filters of Algorithm 1 to one holder.
+// queryable applies the Q <- V filters of Algorithm 1 to one holder. It
+// rejects, in this order, the node itself, a peer queried since the last
+// re-arm, a peer outside the view, a peer banned this slot for a bad
+// proof and a peer in backoff; only the last is traced (KindPeerDemoted).
 func (n *Node) queryable(peer int) bool {
-	if peer == n.index || n.wasQueried(peer) {
+	if peer == n.index || n.wasQueried(peer) ||
+		n.view != nil && !n.view.Contains(peer) || n.badPeers[peer] {
 		return false
 	}
-	return n.view == nil || n.view.Contains(peer)
+	if h, ok := n.health[peer]; ok && h.until > n.tr.Now() {
+		if n.obs.Enabled() {
+			n.obs.Emit(obsv.Event{At: n.tr.Now(), Kind: obsv.KindPeerDemoted,
+				Peer: int32(peer), Round: int32(n.round)})
+		}
+		return false
+	}
+	return true
 }
 
 // fetchHedgeDiv sizes a custody line's fetch surplus: a line D cells
@@ -463,8 +472,8 @@ func (n *Node) planRound(ps *planScratch) []fetch.Query {
 	// in F order, holders in window order — which is deterministic by
 	// construction, and PlanLazyInto breaks equal scores by that order,
 	// so ties resolve identically across runs. Each holder costs one
-	// probe of ps.peers per line it appears on; the queryable filters run
-	// once per holder per round.
+	// probe of ps.peers per line it appears on; queryable runs once per
+	// holder per round, so scored holds only peers the round may ask.
 	ps.peers.reset()
 	ps.scored = ps.scored[:0]
 	ps.boostSpan = ps.boostSpan[:0]
@@ -501,34 +510,25 @@ func (n *Node) planRound(ps *planScratch) []fetch.Query {
 	}
 	ps.stamp = zeroed(ps.stamp, len(F))
 	n.applyBoost(ps, truncated)
-	scored := ps.scored
-	// Peers caught serving unverifiable cells are banned for the slot —
-	// a stronger judgment than liveness backoff, which is why it is a
-	// separate filter rather than a scorer state.
-	if len(n.badPeers) > 0 {
-		scored = fetch.Exclude(scored, func(peer int) bool { return n.badPeers[peer] })
-	}
-	if n.liveness != nil {
-		var onSkip func(int)
-		if n.obs.Enabled() {
-			at := n.tr.Now()
-			onSkip = func(peer int) {
-				n.obs.Emit(obsv.Event{At: at, Kind: obsv.KindPeerDemoted,
-					Peer: int32(peer), Round: int32(n.round)})
+	// A peer with failures on record, re-armed, ranks lower by its
+	// penalty, floored at 1 so that it stays a last resort. With
+	// consolidation, a custodian asked for a cell it lacks gets it soon,
+	// so re-asking the best-scored peers after a re-arm is sound. Without
+	// it, a custodian holds only what seeding (or the GossipSub
+	// baseline's meshes) gave it, and the same peers, asked in the same
+	// order, may never hold the cell: a peer asked before the re-arm
+	// ranks below every peer not yet asked.
+	requery := n.cfg.DisableConsolidation && n.lastRearm > 0
+	if len(n.health) > 0 || requery {
+		for i := range ps.scored {
+			s := &ps.scored[i]
+			if h, ok := n.health[s.Peer]; ok {
+				s.Score = max(s.Score-h.failures*healthPenalty, 1)
 			}
-		}
-		scored = fetch.ApplyLiveness(scored, n.liveness, onSkip)
-	}
-	if n.cfg.DisableConsolidation && n.lastRearm > 0 {
-		// With consolidation, a custodian asked for a cell it lacks gets
-		// it soon, so re-asking the best-scored peers after a re-arm is
-		// sound. Without it, a custodian holds only what seeding (or the
-		// GossipSub baseline's meshes) gave it, and the same peers, asked
-		// in the same order, may never hold the cell: a peer asked before
-		// the re-arm ranks below every peer not yet asked.
-		for i := range scored {
-			if _, asked := n.queryRound.get(uint32(scored[i].Peer)); asked {
-				scored[i].Score -= requeryDemotion
+			if requery {
+				if _, asked := n.queryRound.get(uint32(s.Peer)); asked {
+					s.Score -= requeryDemotion
+				}
 			}
 		}
 	}
@@ -562,7 +562,7 @@ func (n *Node) planRound(ps *planScratch) []fetch.Query {
 	n.outstanding = live
 	ps.before = append(ps.before[:0], counts...)
 	ps.k = k
-	plan := fetch.PlanLazyInto(&ps.plan, scored, counts, k, func(peer int) []int {
+	plan := fetch.PlanLazyInto(&ps.plan, ps.scored, counts, k, func(peer int) []int {
 		return n.cellsOf(ps, peer)
 	})
 	ttl := inflightTTL
@@ -605,11 +605,12 @@ func (n *Node) applyBoost(ps *planScratch, truncated bool) {
 		case seen && idx == rejected:
 		case seen:
 			boost(g, idx)
-		case truncated && n.queryable(int(g.peer)):
+		case truncated:
 			// A full scan never misses a queryable holder of a line
 			// crossing F. A windowed one can have sampled the peer out,
 			// and a CB-listed holder is exactly who round 1 must reach:
-			// admit it with its parcel coverage as the base score.
+			// admit it, if queryable, with its parcel coverage as the
+			// base score.
 			cov := 0
 			parcels := ps.parcelIdx[g.start:g.end]
 			for pi, p := range parcels {
@@ -632,10 +633,14 @@ func (n *Node) applyBoost(ps *planScratch, truncated bool) {
 		}
 	}
 	// Admissions append to scored, whose order breaks score ties: admit
-	// in ascending peer order, whatever order the parcels arrived in.
+	// in ascending peer order, whatever order the parcels arrived in,
+	// which is also the order queryable traces the demoted ones in.
 	slices.SortFunc(admit, func(a, b int32) int { return int(ps.groups[a].peer) - int(ps.groups[b].peer) })
 	for _, gi := range admit {
 		g := ps.groups[gi]
+		if !n.queryable(int(g.peer)) {
+			continue
+		}
 		idx := ps.candidate(int(g.peer), int(g.cov))
 		v, _ := ps.peers.ref(uint32(g.peer))
 		*v = idx

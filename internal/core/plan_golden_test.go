@@ -3,11 +3,14 @@ package core
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"pandas/internal/adversary"
 	"pandas/internal/blob"
+	"pandas/internal/obsv"
+	"pandas/internal/wire"
 )
 
 // TestPlanGolden pins the fetch plans the round planner emits. A plan is
@@ -96,6 +99,78 @@ func TestPlanGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPlannedPeersAreQueryable: in TestPlanGolden's three regimes, every
+// query a round sends goes to a peer that queryable accepts against the
+// node's state as the round was planned. queryRound is the only state
+// the sends change, so each node's table is copied at its round's
+// RoundStarted event, after planning and before the sends.
+func TestPlannedPeersAreQueryable(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		real   bool
+		mutate func(*ClusterConfig)
+	}{
+		{"dense", 1300, false, nil},
+		{"sparse-dead-liveness", 150, false, sparseDeadLiveness},
+		{"garbage-peers", 100, true, garbagePeers},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && tc.n > 1000 {
+				t.Skip("dense regime skipped in -short mode")
+			}
+			var c *Cluster
+			planned := map[int]stampTable{}
+			c = goldenCluster(t, tc.n, tc.real, func(cc *ClusterConfig) {
+				if tc.mutate != nil {
+					tc.mutate(cc)
+				}
+				cc.Core.Recorder = obsv.RecorderFunc(func(e obsv.Event) {
+					if e.Kind == obsv.KindRoundStarted {
+						q := c.nodes[e.Node].queryRound
+						q.keys, q.vals = slices.Clone(q.keys), slices.Clone(q.vals)
+						planned[int(e.Node)] = q
+					}
+				})
+			})
+			sent, refused := 0, 0
+			for i, n := range c.nodes {
+				n.tr = sendHook{Transport: n.tr, hook: func(to int, payload any) {
+					if _, ok := payload.(*wire.Query); !ok {
+						return
+					}
+					live := n.queryRound
+					n.queryRound = planned[i]
+					if !n.queryable(to) {
+						refused++
+					}
+					n.queryRound = live
+					sent++
+				}}
+			}
+			for s := uint64(1); s <= 2; s++ {
+				if _, err := c.RunSlot(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if sent == 0 || refused > 0 {
+				t.Fatalf("%d of %d queries went to a peer queryable refuses", refused, sent)
+			}
+		})
+	}
+}
+
+// sendHook calls hook on every Send before passing it on.
+type sendHook struct {
+	Transport
+	hook func(to int, payload any)
+}
+
+func (h sendHook) Send(to, size int, payload any) {
+	h.hook(to, payload)
+	h.Transport.Send(to, size, payload)
 }
 
 // sparseDeadLiveness is TestPlanGolden's re-arm regime.

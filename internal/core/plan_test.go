@@ -180,16 +180,25 @@ func referenceBoostCells(n *Node, ps *planScratch, peer int) []int {
 // each round's in-flight requests counting toward the next, planRound
 // sends the queries, with the cells in the order, that planning its
 // candidates through referenceCellsOf sends, and every candidate's
-// boosted cells are those referenceBoostCells finds.
+// boosted cells are those referenceBoostCells finds. The health fixtures
+// hold a banned peer and a peer in backoff, which no candidate list may
+// hold.
 func TestPlanRoundMatchesReference(t *testing.T) {
 	for _, fx := range []struct {
 		name    string
 		fixture func() (Config, int)
-	}{{"dense94", denseConfig}, {"sparse10", sparseConfig}} {
+		health  bool
+	}{
+		{"dense94", denseConfig, false},
+		{"sparse10", sparseConfig, false},
+		{"dense94-health", denseConfig, true},
+		{"sparse10-health", sparseConfig, true},
+	} {
 		cfg, nodes := fx.fixture()
 		node := planFixture(t, cfg, nodes)
-		if node.liveness != nil || len(node.badPeers) > 0 {
-			t.Fatalf("%s: fixture filters its candidates; ps.scored would not be what was planned", fx.name)
+		var skipped []int
+		if fx.health {
+			skipped = holdHealth(t, node)
 		}
 		ps := new(planScratch)
 		node.outstanding = node.outstanding[:0]
@@ -211,6 +220,9 @@ func TestPlanRoundMatchesReference(t *testing.T) {
 			}
 			sent += len(got)
 			for idx, c := range ps.scored {
+				if slices.Contains(skipped, c.Peer) {
+					t.Fatalf("%s round %d: peer %d is a candidate, but banned or backed off", fx.name, round, c.Peer)
+				}
 				span := ps.boostSpan[idx]
 				gotCells, wantCells := ps.boostCells[span[0]:span[1]], referenceBoostCells(node, ps, c.Peer)
 				if !slices.Equal(gotCells, wantCells) {
@@ -225,6 +237,66 @@ func TestPlanRoundMatchesReference(t *testing.T) {
 			t.Fatalf("%s: %d queries, %d boosted peers: the fixture exercises nothing", fx.name, sent, boosted)
 		}
 	}
+}
+
+// scoreOf returns the peer's score in the round ps last planned.
+func scoreOf(ps *planScratch, peer int) (int, bool) {
+	idx, ok := ps.peers.get(uint32(peer))
+	if !ok || idx == rejected {
+		return 0, false
+	}
+	return ps.scored[idx].Score, true
+}
+
+// holdHealth bans the first peer node's round-2 plan asks, backs off a
+// CB-listed candidate of that round (one the holder window left out and
+// the boost admitted, where there is one: the dense fixture has two) and
+// gives a third candidate three failures and an expired backoff. It
+// checks the third's penalty and returns the other two.
+func holdHealth(t *testing.T, node *Node) []int {
+	t.Helper()
+	ps := new(planScratch)
+	node.round = 2
+	defer func() { node.round = 1 }()
+	node.missingCells(ps)
+	banned := node.planRound(ps)[0].Peer
+	var listed []int
+	for _, gi := range ps.admit {
+		listed = append(listed, int(ps.groups[gi].peer))
+	}
+	for _, b := range node.boost {
+		listed = append(listed, int(b.peer))
+	}
+	backedOff, penalized := -1, -1
+	for _, p := range listed {
+		if _, ok := scoreOf(ps, p); ok && p != banned {
+			backedOff = p
+			break
+		}
+	}
+	for _, c := range ps.scored {
+		if c.Peer != banned && c.Peer != backedOff {
+			penalized = c.Peer
+			break
+		}
+	}
+	if backedOff < 0 || penalized < 0 {
+		t.Fatal("fixture has too few candidates")
+	}
+	before, _ := scoreOf(ps, penalized)
+	node.SetLiveness(true)
+	node.badPeers = map[int]bool{banned: true}
+	node.reportFailure(backedOff, false)
+	node.health[penalized] = peerHealth{failures: 3}
+	node.outstanding = node.outstanding[:0]
+	node.missingCells(ps)
+	node.planRound(ps)
+	node.outstanding = node.outstanding[:0]
+	got, _ := scoreOf(ps, penalized)
+	if want := max(before-3*healthPenalty, 1); got != want {
+		t.Fatalf("penalized peer %d scores %d, want %d", penalized, got, want)
+	}
+	return []int{banned, backedOff}
 }
 
 // BenchmarkPlanRound measures one node's planning path for one round —

@@ -36,9 +36,9 @@ func tracedRegime(t *testing.T, n int, real bool, mutate func(*ClusterConfig)) (
 
 // churnAdversaries is churn shaped like the churn experiment's (sessions
 // of 2.5 slots, a slot of downtime, half the departures crashes) with
-// liveness scoring and a tenth of the nodes laggards. Three fifths of the
+// peer health on and a tenth of the nodes laggards. Three fifths of the
 // nodes are dead, so live nodes fetch long enough for reply deadlines to
-// expire and the scorer to back peers off.
+// expire and peers to be backed off.
 func churnAdversaries(cc *ClusterConfig) {
 	cc.Churn = &membership.Config{
 		MeanSession:  SlotDuration * 5 / 2,

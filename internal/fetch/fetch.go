@@ -177,70 +177,6 @@ type Scored struct {
 	Score int
 }
 
-// Liveness supplies peer-quality knowledge to the scoring step. Under
-// dynamic membership a node's view contains peers that have already
-// departed (crashes are never announced and crawls re-surface stale
-// entries); Liveness is how the fetcher avoids burning round budget on
-// them. Implemented by membership.Scorer.
-type Liveness interface {
-	// Queryable reports whether the peer may be queried now; false while
-	// the peer sits in timeout backoff.
-	Queryable(peer int) bool
-	// Penalty returns a score deduction for the peer — zero for healthy
-	// peers, growing with recorded failures for flaky ones.
-	Penalty(peer int) int
-}
-
-// ApplyLiveness folds liveness knowledge into scored candidates: peers
-// in backoff are dropped entirely, and re-armed peers with a failure
-// history are demoted by their penalty (floored at score 1 so they stay
-// eligible as a last resort). The slice is filtered in place. A nil
-// liveness returns the input unchanged. onSkip, when not nil, is invoked
-// for every peer dropped for its backoff (the observability layer traces
-// these as peer-demoted events).
-func ApplyLiveness(scored []Scored, l Liveness, onSkip func(peer int)) []Scored {
-	if l == nil {
-		return scored
-	}
-	out := scored[:0]
-	for _, s := range scored {
-		if !l.Queryable(s.Peer) {
-			if onSkip != nil {
-				onSkip(s.Peer)
-			}
-			continue
-		}
-		if p := l.Penalty(s.Peer); p > 0 {
-			s.Score -= p
-			if s.Score < 1 {
-				s.Score = 1
-			}
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-// Exclude drops candidates the banned predicate matches. Unlike liveness
-// backoff (temporary, forgiving), exclusion is unconditional: the caller
-// uses it for peers caught misbehaving cryptographically — serving cells
-// that fail proof verification — which no score demotion should ever
-// resurrect. The slice is filtered in place. A nil predicate returns the
-// input unchanged.
-func Exclude(scored []Scored, banned func(peer int) bool) []Scored {
-	if banned == nil {
-		return scored
-	}
-	out := scored[:0]
-	for _, s := range scored {
-		if banned(s.Peer) {
-			continue
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 // PlanScratch holds the buffers one planning call works in, so that a
 // caller planning round after round allocates nothing. The zero value is
 // ready to use. A plan returned by PlanLazyInto aliases its scratch and

@@ -1,8 +1,7 @@
 // Package membership implements dynamic network membership for PANDAS:
 // evolving per-node views, a churn engine that owns which nodes are
 // online and moves them through lifecycle transitions (join, graceful
-// leave, crash, restart) on the simulation clock, peer-liveness scoring
-// with exponential backoff.
+// leave, crash, restart) on the simulation clock.
 //
 // The paper evaluates PANDAS under static membership only: every node's
 // view is frozen when the slot starts (Fig. 15b sweeps the *size* of
@@ -20,16 +19,13 @@
 //   - each node's PeerView evolves during a slot, fed by gossip of
 //     join/leave announcements; a restarting node reloads the bootstrap
 //     view it started the run with, as a client reloads the peer table
-//     it persists across restarts (its driver, core, does the reload);
-//   - a per-node Scorer demotes peers that time out with exponential
-//     backoff, so the adaptive fetcher (Algorithm 1) stops burning round
-//     budget on departed peers; peers are re-armed when their backoff
-//     expires and the fetcher's queryable-set sweep retries them.
+//     it persists across restarts (its driver, core, does the reload).
 //
 // Crashes leave stale state behind on purpose: a crashed node is never
-// announced, its entries linger in peers' views, and
-// only liveness scoring removes it from fetch plans — the degradation
-// mode that churn studies of DAS networks identify as dominant.
+// announced, its entries linger in peers' views, and only a fetching
+// node's peer health (core's timeout backoff) keeps it out of fetch
+// plans — the degradation mode that churn studies of DAS networks
+// identify as dominant.
 package membership
 
 // Announcement is the join/leave notice a node floods over the gossip

@@ -50,71 +50,6 @@ func TestFullPeerView(t *testing.T) {
 	}
 }
 
-// fakeClock is a deterministic manual clock for scorer tests.
-type fakeClock struct{ t time.Duration }
-
-func (c *fakeClock) now() time.Duration { return c.t }
-
-func TestScorerBackoffGrowsAndCaps(t *testing.T) {
-	clk := &fakeClock{}
-	s := NewScorer(clk.now)
-	if !s.Queryable(9) || s.Penalty(9) != 0 {
-		t.Fatal("unknown peer must be healthy")
-	}
-	s.ReportTimeout(9) // backoff 1s
-	if s.Queryable(9) {
-		t.Fatal("peer queryable during backoff")
-	}
-	if s.Failures(9) != 1 {
-		t.Fatalf("failures=%d", s.Failures(9))
-	}
-	clk.t = 1100 * time.Millisecond
-	if !s.Queryable(9) {
-		t.Fatal("peer not re-armed after backoff expiry")
-	}
-	if s.Penalty(9) == 0 {
-		t.Fatal("re-armed peer must still carry a penalty")
-	}
-	s.ReportTimeout(9) // backoff 2s
-	if s.Queryable(9) {
-		t.Fatal("second timeout must re-demote")
-	}
-	clk.t += 1500 * time.Millisecond
-	if s.Queryable(9) {
-		t.Fatal("backoff did not double")
-	}
-	clk.t += time.Second
-	if !s.Queryable(9) {
-		t.Fatal("doubled backoff never expired")
-	}
-	// Drive failures past the cap: backoff must stay at DefaultMaxBackoff.
-	for i := 0; i < 10; i++ {
-		s.ReportTimeout(9)
-	}
-	clk.t += DefaultMaxBackoff - time.Millisecond
-	if s.Queryable(9) {
-		t.Fatal("backoff shorter than its cap")
-	}
-	clk.t += 2 * time.Millisecond
-	if !s.Queryable(9) {
-		t.Fatal("backoff exceeded its cap")
-	}
-}
-
-func TestScorerSuccessResets(t *testing.T) {
-	clk := &fakeClock{}
-	s := NewScorer(clk.now)
-	s.ReportTimeout(4)
-	s.ReportTimeout(4)
-	if s.Demoted() != 1 {
-		t.Fatalf("demoted=%d", s.Demoted())
-	}
-	s.ReportSuccess(4)
-	if !s.Queryable(4) || s.Penalty(4) != 0 || s.Failures(4) != 0 || s.Demoted() != 0 {
-		t.Fatal("success did not reset the peer")
-	}
-}
-
 // engineClock adapts a sorted manual event queue for engine tests.
 type engineClock struct {
 	t      time.Duration

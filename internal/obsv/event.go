@@ -33,18 +33,22 @@ const (
 	KindRoundStarted
 	// KindBoostPromotion records that a round's plan promoted peers via
 	// the builder's consolidation-boost map: Count is the number of
-	// boosted peers, Aux the boosted cells.
+	// boosted peers, Aux the boosted cells. Emitted by the node's boost
+	// step once its round's candidates are known, after the round's
+	// KindPeerDemoted events; it counts only peers the round can ask.
 	KindBoostPromotion
-	// KindPeerTimeout is a liveness transition: a queried peer's reply
-	// deadline expired. Peer is the suspect, Count its consecutive
-	// failures, Aux the backoff imposed (nanoseconds).
+	// KindPeerTimeout is a peer-health transition: a queried peer's
+	// reply deadline expired, or its cells failed their proofs. Peer is
+	// the suspect, Count its consecutive failures, Aux the backoff
+	// imposed (nanoseconds).
 	KindPeerTimeout
 	// KindPeerRecovered is the inverse transition: a previously demoted
 	// peer answered. Count is the failure count that was cleared.
 	KindPeerRecovered
 	// KindPeerDemoted records that round planning skipped a peer still
-	// inside its liveness backoff. Peer is the skipped peer, Round the
-	// round that skipped it.
+	// inside its timeout backoff. Emitted by the node's queryable check,
+	// the first time a round's planning examines the peer; Peer is the
+	// skipped peer, Round the round that skipped it.
 	KindPeerDemoted
 	// KindConsolidated marks a node completing custody consolidation.
 	KindConsolidated

@@ -49,6 +49,15 @@ if go list -deps ./internal/membership | grep -qxE 'pandas/internal/(adversary|c
 	exit 1
 fi
 
+# Peer health (timeout backoff, its penalty, its trace events) is node
+# state in internal/core; membership owns views and the churn engine and
+# neither traces nor plans fetches (DESIGN.md §3.5).
+echo "== layering: internal/membership does not depend on internal/obsv or internal/fetch"
+if go list -deps ./internal/membership | grep -qxE 'pandas/internal/(obsv|fetch)'; then
+	echo "layering: internal/membership imports internal/obsv or internal/fetch" >&2
+	exit 1
+fi
+
 # The Kademlia DHT serves only the Fig. 12/14 baseline (DHT-based DAS).
 # Churn runs keep no per-node DHT peers: a restarting node reloads its
 # bootstrap view instead of crawling (DESIGN.md §3.5).
