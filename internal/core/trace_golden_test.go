@@ -83,11 +83,11 @@ func TestTraceGolden(t *testing.T) {
 		want  string
 	}{
 		{"sparse-dead-liveness", 150, false, sparseDeadLiveness, nil,
-			"67deda1e977eb6fda25dc8f7c750ad153340dcbd0f6d78fac6a6dd19ca0e15b6"},
+			"37feb5b5688498ea837174f9ebff324ce4077087665eb3626b95fdf3241b3450"},
 		{"garbage-peers", 100, true, garbagePeers, nil,
 			"a99971f621e277cc47bd2adb6e7186d5db39b624b1e12b9fad0ce3b4e42244df"},
 		{"churn-adversaries", 150, false, churnAdversaries, checkChurnAdversaries,
-			"6f91d45cbabf9834afdb166004e48894232dbd483c79391ec2a9c61f92a8ae73"},
+			"e4f8737c9863cbfb3c13c23b5224c9c814a015aeb2f9b30c7fa88e791d9e893c"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, trace := tracedRegime(t, tc.n, tc.real, tc.mutate)
