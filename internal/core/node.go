@@ -623,6 +623,9 @@ const (
 type peerHealth struct {
 	failures int
 	until    time.Duration // end of the backoff
+	// demoted records that a round has skipped the peer (and traced
+	// KindPeerDemoted) during this backoff.
+	demoted bool
 }
 
 // backoff is the quarantine after a peer's f-th consecutive failure.
@@ -648,7 +651,7 @@ func (n *Node) reportFailure(peer int, garbage bool) {
 		h.failures = max(h.failures, capFailures)
 	}
 	back := backoff(h.failures)
-	h.until = n.tr.Now() + back
+	h.until, h.demoted = n.tr.Now()+back, false
 	n.health[peer] = h
 	if n.obs.Enabled() {
 		n.obs.Emit(obsv.Event{At: n.tr.Now(), Kind: obsv.KindPeerTimeout,

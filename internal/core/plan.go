@@ -364,14 +364,17 @@ func (n *Node) wasQueried(peer int) bool {
 // queryable applies the Q <- V filters of Algorithm 1 to one holder. It
 // rejects, in this order, the node itself, a peer queried since the last
 // re-arm, a peer outside the view, a peer banned this slot for a bad
-// proof and a peer in backoff; only the last is traced (KindPeerDemoted).
+// proof and a peer in backoff; only the last is traced (KindPeerDemoted),
+// and only the first time within one backoff.
 func (n *Node) queryable(peer int) bool {
 	if peer == n.index || n.wasQueried(peer) ||
 		n.view != nil && !n.view.Contains(peer) || n.badPeers[peer] {
 		return false
 	}
 	if h, ok := n.health[peer]; ok && h.until > n.tr.Now() {
-		if n.obs.Enabled() {
+		if n.obs.Enabled() && !h.demoted {
+			h.demoted = true
+			n.health[peer] = h
 			n.obs.Emit(obsv.Event{At: n.tr.Now(), Kind: obsv.KindPeerDemoted,
 				Peer: int32(peer), Round: int32(n.round)})
 		}

@@ -101,6 +101,40 @@ func TestTraceGolden(t *testing.T) {
 	}
 }
 
+// TestPeerDemotedOncePerBackoff: a round traces a backed-off peer it
+// skips (KindPeerDemoted) once per backoff, the period the peer's
+// KindPeerTimeout starts, however many rounds skip it in that period.
+func TestPeerDemotedOncePerBackoff(t *testing.T) {
+	_, trace := tracedRegime(t, 150, false, sparseDeadLiveness)
+	events, err := obsv.ReadJSONL(bytes.NewReader(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pair struct{ node, peer int32 }
+	backoffs := map[pair]int{} // timeouts so far: the current backoff's number
+	demoted := map[pair]int{}  // the backoff of the pair's last demoted event
+	total := 0
+	for _, e := range events {
+		p := pair{e.Node, e.Peer}
+		switch e.Kind {
+		case obsv.KindPeerTimeout:
+			backoffs[p]++
+		case obsv.KindPeerDemoted:
+			total++
+			if backoffs[p] == 0 {
+				t.Fatalf("node %d demoted peer %d at %v before any timeout", p.node, p.peer, e.At)
+			}
+			if last, ok := demoted[p]; ok && last == backoffs[p] {
+				t.Fatalf("node %d demoted peer %d twice in backoff %d (again at %v)", p.node, p.peer, last, e.At)
+			}
+			demoted[p] = backoffs[p]
+		}
+	}
+	if total == 0 {
+		t.Fatal("the sparse regime traced no demoted peer")
+	}
+}
+
 // checkChurnAdversaries asserts the churn regime crashed, left and
 // restarted nodes, timed out and demoted peers, and ran laggards.
 func checkChurnAdversaries(t *testing.T, c *Cluster, trace []byte) {

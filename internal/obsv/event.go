@@ -46,9 +46,10 @@ const (
 	// peer answered. Count is the failure count that was cleared.
 	KindPeerRecovered
 	// KindPeerDemoted records that round planning skipped a peer still
-	// inside its timeout backoff. Emitted by the node's queryable check,
-	// the first time a round's planning examines the peer; Peer is the
-	// skipped peer, Round the round that skipped it.
+	// inside its timeout backoff. Emitted by the node's queryable check
+	// once per backoff: the first time a round skips the peer after the
+	// KindPeerTimeout that started the backoff. Peer is the skipped peer,
+	// Round the round that skipped it.
 	KindPeerDemoted
 	// KindConsolidated marks a node completing custody consolidation.
 	KindConsolidated
