@@ -83,11 +83,11 @@ func TestTraceGolden(t *testing.T) {
 		want  string
 	}{
 		{"sparse-dead-liveness", 150, false, sparseDeadLiveness, nil,
-			"37feb5b5688498ea837174f9ebff324ce4077087665eb3626b95fdf3241b3450"},
+			"11c293334a898c25853c49d98707aa252c4f573c6ea9146eccaf70bf596d4312"},
 		{"garbage-peers", 100, true, garbagePeers, nil,
 			"a99971f621e277cc47bd2adb6e7186d5db39b624b1e12b9fad0ce3b4e42244df"},
 		{"churn-adversaries", 150, false, churnAdversaries, checkChurnAdversaries,
-			"e4f8737c9863cbfb3c13c23b5224c9c814a015aeb2f9b30c7fa88e791d9e893c"},
+			"5758fc3e8cb6f1cba81553ecd2d576416f4caeef663cd294401c275d04e5b18a"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, trace := tracedRegime(t, tc.n, tc.real, tc.mutate)
