@@ -514,9 +514,10 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	// (packBoost), and the last of them also carries the node's first
 	// cells, as many as fit, so the map costs no datagram of its own. At
 	// the paper's geometry a line holds one parcel per holder up to 256,
-	// and a holder's share names boostHolders = 2 holders of each, 9 bytes
-	// a parcel: 2.3 KB a line at most, so one datagram carries a node's 16
-	// lines at any network size.
+	// and a holder's share names boostHolders = 2 holders of each, 3 bytes
+	// a parcel while the line's ranks are below 256 and 5 beyond: 1.3 KB a
+	// line at most, so one datagram carries a node's 16 lines at any
+	// network size.
 	record := wire.CellWire(b.cfg.Blob.CellBytes)
 	for _, node := range recipients {
 		clo, chi := spanOf(cellEnd, node)
@@ -559,9 +560,9 @@ var boostRoom = wire.MaxDatagram + wire.OverheadIPUDP - (&wire.Seed{}).WireSize(
 // packBoost cuts a node's boost lines, in order, into the runs of its
 // boost datagrams and hands each datagram's runs to emit: every
 // datagram is filled as far as boostRoom allows, and a line that does not
-// fit in what is left is cut between two of its groups (a group is a
-// parcel's copies, see wire.FitBoost), its head closing the datagram and
-// its tail opening the next. The runs alias the lines' entry lists, and a
+// fit in what is left is cut between two of its parcels (see
+// wire.FitBoost), its head closing the datagram and its tail opening the
+// next. The runs alias the lines' entry lists, and a
 // datagram's run list is a window of lines — written over in place where
 // a cut leaves a tail — except that a datagram a cut closes gets its own
 // list.
@@ -572,7 +573,7 @@ func packBoost(lines [][]wire.BoostEntry, emit func(runs [][]wire.BoostEntry)) {
 			n, size := wire.FitBoost(lines[k], room)
 			if n < len(lines[k]) {
 				if n == 0 && k == 0 {
-					panic("core: a boost group larger than a datagram")
+					panic("core: a boost parcel larger than a datagram")
 				}
 				if n == 0 {
 					emit(lines[:k:k])

@@ -1120,35 +1120,65 @@ func referenceBoostRoom() int {
 // referencePackBoost cuts a node's lines into its boost datagrams' runs,
 // and returns the bytes the last datagram's runs take: the lines fill the
 // datagrams in order, each as far as the datagram bound allows, and a
-// line that does not fit is cut between two of its groups. Sizes are
-// counted from the format here: a run is its line and group count (5
-// bytes), a group a parcel's start, count and holder count (5) and 2
-// bytes per holder; a group is a stretch of consecutive entries sharing
-// (start, count), at most 255.
+// line that does not fit is cut between two of its parcels. Sizes are
+// counted from the format here: a parcel is a stretch of consecutive
+// entries sharing (start, count), at most 255; a run of the format is
+// parcels that each start where the previous one ended and have as many
+// holders, 9 bytes of head, and per parcel a varint count and a rank per
+// holder, 1 byte wide while every rank of the run is below 256, else 2.
+// A cut line's tail opens a run in the next datagram.
 func referencePackBoost(lines [][]wire.BoostEntry) ([][][]wire.BoostEntry, int) {
 	room := referenceBoostRoom()
+	width := func(rank int) int {
+		if rank < 256 {
+			return 1
+		}
+		return 2
+	}
+	varint := func(c uint16) int {
+		n := 1
+		for ; c >= 128; c >>= 7 {
+			n++
+		}
+		return n
+	}
 	var chunks [][][]wire.BoostEntry
 	var runs [][]wire.BoostEntry
-	used := 0
+	used := 0 // the datagram's bytes of runs, the open one's included
 	for _, entries := range lines {
 		var run []wire.BoostEntry
+		// The open run of the format: holders per parcel, where its next
+		// parcel must start, its parcels, count bytes and largest rank.
+		holders, next, parcels, counts, top := 0, 0, 0, 0, 0
+		size := func() int { return 9 + counts + parcels*holders*width(top) }
 		for i := 0; i < len(entries); {
 			j := i + 1
 			for j < len(entries) && j-i < 255 && entries[j].Start == entries[i].Start && entries[j].Count == entries[i].Count {
 				j++
 			}
-			cost := 5 + 2*(j-i)
-			if len(run) == 0 {
-				cost += 5
+			rank := 0
+			for _, e := range entries[i:j] {
+				rank = max(rank, int(e.HolderRef))
 			}
+			if j-i != holders || int(entries[i].Start) != next {
+				holders, parcels, counts, top = j-i, 0, 0, 0
+			}
+			before := 0
+			if parcels > 0 {
+				before = size()
+			}
+			parcels, counts, top = parcels+1, counts+varint(entries[i].Count), max(top, rank)
+			cost := size() - before
 			if used+cost > room {
 				if len(run) > 0 {
 					runs = append(runs, run)
-					cost += 5
 				}
 				chunks = append(chunks, runs)
 				run, runs, used = nil, nil, 0
+				parcels, counts, top = 1, varint(entries[i].Count), rank
+				cost = size()
 			}
+			next = int(entries[i].Start) + int(entries[i].Count)
 			run = append(run, entries[i:j]...)
 			used += cost
 			i = j
@@ -1163,25 +1193,27 @@ func referencePackBoost(lines [][]wire.BoostEntry) ([][][]wire.BoostEntry, int) 
 
 // TestPackBoostMatchesReference pins packBoost against referencePackBoost
 // on maps too large for one datagram, which a 1,000-node plan never
-// builds: sixteen lines of 256 parcels x 8 copies (5 KB a line, two
-// datagrams a node, as at 20,000 nodes), one line of 300 copies a parcel
-// (groups cut at 255) and lines of single-copy parcels cut by
-// withholding-sized runs. Every datagram must encode within the bound.
+// builds: sixteen lines of 256 parcels x 8 copies (4.4 KB a line in
+// 2-byte ranks, two datagrams a node), one line of 300 copies a parcel
+// (cut at 255), lines of single-copy parcels and lines whose parcels
+// have gaps between them, as withholding leaves them. Every datagram
+// must encode within the bound.
 func TestPackBoostMatchesReference(t *testing.T) {
-	line := func(kind blob.LineKind, index, parcels, copies, stride int) []wire.BoostEntry {
+	line := func(kind blob.LineKind, index, parcels, copies, stride, count int) []wire.BoostEntry {
 		var es []wire.BoostEntry
 		for p := 0; p < parcels; p++ {
 			for c := 0; c < copies; c++ {
 				es = append(es, wire.BoostEntry{Line: blob.Line{Kind: kind, Index: uint16(index)},
-					HolderRef: uint16(p*copies + c), Start: uint16(p * stride), Count: uint16(stride)})
+					HolderRef: uint16(p*copies + c), Start: uint16(p * stride), Count: uint16(count)})
 			}
 		}
 		return es
 	}
-	var paper, cut [][]wire.BoostEntry
+	var paper, cut, gaps [][]wire.BoostEntry
 	for i := 0; i < 16; i++ {
-		paper = append(paper, line(blob.LineKind(i%2), i, 256, 8, 2))
-		cut = append(cut, line(blob.Row, i, 4000, 1, 1))
+		paper = append(paper, line(blob.LineKind(i%2), i, 256, 8, 2, 2))
+		cut = append(cut, line(blob.Row, i, 4000, 1, 1, 1))
+		gaps = append(gaps, line(blob.Col, i, 1000, 2, 3, 2))
 	}
 	for _, tc := range []struct {
 		name      string
@@ -1189,8 +1221,9 @@ func TestPackBoostMatchesReference(t *testing.T) {
 		datagrams int
 	}{
 		{"paper-20k", paper, 2},
-		{"full-groups", [][]wire.BoostEntry{line(blob.Col, 3, 1, 300, 4), line(blob.Row, 9, 3, 2, 4)}, 1},
-		{"single-copy", cut, 7},
+		{"full-groups", [][]wire.BoostEntry{line(blob.Col, 3, 1, 300, 4, 4), line(blob.Row, 9, 3, 2, 4, 4)}, 1},
+		{"single-copy", cut, 3},
+		{"gaps", gaps, 4},
 		{"one-line", paper[:1], 1},
 		{"empty", nil, 0},
 	} {

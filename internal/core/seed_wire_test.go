@@ -41,8 +41,8 @@ func (e *encodingTransport) Send(to, size int, payload any) {
 		e.t.Fatalf("datagram to %d does not decode: %v", to, err)
 	}
 	got := msg.(*wire.Seed)
-	if !slices.EqualFunc(got.Boost, m.Boost, func(a, b []wire.BoostEntry) bool { return slices.Equal(a, b) }) {
-		e.t.Fatalf("datagram to %d: decoded boost runs differ from those sent", to)
+	if !slices.Equal(slices.Concat(got.Boost...), slices.Concat(m.Boost...)) {
+		e.t.Fatalf("datagram to %d: decoded boost entries differ from those sent", to)
 	}
 	if !slices.EqualFunc(got.Cells, m.Cells, func(a, b wire.Cell) bool {
 		return a.ID == b.ID && a.Proof == b.Proof && (b.Data == nil || string(a.Data) == string(b.Data))
@@ -70,7 +70,8 @@ func (e *encodingTransport) Now() time.Duration                     { return 0 }
 // TestSeedSizesMatchEncoding pins the seed class of the size accounting:
 // every datagram SeedSlot and PrepareAndSeed hand to the transport is
 // charged exactly the bytes it encodes to plus the IP/UDP header, and
-// decodes back to the boost runs and cells that were sent; datagrams that
+// decodes back to the boost entries and cells that were sent (a line's
+// entries may decode in several runs of the format); datagrams that
 // carry both (a node's last boost datagram with its first cells) are
 // among them. Per node, the decoded entries are exactly its share of the
 // builder's map of the lines it holds — the entries

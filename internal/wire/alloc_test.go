@@ -31,17 +31,18 @@ func forgedCounts() [][]byte {
 		count(count(seed, 0), 65536), // no cells, 65,536 boost runs
 		count(count(seed, 0), 1<<32-1),
 		// One run of a line that claims 1,000 parcels and holds one.
-		append(count(count(seed, 0), 1), byte(blob.Row), 0, 1, 0x03, 0xe8, 0, 0, 0, 1, 1, 0, 0),
-		// A group that claims 255 holders with 2 bytes left.
-		append(count(count(seed, 0), 1), byte(blob.Row), 0, 1, 0, 1, 0, 0, 0, 1, 255, 0, 0),
+		append(count(count(seed, 0), 1), byte(blob.Row), 0, 1, 0, 0, 0x03, 0xe8, 1, 1, 1, 0),
+		// A run whose parcels claim 255 holders with 2 bytes left.
+		append(count(count(seed, 0), 1), byte(blob.Row), 0, 1, 0, 0, 0, 1, 255, 1, 0, 0),
 	}
 }
 
 // TestDecodeForgedCountsCostNothing: a header that lies about its counts
 // is rejected before anything is sized from it. The copying decoder
 // allocated min(count, 4096) cells x 88 B (or 65,536 boost entries or IDs)
-// first, so a ~150-byte Seed cost ~1 MB. The boost section's run, group
-// and holder counts are each checked against the bytes behind them.
+// first, so a ~150-byte Seed cost ~1 MB. The boost section's run,
+// parcel and holder counts are each checked against the bytes behind
+// them.
 func TestDecodeForgedCountsCostNothing(t *testing.T) {
 	var in Inbox
 	for i, data := range forgedCounts() {

@@ -101,9 +101,10 @@ func decodeCopying(data []byte, cellBytes int) (Message, error) {
 }
 
 // boostCopying is the reference reading of a Seed's boost section: a
-// fresh slice per run, entries appended one group at a time. Like the
-// decoder it refuses a count its bytes cannot hold before reading what
-// the count declares, so the two agree on which error a datagram earns.
+// fresh slice per run, entries appended one parcel at a time, a count's
+// varint read a byte at a time. Like the decoder it refuses a count its
+// bytes cannot hold before reading what the count declares, so the two
+// agree on which error a datagram earns.
 func boostCopying(r *reader) ([][]BoostEntry, error) {
 	nRuns, ok := r.uint32()
 	if !ok || int64(nRuns)*minBoostRun > int64(len(r.buf)) {
@@ -111,42 +112,73 @@ func boostCopying(r *reader) ([][]BoostEntry, error) {
 	}
 	var runs [][]BoostEntry
 	for i := 0; i < int(nRuns); i++ {
-		if len(r.buf) < 5 {
+		if len(r.buf) < 9 {
 			return nil, ErrTruncated
 		}
 		line := blob.Line{Kind: blob.LineKind(r.buf[0]), Index: binary.BigEndian.Uint16(r.buf[1:3])}
-		nGroups := int(binary.BigEndian.Uint16(r.buf[3:5]))
-		r.buf = r.buf[5:]
-		if nGroups == 0 {
+		start := int(binary.BigEndian.Uint16(r.buf[3:5]))
+		parcels := int(binary.BigEndian.Uint16(r.buf[5:7]))
+		holders, width := int(r.buf[7]), int(r.buf[8])
+		r.buf = r.buf[9:]
+		if parcels == 0 {
 			return nil, fmt.Errorf("%w: empty run", ErrBadBoost)
 		}
-		if nGroups*minBoostGroup > len(r.buf) {
+		if holders == 0 {
+			return nil, fmt.Errorf("%w: no holders", ErrBadBoost)
+		}
+		if width != 1 && width != 2 {
+			return nil, fmt.Errorf("%w: rank width %d", ErrBadBoost, width)
+		}
+		if parcels*(1+holders*width) > len(r.buf) {
 			return nil, ErrTruncated
 		}
 		var run []BoostEntry
-		lastGroup := 0
-		for g := 0; g < nGroups; g++ {
-			if len(r.buf) < 5 {
-				return nil, ErrTruncated
-			}
-			start := binary.BigEndian.Uint16(r.buf[0:2])
-			count := binary.BigEndian.Uint16(r.buf[2:4])
-			holders := int(r.buf[4])
-			r.buf = r.buf[5:]
-			if holders == 0 {
-				return nil, fmt.Errorf("%w: empty group", ErrBadBoost)
-			}
-			if prev := len(run) - 1; prev >= 0 && run[prev].Start == start && run[prev].Count == count && lastGroup < 255 {
-				return nil, fmt.Errorf("%w: unmerged groups", ErrBadBoost)
-			}
-			for h := 0; h < holders; h++ {
-				if len(r.buf) < 2 {
+		wide := false
+		for p := 0; p < parcels; p++ {
+			// The count: seven bits a byte, low first, the high bit set on
+			// every byte but the last.
+			var count uint64
+			n := 0
+			for {
+				if n == len(r.buf) {
 					return nil, ErrTruncated
 				}
-				run = append(run, BoostEntry{Line: line, HolderRef: binary.BigEndian.Uint16(r.buf[0:2]), Start: start, Count: count})
-				r.buf = r.buf[2:]
+				b := r.buf[n]
+				if n == 10 || n == 9 && b > 1 && b < 0x80 { // past 64 bits
+					return nil, fmt.Errorf("%w: overlong count", ErrBadBoost)
+				}
+				count |= uint64(b&0x7f) << (7 * n)
+				n++
+				if b < 0x80 {
+					if n > 1 && b == 0 {
+						return nil, fmt.Errorf("%w: overlong count", ErrBadBoost)
+					}
+					break
+				}
 			}
-			lastGroup = holders
+			if count == 0 {
+				return nil, fmt.Errorf("%w: zero count", ErrBadBoost)
+			}
+			if uint64(start)+count > 65535 {
+				return nil, fmt.Errorf("%w: parcel past 65535", ErrBadBoost)
+			}
+			r.buf = r.buf[n:]
+			for h := 0; h < holders; h++ {
+				if len(r.buf) < width {
+					return nil, ErrTruncated
+				}
+				rank := uint16(r.buf[0])
+				if width == 2 {
+					rank = binary.BigEndian.Uint16(r.buf[0:2])
+				}
+				wide = wide || rank >= 256
+				run = append(run, BoostEntry{Line: line, HolderRef: rank, Start: uint16(start), Count: uint16(count)})
+				r.buf = r.buf[width:]
+			}
+			start += int(count)
+		}
+		if width == 2 && !wide {
+			return nil, fmt.Errorf("%w: 2-byte ranks all below 256", ErrBadBoost)
 		}
 		runs = append(runs, run)
 	}
@@ -226,7 +258,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(data)
 	}
 	// A boost-only datagram as the builder packs it: several lines, each
-	// parcel's copies one group.
+	// one run of parcels.
 	s = &Seed{Slot: 6, ChunkCount: 2, Boost: packedBoost(3, 4, 3)}
 	if data, err := Encode(s, 64); err == nil {
 		f.Add(data)

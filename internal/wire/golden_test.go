@@ -42,13 +42,18 @@ func goldenMessages() []goldenMessage {
 	rng.Read(seed.Commitment[:])
 	seed.Cells = []Cell{cell(), cell(), {ID: blob.CellID{Row: 511, Col: 0}}} // the last is a metadata cell
 	row, col := blob.Line{Kind: blob.Row, Index: 7}, blob.Line{Kind: blob.Col, Index: 500}
-	seed.Boost = [][]BoostEntry{ // a parcel's copies share a group
-		{
+	seed.Boost = [][]BoostEntry{ // a parcel's copies share a count
+		{ // two runs: the holders per parcel change
 			{Line: row, HolderRef: 3, Start: 0, Count: 12},
 			{Line: row, HolderRef: 5, Start: 0, Count: 12},
 			{Line: row, HolderRef: 1, Start: 12, Count: 4},
 		},
-		{{Line: col, HolderRef: 90, Start: 256, Count: 8}},
+		{ // one run of 2-byte ranks
+			{Line: col, HolderRef: 90, Start: 256, Count: 8},
+			{Line: col, HolderRef: 300, Start: 256, Count: 8},
+			{Line: col, HolderRef: 7, Start: 264, Count: 8},
+			{Line: col, HolderRef: 41, Start: 264, Count: 8},
+		},
 	}
 	return []goldenMessage{
 		{"seed", seed},

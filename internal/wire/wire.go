@@ -63,8 +63,9 @@ var (
 	ErrBadType   = errors.New("wire: unknown message type")
 	ErrTooLarge  = errors.New("wire: message exceeds datagram limit")
 	// ErrBadBoost is a boost map that is not in canonical form: an empty
-	// run or group, a run that mixes lines, or two adjacent groups the
-	// encoder would have merged.
+	// run, a run that mixes lines, a parcel with no holders, a zero count
+	// or one that ends past 65,535, an overlong count, or a rank width
+	// other than the smallest that holds the run's ranks.
 	ErrBadBoost = errors.New("wire: malformed boost map")
 )
 
@@ -115,22 +116,26 @@ type BoostEntry struct {
 }
 
 // The boost section of a Seed is encoded by parcel: the builder sends a
-// parcel's copies back to back, so a line's entries come in stretches
-// that share (start, count) and differ only in the holder. The section is
-// a run count (4) and the runs; a run is one line's entries, its line
-// (kind 1 + index 2) and group count (2) followed by the groups; a group
-// is a parcel's start (2) and count (2), its holder count (1) and the
-// holders' ranks (2 each). A group is a longest stretch of consecutive
-// entries sharing (start, count), cut at maxGroupHolders.
+// parcel's copies back to back and a line's parcels in order along the
+// line, so a line's entries come in stretches of parcels that each start
+// where the previous one ended and name the same number of holders. The
+// section is a run count (4) and the runs. A run is its line (kind 1 +
+// index 2), its first parcel's start (2), its parcel count (2), the
+// holders per parcel h (1) and the rank width w (1; it is 1 when every
+// rank in the run is below 256, else 2), then each parcel as its count
+// (a minimal unsigned varint) and its h holders' ranks (w bytes each),
+// each parcel starting where the previous one ended. A parcel is a
+// longest stretch of consecutive entries sharing (start, count), cut at
+// maxGroupHolders; the encoder opens a new run wherever a parcel does not
+// start where the previous one ended (withholding, a holderless crossing
+// line, a cut parcel) or names a different number of holders. At h = 2 a
+// parcel costs 3 bytes (w = 1) or 5 (w = 2).
 const (
-	boostRunHead    = 5
-	boostGroupHead  = 5
-	boostHolderWire = 2
+	boostRunHead    = 9
 	maxGroupHolders = 255
-	// minBoostRun and minBoostGroup are the smallest run and group: what a
-	// declared count must find behind it.
-	minBoostGroup = boostGroupHead + boostHolderWire
-	minBoostRun   = boostRunHead + minBoostGroup
+	// minBoostRun is the smallest run, one parcel of one 1-byte rank and
+	// a 1-byte count: what a declared run count must find behind it.
+	minBoostRun = boostRunHead + 2
 )
 
 // Seed is the builder's seeding message for one slot (one of possibly
@@ -147,9 +152,10 @@ type Seed struct {
 	ChunkCount uint16
 	Cells      []Cell
 	// Boost is the consolidation-boost map the datagram carries, in runs:
-	// each run is a non-empty list of entries on one line, encoded with
-	// the line written once (see boostRunHead). The builder's runs alias
-	// one shared entry list per line.
+	// each run is a non-empty list of entries on one line, encoded as one
+	// or more runs of the format (see boostRunHead). The builder's runs
+	// alias one shared entry list per line. A decoded Seed has one run per
+	// encoded run, so a line's entries may come in several.
 	Boost [][]BoostEntry
 }
 
@@ -162,35 +168,87 @@ func (m *Seed) BoostEntries() int {
 	return n
 }
 
-// groupLen returns the number of entries in the group at the head of a
-// non-empty run: those that share the first entry's line, start and
-// count, at most maxGroupHolders.
-func groupLen(run []BoostEntry) int {
+// groupLen returns the number of entries in the parcel at the head of a
+// non-empty entry list: those that share the first entry's line, start
+// and count, at most maxGroupHolders.
+func groupLen(es []BoostEntry) int {
 	k := 1
-	for k < len(run) && k < maxGroupHolders && run[k].Line == run[0].Line &&
-		run[k].Start == run[0].Start && run[k].Count == run[0].Count {
+	for k < len(es) && k < maxGroupHolders && es[k].Line == es[0].Line &&
+		es[k].Start == es[0].Start && es[k].Count == es[0].Count {
 		k++
 	}
 	return k
 }
 
-// FitBoost returns how many entries at the head of run, cut between
-// groups, encode as one run in at most room bytes, and the bytes that run
-// takes: a sender packs runs into datagrams by it. It returns 0, 0 when
-// not even the first group fits.
-func FitBoost(run []BoostEntry, room int) (n, size int) {
-	size = boostRunHead
-	for n < len(run) {
-		k := groupLen(run[n:])
-		group := boostGroupHead + k*boostHolderWire
-		if size+group > room {
+// boostRun is the shape of one encoded run: its entries, parcels,
+// holders per parcel, rank width and bytes.
+type boostRun struct {
+	entries, parcels, holders, width, size int
+	// cut is set when the next parcel would continue the run but did
+	// not fit.
+	cut bool
+}
+
+// headRun measures the run the encoder writes for the head of a
+// non-empty entry list, taking whole parcels while they continue it and
+// the run fits in room bytes.
+func headRun(es []BoostEntry, room int) boostRun {
+	r := boostRun{holders: groupLen(es), width: 1}
+	end, counts, maxRank := int(es[0].Start), 0, 0
+	for r.entries < len(es) {
+		p := es[r.entries:]
+		if p[0].Line != es[0].Line || int(p[0].Start) != end || groupLen(p) != r.holders {
 			break
 		}
-		size += group
-		n += k
+		c, top := counts+uvarintLen(p[0].Count), maxRank
+		for _, e := range p[:r.holders] {
+			top = max(top, int(e.HolderRef))
+		}
+		w := rankWidth(top)
+		size := boostRunHead + c + (r.parcels+1)*r.holders*w
+		if size > room {
+			r.cut = true
+			break
+		}
+		r.entries += r.holders
+		r.parcels++
+		r.width, r.size = w, size
+		counts, maxRank = c, top
+		end = int(p[0].Start) + int(p[0].Count)
 	}
-	if n == 0 {
-		return 0, 0
+	return r
+}
+
+// rankWidth is the bytes a run's ranks take when the largest is top.
+func rankWidth(top int) int {
+	if top < 256 {
+		return 1
+	}
+	return 2
+}
+
+// uvarintLen is the length of v as an unsigned varint.
+func uvarintLen(v uint16) int {
+	switch {
+	case v < 1<<7:
+		return 1
+	case v < 1<<14:
+		return 2
+	}
+	return 3
+}
+
+// FitBoost returns how many entries at the head of a one-line entry
+// list, cut between parcels, encode in at most room bytes, and the bytes
+// they take: a sender packs a line's entries into datagrams by it. It
+// returns 0, 0 when not even the first parcel fits.
+func FitBoost(es []BoostEntry, room int) (n, size int) {
+	for n < len(es) {
+		r := headRun(es[n:], room-size)
+		n, size = n+r.entries, size+r.size
+		if r.cut {
+			break
+		}
 	}
 	return n, size
 }
@@ -308,34 +366,46 @@ func appendCells(buf []byte, cells []Cell, cellBytes int) []byte {
 
 // appendBoost writes a Seed's boost section (see boostRunHead).
 func appendBoost(buf []byte, runs [][]BoostEntry) ([]byte, error) {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(runs)))
-	for _, run := range runs {
-		if len(run) == 0 {
+	at, count := len(buf), 0
+	buf = append(buf, 0, 0, 0, 0) // the run count, known once the runs are written
+	for _, es := range runs {
+		if len(es) == 0 {
 			return nil, fmt.Errorf("%w: empty run", ErrBadBoost)
 		}
-		line := run[0].Line
-		buf = append(buf, byte(line.Kind))
-		buf = binary.BigEndian.AppendUint16(buf, line.Index)
-		at, groups := len(buf), 0
-		buf = append(buf, 0, 0) // the group count, known once the run is written
-		for len(run) > 0 {
-			if run[0].Line != line {
-				return nil, fmt.Errorf("%w: run mixes lines %v and %v", ErrBadBoost, line, run[0].Line)
+		line := es[0].Line
+		for len(es) > 0 {
+			if es[0].Line != line {
+				return nil, fmt.Errorf("%w: run mixes lines %v and %v", ErrBadBoost, line, es[0].Line)
 			}
-			k := groupLen(run)
-			buf = binary.BigEndian.AppendUint16(buf, run[0].Start)
-			buf = binary.BigEndian.AppendUint16(buf, run[0].Count)
-			buf = append(buf, byte(k))
-			for _, e := range run[:k] {
-				buf = binary.BigEndian.AppendUint16(buf, e.HolderRef)
+			r := headRun(es, math.MaxInt)
+			buf = append(buf, byte(line.Kind))
+			buf = binary.BigEndian.AppendUint16(buf, line.Index)
+			buf = binary.BigEndian.AppendUint16(buf, es[0].Start)
+			// A parcel count past 16 bits means more than MaxDatagram
+			// bytes of parcels, which the size check refuses.
+			buf = binary.BigEndian.AppendUint16(buf, uint16(r.parcels))
+			buf = append(buf, byte(r.holders), byte(r.width))
+			for p := es[:r.entries]; len(p) > 0; p = p[r.holders:] {
+				switch {
+				case p[0].Count == 0:
+					return nil, fmt.Errorf("%w: zero count", ErrBadBoost)
+				case int(p[0].Start)+int(p[0].Count) > math.MaxUint16:
+					return nil, fmt.Errorf("%w: parcel past 65535", ErrBadBoost)
+				}
+				buf = binary.AppendUvarint(buf, uint64(p[0].Count))
+				for _, e := range p[:r.holders] {
+					if r.width == 1 {
+						buf = append(buf, byte(e.HolderRef))
+					} else {
+						buf = binary.BigEndian.AppendUint16(buf, e.HolderRef)
+					}
+				}
 			}
-			groups++
-			run = run[k:]
+			es = es[r.entries:]
+			count++
 		}
-		// A count past 16 bits means more than MaxDatagram bytes of groups,
-		// which the size check refuses.
-		binary.BigEndian.PutUint16(buf[at:], uint16(groups))
 	}
+	binary.BigEndian.PutUint32(buf[at:], uint32(count))
 	return buf, nil
 }
 
@@ -482,39 +552,52 @@ func (r *reader) boost(runs [][]BoostEntry, arena []BoostEntry) ([][]BoostEntry,
 			return runs, arena, ErrTruncated
 		}
 		line := blob.Line{Kind: blob.LineKind(r.buf[0]), Index: binary.BigEndian.Uint16(r.buf[1:3])}
-		nGroups := int(binary.BigEndian.Uint16(r.buf[3:5]))
+		start := int(binary.BigEndian.Uint16(r.buf[3:5]))
+		parcels := int(binary.BigEndian.Uint16(r.buf[5:7]))
+		holders, width := int(r.buf[7]), int(r.buf[8])
 		r.buf = r.buf[boostRunHead:]
-		if nGroups == 0 {
+		switch {
+		case parcels == 0:
 			return runs, arena, fmt.Errorf("%w: empty run", ErrBadBoost)
-		}
-		if nGroups > len(r.buf)/minBoostGroup {
+		case holders == 0:
+			return runs, arena, fmt.Errorf("%w: no holders", ErrBadBoost)
+		case width != 1 && width != 2:
+			return runs, arena, fmt.Errorf("%w: rank width %d", ErrBadBoost, width)
+		case parcels*(1+holders*width) > len(r.buf):
 			return runs, arena, ErrTruncated
 		}
-		lo := len(arena)
-		var prev BoostEntry
-		prevHolders := 0
-		for g := range nGroups {
-			if len(r.buf) < boostGroupHead {
-				return runs, arena, ErrTruncated
-			}
-			e := BoostEntry{Line: line, Start: binary.BigEndian.Uint16(r.buf[0:2]), Count: binary.BigEndian.Uint16(r.buf[2:4])}
-			holders := int(r.buf[4])
-			r.buf = r.buf[boostGroupHead:]
+		lo, maxRank := len(arena), 0
+		for range parcels {
+			count, n := binary.Uvarint(r.buf)
 			switch {
-			case holders == 0:
-				return runs, arena, fmt.Errorf("%w: empty group", ErrBadBoost)
-			case g > 0 && e.Start == prev.Start && e.Count == prev.Count && prevHolders < maxGroupHolders:
-				return runs, arena, fmt.Errorf("%w: unmerged groups", ErrBadBoost)
+			case n == 0:
+				return runs, arena, ErrTruncated
+			case n < 0 || n > 1 && r.buf[n-1] == 0:
+				return runs, arena, fmt.Errorf("%w: overlong count", ErrBadBoost)
+			case count == 0:
+				return runs, arena, fmt.Errorf("%w: zero count", ErrBadBoost)
+			case count > uint64(math.MaxUint16-start):
+				return runs, arena, fmt.Errorf("%w: parcel past 65535", ErrBadBoost)
 			}
-			if len(r.buf) < holders*boostHolderWire {
+			r.buf = r.buf[n:]
+			if len(r.buf) < holders*width {
 				return runs, arena, ErrTruncated
 			}
+			e := BoostEntry{Line: line, Start: uint16(start), Count: uint16(count)}
 			for range holders {
-				e.HolderRef = binary.BigEndian.Uint16(r.buf[0:2])
-				r.buf = r.buf[boostHolderWire:]
+				if width == 1 {
+					e.HolderRef = uint16(r.buf[0])
+				} else {
+					e.HolderRef = binary.BigEndian.Uint16(r.buf[0:2])
+				}
+				r.buf = r.buf[width:]
+				maxRank = max(maxRank, int(e.HolderRef))
 				arena = append(arena, e)
 			}
-			prev, prevHolders = e, holders
+			start += int(count)
+		}
+		if width != rankWidth(maxRank) {
+			return runs, arena, fmt.Errorf("%w: 2-byte ranks all below 256", ErrBadBoost)
 		}
 		runs = append(runs, arena[lo:]) // rebased below: arena may move
 	}

@@ -68,7 +68,7 @@ func TestSeedRoundTrip(t *testing.T) {
 			t.Fatalf("cell %d mismatch", i)
 		}
 	}
-	if !sameRuns(s.Boost, m.Boost) {
+	if !sameEntries(s.Boost, m.Boost) {
 		t.Fatalf("boost mismatch: %+v", s.Boost)
 	}
 }
@@ -199,20 +199,41 @@ func sameRuns(a, b [][]BoostEntry) bool {
 	return slices.EqualFunc(a, b, func(x, y []BoostEntry) bool { return slices.Equal(x, y) })
 }
 
-// TestBoostEncodedByParcel pins the boost section's size: a parcel's
-// copies cost its (start, count) once and two bytes per holder, a line
-// once per run; a group longer than 255 holders splits, and the split
-// decodes back to the same entries.
+// sameEntries reports whether two boost maps hold the same entries in the
+// same order, however they are cut into runs: what a decoder must find
+// of what was encoded, where one run of the map may be several encoded
+// runs.
+func sameEntries(a, b [][]BoostEntry) bool {
+	return slices.Equal(slices.Concat(a...), slices.Concat(b...))
+}
+
+// TestBoostEncodedByParcel pins the boost section's bytes: a run's head
+// is 9 bytes, and a parcel costs a 1-byte count and a rank per holder,
+// 1 byte wide while every rank of the run is below 256 and 2 beyond, so
+// two holders cost 3 bytes a parcel or 5. A gap, a change of holder
+// count or a parcel cut at 255 holders opens a new run, and every case
+// decodes back to the entries encoded.
 func TestBoostEncodedByParcel(t *testing.T) {
 	empty := (&Seed{}).WireSize(testCellBytes)
+	row := blob.Line{Kind: blob.Row, Index: 7}
+	wide := packedBoost(1, 16, 2)
+	for i := range wide[0] {
+		wide[0][i].HolderRef += 256
+	}
 	for _, tc := range []struct {
 		name string
 		runs [][]BoostEntry
 		want int // boost bytes past the empty section
 	}{
-		{"one line, 16 parcels x 8 copies", packedBoost(1, 16, 8), boostRunHead + 16*(boostGroupHead+8*boostHolderWire)},
-		{"8 lines", packedBoost(8, 16, 8), 8 * (boostRunHead + 16*(boostGroupHead+8*boostHolderWire))},
-		{"300 copies of one parcel", packedBoost(1, 1, 300), boostRunHead + 2*boostGroupHead + 300*boostHolderWire},
+		{"2 holders, 1-byte ranks", packedBoost(1, 16, 2), 9 + 16*3},
+		{"2 holders, 2-byte ranks", wide, 9 + 16*5},
+		{"one line, 16 parcels x 8 copies", packedBoost(1, 16, 8), 9 + 16*(1+8)},
+		{"8 lines", packedBoost(8, 16, 8), 8 * (9 + 16*(1+8))},
+		{"300 copies of one parcel", packedBoost(1, 1, 300), (9 + 1 + 255) + (9 + 1 + 45)},
+		{"a gap", [][]BoostEntry{{{Line: row, HolderRef: 1, Start: 0, Count: 2}, {Line: row, HolderRef: 2, Start: 4, Count: 2}}}, 2 * (9 + 2)},
+		{"holders per parcel change", [][]BoostEntry{{{Line: row, HolderRef: 1, Start: 0, Count: 2},
+			{Line: row, HolderRef: 2, Start: 2, Count: 2}, {Line: row, HolderRef: 3, Start: 2, Count: 2}}}, (9 + 2) + (9 + 3)},
+		{"a 2-byte count", [][]BoostEntry{{{Line: row, HolderRef: 1, Start: 0, Count: 200}}}, 9 + 2 + 1},
 	} {
 		m := &Seed{Slot: 1, ChunkCount: 1, Boost: tc.runs}
 		if got := m.WireSize(testCellBytes) - empty; got != tc.want {
@@ -229,63 +250,110 @@ func TestBoostEncodedByParcel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if !sameRuns(got.(*Seed).Boost, tc.runs) {
-			t.Errorf("%s: decoded runs differ from the encoded ones", tc.name)
+		if !sameEntries(got.(*Seed).Boost, tc.runs) {
+			t.Errorf("%s: decoded entries differ from the encoded ones", tc.name)
 		}
+	}
+	// The run's bytes: line, first start, parcel count, holders, width,
+	// then each parcel's count and ranks.
+	m := &Seed{Boost: [][]BoostEntry{{
+		{Line: row, HolderRef: 1, Start: 10, Count: 3}, {Line: row, HolderRef: 2, Start: 10, Count: 3},
+		{Line: row, HolderRef: 3, Start: 13, Count: 3}, {Line: row, HolderRef: 300, Start: 13, Count: 3},
+	}}}
+	data, err := Encode(m, testCellBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{0, 0, 0, 1, byte(blob.Row), 0, 7, 0, 10, 0, 2, 2, 2, 3, 0, 1, 0, 2, 3, 0, 3, 1, 44}
+	if got := data[len(data)-len(want):]; !bytes.Equal(got, want) {
+		t.Errorf("boost section % x, want % x", got, want)
+	}
+}
+
+// boostSection returns a boost-only Seed datagram whose section is the
+// given runs, each a run head (line row 1, first start, parcel count,
+// holders, width) and body bytes, padded so that no count outruns the
+// bytes behind it.
+func boostSection(t *testing.T, runs ...[]byte) []byte {
+	t.Helper()
+	data, err := Encode(&Seed{}, testCellBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = binary.BigEndian.AppendUint32(data[:len(data)-4], uint32(len(runs)))
+	for _, r := range runs {
+		data = append(data, r...)
+	}
+	return append(data, make([]byte, minBoostRun)...)
+}
+
+// boostRunBytes returns one run's bytes for boostSection.
+func boostRunBytes(start, parcels uint16, holders, width byte, body ...byte) []byte {
+	r := append([]byte{byte(blob.Row), 0, 1}, byte(start>>8), byte(start), byte(parcels>>8), byte(parcels), holders, width)
+	return append(r, body...)
+}
+
+// nonCanonicalBoosts returns boost sections the encoder never writes,
+// by name: each must decode to ErrBadBoost.
+func nonCanonicalBoosts(t *testing.T) map[string][]byte {
+	return map[string][]byte{
+		"empty run":           boostSection(t, boostRunBytes(0, 0, 1, 1)),
+		"no holders":          boostSection(t, boostRunBytes(0, 1, 0, 1, 4)),
+		"rank width 0":        boostSection(t, boostRunBytes(0, 1, 1, 0, 4)),
+		"rank width 3":        boostSection(t, boostRunBytes(0, 1, 1, 3, 4, 0, 0, 5)),
+		"zero count":          boostSection(t, boostRunBytes(0, 1, 1, 1, 0, 5)),
+		"overlong count":      boostSection(t, boostRunBytes(0, 1, 1, 1, 0x84, 0x00, 5)),
+		"2-byte ranks < 256":  boostSection(t, boostRunBytes(0, 2, 1, 2, 4, 0, 5, 4, 0, 255)),
+		"parcel past 65535":   boostSection(t, boostRunBytes(65533, 1, 1, 1, 3, 5)),
+		"second parcel past":  boostSection(t, boostRunBytes(65530, 2, 1, 1, 4, 5, 4, 6)),
+		"count past 16 bits":  boostSection(t, boostRunBytes(0, 1, 1, 1, 0x80, 0x80, 0x04, 5)),
+		"count past 64 bits":  boostSection(t, boostRunBytes(0, 1, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 5)),
+		"bad second run":      boostSection(t, boostRunBytes(0, 1, 1, 1, 4, 5), boostRunBytes(4, 1, 1, 1, 0, 5)),
+		"wide second parcels": boostSection(t, boostRunBytes(0, 1, 1, 1, 4, 5), boostRunBytes(4, 1, 1, 2, 4, 0, 5)),
 	}
 }
 
 // TestBoostRejectsNonCanonical: the encoder refuses runs it cannot write
-// (empty, or mixing lines), and the decoder refuses sections the encoder
-// would not have written (empty runs or groups, adjacent groups it would
-// have merged), so what decodes re-encodes to its own bytes.
+// (empty, mixing lines, a zero count or one ending past 65,535), and the
+// decoder refuses sections the encoder would not have written, so what
+// decodes re-encodes to its own bytes.
 func TestBoostRejectsNonCanonical(t *testing.T) {
 	row, col := blob.Line{Kind: blob.Row, Index: 1}, blob.Line{Kind: blob.Col, Index: 1}
 	for name, runs := range map[string][][]BoostEntry{
-		"empty run":   {{}},
-		"mixed lines": {{{Line: row, Count: 1}, {Line: col, Count: 1}}},
+		"empty run":         {{}},
+		"mixed lines":       {{{Line: row, Count: 1}, {Line: col, Count: 1}}},
+		"mixed after a gap": {{{Line: row, Count: 1}, {Line: col, Start: 5, Count: 1}}},
+		"zero count":        {{{Line: row, Count: 1}, {Line: row, Start: 1}}},
+		"parcel past 65535": {{{Line: row, Start: 65535, Count: 1}}},
 	} {
 		if _, err := Encode(&Seed{Boost: runs}, testCellBytes); !errors.Is(err, ErrBadBoost) {
 			t.Errorf("encode %s: err = %v, want ErrBadBoost", name, err)
 		}
 	}
-	section := func(groups ...[]byte) []byte {
-		data, err := Encode(&Seed{}, testCellBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data = binary.BigEndian.AppendUint32(data[:len(data)-4], 1)
-		data = append(data, byte(blob.Row), 0, 1)
-		data = binary.BigEndian.AppendUint16(data, uint16(len(groups)))
-		for _, g := range groups {
-			data = append(data, g...)
-		}
-		return data
-	}
-	group := func(start, count uint16, holders int) []byte {
-		g := binary.BigEndian.AppendUint16(nil, start)
-		g = binary.BigEndian.AppendUint16(g, count)
-		return append(append(g, byte(holders)), make([]byte, 2*holders)...)
-	}
-	for name, data := range map[string][]byte{
-		"empty run":           section(),
-		"empty group":         section(group(0, 4, 0)),
-		"unmerged groups":     section(group(0, 4, 2), group(0, 4, 1)),
-		"unmerged after full": section(group(0, 4, 1), group(4, 4, 254), group(4, 4, 1)),
-	} {
-		// Padded, so that no count outruns the bytes behind it.
-		data = append(data, make([]byte, minBoostRun)...)
+	for name, data := range nonCanonicalBoosts(t) {
 		if _, err := Decode(data, testCellBytes); !errors.Is(err, ErrBadBoost) {
 			t.Errorf("decode %s: err = %v, want ErrBadBoost", name, err)
 		}
 	}
-	full := section(group(0, 4, 255), group(0, 4, 3), group(4, 4, 1))
-	m, err := Decode(full, testCellBytes)
-	if err != nil {
-		t.Fatalf("a full group and its tail: %v", err)
-	}
-	if re, err := Encode(m, testCellBytes); err != nil || !bytes.Equal(re, full) {
-		t.Fatalf("a full group and its tail do not re-encode to their bytes (%v)", err)
+	// Sections the encoder does write: a run ending at 65,535, a 2-byte
+	// count, 2-byte ranks, a run cut by a gap and a parcel cut at 255
+	// holders.
+	for name, data := range map[string][]byte{
+		"ends at 65535": boostSection(t, boostRunBytes(65530, 1, 1, 1, 5, 5)),
+		"2-byte count":  boostSection(t, boostRunBytes(0, 1, 1, 1, 0x80, 0x01, 5)),
+		"2-byte ranks":  boostSection(t, boostRunBytes(0, 2, 1, 2, 4, 0, 5, 4, 1, 0)),
+		"gap":           boostSection(t, boostRunBytes(0, 1, 2, 1, 4, 1, 2), boostRunBytes(8, 1, 2, 1, 4, 1, 2)),
+		"255-holder cut": boostSection(t, boostRunBytes(0, 1, 255, 1, append([]byte{4}, make([]byte, 255)...)...),
+			boostRunBytes(0, 1, 3, 1, 4, 0, 0, 0)),
+	} {
+		data = data[:len(data)-minBoostRun] // no padding: the section ends the datagram
+		m, err := Decode(data, testCellBytes)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if re, err := Encode(m, testCellBytes); err != nil || !bytes.Equal(re, data) {
+			t.Errorf("%s does not re-encode to its bytes (%v)", name, err)
+		}
 	}
 }
 
