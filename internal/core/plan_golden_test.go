@@ -44,8 +44,8 @@ func TestPlanGolden(t *testing.T) {
 				}
 			},
 			want: goldenTotals{
-				msgs: 241865, bytes: 35766565, rounds: 5,
-				digest: "5912e50c6019a522825d715230d3248fd739c886108ba271e9d8d58a85ccfc0d",
+				msgs: 242500, bytes: 35835868, rounds: 4,
+				digest: "f78508036c0c16cb2ed317de2604492419154df44359c932fb4d7b5688aa69f0",
 			},
 		},
 		{
@@ -65,8 +65,8 @@ func TestPlanGolden(t *testing.T) {
 				}
 			},
 			want: goldenTotals{
-				msgs: 17434, bytes: 1339778, rounds: 50,
-				digest: "cd190f0c69e2d4d656f63024f53049d5b376c831ea65b1e9a5a9a1114ce8c884",
+				msgs: 17893, bytes: 1356533, rounds: 50,
+				digest: "20ed3211b9f2bd254e4206c16a13548d6ce5db5dfe313cf34486d336bae693c6",
 			},
 		},
 		{
@@ -80,8 +80,8 @@ func TestPlanGolden(t *testing.T) {
 				}
 			},
 			want: goldenTotals{
-				msgs: 8304, bytes: 1672476, rounds: 6,
-				digest: "82e7c6f0c2bcff646c8a888767e5cbfddd65dee98521ac2c63d65e133b1c2744",
+				msgs: 8473, bytes: 1687641, rounds: 5,
+				digest: "97fb5fdfebc5555e4840685380ff08f03d2f75ddc1244217a913d49d63c9b70e",
 			},
 		},
 	}

@@ -83,11 +83,11 @@ func TestTraceGolden(t *testing.T) {
 		want  string
 	}{
 		{"sparse-dead-liveness", 150, false, sparseDeadLiveness, nil,
-			"11c293334a898c25853c49d98707aa252c4f573c6ea9146eccaf70bf596d4312"},
+			"2df7c0925d63f76bd1c03879c398981ed71bc123c11741bfd9d447b829864008"},
 		{"garbage-peers", 100, true, garbagePeers, nil,
-			"a99971f621e277cc47bd2adb6e7186d5db39b624b1e12b9fad0ce3b4e42244df"},
+			"c296d002a06d46dcc4b2ab5bbd6eab439e42a71026cb237a521e41bc87e95a66"},
 		{"churn-adversaries", 150, false, churnAdversaries, checkChurnAdversaries,
-			"5758fc3e8cb6f1cba81553ecd2d576416f4caeef663cd294401c275d04e5b18a"},
+			"ac66fcb58940e84d3175c923f2509b36588c1b92456be3196e9033af9d38708a"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, trace := tracedRegime(t, tc.n, tc.real, tc.mutate)
