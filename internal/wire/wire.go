@@ -126,13 +126,13 @@ type BoostEntry struct {
 // (a minimal unsigned varint) and its h holders' ranks (w bytes each),
 // each parcel starting where the previous one ended. A parcel is a
 // longest stretch of consecutive entries sharing (start, count), cut at
-// maxGroupHolders; the encoder opens a new run wherever a parcel does not
+// maxParcelHolders; the encoder opens a new run wherever a parcel does not
 // start where the previous one ended (withholding, a holderless crossing
 // line, a cut parcel) or names a different number of holders. At h = 2 a
 // parcel costs 3 bytes (w = 1) or 5 (w = 2).
 const (
-	boostRunHead    = 9
-	maxGroupHolders = 255
+	boostRunHead     = 9
+	maxParcelHolders = 255
 	// minBoostRun is the smallest run, one parcel of one 1-byte rank and
 	// a 1-byte count: what a declared run count must find behind it.
 	minBoostRun = boostRunHead + 2
@@ -168,12 +168,12 @@ func (m *Seed) BoostEntries() int {
 	return n
 }
 
-// groupLen returns the number of entries in the parcel at the head of a
+// parcelLen returns the number of entries in the parcel at the head of a
 // non-empty entry list: those that share the first entry's line, start
-// and count, at most maxGroupHolders.
-func groupLen(es []BoostEntry) int {
+// and count, at most maxParcelHolders.
+func parcelLen(es []BoostEntry) int {
 	k := 1
-	for k < len(es) && k < maxGroupHolders && es[k].Line == es[0].Line &&
+	for k < len(es) && k < maxParcelHolders && es[k].Line == es[0].Line &&
 		es[k].Start == es[0].Start && es[k].Count == es[0].Count {
 		k++
 	}
@@ -193,11 +193,11 @@ type boostRun struct {
 // non-empty entry list, taking whole parcels while they continue it and
 // the run fits in room bytes.
 func headRun(es []BoostEntry, room int) boostRun {
-	r := boostRun{holders: groupLen(es), width: 1}
+	r := boostRun{holders: parcelLen(es), width: 1}
 	end, counts, maxRank := int(es[0].Start), 0, 0
 	for r.entries < len(es) {
 		p := es[r.entries:]
-		if p[0].Line != es[0].Line || int(p[0].Start) != end || groupLen(p) != r.holders {
+		if p[0].Line != es[0].Line || int(p[0].Start) != end || parcelLen(p) != r.holders {
 			break
 		}
 		c, top := counts+uvarintLen(p[0].Count), maxRank
