@@ -193,30 +193,29 @@ type boostRun struct {
 // non-empty entry list, taking whole parcels while they continue it and
 // the run fits in room bytes.
 func headRun(es []BoostEntry, room int) boostRun {
-	r := boostRun{holders: parcelLen(es), width: 1}
-	end, counts, maxRank := int(es[0].Start), 0, 0
-	for r.entries < len(es) {
-		p := es[r.entries:]
-		if p[0].Line != es[0].Line || int(p[0].Start) != end || parcelLen(p) != r.holders {
+	line, h := es[0].Line, parcelLen(es)
+	n, parcels, counts, maxRank, end := 0, 0, 0, 0, int(es[0].Start)
+	width, size, cut := 1, 0, false
+	for n < len(es) {
+		p := es[n:]
+		if p[0].Line != line || int(p[0].Start) != end || parcelLen(p) != h {
 			break
 		}
 		c, top := counts+uvarintLen(p[0].Count), maxRank
-		for _, e := range p[:r.holders] {
+		for _, e := range p[:h] {
 			top = max(top, int(e.HolderRef))
 		}
 		w := rankWidth(top)
-		size := boostRunHead + c + (r.parcels+1)*r.holders*w
-		if size > room {
-			r.cut = true
+		s := boostRunHead + c + (parcels+1)*h*w
+		if s > room {
+			cut = true
 			break
 		}
-		r.entries += r.holders
-		r.parcels++
-		r.width, r.size = w, size
-		counts, maxRank = c, top
+		n, parcels = n+h, parcels+1
+		counts, maxRank, width, size = c, top, w, s
 		end = int(p[0].Start) + int(p[0].Count)
 	}
-	return r
+	return boostRun{entries: n, parcels: parcels, holders: h, width: width, size: size, cut: cut}
 }
 
 // rankWidth is the bytes a run's ranks take when the largest is top.
@@ -393,10 +392,12 @@ func appendBoost(buf []byte, runs [][]BoostEntry) ([]byte, error) {
 					return nil, fmt.Errorf("%w: parcel past 65535", ErrBadBoost)
 				}
 				buf = binary.AppendUvarint(buf, uint64(p[0].Count))
-				for _, e := range p[:r.holders] {
-					if r.width == 1 {
+				if r.width == 1 {
+					for _, e := range p[:r.holders] {
 						buf = append(buf, byte(e.HolderRef))
-					} else {
+					}
+				} else {
+					for _, e := range p[:r.holders] {
 						buf = binary.BigEndian.AppendUint16(buf, e.HolderRef)
 					}
 				}
@@ -566,36 +567,43 @@ func (r *reader) boost(runs [][]BoostEntry, arena []BoostEntry) ([][]BoostEntry,
 		case parcels*(1+holders*width) > len(r.buf):
 			return runs, arena, ErrTruncated
 		}
-		lo, maxRank := len(arena), 0
+		// The check above bounds the entries by the bytes behind them.
+		lo, maxRank, b := len(arena), 0, r.buf
+		arena = slices.Grow(arena, parcels*holders)
 		for range parcels {
-			count, n := binary.Uvarint(r.buf)
+			count, n := binary.Uvarint(b)
 			switch {
 			case n == 0:
 				return runs, arena, ErrTruncated
-			case n < 0 || n > 1 && r.buf[n-1] == 0:
+			case n < 0 || n > 1 && b[n-1] == 0:
 				return runs, arena, fmt.Errorf("%w: overlong count", ErrBadBoost)
 			case count == 0:
 				return runs, arena, fmt.Errorf("%w: zero count", ErrBadBoost)
 			case count > uint64(math.MaxUint16-start):
 				return runs, arena, fmt.Errorf("%w: parcel past 65535", ErrBadBoost)
 			}
-			r.buf = r.buf[n:]
-			if len(r.buf) < holders*width {
+			b = b[n:]
+			if len(b) < holders*width {
 				return runs, arena, ErrTruncated
 			}
 			e := BoostEntry{Line: line, Start: uint16(start), Count: uint16(count)}
-			for range holders {
-				if width == 1 {
-					e.HolderRef = uint16(r.buf[0])
-				} else {
-					e.HolderRef = binary.BigEndian.Uint16(r.buf[0:2])
+			if width == 1 {
+				for _, rank := range b[:holders] {
+					e.HolderRef = uint16(rank)
+					maxRank = max(maxRank, int(rank))
+					arena = append(arena, e)
 				}
-				r.buf = r.buf[width:]
-				maxRank = max(maxRank, int(e.HolderRef))
-				arena = append(arena, e)
+			} else {
+				for i := 0; i < 2*holders; i += 2 {
+					e.HolderRef = binary.BigEndian.Uint16(b[i:])
+					maxRank = max(maxRank, int(e.HolderRef))
+					arena = append(arena, e)
+				}
 			}
+			b = b[holders*width:]
 			start += int(count)
 		}
+		r.buf = b
 		if width != rankWidth(maxRank) {
 			return runs, arena, fmt.Errorf("%w: 2-byte ranks all below 256", ErrBadBoost)
 		}
