@@ -40,6 +40,7 @@ type Builder struct {
 	commitment kzg.Commitment
 	proofs     []kzg.Proof
 	committer  *kzg.Committer // reused across slots; nil until first prepare
+	arenas     seedArenas     // reused by every seeding; see planSeed
 
 	// signSeed produces the proposer's signature binding this builder to
 	// a slot; provided by whoever plays the proposer.
@@ -95,7 +96,8 @@ func (b *Builder) SetView(v membership.View) { b.view = v }
 // reused matrix, every payload byte is hashed exactly once (the cell
 // digests feed commitment and proofs alike), and the proofs land in the
 // retained arena. Extension and proving each run on GOMAXPROCS workers;
-// the output is bit-identical at any worker count.
+// the output is bit-identical at any worker count. It ends the lifetime
+// of the datagrams already seeded (see SeedSlot).
 func (b *Builder) PrepareBlob(data []byte) error {
 	if err := b.extendAndCommit(data); err != nil {
 		return err
@@ -118,7 +120,8 @@ func (b *Builder) PrepareBlob(data []byte) error {
 // callbacks fire from the calling goroutine only, as with SeedSlot; the
 // proposer signer, the withholding predicate and the view are consulted
 // by the planning goroutine. On an extension error the plan is still
-// drawn (the builder's rng advances) and then discarded.
+// drawn (the builder's rng advances) and then discarded. Its datagrams
+// have SeedSlot's lifetime.
 func (b *Builder) PrepareAndSeed(slot uint64, data []byte) (SeedingReport, error) {
 	var (
 		plan    seedPlan
@@ -240,7 +243,12 @@ func (b *Builder) CellPayload(id blob.CellID) (wire.Cell, bool) {
 
 // SeedSlot executes the seeding phase: it assigns parcels of every line
 // to holders per the configured policy, builds per-node seed messages
-// with consolidation-boost maps, and transmits them.
+// with consolidation-boost maps, and transmits them. The plan and the
+// datagrams are cut from arenas reused every slot (seedArenas), so a
+// datagram — the Seed, its Cells and Boost runs — is valid only until the
+// builder's next seeding or prepare call, as Cell.Data always was:
+// transport.UDP encodes it inside Send, the simulator delivers it within
+// its slot (TestSeedDatagramsLandWithinTheirSlot), and nodes keep none.
 func (b *Builder) SeedSlot(slot uint64) SeedingReport {
 	plan, report := b.planSeed(slot)
 	b.recordWithheld(slot, report)
@@ -250,19 +258,20 @@ func (b *Builder) SeedSlot(slot uint64) SeedingReport {
 
 // seedChunk is one planned seed datagram, stored in its compact planned
 // form: cell IDs only (transmit's workers build the wire cells, payload
-// and proof, one pass at a time into a Cells slice the datagram owns,
-// which lets the pipelined path plan the whole schedule while proofs are
-// still being generated) and boost runs that ALIAS the lines' shared
-// entry lists. Sharing is what keeps the plan linear in the schedule
-// size: a line's CB entries are built once and referenced by every
-// holder's datagram, never copied per recipient (the per-recipient
-// copies were quadratic — tens of GB at 100k nodes).
+// and proof, one pass at a time into the datagram's own span of the
+// builder's cell arena, which lets the pipelined path plan the whole
+// schedule while proofs are still being generated) and boost runs that
+// ALIAS the lines' shared entry lists. Sharing is what keeps the plan
+// linear in the schedule size: a line's CB entries are built once and
+// referenced by every holder's datagram, never copied per recipient (the
+// per-recipient copies were quadratic — tens of GB at 100k nodes).
 type seedChunk struct {
-	cellIDs []blob.CellID
-	boost   [][]wire.BoostEntry
-	index   uint16
-	count   uint16
-	maxRow  int // highest cell row carried; -1 for a chunk without cells
+	cellIDs    []blob.CellID
+	boost      [][]wire.BoostEntry
+	boostBytes int // the runs' encoded size, as packBoost measured it
+	index      uint16
+	count      uint16
+	maxRow     int // highest cell row carried; -1 for a chunk without cells
 }
 
 type nodeSeedChunks struct {
@@ -277,6 +286,39 @@ type seedPlan struct {
 	sig       [wire.SigSize]byte
 }
 
+// seedArenas is the storage seeding reuses slot after slot, as prepare
+// reuses the matrix: planSeed's state, spans and chunks (cuts holds the
+// run lists of datagrams a boost cut closes), then transmit's cursors,
+// datagrams and cells. Each is resized in place every slot.
+type seedArenas struct {
+	viewed, viewRanks, perm, picks, recips, seedAt, cellAt []int
+	carried, cellEnd, entryEnd, classes, boostEnd          []int
+	holders, ranks, members                                [][]int
+	positions                                              []uint16
+	parcels                                                []parcelCopy
+	cellIDs                                                []blob.CellID
+	entries, scratch                                       []wire.BoostEntry
+	boost, cuts                                            [][]wire.BoostEntry
+	chunks                                                 []seedChunk
+	nodes                                                  []nodeSeedChunks
+	msgs                                                   []*wire.Seed
+	seeds                                                  []wire.Seed
+	cells                                                  []wire.Cell
+}
+
+// sized resizes *buf to n elements in place, reusing its storage, and
+// returns it; the old contents are the caller's to overwrite. cleared is
+// zeroed in place.
+func sized[T any](buf *[]T, n int) []T {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return *buf
+}
+
+func cleared[T any](buf *[]T, n int) []T {
+	*buf = zeroed(*buf, n)
+	return *buf
+}
+
 // planSeed runs the deciding half of SeedSlot: per-cell line choice,
 // parcel assignment, boost maps, and datagram chunking, in a fixed rng
 // order shared by the monolithic and pipelined paths (their schedules
@@ -287,19 +329,20 @@ type seedPlan struct {
 // Its state is dense: lines by the number lineNumber gives them (row r
 // is r, column c is N+c), nodes by index. Lines are visited in that
 // order and nodes collected in ascending order, so nothing is sorted,
-// and each node's cells and each line's boost entries are one span of a
-// per-slot arena cut by a counting pass. The arenas are never reused:
-// the datagrams carry their cell-ID and boost slices by reference.
+// and each node's cells and each line's boost entries are one span of an
+// arena cut by a counting pass. The arenas are the builder's, reused next
+// slot: the plan is valid until the next seeding call.
 func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	report := SeedingReport{Policy: b.cfg.Policy}
 	n := b.cfg.Blob.N()
 	half := b.cfg.Blob.K
 	numNodes := b.table.NumNodes()
+	a := &b.arenas
 
 	// Every line's known holders, resolved once per slot; ranks[d] maps a
 	// holder's index in holders[d] to its canonical rank (nil: the same).
-	holders := make([][]int, 2*n)
-	ranks := make([][]int, 2*n)
+	a.viewed, a.viewRanks = a.viewed[:0], a.viewRanks[:0]
+	holders, ranks := sized(&a.holders, 2*n), sized(&a.ranks, 2*n)
 	for d := range holders {
 		holders[d], ranks[d] = b.knownHolders(denseLine(d, n))
 	}
@@ -321,8 +364,7 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	}
 	// Line d carries positions[d*n : d*n+carried[d]]. The scan is
 	// row-major, so every line's positions arrive in ascending order.
-	positions := make([]uint16, 2*n*n)
-	carried := make([]int, 2*n)
+	positions, carried := sized(&a.positions, 2*n*n), cleared(&a.carried, 2*n)
 	for r := 0; r < seeded; r++ {
 		for c := 0; c < seeded; c++ {
 			if b.withhold != nil && b.withhold(blob.CellID{Row: uint16(r), Col: uint16(c)}) {
@@ -363,12 +405,11 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	for d, cnt := range carried {
 		numCopies += min(cnt, len(holders[d])) * max(1, min(copies, len(holders[d])))
 	}
-	parcels := make([]parcelCopy, 0, numCopies)
-	cellEnd := make([]int, numNodes) // cells per node, then span ends
-	entryEnd := make([]int, 2*n)     // boost entries per line, then span ends
-	classes := make([]int, 2*n)      // classes each line's map is sharded into
-	var picks []int
-	var members [][]int // a sharded line's holder indices by class
+	parcels := slices.Grow(a.parcels[:0], numCopies)
+	cellEnd := cleared(&a.cellEnd, numNodes) // cells per node, then span ends
+	entryEnd := cleared(&a.entryEnd, 2*n)    // boost entries per line, then span ends
+	classes := cleared(&a.classes, 2*n)      // classes each line's map is sharded into
+	picks, members := a.picks, a.members     // members: a sharded line's holder indices by class
 	for d, cnt := range carried {
 		if cnt == 0 {
 			continue
@@ -376,7 +417,7 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 		hs := holders[d]
 		members = boostClasses(members, len(hs), ranks[d], copies)
 		classes[d] = max(1, len(members))
-		perm := b.rng.Perm(len(hs))
+		perm := permInto(b.rng, &a.perm, len(hs))
 		numParcels := min(cnt, len(hs))
 		base := cnt / numParcels
 		extra := cnt % numParcels
@@ -403,10 +444,10 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 			lo = hi
 		}
 	}
+	a.parcels, a.picks, a.members = parcels, picks, members
 	// Counts to offsets; each then advances as the fill writes its span,
 	// ending at the span's end.
-	cellArena := make([]blob.CellID, startOffsets(cellEnd))
-	entryArena := make([]wire.BoostEntry, startOffsets(entryEnd))
+	cellArena, entryArena := sized(&a.cellIDs, startOffsets(cellEnd)), sized(&a.entries, startOffsets(entryEnd))
 	for _, p := range parcels {
 		line := denseLine(int(p.line), n)
 		chunk := positions[p.lo:p.hi]
@@ -440,7 +481,7 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	// parcel put boostHolders copies in each class, every copy with the
 	// parcel's runs. A stable sort of the parcel copies by class does the
 	// same but made planSeed a third slower at 1,000 nodes.
-	var scratch []wire.BoostEntry
+	scratch := a.scratch
 	for d, s := range classes {
 		if s < 2 {
 			continue
@@ -457,6 +498,7 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 			}
 		}
 	}
+	a.scratch = scratch
 
 	// Phase 3: per-node boost maps — every holder of a line receives its
 	// share of the line's CB entries, even holders that got no cells: the
@@ -467,7 +509,7 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	// O(lines x entries x H) — about 39 GB at 100k nodes and default
 	// geometry — while the shared spans cost one slice header per
 	// (line, holder) pair.
-	boostEnd := make([]int, numNodes) // boosted lines per node, then span ends
+	boostEnd := cleared(&a.boostEnd, numNodes) // boosted lines per node, then span ends
 	for d, hs := range holders {
 		if lo, hi := spanOf(entryEnd, d); lo < hi {
 			for _, h := range hs {
@@ -475,7 +517,7 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 			}
 		}
 	}
-	boostArena := make([][]wire.BoostEntry, startOffsets(boostEnd))
+	boostArena := sized(&a.boost, startOffsets(boostEnd))
 	for d, hs := range holders {
 		lo, hi := spanOf(entryEnd, d)
 		if lo == hi {
@@ -491,7 +533,7 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 
 	// Phase 4: transmit, in randomized node order, chunked to datagram
 	// size.
-	recipients := make([]int, 0, numNodes)
+	recipients := a.recips[:0]
 	for node := 0; node < numNodes; node++ {
 		clo, chi := spanOf(cellEnd, node)
 		blo, bhi := spanOf(boostEnd, node)
@@ -502,7 +544,8 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	b.rng.Shuffle(len(recipients), func(i, j int) {
 		recipients[i], recipients[j] = recipients[j], recipients[i]
 	})
-	var plan seedPlan
+	a.recips = recipients
+	plan := seedPlan{nodes: a.nodes[:0]}
 	if b.signSeed != nil {
 		plan.sig = b.signSeed(slot)
 	}
@@ -519,54 +562,63 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	// line at most, so one datagram carries a node's 16 lines at any
 	// network size.
 	record := wire.CellWire(b.cfg.Blob.CellBytes)
+	a.chunks, a.cuts = a.chunks[:0], a.cuts[:0]
 	for _, node := range recipients {
 		clo, chi := spanOf(cellEnd, node)
 		cells := cellArena[clo:chi:chi]
 		blo, bhi := spanOf(boostEnd, node)
 		report.NodesSeeded++
-		nc := nodeSeedChunks{node: node,
-			chunks: make([]seedChunk, 0, min(bhi-blo, 1)+(len(cells)+wire.MaxCellsPerMessage-1)/wire.MaxCellsPerMessage)}
-		packBoost(boostArena[blo:bhi:bhi], func(runs [][]wire.BoostEntry) {
-			nc.chunks = append(nc.chunks, seedChunk{boost: runs})
+		first := len(a.chunks)
+		a.packBoost(boostArena[blo:bhi:bhi], func(runs [][]wire.BoostEntry, size int) {
+			a.chunks = append(a.chunks, seedChunk{boost: runs, boostBytes: size})
 		})
-		if k := len(nc.chunks); k > 0 {
-			last := &nc.chunks[k-1]
-			room := wire.MaxDatagram + wire.OverheadIPUDP - (&wire.Seed{Boost: last.boost}).WireSize(b.cfg.Blob.CellBytes)
-			if fit := min(len(cells), wire.MaxCellsPerMessage, room/record); fit > 0 {
+		if k := len(a.chunks); k > first {
+			last := &a.chunks[k-1]
+			if fit := min(len(cells), wire.MaxCellsPerMessage, (boostRoom-last.boostBytes)/record); fit > 0 {
 				last.cellIDs, cells = cells[:fit:fit], cells[fit:]
 			}
 		}
 		for len(cells) > 0 {
 			chunk := cells[:min(len(cells), wire.MaxCellsPerMessage)]
 			cells = cells[len(chunk):]
-			nc.chunks = append(nc.chunks, seedChunk{cellIDs: chunk})
+			a.chunks = append(a.chunks, seedChunk{cellIDs: chunk})
 		}
-		for i := range nc.chunks {
+		chunks := a.chunks[first:len(a.chunks):len(a.chunks)]
+		for i := range chunks {
 			maxRow := -1
-			for _, id := range nc.chunks[i].cellIDs {
+			for _, id := range chunks[i].cellIDs {
 				maxRow = max(maxRow, int(id.Row))
 			}
-			nc.chunks[i].index, nc.chunks[i].count, nc.chunks[i].maxRow = uint16(i), uint16(len(nc.chunks)), maxRow
+			chunks[i].index, chunks[i].count, chunks[i].maxRow = uint16(i), uint16(len(chunks)), maxRow
 		}
-		plan.maxChunks = max(plan.maxChunks, len(nc.chunks))
-		plan.nodes = append(plan.nodes, nc)
+		plan.maxChunks = max(plan.maxChunks, len(chunks))
+		plan.nodes = append(plan.nodes, nodeSeedChunks{node: node, chunks: chunks})
 	}
+	// Transmit's datagrams and cells: sized here, so that the pipelined
+	// path grows them beside the extension.
+	sized(&a.seeds, len(a.chunks))
+	sized(&a.cells, len(cellArena))
+	a.nodes = plan.nodes
 	return plan, report
 }
 
-// boostRoom is what a seed datagram without cells has for its runs.
-var boostRoom = wire.MaxDatagram + wire.OverheadIPUDP - (&wire.Seed{}).WireSize(0)
+// seedHead is the wire size of a seed datagram without cells or boost
+// runs, and boostRoom what such a datagram has for its runs.
+var (
+	seedHead  = (&wire.Seed{}).WireSize(0)
+	boostRoom = wire.MaxDatagram + wire.OverheadIPUDP - seedHead
+)
 
 // packBoost cuts a node's boost lines, in order, into the runs of its
-// boost datagrams and hands each datagram's runs to emit: every
-// datagram is filled as far as boostRoom allows, and a line that does not
-// fit in what is left is cut between two of its parcels (see
-// wire.FitBoost), its head closing the datagram and its tail opening the
-// next. The runs alias the lines' entry lists, and a
-// datagram's run list is a window of lines — written over in place where
-// a cut leaves a tail — except that a datagram a cut closes gets its own
-// list.
-func packBoost(lines [][]wire.BoostEntry, emit func(runs [][]wire.BoostEntry)) {
+// boost datagrams and hands each datagram's runs, and the bytes they
+// encode to, to emit: every datagram is filled as far as boostRoom
+// allows, and a line that does not fit in what is left is cut between
+// two of its parcels (see wire.FitBoost), its head closing the datagram
+// and its tail opening the next. The runs alias the lines' entry lists,
+// and a datagram's run list is a window of lines — written over in place
+// where a cut leaves a tail — except that a datagram a cut closes gets
+// its own list, cut from the cuts arena.
+func (a *seedArenas) packBoost(lines [][]wire.BoostEntry, emit func(runs [][]wire.BoostEntry, size int)) {
 	for len(lines) > 0 {
 		room, k := boostRoom, 0
 		for ; k < len(lines); k++ {
@@ -576,17 +628,19 @@ func packBoost(lines [][]wire.BoostEntry, emit func(runs [][]wire.BoostEntry)) {
 					panic("core: a boost parcel larger than a datagram")
 				}
 				if n == 0 {
-					emit(lines[:k:k])
+					emit(lines[:k:k], boostRoom-room)
 				} else {
-					emit(append(lines[:k:k], lines[k][:n]))
+					at := len(a.cuts)
+					a.cuts = append(append(a.cuts, lines[:k]...), lines[k][:n])
 					lines[k] = lines[k][n:]
+					emit(a.cuts[at:len(a.cuts):len(a.cuts)], boostRoom-room+size)
 				}
 				break
 			}
 			room -= size
 		}
 		if k == len(lines) {
-			emit(lines)
+			emit(lines, boostRoom-room)
 		}
 		lines = lines[k:]
 	}
@@ -663,25 +717,42 @@ func (b *Builder) recordWithheld(slot uint64, report SeedingReport) {
 // calling goroutine then sends and records the pass in node order, so the
 // transport and the recorder see exactly what a serial loop shows them,
 // from the caller only, and each datagram is handed to the transport
-// whole and never touched again.
+// whole and never touched again this slot. In the arenas planSeed sized,
+// node i's datagrams are seeds[seedAt[i]:], one a pass, and its cells
+// the next span from cellAt[i], which the worker building the node's
+// datagram advances: the spans are disjoint, so the workers need no lock.
 func (b *Builder) transmit(slot uint64, plan seedPlan, report *SeedingReport, rows *rowTracker) {
-	msgs := make([]*wire.Seed, len(plan.nodes)) // one pass, by node; nil: no chunk
+	a := &b.arenas
+	msgs := cleared(&a.msgs, len(plan.nodes)) // one pass, by node; nil: no chunk
+	seedAt, cellAt := sized(&a.seedAt, len(msgs)), sized(&a.cellAt, len(msgs))
+	seeds, cells := 0, 0
+	for i, nc := range plan.nodes {
+		seedAt[i], cellAt[i] = seeds, cells
+		seeds += len(nc.chunks)
+		for _, c := range nc.chunks {
+			cells += len(c.cellIDs)
+		}
+	}
 	workers := runtime.GOMAXPROCS(0)
 	build := func(w, pass int) {
 		for i := w * len(msgs) / workers; i < (w+1)*len(msgs)/workers; i++ {
 			if chunks := plan.nodes[i].chunks; pass < len(chunks) {
-				msgs[i] = b.seedDatagram(slot, plan.sig, &chunks[pass], rows)
+				at, k := cellAt[i], len(chunks[pass].cellIDs)
+				cellAt[i] += k
+				msgs[i] = &a.seeds[seedAt[i]+pass]
+				b.seedDatagram(msgs[i], a.cells[at:at+k:at+k], slot, plan.sig, &chunks[pass], rows)
 			}
 		}
 	}
+	record := wire.CellWire(b.cfg.Blob.CellBytes)
+	var wg sync.WaitGroup
 	for pass := 0; pass < plan.maxChunks; pass++ {
-		var wg sync.WaitGroup
 		wg.Add(workers - 1)
 		for w := 1; w < workers; w++ {
-			go func() {
+			go func(w, pass int) {
 				defer wg.Done()
 				build(w, pass)
-			}()
+			}(w, pass)
 		}
 		build(0, pass)
 		wg.Wait()
@@ -691,7 +762,7 @@ func (b *Builder) transmit(slot uint64, plan seedPlan, report *SeedingReport, ro
 			}
 			msgs[i] = nil // the next pass sets only the nodes it has a chunk for
 			node := plan.nodes[i].node
-			size := m.WireSize(b.cfg.Blob.CellBytes)
+			size := seedHead + len(m.Cells)*record + plan.nodes[i].chunks[pass].boostBytes
 			report.Messages++
 			report.Cells += len(m.Cells)
 			report.Bytes += int64(size)
@@ -706,16 +777,16 @@ func (b *Builder) transmit(slot uint64, plan seedPlan, report *SeedingReport, ro
 	}
 }
 
-// seedDatagram builds the datagram of one planned chunk, on a transmit
-// worker: when rows is non-nil (the pipelined path) it first waits until
-// the proofs of every row the chunk carries are ready. The datagram owns
-// its Cells, allocated here and filled in place; each cell's Data aliases
-// the builder's extended matrix, valid until the next prepare reuses it.
-func (b *Builder) seedDatagram(slot uint64, sig [wire.SigSize]byte, chunk *seedChunk, rows *rowTracker) *wire.Seed {
+// seedDatagram builds the datagram of one planned chunk into m, on a
+// transmit worker: when rows is non-nil (the pipelined path) it first
+// waits until the proofs of every row the chunk carries are ready. The
+// chunk's cells are filled in place into cells, the datagram's span of
+// the cell arena; each cell's Data aliases the builder's extended matrix.
+func (b *Builder) seedDatagram(m *wire.Seed, cells []wire.Cell, slot uint64, sig [wire.SigSize]byte, chunk *seedChunk, rows *rowTracker) {
 	if rows != nil && chunk.maxRow >= 0 {
 		rows.waitFor(chunk.maxRow)
 	}
-	m := &wire.Seed{
+	*m = wire.Seed{
 		Slot:        slot,
 		Builder:     b.id,
 		ProposerSig: sig,
@@ -724,38 +795,49 @@ func (b *Builder) seedDatagram(slot uint64, sig [wire.SigSize]byte, chunk *seedC
 		ChunkCount:  chunk.count,
 		Boost:       chunk.boost,
 	}
-	if len(chunk.cellIDs) > 0 {
-		m.Cells = make([]wire.Cell, len(chunk.cellIDs))
-		n := b.cfg.Blob.N()
-		for i, id := range chunk.cellIDs {
-			c := &m.Cells[i]
-			c.ID = id
-			if b.extended != nil {
-				c.Data = b.extended.Cell(id)
-				c.Proof = b.proofs[id.Index(n)]
-			}
-		}
+	if len(cells) > 0 {
+		m.Cells = cells
 	}
-	return m
+	n := b.cfg.Blob.N()
+	for i, id := range chunk.cellIDs {
+		c := wire.Cell{ID: id}
+		if b.extended != nil {
+			c.Data, c.Proof = b.extended.Cell(id), b.proofs[id.Index(n)]
+		}
+		cells[i] = c
+	}
 }
 
 // knownHolders filters a line's holders by the builder's view. ranks[i]
 // is hs[i]'s canonical rank, the index into Table.Holders that boost
 // entries name it by; without a view the two lists coincide and ranks is
-// nil.
+// nil. Under a view both lists are cut from the viewed arenas.
 func (b *Builder) knownHolders(l blob.Line) (hs, ranks []int) {
 	all := b.table.Holders(l)
 	if b.view == nil {
 		return all, nil
 	}
-	hs, ranks = make([]int, 0, len(all)), make([]int, 0, len(all))
+	a := &b.arenas
+	lo := len(a.viewed)
 	for rank, h := range all {
 		if b.view.Contains(h) {
-			hs = append(hs, h)
-			ranks = append(ranks, rank)
+			a.viewed = append(a.viewed, h)
+			a.viewRanks = append(a.viewRanks, rank)
 		}
 	}
-	return hs, ranks
+	return a.viewed[lo:], a.viewRanks[lo:]
+}
+
+// permInto is rand.Rand.Perm into *buf's storage: the same draws, so the
+// same permutation and the same rng state after it.
+func permInto(r *rand.Rand, buf *[]int, n int) []int {
+	perm := sized(buf, n)
+	for i := range perm {
+		j := r.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
+	}
+	return perm
 }
 
 // boostHolders is h, how many holders of each parcel a holder's share of

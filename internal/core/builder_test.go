@@ -668,7 +668,8 @@ func (c *countingTransport) Now() time.Duration                     { return 0 }
 // real payloads and proofs, into a transport that only counts: one
 // planned slot is transmitted per iteration, so the time and the
 // allocations are those of building the slot's datagrams and handing
-// them over.
+// them over. One untimed slot first grows the datagram and cell arenas,
+// so B/op is the steady state's.
 func BenchmarkTransmit(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.RealPayloads = true
@@ -681,7 +682,9 @@ func BenchmarkTransmit(b *testing.B) {
 		b.Fatal(err)
 	}
 	plan, report := bl.planSeed(1)
-	var sent SeedingReport
+	sent := report
+	bl.transmit(1, plan, &sent, nil)
+	sink.msgs = 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -736,9 +739,11 @@ func TestSeedPlanMatchesReference(t *testing.T) {
 // BenchmarkSeedPlan measures seed planning alone at the paper's geometry
 // (512x512, redundant seeding with r = 8) over 1,000 nodes in metadata
 // mode; the bench's core.builder_seed_ms lumps planning and transmission
-// together.
+// together. One untimed plan first grows the builder's arenas, so B/op is
+// the steady state's.
 func BenchmarkSeedPlan(b *testing.B) {
 	bl, _, _ := builderFixture(b, DefaultConfig(), 1000)
+	bl.planSeed(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -777,6 +782,166 @@ func TestBuilderPrepareBlobReusesArenas(t *testing.T) {
 	}
 	if !kzg.Verify(b.Commitment(), cell.ID, cell.Data, cell.Proof) {
 		t.Fatal("re-prepared cell fails verification")
+	}
+}
+
+// TestBuilderSeedingReusesArenas pins seeding's steady state, as
+// TestBuilderPrepareBlobReusesArenas pins preparing's: once a slot has
+// grown the builder's arenas, SeedSlot and PrepareAndSeed allocate at most
+// maxSeedAllocs objects a slot, the same at 20 and at 300 nodes (13 and
+// 200 datagrams with the view), in metadata mode and with real payloads,
+// for every builder setup; and the next slot's datagrams carry their cells
+// in the cell arena the first slot grew.
+func TestBuilderSeedingReusesArenas(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own; allocation counts do not apply")
+	}
+	// PrepareAndSeed's are its goroutines, channel, row tracker and the
+	// extension's options; SeedSlot's are transmit's wait group and worker
+	// closure.
+	const maxSeedAllocs = 24
+	data := make([]byte, TestConfig().Blob.BlobBytes())
+	rand.New(rand.NewSource(5)).Read(data)
+	for _, real := range []bool{false, true} {
+		for _, s := range builderSetups {
+			for _, nodes := range []int{20, 300} {
+				t.Run(fmt.Sprintf("real=%v/%s/%d", real, s.name, nodes), func(t *testing.T) {
+					cfg := TestConfig()
+					cfg.RealPayloads = real
+					cfg.Policy = PolicyRedundant
+					b, _, tr := builderFixture(t, cfg, nodes)
+					b.SetProposerSigner(testSigner)
+					s.apply(b)
+					if real {
+						if err := b.PrepareBlob(data); err != nil {
+							t.Fatal(err)
+						}
+					}
+					b.SeedSlot(1)
+					arena := b.arenas.cells
+					lo := uintptr(unsafe.Pointer(unsafe.SliceData(arena)))
+					hi := lo + uintptr(len(arena))*unsafe.Sizeof(arena[0])
+					tr.sends = nil
+					report := b.SeedSlot(2)
+					for _, send := range tr.sends {
+						cs := send.payload.(*wire.Seed).Cells
+						if at := uintptr(unsafe.Pointer(unsafe.SliceData(cs))); len(cs) > 0 &&
+							(at < lo || at+uintptr(len(cs))*unsafe.Sizeof(cs[0]) > hi) {
+							t.Fatal("slot 2 sent cells outside the cell arena slot 1 grew")
+						}
+					}
+					b.tr = &countingTransport{}
+					slot := uint64(2)
+					seedSlot := testing.AllocsPerRun(5, func() {
+						slot++
+						b.SeedSlot(slot)
+					})
+					prepareAndSeed := testing.AllocsPerRun(5, func() {
+						slot++
+						if _, err := b.PrepareAndSeed(slot, data); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if seedSlot > maxSeedAllocs || prepareAndSeed > maxSeedAllocs {
+						t.Fatalf("%d datagrams a slot: SeedSlot allocates %.0f objects, PrepareAndSeed %.0f; want at most %d",
+							report.Messages, seedSlot, prepareAndSeed, maxSeedAllocs)
+					}
+				})
+			}
+		}
+	}
+}
+
+// seedTap is the builder's transport in
+// TestSeedDatagramsLandWithinTheirSlot: it counts the seeds sent to live
+// nodes and, per datagram, those that have not reached their node's
+// handler yet.
+type seedTap struct {
+	Transport
+	dead    []bool
+	live    int
+	pending map[*wire.Seed]int
+}
+
+func (s *seedTap) SendReliable(to, size int, payload any) {
+	if !s.dead[to] {
+		s.live++
+		s.pending[payload.(*wire.Seed)]++
+	}
+	s.Transport.SendReliable(to, size, payload)
+}
+
+// TestSeedDatagramsLandWithinTheirSlot pins the lifetime contract of the
+// builder's seeding arenas in the simulator, the one transport that holds
+// a datagram by reference: over three slots, every seed datagram a slot
+// sends reaches its live node's handler within the slot, carrying that
+// slot, and when the slot ends — before the next slot's SeedSlot reuses
+// the arenas — the network holds no message at all, so the seeds sent to
+// dead nodes are gone too. Both regimes run the slot out: real payloads,
+// and metadata with a fifth of the nodes dead and 3 % loss.
+func TestSeedDatagramsLandWithinTheirSlot(t *testing.T) {
+	data := make([]byte, TestConfig().Blob.BlobBytes())
+	rand.New(rand.NewSource(9)).Read(data)
+	for _, tc := range []struct {
+		name       string
+		real       bool
+		dead, loss float64
+	}{
+		{"real-payloads", true, 0, 0},
+		{"metadata-dead-loss", false, 0.2, 0.03},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := smallCluster(t, 120, func(cc *ClusterConfig) {
+				cc.Core.RealPayloads = tc.real
+				cc.DeadFraction, cc.LossRate = tc.dead, tc.loss
+			})
+			net := c.Network()
+			tap := &seedTap{Transport: c.builder.tr, dead: c.dead, pending: make(map[*wire.Seed]int)}
+			c.builder.tr = tap
+			var slot uint64
+			delivered := 0
+			for i := range c.nodes {
+				net.SetHandler(i, func(from, size int, payload any) {
+					if m, ok := payload.(*wire.Seed); ok {
+						if tap.pending[m] == 0 || m.Slot != slot {
+							t.Fatalf("slot %d: node %d got a seed datagram of slot %d it was not sent this slot", slot, i, m.Slot)
+						}
+						if tap.pending[m]--; tap.pending[m] == 0 {
+							delete(tap.pending, m)
+						}
+						delivered++
+					}
+					c.dispatch(i, from, size, payload)
+				})
+			}
+			for slot = 1; slot <= 3; slot++ {
+				if tc.real {
+					if err := c.Builder().PrepareBlob(data); err != nil {
+						t.Fatal(err)
+					}
+				}
+				delivered, tap.live = 0, 0
+				res, err := c.RunSlot(slot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(tap.pending) > 0 {
+					t.Fatalf("slot %d: %d seed datagrams to live nodes had not reached their handler when the slot ended", slot, len(tap.pending))
+				}
+				inFlight := 0
+				for i := 0; i < net.NumNodes(); i++ {
+					st := net.Stats(i)
+					inFlight += st.MsgsSent - st.MsgsLost - st.MsgsRecv
+				}
+				if inFlight != 0 {
+					t.Fatalf("slot %d: %d messages still in the network when the slot ended", slot, inFlight)
+				}
+				if delivered != tap.live || delivered == 0 || tc.dead > 0 && delivered == res.Seeding.Messages {
+					t.Fatalf("slot %d: %d of %d seed datagrams reached a handler, %d were sent to live nodes",
+						slot, delivered, res.Seeding.Messages, tap.live)
+				}
+			}
+		})
 	}
 }
 
@@ -1041,13 +1206,13 @@ func referencePlanSeed(b *Builder, slot uint64) (seedPlan, SeedingReport) {
 	record := 4 + b.cfg.Blob.CellBytes + kzg.ProofSize // ID, payload, proof
 	for _, node := range recipients {
 		cells := nodeCells[node]
-		boostChunks, lastUsed := referencePackBoost(nodeBoost[node])
+		boostChunks, used := referencePackBoost(nodeBoost[node])
 		report.NodesSeeded++
 		var chunks []seedChunk
 		for i, runs := range boostChunks {
-			chunk := seedChunk{boost: runs}
+			chunk := seedChunk{boost: runs, boostBytes: used[i]}
 			if i == len(boostChunks)-1 {
-				fit := min(len(cells), wire.MaxCellsPerMessage, (referenceBoostRoom()-lastUsed)/record)
+				fit := min(len(cells), wire.MaxCellsPerMessage, (referenceBoostRoom()-used[i])/record)
 				chunk.cellIDs, cells = cells[:fit], cells[fit:]
 				if fit == 0 {
 					chunk.cellIDs = nil
@@ -1118,7 +1283,7 @@ func referenceBoostRoom() int {
 }
 
 // referencePackBoost cuts a node's lines into its boost datagrams' runs,
-// and returns the bytes the last datagram's runs take: the lines fill the
+// and returns the bytes each datagram's runs take: the lines fill the
 // datagrams in order, each as far as the datagram bound allows, and a
 // line that does not fit is cut between two of its parcels. Sizes are
 // counted from the format here: a parcel is a stretch of consecutive
@@ -1127,7 +1292,7 @@ func referenceBoostRoom() int {
 // holders, 9 bytes of head, and per parcel a varint count and a rank per
 // holder, 1 byte wide while every rank of the run is below 256, else 2.
 // A cut line's tail opens a run in the next datagram.
-func referencePackBoost(lines [][]wire.BoostEntry) ([][][]wire.BoostEntry, int) {
+func referencePackBoost(lines [][]wire.BoostEntry) ([][][]wire.BoostEntry, []int) {
 	room := referenceBoostRoom()
 	width := func(rank int) int {
 		if rank < 256 {
@@ -1144,6 +1309,7 @@ func referencePackBoost(lines [][]wire.BoostEntry) ([][][]wire.BoostEntry, int) 
 	}
 	var chunks [][][]wire.BoostEntry
 	var runs [][]wire.BoostEntry
+	var sizes []int
 	used := 0 // the datagram's bytes of runs, the open one's included
 	for _, entries := range lines {
 		var run []wire.BoostEntry
@@ -1173,7 +1339,7 @@ func referencePackBoost(lines [][]wire.BoostEntry) ([][][]wire.BoostEntry, int) 
 				if len(run) > 0 {
 					runs = append(runs, run)
 				}
-				chunks = append(chunks, runs)
+				chunks, sizes = append(chunks, runs), append(sizes, used)
 				run, runs, used = nil, nil, 0
 				parcels, counts, top = 1, varint(entries[i].Count), rank
 				cost = size()
@@ -1186,9 +1352,9 @@ func referencePackBoost(lines [][]wire.BoostEntry) ([][][]wire.BoostEntry, int) 
 		runs = append(runs, run)
 	}
 	if len(runs) > 0 {
-		chunks = append(chunks, runs)
+		chunks, sizes = append(chunks, runs), append(sizes, used)
 	}
-	return chunks, used
+	return chunks, sizes
 }
 
 // TestPackBoostMatchesReference pins packBoost against referencePackBoost
@@ -1228,17 +1394,21 @@ func TestPackBoostMatchesReference(t *testing.T) {
 		{"empty", nil, 0},
 	} {
 		name := tc.name
-		want, _ := referencePackBoost(tc.lines)
+		want, wantSizes := referencePackBoost(tc.lines)
 		var got [][][]wire.BoostEntry
-		packBoost(slices.Clone(tc.lines), func(runs [][]wire.BoostEntry) { got = append(got, runs) })
-		if !reflect.DeepEqual(got, want) || len(got) != tc.datagrams {
-			t.Fatalf("%s: %d datagrams, reference %d, want %d (or their runs differ)", name, len(got), len(want), tc.datagrams)
+		var sizes []int
+		var a seedArenas
+		a.packBoost(slices.Clone(tc.lines), func(runs [][]wire.BoostEntry, size int) {
+			got, sizes = append(got, runs), append(sizes, size)
+		})
+		if !reflect.DeepEqual(got, want) || !slices.Equal(sizes, wantSizes) || len(got) != tc.datagrams {
+			t.Fatalf("%s: %d datagrams, reference %d, want %d (or their runs or sizes differ)", name, len(got), len(want), tc.datagrams)
 		}
 		for i, runs := range got {
 			m := &wire.Seed{ChunkIndex: uint16(i), ChunkCount: uint16(len(got)), Boost: runs}
 			data, err := wire.Encode(m, 0)
-			if err != nil || wire.OverheadIPUDP+len(data) != m.WireSize(0) {
-				t.Fatalf("%s datagram %d: %d bytes encoded, WireSize %d (%v)", name, i, len(data), m.WireSize(0), err)
+			if err != nil || wire.OverheadIPUDP+len(data) != m.WireSize(0) || seedHead+sizes[i] != m.WireSize(0) {
+				t.Fatalf("%s datagram %d: %d bytes encoded, WireSize %d, packed size %d (%v)", name, i, len(data), m.WireSize(0), seedHead+sizes[i], err)
 			}
 		}
 	}

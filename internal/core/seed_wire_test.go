@@ -217,13 +217,16 @@ func TestWideRankSeedsMatchEncoding(t *testing.T) {
 			if len(nc.chunks[c].boost) == 0 {
 				continue
 			}
-			m := b.seedDatagram(1, [wire.SigSize]byte{}, &nc.chunks[c], nil)
+			chunk := &nc.chunks[c]
+			m := new(wire.Seed)
+			b.seedDatagram(m, make([]wire.Cell, len(chunk.cellIDs)), 1, [wire.SigSize]byte{}, chunk, nil)
 			var err error
 			if buf, err = wire.EncodeAppend(buf[:0], m, cfg.Blob.CellBytes); err != nil {
 				t.Fatalf("node %d chunk %d: %v", nc.node, c, err)
 			}
-			if size := m.WireSize(cfg.Blob.CellBytes); wire.OverheadIPUDP+len(buf) != size {
-				t.Fatalf("node %d chunk %d: charged %d bytes, encodes to %d + %d", nc.node, c, size, wire.OverheadIPUDP, len(buf))
+			charged := seedHead + len(m.Cells)*wire.CellWire(cfg.Blob.CellBytes) + chunk.boostBytes
+			if size := m.WireSize(cfg.Blob.CellBytes); wire.OverheadIPUDP+len(buf) != size || charged != size {
+				t.Fatalf("node %d chunk %d: charged %d bytes, WireSize %d, encodes to %d + %d", nc.node, c, charged, size, wire.OverheadIPUDP, len(buf))
 			}
 			got, err := wire.DecodeInto(&in, buf, cfg.Blob.CellBytes)
 			if err != nil {

@@ -255,10 +255,13 @@ func FitBoost(es []BoostEntry, room int) (n, size int) {
 // Type implements Message.
 func (*Seed) Type() MsgType { return TypeSeed }
 
+// seedFixed is a Seed's bytes besides cells and runs: type, slot, builder,
+// signature, commitment, chunk index and count, cell and run counts.
+const seedFixed = 1 + 8 + ids.IDSize + SigSize + kzg.CommitmentSize + 4 + 4 + 4
+
 // WireSize implements Message.
 func (m *Seed) WireSize(cellBytes int) int {
-	size := OverheadIPUDP + 1 + 8 + ids.IDSize + SigSize + kzg.CommitmentSize + 4 +
-		4 + len(m.Cells)*CellWire(cellBytes) + 4
+	size := OverheadIPUDP + seedFixed + len(m.Cells)*CellWire(cellBytes)
 	for _, run := range m.Boost {
 		_, runWire := FitBoost(run, math.MaxInt) // a whole run
 		size += runWire
@@ -310,7 +313,9 @@ func EncodeAppend(buf []byte, m Message, cellBytes int) ([]byte, error) {
 	base := len(buf)
 	switch v := m.(type) {
 	case *Seed:
-		buf = slices.Grow(buf, v.WireSize(cellBytes)-OverheadIPUDP)
+		// The runs are measured only as appendBoost writes them: a sender
+		// that reuses its buffer has room for them.
+		buf = slices.Grow(buf, seedFixed+len(v.Cells)*CellWire(cellBytes))
 		buf = append(buf, byte(TypeSeed))
 		buf = binary.BigEndian.AppendUint64(buf, v.Slot)
 		buf = append(buf, v.Builder[:]...)

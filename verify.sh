@@ -103,8 +103,12 @@ go test ./...
 # TestHashRowsDeterministic pins the builder's parallel row digests to the
 # serial ones; in core, TestBuilderPipelinedMatchesMonolithic and
 # TestTransmitMatchesReference pin the builder's concurrent prove and
-# transmit stages to the serial forms, TestPlanRoundMatchesReference
-# pins the round planner's under-k coverage lists to unfiltered ones,
+# transmit stages to the serial forms, TestBuilderSeedingReusesArenas
+# holds both to a few allocations a slot once the arenas have grown,
+# TestSeedDatagramsLandWithinTheirSlot checks that the simulator is done
+# with every seed datagram before the next slot reuses the arenas,
+# TestPlanRoundMatchesReference pins the round planner's under-k
+# coverage lists to unfiltered ones,
 # TestSeedPlanMatchesReference pins the seed plan and its boost packing
 # to the map-based planner, TestSeedSizesMatchEncoding checks every
 # seed datagram, which transmit builds on every core, against its
@@ -112,7 +116,7 @@ go test ./...
 # the CB map: the stratified draw and the class-by-class layout of the
 # shares must not depend on scheduling either.
 echo "== fixed-seed tests x5 at -cpu 1,2 (experiments, core, baseline, kzg)"
-go test -run 'Deterministic|Golden|TestBuilderPipelinedMatchesMonolithic|TestTransmitMatchesReference|TestPlanRoundMatchesReference|TestSeedPlanMatchesReference|TestSeedSizesMatchEncoding|TestBuilderBoostMapIsExact' -count=5 -cpu 1,2 \
+go test -run 'Deterministic|Golden|TestBuilderPipelinedMatchesMonolithic|TestTransmitMatchesReference|TestBuilderSeedingReusesArenas|TestSeedDatagramsLandWithinTheirSlot|TestPlanRoundMatchesReference|TestSeedPlanMatchesReference|TestSeedSizesMatchEncoding|TestBuilderBoostMapIsExact' -count=5 -cpu 1,2 \
 	./internal/experiments ./internal/core ./internal/baseline ./internal/kzg
 
 # Every internal package runs under the race detector except experiments,
