@@ -52,6 +52,13 @@ func getShardHeaders(n int) [][]byte {
 	return sh[:n]
 }
 
+// putShardHeaders pools headers cleared: one left pointing into a matrix
+// would keep the whole matrix alive for as long as the pool holds it.
+func putShardHeaders(sh [][]byte) {
+	clear(sh[:cap(sh)])
+	shardsPool.Put(sh) //nolint:staticcheck // slice header boxing is fine
+}
+
 // ExtendData erasure-codes packed data (zero-padding the tail) in two
 // dimensions: rows of the base matrix first (K -> 2K cells per row), then
 // every column of the widened matrix (K -> 2K cells per column). Because
@@ -153,7 +160,7 @@ func runCodewords(workers, n, count int, fn func(sh [][]byte, i int) error) erro
 	}
 	if workers <= 1 {
 		sh := getShardHeaders(n)
-		defer shardsPool.Put(sh) //nolint:staticcheck // slice header boxing is fine
+		defer putShardHeaders(sh)
 		for i := 0; i < count; i++ {
 			if err := fn(sh, i); err != nil {
 				return err
@@ -172,7 +179,7 @@ func runCodewords(workers, n, count int, fn func(sh [][]byte, i int) error) erro
 		go func() {
 			defer wg.Done()
 			sh := getShardHeaders(n)
-			defer shardsPool.Put(sh) //nolint:staticcheck // slice header boxing is fine
+			defer putShardHeaders(sh)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= count {
