@@ -153,6 +153,10 @@ type Cluster struct {
 
 	// Tracing (nil without Core.Recorder).
 	rec obsv.Recorder
+
+	// msgs is the fetch-message free list every node sends from; dispatch
+	// releases each query and response into it once handled.
+	msgs *msgPool
 }
 
 // NewCluster builds the deployment: identities, epoch table, simulator
@@ -167,6 +171,7 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		table: d.Table,
 		dead:  make([]bool, cc.N),
 		rec:   cc.Core.Recorder,
+		msgs:  &msgPool{},
 	}
 	net, err := NewNetwork(cc, c.dispatch)
 	if err != nil {
@@ -195,6 +200,7 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	c.blockRecv = make([]time.Duration, cc.N)
 	for i := range c.nodes {
 		c.nodes[i] = d.NewNode(i, c.agents[i].WrapTransport(net.Endpoint(i)))
+		c.nodes[i].msgs = c.msgs
 		if cc.VerifySeeds {
 			c.nodes[i].SetSeedVerification(d.Proposer.Public)
 		}
@@ -431,7 +437,8 @@ func (c *Cluster) onChurnLeave(node int, crash bool) {
 
 // dispatch routes payloads at a node: PANDAS protocol messages to the
 // Node, gossip frames to the block router, announcements to the
-// membership mesh.
+// membership mesh. A query or response is the free list's again once the
+// node has handled it.
 func (c *Cluster) dispatch(node, from, size int, payload any) {
 	if id, ok := payload.(gossip.MsgID); ok {
 		c.onBlockGossip(node, from, size, id)
@@ -442,6 +449,7 @@ func (c *Cluster) dispatch(node, from, size int, payload any) {
 		return
 	}
 	c.nodes[node].HandleMessage(from, size, payload)
+	c.msgs.release(payload)
 }
 
 func (c *Cluster) onBlockGossip(node, from, size int, id gossip.MsgID) {

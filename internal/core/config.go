@@ -171,7 +171,11 @@ func (c Config) Validate() error {
 // event loop or the UDP transport's receive loop).
 type Transport interface {
 	// Send transmits a protocol message of the given wire size to the
-	// peer with transport address to.
+	// peer with transport address to. A Query or Response passed to Send
+	// belongs to the transport until it is delivered, and its receiver
+	// must not keep the message or its Cells after HandleMessage returns:
+	// a simulated cluster builds the next message in it. A cell's Data
+	// is the sender's store's, under Store.Peek's aliasing rule.
 	Send(to int, size int, payload any)
 	// SendReliable transmits without simulated random loss; used for the
 	// builder's seeding path (see simnet.SendReliable). Transports

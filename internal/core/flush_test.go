@@ -11,8 +11,9 @@ import (
 
 // referencePendingOut is the map-of-slices reply buffer the flat owed
 // list replaced: one slice per recipient, appended to as cells land, and
-// flushed recipient by recipient in ascending order. It is kept as the
-// differential oracle of Node.flush.
+// flushed recipient by recipient in ascending order, each recipient's
+// cells in datagrams of at most wire.MaxCellsPerMessage. It is kept as
+// the differential oracle of Node.flush.
 type referencePendingOut map[int][]wire.Cell
 
 func (r referencePendingOut) owe(to int, c wire.Cell) { r[to] = append(r[to], c) }
@@ -112,9 +113,13 @@ func TestFlushMatchesReference(t *testing.T) {
 				ref.owe(int(o.to), c)
 			}
 			refTr := &captureTransport{now: tr.now}
-			node.tr = refTr
-			ref.flush(node.sendCells)
-			node.tr = tr
+			ref.flush(func(to int, cells []wire.Cell) {
+				for len(cells) > 0 {
+					k := min(len(cells), wire.MaxCellsPerMessage)
+					refTr.Send(to, 0, &wire.Response{Slot: 1, Cells: cells[:k]})
+					cells = cells[k:]
+				}
+			})
 
 			mark := len(tr.sends)
 			tr.advance(tr.now + flushDelay)

@@ -155,6 +155,10 @@ type Node struct {
 	touchedScr []bool // per custody line, in store line order
 	peerScr    []int  // a sorted list of peers
 
+	// msgs is the free list the node builds its queries and responses in
+	// (nil outside a simulated cluster: every message is allocated).
+	msgs *msgPool
+
 	// obs maintains the current slot's metrics view and (optionally)
 	// traces protocol events through cfg.Recorder.
 	obs obsv.Observer
@@ -403,11 +407,11 @@ func (n *Node) promised(id blob.CellID) bool {
 }
 
 // HandleMessage dispatches a received protocol payload and ignores any
-// other. The message may be lent (a
-// socket transport decodes in place and takes its buffer back when the
-// handler returns): the node keeps nothing of it past the call — IDs and
-// boost entries are copied by value, and the store copies a Borrowed
-// payload when it inserts the cell.
+// other. The message is lent (a socket transport decodes in place and
+// takes its buffer back when the handler returns; a simulated cluster
+// hands a query or response to its next sender): the node keeps nothing
+// of it past the call — IDs and boost entries are copied by value, and
+// the store copies a Borrowed payload when it inserts the cell.
 func (n *Node) HandleMessage(from int, size int, payload any) {
 	switch m := payload.(type) {
 	case *wire.Seed:
@@ -520,25 +524,35 @@ func (n *Node) onQuery(from int, m *wire.Query) {
 	if m.Slot != n.slot || n.phase == phaseDown {
 		return
 	}
-	// The reply is sized before it is built: it is one allocation whether
-	// it carries one cell or a datagram's worth.
-	held := 0
+	// The reply is sized before it is built, so each of its datagrams is
+	// taken at the size it is sent at.
+	left := 0
 	for _, id := range m.Cells {
 		if n.store.Has(id) {
-			held++
+			left++
 		}
 	}
-	have := make([]wire.Cell, 0, held)
+	var r *wire.Response
 	for _, id := range m.Cells {
 		if c, ok := n.store.Peek(id); ok {
-			have = append(have, c)
+			if r == nil {
+				r = n.msgs.response(n.slot, min(left, wire.MaxCellsPerMessage))
+			}
+			r.Cells = append(r.Cells, c)
+			left--
+			if len(r.Cells) == wire.MaxCellsPerMessage {
+				n.sendResponse(from, r)
+				r = nil
+			}
 		} else if n.store.Covered(id) {
 			// Assigned but not yet received: buffer, reply when it lands
 			// (no negative acknowledgements).
 			n.bufferAsk(id, from)
 		}
 	}
-	n.sendCells(from, have)
+	if r != nil {
+		n.sendResponse(from, r)
+	}
 }
 
 // bufferAsk chains the peer's ask onto the cell's, unless it is there.
@@ -752,21 +766,21 @@ type owedCell struct {
 
 // flush sends the coalesced replies to buffered queries: one reply per
 // recipient, recipients in ascending order, each reply's cells in landing
-// order. A reply is built at its exact size and handed to the transport,
-// which may hold it until delivery.
+// order, in datagrams of at most wire.MaxCellsPerMessage cells.
 func (n *Node) flush() {
 	out := n.pendingOut
 	slices.SortStableFunc(out, func(a, b owedCell) int { return int(a.to) - int(b.to) })
 	for len(out) > 0 {
 		k := 1
-		for k < len(out) && out[k].to == out[0].to {
+		for k < len(out) && k < wire.MaxCellsPerMessage && out[k].to == out[0].to {
 			k++
 		}
-		reply := make([]wire.Cell, k)
-		for i := range reply {
-			reply[i], _ = n.store.Peek(out[i].id)
+		r := n.msgs.response(n.slot, k)
+		for _, o := range out[:k] {
+			c, _ := n.store.Peek(o.id)
+			r.Cells = append(r.Cells, c)
 		}
-		n.sendCells(int(out[0].to), reply)
+		n.sendResponse(int(out[0].to), r)
 		out = out[k:]
 	}
 	n.pendingOut = n.pendingOut[:0]
@@ -836,20 +850,13 @@ func (n *Node) DeliverCustody(cells []wire.Cell) {
 	n.startFetch()
 }
 
-// sendCells transmits cells to a peer in datagram-sized chunks.
-func (n *Node) sendCells(to int, cells []wire.Cell) {
-	for len(cells) > 0 {
-		chunk := cells
-		if len(chunk) > wire.MaxCellsPerMessage {
-			chunk = cells[:wire.MaxCellsPerMessage]
-		}
-		cells = cells[len(chunk):]
-		m := &wire.Response{Slot: n.slot, Cells: chunk}
-		size := m.WireSize(n.cfg.Blob.CellBytes)
-		n.obs.View.FetchMsgsSent++
-		n.obs.View.FetchBytesSent += int64(size)
-		n.tr.Send(to, size, m)
-	}
+// sendResponse counts a response and hands it to the transport, which
+// owns it from here on.
+func (n *Node) sendResponse(to int, m *wire.Response) {
+	size := m.WireSize(n.cfg.Blob.CellBytes)
+	n.obs.View.FetchMsgsSent++
+	n.obs.View.FetchBytesSent += int64(size)
+	n.tr.Send(to, size, m)
 }
 
 // runRound executes one round of Algorithm 1 on the F in ps and schedules
@@ -916,17 +923,9 @@ func (n *Node) runRound(ps *planScratch) {
 			Peer: -1, Round: int32(n.round), Count: int32(len(F)),
 			Aux: int64(len(plan))})
 	}
-	// The round's queries travel as one block each of messages and cell
-	// IDs: receivers keep the messages until they are delivered, so the
-	// memory cannot come from scratch, but it need not be one allocation
-	// per query either.
-	msgs, asked := 0, 0
-	for _, q := range plan {
-		msgs += (len(q.Cells) + wire.MaxCellsPerMessage - 1) / wire.MaxCellsPerMessage
-		asked += len(q.Cells)
-	}
-	queries := make([]wire.Query, 0, msgs)
-	cellIDs := make([]blob.CellID, 0, asked)
+	// Each query is built in a message taken from the node's free list:
+	// the transport owns it until delivery, and in a simulated cluster the
+	// receiver's handler returning hands it back to the list.
 	for _, q := range plan {
 		peer := q.Peer
 		lastQueried, _ := n.queryRound.ref(uint32(peer))
@@ -936,20 +935,14 @@ func (n *Node) runRound(ps *planScratch) {
 				n.awaitReply[peer] = n.tr.Now() + inflightTTL
 			}
 		}
-		first := len(cellIDs)
-		for _, idx := range q.Cells {
-			cellIDs = append(cellIDs, F[idx])
-		}
-		cells := cellIDs[first:len(cellIDs):len(cellIDs)]
-		stat.CellsRequested += len(cells)
-		for len(cells) > 0 {
-			chunk := cells
-			if len(chunk) > wire.MaxCellsPerMessage {
-				chunk = cells[:wire.MaxCellsPerMessage:wire.MaxCellsPerMessage]
+		stat.CellsRequested += len(q.Cells)
+		for cells := q.Cells; len(cells) > 0; {
+			k := min(len(cells), wire.MaxCellsPerMessage)
+			m := n.msgs.query(n.slot, k)
+			for _, idx := range cells[:k] {
+				m.Cells = append(m.Cells, F[idx])
 			}
-			cells = cells[len(chunk):]
-			queries = append(queries, wire.Query{Slot: n.slot, Cells: chunk})
-			m := &queries[len(queries)-1]
+			cells = cells[k:]
 			size := m.WireSize(n.cfg.Blob.CellBytes)
 			stat.MsgsSent++
 			n.obs.View.FetchMsgsSent++

@@ -107,6 +107,10 @@ go test ./...
 # holds both to a few allocations a slot once the arenas have grown,
 # TestSeedDatagramsLandWithinTheirSlot checks that the simulator is done
 # with every seed datagram before the next slot reuses the arenas,
+# TestRecycledMessagesMatchFresh pins runs whose fetch messages are
+# recycled (and poisoned on release) to runs with fresh ones,
+# TestSimulatedSlotRecyclesMessages holds a simulated slot to a fifth of
+# what it allocated with a fresh message per send,
 # TestPlanRoundMatchesReference pins the round planner's under-k
 # coverage lists to unfiltered ones,
 # TestSeedPlanMatchesReference pins the seed plan and its boost packing
@@ -116,7 +120,7 @@ go test ./...
 # the CB map: the stratified draw and the class-by-class layout of the
 # shares must not depend on scheduling either.
 echo "== fixed-seed tests x5 at -cpu 1,2 (experiments, core, baseline, kzg)"
-go test -run 'Deterministic|Golden|TestBuilderPipelinedMatchesMonolithic|TestTransmitMatchesReference|TestBuilderSeedingReusesArenas|TestSeedDatagramsLandWithinTheirSlot|TestPlanRoundMatchesReference|TestSeedPlanMatchesReference|TestSeedSizesMatchEncoding|TestBuilderBoostMapIsExact' -count=5 -cpu 1,2 \
+go test -run 'Deterministic|Golden|TestBuilderPipelinedMatchesMonolithic|TestTransmitMatchesReference|TestBuilderSeedingReusesArenas|TestRecycledMessagesMatchFresh|TestSimulatedSlotRecyclesMessages|TestSeedDatagramsLandWithinTheirSlot|TestPlanRoundMatchesReference|TestSeedPlanMatchesReference|TestSeedSizesMatchEncoding|TestBuilderBoostMapIsExact' -count=5 -cpu 1,2 \
 	./internal/experiments ./internal/core ./internal/baseline ./internal/kzg
 
 # Every internal package runs under the race detector except experiments,
