@@ -92,7 +92,8 @@ func byzantineSlot(t *testing.T, frac float64, set func(*adversary.Config, float
 // nodes silently dropping every query, every honest node must still
 // complete sampling within the 4 s deadline (in-flight redundancy and the
 // per-slot queryable set, which asks each peer at most once until it is
-// re-armed, route around non-responders; static runs score no liveness).
+// re-armed, route around non-responders, and peer health backs off the
+// silent peers whose reply deadline expires).
 func TestSilentByzantineHonestDeadline(t *testing.T) {
 	c, res := byzantineSlot(t, 0.2, func(a *adversary.Config, f float64) { a.SilentFraction = f })
 	deadline := c.cfg.Core.Deadline

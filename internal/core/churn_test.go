@@ -46,7 +46,7 @@ func TestChurnInactiveConfigMatchesStatic(t *testing.T) {
 // squarely inside the adaptive fetch rounds. Crashed nodes must be
 // excluded from the deadline denominator, and the survivors must still
 // meet the deadline despite their fetch plans pointing at peers that
-// silently vanished (liveness backoff reroutes them).
+// silently vanished (peer health's backoff reroutes them).
 func TestChurnCrashMidFetchRound(t *testing.T) {
 	c := smallCluster(t, 100, func(cc *ClusterConfig) {
 		cc.Scenario = []ScenarioEvent{{Kind: Crash, At: 800 * time.Millisecond, Count: 10}}

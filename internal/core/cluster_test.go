@@ -10,6 +10,7 @@ import (
 	"pandas/internal/blob"
 	"pandas/internal/fetch"
 	"pandas/internal/ids"
+	"pandas/internal/obsv"
 	"pandas/internal/simnet"
 	"pandas/internal/wire"
 )
@@ -241,6 +242,38 @@ func TestSlotSevereFaultsDegrade(t *testing.T) {
 	if rf >= rh {
 		t.Fatalf("80%% dead nodes did not degrade: healthy=%v faulty=%v", rh, rf)
 	}
+}
+
+// TestStaticClusterBacksOffDeadPeers: peer health needs no churn. In a
+// static cluster with four fifths of the nodes dead, live nodes whose
+// queries to dead holders go unanswered past inflightTTL time those
+// holders out and back them off.
+func TestStaticClusterBacksOffDeadPeers(t *testing.T) {
+	var timeouts []obsv.Event
+	c := smallCluster(t, 150, func(cc *ClusterConfig) {
+		cc.DeadFraction = 0.8
+		cc.Core.Recorder = obsv.RecorderFunc(func(e obsv.Event) {
+			if e.Kind == obsv.KindPeerTimeout {
+				timeouts = append(timeouts, e)
+			}
+		})
+	})
+	var res *SlotResult
+	for s := uint64(1); s <= 2; s++ {
+		var err error
+		if res, err = c.RunSlot(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(timeouts) == 0 {
+		t.Fatal("no live node timed out a peer with 80% of the nodes dead")
+	}
+	for _, e := range timeouts {
+		if res.Outcomes[e.Peer].Dead {
+			return
+		}
+	}
+	t.Fatalf("%d peer timeouts, none of a dead node", len(timeouts))
 }
 
 func TestSlotWithholdingDetected(t *testing.T) {

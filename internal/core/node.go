@@ -71,13 +71,11 @@ type Node struct {
 	// and possibly evolving) view; nil means the full view.
 	view membership.View
 
-	// liveness turns peer health on (see SetLiveness); off, the static
-	// configuration, nothing reports to health and it stays empty.
-	// Unlike the per-slot state below, begin never resets health: a peer
-	// that failed this node in slot s is still known-bad in slot s+1,
-	// and after this node crashes and rejoins.
-	liveness bool
-	health   map[int]peerHealth
+	// health remembers the peers that failed this node (see
+	// reportFailure). Unlike the per-slot state below, begin never resets
+	// it: a peer that failed this node in slot s is still known-bad in
+	// slot s+1, and after this node crashes and rejoins.
+	health map[int]peerHealth
 
 	// verifySeeds enables proposer-signature checks on seed messages.
 	verifySeeds bool
@@ -125,7 +123,7 @@ type Node struct {
 	pendingOut []owedCell
 	// awaitReply tracks, per queried peer, the deadline by which SOME
 	// response must arrive before the peer is reported timed out to
-	// health. Only maintained when liveness is on.
+	// health.
 	awaitReply map[int]time.Duration
 	// badPeers bans, for the rest of the slot, peers that served cells
 	// failing proof verification: unlike a timeout (which exponential
@@ -213,12 +211,6 @@ func (n *Node) Outcome(start time.Duration) NodeOutcome {
 // evolve while the slot runs (a cluster's membership.PeerView, changed
 // by announcements). Passing nil restores the complete view.
 func (n *Node) SetView(v membership.View) { n.view = v }
-
-// SetLiveness turns peer health on or off: on, a peer whose reply
-// deadline expires, or whose cells fail their proofs, is backed off
-// (queryable skips it) and then ranked down by its failures until it
-// answers again.
-func (n *Node) SetLiveness(on bool) { n.liveness = on }
 
 // OnSlotDone installs the slot-completion event: fn runs on the node's
 // event loop, once per StartSlot, the first time the slot is complete
@@ -604,18 +596,14 @@ func (n *Node) onResponse(from int, m *wire.Response) {
 		// slot (the periodic queried-set re-arm must not resurrect it) and
 		// report garbage rather than success to health.
 		n.badPeers[from] = true
-		if n.liveness {
-			n.reportFailure(from, true)
-		}
+		n.reportFailure(from, true)
 		if n.obs.Enabled() {
 			n.obs.Emit(obsv.Event{At: n.tr.Now(), Kind: obsv.KindCorruptReject,
 				Peer: int32(from), Round: int32(round), Count: int32(rejects)})
 		}
 		return
 	}
-	if n.liveness {
-		n.reportSuccess(from)
-	}
+	n.reportSuccess(from)
 }
 
 // Peer health is Algorithm 1's scoring step extended with failure
@@ -880,20 +868,18 @@ func (n *Node) runRound(ps *planScratch) {
 	// ago with no response of any kind goes into exponential backoff (and
 	// is re-armed later via the queryable-set sweep below). Expired peers
 	// are reported in ascending order, so a traced run is reproducible.
-	if n.liveness {
-		now := n.tr.Now()
-		expired := n.peerScr[:0]
-		for peer, deadline := range n.awaitReply {
-			if now >= deadline {
-				expired = append(expired, peer)
-			}
+	now := n.tr.Now()
+	expired := n.peerScr[:0]
+	for peer, deadline := range n.awaitReply {
+		if now >= deadline {
+			expired = append(expired, peer)
 		}
-		slices.Sort(expired)
-		n.peerScr = expired
-		for _, peer := range expired {
-			delete(n.awaitReply, peer)
-			n.reportFailure(peer, false)
-		}
+	}
+	slices.Sort(expired)
+	n.peerScr = expired
+	for _, peer := range expired {
+		delete(n.awaitReply, peer)
+		n.reportFailure(peer, false)
 	}
 	if len(F) == 0 {
 		n.pause()
@@ -930,10 +916,8 @@ func (n *Node) runRound(ps *planScratch) {
 		peer := q.Peer
 		lastQueried, _ := n.queryRound.ref(uint32(peer))
 		*lastQueried = int32(n.round)
-		if n.liveness {
-			if _, waiting := n.awaitReply[peer]; !waiting {
-				n.awaitReply[peer] = n.tr.Now() + inflightTTL
-			}
+		if _, waiting := n.awaitReply[peer]; !waiting {
+			n.awaitReply[peer] = n.tr.Now() + inflightTTL
 		}
 		stat.CellsRequested += len(q.Cells)
 		for cells := q.Cells; len(cells) > 0; {

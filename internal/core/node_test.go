@@ -542,7 +542,6 @@ func TestNodeOutcome(t *testing.T) {
 // re-armed peer still carries a penalty of 2 per failure.
 func TestPeerHealthBackoffGrowsAndCaps(t *testing.T) {
 	node, _, tr, _ := nodeFixture(t, 60)
-	node.SetLiveness(true)
 	penalty := func(peer int) int { return node.health[peer].failures * healthPenalty }
 	if !node.queryable(9) || penalty(9) != 0 {
 		t.Fatal("unknown peer must be healthy")
@@ -595,7 +594,6 @@ func TestPeerHealthBackoffGrowsAndCaps(t *testing.T) {
 // failure count of a peer timed out all the way up to it.
 func TestPeerHealthSuccessResets(t *testing.T) {
 	node, _, tr, _ := nodeFixture(t, 60)
-	node.SetLiveness(true)
 	node.reportFailure(4, false)
 	node.reportFailure(4, false)
 	if node.queryable(4) || len(node.health) != 1 {
@@ -660,7 +658,6 @@ func TestPeerHealthOutlivesSlotAndRestart(t *testing.T) {
 		timedOut, garbage := want[0], want[1]
 
 		node := planFixture(t, cfg, nodes)
-		node.SetLiveness(true)
 		node.reportFailure(timedOut, false)
 		node.reportFailure(garbage, true)
 		node.tr.(*captureTransport).now += 500 * time.Millisecond

@@ -284,7 +284,6 @@ func holdHealth(t *testing.T, node *Node) []int {
 		t.Fatal("fixture has too few candidates")
 	}
 	before, _ := scoreOf(ps, penalized)
-	node.SetLiveness(true)
 	node.badPeers = map[int]bool{banned: true}
 	node.reportFailure(backedOff, false)
 	node.health[penalized] = peerHealth{failures: 3}

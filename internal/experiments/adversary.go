@@ -86,7 +86,8 @@ func defaultSampleSweep(samples int) []int {
 // adaptive fetcher (parallel in-flight queries, and a queryable set that
 // asks each peer at most once per slot until it is re-armed) absorbs
 // non-responding or lying peers; this quantifies how far that holds.
-// Static runs score no liveness, so no peer is demoted here. fractions nil selects 0-40% in 10% steps.
+// Peer health backs off a silent peer once its reply deadline expires,
+// as in every run. fractions nil selects 0-40% in 10% steps.
 //
 // Samples are labelled by fraction ("20%") and pool the honest nodes
 // only; Values["corrupt rejects"] counts the cells all nodes rejected

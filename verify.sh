@@ -112,7 +112,9 @@ go test ./...
 # TestSimulatedSlotRecyclesMessages holds a simulated slot to a fifth of
 # what it allocated with a fresh message per send,
 # TestPlanRoundMatchesReference pins the round planner's under-k
-# coverage lists to unfiltered ones,
+# coverage lists to unfiltered ones, TestStaticClusterBacksOffDeadPeers
+# checks that a static cluster's live nodes time out dead holders (peer
+# health has no switch, so no runtime fetches without it),
 # TestSeedPlanMatchesReference pins the seed plan and its boost packing
 # to the map-based planner, TestSeedSizesMatchEncoding checks every
 # seed datagram, which transmit builds on every core, against its
@@ -120,7 +122,7 @@ go test ./...
 # the CB map: the stratified draw and the class-by-class layout of the
 # shares must not depend on scheduling either.
 echo "== fixed-seed tests x5 at -cpu 1,2 (experiments, core, baseline, kzg)"
-go test -run 'Deterministic|Golden|TestBuilderPipelinedMatchesMonolithic|TestTransmitMatchesReference|TestBuilderSeedingReusesArenas|TestRecycledMessagesMatchFresh|TestSimulatedSlotRecyclesMessages|TestSeedDatagramsLandWithinTheirSlot|TestPlanRoundMatchesReference|TestSeedPlanMatchesReference|TestSeedSizesMatchEncoding|TestBuilderBoostMapIsExact' -count=5 -cpu 1,2 \
+go test -run 'Deterministic|Golden|TestBuilderPipelinedMatchesMonolithic|TestTransmitMatchesReference|TestBuilderSeedingReusesArenas|TestRecycledMessagesMatchFresh|TestSimulatedSlotRecyclesMessages|TestSeedDatagramsLandWithinTheirSlot|TestPlanRoundMatchesReference|TestStaticClusterBacksOffDeadPeers|TestSeedPlanMatchesReference|TestSeedSizesMatchEncoding|TestBuilderBoostMapIsExact' -count=5 -cpu 1,2 \
 	./internal/experiments ./internal/core ./internal/baseline ./internal/kzg
 
 # Every internal package runs under the race detector except experiments,
