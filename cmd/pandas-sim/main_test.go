@@ -89,7 +89,7 @@ func TestCSVExport(t *testing.T) {
 func TestListIsRegistryGenerated(t *testing.T) {
 	// run prints to stdout; assert on the library output it uses.
 	out := experiments.ListText()
-	for _, name := range []string{"fig9", "byzantine", "scale", "churn"} {
+	for _, name := range []string{"fig9", "byzantine", "fig13", "churn"} {
 		if !strings.Contains(out, name) {
 			t.Fatalf("-list output missing %q:\n%s", name, out)
 		}

@@ -24,13 +24,12 @@ func TestRecycledMessagesMatchFresh(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		n      int
-		real   bool
 		mutate func(*ClusterConfig)
 	}{
-		{"dense", 1300, false, nil},
-		{"sparse-dead-liveness", 150, false, sparseDeadLiveness},
-		{"garbage-peers", 100, true, garbagePeers},
-		{"real-dead-loss", 120, true, func(cc *ClusterConfig) {
+		{"dense", 1300, nil},
+		{"sparse-dead-liveness", 150, sparseDeadLiveness},
+		{"garbage-peers", 100, garbagePeers},
+		{"real-dead-loss", 120, func(cc *ClusterConfig) {
 			cc.Core.RealPayloads = true
 			cc.DeadFraction, cc.LossRate = 0.2, 0.03
 		}},
@@ -39,8 +38,8 @@ func TestRecycledMessagesMatchFresh(t *testing.T) {
 			if testing.Short() && tc.n > 1000 {
 				t.Skip("dense regime skipped in -short mode")
 			}
-			recycled := goldenCluster(t, tc.n, tc.real, tc.mutate)
-			fresh := goldenCluster(t, tc.n, tc.real, tc.mutate)
+			recycled := goldenCluster(t, tc.n, tc.mutate)
+			fresh := goldenCluster(t, tc.n, tc.mutate)
 			fresh.msgs = nil
 			for _, n := range fresh.nodes {
 				n.msgs = nil

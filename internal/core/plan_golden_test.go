@@ -22,11 +22,15 @@ import (
 // map-based planner this one replaced (commit 6067cbf). Any change to
 // candidate order, tie-breaking, windowing, boost admission, in-flight
 // accounting or re-arm timing moves the digest.
+//
+// Each regime runs in both data planes, metadata cells and real payloads
+// (erasure decoding, proof checks), and both must reach the same digest:
+// the paper's §8.2 check that its simulator tracks the prototype, made
+// exact and per node, since the two planes share one virtual clock.
 func TestPlanGolden(t *testing.T) {
 	cases := []struct {
 		name   string
 		n      int
-		real   bool // the builder needs a blob
 		mutate func(*ClusterConfig)
 		// check asserts the regime exercised what it is there for.
 		check func(t *testing.T, c *Cluster, g goldenTotals)
@@ -74,7 +78,7 @@ func TestPlanGolden(t *testing.T) {
 			// A fifth of the peers serve cells that fail verification, with
 			// real payloads and proposer signatures: rejected cells drop
 			// their in-flight markers and the liars are banned (badPeers).
-			name: "garbage-peers", n: 100, real: true, mutate: garbagePeers,
+			name: "garbage-peers", n: 100, mutate: garbagePeers,
 			check: func(t *testing.T, _ *Cluster, g goldenTotals) {
 				if g.rejects == 0 {
 					t.Fatal("garbage regime rejected no cell")
@@ -91,12 +95,19 @@ func TestPlanGolden(t *testing.T) {
 			if testing.Short() && tc.n > 1000 {
 				t.Skip("dense regime skipped in -short mode")
 			}
-			c := goldenCluster(t, tc.n, tc.real, tc.mutate)
-			got := goldenRun(t, c, 2)
-			tc.check(t, c, got)
-			got.rejects = 0 // asserted above, not pinned
-			if got != tc.want {
-				t.Fatalf("plans changed:\n got  %+v\n want %+v", got, tc.want)
+			for _, real := range []bool{false, true} {
+				c := goldenCluster(t, tc.n, func(cc *ClusterConfig) {
+					if tc.mutate != nil {
+						tc.mutate(cc)
+					}
+					cc.Core.RealPayloads = real
+				})
+				got := goldenRun(t, c, 2)
+				tc.check(t, c, got)
+				got.rejects = 0 // asserted above, not pinned
+				if got != tc.want {
+					t.Fatalf("plans changed (real payloads %v):\n got  %+v\n want %+v", real, got, tc.want)
+				}
 			}
 		})
 	}
@@ -111,12 +122,11 @@ func TestPlannedPeersAreQueryable(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		n      int
-		real   bool
 		mutate func(*ClusterConfig)
 	}{
-		{"dense", 1300, false, nil},
-		{"sparse-dead-liveness", 150, false, sparseDeadLiveness},
-		{"garbage-peers", 100, true, garbagePeers},
+		{"dense", 1300, nil},
+		{"sparse-dead-liveness", 150, sparseDeadLiveness},
+		{"garbage-peers", 100, garbagePeers},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if testing.Short() && tc.n > 1000 {
@@ -124,7 +134,7 @@ func TestPlannedPeersAreQueryable(t *testing.T) {
 			}
 			var c *Cluster
 			planned := map[int]stampTable{}
-			c = goldenCluster(t, tc.n, tc.real, func(cc *ClusterConfig) {
+			c = goldenCluster(t, tc.n, func(cc *ClusterConfig) {
 				if tc.mutate != nil {
 					tc.mutate(cc)
 				}
@@ -187,11 +197,12 @@ func garbagePeers(cc *ClusterConfig) {
 	cc.Adversary = &adversary.Config{GarbageFraction: 0.2}
 }
 
-// goldenCluster builds a regime's cluster; real gives the builder a blob.
-func goldenCluster(t *testing.T, n int, real bool, mutate func(*ClusterConfig)) *Cluster {
+// goldenCluster builds a regime's cluster, with a blob for the builder
+// when it runs real payloads.
+func goldenCluster(t *testing.T, n int, mutate func(*ClusterConfig)) *Cluster {
 	t.Helper()
 	c := smallCluster(t, n, mutate)
-	if real {
+	if c.cfg.Core.RealPayloads {
 		data := make([]byte, c.cfg.Core.Blob.BlobBytes())
 		for i := range data {
 			data[i] = byte(i * 31)

@@ -15,10 +15,10 @@ import (
 // cluster and the whole event stream as JSONL. TestPlanGolden digests the
 // metrics views the run ends with; the trace also pins the order and the
 // timing of every event on the way there.
-func tracedRegime(t *testing.T, n int, real bool, mutate func(*ClusterConfig)) (*Cluster, []byte) {
+func tracedRegime(t *testing.T, n int, mutate func(*ClusterConfig)) (*Cluster, []byte) {
 	t.Helper()
 	var events []obsv.Event
-	c := goldenCluster(t, n, real, func(cc *ClusterConfig) {
+	c := goldenCluster(t, n, func(cc *ClusterConfig) {
 		mutate(cc)
 		cc.Core.Recorder = obsv.RecorderFunc(func(e obsv.Event) { events = append(events, e) })
 	})
@@ -61,8 +61,8 @@ func TestTraceDeterministic(t *testing.T) {
 		{"churn-adversaries", churnAdversaries},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, first := tracedRegime(t, 150, false, tc.mutate)
-			if _, second := tracedRegime(t, 150, false, tc.mutate); !bytes.Equal(first, second) {
+			_, first := tracedRegime(t, 150, tc.mutate)
+			if _, second := tracedRegime(t, 150, tc.mutate); !bytes.Equal(first, second) {
 				t.Fatalf("two runs traced differently (%d and %d bytes)", len(first), len(second))
 			}
 		})
@@ -76,21 +76,20 @@ func TestTraceGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		n      int
-		real   bool
 		mutate func(*ClusterConfig)
 		// check, when set, asserts the regime exercised what it is there for.
 		check func(t *testing.T, c *Cluster, trace []byte)
 		want  string
 	}{
-		{"sparse-dead-liveness", 150, false, sparseDeadLiveness, nil,
+		{"sparse-dead-liveness", 150, sparseDeadLiveness, nil,
 			"2df7c0925d63f76bd1c03879c398981ed71bc123c11741bfd9d447b829864008"},
-		{"garbage-peers", 100, true, garbagePeers, nil,
+		{"garbage-peers", 100, garbagePeers, nil,
 			"f74b397185766ee0f8f98cb7805b12e22f3c94fd1e3255543d6c720d71204db8"},
-		{"churn-adversaries", 150, false, churnAdversaries, checkChurnAdversaries,
+		{"churn-adversaries", 150, churnAdversaries, checkChurnAdversaries,
 			"ac66fcb58940e84d3175c923f2509b36588c1b92456be3196e9033af9d38708a"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, trace := tracedRegime(t, tc.n, tc.real, tc.mutate)
+			c, trace := tracedRegime(t, tc.n, tc.mutate)
 			if tc.check != nil {
 				tc.check(t, c, trace)
 			}
@@ -105,7 +104,7 @@ func TestTraceGolden(t *testing.T) {
 // skips (KindPeerDemoted) once per backoff, the period the peer's
 // KindPeerTimeout starts, however many rounds skip it in that period.
 func TestPeerDemotedOncePerBackoff(t *testing.T) {
-	_, trace := tracedRegime(t, 150, false, sparseDeadLiveness)
+	_, trace := tracedRegime(t, 150, sparseDeadLiveness)
 	events, err := obsv.ReadJSONL(bytes.NewReader(trace))
 	if err != nil {
 		t.Fatal(err)

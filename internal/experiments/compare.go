@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"os"
+	"runtime"
+	"time"
 
 	"pandas/internal/baseline"
 	"pandas/internal/core"
@@ -82,25 +85,42 @@ func Fig12(o Options) (*Result, error) {
 
 // Fig13 reproduces Fig. 13: PANDAS phase times, messages, and bandwidth
 // at increasing network sizes (paper: 1k, 3k, 5k, 10k, 20k). Samples are
-// labelled by size.
+// labelled by size. Values["peak in flight"] is the most messages the
+// simulator held in flight at once over the run: its link queues, the
+// state that bounds how large a network it can simulate. Each size's wall
+// time and the memory the process has taken from the OS go to stderr,
+// outside the deterministic table.
 func Fig13(o Options, sizes []int) (*Result, error) {
 	o = o.withDefaults()
 	if len(sizes) == 0 {
 		sizes = defaultSizes
 	}
 	res := &Result{
-		Title:  fmt.Sprintf("Fig. 13 — PANDAS scaling (redundant seeding, %d slots)", o.Slots),
-		Header: []string{"nodes", "seed P99", "cons P99", "sample median", "sample P99", "on-time%", "msgs mean", "KB mean"},
+		Title: fmt.Sprintf("Fig. 13 — PANDAS scaling (redundant seeding, %d slots)", o.Slots),
+		Header: []string{"nodes", "seed P99", "cons P99", "sample median", "sample P99", "on-time%",
+			"msgs mean", "KB mean", "peak in flight"},
 	}
 	for _, size := range sizes {
 		so := o
 		so.Nodes = size
-		s, _, err := runPooled(fmt.Sprintf("%d", size), so, func(cc *core.ClusterConfig) {
+		start := time.Now()
+		c, err := newCluster(so, func(cc *core.ClusterConfig) {
 			cc.Core.Policy = core.PolicyRedundant
 		})
 		if err != nil {
 			return nil, err
 		}
+		outcomes, _, err := runSlots(c.RunSlot, so.Slots)
+		if err != nil {
+			return nil, err
+		}
+		var mem runtime.MemStats
+		runtime.ReadMemStats(&mem)
+		fmt.Fprintf(os.Stderr, "fig13: %d nodes in %v, %d MB from the OS\n",
+			size, time.Since(start).Round(time.Millisecond), mem.Sys>>20)
+		s := pool(fmt.Sprintf("%d", size), outcomes, so.Core.Deadline, nil)
+		peak := c.Network().PeakInFlight()
+		s.Values = map[string]float64{"peak in flight": float64(peak)}
 		res.add(s, s.Label,
 			fmtMs(s.Seeding.Percentile(99)),
 			fmtMs(s.Cons.Percentile(99)),
@@ -108,7 +128,8 @@ func Fig13(o Options, sizes []int) (*Result, error) {
 			fmtMs(s.Sampling.Percentile(99)),
 			s.onTimePct(),
 			fmt.Sprintf("%.0f", s.Msgs.Mean()),
-			fmt.Sprintf("%.1f", s.Bytes.Mean()/1024))
+			fmt.Sprintf("%.1f", s.Bytes.Mean()/1024),
+			fmt.Sprintf("%d", peak))
 	}
 	return res, nil
 }

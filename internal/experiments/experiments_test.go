@@ -159,8 +159,12 @@ func TestFig13SmallScale(t *testing.T) {
 		t.Fatal("sizes wrong")
 	}
 	for _, size := range []string{"80", "160"} {
-		if res.Sample(size).Sampling.Total() == 0 {
+		s := res.Sample(size)
+		if s.Sampling.Total() == 0 {
 			t.Fatalf("size %s: no data", size)
+		}
+		if s.Values["peak in flight"] == 0 {
+			t.Fatalf("size %s: no message was ever in flight", size)
 		}
 	}
 	if !strings.Contains(res.Render(), "Fig. 13") {
@@ -239,25 +243,6 @@ func TestConfidence(t *testing.T) {
 		}
 	}
 	if !strings.Contains(res.Render(), "Sampling confidence") {
-		t.Fatal("render missing header")
-	}
-}
-
-func TestValidation(t *testing.T) {
-	o := TestOptions()
-	o.Nodes = 60
-	o.Slots = 1
-	res, err := Validate(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The metadata shortcut must track the real data plane closely —
-	// the paper's simulator-vs-prototype curves are "almost
-	// indistinguishable"; allow 25% median slack at this small scale.
-	if gap := res.Sample("real").Values["median gap"]; gap > 0.25 {
-		t.Fatalf("median gap %.0f%% too large", gap*100)
-	}
-	if !strings.Contains(res.Render(), "validation") {
 		t.Fatal("render missing header")
 	}
 }

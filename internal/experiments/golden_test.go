@@ -4,7 +4,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -34,12 +33,12 @@ func checkGolden(t *testing.T, name, got string) {
 // (regenerate with -update and say so in the commit).
 func TestRenderGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs fifteen experiments")
+		t.Skip("runs fourteen experiments")
 	}
 	p := DefaultParams()
 	p.Sizes = []int{80, 120}
 	for _, name := range []string{"fig9", "fig10", "table1", "fig11", "fig12", "fig13", "fig14",
-		"fig15a", "fig15b", "churn", "ablation", "validate", "confidence", "withholding", "byzantine"} {
+		"fig15a", "fig15b", "churn", "ablation", "confidence", "withholding", "byzantine"} {
 		e, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("experiment %q not registered", name)
@@ -54,26 +53,4 @@ func TestRenderGolden(t *testing.T) {
 		}
 		checkGolden(t, name, res.Render())
 	}
-}
-
-// titleAndColumns reduces a rendered table to what stays fixed when the
-// cells hold wall-clock measurements: the title line and the column names.
-func titleAndColumns(rendered string) string {
-	lines := strings.SplitN(rendered, "\n", 3)
-	if len(lines) < 2 {
-		return rendered
-	}
-	return lines[0] + "\n" + strings.Join(strings.Fields(lines[1]), " ") + "\n"
-}
-
-// TestRenderGoldenShape covers the experiment whose cells are measured
-// on the wall clock, not simulated.
-func TestRenderGoldenShape(t *testing.T) {
-	o := TestOptions()
-	o.Slots = 1
-	sc, err := Scale(o, []int{60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "scale", titleAndColumns(sc.Render()))
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"pandas/internal/adversary"
-	"pandas/internal/core"
 )
 
 // Params carries the cross-experiment knobs pandas-sim parses once and
@@ -19,8 +18,8 @@ import (
 // default"; DefaultParams fills the fields whose zero value is not a
 // sensible default.
 type Params struct {
-	// Sizes is the network-size sweep (fig13, fig14, scale) or the
-	// redundancy sweep (ablation).
+	// Sizes is the network-size sweep (fig13, fig14) or the redundancy
+	// sweep (ablation).
 	Sizes []int
 	// Fractions is the fault/byzantine fraction sweep in [0, 1).
 	Fractions []float64
@@ -82,8 +81,6 @@ func Table() []Experiment {
 			Run: func(o Options, p Params) (*Result, error) { return Churn(o, p.Rates) }},
 		{Name: "ablation", Desc: "builder seeding-redundancy sweep (design knob, paper 9)", Flags: []string{"-sizes"},
 			Run: func(o Options, p Params) (*Result, error) { return Ablation(o, p.Sizes) }},
-		{Name: "validate", Desc: "metadata vs real data plane cross-validation (8.2)",
-			Run: func(o Options, _ Params) (*Result, error) { return Validate(o) }},
 		{Name: "confidence", Desc: "sampling false-positive analysis (Section 3)", Flags: []string{"-trials"},
 			OneDeployment: true,
 			Run: func(o Options, p Params) (*Result, error) {
@@ -94,8 +91,6 @@ func Table() []Experiment {
 			Run: func(o Options, p Params) (*Result, error) { return Withholding(o, nil, p.Trials) }},
 		{Name: "byzantine", Desc: "byzantine-fraction sweep only", Flags: []string{"-behavior", "-fractions"},
 			Run: func(o Options, p Params) (*Result, error) { return Byzantine(o, p.Behavior, p.Fractions) }},
-		{Name: "scale", Desc: "simulator capacity: bytes/node, event throughput, deadline rate vs N", Flags: []string{"-sizes"},
-			Run: func(o Options, p Params) (*Result, error) { return Scale(o, p.Sizes) }},
 		{Name: "all", Desc: "the evaluation suite: every table and figure of Section 8 in one report (the source of EXPERIMENTS.md)",
 			Flags: []string{"-sizes"}, Run: runAll},
 	}
@@ -140,21 +135,10 @@ func runAll(o Options, p Params) (*Result, error) {
 	res := &Result{Title: fmt.Sprintf("PANDAS evaluation suite — %d nodes, %d slots, geometry %dx%d",
 		o.Nodes, o.Slots, o.Core.Blob.N(), o.Core.Blob.N())}
 	for _, name := range []string{"confidence", "fig9", "fig10", "table1", "fig11", "fig12",
-		"fig13", "fig14", "fig15a", "fig15b", "validate"} {
-		so := o
-		if name == "validate" {
-			// The real data plane erasure-codes actual bytes; at the full
-			// 512x512 geometry a single blob extension is minutes of CPU, so
-			// the cross-validation always runs on the scaled-down geometry
-			// (identical code paths).
-			so.Core = core.TestConfig()
-			if so.Nodes > 200 {
-				so.Nodes = 200
-			}
-		}
+		"fig13", "fig14", "fig15a", "fig15b"} {
 		e, _ := Lookup(name)
 		start := time.Now()
-		part, err := e.Run(so, p)
+		part, err := e.Run(o, p)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}

@@ -9,8 +9,8 @@ import (
 
 func TestRegistryCoversAllExperiments(t *testing.T) {
 	want := []string{"fig9", "fig10", "table1", "fig11", "fig12", "fig13", "fig14",
-		"fig15a", "fig15b", "churn", "ablation", "validate", "confidence",
-		"withholding", "byzantine", "scale", "all"}
+		"fig15a", "fig15b", "churn", "ablation", "confidence",
+		"withholding", "byzantine", "all"}
 	table := Table()
 	if len(table) != len(want) {
 		t.Fatalf("table has %d experiments, want %d", len(table), len(want))

@@ -28,7 +28,8 @@ type Sample struct {
 	Msgs, Bytes  *obsv.Scalar       // fetch traffic per node, both directions
 
 	// Values holds the row's numbers that are not node outcomes (builder
-	// bytes, lifecycle events, simulator heap and event counts), by name.
+	// bytes, lifecycle events, the simulator's peak messages in flight), by
+	// name.
 	Values map[string]float64
 }
 

@@ -165,6 +165,5 @@ func (e *Engine) Run(until time.Duration) int {
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// Executed returns the total number of events run since creation; the
-// scale experiments divide it by wall-clock time for events/sec.
+// Executed returns the total number of events run since creation.
 func (e *Engine) Executed() uint64 { return e.executed }

@@ -186,6 +186,10 @@ func (n *Network) ResetStats() {
 // Dropped returns the total number of messages lost in transit.
 func (n *Network) Dropped() int { return n.dropped }
 
+// PeakInFlight returns the most messages in flight at once since creation:
+// the message slab only grows, so its length is the high-water mark.
+func (n *Network) PeakInFlight() int { return len(n.msgs) }
+
 // LossRate returns the current random-loss probability.
 func (n *Network) LossRate() float64 { return n.cfg.LossRate }
 

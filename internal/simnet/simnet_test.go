@@ -201,6 +201,23 @@ func TestNetworkStats(t *testing.T) {
 	}
 }
 
+// TestPeakInFlight: the peak is the most messages between send and
+// delivery at one time, and a later, smaller burst does not lower it.
+func TestPeakInFlight(t *testing.T) {
+	n := newTestNet(t, ConstantLatency(time.Millisecond), 0)
+	a := n.AddNode(nil, 0, 0)
+	b := n.AddNode(func(from, size int, payload any) {}, 0, 0)
+	for i := 0; i < 3; i++ {
+		n.Send(a, b, 100, nil)
+	}
+	n.Run(time.Second)
+	n.Send(a, b, 100, nil)
+	n.Run(2 * time.Second)
+	if got := n.PeakInFlight(); got != 3 {
+		t.Fatalf("PeakInFlight() = %d, want 3", got)
+	}
+}
+
 func TestNetworkDeadNode(t *testing.T) {
 	n := newTestNet(t, ConstantLatency(time.Millisecond), 0)
 	delivered := false

@@ -10,7 +10,7 @@ import (
 // node hosts plus one builder host in one process, each with its own
 // socket and event loop. It is the repository's stand-in for the paper's
 // 1,000-process cluster deployment and powers the localnet example and
-// the cross-validation test.
+// TestLocalnetSlotEndToEnd.
 type Localnet struct {
 	Cfg   core.Config
 	Table *core.Table

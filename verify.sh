@@ -152,7 +152,7 @@ echo "== fuzz: lazy fetch planning vs the stable-sort oracle (10 s)"
 go test ./internal/fetch -run '^$' -fuzz FuzzPlanLazyFrom -fuzztime 10s
 
 # One iteration of every benchmark, so none can rot; -short skips the
-# paper-scale ones (a 100k-node slot alone runs for minutes). Measure with
+# paper-scale ones (a 1,000-node slot alone runs for ~25 s). Measure with
 # a fixed count, e.g. -benchtime 20000x -count 5.
 echo "== every benchmark compiles and runs (1 iteration, -short)"
 go test -short -run '^$' -bench . -benchtime 1x ./...
